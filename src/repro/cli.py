@@ -681,7 +681,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service.server import serve
+    from repro.service import serve
 
     fault_plan = None
     if args.fault_plan:
@@ -751,7 +751,7 @@ def _cmd_jobs(args) -> int:
 
 def _jobs_verbs(args) -> int:
     from repro.service.jobs import JobSpec
-    from repro.service.server import ServiceClient
+    from repro.service import ServiceClient
 
     with ServiceClient(
         host=args.host, port=args.port,
@@ -945,7 +945,7 @@ def _loadgen_run(args) -> int:
     import itertools
 
     from repro.experiments.loadgen import run_loadgen
-    from repro.service.server import ServiceClient
+    from repro.service import ServiceClient
 
     if args.batch < 1:
         print("repro: --batch must be >= 1", file=sys.stderr)

@@ -56,7 +56,7 @@ def _start_server(
     max_inflight: int = 64,
 ):
     """One in-process server on an ephemeral port; returns (thread, server)."""
-    from repro.service.server import serve
+    from repro.service import serve
 
     ready = threading.Event()
     box: dict = {}
@@ -99,7 +99,7 @@ def _run_leg(
     retries: int,
 ) -> dict:
     """One full lifecycle (serve → load → drain → restart → verify)."""
-    from repro.service.server import ServiceClient
+    from repro.service import ServiceClient
 
     state_dir = os.path.join(root, f"state-{label}")
     keys = [f"chaos-{label}-{i}" for i in range(n_jobs)]

@@ -301,7 +301,7 @@ def measure_transport_bytes(
     import tempfile
     import threading
 
-    from repro.service.server import ServiceClient, serve
+    from repro.service import ServiceClient, serve
 
     with tempfile.TemporaryDirectory(prefix="repro-wirebench-") as root:
         reg_root = os.path.join(root, "registry")

@@ -28,9 +28,11 @@ Components
     registered theories with a per-theory prepared-KB cache;
     bit-identical to one-shot :func:`repro.ilp.coverage.coverage_eval`.
 :mod:`repro.service.server`
-    :class:`Service` (transport-free request handler) plus the JSON-lines
-    TCP front door behind ``repro serve`` and the matching
-    :class:`ServiceClient`.
+    :class:`Service` (transport-free request handler) plus the socket
+    front door behind ``repro serve``: one request lifecycle, JSON-lines
+    or wire frames (:mod:`repro.service.wiremsg`) as the codec.
+:mod:`repro.service.client`
+    :class:`ServiceClient` — the matching blocking client.
 
 Everything is stdlib-only (threads, sockets, JSON) — no new
 dependencies.
@@ -40,7 +42,8 @@ from repro.service.jobs import JobOutcome, JobRecord, JobSpec, run_job
 from repro.service.query import QueryEngine, QueryResult
 from repro.service.registry import RegistryError, RegistryRecord, TheoryRegistry
 from repro.service.scheduler import JobScheduler, SchedulerError
-from repro.service.server import Service, ServiceClient, serve
+from repro.service.client import ServiceClient
+from repro.service.server import Service, serve
 
 __all__ = [
     "JobSpec",

@@ -16,6 +16,7 @@ Codes
 ``bad_request``        malformed/invalid request (not retryable as-is);
 ``unauthenticated``    missing/wrong token (send a hello first);
 ``deadline_exceeded``  the request's deadline passed before completion;
+``cancelled``          the client hung up mid-stream (seen in metrics only);
 ``overloaded``         load shed — honour ``retry_after`` and resend;
 ``unavailable``        transient server-side failure — safe to retry;
 ``shutting_down``      the server is draining; reconnect elsewhere/later;
@@ -32,7 +33,9 @@ from repro.parallel.wire import WireError
 __all__ = [
     "ServiceFault",
     "BadRequest",
+    "Unauthenticated",
     "DeadlineExceeded",
+    "Cancelled",
     "Overloaded",
     "Unavailable",
     "ShuttingDown",
@@ -64,8 +67,23 @@ class BadRequest(ServiceFault):
     code = "bad_request"
 
 
+class Unauthenticated(ServiceFault):
+    code = "unauthenticated"
+
+    def __init__(self):
+        super().__init__(
+            'authentication required: send {"op": "hello", "token": "..."} first'
+        )
+
+
 class DeadlineExceeded(ServiceFault):
     code = "deadline_exceeded"
+
+
+class Cancelled(ServiceFault):
+    """The client hung up mid-stream: the work was dropped, nobody reads this."""
+
+    code = "cancelled"
 
 
 class Overloaded(ServiceFault):

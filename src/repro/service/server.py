@@ -25,7 +25,10 @@ asking for ``"transport": "wire"`` gets the hello response on JSON-lines
 and then the connection switches to the compact binary framing of
 :mod:`repro.service.wiremsg` (4-byte length prefix + wire-codec
 message); servers without the hello op reject it, so clients fall back
-to JSON-lines automatically.
+to JSON-lines automatically.  A transport is a codec and nothing else —
+bytes to request dict, response dict to bytes: a native ``WireQuery``
+*is* the ``query`` request with its examples already parsed, and is
+answered in kind, ``covered`` as a packed bitset (terms in, bitset out).
 
 **Streaming queries.**  ``{"op": "query", ..., "stream": true,
 "shards": k}`` shards the batch over the query engine's worker pool and
@@ -46,51 +49,52 @@ connections cost no threads), with blocking operations (``wait`` can
 legitimately block for minutes; queries hold a CPU) dispatched to a
 bounded thread pool so the loop itself never stalls.  Learning jobs run
 in the scheduler's own slot threads, so slow jobs never block queries.
-:class:`ServiceClient` is the matching blocking client used by the
-``repro jobs`` / ``repro serve``-side CLI verbs and the tests.
+Every request of either transport takes the one path
+``_serve_once`` → ``_run_op`` → :meth:`Service.handle`, which is where
+deadlines, request ids, admission control, auth, metrics, spans and
+error codes live; a streamed query differs only in pushing its shard
+frames through ``ClientContext.emit`` on the way.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import random
+import os
 import signal
 import socket
 import struct
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.fault.service import ServiceFaultInjector, normalize_service_plan
 from repro.logic import ParseError, parse_term
+from repro.logic.terms import Term
 from repro.obs import NULL_TRACER, MetricsRegistry
-from repro.parallel.wire import WireError
+from repro.parallel import wire
 from repro.util.log import get_logger, log_context
 from repro.service import wiremsg
 from repro.service.errors import (
-    RETRYABLE_CODES,
     BadRequest,
+    Cancelled,
     DeadlineExceeded,
     FrameTooLarge,
     Overloaded,
     ServiceFault,
     ShuttingDown,
+    Unauthenticated,
     error_response,
 )
 from repro.service.jobs import JobSpec
-from repro.service.query import QueryEngine, QueryResult, QueryStream
+from repro.service.query import QueryEngine, QueryResult, QueryStream, ShardResult
 from repro.service.registry import RegistryError, TheoryRegistry
 from repro.service.scheduler import JobScheduler, SchedulerError
 
-__all__ = ["Service", "ServiceServer", "ServiceClient", "ClientContext", "serve"]
-
-#: transports a server can negotiate in the hello op.
-TRANSPORTS = ("json", "wire")
+__all__ = ["Service", "ServiceServer", "ClientContext", "serve"]
 
 _log = get_logger("repro.service")
 
@@ -106,7 +110,7 @@ def stamp_request_id(request: dict) -> str:
     """
     rid = request.get("request_id")
     if not isinstance(rid, str) or not rid:
-        rid = f"req-{uuid.uuid4().hex[:12]}"
+        rid = f"req-{os.urandom(6).hex()}"
         request["request_id"] = rid
     return rid
 
@@ -129,16 +133,12 @@ def deadline_of(request: dict) -> Optional[float]:
 
     Stamps direct (in-process) requests that skipped the transport.
     """
-    dl = request.get("_deadline")
-    if dl is not None:
-        return dl
     ms = request.get("deadline_ms")
-    if ms is None:
-        return None
-    if not isinstance(ms, (int, float)) or isinstance(ms, bool) or ms <= 0:
-        raise BadRequest(f"deadline_ms must be a positive number, got {ms!r}")
-    stamp_deadline(request)
-    return request["_deadline"]
+    if "_deadline" not in request and ms is not None:
+        stamp_deadline(request)
+        if "_deadline" not in request:
+            raise BadRequest(f"deadline_ms must be a positive number, got {ms!r}")
+    return request.get("_deadline")
 
 
 @dataclass
@@ -157,6 +157,12 @@ class ClientContext:
     #: bytes read ahead of the current parse point (pipelined requests
     #: surfaced by the mid-stream disconnect watch).
     pushback: bytes = b""
+    #: while a socket transport serves a streaming request: pushes one
+    #: shard frame to the client from the op's thread (:class:`Cancelled`
+    #: once the client is gone).  None in-process: streams answer whole.
+    emit: Optional[Callable[[dict], None]] = None
+    #: the stream that request drains; the transport cancels it on hang-up.
+    stream: Optional[QueryStream] = None
 
 
 class Service:
@@ -196,6 +202,7 @@ class Service:
         #: per-service metrics registry — one scrape surface per server,
         #: isolated across instances (tests spin up many).
         self.metrics = MetricsRegistry()
+        self._meters: dict[str, tuple] = {}
         #: request-span recorder; NULL_TRACER (no-op) unless serve was
         #: started with --trace-out.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -278,22 +285,13 @@ class Service:
         try:
             handler = getattr(self, f"_op_{op}", None)
             if not isinstance(op, str) or handler is None:
-                return {
-                    "ok": False,
-                    "error": f"unknown op {op!r}",
-                    "code": "bad_request",
-                }
+                raise BadRequest(f"unknown op {op!r}")
             if (
                 self.auth_token is not None
                 and not ctx.authenticated
                 and op not in ("ping", "hello")
             ):
-                return {
-                    "ok": False,
-                    "error": 'authentication required: send {"op": "hello", '
-                    '"token": "..."} first',
-                    "code": "unauthenticated",
-                }
+                raise Unauthenticated()
             deadline = deadline_of(request)
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceeded(
@@ -310,16 +308,10 @@ class Service:
     def _account(self, op: str, response: dict, dt: float, ctx: ClientContext) -> None:
         """Count, time, and log one handled request (never raises)."""
         try:
-            self.metrics.counter(
-                "repro_requests_total", "requests handled, by op", op=op
-            ).inc()
-            self.metrics.histogram(
-                "repro_request_latency_seconds", "request handling latency", op=op
-            ).observe(dt)
-            if op == "query":
-                self.metrics.histogram(
-                    "repro_query_latency_seconds", "query op latency end to end"
-                ).observe(dt)
+            counter, timers = self._meters.get(op) or self._meter(op)
+            counter.inc()
+            for timer in timers:
+                timer.observe(dt)
             if not response.get("ok"):
                 code = response.get("code", "error")
                 self.metrics.counter(
@@ -337,6 +329,19 @@ class Service:
         except Exception:  # pragma: no cover - accounting must never fail a request
             pass
 
+    def _meter(self, op: str) -> tuple:
+        """An op's request counter and latency histograms, looked up once
+        per op: every request of every transport passes through here."""
+        hist = self.metrics.histogram
+        timers = [hist("repro_request_latency_seconds", "request handling latency", op=op)]
+        if op == "query":
+            timers.append(hist("repro_query_latency_seconds", "query op latency end to end"))
+        self._meters[op] = meters = (
+            self.metrics.counter("repro_requests_total", "requests handled, by op", op=op),
+            timers,
+        )
+        return meters
+
     # -- operations --------------------------------------------------------------
 
     def _op_ping(self, request: dict, ctx: ClientContext) -> dict:
@@ -351,10 +356,10 @@ class Service:
         if isinstance(request.get("client"), str) and request["client"]:
             ctx.client_id = request["client"]
         requested = request.get("transport", "json")
-        granted = requested if requested in TRANSPORTS else "json"
+        granted = requested if requested in wiremsg.TRANSPORTS else "json"
         return {
             "server": "repro-service",
-            "transports": list(TRANSPORTS),
+            "transports": list(wiremsg.TRANSPORTS),
             "transport": granted,
             "auth": self.auth_token is not None,
             "client": ctx.client_id,
@@ -419,15 +424,20 @@ class Service:
         micro_batch: int = 1024,
         shards=None,
         deadline: Optional[float] = None,
+        on_open: Optional[Callable[[QueryStream], None]] = None,
+        on_frame: Optional[Callable[[ShardResult], None]] = None,
     ) -> QueryResult:
         """One batched query over already-parsed example terms.
 
-        Under shard-pool saturation a sharded request degrades to the
-        sequential path (``result.shards == 1``) instead of queueing or
-        failing — bit-identical answer, just slower.  With a
-        ``deadline`` (absolute monotonic), sharded evaluation is drained
-        frame-by-frame with the remaining budget and cancelled (pending
-        shard tasks dropped) the moment it expires.
+        Under shard-pool saturation a sharded request degrades to one
+        span (``result.shards == 1``) instead of queueing k shards or
+        failing — bit-identical answer, just slower.  Sharded work is
+        drained frame-by-frame: with a ``deadline`` (absolute monotonic)
+        each wait gets the remaining budget and the pending shard tasks
+        are dropped the moment it expires; with ``on_frame`` the batch
+        is streamed — every shard frame is handed over as soon as it and
+        all earlier ones are done, and ``on_open`` gets the stream first
+        so that its owner can cancel it.
         """
         if self.registry is None:
             raise ValueError("query needs the server started with a registry dir")
@@ -437,27 +447,40 @@ class Service:
             shards_r = None
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded("deadline expired before query evaluation")
-        if deadline is None or shards_r is None or len(examples) <= 1:
+        if on_frame is None and (shards_r is None or len(examples) <= 1):
             result = self.query_engine.query(
-                name,
-                examples,
-                version=version,
-                micro_batch=micro_batch or 1024,
-                shards=shards_r,
+                name, examples, version=version, micro_batch=micro_batch or 1024
             )
-            self._observe_fanout(result.shards)
-            return result
-        stream = self.query_engine.query_stream(
-            name, examples, version=version,
-            micro_batch=micro_batch or 1024, shards=shards_r,
-        )
+        else:
+            stream = self.query_engine.query_stream(
+                name, examples, version=version,
+                micro_batch=micro_batch or 1024, shards=shards_r or 1,
+            )
+            result = self._drain(stream, deadline, on_open, on_frame)
+        self.metrics.histogram(
+            "repro_query_fanout_shards",
+            "shards a query batch fanned out over",
+            buckets=(1, 2, 4, 8, 16, 32, 64),
+        ).observe(result.shards)
+        return result
+
+    @staticmethod
+    def _drain(stream: QueryStream, deadline, on_open, on_frame) -> QueryResult:
+        """Consume ``stream`` in shard order; leaves no shard work behind."""
         try:
+            if on_open is not None:
+                on_open(stream)
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise FuturesTimeout()
-                if stream.next_frame(timeout=remaining) is None:
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise FuturesTimeout()
+                frame = stream.next_frame(timeout=remaining)
+                if frame is None:
                     break
+                if on_frame is not None:
+                    on_frame(frame)
         except FuturesTimeout:
             stream.cancel()
             raise DeadlineExceeded(
@@ -465,40 +488,25 @@ class Service:
                 f"({stream._next} of {len(stream.spans)} shards done)"
             ) from None
         except BaseException:
+            # e.g. an injected engine-lease failure: never partial results.
             stream.cancel()
             raise
-        result = stream.result()
-        self._observe_fanout(result.shards)
-        return result
-
-    def _observe_fanout(self, shards: int) -> None:
-        self.metrics.histogram(
-            "repro_query_fanout_shards",
-            "shards a query batch fanned out over",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
-        ).observe(shards)
-
-    def open_query_stream(self, request: dict) -> QueryStream:
-        """Open the sharded stream behind a ``"stream": true`` query.
-
-        The transport layer owns the returned stream: it must drain
-        every frame or :meth:`~repro.service.query.QueryStream.cancel`
-        it (it cancels on client disconnect).
-        """
-        if self.registry is None:
-            raise ValueError("query needs the server started with a registry dir")
-        examples = [parse_term(s) for s in request["examples"]]
-        return self.query_engine.query_stream(
-            request["theory"],
-            examples,
-            version=request.get("version"),
-            micro_batch=int(request.get("micro_batch") or 1024),
-            shards=self._resolve_shards(request.get("shards")) or 1,
-        )
+        if not stream.done:
+            raise Cancelled("query cancelled mid-stream: the client hung up")
+        return stream.result()
 
     def _op_query(self, request: dict, ctx: ClientContext) -> dict:
-        examples = [parse_term(s) for s in request["examples"]]
-        requested = self._resolve_shards(request.get("shards"))
+        items = request["examples"]
+        # Terms in, bitset out: a native wire query arrives parsed and is
+        # answered packed; strings are answered with a list of booleans.
+        packed = bool(items) and isinstance(items[0], Term)
+        examples = [e if isinstance(e, Term) else parse_term(e) for e in items]
+        streaming = {}
+        if request.get("stream") and ctx.emit is not None:
+            streaming = dict(
+                on_open=lambda stream: setattr(ctx, "stream", stream),
+                on_frame=lambda frame: ctx.emit(_answer(frame, packed)),
+            )
         result = self.query_result(
             request["theory"],
             examples,
@@ -506,15 +514,16 @@ class Service:
             micro_batch=int(request.get("micro_batch") or 1024),
             shards=request.get("shards"),
             deadline=request.get("_deadline"),
+            **streaming,
         )
-        out = {
-            "n": result.n,
-            "n_covered": result.n_covered,
-            "ops": result.ops,
-            "shards": result.shards,
-            "covered": result.decisions(),
-        }
-        if requested is not None and result.shards == 1 and len(examples) > 1:
+        out = _answer(result, packed)
+        if streaming:
+            out["frame"] = "end"
+        if (
+            self._resolve_shards(request.get("shards")) is not None
+            and result.shards == 1
+            and len(examples) > 1
+        ):
             out["degraded"] = True
         return out
 
@@ -572,14 +581,16 @@ class Service:
             return {"target": "registry", "removed": removed}
         raise ValueError(f"unknown gc target {target!r}")
 
-    def _op_stats(self, request: dict, ctx: ClientContext) -> dict:
-        jobs = self.scheduler.jobs()
+    def _jobs_by_state(self) -> dict[str, int]:
         by_state: dict[str, int] = {}
-        for j in jobs:
+        for j in self.scheduler.jobs():
             by_state[j["state"]] = by_state.get(j["state"], 0) + 1
+        return by_state
+
+    def _op_stats(self, request: dict, ctx: ClientContext) -> dict:
         out = {
             "slots": self.scheduler.slots,
-            "jobs": by_state,
+            "jobs": self._jobs_by_state(),
             "query": self.query_engine.stats(),
             "resilience": {
                 "draining": self.draining,
@@ -605,10 +616,7 @@ class Service:
         the scheduler / query engine and are sampled here so one scrape
         sees one consistent moment.
         """
-        jobs = self.scheduler.jobs()
-        by_state: dict[str, int] = {}
-        for j in jobs:
-            by_state[j["state"]] = by_state.get(j["state"], 0) + 1
+        by_state = self._jobs_by_state()
         g = self.metrics.gauge
         g("repro_scheduler_slots", "scheduler slot count").set(self.scheduler.slots)
         g("repro_scheduler_slots_busy", "slots running a job").set(
@@ -645,28 +653,18 @@ class Service:
         return {"shutdown": True}
 
 
-def _query_frames(stream: QueryStream) -> Iterator[dict]:
-    """Render a drained stream's frames as protocol dicts (shared by tests)."""
-    for frame in stream.frames():
-        yield {
-            "ok": True,
-            "frame": "shard",
-            "shard": frame.shard,
-            "lo": frame.lo,
-            "n": frame.n,
-            "ops": frame.ops,
-            "covered": frame.decisions(),
-        }
-    result = stream.result()
-    yield {
-        "ok": True,
-        "frame": "end",
-        "n": result.n,
-        "n_covered": result.n_covered,
-        "ops": result.ops,
-        "shards": result.shards,
-        "covered": result.decisions(),
+def _answer(part, packed: bool) -> dict:
+    """Protocol fields of a shard frame or of a merged batch result."""
+    out = {
+        "n": part.n,
+        "ops": part.ops,
+        "covered": part.covered if packed else part.decisions(),
     }
+    if isinstance(part, ShardResult):
+        out.update(ok=True, frame="shard", shard=part.shard, lo=part.lo)
+    else:
+        out.update(n_covered=part.n_covered, shards=part.shards)
+    return out
 
 
 class ServiceServer:
@@ -821,11 +819,7 @@ class ServiceServer:
         ctx = ClientContext(client_id=peer[0] if peer else "unknown")
         try:
             while not self._shutdown.is_set():
-                if ctx.transport == "wire":
-                    alive = await self._serve_wire_once(reader, writer, ctx)
-                else:
-                    alive = await self._serve_json_once(reader, writer, ctx)
-                if not alive:
+                if not await self._serve_once(reader, writer, ctx):
                     return
         except (ConnectionError, asyncio.IncompleteReadError):
             return  # client went away; nothing to answer
@@ -836,37 +830,28 @@ class ServiceServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_json_once(self, reader, writer, ctx) -> bool:
+    async def _serve_once(self, reader, writer, ctx: ClientContext) -> bool:
+        """Read, stamp, dispatch and answer one request; False closes.
+
+        The one request lifecycle of the front door: the transport only
+        decides how bytes become the request dict (:meth:`_read_request`)
+        and how a response dict becomes bytes (:meth:`_send`).
+        """
         try:
-            line = await self._readline(reader, ctx)
-        except (asyncio.LimitOverrunError, ValueError):
-            # One request line exceeding the frame cap: answer with a
-            # structured error, then close — the tail of the oversized
-            # line cannot be resynchronized.
-            await self._send_json(
-                writer,
-                error_response(
-                    FrameTooLarge(
-                        f"request line exceeds the {wiremsg.MAX_FRAME}-byte cap"
-                    )
-                ),
-            )
-            return False
-        if not line:
-            return False
-        line = line.strip()
-        if not line:
-            return True
-        try:
-            request = json.loads(line)
+            request = await self._read_request(reader, ctx)
+            if request is None:
+                return False
             if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            await self._send_json(
-                writer,
-                {"ok": False, "error": f"bad request: {exc}", "code": "bad_request"},
+                raise BadRequest("bad request: request must be a JSON object")
+        except (ServiceFault, wire.WireError) as exc:
+            await self._send(writer, ctx, error_response(exc))
+            # Keep serving only where the framing is still in sync: after a
+            # well-framed bad request, and after an oversized wire frame
+            # (its body was discarded).  The tail of an oversized line, or
+            # whatever follows an undecodable frame, cannot be trusted.
+            return isinstance(exc, BadRequest) or (
+                isinstance(exc, FrameTooLarge) and ctx.transport == "wire"
             )
-            return True
         stamp_deadline(request)
         stamp_request_id(request)
         reset = self._injected_reset(request.get("op"))
@@ -877,288 +862,89 @@ class ServiceServer:
             self._abort_connection(writer)
             return False
         if request.get("op") == "query" and request.get("stream"):
-            return await self._stream_query(
-                request, ctx, reader, writer,
-                send=lambda resp: self._send_json(writer, resp),
-            )
-        response = await self._run_op(request, ctx)
-        await self._send_json(writer, response)
-        if response.get("ok") and request.get("op") == "hello":
+            response = await self._run_streaming(request, ctx, reader, writer)
+            if response is None:
+                return False  # the client hung up mid-stream
+        else:
+            response = await self._run_op(request, ctx)
+        await self._send(writer, ctx, response)
+        if request.get("op") == "hello" and response.get("transport") == "wire":
             # Switch only after the acknowledgement went out on JSON-lines.
-            if response.get("transport") == "wire":
-                ctx.transport = "wire"
+            ctx.transport = "wire"
         if response.get("shutdown"):
             self.initiate_shutdown()
             return False
         return True
 
-    async def _serve_wire_once(self, reader, writer, ctx) -> bool:
-        try:
-            msg = await self._read_frame(reader, ctx)
-        except FrameTooLarge as exc:
-            # The oversized frame body was discarded, so the framing is
-            # still in sync: answer structurally and keep serving.
-            await self._send_frame(writer, wiremsg.WireJson(error_response(exc)))
-            return True
-        except WireError as exc:
-            # Garbage that didn't decode: answer, then close — after a
-            # framing desync nothing later on the connection is trustworthy.
-            await self._send_frame(
-                writer, wiremsg.WireJson(error_response(exc, code="bad_request"))
-            )
-            return False
-        if msg is None:
-            return False
-        if isinstance(msg, wiremsg.WireQuery):
-            reset = self._injected_reset("query")
-            if reset is not None:
-                self._abort_connection(writer)
-                return False
-            return await self._wire_query(msg, ctx, reader, writer)
-        if not isinstance(msg, wiremsg.WireJson):
-            await self._send_frame(
-                writer,
-                wiremsg.WireJson(
-                    {
-                        "ok": False,
-                        "error": f"unexpected {type(msg).__name__}",
-                        "code": "bad_request",
-                    }
-                ),
-            )
-            return True
-        request = msg.payload
-        if not isinstance(request, dict):
-            await self._send_frame(
-                writer,
-                wiremsg.WireJson(
-                    {
-                        "ok": False,
-                        "error": "request must be a JSON object",
-                        "code": "bad_request",
-                    }
-                ),
-            )
-            return True
-        stamp_deadline(request)
-        stamp_request_id(request)
-        reset = self._injected_reset(request.get("op"))
-        if reset is not None:
-            if reset.when == "after":
-                await self._run_op(request, ctx)
-            self._abort_connection(writer)
-            return False
-        if request.get("op") == "query" and request.get("stream"):
-            return await self._stream_query(
-                request, ctx, reader, writer,
-                send=lambda resp: self._send_frame(writer, _frame_to_wire(resp)),
-            )
-        response = await self._run_op(request, ctx)
-        await self._send_frame(writer, wiremsg.WireJson(response))
-        if response.get("shutdown"):
-            self.initiate_shutdown()
-            return False
-        return True
+    async def _run_streaming(self, request, ctx, reader, writer) -> Optional[dict]:
+        """:meth:`_run_op` for a streaming query; None if the client left.
 
-    async def _wire_query(self, msg: wiremsg.WireQuery, ctx, reader, writer) -> bool:
-        """A native wire query: terms arrive parsed, bitsets leave packed."""
-        svc = self.service
-        if svc.auth_token is not None and not ctx.authenticated:
-            await self._send_frame(
-                writer, wiremsg.WireJson({"ok": False, "error": "authentication required"})
-            )
-            return True
-        loop = asyncio.get_running_loop()
-        if msg.stream:
-            def opener():
-                return svc.query_engine.query_stream(
-                    msg.name,
-                    msg.examples,
-                    version=msg.version,
-                    micro_batch=msg.micro_batch,
-                    shards=svc._resolve_shards(msg.shards) or 1,
-                )
-
-            return await self._stream_query(
-                None, ctx, reader, writer,
-                send=lambda m: self._send_frame(writer, m),
-                opener=opener, wire=True,
-            )
-        try:
-            result = await loop.run_in_executor(
-                self._ops,
-                lambda: svc.query_result(
-                    msg.name, msg.examples, version=msg.version,
-                    micro_batch=msg.micro_batch, shards=msg.shards,
-                ),
-            )
-        except ServiceFault as exc:
-            await self._send_frame(writer, wiremsg.WireJson(error_response(exc)))
-            return True
-        except (SchedulerError, RegistryError, ParseError, ValueError, KeyError) as exc:
-            await self._send_frame(writer, wiremsg.WireJson(error_response(exc)))
-            return True
-        await self._send_frame(
-            writer,
-            wiremsg.WireQueryEnd(
-                covered=result.covered, n=result.n, ops=result.ops, shards=result.shards
-            ),
-        )
-        return True
-
-    async def _stream_query(
-        self, request, ctx, reader, writer,
-        send: Callable, opener: Optional[Callable] = None, wire: bool = False,
-    ) -> bool:
-        """Stream one sharded query; True iff the connection stays usable.
-
-        The disconnect watch races every frame against a read on the
-        client socket: an EOF there means the client is gone, so the
-        stream is cancelled and its not-yet-started shard tasks never
-        run (the leak the streaming tests pin).  Data that arrives
-        instead of EOF is a pipelined request — pushed back for the main
-        loop, never dropped.
+        Shard frames go out from the op's thread through ``ctx.emit`` as
+        they complete; the returned response is the end frame (or the
+        error that cut the stream short).  Meanwhile the disconnect
+        watch holds a read on the client socket: an EOF there means the
+        client is gone, so the stream is cancelled and its
+        not-yet-started shard tasks never run (the leak the streaming
+        tests pin).  Data that arrives instead of EOF is a pipelined
+        request — pushed back for the main loop, never dropped.
         """
         loop = asyncio.get_running_loop()
-        if request is not None:
-            svc = self.service
-            if svc.auth_token is not None and not ctx.authenticated:
-                err = {
-                    "ok": False,
-                    "error": "authentication required",
-                    "code": "unauthenticated",
-                }
-                await send(wiremsg.WireJson(err) if wire else err)
-                return True
-        deadline = request.get("_deadline") if request is not None else None
-        try:
-            stream = await loop.run_in_executor(
-                self._ops, opener or (lambda: self.service.open_query_stream(request))
-            )
-        except (ServiceFault, SchedulerError, RegistryError, ParseError, ValueError, KeyError) as exc:
-            err = error_response(exc)
-            await send(wiremsg.WireJson(err) if wire else err)
-            return True
-        eof_watch = asyncio.ensure_future(reader.read(4096))
-        frame_task = None
         alive = True
-        try:
-            while True:
-                if frame_task is None:
-                    if deadline is None:
-                        frame_task = loop.run_in_executor(self._ops, stream.next_frame)
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            stream.cancel()
-                            err = error_response(
-                                DeadlineExceeded("deadline exceeded mid-stream")
-                            )
-                            await send(wiremsg.WireJson(err) if wire else err)
-                            break
-                        frame_task = loop.run_in_executor(
-                            self._ops,
-                            lambda r=remaining: stream.next_frame(timeout=r),
-                        )
-                done, _ = await asyncio.wait(
-                    {frame_task, eof_watch}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if eof_watch in done:
-                    data = eof_watch.result()
-                    if not data:  # client disconnected mid-stream
-                        stream.cancel()
-                        alive = False
-                        break
-                    ctx.pushback += data
-                    eof_watch = asyncio.ensure_future(reader.read(4096))
-                    continue
-                try:
-                    frame = frame_task.result()
-                except FuturesTimeout:
-                    # The deadline ran out while a shard was evaluating:
-                    # cancel the pending shard tasks and answer with a
-                    # structured error on the still-usable connection.
-                    frame_task = None
-                    stream.cancel()
-                    err = error_response(
-                        DeadlineExceeded(
-                            f"deadline exceeded mid-stream ({stream._next} of "
-                            f"{len(stream.spans)} shards delivered)"
-                        )
-                    )
-                    await send(wiremsg.WireJson(err) if wire else err)
-                    break
-                except ServiceFault as exc:
-                    # e.g. an injected engine-lease failure: never partial
-                    # results — cancel the whole stream and report.
-                    frame_task = None
-                    stream.cancel()
-                    err = error_response(exc)
-                    await send(wiremsg.WireJson(err) if wire else err)
-                    break
-                frame_task = None
-                if frame is None:
-                    break
-                if wire:
-                    await send(
-                        wiremsg.WireShard(
-                            shard=frame.shard, lo=frame.lo, n=frame.n,
-                            covered=frame.covered, ops=frame.ops,
-                        )
-                    )
-                else:
-                    await send(
-                        {
-                            "ok": True, "frame": "shard", "shard": frame.shard,
-                            "lo": frame.lo, "n": frame.n, "ops": frame.ops,
-                            "covered": frame.decisions(),
-                        }
-                    )
-            if alive and stream.done:
-                result = stream.result()
-                if wire:
-                    await send(
-                        wiremsg.WireQueryEnd(
-                            covered=result.covered, n=result.n,
-                            ops=result.ops, shards=result.shards,
-                        )
-                    )
-                else:
-                    await send(
-                        {
-                            "ok": True, "frame": "end", "n": result.n,
-                            "n_covered": result.n_covered, "ops": result.ops,
-                            "shards": result.shards, "covered": result.decisions(),
-                        }
-                    )
-        except ConnectionError:
-            stream.cancel()
+
+        def hang_up() -> None:
+            nonlocal alive
             alive = False
-        finally:
-            if frame_task is not None:
-                # Let the in-flight next_frame call retire before returning
-                # the connection to the main loop (or closing it).
-                stream.cancel()
+            if ctx.stream is not None:
+                ctx.stream.cancel()
+
+        def emit(frame: dict) -> None:
+            if alive:
                 try:
-                    await frame_task
-                except Exception:
+                    return asyncio.run_coroutine_threadsafe(
+                        self._send(writer, ctx, frame), loop
+                    ).result()
+                except ConnectionError:
                     pass
+            raise Cancelled("query cancelled mid-stream: the client hung up")
+
+        ctx.emit = emit
+        op = asyncio.ensure_future(self._run_op(request, ctx))
+        eof_watch = asyncio.ensure_future(reader.read(4096))
+        try:
+            while alive and not op.done():
+                await asyncio.wait({op, eof_watch}, return_when=asyncio.FIRST_COMPLETED)
+                if eof_watch.done() and not op.done():
+                    if self._take_pushback(eof_watch, ctx):
+                        eof_watch = asyncio.ensure_future(reader.read(4096))
+                    else:
+                        hang_up()
+        finally:
+            if not op.done():
+                # Retire the op before the connection goes back to the main
+                # loop (or closes): its thread may be mid-emit.
+                hang_up()
+                await asyncio.wait({op})
+            ctx.emit = ctx.stream = None
             if not eof_watch.done():
                 # Must settle before the main loop reads again: two
                 # coroutines waiting on one StreamReader is an error, and
                 # cancellation only lands at the next loop step.
                 eof_watch.cancel()
-                try:
-                    await eof_watch
-                except asyncio.CancelledError:
-                    pass
-            if eof_watch.done() and not eof_watch.cancelled():
-                data = eof_watch.result()
-                if data:
-                    ctx.pushback += data
-                else:
-                    alive = False
-        return alive
+                await asyncio.wait({eof_watch})
+            if not eof_watch.cancelled() and not self._take_pushback(eof_watch, ctx):
+                alive = False
+        response = op.result()
+        return response if alive else None
+
+    @staticmethod
+    def _take_pushback(eof_watch, ctx: ClientContext) -> bool:
+        """Keep what a finished disconnect watch read; False on EOF."""
+        try:
+            data = eof_watch.result()
+        except ConnectionError:
+            return False
+        ctx.pushback += data
+        return bool(data)
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -1202,9 +988,7 @@ class ServiceServer:
                     retry_after=0.05,
                 )
             )
-            rid = request.get("request_id")
-            if isinstance(rid, str) and rid:
-                resp["request_id"] = rid
+            resp["request_id"] = request["request_id"]  # stamped by _serve_once
             return resp
         self._inflight += 1
         try:
@@ -1215,14 +999,32 @@ class ServiceServer:
         finally:
             self._inflight -= 1
 
-    @staticmethod
-    async def _send_json(writer, response: dict) -> None:
-        writer.write((json.dumps(response) + "\n").encode("utf-8"))
-        await writer.drain()
+    async def _read_request(self, reader, ctx: ClientContext):
+        """The next request on this connection, decoded; None at EOF."""
+        if ctx.transport == "wire":
+            message = await self._read_frame(reader, ctx)
+            return None if message is None else wiremsg.request_of(message)
+        line = b"\n"
+        while line and not line.strip():  # blank lines are skipped
+            try:
+                line = await self._readline(reader, ctx)
+            except (asyncio.LimitOverrunError, ValueError):
+                raise FrameTooLarge(
+                    f"request line exceeds the {wiremsg.MAX_FRAME}-byte cap"
+                ) from None
+        if not line:
+            return None
+        try:
+            return json.loads(line)
+        except ValueError as exc:
+            raise BadRequest(f"bad request: {exc}") from None
 
     @staticmethod
-    async def _send_frame(writer, message) -> None:
-        writer.write(wiremsg.pack_frame(message))
+    async def _send(writer, ctx: ClientContext, response: dict) -> None:
+        if ctx.transport == "wire":
+            writer.write(wiremsg.pack_frame(wiremsg.message_of(response)))
+        else:
+            writer.write((json.dumps(response) + "\n").encode("utf-8"))
         await writer.drain()
 
     @staticmethod
@@ -1273,41 +1075,17 @@ class ServiceServer:
         data = await self._read_exact(reader, ctx, length)
         if data is None:
             return None
-        from repro.parallel import wire
-
         try:
             return wire.decode(data)
-        except WireError:
+        except wire.WireError:
             raise
         except Exception as exc:
             # Garbage bytes must never take down the connection task
             # unanswered (let alone the event loop): normalize every
             # decoder blow-up to the WireError the caller reports.
-            raise WireError(
+            raise wire.WireError(
                 f"undecodable wire frame: {type(exc).__name__}: {exc}"
             ) from exc
-
-
-def _frame_to_wire(resp: dict):
-    """Map a streaming-protocol dict onto its wire message."""
-    if resp.get("frame") == "shard":
-        covered = 0
-        for i, bit in enumerate(resp["covered"]):
-            if bit:
-                covered |= 1 << i
-        return wiremsg.WireShard(
-            shard=resp["shard"], lo=resp["lo"], n=resp["n"],
-            covered=covered, ops=resp["ops"],
-        )
-    if resp.get("frame") == "end":
-        covered = 0
-        for i, bit in enumerate(resp["covered"]):
-            if bit:
-                covered |= 1 << i
-        return wiremsg.WireQueryEnd(
-            covered=covered, n=resp["n"], ops=resp["ops"], shards=resp["shards"]
-        )
-    return wiremsg.WireJson(resp)
 
 
 def serve(
@@ -1372,392 +1150,3 @@ def serve(
     finally:
         service.close(drain=False)
         service.tracer.close()
-
-
-class ServiceClient:
-    """Blocking client for :func:`serve` endpoints.
-
-    Speaks JSON-lines by default; ``transport="wire"`` negotiates the
-    compact binary framing via a hello (falling back to JSON-lines
-    against servers that predate it), and ``token`` authenticates the
-    connection the same way.  ``bytes_sent`` / ``bytes_received`` count
-    transport bytes, so transports can be compared on real workloads.
-
-    ``timeout`` (seconds) bounds *connection setup*; established
-    connections block indefinitely by default — ``wait`` requests
-    legitimately outlast any fixed socket timeout (learning jobs run for
-    minutes), and the server answers every request eventually.  Pass
-    ``read_timeout`` to bound individual responses instead.
-
-    **Retries.**  ``retries`` > 0 arms :meth:`request_with_retry` (used
-    by every convenience wrapper): capped exponential backoff with
-    deterministic jitter, transparent reconnection (re-running the
-    hello, so auth + transport survive), and honouring server
-    ``retry_after`` hints on ``overloaded``/``unavailable``/
-    ``shutting_down`` answers.  Connection loss only triggers a resend
-    for idempotent requests — a submit is idempotent exactly when it
-    carries an idempotency key (:meth:`submit` generates one whenever
-    retries are armed).
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7341,
-        timeout: float = 60.0,
-        read_timeout: Optional[float] = None,
-        token: Optional[str] = None,
-        transport: str = "json",
-        retries: int = 0,
-        backoff: float = 0.05,
-        backoff_max: float = 2.0,
-        retry_seed: int = 0,
-    ):
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.read_timeout = read_timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_max = backoff_max
-        self._rng = random.Random(retry_seed)
-        self._token = token
-        self._transport_requested = transport
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.reconnects = 0
-        self.retried = 0
-        self.sock: Optional[socket.socket] = None
-        self._file = None
-        self._connect()
-
-    def _connect(self) -> None:
-        self.sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self.sock.settimeout(self.read_timeout)
-        self._file = self.sock.makefile("rwb")
-        self.transport = "json"
-        if self._token is not None or self._transport_requested != "json":
-            self.hello(token=self._token, transport=self._transport_requested)
-
-    def reconnect(self) -> None:
-        """Drop the connection and redo auth + transport negotiation."""
-        self._teardown()
-        self._connect()
-        self.reconnects += 1
-
-    def _teardown(self) -> None:
-        try:
-            if self._file is not None:
-                self._file.close()
-            if self.sock is not None:
-                self.sock.close()
-        except OSError:
-            pass
-        self._file = None
-        self.sock = None
-
-    @staticmethod
-    def _friendly(exc: OSError, context: str) -> ConnectionError:
-        kind = (
-            "connection reset"
-            if isinstance(exc, ConnectionResetError)
-            else "broken pipe"
-        )
-        return ConnectionError(
-            f"repro: {context} ({kind}); the server may or may not have "
-            "processed the request — idempotent requests are safe to retry"
-        )
-
-    # -- transport ---------------------------------------------------------------
-
-    def _request_json(self, payload: dict) -> dict:
-        data = (json.dumps(payload) + "\n").encode("utf-8")
-        try:
-            self._file.write(data)
-            self._file.flush()
-            self.bytes_sent += len(data)
-            line = self._file.readline()
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise self._friendly(exc, "lost connection to the service") from exc
-        if not line:
-            raise ConnectionError("server closed the connection")
-        self.bytes_received += len(line)
-        return json.loads(line)
-
-    def _send_msg(self, message) -> None:
-        try:
-            self.bytes_sent += wiremsg.write_frame_to(self._file, message)
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise self._friendly(exc, "lost connection to the service") from exc
-
-    def _recv_msg(self):
-        try:
-            message, n = wiremsg.read_frame_from(self._file)
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise self._friendly(exc, "lost connection to the service") from exc
-        self.bytes_received += n
-        if message is None:
-            raise ConnectionError("server closed the connection")
-        return message
-
-    def hello(
-        self, token: Optional[str] = None, transport: str = "json", client: Optional[str] = None
-    ) -> dict:
-        """Authenticate and/or negotiate the transport for this connection."""
-        if token is not None:
-            self._token = token  # remembered so reconnects re-authenticate
-        self._transport_requested = transport
-        req = {"op": "hello", "transport": transport}
-        if token is not None:
-            req["token"] = token
-        if client is not None:
-            req["client"] = client
-        resp = self._request_json(req)
-        if not resp.get("ok"):
-            if token is None and "unknown op" in resp.get("error", ""):
-                return resp  # legacy server: stay on JSON-lines
-            raise RuntimeError(resp.get("error", "hello failed"))
-        if resp.get("transport") == "wire":
-            self.transport = "wire"
-        return resp
-
-    def request(self, payload: dict) -> dict:
-        """Send one request; return the decoded response dict."""
-        if self._file is None:
-            raise ConnectionError("client is disconnected (call reconnect())")
-        if self.transport == "json":
-            return self._request_json(payload)
-        self._send_msg(wiremsg.WireJson(payload))
-        message = self._recv_msg()
-        if not isinstance(message, wiremsg.WireJson):
-            raise ConnectionError(f"unexpected wire message {type(message).__name__}")
-        return message.payload
-
-    def _backoff_delay(self, attempt: int, hint: Optional[float] = None) -> float:
-        """Capped exponential backoff with jitter; server hints win."""
-        base = min(self.backoff * (2 ** attempt), self.backoff_max)
-        delay = base * (0.5 + self._rng.random())  # jitter in [0.5x, 1.5x)
-        if hint is not None:
-            delay = max(delay, float(hint))
-        return delay
-
-    def request_with_retry(self, payload: dict, idempotent: bool = True) -> dict:
-        """Send with retries: reconnect on connection loss, back off on shed.
-
-        Two retryable situations, handled differently:
-
-        * **connection loss** — reconnect (redoing hello) and resend,
-          but only for idempotent requests: the server may have done the
-          work before the connection died, and resending a
-          non-idempotent request (a submit without an idempotency key)
-          could duplicate it;
-        * **coded retryable errors** (``overloaded``/``unavailable``/
-          ``shutting_down``) — same connection, wait at least the
-          server's ``retry_after`` hint, resend.
-
-        With ``retries=0`` this is exactly :meth:`request`.
-        """
-        last_exc: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            if self._file is None:
-                try:
-                    self._connect()
-                    self.reconnects += 1
-                except OSError as exc:
-                    last_exc = exc
-                    if attempt >= self.retries:
-                        raise
-                    self.retried += 1
-                    time.sleep(self._backoff_delay(attempt))
-                    continue
-            try:
-                resp = self.request(payload)
-            except (ConnectionError, OSError) as exc:
-                self._teardown()
-                last_exc = exc
-                if not idempotent or attempt >= self.retries:
-                    raise
-                self.retried += 1
-                time.sleep(self._backoff_delay(attempt))
-                continue
-            if (
-                not resp.get("ok")
-                and resp.get("code") in RETRYABLE_CODES
-                and attempt < self.retries
-            ):
-                self.retried += 1
-                time.sleep(self._backoff_delay(attempt, hint=resp.get("retry_after")))
-                continue
-            return resp
-        raise last_exc if last_exc is not None else ConnectionError(
-            "retries exhausted"
-        )
-
-    def close(self) -> None:
-        self._teardown()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- convenience wrappers ----------------------------------------------------
-
-    def submit(self, spec: JobSpec, idempotency_key: Optional[str] = None) -> str:
-        """Submit one job; returns its id.
-
-        When retries are armed and no ``idempotency_key`` is given, a
-        fresh one is generated — so a retried submit whose response was
-        lost mid-air can never create the job twice.
-        """
-        if idempotency_key is None and self.retries:
-            idempotency_key = uuid.uuid4().hex
-        req = {"op": "submit", "spec": spec.to_dict()}
-        if idempotency_key is not None:
-            req["idempotency_key"] = idempotency_key
-        resp = self.request_with_retry(req, idempotent=idempotency_key is not None)
-        if not resp.get("ok"):
-            raise RuntimeError(resp.get("error", "submit failed"))
-        return resp["job"]
-
-    def wait(self, job_id: str, timeout: Optional[float] = None) -> dict:
-        return self.request_with_retry({"op": "wait", "job": job_id, "timeout": timeout})
-
-    def query(
-        self,
-        theory: str,
-        examples: list[str],
-        version: Optional[int] = None,
-        shards: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> dict:
-        """One batched query; response dict is transport-independent.
-
-        ``deadline_ms`` attaches a relative deadline the server enforces
-        end-to-end (expired work is rejected, mid-flight shard work is
-        cancelled).  Deadlines and retries ride the JSON op form — the
-        packed-bitset wire query is kept for the bare fast path.
-        """
-        if self.transport == "json" or deadline_ms is not None or self.retries:
-            req = {
-                "op": "query", "theory": theory, "examples": examples,
-                "version": version, "shards": shards,
-            }
-            if deadline_ms is not None:
-                req["deadline_ms"] = deadline_ms
-            return self.request_with_retry(req)
-        self._send_msg(
-            wiremsg.WireQuery(
-                name=theory,
-                examples=tuple(parse_term(s) for s in examples),
-                version=version,
-                shards=shards or 0,
-            )
-        )
-        return self._query_end_dict(self._recv_msg())
-
-    def query_stream(
-        self,
-        theory: str,
-        examples: list[str],
-        version: Optional[int] = None,
-        shards: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> Iterator[dict]:
-        """Stream a sharded query; yields shard frames, then the end frame.
-
-        Every yielded dict has ``"frame"`` (``"shard"`` or ``"end"``);
-        shard frames carry span-local ``covered`` at offset ``lo``, the
-        end frame the merged batch result.  Streams are never retried
-        transparently (already-yielded frames cannot be unseen) — on a
-        mid-stream connection loss the caller re-issues the whole query.
-        """
-        if self.transport == "json":
-            req = {
-                "op": "query", "theory": theory, "examples": examples,
-                "version": version, "shards": shards, "stream": True,
-            }
-            if deadline_ms is not None:
-                req["deadline_ms"] = deadline_ms
-            data = (json.dumps(req) + "\n").encode("utf-8")
-            try:
-                self._file.write(data)
-                self._file.flush()
-                self.bytes_sent += len(data)
-            except (ConnectionResetError, BrokenPipeError) as exc:
-                raise self._friendly(exc, "lost connection opening the stream") from exc
-            while True:
-                try:
-                    line = self._file.readline()
-                except (ConnectionResetError, BrokenPipeError) as exc:
-                    raise self._friendly(
-                        exc, "lost connection mid-stream; re-issue the query"
-                    ) from exc
-                if not line:
-                    raise ConnectionError("server closed the connection mid-stream")
-                self.bytes_received += len(line)
-                resp = json.loads(line)
-                if not resp.get("ok"):
-                    raise RuntimeError(resp.get("error", "query failed"))
-                yield resp
-                if resp.get("frame") == "end":
-                    return
-        else:
-            self._send_msg(
-                wiremsg.WireQuery(
-                    name=theory,
-                    examples=tuple(parse_term(s) for s in examples),
-                    version=version,
-                    shards=shards or 0,
-                    stream=True,
-                )
-            )
-            while True:
-                try:
-                    message = self._recv_msg()
-                except ConnectionError as exc:
-                    if "mid-" in str(exc) or "repro:" in str(exc):
-                        raise
-                    raise ConnectionError(
-                        f"repro: lost connection mid-stream ({exc}); "
-                        "re-issue the query"
-                    ) from exc
-                if isinstance(message, wiremsg.WireShard):
-                    yield {
-                        "ok": True, "frame": "shard", "shard": message.shard,
-                        "lo": message.lo, "n": message.n, "ops": message.ops,
-                        "covered": [
-                            bool((message.covered >> i) & 1) for i in range(message.n)
-                        ],
-                    }
-                    continue
-                if isinstance(message, wiremsg.WireQueryEnd):
-                    yield self._query_end_dict(message)
-                    return
-                if isinstance(message, wiremsg.WireJson):
-                    raise RuntimeError(message.payload.get("error", "query failed"))
-                raise ConnectionError(
-                    f"unexpected wire message {type(message).__name__}"
-                )
-
-    def _query_end_dict(self, message) -> dict:
-        if isinstance(message, wiremsg.WireJson):
-            return message.payload  # an error response
-        if not isinstance(message, wiremsg.WireQueryEnd):
-            raise ConnectionError(f"unexpected wire message {type(message).__name__}")
-        return {
-            "ok": True,
-            "frame": "end",
-            "n": message.n,
-            "n_covered": message.covered.bit_count(),
-            "ops": message.ops,
-            "shards": message.shards,
-            "covered": [bool((message.covered >> i) & 1) for i in range(message.n)],
-        }

@@ -24,6 +24,11 @@ Four message types cover the protocol:
 
 Codes are registered append-only via :func:`repro.parallel.wire.register_codec`
 (24-27; see that docstring's reservation list).
+
+The transport is a codec and nothing more: both ends speak request and
+response *dicts*, and the four functions of the last section map them
+onto these messages — :func:`message_for` / :func:`request_of` for a
+request, :func:`message_of` / :func:`response_of` for a response.
 """
 
 from __future__ import annotations
@@ -33,21 +38,30 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.logic import parse_term
 from repro.logic.terms import Term
 from repro.parallel import wire
-from repro.service.errors import FrameTooLarge
+from repro.service.errors import BadRequest, FrameTooLarge
 
 __all__ = [
     "WireJson",
     "WireQuery",
     "WireShard",
     "WireQueryEnd",
+    "message_for",
+    "request_of",
+    "message_of",
+    "response_of",
     "pack_frame",
+    "TRANSPORTS",
     "FRAME_HEADER",
     "MAX_FRAME",
     "read_frame_from",
     "write_frame_to",
 ]
+
+#: transports a server can negotiate in the hello op.
+TRANSPORTS = ("json", "wire")
 
 #: struct format of the frame length prefix (4-byte big-endian).
 FRAME_HEADER = struct.Struct(">I")
@@ -210,3 +224,90 @@ def read_frame_from(fobj) -> tuple[Optional[object], int]:
     if len(data) < length:
         return None, FRAME_HEADER.size + len(data)
     return wire.decode(data), FRAME_HEADER.size + length
+
+
+# -- the codec: request and response dicts <-> messages ---------------------------
+
+#: the request keys :class:`WireQuery` has a field for; a query carrying
+#: anything else (a deadline, a caller's request id) rides the envelope.
+_NATIVE_QUERY_KEYS = frozenset(
+    ("op", "theory", "examples", "version", "micro_batch", "shards", "stream")
+)
+
+
+def message_for(request: dict) -> object:
+    """The message a client sends for ``request``.
+
+    A query goes native — examples as terms — whenever that loses
+    nothing; every other request is a JSON envelope.
+    """
+    if request.get("op") == "query" and _NATIVE_QUERY_KEYS.issuperset(request):
+        return WireQuery(
+            name=request["theory"],
+            examples=tuple(parse_term(s) for s in request["examples"]),
+            version=request.get("version"),
+            micro_batch=request.get("micro_batch") or 1024,
+            shards=request.get("shards") or 0,
+            stream=bool(request.get("stream")),
+        )
+    return WireJson(request)
+
+
+def request_of(message: object) -> object:
+    """The request a client's message carries.
+
+    A native query becomes the ordinary ``query`` request, its examples
+    already parsed; the server answers terms with packed bitsets.
+    """
+    if isinstance(message, WireJson):
+        return message.payload
+    if isinstance(message, WireQuery):
+        return {
+            "op": "query",
+            "theory": message.name,
+            "examples": message.examples,
+            "version": message.version,
+            "micro_batch": message.micro_batch,
+            "shards": message.shards,
+            "stream": message.stream,
+        }
+    raise BadRequest(f"unexpected {type(message).__name__}")
+
+
+def message_of(response: dict) -> object:
+    """The message a server sends for ``response``: a query answer whose
+    ``covered`` is a packed bitset leaves as the shard or end frame it
+    is, anything else as a JSON envelope."""
+    covered = response.get("covered")
+    if not isinstance(covered, int):
+        return WireJson(response)
+    if response.get("frame") == "shard":
+        return WireShard(
+            shard=response["shard"], lo=response["lo"], n=response["n"],
+            covered=covered, ops=response["ops"],
+        )
+    return WireQueryEnd(
+        covered=covered, n=response["n"], ops=response["ops"],
+        shards=response["shards"],
+    )
+
+
+def response_of(message: object) -> dict:
+    """The response a server's message carries, in the JSON-lines shape."""
+    if isinstance(message, WireJson):
+        return message.payload
+    if not isinstance(message, (WireShard, WireQueryEnd)):
+        raise ConnectionError(f"unexpected wire message {type(message).__name__}")
+    out = {
+        "ok": True,
+        "n": message.n,
+        "ops": message.ops,
+        "covered": [bool((message.covered >> i) & 1) for i in range(message.n)],
+    }
+    if isinstance(message, WireShard):
+        out.update(frame="shard", shard=message.shard, lo=message.lo)
+    else:
+        out.update(
+            frame="end", n_covered=message.covered.bit_count(), shards=message.shards
+        )
+    return out

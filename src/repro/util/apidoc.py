@@ -307,7 +307,8 @@ SECTIONS = [
                 "repro.service.query",
                 ["QueryEngine", "QueryResult", "QueryStream", "PreparedTheory"],
             ),
-            ("repro.service.server", ["Service", "ServiceClient", "serve"]),
+            ("repro.service.server", ["Service", "serve"]),
+            ("repro.service.client", ["ServiceClient"]),
         ],
         _SERVICE_NOTE,
     ),
@@ -318,9 +319,10 @@ SECTIONS = [
             (
                 "repro.service.errors",
                 [
-                    "ServiceFault", "BadRequest", "DeadlineExceeded",
-                    "Overloaded", "Unavailable", "ShuttingDown",
-                    "FrameTooLarge", "RETRYABLE_CODES",
+                    "ServiceFault", "BadRequest", "Unauthenticated",
+                    "DeadlineExceeded", "Cancelled", "Overloaded",
+                    "Unavailable", "ShuttingDown", "FrameTooLarge",
+                    "RETRYABLE_CODES",
                 ],
             ),
             (

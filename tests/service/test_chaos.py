@@ -60,7 +60,7 @@ class TestSigtermDrain:
             assert "% serving on" in line, line
             port = int(line.split(":")[1].split()[0])
             from repro.service import JobSpec
-            from repro.service.server import ServiceClient
+            from repro.service import ServiceClient
 
             with ServiceClient(port=port) as c:
                 job = c.submit(JobSpec(dataset="trains", algo="mdie"))
@@ -100,7 +100,7 @@ class TestSigtermDrain:
             line = proc.stdout.readline()
             port = int(line.split(":")[1].split()[0])
             from repro.service import JobSpec
-            from repro.service.server import ServiceClient
+            from repro.service import ServiceClient
 
             with ServiceClient(port=port) as c:
                 c.submit(

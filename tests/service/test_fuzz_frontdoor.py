@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.service.server import ServiceClient, serve
+from repro.service import ServiceClient, serve
 from repro.service.wiremsg import FRAME_HEADER, MAX_FRAME, pack_frame, WireJson
 
 IO_TIMEOUT = 15.0  # every raw-socket op is bounded: a hang fails the test

@@ -23,7 +23,7 @@ from repro.fault.service import (
 )
 from repro.service import JobSpec, Service, TheoryRegistry
 from repro.service.errors import RETRYABLE_CODES
-from repro.service.server import ServiceClient, serve
+from repro.service import ServiceClient, serve
 
 
 def start_server(tmp_path, slots=2, publish=None, **kwargs):

@@ -11,8 +11,7 @@ import pytest
 
 from repro.ilp.coverage import coverage_eval
 from repro.logic.engine import Engine
-from repro.service import JobSpec, Service
-from repro.service.server import ServiceClient, serve
+from repro.service import JobSpec, Service, ServiceClient, serve
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from repro.obs import Tracer, read_spans_jsonl
-from repro.service.server import ServiceClient, serve, stamp_request_id
+from repro.service import ServiceClient, serve
+from repro.service.server import stamp_request_id
 
 
 def start_server(tmp_path, **kwargs):
