@@ -59,7 +59,7 @@ def _dataset_kwargs(name: str) -> dict:
 def run_variant(name: str, sampling: bool) -> dict:
     """One covering run; only ``learn_rule`` calls are timed/op-counted."""
     from repro.datasets import make_dataset
-    from repro.ilp.bottom import SaturationError, build_bottom, build_bottom_cached
+    from repro.ilp.bottom import SaturationError, build_bottom_cached
     from repro.ilp.mdie import select_seed
     from repro.ilp.sampling import CoverageCertificate, clause_certificate, sampler_for
     from repro.ilp.search import learn_rule
@@ -71,13 +71,7 @@ def run_variant(name: str, sampling: bool) -> dict:
     ds = make_dataset(name, **_dataset_kwargs(name))
     config = ds.config.replace(coverage_sampling=sampling)
     engine = Engine(ds.kb, config.engine_budget(), kernel=config.coverage_kernel)
-    store = ExampleStore(
-        ds.pos,
-        ds.neg,
-        reorder_body=config.reorder_body,
-        inherit=config.coverage_inheritance,
-        fingerprints=config.clause_fingerprints,
-    )
+    store = ExampleStore(ds.pos, ds.neg, reorder_body=config.reorder_body)
     rng = make_rng(SEED, "mdie")
     sampler = None
     if sampling:
@@ -88,7 +82,6 @@ def run_variant(name: str, sampling: bool) -> dict:
     epochs = 0
     search_s = 0.0
     search_ops = 0
-    saturate = build_bottom_cached if config.saturation_cache else build_bottom
     while True:
         candidates = store.alive & ~failed_mask
         i = select_seed(store, candidates, rng, config.select_seed_randomly)
@@ -96,7 +89,7 @@ def run_variant(name: str, sampling: bool) -> dict:
             break
         example = store.pos[i]
         try:
-            bottom = saturate(example, engine, ds.modes, config)
+            bottom = build_bottom_cached(example, engine, ds.modes, config)
         except SaturationError:
             failed_mask |= 1 << i
             continue

@@ -20,12 +20,12 @@ Transport notes
   in a local mailbox, mirroring the scheduler's matching rules.  Timed
   receives (the fault-tolerant masters' failure detector) resume with
   ``None`` on expiry.
-* **Accounting** uses the same payload sizing (wire codec when enabled,
-  pickle otherwise) and :class:`~repro.cluster.scheduler.CommStats` as
-  the simulation, so communication volumes are directly comparable
-  across substrates.  Wire-encodable payloads actually travel as their
-  encoded bytes and are decoded on receipt — the accounted bytes are the
-  shipped bytes.
+* **Accounting** uses the same payload marshalling
+  (:func:`~repro.cluster.message.marshal_payload`) and
+  :class:`~repro.cluster.scheduler.CommStats` as the simulation, so
+  communication volumes are directly comparable across substrates.
+  Payloads travel as their marshalled bytes and are unmarshalled on
+  receipt — the accounted bytes are the shipped bytes.
 * **Failures.**  Child exceptions are reported with their full traceback
   over a result pipe and re-raised in the parent — aggregated across
   ranks, so the root cause is visible even when peers fail derivatively
@@ -54,7 +54,7 @@ from multiprocessing.connection import Connection, wait
 from typing import Optional, Sequence
 
 from repro.backend.base import Backend, BackendError, BackendRun, BackendTimeoutError, drive
-from repro.cluster.message import Message, marshal_payload, payload_nbytes
+from repro.cluster.message import Message, marshal_payload, unmarshal_payload
 from repro.cluster.process import (
     BcastOp,
     ComputeInterval,
@@ -196,16 +196,9 @@ class LocalContext:
             raise ValueError(f"rank {self.rank} sending to itself")
         if dst not in self._peers:
             raise ValueError(f"send to unknown rank {dst}")
-        # Task payloads ship in the compact wire encoding (when enabled);
-        # the same bytes drive the accounting, so CommStats match the sim
-        # backend exactly.  Unknown payloads fall back to pickled objects.
-        data = marshal_payload(payload)
-        if data is not None:
-            nbytes = len(data)
-            body: object = data
-        else:
-            nbytes = payload_nbytes(payload)
-            body = payload
+        # The marshalled bytes are both what is accounted and what is
+        # shipped, so CommStats match the sim backend exactly.
+        data, encoded = marshal_payload(payload)
         now = self.clock
         self._seq += 1
         self.stats.record(
@@ -214,7 +207,7 @@ class LocalContext:
                 dst=dst,
                 tag=tag,
                 payload=payload,
-                nbytes=nbytes,
+                nbytes=len(data),
                 send_time=now,
                 arrival_time=now,
                 seq=self._seq,
@@ -228,7 +221,7 @@ class LocalContext:
                 FaultRecord(kind="drop", rank=self.rank, time=now, detail=f"->{dst} #{n} tag={tag}")
             )
             return
-        self._outq.put((dst, (self.rank, tag, body, nbytes, data is not None)))
+        self._outq.put((dst, (self.rank, tag, data, encoded)))
 
     def _sender_loop(self) -> None:
         while True:
@@ -272,18 +265,13 @@ class LocalContext:
                     return None
             for conn in ready:
                 try:
-                    src, tag, payload, nbytes, encoded = conn.recv()
+                    src, tag, data, encoded = conn.recv()
                 except (EOFError, OSError):
                     # Peer exited; buffered data was drained first, so
                     # nothing is lost — stop watching this connection.
                     self._live_conns.remove(conn)
                     continue
-                if encoded:
-                    # Imported lazily: repro.backend must stay importable
-                    # while repro.parallel (which imports it back) loads.
-                    from repro.parallel.wire import decode as wire_decode
-
-                    payload = wire_decode(payload)
+                payload = unmarshal_payload(data, encoded)
                 self._seq += 1
                 now = self.clock
                 self._mailbox.append(
@@ -292,7 +280,7 @@ class LocalContext:
                         dst=self.rank,
                         tag=tag,
                         payload=payload,
-                        nbytes=nbytes,
+                        nbytes=len(data),
                         send_time=now,
                         arrival_time=now,
                         seq=self._seq,
@@ -327,7 +315,6 @@ def _child_main(
     result_conn,
     barrier,
     record_trace: bool,
-    wire_enabled: bool,
     fault_tolerant: bool = False,
     crash: Optional[WorkerCrash] = None,
     straggler: Optional[Straggler] = None,
@@ -340,13 +327,6 @@ def _child_main(
     # other end of its pipes).
     for conn in inherited:
         conn.close()
-    # Pin the parent's resolved wire-codec setting: under 'spawn' the
-    # parent's in-process override (ILPConfig.wire_codec via
-    # wire.configured) would otherwise be lost and children would fall
-    # back to the REPRO_WIRE environment default.
-    from repro.parallel.wire import set_enabled
-
-    set_enabled(wire_enabled)
     try:
         ctx = LocalContext(
             proc.rank,
@@ -434,9 +414,6 @@ class LocalProcessBackend(Backend):
         plan = self.fault_plan
         ft = plan is not None
         mpctx = mp.get_context(self.start_method)
-        from repro.parallel.wire import enabled as wire_enabled_now
-
-        wire_flag = wire_enabled_now()
 
         # Full mesh of duplex pipes + one result pipe per rank.
         ends: dict[int, dict[int, Connection]] = {r: {} for r in ranks}
@@ -469,7 +446,6 @@ class LocalProcessBackend(Backend):
                     result_child[p.rank],
                     barrier,
                     self.record_trace,
-                    wire_flag,
                     ft,
                     plan.crash_for(p.rank) if ft else None,
                     plan.straggler_for(p.rank) if ft else None,

@@ -2,10 +2,10 @@
 
 Payloads are arbitrary picklable Python objects; the *marshalled size* of
 each payload is what the network model charges for and what the Table 4
-communication-volume accounting sums.  Task payloads known to the compact
-wire codec (:mod:`repro.parallel.wire`, when enabled) are sized by their
-wire encoding — the bytes the real backends actually ship; anything else
-falls back to pickle, mirroring LAM/MPI's pickle-like marshalling of
+communication-volume accounting sums.  Payload types registered with the
+compact wire codec (:mod:`repro.parallel.wire` — every task message) are
+marshalled by it, and those are the bytes the real backends ship; any
+other type is pickled, mirroring LAM/MPI's pickle-like marshalling of
 Prolog terms in the paper's implementation.
 """
 
@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Optional
 
-__all__ = ["Message", "payload_nbytes", "marshal_payload", "Tag"]
+__all__ = ["Message", "payload_nbytes", "marshal_payload", "unmarshal_payload", "Tag"]
 
 
 class Tag:
@@ -36,29 +35,35 @@ class Tag:
     ROUTING = "routing"
 
 
-_wire_encode = None
+def marshal_payload(payload: object) -> tuple[bytes, bool]:
+    """``(bytes, encoded)``: the payload as it is sized and shipped.
 
-
-def marshal_payload(payload: object) -> Optional[bytes]:
-    """Wire-codec encoding of ``payload``, or None (disabled/unsupported).
-
-    Imported lazily: the cluster layer must stay importable without the
-    parallel package, and the codec module itself imports message types.
+    ``encoded`` says which form it took (wire codec when the payload's
+    type has one, pickle otherwise) and travels with the bytes so that
+    :func:`unmarshal_payload` can invert it.
     """
-    global _wire_encode
-    if _wire_encode is None:
-        from repro.parallel.wire import encode
+    # Imported here: the cluster layer must stay importable without the
+    # parallel package, and the codec module itself imports message types.
+    from repro.parallel import wire
 
-        _wire_encode = encode
-    return _wire_encode(payload)
+    data = wire.encode_always(payload)
+    if data is not None:
+        return data, True
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), False
+
+
+def unmarshal_payload(data: bytes, encoded: bool) -> object:
+    """Inverse of :func:`marshal_payload`."""
+    if not encoded:
+        return pickle.loads(data)
+    from repro.parallel import wire
+
+    return wire.decode(data)
 
 
 def payload_nbytes(payload: object) -> int:
-    """Marshalled size of a payload, in bytes (wire codec, else pickle)."""
-    data = marshal_payload(payload)
-    if data is not None:
-        return len(data)
-    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    """Marshalled size of a payload, in bytes."""
+    return len(marshal_payload(payload)[0])
 
 
 @dataclass(frozen=True)

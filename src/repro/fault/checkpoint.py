@@ -22,8 +22,8 @@ File format::
 
     0xC3 | wire-version | type-code 21 | symbols | body   (see wire.py)
 
-The payload is always encoded (never pickled) regardless of the
-transport-codec gate, so any process can read any checkpoint.
+The payload type has a registered codec, so a checkpoint never takes the
+transports' pickle fallback and any process can read any checkpoint.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from repro.ilp.config import signature_mismatches
 from repro.logic.clause import Clause, Theory
 from repro.parallel import wire
 
@@ -284,10 +285,22 @@ def checkpoint_path(directory: str, epoch: int) -> str:
 
 
 def verify_config(state: CheckpointState, config_sig: str) -> None:
-    """Raise when resuming under a configuration the run was not made with."""
-    if state.config_sig and config_sig and state.config_sig != config_sig:
+    """Raise when resuming under a configuration the run was not made with.
+
+    ``config_sig`` is the resuming run's :meth:`ILPConfig.signature`.  An
+    empty signature on either side is unknown and accepted; a checkpoint
+    written before signatures were versioned (``repr(config)``) is
+    accepted when it names the same configuration — see
+    :func:`repro.ilp.config.signature_mismatches`.
+    """
+    saved = state.config_sig
+    if not saved or not config_sig or saved == config_sig:
+        return
+    diffs = signature_mismatches(saved, config_sig)
+    if diffs is None:
+        diffs = [f"saved: {saved!r}, current: {config_sig!r}"]
+    if diffs:
         raise CheckpointError(
             "checkpoint was written under a different ILP configuration; "
-            "bit-identical resumption is impossible "
-            f"(saved: {state.config_sig!r}, current: {config_sig!r})"
+            "bit-identical resumption is impossible (" + "; ".join(diffs) + ")"
         )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.message import Tag
-from repro.ilp.bottom import SaturationError, build_bottom, build_bottom_cached
+from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.store import ExampleStore
 from repro.util.rng import make_rng
 
@@ -106,9 +106,8 @@ def saturate_seed(shard: WorkerShard, engine, modes, config):
         return shard.pending_bottom
     bottom = None
     if shard.pending_seed is not None:
-        saturate = build_bottom_cached if config.saturation_cache else build_bottom
         try:
-            bottom = saturate(shard.store.pos[shard.pending_seed], engine, modes, config)
+            bottom = build_bottom_cached(shard.store.pos[shard.pending_seed], engine, modes, config)
         except SaturationError:
             bottom = None
     shard.pending_bottom = bottom
@@ -127,13 +126,7 @@ def rebuild_shard(msg, partition, engine, config, seed: int) -> WorkerShard:
     protocol point (modulo the evaluation cache, which restarts cold —
     a cost, never a semantic difference).
     """
-    store = ExampleStore(
-        partition.pos,
-        partition.neg,
-        reorder_body=config.reorder_body,
-        inherit=config.coverage_inheritance,
-        fingerprints=config.clause_fingerprints,
-    )
+    store = ExampleStore(partition.pos, partition.neg, reorder_body=config.reorder_body)
     shard = WorkerShard(
         virtual_rank=msg.virtual_rank,
         store=store,

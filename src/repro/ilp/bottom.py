@@ -37,7 +37,6 @@ __all__ = [
     "BottomClause",
     "build_bottom",
     "build_bottom_cached",
-    "saturation_cache_stats",
     "SaturationError",
 ]
 
@@ -140,13 +139,6 @@ def build_bottom(
 # function of the run's inputs) is unchanged — the cache saves wall-clock
 # seconds, not modeled operations.
 _BOTTOM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_bottom_hits = 0
-_bottom_misses = 0
-
-
-def saturation_cache_stats() -> dict:
-    """Process-wide saturation-cache effectiveness counters."""
-    return {"hits": _bottom_hits, "misses": _bottom_misses}
 
 
 def build_bottom_cached(
@@ -164,7 +156,6 @@ def build_bottom_cached(
     operations.  Failed saturations (:class:`SaturationError`) are cached
     too, since retrying them is just as expensive.
     """
-    global _bottom_hits, _bottom_misses
     kb = engine.kb
     per_kb = _BOTTOM_CACHE.get(kb)
     if per_kb is None:
@@ -185,13 +176,11 @@ def build_bottom_cached(
     )
     hit = per_modes.get(key)
     if hit is not None:
-        _bottom_hits += 1
         obj, ops_spent = hit
         engine.total_ops += ops_spent
         if isinstance(obj, SaturationError):
             raise obj
         return obj
-    _bottom_misses += 1
     ops0 = engine.total_ops
     try:
         bottom = build_bottom(example, engine, modes, config, max_combos_per_mode)

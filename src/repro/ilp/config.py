@@ -11,12 +11,21 @@ pipeline width ``W``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from repro.logic.engine import QueryBudget
 
-__all__ = ["ILPConfig", "NO_LIMIT", "SAMPLING_ENV"]
+__all__ = [
+    "ILPConfig",
+    "NO_LIMIT",
+    "SAMPLING_ENV",
+    "SIGNATURE_VERSION",
+    "SIGNATURE_FIELDS",
+    "SIGNATURE_EXCLUDED",
+    "signature_mismatches",
+]
 
 #: Sentinel for an unconstrained pipeline width (the paper's "nolimit").
 NO_LIMIT: Optional[int] = None
@@ -24,10 +33,56 @@ NO_LIMIT: Optional[int] = None
 #: Environment variable resolving the ``coverage_sampling`` tri-state.
 SAMPLING_ENV = "REPRO_COVERAGE_SAMPLING"
 
+#: Format version of :meth:`ILPConfig.signature`.  Bump it when a field
+#: joins or leaves :data:`SIGNATURE_FIELDS`, and teach
+#: :func:`signature_mismatches` what the older version's fields meant.
+SIGNATURE_VERSION = 1
+
+#: The fields a signature spells out, in order.  Explicit rather than
+#: ``dataclasses.fields``: adding a config field must be a decision (list
+#: it here, or in :data:`SIGNATURE_EXCLUDED` with the reason), which
+#: ``tests/ilp/test_config_signature.py`` enforces.
+SIGNATURE_FIELDS = (
+    "max_clause_length",
+    "var_depth",
+    "recall",
+    "max_bottom_literals",
+    "noise",
+    "min_pos",
+    "max_nodes",
+    "pipeline_width",
+    "heuristic",
+    "select_seed_randomly",
+    "on_uncoverable",
+    "reorder_body",
+    "coverage_sampling",
+    "sample_fraction",
+    "sample_min",
+    "sample_delta",
+    "search_strategy",
+    "beam_width",
+    "engine_max_depth",
+    "engine_max_ops",
+)
+
+#: Config fields a signature leaves out on purpose.  ``coverage_kernel``
+#: picks between two engine implementations held bit-identical in theories,
+#: bitsets and epoch logs (``tests/ilp/test_coverage_kernel_parity.py``):
+#: a run may resume under either.
+SIGNATURE_EXCLUDED = frozenset({"coverage_kernel"})
+
 
 @dataclass(frozen=True)
 class ILPConfig:
     """Constraints ``C`` plus search/pipeline parameters.
+
+    Everything here can change what is learned or what a run costs.  The
+    optimisations that cannot — coverage inheritance, variant-keyed
+    evaluation caches and rule bags, the saturation cache, the wire codec,
+    term interning — are not configuration and have no switch; the one
+    implementation choice still exposed is ``coverage_kernel``.
+    :meth:`signature` is how checkpoints and registry records name a
+    configuration.
 
     Attributes
     ----------
@@ -65,29 +120,12 @@ class ILPConfig:
         Apply the selectivity-based body-literal reordering transformation
         before coverage testing (see :mod:`repro.ilp.reorder`); changes
         engine operation counts, never semantics.
-    coverage_inheritance:
-        Exploit specialisation monotonicity: evaluate each refinement only
-        on the examples its parent rule covered (search-side narrowing and
-        master-shipped candidate bitsets).  Identical results, fewer
-        engine operations.
     coverage_kernel:
         Which engine kernel coverage testing runs on: ``"new"`` (iterative
         machine, ground-goal memo, multi-argument indexing), ``"legacy"``
         (the seed recursive interpreter with first-argument indexing) or
         None (resolve via the ``REPRO_COVERAGE_KERNEL`` environment
         variable, defaulting to new).
-    clause_fingerprints:
-        Key evaluation caches and master rule bags by the canonical
-        variant-invariant clause fingerprint
-        (:meth:`repro.logic.clause.Clause.fingerprint`) instead of the
-        literal clause: θ-variant rules share one evaluation and one bag
-        slot.  Identical learned theories (variants have identical
-        coverage by definition), fewer engine operations and messages.
-    saturation_cache:
-        Memoize ``build_bottom`` per (example, KB version, bias): repeated
-        seed saturations — retried seeds across worker epochs,
-        cross-validation folds sharing a KB — reuse the cached bottom
-        clause instead of re-running the engine.
     coverage_sampling:
         Score search candidates on a stratified example sample with
         confidence bounds (see :mod:`repro.ilp.sampling`); every clause is
@@ -105,12 +143,6 @@ class ILPConfig:
     sample_delta:
         Per-bound confidence parameter: each Hoeffding screen bound holds
         with probability ``1 - sample_delta``.
-    wire_codec:
-        Serialize parallel messages with the compact symbol-table wire
-        codec (:mod:`repro.parallel.wire`) instead of raw pickle — both
-        for the communication accounting the paper measures and for the
-        bytes actually shipped by the real backends.  ``None`` resolves
-        via the ``REPRO_WIRE`` environment variable, defaulting to on.
     search_strategy:
         ``learn_rule`` queue discipline: ``"bfs"`` (the paper's April
         configuration: top-down breadth-first), ``"best_first"``
@@ -134,15 +166,11 @@ class ILPConfig:
     select_seed_randomly: bool = True
     on_uncoverable: str = "skip"
     reorder_body: bool = False
-    coverage_inheritance: bool = True
     coverage_kernel: Optional[str] = None
-    clause_fingerprints: bool = True
-    saturation_cache: bool = True
     coverage_sampling: Optional[bool] = None
     sample_fraction: float = 0.25
     sample_min: int = 16
     sample_delta: float = 0.05
-    wire_codec: Optional[bool] = None
     search_strategy: str = "bfs"
     beam_width: int = 5
     engine_max_depth: int = 8
@@ -180,12 +208,24 @@ class ILPConfig:
         """Resolve the ``coverage_sampling`` tri-state (env when None).
 
         Resolved at use sites rather than by rewriting the config, so
-        ``repr(config)`` — the checkpoint/registry ``config_sig`` — is
+        :meth:`signature` — the checkpoint/registry ``config_sig`` — is
         stable whichever way the mode was selected.
         """
         if self.coverage_sampling is not None:
             return self.coverage_sampling
         return os.environ.get(SAMPLING_ENV, "").strip().lower() in ("1", "on", "true")
+
+    def signature(self) -> str:
+        """The versioned canonical string that names this configuration.
+
+        Checkpoints, job outcomes and registry records carry it as
+        ``config_sig``; ``repro resume`` compares it (through
+        :func:`signature_mismatches`) before continuing a run.  Unlike
+        ``repr(config)``, which it replaced, it does not change when a
+        field that cannot affect results is added, renamed or retired.
+        """
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in SIGNATURE_FIELDS)
+        return f"ILPConfig.v{SIGNATURE_VERSION}({body})"
 
     def engine_budget(self) -> QueryBudget:
         return QueryBudget(max_depth=self.engine_max_depth, max_ops=self.engine_max_ops)
@@ -196,3 +236,54 @@ class ILPConfig:
 
     def replace(self, **kw) -> "ILPConfig":
         return replace(self, **kw)
+
+
+# -- signature comparison -----------------------------------------------------------
+
+_SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v(\d+))?\((.*)\)\Z", re.S)
+
+#: What a version-0 signature (``repr(config)``, from before
+#: :meth:`ILPConfig.signature`) may say about a field that no longer
+#: exists.  Every switch retired since then chose between a reference path
+#: and the optimised one that is now the only one: on (``True``) or unset
+#: (``None``, which resolved to on) is what this code still runs.
+_RETIRED_ON = ("True", "None")
+
+
+def _signature_fields(sig: str) -> Optional[tuple[int, dict[str, str]]]:
+    """``(version, {field: repr(value)})`` of a signature, None if ``sig`` is not one."""
+    m = _SIGNATURE_RE.match(sig)
+    if m is None:
+        return None
+    items = [item.partition("=") for item in m.group(2).split(", ")]
+    if not all(sep for _, sep, _ in items):
+        return None
+    return int(m.group(1) or 0), {name: value for name, _, value in items}
+
+
+def signature_mismatches(saved: str, current: str) -> Optional[list[str]]:
+    """Why a run recorded under ``saved`` cannot continue under ``current``.
+
+    One line per differing field, naming the field and both values; an
+    empty list when the two describe the same configuration — which
+    includes a version-0 ``saved`` whose surviving fields all match and
+    whose retired switches were all on.  None when either string is not
+    a config signature at all (the caller can only compare them whole).
+    """
+    old, new = _signature_fields(saved), _signature_fields(current)
+    if old is None or new is None:
+        return None
+    (old_version, old_fields), (_, new_fields) = old, new
+    out = [
+        f"{name}: saved {old_fields.get(name, 'nothing')}, current {value}"
+        for name, value in new_fields.items()
+        if old_fields.get(name) != value
+    ]
+    known = {f.name for f in fields(ILPConfig)}
+    for name, value in old_fields.items():
+        if name in new_fields or name in known:
+            continue  # compared above, or excluded from signatures on purpose
+        if old_version == 0 and value in _RETIRED_ON:
+            continue
+        out.append(f"{name}: saved {value}, but this version has no such setting")
+    return out

@@ -15,12 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.ilp.bottom import (
-    BottomClause,
-    SaturationError,
-    build_bottom,
-    build_bottom_cached,
-)
+from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.ilp.search import learn_rule
@@ -90,13 +85,7 @@ def mdie(
     caches restart cold — but never the learned clauses.)
     """
     engine = Engine(kb, config.engine_budget(), kernel=config.coverage_kernel)
-    store = ExampleStore(
-        pos,
-        neg,
-        reorder_body=config.reorder_body,
-        inherit=config.coverage_inheritance,
-        fingerprints=config.clause_fingerprints,
-    )
+    store = ExampleStore(pos, neg, reorder_body=config.reorder_body)
     rng = make_rng(seed, "mdie")
     sampler = None
     cert_entries: list = []
@@ -117,7 +106,7 @@ def mdie(
             raise ValueError(f"checkpoint is for {resume.algo!r}, not 'mdie'")
         if resume.seed != seed:
             raise ValueError(f"checkpoint seed {resume.seed} != requested seed {seed}")
-        verify_config(resume, repr(config))
+        verify_config(resume, config.signature())
         theory = Theory(resume.theory)
         log = list(resume.mdie_log)
         store.alive = resume.alive_mask
@@ -157,7 +146,7 @@ def mdie(
             ops=prior_ops + engine.total_ops - ops0,
             rng_state=rng.getstate(),
             mdie_log=tuple(log),
-            config_sig=repr(config),
+            config_sig=config.signature(),
             meta=tuple(checkpoint_meta),
         )
         save_checkpoint(checkpoint_path(checkpoint_dir, epochs), state)
@@ -171,9 +160,8 @@ def mdie(
             break
         example = store.pos[i]
         epoch_ops0 = engine.total_ops
-        saturate = build_bottom_cached if config.saturation_cache else build_bottom
         try:
-            bottom = saturate(example, engine, modes, config)
+            bottom = build_bottom_cached(example, engine, modes, config)
         except SaturationError:
             failed_mask |= 1 << i
             continue

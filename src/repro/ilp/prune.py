@@ -39,28 +39,21 @@ class ClauseBag:
     When two variants collide, the **lexicographically smallest** rendering
     is kept: that is exactly the representative the master's deterministic
     tie-break (`score desc, length, str`) would end up accepting, so the
-    learned theory is bit-identical to the duplicate-evaluating baseline.
+    learned theory is bit-identical to one that evaluates every duplicate.
     ``reported_size`` counts clauses distinct by plain equality — the
-    number the baseline's bag would hold — so epoch logs (Tables 3-5)
-    stay bit-identical too.
-
-    ``fingerprints=False`` degrades to plain clause-equality dedup (the
-    seed behaviour).
+    number a bag without variant merging would hold — so epoch logs
+    (Tables 3-5) are what the paper's bag sizes mean.
     """
 
-    __slots__ = ("_by_key", "_exact", "_fingerprints")
+    __slots__ = ("_by_key", "_exact")
 
-    def __init__(self, fingerprints: bool = True):
+    def __init__(self):
         self._by_key: dict = {}
         self._exact: set = set()
-        self._fingerprints = fingerprints
-
-    def _key(self, clause: Clause):
-        return clause.variant_key() if self._fingerprints else clause
 
     def add(self, clause: Clause) -> None:
         self._exact.add(clause)
-        key = self._key(clause)
+        key = clause.variant_key()
         prev = self._by_key.get(key)
         if prev is None:
             self._by_key[key] = clause
@@ -69,7 +62,7 @@ class ClauseBag:
             self._by_key[key] = clause
 
     def discard(self, clause: Clause) -> None:
-        self._by_key.pop(self._key(clause), None)
+        self._by_key.pop(clause.variant_key(), None)
 
     def __iter__(self):
         return iter(list(self._by_key.values()))
@@ -79,11 +72,11 @@ class ClauseBag:
 
     @property
     def reported_size(self) -> int:
-        """Bag size by plain clause equality (baseline-log parity)."""
+        """Bag size by plain clause equality (what the epoch logs report)."""
         return len(self._exact)
 
     def __contains__(self, clause: Clause) -> bool:
-        return self._key(clause) in self._by_key
+        return clause.variant_key() in self._by_key
 
     def clauses(self) -> list[Clause]:
         return list(self._by_key.values())

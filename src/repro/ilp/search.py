@@ -117,7 +117,7 @@ def learn_rule(
         # Coverage inheritance: a refinement only needs testing on the
         # examples its parent covered (the parent is cached — search
         # always evaluates a node before expanding it).
-        parent = rule.parent if config.coverage_inheritance else None
+        parent = rule.parent
         if sampler is not None:
             ss = store.evaluate_sampled(engine, rule.clause, sampler, parent=parent)
             if not ss.maybe_good(config):

@@ -42,36 +42,30 @@ class ExampleStore:
         pos: Sequence[Term],
         neg: Sequence[Term],
         reorder_body: bool = False,
-        inherit: bool = True,
-        fingerprints: bool = True,
     ):
         self.pos: list[Term] = list(pos)
         self.neg: list[Term] = list(neg)
         self.reorder_body = reorder_body
-        #: enable coverage inheritance *and* alive-restricted evaluation;
-        #: False reproduces the seed behaviour exactly (full-list scans).
-        self.inherit = inherit
-        #: key the evaluation cache by the order-preserving variant key:
-        #: renamed-apart copies of a rule (same literals, same order) are
-        #: charge-for-charge identical to evaluate, so a variant of an
-        #: evaluated rule is a cache hit instead of a full engine run.
-        #: (The order-*insensitive* fingerprint is deliberately not used:
-        #: body order changes budget-exhaustion behaviour.)
-        self.fingerprints = fingerprints
         #: bitmask over ``self.pos``: bit i set ⇔ example i still uncovered.
         self.alive: int = (1 << len(self.pos)) - 1
-        # clause -> (pos_bits, neg_bits, pos_exhausted, neg_exhausted,
-        # pos_scope).  ``pos_scope`` records which positives were in the
+        # variant key -> (pos_bits, neg_bits, pos_exhausted, neg_exhausted,
+        # pos_scope).  Keyed by the order-preserving variant key:
+        # renamed-apart copies of a rule (same literals, same order) are
+        # charge-for-charge identical to evaluate, so a variant of an
+        # evaluated rule is a cache hit instead of a full engine run.
+        # (The order-*insensitive* fingerprint is deliberately not used:
+        # body order changes budget-exhaustion behaviour.)
+        # ``pos_scope`` records which positives were in the
         # evaluation's scope (alive at the time): bits are exact inside it,
         # unknown outside.  Since liveness normally only shrinks, cached
         # entries stay valid; if liveness is ever restored (the independent
         # baseline does), evaluation tops the entry up over the difference.
-        self._cache: dict[Clause, tuple[int, int, int, int, int]] = {}
+        self._cache: dict[str, tuple[int, int, int, int, int]] = {}
         # Sampled-evaluation cache, same layout as ``_cache`` but with
         # bitsets computed only over the sampler's masks.  Kept separate:
         # sampled entries are *not* exact over the alive set and must
         # never answer (or narrow) an exact evaluation.
-        self._sample_cache: dict[Clause, tuple[int, int, int, int, int]] = {}
+        self._sample_cache: dict[str, tuple[int, int, int, int, int]] = {}
         # clause -> its reordered evaluation form (survives clear_cache:
         # the reordering depends only on the KB, not on coverage state).
         self._reorder_cache: dict[Clause, Clause] = {}
@@ -124,7 +118,7 @@ class ExampleStore:
         ``(pos_mask, neg_mask)`` bound with the same meaning — both sources
         are intersected when present.
         """
-        key = rule.variant_key() if self.fingerprints else rule
+        key = rule.variant_key()
         cached = self._cache.get(key)
         if cached is not None:
             self._hits += 1
@@ -143,23 +137,16 @@ class ExampleStore:
         else:
             self._misses += 1
             to_eval = self._reordered(engine.kb, rule)
-            if self.inherit:
-                cand_p: Optional[int] = self.alive
-                scope = self.alive
-                if parent is None and rule.body:
-                    # Refinement only ever appends a literal, so the
-                    # lattice parent is always derivable — rules that
-                    # arrive without lineage (master rule bags, pipeline
-                    # seeds) still narrow against a cached parent.
-                    parent = Clause(rule.head, rule.body[:-1])
-            else:
-                cand_p = None
-                scope = (1 << len(self.pos)) - 1
+            cand_p = scope = self.alive
+            if parent is None and rule.body:
+                # Refinement only ever appends a literal, so the
+                # lattice parent is always derivable — rules that
+                # arrive without lineage (master rule bags, pipeline
+                # seeds) still narrow against a cached parent.
+                parent = Clause(rule.head, rule.body[:-1])
             cand_n: Optional[int] = None
-            if (
-                self.inherit
-                and (parent is not None or candidates is not None)
-                and self._inherit_ok(engine.kb, rule)
+            if (parent is not None or candidates is not None) and self._inherit_ok(
+                engine.kb, rule
             ):
                 narrowed = False
                 if candidates is not None:
@@ -168,9 +155,7 @@ class ExampleStore:
                     cand_n = cn
                     narrowed = True
                 if parent is not None:
-                    pc = self._cache.get(
-                        parent.variant_key() if self.fingerprints else parent
-                    )
+                    pc = self._cache.get(parent.variant_key())
                     if pc is not None:
                         ppb, pnb, ppe, pne, pscope = pc
                         # Outside the parent's evaluation scope its verdict
@@ -203,7 +188,7 @@ class ExampleStore:
 
         pos_sample = sampler.pos_mask
         neg_sample = sampler.neg_mask
-        key = rule.variant_key() if self.fingerprints else rule
+        key = rule.variant_key()
         cached = self._sample_cache.get(key)
         if cached is not None:
             self._hits += 1
@@ -219,19 +204,12 @@ class ExampleStore:
         else:
             self._misses += 1
             to_eval = self._reordered(engine.kb, rule)
-            if self.inherit:
-                cand_p: Optional[int] = self.alive & pos_sample
-                scope = self.alive & pos_sample
-                if parent is None and rule.body:
-                    parent = Clause(rule.head, rule.body[:-1])
-            else:
-                cand_p = pos_sample
-                scope = pos_sample
-            cand_n: Optional[int] = neg_sample
-            if self.inherit and parent is not None and self._inherit_ok(engine.kb, rule):
-                pc = self._sample_cache.get(
-                    parent.variant_key() if self.fingerprints else parent
-                )
+            cand_p = scope = self.alive & pos_sample
+            if parent is None and rule.body:
+                parent = Clause(rule.head, rule.body[:-1])
+            cand_n = neg_sample
+            if parent is not None and self._inherit_ok(engine.kb, rule):
+                pc = self._sample_cache.get(parent.variant_key())
                 if pc is not None:
                     ppb, pnb, ppe, pne, pscope = pc
                     cand_p &= ppb | ppe | ~pscope
@@ -254,7 +232,7 @@ class ExampleStore:
         """The sound refinement candidate masks of a cached rule:
         ``(pos covered|exhausted, neg covered|exhausted)``, or None if the
         rule was never evaluated here."""
-        cached = self._cache.get(rule.variant_key() if self.fingerprints else rule)
+        cached = self._cache.get(rule.variant_key())
         if cached is None:
             return None
         pb, nb, pe, ne, _scope = cached

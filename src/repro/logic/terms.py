@@ -19,11 +19,11 @@ same value twice returns the same object, so equality on the coverage
 kernel's hot paths (fact unification, memo-table probes, ``fact_set``
 membership) degenerates to a pointer comparison.  Three invariants follow:
 
-* every ``Const`` in a process is interned (unpickling re-interns via
-  ``__reduce__``), so two distinct ``Const`` objects are never equal;
-* every *ground* ``Struct`` is interned, so two distinct interned structs
-  are never equal — ``Struct.__eq__`` short-circuits to ``False`` when both
-  sides carry the ``interned`` flag;
+* every ``Const`` created below the table cap is interned (unpickling
+  re-interns via ``__reduce__``), so equal constants are one object;
+* every *ground* ``Struct`` created below the cap is interned, so two
+  distinct interned structs are never equal — ``Struct.__eq__``
+  short-circuits to ``False`` when both sides carry the ``interned`` flag;
 * **interned terms must never be mutated** — they are shared across every
   clause, index and cache in the process.  (All terms are immutable by
   construction; the invariant matters if you are tempted to poke at
@@ -34,15 +34,14 @@ stream of short-lived variants that would only bloat the table); they still
 precompute their hash and a ``ground`` flag, making :func:`is_ground` O(1)
 for every term.
 
-Interning can be disabled for measurement with ``REPRO_INTERN=0`` in the
-environment (read once at import); all equality fast paths degrade to the
-structural comparison of the seed implementation.
+The intern tables are capped (``_CONST_CAP`` / ``_STRUCT_CAP``); a term
+created past the cap is not interned, and every equality fast path keeps
+the structural comparison as its fallback for exactly that case.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from typing import Iterable, Iterator, Union
 
@@ -59,15 +58,10 @@ __all__ = [
     "term_size",
     "term_depth",
     "is_ground",
-    "intern_enabled",
     "intern_stats",
 ]
 
 _fresh_counter = itertools.count()
-
-#: Environment switch for term hash-consing (default on).
-INTERN_ENV = "REPRO_INTERN"
-_INTERN = os.environ.get(INTERN_ENV, "") not in ("0", "off", "false")
 
 _const_table: dict = {}
 _struct_table: dict = {}
@@ -81,11 +75,6 @@ _struct_table: dict = {}
 # tens of thousands of ground terms).
 _CONST_CAP = 1 << 20
 _STRUCT_CAP = 1 << 20
-
-
-def intern_enabled() -> bool:
-    """Whether term hash-consing is active in this process."""
-    return _INTERN
 
 
 def intern_stats() -> dict:
@@ -136,15 +125,14 @@ class Const:
 
     def __new__(cls, value: Union[str, int, float]):
         key = (value.__class__, value)
-        if _INTERN:
-            self = _const_table.get(key)
-            if self is not None:
-                return self
+        self = _const_table.get(key)
+        if self is not None:
+            return self
         self = object.__new__(cls)
         self.value = value
         self._key = key
         self._hash = hash(key)
-        if _INTERN and len(_const_table) < _CONST_CAP:
+        if len(_const_table) < _CONST_CAP:
             _const_table[key] = self
         return self
 
@@ -165,10 +153,10 @@ class Const:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        # With interning on, equal-but-distinct constants cannot exist; the
-        # structural fallback keeps REPRO_INTERN=0 (and hash collisions)
-        # correct.  ``_key`` carries the concrete value type, keeping
-        # int/float/bool constants distinct without per-call type checks.
+        # Equal-but-distinct constants exist only past the intern-table
+        # cap; the structural fallback keeps those correct.  ``_key``
+        # carries the concrete value type, keeping int/float/bool
+        # constants distinct without per-call type checks.
         return type(other) is Const and other._key == self._key
 
     def __hash__(self) -> int:
@@ -199,7 +187,7 @@ class Struct:
                 continue
             ground = False
             break
-        if _INTERN and ground:
+        if ground:
             key = (functor, args)
             self = _struct_table.get(key)
             if self is not None:

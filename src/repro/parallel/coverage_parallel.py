@@ -42,7 +42,7 @@ from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import ProcContext, SimProcess
 from repro.fault.plan import FaultPlan
 from repro.fault.recovery import FTMasterMixin, PoolSupervisor
-from repro.ilp.bottom import SaturationError, build_bottom, build_bottom_cached
+from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.config import ILPConfig
 from repro.ilp.coverage import coverage_bitset
 from repro.ilp.heuristics import is_good, score_rule
@@ -63,7 +63,6 @@ from repro.parallel.messages import (
     per_worker_evaluate_requests,
     record_candidate_masks,
 )
-from repro.parallel import wire
 from repro.parallel.p2mdie import (
     P2Result,
     SharedProblem,
@@ -134,7 +133,7 @@ class CoverageParallelMaster(FTMasterMixin, SimProcess):
         if resume is not None:
             from repro.fault.checkpoint import epoch_logs_from_records, verify_config
 
-            verify_config(resume, repr(config))
+            verify_config(resume, config.signature())
             self.theory = Theory(resume.theory)
             self.epoch_logs = epoch_logs_from_records(resume.epoch_logs)
             self.remaining = resume.remaining
@@ -175,7 +174,7 @@ class CoverageParallelMaster(FTMasterMixin, SimProcess):
             alive_mask=alive,
             failed_mask=failed,
             rng_state=rng.getstate(),
-            config_sig=repr(self.config),
+            config_sig=self.config.signature(),
             meta=self.checkpoint_meta,
         )
         save_checkpoint(checkpoint_path(self.checkpoint_dir, self.epochs), state)
@@ -186,11 +185,7 @@ class CoverageParallelMaster(FTMasterMixin, SimProcess):
             totals = yield from self._ft_eval_round(ctx, clauses)
             return totals
         rules = tuple(clauses)
-        parents: Optional[tuple] = None
-        if self.config.coverage_inheritance:
-            ptuple = tuple(r.parent for r in batch)
-            if any(p is not None for p in ptuple):
-                parents = ptuple
+        parents = tuple(r.parent for r in batch)
         requests = per_worker_evaluate_requests(rules, parents, self._workers(), self._worker_cand)
         if requests is None:
             yield ctx.bcast(EvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
@@ -255,9 +250,8 @@ class CoverageParallelMaster(FTMasterMixin, SimProcess):
             self._worker_cand.clear()
 
             ops0 = engine.total_ops
-            saturate = build_bottom_cached if self.config.saturation_cache else build_bottom
             try:
-                bottom = saturate(self.pos[i], engine, self.modes, self.config)
+                bottom = build_bottom_cached(self.pos[i], engine, self.modes, self.config)
             except SaturationError:
                 bottom = None
             yield ctx.compute(engine.total_ops - ops0, label="saturate")
@@ -374,6 +368,6 @@ def run_coverage_parallel(
     )
     workers = [P2Worker(rank, shared, p, seed=seed) for rank in range(1, p + spares + 1)]
     bk = resolve_backend(backend, network=network, cost_model=cost_model, fault_plan=plan)
-    with wire.configured(config.wire_codec), fault_injection_scope(bk, plan):
+    with fault_injection_scope(bk, plan):
         run = bk.run([master, *workers])
     return _result_from_run(run)

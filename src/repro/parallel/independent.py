@@ -32,7 +32,7 @@ from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import ProcContext, SimProcess
 from repro.fault.plan import FaultPlan
 from repro.fault.recovery import FTMasterMixin, PoolSupervisor
-from repro.ilp.bottom import SaturationError, build_bottom, build_bottom_cached
+from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.ilp.prune import ClauseBag
@@ -51,7 +51,6 @@ from repro.parallel.messages import (
     StartPipeline,
     Stop,
 )
-from repro.parallel import wire
 from repro.parallel.p2mdie import (
     P2Result,
     SharedProblem,
@@ -91,9 +90,8 @@ class IndependentWorker(P2Worker):
             if not idxs:
                 break
             i = rng.choice(idxs) if self.config.select_seed_randomly else idxs[0]
-            saturate = build_bottom_cached if self.config.saturation_cache else build_bottom
             try:
-                bottom = saturate(store.pos[i], self.engine, self.modes, self.config)
+                bottom = build_bottom_cached(store.pos[i], self.engine, self.modes, self.config)
             except SaturationError:
                 failed |= 1 << i
                 continue
@@ -191,7 +189,7 @@ class IndependentMaster(FTMasterMixin, SimProcess):
             yield ctx.send(k, LoadExamples(partition_id=k), tag=Tag.LOAD_EXAMPLES)
         for k in self._workers():
             yield ctx.send(k, StartPipeline(width=self.width), tag=Tag.START_PIPELINE)
-        bag = ClauseBag(self.config.clause_fingerprints)
+        bag = ClauseBag()
         for _ in self._workers():
             msg = yield ctx.recv(tag=Tag.RULES)
             for sr in msg.payload.rules:
@@ -218,7 +216,7 @@ class IndependentMaster(FTMasterMixin, SimProcess):
         log = EpochLog(epoch=1, bag_size=0)
         self._ft_current_log = log
         rules_by_origin = yield from self._ft_pipeline_round(ctx, self.width, 1)
-        bag = ClauseBag(self.config.clause_fingerprints)
+        bag = ClauseBag()
         for origin in sorted(rules_by_origin):
             for sr in rules_by_origin[origin]:
                 bag.add(sr.clause)
@@ -264,6 +262,6 @@ def run_independent(
         IndependentWorker(rank, shared, p, seed=seed) for rank in range(1, p + spares + 1)
     ]
     bk = resolve_backend(backend, network=network, cost_model=cost_model, fault_plan=plan)
-    with wire.configured(config.wire_codec), fault_injection_scope(bk, plan):
+    with fault_injection_scope(bk, plan):
         run = bk.run([master, *workers])
     return _result_from_run(run)

@@ -191,7 +191,7 @@ class P2Master(FTMasterMixin, SimProcess):
         if resume is not None:
             from repro.fault.checkpoint import epoch_logs_from_records, verify_config
 
-            verify_config(resume, repr(config))
+            verify_config(resume, config.signature())
             self.theory = Theory(resume.theory)
             self.epoch_logs = epoch_logs_from_records(resume.epoch_logs)
             self.remaining = resume.remaining
@@ -253,7 +253,7 @@ class P2Master(FTMasterMixin, SimProcess):
             stall=stall,
             theory=tuple(self.theory),
             epoch_logs=records_from_epoch_logs(self.epoch_logs),
-            config_sig=repr(self.config),
+            config_sig=self.config.signature(),
             meta=self.checkpoint_meta,
         )
         save_checkpoint(checkpoint_path(self.checkpoint_dir, self.epochs), state)
@@ -317,9 +317,7 @@ class P2Master(FTMasterMixin, SimProcess):
         (rather than broadcast) requests.
         """
         rules = tuple(clauses)
-        parents: Optional[tuple] = None
-        if self.config.coverage_inheritance:
-            parents = tuple(Clause(c.head, c.body[:-1]) if c.body else None for c in clauses)
+        parents = tuple(Clause(c.head, c.body[:-1]) if c.body else None for c in clauses)
         requests = per_worker_evaluate_requests(rules, parents, self._workers(), self._worker_cand)
         if requests is None:
             yield ctx.bcast(EvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
@@ -403,7 +401,7 @@ class P2Master(FTMasterMixin, SimProcess):
                 yield ctx.send(k, StartPipeline(width=self.width), tag=Tag.START_PIPELINE)
             # Line 9: collect every pipeline's rules (renamed-apart
             # variants collapse to one bag slot via their variant key).
-            bag = ClauseBag(self.config.clause_fingerprints)
+            bag = ClauseBag()
             for _ in self._workers():
                 msg = yield ctx.recv(tag=Tag.RULES)
                 rules: PipelineRules = msg.payload
@@ -457,7 +455,7 @@ class P2Master(FTMasterMixin, SimProcess):
             self._ft_current_log = log
 
             rules_by_origin = yield from self._ft_pipeline_round(ctx, self.width, epoch)
-            bag = ClauseBag(self.config.clause_fingerprints)
+            bag = ClauseBag()
             for origin in sorted(rules_by_origin):
                 for sr in rules_by_origin[origin]:
                     bag.add(sr.clause)

@@ -153,7 +153,7 @@ class EvaluateResult:
 
 def per_worker_evaluate_requests(
     rules: tuple,
-    parents: Optional[tuple],
+    parents: tuple,
     workers: list[int],
     worker_cand: dict,
 ) -> Optional[dict]:
@@ -166,8 +166,6 @@ def per_worker_evaluate_requests(
     masks previously reported by that worker.  Shared by every master
     that runs evaluation rounds.
     """
-    if parents is None:
-        return None
     out: dict = {}
     plain = EvaluateRequest(rules=rules)
     any_masks = False

@@ -33,7 +33,6 @@ from repro.ilp.modes import ModeSet
 from repro.logic.clause import Theory
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Term
-from repro.parallel import wire
 from repro.parallel.master import EpochLog, P2Master
 from repro.parallel.partition import Partition, partition_examples
 from repro.parallel.worker import P2Worker
@@ -308,7 +307,7 @@ def run_p2mdie(
         record_trace=record_trace,
         fault_plan=plan,
     )
-    with wire.configured(config.wire_codec), fault_injection_scope(bk, plan):
+    with fault_injection_scope(bk, plan):
         run: BackendRun = bk.run([master, *workers])
     # Read the master's run artifacts from the backend's returned process
     # state: on multi-process backends the local ``master`` object was

@@ -28,10 +28,9 @@ every worker share one intern table per process: a ground term arriving
 from the wire is pointer-equal to the local copy, and the engine's
 identity fast paths apply to shipped rules immediately.
 
-The codec is gated by :attr:`repro.ilp.config.ILPConfig.wire_codec`
-(resolved against the ``REPRO_WIRE`` environment variable, default on) via
-:func:`configured`; when disabled, accounting and transport fall back to
-pickle, reproducing the seed's measurements exactly.
+Every payload type registered here is always sized and shipped in this
+format; the accounting and transport layers pickle only what
+:func:`encode_always` does not know (it returns None for those).
 
 Wire layout (version 1)::
 
@@ -51,9 +50,7 @@ Wire layout (version 1)::
 
 from __future__ import annotations
 
-import os
 import struct
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.ilp.bottom import BottomClause, BottomLiteral
@@ -87,19 +84,8 @@ from repro.parallel.messages import (
     UpdateRouting,
 )
 
-__all__ = [
-    "encode",
-    "decode",
-    "encode_always",
-    "enabled",
-    "configured",
-    "set_enabled",
-    "register_codec",
-    "WIRE_ENV",
-    "WireError",
-]
+__all__ = ["decode", "encode_always", "register_codec", "WireError"]
 
-WIRE_ENV = "REPRO_WIRE"
 _MAGIC = 0xC3
 _VERSION = 1
 
@@ -116,50 +102,6 @@ _unpack_f64 = struct.Struct(">d").unpack_from
 
 class WireError(ValueError):
     """Malformed or unsupported wire data."""
-
-
-# -- gating --------------------------------------------------------------------
-
-_override: Optional[bool] = None
-
-
-def _env_default() -> bool:
-    return os.environ.get(WIRE_ENV, "") not in ("0", "off", "false")
-
-
-def enabled() -> bool:
-    """Whether :func:`encode` is active (override, else ``REPRO_WIRE``)."""
-    return _env_default() if _override is None else _override
-
-
-def set_enabled(flag: Optional[bool]) -> None:
-    """Pin the codec on/off for this process (None = back to env default).
-
-    Backend child processes call this with the parent's resolved setting:
-    under the ``spawn`` start method, module globals (and with them an
-    active :func:`configured` scope) are not inherited, so the flag must
-    travel explicitly.
-    """
-    global _override
-    _override = flag
-
-
-@contextmanager
-def configured(flag: Optional[bool]):
-    """Scope the codec on/off for one run.
-
-    ``None`` keeps the ambient default (environment).  The parallel
-    front-ends wrap their backend run in this, resolving
-    ``ILPConfig.wire_codec``; forked backend children inherit the setting.
-    """
-    global _override
-    prev = _override
-    if flag is not None:
-        _override = flag
-    try:
-        yield
-    finally:
-        _override = prev
 
 
 # -- primitive writers ----------------------------------------------------------
@@ -810,24 +752,12 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
     _DECODERS[code] = dec
 
 
-def encode(payload: object) -> Optional[bytes]:
-    """Encode a task payload, or None (codec disabled / unknown type).
-
-    A ``None`` return tells the caller to fall back to pickle — the
-    accounting and transport layers treat the codec as an optimisation,
-    never a requirement.
-    """
-    if not enabled():
-        return None
-    return encode_always(payload)
-
-
 def encode_always(payload: object) -> Optional[bytes]:
-    """Encode regardless of the :func:`enabled` gate (None if unknown).
+    """Encode a registered payload; None when its type has no codec.
 
-    The checkpoint file format uses this: a checkpoint must be readable
-    by any process whatever its transport-codec setting, so files are
-    always written in the wire encoding.
+    A ``None`` return tells the accounting and transport layers to fall
+    back to pickle for that payload.  File formats (checkpoints, registry
+    records, certificates) register their types and never see it.
     """
     entry = _ENCODERS.get(type(payload))
     if entry is None:
@@ -839,11 +769,7 @@ def encode_always(payload: object) -> Optional[bytes]:
 
 
 def decode(data: bytes) -> object:
-    """Decode wire bytes back into the original payload object.
-
-    Always available (independent of :func:`enabled`): a receiver must be
-    able to decode whatever a sender produced.
-    """
+    """Decode wire bytes back into the original payload object."""
     if len(data) < 3 or data[0] != _MAGIC:
         raise WireError("not a wire-codec message")
     if data[1] != _VERSION:

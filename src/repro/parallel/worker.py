@@ -175,13 +175,7 @@ class P2Worker(SimProcess):
         return shard.sampler
 
     def _make_shard(self, virtual_rank: int, pos, neg) -> WorkerShard:
-        store = ExampleStore(
-            pos,
-            neg,
-            reorder_body=self.config.reorder_body,
-            inherit=self.config.coverage_inheritance,
-            fingerprints=self.config.clause_fingerprints,
-        )
+        store = ExampleStore(pos, neg, reorder_body=self.config.reorder_body)
         return WorkerShard(
             virtual_rank=virtual_rank,
             store=store,
@@ -336,17 +330,12 @@ class P2Worker(SimProcess):
         """
         store = self.shards[self.rank].store
         ops0 = self.engine.total_ops
-        inherit = self.config.coverage_inheritance
         stats = []
         for i, rule in enumerate(req.rules):
-            cand = req.candidates[i] if (inherit and req.candidates) else None
+            cand = req.candidates[i] if req.candidates else None
             cs = store.evaluate(self.engine, rule, candidates=cand)
-            if inherit:
-                pc, nc = store.cand_masks(rule) or (0, 0)
-                stats.append(RuleStats(pos=cs.pos, neg=cs.neg, pos_cand=pc, neg_cand=nc))
-            else:
-                # Seed-faithful accounting: no mask payload when off.
-                stats.append(RuleStats(pos=cs.pos, neg=cs.neg))
+            pc, nc = store.cand_masks(rule) or (0, 0)
+            stats.append(RuleStats(pos=cs.pos, neg=cs.neg, pos_cand=pc, neg_cand=nc))
         yield ctx.compute(self._ops_since(ops0), label="evaluate")
         yield ctx.send(
             MASTER_RANK,
@@ -406,11 +395,7 @@ class P2Worker(SimProcess):
         """
         shard = self.shards[self.rank]
         shard.store = ExampleStore(
-            list(req.pos),
-            list(req.neg),
-            reorder_body=self.config.reorder_body,
-            inherit=self.config.coverage_inheritance,
-            fingerprints=self.config.clause_fingerprints,
+            list(req.pos), list(req.neg), reorder_body=self.config.reorder_body
         )
         shard.tried_mask = 0
         # The sample masks are over the old example numbering; redraw

@@ -367,7 +367,7 @@ def run_job(
         outcome = _parallel_outcome(res, cap)
     engine = Engine(ds.kb, ds.config.engine_budget(), kernel=ds.config.coverage_kernel)
     outcome.train_accuracy = accuracy(engine, outcome.theory, ds.pos, ds.neg)
-    outcome.config_sig = repr(ds.config)
+    outcome.config_sig = ds.config.signature()
     return outcome
 
 

@@ -143,7 +143,7 @@ datasets → learning → backends → faults → serving."""
 _ILPCONFIG = """\
 ### `repro.ilp.ILPConfig`
 
-The constraint set `C` plus every optimization gate.  Search/language
+The constraint set `C` plus the remaining optimization gates.  Search/language
 knobs: `max_clause_length`, `var_depth`, `recall`,
 `max_bottom_literals`, `noise`, `min_pos`, `max_nodes`,
 `pipeline_width`, `heuristic`, `search_strategy` (`bfs` / `best_first`
@@ -155,11 +155,11 @@ the parity test suites:
 | flag | default | effect |
 |------|---------|--------|
 | `coverage_kernel` | `None` (env `REPRO_COVERAGE_KERNEL`, → `"new"`) | iterative SLD machine + ground-goal memo + multi-arg indexing vs the seed `"legacy"` interpreter |
-| `coverage_inheritance` | `True` | evaluate refinements only on what the parent rule covered (plus budget-exhausted examples) |
-| `clause_fingerprints` | `True` | key evaluation caches and master rule bags by the renaming-invariant `variant_key` |
-| `saturation_cache` | `True` | memoize `build_bottom` per (example, KB version, bias, budget); replays recorded op cost |
-| `wire_codec` | `None` (env `REPRO_WIRE`, → on) | compact symbol-table message encoding for accounting **and** real transports |
 | `reorder_body` | `False` | selectivity-based body-literal reordering before coverage testing |
+
+`ILPConfig.signature()` is the versioned string that checkpoints, job
+outcomes and registry records carry as `config_sig`; `repro resume`
+refuses a checkpoint whose signature names a different configuration.
 
 Sampled coverage (see [sampling.md](sampling.md)) is the one gated mode
 that is *not* bit-identical — search trajectories may differ — but every

@@ -19,6 +19,7 @@ from repro.fault.checkpoint import (
     save_checkpoint,
     verify_config,
 )
+from repro.ilp.config import ILPConfig
 from repro.logic.parser import parse_clause, parse_term
 from repro.parallel import wire
 from repro.parallel.master import EpochLog
@@ -81,9 +82,12 @@ class TestWireRoundTrip:
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
     def test_encoding_ignores_transport_gate(self):
-        with wire.configured(False):
-            assert wire.encode(make_state()) is None  # transport gate off
-            assert wire.encode_always(make_state()) is not None  # files always on
+        """The transports pickle only payload types without a codec; the
+        checkpoint has one, so it is the file format wherever it travels."""
+        from repro.cluster.message import marshal_payload
+
+        data, encoded = marshal_payload(make_state())
+        assert encoded and data == wire.encode_always(make_state())
 
     def test_bytes_stable_across_hash_seeds(self):
         prog = (
@@ -137,6 +141,19 @@ class TestGuards:
         verify_config(make_state(config_sig=""), "whatever")  # unknown: fine
         with pytest.raises(CheckpointError, match="different ILP configuration"):
             verify_config(st, "ILPConfig(other)")
+
+    def test_mismatch_names_fields_and_values(self):
+        saved = ILPConfig(noise=3, search_strategy="beam")
+        st = make_state(config_sig=saved.signature())
+        verify_config(st, saved.signature())
+        with pytest.raises(CheckpointError) as err:
+            verify_config(st, ILPConfig(recall=7).signature())
+        text = str(err.value)
+        assert "noise: saved 3, current 0" in text
+        assert "search_strategy: saved 'beam', current 'bfs'" in text
+        assert "recall: saved 20, current 7" in text
+        # only the differing fields are spelled out, not both signatures
+        assert "max_nodes" not in text and len(text) < 300
 
 
 class TestEpochLogConversion:

@@ -1,6 +1,8 @@
 """Saturation cache: hits return the cached bottom, replay the recorded
 op cost, and invalidate on KB mutation / bias change."""
 
+import sys
+
 import pytest
 
 from repro.ilp.bottom import SaturationError, build_bottom, build_bottom_cached
@@ -78,11 +80,14 @@ class TestCache:
 
 
 class TestMDIEParity:
-    def test_same_theory_and_log_with_and_without_cache(self, family_kb, family_pos, family_neg, family_modes, family_config):
-        on = family_config.replace(saturation_cache=True)
-        off = family_config.replace(saturation_cache=False)
-        a = mdie(family_kb, family_pos, family_neg, family_modes, on, seed=0)
-        b = mdie(family_kb, family_pos, family_neg, family_modes, off, seed=0)
+    def test_same_theory_and_log_with_and_without_cache(
+        self, family_kb, family_pos, family_neg, family_modes, family_config, monkeypatch
+    ):
+        args = (family_kb, family_pos, family_neg, family_modes, family_config)
+        a = mdie(*args, seed=0)
+        # without: the learner saturates through the uncached reference
+        monkeypatch.setattr(sys.modules["repro.ilp.mdie"], "build_bottom_cached", build_bottom)
+        b = mdie(*args, seed=0)
         assert [str(c) for c in a.theory] == [str(c) for c in b.theory]
         assert a.epochs == b.epochs and a.uncovered == b.uncovered
         assert [(str(s), str(r), c) for s, r, c, _ in a.log] == [
@@ -90,9 +95,8 @@ class TestMDIEParity:
         ]
 
     def test_repeated_run_is_deterministic(self, family_kb, family_pos, family_neg, family_modes, family_config):
-        cfg = family_config.replace(saturation_cache=True)
-        a = mdie(family_kb, family_pos, family_neg, family_modes, cfg, seed=0)
-        b = mdie(family_kb, family_pos, family_neg, family_modes, cfg, seed=0)
+        a = mdie(family_kb, family_pos, family_neg, family_modes, family_config, seed=0)
+        b = mdie(family_kb, family_pos, family_neg, family_modes, family_config, seed=0)
         assert [str(c) for c in a.theory] == [str(c) for c in b.theory]
         # op accounting identical too: cache hits replay recorded cost
         assert a.ops == b.ops

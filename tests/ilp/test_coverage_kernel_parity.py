@@ -1,15 +1,14 @@
 """Golden parity: the overhauled coverage kernel (iterative machine,
-ground-goal memo, multi-argument indexing, coverage inheritance) must
-learn **bit-identical** theories and coverage bitsets to the seed kernel
-(recursive interpreter, first-argument index, full-list evaluation) on
-every dataset and search strategy.
+ground-goal memo, multi-argument indexing) must learn **bit-identical**
+theories and coverage bitsets to the seed kernel (recursive interpreter,
+first-argument index) on every dataset and search strategy.
 """
 
 import pytest
 
 from repro.datasets import make_dataset
 from repro.ilp.config import ILPConfig
-from repro.ilp.coverage import coverage_eval
+from repro.ilp.coverage import coverage_eval, popcount
 from repro.ilp.mdie import mdie
 from repro.ilp.modes import ModeSet
 from repro.ilp.store import ExampleStore
@@ -19,11 +18,11 @@ from repro.logic.parser import parse_clause, parse_term
 
 
 def legacy_config(config: ILPConfig) -> ILPConfig:
-    return config.replace(coverage_kernel="legacy", coverage_inheritance=False)
+    return config.replace(coverage_kernel="legacy")
 
 
 def new_config(config: ILPConfig) -> ILPConfig:
-    return config.replace(coverage_kernel="new", coverage_inheritance=True)
+    return config.replace(coverage_kernel="new")
 
 
 def run_pair(ds, config: ILPConfig, seed: int = 0):
@@ -126,28 +125,29 @@ class TestBitsetParity:
             assert (lb, le) == (nb, ne), src
 
     def test_store_evaluation_parity(self):
-        """ExampleStore with inheritance+alive restriction reports the same
-        CoverageStats as the seed-faithful store at every covering step."""
+        """ExampleStore (inheritance + alive restriction) on the new kernel
+        reports, at every covering step, what mask-less full-list scans on
+        the legacy kernel compute."""
         ds = make_dataset("trains", seed=0, scale="small")
         legacy, new = self.engines(ds.kb)
-        s_old = ExampleStore(ds.pos, ds.neg, inherit=False)
-        s_new = ExampleStore(ds.pos, ds.neg, inherit=True)
+        store = ExampleStore(ds.pos, ds.neg)
         parent = parse_clause("eastbound(A) :- has_car(A, B).")
         child = parse_clause("eastbound(A) :- has_car(A, B), closed(B).")
         grandchild = parse_clause("eastbound(A) :- has_car(A, B), closed(B), short(B).")
         lineage = [(parent, None), (child, parent), (grandchild, child)]
-        for rule, par in lineage:
-            a = s_old.evaluate(legacy, rule)
-            b = s_new.evaluate(new, rule, parent=par)
-            assert (a.pos, a.neg, a.pos_bits, a.neg_bits) == (b.pos, b.neg, b.pos_bits, b.neg_bits)
+
+        def check():
+            for rule, par in lineage:
+                pos_bits = coverage_eval(legacy, rule, ds.pos)[0] & store.alive
+                neg_bits = coverage_eval(legacy, rule, ds.neg)[0]
+                b = store.evaluate(new, rule, parent=par)
+                assert (b.pos_bits, b.neg_bits) == (pos_bits, neg_bits)
+                assert (b.pos, b.neg) == (popcount(pos_bits), popcount(neg_bits))
+
+        check()
         # kill the child's cover and re-evaluate the lineage from cache
-        killed = s_old.evaluate(legacy, child).pos_bits
-        s_old.kill(killed)
-        s_new.kill(killed)
-        for rule, par in lineage:
-            a = s_old.evaluate(legacy, rule)
-            b = s_new.evaluate(new, rule, parent=par)
-            assert (a.pos, a.neg, a.pos_bits, a.neg_bits) == (b.pos, b.neg, b.pos_bits, b.neg_bits)
+        store.kill(store.evaluate(new, child).pos_bits)
+        check()
 
 
 class TestParallelParity:

@@ -13,6 +13,7 @@ Two signatures with different invariances:
 
 import pytest
 
+from repro.ilp.coverage import coverage_eval, popcount
 from repro.ilp.prune import ClauseBag
 from repro.ilp.store import ExampleStore
 from repro.logic.clause import Clause
@@ -96,7 +97,7 @@ class TestStoreCacheVariants:
         self.neg = [parse_term("p(c)")]
 
     def test_renamed_variant_is_cache_hit(self):
-        store = ExampleStore(self.pos, self.neg, fingerprints=True)
+        store = ExampleStore(self.pos, self.neg)
         c1 = parse_clause("p(X) :- q(X), r(X).")
         c2 = parse_clause("p(Z) :- q(Z), r(Z).")  # renamed variant of c1
         s1 = store.evaluate(self.engine, c1)
@@ -108,36 +109,28 @@ class TestStoreCacheVariants:
     def test_reordered_variant_is_a_miss(self):
         # Reordered bodies can exhaust query budgets differently: they
         # must never share a cache entry.
-        store = ExampleStore(self.pos, self.neg, fingerprints=True)
+        store = ExampleStore(self.pos, self.neg)
         store.evaluate(self.engine, parse_clause("p(X) :- q(X), r(X)."))
         store.evaluate(self.engine, parse_clause("p(Z) :- r(Z), q(Z)."))
         assert store.cache_misses() == 2
 
-    def test_without_fingerprints_variant_is_miss(self):
-        store = ExampleStore(self.pos, self.neg, fingerprints=False)
-        store.evaluate(self.engine, parse_clause("p(X) :- q(X), r(X)."))
-        store.evaluate(self.engine, parse_clause("p(Z) :- q(Z), r(Z)."))
-        assert store.cache_misses() == 2
-
     def test_variant_stats_equal_fresh_eval(self):
-        keyed = ExampleStore(self.pos, self.neg, fingerprints=True)
-        plain = ExampleStore(self.pos, self.neg, fingerprints=False)
+        keyed = ExampleStore(self.pos, self.neg)
         c1 = parse_clause("p(X) :- q(X), r(X).")
         c2 = parse_clause("p(Z) :- q(Z), r(Z).")
         keyed.evaluate(self.engine, c1)
         via_cache = keyed.evaluate(self.engine, c2)
-        fresh = plain.evaluate(self.engine, c2)
-        assert (via_cache.pos, via_cache.neg, via_cache.pos_bits, via_cache.neg_bits) == (
-            fresh.pos,
-            fresh.neg,
-            fresh.pos_bits,
-            fresh.neg_bits,
-        )
+        assert keyed.cache_hits() == 1
+        # the reference: c2 itself, scanned over the full example lists
+        pos_bits, _ = coverage_eval(self.engine, c2, self.pos)
+        neg_bits, _ = coverage_eval(self.engine, c2, self.neg)
+        assert (via_cache.pos_bits, via_cache.neg_bits) == (pos_bits, neg_bits)
+        assert (via_cache.pos, via_cache.neg) == (popcount(pos_bits), popcount(neg_bits))
 
 
 class TestClauseBag:
     def test_dedups_variants_keeping_tiebreak_winner(self):
-        bag = ClauseBag(fingerprints=True)
+        bag = ClauseBag()
         a = parse_clause("p(X) :- q(X, Y).")
         b = parse_clause("p(A) :- q(A, B).")  # variant, lexicographically smaller
         bag.add(a)
@@ -148,13 +141,13 @@ class TestClauseBag:
         assert bag.reported_size == 2
 
     def test_reordered_rules_not_merged(self):
-        bag = ClauseBag(fingerprints=True)
+        bag = ClauseBag()
         bag.add(parse_clause("p(X) :- q(X, Y), r(Y)."))
         bag.add(parse_clause("p(A) :- r(B), q(A, B)."))
         assert len(bag) == 2
 
     def test_insertion_order_and_discard(self):
-        bag = ClauseBag(fingerprints=True)
+        bag = ClauseBag()
         c1 = parse_clause("p(X) :- q(X).")
         c2 = parse_clause("p(X) :- r(X).")
         bag.add(c1)
@@ -164,14 +157,8 @@ class TestClauseBag:
         bag.discard(c1)
         assert len(bag) == 1 and c1 not in bag
 
-    def test_plain_mode_keeps_variants(self):
-        bag = ClauseBag(fingerprints=False)
-        bag.add(parse_clause("p(X) :- q(X, Y)."))
-        bag.add(parse_clause("p(A) :- q(A, B)."))
-        assert len(bag) == 2
-
     def test_non_variants_not_merged(self):
-        bag = ClauseBag(fingerprints=True)
+        bag = ClauseBag()
         bag.add(parse_clause("p(X) :- q(X, X)."))
         bag.add(parse_clause("p(X) :- q(X, Y)."))
         assert len(bag) == 2

@@ -55,6 +55,10 @@ class TestNoResurrection:
         assert fresh.evaluate(engine, child).neg_bits == a.neg_bits
         assert fresh.evaluate(engine, gchild).pos_bits == b.pos_bits
         assert inh.inherited_evals() == 2
+        # ... and equals the reference: mask-less scans of the full lists
+        for rule, stats in ((child, a), (gchild, b)):
+            assert coverage_eval(engine, rule, ds.pos)[0] == stats.pos_bits
+            assert coverage_eval(engine, rule, ds.neg)[0] == stats.neg_bits
 
     def test_pruned_examples_never_retested(self, ds, engine, monkeypatch):
         """The narrowed evaluation literally never touches an example
@@ -194,26 +198,3 @@ class TestWorkerRoundTrip:
         cold = ExampleStore(ds.pos, ds.neg).evaluate(engine, child)
         assert (narrowed.pos, narrowed.neg) == (cold.pos, cold.neg)
         assert narrowed.pos_bits == cold.pos_bits
-
-    def test_inheritance_flag_off_is_seed_faithful(self, ds):
-        engine = Engine(ds.kb, ds.config.engine_budget())
-        store = ExampleStore(ds.pos, ds.neg, inherit=False)
-        parent, child = parse_clause(PARENT), parse_clause(CHILD)
-        store.evaluate(engine, parent)
-        cs = store.evaluate(engine, child, parent=parent)
-        assert store.inherited_evals() == 0
-        fresh = ExampleStore(ds.pos, ds.neg, inherit=False).evaluate(engine, child)
-        assert (cs.pos_bits, cs.neg_bits) == (fresh.pos_bits, fresh.neg_bits)
-
-    def test_p2mdie_inheritance_on_off_same_theory(self):
-        from repro.parallel.p2mdie import run_p2mdie
-
-        ds = make_dataset("krki", seed=0, n_pos=24, n_neg=24)
-        on = run_p2mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(coverage_inheritance=True), p=2, seed=0
-        )
-        off = run_p2mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(coverage_inheritance=False), p=2, seed=0
-        )
-        assert sorted(str(c) for c in on.theory) == sorted(str(c) for c in off.theory)
-        assert on.uncovered == off.uncovered

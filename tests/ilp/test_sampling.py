@@ -110,9 +110,9 @@ class TestConfigGate:
 
     def test_env_does_not_change_config_sig(self, monkeypatch):
         monkeypatch.delenv(SAMPLING_ENV, raising=False)
-        off = repr(ILPConfig())
+        off = ILPConfig().signature()
         monkeypatch.setenv(SAMPLING_ENV, "1")
-        assert repr(ILPConfig()) == off
+        assert ILPConfig().signature() == off
 
     def test_sampler_for_none_when_off(self):
         config = ILPConfig(coverage_sampling=False)

@@ -1,13 +1,26 @@
-"""Golden parity for the search-layer overhaul (PR 3).
+"""Search-layer parity (PR 3): each mechanism against its reference.
 
-The hash-consed terms, fingerprint-keyed caches, variant-deduplicating
-rule bags, saturation cache and wire codec are pure optimisations: every
-learned theory, per-epoch log and coverage bitset must be bit-identical
-to the PR 2 kernel's.  Sequential parity across the flag matrix runs
-in-process; interning (a process-global import-time switch) is checked
-against a ``REPRO_INTERN=0`` subprocess.
+Hash-consed terms, variant-keyed caches and rule bags, the saturation
+cache and the wire codec are pure optimisations: every learned theory,
+per-epoch log and coverage bitset must be what the plain implementations
+produce.  They no longer have config switches; the *functions* they
+replaced are still in ``src/`` as references, so these tests put a
+reference back in place of one mechanism at a time and run the real
+learners:
+
+* saturation cache   -> ``build_bottom`` (each learner's module global);
+* variant-keyed cache and bag slots -> plain clause equality
+  (``Clause.variant_key`` returning the clause itself);
+* wire codec sizing  -> pickle (an ``encode_always`` that knows no type);
+* interning          -> intern tables capped at zero, in a subprocess.
+
+The expected side of every comparison is ``golden_runs.runs`` — what
+commit f2ff849 learned with all of them switched off (see
+``tests/test_golden_runs.py``).  Class and test names date from when the
+mechanisms were ``ILPConfig`` flags.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,8 +29,10 @@ import sys
 import pytest
 
 from repro.datasets import make_dataset
+from repro.ilp.bottom import build_bottom
 from repro.ilp.mdie import mdie
-from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
+from repro.logic.clause import Clause
+from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie, wire
 
 DATASETS = [
     ("trains", dict(seed=0, scale="small")),
@@ -25,98 +40,106 @@ DATASETS = [
 ]
 
 
-def run_log(res):
-    return [(str(s), str(r), c) for s, r, c, _ in res.log]
+#: every module that saturates seeds (``repro.ilp.mdie`` the module, not
+#: the function ``repro.ilp`` re-exports under the same name).
+SATURATING_MODULES = (
+    "repro.ilp.mdie",
+    "repro.fault.recovery",
+    "repro.parallel.independent",
+    "repro.parallel.coverage_parallel",
+)
+
+
+def uncached_saturation(monkeypatch):
+    for name in SATURATING_MODULES:
+        monkeypatch.setattr(importlib.import_module(name), "build_bottom_cached", build_bottom)
+
+
+def plain_clause_keys(monkeypatch):
+    monkeypatch.setattr(Clause, "variant_key", lambda self: self)
+
+
+def pickle_sizing(monkeypatch):
+    monkeypatch.setattr(wire, "encode_always", lambda payload: None)
 
 
 class TestSequentialFlagParity:
-    """clause_fingerprints / saturation_cache off vs on: identical results."""
+    """Sequential MDIE with none, one or the other mechanism replaced."""
 
     @pytest.mark.parametrize("name,kw", DATASETS)
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(clause_fingerprints=True, saturation_cache=True),
-            dict(clause_fingerprints=True, saturation_cache=False),
-            dict(clause_fingerprints=False, saturation_cache=True),
-        ],
+        "references",
+        [(), (uncached_saturation,), (plain_clause_keys,)],
         ids=["all-on", "fp-only", "satcache-only"],
     )
-    def test_vs_all_off(self, name, kw, overrides):
+    def test_vs_all_off(self, name, kw, references, golden_runs, monkeypatch):
+        for substitute in references:
+            substitute(monkeypatch)
         ds = make_dataset(name, **kw)
-        base = ds.config.replace(clause_fingerprints=False, saturation_cache=False)
-        a = mdie(ds.kb, ds.pos, ds.neg, ds.modes, base, seed=0)
-        b = mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(**overrides), seed=0)
-        assert sorted(str(c) for c in a.theory) == sorted(str(c) for c in b.theory)
-        assert a.epochs == b.epochs and a.uncovered == b.uncovered
-        assert run_log(a) == run_log(b)
+        res = mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0)
+        assert golden_runs.record(res) == golden_runs.runs[f"{name}/bfs/mdie"]
 
     @pytest.mark.parametrize("strategy", ["best_first", "beam"])
-    def test_other_strategies(self, strategy):
-        ds = make_dataset("krki", seed=0, n_pos=30, n_neg=30)
-        base = ds.config.replace(
-            search_strategy=strategy, clause_fingerprints=False, saturation_cache=False
-        )
-        new = ds.config.replace(search_strategy=strategy)
-        a = mdie(ds.kb, ds.pos, ds.neg, ds.modes, base, seed=0)
-        b = mdie(ds.kb, ds.pos, ds.neg, ds.modes, new, seed=0)
-        assert sorted(str(c) for c in a.theory) == sorted(str(c) for c in b.theory)
-        assert run_log(a) == run_log(b)
+    def test_other_strategies(self, strategy, golden_runs, monkeypatch):
+        uncached_saturation(monkeypatch)
+        plain_clause_keys(monkeypatch)
+        ds = golden_runs.dataset("krki")
+        config = ds.config.replace(search_strategy=strategy)
+        res = mdie(ds.kb, ds.pos, ds.neg, ds.modes, config, seed=0)
+        assert golden_runs.record(res) == golden_runs.runs[f"krki/{strategy}/mdie"]
 
 
 class TestParallelFlagParity:
-    def theory_of(self, res):
-        return sorted(str(c) for c in res.theory)
+    """The parallel strategies with every mechanism replaced at once."""
+
+    @pytest.fixture(autouse=True)
+    def references(self, monkeypatch):
+        uncached_saturation(monkeypatch)
+        plain_clause_keys(monkeypatch)
+        pickle_sizing(monkeypatch)
 
     @pytest.mark.parametrize("name,kw", DATASETS)
-    def test_p2mdie(self, name, kw):
+    def test_p2mdie(self, name, kw, golden_runs):
         ds = make_dataset(name, **kw)
-        base = ds.config.replace(
-            clause_fingerprints=False, saturation_cache=False, wire_codec=False
-        )
-        a = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, base, p=3, seed=0)
-        b = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=3, seed=0)
-        assert self.theory_of(a) == self.theory_of(b)
-        assert a.epochs == b.epochs and a.uncovered == b.uncovered
-        assert [(l.epoch, list(map(str, l.accepted)), l.pos_covered) for l in a.epoch_logs] == [
-            (l.epoch, list(map(str, l.accepted)), l.pos_covered) for l in b.epoch_logs
-        ]
+        res = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=3, seed=0)
+        assert golden_runs.record(res) == golden_runs.runs[f"{name}/bfs/p2mdie3"]
+        # pickle sizing really was in force: same traffic, more bytes
+        pins = golden_runs.pins[f"{name}/bfs/p2mdie3"]
+        assert res.comm.messages == pins["messages"]
+        assert res.comm.bytes_total > pins["bytes"]
 
-    def test_independent_and_covpar(self):
-        ds = make_dataset("trains", seed=0, scale="small")
-        base = ds.config.replace(
-            clause_fingerprints=False, saturation_cache=False, wire_codec=False
-        )
-        a = run_independent(ds.kb, ds.pos, ds.neg, ds.modes, base, p=2, seed=0)
-        b = run_independent(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=2, seed=0)
-        assert self.theory_of(a) == self.theory_of(b)
-        c = run_coverage_parallel(ds.kb, ds.pos, ds.neg, ds.modes, base, p=2, seed=0)
-        d = run_coverage_parallel(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=2, seed=0)
-        assert self.theory_of(c) == self.theory_of(d)
+    def test_independent_and_covpar(self, golden_runs):
+        ds = golden_runs.dataset("trains")
+        args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
+        a = run_independent(*args, p=2, seed=0)
+        assert golden_runs.record(a) == golden_runs.runs["trains/bfs/independent"]
+        b = run_coverage_parallel(*args, p=2, seed=0)
+        assert golden_runs.record(b) == golden_runs.runs["trains/bfs/coverage_parallel"]
 
 
-def test_interning_parity_subprocess():
-    """A REPRO_INTERN=0 process learns the identical theory and log."""
+def test_interning_parity_subprocess(golden_runs):
+    """A process whose intern tables hold nothing — every term equality
+    takes the structural fallback — learns the identical theory and log."""
     prog = (
         "import json\n"
+        "from repro.logic import terms\n"
+        "terms._CONST_CAP = terms._STRUCT_CAP = 0\n"
         "from repro.datasets import make_dataset\n"
         "from repro.ilp.mdie import mdie\n"
         "ds = make_dataset('trains', seed=0, scale='small')\n"
+        "assert not ds.pos[0].interned\n"
         "res = mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0)\n"
-        "print(json.dumps({'theory': sorted(str(c) for c in res.theory),\n"
+        "print(json.dumps({'theory': [str(c) for c in res.theory],\n"
         "                  'epochs': res.epochs, 'uncovered': res.uncovered,\n"
-        "                  'log': [(str(s), str(r), c) for s, r, c, _ in res.log]}))\n"
+        "                  'log': [[str(s), str(r), c] for s, r, c, _ in res.log]}))\n"
     )
-    results = {}
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    for intern in ("0", "1"):
-        env = dict(os.environ, REPRO_INTERN=intern)
-        env["PYTHONPATH"] = os.path.join(root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", prog], capture_output=True, text=True, env=env, cwd=root
-        )
-        assert out.returncode == 0, out.stderr
-        results[intern] = json.loads(out.stdout)
-    assert results["0"] == results["1"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", prog], capture_output=True, text=True, env=env, cwd=root
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == golden_runs.runs["trains/bfs/mdie"]

@@ -1,12 +1,10 @@
 """Hash-consing tests: interning identity, ground flags, pickling, and
-the REPRO_INTERN=0 escape hatch."""
+the structural fallback terms take past the intern-table cap."""
 
 import os
 import pickle
 import subprocess
 import sys
-
-import pytest
 
 from repro.logic.parser import parse_clause, parse_term
 from repro.logic.terms import (
@@ -14,15 +12,8 @@ from repro.logic.terms import (
     Struct,
     Var,
     atom,
-    intern_enabled,
     is_ground,
     mk_term,
-)
-
-# Identity assertions only hold with hash-consing on; a REPRO_INTERN=0
-# test run exercises the structural fallbacks through every other suite.
-pytestmark = pytest.mark.skipif(
-    not intern_enabled(), reason="term interning disabled (REPRO_INTERN=0)"
 )
 
 
@@ -96,21 +87,26 @@ class TestClauseIdentityPaths:
         assert c1.body[1] is c2.body[1]
 
 
-@pytest.mark.skipif(not intern_enabled(), reason="interning already disabled")
 def test_intern_disabled_subprocess():
-    """REPRO_INTERN=0 degrades to structural equality, same semantics."""
+    """With the intern tables capped at zero nothing is interned: every
+    equality degrades to the structural comparison, same semantics."""
     prog = (
-        "from repro.logic.terms import Const, intern_enabled\n"
+        "from repro.logic import terms\n"
+        "terms._CONST_CAP = terms._STRUCT_CAP = 0\n"
+        "before = terms.intern_stats()\n"
+        "from repro.logic.terms import Const\n"
         "from repro.logic.parser import parse_term\n"
-        "assert not intern_enabled()\n"
-        "assert Const('a') == Const('a')\n"
+        "assert Const('a') is not Const('a')\n"
+        "assert Const('a') == Const('a') and hash(Const('a')) == hash(Const('a'))\n"
         "assert Const(1) != Const(1.0)\n"
         "s, t = parse_term('f(a, g(b))'), parse_term('f(a, g(b))')\n"
+        "assert s is not t\n"
         "assert s == t and hash(s) == hash(t) and s.ground\n"
         "assert not s.interned\n"
+        "assert terms.intern_stats() == before\n"
         "print('ok')\n"
     )
-    env = dict(os.environ, REPRO_INTERN="0")
+    env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     out = subprocess.run([sys.executable, "-c", prog], capture_output=True, text=True, env=env, cwd=root)

@@ -125,7 +125,7 @@ MESSAGES = [
 class TestRoundTrip:
     @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: type(m).__name__)
     def test_round_trip(self, msg):
-        data = wire.encode(msg)
+        data = wire.encode_always(msg)
         assert isinstance(data, bytes)
         assert wire.decode(data) == msg
 
@@ -182,32 +182,28 @@ class TestRoundTrip:
             ),
             neg=(),
         )
-        dec = wire.decode(wire.encode(msg))
+        dec = wire.decode(wire.encode_always(msg))
         assert dec == msg
         # bool/int/float survive as distinct constant kinds
         args = dec.pos[2].args
         assert [type(a.value) for a in args] == [bool, int, float]
 
     def test_decoded_terms_are_interned(self):
-        from repro.logic.terms import intern_enabled
-
-        if not intern_enabled():  # pragma: no cover - REPRO_INTERN=0 runs
-            pytest.skip("interning disabled")
         msg = MarkCovered(rule=RULE)
-        dec = wire.decode(wire.encode(msg))
+        dec = wire.decode(wire.encode_always(msg))
         # Ground subterms come back pointer-equal to the local copies.
         assert dec.rule.body[0].args[2] is RULE.body[0].args[2]
 
     def test_smaller_than_pickle(self):
         for msg in MESSAGES:
-            data = wire.encode(msg)
+            data = wire.encode_always(msg)
             assert len(data) < len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
 
 
 class TestDeterminism:
     def test_encode_is_deterministic_in_process(self):
         for msg in MESSAGES:
-            assert wire.encode(msg) == wire.encode(msg)
+            assert wire.encode_always(msg) == wire.encode_always(msg)
 
     def test_bytes_stable_across_hash_seeds(self):
         """Byte counts must not depend on PYTHONHASHSEED (frozenset
@@ -215,9 +211,9 @@ class TestDeterminism:
         prog = (
             "from tests.parallel.test_wire import MESSAGES\n"
             "from repro.parallel import wire\n"
-            "print(';'.join(wire.encode(m).hex() for m in MESSAGES))\n"
+            "print(';'.join(wire.encode_always(m).hex() for m in MESSAGES))\n"
         )
-        here = [wire.encode(m).hex() for m in MESSAGES]
+        here = [wire.encode_always(m).hex() for m in MESSAGES]
         for seed in ("0", "12345"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             env["PYTHONPATH"] = "src" + os.pathsep + os.getcwd() + (
@@ -235,42 +231,46 @@ class TestDeterminism:
 
 
 class TestGatingAndFallback:
-    def test_disabled_returns_none(self):
-        with wire.configured(False):
-            assert wire.encode(Stop()) is None
-        with wire.configured(True):
-            assert wire.encode(Stop()) is not None
-
     def test_unknown_payload_returns_none(self):
-        assert wire.encode({"not": "a message"}) is None
+        assert wire.encode_always({"not": "a message"}) is None
 
     def test_payload_nbytes_matches_mode(self):
-        from repro.cluster.message import payload_nbytes
+        """The marshalling mode is chosen by payload type alone: the codec
+        for registered messages, pickle for everything else."""
+        from repro.cluster.message import marshal_payload, payload_nbytes, unmarshal_payload
 
         msg = MarkCovered(rule=RULE)
-        with wire.configured(True):
-            assert payload_nbytes(msg) == len(wire.encode(msg))
-        with wire.configured(False):
-            assert payload_nbytes(msg) == len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+        data, encoded = marshal_payload(msg)
+        assert encoded and data == wire.encode_always(msg)
+        assert payload_nbytes(msg) == len(data)
+        assert unmarshal_payload(data, encoded) == msg
+
+        other = {"not": "a message", "rule": RULE}
+        data, encoded = marshal_payload(other)
+        assert not encoded and data == pickle.dumps(other, pickle.HIGHEST_PROTOCOL)
+        assert payload_nbytes(other) == len(data)
+        assert unmarshal_payload(data, encoded) == other
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(wire.WireError):
             wire.decode(b"\x00\x01\x02")
         with pytest.raises(wire.WireError):
-            wire.decode(wire.encode(Stop()) + b"x")
+            wire.decode(wire.encode_always(Stop()) + b"x")
 
 
 class TestEndToEnd:
-    def test_commstats_deterministic_and_reduced(self):
+    def test_commstats_deterministic_and_reduced(self, monkeypatch):
         from repro.datasets import make_dataset
         from repro.parallel import run_p2mdie
 
         ds = make_dataset("trains", seed=0, scale="small")
-        on = ds.config.replace(wire_codec=True)
-        off = ds.config.replace(wire_codec=False)
-        r1 = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, on, p=2, seed=0)
-        r2 = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, on, p=2, seed=0)
-        r3 = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, off, p=2, seed=0)
+        args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
+        r1 = run_p2mdie(*args, p=2, seed=0)
+        r2 = run_p2mdie(*args, p=2, seed=0)
+        # The reference: a codec that knows no type, so every payload is
+        # sized by the pickle fallback.
+        monkeypatch.setattr(wire, "encode_always", lambda payload: None)
+        r3 = run_p2mdie(*args, p=2, seed=0)
         # deterministic accounting across identical runs
         assert r1.comm.bytes_total == r2.comm.bytes_total
         assert r1.comm.bytes_by_tag == r2.comm.bytes_by_tag
@@ -299,7 +299,7 @@ class TestServiceWireMessages:
 
     def test_round_trip(self):
         for msg in self.service_messages():
-            data = wire.encode(msg)
+            data = wire.encode_always(msg)
             assert isinstance(data, bytes)
             assert wire.decode(data) == msg
 
@@ -348,5 +348,5 @@ class TestServiceWireMessages:
                 state="done" if outcome else "queued",
                 epochs_done=3, outcome=outcome,
             )
-            data = wire.encode(rec)
+            data = wire.encode_always(rec)
             assert wire.decode(data) == rec

@@ -92,7 +92,7 @@ class TestRunJob:
         assert outcome.ops == direct.ops
         assert outcome.finished
         assert outcome.train_accuracy == pytest.approx(100.0)
-        assert outcome.config_sig == repr(trains.config)
+        assert outcome.config_sig == trains.config.signature()
 
     def test_p2mdie_parity_with_direct_run(self, trains):
         spec = JobSpec(dataset="trains", algo="p2mdie", p=2, seed=0)
