@@ -256,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reject submits from clients with N active jobs already (0 = unlimited)",
     )
     serve_p.add_argument(
-        "--query-shards", type=int, default=0, metavar="K",
-        help="default shard count for coverage queries (0 = sequential)",
-    )
-    serve_p.add_argument(
         "--max-queue", type=int, default=0, metavar="N",
         help="shed submits once N jobs are queued (0 = unbounded)",
     )
@@ -383,10 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--examples", default=None, metavar="FILE",
         help="file with one ground term per line ('-' = stdin)",
     )
-    query_p.add_argument(
-        "--shards", type=int, default=0,
-        help="evaluate the batch shard-parallel over K worker threads",
-    )
 
     load_p = sub.add_parser(
         "loadgen",
@@ -413,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     load_p.add_argument(
         "--pattern", choices=("uniform", "burst", "heavytail"), default="uniform"
     )
-    load_p.add_argument("--shards", type=int, default=0, help="shards per query (0 = server default)")
+    load_p.add_argument("--shards", type=int, default=0, help="spans per query (0 = one)")
     load_p.add_argument("--stream", action="store_true", help="use streaming queries")
     load_p.add_argument("--concurrency", type=int, default=8, help="client connections")
     load_p.add_argument(
@@ -710,7 +702,7 @@ def _cmd_serve(args) -> int:
         print(
             f"% serving on {args.host}:{server.port} "
             f"(slots={args.slots}, registry={args.registry_dir or 'off'}, "
-            f"auth={auth}, query-shards={args.query_shards or 'seq'}{metrics}){chaos}"
+            f"auth={auth}{metrics}){chaos}"
         )
         sys.stdout.flush()
 
@@ -721,7 +713,6 @@ def _cmd_serve(args) -> int:
             chunk_epochs=args.chunk_epochs, ready=announce,
             auth_token=args.auth_token,
             max_jobs_per_client=args.max_jobs_per_client,
-            query_shards=args.query_shards,
             max_queue=args.max_queue, max_inflight=args.max_inflight,
             fault_plan=fault_plan,
             metrics_port=args.metrics_port, tracer=tracer,
@@ -908,9 +899,7 @@ def _query_verb(args) -> int:
                 for line in fh
                 if line.strip() and not line.lstrip().startswith("%")
             ]
-        result = engine.query(
-            args.name, examples, version=args.version, shards=args.shards or None
-        )
+        result = engine.query(args.name, examples, version=args.version)
         for example, hit in zip(examples, result.decisions()):
             print(f"{example}  {'+' if hit else '-'}")
         print(f"% covered {result.n_covered}/{result.n} (ops={result.ops})")
@@ -919,9 +908,8 @@ def _query_verb(args) -> int:
     # (dataset_for shares the query engine's dataset cache, so the KB the
     # prepare step builds is not generated a second time here.)
     ds = engine.dataset_for(args.name, args.version)
-    shards = args.shards or None
-    res_pos = engine.query(args.name, ds.pos, version=args.version, shards=shards)
-    res_neg = engine.query(args.name, ds.neg, version=args.version, shards=shards)
+    res_pos = engine.query(args.name, ds.pos, version=args.version)
+    res_neg = engine.query(args.name, ds.neg, version=args.version)
     tp, fp = res_pos.n_covered, res_neg.n_covered
     fn, tn = res_pos.n - tp, res_neg.n - fp
     total = res_pos.n + res_neg.n
@@ -977,7 +965,7 @@ def _loadgen_run(args) -> int:
             fh.write("\n")
     print(
         f"% {report['pattern']} x{report['n_requests']} @ {report['rate']}/s "
-        f"(batch={report['batch']}, shards={report['shards'] or 'server'}, "
+        f"(batch={report['batch']}, shards={report['shards'] or 1}, "
         f"stream={report['stream']}): achieved {report['achieved_rps']}/s "
         f"in {report['wall_s']}s, errors={report['errors']}"
     )

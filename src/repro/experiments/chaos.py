@@ -1,7 +1,6 @@
 """Chaos harness: a served instance driven through a fault plan, gated on invariants.
 
-``repro loadgen --chaos plan.json`` (and the chaos section of
-``benchmarks/bench_service.py``) run **two self-hosted legs** of the
+``repro loadgen --chaos plan.json`` runs **two self-hosted legs** of the
 same workload — one fault-free, one under a
 :class:`~repro.fault.service.ServiceFaultPlan` — and compare them:
 
@@ -39,11 +38,28 @@ from typing import Optional
 
 from repro.datasets import make_dataset
 from repro.experiments.loadgen import run_loadgen
-from repro.experiments.serviceload import _published_theory
 from repro.fault.service import ServiceFaultPlan, normalize_service_plan
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, run_job
+from repro.service.registry import TheoryRegistry
 
 __all__ = ["run_chaos", "chaos_passed", "chaos_report_lines"]
+
+
+def _published_theory(registry_root: str, dataset: str, seed: int, scale: str):
+    """Learn one sequential-MDIE theory and publish it for both legs.
+
+    Returns ``(dataset, theory name)``.
+    """
+    ds = make_dataset(dataset, seed=seed, scale=scale)
+    learned = run_job(JobSpec(dataset=dataset, algo="mdie", seed=seed, scale=scale))
+    name = f"{dataset}-bench"
+    TheoryRegistry(registry_root).publish(
+        name,
+        learned.theory,
+        config_sig=learned.config_sig,
+        provenance={"dataset": dataset, "seed": str(seed), "scale": scale},
+    )
+    return ds, name
 
 
 def _start_server(
@@ -51,7 +67,6 @@ def _start_server(
     registry_dir: str,
     fault_plan: Optional[ServiceFaultPlan] = None,
     slots: int = 2,
-    query_shards: int = 2,
     max_queue: int = 16,
     max_inflight: int = 64,
 ):
@@ -70,8 +85,8 @@ def _start_server(
         kwargs=dict(
             host="127.0.0.1", port=0, slots=slots,
             state_dir=state_dir, registry_dir=registry_dir,
-            query_shards=query_shards, max_queue=max_queue,
-            max_inflight=max_inflight, fault_plan=fault_plan, ready=_ready,
+            max_queue=max_queue, max_inflight=max_inflight,
+            fault_plan=fault_plan, ready=_ready,
         ),
         daemon=True,
     )
@@ -210,9 +225,7 @@ def run_chaos(
         root = own_tmp.name
     try:
         reg_root = os.path.join(root, "registry")
-        ds, _learned, theory, _registry = _published_theory(
-            reg_root, dataset, seed, scale
-        )
+        ds, theory = _published_theory(reg_root, dataset, seed, scale)
         pool = itertools.cycle(str(e) for e in (*ds.pos, *ds.neg))
         examples = [next(pool) for _ in range(batch)]
         common = dict(

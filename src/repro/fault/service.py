@@ -27,7 +27,8 @@ Event types
     server *did* the work but the response was lost (the case
     idempotency keys exist for).
 :class:`LeaseFault`
-    The Nth engine lease taken by sharded query evaluation either fails
+    The query tier's Nth span evaluation (a plain query is one span, a
+    ``shards=k`` query k of them) either fails before it starts
     (``mode="fail"`` — the client sees a retryable ``unavailable``
     error) or stalls ``delay`` seconds (``mode="slow"`` — tail latency,
     results unchanged).
@@ -281,7 +282,7 @@ class ServiceFaultInjector:
             return None
 
     def on_lease(self) -> Optional[LeaseFault]:
-        """The lease fault to apply to this engine lease, else None."""
+        """The lease fault to apply before this span is evaluated, else None."""
         with self._lock:
             self._leases += 1
             for ev in self.plan.leases:

@@ -145,10 +145,10 @@ def theory_covered_bits(
     is independent of its value, and of how callers split ``examples``
     into spans — each example's decision depends only on the clause
     list, the KB and the engine budget.  This is the shared evaluation
-    kernel of the query tier: the sequential
-    :class:`repro.service.query.PreparedTheory` path and every shard of
-    the parallel path call it over their slice, so sharded merges are
-    bit-identical to the sequential answer by construction.
+    kernel of the query tier:
+    :meth:`repro.service.query.PreparedTheory.query` calls it once per
+    span, so a batch merged from k spans is bit-identical to the
+    one-span answer by construction.
     """
     covered = 0
     for lo in range(0, len(examples), micro_batch):

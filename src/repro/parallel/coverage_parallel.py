@@ -23,8 +23,9 @@ boundaries so ``repro resume`` continues it bit-identically.
 The same partitioned-coverage idea resurfaces at *query* time in the
 service layer: :func:`repro.parallel.partition.shard_spans` splits a
 query batch into contiguous spans and
-:func:`repro.ilp.coverage.theory_covered_bits` evaluates each span on a
-leased engine — see ``repro.service.query``.  Learning-time partitions
+:func:`repro.ilp.coverage.theory_covered_bits` evaluates the spans one
+after another on the theory's engine — see ``repro.service.query``
+(there the split buys granularity, not parallelism).  Learning-time partitions
 shuffle (the paper's random even split); query-time spans stay
 contiguous because results must reassemble positionally.
 """

@@ -296,8 +296,8 @@ class ServiceClient:
         """One batched query; response dict is transport-independent.
 
         ``deadline_ms`` attaches a relative deadline the server enforces
-        end-to-end (expired work is rejected, mid-flight shard work is
-        cancelled).  Retried like any idempotent request.
+        end-to-end (expired work is rejected, a query in flight stops at
+        its next span boundary).  Retried like any idempotent request.
         """
         return self.request_with_retry(
             self._query_request(theory, examples, version, shards, deadline_ms)
@@ -311,7 +311,7 @@ class ServiceClient:
         shards: Optional[int] = None,
         deadline_ms: Optional[float] = None,
     ) -> Iterator[dict]:
-        """Stream a sharded query; yields shard frames, then the end frame.
+        """Stream a query span by span; yields shard frames, then the end frame.
 
         Every yielded dict has ``"frame"`` (``"shard"`` or ``"end"``);
         shard frames carry span-local ``covered`` at offset ``lo``, the

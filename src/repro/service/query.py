@@ -1,4 +1,4 @@
-"""Batched, sharded and streaming coverage queries against registered theories.
+"""Batched and streaming coverage queries against registered theories.
 
 Theory *application* is orders of magnitude cheaper than theory
 *learning*, but the naive per-example path (``predicts``: rename every
@@ -15,30 +15,28 @@ each clause apart.  The query engine amortizes both:
   :func:`repro.ilp.coverage.theory_covered_bits` — one ``rename_apart``
   per clause per batch instead of per example, and each clause only
   tests the examples no earlier clause covered (first-match semantics);
-* **sharding**: the same data-parallel move the learning side makes
-  (partition the examples, evaluate in parallel, merge — see
-  :mod:`repro.parallel.coverage_parallel`): a batch is cut into
-  contiguous spans by :func:`repro.parallel.partition.shard_spans`,
-  each span evaluated on its own engine over the shared KB by a worker
-  thread, and the per-span bitsets OR-merged back into batch order;
-* **streaming**: :meth:`QueryEngine.query_stream` hands each shard's
-  result out as soon as it (and every earlier shard) is done, so a
-  consumer sees first results after ~1/shards of the batch work instead
-  of all of it.
+* **spans**: a batch may be cut into contiguous spans by
+  :func:`repro.parallel.partition.shard_spans`.  The spans run *one
+  after another* on the prepared theory's one engine — ``shards=k`` is
+  evaluation granularity, not parallelism (worker threads over a
+  pure-Python engine never scaled under the GIL; the last measurements
+  are in ``docs/performance.md``).  Between two spans the theory's lock
+  is free, the request deadline is checked and a cancel is honoured;
+* **streaming**: :meth:`QueryEngine.query_stream` hands each span's
+  result out as soon as it is evaluated, so a consumer sees first
+  results after ~1/k of the batch work instead of all of it.
 
 **Determinism invariant**: the covered bitset a batch returns is a pure
 per-example function of (clause list, KB, engine budget) — independent
-of micro-batch size, shard count, shard scheduling and transport — so
-sharded and streamed answers are bit-identical to the sequential path
-(pinned by ``tests/service/test_query.py`` and
-``tests/service/test_streaming.py``).
+of micro-batch size, span count and transport — so spanned and streamed
+answers are bit-identical to the one-span path (pinned by
+``tests/service/test_query.py`` and ``tests/service/test_streaming.py``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -48,7 +46,7 @@ from repro.logic.clause import Theory
 from repro.logic.engine import Engine
 from repro.logic.terms import Term, is_ground
 from repro.parallel.partition import shard_spans
-from repro.service.errors import Unavailable
+from repro.service.errors import DeadlineExceeded, Unavailable
 
 __all__ = [
     "QueryEngine",
@@ -67,9 +65,9 @@ class QueryResult:
     covered: int
     #: number of examples in the batch.
     n: int
-    #: engine operations spent answering the batch (summed over shards).
+    #: engine operations spent answering the batch (summed over spans).
     ops: int
-    #: spans the batch was evaluated in (1 = sequential path).
+    #: spans the batch was evaluated in.
     shards: int = 1
 
     @property
@@ -83,7 +81,7 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One shard's slice of a streamed query batch.
+    """One span's slice of a streamed query batch.
 
     ``covered`` is local to the span — bit ``i`` refers to example
     ``lo + i`` — so a consumer reassembles the batch bitset as
@@ -105,35 +103,32 @@ class ShardResult:
 class PreparedTheory:
     """A theory bound to a warm engine over its dataset's KB.
 
-    One prepared entry serializes its own *sequential* batches: the
-    engine's per-query mutable state (op budget counter,
-    ``last_exhausted``) must not interleave across threads, so
-    concurrent server requests against the *same* theory queue here
-    while different theories (and learning jobs) still overlap freely.
-    Sharded queries bypass the queue instead: every shard leases a
-    private engine over the same KB from :meth:`lease_engine`, so
-    shards of one batch — and whole batches against one theory — can
-    genuinely overlap.
+    One prepared entry has one engine, and the engine's per-query
+    mutable state (op budget counter, ``last_exhausted``) must not
+    interleave across threads — so every *span* evaluated here holds the
+    entry's lock.  A plain query is one span; a spanned or streamed
+    batch takes and releases the lock once per span, which is where
+    concurrent requests against the *same* theory get their turn.
+    Different theories (and learning jobs) still overlap freely.
     """
 
     theory: Theory
     engine: Engine
-    #: KB + config retained to build per-shard engines on demand.
-    kb: object = None
-    config: object = None
     #: batches answered from this entry (cache effectiveness counter).
     batches: int = 0
 
     def __post_init__(self):
         self._lock = threading.Lock()
-        self._engine_pool: list[Engine] = []
 
-    def query(self, examples: Sequence[Term], micro_batch: int = 1024) -> QueryResult:
-        """Coverage of ``examples``; every example must be ground.
+    def query(
+        self, examples: Sequence[Term], micro_batch: int = 1024, new_batch: bool = True
+    ) -> QueryResult:
+        """Coverage of one span of ``examples``; every one must be ground.
 
         ``micro_batch`` bounds the slice evaluated per clause pass (it
         caps transient bitset width on very large batches; results are
-        independent of its value).
+        independent of its value).  A stream passes ``new_batch`` on its
+        first span only, so ``batches`` counts requests, not spans.
         """
         check_ground(examples)
         with self._lock:
@@ -141,47 +136,10 @@ class PreparedTheory:
             covered = theory_covered_bits(
                 self.engine, tuple(self.theory), examples, micro_batch=micro_batch
             )
-            self.batches += 1
+            self.batches += new_batch
             return QueryResult(
                 covered=covered, n=len(examples), ops=self.engine.total_ops - ops0
             )
-
-    # -- shard engines -----------------------------------------------------------
-
-    def lease_engine(self) -> Engine:
-        """A private engine over this theory's KB (pooled across queries).
-
-        Engines are cheap to build — the KB owns the fact indexes — but
-        each keeps its own ground-goal memo, so recycling leased engines
-        keeps shard memos warm across batches.
-        """
-        with self._lock:
-            if self._engine_pool:
-                return self._engine_pool.pop()
-        budget = self.config.engine_budget() if self.config is not None else self.engine.budget
-        kernel = self.config.coverage_kernel if self.config is not None else self.engine.kernel
-        return Engine(self.kb if self.kb is not None else self.engine.kb, budget, kernel=kernel)
-
-    def release_engine(self, engine: Engine) -> None:
-        with self._lock:
-            self._engine_pool.append(engine)
-
-    def eval_span(self, engine: Engine, examples: Sequence[Term], lo: int, hi: int,
-                  micro_batch: int = 1024) -> tuple[int, int]:
-        """(covered, ops) of ``examples[lo:hi]`` on a leased engine.
-
-        ``covered`` is span-local (bit 0 = example ``lo``), exactly the
-        sequential path's answer for the same slice.
-        """
-        ops0 = engine.total_ops
-        covered = theory_covered_bits(
-            engine, tuple(self.theory), examples[lo:hi], micro_batch=micro_batch
-        )
-        return covered, engine.total_ops - ops0
-
-    def count_batch(self) -> None:
-        with self._lock:
-            self.batches += 1
 
 
 def check_ground(examples: Sequence[Term]) -> None:
@@ -191,101 +149,65 @@ def check_ground(examples: Sequence[Term]) -> None:
 
 
 class QueryStream:
-    """One in-flight sharded query, streamed shard-by-shard.
+    """One query batch, evaluated span by span as its frames are pulled.
 
-    Shard tasks are submitted up front; :meth:`next_frame` hands frames
-    out in **shard order** (ascending spans), each as soon as it and all
-    earlier shards are done — a consumer that applies frames as they
-    arrive therefore sees a strictly growing prefix of the batch.  The
-    final frame is followed by ``None``; :meth:`result` then has the
-    merged batch answer, bit-identical to the sequential path.
+    Nothing runs until :meth:`next_frame` is called: each call evaluates
+    the next span of ``shard_spans(n, k)`` on the prepared theory's
+    engine (through :meth:`QueryEngine._span`, where the deadline and
+    the chaos plan's lease faults are checked) and returns it, so frames
+    arrive in **ascending span order** and a consumer that applies them
+    as they come sees a strictly growing prefix of the batch.  The final
+    frame is followed by ``None``; :meth:`result` then has the merged
+    batch answer, bit-identical to the one-span path.
 
-    :meth:`cancel` is thread-safe and is how the serving layer avoids
-    leaking work when a client disconnects mid-stream: not-yet-started
-    shard tasks are cancelled at the executor, and frames stop.  (A
-    shard already executing runs its slice to completion — Python
-    threads cannot be interrupted mid-evaluation — but its result is
-    dropped and its engine returned to the pool.)
+    :meth:`cancel` is thread-safe and is how the serving layer stops
+    paying for a client that disconnected mid-stream: the span being
+    evaluated runs to completion (Python threads cannot be interrupted
+    mid-evaluation), no later span is started, and frames stop.
     """
 
     def __init__(
         self,
+        engine: "QueryEngine",
         prepared: PreparedTheory,
         examples: Sequence[Term],
         spans: list[tuple[int, int]],
-        executor: ThreadPoolExecutor,
         micro_batch: int = 1024,
-        stats=None,
-        fault_injector=None,
+        deadline: Optional[float] = None,
     ):
         self.prepared = prepared
         self.n = len(examples)
         self.spans = spans
+        self._engine = engine
+        self._examples = examples
         self._micro_batch = micro_batch
+        self._deadline = deadline
         self._cancelled = threading.Event()
-        self._stats = stats
-        self._injector = fault_injector
         self._next = 0
         self._merged = 0
         self._ops = 0
-        self._futures: list[Future] = [
-            executor.submit(self._run_shard, k, examples, lo, hi)
-            for k, (lo, hi) in enumerate(spans)
-        ]
 
-    def _run_shard(self, shard: int, examples, lo: int, hi: int) -> ShardResult:
-        if self._stats is not None:
-            self._stats.shard_started()
-        try:
-            if self._cancelled.is_set():
-                raise CancelledError()
-            if self._injector is not None:
-                fault = self._injector.on_lease()
-                if fault is not None:
-                    if fault.mode == "fail":
-                        # Surfaces through next_frame() as a retryable
-                        # `unavailable` error; results are never partial —
-                        # the server cancels the whole stream.
-                        raise Unavailable(
-                            "injected engine-lease failure (chaos plan)"
-                        )
-                    time.sleep(fault.delay)  # mode == "slow": tail latency only
-            engine = self.prepared.lease_engine()
-            try:
-                covered, ops = self.prepared.eval_span(
-                    engine, examples, lo, hi, micro_batch=self._micro_batch
-                )
-            finally:
-                self.prepared.release_engine(engine)
-            return ShardResult(shard=shard, lo=lo, n=hi - lo, covered=covered, ops=ops)
-        finally:
-            if self._stats is not None:
-                self._stats.shard_finished()
-
-    def next_frame(self, timeout: Optional[float] = None) -> Optional[ShardResult]:
-        """Block for the next in-order shard frame; None when done/cancelled."""
-        if self._cancelled.is_set() or self._next >= len(self._futures):
+    def next_frame(self) -> Optional[ShardResult]:
+        """Evaluate and return the next span; None when done/cancelled."""
+        k = self._next
+        if self._cancelled.is_set() or k >= len(self.spans):
             return None
-        try:
-            frame = self._futures[self._next].result(timeout=timeout)
-        except CancelledError:
-            return None
-        self._next += 1
-        self._merged |= frame.covered << frame.lo
-        self._ops += frame.ops
-        return frame
+        lo, hi = self.spans[k]
+        part = self._engine._span(
+            self.prepared, self._examples[lo:hi], self._micro_batch, self._deadline, done=k
+        )
+        self._next = k + 1
+        self._merged |= part.covered << lo
+        self._ops += part.ops
+        return ShardResult(shard=k, lo=lo, n=hi - lo, covered=part.covered, ops=part.ops)
 
     def frames(self) -> Iterator[ShardResult]:
-        """Iterate the remaining frames in shard order."""
-        while True:
-            frame = self.next_frame()
-            if frame is None:
-                return
-            yield frame
+        """Iterate the remaining frames in span order."""
+        return iter(self.next_frame, None)
 
     @property
     def done(self) -> bool:
-        return self._next >= len(self._futures) and not self._cancelled.is_set()
+        return self._next >= len(self.spans) and not self._cancelled.is_set()
 
     def result(self) -> QueryResult:
         """The merged batch answer (every frame must have been consumed)."""
@@ -296,51 +218,12 @@ class QueryStream:
         )
 
     def cancel(self) -> None:
-        """Stop streaming and cancel every not-yet-started shard task."""
-        if self._cancelled.is_set():
-            return
-        self._cancelled.set()
-        for f in self._futures:
-            f.cancel()
-        if self._stats is not None:
-            self._stats.stream_cancelled()
-
-
-class _StreamStats:
-    """Thread-safe counters for in-flight shard work (leak visibility)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.streams_started = 0
-        self.streams_cancelled = 0
-        self.shard_tasks_started = 0
-        self.shard_tasks_active = 0
-
-    def stream_started(self):
-        with self._lock:
-            self.streams_started += 1
-
-    def stream_cancelled(self):
-        with self._lock:
-            self.streams_cancelled += 1
-
-    def shard_started(self):
-        with self._lock:
-            self.shard_tasks_started += 1
-            self.shard_tasks_active += 1
-
-    def shard_finished(self):
-        with self._lock:
-            self.shard_tasks_active -= 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "streams_started": self.streams_started,
-                "streams_cancelled": self.streams_cancelled,
-                "shard_tasks_started": self.shard_tasks_started,
-                "shard_tasks_active": self.shard_tasks_active,
-            }
+        """Stop streaming: no span after the current one is evaluated."""
+        with self._engine._lock:
+            if self._cancelled.is_set():
+                return
+            self._cancelled.set()
+            self._engine.streams_cancelled += 1
 
 
 class QueryEngine:
@@ -348,54 +231,24 @@ class QueryEngine:
 
     One instance may be shared by many server threads: the prepared
     cache is locked (cheaply — expensive dataset builds happen outside
-    the lock), and each :class:`PreparedTheory` serializes its own
-    sequential engine while sharded work runs on leased per-shard
-    engines, so batches overlap freely.
-
-    ``shard_workers`` sizes the shared shard thread pool (default: the
-    machine's CPU count) — shards beyond it queue, which also serializes
-    shards on a single-CPU host instead of time-slicing them under the
-    GIL (keeping first-shard latency well below full-batch latency).
+    the lock), and each :class:`PreparedTheory` serializes the spans
+    evaluated on its one engine, so batches against different theories
+    overlap freely and batches against the same theory interleave at
+    span boundaries.
     """
 
-    def __init__(
-        self,
-        registry=None,
-        shard_workers: Optional[int] = None,
-        fault_injector=None,
-    ):
-        import os
-
+    def __init__(self, registry=None, fault_injector=None):
         self.registry = registry
         self._prepared: dict[tuple, PreparedTheory] = {}
         self._datasets: dict[tuple, object] = {}
         self._lock = threading.Lock()
-        self._shard_workers = max(1, shard_workers or os.cpu_count() or 1)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._stream_stats = _StreamStats()
         self._injector = fault_injector
         #: prepared-cache counters (amortization visibility).
         self.prepared_hits = 0
         self.prepared_misses = 0
-        #: sharded queries served sequentially under shard-pool pressure.
-        self.degraded = 0
-
-    def should_degrade(self) -> bool:
-        """True when the shard pool is saturated.
-
-        Overload policy: a sharded query arriving while every shard
-        worker is busy is served on the *sequential* prepared-engine
-        path instead — slower for that one query, but it neither queues
-        behind a full pool nor fails.  The bitset is bit-identical
-        either way (the determinism invariant), so degrading is always
-        answer-safe.
-        """
-        with self._stream_stats._lock:
-            return self._stream_stats.shard_tasks_active >= self._shard_workers
-
-    def note_degraded(self) -> None:
-        with self._lock:
-            self.degraded += 1
+        #: streams opened / cut short by :meth:`QueryStream.cancel`.
+        self.streams_started = 0
+        self.streams_cancelled = 0
 
     # -- preparation -------------------------------------------------------------
 
@@ -413,29 +266,36 @@ class QueryEngine:
                 ds = self._datasets.setdefault(key, ds)
         return ds
 
-    def prepare(self, name: str, version: Optional[int] = None) -> PreparedTheory:
-        """Prepared entry for a registered theory (build once, reuse)."""
+    def _resolve(self, name: str, version: Optional[int]) -> int:
         if self.registry is None:
             raise ValueError("QueryEngine has no registry attached")
-        resolved = self.registry.resolve_version(name, version)
+        return self.registry.resolve_version(name, version)
+
+    def _record_dataset(self, name: str, version: int):
+        """Registry record ``name`` v``version`` and its (cached) dataset."""
+        record = self.registry.get(name, version)
+        prov = record.provenance_dict()
+        dataset = prov.get("dataset")
+        if dataset is None:
+            raise ValueError(
+                f"registry record {name} v{version} has no dataset provenance; "
+                "pass a KB explicitly via prepare_theory()"
+            )
+        return record, self._dataset(
+            dataset, int(prov.get("seed", "0")), prov.get("scale", "small")
+        )
+
+    def prepare(self, name: str, version: Optional[int] = None) -> PreparedTheory:
+        """Prepared entry for a registered theory (build once, reuse)."""
+        resolved = self._resolve(name, version)
         key = (name, resolved)
         with self._lock:
             prepared = self._prepared.get(key)
             if prepared is not None:
                 self.prepared_hits += 1
                 return prepared
-        record = self.registry.get(name, resolved)
-        prov = record.provenance_dict()
-        dataset = prov.get("dataset")
-        if dataset is None:
-            raise ValueError(
-                f"registry record {name} v{resolved} has no dataset provenance; "
-                "pass a KB explicitly via prepare_theory()"
-            )
-        ds = self._dataset(
-            dataset, int(prov.get("seed", "0")), prov.get("scale", "small")
-        )
-        fresh = self._prepare(record.to_theory(), ds.kb, ds.config)
+        record, ds = self._record_dataset(name, resolved)
+        fresh = self.prepare_theory(record.to_theory(), ds.kb, ds.config)
         with self._lock:
             prepared = self._prepared.get(key)
             if prepared is not None:  # lost a prepare race: reuse the winner
@@ -445,25 +305,40 @@ class QueryEngine:
             self._prepared[key] = fresh
             return fresh
 
-    def prepare_theory(self, theory: Theory, kb, config) -> PreparedTheory:
-        """Prepared entry for an unregistered theory over an explicit KB."""
-        return self._prepare(theory, kb, config)
-
     @staticmethod
-    def _prepare(theory: Theory, kb, config) -> PreparedTheory:
+    def prepare_theory(theory: Theory, kb, config) -> PreparedTheory:
+        """Prepared entry for an unregistered theory over an explicit KB."""
         engine = Engine(kb, config.engine_budget(), kernel=config.coverage_kernel)
-        return PreparedTheory(theory=theory, engine=engine, kb=kb, config=config)
-
-    def _shard_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._shard_workers,
-                    thread_name_prefix="repro-query-shard",
-                )
-            return self._executor
+        return PreparedTheory(theory=theory, engine=engine)
 
     # -- querying ----------------------------------------------------------------
+
+    def _span(
+        self,
+        prepared: PreparedTheory,
+        examples: Sequence[Term],
+        micro_batch: int,
+        deadline: Optional[float] = None,
+        done: int = 0,
+    ) -> QueryResult:
+        """Evaluate one span — the one place the per-span checks live.
+
+        Before the span takes the theory's lock: the request ``deadline``
+        (absolute monotonic), so an expired request stops at most one
+        span late; then the chaos plan's lease point ("before the n-th
+        span is evaluated", counted over every span of every query), so
+        a ``fail`` surfaces as a retryable ``unavailable`` error — never
+        as a partial result — and a ``slow`` costs tail latency only.
+        """
+        if deadline is not None and time.monotonic() >= deadline:
+            raise DeadlineExceeded(f"deadline exceeded after {done} span(s) of the query")
+        if self._injector is not None:
+            fault = self._injector.on_lease()
+            if fault is not None:
+                if fault.mode == "fail":
+                    raise Unavailable("injected engine-lease failure (chaos plan)")
+                time.sleep(fault.delay)
+        return prepared.query(examples, micro_batch=micro_batch, new_batch=done == 0)
 
     def query(
         self,
@@ -471,23 +346,14 @@ class QueryEngine:
         examples: Sequence[Term],
         version: Optional[int] = None,
         micro_batch: int = 1024,
-        shards: Optional[int] = None,
+        deadline: Optional[float] = None,
     ) -> QueryResult:
         """Batched coverage of ``examples`` under a registered theory.
 
-        ``shards`` > 1 evaluates the batch shard-parallel (contiguous
-        spans on leased engines, merged in order); None or 1 keeps the
-        sequential prepared-engine path.  The merged bitset is
-        bit-identical either way.
+        The whole batch is one span on the prepared engine; use
+        :meth:`query_stream` to cut it into several.
         """
-        if shards is None or shards <= 1 or len(examples) <= 1:
-            return self.prepare(name, version).query(examples, micro_batch=micro_batch)
-        stream = self.query_stream(
-            name, examples, version=version, micro_batch=micro_batch, shards=shards
-        )
-        for _ in stream.frames():
-            pass
-        return stream.result()
+        return self._span(self.prepare(name, version), examples, micro_batch, deadline)
 
     def query_stream(
         self,
@@ -496,27 +362,21 @@ class QueryEngine:
         version: Optional[int] = None,
         micro_batch: int = 1024,
         shards: Optional[int] = None,
+        deadline: Optional[float] = None,
     ) -> QueryStream:
-        """Open a sharded streaming query; frames arrive in shard order.
+        """Open a query evaluated in ``shards`` spans, one frame per span.
 
-        Consumers must either drain :meth:`QueryStream.frames` or call
-        :meth:`QueryStream.cancel` — the serving layer cancels on client
-        disconnect so no orphaned shard work survives the connection.
+        Nothing is evaluated until the consumer pulls frames
+        (:meth:`QueryStream.frames`); a consumer that stops early should
+        :meth:`QueryStream.cancel` so the stream shows up as cut short —
+        the serving layer does on client disconnect.
         """
         prepared = self.prepare(name, version)
-        check_ground(examples)
+        check_ground(examples)  # up front: a bad example never costs a frame
         spans = shard_spans(len(examples), shards or 1)
-        prepared.count_batch()
-        self._stream_stats.stream_started()
-        return QueryStream(
-            prepared,
-            examples,
-            spans,
-            self._shard_executor(),
-            micro_batch=micro_batch,
-            stats=self._stream_stats,
-            fault_injector=self._injector,
-        )
+        with self._lock:
+            self.streams_started += 1
+        return QueryStream(self, prepared, examples, spans, micro_batch, deadline)
 
     def dataset_for(self, name: str, version: Optional[int] = None):
         """The (cached) dataset a registered theory was learned on.
@@ -525,26 +385,16 @@ class QueryEngine:
         reuse the dataset the prepare step already built instead of
         regenerating it.
         """
-        record = self.registry.get(name, self.registry.resolve_version(name, version))
-        prov = record.provenance_dict()
-        dataset = prov.get("dataset")
-        if dataset is None:
-            raise ValueError(
-                f"registry record {name} has no dataset provenance"
-            )
-        return self._dataset(
-            dataset, int(prov.get("seed", "0")), prov.get("scale", "small")
-        )
+        return self._record_dataset(name, self._resolve(name, version))[1]
 
     def stats(self) -> dict:
-        """Prepared-cache and streaming-shard effectiveness counters."""
+        """Prepared-cache and stream counters."""
         with self._lock:
-            out = {
+            return {
                 "prepared_hits": self.prepared_hits,
                 "prepared_misses": self.prepared_misses,
                 "prepared_entries": len(self._prepared),
                 "batches": sum(p.batches for p in self._prepared.values()),
-                "degraded": self.degraded,
+                "streams_started": self.streams_started,
+                "streams_cancelled": self.streams_cancelled,
             }
-        out.update(self._stream_stats.snapshot())
-        return out

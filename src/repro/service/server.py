@@ -31,13 +31,13 @@ bytes to request dict, response dict to bytes: a native ``WireQuery``
 answered in kind, ``covered`` as a packed bitset (terms in, bitset out).
 
 **Streaming queries.**  ``{"op": "query", ..., "stream": true,
-"shards": k}`` shards the batch over the query engine's worker pool and
-streams one response *per shard* as it completes (ascending spans:
-``"frame": "shard"`` with span-local ``covered``), then an end-of-batch
-summary (``"frame": "end"`` with the merged result) — so first results
-arrive after ~1/k of the batch work.  The merged answer is bit-identical
-to the sequential path.  If the client disconnects mid-stream the server
-cancels the remaining shard work.
+"shards": k}`` cuts the batch into k contiguous spans, evaluates them in
+order on the theory's engine and streams one response *per span* as it
+completes (``"frame": "shard"`` with span-local ``covered``), then an
+end-of-batch summary (``"frame": "end"`` with the merged result) — so
+first results arrive after ~1/k of the batch work.  The merged answer is
+bit-identical to the one-span path.  If the client disconnects
+mid-stream the server evaluates no further span.
 
 Architecture
 ------------
@@ -67,7 +67,6 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -177,12 +176,10 @@ class Service:
     shared-secret hello.  ``max_jobs_per_client`` bounds each client's
     *active* (queued or running) jobs — over-quota submits are rejected
     with a friendly error instead of silently queueing forever.
-    ``query_shards`` is the server-side default shard count for queries
-    that don't pick their own.  ``max_queue`` bounds the scheduler's
-    queued-job depth (excess submits are shed with ``overloaded`` +
-    ``retry_after``).  ``fault_plan`` (chaos testing only) injects the
-    deterministic faults of a
-    :class:`~repro.fault.service.ServiceFaultPlan` into every layer.
+    ``max_queue`` bounds the scheduler's queued-job depth (excess
+    submits are shed with ``overloaded`` + ``retry_after``).
+    ``fault_plan`` (chaos testing only) injects the deterministic faults
+    of a :class:`~repro.fault.service.ServiceFaultPlan` into every layer.
     """
 
     def __init__(
@@ -193,8 +190,6 @@ class Service:
         chunk_epochs: int = 1,
         auth_token: Optional[str] = None,
         max_jobs_per_client: int = 0,
-        query_shards: int = 0,
-        shard_workers: Optional[int] = None,
         max_queue: int = 0,
         fault_plan=None,
         tracer=None,
@@ -219,12 +214,10 @@ class Service:
             fault_injector=self.fault_injector,
         )
         self.query_engine = QueryEngine(
-            registry=self.registry, shard_workers=shard_workers,
-            fault_injector=self.fault_injector,
+            registry=self.registry, fault_injector=self.fault_injector
         )
         self.auth_token = auth_token
         self.max_jobs_per_client = max_jobs_per_client
-        self.query_shards = query_shards
         #: True once a graceful drain started: no new jobs are accepted.
         self.draining = False
         self._quota_lock = threading.Lock()
@@ -260,8 +253,8 @@ class Service:
         absolute monotonic ``"_deadline"`` at transport read time so
         executor queueing counts against it): work whose deadline passed
         is rejected up front with ``deadline_exceeded`` instead of run
-        uselessly, and sharded queries are cancelled mid-flight when the
-        deadline expires.
+        uselessly, and a query evaluated in several spans stops at the
+        first span boundary after the deadline expired.
         """
         if ctx is None:
             # Direct (in-process) callers are implicitly trusted — the
@@ -412,10 +405,6 @@ class Service:
 
     # -- queries -----------------------------------------------------------------
 
-    def _resolve_shards(self, requested) -> Optional[int]:
-        shards = int(requested or 0) or self.query_shards
-        return shards if shards and shards > 1 else None
-
     def query_result(
         self,
         name: str,
@@ -429,66 +418,47 @@ class Service:
     ) -> QueryResult:
         """One batched query over already-parsed example terms.
 
-        Under shard-pool saturation a sharded request degrades to one
-        span (``result.shards == 1``) instead of queueing k shards or
-        failing — bit-identical answer, just slower.  Sharded work is
-        drained frame-by-frame: with a ``deadline`` (absolute monotonic)
-        each wait gets the remaining budget and the pending shard tasks
-        are dropped the moment it expires; with ``on_frame`` the batch
-        is streamed — every shard frame is handed over as soon as it and
-        all earlier ones are done, and ``on_open`` gets the stream first
-        so that its owner can cancel it.
+        ``shards=k`` evaluates the batch in k spans, one after another on
+        the theory's engine: the ``deadline`` (absolute monotonic) is
+        checked and a cancel honoured before each, and other requests
+        against the theory get their turn in between.  With ``on_frame``
+        the batch is streamed — every span's frame is handed over as
+        soon as it is evaluated, and ``on_open`` gets the stream first so
+        that its owner can cancel it.
         """
         if self.registry is None:
             raise ValueError("query needs the server started with a registry dir")
-        shards_r = self._resolve_shards(shards)
-        if shards_r is not None and self.query_engine.should_degrade():
-            self.query_engine.note_degraded()
-            shards_r = None
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded("deadline expired before query evaluation")
-        if on_frame is None and (shards_r is None or len(examples) <= 1):
+        spans = int(shards or 0)
+        if on_frame is None and spans <= 1:
             result = self.query_engine.query(
-                name, examples, version=version, micro_batch=micro_batch or 1024
+                name, examples, version=version,
+                micro_batch=micro_batch or 1024, deadline=deadline,
             )
         else:
             stream = self.query_engine.query_stream(
-                name, examples, version=version,
-                micro_batch=micro_batch or 1024, shards=shards_r or 1,
+                name, examples, version=version, micro_batch=micro_batch or 1024,
+                shards=max(spans, 1), deadline=deadline,
             )
-            result = self._drain(stream, deadline, on_open, on_frame)
+            result = self._drain(stream, on_open, on_frame)
         self.metrics.histogram(
             "repro_query_fanout_shards",
-            "shards a query batch fanned out over",
+            "spans a query batch was evaluated in",
             buckets=(1, 2, 4, 8, 16, 32, 64),
         ).observe(result.shards)
         return result
 
     @staticmethod
-    def _drain(stream: QueryStream, deadline, on_open, on_frame) -> QueryResult:
-        """Consume ``stream`` in shard order; leaves no shard work behind."""
+    def _drain(stream: QueryStream, on_open, on_frame) -> QueryResult:
+        """Consume ``stream`` in span order; an error stops it for good."""
         try:
             if on_open is not None:
                 on_open(stream)
-            while True:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise FuturesTimeout()
-                frame = stream.next_frame(timeout=remaining)
-                if frame is None:
-                    break
+            for frame in stream.frames():
                 if on_frame is not None:
                     on_frame(frame)
-        except FuturesTimeout:
-            stream.cancel()
-            raise DeadlineExceeded(
-                f"deadline exceeded mid-query "
-                f"({stream._next} of {len(stream.spans)} shards done)"
-            ) from None
         except BaseException:
-            # e.g. an injected engine-lease failure: never partial results.
+            # A passed deadline, an injected engine-lease failure, a client
+            # that hung up: never partial results, no further span.
             stream.cancel()
             raise
         if not stream.done:
@@ -519,12 +489,6 @@ class Service:
         out = _answer(result, packed)
         if streaming:
             out["frame"] = "end"
-        if (
-            self._resolve_shards(request.get("shards")) is not None
-            and result.shards == 1
-            and len(examples) > 1
-        ):
-            out["degraded"] = True
         return out
 
     # -- registry / retention ----------------------------------------------------
@@ -880,13 +844,13 @@ class ServiceServer:
         """:meth:`_run_op` for a streaming query; None if the client left.
 
         Shard frames go out from the op's thread through ``ctx.emit`` as
-        they complete; the returned response is the end frame (or the
-        error that cut the stream short).  Meanwhile the disconnect
-        watch holds a read on the client socket: an EOF there means the
-        client is gone, so the stream is cancelled and its
-        not-yet-started shard tasks never run (the leak the streaming
-        tests pin).  Data that arrives instead of EOF is a pipelined
-        request — pushed back for the main loop, never dropped.
+        their spans are evaluated; the returned response is the end
+        frame (or the error that cut the stream short).  Meanwhile the
+        disconnect watch holds a read on the client socket: an EOF there
+        means the client is gone, so the stream is cancelled and its
+        remaining spans are never evaluated (what the streaming tests
+        pin).  Data that arrives instead of EOF is a pipelined request
+        — pushed back for the main loop, never dropped.
         """
         loop = asyncio.get_running_loop()
         alive = True
@@ -1098,8 +1062,6 @@ def serve(
     ready=None,
     auth_token: Optional[str] = None,
     max_jobs_per_client: int = 0,
-    query_shards: int = 0,
-    shard_workers: Optional[int] = None,
     max_queue: int = 0,
     max_inflight: int = 0,
     fault_plan=None,
@@ -1124,9 +1086,8 @@ def serve(
     service = Service(
         slots=slots, state_dir=state_dir, registry_dir=registry_dir,
         chunk_epochs=chunk_epochs, auth_token=auth_token,
-        max_jobs_per_client=max_jobs_per_client, query_shards=query_shards,
-        shard_workers=shard_workers, max_queue=max_queue, fault_plan=fault_plan,
-        tracer=tracer,
+        max_jobs_per_client=max_jobs_per_client, max_queue=max_queue,
+        fault_plan=fault_plan, tracer=tracer,
     )
 
     async def main():

@@ -86,7 +86,7 @@ class WireQuery:
     examples: tuple[Term, ...]
     version: Optional[int] = None
     micro_batch: int = 1024
-    shards: int = 0  # 0 = server default
+    shards: int = 0  # spans to evaluate the batch in (0 = one)
     stream: bool = False
 
 

@@ -184,8 +184,8 @@ changes the learned theory, only time and communication."""
 _SERVICE_NOTE = """\
 Invariants: job results are bit-identical to direct runs (whatever the
 slot count, chunking or interruptions — preemption reuses the
-checkpoint machinery), and batched query results — sequential,
-sharded, or streamed over either transport — are bit-identical to
+checkpoint machinery), and batched query results — one span, k
+spans, or streamed over either transport — are bit-identical to
 one-shot `coverage_eval` / per-example `predicts`.
 
 A minimal end-to-end use from code:
@@ -205,7 +205,7 @@ with tempfile.TemporaryDirectory() as root:
         scheduler.wait(job, timeout=300)
     engine = QueryEngine(registry=registry)
     ds = make_dataset("trains", seed=0)
-    result = engine.query("demo", ds.pos + ds.neg, shards=2)
+    result = engine.query("demo", ds.pos + ds.neg)
     print(result.n_covered, "of", result.n, "covered")
 ```"""
 

@@ -28,3 +28,17 @@ def trains_theory():
     from repro.service import JobSpec, run_job
 
     return run_job(JobSpec(dataset="trains", algo="mdie", seed=0))
+
+
+@pytest.fixture
+def drained():
+    """``drained(qe, name, examples, **kw)``: a stream's merged result once
+    every frame was pulled — how a k-span query is run in process."""
+
+    def run(qe, name, examples, **kwargs):
+        stream = qe.query_stream(name, examples, **kwargs)
+        for _ in stream.frames():
+            pass
+        return stream.result()
+
+    return run

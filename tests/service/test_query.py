@@ -91,6 +91,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="no registry"):
             QueryEngine().prepare("anything")
 
+    def test_dataset_for_fails_like_prepare(self, registry, trains_theory):
+        # Regression: dataset_for on a registry-less engine died with
+        # AttributeError, and worded the missing-provenance case differently.
+        with pytest.raises(ValueError, match="no registry"):
+            QueryEngine().dataset_for("anything")
+        registry.publish("orphan", trains_theory.theory)
+        qe = QueryEngine(registry=registry)
+        messages = []
+        for call in (qe.prepare, qe.dataset_for):
+            with pytest.raises(ValueError, match="dataset provenance") as err:
+                call("orphan")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_record_without_dataset_provenance(self, registry, trains_theory):
         registry.publish("orphan", trains_theory.theory)
         qe = QueryEngine(registry=registry)
@@ -105,7 +119,8 @@ class TestValidation:
 
 
 class TestShardedQuery:
-    """The query(shards=k) surface; deeper coverage in test_streaming.py."""
+    """``shards=k`` cuts a batch into k spans evaluated in sequence on the
+    one prepared engine; deeper coverage in test_streaming.py."""
 
     @pytest.fixture
     def published(self, registry, trains_theory):
@@ -117,23 +132,25 @@ class TestShardedQuery:
         )
         return registry
 
-    def test_result_records_shard_count(self, published, trains):
+    def test_result_records_shard_count(self, published, trains, drained):
         qe = QueryEngine(registry=published)
         examples = trains.pos + trains.neg
         assert qe.query("trains-th", examples).shards == 1
-        assert qe.query("trains-th", examples, shards=4).shards == 4
+        assert drained(qe, "trains-th", examples, shards=4).shards == 4
         # More shards than examples collapses to one span per example.
-        assert qe.query("trains-th", examples[:3], shards=50).shards == 3
+        assert drained(qe, "trains-th", examples[:3], shards=50).shards == 3
 
-    def test_sharded_equals_sequential(self, published, trains):
+    def test_sharded_equals_sequential(self, published, trains, drained):
         qe = QueryEngine(registry=published)
         examples = trains.pos + trains.neg
         seq = qe.query("trains-th", examples)
-        shd = qe.query("trains-th", examples, shards=4)
+        shd = drained(qe, "trains-th", examples, shards=4)
         assert (shd.covered, shd.n) == (seq.covered, seq.n)
 
-    def test_single_example_stays_sequential(self, published, trains):
+    def test_single_example_stays_sequential(self, published, trains, drained):
         qe = QueryEngine(registry=published)
-        result = qe.query("trains-th", trains.pos[:1], shards=8)
+        result = drained(qe, "trains-th", trains.pos[:1], shards=8)
         assert result.shards == 1
-        assert qe.stats()["streams_started"] == 0
+        # The plain path builds no stream at all.
+        assert qe.query("trains-th", trains.pos[:1]).shards == 1
+        assert qe.stats()["streams_started"] == 1

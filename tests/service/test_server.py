@@ -120,6 +120,33 @@ class TestSocketTransport:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_wire_transport_moves_fewer_bytes_than_json(
+        self, tmp_path, registry, trains, trains_theory
+    ):
+        # One live server, the same 200-example query over both negotiated
+        # transports (hello included — it is part of a transport's price).
+        registry.publish(
+            "t", trains_theory.theory, config_sig=trains_theory.config_sig,
+            provenance={"dataset": "trains", "seed": "0", "scale": "small"},
+        )
+        pool = [str(e) for e in trains.pos + trains.neg]
+        examples = [pool[i % len(pool)] for i in range(200)]
+        port, thread = start_server(tmp_path)
+        moved, answers = {}, {}
+        try:
+            for transport in ("json", "wire"):
+                with ServiceClient(port=port, transport=transport) as client:
+                    assert client.transport == transport
+                    answers[transport] = client.query("t", examples)
+                    moved[transport] = client.bytes_sent + client.bytes_received
+        finally:
+            with ServiceClient(port=port) as client:
+                client.request({"op": "shutdown"})
+            thread.join(timeout=10)
+        assert answers["json"]["ok"] and answers["json"]["n"] == 200
+        assert answers["wire"]["covered"] == answers["json"]["covered"]
+        assert moved["wire"] < moved["json"], moved
+
     def test_malformed_json_line(self, tmp_path):
         import socket
 

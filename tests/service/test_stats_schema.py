@@ -53,11 +53,8 @@ class TestQuerySection:
         "prepared_misses": int,
         "prepared_entries": int,
         "batches": int,
-        "degraded": int,
         "streams_started": int,
         "streams_cancelled": int,
-        "shard_tasks_started": int,
-        "shard_tasks_active": int,
     }
 
     def test_keys_and_types(self, service):

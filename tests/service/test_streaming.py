@@ -1,10 +1,12 @@
-"""Streaming query tier: shard ordering, reassembly, cancellation, transports.
+"""Streaming query tier: span ordering, reassembly, cancellation, transports.
 
-The invariant under test: a sharded/streamed query's covered bitset is
-bit-identical to the sequential :class:`QueryEngine` path, whatever the
-shard count, scheduling or transport — and a client that walks away
-mid-stream leaks no shard work (watched through the engine's
-leak-detection counters).
+The invariant under test: a spanned/streamed query's covered bitset is
+bit-identical to the one-span :class:`QueryEngine` path (and to
+``theory_covered_bits``), whatever the span count or transport — the
+spans run one after another on the theory's one engine, holding its lock
+a span at a time, and a client that walks away mid-stream pays for no
+further span (watched through the chaos injector's lease counter: one
+lease per span evaluated).
 """
 
 import threading
@@ -12,9 +14,20 @@ import time
 
 import pytest
 
+from repro.fault.service import LeaseFault, ServiceFaultInjector, ServiceFaultPlan
+from repro.ilp.coverage import theory_covered_bits
+from repro.logic.engine import Engine
 from repro.parallel.partition import shard_spans
 from repro.service import QueryEngine
 from repro.service import ServiceClient, serve
+
+
+#: a plan whose only fault is unreachable: its injector just counts leases.
+COUNT_LEASES = ServiceFaultPlan(leases=(LeaseFault(on_lease=10**9, mode="fail"),))
+
+
+def shard_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("repro-query-shard")]
 
 
 @pytest.fixture
@@ -54,20 +67,43 @@ class TestQueryStreamInProcess:
         assert result.n == seq.n and result.n_covered == seq.n_covered
 
     @pytest.mark.parametrize("shards", [2, 3, 7, 100])
-    def test_parity_across_shard_counts(self, published, trains, shards):
+    def test_parity_across_shard_counts(self, published, trains, shards, drained):
         examples = trains.pos + trains.neg
         qe = QueryEngine(registry=published)
         seq = qe.query("trains-th", examples)
-        res = qe.query("trains-th", examples, shards=shards)
+        res = drained(qe, "trains-th", examples, shards=shards)
         assert res.covered == seq.covered and res.n == seq.n
 
-    def test_parity_with_odd_micro_batch(self, published, trains):
+    def test_parity_with_odd_micro_batch(self, published, trains, drained):
         examples = trains.pos + trains.neg
         qe = QueryEngine(registry=published)
         seq = qe.query("trains-th", examples)
         for micro in (1, 5):
-            res = qe.query("trains-th", examples, shards=3, micro_batch=micro)
+            res = drained(qe, "trains-th", examples, shards=3, micro_batch=micro)
             assert res.covered == seq.covered
+
+    def test_every_span_count_equals_theory_covered_bits(
+        self, published, trains, trains_theory
+    ):
+        # Independent reference: the shared kernel on a fresh engine, no
+        # query tier involved.  k = n + 5 asks for more spans than examples.
+        examples = trains.pos + trains.neg
+        n = len(examples)
+        want = theory_covered_bits(
+            Engine(trains.kb, trains.config.engine_budget()),
+            tuple(trains_theory.theory), examples,
+        )
+        qe = QueryEngine(registry=published)
+        assert qe.query("trains-th", examples).covered == want
+        for k in (1, 2, 3, 8, n + 5):
+            for micro in (1024, 7):
+                stream = qe.query_stream("trains-th", examples, shards=k, micro_batch=micro)
+                merged = 0
+                for frame in stream.frames():
+                    merged |= frame.covered << frame.lo
+                result = stream.result()
+                assert merged == result.covered == want, (k, micro)
+                assert result.shards == min(k, n)
 
     def test_empty_batch_streams_one_empty_frame(self, published):
         qe = QueryEngine(registry=published)
@@ -86,26 +122,66 @@ class TestQueryStreamInProcess:
         assert stream.result().n == len(trains.pos)
 
     def test_cancel_releases_pending_shard_work(self, published, trains):
-        # One worker thread serializes the shards, so after the first
-        # frame the remaining tasks are still queued — cancel() must
-        # drop them at the executor instead of letting them run.
-        examples = (trains.pos + trains.neg) * 500
-        qe = QueryEngine(registry=published, shard_workers=1)
+        # Spans are evaluated only as frames are pulled, so after the
+        # first frame the other seven have not run — and after cancel()
+        # they never do.  No worker thread is involved at any point.
+        examples = (trains.pos + trains.neg) * 50
+        leases = ServiceFaultInjector(COUNT_LEASES)
+        qe = QueryEngine(registry=published, fault_injector=leases)
         stream = qe.query_stream("trains-th", examples, shards=8)
-        assert stream.next_frame(timeout=60) is not None
+        assert leases.snapshot()["leases"] == 0, "a span ran before it was asked for"
+        assert stream.next_frame() is not None
+        assert not shard_threads()
         stream.cancel()
         assert stream.next_frame() is None
         with pytest.raises(RuntimeError):
             stream.result()
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            stats = qe.stats()
-            if stats["shard_tasks_active"] == 0:
-                break
-            time.sleep(0.02)
-        assert stats["shard_tasks_active"] == 0
-        assert stats["streams_cancelled"] == 1
-        assert stats["shard_tasks_started"] < 8, "cancelled shards still ran"
+        assert leases.snapshot()["leases"] == 1 < 8, "cancelled spans still ran"
+        assert qe.stats()["streams_cancelled"] == 1
+        assert not shard_threads()
+
+    def test_one_lease_per_span_plain_and_streamed(self, published, trains, drained):
+        examples = trains.pos + trains.neg
+        leases = ServiceFaultInjector(COUNT_LEASES)
+        qe = QueryEngine(registry=published, fault_injector=leases)
+        qe.query("trains-th", examples)
+        assert leases.snapshot()["leases"] == 1  # a plain query is one span
+        assert drained(qe, "trains-th", examples, shards=4).shards == 4
+        assert leases.snapshot()["leases"] == 1 + 4
+        assert qe.stats()["batches"] == 2  # requests, not spans
+
+    def test_small_query_is_answered_while_a_stream_is_open(self, published, trains):
+        # Per-span locking: an 8-span stream whose every span is slowed
+        # holds the theory's lock one span at a time, so a 1-example
+        # query against the same theory gets in between two spans.
+        plan = ServiceFaultPlan(
+            leases=tuple(
+                LeaseFault(on_lease=k, mode="slow", delay=0.15) for k in range(1, 9)
+            )
+        )
+        qe = QueryEngine(registry=published, fault_injector=ServiceFaultInjector(plan))
+        examples = trains.pos + trains.neg
+        want = QueryEngine(registry=published).query("trains-th", examples).covered
+        stream = qe.query_stream("trains-th", examples, shards=8)
+        seen, result = [], {}
+
+        def consume():
+            for frame in stream.frames():
+                seen.append(frame.shard)
+            result["covered"] = stream.result().covered
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        try:
+            while not seen:  # the stream is open and past its first span
+                time.sleep(0.005)
+            small = qe.query("trains-th", examples[:1])
+            frames_when_answered = len(seen)
+        finally:
+            consumer.join(timeout=30)
+        assert small.n == 1 and small.covered == want & 1
+        assert frames_when_answered < 8, "the small query waited for the whole stream"
+        assert result["covered"] == want
 
     def test_cancel_is_idempotent(self, published, trains):
         qe = QueryEngine(registry=published)
@@ -198,7 +274,7 @@ class TestStreamingOverSockets:
         self, tmp_path, published, trains
     ):
         examples = [str(e) for e in trains.pos + trains.neg] * 500
-        port, thread = start_server(tmp_path, published, shard_workers=1)
+        port, thread = start_server(tmp_path, published, fault_plan=COUNT_LEASES)
         try:
             client = ServiceClient(port=port)
             stream = client.query_stream("trains-th", examples, shards=8)
@@ -209,12 +285,15 @@ class TestStreamingOverSockets:
             with ServiceClient(port=port) as watcher:
                 deadline = time.monotonic() + 30
                 while time.monotonic() < deadline:
-                    q = watcher.request({"op": "stats"})["query"]
-                    if q["streams_cancelled"] >= 1 and q["shard_tasks_active"] == 0:
+                    stats = watcher.request({"op": "stats"})
+                    if stats["query"]["streams_cancelled"] >= 1:
                         break
                     time.sleep(0.05)
+                time.sleep(0.5)  # a span that leaked would run now
+                leases = watcher.request({"op": "stats"})["faults"]["leases"]
+            q = stats["query"]
             assert q["streams_cancelled"] == 1, "disconnect did not cancel the stream"
-            assert q["shard_tasks_active"] == 0, "shard work leaked past the stream"
-            assert q["shard_tasks_started"] < 8, "cancelled shards still ran"
+            assert leases < 8, "cancelled spans still ran"
+            assert not shard_threads()
         finally:
             shutdown(port, thread)
