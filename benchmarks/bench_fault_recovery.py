@@ -101,7 +101,7 @@ def _mpi_leg() -> dict:
     hosts without mpi4py/mpiexec the leg reports ``{"skipped": reason}``
     instead of failing, so the bench stays runnable everywhere.
     """
-    from repro.cluster.mpi_backend import mpi_available
+    from repro.backend.mpi import mpi_available
 
     if not mpi_available():
         return {"skipped": "mpi4py not importable"}

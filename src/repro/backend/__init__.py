@@ -6,19 +6,20 @@ whichever :class:`~repro.backend.base.Backend` drives them:
 =========  ===============================================  ==============
 name       substrate                                        ``seconds``
 =========  ===============================================  ==============
-``sim``    discrete-event VirtualCluster (deterministic)    virtual time
+``sim``    discrete-event Scheduler (deterministic)         virtual time
 ``local``  real ``multiprocessing`` processes over pipes    wall clock
 ``mpi``    real MPI communicator via mpi4py                 wall clock
 =========  ===============================================  ==============
 
 Use :func:`make_backend` to build one by name, or
 :func:`resolve_backend` when accepting either a name or a ready instance
-(the pattern every ``run_*`` front-end uses).
+(the pattern every ``run_*`` front-end uses).  A backend holds no fault
+plan: the plan is an argument of ``Backend.run(procs, fault_plan=...)``,
+and all three substrates inject it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional, Union
 
 from repro.backend.base import (
@@ -47,44 +48,10 @@ __all__ = [
     "BACKEND_NAMES",
     "make_backend",
     "resolve_backend",
-    "fault_injection_scope",
-    "fault_capable_backends",
 ]
 
 #: names accepted by :func:`make_backend` (and the CLI's ``--backend``).
 BACKEND_NAMES = ("sim", "local", "mpi")
-
-
-def _backend_class(name: str):
-    """Registry name -> class, importing lazily (mpi4py stays optional)."""
-    if name == "sim":
-        return SimBackend
-    if name == "local":
-        return LocalProcessBackend
-    if name == "mpi":
-        from repro.backend.mpi import MPIBackend
-
-        return MPIBackend
-    raise ValueError(f"unknown backend {name!r}; known: {BACKEND_NAMES}")
-
-
-def fault_capable_backends() -> tuple[str, ...]:
-    """Registry names whose backend class supports fault injection.
-
-    Capability is the class's ``supports_fault_injection`` attribute —
-    no name-string matching — so new backends advertise themselves.
-    """
-    return tuple(
-        name for name in BACKEND_NAMES if _backend_class(name).supports_fault_injection
-    )
-
-
-def _require_fault_support(backend: Backend) -> None:
-    if not getattr(backend, "supports_fault_injection", False):
-        raise BackendUnavailableError(
-            f"backend {backend.name!r} does not support fault injection; "
-            f"fault-capable backends: {', '.join(fault_capable_backends())}"
-        )
 
 
 def make_backend(
@@ -95,22 +62,13 @@ def make_backend(
     record_trace: bool = False,
     timeout: Optional[float] = None,
     start_method: Optional[str] = None,
-    fault_plan=None,
 ) -> Backend:
     """Build a backend by registry name.
 
     Substrate-specific options are applied where they make sense and
     ignored elsewhere (``network``/``cost_model`` only shape the sim;
-    ``timeout``/``start_method`` only the local backend).  A non-empty
-    ``fault_plan`` arms fault injection; every current backend supports
-    it (a backend advertising ``supports_fault_injection = False`` would
-    refuse with an error listing the capable ones).
+    ``timeout``/``start_method`` only the local backend).
     """
-    if fault_plan is not None and not _backend_class(name).supports_fault_injection:
-        raise BackendUnavailableError(
-            f"backend {name!r} does not support fault injection; "
-            f"fault-capable backends: {', '.join(fault_capable_backends())}"
-        )
     if name == "sim":
         from repro.cluster.costmodel import DEFAULT_COST_MODEL
         from repro.cluster.network import FAST_ETHERNET
@@ -119,19 +77,17 @@ def make_backend(
             network=network if network is not None else FAST_ETHERNET,
             cost_model=cost_model if cost_model is not None else DEFAULT_COST_MODEL,
             record_trace=record_trace,
-            fault_plan=fault_plan,
         )
     if name == "local":
         return LocalProcessBackend(
             record_trace=record_trace,
             timeout=timeout,
             start_method=start_method,
-            fault_plan=fault_plan,
         )
     if name == "mpi":
         from repro.backend.mpi import MPIBackend
 
-        return MPIBackend(record_trace=record_trace, fault_plan=fault_plan)
+        return MPIBackend(record_trace=record_trace)
     raise ValueError(f"unknown backend {name!r}; known: {BACKEND_NAMES}")
 
 
@@ -142,14 +98,11 @@ def resolve_backend(
     cost_model=None,
     record_trace: bool = False,
     timeout: Optional[float] = None,
-    fault_plan=None,
 ) -> Backend:
     """Accept a Backend instance, a registry name, or None (→ sim)."""
     if backend is None:
         backend = "sim"
     if isinstance(backend, Backend):
-        # Caller-owned instances are not mutated here: the run front-ends
-        # arm them for the duration of one run via fault_injection_scope.
         return backend
     return make_backend(
         backend,
@@ -157,31 +110,4 @@ def resolve_backend(
         cost_model=cost_model,
         record_trace=record_trace,
         timeout=timeout,
-        fault_plan=fault_plan,
     )
-
-
-@contextmanager
-def fault_injection_scope(backend: Backend, fault_plan):
-    """Arm a backend's fault injection for the duration of one run.
-
-    Backends constructed by name already carry the plan; a caller-owned
-    instance is armed here and restored afterwards, so the same instance
-    can serve later runs with a different plan (or none).  Conflicting
-    plans (instance already armed with a different one) are an error, as
-    is a substrate advertising no injection support.
-    """
-    if fault_plan is None:
-        yield backend
-        return
-    _require_fault_support(backend)
-    prev = backend.fault_plan
-    if prev is not None and prev != fault_plan:
-        raise ValueError(
-            "backend instance is already armed with a different fault plan"
-        )
-    backend.fault_plan = fault_plan
-    try:
-        yield backend
-    finally:
-        backend.fault_plan = prev

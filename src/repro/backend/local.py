@@ -7,6 +7,11 @@ unmodified — ``compute`` syscalls become (traced) no-ops because real
 CPUs charge themselves, and ``seconds`` in the returned
 :class:`~repro.backend.base.BackendRun` is genuine wall-clock time.
 
+The per-rank context is :class:`LocalContext`, the pipe transport of the
+shared :class:`~repro.backend.base.WallClockContext` — clock, accounting,
+fault triggers and the ``execute`` dispatch live there, identically for
+the MPI backend; this module adds the pipes and the supervising parent.
+
 Transport notes
 ---------------
 * **Non-blocking sends.**  The simulated model (paper §2.2) makes sends
@@ -20,7 +25,7 @@ Transport notes
   in a local mailbox, mirroring the scheduler's matching rules.  Timed
   receives (the fault-tolerant masters' failure detector) resume with
   ``None`` on expiry.
-* **Accounting** uses the same payload marshalling
+* **Accounting** (shared context) uses the same payload marshalling
   (:func:`~repro.cluster.message.marshal_payload`) and
   :class:`~repro.cluster.scheduler.CommStats` as the simulation, so
   communication volumes are directly comparable across substrates.
@@ -32,14 +37,15 @@ Transport notes
   (EOF storms) or the run has to be timed out.  The wall-clock
   ``timeout`` remains the last-resort watchdog for true deadlocks; on
   expiry any tracebacks already reported are included in the error.
-* **Fault injection** (:class:`~repro.fault.plan.FaultPlan`): injected
-  worker crashes hard-kill the child (``os._exit``) when it is about to
-  process its *n*-th matching message — the same logical trigger the
-  simulator uses, so both substrates inject identical faults.
-  Stragglers sleep real time after compute intervals; message loss drops
-  the *n*-th payload on a link before it reaches the pipe.  Under an
-  active plan the parent tolerates worker deaths (the self-healing
-  master is expected to recover); only rank 0's failure fails the run.
+* **Fault injection** (``run(procs, fault_plan=...)``): each child gets
+  its rank's :class:`~repro.fault.plan.RankFaults`.  An injected worker
+  crash hard-kills the child (``os._exit``) when it is about to process
+  its *n*-th matching message — the same logical trigger, counted by the
+  same object, as in the simulator.  Stragglers sleep real time after
+  compute intervals; message loss drops the *n*-th payload on a link
+  before it reaches the pipe.  Under an active (non-empty) plan the
+  parent tolerates worker deaths (the self-healing master is expected
+  to recover); only rank 0's failure fails the run.
 """
 
 from __future__ import annotations
@@ -51,26 +57,21 @@ import threading
 import time
 import traceback
 from multiprocessing.connection import Connection, wait
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.backend.base import Backend, BackendError, BackendRun, BackendTimeoutError, drive
-from repro.cluster.message import Message, marshal_payload, unmarshal_payload
-from repro.cluster.process import (
-    BcastOp,
-    ComputeInterval,
-    ComputeOp,
-    RecvOp,
-    SendOp,
-    SimProcess,
+from repro.backend.base import (
+    Backend,
+    BackendError,
+    BackendRun,
+    BackendTimeoutError,
+    InjectedCrash,
+    WallClockContext,
+    drive,
+    require_contiguous_ranks,
 )
-from repro.cluster.scheduler import CommStats
-from repro.fault.plan import (
-    MAX_STRAGGLE_SLEEP as _MAX_STRAGGLE_SLEEP,
-    FaultPlan,
-    FaultRecord,
-    Straggler,
-    WorkerCrash,
-)
+from repro.cluster.message import Message
+from repro.cluster.process import RecvOp, SimProcess
+from repro.fault.plan import FaultPlan, FaultRecord, RankFaults
 
 __all__ = ["LocalProcessBackend", "LocalContext"]
 
@@ -79,19 +80,14 @@ _SENDER_STOP = object()
 #: exit code of an injected-crash child (distinguishes it from real bugs).
 _CRASH_EXIT = 66
 
-# (the straggler sleep cap _MAX_STRAGGLE_SLEEP is shared with the MPI
-# backend via repro.fault.plan.MAX_STRAGGLE_SLEEP)
 
+class LocalContext(WallClockContext):
+    """The pipe transport of one rank (runs in the child).
 
-class _InjectedCrash(BaseException):
-    """Raised inside a child to simulate a hard worker crash."""
-
-
-class LocalContext:
-    """Immediate-mode execution context for one rank (runs in the child).
-
-    Satisfies :class:`~repro.backend.base.ExecutionContext`; its
-    ``execute`` method performs each yielded syscall for real.
+    A :class:`~repro.backend.base.WallClockContext` whose messages travel
+    over ``peers`` (rank -> duplex pipe end): a sender thread drains an
+    unbounded queue so sends never block, and receives park non-matching
+    arrivals in a mailbox.
     """
 
     def __init__(
@@ -100,127 +96,24 @@ class LocalContext:
         n_procs: int,
         peers: dict[int, Connection],
         record_trace: bool = False,
-        fault_tolerant: bool = False,
-        crash: Optional[WorkerCrash] = None,
-        straggler: Optional[Straggler] = None,
-        losses: Optional[dict] = None,
+        faults: Optional[RankFaults] = None,
     ):
-        self.rank = rank
-        self._n_procs = n_procs
+        super().__init__(rank, n_procs, record_trace, faults)
         self._peers = peers
         self._live_conns = list(peers.values())
-        self.record_trace = record_trace
-        #: under an active fault plan, undeliverable sends (peer crashed)
-        #: are dropped instead of poisoning this rank.
-        self.fault_tolerant = fault_tolerant
-        self._crash = crash
-        self._crash_seen = 0
-        self._straggler = straggler
-        self._losses = losses or {}
-        self._sent_count: dict[int, int] = {}
-        #: injected events observed by this rank (drops), shipped home
-        #: with the results so both substrates report the same log.
-        self.fault_log: list[FaultRecord] = []
-        self.stats = CommStats()
-        self.trace: list[ComputeInterval] = []
         self._mailbox: list[Message] = []
-        self._seq = 0
-        self._t0 = time.perf_counter()
-        self._last_mark = 0.0
         self._send_error: Optional[BaseException] = None
         self._outq: "queue.SimpleQueue" = queue.SimpleQueue()
         self._sender = threading.Thread(target=self._sender_loop, daemon=True)
         self._sender.start()
 
-    # -- syscall constructors (same surface as ProcContext) ---------------------
-    def send(self, dst: int, payload: object, tag: str) -> SendOp:
-        return SendOp(dst, payload, tag)
-
-    def bcast(self, payload: object, tag: str, dsts=None) -> BcastOp:
-        if dsts is None:
-            dsts = [r for r in range(self.n_procs) if r != self.rank]
-        return BcastOp(tuple(dsts), payload, tag)
-
-    def recv(
-        self, src: Optional[int] = None, tag: Optional[str] = None, timeout: Optional[float] = None
-    ) -> RecvOp:
-        return RecvOp(src, tag, timeout)
-
-    def compute(self, ops: int, label: str = "compute") -> ComputeOp:
-        return ComputeOp(int(ops), label)
-
-    # -- introspection -----------------------------------------------------------
-    @property
-    def clock(self) -> float:
-        """Wall-clock seconds since this rank started."""
-        return time.perf_counter() - self._t0
-
-    @property
-    def n_procs(self) -> int:
-        return self._n_procs
-
-    def reset_clock(self) -> None:
-        self._t0 = time.perf_counter()
-        self._last_mark = 0.0
-
-    # -- execution ---------------------------------------------------------------
-    def execute(self, op):
-        """Perform one syscall; returns a Message for receives."""
-        if isinstance(op, SendOp):
-            self._post(op.dst, op.payload, op.tag)
-            return None
-        if isinstance(op, BcastOp):
-            for dst in op.dsts:
-                self._post(dst, op.payload, op.tag)
-            return None
-        if isinstance(op, RecvOp):
-            return self._recv(op)
-        if isinstance(op, ComputeOp):
-            # Real CPU time has already passed between yields; just trace it.
-            now = self.clock
-            if self._straggler is not None and now >= self._straggler.after_time:
-                extra = min((now - self._last_mark) * (self._straggler.factor - 1.0), _MAX_STRAGGLE_SLEEP)
-                if extra > 0:
-                    time.sleep(extra)
-                    now = self.clock
-            if self.record_trace:
-                self.trace.append(ComputeInterval(self.rank, self._last_mark, now, op.label))
-            self._last_mark = now
-            return None
-        raise TypeError(f"rank {self.rank} yielded non-syscall {op!r}")
-
-    def _post(self, dst: int, payload: object, tag: str) -> None:
+    def _ship(self, dst: int, tag: str, data: bytes, encoded: bool) -> None:
         if self._send_error is not None and not self.fault_tolerant:
             raise BackendError(f"rank {self.rank}: send failed") from self._send_error
         if dst == self.rank:
             raise ValueError(f"rank {self.rank} sending to itself")
         if dst not in self._peers:
             raise ValueError(f"send to unknown rank {dst}")
-        # The marshalled bytes are both what is accounted and what is
-        # shipped, so CommStats match the sim backend exactly.
-        data, encoded = marshal_payload(payload)
-        now = self.clock
-        self._seq += 1
-        self.stats.record(
-            Message(
-                src=self.rank,
-                dst=dst,
-                tag=tag,
-                payload=payload,
-                nbytes=len(data),
-                send_time=now,
-                arrival_time=now,
-                seq=self._seq,
-            )
-        )
-        # Injected message loss: the sender is charged, the payload dies.
-        n = self._sent_count.get(dst, 0) + 1
-        self._sent_count[dst] = n
-        if n in self._losses.get(dst, ()):
-            self.fault_log.append(
-                FaultRecord(kind="drop", rank=self.rank, time=now, detail=f"->{dst} #{n} tag={tag}")
-            )
-            return
         self._outq.put((dst, (self.rank, tag, data, encoded)))
 
     def _sender_loop(self) -> None:
@@ -238,12 +131,11 @@ class LocalContext:
                 self._send_error = exc  # surfaced on the next send/close
                 return
 
-    def _recv(self, spec: RecvOp) -> Optional[Message]:
+    def _receive(self, spec: RecvOp) -> Optional[Message]:
         deadline = None if spec.timeout is None else time.perf_counter() + spec.timeout
         while True:
             for i, m in enumerate(self._mailbox):
                 if spec.matches(m):
-                    self._maybe_crash(m)
                     return self._mailbox.pop(i)
             if not self._live_conns:
                 if deadline is not None:
@@ -265,39 +157,13 @@ class LocalContext:
                     return None
             for conn in ready:
                 try:
-                    src, tag, data, encoded = conn.recv()
+                    wire = conn.recv()
                 except (EOFError, OSError):
                     # Peer exited; buffered data was drained first, so
                     # nothing is lost — stop watching this connection.
                     self._live_conns.remove(conn)
                     continue
-                payload = unmarshal_payload(data, encoded)
-                self._seq += 1
-                now = self.clock
-                self._mailbox.append(
-                    Message(
-                        src=src,
-                        dst=self.rank,
-                        tag=tag,
-                        payload=payload,
-                        nbytes=len(data),
-                        send_time=now,
-                        arrival_time=now,
-                        seq=self._seq,
-                    )
-                )
-
-    def _maybe_crash(self, msg: Message) -> None:
-        """Injected crash: die when about to process the n-th matching
-        message — the same deterministic trigger the simulator counts."""
-        crash = self._crash
-        if crash is None or crash.on_recv is None:
-            return
-        if crash.tag is not None and crash.tag != msg.tag:
-            return
-        self._crash_seen += 1
-        if self._crash_seen >= crash.on_recv:
-            raise _InjectedCrash()
+                self._mailbox.append(self._message(*wire))
 
     def close(self) -> None:
         """Flush and stop the sender thread; surface any send failure."""
@@ -315,48 +181,30 @@ def _child_main(
     result_conn,
     barrier,
     record_trace: bool,
-    fault_tolerant: bool = False,
-    crash: Optional[WorkerCrash] = None,
-    straggler: Optional[Straggler] = None,
-    losses: Optional[dict] = None,
+    faults: Optional[RankFaults],
 ) -> None:
     """Entry point of one rank's OS process."""
     # Close pipe ends belonging to other ranks.  Under 'fork' every child
     # inherits the whole mesh; if these stayed open, a peer's exit would
-    # never surface as EOF in _recv (some process would always hold the
+    # never surface as EOF in _receive (some process would always hold the
     # other end of its pipes).
     for conn in inherited:
         conn.close()
     try:
-        ctx = LocalContext(
-            proc.rank,
-            n_procs,
-            peers,
-            record_trace=record_trace,
-            fault_tolerant=fault_tolerant,
-            crash=crash,
-            straggler=straggler,
-            losses=losses,
-        )
+        ctx = LocalContext(proc.rank, n_procs, peers, record_trace, faults)
         barrier.wait()
         ctx.reset_clock()
         drive(proc, ctx)
         elapsed = ctx.clock
         ctx.close()
-        # The trace travels as a wire-codec SpanBatch (code 28), the same
-        # encoding `repro trace --trace-out` writes — one format for spans
-        # whether they cross a pipe, an MPI gather, or land in a file.
-        from repro.obs.span import encode_batch
-
-        span_bytes = encode_batch(proc.rank, ctx.trace)
-        result_conn.send(("ok", proc.rank, proc, ctx.stats, elapsed, span_bytes, ctx.fault_log))
-    except _InjectedCrash:
+        result_conn.send(("ok", ctx.report(proc, elapsed)))
+    except InjectedCrash:
         # A crashed worker reports nothing and flushes nothing — it just
         # dies, exactly like a killed machine.
         os._exit(_CRASH_EXIT)
     except BaseException as exc:
         try:
-            result_conn.send(("error", proc.rank, repr(exc), traceback.format_exc()))
+            result_conn.send(("error", repr(exc), traceback.format_exc()))
         except BaseException:  # pragma: no cover - result pipe gone
             pass
     finally:
@@ -378,22 +226,21 @@ class LocalProcessBackend(Backend):
         ``multiprocessing`` start method.  Defaults to ``fork`` where
         available (cheap — no re-import, no argument pickling), falling
         back to the platform default otherwise.
-    fault_plan:
-        Arm fault injection (crashes / stragglers / message loss) and
-        switch the supervisor to fault-tolerant expectations: worker
-        deaths are recorded, not fatal — the self-healing master decides
-        the run's fate.  Rank 0 failing always fails the run.
+
+    A ``fault_plan`` passed to :meth:`run` arms fault injection (crashes /
+    stragglers / message loss) and switches the supervisor to
+    fault-tolerant expectations: worker deaths are recorded, not fatal —
+    the self-healing master decides the run's fate.  Rank 0 failing
+    always fails the run.
     """
 
     name = "local"
-    supports_fault_injection = True
 
     def __init__(
         self,
         record_trace: bool = False,
         timeout: Optional[float] = None,
         start_method: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ):
         self.record_trace = record_trace
         if timeout is None:
@@ -403,15 +250,11 @@ class LocalProcessBackend(Backend):
         if start_method is None:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else None
         self.start_method = start_method
-        self.fault_plan = fault_plan
 
-    def run(self, procs: Sequence[SimProcess]) -> BackendRun:
-        ordered = sorted(procs, key=lambda p: p.rank)
+    def _run(self, ordered: list[SimProcess], plan: Optional[FaultPlan]) -> BackendRun:
+        require_contiguous_ranks(ordered)
         n = len(ordered)
-        ranks = [p.rank for p in ordered]
-        if ranks != list(range(n)):
-            raise ValueError(f"ranks must be contiguous 0..{n - 1}, got {ranks}")
-        plan = self.fault_plan
+        ranks = list(range(n))
         ft = plan is not None
         mpctx = mp.get_context(self.start_method)
 
@@ -446,10 +289,7 @@ class LocalProcessBackend(Backend):
                     result_child[p.rank],
                     barrier,
                     self.record_trace,
-                    ft,
-                    plan.crash_for(p.rank) if ft else None,
-                    plan.straggler_for(p.rank) if ft else None,
-                    plan.losses_for(p.rank) if ft else None,
+                    plan.for_rank(p.rank) if ft else None,
                 ),
                 name=f"repro-rank{p.rank}",
                 daemon=True,
@@ -497,9 +337,9 @@ class LocalProcessBackend(Backend):
                     except (EOFError, OSError):
                         continue
                     if msg[0] == "error":
-                        errors[rank] = (msg[2], msg[3])
+                        errors[rank] = msg[1:]
                     else:
-                        results[rank] = msg
+                        results[rank] = msg[1]
 
         def _raise_timeout() -> None:
             _drain_errors(grace=2.0)
@@ -541,17 +381,17 @@ class LocalProcessBackend(Backend):
             if msg[0] == "error":
                 if ft and rank != 0:
                     # Tolerated: the self-healing master routes around it.
-                    deaths[rank] = f"failed: {msg[2]}"
+                    deaths[rank] = f"failed: {msg[1]}"
                     fault_log.append(
                         FaultRecord(
-                            kind="crash", rank=rank, time=time.monotonic() - t0, detail=msg[2]
+                            kind="crash", rank=rank, time=time.monotonic() - t0, detail=msg[1]
                         )
                     )
                 else:
-                    errors[rank] = (msg[2], msg[3])
+                    errors[rank] = msg[1:]
                     failed = True
             else:
-                results[rank] = msg
+                results[rank] = msg[1]
 
         try:
             while pending and not failed:
@@ -604,29 +444,7 @@ class LocalProcessBackend(Backend):
         if failed or 0 not in results:
             raise BackendError(_fail_message("local backend run failed"))
 
-        comm = CommStats()
-        clocks: list[float] = []
-        trace: list[ComputeInterval] = []
-        final_procs: list[SimProcess] = []
-        from repro.obs.span import decode_batch
-
-        for r in sorted(results):
-            _, _, proc, stats, elapsed, span_bytes, rfaults = results[r]
-            final_procs.append(proc)
-            clocks.append(elapsed)
-            trace.extend(decode_batch(span_bytes))
-            fault_log.extend(rfaults)
-            comm.merge(stats)
-        trace.sort(key=lambda iv: (iv.start, iv.rank))
-        fault_log.sort(key=lambda f: f.time)
-        return BackendRun(
-            seconds=max(clocks) if clocks else 0.0,
-            comm=comm,
-            clocks=clocks,
-            trace=trace,
-            procs=final_procs,
-            fault_log=fault_log,
-        )
+        return BackendRun.from_reports((results[r] for r in sorted(results)), fault_log)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LocalProcessBackend(timeout={self.timeout}, start_method={self.start_method!r})"

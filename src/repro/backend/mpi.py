@@ -1,15 +1,49 @@
 """MPIBackend: run the generators on a real MPI communicator (mpi4py).
 
-Rebases :class:`~repro.cluster.mpi_backend.MPIContext` onto the backend
-protocol.  MPI execution is SPMD: *every* rank of an ``mpiexec`` launch
-calls :meth:`MPIBackend.run` with the same process list; each rank drives
-only its own generator, then final process states and communication
+The :class:`~repro.cluster.process.ProcContext` API was designed to map
+one-to-one onto mpi4py's lowercase methods, so the P²-MDIE master/worker
+code runs on a real cluster by swapping the context object:
+
+==========================  ==============================================
+generator                    :class:`MPIContext`
+==========================  ==============================================
+``yield ctx.send(d, x, t)``  ``comm.send((bytes, encoded), dest=d, tag=id)``
+``yield ctx.bcast(x, t)``    loop of ``comm.send``
+``m = yield ctx.recv()``     ``comm.recv(source=ANY_SOURCE, ...)``
+``yield ctx.compute(ops)``   (traced no-op — real CPUs charge themselves)
+==========================  ==============================================
+
+:class:`MPIContext` is the MPI transport of the shared
+:class:`~repro.backend.base.WallClockContext`: what goes on the
+communicator is the ``marshal_payload`` bytes that ``CommStats`` counted
+(the same bytes the local backend puts on its pipes), and a received
+message is sized by the bytes that arrived.
+
+MPI execution is SPMD: *every* rank of an ``mpiexec`` launch calls
+:meth:`MPIBackend.run` with the same process list; each rank drives only
+its own generator, then final process states and communication
 statistics are gathered to rank 0, which assembles the complete
 :class:`~repro.backend.base.BackendRun`.  Non-root ranks receive a run
 carrying only the rank-0 artifacts — harness code should act on the
 result only where ``backend.is_root`` is true.
 
-Fault-tolerance parity with sim/local (``fault_plan``):
+Two surfaces beyond the plain 1:1 mapping make the fault-tolerance
+protocol (:mod:`repro.fault`) work on a real cluster:
+
+* **Timed receives** — ``RecvOp.timeout`` is honoured with a
+  deadline-bounded ``comm.iprobe`` poll loop that resumes the generator
+  with ``None`` on expiry, exactly like the sim scheduler and the local
+  backend.  That is the whole surface
+  :class:`~repro.fault.recovery.FTMasterMixin` needs for heartbeat
+  probes and silence detection.
+* **The halt tag** — MPI has no notion of "a peer exited", so ranks still
+  blocked in a receive (retired crash victims, falsely-declared-dead
+  workers) are released with a backend-level :data:`HALT_TAG` control
+  message.  A context constructed with ``watch_halt=True`` raises
+  :class:`MPIHalt` when one arrives; the tag id lives outside
+  :data:`_TAG_IDS`, so halt messages are never visible to the generators.
+
+Fault-tolerance parity with sim/local (``run(procs, fault_plan=...)``):
 
 * **Crashes retire in place.**  A real rank death would abort the whole
   ``mpiexec`` job, so an injected :class:`~repro.fault.plan.WorkerCrash`
@@ -18,14 +52,11 @@ Fault-tolerance parity with sim/local (``fault_plan``):
   the rank in a quiet drain loop: it consumes and discards everything
   sent its way, answers nothing — exactly what a dead worker looks like
   to the heartbeat protocol.
-* **Stragglers sleep for real** (like the local backend), **message loss
-  drops the nth send per link at the send adapter** — the sender is
-  charged, the payload never leaves the node — and every injected event
-  lands in the run's ``fault_log`` with the same record shape.
+* **Stragglers sleep for real, message loss drops the nth send per
+  link** — both in the shared context, so every injected event lands in
+  the run's ``fault_log`` with the same record shape as on ``local``.
 * **Shutdown barrier.**  After rank 0's generator finishes (or fails),
-  it sends the backend-level :data:`~repro.cluster.mpi_backend.HALT_TAG`
-  to every rank, releasing retired victims and falsely-declared-dead
-  workers still blocked in a receive.  All ranks then drain residual
+  it sends :data:`HALT_TAG` to every rank.  All ranks then drain residual
   traffic and meet in a ``comm.gather``; crashed/halted ranks are absent
   from ``BackendRun.procs``, matching the other substrates' contract.
 
@@ -37,174 +68,144 @@ fall back cleanly.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.backend.base import Backend, BackendError, BackendRun, BackendUnavailableError
-from repro.cluster.message import Message, payload_nbytes
-from repro.cluster.process import BcastOp, ComputeInterval, ComputeOp, RecvOp, SendOp, SimProcess
-from repro.cluster.scheduler import CommStats
-from repro.fault.plan import (
-    MAX_STRAGGLE_SLEEP,
-    FaultRecord,
-    Straggler,
-    WorkerCrash,
-    normalize_plan,
+from repro.backend.base import (
+    Backend,
+    BackendError,
+    BackendRun,
+    BackendUnavailableError,
+    InjectedCrash,
+    WallClockContext,
+    drive,
+    require_contiguous_ranks,
 )
+from repro.cluster.message import Message, Tag
+from repro.cluster.process import RecvOp, SimProcess
+from repro.fault.plan import FaultPlan, FaultRecord, RankFaults
 
-__all__ = ["MPIBackend"]
+__all__ = ["MPIBackend", "MPIContext", "MPIHalt", "HALT_TAG", "mpi_available"]
+
+#: protocol tag -> MPI integer tag.  Covers *every* ``Tag`` member
+#: (including the fault-tolerance ping/pong/routing tags) with a distinct
+#: id, so tag-filtered probes and receives are unambiguous on a real
+#: communicator — completeness is enforced by the wire registry test.
+_TAG_IDS = {
+    Tag.LOAD_EXAMPLES: 1,
+    Tag.START_PIPELINE: 2,
+    Tag.LEARN_RULE: 3,
+    Tag.RULES: 4,
+    Tag.EVALUATE: 5,
+    Tag.RESULT: 6,
+    Tag.MARK_COVERED: 7,
+    Tag.STOP: 8,
+    Tag.PING: 9,
+    Tag.PONG: 10,
+    Tag.ROUTING: 11,
+}
+_ID_TAGS = {v: k for k, v in _TAG_IDS.items()}
+
+#: backend-level shutdown-barrier tag (outside ``_TAG_IDS`` — never
+#: delivered to generators).  Rank 0 sends it to every rank after its own
+#: generator finishes.
+HALT_TAG = 90
+
+#: iprobe poll interval bounds (seconds): start fine-grained so heartbeat
+#: round-trips stay sharp, back off to keep idle waits cheap.
+_POLL_MIN = 0.0005
+_POLL_MAX = 0.002
 
 #: seconds of post-halt quiet time before a rank stops draining stray
 #: messages (late pongs, stop fan-out to retired ranks, ...).
 _RESIDUAL_DRAIN = 0.2
 
 
-class _Retire(BaseException):
-    """Injected crash on MPI: stop servicing work, park in the drain loop.
+class MPIHalt(Exception):
+    """Rank 0 released this rank via the backend halt barrier."""
 
-    A BaseException (like the local backend's ``_InjectedCrash``) so no
-    algorithm-level handler can swallow the death.
+
+def mpi_available() -> bool:
+    try:
+        import mpi4py  # noqa: F401
+
+        return True
+    except ImportError:
+        return False
+
+
+class MPIContext(WallClockContext):
+    """The MPI transport of one rank.
+
+    ``watch_halt`` arms interception of the backend's :data:`HALT_TAG`
+    (non-root ranks of a run with a fault plan); without it an untimed
+    receive is the plain blocking ``comm.recv`` of the mapping above.
     """
-
-
-class _AccountingMPIContext:
-    """Wrap MPIContext.execute with CommStats accounting, wall timing and
-    (under a fault plan) deterministic fault injection."""
 
     def __init__(
         self,
-        inner,
-        record_trace: bool,
-        crash: Optional[WorkerCrash] = None,
-        straggler: Optional[Straggler] = None,
-        losses: Optional[dict] = None,
+        comm=None,
+        watch_halt: bool = False,
+        record_trace: bool = False,
+        faults: Optional[RankFaults] = None,
     ):
-        self._inner = inner
-        self.rank = inner.rank
-        self.n_procs = inner.n_procs
-        self.record_trace = record_trace
-        self.stats = CommStats()
-        self.trace: list[ComputeInterval] = []
-        self._crash = crash
-        self._crash_seen = 0
-        self._straggler = straggler
-        self._losses = losses or {}
-        self._sent_count: dict[int, int] = {}
-        #: injected events observed by this rank, shipped home with the
-        #: gather so every substrate reports the same log shape.
-        self.fault_log: list[FaultRecord] = []
-        self._seq = 0
-        self._t0 = time.perf_counter()
-        self._last_mark = 0.0
+        if comm is None:
+            from mpi4py import MPI  # lazy; raises ImportError offline
 
-    # syscall constructors delegate to the rebased MPIContext
-    def send(self, dst, payload, tag):
-        return self._inner.send(dst, payload, tag)
+            comm = MPI.COMM_WORLD
+        super().__init__(comm.Get_rank(), comm.Get_size(), record_trace, faults)
+        self._comm = comm
+        self.watch_halt = watch_halt
 
-    def bcast(self, payload, tag, dsts=None):
-        return self._inner.bcast(payload, tag, dsts)
+    def _ship(self, dst: int, tag: str, data: bytes, encoded: bool) -> None:
+        self._comm.send((data, encoded), dest=dst, tag=_TAG_IDS.get(tag, 99))
 
-    def recv(self, src=None, tag=None, timeout=None):
-        return self._inner.recv(src, tag, timeout)
+    def _receive(self, op: RecvOp) -> Optional[Message]:
+        from mpi4py import MPI  # noqa: PLC0415 - lazy, only recv needs constants
 
-    def compute(self, ops, label="compute"):
-        return self._inner.compute(ops, label)
+        src = MPI.ANY_SOURCE if op.src is None else op.src
+        tag = MPI.ANY_TAG if op.tag is None else _TAG_IDS.get(op.tag, 99)
+        status = MPI.Status()
+        if op.timeout is None and not self.watch_halt:
+            return self._arrived(status, self._comm.recv(source=src, tag=tag, status=status))
+        # Timed (or halt-watched) receive: MPI has no recv-with-timeout, so
+        # poll iprobe against a wall-clock deadline and resume the
+        # generator with None on expiry — the same contract as the sim
+        # scheduler and the local backend's pipe wait.
+        deadline = None if op.timeout is None else time.perf_counter() + op.timeout
+        poll = _POLL_MIN
+        while True:
+            if self.watch_halt and self._comm.iprobe(source=MPI.ANY_SOURCE, tag=HALT_TAG):
+                raise MPIHalt()
+            if self._comm.iprobe(source=src, tag=tag):
+                return self._arrived(status, self._comm.recv(source=src, tag=tag, status=status))
+            if deadline is not None and time.perf_counter() >= deadline:
+                return None
+            time.sleep(poll)
+            poll = min(poll * 2, _POLL_MAX)
 
-    @property
-    def clock(self) -> float:
-        return time.perf_counter() - self._t0
-
-    def _account(self, dst: int, payload: object, tag: str) -> None:
-        self._seq += 1
-        now = self.clock
-        self.stats.record(
-            Message(
-                src=self.rank,
-                dst=dst,
-                tag=tag,
-                payload=payload,
-                nbytes=payload_nbytes(payload),
-                send_time=now,
-                arrival_time=now,
-                seq=self._seq,
-            )
-        )
-
-    def _post(self, dst: int, payload: object, tag: str) -> None:
-        """Account one outgoing message, then ship or drop it.
-
-        Injected message loss happens here, at the send adapter: the
-        sender is charged (it cannot know the network dropped the
-        message), the payload never leaves the node.
-        """
-        self._account(dst, payload, tag)
-        n = self._sent_count.get(dst, 0) + 1
-        self._sent_count[dst] = n
-        if n in self._losses.get(dst, ()):
-            self.fault_log.append(
-                FaultRecord(
-                    kind="drop", rank=self.rank, time=self.clock, detail=f"->{dst} #{n} tag={tag}"
-                )
-            )
-            return
-        self._inner.execute(SendOp(dst, payload, tag))
-
-    def _maybe_crash(self, msg: Message) -> None:
-        """Injected crash: retire when about to process the n-th matching
-        message — the same deterministic trigger the other substrates count."""
-        crash = self._crash
-        if crash is None or crash.on_recv is None:
-            return
-        if crash.tag is not None and crash.tag != msg.tag:
-            return
-        self._crash_seen += 1
-        if self._crash_seen >= crash.on_recv:
-            raise _Retire()
-
-    def execute(self, op):
-        if isinstance(op, SendOp):
-            self._post(op.dst, op.payload, op.tag)
-            return None
-        if isinstance(op, BcastOp):
-            for dst in op.dsts:
-                self._post(dst, op.payload, op.tag)
-            return None
-        if isinstance(op, ComputeOp):
-            now = self.clock
-            if self._straggler is not None and now >= self._straggler.after_time:
-                extra = min(
-                    (now - self._last_mark) * (self._straggler.factor - 1.0), MAX_STRAGGLE_SLEEP
-                )
-                if extra > 0:
-                    time.sleep(extra)
-                    now = self.clock
-            if self.record_trace:
-                self.trace.append(ComputeInterval(self.rank, self._last_mark, now, op.label))
-            self._last_mark = now
-            return self._inner.execute(op)
-        if isinstance(op, RecvOp):
-            msg = self._inner.execute(op)
-            if msg is not None:
-                self._maybe_crash(msg)
-            return msg
-        raise TypeError(f"rank {self.rank} yielded non-syscall {op!r}")
+    def _arrived(self, status, shipped) -> Message:
+        if self.watch_halt and status.Get_tag() == HALT_TAG:
+            # An ANY_TAG iprobe can match a halt that races the dedicated
+            # halt check above; it is still a halt, not a message.
+            raise MPIHalt()
+        tag = status.Get_tag()
+        return self._message(status.Get_source(), _ID_TAGS.get(tag, str(tag)), *shipped)
 
 
 class MPIBackend(Backend):
     """Real distributed-memory execution through mpi4py.
 
-    A non-empty ``fault_plan`` arms deterministic fault injection with
-    the same triggers and ``fault_log`` shape as the sim and local
-    backends (crashes retire the rank in place; ``at_time`` crashes are
-    sim-only and ignored here, as on the local backend).  Spare hosts are
-    simply the extra ranks ``p+1..p+spares`` of the ``mpiexec`` launch.
+    A non-empty ``fault_plan`` handed to :meth:`run` arms deterministic
+    fault injection with the same triggers and ``fault_log`` shape as the
+    sim and local backends (crashes retire the rank in place; ``at_time``
+    crashes are sim-only and ignored here, as on the local backend).
+    Spare hosts are simply the extra ranks ``p+1..p+spares`` of the
+    ``mpiexec`` launch.
     """
 
     name = "mpi"
-    supports_fault_injection = True
 
-    def __init__(self, comm=None, record_trace: bool = False, fault_plan=None):
-        from repro.cluster.mpi_backend import mpi_available
-
+    def __init__(self, comm=None, record_trace: bool = False):
         if comm is None and not mpi_available():
             raise BackendUnavailableError(
                 "mpi4py is not installed; install it (and launch under mpiexec) "
@@ -212,7 +213,6 @@ class MPIBackend(Backend):
             )
         self._comm = comm
         self.record_trace = record_trace
-        self.fault_plan = fault_plan
 
     @property
     def is_root(self) -> bool:
@@ -227,15 +227,11 @@ class MPIBackend(Backend):
 
     # -- shutdown barrier helpers ------------------------------------------------
     def _send_halt(self, comm) -> None:
-        from repro.cluster.mpi_backend import HALT_TAG
-
         for dst in range(1, comm.Get_size()):
             comm.send(None, dest=dst, tag=HALT_TAG)
 
     def _drain_until_halt(self, comm) -> None:
         from mpi4py import MPI
-
-        from repro.cluster.mpi_backend import HALT_TAG
 
         status = MPI.Status()
         while True:
@@ -255,39 +251,28 @@ class MPIBackend(Backend):
             else:
                 time.sleep(0.005)
 
-    def run(self, procs: Sequence[SimProcess]) -> BackendRun:
-        from repro.backend.base import drive
-        from repro.cluster.mpi_backend import MPIContext, MPIHalt
-
+    def _run(self, ordered: list[SimProcess], plan: Optional[FaultPlan]) -> BackendRun:
         comm = self._resolved_comm()
-        ordered = sorted(procs, key=lambda p: p.rank)
-        if [p.rank for p in ordered] != list(range(len(ordered))):
-            raise ValueError(
-                f"ranks must be contiguous 0..{len(ordered) - 1}, "
-                f"got {[p.rank for p in ordered]}"
-            )
+        require_contiguous_ranks(ordered)
         if len(ordered) != comm.Get_size():
             raise ValueError(
                 f"{len(ordered)} ranks requested but communicator has size "
                 f"{comm.Get_size()}; launch with a matching -n"
             )
-        plan = normalize_plan(self.fault_plan)
         rank = comm.Get_rank()
         ft = plan is not None
-        ctx = _AccountingMPIContext(
-            MPIContext(comm, watch_halt=(ft and rank != 0)),
+        ctx = MPIContext(
+            comm,
+            watch_halt=(ft and rank != 0),
             record_trace=self.record_trace,
-            crash=plan.crash_for(rank) if ft else None,
-            straggler=plan.straggler_for(rank) if ft else None,
-            losses=plan.losses_for(rank) if ft else None,
+            faults=plan.for_rank(rank) if ft else None,
         )
         proc = ordered[rank]
-        t0 = time.perf_counter()
         status = "ok"
         root_error: Optional[BaseException] = None
         try:
             drive(proc, ctx)
-        except _Retire:
+        except InjectedCrash:
             status = "crashed"
             ctx.fault_log.append(
                 FaultRecord(
@@ -315,7 +300,7 @@ class MPIBackend(Backend):
                 )
             else:
                 raise  # real rank death aborts the MPI job, as documented
-        elapsed = time.perf_counter() - t0
+        elapsed = ctx.clock
 
         if ft:
             if rank == 0:
@@ -326,48 +311,15 @@ class MPIBackend(Backend):
                 self._drain_until_halt(comm)
             self._drain_residual(comm)
 
-        # Each rank ships its trace as a wire-codec SpanBatch (code 28) —
-        # the same message the local backend sends over its result pipe.
-        from repro.obs.span import decode_batch, encode_batch
-
-        entry = (
-            status,
-            proc if status == "ok" else None,
-            ctx.stats,
-            elapsed,
-            encode_batch(rank, ctx.trace),
-            list(ctx.fault_log),
-        )
-        gathered = comm.gather(entry, root=0)
+        gathered = comm.gather(ctx.report(proc if status == "ok" else None, elapsed), root=0)
 
         if rank == 0:
             if root_error is not None:
                 comm.bcast(("error", f"{type(root_error).__name__}: {root_error}", None), root=0)
                 raise root_error
-            fault_log: list[FaultRecord] = []
-            comm_stats = CommStats()
-            clocks: list[float] = []
-            trace: list[ComputeInterval] = []
-            final_procs: list[SimProcess] = []
-            for st, p, stats, dt, span_bytes, rlog in gathered:
-                if p is not None:
-                    final_procs.append(p)
-                clocks.append(dt)
-                trace.extend(decode_batch(span_bytes))
-                comm_stats.merge(stats)
-                fault_log.extend(rlog)
-            trace.sort(key=lambda iv: (iv.start, iv.rank))
-            fault_log.sort(key=lambda r: r.time)
-            root_proc = final_procs[0]
-            comm.bcast(("ok", root_proc, fault_log), root=0)
-            return BackendRun(
-                seconds=max(clocks) if clocks else 0.0,
-                comm=comm_stats,
-                clocks=clocks,
-                trace=trace,
-                procs=final_procs,
-                fault_log=fault_log,
-            )
+            run = BackendRun.from_reports(gathered)
+            comm.bcast(("ok", run.procs[0], run.fault_log), root=0)
+            return run
 
         # Every SPMD rank returns through the same front-end code, which
         # reads run artifacts from the rank-0 process — so rank 0

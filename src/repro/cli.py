@@ -104,7 +104,7 @@ def _load_plan(args):
         raise SystemExit(2)
 
 
-def _cli_backend(args, plan=None):
+def _cli_backend(args):
     """The backend to hand the run front-end: the name, or — for an
     ``mpiexec`` SPMD launch — a constructed MPI backend with non-root
     ranks' stdout muted so the run narrates exactly once."""
@@ -112,7 +112,7 @@ def _cli_backend(args, plan=None):
         return args.backend
     from repro.backend import make_backend
 
-    backend = make_backend("mpi", fault_plan=plan)
+    backend = make_backend("mpi")
     if not backend.is_root:
         sys.stdout = open(os.devnull, "w")
     return backend
@@ -458,7 +458,7 @@ def _print_run_epilogue(res) -> None:
 def _cmd_learn(args) -> int:
     plan = _load_plan(args)
     # p == 1 is the sequential path: no backend is ever constructed.
-    backend = args.backend if args.p == 1 else _cli_backend(args, plan)
+    backend = args.backend if args.p == 1 else _cli_backend(args)
     ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
     print(f"% dataset {ds.name}: |E+|={ds.n_pos} |E-|={ds.n_neg}")
     meta = (

@@ -7,7 +7,6 @@ size accounting (Table 4), and a pluggable compute-cost model fed by the
 logic engine's inference-operation counter.
 """
 
-from repro.cluster.cluster import ClusterRun, VirtualCluster
 from repro.cluster.costmodel import (
     CostModel,
     DEFAULT_COST_MODEL,
@@ -21,8 +20,6 @@ from repro.cluster.process import ComputeInterval, ProcContext, SimProcess
 from repro.cluster.scheduler import CommStats, DeadlockError, Scheduler
 
 __all__ = [
-    "ClusterRun",
-    "VirtualCluster",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "OpsCostModel",

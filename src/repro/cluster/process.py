@@ -83,13 +83,18 @@ class ComputeInterval:
 class ProcContext:
     """Per-process façade handed to :meth:`SimProcess.run`.
 
-    Provides syscall constructors (to be ``yield``-ed) plus read access to
-    the process's virtual clock and rank.
+    The one definition of the four syscall constructors (to be
+    ``yield``-ed) plus the rank, the pool size and the process's clock.
+    The simulator hands each generator a plain ``ProcContext`` reading
+    its virtual clock; the real substrates extend it
+    (:class:`~repro.backend.base.WallClockContext`) with an ``execute``
+    that performs each yielded syscall.
     """
 
-    def __init__(self, rank: int, cluster):
+    def __init__(self, rank: int, n_procs: int, clock=None):
         self.rank = rank
-        self._cluster = cluster
+        self.n_procs = n_procs
+        self._clock = clock
 
     # -- syscall constructors (yield these) ------------------------------------
     def send(self, dst: int, payload: object, tag: str) -> SendOp:
@@ -98,7 +103,7 @@ class ProcContext:
     def bcast(self, payload: object, tag: str, dsts: Optional[Iterable[int]] = None) -> BcastOp:
         """Broadcast to ``dsts`` (default: every other rank)."""
         if dsts is None:
-            dsts = [r for r in range(self._cluster.n_procs) if r != self.rank]
+            dsts = [r for r in range(self.n_procs) if r != self.rank]
         return BcastOp(tuple(dsts), payload, tag)
 
     def recv(
@@ -115,11 +120,9 @@ class ProcContext:
     # -- introspection -----------------------------------------------------------
     @property
     def clock(self) -> float:
-        return self._cluster.clock_of(self.rank)
-
-    @property
-    def n_procs(self) -> int:
-        return self._cluster.n_procs
+        """This process's clock, from the ``clock`` callable it was built
+        with: virtual seconds under the simulator."""
+        return self._clock()
 
 
 class SimProcess:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -34,7 +35,7 @@ from repro.cluster.process import (
     SendOp,
     SimProcess,
 )
-from repro.fault.plan import FaultPlan, FaultRecord
+from repro.fault.plan import FaultPlan, FaultRecord, RankFaults
 
 __all__ = ["Scheduler", "DeadlockError", "CommStats"]
 
@@ -84,11 +85,10 @@ class _ProcState:
         "done",
         "crashed",
         "mailbox",
-        "recv_count",
-        "sent_count",
+        "faults",
     )
 
-    def __init__(self, proc: SimProcess, gen):
+    def __init__(self, proc: SimProcess, gen, faults: RankFaults):
         self.proc = proc
         self.gen = gen
         self.clock = 0.0
@@ -99,10 +99,8 @@ class _ProcState:
         self.crashed = False
         # heap of (arrival_time, seq, Message)
         self.mailbox: list = []
-        #: messages delivered to the generator, for crash triggers.
-        self.recv_count = 0
-        #: per-destination send counter, for message-loss triggers.
-        self.sent_count: dict[int, int] = {}
+        #: this rank's injected events and their trigger counters.
+        self.faults = faults
 
 
 class Scheduler:
@@ -128,24 +126,15 @@ class Scheduler:
         self.fault_plan = fault_plan
         #: injected events as they fire (crash/straggle/drop), in time order.
         self.fault_log: list[FaultRecord] = []
-        self._crash = {}  # rank -> WorkerCrash (not yet fired)
-        self._straggle = {}  # rank -> Straggler
-        self._loss = {}  # src -> {dst -> frozenset of 1-based drop indices}
-        if fault_plan is not None:
-            self._crash = {ev.rank: ev for ev in fault_plan.crashes}
-            self._straggle = {ev.rank: ev for ev in fault_plan.stragglers}
-            self._loss = {
-                src: fault_plan.losses_for(src)
-                for src in {ev.src for ev in fault_plan.losses}
-            }
         self._seq = 0
         self._states: dict[int, _ProcState] = {}
         self.n_procs = len(procs)
         for p in sorted(procs, key=lambda p: p.rank):
-            ctx = ProcContext(p.rank, self)
-            self._states[p.rank] = _ProcState(p, p.run(ctx))
+            ctx = ProcContext(p.rank, self.n_procs, partial(self.clock_of, p.rank))
+            faults = fault_plan.for_rank(p.rank) if fault_plan is not None else RankFaults()
+            self._states[p.rank] = _ProcState(p, p.run(ctx), faults)
 
-    # -- introspection used by ProcContext --------------------------------------
+    # -- introspection -----------------------------------------------------------
     def clock_of(self, rank: int) -> float:
         return self._states[rank].clock
 
@@ -199,9 +188,9 @@ class Scheduler:
                     t = max(st.clock, arr)
                 if st.deadline is not None:
                     t = st.deadline if t is None else min(t, st.deadline)
-            crash = self._crash.get(rank)
-            if crash is not None and crash.at_time is not None:
-                tc = max(st.clock, crash.at_time)
+            at_time = self._crash_time(st)
+            if at_time is not None:
+                tc = max(st.clock, at_time)
                 t = tc if t is None else min(t, tc)
             if t is None:
                 continue
@@ -244,16 +233,13 @@ class Scheduler:
         st.deadline = None
         st.mailbox.clear()
         st.gen.close()
-        self._crash.pop(st.proc.rank, None)
         self.fault_log.append(
             FaultRecord(kind="crash", rank=st.proc.rank, time=st.clock, detail=reason)
         )
 
-    def _crash_time(self, rank: int) -> Optional[float]:
-        crash = self._crash.get(rank)
-        if crash is not None and crash.at_time is not None:
-            return crash.at_time
-        return None
+    def _crash_time(self, st: _ProcState) -> Optional[float]:
+        crash = st.faults.crash
+        return None if crash is None else crash.at_time
 
     def _step(self, rank: int, first: bool = False, wake_time: Optional[float] = None) -> None:
         """Advance one process until it blocks on recv, finishes or dies."""
@@ -263,7 +249,7 @@ class Scheduler:
             # Woken while blocked: an at_time crash, a matching message,
             # or a receive deadline — in that priority order at the wake
             # instant.
-            tc = self._crash_time(rank)
+            tc = self._crash_time(st)
             arr = self._earliest_match(st)
             if tc is not None and (arr is None or tc <= max(st.clock, arr)) and (
                 st.deadline is None or tc <= st.deadline
@@ -275,14 +261,10 @@ class Scheduler:
                 st.clock = max(st.clock, msg.arrival_time)
                 st.blocked_on = None
                 st.deadline = None
-                crash = self._crash.get(rank)
-                if crash is not None and crash.on_recv is not None and (
-                    crash.tag is None or crash.tag == msg.tag
-                ):
-                    st.recv_count += 1
-                    if st.recv_count >= crash.on_recv:
-                        self._kill(st, st.clock, f"on_recv={crash.on_recv} tag={crash.tag}")
-                        return
+                if st.faults.crashes_on(msg.tag):
+                    crash = st.faults.crash
+                    self._kill(st, st.clock, f"on_recv={crash.on_recv} tag={crash.tag}")
+                    return
                 send_value = msg
             else:
                 # Timed receive expired with no matching message.
@@ -290,9 +272,8 @@ class Scheduler:
                 st.blocked_on = None
                 st.deadline = None
                 send_value = None
-        straggler = self._straggle.get(rank)
         while True:
-            tc = self._crash_time(rank)
+            tc = self._crash_time(st)
             if tc is not None and st.clock >= tc:
                 self._kill(st, tc, "at_time")
                 return
@@ -304,8 +285,7 @@ class Scheduler:
             send_value = None
             if isinstance(op, ComputeOp):
                 dt = self.cost_model.seconds_for_ops_at(rank, op.ops)
-                if straggler is not None and st.clock >= straggler.after_time:
-                    dt *= straggler.factor
+                dt *= st.faults.slowdown(st.clock)
                 if tc is not None and st.clock + dt >= tc:
                     # The crash interrupts the compute interval.
                     if self.record_trace:
@@ -350,16 +330,12 @@ class Scheduler:
         # The sender is always charged (it cannot know the network will
         # drop the message); injected losses only suppress delivery.
         self.stats.record(msg)
-        src_rank = st.proc.rank
-        drops = self._loss.get(src_rank)
-        if drops is not None:
-            n = st.sent_count.get(dst, 0) + 1
-            st.sent_count[dst] = n
-            if n in drops.get(dst, ()):
-                self.fault_log.append(
-                    FaultRecord(kind="drop", rank=src_rank, time=st.clock, detail=f"->{dst} #{n} tag={tag}")
-                )
-                return
+        n = st.faults.drops_send(dst)
+        if n:
+            self.fault_log.append(
+                FaultRecord(kind="drop", rank=st.proc.rank, time=st.clock, detail=f"->{dst} #{n} tag={tag}")
+            )
+            return
         if self._states[dst].done:
             # Messages to a crashed rank silently vanish.
             return

@@ -5,7 +5,7 @@ unreliable pool:
 
 * :mod:`repro.fault.plan` — deterministic fault descriptions
   (:class:`FaultPlan`): worker crashes, stragglers, message loss and
-  elastic joins, injected identically by the sim and local backends;
+  elastic joins, injected identically by the sim, local and mpi backends;
 * :mod:`repro.fault.checkpoint` — versioned, wire-codec-serialized
   snapshots of master learning state written at epoch boundaries, and
   the machinery behind ``repro resume``;

@@ -3,11 +3,12 @@
 A :class:`FaultPlan` is the single description of every fault a run must
 survive: worker crashes, stragglers (compute slowdowns), message loss on
 individual links, and elastic pool growth (spare hosts joining mid-run).
-The same plan drives both execution substrates —
-:class:`~repro.backend.sim.SimBackend` injects the events into the
-discrete-event scheduler, :class:`~repro.backend.local.LocalProcessBackend`
-injects them into the real worker processes — so a fault scenario is
-reproducible across virtual and wall-clock time.
+The same plan drives every execution substrate: it is handed to
+``Backend.run(procs, fault_plan=...)``, and the discrete-event scheduler,
+the local child processes and the MPI ranks each take their rank's
+:class:`RankFaults` from :meth:`FaultPlan.for_rank` — one object counts
+the triggers everywhere, so a fault scenario is reproducible across
+virtual and wall-clock time.
 
 Triggers are therefore *logical* wherever cross-substrate determinism is
 needed: "crash rank 2 when it is about to process its 2nd
@@ -35,6 +36,7 @@ __all__ = [
     "MessageLoss",
     "WorkerJoin",
     "FaultPlan",
+    "RankFaults",
     "FaultRecord",
     "normalize_plan",
     "MAX_STRAGGLE_SLEEP",
@@ -42,7 +44,7 @@ __all__ = [
 
 #: cap on the extra *real* sleep a straggler adds per compute interval on
 #: the wall-clock substrates (local, mpi), so pathological factors cannot
-#: hang a run.  Shared here so both backends stay in sync.
+#: hang a run.
 MAX_STRAGGLE_SLEEP = 1.0
 
 
@@ -151,26 +153,22 @@ class FaultPlan:
     def replace(self, **kw) -> "FaultPlan":
         return replace(self, **kw)
 
-    # -- per-substrate views -----------------------------------------------------
-    def crash_for(self, rank: int) -> Optional[WorkerCrash]:
+    # -- per-rank view -------------------------------------------------------------
+    def for_rank(self, rank: int) -> "RankFaults":
+        """The events naming ``rank`` (the last of each kind, if it is
+        named twice), with fresh trigger counters."""
+        crash = straggler = None
         for ev in self.crashes:
             if ev.rank == rank:
-                return ev
-        return None
-
-    def straggler_for(self, rank: int) -> Optional[Straggler]:
+                crash = ev
         for ev in self.stragglers:
             if ev.rank == rank:
-                return ev
-        return None
-
-    def losses_for(self, src: int) -> dict[int, frozenset[int]]:
-        """dst -> set of 1-based send indices to drop, for one sender."""
-        out: dict[int, set[int]] = {}
+                straggler = ev
+        drops: dict[int, set[int]] = {}
         for ev in self.losses:
-            if ev.src == src:
-                out.setdefault(ev.dst, set()).add(ev.nth)
-        return {dst: frozenset(ns) for dst, ns in out.items()}
+            if ev.src == rank:
+                drops.setdefault(ev.dst, set()).add(ev.nth)
+        return RankFaults(crash, straggler, drops)
 
     def joins_at(self, epoch: int) -> tuple[WorkerJoin, ...]:
         return tuple(ev for ev in self.joins if ev.epoch == epoch)
@@ -288,6 +286,54 @@ def normalize_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     if plan is None or plan.empty:
         return None
     return plan
+
+
+class RankFaults:
+    """One rank's share of a plan plus the counters that fire its triggers.
+
+    The discrete-event scheduler and the wall-clock contexts (local, mpi)
+    each hold one per rank, from :meth:`FaultPlan.for_rank`, and ask it
+    the same three questions — so "the 2nd ``start_pipeline``" or "the
+    3rd send to rank 2" is counted in one place for every substrate.
+    ``RankFaults()`` injects nothing.
+    """
+
+    def __init__(
+        self,
+        crash: Optional[WorkerCrash] = None,
+        straggler: Optional[Straggler] = None,
+        drops: Optional[dict] = None,
+    ):
+        self.crash = crash
+        self.straggler = straggler
+        #: dst -> 1-based indices of the sends to drop on that link.
+        self.drops = drops or {}
+        self._recvs = 0
+        self._sends: dict[int, int] = {}
+
+    def crashes_on(self, tag: str) -> bool:
+        """Count one received message about to be processed; True when it
+        is the ``on_recv``-th matching one (``at_time`` crashes never
+        fire here — they are the simulator's)."""
+        crash = self.crash
+        if crash is None or crash.on_recv is None:
+            return False
+        if crash.tag is not None and crash.tag != tag:
+            return False
+        self._recvs += 1
+        return self._recvs >= crash.on_recv
+
+    def drops_send(self, dst: int) -> int:
+        """Count one send to ``dst``; its 1-based index on that link when
+        the plan drops it, else 0."""
+        n = self._sends.get(dst, 0) + 1
+        self._sends[dst] = n
+        return n if n in self.drops.get(dst, ()) else 0
+
+    def slowdown(self, now: float) -> float:
+        """Compute-time multiplier at clock ``now`` (1.0: not straggling)."""
+        s = self.straggler
+        return s.factor if s is not None and now >= s.after_time else 1.0
 
 
 @dataclass(frozen=True)

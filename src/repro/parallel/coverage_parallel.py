@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.backend import Backend, fault_injection_scope, resolve_backend
+from repro.backend import Backend, resolve_backend
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.message import Tag
 from repro.cluster.network import FAST_ETHERNET, NetworkModel
@@ -368,7 +368,6 @@ def run_coverage_parallel(
         resume=resume,
     )
     workers = [P2Worker(rank, shared, p, seed=seed) for rank in range(1, p + spares + 1)]
-    bk = resolve_backend(backend, network=network, cost_model=cost_model, fault_plan=plan)
-    with fault_injection_scope(bk, plan):
-        run = bk.run([master, *workers])
+    bk = resolve_backend(backend, network=network, cost_model=cost_model)
+    run = bk.run([master, *workers], fault_plan=plan)
     return _result_from_run(run)

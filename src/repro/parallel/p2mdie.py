@@ -2,7 +2,7 @@
 
 ``run_p2mdie`` wires a :class:`~repro.parallel.master.P2Master` and ``p``
 :class:`~repro.parallel.worker.P2Worker` ranks onto a
-:class:`~repro.cluster.VirtualCluster`, executes to completion and returns
+:class:`~repro.backend.Backend`, executes to completion and returns
 a :class:`P2Result` carrying everything the paper's tables need: the
 learned theory, virtual execution time (Table 3), communication volume
 (Table 4), and epoch count (Table 5).  Speedups (Table 2) come from
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from repro.backend import Backend, BackendRun, fault_injection_scope, resolve_backend
+from repro.backend import Backend, BackendRun, resolve_backend
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import ComputeInterval
@@ -305,10 +305,8 @@ def run_p2mdie(
         network=network,
         cost_model=cost_model,
         record_trace=record_trace,
-        fault_plan=plan,
     )
-    with fault_injection_scope(bk, plan):
-        run: BackendRun = bk.run([master, *workers])
+    run: BackendRun = bk.run([master, *workers], fault_plan=plan)
     # Read the master's run artifacts from the backend's returned process
     # state: on multi-process backends the local ``master`` object was
     # never mutated (rank 0 ran in a child process).

@@ -175,7 +175,8 @@ accepted clause is re-evaluated exactly and certified:
 _BACKEND_NOTE = """\
 All `run_*` front-ends accept `backend=` as an instance or name; the
 learned theory is identical across substrates for the same seed/config
-(`tests/backend/test_parity.py`)."""
+(`tests/backend/test_parity.py`).  A fault plan is an argument of
+`Backend.run(procs, fault_plan=...)`, never state on a backend."""
 
 _FAULT_NOTE = """\
 An empty plan is byte-identical to no plan; a non-empty plan never
@@ -273,7 +274,7 @@ SECTIONS = [
                 "repro.backend",
                 [
                     "Backend", "BackendRun", "SimBackend", "LocalProcessBackend",
-                    "make_backend", "resolve_backend", "fault_injection_scope",
+                    "make_backend", "resolve_backend",
                 ],
             ),
             ("repro.backend.mpi", ["MPIBackend"]),

@@ -12,9 +12,9 @@ from repro.backend import (
     resolve_backend,
 )
 from repro.backend.base import ExecutionContext
-from repro.cluster.cluster import VirtualCluster
 from repro.cluster.network import GIGABIT
 from repro.cluster.process import ProcContext, SimProcess
+from repro.cluster.scheduler import Scheduler
 
 
 class Ping(SimProcess):
@@ -64,13 +64,14 @@ class TestRegistry:
 
 class TestSimBackend:
     def test_matches_virtual_cluster(self):
-        direct = VirtualCluster([Ping(0), Pong(1)]).run()
+        direct = Scheduler([Ping(0), Pong(1)])
+        makespan = direct.run()
         via = SimBackend().run([Ping(0), Pong(1)])
         assert isinstance(via, BackendRun)
-        assert via.seconds == direct.makespan
-        assert via.comm.messages == direct.comm.messages
-        assert via.comm.bytes_total == direct.comm.bytes_total
-        assert via.clocks == direct.clocks
+        assert via.seconds == makespan
+        assert via.comm.messages == direct.stats.messages
+        assert via.comm.bytes_total == direct.stats.bytes_total
+        assert via.clocks == [direct.clock_of(0), direct.clock_of(1)]
 
     def test_procs_are_inputs(self):
         ping, pong = Ping(0), Pong(1)
@@ -90,8 +91,7 @@ class TestSimBackend:
 
 class TestContextProtocol:
     def test_proc_context_satisfies_protocol(self):
-        cluster_like = type("C", (), {"n_procs": 2, "clock_of": lambda self, r: 0.0})()
-        assert isinstance(ProcContext(0, cluster_like), ExecutionContext)
+        assert isinstance(ProcContext(0, 2), ExecutionContext)
 
     def test_local_context_surface(self):
         # The local context satisfies the protocol structurally; checked

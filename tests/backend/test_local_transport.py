@@ -195,6 +195,25 @@ class TestFailureModes:
         assert "rank 1" in text
         assert _no_repro_children()
 
+    def test_empty_plan_does_not_tolerate_a_worker_error(self):
+        """Regression: an *empty* plan is no plan.  The supervisor used to
+        treat any non-None plan as armed, record the raising worker as a
+        tolerated death, and leave the master waiting for the watchdog."""
+        from repro.fault.plan import FaultPlan
+
+        class WaitsOnOne(SimProcess):
+            def run(self, ctx):
+                yield ctx.recv(src=1)
+
+        t0 = time.monotonic()
+        with pytest.raises(BackendError, match="boom in child") as excinfo:
+            LocalProcessBackend(timeout=20).run(
+                [WaitsOnOne(0), Crasher(1), Hang(2)], fault_plan=FaultPlan()
+            )
+        assert not isinstance(excinfo.value, BackendTimeoutError)
+        assert time.monotonic() - t0 < 15, "ended at the watchdog, not at the error"
+        assert _no_repro_children()
+
     def test_timeout_includes_reported_tracebacks(self):
         """Regression: the deadlock watchdog must surface any traceback a
         child managed to report before the timeout fired, instead of only

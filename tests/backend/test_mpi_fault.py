@@ -1,27 +1,30 @@
-"""MPI fault-injection unit tests (no MPI runtime needed).
+"""Fault injection on the wall-clock substrates (no MPI runtime needed).
 
 The real-cluster legs live in tests/fault/test_ft_matrix.py and the CI
-mpi-smoke job; here a fake communicator drives the injection machinery —
-retire-in-place crashes, send-adapter message loss, straggler sleeps and
-the halt/gather shutdown — so the logic is covered on every host.
+mpi-smoke job.  Here the context-level cases — nth-drop, crash on the
+n-th matching receive, straggler sleep, timed receives, byte accounting —
+are one body run against both transports of the shared
+``WallClockContext`` (``MPIContext`` on a fake communicator: the classes
+below; ``LocalContext`` on in-process pipes: their ``...OnPipes``
+subclasses), and fake communicators drive ``MPIBackend.run`` — retire in
+place, the halt/gather shutdown — so the logic is covered on every host.
 """
 
+import multiprocessing as mp
 import threading
 import time
 
 import pytest
 
-from repro.backend import (
-    BackendUnavailableError,
-    fault_capable_backends,
-    fault_injection_scope,
-    make_backend,
-)
-from repro.backend.base import Backend
-from repro.backend.mpi import MPIBackend, _AccountingMPIContext, _Retire
-from repro.cluster.mpi_backend import _TAG_IDS, MPIContext
+from repro.backend import make_backend
+from repro.backend.base import Backend, InjectedCrash
+from repro.backend.local import LocalContext
+from repro.backend.mpi import _ID_TAGS, _TAG_IDS, HALT_TAG, MPIBackend, MPIContext
+from repro.cluster.message import marshal_payload, payload_nbytes, unmarshal_payload
 from repro.cluster.process import SimProcess
-from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
+from repro.fault.plan import MAX_STRAGGLE_SLEEP, FaultPlan, MessageLoss, Straggler, WorkerCrash
+from repro.parallel import wire
+from repro.parallel.messages import Ping
 
 
 class FakeStatus:
@@ -98,73 +101,193 @@ def fake_mpi(monkeypatch):
     return mod
 
 
-def _ctx(comm, **kw):
-    return _AccountingMPIContext(MPIContext(comm), record_trace=False, **kw)
+class MPIRig:
+    """One rank's ``MPIContext`` on a :class:`FakeComm`."""
+
+    def __init__(self, rank, size, faults):
+        self.comm = FakeComm(rank, size)
+        self.ctx = MPIContext(self.comm, faults=faults)
+
+    def arrive(self, payload, src, tag):
+        """Queue ``payload`` as rank ``src``'s context would have shipped it."""
+        self.comm.inbox.append((marshal_payload(payload), src, _TAG_IDS[tag]))
+
+    def shipped(self):
+        """What left this rank: ``(dst, tag, payload, bytes on the wire)``."""
+        return [
+            (dst, _ID_TAGS[t], unmarshal_payload(data, encoded), len(data))
+            for (data, encoded), dst, t in self.comm.outbox
+        ]
+
+    def close(self):
+        pass
+
+
+class PipeRig:
+    """One rank's ``LocalContext``; the test holds the far end of each pipe."""
+
+    def __init__(self, rank, size, faults):
+        near, self.far = {}, {}
+        for r in range(size):
+            if r != rank:
+                near[r], self.far[r] = mp.Pipe(duplex=True)
+        self.ctx = LocalContext(rank, size, near, faults=faults)
+
+    def arrive(self, payload, src, tag):
+        self.far[src].send((src, tag, *marshal_payload(payload)))
+
+    def shipped(self):
+        self.close()  # flushes the sender thread
+        out = []
+        for dst, conn in sorted(self.far.items()):
+            while conn.poll():
+                _, tag, data, encoded = conn.recv()
+                out.append((dst, tag, unmarshal_payload(data, encoded), len(data)))
+        return out
+
+    def close(self):
+        if self.ctx._sender.is_alive():
+            self.ctx.close()
+
+
+@pytest.fixture
+def rig(request, fake_mpi):
+    """``rig(rank, size, plan)``: the requesting class's transport, with
+    that rank's share of ``plan`` armed."""
+    made = []
+
+    def make(rank=0, size=2, plan=None):
+        faults = plan.for_rank(rank) if plan is not None else None
+        made.append(request.cls.transport(rank, size, faults))
+        return made[-1]
+
+    yield make
+    for r in made:
+        r.close()
 
 
 class TestSendAdapterLoss:
-    def test_nth_send_dropped_sender_charged(self, fake_mpi):
-        comm = FakeComm(rank=0, size=3)
-        ctx = _ctx(comm, losses={1: frozenset({2})})
+    transport = MPIRig
+
+    def test_nth_send_dropped_sender_charged(self, rig):
+        r = rig(rank=0, size=3, plan=FaultPlan(losses=(MessageLoss(src=0, dst=1, nth=2),)))
+        ctx = r.ctx
         for payload in ("a", "b", "c"):
             ctx.execute(ctx.send(1, payload, tag="rules"))
         # the 2nd message to rank 1 died at the adapter...
-        assert [p for p, _, _ in comm.outbox] == ["a", "c"]
+        assert [p for _, _, p, _ in r.shipped()] == ["a", "c"]
         # ...but the sender was charged for all three
         assert ctx.stats.messages == 3
-        assert [(r.kind, r.detail) for r in ctx.fault_log] == [("drop", "->1 #2 tag=rules")]
+        assert [(f.kind, f.detail) for f in ctx.fault_log] == [("drop", "->1 #2 tag=rules")]
 
-    def test_loss_counts_per_link(self, fake_mpi):
-        comm = FakeComm(rank=0, size=3)
-        ctx = _ctx(comm, losses={2: frozenset({1})})
+    def test_loss_counts_per_link(self, rig):
+        r = rig(rank=0, size=3, plan=FaultPlan(losses=(MessageLoss(src=0, dst=2, nth=1),)))
+        ctx = r.ctx
         ctx.execute(ctx.send(1, "x", tag="rules"))  # other link: untouched
         ctx.execute(ctx.send(2, "y", tag="rules"))  # link 0->2 #1: dropped
         ctx.execute(ctx.send(2, "z", tag="rules"))
-        assert [(p, d) for p, d, _ in comm.outbox] == [("x", 1), ("z", 2)]
+        assert [(p, d) for d, _, p, _ in r.shipped()] == [("x", 1), ("z", 2)]
 
-    def test_bcast_drops_only_the_lossy_destination(self, fake_mpi):
-        comm = FakeComm(rank=0, size=4)
-        ctx = _ctx(comm, losses={2: frozenset({1})})
-        ctx.execute(ctx.bcast("hello", tag="stop"))
-        assert [d for _, d, _ in comm.outbox] == [1, 3]
-        assert ctx.stats.messages == 3
+    def test_bcast_drops_only_the_lossy_destination(self, rig):
+        r = rig(rank=0, size=4, plan=FaultPlan(losses=(MessageLoss(src=0, dst=2, nth=1),)))
+        r.ctx.execute(r.ctx.bcast("hello", tag="stop"))
+        assert [d for d, _, _, _ in r.shipped()] == [1, 3]
+        assert r.ctx.stats.messages == 3
 
 
 class TestRetireInPlace:
-    def test_crash_on_nth_matching_recv(self, fake_mpi):
-        comm = FakeComm(rank=1)
-        comm.inbox.append(("t1", 0, _TAG_IDS["start_pipeline"]))
-        comm.inbox.append(("beat", 0, _TAG_IDS["ping"]))
-        comm.inbox.append(("t2", 0, _TAG_IDS["start_pipeline"]))
-        ctx = _ctx(comm, crash=WorkerCrash(rank=1, on_recv=2, tag="start_pipeline"))
+    transport = MPIRig
+
+    def test_crash_on_nth_matching_recv(self, rig):
+        crash = WorkerCrash(rank=1, on_recv=2, tag="start_pipeline")
+        r = rig(rank=1, plan=FaultPlan(crashes=(crash,)))
+        r.arrive("t1", 0, "start_pipeline")
+        r.arrive("beat", 0, "ping")
+        r.arrive("t2", 0, "start_pipeline")
+        ctx = r.ctx
         assert ctx.execute(ctx.recv()).payload == "t1"
         assert ctx.execute(ctx.recv()).payload == "beat"  # wrong tag: not counted
-        with pytest.raises(_Retire):
+        with pytest.raises(InjectedCrash):
             ctx.execute(ctx.recv())  # 2nd start_pipeline: about to process -> die
 
-    def test_at_time_crashes_are_sim_only(self, fake_mpi):
-        comm = FakeComm(rank=1)
-        comm.inbox.append(("t1", 0, _TAG_IDS["rules"]))
-        ctx = _ctx(comm, crash=WorkerCrash(rank=1, at_time=0.0))
-        assert ctx.execute(ctx.recv()).payload == "t1"  # no trigger
+    def test_at_time_crashes_are_sim_only(self, rig):
+        r = rig(rank=1, plan=FaultPlan(crashes=(WorkerCrash(rank=1, at_time=0.0),)))
+        r.arrive("t1", 0, "rules")
+        assert r.ctx.execute(r.ctx.recv()).payload == "t1"  # no trigger
 
 
 class TestStraggler:
-    def test_compute_sleeps_extra(self, fake_mpi):
-        ctx = _ctx(FakeComm(rank=1), straggler=Straggler(rank=1, factor=2.0))
+    transport = MPIRig
+
+    def test_compute_sleeps_extra(self, rig):
+        ctx = rig(rank=1, plan=FaultPlan(stragglers=(Straggler(rank=1, factor=2.0),))).ctx
         time.sleep(0.05)
         t0 = time.perf_counter()
         ctx.execute(ctx.compute(1000))
         # factor 2.0 doubles elapsed compute: ~0.05s extra sleep
         assert time.perf_counter() - t0 >= 0.03
 
+    def test_sleep_is_capped(self, rig, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        ctx = rig(rank=1, plan=FaultPlan(stragglers=(Straggler(rank=1, factor=1e9),))).ctx
+        ctx.execute(ctx.compute(1000))
+        assert slept == [MAX_STRAGGLE_SLEEP]
+
 
 class TestTimedRecvPassThrough:
-    def test_timeout_threads_through_accounting_context(self, fake_mpi):
-        ctx = _ctx(FakeComm(rank=0))
+    transport = MPIRig
+
+    def test_timeout_threads_through_accounting_context(self, rig):
+        ctx = rig(rank=0).ctx
         op = ctx.recv(src=None, tag=None, timeout=0.01)
         assert op.timeout == 0.01
-        assert ctx.execute(op) is None  # empty inbox -> expiry -> None
+        assert ctx.execute(op) is None  # nothing arrives -> expiry -> None
+
+
+class TestAccounting:
+    """The accounted bytes are the shipped bytes, marshalled once."""
+
+    transport = MPIRig
+
+    def test_one_encode_per_send_none_per_receive(self, rig, monkeypatch):
+        encodes = []
+        real = wire.encode_always
+        monkeypatch.setattr(wire, "encode_always", lambda p: encodes.append(p) or real(p))
+        r = rig(rank=0, size=3)
+        ctx = r.ctx
+        r.arrive(Ping(token=7), 1, "ping")  # wire-codec payload
+        r.arrive(("pickled", 2), 2, "rules")  # no codec: pickle
+        del encodes[:]  # (the rig marshalled those on the peers' behalf)
+        ctx.execute(ctx.send(1, Ping(token=8), tag="ping"))
+        ctx.execute(ctx.bcast(("pickled", 3), tag="rules"))
+        got = [ctx.execute(ctx.recv(src=1)), ctx.execute(ctx.recv(src=2))]
+        assert len(encodes) == 3
+        assert [m.payload for m in got] == [Ping(token=7), ("pickled", 2)]
+        assert [m.nbytes for m in got] == [payload_nbytes(m.payload) for m in got]
+        shipped = r.shipped()
+        assert [p for _, _, p, _ in shipped] == [Ping(token=8), ("pickled", 3), ("pickled", 3)]
+        assert sum(n for _, _, _, n in shipped) == ctx.stats.bytes_total
+
+
+class TestSendAdapterLossOnPipes(TestSendAdapterLoss):
+    transport = PipeRig
+
+
+class TestRetireInPlaceOnPipes(TestRetireInPlace):
+    transport = PipeRig
+
+
+class TestStragglerOnPipes(TestStraggler):
+    transport = PipeRig
+
+
+class TestTimedRecvPassThroughOnPipes(TestTimedRecvPassThrough):
+    transport = PipeRig
+
+
+class TestAccountingOnPipes(TestAccounting):
+    transport = PipeRig
 
 
 class TestBackendRunFake:
@@ -188,8 +311,8 @@ class TestBackendRunFake:
 
     def test_single_rank_run_with_plan_uses_halt_barrier(self, fake_mpi):
         plan = FaultPlan(supervise=True, timeout=0.5)
-        bk = MPIBackend(comm=FakeComm(rank=0, size=1), fault_plan=plan)
-        run = bk.run([self._proc()])
+        bk = MPIBackend(comm=FakeComm(rank=0, size=1))
+        run = bk.run([self._proc()], fault_plan=plan)
         assert len(run.procs) == 1 and run.procs[0].done
 
     def test_size_mismatch_is_an_error(self, fake_mpi):
@@ -201,36 +324,45 @@ class TestBackendRunFake:
 
 
 class TestCapability:
-    def test_all_registry_backends_are_fault_capable(self):
-        assert fault_capable_backends() == ("sim", "local", "mpi")
+    """The plan is an argument of ``run`` on every backend — no capability
+    flag, nothing armed on the instance."""
 
-    def test_attribute_not_name_drives_the_check(self):
-        assert Backend.supports_fault_injection is False
-        assert MPIBackend.supports_fault_injection is True
+    class Recording(Backend):
+        name = "recording"
+
+        def _run(self, procs, plan):
+            self.seen = ([p.rank for p in procs], plan)
 
     def test_make_backend_mpi_accepts_a_plan(self, fake_mpi):
-        plan = FaultPlan(crashes=(WorkerCrash(rank=1, on_recv=1),), timeout=1.0)
-        bk = make_backend("mpi", fault_plan=plan)
+        fake_mpi.MPI.COMM_WORLD = FakeComm(rank=0, size=1)
+        bk = make_backend("mpi")
         assert isinstance(bk, MPIBackend)
-        assert bk.fault_plan == plan
+        proc = TestBackendRunFake()._proc()
+        plan = FaultPlan(crashes=(WorkerCrash(rank=1, on_recv=1),), timeout=1.0)
+        assert bk.run([proc], fault_plan=plan).procs == [proc]
 
     def test_scope_arms_and_restores_mpi(self, fake_mpi):
-        plan = FaultPlan(supervise=True)
-        bk = make_backend("mpi")
-        with fault_injection_scope(bk, plan):
-            assert bk.fault_plan == plan
-        assert bk.fault_plan is None
+        """A plan lasts one run: rank 0 sends halts only in the run that
+        was given one."""
+        comm = FakeComm(rank=0, size=2)
+        comm.gather = lambda value, root=0: [value, value]
+        bk = MPIBackend(comm=comm)
+        proc = TestBackendRunFake()._proc
+        bk.run([proc(), SimProcess(1)], fault_plan=FaultPlan(supervise=True))
+        assert [(dst, tag) for _, dst, tag in comm.outbox] == [(1, HALT_TAG)]
+        del comm.outbox[:]
+        bk.run([proc(), SimProcess(1)])
+        assert comm.outbox == []
 
     def test_unsupporting_backend_gets_friendly_error(self):
-        class NullBackend(Backend):
-            name = "null"
-
-            def run(self, procs):
-                raise NotImplementedError
-
-        with pytest.raises(BackendUnavailableError, match="sim, local, mpi"):
-            with fault_injection_scope(NullBackend(), FaultPlan(supervise=True)):
-                pass
+        """Any ``Backend`` subclass gets the plan through ``run`` — ranks
+        sorted, an empty plan normalised to none."""
+        bk = self.Recording()
+        bk.run([SimProcess(1), SimProcess(0)], fault_plan=FaultPlan())
+        assert bk.seen == ([0, 1], None)
+        plan = FaultPlan(supervise=True)
+        bk.run([SimProcess(0)], fault_plan=plan)
+        assert bk.seen == ([0], plan)
 
 
 class ClusterComm:
@@ -249,6 +381,9 @@ class ClusterComm:
         self.cond = threading.Condition()
         self.gathered = {}
         self.bcast_box = []
+        #: protocol messages put on the communicator, and their bytes
+        self.messages = 0
+        self.nbytes = 0
 
     def view(self, rank):
         return _RankView(self, rank)
@@ -268,6 +403,9 @@ class _RankView:
     def send(self, payload, dest, tag):
         c = self._c
         with c.cond:
+            if tag != HALT_TAG:
+                c.messages += 1
+                c.nbytes += len(payload[0])
             c.queues[dest].append((payload, self._rank, tag))
             c.cond.notify_all()
 
@@ -334,13 +472,13 @@ class TestThreadedSPMDParity:
     def _spmd(self, ds, n_ranks, plan, spares=0, p=3):
         from repro.parallel import run_p2mdie
 
-        cluster = ClusterComm(n_ranks)
+        self.cluster = cluster = ClusterComm(n_ranks)
         results = {}
         errors = {}
 
         def rank_main(r):
             try:
-                bk = MPIBackend(comm=cluster.view(r), fault_plan=plan)
+                bk = MPIBackend(comm=cluster.view(r))
                 results[r] = run_p2mdie(
                     ds.kb, ds.pos, ds.neg, ds.modes, ds.config,
                     p=p, width=10, seed=0, backend=bk,
@@ -376,6 +514,11 @@ class TestThreadedSPMDParity:
         assert results[0].theory == base.theory
         # every rank's front-end returns the rank-0 artifacts
         assert results[2].theory == base.theory
+        # what went on the communicator is what CommStats counted, and it
+        # is the simulator's count: Table 4 is comparable across substrates
+        comm = results[0].comm
+        assert (self.cluster.messages, self.cluster.nbytes) == (comm.messages, comm.bytes_total)
+        assert (comm.messages, comm.bytes_total) == (base.comm.messages, base.comm.bytes_total)
 
     def test_crash_recovery_parity(self, fake_mpi, krki, base):
         plan = FaultPlan(

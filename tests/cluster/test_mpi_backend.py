@@ -1,24 +1,19 @@
-"""Tests for the mpi4py port adapter.
+"""Tests for the MPI transport (:class:`repro.backend.mpi.MPIContext`).
 
-mpi4py is not installed in this environment, so these tests exercise
-:func:`drive_with_mpi` against a *fake* communicator implementing the
-mpi4py subset the adapter uses — verifying the documented 1:1 mapping
-(and the timed-receive / halt surfaces the fault-tolerance protocol
-needs) without an MPI runtime.
+mpi4py is not installed in this environment, so these tests drive
+generators against a *fake* communicator implementing the mpi4py subset
+the transport uses — verifying the documented 1:1 mapping (and the
+timed-receive / halt surfaces the fault-tolerance protocol needs)
+without an MPI runtime.
 """
 
 import time
 
 import pytest
 
-from repro.cluster.mpi_backend import (
-    HALT_TAG,
-    MPIContext,
-    MPIHalt,
-    _TAG_IDS,
-    drive_with_mpi,
-    mpi_available,
-)
+from repro.backend.base import drive
+from repro.backend.mpi import HALT_TAG, MPIContext, MPIHalt, _TAG_IDS, mpi_available
+from repro.cluster.message import marshal_payload
 from repro.cluster.process import SimProcess
 
 
@@ -37,8 +32,10 @@ class FakeStatus:
 class FakeComm:
     """Single-process loopback comm implementing the mpi4py subset used.
 
-    ``inbox`` entries are ``(payload, src, tag_id)``; ``recv``/``iprobe``
-    honour source/tag filters with mpi4py's -1 = ANY convention.
+    ``inbox`` entries are ``(shipped, src, tag_id)`` where ``shipped`` is
+    what a peer's context would put on the wire (:meth:`arrive` builds
+    one); ``recv``/``iprobe`` honour source/tag filters with mpi4py's
+    -1 = ANY convention.
     """
 
     def __init__(self, rank=0, size=2):
@@ -55,6 +52,10 @@ class FakeComm:
 
     def send(self, payload, dest, tag):
         self.outbox.append((payload, dest, tag))
+
+    def arrive(self, payload, src, tag_id):
+        """Queue ``payload`` as it would arrive from rank ``src``."""
+        self.inbox.append((marshal_payload(payload), src, tag_id))
 
     def _match(self, source, tag):
         for i, (_, src, t) in enumerate(self.inbox):
@@ -106,7 +107,7 @@ class TestAvailability:
 class TestDriveWithFakeComm:
     def test_send_recv_roundtrip(self, fake_mpi):
         comm = FakeComm(rank=0)
-        comm.inbox.append(("pong", 1, 4))  # tag 4 = "rules"
+        comm.arrive("pong", 1, 4)  # tag 4 = "rules"
 
         class Proc(SimProcess):
             def __init__(self):
@@ -119,8 +120,8 @@ class TestDriveWithFakeComm:
                 self.got = (msg.src, msg.tag, msg.payload)
 
         p = Proc()
-        drive_with_mpi(p, comm=comm)
-        assert comm.outbox == [("ping", 1, 4)]
+        drive(p, MPIContext(comm))
+        assert comm.outbox == [(marshal_payload("ping"), 1, 4)]
         assert p.got == (1, "rules", "pong")
 
     def test_bcast_fans_out(self, fake_mpi):
@@ -130,7 +131,7 @@ class TestDriveWithFakeComm:
             def run(self, ctx):
                 yield ctx.bcast("hello", tag="stop")
 
-        drive_with_mpi(Proc(0), comm=comm)
+        drive(Proc(0), MPIContext(comm))
         assert [dest for _, dest, _ in comm.outbox] == [1, 2, 3]
 
     def test_compute_is_noop(self, fake_mpi):
@@ -140,7 +141,7 @@ class TestDriveWithFakeComm:
             def run(self, ctx):
                 yield ctx.compute(10_000, label="search")
 
-        drive_with_mpi(Proc(0), comm=comm)  # no exception, nothing sent
+        drive(Proc(0), MPIContext(comm))  # no exception, nothing sent
         assert comm.outbox == []
 
     def test_context_rank_and_size(self, fake_mpi):
@@ -161,14 +162,14 @@ class TestTimedReceives:
 
     def test_timed_recv_delivers_waiting_message(self, fake_mpi):
         comm = FakeComm(rank=0)
-        comm.inbox.append(("payload", 2, _TAG_IDS["result"]))
+        comm.arrive("payload", 2, _TAG_IDS["result"])
         ctx = MPIContext(comm)
         msg = ctx.execute(ctx.recv(timeout=5.0))
         assert (msg.src, msg.tag, msg.payload) == (2, "result", "payload")
 
     def test_timed_recv_honours_tag_filter(self, fake_mpi):
         comm = FakeComm(rank=0)
-        comm.inbox.append(("noise", 1, _TAG_IDS["pong"]))
+        comm.arrive("noise", 1, _TAG_IDS["pong"])
         ctx = MPIContext(comm)
         assert ctx.execute(ctx.recv(tag="rules", timeout=0.02)) is None
         # the non-matching message is still queued, not consumed
@@ -178,7 +179,7 @@ class TestTimedReceives:
         # ping/pong/routing must not collapse onto the unknown-tag id,
         # or tag-filtered heartbeat receives would cross wires.
         comm = FakeComm(rank=0)
-        comm.inbox.append(("beat", 1, _TAG_IDS["pong"]))
+        comm.arrive("beat", 1, _TAG_IDS["pong"])
         ctx = MPIContext(comm)
         msg = ctx.execute(ctx.recv(tag="pong", timeout=1.0))
         assert msg.tag == "pong"
@@ -194,16 +195,16 @@ class TestHalt:
 
     def test_halt_preferred_over_data(self, fake_mpi):
         comm = FakeComm(rank=1)
-        comm.inbox.append(("work", 0, _TAG_IDS["evaluate"]))
+        comm.arrive("work", 0, _TAG_IDS["evaluate"])
         comm.inbox.append((None, 0, HALT_TAG))
         ctx = MPIContext(comm, watch_halt=True)
         with pytest.raises(MPIHalt):
             ctx.execute(ctx.recv())
 
     def test_unwatched_context_ignores_halt_tag(self, fake_mpi):
-        # the plain adapter (drive_with_mpi) never sees backend halts
+        # a run without a fault plan never sees backend halts
         comm = FakeComm(rank=1)
-        comm.inbox.append(("data", 0, _TAG_IDS["stop"]))
+        comm.arrive("data", 0, _TAG_IDS["stop"])
         ctx = MPIContext(comm)
         msg = ctx.execute(ctx.recv())
         assert msg.tag == "stop"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.cluster import VirtualCluster
+from repro.backend import SimBackend
 from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.process import SimProcess
@@ -34,7 +34,7 @@ class TestPointToPoint:
                 got.append(msg.payload)
                 yield ctx.send(1, "stop", tag="req")
 
-        run = VirtualCluster([Client(0), Echo(1)], network=NET, cost_model=COST).run()
+        run = SimBackend(network=NET, cost_model=COST).run([Client(0), Echo(1)])
         assert got == [("echo", "hello")]
         assert run.comm.messages == 3
 
@@ -46,7 +46,7 @@ class TestPointToPoint:
                 assert ctx.clock >= 2.0  # two hops of 1s latency
                 yield ctx.send(1, "stop", tag="req")
 
-        VirtualCluster([Client(0), Echo(1)], network=NET, cost_model=COST).run()
+        SimBackend(network=NET, cost_model=COST).run([Client(0), Echo(1)])
 
     def test_compute_advances_only_own_clock(self):
         class Busy(SimProcess):
@@ -54,7 +54,7 @@ class TestPointToPoint:
                 yield ctx.compute(10)
                 yield ctx.send(1, "stop", tag="req")
 
-        run = VirtualCluster([Busy(0), Echo(1)], network=NET, cost_model=COST).run()
+        run = SimBackend(network=NET, cost_model=COST).run([Busy(0), Echo(1)])
         assert run.clocks[0] >= 10.0
         assert run.clocks[1] < 12.0  # echo only waited for the message
 
@@ -75,7 +75,7 @@ class TestPointToPoint:
                     msg = yield ctx.recv(src=0)
                     order.append(msg.payload)
 
-        VirtualCluster([Sender(0), Receiver()], network=NET, cost_model=COST).run()
+        SimBackend(network=NET, cost_model=COST).run([Sender(0), Receiver()])
         assert order == [0, 1, 2, 3, 4]
 
     def test_recv_filters_by_tag(self):
@@ -96,7 +96,7 @@ class TestPointToPoint:
                 msg = yield ctx.recv(tag="low")
                 got.append(msg.payload)
 
-        VirtualCluster([Sender(0), Receiver()], network=NET, cost_model=COST).run()
+        SimBackend(network=NET, cost_model=COST).run([Sender(0), Receiver()])
         assert got == ["b", "a"]
 
 
@@ -113,7 +113,7 @@ class TestBroadcast:
                 msg = yield ctx.recv(tag="b")
                 seen.append((self.rank, msg.payload))
 
-        VirtualCluster([Root(0), Leaf(1), Leaf(2), Leaf(3)], network=NET, cost_model=COST).run()
+        SimBackend(network=NET, cost_model=COST).run([Root(0), Leaf(1), Leaf(2), Leaf(3)])
         assert sorted(seen) == [(1, "ping"), (2, "ping"), (3, "ping")]
 
     def test_bcast_serialised_at_sender(self):
@@ -130,7 +130,7 @@ class TestBroadcast:
                 msg = yield ctx.recv(tag="b")
                 arrivals[self.rank] = msg.arrival_time
 
-        VirtualCluster([Root(0), Leaf(1), Leaf(2)], network=slow_net, cost_model=COST).run()
+        SimBackend(network=slow_net, cost_model=COST).run([Root(0), Leaf(1), Leaf(2)])
         assert arrivals[2] > arrivals[1]
 
 
@@ -150,11 +150,11 @@ class TestDeterminism:
                     for _ in range(3):
                         yield ctx.recv(tag="r")
 
-            return VirtualCluster(
-                [Root(0), Worker(1), Worker(2), Worker(3)], network=NET, cost_model=COST
+            return SimBackend(network=NET, cost_model=COST).run(
+                [Root(0), Worker(1), Worker(2), Worker(3)]
             )
 
-        a, b = build().run(), build().run()
+        a, b = build(), build()
         assert a.makespan == b.makespan
         assert a.comm.bytes_total == b.comm.bytes_total
         assert a.clocks == b.clocks
@@ -167,7 +167,7 @@ class TestErrors:
                 yield ctx.recv()
 
         with pytest.raises(DeadlockError):
-            VirtualCluster([Stuck(0), Stuck(1)], network=NET, cost_model=COST).run()
+            SimBackend(network=NET, cost_model=COST).run([Stuck(0), Stuck(1)])
 
     def test_duplicate_ranks_rejected(self):
         class P(SimProcess):
@@ -184,7 +184,7 @@ class TestErrors:
                 yield ctx.send(99, "x", tag="t")
 
         with pytest.raises(ValueError):
-            VirtualCluster([Bad(0)], network=NET, cost_model=COST).run()
+            SimBackend(network=NET, cost_model=COST).run([Bad(0)])
 
     def test_non_syscall_yield_rejected(self):
         class Bad(SimProcess):
@@ -192,7 +192,7 @@ class TestErrors:
                 yield "not a syscall"
 
         with pytest.raises(TypeError):
-            VirtualCluster([Bad(0)], network=NET, cost_model=COST).run()
+            SimBackend(network=NET, cost_model=COST).run([Bad(0)])
 
 
 class TestStatsAndTrace:
@@ -207,7 +207,7 @@ class TestStatsAndTrace:
                 yield ctx.recv()
                 yield ctx.recv()
 
-        run = VirtualCluster([Root(0), Sink(1)], network=NET, cost_model=COST).run()
+        run = SimBackend(network=NET, cost_model=COST).run([Root(0), Sink(1)])
         assert set(run.comm.bytes_by_tag) == {"data", "ctl"}
         assert run.comm.bytes_by_link[(0, 1)] == run.comm.bytes_total
         assert run.comm.bytes_by_tag["data"] > run.comm.bytes_by_tag["ctl"]
@@ -218,8 +218,7 @@ class TestStatsAndTrace:
                 yield ctx.compute(3, label="phase_a")
                 yield ctx.compute(2, label="phase_b")
 
-        cl = VirtualCluster([Busy(0)], network=NET, cost_model=COST, record_trace=True)
-        run = cl.run()
+        run = SimBackend(network=NET, cost_model=COST, record_trace=True).run([Busy(0)])
         assert [iv.label for iv in run.trace] == ["phase_a", "phase_b"]
         assert run.trace[0].end == run.trace[1].start
 
@@ -232,5 +231,5 @@ class TestStatsAndTrace:
             def run(self, ctx):
                 yield ctx.compute(self.amount)
 
-        run = VirtualCluster([Busy(0, 5), Busy(1, 11)], network=NET, cost_model=COST).run()
+        run = SimBackend(network=NET, cost_model=COST).run([Busy(0, 5), Busy(1, 11)])
         assert run.makespan == 11.0

@@ -8,7 +8,7 @@ invariants, regardless of schedule shape.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cluster import VirtualCluster
+from repro.backend import SimBackend
 from repro.cluster.costmodel import OpsCostModel, PerRankCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.process import SimProcess
@@ -65,7 +65,7 @@ def workload(draw):
 def test_all_jobs_answered(data):
     n_workers, jobs = data
     boss = Boss(jobs, n_workers)
-    VirtualCluster([boss] + [Grunt(i) for i in range(1, n_workers + 1)], network=NET, cost_model=COST).run()
+    SimBackend(network=NET, cost_model=COST).run([boss] + [Grunt(i) for i in range(1, n_workers + 1)])
     assert sorted(p for _, p in boss.replies) == sorted(s * 2 for _, s in jobs)
 
 
@@ -75,9 +75,7 @@ def test_makespan_at_least_critical_path(data):
     """Virtual completion time can never beat the per-worker compute sum."""
     n_workers, jobs = data
     boss = Boss(jobs, n_workers)
-    run = VirtualCluster(
-        [boss] + [Grunt(i) for i in range(1, n_workers + 1)], network=NET, cost_model=COST
-    ).run()
+    run = SimBackend(network=NET, cost_model=COST).run([boss] + [Grunt(i) for i in range(1, n_workers + 1)])
     per_worker: dict[int, float] = {}
     for w, size in jobs:
         per_worker[w] = per_worker.get(w, 0.0) + COST.seconds_for_ops(size)
@@ -92,9 +90,7 @@ def test_byte_accounting_exact(data):
     tags of per-tag bytes."""
     n_workers, jobs = data
     boss = Boss(jobs, n_workers)
-    run = VirtualCluster(
-        [boss] + [Grunt(i) for i in range(1, n_workers + 1)], network=NET, cost_model=COST
-    ).run()
+    run = SimBackend(network=NET, cost_model=COST).run([boss] + [Grunt(i) for i in range(1, n_workers + 1)])
     assert sum(run.comm.bytes_by_link.values()) == run.comm.bytes_total
     assert sum(run.comm.bytes_by_tag.values()) == run.comm.bytes_total
     # message count: jobs + done markers + replies
@@ -107,11 +103,9 @@ def test_straggler_monotone(data, slow_factor):
     """Slowing one worker can never shorten the run."""
     n_workers, jobs = data
     def build(cost_model):
-        return VirtualCluster(
-            [Boss(jobs, n_workers)] + [Grunt(i) for i in range(1, n_workers + 1)],
-            network=NET,
-            cost_model=cost_model,
-        ).run()
+        return SimBackend(network=NET, cost_model=cost_model).run(
+            [Boss(jobs, n_workers)] + [Grunt(i) for i in range(1, n_workers + 1)]
+        )
 
     base = build(COST)
     slowed = build(PerRankCostModel(COST, scales={1: float(slow_factor)}))

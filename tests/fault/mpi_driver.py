@@ -3,8 +3,9 @@
 Launched under mpiexec (``mpiexec -n <p+spares+1> python mpi_driver.py
 --p 3 ...``) by tests/fault/test_ft_matrix.py and the CI mpi-smoke job;
 every rank makes the same :func:`repro.parallel.run_p2mdie` call and
-rank 0 writes a JSON report (theory, epoch log, fault observability) for
-the launching test to compare against the fault-free sim baseline.
+rank 0 writes a JSON report (theory, epoch log, fault observability,
+communication totals) for the launching test to compare against the
+fault-free sim baseline.
 """
 
 import argparse
@@ -21,6 +22,7 @@ def report(res) -> dict:
         ],
         "fault_events": list(res.fault_events),
         "fault_log": [[f.kind, f.rank] for f in res.fault_log],
+        "comm": {"messages": res.comm.messages, "bytes": res.comm.bytes_total},
     }
 
 
@@ -44,7 +46,7 @@ def main(argv=None) -> int:
 
     ds = make_dataset(args.dataset, seed=0)
     plan = FaultPlan.load(args.plan, p=args.p, spares=args.spares) if args.plan else None
-    backend = make_backend("mpi", fault_plan=plan)
+    backend = make_backend("mpi")
     resume = None
     if args.resume_from:
         from repro.fault.checkpoint import load_checkpoint

@@ -18,7 +18,7 @@ import pytest
 
 from helpers_fault import log_tuples, run_args
 from repro.backend import make_backend
-from repro.cluster.mpi_backend import mpi_available
+from repro.backend.mpi import mpi_available
 from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
 from repro.parallel import run_p2mdie
 
@@ -51,13 +51,14 @@ def _expected(base) -> dict:
             [log.epoch, log.bag_size, [str(c) for c in log.accepted], log.pos_covered]
             for log in base.epoch_logs
         ],
+        "comm": {"messages": base.comm.messages, "bytes": base.comm.bytes_total},
     }
 
 
 class TestMatrixInProcess:
     @pytest.mark.parametrize("backend", ["sim", "local"])
     def test_crash_straggler_parity(self, krki, base, backend):
-        bk = make_backend(backend, fault_plan=PLAN, timeout=300.0)
+        bk = make_backend(backend, timeout=300.0)
         r = run_p2mdie(*run_args(krki), p=3, width=10, seed=0, fault_plan=PLAN, backend=bk)
         assert r.theory == base.theory
         assert log_tuples(r) == log_tuples(base)
@@ -79,6 +80,9 @@ class TestMatrixMPI:
         exp = _expected(base)
         assert got["theory"] == exp["theory"]
         assert got["log"] == exp["log"]
+        # what went on the communicator is what CommStats counted, and it
+        # is the simulator's message and byte count (Table 4 comparability)
+        assert got["comm"] == exp["comm"]
 
     def test_crash_straggler_recovery(self, base, tmp_path):
         plan_file = tmp_path / "plan.json"

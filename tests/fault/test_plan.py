@@ -94,11 +94,11 @@ class TestSerialization:
 
 class TestViews:
     def test_per_rank_views(self):
-        assert FULL.crash_for(2).on_recv == 3
-        assert FULL.crash_for(9) is None
-        assert FULL.straggler_for(1).factor == 4.0
-        assert FULL.straggler_for(2) is None
-        assert FULL.losses_for(0) == {2: frozenset({2})}
-        assert FULL.losses_for(1) == {}
+        assert FULL.for_rank(2).crash.on_recv == 3
+        assert FULL.for_rank(9).crash is None
+        assert FULL.for_rank(1).straggler.factor == 4.0
+        assert FULL.for_rank(2).straggler is None
+        assert FULL.for_rank(0).drops == {2: {2}}
+        assert FULL.for_rank(1).drops == {}
         assert FULL.joins_at(2) == (WorkerJoin(rank=5, epoch=2),)
         assert FULL.joins_at(3) == ()

@@ -15,8 +15,8 @@ from repro.parallel import run_independent, run_p2mdie
 TIMEOUT = 2.0
 
 
-def local_backend(plan=None):
-    return LocalProcessBackend(timeout=300.0, fault_plan=plan)
+def local_backend():
+    return LocalProcessBackend(timeout=300.0)
 
 
 @pytest.fixture(scope="module")

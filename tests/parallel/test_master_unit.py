@@ -22,18 +22,10 @@ from repro.parallel.messages import (
 )
 
 
-class FakeCluster:
-    def __init__(self, n_procs):
-        self.n_procs = n_procs
-
-    def clock_of(self, rank):
-        return 0.0
-
-
 class MasterHarness:
     def __init__(self, master: P2Master):
         self.master = master
-        ctx = ProcContext(0, FakeCluster(master.n_workers + 1))
+        ctx = ProcContext(0, master.n_workers + 1)
         self.gen = master.run(ctx)
         self.sent: list[SendOp] = []
         self.done = False

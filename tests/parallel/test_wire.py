@@ -162,7 +162,7 @@ class TestRoundTrip:
         # control tags) must have its own distinct id, and the backend's
         # halt control tag must stay outside the protocol table.
         from repro.cluster.message import Tag
-        from repro.cluster.mpi_backend import _TAG_IDS, HALT_TAG
+        from repro.backend.mpi import _TAG_IDS, HALT_TAG
 
         protocol_tags = {
             v for k, v in vars(Tag).items() if not k.startswith("_") and isinstance(v, str)

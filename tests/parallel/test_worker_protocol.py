@@ -30,22 +30,12 @@ from repro.parallel.worker import MASTER_RANK, P2Worker
 from repro.util.rng import make_rng
 
 
-class FakeCluster:
-    """Just enough of the scheduler surface for ProcContext."""
-
-    def __init__(self, n_procs):
-        self.n_procs = n_procs
-
-    def clock_of(self, rank):
-        return 0.0
-
-
 class WorkerHarness:
     """Runs a worker generator, buffering its outbound operations."""
 
     def __init__(self, worker: P2Worker, n_procs: int):
         self.worker = worker
-        ctx = ProcContext(worker.rank, FakeCluster(n_procs))
+        ctx = ProcContext(worker.rank, n_procs)
         self.gen = worker.run(ctx)
         self.sent: list[SendOp] = []
         self.computed: list[ComputeOp] = []
