@@ -24,16 +24,6 @@ import sys
 
 from repro.backend import BACKEND_NAMES, BackendUnavailableError
 from repro.datasets import DATASETS, make_dataset
-from repro.experiments.runner import run_matrix
-from repro.experiments.tables import (
-    table1_datasets,
-    table2_speedup,
-    table3_times,
-    table4_communication,
-    table5_epochs,
-    table6_accuracy,
-)
-from repro.experiments.trace import occupancy, render_gantt
 from repro.ilp import accuracy, mdie
 from repro.logic import Engine
 from repro.logic.io import save_problem, theory_to_prolog
@@ -620,6 +610,16 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from repro.experiments.runner import run_matrix
+    from repro.experiments.tables import (
+        table1_datasets,
+        table2_speedup,
+        table3_times,
+        table4_communication,
+        table5_epochs,
+        table6_accuracy,
+    )
+
     which = {int(x) for x in args.which.split(",")}
     names = tuple(args.datasets.split(","))
     ps = tuple(int(x) for x in args.ps.split(","))
@@ -644,7 +644,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.experiments.trace import stage_summary
+    from repro.experiments.trace import occupancy, render_gantt, stage_summary
 
     ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
     res = run_p2mdie(

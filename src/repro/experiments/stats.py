@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _sstats
-
 __all__ = ["mean_std", "paired_ttest", "PairedTest"]
 
 
@@ -43,6 +41,46 @@ class PairedTest:
         return "*" if self.significant else ""
 
 
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 400):
+        am = a + 2 * m
+        for num in (
+            m * (b - m) * x / ((am - 1.0) * am),
+            -(a + m) * (a + b + m) * x / (am * (am + 1.0)),
+        ):
+            d = 1.0 + num * d
+            c = 1.0 + num / c
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _t_two_sided_p(t: float, nu: int) -> float:
+    """P(|T_nu| >= |t|) = I_x(nu/2, 1/2) at x = nu / (nu + t^2), the
+    regularised incomplete beta function; ``1 - x`` is formed directly so
+    a tiny ``t`` loses nothing to cancellation."""
+    a, b = nu / 2.0, 0.5
+    x, y = nu / (nu + t * t), t * t / (nu + t * t)
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
+
+
 def paired_ttest(a: Sequence[float], b: Sequence[float], confidence: float = 0.98) -> PairedTest:
     """Two-sided paired t-test: is ``b`` (parallel) different from ``a``
     (sequential) at the given confidence level?
@@ -59,9 +97,12 @@ def paired_ttest(a: Sequence[float], b: Sequence[float], confidence: float = 0.9
     diffs = [y - x for x, y in zip(a, b)]
     if all(abs(d) < 1e-12 for d in diffs):
         return PairedTest(t=0.0, pvalue=1.0, significant=False, improved=False)
-    t, p = _sstats.ttest_rel(b, a)
-    significant = bool(p < (1.0 - confidence))
-    mean_diff = sum(diffs) / len(diffs)
-    return PairedTest(
-        t=float(t), pvalue=float(p), significant=significant, improved=significant and mean_diff > 0
-    )
+    n = len(diffs)
+    mean_diff, sd = mean_std(diffs)
+    if sd == 0.0:  # every pair differs by the same amount
+        t, p = math.copysign(math.inf, mean_diff), 0.0
+    else:
+        t = mean_diff / (sd / math.sqrt(n))
+        p = _t_two_sided_p(t, n - 1)
+    significant = p < (1.0 - confidence)
+    return PairedTest(t=t, pvalue=p, significant=significant, improved=significant and mean_diff > 0)

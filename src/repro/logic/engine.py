@@ -463,26 +463,29 @@ class Engine:
                     bound.append(k)
 
             if ground:
-                key = Struct(goal.functor, tuple(gargs)) if changed else goal
                 if not rules:
                     # Ground fast path: a ground goal over a fact-only
-                    # predicate is a set-membership test.
+                    # predicate is a set-membership test.  It builds no
+                    # term: a goal that is not a fact would stay interned
+                    # for the life of the process.
                     self.total_ops += 1
                     qo = self._query_ops + 1
                     self._query_ops = qo
                     if qo > max_ops:
                         raise BudgetExceeded
-                    if key in store.fact_set:
+                    if (store.has_args(tuple(gargs)) if changed else goal in store.fact_set):
                         cont = rest
                     else:
                         backtrack = True
                     continue
-                if self.memo_enabled and key not in self._memo_active and self._is_memoizable(ind):
-                    if self._memo_prove(key, depth, subst, trail):
-                        cont = rest
-                    else:
-                        backtrack = True
-                    continue
+                if self.memo_enabled and self._is_memoizable(ind):
+                    key = Struct(goal.functor, tuple(gargs)) if changed else goal
+                    if key not in self._memo_active:
+                        if self._memo_prove(key, depth, subst, trail):
+                            cont = rest
+                        else:
+                            backtrack = True
+                        continue
             if type(goal) is not Struct:
                 facts = store.facts
             elif self.index == "multi":

@@ -36,7 +36,7 @@ _EMPTY: list = []
 class FactStore:
     """Ground facts of a single predicate, with multi-argument indexing."""
 
-    __slots__ = ("indicator", "facts", "fact_set", "_indexes", "_composite")
+    __slots__ = ("indicator", "facts", "fact_set", "_indexes", "_composite", "_all_args")
 
     def __init__(self, indicator: tuple[str, int]):
         self.indicator = indicator
@@ -49,6 +49,7 @@ class FactStore:
         # composite indexes for goals binding several arguments at once,
         # e.g. bond(a3, C, 2) with (0, 2) bound.
         self._composite: dict[tuple[int, ...], dict[tuple, list[Term]]] = {}
+        self._all_args = tuple(range(indicator[1]))
         if indicator[1] >= 1:
             self._indexes[0] = {}
 
@@ -86,6 +87,12 @@ class FactStore:
             self._composite[sig] = index
         return index
 
+    def has_args(self, args: tuple) -> bool:
+        """Is ``functor(*args)`` a stored fact?  Membership through the
+        full-signature composite index, so no term is built (or interned)
+        for the question."""
+        return args in self._composite_on(self._all_args)
+
     def candidates(self, goal: Term) -> list[Term]:
         """Facts possibly unifying with ``goal``.
 
@@ -118,10 +125,9 @@ class FactStore:
         if n == 1:
             p = bound[0]
             return self._index_on(p).get(walked[p], _EMPTY)
-        if n == len(walked):
-            # Fully bound: exact membership, at most one candidate.
-            key = Struct(self.indicator[0], tuple(walked))
-            return [key] if key in self.fact_set else _EMPTY
+        # Fully bound goals take the composite path too (at most one
+        # candidate): building the term to test ``fact_set`` would intern
+        # every goal that is not a fact.
         sig = tuple(bound)
         key = tuple(walked[p] for p in bound)
         return self._composite_on(sig).get(key, _EMPTY)

@@ -17,8 +17,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "StructuredLogger",
@@ -34,6 +33,9 @@ _LEVELS = ("debug", "info", "warning", "error")
 _RANK = {name: i for i, name in enumerate(_LEVELS)}
 
 _level_override: Optional[str] = None
+#: rank of :func:`log_level`, resolved at the first log call (the server
+#: asks once per suppressed ``debug``) and dropped by :func:`set_log_level`.
+_threshold: Optional[int] = None
 
 
 def log_level() -> str:
@@ -45,11 +47,16 @@ def log_level() -> str:
 
 
 def set_log_level(level: Optional[str]) -> None:
-    """Force the threshold in-process; None restores the env default."""
-    global _level_override
+    """Force the threshold in-process; None restores the env default.
+
+    The resolved threshold is dropped, so after ``None`` the next log call
+    reads ``REPRO_LOG_LEVEL`` again."""
+    global _level_override, _threshold
     if level is not None and level not in _LEVELS:
         raise ValueError(f"log level must be one of {_LEVELS}, not {level!r}")
     _level_override = level
+    _threshold = None
+
 
 _context: contextvars.ContextVar = contextvars.ContextVar("repro_log_ctx", default=())
 
@@ -72,14 +79,19 @@ def set_log_format(fmt: Optional[str]) -> None:
     _format_override = fmt
 
 
-@contextmanager
-def log_context(**fields) -> Iterator[None]:
+class log_context:
     """Bind fields (request_id=..., job_id=...) to every log line inside."""
-    token = _context.set(_context.get() + tuple(fields.items()))
-    try:
-        yield
-    finally:
-        _context.reset(token)
+
+    __slots__ = ("_fields", "_token")
+
+    def __init__(self, **fields):
+        self._fields = tuple(fields.items())
+
+    def __enter__(self) -> None:
+        self._token = _context.set(_context.get() + self._fields)
+
+    def __exit__(self, *exc) -> None:
+        _context.reset(self._token)
 
 
 def bound_context() -> dict:
@@ -100,9 +112,13 @@ class StructuredLogger:
         return self._stream if self._stream is not None else sys.stderr
 
     def log(self, level: str, event: str, **fields) -> None:
-        if level not in _LEVELS:
+        global _threshold
+        rank = _RANK.get(level)
+        if rank is None:
             raise ValueError(f"unknown log level {level!r}")
-        if _RANK[level] < _RANK[log_level()]:
+        if _threshold is None:
+            _threshold = _RANK[log_level()]
+        if rank < _threshold:
             return
         record = {"ts": round(self.clock(), 6), "level": level, "logger": self.name, "event": event}
         record.update(bound_context())

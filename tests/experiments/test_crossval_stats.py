@@ -104,3 +104,87 @@ class TestPairedTtest:
         loose = paired_ttest(a, b, confidence=0.5)
         strict = paired_ttest(a, b, confidence=0.9999)
         assert loose.significant and not strict.significant
+
+
+def _pair(n, effect, scale):
+    """Fold-accuracy vectors whose every value is exact in binary."""
+    a = [60.0 + (7 * i) % 11 for i in range(n)]
+    b = [x + effect + ((5 * i) % 7 - 3) * scale for i, x in enumerate(a)]
+    return a, b
+
+
+# (n, effect, scale, t, pvalue): scipy.stats.ttest_rel(b, a) of _pair(...),
+# computed once with scipy 1.17.1 — tiny, moderate and huge effects at
+# n = 2..30, plus two cells straddling the paper's p = 0.02 threshold.
+SCIPY_TTEST_REL = [
+    (2, 0.0009765625, 1.0, -0.199609375, 0.8745732165731004),
+    (2, 0.5, 1.0, 0.0, 1.0),
+    (2, 25.0, 0.125, 79.8, 0.007977273832293443),
+    (3, 0.0009765625, 1.0, -0.22874361746273783, 0.8403289942497185),
+    (3, 0.5, 1.0, 0.11470786693528087, 0.9191547916545557),
+    (3, 25.0, 0.125, 137.4200245884665, 5.294993865698864e-05),
+    (5, 0.0009765625, 1.0, 0.0008565019719795207, 0.9993576236191913),
+    (5, 0.5, 1.0, 0.4385290096535146, 0.6836476016634073),
+    (5, 25.0, 0.125, 175.41160386140584, 6.3361271092529114e-09),
+    (10, 0.0009765625, 1.0, -0.14689181569459772, 0.8864552494649646),
+    (10, 0.5, 1.0, 0.5933618117209786, 0.5675493828278708),
+    (10, 25.0, 0.125, 296.53256540755905, 2.8710280908759175e-19),
+    (30, 0.0009765625, 1.0, -0.08537440824859559, 0.9325504380184653),
+    (30, 0.5, 1.0, 1.2313154091065055, 0.22809740839576947),
+    (30, 25.0, 0.125, 527.6186528021375, 2.6536886116231667e-59),
+    (5, 4.25, 1.0, 3.727496582054874, 0.020341176232340916),
+    (5, 4.375, 1.0, 3.8371288344682526, 0.01850489983002076),
+]
+
+_diff = st.floats(-50, 50, allow_nan=False)
+_diffs = st.lists(_diff, min_size=2, max_size=30)
+
+
+class TestPairedTtestAgainstScipy:
+    """The t-test is pure Python (the package has no runtime dependency);
+    scipy's ``ttest_rel`` is its reference, as committed literals and —
+    where scipy is installed — live."""
+
+    @pytest.mark.parametrize("n, effect, scale, t, pvalue", SCIPY_TTEST_REL)
+    def test_committed_literals(self, n, effect, scale, t, pvalue):
+        r = paired_ttest(*_pair(n, effect, scale))
+        assert r.t == pytest.approx(t, rel=1e-9)
+        assert r.pvalue == pytest.approx(pvalue, rel=1e-9)
+
+    def test_straddles_the_papers_threshold(self):
+        assert not paired_ttest(*_pair(5, 4.25, 1.0)).significant  # p = 0.0203
+        assert paired_ttest(*_pair(5, 4.375, 1.0)).significant  # p = 0.0185
+
+    def test_live_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for n, effect, scale, _, _ in SCIPY_TTEST_REL:
+            a, b = _pair(n, effect, scale)
+            ref = stats.ttest_rel(b, a)
+            r = paired_ttest(a, b)
+            assert r.t == pytest.approx(float(ref.statistic), rel=1e-9)
+            assert r.pvalue == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+    def test_constant_nonzero_difference(self):
+        # Zero variance: scipy answers (±inf, 0.0) too.
+        r = paired_ttest([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+        assert (r.t, r.pvalue, r.significant, r.improved) == (float("-inf"), 0.0, True, False)
+
+    @given(_diffs)
+    @settings(max_examples=200, deadline=None)
+    def test_pvalue_is_a_probability(self, diffs):
+        assert 0.0 <= paired_ttest([0.0] * len(diffs), diffs).pvalue <= 1.0
+
+    @given(_diffs)
+    @settings(max_examples=200, deadline=None)
+    def test_swapping_the_samples_negates_t(self, diffs):
+        zeros = [0.0] * len(diffs)
+        ab, ba = paired_ttest(zeros, diffs), paired_ttest(diffs, zeros)
+        assert ab.t == -ba.t
+        assert ab.pvalue == ba.pvalue
+
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(*[st.lists(_diff, min_size=n, max_size=n)] * 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_pvalue_falls_as_abs_t_grows(self, two):
+        zeros = [0.0] * len(two[0])
+        lo, hi = sorted((paired_ttest(zeros, d) for d in two), key=lambda r: abs(r.t))
+        assert hi.pvalue <= lo.pvalue * (1 + 1e-12)

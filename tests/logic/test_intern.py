@@ -112,3 +112,54 @@ def test_intern_disabled_subprocess():
     out = subprocess.run([sys.executable, "-c", prog], capture_output=True, text=True, env=env, cwd=root)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+class TestMembershipTestsInternNothing:
+    """A fully bound goal that is not a fact must not leave a term behind:
+    the engine only wants ``in fact_set``, and whatever it builds to ask is
+    interned for the life of the process (a server would creep toward
+    ``_STRUCT_CAP``, where interning silently stops)."""
+
+    N = 40  # N * (N - 1) = 1560 failing fully-bound goals per query
+
+    def _kb(self):
+        from repro.logic import KnowledgeBase
+
+        kb = KnowledgeBase()
+        kb.add_program(" ".join(f"num({i}). pair({i}, {i}). linked({i}, {i})." for i in range(self.N)))
+        kb.add_program("linked(X, Y) :- pair(Y, X).")
+        return kb
+
+    def _run(self, query: str, solutions: int, **engine_kw) -> None:
+        from repro.logic import Engine
+        from repro.logic.terms import intern_stats
+
+        eng = Engine(self._kb(), **engine_kw)
+        goals = tuple(parse_clause(f"q :- {query}.").body)
+        before = intern_stats()
+        assert sum(1 for _ in eng.solve(goals)) == solutions
+        assert intern_stats() == before
+
+    def test_fact_only_predicate_substituted_goal(self):
+        # ``changed`` route of the ground fast path: pair(X, Y) with both
+        # variables bound by the two generators.
+        self._run("num(X), num(Y), pair(X, Y)", self.N)
+
+    def test_predicate_with_rules_takes_the_index(self):
+        # ``candidates_bound`` route: linked/2 has a rule, so a fully
+        # bound goal asks the fact store for candidates instead (and the
+        # diagonal is proved twice, by the fact and by the rule).
+        self._run("num(X), num(Y), linked(X, Y)", 2 * self.N, memo=False)
+
+    def test_a_learning_run_leaves_no_terms_behind(self):
+        # ~40 % of a carcinogenesis run's engine ops are such membership
+        # tests; the seed is one no other test uses, so nothing here is
+        # already interned by an earlier run in this process.
+        from repro.datasets import make_dataset
+        from repro.ilp import mdie
+        from repro.logic.terms import intern_stats
+
+        ds = make_dataset("carcinogenesis", seed=19)
+        before = intern_stats()
+        mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0)
+        assert intern_stats() == before

@@ -64,6 +64,22 @@ class TestLevelGate:
         with pytest.raises(ValueError):
             set_log_level("loud")
 
+    def test_env_threshold_is_resolved_once(self, monkeypatch):
+        # The suppressed-debug path costs no os.environ read per call:
+        # the env level is resolved at the first log call and again only
+        # after set_log_level().
+        buf = io.StringIO()
+        logger = StructuredLogger("t", stream=buf)
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "error")
+        set_log_level(None)
+        logger.warning("hidden")
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "debug")
+        logger.warning("still-hidden")
+        assert buf.getvalue() == ""
+        set_log_level(None)
+        logger.debug("shown")
+        assert "shown" in buf.getvalue()
+
 
 class TestJsonOutput:
     def test_record_shape(self):

@@ -1,0 +1,64 @@
+"""A ``repro`` process imports what its subcommand runs.
+
+``pyproject.toml`` declares no runtime dependency, so the package must work
+where numpy and scipy are absent, and ``import repro.cli`` — the fixed cost
+of every CLI run, every ``repro serve`` start and every forked worker —
+must not load the evaluation harness or the service tier either.  Module
+sets are asserted, never wall-clock: see docs/performance.md ("Start-up
+and fixed costs") for the timings.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# None in sys.modules makes ``import scipy`` raise ImportError: the
+# interpreter of an environment that only ran ``pip install .``.
+_NO_THIRD_PARTY = "import sys\nsys.modules['scipy'] = sys.modules['numpy'] = None\n"
+
+
+def _python(prog: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return subprocess.run(
+        [sys.executable, "-c", prog], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_import_cli_loads_only_what_every_subcommand_needs():
+    out = _python(
+        "import sys, repro.cli\n"
+        "heavy = ('scipy', 'numpy', 'repro.experiments', 'repro.service')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_learn_runs_without_numpy_or_scipy():
+    out = _python(_NO_THIRD_PARTY + "from repro.cli import main\nsys.exit(main(['learn', 'trains']))\n")
+    assert out.returncode == 0, out.stderr
+    assert "eastbound" in out.stdout
+
+
+def test_table6_runs_without_numpy_or_scipy():
+    # The one command that needs the paired t-test.
+    out = _python(
+        _NO_THIRD_PARTY
+        + "from repro.cli import main\n"
+        "sys.exit(main(['tables', '--which', '6', '--datasets', 'trains',"
+        " '--ps', '2', '--folds', '2']))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert "Table 6" in out.stdout
+
+
+def test_serve_help_runs_without_numpy_or_scipy():
+    out = _python(_NO_THIRD_PARTY + "from repro.cli import main\nmain(['serve', '--help'])\n")
+    assert out.returncode == 0, out.stderr
+    assert "--port" in out.stdout
