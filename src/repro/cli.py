@@ -25,7 +25,6 @@ import sys
 from repro.backend import BACKEND_NAMES, BackendUnavailableError
 from repro.datasets import DATASETS, make_dataset
 from repro.ilp import accuracy, mdie
-from repro.logic import Engine
 from repro.logic.io import save_problem, theory_to_prolog
 from repro.parallel import run_p2mdie, sequential_seconds
 
@@ -495,7 +494,7 @@ def _cmd_learn(args) -> int:
         )
         theory = res.theory
         parallel_res = res
-    engine = Engine(ds.kb, ds.config.engine_budget(), kernel=ds.config.coverage_kernel)
+    engine = ds.config.make_engine(ds.kb)
     acc = accuracy(engine, theory, ds.pos, ds.neg)
     print(theory_to_prolog(theory, header=f"learned by {'mdie' if args.p == 1 else 'p2-mdie'}"))
     print(extra)
@@ -567,7 +566,7 @@ def _cmd_resume(args) -> int:
     else:
         print(f"repro: cannot resume algo {state.algo!r}", file=sys.stderr)
         return 2
-    engine = Engine(ds.kb, ds.config.engine_budget(), kernel=ds.config.coverage_kernel)
+    engine = ds.config.make_engine(ds.kb)
     acc = accuracy(engine, theory, ds.pos, ds.neg)
     print(theory_to_prolog(theory, header=f"resumed {state.algo}"))
     print(extra)
@@ -610,6 +609,26 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    names = tuple(args.datasets.split(","))
+    try:
+        which = {int(x) for x in args.which.split(",")}
+        ps = tuple(int(x) for x in args.ps.split(","))
+    except ValueError as exc:
+        print(f"repro: --which and --ps take comma-separated integers ({exc})", file=sys.stderr)
+        return 2
+    no_table = sorted(which - set(range(1, 7)))
+    no_dataset = sorted(set(names) - set(DATASETS))
+    error = None
+    if no_table:
+        error = f"--which names tables 1-6, not {no_table}"
+    elif no_dataset:
+        error = f"--datasets: unknown {no_dataset}; choose from {sorted(DATASETS)}"
+    elif min(ps) < 1:
+        error = f"--ps must all be >= 1, got {min(ps)}"
+    if error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
+
     from repro.experiments.runner import run_matrix
     from repro.experiments.tables import (
         table1_datasets,
@@ -620,9 +639,6 @@ def _cmd_tables(args) -> int:
         table6_accuracy,
     )
 
-    which = {int(x) for x in args.which.split(",")}
-    names = tuple(args.datasets.split(","))
-    ps = tuple(int(x) for x in args.ps.split(","))
     if 1 in which:
         datasets = [make_dataset(n, seed=args.seed, scale=args.scale) for n in names]
         print(table1_datasets(datasets) + "\n")

@@ -21,7 +21,6 @@ from repro.experiments.crossval import Fold, kfold
 from repro.ilp.mdie import mdie
 from repro.ilp.theory import accuracy
 from repro.logic.clause import Theory
-from repro.logic.engine import Engine
 from repro.parallel.p2mdie import run_p2mdie, sequential_seconds
 
 __all__ = ["RunRecord", "MatrixResult", "run_cell", "run_matrix", "WIDTH_LABELS", "width_label"]
@@ -143,7 +142,7 @@ def run_cell(
         epochs = res.epochs
         uncovered = res.uncovered
         cache_hits, cache_misses = res.cache_hits, res.cache_misses
-    engine = Engine(ds.kb, ds.config.engine_budget(), kernel=ds.config.coverage_kernel)
+    engine = ds.config.make_engine(ds.kb)
     acc = accuracy(engine, theory, list(fold.test_pos), list(fold.test_neg))
     return RunRecord(
         dataset=ds.name,

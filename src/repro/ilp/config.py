@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from repro.logic.engine import QueryBudget
+from repro.logic.engine import Engine, QueryBudget
 
 __all__ = [
     "ILPConfig",
@@ -229,6 +229,10 @@ class ILPConfig:
 
     def engine_budget(self) -> QueryBudget:
         return QueryBudget(max_depth=self.engine_max_depth, max_ops=self.engine_max_ops)
+
+    def make_engine(self, kb) -> Engine:
+        """The engine every learner, worker and query tier proves goals on."""
+        return Engine(kb, self.engine_budget(), kernel=self.coverage_kernel)
 
     def with_width(self, width: Optional[int]) -> "ILPConfig":
         """Copy of this config with a different pipeline width."""

@@ -21,7 +21,6 @@ from repro.ilp.modes import ModeSet
 from repro.ilp.search import learn_rule
 from repro.ilp.store import ExampleStore
 from repro.logic.clause import Clause, Theory
-from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Term
 from repro.util.rng import make_rng
@@ -84,7 +83,7 @@ def mdie(
     run.  (Engine-operation counts of recomputed evaluations may differ —
     caches restart cold — but never the learned clauses.)
     """
-    engine = Engine(kb, config.engine_budget(), kernel=config.coverage_kernel)
+    engine = config.make_engine(kb)
     store = ExampleStore(pos, neg, reorder_body=config.reorder_body)
     rng = make_rng(seed, "mdie")
     sampler = None

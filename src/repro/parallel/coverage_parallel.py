@@ -50,7 +50,6 @@ from repro.ilp.heuristics import is_good, score_rule
 from repro.ilp.modes import ModeSet
 from repro.ilp.refinement import SearchRule, refinements, start_rule
 from repro.logic.clause import Clause, Theory
-from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Term
 from repro.parallel.master import EpochLog
@@ -224,7 +223,7 @@ class CoverageParallelMaster(FTMasterMixin, SimProcess):
             else:
                 yield ctx.send(k, LoadExamples(partition_id=k), tag=Tag.LOAD_EXAMPLES)
 
-        engine = Engine(self.kb, self.config.engine_budget(), kernel=self.config.coverage_kernel)
+        engine = self.config.make_engine(self.kb)
         rng = make_rng(self.seed, "covpar")
         alive = (1 << len(self.pos)) - 1
         failed = 0

@@ -147,9 +147,7 @@ class P2Worker(SimProcess):
         if self.engine is None:
             self.config = self.shared.config
             self.modes = self.shared.modes
-            self.engine = Engine(
-                self.shared.kb, self.config.engine_budget(), kernel=self.config.coverage_kernel
-            )
+            self.engine = self.config.make_engine(self.shared.kb)
 
     def _sampler_for(self, shard: WorkerShard):
         """The shard's stratified sampler (lazily drawn, None when off).
@@ -228,7 +226,7 @@ class P2Worker(SimProcess):
             pos, neg = data.pos, data.neg
             # Building the KB from terms costs real work: one op per clause.
             load_cost = len(data.facts) + len(data.rules) + len(pos) + len(neg)
-        self.engine = Engine(kb, self.config.engine_budget(), kernel=self.config.coverage_kernel)
+        self.engine = self.config.make_engine(kb)
         self.shards[self.rank] = self._make_shard(self.rank, pos, neg)
         yield ctx.compute(load_cost, label="load")
 

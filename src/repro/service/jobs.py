@@ -23,7 +23,6 @@ from typing import Optional
 from repro.datasets import DATASETS, make_dataset
 from repro.ilp import accuracy, mdie
 from repro.logic.clause import Clause, Theory
-from repro.logic.engine import Engine
 from repro.parallel import wire
 
 __all__ = [
@@ -270,7 +269,7 @@ class JobOutcome:
     train_accuracy: float = 0.0
     #: True when the covering loop ran to completion (not an epoch cap).
     finished: bool = True
-    #: ``repr`` of the ILPConfig the run used (registry provenance).
+    #: :meth:`ILPConfig.signature` of the config the run used (registry provenance).
     config_sig: str = ""
     epoch_logs: list = field(default_factory=list)
     #: sampled-run :class:`~repro.ilp.sampling.CoverageCertificate`
@@ -365,7 +364,7 @@ def run_job(
             kw["width"] = _width_arg(spec, ds.config)
         res = front(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, **kw)
         outcome = _parallel_outcome(res, cap)
-    engine = Engine(ds.kb, ds.config.engine_budget(), kernel=ds.config.coverage_kernel)
+    engine = ds.config.make_engine(ds.kb)
     outcome.train_accuracy = accuracy(engine, outcome.theory, ds.pos, ds.neg)
     outcome.config_sig = ds.config.signature()
     return outcome

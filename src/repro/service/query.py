@@ -308,7 +308,7 @@ class QueryEngine:
     @staticmethod
     def prepare_theory(theory: Theory, kb, config) -> PreparedTheory:
         """Prepared entry for an unregistered theory over an explicit KB."""
-        engine = Engine(kb, config.engine_budget(), kernel=config.coverage_kernel)
+        engine = config.make_engine(kb)
         return PreparedTheory(theory=theory, engine=engine)
 
     # -- querying ----------------------------------------------------------------

@@ -151,3 +151,11 @@ class TestOnRealRun:
         # Per-rank busy time can never exceed the run's makespan.
         busy_total = sum(s.total_seconds for s in stats.values())
         assert busy_total <= makespan * len(occ) + 1e-9
+
+        # Tracing observes and never steers: the untraced run learns the
+        # same theory through the same epoch log.
+        plain = run_p2mdie(
+            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=2, seed=1, backend="local", max_epochs=1
+        )
+        assert not plain.trace
+        assert (list(plain.theory), plain.epoch_logs) == (list(res.theory), res.epoch_logs)

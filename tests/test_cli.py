@@ -127,6 +127,29 @@ class TestTables:
         out = capsys.readouterr().out
         assert "Table 4" in out and "Table 5" in out
 
+    @pytest.mark.parametrize(
+        "flag,value,says",
+        [
+            ("--which", "7", "tables 1-6, not [7]"),
+            ("--which", "2,x", "comma-separated integers"),
+            ("--datasets", "trains,nope", "unknown ['nope']"),
+            ("--ps", "2,0", ">= 1, got 0"),
+            ("--ps", "two", "comma-separated integers"),
+        ],
+    )
+    def test_bad_arguments_exit_2_before_any_cell_runs(
+        self, flag, value, says, capsys, monkeypatch
+    ):
+        import repro.experiments.runner as runner
+
+        # reaching the matrix would now be an ImportError inside main()
+        monkeypatch.delattr(runner, "run_matrix")
+        argv = ["tables", "--which", "1,4", "--datasets", "trains", "--folds", "2", "--ps", "2"]
+        assert main(argv + [flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro: ") and says in err and err.count("\n") == 1
+
 
 class TestExport:
     def test_writes_problem_files(self, tmp_path, capsys):

@@ -6,12 +6,10 @@ Execution model
 ---------------
 Each runnable block becomes one parametrized test.  Blocks run inside a
 session-scoped *sandbox* directory that mirrors the repository root —
-``src``, ``examples``, ``tests``, ``docs`` and ``pyproject.toml`` are
-symlinked; ``benchmarks/*.py`` are *copied* so a benchmark's
-"repo root" resolves inside the sandbox and doc runs never overwrite
-the committed ``BENCH_*.json`` artifacts.  Commands therefore execute
-exactly as a user would run them from a checkout, while all artifacts
-(checkpoints, registries, profiles, bench JSONs) land in the sandbox.
+``src``, ``examples``, ``tests``, ``docs``, ``bench`` and
+``pyproject.toml`` are symlinked.  Commands therefore execute exactly as
+a user would run them from a checkout, while all artifacts (checkpoints,
+registries, profiles) land in the sandbox.
 
 Blocks in one file share the sandbox and run in document order, so a
 later block may read artifacts an earlier one wrote (e.g. checkpoint →
@@ -31,7 +29,6 @@ from __future__ import annotations
 import os
 import pathlib
 import re
-import shutil
 import signal
 import subprocess
 import sys
@@ -95,14 +92,10 @@ def runnable_blocks():
 
 @pytest.fixture(scope="session")
 def sandbox(tmp_path_factory):
-    """A fake checkout: symlinked sources, copied benchmark scripts."""
+    """A fake checkout: the repository's sources, symlinked."""
     box = tmp_path_factory.mktemp("docs-sandbox")
-    for name in ("src", "examples", "tests", "docs", "pyproject.toml"):
+    for name in ("src", "examples", "tests", "docs", "bench", "pyproject.toml"):
         (box / name).symlink_to(ROOT / name)
-    bench = box / "benchmarks"
-    bench.mkdir()
-    for py in (ROOT / "benchmarks").glob("*.py"):
-        shutil.copy(py, bench / py.name)
     return box
 
 

@@ -5,8 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
@@ -46,11 +44,17 @@ def test_pyrimidines_crossval_small():
     assert "sequential:" in out
 
 
-@pytest.mark.slow
 def test_carcinogenesis_speedup():
     out = run_example("carcinogenesis_speedup.py")
     assert "speedup" in out
     assert "pipeline activity" in out
+
+
+def test_strategies_comparison():
+    out = run_example("strategies_comparison.py")
+    for strategy in ("sequential mdie", "p2-mdie (W=10)", "cov-parallel b=32", "independent"):
+        assert strategy in out
+    assert "best rules found by p2-mdie:" in out
 
 
 def test_fault_tolerance():
