@@ -34,7 +34,7 @@ protocol (:mod:`repro.fault`) work on a real cluster:
   deadline-bounded ``comm.iprobe`` poll loop that resumes the generator
   with ``None`` on expiry, exactly like the sim scheduler and the local
   backend.  That is the whole surface
-  :class:`~repro.fault.recovery.FTMasterMixin` needs for heartbeat
+  :class:`~repro.parallel.master.Master` needs for heartbeat
   probes and silence detection.
 * **The halt tag** — MPI has no notion of "a peer exited", so ranks still
   blocked in a receive (retired crash victims, falsely-declared-dead

@@ -1,6 +1,6 @@
-"""P²-MDIE master process (paper Fig. 5).
+"""The rank-0 skeleton of every strategy, and the P²-MDIE master (Fig. 5).
 
-Per epoch the master:
+Per epoch the P²-MDIE master:
 
 1. starts ``p`` pipelines, one rooted at each worker (lines 6-8);
 2. collects the ``p`` pipelines' final rule sets into ``RulesBag``
@@ -15,15 +15,19 @@ Epochs repeat until every positive example is covered or learning stalls
 (no pipeline produced an acceptable rule for ``stall_limit`` consecutive
 epochs — the paper's generic "stopping condition").
 
-Fault tolerance: when a :class:`~repro.fault.plan.FaultPlan` is active
-the master runs the same algorithm through the self-healing collectives
-of :class:`~repro.fault.recovery.FTMasterMixin` — timed receives,
-heartbeat probes, adoption of dead hosts' logical workers, idempotent
-reissue of lost pipelines/evaluations — and stamps every pipeline and
-evaluation round so stale traffic from de-zombied hosts is discarded.
-With no plan the historical protocol runs byte-for-byte unchanged.
-Checkpoints (when enabled) are written at epoch boundaries on either
-path.
+:class:`Master` owns those collective steps for all three strategies.
+There is one path through them and two message families: without a
+:class:`~repro.fault.plan.FaultPlan` a step speaks the plain family
+(``StartPipeline`` / ``EvaluateRequest``: blocking receives, candidate
+masks echoed); with one it speaks the healing family
+(``RestartPipeline`` / ``FTEvaluateRequest``: timed receives, heartbeat
+probes, adoption of dead hosts' logical workers, idempotent reissue,
+epoch- and round-stamped so stale traffic from de-zombied hosts is
+discarded).  The choice is made per step from ``self.ft``, i.e. from the
+plan that is an argument of the run.  The bytes each family puts on the
+wire are pinned by a witness of its own: ``tests/data/golden_runs.json``
+(plain) and ``tests/data/golden_healing.json`` (healing).  Checkpoints
+(when enabled) are written at epoch boundaries under either.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Optional
 from repro.cluster.message import Tag
 from repro.cluster.process import ProcContext, SimProcess
 from repro.fault.plan import FaultPlan
-from repro.fault.recovery import FTMasterMixin, PoolSupervisor
+from repro.fault.recovery import PoolSupervisor, RecoveryError
 from repro.ilp.config import ILPConfig
 from repro.ilp.heuristics import is_good, score_rule
 from repro.ilp.prune import ClauseBag
@@ -43,23 +47,28 @@ from repro.logic.clause import Clause, Theory
 from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
-    EvaluateResult,
     ExamplesReport,
+    FTEvaluateRequest,
+    FTEvaluateResult,
+    FTPipelineRules,
     GatherExamples,
     LoadExamples,
     MarkCovered,
-    PipelineRules,
+    Ping,
+    Pong,
     Repartition,
+    RestartPipeline,
     SampledEvaluateRequest,
     SampledEvaluateResult,
     StartPipeline,
     Stop,
+    UpdateRouting,
     per_worker_evaluate_requests,
     record_candidate_masks,
 )
 from repro.util.rng import make_rng
 
-__all__ = ["P2Master", "EpochLog", "drop_not_good", "pick_best", "consume_bag"]
+__all__ = ["Master", "P2Master", "EpochLog", "drop_not_good", "pick_best"]
 
 
 def drop_not_good(bag: "ClauseBag", stats: dict, config: ILPConfig) -> None:
@@ -86,41 +95,6 @@ def pick_best(bag: "ClauseBag", stats: dict, config: ILPConfig) -> Clause:
     return min(bag, key=key)
 
 
-def consume_bag(master, ctx: ProcContext, bag: ClauseBag, log: EpochLog, evaluate):
-    """Fig. 5 lines 10-22: evaluate, filter, then greedily consume a bag.
-
-    One implementation for every master and both protocol flavours —
-    ``evaluate(ctx, clauses)`` is the strategy's evaluation round
-    (fault-free ``_global_eval`` or the self-healing ``_ft_eval_round``).
-    Mutates ``master.theory``/``master.remaining`` and the epoch log.
-    """
-    clauses = bag.clauses()
-    totals = yield from evaluate(ctx, clauses)
-    stats = dict(zip(clauses, totals))
-    drop_not_good(bag, stats, master.config)
-    while bag:
-        best = pick_best(bag, stats, master.config)
-        bag.discard(best)
-        master.theory.add(best)
-        # Sampled runs certify every acceptance (masters without the hook
-        # — the covering baselines — are untouched).
-        record = getattr(master, "_record_certificate", None)
-        if record is not None:
-            record(best, stats[best])
-        log.accepted.append(best)
-        covered = stats[best][0]
-        log.pos_covered += covered
-        master.remaining -= covered
-        dsts = master.ft.serving_hosts() if master.ft is not None else master._workers()
-        yield ctx.bcast(MarkCovered(rule=best), tag=Tag.MARK_COVERED, dsts=dsts)
-        if not bag:
-            break
-        clauses = bag.clauses()
-        totals = yield from evaluate(ctx, clauses)
-        stats = dict(zip(clauses, totals))
-        drop_not_good(bag, stats, master.config)
-
-
 @dataclass
 class EpochLog:
     """Per-epoch bookkeeping (drives Tables 3-5 and the trace figure)."""
@@ -130,14 +104,507 @@ class EpochLog:
     accepted: list[Clause] = field(default_factory=list)
     pos_covered: int = 0
     #: aggregate worker evaluation-cache counters at epoch end (collected
-    #: by the fault-tolerance heartbeat; None on the fault-free path,
-    #: whose wire protocol predates — and must stay identical to — them).
+    #: by the healing family's end-of-epoch heartbeat; None without a
+    #: plan — the plain family carries no cache reports).
     cache_hits: Optional[int] = None
     cache_misses: Optional[int] = None
 
 
-class P2Master(FTMasterMixin, SimProcess):
+class Master(SimProcess):
+    """Rank-0 skeleton: pool, checkpoint and resume state plus the
+    collective steps of Fig. 5, shared by the three strategies.
+
+    A strategy's ``run`` composes the steps (``_load``, ``_admit_joins``,
+    ``_open_epoch``, ``_pipeline_round``, ``_eval_round``,
+    ``_consume_bag``, ``_end_epoch``, ``_stop``); each step holds its
+    plain body and its healing body side by side and picks one from
+    ``self.ft``.
+    """
+
+    #: ``CheckpointState.algo`` of the strategy's snapshots.
+    ALGO = ""
+    #: consecutive empty detection rounds before giving up.
+    MAX_RECOVERY_ROUNDS = 25
+    #: consecutive silent probes before a host is declared dead — a
+    #: single lost/late heartbeat exchange must not kill a live host
+    #: (fatal when it is the last one standing).
+    SUSPECT_ROUNDS = 2
+    #: sampled-run exactness certificate (None on the reference path).
+    certificate = None
+
+    def __init__(
+        self,
+        n_workers: int,
+        total_pos: int,
+        config: ILPConfig,
+        seed: int = 0,
+        fault_plan: Optional[FaultPlan] = None,
+        spares: int = 0,
+        checkpoint_dir: Optional[str] = None,
+        checkpoint_meta: tuple = (),
+        resume=None,
+    ):
+        super().__init__(0)
+        self.n_workers = n_workers
+        self.total_pos = total_pos
+        self.config = config
+        self.seed = seed
+        # fault tolerance & checkpointing (repro.fault):
+        self.fault_plan = fault_plan
+        self.ft: Optional[PoolSupervisor] = (
+            PoolSupervisor(n_workers, spares=spares, timeout=fault_plan.timeout)
+            if fault_plan is not None
+            else None
+        )
+        self.checkpoint_dir = checkpoint_dir
+        self.checkpoint_meta = tuple(checkpoint_meta)
+        #: master-observed recovery narrative (detections, adoptions, joins).
+        self.fault_events: list[str] = []
+        self._ft_stash: list = []
+        self._ft_token = 0
+        self._ft_round = 0
+        self._ft_suspect: dict[int, int] = {}
+        # outputs, populated by run():
+        self.theory = Theory()
+        self.epoch_logs: list[EpochLog] = []
+        self.remaining: int = total_pos
+        #: the epoch in progress (None at an epoch boundary).
+        self._log: Optional[EpochLog] = None
+        self._resume = resume
+        if resume is not None:
+            from repro.fault.checkpoint import epoch_logs_from_records, verify_config
+
+            verify_config(resume, config.signature())
+            self.theory = Theory(resume.theory)
+            self.epoch_logs = epoch_logs_from_records(resume.epoch_logs)
+            self.remaining = resume.remaining
+        # coverage-inheritance bookkeeping: rank -> {clause ->
+        # (pos_cand, neg_cand)} local candidate masks reported by each
+        # worker, echoed back with later requests of the plain family.
+        self._worker_cand: dict[int, dict[Clause, tuple[int, int]]] = {}
+
+    @property
+    def epochs(self) -> int:
+        return len(self.epoch_logs)
+
+    def _workers(self) -> list[int]:
+        return list(range(1, self.n_workers + 1))
+
+    def _serving(self) -> list[int]:
+        """Hosts holding at least one logical worker (every worker, plain)."""
+        return self._workers() if self.ft is None else self.ft.serving_hosts()
+
+    # -- checkpointing -----------------------------------------------------------
+    def _write_checkpoint(self, **state) -> None:
+        """Snapshot the run at an epoch boundary; ``state`` holds the
+        strategy's own fields (stall counter, seed-pool masks, RNG)."""
+        if self.checkpoint_dir is None:
+            return
+        from repro.fault.checkpoint import (
+            CHECKPOINT_VERSION,
+            CheckpointState,
+            checkpoint_path,
+            records_from_epoch_logs,
+            save_checkpoint,
+        )
+
+        os.makedirs(self.checkpoint_dir, exist_ok=True)
+        snapshot = CheckpointState(
+            version=CHECKPOINT_VERSION,
+            algo=self.ALGO,
+            seed=self.seed,
+            n_workers=self.n_workers,
+            total_pos=self.total_pos,
+            epoch=self.epochs,
+            remaining=max(self.remaining, 0),
+            theory=tuple(self.theory),
+            epoch_logs=records_from_epoch_logs(self.epoch_logs),
+            config_sig=self.config.signature(),
+            meta=self.checkpoint_meta,
+            **state,
+        )
+        save_checkpoint(checkpoint_path(self.checkpoint_dir, self.epochs), snapshot)
+
+    # -- collective steps (Fig. 5) ---------------------------------------------------
+    def _load(self, ctx: ProcContext, ship_data: Optional[list] = None):
+        """Line 3: ``load_examples`` (partition id == rank), or the data
+        itself when no shared filesystem is assumed.  A resumed run ships
+        the accepted-rule history instead: at an epoch boundary the
+        adoption payload *is* the resume payload."""
+        for k in self._workers():
+            if self._resume is not None:
+                payload = self._ft_adopt_payload(k)
+            elif ship_data is not None:
+                payload = ship_data[k - 1]
+            else:
+                payload = LoadExamples(partition_id=k)
+            yield ctx.send(k, payload, tag=Tag.LOAD_EXAMPLES)
+
+    def _open_epoch(self) -> EpochLog:
+        log = self._log = EpochLog(epoch=self.epochs + 1, bag_size=0)
+        # Masks only serve narrowing within this epoch's rounds; dropping
+        # them per epoch bounds the master's memory.
+        self._worker_cand.clear()
+        return log
+
+    def _pipeline_round(self, ctx: ProcContext, width, log: EpochLog):
+        """Lines 6-9: start ``p`` pipelines, collect every pipeline's rules
+        (renamed-apart variants collapse to one bag slot via their variant
+        key)."""
+        if self.ft is None:
+            for k in self._workers():
+                yield ctx.send(k, StartPipeline(width=width), tag=Tag.START_PIPELINE)
+            rule_sets = []
+            for _ in self._workers():
+                msg = yield ctx.recv(tag=Tag.RULES)
+                rule_sets.append(msg.payload.rules)
+        else:
+            epoch = log.epoch
+
+            def start(origins):
+                for origin in origins:
+                    yield ctx.send(
+                        self.ft.host_of(origin),
+                        RestartPipeline(origin=origin, width=width, epoch=epoch),
+                        tag=Tag.START_PIPELINE,
+                    )
+
+            def classify(msg):
+                p = msg.payload
+                if isinstance(p, FTPipelineRules) and p.epoch == epoch:
+                    return (p.origin, p.rules)
+                return None
+
+            yield from start(sorted(self._ft_logicals()))
+            got = yield from self._ft_gather(ctx, self._ft_logicals(), classify, start)
+            rule_sets = [got[origin] for origin in sorted(got)]
+        bag = ClauseBag()
+        for rules in rule_sets:
+            for sr in rules:
+                bag.add(sr.clause)
+        log.bag_size = bag.reported_size
+        return bag
+
+    def _eval_round(self, ctx: ProcContext, clauses: list[Clause], parents: Optional[tuple] = None):
+        """Lines 10-11 / 18-19: every worker evaluates ``clauses`` on its
+        subset; returns the summed per-clause ``(pos, neg)``.
+
+        ``parents`` (plain family only) is the per-rule lineage: when the
+        master knows a worker's local candidate masks for a rule's parent
+        (reported in an earlier round), it ships them back so the worker
+        narrows its re-evaluation even on a cold cache — at the price of
+        per-worker (rather than broadcast) requests.  The healing family
+        never echoes masks: they are in per-shard local numbering and
+        migrate poorly.
+        """
+        rules = tuple(clauses)
+        if self.ft is None:
+            requests = None
+            if parents is not None:
+                requests = per_worker_evaluate_requests(
+                    rules, parents, self._workers(), self._worker_cand
+                )
+            if requests is None:
+                yield ctx.bcast(EvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
+            else:
+                for k, req in requests.items():
+                    yield ctx.send(k, req, tag=Tag.EVALUATE)
+            replies = []
+            for _ in self._workers():
+                msg = yield ctx.recv(tag=Tag.RESULT)
+                if parents is not None:
+                    record_candidate_masks(self._worker_cand, clauses, msg.payload)
+                replies.append(msg.payload.stats)
+        else:
+            self._ft_round += 1
+            rnd = self._ft_round
+            request = FTEvaluateRequest(round=rnd, rules=rules)
+
+            def ask(logicals):
+                for host in sorted({self.ft.host_of(l) for l in logicals}):
+                    yield ctx.send(host, request, tag=Tag.EVALUATE)
+
+            def classify(msg):
+                p = msg.payload
+                if isinstance(p, FTEvaluateResult) and p.round == rnd:
+                    return (p.rank, p.stats)
+                return None
+
+            yield from ask(sorted(self._ft_logicals()))
+            got = yield from self._ft_gather(ctx, self._ft_logicals(), classify, ask)
+            replies = [got[logical] for logical in sorted(got)]
+        totals = [[0, 0] for _ in clauses]
+        for stats in replies:
+            for i, rs in enumerate(stats):
+                totals[i][0] += rs.pos
+                totals[i][1] += rs.neg
+        # Aggregation cost is linear in bag size.
+        yield ctx.compute(len(clauses) + 1, label="aggregate")
+        return [(p, n) for p, n in totals]
+
+    def _global_eval(self, ctx: ProcContext, clauses: list[Clause]):
+        """The evaluation round bag consumption runs."""
+        return (yield from self._eval_round(ctx, clauses))
+
+    def _record_certificate(self, best: Clause, totals: tuple) -> None:
+        """Hook: called by ``_consume_bag`` right after ``theory.add``."""
+
+    def _mark_covered(self, ctx: ProcContext, rule: Clause):
+        yield ctx.bcast(MarkCovered(rule=rule), tag=Tag.MARK_COVERED, dsts=self._serving())
+
+    def _consume_bag(self, ctx: ProcContext, bag: ClauseBag, log: EpochLog):
+        """Lines 10-22: evaluate, filter, then greedily consume a bag."""
+        clauses = bag.clauses()
+        totals = yield from self._global_eval(ctx, clauses)
+        stats = dict(zip(clauses, totals))
+        drop_not_good(bag, stats, self.config)
+        while bag:
+            best = pick_best(bag, stats, self.config)
+            bag.discard(best)
+            self.theory.add(best)
+            self._record_certificate(best, stats[best])
+            log.accepted.append(best)
+            covered = stats[best][0]
+            log.pos_covered += covered
+            self.remaining -= covered
+            yield from self._mark_covered(ctx, best)
+            if not bag:
+                break
+            clauses = bag.clauses()
+            totals = yield from self._global_eval(ctx, clauses)
+            stats = dict(zip(clauses, totals))
+            drop_not_good(bag, stats, self.config)
+
+    def _end_epoch(self, ctx: ProcContext, log: EpochLog):
+        """Close the epoch; the healing family pulses every serving host
+        (liveness + the cache counters of ``EpochLog``)."""
+        self.epoch_logs.append(log)
+        self._log = None
+        if self.ft is None:
+            return
+        self._ft_token += 1
+        token = self._ft_token
+
+        def ping(hosts):
+            for h in sorted(hosts):
+                if h not in self.ft.dead:
+                    yield ctx.send(h, Ping(token=token), tag=Tag.PING)
+
+        def classify(msg):
+            # Token-checked: a slow Pong answering an earlier liveness
+            # probe must not stand in for this epoch's cache counters.
+            if isinstance(msg.payload, Pong) and msg.payload.token == token:
+                return (msg.src, (msg.payload.cache_hits, msg.payload.cache_misses))
+            return None
+
+        def prune(missing):
+            return [h for h in missing if h in self.ft.dead]
+
+        targets = set(self.ft.serving_hosts())
+        yield from ping(targets)
+        got = yield from self._ft_gather(
+            ctx, targets, classify, ping, prune=prune, logical_keys=False
+        )
+        live = [v for h, v in got.items() if h not in self.ft.dead]
+        log.cache_hits = sum(v[0] for v in live)
+        log.cache_misses = sum(v[1] for v in live)
+
+    def _stop(self, ctx: ProcContext):
+        """Stop every provisioned host — including declared-dead ones that
+        may in fact be alive (false positives keep running otherwise)."""
+        dsts = self._workers() if self.ft is None else self.ft.hosts
+        yield ctx.bcast(Stop(), tag=Tag.STOP, dsts=dsts)
+
+    # -- healing: adoption ---------------------------------------------------------
+    def _ft_history(self):
+        """``(completed, current, draw_seeds, draw_current, epoch)``: the
+        deterministic replay payload at the current protocol point.
+
+        The default is kills only — right for workers that never draw
+        pipeline seeds from their shard's stream (coverage-parallel: the
+        master owns the seed pool; independent: the local covering loop
+        derives its own stream).
+        """
+        completed = tuple(tuple(log.accepted) for log in self.epoch_logs)
+        current = tuple(self._log.accepted) if self._log is not None else ()
+        return (completed, current, False, False, self.epochs + 1)
+
+    def _ft_note(self, text: str) -> None:
+        self.fault_events.append(text)
+
+    def _ft_logicals(self) -> set[int]:
+        return set(range(1, self.n_workers + 1))
+
+    def _ft_adopt_payload(self, logical: int) -> AdoptWorker:
+        completed, current, draw_seeds, draw_current, epoch = self._ft_history()
+        return AdoptWorker(
+            virtual_rank=logical,
+            partition_id=logical,
+            epoch=epoch,
+            completed=completed,
+            current=current,
+            draw_seeds=draw_seeds,
+            draw_current=draw_current,
+        )
+
+    def _ft_move(self, ctx: ProcContext, moves, verb: str):
+        """Ship the adoption payload of every ``(logical, new_host)`` move."""
+        for logical, new_host in moves:
+            yield ctx.send(new_host, self._ft_adopt_payload(logical), tag=Tag.LOAD_EXAMPLES)
+            self._ft_note(f"worker {logical} {verb} host {new_host}")
+
+    def _ft_bcast_routing(self, ctx: ProcContext):
+        yield ctx.bcast(
+            UpdateRouting(routing=self.ft.routing_table()),
+            tag=Tag.ROUTING,
+            dsts=self.ft.serving_hosts(),
+        )
+
+    def _ft_recover(self, ctx: ProcContext, dead_hosts):
+        """Declare hosts dead, rebuild their logical workers elsewhere."""
+        for h in sorted(dead_hosts):
+            self.ft.declare_dead(h)
+            self._ft_note(f"epoch {self.epochs + 1}: host {h} declared dead")
+        moves = self.ft.reassign(dead_hosts)
+        yield from self._ft_move(ctx, moves, "adopted by")
+        if moves:
+            yield from self._ft_bcast_routing(ctx)
+            # Zero-cost marker (0 ops = 0 virtual seconds): stamps the
+            # recovery event into the activity trace so `repro trace`
+            # shows *when* the master rebuilt workers, on every backend.
+            yield ctx.compute(0, label="recover")
+
+    def _admit_joins(self, ctx: ProcContext):
+        """Elastic grow: activate spare hosts scheduled to join at the
+        epoch about to start (a plan-free pool never grows)."""
+        if self.ft is None:
+            return
+        epoch = self.epochs + 1
+        moved = False
+        for ev in self.fault_plan.joins_at(epoch):
+            if ev.rank in self.ft.dead or ev.rank not in self.ft.hosts:
+                continue
+            moves = self.ft.admit(ev.rank)
+            self._ft_note(f"epoch {epoch}: host {ev.rank} joined the pool")
+            yield from self._ft_move(ctx, moves, "migrated to")
+            moved = moved or bool(moves)
+        if moved:
+            yield from self._ft_bcast_routing(ctx)
+
+    def _ft_reinforce(self, ctx: ProcContext, missing_logicals):
+        """Re-send adoption + routing state for stalled reassigned workers.
+
+        The one-shot AdoptWorker/UpdateRouting control messages are
+        themselves subject to injected message loss; when a collective
+        keeps missing replies for a logical worker that lives away from
+        its home rank, the master re-ships the (idempotent) adoption
+        payload and the routing table before re-requesting the work.
+        """
+        moved = [
+            l for l in missing_logicals if l in self.ft.routing and self.ft.host_of(l) != l
+        ]
+        if not moved:
+            return
+        for l in moved:
+            yield ctx.send(self.ft.host_of(l), self._ft_adopt_payload(l), tag=Tag.LOAD_EXAMPLES)
+        yield from self._ft_bcast_routing(ctx)
+
+    # -- healing: detection --------------------------------------------------------
+    def _ft_probe(self, ctx: ProcContext):
+        """Ping every serving host; declare silent ones dead and recover.
+
+        Any message received from a host during the probe window counts
+        as proof of life; non-Pong messages are stashed for the outer
+        gather, so nothing is lost.
+        """
+        targets = set(self.ft.serving_hosts())
+        if not targets:
+            raise RecoveryError("no live hosts to probe")
+        self._ft_token += 1
+        yield ctx.bcast(Ping(token=self._ft_token), tag=Tag.PING, dsts=sorted(targets))
+        seen: set[int] = set()
+        while not targets <= seen:
+            msg = yield ctx.recv(timeout=self.ft.timeout)
+            if msg is None:
+                break
+            if msg.src in self.ft.dead:
+                continue
+            seen.add(msg.src)
+            if not isinstance(msg.payload, Pong):
+                self._ft_stash.append(msg)
+        for h in targets & seen:
+            self._ft_suspect.pop(h, None)
+        dead = set()
+        for h in sorted(targets - seen):
+            self._ft_suspect[h] = self._ft_suspect.get(h, 0) + 1
+            if self._ft_suspect[h] >= self.SUSPECT_ROUNDS:
+                dead.add(h)
+                self._ft_suspect.pop(h, None)
+        if dead:
+            yield from self._ft_recover(ctx, dead)
+
+    def _ft_gather(self, ctx: ProcContext, expected, classify, reissue, prune=None, logical_keys=True):
+        """Collect one classified payload per expected key, healing holes.
+
+        ``classify(msg) -> (key, value) | None``; unclassified messages
+        from live hosts are dropped (stale protocol traffic).  On a
+        receive timeout the pool is probed, dead hosts recovered, and
+        ``reissue(missing_keys)`` (a generator) re-requests the holes —
+        requests and replies are idempotent/deduplicated by key.
+        ``prune(missing_keys)`` names keys that stopped being expected
+        (host-keyed collectives drop hosts that died mid-gather;
+        logical-keyed ones never shrink, their workers are reassigned and
+        — via ``logical_keys`` — their adoption state reinforced against
+        lost control messages).
+        """
+        expected = set(expected)
+        got: dict = {}
+        dry = 0
+        while set(got) < expected:
+            if self._ft_stash:
+                msg = self._ft_stash.pop(0)
+            else:
+                msg = yield ctx.recv(timeout=self.ft.timeout)
+            if msg is None:
+                dry += 1
+                if dry > self.MAX_RECOVERY_ROUNDS:
+                    raise RecoveryError(
+                        f"collective never completed: missing {sorted(expected - set(got))}"
+                    )
+                yield from self._ft_probe(ctx)
+                missing = expected - set(got)
+                # Drain anything the probe stashed before re-requesting.
+                stashed, self._ft_stash = self._ft_stash, []
+                for m in stashed:
+                    c = classify(m)
+                    if c is not None and c[0] in missing and c[0] not in got:
+                        got[c[0]] = c[1]
+                missing = expected - set(got)
+                if prune is not None and missing:
+                    expected -= set(prune(sorted(missing)))
+                    missing = expected - set(got)
+                if missing:
+                    self._ft_note(f"reissuing {sorted(missing)} after detection timeout")
+                    if logical_keys:
+                        yield from self._ft_reinforce(ctx, sorted(missing))
+                    yield from reissue(sorted(missing))
+                continue
+            dry = 0
+            if msg.src in self.ft.dead:
+                continue
+            c = classify(msg)
+            if c is None:
+                continue
+            key, value = c
+            if key in expected and key not in got:
+                got[key] = value
+        return got
+
+
+class P2Master(Master):
     """Rank-0 master driving the worker ring."""
+
+    ALGO = "p2mdie"
 
     def __init__(
         self,
@@ -156,10 +623,17 @@ class P2Master(FTMasterMixin, SimProcess):
         checkpoint_meta: tuple = (),
         resume=None,
     ):
-        super().__init__(0)
-        self.n_workers = n_workers
-        self.total_pos = total_pos
-        self.config = config
+        super().__init__(
+            n_workers,
+            total_pos,
+            config,
+            seed=seed,
+            fault_plan=fault_plan,
+            spares=spares,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_meta=checkpoint_meta,
+            resume=resume,
+        )
         self.width = config.pipeline_width if width is ... else width
         self.max_epochs = max_epochs
         self.stall_limit = stall_limit
@@ -167,40 +641,10 @@ class P2Master(FTMasterMixin, SimProcess):
         #: measurable: reshuffle the remaining examples over the workers
         #: before every epoch after the first.
         self.repartition_each_epoch = repartition_each_epoch
-        self.seed = seed
         #: when set (no shared filesystem), a list of per-worker LoadData
         #: payloads to ship instead of LoadExamples notifications (§4.1).
         self.ship_data = ship_data
-        # fault tolerance & checkpointing (repro.fault):
-        self.fault_plan = fault_plan
-        self.ft: Optional[PoolSupervisor] = (
-            PoolSupervisor(n_workers, spares=spares, timeout=fault_plan.timeout)
-            if fault_plan is not None
-            else None
-        )
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_meta = tuple(checkpoint_meta)
-        self.fault_events: list[str] = []
-        self._ft_current_log: Optional[EpochLog] = None
-        # outputs, populated by run():
-        self.theory = Theory()
-        self.epoch_logs: list[EpochLog] = []
-        self.remaining: int = total_pos
-        self._stall0 = 0
-        self._resume = resume
-        if resume is not None:
-            from repro.fault.checkpoint import epoch_logs_from_records, verify_config
-
-            verify_config(resume, config.signature())
-            self.theory = Theory(resume.theory)
-            self.epoch_logs = epoch_logs_from_records(resume.epoch_logs)
-            self.remaining = resume.remaining
-            self._stall0 = resume.stall
-        # coverage-inheritance bookkeeping: rank -> {clause ->
-        # (pos_cand, neg_cand)} local candidate masks reported by each
-        # worker (lineage itself is structural: parent = body minus the
-        # appended last literal).
-        self._worker_cand: dict[int, dict[Clause, tuple[int, int]]] = {}
+        self._stall0 = resume.stall if resume is not None else 0
         # sampled-coverage mode (resolved once here so the decision
         # travels with the pickled master to real backends, whatever the
         # remote environment says):
@@ -210,53 +654,6 @@ class P2Master(FTMasterMixin, SimProcess):
         #: per-rank strata rows recorded on first contact.
         self._sample_strata: dict[int, tuple] = {}
         self._cert_entries: list = []
-        #: sampled-run exactness certificate (None on the reference path).
-        self.certificate = None
-
-    @property
-    def epochs(self) -> int:
-        return len(self.epoch_logs)
-
-    def _workers(self) -> list[int]:
-        return list(range(1, self.n_workers + 1))
-
-    # -- checkpointing -----------------------------------------------------------
-    def _resume_payload(self, rank: int) -> AdoptWorker:
-        """Initial load of a resumed run: history instead of a blank slate.
-
-        At an epoch boundary (no epoch in progress) the adoption payload
-        of the self-healing protocol is exactly the resume payload — the
-        resume loader *is* the adoption machinery.
-        """
-        return self._ft_adopt_payload(rank)
-
-    def _write_checkpoint(self, stall: int) -> None:
-        if self.checkpoint_dir is None:
-            return
-        from repro.fault.checkpoint import (
-            CHECKPOINT_VERSION,
-            CheckpointState,
-            checkpoint_path,
-            records_from_epoch_logs,
-            save_checkpoint,
-        )
-
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        state = CheckpointState(
-            version=CHECKPOINT_VERSION,
-            algo="p2mdie",
-            seed=self.seed,
-            n_workers=self.n_workers,
-            total_pos=self.total_pos,
-            epoch=self.epochs,
-            remaining=max(self.remaining, 0),
-            stall=stall,
-            theory=tuple(self.theory),
-            epoch_logs=records_from_epoch_logs(self.epoch_logs),
-            config_sig=self.config.signature(),
-            meta=self.checkpoint_meta,
-        )
-        save_checkpoint(checkpoint_path(self.checkpoint_dir, self.epochs), state)
 
     # -- global evaluation round (Fig. 5 lines 10-11 / 18-19) --------------------
     def _global_eval(self, ctx: ProcContext, clauses: list[Clause]):
@@ -272,10 +669,13 @@ class P2Master(FTMasterMixin, SimProcess):
         filter (:func:`drop_not_good`) discards exactly the rules the
         sample confidently ruled out — and anything that can be accepted
         was measured exactly.
+
+        The healing family has no screening request, so a run under a
+        fault plan never screens: every round is exact and the
+        certificate's entries are ``deferred``.
         """
-        if not self._sampling:
-            totals = yield from self._exact_eval(ctx, clauses)
-            return totals
+        if not self._sampling or self.ft is not None:
+            return (yield from self._exact_eval(ctx, clauses))
         rules = tuple(clauses)
         yield ctx.bcast(SampledEvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
         pooled: list = [None] * len(rules)
@@ -308,42 +708,15 @@ class P2Master(FTMasterMixin, SimProcess):
         return out
 
     def _exact_eval(self, ctx: ProcContext, clauses: list[Clause]):
-        """Broadcast evaluate(); gather and sum per-worker stats.
-
-        With coverage inheritance, when the master knows a worker's local
-        candidate masks for a rule's parent (reported in an earlier
-        round), it ships them back so the worker narrows its
-        re-evaluation even on a cold cache — at the price of per-worker
-        (rather than broadcast) requests.
-        """
-        rules = tuple(clauses)
+        """An exact round; lineage is structural (refinement appends
+        literals: parent = body minus the last one)."""
         parents = tuple(Clause(c.head, c.body[:-1]) if c.body else None for c in clauses)
-        requests = per_worker_evaluate_requests(rules, parents, self._workers(), self._worker_cand)
-        if requests is None:
-            yield ctx.bcast(EvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
-        else:
-            for k, req in requests.items():
-                yield ctx.send(k, req, tag=Tag.EVALUATE)
-        totals = [[0, 0] for _ in clauses]
-        for _ in self._workers():
-            msg = yield ctx.recv(tag=Tag.RESULT)
-            res: EvaluateResult = msg.payload
-            record_candidate_masks(self._worker_cand, clauses, res)
-            for i, rs in enumerate(res.stats):
-                totals[i][0] += rs.pos
-                totals[i][1] += rs.neg
-        # Aggregation cost is linear in bag size.
-        yield ctx.compute(len(clauses) + 1, label="aggregate")
-        return [(p, n) for p, n in totals]
+        return (yield from self._eval_round(ctx, clauses, parents))
 
     # -- sampled-run certification ------------------------------------------------
     def _record_certificate(self, best: Clause, totals: tuple) -> None:
-        """Record one acceptance's sampled-vs-exact agreement.
-
-        Called by :func:`consume_bag` right after ``theory.add``.  On the
-        fault-tolerant path no screen runs (``_ft_eval_round`` is always
-        exact), so entries there are ``deferred``.
-        """
+        """Record one acceptance's sampled-vs-exact agreement (entries of
+        rounds that did not screen are ``deferred``)."""
         if not self._sampling:
             return
         from repro.ilp.sampling import clause_certificate
@@ -371,114 +744,33 @@ class P2Master(FTMasterMixin, SimProcess):
 
     # -- process body ----------------------------------------------------------------
     def run(self, ctx: ProcContext):
-        if self.ft is not None:
-            yield from self._run_ft(ctx)
-            return
-        # Fig. 5 line 3: broadcast load_examples (partition id == rank), or
-        # ship the data itself when no shared filesystem is assumed.  A
-        # resumed run ships the accepted-rule history for replay instead.
-        for k in self._workers():
-            if self._resume is not None:
-                yield ctx.send(k, self._resume_payload(k), tag=Tag.LOAD_EXAMPLES)
-            elif self.ship_data is not None:
-                yield ctx.send(k, self.ship_data[k - 1], tag=Tag.LOAD_EXAMPLES)
-            else:
-                yield ctx.send(k, LoadExamples(partition_id=k), tag=Tag.LOAD_EXAMPLES)
-
+        yield from self._load(ctx, self.ship_data)
         stall = self._stall0
         while self.remaining > 0:
             if self.max_epochs is not None and self.epochs >= self.max_epochs:
                 break
             if self.repartition_each_epoch and self.epochs > 0:
                 yield from self._repartition_round(ctx)
-            log = EpochLog(epoch=self.epochs + 1, bag_size=0)
-            # Masks only serve narrowing within this epoch's bag rounds;
-            # dropping them per epoch bounds the master's memory.
-            self._worker_cand.clear()
-
-            # Lines 6-8: start p pipelines.
-            for k in self._workers():
-                yield ctx.send(k, StartPipeline(width=self.width), tag=Tag.START_PIPELINE)
-            # Line 9: collect every pipeline's rules (renamed-apart
-            # variants collapse to one bag slot via their variant key).
-            bag = ClauseBag()
-            for _ in self._workers():
-                msg = yield ctx.recv(tag=Tag.RULES)
-                rules: PipelineRules = msg.payload
-                for sr in rules.rules:
-                    bag.add(sr.clause)
-            log.bag_size = bag.reported_size
-
+            yield from self._admit_joins(ctx)
+            log = self._open_epoch()
+            bag = yield from self._pipeline_round(ctx, self.width, log)
             if bag:
-                # Lines 10-22: evaluate and greedily consume the bag.
-                yield from consume_bag(self, ctx, bag, log, self._global_eval)
-
-            self.epoch_logs.append(log)
-            if log.accepted:
-                stall = 0
-            else:
-                stall += 1
-            self._write_checkpoint(stall)
+                yield from self._consume_bag(ctx, bag, log)
+            yield from self._end_epoch(ctx, log)
+            stall = 0 if log.accepted else stall + 1
+            self._write_checkpoint(stall=stall)
             if not log.accepted and stall >= self.stall_limit:
                 break
-
         self._build_certificate()
-        yield ctx.bcast(Stop(), tag=Tag.STOP, dsts=self._workers())
+        yield from self._stop(ctx)
 
-    # -- fault-tolerant body ------------------------------------------------------
     def _ft_history(self):
-        """Replay payload for adoptions at the current protocol point."""
-        completed = tuple(tuple(log.accepted) for log in self.epoch_logs)
-        log = self._ft_current_log
-        if log is not None:
-            # Mid-epoch: the lost worker had already drawn this epoch's
-            # seed and applied the kills accepted so far.
-            return (completed, tuple(log.accepted), True, True, log.epoch)
-        return (completed, (), True, False, self.epochs)
-
-    def _run_ft(self, ctx: ProcContext):
-        """The same covering algorithm over self-healing collectives."""
-        self._ft_init()
-        for k in self._workers():
-            if self._resume is not None:
-                yield ctx.send(k, self._resume_payload(k), tag=Tag.LOAD_EXAMPLES)
-            else:
-                yield ctx.send(k, LoadExamples(partition_id=k), tag=Tag.LOAD_EXAMPLES)
-
-        stall = self._stall0
-        while self.remaining > 0:
-            if self.max_epochs is not None and self.epochs >= self.max_epochs:
-                break
-            epoch = self.epochs + 1
-            yield from self._ft_admit_joins(ctx, epoch)
-            log = EpochLog(epoch=epoch, bag_size=0)
-            self._ft_current_log = log
-
-            rules_by_origin = yield from self._ft_pipeline_round(ctx, self.width, epoch)
-            bag = ClauseBag()
-            for origin in sorted(rules_by_origin):
-                for sr in rules_by_origin[origin]:
-                    bag.add(sr.clause)
-            log.bag_size = bag.reported_size
-
-            if bag:
-                yield from consume_bag(self, ctx, bag, log, self._ft_eval_round)
-
-            self.epoch_logs.append(log)
-            self._ft_current_log = None
-            yield from self._ft_epoch_pulse(ctx, log)
-            if log.accepted:
-                stall = 0
-            else:
-                stall += 1
-            self._write_checkpoint(stall)
-            if not log.accepted and stall >= self.stall_limit:
-                break
-
-        # Stop every provisioned host — including declared-dead ones that
-        # may in fact be alive (false positives keep running otherwise).
-        self._build_certificate()
-        yield ctx.bcast(Stop(), tag=Tag.STOP, dsts=self.ft.hosts)
+        completed, current, _, _, _ = super()._ft_history()
+        # P² workers draw one pipeline seed per epoch; mid-epoch, the
+        # lost worker had already drawn this epoch's and applied the
+        # kills accepted so far.
+        mid_epoch = self._log is not None
+        return (completed, current, True, mid_epoch, self.epochs + 1 if mid_epoch else self.epochs)
 
     # -- repartitioning extension (§4.1's rejected alternative) ------------------
     def _repartition_round(self, ctx: ProcContext):

@@ -73,6 +73,12 @@ class SharedProblem:
         self.modes = modes
         self.config = config
 
+    @classmethod
+    def partitioned(cls, kb, pos, neg, modes, config, p: int, seed: int) -> "SharedProblem":
+        """The problem under the paper's random even split over ``p`` workers."""
+        partitions = partition_examples(pos, neg, p, make_rng(seed, "partition"))
+        return cls(kb, partitions, modes, config)
+
     def worker_problem(self, partition_id: int) -> WorkerProblem:
         """Partition ids are worker ranks (1-based)."""
         part = self.partitions[partition_id - 1]
@@ -154,10 +160,24 @@ def collect_cache_stats(run: BackendRun, routing=None) -> dict:
     return out
 
 
+def _launch(master, worker_cls, shared: SharedProblem, spares: int, seed: int, backend, **models):
+    """The tail every front-end shares: ``master`` plus workers
+    ``1..p+spares`` on the resolved backend, run to completion."""
+    p = master.n_workers
+    workers = [worker_cls(rank, shared, p, seed=seed) for rank in range(1, p + spares + 1)]
+    bk = resolve_backend(backend, **models)
+    return _result_from_run(bk.run([master, *workers], fault_plan=master.fault_plan))
+
+
 def _result_from_run(run: BackendRun) -> P2Result:
-    """Assemble the shared P2Result artifact from any strategy's run."""
+    """Assemble the shared P2Result artifact from any strategy's run.
+
+    Reads the master's artifacts from the backend's returned process
+    state: on multi-process backends the caller's master object was never
+    mutated (rank 0 ran in a child process).
+    """
     final = run.proc(0)
-    ft = getattr(final, "ft", None)
+    ft = final.ft
     return P2Result(
         theory=final.theory,
         epochs=final.epochs,
@@ -168,9 +188,9 @@ def _result_from_run(run: BackendRun) -> P2Result:
         clocks=run.clocks,
         trace=run.trace,
         cache_stats=collect_cache_stats(run, routing=ft.routing if ft is not None else None),
-        fault_events=list(getattr(final, "fault_events", ())),
+        fault_events=list(final.fault_events),
         fault_log=list(run.fault_log),
-        certificate=getattr(final, "certificate", None),
+        certificate=final.certificate,
     )
 
 
@@ -270,9 +290,7 @@ def run_p2mdie(
         raise ValueError("share_mode must be 'shared_fs' or 'messages'")
     plan = _validate_fault_args(fault_plan, spares, p, share_mode, repartition_each_epoch)
     _check_resume(resume, "p2mdie", p, seed)
-    rng = make_rng(seed, "partition")
-    partitions = partition_examples(pos, neg, p, rng)
-    shared = SharedProblem(kb, partitions, modes, config)
+    shared = SharedProblem.partitioned(kb, pos, neg, modes, config, p, seed)
     ship_data = None
     if share_mode == "messages":
         from repro.parallel.messages import LoadData
@@ -281,7 +299,7 @@ def run_p2mdie(
         rules = tuple(r for ind in kb.predicates() for r in kb.rules_for(ind))
         ship_data = [
             LoadData(pos=part.pos, neg=part.neg, facts=facts, rules=rules)
-            for part in partitions
+            for part in shared.partitions
         ]
     master = P2Master(
         n_workers=p,
@@ -299,18 +317,17 @@ def run_p2mdie(
         checkpoint_meta=checkpoint_meta,
         resume=resume,
     )
-    workers = [P2Worker(rank, shared, p, seed=seed) for rank in range(1, p + spares + 1)]
-    bk = resolve_backend(
+    return _launch(
+        master,
+        P2Worker,
+        shared,
+        spares,
+        seed,
         backend,
         network=network,
         cost_model=cost_model,
         record_trace=record_trace,
     )
-    run: BackendRun = bk.run([master, *workers], fault_plan=plan)
-    # Read the master's run artifacts from the backend's returned process
-    # state: on multi-process backends the local ``master`` object was
-    # never mutated (rank 0 ran in a child process).
-    return _result_from_run(run)
 
 
 def sequential_seconds(result: MDIEResult, cost_model: CostModel = DEFAULT_COST_MODEL) -> float:

@@ -19,12 +19,21 @@ partition" to *hosting*: the per-partition learning state lives in a
 :class:`~repro.fault.recovery.WorkerShard` (store, RNG stream, tried-seed
 mask), and one physical worker process can host several shards — its own
 plus any adopted from crashed peers, rebuilt deterministically by
-replaying the master-shipped accepted-rule history.  Fault-free runs
-host exactly one shard and take the exact historical code paths.
+replaying the master-shipped accepted-rule history.
+
+One handler per task serves both message families.  A plan-free run *is*
+the healing protocol with the identity routing table, one shard per host
+and unstamped messages: every stage is served where it lands, nothing is
+parked or forwarded, no successor stage is co-hosted.  The families
+differ only in the reply class a handler builds (plain, or stamped with
+the request's epoch / round) and in whether candidate masks travel; the
+bytes of each are pinned by a witness of its own
+(``tests/data/golden_runs.json``, ``tests/data/golden_healing.json``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.cluster.message import Tag
@@ -75,6 +84,14 @@ def stage_logical(origin: int, step: int, n_workers: int) -> int:
     return (origin - 1 + step - 1) % n_workers + 1
 
 
+def pipeline_rules(origin: int, rules: tuple, epoch: Optional[int]):
+    """A pipeline's final rules for the master, in the family of the
+    request that started it: stamped with its epoch, or plain (None)."""
+    if epoch is None:
+        return PipelineRules(origin=origin, rules=rules)
+    return FTPipelineRules(epoch=epoch, origin=origin, rules=rules)
+
+
 class P2Worker(SimProcess):
     """One pipeline stage owner (physical host of one or more shards).
 
@@ -103,36 +120,13 @@ class P2Worker(SimProcess):
         #: was adopted here; drained after every adoption/rewiring.
         self._deferred: list = []
 
-    # -- single-shard compatibility surface ---------------------------------------
-    # The fault-free protocol (and the protocol-level unit tests) talk to
-    # the worker as if it owned exactly one store; these proxies map that
-    # surface onto the worker's own shard.
     @property
     def store(self) -> Optional[ExampleStore]:
+        """The store of this worker's own shard (None before loading)."""
         shard = self.shards.get(self.rank)
         return shard.store if shard is not None else None
 
-    @store.setter
-    def store(self, value: ExampleStore) -> None:
-        self.shards[self.rank].store = value
-
-    @property
-    def _tried_mask(self) -> int:
-        return self.shards[self.rank].tried_mask
-
-    @_tried_mask.setter
-    def _tried_mask(self, value: int) -> None:
-        self.shards[self.rank].tried_mask = value
-
-    @property
-    def _rng(self):
-        return self.shards[self.rank].rng
-
     # -- helpers -----------------------------------------------------------------
-    def _next_worker(self) -> int:
-        """Successor in the ring of workers (ranks 1..p)."""
-        return self.rank % self.n_workers + 1
-
     def _host_of(self, logical: int) -> int:
         return self.routing.get(logical, logical)
 
@@ -231,11 +225,11 @@ class P2Worker(SimProcess):
         yield ctx.compute(load_cost, label="load")
 
     def _dispatch(self, ctx: ProcContext, payload):
-        if isinstance(payload, StartPipeline):
-            yield from self._start_pipeline(ctx, payload.width)
-        elif isinstance(payload, PipelineTask):
+        if isinstance(payload, (StartPipeline, RestartPipeline)):
+            yield from self._start_pipeline(ctx, payload)
+        elif isinstance(payload, (PipelineTask, FTPipelineTask)):
             yield from self._pipeline_stage(ctx, payload)
-        elif isinstance(payload, EvaluateRequest):
+        elif isinstance(payload, (EvaluateRequest, FTEvaluateRequest)):
             yield from self._evaluate(ctx, payload)
         elif isinstance(payload, SampledEvaluateRequest):
             yield from self._sampled_evaluate(ctx, payload)
@@ -245,7 +239,6 @@ class P2Worker(SimProcess):
             yield from self._gather_examples(ctx)
         elif isinstance(payload, Repartition):
             yield from self._repartition(ctx, payload)
-        # -- fault-tolerance protocol --------------------------------------
         elif isinstance(payload, Ping):
             yield from self._pong(ctx, payload)
         elif isinstance(payload, AdoptWorker):
@@ -253,36 +246,49 @@ class P2Worker(SimProcess):
             yield from self._adopt(ctx, payload)
         elif isinstance(payload, UpdateRouting):
             yield from self._update_routing(ctx, payload)
-        elif isinstance(payload, RestartPipeline):
-            yield from self._ft_restart(ctx, payload)
-        elif isinstance(payload, FTPipelineTask):
-            yield from self._ft_stage(ctx, payload)
-        elif isinstance(payload, FTEvaluateRequest):
-            yield from self._ft_evaluate(ctx, payload)
         elif isinstance(payload, LoadExamples) or isinstance(payload, LoadData):
             yield from self._initial_load(ctx, payload)
         else:  # pragma: no cover - defensive
             raise TypeError(f"worker {self.rank}: unknown task {payload!r}")
 
-    # -- paper tasks (fault-free protocol, single shard) ---------------------------
-    def _select_seed(self) -> Optional[int]:
-        """Pick (and mark) the next seed of this worker's own shard."""
-        return draw_seed(self.shards[self.rank], self.config)
+    # -- paper tasks (Fig. 6) ---------------------------------------------------------
+    def _start_pipeline(self, ctx: ProcContext, req):
+        """Fig. 6 start_pipeline: (re)start the pipeline rooted at a hosted
+        logical worker — the receiving rank's own, for the plain family."""
+        if isinstance(req, RestartPipeline):
+            origin, epoch = req.origin, req.epoch
+        else:
+            origin, epoch = self.rank, None
+        if (yield from self._defer_or_forward(ctx, origin, req, Tag.START_PIPELINE)):
+            return
+        yield from self._first_stage(ctx, self.shards[origin], req.width, epoch)
 
-    def _start_pipeline(self, ctx: ProcContext, width: Optional[int]):
-        """Fig. 6 start_pipeline: seed, saturate, first learn_rule' stage."""
-        shard = self.shards[self.rank]
+    def _first_stage(self, ctx: ProcContext, shard: WorkerShard, width: Optional[int], epoch):
+        """Seed, saturate, run the first ``learn_rule'`` stage.
+
+        Idempotent per stamped epoch: the first request of an epoch draws
+        the shard's seed; duplicates (recovery reissues) reuse the
+        remembered draw and bottom clause, so the emitted stage-1 task is
+        identical.  An unstamped request (``epoch`` None) always draws.
+        """
         ops0 = self.engine.total_ops
-        shard.pending_seed = self._select_seed()
-        shard.bottom_ready = False
+        if epoch is None or shard.pending_epoch != epoch:
+            shard.pending_epoch = epoch
+            shard.pending_seed = draw_seed(shard, self.config)
+            shard.bottom_ready = False
         bottom = saturate_seed(shard, self.engine, self.modes, self.config)
         yield ctx.compute(self._ops_since(ops0), label="saturate")
-        task = PipelineTask(bottom=bottom, step=1, width=width, rules=(), origin=self.rank)
+        fields = dict(bottom=bottom, step=1, width=width, rules=(), origin=shard.virtual_rank)
+        task = PipelineTask(**fields) if epoch is None else FTPipelineTask(epoch=epoch, **fields)
         yield from self._pipeline_stage(ctx, task)
 
-    def _pipeline_stage(self, ctx: ProcContext, task: PipelineTask):
-        """Fig. 7 learn_rule': search locally, forward Good onward."""
-        shard = self.shards[self.rank]
+    def _pipeline_stage(self, ctx: ProcContext, task):
+        """Fig. 7 learn_rule': search locally, forward Good onward —
+        executed by the logical stage owner wherever it is hosted."""
+        logical = stage_logical(task.origin, task.step, self.n_workers)
+        if (yield from self._defer_or_forward(ctx, logical, task, Tag.LEARN_RULE)):
+            return
+        shard = self.shards[logical]
         ops0 = self.engine.total_ops
         if task.bottom is None:
             good: tuple = task.rules
@@ -300,46 +306,53 @@ class P2Worker(SimProcess):
         yield ctx.compute(self._ops_since(ops0), label=f"search(s{task.step})")
         if task.step >= self.n_workers:
             # Last stage: ship the pipeline's rules to the master.
-            yield ctx.send(
-                MASTER_RANK,
-                PipelineRules(origin=task.origin, rules=good),
-                tag=Tag.RULES,
-            )
+            epoch = task.epoch if isinstance(task, FTPipelineTask) else None
+            yield ctx.send(MASTER_RANK, pipeline_rules(task.origin, good, epoch), tag=Tag.RULES)
+            return
+        next_task = replace(task, step=task.step + 1, rules=good)
+        dst = self._host_of(stage_logical(task.origin, task.step + 1, self.n_workers))
+        if dst == self.rank:
+            # Co-hosted successor stage: hand the token over in memory —
+            # co-located logical workers don't pay (or get charged for)
+            # the network.
+            yield from self._pipeline_stage(ctx, next_task)
         else:
-            yield ctx.send(
-                self._next_worker(),
-                PipelineTask(
-                    bottom=task.bottom,
-                    step=task.step + 1,
-                    width=task.width,
-                    rules=good,
-                    origin=task.origin,
-                ),
-                tag=Tag.LEARN_RULE,
-            )
+            yield ctx.send(dst, next_task, tag=Tag.LEARN_RULE)
 
-    def _evaluate(self, ctx: ProcContext, req: EvaluateRequest):
-        """Fig. 6 evaluate_rules: local stats for each bag rule.
+    def _evaluate(self, ctx: ProcContext, req):
+        """Fig. 6 evaluate_rules: stats of each bag rule on every hosted
+        shard, one reply per shard.
 
         Coverage inheritance narrows the work: the store derives each
-        rule's lattice parent structurally (refinement appends literals),
-        and master-echoed candidate masks narrow further when the local
-        cache is cold — only examples the parent covered are re-tested.
+        rule's lattice parent structurally (refinement appends literals).
+        The plain family also moves candidate masks — master-echoed ones
+        narrow further when the local cache is cold, and the rule's own go
+        back with the reply; the healing family moves none (they are in
+        per-shard local numbering and migrate poorly).
         """
-        store = self.shards[self.rank].store
+        healing = isinstance(req, FTEvaluateRequest)
         ops0 = self.engine.total_ops
-        stats = []
-        for i, rule in enumerate(req.rules):
-            cand = req.candidates[i] if req.candidates else None
-            cs = store.evaluate(self.engine, rule, candidates=cand)
-            pc, nc = store.cand_masks(rule) or (0, 0)
-            stats.append(RuleStats(pos=cs.pos, neg=cs.neg, pos_cand=pc, neg_cand=nc))
+        results = []
+        for shard in self._hosted():
+            store = shard.store
+            stats = []
+            for i, rule in enumerate(req.rules):
+                if healing:
+                    cs = store.evaluate(self.engine, rule)
+                    stats.append(RuleStats(pos=cs.pos, neg=cs.neg))
+                else:
+                    cand = req.candidates[i] if req.candidates else None
+                    cs = store.evaluate(self.engine, rule, candidates=cand)
+                    pc, nc = store.cand_masks(rule) or (0, 0)
+                    stats.append(RuleStats(pos=cs.pos, neg=cs.neg, pos_cand=pc, neg_cand=nc))
+            results.append((shard.virtual_rank, tuple(stats)))
         yield ctx.compute(self._ops_since(ops0), label="evaluate")
-        yield ctx.send(
-            MASTER_RANK,
-            EvaluateResult(rank=self.rank, stats=tuple(stats)),
-            tag=Tag.RESULT,
-        )
+        for virtual_rank, stats in results:
+            if healing:
+                reply = FTEvaluateResult(round=req.round, rank=virtual_rank, stats=stats)
+            else:
+                reply = EvaluateResult(rank=virtual_rank, stats=stats)
+            yield ctx.send(MASTER_RANK, reply, tag=Tag.RESULT)
 
     def _sampled_evaluate(self, ctx: ProcContext, req: SampledEvaluateRequest):
         """Sampled screening round: score the bag on the local strata.
@@ -458,99 +471,3 @@ class P2Worker(SimProcess):
             # AdoptWorker (in flight behind us on the master link) lands.
             self._deferred.append(payload)
         return True
-
-    def _ft_restart(self, ctx: ProcContext, req: RestartPipeline):
-        """(Re)start the pipeline rooted at a hosted logical worker.
-
-        Idempotent per epoch: the first request of an epoch draws the
-        shard's seed; duplicates (recovery reissues) reuse the remembered
-        draw and bottom clause, so the emitted stage-1 task is identical.
-        """
-        handled = yield from self._defer_or_forward(
-            ctx, req.origin, req, Tag.START_PIPELINE
-        )
-        if handled:
-            return
-        shard = self.shards[req.origin]
-        ops0 = self.engine.total_ops
-        if shard.pending_epoch != req.epoch:
-            shard.pending_epoch = req.epoch
-            shard.pending_seed = draw_seed(shard, self.config)
-            shard.bottom_ready = False
-        bottom = saturate_seed(shard, self.engine, self.modes, self.config)
-        yield ctx.compute(self._ops_since(ops0), label="saturate")
-        task = FTPipelineTask(
-            epoch=req.epoch, bottom=bottom, step=1, width=req.width, rules=(), origin=req.origin
-        )
-        yield from self._ft_stage(ctx, task)
-
-    def _ft_stage(self, ctx: ProcContext, task: FTPipelineTask):
-        """Fault-tolerant learn_rule' stage, executed by the logical
-        stage owner wherever it is hosted."""
-        logical = stage_logical(task.origin, task.step, self.n_workers)
-        handled = yield from self._defer_or_forward(ctx, logical, task, Tag.LEARN_RULE)
-        if handled:
-            return
-        shard = self.shards[logical]
-        ops0 = self.engine.total_ops
-        if task.bottom is None:
-            good: tuple = task.rules
-        else:
-            result = learn_rule(
-                self.engine,
-                task.bottom,
-                shard.store,
-                self.config,
-                seeds=task.rules or None,
-                width=task.width,
-                sampler=self._sampler_for(shard),
-            )
-            good = tuple(er.rule for er in result.good)
-        yield ctx.compute(self._ops_since(ops0), label=f"search(s{task.step})")
-        if task.step >= self.n_workers:
-            yield ctx.send(
-                MASTER_RANK,
-                FTPipelineRules(epoch=task.epoch, origin=task.origin, rules=good),
-                tag=Tag.RULES,
-            )
-        else:
-            next_logical = logical % self.n_workers + 1
-            next_task = FTPipelineTask(
-                epoch=task.epoch,
-                bottom=task.bottom,
-                step=task.step + 1,
-                width=task.width,
-                rules=good,
-                origin=task.origin,
-            )
-            dst = self._host_of(next_logical)
-            if dst == self.rank:
-                # Co-hosted successor stage: hand the token over in
-                # memory — co-located logical workers don't pay (or get
-                # charged for) the network.
-                yield from self._ft_stage(ctx, next_task)
-            else:
-                yield ctx.send(dst, next_task, tag=Tag.LEARN_RULE)
-
-    def _ft_evaluate(self, ctx: ProcContext, req: FTEvaluateRequest):
-        """Evaluate the round's rules on every hosted shard.
-
-        Candidate-mask echoing is off under fault tolerance (masks are in
-        per-shard local numbering and migrate poorly); the store's
-        structural parent inheritance still narrows the engine work.
-        """
-        ops0 = self.engine.total_ops
-        results = []
-        for shard in self._hosted():
-            stats = tuple(
-                RuleStats(pos=cs.pos, neg=cs.neg)
-                for cs in (shard.store.evaluate(self.engine, rule) for rule in req.rules)
-            )
-            results.append((shard.virtual_rank, stats))
-        yield ctx.compute(self._ops_since(ops0), label="evaluate")
-        for virtual_rank, stats in results:
-            yield ctx.send(
-                MASTER_RANK,
-                FTEvaluateResult(round=req.round, rank=virtual_rank, stats=stats),
-                tag=Tag.RESULT,
-            )

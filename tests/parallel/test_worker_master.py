@@ -15,7 +15,7 @@ from repro.parallel.messages import (
 )
 from repro.parallel.p2mdie import SharedProblem, run_p2mdie
 from repro.parallel.partition import partition_examples
-from repro.parallel.worker import P2Worker
+from repro.parallel.worker import stage_logical
 from repro.util.rng import make_rng
 
 
@@ -31,19 +31,20 @@ class TestSharedProblem:
 
 
 class TestWorkerRing:
-    def test_next_worker_wraps(self, kb, pos, neg, modes, config):
-        parts = partition_examples(pos, neg, 3, make_rng(0))
-        shared = SharedProblem(kb, parts, modes, config)
-        w1 = P2Worker(1, shared, 3)
-        w3 = P2Worker(3, shared, 3)
-        assert w1._next_worker() == 2
-        assert w3._next_worker() == 1
+    """The ring ``1 -> 2 -> ... -> p -> 1`` is ``stage_logical``: stage
+    ``step`` of the pipeline rooted at ``origin`` is served by that logical
+    worker, wherever it is hosted."""
 
-    def test_single_worker_ring_is_self(self, kb, pos, neg, modes, config):
-        parts = partition_examples(pos, neg, 1, make_rng(0))
-        shared = SharedProblem(kb, parts, modes, config)
-        w = P2Worker(1, shared, 1)
-        assert w._next_worker() == 1
+    def test_next_worker_wraps(self):
+        # the successor of rank r is the owner of stage 2 of r's pipeline
+        assert stage_logical(1, 2, 3) == 2
+        assert stage_logical(3, 2, 3) == 1
+        # a full lap visits every worker once, starting at the origin
+        assert [stage_logical(2, step, 3) for step in (1, 2, 3)] == [2, 3, 1]
+
+    def test_single_worker_ring_is_self(self):
+        assert stage_logical(1, 1, 1) == 1
+        assert stage_logical(1, 2, 1) == 1
 
 
 class TestPipelineFlow:
