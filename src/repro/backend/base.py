@@ -311,11 +311,9 @@ class WallClockContext(ProcContext):
         )
         # Injected message loss: the sender is charged (it cannot know the
         # network dropped the message), the payload never leaves the node.
-        n = self._faults.drops_send(dst)
-        if n:
-            self.fault_log.append(
-                FaultRecord(kind="drop", rank=self.rank, time=now, detail=f"->{dst} #{n} tag={tag}")
-            )
+        drop = self._faults.drop_record(self.rank, dst, tag, now)
+        if drop is not None:
+            self.fault_log.append(drop)
             return
         self._ship(dst, tag, data, encoded)
 

@@ -351,7 +351,12 @@ class LocalProcessBackend(Backend):
             raise BackendTimeoutError(_fail_message(header))
 
         def _record_death(rank: int) -> None:
-            code = child_by_rank[rank].exitcode
+            child = child_by_rank[rank]
+            # A dying child closes its pipes before it can be reaped: wait
+            # (bounded) for the exit status, or the same injected crash is
+            # logged as "exitcode None" from run to run.
+            child.join(timeout=5.0)
+            code = child.exitcode
             if ft and rank != 0:
                 kind = "injected crash" if code == _CRASH_EXIT else f"died (exitcode {code})"
                 deaths[rank] = kind

@@ -12,7 +12,6 @@ from repro.cluster.costmodel import (
     DEFAULT_COST_MODEL,
     OpsCostModel,
     PerRankCostModel,
-    WallClockCostModel,
 )
 from repro.cluster.message import Message, Tag, payload_nbytes
 from repro.cluster.network import FAST_ETHERNET, GIGABIT, INFINIBAND_LIKE, NetworkModel
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "OpsCostModel",
     "PerRankCostModel",
-    "WallClockCostModel",
     "Message",
     "Tag",
     "payload_nbytes",

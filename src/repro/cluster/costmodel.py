@@ -13,10 +13,9 @@ the "thousands of seconds" regime the paper reports (§5.3).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-__all__ = ["CostModel", "OpsCostModel", "WallClockCostModel", "DEFAULT_COST_MODEL"]
+__all__ = ["CostModel", "OpsCostModel", "DEFAULT_COST_MODEL"]
 
 
 class CostModel:
@@ -48,29 +47,6 @@ class OpsCostModel(CostModel):
 
     def seconds_for_ops(self, ops: int) -> float:
         return ops * self.sec_per_op
-
-
-class WallClockCostModel(CostModel):
-    """Host wall-clock model: virtual seconds = measured host seconds × scale.
-
-    Non-deterministic across hosts; provided for sanity-checking the ops
-    model (the shapes should agree).  Use :meth:`measure` around the
-    computation and pass the result through ``seconds_for_ops``-compatible
-    accounting via :class:`repro.cluster.process.ProcContext.compute`.
-    """
-
-    def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = scale
-
-    def seconds_for_ops(self, ops: int) -> float:
-        # Interpreted as pre-measured host seconds when ops carries time.
-        return ops * self.scale
-
-    @staticmethod
-    def clock() -> float:
-        return time.perf_counter()
 
 
 class PerRankCostModel(CostModel):

@@ -330,11 +330,9 @@ class Scheduler:
         # The sender is always charged (it cannot know the network will
         # drop the message); injected losses only suppress delivery.
         self.stats.record(msg)
-        n = st.faults.drops_send(dst)
-        if n:
-            self.fault_log.append(
-                FaultRecord(kind="drop", rank=st.proc.rank, time=st.clock, detail=f"->{dst} #{n} tag={tag}")
-            )
+        drop = st.faults.drop_record(st.proc.rank, dst, tag, st.clock)
+        if drop is not None:
+            self.fault_log.append(drop)
             return
         if self._states[dst].done:
             # Messages to a crashed rank silently vanish.

@@ -330,6 +330,14 @@ class RankFaults:
         self._sends[dst] = n
         return n if n in self.drops.get(dst, ()) else 0
 
+    def drop_record(self, src: int, dst: int, tag: str, now: float) -> Optional["FaultRecord"]:
+        """Count one ``src -> dst`` send (:meth:`drops_send`); the log
+        record of its loss when the plan drops it, else None."""
+        n = self.drops_send(dst)
+        if not n:
+            return None
+        return FaultRecord(kind="drop", rank=src, time=now, detail=f"->{dst} #{n} tag={tag}")
+
     def slowdown(self, now: float) -> float:
         """Compute-time multiplier at clock ``now`` (1.0: not straggling)."""
         s = self.straggler

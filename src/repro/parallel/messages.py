@@ -3,8 +3,8 @@
 These are the paper's worker tasks (Fig. 6) plus the inter-stage pipeline
 message (Fig. 7 line 17).  All payloads are plain picklable dataclasses;
 their marshalled size — the compact wire encoding of
-:mod:`repro.parallel.wire` when enabled, their pickled size otherwise —
-is what the Table 4 communication accounting charges.
+:mod:`repro.parallel.wire`, which registers every one of them — is what
+the Table 4 communication accounting charges.
 
 Design note: per §4.1 the training data itself is *not* shipped — "we
 assumed ... the data can be shared by all processors, through a
@@ -262,12 +262,14 @@ class Stop:
     """Master → workers: learning finished."""
 
 
-# -- fault-tolerance protocol (repro.fault) ---------------------------------------
+# -- the healing message family (repro.fault) ---------------------------------------
 #
-# None of the messages below is ever sent unless a non-empty
-# :class:`repro.fault.plan.FaultPlan` activates the self-healing protocol
-# (or a run is resumed from a checkpoint, which reuses AdoptWorker), so
-# fault-free runs keep the exact PR 3 message flow and byte counts.
+# The tasks above again — stamped with an epoch or round and addressed to
+# logical workers — plus the control messages of recovery.  A master
+# speaks this family exactly when a non-empty
+# :class:`repro.fault.plan.FaultPlan` is an argument of the run (a
+# checkpoint-resumed run also loads through AdoptWorker); workers serve
+# both families with one handler per task.
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import pytest
 from repro.backend import LocalProcessBackend
 from repro.backend.mpi import MPIBackend
 from repro.datasets import make_dataset
+from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
 from repro.ilp.sampling import make_sampler
 from repro.parallel import run_p2mdie
 
@@ -91,6 +92,35 @@ class TestSimLocalParity:
         res = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, config, p=2, seed=0)
         labels = [row[0] for row in res.certificate.strata]
         assert labels == ["pos@r1", "neg@r1", "pos@r2", "neg@r2"]
+
+
+class TestSampledUnderAPlan:
+    """docs/sampling.md: the healing message family has no screening
+    request, so a sampled run under a fault plan evaluates every round
+    exactly — every certificate entry is ``deferred``, no stratum is ever
+    reported — and a crash changes neither theory nor log."""
+
+    def test_supervised_and_crashed_runs_agree_and_defer(self):
+        ds = make_dataset("krki", seed=0, scale="small")
+        config = ds.config.replace(coverage_sampling=True, sample_fraction=0.5, sample_min=4)
+        args = (ds.kb, ds.pos, ds.neg, ds.modes, config)
+        crash = FaultPlan(  # the test_ft_matrix.py acceptance plan
+            crashes=(WorkerCrash(rank=2, on_recv=2, tag="start_pipeline"),),
+            stragglers=(Straggler(rank=1, factor=2.0),),
+            timeout=2.0,
+        )
+        supervised = run_p2mdie(*args, p=3, seed=0, fault_plan=FaultPlan(supervise=True))
+        crashed = run_p2mdie(*args, p=3, seed=0, fault_plan=crash)
+        assert any(f.kind == "crash" and f.rank == 2 for f in crashed.fault_log)
+        assert len(supervised.theory) >= 1
+        assert list(crashed.theory) == list(supervised.theory)
+        assert _epoch_rows(crashed) == _epoch_rows(supervised)
+        for res in (supervised, crashed):
+            cert = res.certificate
+            assert cert.ok
+            assert len(cert.entries) == len(res.theory)
+            assert all(e.deferred for e in cert.entries)
+            assert cert.strata == ()
 
 
 class TestThreadedSPMDParity:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.costmodel import OpsCostModel, WallClockCostModel
+from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.message import Message, Tag, payload_nbytes
 from repro.cluster.network import FAST_ETHERNET, GIGABIT, INFINIBAND_LIKE, NetworkModel
 
@@ -41,12 +41,6 @@ class TestCostModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             OpsCostModel(sec_per_op=0)
-        with pytest.raises(ValueError):
-            WallClockCostModel(scale=-1)
-
-    def test_wallclock_scale(self):
-        cm = WallClockCostModel(scale=2.0)
-        assert cm.seconds_for_ops(3) == 6.0
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=50, deadline=None)

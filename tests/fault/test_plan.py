@@ -102,3 +102,10 @@ class TestViews:
         assert FULL.for_rank(1).drops == {}
         assert FULL.joins_at(2) == (WorkerJoin(rank=5, epoch=2),)
         assert FULL.joins_at(3) == ()
+
+    def test_drop_record_counts_the_link_and_names_the_loss(self):
+        faults = FULL.for_rank(0)
+        assert faults.drop_record(0, 2, "rules", 1.5) is None  # link 0->2 #1
+        rec = faults.drop_record(0, 2, "rules", 2.5)  # link 0->2 #2: dropped
+        assert (rec.kind, rec.rank, rec.time, rec.detail) == ("drop", 0, 2.5, "->2 #2 tag=rules")
+        assert faults.drop_record(0, 1, "rules", 3.0) is None  # other link

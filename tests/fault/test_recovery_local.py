@@ -9,6 +9,7 @@ import pytest
 
 from helpers_fault import log_tuples, run_args
 from repro.backend import LocalProcessBackend
+from repro.cluster.process import SimProcess
 from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
 from repro.parallel import run_independent, run_p2mdie
 
@@ -54,6 +55,32 @@ class TestLocalCrashRecovery:
             *run_args(krki), p=3, seed=0, fault_plan=plan, backend=local_backend()
         )
         assert r.theory == b.theory
+
+
+class _Boss(SimProcess):
+    def run(self, ctx):
+        yield ctx.send(1, "go", tag="t")
+        yield ctx.recv(timeout=0.2)
+
+
+class _Victim(SimProcess):
+    def run(self, ctx):
+        yield ctx.recv()
+
+
+class TestLocalCrashLogging:
+    def test_injected_crash_detail_is_the_same_every_run(self):
+        """Regression: the supervisor read ``exitcode`` as soon as the dying
+        child's pipes closed, before the child could be reaped, so the same
+        injected crash was logged ``injected crash`` or ``died (exitcode
+        None)`` from run to run (18 of 20 here with these two bare
+        processes, 3 of 20 with the p2mdie crash above)."""
+        plan = FaultPlan(crashes=(WorkerCrash(rank=1, on_recv=1),), timeout=0.2)
+        details = []
+        for _ in range(20):
+            run = LocalProcessBackend(timeout=30.0).run([_Boss(0), _Victim(1)], fault_plan=plan)
+            details += [(f.kind, f.rank, f.detail) for f in run.fault_log]
+        assert details == [("crash", 1, "injected crash")] * 20
 
 
 class TestLocalTimingFaults:

@@ -33,6 +33,39 @@ class TestBaselineLearning:
         assert res.epochs <= 1
 
 
+class TestFailedEpochExits:
+    """An epoch can close without a rule two ways — the seed cannot be
+    saturated, or the search finds nothing good — and both are ordinary
+    closed epochs: under a fault plan each ends with the pulse that fills
+    the log's cache counters (the saturation exit used to skip it)."""
+
+    def _run(self, kb, pos, neg, modes, config, **kw):
+        from repro.logic.parser import parse_term
+
+        # no modeh covers son/2: taken first (idxs[0]), it cannot be saturated
+        seeds = [parse_term("son(ian, tom)"), *pos]
+        config = config.replace(select_seed_randomly=False)
+        return run_coverage_parallel(
+            kb, seeds, neg, modes, config, p=2, batch_size=8, seed=3, max_epochs=2, **kw
+        )
+
+    def test_unsaturatable_seed_closes_an_ordinary_epoch(self, kb, pos, neg, modes, config):
+        from repro.fault.plan import FaultPlan
+
+        plain = self._run(kb, pos, neg, modes, config)
+        healed = self._run(kb, pos, neg, modes, config, fault_plan=FaultPlan(supervise=True))
+        for res in (plain, healed):
+            failed, learned = res.epoch_logs
+            assert (failed.bag_size, failed.accepted) == (0, [])
+            assert len(learned.accepted) == 1
+        assert list(healed.theory) == list(plain.theory)
+        assert all(l.cache_hits is None and l.cache_misses is None for l in plain.epoch_logs)
+        assert all(
+            isinstance(l.cache_hits, int) and isinstance(l.cache_misses, int)
+            for l in healed.epoch_logs
+        )
+
+
 class TestGranularityEffect:
     def test_fine_grain_more_rounds_than_coarse(self, kb, pos, neg, modes, config):
         """batch_size=1 (Konstantopoulos) must send many more evaluate

@@ -15,14 +15,21 @@ from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
 from repro.parallel.messages import (
+    AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
+    FTEvaluateRequest,
+    FTEvaluateResult,
+    FTPipelineRules,
+    FTPipelineTask,
     LoadExamples,
     MarkCovered,
     PipelineRules,
     PipelineTask,
+    RestartPipeline,
     StartPipeline,
     Stop,
+    UpdateRouting,
 )
 from repro.parallel.p2mdie import SharedProblem
 from repro.parallel.partition import partition_examples
@@ -131,36 +138,87 @@ class TestLoad:
         assert any(c.label == "load" for c in h.computed)
 
 
+class Plain:
+    """The plan-free message family: unstamped requests and replies."""
+
+    task_cls, rules_cls, result_cls = PipelineTask, PipelineRules, EvaluateResult
+
+    @staticmethod
+    def start(width, origin):
+        return StartPipeline(width=width)
+
+    @staticmethod
+    def task(**fields):
+        return PipelineTask(**fields)
+
+    @staticmethod
+    def evaluate(rules):
+        return EvaluateRequest(rules=rules)
+
+
+class Healing:
+    """The healing family: the same tasks, stamped with an epoch / round
+    that every reply must echo."""
+
+    EPOCH, ROUND = 7, 3
+    task_cls, rules_cls, result_cls = FTPipelineTask, FTPipelineRules, FTEvaluateResult
+
+    @staticmethod
+    def start(width, origin):
+        return RestartPipeline(origin=origin, width=width, epoch=Healing.EPOCH)
+
+    @staticmethod
+    def task(**fields):
+        return FTPipelineTask(epoch=Healing.EPOCH, **fields)
+
+    @staticmethod
+    def evaluate(rules):
+        return FTEvaluateRequest(round=Healing.ROUND, rules=rules)
+
+
+def first_stage_output(problem, family, rank=1, width=5):
+    """The stage-2 task worker ``rank`` emits when asked to start."""
+    h = make_loaded_worker(problem, rank=rank)
+    h.deliver(family.start(width, rank), src=0, tag=Tag.START_PIPELINE)
+    (op,) = h.take_sent()
+    return op
+
+
+RULES = (
+    "daughter(A, B) :- parent(B, A), female(A).",
+    "daughter(A, B) :- parent(B, A).",
+)
+
+
 class TestStartPipeline:
+    family = Plain
+
     def test_first_stage_forwards_to_next_worker(self, problem):
-        h = make_loaded_worker(problem, rank=1)
-        h.deliver(StartPipeline(width=5), src=0, tag=Tag.START_PIPELINE)
-        sent = h.take_sent()
-        assert len(sent) == 1
-        op = sent[0]
+        op = first_stage_output(problem, self.family)
         assert op.dst == 2  # ring successor
         assert op.tag == Tag.LEARN_RULE
-        task: PipelineTask = op.payload
+        task = op.payload
+        assert type(task) is self.family.task_cls
         assert task.step == 2
         assert task.origin == 1
         assert task.bottom is not None
 
     def test_saturation_charged(self, problem):
         h = make_loaded_worker(problem, rank=1)
-        h.deliver(StartPipeline(width=5), src=0, tag=Tag.START_PIPELINE)
+        h.deliver(self.family.start(5, 1), src=0, tag=Tag.START_PIPELINE)
         labels = [c.label for c in h.computed]
         assert "saturate" in labels
         assert any(l.startswith("search(s1)") for l in labels)
 
 
 class TestPipelineStage:
+    family = Plain
+
     def test_last_stage_reports_to_master(self, problem):
         h = make_loaded_worker(problem, rank=3, n=3)
         # a stage-3 task arriving at worker 3 of 3 must go to the master
-        h2 = make_loaded_worker(problem, rank=1)
-        h2.deliver(StartPipeline(width=5), src=0, tag=Tag.START_PIPELINE)
-        task = h2.take_sent()[0].payload
-        task3 = PipelineTask(
+        task = first_stage_output(problem, self.family).payload
+        task3 = self.family.task(
             bottom=task.bottom, step=3, width=task.width, rules=task.rules, origin=1
         )
         h.deliver(task3, src=2, tag=Tag.LEARN_RULE)
@@ -168,38 +226,38 @@ class TestPipelineStage:
         assert len(sent) == 1
         assert sent[0].dst == MASTER_RANK
         assert sent[0].tag == Tag.RULES
-        assert isinstance(sent[0].payload, PipelineRules)
+        assert type(sent[0].payload) is self.family.rules_cls
         assert sent[0].payload.origin == 1
 
     def test_empty_bottom_passes_through(self, problem):
         h = make_loaded_worker(problem, rank=2)
-        task = PipelineTask(bottom=None, step=2, width=5, rules=(), origin=1)
+        task = self.family.task(bottom=None, step=2, width=5, rules=(), origin=1)
         h.deliver(task, src=1, tag=Tag.LEARN_RULE)
         sent = h.take_sent()
         assert sent[0].dst == 3
+        assert type(sent[0].payload) is self.family.task_cls
         assert sent[0].payload.rules == ()
 
     def test_width_caps_forwarded_rules(self, problem):
-        h = make_loaded_worker(problem, rank=1)
-        h.deliver(StartPipeline(width=1), src=0, tag=Tag.START_PIPELINE)
-        task = h.take_sent()[0].payload
+        task = first_stage_output(problem, self.family, width=1).payload
         assert len(task.rules) <= 1
 
 
 class TestEvaluateAndMark:
+    family = Plain
+
     def test_evaluate_replies_in_order(self, problem):
         from repro.logic.parser import parse_clause
 
         h = make_loaded_worker(problem, rank=1)
-        rules = (
-            parse_clause("daughter(A, B) :- parent(B, A), female(A)."),
-            parse_clause("daughter(A, B) :- parent(B, A)."),
-        )
-        h.deliver(EvaluateRequest(rules=rules), src=0, tag=Tag.EVALUATE)
+        rules = tuple(parse_clause(r) for r in RULES)
+        h.deliver(self.family.evaluate(rules), src=0, tag=Tag.EVALUATE)
         sent = h.take_sent()
         assert len(sent) == 1
-        res: EvaluateResult = sent[0].payload
+        res = sent[0].payload
+        assert type(res) is self.family.result_cls
         assert sent[0].dst == MASTER_RANK
+        assert res.rank == 1
         assert len(res.stats) == 2
         # the stricter rule covers no more positives than the general one
         assert res.stats[0].pos <= res.stats[1].pos
@@ -213,6 +271,110 @@ class TestEvaluateAndMark:
         h.deliver(MarkCovered(rule=rule), src=0, tag=Tag.MARK_COVERED)
         assert h.worker.store.remaining < before
         assert h.take_sent() == []  # no reply expected
+
+
+class TestStartPipelineHealing(TestStartPipeline):
+    family = Healing
+
+    def test_same_task_as_the_plain_family_plus_the_epoch(self, problem):
+        plain = first_stage_output(problem, Plain).payload
+        healing = first_stage_output(problem, Healing).payload
+        assert healing.epoch == Healing.EPOCH
+        assert (healing.bottom, healing.step, healing.width, healing.rules, healing.origin) == (
+            plain.bottom, plain.step, plain.width, plain.rules, plain.origin
+        )
+
+    def test_duplicate_restart_reuses_the_epochs_draw(self, problem):
+        """A reissued RestartPipeline re-emits the identical stage-1 output
+        without a second seed draw; the next epoch draws again."""
+        h = make_loaded_worker(problem, rank=1)
+        shard = h.worker.shards[1]
+        h.deliver(Healing.start(5, 1), src=0, tag=Tag.START_PIPELINE)
+        first = h.take_sent()
+        assert bin(shard.tried_mask).count("1") == 1
+        h.deliver(Healing.start(5, 1), src=0, tag=Tag.START_PIPELINE)
+        assert h.take_sent() == first
+        assert bin(shard.tried_mask).count("1") == 1
+        h.deliver(RestartPipeline(origin=1, width=5, epoch=Healing.EPOCH + 1), src=0,
+                  tag=Tag.START_PIPELINE)
+        assert bin(shard.tried_mask).count("1") == 2
+
+
+class TestPipelineStageHealing(TestPipelineStage):
+    family = Healing
+
+    def test_same_rules_out_for_the_same_rules_in(self, problem):
+        out = {}
+        for family in (Plain, Healing):
+            task = first_stage_output(problem, family).payload
+            h = make_loaded_worker(problem, rank=2)
+            h.deliver(task, src=1, tag=Tag.LEARN_RULE)
+            (op,) = h.take_sent()
+            assert op.dst == 3 and op.payload.step == 3
+            out[family] = op.payload
+        assert out[Healing].epoch == Healing.EPOCH
+        assert out[Healing].rules == out[Plain].rules
+
+    def _adopt(self, virtual_rank):
+        return AdoptWorker(
+            virtual_rank=virtual_rank, partition_id=virtual_rank, epoch=Healing.EPOCH,
+            completed=(), current=(),
+        )
+
+    def test_cohosted_successor_stage_is_handed_over_in_memory(self, problem):
+        h = make_loaded_worker(problem, rank=1)
+        h.deliver(self._adopt(2), src=0, tag=Tag.LOAD_EXAMPLES)
+        h.computed.clear()
+        h.deliver(Healing.start(5, 1), src=0, tag=Tag.START_PIPELINE)
+        (op,) = h.take_sent()  # stages 1 and 2 ran here; only stage 3 travels
+        assert (op.dst, op.tag, op.payload.step) == (3, Tag.LEARN_RULE, 3)
+        labels = [c.label for c in h.computed]
+        assert labels == ["saturate", "search(s1)", "search(s2)"]
+
+    def test_task_for_a_shard_not_yet_adopted_is_parked_then_served(self, problem):
+        task = first_stage_output(problem, Healing).payload  # stage 2 of pipeline 1
+        h = make_loaded_worker(problem, rank=1)
+        h.deliver(UpdateRouting(routing=((1, 1), (2, 1), (3, 3))), src=0, tag=Tag.ROUTING)
+        h.deliver(task, src=1, tag=Tag.LEARN_RULE)
+        assert h.take_sent() == []
+        assert not any(c.label.startswith("search") for c in h.computed)
+        h.deliver(self._adopt(2), src=0, tag=Tag.LOAD_EXAMPLES)
+        (op,) = h.take_sent()
+        assert (op.dst, op.tag, op.payload.step) == (3, Tag.LEARN_RULE, 3)
+        assert [c.label for c in h.computed][-2:] == ["recover", "search(s2)"]
+
+    def test_task_for_a_shard_routed_elsewhere_is_forwarded_unchanged(self, problem):
+        task = first_stage_output(problem, Healing).payload
+        h = make_loaded_worker(problem, rank=1)
+        h.computed.clear()
+        h.deliver(task, src=3, tag=Tag.LEARN_RULE)
+        (op,) = h.take_sent()
+        assert (op.dst, op.tag) == (2, Tag.LEARN_RULE)
+        assert op.payload is task
+        assert h.computed == []
+
+
+class TestEvaluateHealing:
+    family = Healing
+    test_evaluate_replies_in_order = TestEvaluateAndMark.test_evaluate_replies_in_order
+
+    def test_same_stats_as_the_plain_family_plus_the_round(self, problem):
+        from repro.logic.parser import parse_clause
+
+        rules = tuple(parse_clause(r) for r in RULES)
+        out = {}
+        for family in (Plain, Healing):
+            h = make_loaded_worker(problem, rank=1)
+            h.deliver(family.evaluate(rules), src=0, tag=Tag.EVALUATE)
+            (op,) = h.take_sent()
+            out[family] = op.payload
+        assert out[Healing].round == Healing.ROUND
+        assert [(rs.pos, rs.neg) for rs in out[Healing].stats] == [
+            (rs.pos, rs.neg) for rs in out[Plain].stats
+        ]
+        # candidate masks travel with the plain family only
+        assert any(rs.pos_cand or rs.neg_cand for rs in out[Plain].stats)
+        assert not any(rs.pos_cand or rs.neg_cand for rs in out[Healing].stats)
 
 
 class TestStop:
