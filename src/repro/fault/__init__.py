@@ -9,21 +9,22 @@ unreliable pool:
 * :mod:`repro.fault.checkpoint` — versioned, wire-codec-serialized
   snapshots of master learning state written at epoch boundaries, and
   the machinery behind ``repro resume``;
-* :mod:`repro.fault.recovery` — the self-healing protocol: logical
-  workers decoupled from physical hosts, heartbeat/timeout failure
-  detection, deterministic state reconstruction by replay, task
-  reassignment and elastic pool growth;
+* :mod:`repro.fault.recovery` — the state and policy of self-healing:
+  logical workers decoupled from physical hosts, deterministic state
+  reconstruction by replay, reassignment and elastic pool growth (the
+  heartbeat/timeout collectives that drive them are
+  :class:`repro.parallel.master.Master`'s);
 * :mod:`repro.fault.service` — the serving tier's counterpart
   (:class:`ServiceFaultPlan`): connection resets, engine-lease faults,
   scheduler-slot crashes and persistence-write failures injected into
   the live service front door and job scheduler.
 
-The subsystem is strictly opt-in: with no plan (or an empty one) every
-execution path is byte-for-byte identical to the fault-unaware code.
+The subsystem is strictly opt-in: with no plan (or an empty one) a run
+puts byte-for-byte the plain message family on the wire.
 
 Only the plan layer is imported eagerly — the cluster scheduler depends
 on it, and the scheduler must stay importable without dragging in the
-parallel package (which the checkpoint/recovery layers build on).
+parallel package (which the checkpoint layer builds on).
 """
 
 from repro.fault.plan import (

@@ -80,7 +80,7 @@ class WorkerShard:
 def draw_seed(shard: WorkerShard, config) -> Optional[int]:
     """Draw (and mark tried) the next pipeline seed for one shard.
 
-    Exactly the historical worker policy: prefer alive-and-untried seeds;
+    The one seed policy of every run: prefer alive-and-untried seeds;
     when every alive seed has been tried, allow a fresh pass (global
     coverage changed since), bounded by the master's stall detector.
     """

@@ -190,10 +190,6 @@ class Master(SimProcess):
     def _workers(self) -> list[int]:
         return list(range(1, self.n_workers + 1))
 
-    def _serving(self) -> list[int]:
-        """Hosts holding at least one logical worker (every worker, plain)."""
-        return self._workers() if self.ft is None else self.ft.serving_hosts()
-
     # -- checkpointing -----------------------------------------------------------
     def _write_checkpoint(self, **state) -> None:
         """Snapshot the run at an epoch boundary; ``state`` holds the
@@ -350,7 +346,9 @@ class Master(SimProcess):
         """Hook: called by ``_consume_bag`` right after ``theory.add``."""
 
     def _mark_covered(self, ctx: ProcContext, rule: Clause):
-        yield ctx.bcast(MarkCovered(rule=rule), tag=Tag.MARK_COVERED, dsts=self._serving())
+        """``mark_covered`` goes to every host that holds a logical worker."""
+        dsts = self._workers() if self.ft is None else self.ft.serving_hosts()
+        yield ctx.bcast(MarkCovered(rule=rule), tag=Tag.MARK_COVERED, dsts=dsts)
 
     def _consume_bag(self, ctx: ProcContext, bag: ClauseBag, log: EpochLog):
         """Lines 10-22: evaluate, filter, then greedily consume a bag."""
