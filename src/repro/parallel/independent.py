@@ -121,8 +121,7 @@ class IndependentMaster(Master):
         yield from self._load(ctx)
         log = self._open_epoch()
         bag = yield from self._pipeline_round(ctx, self.width, log)
-        if bag:
-            yield from self._consume_bag(ctx, bag, log)
+        yield from self._consume_bag(ctx, bag, log)
         yield from self._end_epoch(ctx, log)
         yield from self._stop(ctx)
 

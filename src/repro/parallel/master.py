@@ -188,6 +188,8 @@ class Master(SimProcess):
         return len(self.epoch_logs)
 
     def _workers(self) -> list[int]:
+        """The logical workers ``1..p`` — also their hosts, until a
+        recovery or a join rewires ``self.ft.routing``."""
         return list(range(1, self.n_workers + 1))
 
     # -- checkpointing -----------------------------------------------------------
@@ -271,8 +273,8 @@ class Master(SimProcess):
                     return (p.origin, p.rules)
                 return None
 
-            yield from start(sorted(self._ft_logicals()))
-            got = yield from self._ft_gather(ctx, self._ft_logicals(), classify, start)
+            yield from start(self._workers())
+            got = yield from self._ft_gather(ctx, self._workers(), classify, start)
             rule_sets = [got[origin] for origin in sorted(got)]
         bag = ClauseBag()
         for rules in rule_sets:
@@ -326,8 +328,8 @@ class Master(SimProcess):
                     return (p.rank, p.stats)
                 return None
 
-            yield from ask(sorted(self._ft_logicals()))
-            got = yield from self._ft_gather(ctx, self._ft_logicals(), classify, ask)
+            yield from ask(self._workers())
+            got = yield from self._ft_gather(ctx, self._workers(), classify, ask)
             replies = [got[logical] for logical in sorted(got)]
         totals = [[0, 0] for _ in clauses]
         for stats in replies:
@@ -351,12 +353,15 @@ class Master(SimProcess):
         yield ctx.bcast(MarkCovered(rule=rule), tag=Tag.MARK_COVERED, dsts=dsts)
 
     def _consume_bag(self, ctx: ProcContext, bag: ClauseBag, log: EpochLog):
-        """Lines 10-22: evaluate, filter, then greedily consume a bag."""
-        clauses = bag.clauses()
-        totals = yield from self._global_eval(ctx, clauses)
-        stats = dict(zip(clauses, totals))
-        drop_not_good(bag, stats, self.config)
+        """Lines 10-22: evaluate and filter the bag, accept its best rule,
+        and again on what is left, until nothing good remains."""
         while bag:
+            clauses = bag.clauses()
+            totals = yield from self._global_eval(ctx, clauses)
+            stats = dict(zip(clauses, totals))
+            drop_not_good(bag, stats, self.config)
+            if not bag:
+                break
             best = pick_best(bag, stats, self.config)
             bag.discard(best)
             self.theory.add(best)
@@ -366,12 +371,6 @@ class Master(SimProcess):
             log.pos_covered += covered
             self.remaining -= covered
             yield from self._mark_covered(ctx, best)
-            if not bag:
-                break
-            clauses = bag.clauses()
-            totals = yield from self._global_eval(ctx, clauses)
-            stats = dict(zip(clauses, totals))
-            drop_not_good(bag, stats, self.config)
 
     def _end_epoch(self, ctx: ProcContext, log: EpochLog):
         """Close the epoch; the healing family pulses every serving host
@@ -429,9 +428,6 @@ class Master(SimProcess):
 
     def _ft_note(self, text: str) -> None:
         self.fault_events.append(text)
-
-    def _ft_logicals(self) -> set[int]:
-        return set(range(1, self.n_workers + 1))
 
     def _ft_adopt_payload(self, logical: int) -> AdoptWorker:
         completed, current, draw_seeds, draw_current, epoch = self._ft_history()
@@ -752,8 +748,7 @@ class P2Master(Master):
             yield from self._admit_joins(ctx)
             log = self._open_epoch()
             bag = yield from self._pipeline_round(ctx, self.width, log)
-            if bag:
-                yield from self._consume_bag(ctx, bag, log)
+            yield from self._consume_bag(ctx, bag, log)
             yield from self._end_epoch(ctx, log)
             stall = 0 if log.accepted else stall + 1
             self._write_checkpoint(stall=stall)
