@@ -15,7 +15,7 @@ import pytest
 from repro.fault.service import LeaseFault, ServiceFaultPlan
 from repro.logic import parse_term
 from repro.obs import Tracer, read_spans_jsonl
-from repro.service import Service, ServiceClient, TheoryRegistry, serve, wiremsg
+from repro.service import JobSpec, Service, ServiceClient, TheoryRegistry, serve, wiremsg
 from repro.service.server import ClientContext
 
 RESETS = Path(__file__).resolve().parents[2] / "examples/faultplans/service_resets.json"
@@ -283,6 +283,37 @@ class TestOneLifecycle:
             shutdown(server, thread)
         assert [a.get("frame") for a in answers[:5]] == ["shard"] * 4 + ["end"]
         assert answers[5]["pong"]
+
+
+class TestManyConnections:
+    def test_parked_waits_do_not_starve_other_connections(self, tmp_path, trains_theory):
+        # One slot, three jobs in line, 33 clients each parked in a `wait`
+        # on the last of them: a ping on one more connection is answered
+        # at once, not when the jobs are done.
+        server, thread = start_server(tmp_path, trains_theory)
+        parked = []
+        try:
+            with connect(server, "json") as c:
+                jobs = [c.submit(JobSpec(dataset="krki", algo="mdie")) for _ in range(3)]
+            wait = json.dumps({"op": "wait", "job": jobs[-1], "timeout": 20}) + "\n"
+            for _ in range(33):
+                sock = socket.create_connection(("127.0.0.1", server.port), timeout=30)
+                parked.append(sock)
+                sock.sendall(wait.encode())
+            deadline = time.monotonic() + 10
+            while server._inflight < 33 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._inflight == 33, "the waits never reached the server"
+            with connect(server, "json") as c:
+                t0 = time.monotonic()
+                assert c.request({"op": "ping"})["pong"]
+                answered_in = time.monotonic() - t0
+        finally:
+            shutdown(server, thread)
+            for sock in parked:
+                sock.close()
+        assert answered_in < 0.5, f"ping waited {answered_in:.2f} s behind parked waits"
+        assert not thread.is_alive(), "serve() did not return on shutdown"
 
 
 class TestRetiredKnobs:
