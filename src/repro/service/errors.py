@@ -20,8 +20,7 @@ Codes
 ``overloaded``         load shed — honour ``retry_after`` and resend;
 ``unavailable``        transient server-side failure — safe to retry;
 ``shutting_down``      the server is draining; reconnect elsewhere/later;
-``frame_too_large``    a wire frame exceeded the 64 MiB cap;
-``not_found``          unknown job/theory/version.
+``frame_too_large``    a wire frame exceeded the 64 MiB cap.
 """
 
 from __future__ import annotations
@@ -70,10 +69,11 @@ class BadRequest(ServiceFault):
 class Unauthenticated(ServiceFault):
     code = "unauthenticated"
 
-    def __init__(self):
-        super().__init__(
-            'authentication required: send {"op": "hello", "token": "..."} first'
-        )
+    def __init__(
+        self,
+        message: str = 'authentication required: send {"op": "hello", "token": "..."} first',
+    ):
+        super().__init__(message)
 
 
 class DeadlineExceeded(ServiceFault):

@@ -1,4 +1,4 @@
-"""The service front door: an async socket tier (stdlib only).
+"""The service front door: a blocking socket tier (stdlib only).
 
 Protocol
 --------
@@ -44,11 +44,13 @@ Architecture
 :class:`Service` is the transport-free core — a request dict in, a
 response dict out — so the protocol is unit-testable without sockets and
 reusable behind any other transport.  :class:`ServiceServer` wraps it in
-an **asyncio event loop**: one task per connection (thousands of idle
-connections cost no threads), with blocking operations (``wait`` can
-legitimately block for minutes; queries hold a CPU) dispatched to a
-bounded thread pool so the loop itself never stalls.  Learning jobs run
-in the scheduler's own slot threads, so slow jobs never block queries.
+blocking send/receive loops, like every process of the paper's Fig. 5:
+**one accept loop** hands each connection to **its own daemon thread**,
+and that thread reads a request, runs the op and writes the answer — so
+a ``wait`` that blocks for minutes, or a query that holds a CPU, occupies
+only the connection that asked (an idle connection costs a parked
+thread, ≈ 20 KiB).  Learning jobs run in the scheduler's own slot
+threads, so slow jobs never block queries.
 Every request of either transport takes the one path
 ``_serve_once`` → ``_run_op`` → :meth:`Service.handle`, which is where
 deadlines, request ids, admission control, auth, metrics, spans and
@@ -58,16 +60,17 @@ frames through ``ClientContext.emit`` on the way.
 
 from __future__ import annotations
 
-import asyncio
+import hmac
 import json
 import os
+import selectors
 import signal
 import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.fault.service import ServiceFaultInjector, normalize_service_plan
@@ -114,29 +117,19 @@ def stamp_request_id(request: dict) -> str:
     return rid
 
 
-def stamp_deadline(request: dict) -> None:
-    """Convert a valid relative ``deadline_ms`` to absolute ``_deadline``.
-
-    Called by the transport the moment a request is parsed, so time a
-    request spends queued behind the op executor counts against its own
-    deadline.  Invalid values are left for :func:`deadline_of` to reject
-    inside the normal error path.
-    """
-    ms = request.get("deadline_ms")
-    if isinstance(ms, (int, float)) and not isinstance(ms, bool) and ms > 0:
-        request["_deadline"] = time.monotonic() + ms / 1000.0
-
-
 def deadline_of(request: dict) -> Optional[float]:
     """The request's absolute monotonic deadline, or None.
 
-    Stamps direct (in-process) requests that skipped the transport.
+    The first call — :meth:`Service._dispatch`, on the thread that read
+    the request and runs it, so nothing queues in between — turns a
+    relative ``deadline_ms`` into the absolute ``_deadline`` that the
+    rest of the request's life reads.
     """
     ms = request.get("deadline_ms")
     if "_deadline" not in request and ms is not None:
-        stamp_deadline(request)
-        if "_deadline" not in request:
+        if not isinstance(ms, (int, float)) or isinstance(ms, bool) or ms <= 0:
             raise BadRequest(f"deadline_ms must be a positive number, got {ms!r}")
+        request["_deadline"] = time.monotonic() + ms / 1000.0
     return request.get("_deadline")
 
 
@@ -153,15 +146,11 @@ class ClientContext:
     client_id: str = "local"
     authenticated: bool = False
     transport: str = "json"
-    #: bytes read ahead of the current parse point (pipelined requests
-    #: surfaced by the mid-stream disconnect watch).
-    pushback: bytes = b""
-    #: while a socket transport serves a streaming request: pushes one
-    #: shard frame to the client from the op's thread (:class:`Cancelled`
-    #: once the client is gone).  None in-process: streams answer whole.
+    #: on a socket connection: pushes one shard frame of a streaming
+    #: request to the client from the thread that evaluates it
+    #: (:class:`Cancelled` once the client is gone).  None in-process:
+    #: streams answer whole.
     emit: Optional[Callable[[dict], None]] = None
-    #: the stream that request drains; the transport cancels it on hang-up.
-    stream: Optional[QueryStream] = None
 
 
 class Service:
@@ -250,11 +239,11 @@ class Service:
         """Answer one request dict; never raises (errors become fields).
 
         Requests may carry ``"deadline_ms"`` (relative, stamped to an
-        absolute monotonic ``"_deadline"`` at transport read time so
-        executor queueing counts against it): work whose deadline passed
-        is rejected up front with ``deadline_exceeded`` instead of run
-        uselessly, and a query evaluated in several spans stops at the
-        first span boundary after the deadline expired.
+        absolute monotonic ``"_deadline"`` by :func:`deadline_of`): work
+        whose deadline passed is rejected up front with
+        ``deadline_exceeded`` instead of run uselessly, and a query
+        evaluated in several spans stops at the first span boundary
+        after the deadline expired.
         """
         if ctx is None:
             # Direct (in-process) callers are implicitly trusted — the
@@ -343,8 +332,10 @@ class Service:
     def _op_hello(self, request: dict, ctx: ClientContext) -> dict:
         if self.auth_token is not None:
             token = request.get("token")
-            if token != self.auth_token:
-                raise ValueError("bad or missing token")
+            if not isinstance(token, str) or not hmac.compare_digest(
+                token.encode("utf-8"), self.auth_token.encode("utf-8")
+            ):
+                raise Unauthenticated("bad or missing token")
         ctx.authenticated = True
         if isinstance(request.get("client"), str) and request["client"]:
             ctx.client_id = request["client"]
@@ -413,7 +404,6 @@ class Service:
         micro_batch: int = 1024,
         shards=None,
         deadline: Optional[float] = None,
-        on_open: Optional[Callable[[QueryStream], None]] = None,
         on_frame: Optional[Callable[[ShardResult], None]] = None,
     ) -> QueryResult:
         """One batched query over already-parsed example terms.
@@ -423,8 +413,8 @@ class Service:
         checked and a cancel honoured before each, and other requests
         against the theory get their turn in between.  With ``on_frame``
         the batch is streamed — every span's frame is handed over as
-        soon as it is evaluated, and ``on_open`` gets the stream first so
-        that its owner can cancel it.
+        soon as it is evaluated; an ``on_frame`` that raises (the client
+        hung up) stops the stream.
         """
         if self.registry is None:
             raise ValueError("query needs the server started with a registry dir")
@@ -439,7 +429,7 @@ class Service:
                 name, examples, version=version, micro_batch=micro_batch or 1024,
                 shards=max(spans, 1), deadline=deadline,
             )
-            result = self._drain(stream, on_open, on_frame)
+            result = self._drain(stream, on_frame)
         self.metrics.histogram(
             "repro_query_fanout_shards",
             "spans a query batch was evaluated in",
@@ -448,11 +438,9 @@ class Service:
         return result
 
     @staticmethod
-    def _drain(stream: QueryStream, on_open, on_frame) -> QueryResult:
+    def _drain(stream: QueryStream, on_frame) -> QueryResult:
         """Consume ``stream`` in span order; an error stops it for good."""
         try:
-            if on_open is not None:
-                on_open(stream)
             for frame in stream.frames():
                 if on_frame is not None:
                     on_frame(frame)
@@ -461,8 +449,6 @@ class Service:
             # that hung up: never partial results, no further span.
             stream.cancel()
             raise
-        if not stream.done:
-            raise Cancelled("query cancelled mid-stream: the client hung up")
         return stream.result()
 
     def _op_query(self, request: dict, ctx: ClientContext) -> dict:
@@ -471,12 +457,7 @@ class Service:
         # answered packed; strings are answered with a list of booleans.
         packed = bool(items) and isinstance(items[0], Term)
         examples = [e if isinstance(e, Term) else parse_term(e) for e in items]
-        streaming = {}
-        if request.get("stream") and ctx.emit is not None:
-            streaming = dict(
-                on_open=lambda stream: setattr(ctx, "stream", stream),
-                on_frame=lambda frame: ctx.emit(_answer(frame, packed)),
-            )
+        emit = ctx.emit if request.get("stream") else None
         result = self.query_result(
             request["theory"],
             examples,
@@ -484,10 +465,10 @@ class Service:
             micro_batch=int(request.get("micro_batch") or 1024),
             shards=request.get("shards"),
             deadline=request.get("_deadline"),
-            **streaming,
+            on_frame=emit and (lambda frame: emit(_answer(frame, packed))),
         )
         out = _answer(result, packed)
-        if streaming:
+        if emit is not None:
             out["frame"] = "end"
         return out
 
@@ -632,17 +613,15 @@ def _answer(part, packed: bool) -> dict:
 
 
 class ServiceServer:
-    """Asyncio front end multiplexing many connections over one loop.
+    """Blocking front end: one accept loop, one daemon thread per connection.
 
-    Connections cost one task each, not one thread; blocking service
-    operations run on ``self._ops`` (sized generously because ``wait``
-    parks a worker for the duration of a learning job).  Use
+    The accept loop (:meth:`run_until_shutdown`) multiplexes the
+    listener, the optional metrics listener and a wake ``socketpair``
+    over one selector; everything a connection needs — reading, running
+    the op, answering — happens on that connection's own thread.  Use
     :func:`serve` for the blocking entry point; tests reach the bound
     port through the ``ready`` callback.
     """
-
-    #: executor headroom beyond scheduler slots: concurrent waits + queries.
-    OPS_WORKERS = 32
 
     def __init__(
         self,
@@ -660,40 +639,44 @@ class ServiceServer:
         #: :attr:`metrics_bound_port`).
         self.metrics_port = metrics_port
         self.metrics_bound_port: Optional[int] = None
-        self._metrics_server: Optional[asyncio.base_events.Server] = None
-        self._inflight = 0  # loop-thread only
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._drain: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ops = ThreadPoolExecutor(
-            max_workers=max(self.OPS_WORKERS, service.scheduler.slots * 4),
-            thread_name_prefix="repro-svc-op",
-        )
+        self._lock = threading.Lock()  # guards _inflight and _conns
+        self._inflight = 0
+        self._conns: set[socket.socket] = set()
+        self._listener: Optional[socket.socket] = None  # None again once draining
+        self._selector = selectors.DefaultSelector()
+        # How connection threads, other threads and the SIGTERM handler
+        # reach the accept loop: b"s" asks it to stop, b"d" to drain first.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
 
-    async def start(self, host: str, port: int) -> None:
-        self._shutdown = asyncio.Event()
-        self._drain = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        # The reader limit bounds one JSON line; large query batches are
-        # legitimate, so allow what the wire framing allows.
-        self._server = await asyncio.start_server(
-            self._on_client, host, port, limit=wiremsg.MAX_FRAME
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self, host: str, port: int) -> None:
+        self._listener = self._listen(host, port, self._serve_connection)
+        self.port = self._listener.getsockname()[1]
         if self.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._on_metrics_client, host, self.metrics_port
-            )
-            self.metrics_bound_port = self._metrics_server.sockets[0].getsockname()[1]
+            metrics = self._listen(host, self.metrics_port, self._serve_metrics)
+            self.metrics_bound_port = metrics.getsockname()[1]
             _log.info(
                 "metrics_listening", host=host, port=self.metrics_bound_port
             )
 
+    def _listen(self, host: str, port: int, serve: Callable) -> socket.socket:
+        """Bind a listener whose connections ``serve(conn)`` handles."""
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        listener = socket.create_server((host, port), family=family, backlog=128)
+        listener.setblocking(False)
+        self._selector.register(listener, selectors.EVENT_READ, serve)
+        return listener
+
+    def _wake(self, ask: bytes) -> None:
+        try:
+            self._wake_w.send(ask)
+        except OSError:
+            pass  # already closed, or a full pipe: the loop is waking anyway
+
     def initiate_shutdown(self) -> None:
-        """Stop accepting and unwind :meth:`run_until_shutdown` (loop-thread)."""
-        if self._shutdown is not None:
-            self._shutdown.set()
+        """Stop accepting and unwind :meth:`run_until_shutdown` (thread-safe)."""
+        self._wake(b"s")
 
     def initiate_drain(self) -> None:
         """Begin a graceful drain (thread- and signal-safe).
@@ -703,98 +686,130 @@ class ServiceServer:
         or checkpoint-park, then the server unwinds.
         """
         self.service.draining = True
-        if self._loop is not None and self._drain is not None:
-            self._loop.call_soon_threadsafe(self._drain.set)
+        self._wake(b"d")
 
-    async def run_until_shutdown(self) -> None:
-        shut = asyncio.ensure_future(self._shutdown.wait())
-        drain = asyncio.ensure_future(self._drain.wait())
+    def run_until_shutdown(self) -> None:
+        """The accept loop; returns once a shutdown (or a drain) was asked for."""
+        while True:
+            for key, _ in self._selector.select():
+                if key.data is not None:  # a listener, with what serves its connections
+                    self._accept(key.fileobj, key.data)
+                    continue
+                asked = self._wake_r.recv(64)
+                if b"s" in asked:
+                    return
+                if self._listener is not None:
+                    # Graceful drain: stop accepting connections, let the
+                    # job tier finish or checkpoint-park its in-flight work
+                    # (Service.drain blocks, so it gets a thread: existing
+                    # connections and the metrics endpoint keep getting
+                    # answers), then take the normal shutdown path.
+                    self._selector.unregister(self._listener)
+                    self._listener.close()
+                    self._listener = None
+                    threading.Thread(
+                        target=self._drain, name="repro-svc-drain", daemon=True
+                    ).start()
+
+    def _drain(self) -> None:
         try:
-            await asyncio.wait({shut, drain}, return_when=asyncio.FIRST_COMPLETED)
-            if self._drain.is_set() and not self._shutdown.is_set():
-                # Graceful drain: stop accepting connections, let the job
-                # tier finish or checkpoint-park its in-flight work
-                # (Service.drain blocks in a worker thread, so existing
-                # connections keep getting status/stats answers), then
-                # fall through to the normal shutdown path.
-                self._server.close()
-                await self._server.wait_closed()
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.service.drain
-                )
-                self._shutdown.set()
-            await self._shutdown.wait()
+            self.service.drain()
         finally:
-            for t in (shut, drain):
-                if not t.done():
-                    t.cancel()
-                    try:
-                        await t
-                    except asyncio.CancelledError:
-                        pass
-        self._server.close()
-        await self._server.wait_closed()
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-        # Blocked waits are unstuck by Service.close cancelling their jobs
-        # (the caller's `finally`), so don't join the worker threads here.
-        self._ops.shutdown(wait=False, cancel_futures=True)
+            self.initiate_shutdown()
 
-    async def _on_metrics_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def close(self) -> None:
+        """Close the listeners and hang up on every open connection.
+
+        A connection thread parked in a read sees EOF and exits; one that
+        is inside an op (a ``wait`` can block for minutes) finds its
+        socket shut when it answers and exits then — nobody joins it.
+        """
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self._wake_w.close()
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its thread closed it first
+
+    def _accept(self, listener: socket.socket, serve: Callable) -> None:
+        try:
+            conn, _ = listener.accept()
+        except BlockingIOError:
+            return  # the peer gave up between select and accept
+        except OSError as exc:
+            # Out of descriptors, most likely: give open connections a
+            # moment to finish instead of spinning on the ready listener.
+            _log.warning("accept_failed", error=str(exc))
+            time.sleep(0.05)
+            return
+        conn.setblocking(True)
+        # Frames of a stream are small writes in a row; Nagle would hold
+        # each one back ≈ 40 ms for the previous one's ACK.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._lock:
+            self._conns.add(conn)
+        try:
+            threading.Thread(
+                target=self._connection, args=(conn, serve),
+                name="repro-svc-conn", daemon=True,
+            ).start()
+        except RuntimeError as exc:  # the process cannot start another thread
+            _log.warning("accept_failed", error=str(exc))
+            self._forget(conn)
+
+    def _forget(self, conn: socket.socket) -> None:
+        conn.close()
+        with self._lock:
+            self._conns.discard(conn)
+
+    def _connection(self, conn: socket.socket, serve: Callable) -> None:
+        """Thread body of one accepted connection."""
+        try:
+            serve(conn)
+        except OSError:
+            pass  # the client went away, or close() hung up: nothing to answer
+        finally:
+            self._forget(conn)
+
+    def _serve_metrics(self, conn: socket.socket) -> None:
         """Answer one plain-HTTP GET with the Prometheus text exposition.
 
         Deliberately minimal (stdlib-only, HTTP/1.0, connection-per-
         scrape): enough for ``curl`` and any Prometheus scraper, with no
         routing — every path serves the metrics page.
         """
-        try:
-            try:
-                await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=5.0)
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError, ValueError):
+        deadline = time.monotonic() + 5.0
+        head = b""
+        while b"\r\n\r\n" not in head:
+            conn.settimeout(max(deadline - time.monotonic(), 0.001))
+            chunk = conn.recv(65536)
+            if not chunk or len(head) > 65536:
                 return
-            body = (
-                await asyncio.get_running_loop().run_in_executor(
-                    self._ops, self.service.render_metrics
-                )
-            ).encode("utf-8")
-            writer.write(
-                b"HTTP/1.0 200 OK\r\n"
-                b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
-                + body
-            )
-            await writer.drain()
-        except Exception:
-            pass  # a failed scrape must never disturb the serving loop
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            head += chunk
+        body = self.service.render_metrics().encode("utf-8")
+        conn.settimeout(5.0)
+        conn.sendall(
+            b"HTTP/1.0 200 OK\r\n"
+            b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            + body
+        )
 
     # -- per-connection protocol loop --------------------------------------------
 
-    async def _on_client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        peer = writer.get_extra_info("peername")
-        ctx = ClientContext(client_id=peer[0] if peer else "unknown")
-        try:
-            while not self._shutdown.is_set():
-                if not await self._serve_once(reader, writer, ctx):
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return  # client went away; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
+    def _serve_connection(self, conn: socket.socket) -> None:
+        ctx = ClientContext(client_id=conn.getpeername()[0])
+        ctx.emit = partial(self._emit, conn, ctx)
+        with conn.makefile("rb") as rfile:
+            while self._serve_once(conn, rfile, ctx):
                 pass
 
-    async def _serve_once(self, reader, writer, ctx: ClientContext) -> bool:
+    def _serve_once(self, conn: socket.socket, rfile, ctx: ClientContext) -> bool:
         """Read, stamp, dispatch and answer one request; False closes.
 
         The one request lifecycle of the front door: the transport only
@@ -802,36 +817,32 @@ class ServiceServer:
         and how a response dict becomes bytes (:meth:`_send`).
         """
         try:
-            request = await self._read_request(reader, ctx)
+            request = self._read_request(rfile, ctx)
             if request is None:
                 return False
             if not isinstance(request, dict):
                 raise BadRequest("bad request: request must be a JSON object")
         except (ServiceFault, wire.WireError) as exc:
-            await self._send(writer, ctx, error_response(exc))
+            self._send(conn, ctx, error_response(exc))
             # Keep serving only where the framing is still in sync: after a
             # well-framed bad request, and after an oversized wire frame
-            # (its body was discarded).  The tail of an oversized line, or
-            # whatever follows an undecodable frame, cannot be trusted.
+            # (its body was discarded).  After an oversized line, or an
+            # undecodable frame, what follows cannot be trusted.
             return isinstance(exc, BadRequest) or (
                 isinstance(exc, FrameTooLarge) and ctx.transport == "wire"
             )
-        stamp_deadline(request)
         stamp_request_id(request)
         reset = self._injected_reset(request.get("op"))
         if reset is not None:
             if reset.when == "after":
                 # The nasty case: the work happens, the response is lost.
-                await self._run_op(request, ctx)
-            self._abort_connection(writer)
+                self._run_op(request, ctx)
+            self._abort_connection(conn)
             return False
-        if request.get("op") == "query" and request.get("stream"):
-            response = await self._run_streaming(request, ctx, reader, writer)
-            if response is None:
-                return False  # the client hung up mid-stream
-        else:
-            response = await self._run_op(request, ctx)
-        await self._send(writer, ctx, response)
+        response = self._run_op(request, ctx)
+        if response.get("code") == Cancelled.code:
+            return False  # the client hung up mid-stream
+        self._send(conn, ctx, response)
         if request.get("op") == "hello" and response.get("transport") == "wire":
             # Switch only after the acknowledgement went out on JSON-lines.
             ctx.transport = "wire"
@@ -840,75 +851,25 @@ class ServiceServer:
             return False
         return True
 
-    async def _run_streaming(self, request, ctx, reader, writer) -> Optional[dict]:
-        """:meth:`_run_op` for a streaming query; None if the client left.
+    def _emit(self, conn: socket.socket, ctx: ClientContext, frame: dict) -> None:
+        """``ctx.emit``: send one shard frame unless the client hung up.
 
-        Shard frames go out from the op's thread through ``ctx.emit`` as
-        their spans are evaluated; the returned response is the end
-        frame (or the error that cut the stream short).  Meanwhile the
-        disconnect watch holds a read on the client socket: an EOF there
-        means the client is gone, so the stream is cancelled and its
-        remaining spans are never evaluated (what the streaming tests
-        pin).  Data that arrives instead of EOF is a pipelined request
-        — pushed back for the main loop, never dropped.
+        A look at the socket before each frame is the disconnect watch:
+        EOF (or a reset) there means nobody is listening, so
+        :class:`Cancelled` stops the stream and its remaining spans are
+        never evaluated (what the streaming tests pin).  Bytes waiting
+        instead are a pipelined request; they stay where they are.
         """
-        loop = asyncio.get_running_loop()
-        alive = True
-
-        def hang_up() -> None:
-            nonlocal alive
-            alive = False
-            if ctx.stream is not None:
-                ctx.stream.cancel()
-
-        def emit(frame: dict) -> None:
-            if alive:
-                try:
-                    return asyncio.run_coroutine_threadsafe(
-                        self._send(writer, ctx, frame), loop
-                    ).result()
-                except ConnectionError:
-                    pass
-            raise Cancelled("query cancelled mid-stream: the client hung up")
-
-        ctx.emit = emit
-        op = asyncio.ensure_future(self._run_op(request, ctx))
-        eof_watch = asyncio.ensure_future(reader.read(4096))
         try:
-            while alive and not op.done():
-                await asyncio.wait({op, eof_watch}, return_when=asyncio.FIRST_COMPLETED)
-                if eof_watch.done() and not op.done():
-                    if self._take_pushback(eof_watch, ctx):
-                        eof_watch = asyncio.ensure_future(reader.read(4096))
-                    else:
-                        hang_up()
-        finally:
-            if not op.done():
-                # Retire the op before the connection goes back to the main
-                # loop (or closes): its thread may be mid-emit.
-                hang_up()
-                await asyncio.wait({op})
-            ctx.emit = ctx.stream = None
-            if not eof_watch.done():
-                # Must settle before the main loop reads again: two
-                # coroutines waiting on one StreamReader is an error, and
-                # cancellation only lands at the next loop step.
-                eof_watch.cancel()
-                await asyncio.wait({eof_watch})
-            if not eof_watch.cancelled() and not self._take_pushback(eof_watch, ctx):
-                alive = False
-        response = op.result()
-        return response if alive else None
-
-    @staticmethod
-    def _take_pushback(eof_watch, ctx: ClientContext) -> bool:
-        """Keep what a finished disconnect watch read; False on EOF."""
-        try:
-            data = eof_watch.result()
-        except ConnectionError:
-            return False
-        ctx.pushback += data
-        return bool(data)
+            try:
+                gone = not conn.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                gone = False
+            if not gone:
+                return self._send(conn, ctx, frame)
+        except OSError:
+            pass
+        raise Cancelled("query cancelled mid-stream: the client hung up")
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -920,7 +881,7 @@ class ServiceServer:
         return injector.on_request(op if isinstance(op, str) else None)
 
     @staticmethod
-    def _abort_connection(writer) -> None:
+    def _abort_connection(conn: socket.socket) -> None:
         """Make the coming close a hard TCP reset (RST), not a clean FIN.
 
         SO_LINGER with a zero timeout discards untransmitted data and
@@ -928,54 +889,59 @@ class ServiceServer:
         the client exactly like a mid-flight network failure
         (``ConnectionResetError``), not like an orderly shutdown.
         """
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-                )
-            except OSError:  # pragma: no cover - platform without SO_LINGER
-                pass
+        try:
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        except OSError:  # pragma: no cover - platform without SO_LINGER
+            pass
 
-    async def _run_op(self, request: dict, ctx: ClientContext) -> dict:
-        if self.max_inflight and self._inflight >= self.max_inflight:
-            # Load shedding: answering "overloaded" costs microseconds on
-            # the loop thread; executing the op would hold an executor
-            # worker.  Clients honour retry_after and back off.
+    def _run_op(self, request: dict, ctx: ClientContext) -> dict:
+        with self._lock:
+            inflight = self._inflight
+            shed = bool(self.max_inflight) and inflight >= self.max_inflight
+            if not shed:
+                self._inflight += 1
+        if shed:
+            # Load shedding: answering "overloaded" costs microseconds;
+            # executing the op would hold a CPU or a scheduler slot.
+            # Clients honour retry_after and back off.
             self.service.metrics.counter(
                 "repro_requests_shed_total", "requests shed by admission control"
             ).inc()
             resp = error_response(
                 Overloaded(
-                    f"{self._inflight} requests in flight "
-                    f"(cap {self.max_inflight})",
+                    f"{inflight} requests in flight (cap {self.max_inflight})",
                     retry_after=0.05,
                 )
             )
             resp["request_id"] = request["request_id"]  # stamped by _serve_once
             return resp
-        self._inflight += 1
         try:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._ops, self.service.handle, request, ctx
-            )
+            return self.service.handle(request, ctx)
         finally:
-            self._inflight -= 1
+            with self._lock:
+                self._inflight -= 1
 
-    async def _read_request(self, reader, ctx: ClientContext):
+    @staticmethod
+    def _read_request(rfile, ctx: ClientContext):
         """The next request on this connection, decoded; None at EOF."""
         if ctx.transport == "wire":
-            message = await self._read_frame(reader, ctx)
+            message, _ = wiremsg.read_frame_from(rfile)
             return None if message is None else wiremsg.request_of(message)
+        # Large query batches are legitimate, so a line may be as long as
+        # the wire framing allows.
         line = b"\n"
-        while line and not line.strip():  # blank lines are skipped
-            try:
-                line = await self._readline(reader, ctx)
-            except (asyncio.LimitOverrunError, ValueError):
-                raise FrameTooLarge(
-                    f"request line exceeds the {wiremsg.MAX_FRAME}-byte cap"
-                ) from None
+        while line.isspace():  # blank lines are skipped
+            line = rfile.readline(wiremsg.MAX_FRAME + 1)
+        if len(line) > wiremsg.MAX_FRAME and not line.endswith(b"\n"):
+            # Read the rest of the line away before answering: closing on
+            # unread input would reset the connection under the answer.
+            while line and not line.endswith(b"\n"):
+                line = rfile.readline(65536)
+            raise FrameTooLarge(
+                f"request line exceeds the {wiremsg.MAX_FRAME}-byte cap"
+            )
         if not line:
             return None
         try:
@@ -984,72 +950,11 @@ class ServiceServer:
             raise BadRequest(f"bad request: {exc}") from None
 
     @staticmethod
-    async def _send(writer, ctx: ClientContext, response: dict) -> None:
+    def _send(conn: socket.socket, ctx: ClientContext, response: dict) -> None:
         if ctx.transport == "wire":
-            writer.write(wiremsg.pack_frame(wiremsg.message_of(response)))
+            conn.sendall(wiremsg.pack_frame(wiremsg.message_of(response)))
         else:
-            writer.write((json.dumps(response) + "\n").encode("utf-8"))
-        await writer.drain()
-
-    @staticmethod
-    async def _readline(reader, ctx: ClientContext) -> bytes:
-        if ctx.pushback:
-            head, sep, rest = ctx.pushback.partition(b"\n")
-            if sep:
-                ctx.pushback = rest
-                return head + sep
-            ctx.pushback = b""
-            return head + await reader.readline()
-        return await reader.readline()
-
-    async def _read_exact(self, reader, ctx: ClientContext, n: int) -> Optional[bytes]:
-        buf = ctx.pushback[:n]
-        ctx.pushback = ctx.pushback[n:]
-        while len(buf) < n:
-            chunk = await reader.read(n - len(buf))
-            if not chunk:
-                return None
-            buf += chunk
-        return bytes(buf)
-
-    async def _discard(self, reader, ctx: ClientContext, n: int) -> None:
-        """Drain ``n`` payload bytes without buffering them."""
-        drop = min(n, len(ctx.pushback))
-        ctx.pushback = ctx.pushback[drop:]
-        n -= drop
-        while n > 0:
-            chunk = await reader.read(min(65536, n))
-            if not chunk:
-                return
-            n -= len(chunk)
-
-    async def _read_frame(self, reader, ctx: ClientContext):
-        header = await self._read_exact(reader, ctx, wiremsg.FRAME_HEADER.size)
-        if header is None:
-            return None
-        (length,) = wiremsg.FRAME_HEADER.unpack(header)
-        if length > wiremsg.MAX_FRAME:
-            # Discard the body so the framing stays in sync, then let the
-            # caller answer with a structured frame_too_large error.
-            await self._discard(reader, ctx, length)
-            raise FrameTooLarge(
-                f"wire frame of {length} bytes exceeds the "
-                f"{wiremsg.MAX_FRAME}-byte cap"
-            )
-        data = await self._read_exact(reader, ctx, length)
-        if data is None:
-            return None
-        try:
-            return wire.decode(data)
-        except wire.WireError:
-            raise
-        except Exception as exc:
-            # Garbage bytes must never take down the connection task
-            # unanswered (let alone the event loop): normalize every
-            # decoder blow-up to the WireError the caller reports.
-            raise wire.WireError(
-                f"undecodable wire frame: {type(exc).__name__}: {exc}"
-            ) from exc
+            conn.sendall((json.dumps(response) + "\n").encode("utf-8"))
 
 
 def serve(
@@ -1078,7 +983,7 @@ def serve(
     ``tracer`` (a :class:`repro.obs.Tracer`) records one span per
     handled request, which ``repro serve --trace-out`` streams to JSONL.
 
-    SIGTERM triggers a graceful drain (when the loop runs in the main
+    SIGTERM triggers a graceful drain (when this runs in the main
     thread, where signal handlers can be installed): new submits are
     rejected, in-flight jobs finish or checkpoint-park, then the server
     exits — so orchestrators that SIGTERM-then-wait never lose work.
@@ -1089,25 +994,26 @@ def serve(
         max_jobs_per_client=max_jobs_per_client, max_queue=max_queue,
         fault_plan=fault_plan, tracer=tracer,
     )
-
-    async def main():
-        server = ServiceServer(
-            service, max_inflight=max_inflight, metrics_port=metrics_port
-        )
-        await server.start(host, port)
-        loop = asyncio.get_running_loop()
+    server = ServiceServer(
+        service, max_inflight=max_inflight, metrics_port=metrics_port
+    )
+    previous = None
+    try:
+        server.start(host, port)
         try:
-            loop.add_signal_handler(signal.SIGTERM, server.initiate_drain)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or platform without loop signal support
+            previous = signal.signal(
+                signal.SIGTERM, lambda signum, frame: server.initiate_drain()
+            )
+        except ValueError:
+            pass  # not the main thread: drain by calling initiate_drain()
         _log.info("serving", host=host, port=server.port, slots=slots)
         if ready is not None:
             ready(server)
-        await server.run_until_shutdown()
+        server.run_until_shutdown()
         _log.info("stopped", port=server.port)
-
-    try:
-        asyncio.run(main())
     finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+        server.close()
         service.close(drain=False)
         service.tracer.close()

@@ -210,12 +210,20 @@ def write_frame_to(fobj, message: object) -> int:
 
 
 def read_frame_from(fobj) -> tuple[Optional[object], int]:
-    """(message, bytes read) from a binary file object; (None, n) on EOF."""
+    """(message, bytes read) from a binary file object; (None, n) on EOF.
+
+    The one frame reader of server and client.  An oversized frame's
+    body is read away before :class:`FrameTooLarge` is raised, so the
+    next call starts at the next frame.
+    """
     header = fobj.read(FRAME_HEADER.size)
     if len(header) < FRAME_HEADER.size:
         return None, len(header)
     (length,) = FRAME_HEADER.unpack(header)
     if length > MAX_FRAME:
+        left = length
+        while left and (chunk := fobj.read(min(left, 65536))):
+            left -= len(chunk)
         raise FrameTooLarge(
             f"incoming wire frame of {length} bytes exceeds the "
             f"{MAX_FRAME}-byte cap"

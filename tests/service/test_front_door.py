@@ -4,6 +4,7 @@ counters, spans, admission control, deadlines and error codes mean the
 same thing whatever carried the request.  Plus the frozen bytes of the
 four service messages (wire codes 24-27)."""
 
+import io
 import json
 import socket
 import threading
@@ -16,6 +17,7 @@ from repro.fault.service import LeaseFault, ServiceFaultPlan
 from repro.logic import parse_term
 from repro.obs import Tracer, read_spans_jsonl
 from repro.service import JobSpec, Service, ServiceClient, TheoryRegistry, serve, wiremsg
+from repro.service.errors import FrameTooLarge
 from repro.service.server import ClientContext
 
 RESETS = Path(__file__).resolve().parents[2] / "examples/faultplans/service_resets.json"
@@ -315,6 +317,58 @@ class TestManyConnections:
         assert answered_in < 0.5, f"ping waited {answered_in:.2f} s behind parked waits"
         assert not thread.is_alive(), "serve() did not return on shutdown"
 
+    @pytest.mark.parametrize("how", ("shutdown", "drain"))
+    def test_stops_with_company(self, tmp_path, trains_theory, how):
+        # Eight idle connections, one that sent half a JSON line and one
+        # half a wire frame: the server hangs up on all of them on its way
+        # out, and none of their threads outlives serve().
+        before = set(threading.enumerate())
+        server, thread = start_server(tmp_path, trains_theory)
+        company = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            for _ in range(10)
+        ]
+        try:
+            company[8].sendall(b'{"op": "pi')
+            company[9].sendall(b'{"op": "hello", "transport": "wire"}\n')
+            hello = b""
+            while not hello.endswith(b"\n"):
+                hello += company[9].recv(4096)
+            assert json.loads(hello)["transport"] == "wire"
+            company[9].sendall(wiremsg.pack_frame(wiremsg.WireJson({"op": "ping"}))[:7])
+            deadline = time.monotonic() + 5
+            while len(server._conns) < 10 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            accepted = list(server._conns)
+            assert len(accepted) == 10
+            # asyncio used to set this; without it streamed frames stall ≈ 40 ms.
+            assert all(
+                conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for conn in accepted
+            )
+            if how == "shutdown":
+                with ServiceClient(port=server.port) as c:
+                    c.request({"op": "shutdown"})
+            else:
+                server.initiate_drain()
+            thread.join(timeout=5)
+            assert not thread.is_alive(), f"serve() did not return on {how}"
+            for sock in company[:8]:
+                assert sock.recv(16) == b""  # hung up on, cleanly
+        finally:
+            for sock in company:
+                sock.close()
+        deadline = time.monotonic() + 5
+
+        def ours():
+            return [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("repro-svc") and t not in before
+            ]
+
+        while ours() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not ours()
+
 
 class TestRetiredKnobs:
     @pytest.mark.parametrize(
@@ -410,3 +464,24 @@ class TestGoldenBytes:
         assert wiremsg.response_of(wiremsg.message_of(shard)) == {
             **shard, "covered": [False, True],
         }
+
+
+class TestFrameReader:
+    def test_oversized_frame_is_read_away(self, monkeypatch):
+        # The one reader of server and client: whoever receives an oversized
+        # frame stays in sync with the frames behind it.
+        good = wiremsg.pack_frame(wiremsg.WireJson({"op": "ping"}))
+        monkeypatch.setattr(wiremsg, "MAX_FRAME", 64)
+        assert len(good) <= 64
+        big = wiremsg.FRAME_HEADER.pack(70_000) + b"\0" * 70_000
+        fobj = io.BytesIO(big + good)
+        with pytest.raises(FrameTooLarge):
+            wiremsg.read_frame_from(fobj)
+        assert fobj.tell() == len(big)
+        assert wiremsg.read_frame_from(fobj) == (wiremsg.WireJson({"op": "ping"}), len(good))
+        assert wiremsg.read_frame_from(fobj) == (None, 0)
+        # A body cut short by EOF: still the structured error, never a hang.
+        fobj = io.BytesIO(big[:100])
+        with pytest.raises(FrameTooLarge):
+            wiremsg.read_frame_from(fobj)
+        assert wiremsg.read_frame_from(fobj) == (None, 0)

@@ -187,6 +187,9 @@ class TestAuthQuotaAndNegotiation:
             ctx = ClientContext(client_id="c1")
             bad = svc.handle({"op": "hello", "token": "guess"}, ctx)
             assert not bad["ok"] and "token" in bad["error"]
+            assert bad["code"] == "unauthenticated"
+            missing = svc.handle({"op": "hello"}, ctx)
+            assert missing["code"] == "unauthenticated" and "token" in missing["error"]
             assert not ctx.authenticated
             good = svc.handle({"op": "hello", "token": "sesame"}, ctx)
             assert good["ok"] and good["auth"] and ctx.authenticated

@@ -40,6 +40,18 @@ def test_import_cli_loads_only_what_every_subcommand_needs():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_service_loads_no_event_loop_machinery():
+    # The front door is blocking sockets and threads: asyncio, and the ssl
+    # and concurrent.futures it drags in, stay out of a serving process.
+    out = _python(
+        "import sys, repro.cli, repro.service\n"
+        "gone = ('asyncio', 'ssl', 'concurrent')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in gone))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_learn_runs_without_numpy_or_scipy():
     out = _python(_NO_THIRD_PARTY + "from repro.cli import main\nsys.exit(main(['learn', 'trains']))\n")
     assert out.returncode == 0, out.stderr
