@@ -864,7 +864,7 @@ class ServiceServer:
             try:
                 gone = not conn.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
             except BlockingIOError:
-                gone = False
+                gone = False  # nothing to read: the client is there, and quiet
             if not gone:
                 return self._send(conn, ctx, frame)
         except OSError:

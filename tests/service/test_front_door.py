@@ -7,6 +7,7 @@ four service messages (wire codes 24-27)."""
 import io
 import json
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -316,6 +317,36 @@ class TestManyConnections:
                 sock.close()
         assert answered_in < 0.5, f"ping waited {answered_in:.2f} s behind parked waits"
         assert not thread.is_alive(), "serve() did not return on shutdown"
+
+    def test_inflight_count_survives_contention(self, tmp_path, trains_theory):
+        # Every connection thread moves the one in-flight counter that
+        # --max-inflight reads: more threads than cores, switching as often
+        # as the interpreter allows — a lost update would leave it off zero.
+        server, thread = start_server(tmp_path, trains_theory)
+        failures = []
+
+        def hammer():
+            try:
+                with connect(server, "json") as c:
+                    for _ in range(150):
+                        assert c.request({"op": "ping"})["pong"]
+            except BaseException as exc:  # noqa: BLE001 - surfaced via assert
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures
+            assert server._inflight == 0
+        finally:
+            sys.setswitchinterval(interval)
+            shutdown(server, thread)
 
     @pytest.mark.parametrize("how", ("shutdown", "drain"))
     def test_stops_with_company(self, tmp_path, trains_theory, how):
