@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.logic.clause import Clause
+from repro.logic.cover_plan import COVERED, EXHAUSTED, CoverPlan, compile_plan
 from repro.logic.engine import Engine
-from repro.logic.terms import Term
+from repro.logic.terms import Struct, Term
 from repro.logic.unify import match, resolve, unify
 
 __all__ = [
@@ -93,20 +94,35 @@ def coverage_eval(
     assumed (and must be provably) uncovered — callers pass a parent rule's
     ``covered | exhausted`` mask.  The returned bitsets are always over the
     full example list.
+
+    A flat clause over ground facts runs as a slot plan
+    (:mod:`repro.logic.cover_plan`), anything else on the SLD machine; the
+    two agree in bitsets, op charges and ``engine.last_exhausted``.
     """
+    plan = compile_plan(engine, rule)
+    if plan is None:
+        return _machine_loop(engine, rule, examples, candidates)
+    return _plan_loop(engine, plan, rule, examples, candidates)
+
+
+def _tested(examples: Sequence[Term], candidates: Optional[int]):
+    """Indices of the examples a coverage loop tests, ascending."""
+    if candidates is None:
+        return range(len(examples))
+    return indices_from_bitset(candidates & ((1 << len(examples)) - 1))
+
+
+def _machine_loop(
+    engine: Engine, rule: Clause, examples: Sequence[Term], candidates: Optional[int]
+) -> tuple[int, int]:
+    """:func:`coverage_eval` on the SLD machine: any clause, any engine."""
     bits = 0
     exh = 0
     # One renaming serves every example: examples are ground, so distinct
     # examples can never entangle the rule's (fresh) variables.
     r = rule.rename_apart()
     head, body = r.head, r.body
-    if candidates is None:
-        indices = range(len(examples))
-    else:
-        indices = indices_from_bitset(candidates)
-    for i in indices:
-        if i >= len(examples):
-            break
+    for i in _tested(examples, candidates):
         # Examples are ground, so one-way matching of the head suffices and
         # the resulting bindings seed the body proof directly.
         subst = match(head, examples[i])
@@ -118,6 +134,29 @@ def coverage_eval(
         if engine.prove_body(body, subst):
             bits |= 1 << i
         elif engine.last_exhausted:
+            exh |= 1 << i
+    return bits, exh
+
+
+def _plan_loop(
+    engine: Engine, plan: CoverPlan, rule: Clause, examples: Sequence[Term], candidates: Optional[int]
+) -> tuple[int, int]:
+    """:func:`coverage_eval` through a compiled plan.  A plan assumes ground
+    examples; the odd one that is not goes to the machine by itself."""
+    bits = 0
+    exh = 0
+    run = plan.run
+    for i in _tested(examples, candidates):
+        example = examples[i]
+        if type(example) is not Struct or not example.ground:
+            b, e = _machine_loop(engine, rule, examples, 1 << i)
+            bits |= b
+            exh |= e
+            continue
+        outcome = run(engine, example)
+        if outcome == COVERED:
+            bits |= 1 << i
+        elif outcome == EXHAUSTED:
             exh |= 1 << i
     return bits, exh
 

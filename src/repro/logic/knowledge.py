@@ -132,6 +132,18 @@ class FactStore:
         key = tuple(walked[p] for p in bound)
         return self._composite_on(sig).get(key, _EMPTY)
 
+    def access_path(self, bound: tuple[int, ...]) -> Optional[dict]:
+        """The live index :meth:`candidates_bound` consults for a goal whose
+        ground positions are ``bound`` (ascending): keyed by the argument
+        itself for one position, by the argument tuple for several; None
+        for no position (the access path is ``facts``).  ``add`` updates
+        the dict in place, so holding on to it is safe."""
+        if not bound:
+            return None
+        if len(bound) == 1:
+            return self._index_on(bound[0])
+        return self._composite_on(bound)
+
     def candidates_first_walked(self, walked: list) -> list[Term]:
         """Seed-compatible first-argument retrieval over walked args."""
         if walked:

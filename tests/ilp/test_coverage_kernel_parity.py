@@ -71,6 +71,30 @@ class TestSequentialParity:
         assert_identical(a, b)
 
 
+class TestPlanEligibility:
+    """Every clause the learner evaluates on the shipped datasets is a flat
+    clause over ground facts, so the whole run goes through coverage plans
+    (``repro.logic.cover_plan``).  A change that silently drops it back onto
+    the SLD machine learns the same theory several times slower: it must
+    fail here, not in a benchmark."""
+
+    @pytest.mark.parametrize("name,kw", DATASETS)
+    def test_every_evaluated_clause_compiles_to_a_plan(self, name, kw, monkeypatch):
+        import repro.ilp.store as store_module
+        from repro.logic.cover_plan import compile_plan
+
+        compiled = []
+
+        def recording(engine, rule, examples, candidates=None):
+            compiled.append(compile_plan(engine, rule) is not None)
+            return coverage_eval(engine, rule, examples, candidates)
+
+        monkeypatch.setattr(store_module, "coverage_eval", recording)
+        ds = make_dataset(name, **kw)
+        mdie(ds.kb, ds.pos, ds.neg, ds.modes, new_config(ds.config), seed=0)
+        assert compiled and all(compiled)
+
+
 class TestBitsetParity:
     def engines(self, kb):
         budget = QueryBudget(max_depth=8, max_ops=100_000)

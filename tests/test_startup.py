@@ -40,6 +40,22 @@ def test_import_cli_loads_only_what_every_subcommand_needs():
     assert out.stdout.strip() == "[]"
 
 
+def test_coverage_plans_add_one_module_to_start_up():
+    # The learn_* setup_s guard: repro.cli loads the plan compiler (the
+    # learner's hot path needs it) and the compiler imports nothing the
+    # engine beside it had not already loaded.
+    out = _python(
+        "import sys, repro.logic.engine\n"
+        "before = set(sys.modules)\n"
+        "import repro.logic.cover_plan\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "import repro.cli\n"
+        "print(sys.modules['repro.ilp.coverage'].compile_plan is repro.logic.cover_plan.compile_plan)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["['repro.logic.cover_plan']", "True"]
+
+
 def test_import_service_loads_no_event_loop_machinery():
     # The front door is blocking sockets and threads: asyncio, and the ssl
     # and concurrent.futures it drags in, stay out of a serving process.
