@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.ilp.coverage import covers
+from repro.ilp.coverage import covers, popcount, theory_covered_bits
 from repro.logic.clause import Clause, Theory
 from repro.logic.engine import Engine
 from repro.logic.terms import Term
@@ -51,9 +51,14 @@ class TheoryReport:
 
 
 def confusion(engine: Engine, theory: Theory, pos: Sequence[Term], neg: Sequence[Term]) -> TheoryReport:
-    """Confusion counts of ``theory`` over a labelled pos/neg example set."""
-    tp = sum(1 for e in pos if predicts(engine, theory, e))
-    fp = sum(1 for e in neg if predicts(engine, theory, e))
+    """Confusion counts of ``theory`` over a labelled pos/neg example set.
+
+    One clause-at-a-time pass per example list — the union of clause
+    coverages :func:`predicts` computes one example at a time.
+    """
+    clauses = tuple(theory)
+    tp = popcount(theory_covered_bits(engine, clauses, pos))
+    fp = popcount(theory_covered_bits(engine, clauses, neg))
     return TheoryReport(tp=tp, fn=len(pos) - tp, tn=len(neg) - fp, fp=fp)
 
 

@@ -108,6 +108,20 @@ class TestTheoryPrediction:
         th = Theory()
         assert accuracy(eng, th, [parse_term("p(a)")], [parse_term("p(z)")]) == 50.0
 
+    @pytest.mark.parametrize("name", ["trains", "krki", "carcinogenesis"])
+    def test_confusion_counts_what_predicts_says(self, name):
+        """The one-pass confusion is the per-example ``predicts`` count."""
+        from repro.datasets import make_dataset
+        from repro.ilp.mdie import mdie
+
+        ds = make_dataset(name, seed=0, scale="small")
+        theory = mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0).theory
+        rep = confusion(ds.config.make_engine(ds.kb), theory, ds.pos, ds.neg)
+        eng = ds.config.make_engine(ds.kb)
+        assert rep.tp == sum(predicts(eng, theory, e) for e in ds.pos)
+        assert rep.fp == sum(predicts(eng, theory, e) for e in ds.neg)
+        assert (rep.tp + rep.fn, rep.fp + rep.tn) == (len(ds.pos), len(ds.neg))
+
     def test_report_zero_division(self):
         rep = TheoryReport(tp=0, fn=0, tn=0, fp=0)
         assert rep.accuracy == 0.0
