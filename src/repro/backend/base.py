@@ -133,8 +133,9 @@ class BackendRun:
     trace: list[ComputeInterval] = field(default_factory=list)
     #: final process objects in rank order.  For in-process backends these
     #: are the very objects passed in; for multi-process backends they are
-    #: the children's final states shipped back — read run artifacts
-    #: (learned theory, epoch logs, ...) from here, never from the inputs.
+    #: what the children shipped back (:meth:`SimProcess.final_state`) —
+    #: read run artifacts (learned theory, epoch logs, ...) from here,
+    #: never from the inputs.
     #: Ranks that crashed (injected faults) are absent.
     procs: list[SimProcess] = field(default_factory=list)
     #: injected fault events observed by the substrate, in firing order.
@@ -335,13 +336,17 @@ class WallClockContext(ProcContext):
     def report(self, proc: Optional[SimProcess], elapsed: float) -> tuple:
         """What this rank ships home for :meth:`BackendRun.from_reports`.
 
-        The trace travels as a wire-codec SpanBatch (code 28), the same
-        encoding ``repro trace --trace-out`` writes — one format for spans
-        whether they cross a pipe, an MPI gather, or land in a file.
+        The process travels as its :meth:`SimProcess.final_state` — asked
+        for here, at the end of the run, so the *outbound* pickle of a
+        ``spawn`` start still carries the whole process.  The trace
+        travels as a wire-codec SpanBatch (code 28), the same encoding
+        ``repro trace --trace-out`` writes — one format for spans whether
+        they cross a pipe, an MPI gather, or land in a file.
         """
         from repro.obs.span import encode_batch
 
-        return (proc, self.stats, elapsed, encode_batch(self.rank, self.trace), self.fault_log)
+        home = proc.final_state() if proc is not None else None
+        return (home, self.stats, elapsed, encode_batch(self.rank, self.trace), self.fault_log)
 
 
 def drive(proc: SimProcess, ctx: WallClockContext) -> None:

@@ -134,8 +134,9 @@ class P2Result:
 def collect_cache_stats(run: BackendRun, routing=None) -> dict:
     """Per-logical-worker (hits, misses) from the final worker states.
 
-    Works on every substrate: the sim runs workers in-process, the local
-    backend ships final process objects home.  ``routing`` (the master's
+    Works on every substrate: the sim runs workers in-process, the real
+    ones ship each worker's counters home (:meth:`P2Worker.final_state`).
+    ``routing`` (the master's
     final logical→host table, when fault tolerance ran) pins each logical
     worker to its authoritative host, so stale copies on falsely-declared
     -dead hosts are never counted; without it every hosted shard reports.
