@@ -40,12 +40,13 @@ def _weighted(rng: random.Random, values, weights):
     return rng.choices(values, weights=weights, k=1)[0]
 
 
-def _gen_molecule(rng: random.Random, mol: str, kb_facts: list) -> bool:
-    """Emit one molecule's facts into ``kb_facts``; return its true label."""
+def _draw_molecule(rng: random.Random) -> tuple[list, list, list]:
+    """Draw one molecule's ``(elems, charges, bonds)``: plain Python values,
+    no terms — about two molecules in five are drawn only to be thrown
+    away by the quota check."""
     n_atoms = rng.randint(5, 10)
-    atoms = [f"{mol}_a{i}" for i in range(n_atoms)]
-    elems = [_weighted(rng, _ELEMENTS, _ELEM_WEIGHTS) for _ in atoms]
-    charges = [_weighted(rng, _CHARGES, _CHARGE_WEIGHTS) for _ in atoms]
+    elems = [_weighted(rng, _ELEMENTS, _ELEM_WEIGHTS) for _ in range(n_atoms)]
+    charges = [_weighted(rng, _CHARGES, _CHARGE_WEIGHTS) for _ in range(n_atoms)]
     # Connected random tree plus a few extra edges (ring bonds).
     bonds: list[tuple[int, int, int]] = []
     for i in range(1, n_atoms):
@@ -54,25 +55,32 @@ def _gen_molecule(rng: random.Random, mol: str, kb_facts: list) -> bool:
     for _ in range(rng.randint(0, 3)):
         i, j = rng.sample(range(n_atoms), 2)
         bonds.append((i, j, _weighted(rng, _BOND_TYPES, _BOND_WEIGHTS)))
+    return elems, charges, bonds
 
-    for a in atoms:
-        kb_facts.append(atom("atom_of", mol, a))
-    for a, e in zip(atoms, elems):
-        kb_facts.append(atom("elem", a, e))
-    for a, ch in zip(atoms, charges):
-        kb_facts.append(atom("charge", a, ch))
-    for i, j, t in bonds:
-        kb_facts.append(atom("bond", atoms[i], atoms[j], t))
-        kb_facts.append(atom("bond", atoms[j], atoms[i], t))
 
-    # Planted theory (expressible in the mode language below):
-    #   active(M) :- atom_of(M,A), bond(A,B,2), elem(B,o).
-    #   active(M) :- atom_of(M,A), elem(A,cl), charge(A,c_neg).
+def _is_active(elems: list, charges: list, bonds: list) -> bool:
+    """The planted theory (expressible in the mode language below):
+
+    active(M) :- atom_of(M,A), bond(A,B,2), elem(B,o).
+    active(M) :- atom_of(M,A), elem(A,cl), charge(A,c_neg).
+    """
     rule1 = any(
         t == 2 and (elems[i] == "o" or elems[j] == "o") for i, j, t in bonds
     )
     rule2 = any(e == "cl" and ch == "c_neg" for e, ch in zip(elems, charges))
     return rule1 or rule2
+
+
+def _molecule_facts(mol: str, elems: list, charges: list, bonds: list) -> list:
+    """The background facts of a molecule that made it into the dataset."""
+    atoms = [f"{mol}_a{i}" for i in range(len(elems))]
+    facts = [atom("atom_of", mol, a) for a in atoms]
+    facts += [atom("elem", a, e) for a, e in zip(atoms, elems)]
+    facts += [atom("charge", a, ch) for a, ch in zip(atoms, charges)]
+    for i, j, t in bonds:
+        facts.append(atom("bond", atoms[i], atoms[j], t))
+        facts.append(atom("bond", atoms[j], atoms[i], t))
+    return facts
 
 
 @register_dataset("carcinogenesis")
@@ -96,15 +104,15 @@ def make_carcinogenesis(
     while (len(pos) < n_pos or len(neg) < n_neg) and attempts < max_attempts:
         attempts += 1
         mol = f"m{m}"
-        facts: list = []
-        label = _gen_molecule(rng, mol, facts)
+        molecule = _draw_molecule(rng)
+        label = _is_active(*molecule)
         if label_noise > 0 and rng.random() < label_noise:
             label = not label
         target = pos if label else neg
         quota = n_pos if label else n_neg
         if len(target) >= quota:
             continue  # quota filled; discard this molecule
-        for f in facts:
+        for f in _molecule_facts(mol, *molecule):
             kb.add_fact(f)
         target.append(atom("active", mol))
         m += 1

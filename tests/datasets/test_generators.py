@@ -106,6 +106,39 @@ class TestCarcinogenesisSpecifics:
         ds = make_dataset("carcinogenesis", seed=3, n_pos=10, n_neg=8)
         assert (ds.n_pos, ds.n_neg) == (10, 8)
 
+    @pytest.mark.parametrize(
+        "scale,n_facts,digest",
+        [
+            ("small", 4014, "976fa67d4b0a0117af2f49b18bf492c7da6915f2f5fff26359233dfc7f91c753"),
+            ("paper", 11457, "c0a4c735e587f5dbe8a497b75c00251ef25b79fe643a5b297ff77a64de4aa704"),
+        ],
+    )
+    def test_terms_are_built_for_kept_molecules_only(self, scale, n_facts, digest, monkeypatch):
+        """The generator draws every molecule but builds terms only for the
+        ones the quota keeps; facts and examples are, term for term, what
+        it produced when it built them all (digests taken at 812822d)."""
+        import hashlib
+
+        from repro.datasets import carcinogenesis
+        from repro.logic.terms import atom
+
+        built = []
+
+        def counting_atom(*args):
+            built.append(args)
+            return atom(*args)
+
+        monkeypatch.setattr(carcinogenesis, "atom", counting_atom)
+        ds = make_dataset("carcinogenesis", seed=0, scale=scale)
+        facts = [str(f) for ind in ds.kb.predicates() for f in ds.kb.facts_for(ind)]
+        text = "\n".join(facts + [str(e) for e in ds.pos] + ["-"] + [str(e) for e in ds.neg])
+        assert len(facts) == n_facts
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # A discarded molecule's name goes to the next one drawn, so building
+        # its terms would ask for the same atom_of fact a second time.
+        atom_of = [args for args in built if args[0] == "atom_of"]
+        assert len(atom_of) == len(set(atom_of)) == len(ds.kb.facts_for(("atom_of", 2)))
+
 
 class TestMeshSpecifics:
     def test_neg_classes_differ_from_pos(self):
