@@ -187,7 +187,7 @@ def compile_plan(engine, clause: Clause) -> Optional[CoverPlan]:
                 check.append((pos, slot))
                 continue
             bound.append((pos, slot))
-        return bound, tuple(copy), tuple(check)
+        return tuple(bound), tuple(copy), tuple(check)
 
     parts = classify(head.args)
     if parts is None:
@@ -215,4 +215,4 @@ def compile_plan(engine, clause: Clause) -> Optional[CoverPlan]:
         steps.append((is_member, index, key, copy, check, back))
         if not is_member:
             back = len(steps) - 1
-    return CoverPlan(head.indicator, regs, head_copy, head_check + tuple(head_consts), tuple(steps))
+    return CoverPlan(head.indicator, regs, head_copy, head_check + head_consts, tuple(steps))

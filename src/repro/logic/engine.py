@@ -18,6 +18,10 @@ engine over a :class:`~repro.logic.knowledge.KnowledgeBase`:
 The engine treats negation-as-failure (``\\+``/``not``) soundly for ground
 sub-goals (the only use ILP coverage makes of it).
 
+Coverage of a *flat* clause over ground facts does not come through here:
+:mod:`repro.logic.cover_plan` runs it as a slot plan that charges this
+engine op for op what the machine below would have.
+
 Two resolution machines are provided:
 
 * ``iterative`` (default) — an explicit goal-stack/choice-point machine.

@@ -132,32 +132,28 @@ class P2Result:
 
 
 def collect_cache_stats(run: BackendRun, routing=None) -> dict:
-    """Per-logical-worker (hits, misses) from the final worker states.
+    """Per-logical-worker (hits, misses) from the workers' ``cache_stats()``.
 
     Works on every substrate: the sim runs workers in-process, the real
     ones ship each worker's counters home (:meth:`P2Worker.final_state`).
-    ``routing`` (the master's
-    final logical→host table, when fault tolerance ran) pins each logical
-    worker to its authoritative host, so stale copies on falsely-declared
-    -dead hosts are never counted; without it every hosted shard reports.
+    ``routing`` (the master's final logical→host table, when fault
+    tolerance ran) pins each logical worker to its authoritative host, so
+    stale copies on falsely-declared-dead hosts are never counted; without
+    it every hosted shard reports.
     """
     by_rank = {
-        proc.rank: getattr(proc, "shards", None)
-        for proc in run.procs
-        if getattr(proc, "shards", None)
+        proc.rank: proc.cache_stats() for proc in run.procs if hasattr(proc, "cache_stats")
     }
     out: dict = {}
     if routing:
         for logical in sorted(routing):
-            shards = by_rank.get(routing[logical])
-            if shards and logical in shards:
-                store = shards[logical].store
-                out[logical] = (store.cache_hits(), store.cache_misses())
+            hosted = by_rank.get(routing[logical], {})
+            if logical in hosted:
+                out[logical] = hosted[logical]
         return out
     for rank in sorted(by_rank):
         for virtual_rank in sorted(by_rank[rank]):
-            store = by_rank[rank][virtual_rank].store
-            out[virtual_rank] = (store.cache_hits(), store.cache_misses())
+            out[virtual_rank] = by_rank[rank][virtual_rank]
     return out
 
 

@@ -93,32 +93,15 @@ def pipeline_rules(origin: int, rules: tuple, epoch: Optional[int]):
 
 
 @dataclass(frozen=True)
-class StoreCounters:
-    """An :class:`ExampleStore`'s cache counters, answering as it does."""
-
-    hits: int
-    misses: int
-
-    def cache_hits(self) -> int:
-        return self.hits
-
-    def cache_misses(self) -> int:
-        return self.misses
-
-
-@dataclass(frozen=True)
-class ShardCounters:
-    virtual_rank: int
-    store: StoreCounters
-
-
-@dataclass(frozen=True)
 class WorkerCounters:
-    """A worker's trip home (:meth:`P2Worker.final_state`): all that
-    :func:`repro.parallel.p2mdie.collect_cache_stats` reads of it."""
+    """A worker's trip home (:meth:`P2Worker.final_state`): its rank and
+    the answer of :meth:`P2Worker.cache_stats` when the run ended."""
 
     rank: int
-    shards: dict
+    stats: dict
+
+    def cache_stats(self) -> dict:
+        return self.stats
 
 
 class P2Worker(SimProcess):
@@ -155,18 +138,19 @@ class P2Worker(SimProcess):
         shard = self.shards.get(self.rank)
         return shard.store if shard is not None else None
 
+    def cache_stats(self) -> dict:
+        """Hosted virtual rank -> (cache hits, cache misses) of its store."""
+        return {
+            vr: (shard.store.cache_hits(), shard.store.cache_misses())
+            for vr, shard in self.shards.items()
+        }
+
     def final_state(self) -> WorkerCounters:
         """Two integers per hosted shard — not the problem this worker was
         handed (``shared``: KB and partitions), its engine or its stores,
         which nothing reads after a run and cost ≥ 0.49 MB of pickle per
         worker on carcinogenesis-paper."""
-        return WorkerCounters(
-            rank=self.rank,
-            shards={
-                vr: ShardCounters(vr, StoreCounters(s.store.cache_hits(), s.store.cache_misses()))
-                for vr, s in self.shards.items()
-            },
-        )
+        return WorkerCounters(self.rank, self.cache_stats())
 
     # -- helpers -----------------------------------------------------------------
     def _host_of(self, logical: int) -> int:

@@ -12,9 +12,9 @@ each clause apart.  The query engine amortizes both:
   later batch reuses them (KB indexes and the engine's ground-goal memo
   stay warm across batches);
 * **micro-batching**: a batch is evaluated clause-by-clause via
-  :func:`repro.ilp.coverage.theory_covered_bits` — one ``rename_apart``
-  per clause per batch instead of per example, and each clause only
-  tests the examples no earlier clause covered (first-match semantics);
+  :func:`repro.ilp.coverage.theory_covered_bits` — one coverage plan (or
+  one ``rename_apart``) per clause per batch instead of per example, and
+  each clause only tests the examples no earlier clause covered;
 * **spans**: a batch may be cut into contiguous spans by
   :func:`repro.parallel.partition.shard_spans`.  The spans run *one
   after another* on the prepared theory's one engine — ``shards=k`` is

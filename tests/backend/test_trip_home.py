@@ -3,7 +3,8 @@
 ``WallClockContext.report`` ships ``proc.final_state()``.  Rank 0 and plain
 processes are their own final state (``test_backends.py`` /
 ``test_local_transport.py`` read attributes off them); a pipeline worker's
-is two integers per hosted shard — all ``collect_cache_stats`` reads.
+is its ``cache_stats()`` — two integers per hosted shard, all that
+``collect_cache_stats`` reads.
 """
 
 import pickle
@@ -43,13 +44,11 @@ def test_final_state_is_counters_without_the_problem(trains):
         home = worker.final_state()
         assert isinstance(home, WorkerCounters) and home.rank == worker.rank
         assert not hasattr(home, "shared") and not hasattr(home, "engine")
-        assert {vr: (s.store.cache_hits(), s.store.cache_misses()) for vr, s in home.shards.items()} == {
+        assert home.cache_stats() == worker.cache_stats() == {
             vr: (s.store.cache_hits(), s.store.cache_misses()) for vr, s in worker.shards.items()
         }
         assert len(pickle.dumps(home)) < 400 < len(pickle.dumps(worker)) // 20
-    assert res.cache_stats == {
-        w.rank: (w.store.cache_hits(), w.store.cache_misses()) for w in workers
-    }
+    assert res.cache_stats == {w.rank: w.cache_stats()[w.rank] for w in workers}
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])

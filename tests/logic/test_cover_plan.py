@@ -144,19 +144,23 @@ def witness_cases():
     return kb, rules
 
 
-@pytest.mark.parametrize("rule", witness_cases()[1], ids=str)
+WITNESS_KB, WITNESS_RULES = witness_cases()
+
+
+@pytest.mark.parametrize("rule", WITNESS_RULES, ids=str)
 def test_witness_cases(rule):
-    kb, _ = witness_cases()
     n = rule.indicator[1]
     examples = [Struct("t", args) for args in itertools.product(DOMAIN[:4], repeat=n)]
-    assert_loops_agree(kb, rule, examples, None)
-    assert_loops_agree(kb, rule, examples, 0b1010_0110_0101)
+    assert_loops_agree(WITNESS_KB, rule, examples, None)
+    assert_loops_agree(WITNESS_KB, rule, examples, 0b1010_0110_0101)
 
 
 def test_small_budgets_run_out_on_the_witness_cases():
-    kb, rules = witness_cases()
     examples = [Struct("t", (c,)) for c in DOMAIN[:4]]
-    ran_out = [r for r in rules if any(exh for _, exh in assert_loops_agree(kb, r, examples, None))]
+    ran_out = [
+        r for r in WITNESS_RULES
+        if any(exh for _, exh in assert_loops_agree(WITNESS_KB, r, examples, None))
+    ]
     assert len(ran_out) >= 10, [str(r) for r in ran_out]
 
 
