@@ -1,6 +1,7 @@
 """Wire-codec tests: round-trip every message type, deterministic byte
 counts, pickle fallback, and end-to-end CommStats behaviour."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -198,6 +199,30 @@ class TestRoundTrip:
         for msg in MESSAGES:
             data = wire.encode_always(msg)
             assert len(data) < len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+
+
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
+    LAYOUTS = json.load(_f)["layouts"]
+
+
+class TestWireLayouts:
+    """Every entry of ``MESSAGES`` against its committed bytes
+    (``tests/data/wire_layouts.json``): a layout that moves one byte, or a
+    code that changes, fails here before any golden run notices."""
+
+    def test_one_witness_per_message(self):
+        assert len(LAYOUTS) == len(MESSAGES)
+
+    @pytest.mark.parametrize("msg,entry", zip(MESSAGES, LAYOUTS), ids=[e["id"] for e in LAYOUTS])
+    def test_encodes_to_witness(self, msg, entry):
+        data = wire.encode_always(msg)
+        assert data[2] == entry["code"]
+        assert data.hex() == entry["hex"]
+
+    @pytest.mark.parametrize("entry", LAYOUTS, ids=[e["id"] for e in LAYOUTS])
+    def test_witness_decodes_and_reencodes(self, entry):
+        data = bytes.fromhex(entry["hex"])
+        assert wire.encode_always(wire.decode(data)) == data
 
 
 class TestDeterminism:
