@@ -20,7 +20,7 @@ unreliable pool:
   the live service front door and job scheduler.
 
 The subsystem is strictly opt-in: with no plan (or an empty one) a run
-puts byte-for-byte the plain message family on the wire.
+puts byte-for-byte the unstamped task messages on the wire.
 
 Only the plan layer is imported eagerly — the cluster scheduler depends
 on it, and the scheduler must stay importable without dragging in the

@@ -16,8 +16,8 @@ needed: "crash rank 2 when it is about to process its 2nd
 Purely time-based triggers (``at_time``) exist for the simulator only.
 
 An *empty* plan is indistinguishable from no plan at all: the parallel
-front-ends normalize it to ``None`` and the masters speak the plain
-message family (no heartbeats, no stamps), so such runs stay
+front-ends normalize it to ``None`` and the masters send one unstamped
+message per task (no heartbeats, no stamps), so such runs stay
 charge-for-charge and byte-for-byte what ``golden_runs.json`` pins.  Set
 ``supervise=True`` to force the fault-tolerance protocol on with no
 injected faults — that is how the recovery benchmark measures the
@@ -145,7 +145,7 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         """True when the plan changes nothing: front-ends treat an empty
-        plan exactly like ``fault_plan=None`` (the plain message family)."""
+        plan exactly like ``fault_plan=None`` (unstamped task messages)."""
         return not (
             self.crashes or self.stragglers or self.losses or self.joins or self.supervise
         )

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.ilp.bottom import SaturationError, build_bottom_cached
+from repro.ilp.mdie import select_seed
 from repro.ilp.store import ExampleStore
 from repro.util.rng import make_rng
 
@@ -80,20 +81,19 @@ class WorkerShard:
 def draw_seed(shard: WorkerShard, config) -> Optional[int]:
     """Draw (and mark tried) the next pipeline seed for one shard.
 
-    The one seed policy of every run: prefer alive-and-untried seeds;
-    when every alive seed has been tried, allow a fresh pass (global
-    coverage changed since), bounded by the master's stall detector.
+    A shard's pool: prefer alive-and-untried seeds; when every alive seed
+    has been tried, allow a fresh pass (global coverage changed since),
+    bounded by the master's stall detector.  The draw itself is
+    :func:`repro.ilp.mdie.select_seed`, on the shard's own RNG stream.
     """
     store = shard.store
     candidates = store.alive & ~shard.tried_mask
     if not candidates and store.alive:
         shard.tried_mask = 0
         candidates = store.alive
-    idxs = [i for i in range(store.n_pos) if (candidates >> i) & 1]
-    if not idxs:
-        return None
-    i = shard.rng.choice(idxs) if config.select_seed_randomly else idxs[0]
-    shard.tried_mask |= 1 << i
+    i = select_seed(candidates, shard.rng, config.select_seed_randomly)
+    if i is not None:
+        shard.tried_mask |= 1 << i
     return i
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.config import ILPConfig
+from repro.ilp.coverage import indices_from_bitset
 from repro.ilp.modes import ModeSet
 from repro.ilp.search import learn_rule
 from repro.ilp.store import ExampleStore
@@ -50,9 +51,15 @@ class MDIEResult:
     certificate: Optional[object] = None
 
 
-def select_seed(store: ExampleStore, candidates_mask: int, rng: random.Random, randomly: bool) -> Optional[int]:
-    """Pick an uncovered, not-yet-failed seed example index (or None)."""
-    idxs = [i for i in range(store.n_pos) if (candidates_mask >> i) & 1]
+def select_seed(candidates_mask: int, rng: random.Random, randomly: bool) -> Optional[int]:
+    """Pick a seed example index from ``candidates_mask`` (None when it is
+    empty): ``rng.choice`` over the set bits, ascending, or the lowest.
+
+    The one seed draw of every run: the sequential loop, the
+    coverage-parallel master, the independent workers' local loops and
+    every pipeline shard (:func:`repro.fault.recovery.draw_seed`) call it.
+    """
+    idxs = list(indices_from_bitset(candidates_mask))
     if not idxs:
         return None
     return rng.choice(idxs) if randomly else idxs[0]
@@ -153,8 +160,7 @@ def mdie(
     while True:
         if max_epochs is not None and epochs >= max_epochs:
             break
-        candidates = store.alive & ~failed_mask
-        i = select_seed(store, candidates, rng, config.select_seed_randomly)
+        i = select_seed(store.alive & ~failed_mask, rng, config.select_seed_randomly)
         if i is None:
             break
         example = store.pos[i]

@@ -8,17 +8,12 @@ from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    FTEvaluateRequest,
-    FTEvaluateResult,
-    FTPipelineRules,
-    FTPipelineTask,
     LoadExamples,
     MarkCovered,
     Ping,
     PipelineRules,
     PipelineTask,
     Pong,
-    RestartPipeline,
     RuleStats,
     StartPipeline,
     Stop,
@@ -47,17 +42,12 @@ __all__ = [
     "AdoptWorker",
     "EvaluateRequest",
     "EvaluateResult",
-    "FTEvaluateRequest",
-    "FTEvaluateResult",
-    "FTPipelineRules",
-    "FTPipelineTask",
     "LoadExamples",
     "MarkCovered",
     "Ping",
     "PipelineRules",
     "PipelineTask",
     "Pong",
-    "RestartPipeline",
     "RuleStats",
     "StartPipeline",
     "Stop",

@@ -43,6 +43,7 @@ from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.config import ILPConfig
 from repro.ilp.coverage import coverage_bitset
 from repro.ilp.heuristics import is_good, score_rule
+from repro.ilp.mdie import select_seed
 from repro.ilp.modes import ModeSet
 from repro.ilp.refinement import SearchRule, refinements, start_rule
 from repro.logic.clause import Clause
@@ -126,11 +127,9 @@ class CoverageParallelMaster(Master):
             if self.max_epochs is not None and self.epochs >= self.max_epochs:
                 break
             yield from self._admit_joins(ctx)
-            candidates = alive & ~failed
-            idxs = [i for i in range(len(self.pos)) if (candidates >> i) & 1]
-            if not idxs:
+            i = select_seed(alive & ~failed, rng, self.config.select_seed_randomly)
+            if i is None:
                 break
-            i = rng.choice(idxs) if self.config.select_seed_randomly else idxs[0]
             log = self._open_epoch()
 
             ops0 = engine.total_ops

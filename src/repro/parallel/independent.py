@@ -32,13 +32,15 @@ from repro.cluster.process import ProcContext
 from repro.fault.plan import FaultPlan
 from repro.ilp.bottom import SaturationError, build_bottom_cached
 from repro.ilp.config import ILPConfig
+from repro.ilp.mdie import select_seed
 from repro.ilp.modes import ModeSet
 from repro.ilp.search import learn_rule
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Term
 from repro.parallel.master import Master
 from repro.parallel.p2mdie import P2Result, SharedProblem, _launch, _validate_fault_args
-from repro.parallel.worker import MASTER_RANK, P2Worker, pipeline_rules
+from repro.parallel.messages import PipelineRules
+from repro.parallel.worker import MASTER_RANK, P2Worker
 from repro.util.rng import make_rng
 
 __all__ = ["IndependentWorker", "IndependentMaster", "run_independent"]
@@ -65,11 +67,9 @@ class IndependentWorker(P2Worker):
         local_rules = []
         failed = 0
         while True:
-            candidates = store.alive & ~failed
-            idxs = [i for i in range(store.n_pos) if (candidates >> i) & 1]
-            if not idxs:
+            i = select_seed(store.alive & ~failed, rng, self.config.select_seed_randomly)
+            if i is None:
                 break
-            i = rng.choice(idxs) if self.config.select_seed_randomly else idxs[0]
             try:
                 bottom = build_bottom_cached(store.pos[i], self.engine, self.modes, self.config)
             except SaturationError:
@@ -92,9 +92,8 @@ class IndependentWorker(P2Worker):
         ops0 = self.engine.total_ops
         local_rules = self._local_covering(shard, width)
         yield ctx.compute(self._ops_since(ops0), label="local_mdie")
-        yield ctx.send(
-            MASTER_RANK, pipeline_rules(shard.virtual_rank, local_rules, epoch), tag=Tag.RULES
-        )
+        rules = PipelineRules(origin=shard.virtual_rank, rules=local_rules, epoch=epoch)
+        yield ctx.send(MASTER_RANK, rules, tag=Tag.RULES)
 
 
 class IndependentMaster(Master):

@@ -16,18 +16,18 @@ Epochs repeat until every positive example is covered or learning stalls
 epochs — the paper's generic "stopping condition").
 
 :class:`Master` owns those collective steps for all three strategies.
-There is one path through them and two message families: without a
-:class:`~repro.fault.plan.FaultPlan` a step speaks the plain family
-(``StartPipeline`` / ``EvaluateRequest``: blocking receives, candidate
-masks echoed); with one it speaks the healing family
-(``RestartPipeline`` / ``FTEvaluateRequest``: timed receives, heartbeat
-probes, adoption of dead hosts' logical workers, idempotent reissue,
-epoch- and round-stamped so stale traffic from de-zombied hosts is
-discarded).  The choice is made per step from ``self.ft``, i.e. from the
-plan that is an argument of the run.  The bytes each family puts on the
-wire are pinned by a witness of its own: ``tests/data/golden_runs.json``
-(plain) and ``tests/data/golden_healing.json`` (healing).  Checkpoints
-(when enabled) are written at epoch boundaries under either.
+There is one path through them and one message per task, stamped under a
+fault plan: without a :class:`~repro.fault.plan.FaultPlan` a step sends
+unstamped ``StartPipeline`` / ``EvaluateRequest`` (blocking receives,
+candidate masks echoed); with one it sends them stamped with the epoch /
+round (timed receives, heartbeat probes, adoption of dead hosts' logical
+workers, idempotent reissue, and replies whose stamp does not match are
+discarded as stale traffic from de-zombied hosts).  The choice is made
+per step from ``self.ft``, i.e. from the plan that is an argument of the
+run.  The bytes of each are pinned by a witness of its own:
+``tests/data/golden_runs.json`` (plain) and
+``tests/data/golden_healing.json`` (healing).  Checkpoints (when
+enabled) are written at epoch boundaries under either.
 """
 
 from __future__ import annotations
@@ -47,17 +47,15 @@ from repro.logic.clause import Clause, Theory
 from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
+    EvaluateResult,
     ExamplesReport,
-    FTEvaluateRequest,
-    FTEvaluateResult,
-    FTPipelineRules,
     GatherExamples,
     LoadExamples,
     MarkCovered,
     Ping,
+    PipelineRules,
     Pong,
     Repartition,
-    RestartPipeline,
     SampledEvaluateRequest,
     SampledEvaluateResult,
     StartPipeline,
@@ -104,8 +102,8 @@ class EpochLog:
     accepted: list[Clause] = field(default_factory=list)
     pos_covered: int = 0
     #: aggregate worker evaluation-cache counters at epoch end (collected
-    #: by the healing family's end-of-epoch heartbeat; None without a
-    #: plan — the plain family carries no cache reports).
+    #: by the end-of-epoch heartbeat of a run under a fault plan; None
+    #: without a plan — a plan-free run sends no heartbeat).
     cache_hits: Optional[int] = None
     cache_misses: Optional[int] = None
 
@@ -180,7 +178,7 @@ class Master(SimProcess):
             self.remaining = resume.remaining
         # coverage-inheritance bookkeeping: rank -> {clause ->
         # (pos_cand, neg_cand)} local candidate masks reported by each
-        # worker, echoed back with later requests of the plain family.
+        # worker, echoed back with later unstamped requests.
         self._worker_cand: dict[int, dict[Clause, tuple[int, int]]] = {}
 
     @property
@@ -263,13 +261,13 @@ class Master(SimProcess):
                 for origin in origins:
                     yield ctx.send(
                         self.ft.host_of(origin),
-                        RestartPipeline(origin=origin, width=width, epoch=epoch),
+                        StartPipeline(width=width, origin=origin, epoch=epoch),
                         tag=Tag.START_PIPELINE,
                     )
 
             def classify(msg):
                 p = msg.payload
-                if isinstance(p, FTPipelineRules) and p.epoch == epoch:
+                if isinstance(p, PipelineRules) and p.epoch == epoch:
                     return (p.origin, p.rules)
                 return None
 
@@ -287,13 +285,13 @@ class Master(SimProcess):
         """Lines 10-11 / 18-19: every worker evaluates ``clauses`` on its
         subset; returns the summed per-clause ``(pos, neg)``.
 
-        ``parents`` (plain family only) is the per-rule lineage: when the
+        ``parents`` (plan-free runs only) is the per-rule lineage: when the
         master knows a worker's local candidate masks for a rule's parent
         (reported in an earlier round), it ships them back so the worker
         narrows its re-evaluation even on a cold cache — at the price of
-        per-worker (rather than broadcast) requests.  The healing family
-        never echoes masks: they are in per-shard local numbering and
-        migrate poorly.
+        per-worker (rather than broadcast) requests.  A round-stamped
+        request never echoes masks: they are in per-shard local numbering
+        and migrate poorly.
         """
         rules = tuple(clauses)
         if self.ft is None:
@@ -316,7 +314,7 @@ class Master(SimProcess):
         else:
             self._ft_round += 1
             rnd = self._ft_round
-            request = FTEvaluateRequest(round=rnd, rules=rules)
+            request = EvaluateRequest(rules=rules, round=rnd)
 
             def ask(logicals):
                 for host in sorted({self.ft.host_of(l) for l in logicals}):
@@ -324,7 +322,7 @@ class Master(SimProcess):
 
             def classify(msg):
                 p = msg.payload
-                if isinstance(p, FTEvaluateResult) and p.round == rnd:
+                if isinstance(p, EvaluateResult) and p.round == rnd:
                     return (p.rank, p.stats)
                 return None
 
@@ -373,7 +371,7 @@ class Master(SimProcess):
             yield from self._mark_covered(ctx, best)
 
     def _end_epoch(self, ctx: ProcContext, log: EpochLog):
-        """Close the epoch; the healing family pulses every serving host
+        """Close the epoch; under a fault plan, pulse every serving host
         (liveness + the cache counters of ``EpochLog``)."""
         self.epoch_logs.append(log)
         self._log = None
@@ -664,7 +662,7 @@ class P2Master(Master):
         sample confidently ruled out — and anything that can be accepted
         was measured exactly.
 
-        The healing family has no screening request, so a run under a
+        The screening request has no stamped form, so a run under a
         fault plan never screens: every round is exact and the
         certificate's entries are ``deferred``.
         """

@@ -11,11 +11,24 @@ assumed ... the data can be shared by all processors, through a
 distributed file system".  :class:`LoadExamples` therefore carries only
 the partition id; the simulated shared filesystem is
 :class:`repro.parallel.p2mdie.SharedProblem`.
+
+One message per task, stamped under a fault plan: :class:`StartPipeline`,
+:class:`PipelineTask`, :class:`PipelineRules`, :class:`EvaluateRequest`
+and :class:`EvaluateResult` carry an optional ``epoch`` (pipeline
+messages; a start adds the ``origin`` to root it at) or ``round``
+(evaluation).  Plan-free runs leave it None; under a plan every task is
+stamped and every reply echoes its request's stamp, so stale traffic is
+discarded.  The stamp picks the wire layout: plain codes 2-6, or the
+stamped codes 15, 19, 20, 17, 18 — the stamp, then the plain body, except
+a start (``origin, width?, epoch``) and a request (``round, rules``: no
+candidate masks).  A message no layout holds (``origin`` without
+``epoch``, a stamped request with ``candidates``) is refused at encode
+time rather than shipped with a field dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ilp.bottom import BottomClause
@@ -43,12 +56,7 @@ __all__ = [
     "Ping",
     "Pong",
     "AdoptWorker",
-    "RestartPipeline",
     "UpdateRouting",
-    "FTEvaluateRequest",
-    "FTEvaluateResult",
-    "FTPipelineTask",
-    "FTPipelineRules",
 ]
 
 
@@ -79,9 +87,14 @@ class LoadData:
 
 @dataclass(frozen=True)
 class StartPipeline:
-    """Start a pipeline rooted at the receiving worker (Fig. 6)."""
+    """Start a pipeline (Fig. 6), rooted at the receiving worker — or,
+    stamped, at logical worker ``origin`` for ``epoch``.  Stamped starts
+    are idempotent (a shard reuses its remembered seed/bottom for the
+    epoch), so lost pipelines can be reissued."""
 
     width: Optional[int]  # None = nolimit
+    origin: Optional[int] = None
+    epoch: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,9 @@ class PipelineTask:
 
     ``bottom`` is None when the originating worker had no usable seed (its
     positives were exhausted); such pipelines pass through unchanged so the
-    master still receives exactly ``p`` result sets.
+    master still receives exactly ``p`` result sets.  ``epoch`` (stamped)
+    lets tokens of an aborted epoch attempt die instead of polluting the
+    next one.
     """
 
     bottom: Optional[BottomClause]
@@ -98,6 +113,7 @@ class PipelineTask:
     width: Optional[int]
     rules: tuple[SearchRule, ...]
     origin: int  # rank that seeded this pipeline
+    epoch: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,7 @@ class PipelineRules:
 
     origin: int
     rules: tuple[SearchRule, ...]
+    epoch: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -119,11 +136,13 @@ class EvaluateRequest:
     round.  A worker whose evaluation cache no longer holds the parent
     still skips the provably-uncovered examples.  (Parent clauses
     themselves never ship — refinement only appends literals, so each
-    side derives the lineage structurally.)
+    side derives the lineage structurally.)  A ``round``-stamped request
+    carries no masks and asks every hosted shard for stats without them.
     """
 
     rules: tuple[Clause, ...]
     candidates: Optional[tuple] = None
+    round: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -145,10 +164,12 @@ class RuleStats:
 
 @dataclass(frozen=True)
 class EvaluateResult:
-    """Worker → master: per-rule local stats, in request order."""
+    """Worker → master: one (logical) worker's per-rule local stats, in
+    request order, stamped with the request's ``round``."""
 
     rank: int
     stats: tuple[RuleStats, ...]
+    round: Optional[int] = None
 
 
 def per_worker_evaluate_requests(
@@ -262,14 +283,12 @@ class Stop:
     """Master → workers: learning finished."""
 
 
-# -- the healing message family (repro.fault) ---------------------------------------
+# -- the control messages of recovery (repro.fault) ----------------------------------
 #
-# The tasks above again — stamped with an epoch or round and addressed to
-# logical workers — plus the control messages of recovery.  A master
-# speaks this family exactly when a non-empty
-# :class:`repro.fault.plan.FaultPlan` is an argument of the run (a
-# checkpoint-resumed run also loads through AdoptWorker); workers serve
-# both families with one handler per task.
+# Under a fault plan the tasks above travel stamped (module docstring);
+# these have no plain counterpart: heartbeats, adoption of a dead host's
+# logical workers (also the load message of a checkpoint-resumed run) and
+# the logical -> physical routing table.
 
 
 @dataclass(frozen=True)
@@ -317,18 +336,6 @@ class AdoptWorker:
 
 
 @dataclass(frozen=True)
-class RestartPipeline:
-    """Master → host: (re)start the pipeline rooted at logical worker
-    ``origin`` for ``epoch``.  The fault-tolerant replacement for
-    :class:`StartPipeline`: idempotent (a shard reuses its remembered
-    seed/bottom for the epoch), so lost pipelines can be reissued."""
-
-    origin: int
-    width: Optional[int]
-    epoch: int
-
-
-@dataclass(frozen=True)
 class UpdateRouting:
     """Master → hosts: logical-worker → physical-host table.
 
@@ -337,44 +344,3 @@ class UpdateRouting:
 
     routing: tuple  # ((virtual_rank, host_rank), ...)
 
-
-@dataclass(frozen=True)
-class FTEvaluateRequest:
-    """Fault-tolerant :class:`EvaluateRequest`: carries a round id so
-    duplicate/stale results (recovery reissues, de-zombied hosts) are
-    discarded instead of corrupting totals.  Candidate-mask echoing is
-    disabled under fault tolerance — hosts evaluate every hosted shard."""
-
-    round: int
-    rules: tuple[Clause, ...]
-
-
-@dataclass(frozen=True)
-class FTEvaluateResult:
-    """One logical worker's stats for one evaluation round."""
-
-    round: int
-    rank: int  # virtual (logical) rank
-    stats: tuple[RuleStats, ...]
-
-
-@dataclass(frozen=True)
-class FTPipelineTask:
-    """Fault-tolerant :class:`PipelineTask`: epoch-stamped so tokens of
-    an aborted epoch attempt die instead of polluting the next one."""
-
-    epoch: int
-    bottom: Optional[BottomClause]
-    step: int
-    width: Optional[int]
-    rules: tuple[SearchRule, ...]
-    origin: int
-
-
-@dataclass(frozen=True)
-class FTPipelineRules:
-    """Fault-tolerant :class:`PipelineRules` (epoch-stamped)."""
-
-    epoch: int
-    origin: int
-    rules: tuple[SearchRule, ...]

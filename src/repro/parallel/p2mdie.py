@@ -260,7 +260,8 @@ def run_p2mdie(
     explicitly for the "nolimit" configuration.
     ``repartition_each_epoch`` enables the §4.1 alternative the paper
     rejected (reshuffling remaining examples before every epoch), so its
-    communication cost can be measured.
+    communication cost can be measured; it takes no fault plan, checkpoint
+    or resume.
     ``share_mode`` is ``"shared_fs"`` (paper's assumption: workers read
     their subsets from a distributed filesystem) or ``"messages"`` (the
     §4.1 fallback: the master ships background knowledge and example
@@ -286,6 +287,11 @@ def run_p2mdie(
     if share_mode not in ("shared_fs", "messages"):
         raise ValueError("share_mode must be 'shared_fs' or 'messages'")
     plan = _validate_fault_args(fault_plan, spares, p, share_mode, repartition_each_epoch)
+    if repartition_each_epoch and (checkpoint_dir is not None or resume is not None):
+        raise ValueError(
+            "per-epoch repartitioning cannot be checkpointed or resumed: a resumed run "
+            "rebuilds workers from their original partitions, not the reshuffled ones"
+        )
     _check_resume(resume, "p2mdie", p, seed)
     shared = SharedProblem.partitioned(kb, pos, neg, modes, config, p, seed)
     ship_data = None

@@ -64,10 +64,6 @@ from repro.parallel.messages import (
     SampledEvaluateRequest,
     SampledEvaluateResult,
     ExamplesReport,
-    FTEvaluateRequest,
-    FTEvaluateResult,
-    FTPipelineRules,
-    FTPipelineTask,
     GatherExamples,
     LoadData,
     LoadExamples,
@@ -77,7 +73,6 @@ from repro.parallel.messages import (
     PipelineTask,
     Pong,
     Repartition,
-    RestartPipeline,
     RuleStats,
     StartPipeline,
     Stop,
@@ -369,17 +364,41 @@ def _dec_load_data(d: _Decoder) -> LoadData:
     return LoadData(pos=d.terms(), neg=d.terms(), facts=d.terms(), rules=d.clauses())
 
 
-def _enc_start_pipeline(e: _Encoder, m: StartPipeline) -> None:
+def _stamp(e: _Encoder, stamp: Optional[int], plain: int, stamped: int) -> int:
+    """Write a message's stamp, if any, where its layout puts it; return
+    the code it goes under (``plain`` unstamped, ``stamped`` otherwise)."""
+    if stamp is None:
+        return plain
+    e.u(stamp)
+    return stamped
+
+
+def _dec_stamp_first(dec, stamp: str):
+    """Decoder of a stamp-first layout: the stamp, then the plain body."""
+    return lambda d: dec(d, **{stamp: d.u()})
+
+
+def _enc_start_pipeline(e: _Encoder, m: StartPipeline) -> int:
+    if (m.origin is None) != (m.epoch is None):
+        raise WireError(f"origin and epoch travel together: {m!r}")
+    if m.epoch is not None:
+        e.u(m.origin)
     e.flag(m.width is not None)
     if m.width is not None:
         e.u(m.width)
+    return _stamp(e, m.epoch, 2, 15)
 
 
 def _dec_start_pipeline(d: _Decoder) -> StartPipeline:
     return StartPipeline(width=d.u() if d.flag() else None)
 
 
-def _enc_pipeline_task(e: _Encoder, m: PipelineTask) -> None:
+def _dec_stamped_start(d: _Decoder) -> StartPipeline:
+    return StartPipeline(origin=d.u(), width=d.u() if d.flag() else None, epoch=d.u())
+
+
+def _enc_pipeline_task(e: _Encoder, m: PipelineTask) -> int:
+    code = _stamp(e, m.epoch, 3, 19)
     e.flag(m.bottom is not None)
     if m.bottom is not None:
         e.bottom(m.bottom)
@@ -389,26 +408,38 @@ def _enc_pipeline_task(e: _Encoder, m: PipelineTask) -> None:
         e.u(m.width)
     e.search_rules(m.rules)
     e.u(m.origin)
+    return code
 
 
-def _dec_pipeline_task(d: _Decoder) -> PipelineTask:
+def _dec_pipeline_task(d: _Decoder, epoch: Optional[int] = None) -> PipelineTask:
     bottom = d.bottom() if d.flag() else None
     step = d.u()
     width = d.u() if d.flag() else None
     rules = d.search_rules()
-    return PipelineTask(bottom=bottom, step=step, width=width, rules=rules, origin=d.u())
+    return PipelineTask(
+        bottom=bottom, step=step, width=width, rules=rules, origin=d.u(), epoch=epoch
+    )
 
 
-def _enc_pipeline_rules(e: _Encoder, m: PipelineRules) -> None:
+def _enc_pipeline_result(e: _Encoder, m: PipelineRules) -> int:
+    code = _stamp(e, m.epoch, 4, 20)
     e.u(m.origin)
     e.search_rules(m.rules)
+    return code
 
 
-def _dec_pipeline_rules(d: _Decoder) -> PipelineRules:
-    return PipelineRules(origin=d.u(), rules=d.search_rules())
+def _dec_pipeline_result(d: _Decoder, epoch: Optional[int] = None) -> PipelineRules:
+    return PipelineRules(origin=d.u(), rules=d.search_rules(), epoch=epoch)
 
 
-def _enc_evaluate_request(e: _Encoder, m: EvaluateRequest) -> None:
+def _enc_evaluate_request(e: _Encoder, m: EvaluateRequest) -> int:
+    if m.round is not None:
+        # Layout 17 (round, rules) has no room for candidate masks.
+        if m.candidates is not None:
+            raise WireError(f"a round-stamped request carries no candidates: {m!r}")
+        e.u(m.round)
+        e.clauses(m.rules)
+        return 17
     e.clauses(m.rules)
     e.flag(m.candidates is not None)
     if m.candidates is not None:
@@ -418,6 +449,11 @@ def _enc_evaluate_request(e: _Encoder, m: EvaluateRequest) -> None:
             if c is not None:
                 e.bitset(c[0])
                 e.bitset(c[1])
+    return 5
+
+
+def _dec_stamped_request(d: _Decoder) -> EvaluateRequest:
+    return EvaluateRequest(round=d.u(), rules=d.clauses())
 
 
 def _dec_evaluate_request(d: _Decoder) -> EvaluateRequest:
@@ -430,7 +466,8 @@ def _dec_evaluate_request(d: _Decoder) -> EvaluateRequest:
     return EvaluateRequest(rules=rules, candidates=candidates)
 
 
-def _enc_evaluate_result(e: _Encoder, m: EvaluateResult) -> None:
+def _enc_evaluate_result(e: _Encoder, m: EvaluateResult) -> int:
+    code = _stamp(e, m.round, 6, 18)
     e.u(m.rank)
     e.u(len(m.stats))
     for rs in m.stats:
@@ -438,15 +475,16 @@ def _enc_evaluate_result(e: _Encoder, m: EvaluateResult) -> None:
         e.u(rs.neg)
         e.bitset(rs.pos_cand)
         e.bitset(rs.neg_cand)
+    return code
 
 
-def _dec_evaluate_result(d: _Decoder) -> EvaluateResult:
+def _dec_evaluate_result(d: _Decoder, round: Optional[int] = None) -> EvaluateResult:
     rank = d.u()
     stats = tuple(
         RuleStats(pos=d.u(), neg=d.u(), pos_cand=d.bitset(), neg_cand=d.bitset())
         for _ in range(d.u())
     )
-    return EvaluateResult(rank=rank, stats=stats)
+    return EvaluateResult(rank=rank, stats=stats, round=round)
 
 
 def _enc_sampled_evaluate_request(e: _Encoder, m: SampledEvaluateRequest) -> None:
@@ -581,20 +619,6 @@ def _dec_adopt_worker(d: _Decoder) -> AdoptWorker:
     )
 
 
-def _enc_restart_pipeline(e: _Encoder, m: RestartPipeline) -> None:
-    e.u(m.origin)
-    e.flag(m.width is not None)
-    if m.width is not None:
-        e.u(m.width)
-    e.u(m.epoch)
-
-
-def _dec_restart_pipeline(d: _Decoder) -> RestartPipeline:
-    origin = d.u()
-    width = d.u() if d.flag() else None
-    return RestartPipeline(origin=origin, width=width, epoch=d.u())
-
-
 def _enc_update_routing(e: _Encoder, m: UpdateRouting) -> None:
     e.u(len(m.routing))
     for virtual, host in m.routing:
@@ -606,80 +630,18 @@ def _dec_update_routing(d: _Decoder) -> UpdateRouting:
     return UpdateRouting(routing=tuple((d.u(), d.u()) for _ in range(d.u())))
 
 
-def _enc_ft_evaluate_request(e: _Encoder, m: FTEvaluateRequest) -> None:
-    e.u(m.round)
-    e.clauses(m.rules)
-
-
-def _dec_ft_evaluate_request(d: _Decoder) -> FTEvaluateRequest:
-    return FTEvaluateRequest(round=d.u(), rules=d.clauses())
-
-
-def _enc_ft_evaluate_result(e: _Encoder, m: FTEvaluateResult) -> None:
-    e.u(m.round)
-    e.u(m.rank)
-    e.u(len(m.stats))
-    for rs in m.stats:
-        e.u(rs.pos)
-        e.u(rs.neg)
-        e.bitset(rs.pos_cand)
-        e.bitset(rs.neg_cand)
-
-
-def _dec_ft_evaluate_result(d: _Decoder) -> FTEvaluateResult:
-    rnd = d.u()
-    rank = d.u()
-    stats = tuple(
-        RuleStats(pos=d.u(), neg=d.u(), pos_cand=d.bitset(), neg_cand=d.bitset())
-        for _ in range(d.u())
-    )
-    return FTEvaluateResult(round=rnd, rank=rank, stats=stats)
-
-
-def _enc_ft_pipeline_task(e: _Encoder, m: FTPipelineTask) -> None:
-    e.u(m.epoch)
-    e.flag(m.bottom is not None)
-    if m.bottom is not None:
-        e.bottom(m.bottom)
-    e.u(m.step)
-    e.flag(m.width is not None)
-    if m.width is not None:
-        e.u(m.width)
-    e.search_rules(m.rules)
-    e.u(m.origin)
-
-
-def _dec_ft_pipeline_task(d: _Decoder) -> FTPipelineTask:
-    epoch = d.u()
-    bottom = d.bottom() if d.flag() else None
-    step = d.u()
-    width = d.u() if d.flag() else None
-    rules = d.search_rules()
-    return FTPipelineTask(
-        epoch=epoch, bottom=bottom, step=step, width=width, rules=rules, origin=d.u()
-    )
-
-
-def _enc_ft_pipeline_rules(e: _Encoder, m: FTPipelineRules) -> None:
-    e.u(m.epoch)
-    e.u(m.origin)
-    e.search_rules(m.rules)
-
-
-def _dec_ft_pipeline_rules(d: _Decoder) -> FTPipelineRules:
-    return FTPipelineRules(epoch=d.u(), origin=d.u(), rules=d.search_rules())
-
-
 #: type -> (code, encoder); code -> decoder.  Codes are part of the wire
-#: format — append only, never renumber.
+#: format — append only, never renumber.  A task message has two layouts,
+#: plain and stamped: its code here is None and its encoder returns the
+#: code it wrote.
 _ENCODERS: dict = {
     LoadExamples: (0, _enc_load_examples),
     LoadData: (1, _enc_load_data),
-    StartPipeline: (2, _enc_start_pipeline),
-    PipelineTask: (3, _enc_pipeline_task),
-    PipelineRules: (4, _enc_pipeline_rules),
-    EvaluateRequest: (5, _enc_evaluate_request),
-    EvaluateResult: (6, _enc_evaluate_result),
+    StartPipeline: (None, _enc_start_pipeline),  # 2 | 15
+    PipelineTask: (None, _enc_pipeline_task),  # 3 | 19
+    PipelineRules: (None, _enc_pipeline_result),  # 4 | 20
+    EvaluateRequest: (None, _enc_evaluate_request),  # 5 | 17
+    EvaluateResult: (None, _enc_evaluate_result),  # 6 | 18
     MarkCovered: (7, _enc_mark_covered),
     GatherExamples: (8, _enc_gather),
     ExamplesReport: (9, _enc_examples_report),
@@ -688,12 +650,7 @@ _ENCODERS: dict = {
     Ping: (12, _enc_ping),
     Pong: (13, _enc_pong),
     AdoptWorker: (14, _enc_adopt_worker),
-    RestartPipeline: (15, _enc_restart_pipeline),
     UpdateRouting: (16, _enc_update_routing),
-    FTEvaluateRequest: (17, _enc_ft_evaluate_request),
-    FTEvaluateResult: (18, _enc_ft_evaluate_result),
-    FTPipelineTask: (19, _enc_ft_pipeline_task),
-    FTPipelineRules: (20, _enc_ft_pipeline_rules),
     # 21-29 reserved (out-of-package; see register_codec).
     SampledEvaluateRequest: (30, _enc_sampled_evaluate_request),
     SampledEvaluateResult: (31, _enc_sampled_evaluate_result),
@@ -703,7 +660,7 @@ _DECODERS: dict = {
     1: _dec_load_data,
     2: _dec_start_pipeline,
     3: _dec_pipeline_task,
-    4: _dec_pipeline_rules,
+    4: _dec_pipeline_result,
     5: _dec_evaluate_request,
     6: _dec_evaluate_result,
     7: _dec_mark_covered,
@@ -714,12 +671,12 @@ _DECODERS: dict = {
     12: _dec_ping,
     13: _dec_pong,
     14: _dec_adopt_worker,
-    15: _dec_restart_pipeline,
+    15: _dec_stamped_start,
     16: _dec_update_routing,
-    17: _dec_ft_evaluate_request,
-    18: _dec_ft_evaluate_result,
-    19: _dec_ft_pipeline_task,
-    20: _dec_ft_pipeline_rules,
+    17: _dec_stamped_request,
+    18: _dec_stamp_first(_dec_evaluate_result, "round"),
+    19: _dec_stamp_first(_dec_pipeline_task, "epoch"),
+    20: _dec_stamp_first(_dec_pipeline_result, "epoch"),
     30: _dec_sampled_evaluate_request,
     31: _dec_sampled_evaluate_result,
 }
@@ -730,8 +687,10 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
 
     Lets higher layers ship their payloads in the wire format without
     creating an import cycle back into this module's registry.  Codes
-    0-20 and 30+ are the in-package messages above; currently reserved
-    by out-of-package formats (never reuse or renumber):
+    0-20 and 30+ are the in-package messages above (15 and 17-20 decode
+    to stamped task messages: see :mod:`repro.parallel.messages`);
+    currently reserved by out-of-package formats (never reuse or
+    renumber):
 
     * 21 — :class:`repro.fault.checkpoint.CheckpointState` (``.ckpt`` files)
     * 22 — :class:`repro.service.registry.RegistryRecord` (``.theory`` files)
@@ -764,8 +723,8 @@ def encode_always(payload: object) -> Optional[bytes]:
         return None
     code, enc = entry
     e = _Encoder()
-    enc(e, payload)
-    return e.finish(code)
+    wrote = enc(e, payload)
+    return e.finish(wrote if code is None else code)
 
 
 def decode(data: bytes) -> object:

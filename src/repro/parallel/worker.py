@@ -21,13 +21,13 @@ mask), and one physical worker process can host several shards — its own
 plus any adopted from crashed peers, rebuilt deterministically by
 replaying the master-shipped accepted-rule history.
 
-One handler per task serves both message families.  A plan-free run *is*
-the healing protocol with the identity routing table, one shard per host
-and unstamped messages: every stage is served where it lands, nothing is
-parked or forwarded, no successor stage is co-hosted.  The families
-differ only in the reply class a handler builds (plain, or stamped with
-the request's epoch / round) and in whether candidate masks travel; the
-bytes of each are pinned by a witness of its own
+One message and one handler per task, stamped under a fault plan.  A
+plan-free run *is* the healing protocol with the identity routing table,
+one shard per host and unstamped messages: every stage is served where it
+lands, nothing is parked or forwarded, no successor stage is co-hosted.
+The two runs differ only in the stamp — a handler's reply echoes its
+request's epoch / round, or none — and in whether candidate masks
+travel; the bytes of each are pinned by a witness of its own
 (``tests/data/golden_runs.json``, ``tests/data/golden_healing.json``).
 """
 
@@ -50,10 +50,6 @@ from repro.parallel.messages import (
     EvaluateRequest,
     EvaluateResult,
     ExamplesReport,
-    FTEvaluateRequest,
-    FTEvaluateResult,
-    FTPipelineRules,
-    FTPipelineTask,
     GatherExamples,
     LoadData,
     LoadExamples,
@@ -63,7 +59,6 @@ from repro.parallel.messages import (
     PipelineTask,
     Pong,
     Repartition,
-    RestartPipeline,
     RuleStats,
     SampledEvaluateRequest,
     SampledEvaluateResult,
@@ -82,14 +77,6 @@ def stage_logical(origin: int, step: int, n_workers: int) -> int:
     """Logical worker serving stage ``step`` of the pipeline rooted at
     ``origin`` (the ring ``1 → 2 → ... → p → 1``)."""
     return (origin - 1 + step - 1) % n_workers + 1
-
-
-def pipeline_rules(origin: int, rules: tuple, epoch: Optional[int]):
-    """A pipeline's final rules for the master, in the family of the
-    request that started it: stamped with its epoch, or plain (None)."""
-    if epoch is None:
-        return PipelineRules(origin=origin, rules=rules)
-    return FTPipelineRules(epoch=epoch, origin=origin, rules=rules)
 
 
 @dataclass(frozen=True)
@@ -251,11 +238,11 @@ class P2Worker(SimProcess):
         yield ctx.compute(load_cost, label="load")
 
     def _dispatch(self, ctx: ProcContext, payload):
-        if isinstance(payload, (StartPipeline, RestartPipeline)):
+        if isinstance(payload, StartPipeline):
             yield from self._start_pipeline(ctx, payload)
-        elif isinstance(payload, (PipelineTask, FTPipelineTask)):
+        elif isinstance(payload, PipelineTask):
             yield from self._pipeline_stage(ctx, payload)
-        elif isinstance(payload, (EvaluateRequest, FTEvaluateRequest)):
+        elif isinstance(payload, EvaluateRequest):
             yield from self._evaluate(ctx, payload)
         elif isinstance(payload, SampledEvaluateRequest):
             yield from self._sampled_evaluate(ctx, payload)
@@ -278,16 +265,13 @@ class P2Worker(SimProcess):
             raise TypeError(f"worker {self.rank}: unknown task {payload!r}")
 
     # -- paper tasks (Fig. 6) ---------------------------------------------------------
-    def _start_pipeline(self, ctx: ProcContext, req):
+    def _start_pipeline(self, ctx: ProcContext, req: StartPipeline):
         """Fig. 6 start_pipeline: (re)start the pipeline rooted at a hosted
-        logical worker — the receiving rank's own, for the plain family."""
-        if isinstance(req, RestartPipeline):
-            origin, epoch = req.origin, req.epoch
-        else:
-            origin, epoch = self.rank, None
+        logical worker — the receiving rank's own, unless stamped."""
+        origin = self.rank if req.origin is None else req.origin
         if (yield from self._defer_or_forward(ctx, origin, req, Tag.START_PIPELINE)):
             return
-        yield from self._first_stage(ctx, self.shards[origin], req.width, epoch)
+        yield from self._first_stage(ctx, self.shards[origin], req.width, req.epoch)
 
     def _first_stage(self, ctx: ProcContext, shard: WorkerShard, width: Optional[int], epoch):
         """Seed, saturate, run the first ``learn_rule'`` stage.
@@ -304,11 +288,12 @@ class P2Worker(SimProcess):
             shard.bottom_ready = False
         bottom = saturate_seed(shard, self.engine, self.modes, self.config)
         yield ctx.compute(self._ops_since(ops0), label="saturate")
-        fields = dict(bottom=bottom, step=1, width=width, rules=(), origin=shard.virtual_rank)
-        task = PipelineTask(**fields) if epoch is None else FTPipelineTask(epoch=epoch, **fields)
+        task = PipelineTask(
+            bottom=bottom, step=1, width=width, rules=(), origin=shard.virtual_rank, epoch=epoch
+        )
         yield from self._pipeline_stage(ctx, task)
 
-    def _pipeline_stage(self, ctx: ProcContext, task):
+    def _pipeline_stage(self, ctx: ProcContext, task: PipelineTask):
         """Fig. 7 learn_rule': search locally, forward Good onward —
         executed by the logical stage owner wherever it is hosted."""
         logical = stage_logical(task.origin, task.step, self.n_workers)
@@ -332,8 +317,8 @@ class P2Worker(SimProcess):
         yield ctx.compute(self._ops_since(ops0), label=f"search(s{task.step})")
         if task.step >= self.n_workers:
             # Last stage: ship the pipeline's rules to the master.
-            epoch = task.epoch if isinstance(task, FTPipelineTask) else None
-            yield ctx.send(MASTER_RANK, pipeline_rules(task.origin, good, epoch), tag=Tag.RULES)
+            rules = PipelineRules(origin=task.origin, rules=good, epoch=task.epoch)
+            yield ctx.send(MASTER_RANK, rules, tag=Tag.RULES)
             return
         next_task = replace(task, step=task.step + 1, rules=good)
         dst = self._host_of(stage_logical(task.origin, task.step + 1, self.n_workers))
@@ -345,25 +330,25 @@ class P2Worker(SimProcess):
         else:
             yield ctx.send(dst, next_task, tag=Tag.LEARN_RULE)
 
-    def _evaluate(self, ctx: ProcContext, req):
+    def _evaluate(self, ctx: ProcContext, req: EvaluateRequest):
         """Fig. 6 evaluate_rules: stats of each bag rule on every hosted
-        shard, one reply per shard.
+        shard, one reply per shard, stamped with the request's round.
 
         Coverage inheritance narrows the work: the store derives each
         rule's lattice parent structurally (refinement appends literals).
-        The plain family also moves candidate masks — master-echoed ones
-        narrow further when the local cache is cold, and the rule's own go
-        back with the reply; the healing family moves none (they are in
+        An unstamped request also moves candidate masks — master-echoed
+        ones narrow further when the local cache is cold, and the rule's
+        own go back with the reply; a stamped one moves none (they are in
         per-shard local numbering and migrate poorly).
         """
-        healing = isinstance(req, FTEvaluateRequest)
+        stamped = req.round is not None
         ops0 = self.engine.total_ops
         results = []
         for shard in self._hosted():
             store = shard.store
             stats = []
             for i, rule in enumerate(req.rules):
-                if healing:
+                if stamped:
                     cs = store.evaluate(self.engine, rule)
                     stats.append(RuleStats(pos=cs.pos, neg=cs.neg))
                 else:
@@ -374,10 +359,7 @@ class P2Worker(SimProcess):
             results.append((shard.virtual_rank, tuple(stats)))
         yield ctx.compute(self._ops_since(ops0), label="evaluate")
         for virtual_rank, stats in results:
-            if healing:
-                reply = FTEvaluateResult(round=req.round, rank=virtual_rank, stats=stats)
-            else:
-                reply = EvaluateResult(rank=virtual_rank, stats=stats)
+            reply = EvaluateResult(rank=virtual_rank, stats=stats, round=req.round)
             yield ctx.send(MASTER_RANK, reply, tag=Tag.RESULT)
 
     def _sampled_evaluate(self, ctx: ProcContext, req: SampledEvaluateRequest):

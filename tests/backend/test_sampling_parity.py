@@ -95,8 +95,8 @@ class TestSimLocalParity:
 
 
 class TestSampledUnderAPlan:
-    """docs/sampling.md: the healing message family has no screening
-    request, so a sampled run under a fault plan evaluates every round
+    """docs/sampling.md: the screening request has no stamped form, so
+    a sampled run under a fault plan evaluates every round
     exactly — every certificate entry is ``deferred``, no stratum is ever
     reported — and a crash changes neither theory nor log."""
 

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.ilp.mdie import mdie, select_seed
-from repro.ilp.store import ExampleStore
 from repro.ilp.theory import accuracy
 from repro.logic.engine import Engine
-from repro.logic.parser import parse_clause, parse_term
 from repro.util.rng import make_rng
 
 
@@ -69,13 +67,16 @@ class TestMdie:
 
 class TestSelectSeed:
     def test_none_when_empty(self):
-        store = ExampleStore([], [])
-        assert select_seed(store, 0, make_rng(0), True) is None
+        assert select_seed(0, make_rng(0), True) is None
 
     def test_respects_mask(self):
-        store = ExampleStore([parse_term("p(a)"), parse_term("p(b)")], [])
-        assert select_seed(store, 0b10, make_rng(0), False) == 1
+        assert select_seed(0b10, make_rng(0), False) == 1
 
     def test_deterministic_first(self):
-        store = ExampleStore([parse_term("p(a)"), parse_term("p(b)")], [])
-        assert select_seed(store, 0b11, make_rng(0), False) == 0
+        assert select_seed(0b11, make_rng(0), False) == 0
+
+    def test_random_draw_is_one_choice_over_the_ascending_set_bits(self):
+        # Every RNG stream depends on this exact call: one rng.choice over
+        # the candidate indices in ascending order.
+        for seed in range(20):
+            assert select_seed(0b101101, make_rng(seed), True) == make_rng(seed).choice([0, 2, 3, 5])

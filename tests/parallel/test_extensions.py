@@ -43,6 +43,28 @@ class TestRepartitioning:
         assert base.comm.bytes_total == repart.comm.bytes_total
         assert list(base.theory) == list(repart.theory)
 
+    def test_refuses_checkpoints(self, kb, pos, neg, modes, config, tmp_path):
+        """A resumed run rebuilds each worker from its original partition,
+        but a repartitioned run's workers held reshuffled subsets and drew
+        their seeds over them: resuming one learned a different theory
+        (mesh, p=3: [2, 2, 2, 1, 1, 0, 0, 0] accepted rules per epoch
+        uninterrupted, [2, 2, 3, 1, 0, 0, 0] resumed from epoch 2).  The
+        checkpoint records neither, so the combination is refused."""
+        from repro.fault.checkpoint import checkpoint_path, load_checkpoint
+
+        with pytest.raises(ValueError, match="repartitioning"):
+            run_p2mdie(
+                kb, pos, neg, modes, config, p=3, seed=3,
+                repartition_each_epoch=True, checkpoint_dir=str(tmp_path / "r"),
+            )
+        assert not (tmp_path / "r").exists()
+        run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, max_epochs=1, checkpoint_dir=str(tmp_path))
+        resume = load_checkpoint(checkpoint_path(str(tmp_path), 1))
+        with pytest.raises(ValueError, match="repartitioning"):
+            run_p2mdie(
+                kb, pos, neg, modes, config, p=3, seed=3, repartition_each_epoch=True, resume=resume
+            )
+
 
 class TestHeterogeneousCluster:
     def test_scales_validation(self):

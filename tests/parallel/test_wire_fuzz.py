@@ -28,7 +28,7 @@ from repro.ilp.sampling import (
 )
 from repro.parallel import wire
 
-from test_wire import MESSAGES  # same directory; covers every type code
+from test_wire import MESSAGES, layout_name  # same directory; covers every type code
 
 CERT = CoverageCertificate(
     seed=7,
@@ -54,7 +54,7 @@ CERT = CoverageCertificate(
 
 def _payloads():
     _ensure_codec()
-    out = [(type(m).__name__, wire.encode_always(m)) for m in MESSAGES]
+    out = [(layout_name(m), wire.encode_always(m)) for m in MESSAGES]
     out.append(("CoverageCertificate", certificate_to_bytes(CERT)))
     return out
 

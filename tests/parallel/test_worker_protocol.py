@@ -18,15 +18,10 @@ from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    FTEvaluateRequest,
-    FTEvaluateResult,
-    FTPipelineRules,
-    FTPipelineTask,
     LoadExamples,
     MarkCovered,
     PipelineRules,
     PipelineTask,
-    RestartPipeline,
     StartPipeline,
     Stop,
     UpdateRouting,
@@ -139,9 +134,9 @@ class TestLoad:
 
 
 class Plain:
-    """The plan-free message family: unstamped requests and replies."""
+    """A plan-free run's messages: unstamped requests and replies."""
 
-    task_cls, rules_cls, result_cls = PipelineTask, PipelineRules, EvaluateResult
+    EPOCH, ROUND = None, None
 
     @staticmethod
     def start(width, origin):
@@ -157,23 +152,22 @@ class Plain:
 
 
 class Healing:
-    """The healing family: the same tasks, stamped with an epoch / round
-    that every reply must echo."""
+    """A run under a fault plan: the same messages, stamped with an epoch
+    / round that every reply must echo."""
 
     EPOCH, ROUND = 7, 3
-    task_cls, rules_cls, result_cls = FTPipelineTask, FTPipelineRules, FTEvaluateResult
 
     @staticmethod
     def start(width, origin):
-        return RestartPipeline(origin=origin, width=width, epoch=Healing.EPOCH)
+        return StartPipeline(width=width, origin=origin, epoch=Healing.EPOCH)
 
     @staticmethod
     def task(**fields):
-        return FTPipelineTask(epoch=Healing.EPOCH, **fields)
+        return PipelineTask(epoch=Healing.EPOCH, **fields)
 
     @staticmethod
     def evaluate(rules):
-        return FTEvaluateRequest(round=Healing.ROUND, rules=rules)
+        return EvaluateRequest(rules=rules, round=Healing.ROUND)
 
 
 def first_stage_output(problem, family, rank=1, width=5):
@@ -198,7 +192,7 @@ class TestStartPipeline:
         assert op.dst == 2  # ring successor
         assert op.tag == Tag.LEARN_RULE
         task = op.payload
-        assert type(task) is self.family.task_cls
+        assert type(task) is PipelineTask and task.epoch == self.family.EPOCH
         assert task.step == 2
         assert task.origin == 1
         assert task.bottom is not None
@@ -226,7 +220,8 @@ class TestPipelineStage:
         assert len(sent) == 1
         assert sent[0].dst == MASTER_RANK
         assert sent[0].tag == Tag.RULES
-        assert type(sent[0].payload) is self.family.rules_cls
+        assert type(sent[0].payload) is PipelineRules
+        assert sent[0].payload.epoch == self.family.EPOCH
         assert sent[0].payload.origin == 1
 
     def test_empty_bottom_passes_through(self, problem):
@@ -235,7 +230,8 @@ class TestPipelineStage:
         h.deliver(task, src=1, tag=Tag.LEARN_RULE)
         sent = h.take_sent()
         assert sent[0].dst == 3
-        assert type(sent[0].payload) is self.family.task_cls
+        assert type(sent[0].payload) is PipelineTask
+        assert sent[0].payload.epoch == self.family.EPOCH
         assert sent[0].payload.rules == ()
 
     def test_width_caps_forwarded_rules(self, problem):
@@ -255,7 +251,7 @@ class TestEvaluateAndMark:
         sent = h.take_sent()
         assert len(sent) == 1
         res = sent[0].payload
-        assert type(res) is self.family.result_cls
+        assert type(res) is EvaluateResult and res.round == self.family.ROUND
         assert sent[0].dst == MASTER_RANK
         assert res.rank == 1
         assert len(res.stats) == 2
@@ -285,7 +281,7 @@ class TestStartPipelineHealing(TestStartPipeline):
         )
 
     def test_duplicate_restart_reuses_the_epochs_draw(self, problem):
-        """A reissued RestartPipeline re-emits the identical stage-1 output
+        """A reissued stamped start re-emits the identical stage-1 output
         without a second seed draw; the next epoch draws again."""
         h = make_loaded_worker(problem, rank=1)
         shard = h.worker.shards[1]
@@ -295,7 +291,7 @@ class TestStartPipelineHealing(TestStartPipeline):
         h.deliver(Healing.start(5, 1), src=0, tag=Tag.START_PIPELINE)
         assert h.take_sent() == first
         assert bin(shard.tried_mask).count("1") == 1
-        h.deliver(RestartPipeline(origin=1, width=5, epoch=Healing.EPOCH + 1), src=0,
+        h.deliver(StartPipeline(width=5, origin=1, epoch=Healing.EPOCH + 1), src=0,
                   tag=Tag.START_PIPELINE)
         assert bin(shard.tried_mask).count("1") == 2
 
@@ -372,7 +368,7 @@ class TestEvaluateHealing:
         assert [(rs.pos, rs.neg) for rs in out[Healing].stats] == [
             (rs.pos, rs.neg) for rs in out[Plain].stats
         ]
-        # candidate masks travel with the plain family only
+        # candidate masks travel with unstamped messages only
         assert any(rs.pos_cand or rs.neg_cand for rs in out[Plain].stats)
         assert not any(rs.pos_cand or rs.neg_cand for rs in out[Healing].stats)
 
