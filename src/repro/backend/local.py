@@ -46,10 +46,22 @@ Transport notes
   before it reaches the pipe.  Under an active (non-empty) plan the
   parent tolerates worker deaths (the self-healing master is expected
   to recover); only rank 0's failure fails the run.
+* **Placement.**  The paper runs one worker per node; left alone, the
+  kernel often stacks forked siblings on one core, where each waits
+  behind the other.  The parent pins worker *r* to one CPU of its
+  affinity mask, round-robin (:func:`place_ranks`), and leaves the
+  master — which mostly blocks in ``wait`` — on the whole mask.  Each
+  run starts the round-robin where the previous one in this process
+  stopped, so concurrent runs spread over the cores.  With one CPU, or
+  where the platform has no ``sched_getaffinity``, nothing is pinned.
+  The parent also imports what a rank would otherwise import lazily
+  (the wire codec on the first send, span encoding in the report), so
+  forked ranks start warm instead of importing it once each.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import queue
@@ -57,7 +69,7 @@ import threading
 import time
 import traceback
 from multiprocessing.connection import Connection, wait
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.backend.base import (
     Backend,
@@ -79,6 +91,35 @@ _SENDER_STOP = object()
 
 #: exit code of an injected-crash child (distinguishes it from real bugs).
 _CRASH_EXIT = 66
+
+#: Runs started in this process.  Process-wide on purpose: every
+#: ``JobScheduler`` slot builds its own backend, and concurrent runs should
+#: land on different cores.
+_runs = itertools.count()
+
+
+def place_ranks(
+    ranks: Iterable[int], cpus: Sequence[int], start: int
+) -> dict[int, Optional[frozenset[int]]]:
+    """Each rank's CPU set, or None where the rank is left unpinned.
+
+    Worker rank ``r`` goes to ``cpus[(start + r - 1) % len(cpus)]``; rank
+    0, the master, keeps the whole mask.  ``cpus`` is the sorted affinity
+    mask; with fewer than two CPUs there is nothing to spread over.
+    """
+    if len(cpus) < 2:
+        return {r: None for r in ranks}
+    return {
+        r: None if r == 0 else frozenset({cpus[(start + r - 1) % len(cpus)]}) for r in ranks
+    }
+
+
+def _placement(n: int) -> dict[int, Optional[frozenset[int]]]:
+    """:func:`place_ranks` for the next run of ``n`` ranks on this
+    process's mask: run *k* starts its workers at position ``k * (n - 1)``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)  # absent on macOS, Windows
+    cpus = sorted(getaffinity(0)) if getaffinity is not None else []
+    return place_ranks(range(n), cpus, next(_runs) * (n - 1))
 
 
 class LocalContext(WallClockContext):
@@ -182,8 +223,10 @@ def _child_main(
     barrier,
     record_trace: bool,
     faults: Optional[RankFaults],
+    cpus: Optional[frozenset[int]],
 ) -> None:
-    """Entry point of one rank's OS process."""
+    """Entry point of one rank's OS process; ``cpus`` is its
+    :func:`place_ranks` set."""
     # Close pipe ends belonging to other ranks.  Under 'fork' every child
     # inherits the whole mesh; if these stayed open, a peer's exit would
     # never surface as EOF in _receive (some process would always hold the
@@ -191,6 +234,10 @@ def _child_main(
     for conn in inherited:
         conn.close()
     try:
+        if cpus is not None:
+            # Before the sender thread starts: a thread inherits its
+            # creator's mask, and this call sets only the calling thread's.
+            os.sched_setaffinity(0, cpus)
         ctx = LocalContext(proc.rank, n_procs, peers, record_trace, faults)
         barrier.wait()
         ctx.reset_clock()
@@ -232,6 +279,9 @@ class LocalProcessBackend(Backend):
     fault-tolerant expectations: worker deaths are recorded, not fatal —
     the self-healing master decides the run's fate.  Rank 0 failing
     always fails the run.
+
+    Each worker rank runs pinned to one CPU of the parent's affinity mask,
+    round-robin; the master keeps the whole mask (:func:`place_ranks`).
     """
 
     name = "local"
@@ -278,6 +328,12 @@ class LocalProcessBackend(Backend):
                 result_child[r] for r in ranks if r != rank
             ]
 
+        placement = _placement(n)
+        # What every rank would otherwise import on its first send and in
+        # its report: imported once here, forked ranks inherit it.
+        import repro.obs.span  # noqa: F401
+        import repro.parallel.wire  # noqa: F401
+
         children = [
             mpctx.Process(
                 target=_child_main,
@@ -290,6 +346,7 @@ class LocalProcessBackend(Backend):
                     barrier,
                     self.record_trace,
                     plan.for_rank(p.rank) if ft else None,
+                    placement[p.rank],
                 ),
                 name=f"repro-rank{p.rank}",
                 daemon=True,

@@ -54,10 +54,6 @@ class RunRecord:
     cache_misses: int = 0
 
     @property
-    def width_name(self) -> str:
-        return width_label(self.width)
-
-    @property
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0

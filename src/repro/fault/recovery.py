@@ -170,9 +170,6 @@ class PoolSupervisor:
         self.active: set[int] = set(range(1, n_logical + 1))
 
     # -- queries ----------------------------------------------------------------
-    def live_hosts(self) -> list[int]:
-        return [h for h in self.hosts if h not in self.dead]
-
     def serving_hosts(self) -> list[int]:
         """Hosts currently hosting at least one logical worker."""
         return sorted({h for h in self.routing.values() if h not in self.dead})
@@ -180,9 +177,6 @@ class PoolSupervisor:
     def idle_spares(self) -> list[int]:
         serving = set(self.routing.values())
         return [h for h in self.hosts if h not in self.dead and h not in serving]
-
-    def logicals_on(self, host: int) -> list[int]:
-        return sorted(l for l, h in self.routing.items() if h == host)
 
     def host_of(self, logical: int) -> int:
         return self.routing[logical]

@@ -119,9 +119,6 @@ class Clause:
                 seen.setdefault(v)
         return list(seen)
 
-    def is_ground_clause(self) -> bool:
-        return all(is_ground(l) for l in self.literals())
-
     # -- transforms --------------------------------------------------------------
     def rename_apart(self, prefix: str = "_R") -> "Clause":
         """Fresh-variable variant (standardising apart before resolution)."""

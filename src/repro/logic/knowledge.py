@@ -236,9 +236,6 @@ class KnowledgeBase:
     def rules_for(self, indicator: tuple[str, int]) -> list[Clause]:
         return self._rules.get(indicator, [])
 
-    def has_predicate(self, indicator: tuple[str, int]) -> bool:
-        return bool(self._facts.get(indicator)) or bool(self._rules.get(indicator))
-
     def predicates(self) -> list[tuple[str, int]]:
         out = set(self._facts) | set(self._rules)
         return sorted(out)
