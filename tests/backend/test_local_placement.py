@@ -6,6 +6,7 @@ module it needs already imported by the parent.  CI runs this module a
 second time under ``taskset -c 0``, where nothing may be pinned.
 """
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -13,8 +14,7 @@ import sys
 
 import pytest
 
-from repro.backend import LocalProcessBackend
-from repro.backend import local
+from repro.backend import LocalProcessBackend, local
 from repro.backend.local import place_ranks
 from repro.cluster.process import SimProcess
 
@@ -49,13 +49,16 @@ class TestPlaceRanks:
         assert local._placement(3) == {0: None, 1: None, 2: None}
 
     def test_each_run_starts_past_the_last_runs_workers(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
-        first, second = local._placement(3), local._placement(3)
-        (a1, a2), (b1, b2) = (
-            [min(p[r]) for r in (1, 2)] for p in (first, second)
-        )
-        assert (a2 - a1) % 5 == 1
-        assert (b1 - a1) % 5 == 2 and (b2 - b1) % 5 == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 0, 3, 1, 2}, raising=False)
+        monkeypatch.setattr(local, "_runs", itertools.count())
+        runs = [local._placement(3) for _ in range(3)]
+        workers = [[p[1], p[2]] for p in runs]
+        assert all(p[0] is None for p in runs)
+        assert workers == [
+            [frozenset({0}), frozenset({1})],
+            [frozenset({2}), frozenset({3})],
+            [frozenset({4}), frozenset({0})],
+        ]
 
 
 class ReportsAffinity(SimProcess):
