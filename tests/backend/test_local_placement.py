@@ -20,8 +20,7 @@ from repro.cluster.process import SimProcess
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-HAS_AFFINITY = hasattr(os, "sched_getaffinity")
-N_CPUS = len(os.sched_getaffinity(0)) if HAS_AFFINITY else 1
+N_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class TestPlaceRanks:
