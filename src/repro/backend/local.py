@@ -50,10 +50,11 @@ Transport notes
   kernel often stacks forked siblings on one core, where each waits
   behind the other.  The parent pins worker *r* to one CPU of its
   affinity mask, round-robin (:func:`place_ranks`), and leaves the
-  master — which mostly blocks in ``wait`` — on the whole mask.  Each
-  run starts the round-robin where the previous one in this process
-  stopped, so concurrent runs spread over the cores.  With one CPU, or
-  where the platform has no ``sched_getaffinity``, nothing is pinned.
+  master — which mostly blocks in ``wait`` — on the whole mask.  A run
+  that starts while another run of this process is in flight (concurrent
+  ``JobScheduler`` slots) shares the cores with it and is left to the
+  kernel.  With one CPU, or where the platform has no
+  ``sched_getaffinity``, nothing is pinned.
   The parent also imports what a rank would otherwise import lazily
   (the wire codec on the first send, span encoding in the report), so
   forked ranks start warm instead of importing it once each.
@@ -61,7 +62,7 @@ Transport notes
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import multiprocessing as mp
 import os
 import queue
@@ -69,7 +70,7 @@ import threading
 import time
 import traceback
 from multiprocessing.connection import Connection, wait
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.backend.base import (
     Backend,
@@ -92,34 +93,45 @@ _SENDER_STOP = object()
 #: exit code of an injected-crash child (distinguishes it from real bugs).
 _CRASH_EXIT = 66
 
-#: Runs started in this process.  Process-wide on purpose: every
-#: ``JobScheduler`` slot builds its own backend, and concurrent runs should
-#: land on different cores.
-_runs = itertools.count()
+#: Local runs in flight in this process.  Process-wide on purpose: every
+#: ``JobScheduler`` slot builds its own backend, and runs in concurrent
+#: slots share the cores.
+_in_flight = 0
+_in_flight_lock = threading.Lock()
 
 
 def place_ranks(
-    ranks: Iterable[int], cpus: Sequence[int], start: int
+    ranks: Iterable[int], cpus: Sequence[int]
 ) -> dict[int, Optional[frozenset[int]]]:
     """Each rank's CPU set, or None where the rank is left unpinned.
 
-    Worker rank ``r`` goes to ``cpus[(start + r - 1) % len(cpus)]``; rank
-    0, the master, keeps the whole mask.  ``cpus`` is the sorted affinity
-    mask; with fewer than two CPUs there is nothing to spread over.
+    Worker rank ``r`` goes to ``cpus[(r - 1) % len(cpus)]``; rank 0, the
+    master, keeps the whole mask.  ``cpus`` is the sorted affinity mask;
+    with fewer than two CPUs there is nothing to spread over.
     """
     if len(cpus) < 2:
         return {r: None for r in ranks}
-    return {
-        r: None if r == 0 else frozenset({cpus[(start + r - 1) % len(cpus)]}) for r in ranks
-    }
+    return {r: None if r == 0 else frozenset({cpus[(r - 1) % len(cpus)]}) for r in ranks}
 
 
-def _placement(n: int) -> dict[int, Optional[frozenset[int]]]:
-    """:func:`place_ranks` for the next run of ``n`` ranks on this
-    process's mask: run *k* starts its workers at position ``k * (n - 1)``."""
+@contextlib.contextmanager
+def _placement(n: int) -> Iterator[dict[int, Optional[frozenset[int]]]]:
+    """:func:`place_ranks` for a run of ``n`` ranks on this process's mask,
+    held for the run.  A run that starts while another run of this process
+    is in flight pins nothing: pinned workers of runs sharing the cores
+    cannot move off a busy one (two p = 2 jobs at once on two CPUs took
+    10 % longer pinned, docs/performance.md)."""
+    global _in_flight
     getaffinity = getattr(os, "sched_getaffinity", None)  # absent on macOS, Windows
-    cpus = sorted(getaffinity(0)) if getaffinity is not None else []
-    return place_ranks(range(n), cpus, next(_runs) * (n - 1))
+    with _in_flight_lock:
+        alone = _in_flight == 0
+        _in_flight += 1
+    try:
+        cpus = sorted(getaffinity(0)) if alone and getaffinity is not None else []
+        yield place_ranks(range(n), cpus)
+    finally:
+        with _in_flight_lock:
+            _in_flight -= 1
 
 
 class LocalContext(WallClockContext):
@@ -281,7 +293,8 @@ class LocalProcessBackend(Backend):
     always fails the run.
 
     Each worker rank runs pinned to one CPU of the parent's affinity mask,
-    round-robin; the master keeps the whole mask (:func:`place_ranks`).
+    round-robin; the master keeps the whole mask (:func:`place_ranks`).  A
+    run that starts beside another run of the same process pins nothing.
     """
 
     name = "local"
@@ -303,6 +316,15 @@ class LocalProcessBackend(Backend):
 
     def _run(self, ordered: list[SimProcess], plan: Optional[FaultPlan]) -> BackendRun:
         require_contiguous_ranks(ordered)
+        with _placement(len(ordered)) as placement:
+            return self._run_placed(ordered, plan, placement)
+
+    def _run_placed(
+        self,
+        ordered: list[SimProcess],
+        plan: Optional[FaultPlan],
+        placement: dict[int, Optional[frozenset[int]]],
+    ) -> BackendRun:
         n = len(ordered)
         ranks = list(range(n))
         ft = plan is not None
@@ -328,7 +350,6 @@ class LocalProcessBackend(Backend):
                 result_child[r] for r in ranks if r != rank
             ]
 
-        placement = _placement(n)
         # What every rank would otherwise import on its first send and in
         # its report: imported once here, forked ranks inherit it.
         import repro.obs.span  # noqa: F401

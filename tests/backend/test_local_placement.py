@@ -1,12 +1,12 @@
 """Where LocalProcessBackend puts its ranks, and what they import after the fork.
 
 Worker ranks are pinned round-robin to single CPUs of the parent's mask and
-the master keeps the whole mask (``place_ranks``); a rank should find every
-module it needs already imported by the parent.  CI runs this module a
-second time under ``taskset -c 0``, where nothing may be pinned.
+the master keeps the whole mask (``place_ranks``), unless another run of the
+same process is in flight; a rank should find every module it needs already
+imported by the parent.  CI runs this module a second time under
+``taskset -c 0``, where nothing may be pinned.
 """
 
-import itertools
 import os
 import pathlib
 import subprocess
@@ -23,9 +23,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 N_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+PINNED = {0: None, 1: frozenset({0}), 2: frozenset({3})}
+UNPINNED = {0: None, 1: None, 2: None}
+
+
 class TestPlaceRanks:
     def test_workers_round_robin_master_unpinned(self):
-        assert place_ranks(range(5), [0, 1, 2], start=0) == {
+        assert place_ranks(range(5), [0, 1, 2]) == {
             0: None,
             1: frozenset({0}),
             2: frozenset({1}),
@@ -33,31 +37,41 @@ class TestPlaceRanks:
             4: frozenset({0}),
         }
 
-    def test_start_offsets_the_round_robin(self):
-        got = place_ranks(range(3), [2, 5, 7, 9], start=3)
-        assert got == {0: None, 1: frozenset({9}), 2: frozenset({2})}
-
     def test_one_cpu_pins_nothing(self):
-        assert place_ranks(range(4), [3], start=1) == {r: None for r in range(4)}
+        assert place_ranks(range(4), [3]) == {r: None for r in range(4)}
 
     def test_no_mask_pins_nothing(self):
-        assert place_ranks(range(3), [], start=0) == {r: None for r in range(3)}
+        assert place_ranks(range(3), []) == UNPINNED
+
+
+class TestPlacement:
+    @pytest.fixture(autouse=True)
+    def _mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 0, 3}, raising=False)
+        monkeypatch.setattr(local, "_in_flight", 0)
+
+    def test_reads_the_sorted_mask(self):
+        with local._placement(3) as placement:
+            assert placement == PINNED
 
     def test_missing_sched_getaffinity_pins_nothing(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert local._placement(3) == {0: None, 1: None, 2: None}
+        with local._placement(3) as placement:
+            assert placement == UNPINNED
 
-    def test_each_run_starts_past_the_last_runs_workers(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 0, 3, 1, 2}, raising=False)
-        monkeypatch.setattr(local, "_runs", itertools.count())
-        runs = [local._placement(3) for _ in range(3)]
-        workers = [[p[1], p[2]] for p in runs]
-        assert all(p[0] is None for p in runs)
-        assert workers == [
-            [frozenset({0}), frozenset({1})],
-            [frozenset({2}), frozenset({3})],
-            [frozenset({4}), frozenset({0})],
-        ]
+    def test_a_run_beside_another_pins_nothing(self):
+        with local._placement(3) as first:
+            with local._placement(3) as second:
+                assert (first, second) == (PINNED, UNPINNED)
+        with local._placement(3) as alone_again:
+            assert alone_again == PINNED
+
+    def test_a_failed_run_leaves_the_next_one_alone(self):
+        with pytest.raises(RuntimeError):
+            with local._placement(3):
+                raise RuntimeError("fork failed")
+        with local._placement(3) as placement:
+            assert placement == PINNED
 
 
 class ReportsAffinity(SimProcess):
