@@ -9,21 +9,32 @@ Three immutable term kinds, as in a standard Prolog core:
   represented as structs too (an atom is simply a term in predicate
   position).
 
-Terms are immutable, hashable and compare structurally, so they can be used
-as dict keys (substitutions, indices) and set members (coverage caches).
+Terms are immutable and hashable, so they can be used as dict keys
+(substitutions, indices) and set members (coverage caches).
 
 Hash-consing
 ------------
 Constants and *ground* compound terms are **interned**: constructing the
 same value twice returns the same object, so equality on the coverage
 kernel's hot paths (fact unification, memo-table probes, ``fact_set``
-membership) degenerates to a pointer comparison.  Three invariants follow:
+membership) degenerates to a pointer comparison.  Four invariants follow:
 
-* every ``Const`` created below the table cap is interned (unpickling
-  re-interns via ``__reduce__``), so equal constants are one object;
-* every *ground* ``Struct`` created below the cap is interned, so two
-  distinct interned structs are never equal — ``Struct.__eq__``
-  short-circuits to ``False`` when both sides carry the ``interned`` flag;
+* **a ``Const`` is canonical by construction**: there is exactly one live
+  object per ``(type, value)``, and pickling, copying and wire decoding all
+  go back through the constructor (``__reduce__``).  ``Const`` therefore
+  has no ``__eq__`` or ``__hash__`` of its own: it inherits ``object``'s,
+  which compare and hash by identity in C.  Its table holds weak
+  references and has no cap; a constant that nothing references drops
+  out, so the table is bounded by the live terms;
+* every *ground* ``Struct`` created below ``_STRUCT_CAP`` is interned, so
+  two distinct interned structs are never equal — ``Struct.__eq__``
+  short-circuits to ``False`` when both sides carry the ``interned`` flag.
+  The struct table is strong (it also keeps the constants of every
+  interned struct alive); past its cap, new ground structs are built
+  uninterned and equality takes the structural fallback;
+* a term is published only once it is fully built, with ``setdefault``,
+  so threads racing to build the same value all get the one canonical
+  object and never see a half-initialised one;
 * **interned terms must never be mutated** — they are shared across every
   clause, index and cache in the process.  (All terms are immutable by
   construction; the invariant matters if you are tempted to poke at
@@ -33,17 +44,15 @@ Variable-containing structs are *not* interned (renaming-apart creates a
 stream of short-lived variants that would only bloat the table); they still
 precompute their hash and a ``ground`` flag, making :func:`is_ground` O(1)
 for every term.
-
-The intern tables are capped (``_CONST_CAP`` / ``_STRUCT_CAP``); a term
-created past the cap is not interned, and every equality fast path keeps
-the structural comparison as its fallback for exactly that case.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from _weakref import _remove_dead_weakref
 from typing import Iterable, Iterator, Union
+from weakref import KeyedRef
 
 __all__ = [
     "Term",
@@ -63,22 +72,33 @@ __all__ = [
 
 _fresh_counter = itertools.count()
 
+#: ``(type, value)`` → weak reference to the canonical ``Const``.
 _const_table: dict = {}
 _struct_table: dict = {}
 
-# Growth bound: interned terms live for the process lifetime (clearing
-# would be unsound — the fast equality paths assume at most one canonical
-# instance per value).  Past the cap, new distinct terms are simply no
-# longer interned; every equality/matching path keeps a structural
-# fallback, so only the identity fast path degrades.  The caps are far
-# above any bundled workload (paper-scale carcinogenesis stays in the
-# tens of thousands of ground terms).
-_CONST_CAP = 1 << 20
+# Growth bound for ground structs: interned structs live for the process
+# lifetime (clearing would be unsound — the fast equality paths assume at
+# most one canonical instance per value).  Past the cap, new distinct
+# structs are simply no longer interned; ``Struct.__eq__`` keeps a
+# structural fallback, so only the identity fast path degrades.  The cap
+# is far above any bundled workload (paper-scale carcinogenesis stays in
+# the tens of thousands of ground terms).
 _STRUCT_CAP = 1 << 20
 
 
+def _drop_const(ref, _table=_const_table, _remove=_remove_dead_weakref):
+    # Weak-reference callback of a dead constant.  It binds what it uses,
+    # so it still works while interpreter teardown clears module globals;
+    # the C helper removes the entry only if it is still this dead
+    # reference (another thread may have republished the key meanwhile).
+    _remove(_table, ref.key)
+
+
 def intern_stats() -> dict:
-    """Sizes of the process-wide intern tables (debugging/benchmarks)."""
+    """Sizes of the process-wide intern tables (debugging/benchmarks).
+
+    ``consts`` counts the live constants: the table drops a constant when
+    its last reference goes."""
     return {"consts": len(_const_table), "structs": len(_struct_table)}
 
 
@@ -113,28 +133,35 @@ class Var:
 class Const:
     """An atomic constant: symbol, integer or float.
 
-    Always interned: the constructor returns the canonical instance for a
-    given ``(type, value)`` pair, and unpickling re-interns, so equal
-    constants are identical within a process.  ``1``, ``1.0`` and ``True``
-    are distinct constants (the key carries the concrete type, so no type
-    tags are re-derived per comparison — the seed's ``__eq__`` called
-    ``type()`` twice on every candidate fact argument).
+    Canonical: the constructor returns the one live instance for a given
+    ``(type, value)`` pair, and unpickling re-interns, so equal constants
+    are identical within a process and equality and hashing are
+    ``object``'s identity slots.  ``1``, ``1.0`` and ``True`` are distinct
+    constants (the table key carries the concrete type).
     """
 
-    __slots__ = ("value", "_key", "_hash")
+    __slots__ = ("value", "__weakref__")
 
     def __new__(cls, value: Union[str, int, float]):
         key = (value.__class__, value)
-        self = _const_table.get(key)
-        if self is not None:
-            return self
+        ref = _const_table.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
         self = object.__new__(cls)
         self.value = value
-        self._key = key
-        self._hash = hash(key)
-        if len(_const_table) < _CONST_CAP:
-            _const_table[key] = self
-        return self
+        ref = KeyedRef(self, _drop_const, key)
+        while True:
+            published = _const_table.setdefault(key, ref)
+            if published is ref:
+                return self
+            other = published()
+            if other is not None:
+                return other
+            # A dead entry whose callback has not run yet: clear it and
+            # publish again (the protocol of ``WeakValueDictionary``).
+            _remove_dead_weakref(_const_table, key)
 
     def __init__(self, value: Union[str, int, float]):
         # All initialisation happens in __new__ (it may return a cached
@@ -149,18 +176,6 @@ class Const:
 
     def __str__(self) -> str:
         return str(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        # Equal-but-distinct constants exist only past the intern-table
-        # cap; the structural fallback keeps those correct.  ``_key``
-        # carries the concrete value type, keeping int/float/bool
-        # constants distinct without per-call type checks.
-        return type(other) is Const and other._key == self._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class Struct:
@@ -187,28 +202,27 @@ class Struct:
                 continue
             ground = False
             break
+        interned = False
         if ground:
-            key = (functor, args)
-            self = _struct_table.get(key)
+            self = _struct_table.get((functor, args))
             if self is not None:
                 return self
-            self = object.__new__(cls)
             if len(_struct_table) < _STRUCT_CAP:
                 functor = sys.intern(functor)
-                self.interned = True
-                _struct_table[(functor, args)] = self
-            else:
-                self.interned = False
-        else:
-            self = object.__new__(cls)
-            self.interned = False
+                interned = True
+        self = object.__new__(cls)
         self.functor = functor
         self.args = args
         self.ground = ground
+        self.interned = interned
         #: the predicate indicator ``(name, arity)`` — precomputed, it is
         #: read on every engine goal dispatch.
         self.indicator = (functor, len(args))
         self._hash = hash(("S", functor, args))
+        if interned:
+            # Publish only the finished term: a racing thread either finds
+            # nothing (and publishes its own) or gets this one whole.
+            return _struct_table.setdefault((functor, args), self)
         return self
 
     def __init__(self, functor: str, args: tuple):

@@ -118,12 +118,13 @@ class TestParallelFlagParity:
 
 
 def test_interning_parity_subprocess(golden_runs):
-    """A process whose intern tables hold nothing — every term equality
-    takes the structural fallback — learns the identical theory and log."""
+    """A process whose struct table holds nothing — every struct equality
+    takes the structural fallback — learns the identical theory and log.
+    (Constants have no cap: they are canonical in every process.)"""
     prog = (
         "import json\n"
         "from repro.logic import terms\n"
-        "terms._CONST_CAP = terms._STRUCT_CAP = 0\n"
+        "terms._STRUCT_CAP = 0\n"
         "from repro.datasets import make_dataset\n"
         "from repro.ilp.mdie import mdie\n"
         "ds = make_dataset('trains', seed=0, scale='small')\n"
