@@ -22,13 +22,18 @@ import json
 import os
 import sys
 
-from repro.backend import BACKEND_NAMES, BackendUnavailableError
+from repro.cluster.costmodel import sequential_seconds
 from repro.datasets import DATASETS, make_dataset
 from repro.ilp import accuracy, mdie
 from repro.logic.io import save_problem, theory_to_prolog
-from repro.parallel import run_p2mdie, sequential_seconds
 
 __all__ = ["main", "build_parser"]
+
+# ``repro.parallel`` and ``repro.backend`` (with ``multiprocessing`` and the
+# simulator) are imported by the commands that run them, so a sequential
+# ``learn`` never loads them.  The ``--backend`` choices are spelled here
+# for the same reason; a test pins them to ``repro.backend.BACKEND_NAMES``.
+_BACKEND_CHOICES = ("sim", "local", "mpi")
 
 
 def _parse_width(s: str):
@@ -38,7 +43,7 @@ def _parse_width(s: str):
 def _add_backend_arg(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
+        choices=_BACKEND_CHOICES,
         default="sim",
         help="execution substrate for parallel runs: 'sim' = deterministic "
         "discrete-event simulation in virtual time (default), 'local' = real "
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     js.add_argument("--p", type=int, default=1)
     js.add_argument("--seed", type=int, default=0)
     js.add_argument("--scale", choices=("small", "paper"), default="small")
-    js.add_argument("--backend", choices=BACKEND_NAMES, default="sim")
+    js.add_argument("--backend", choices=_BACKEND_CHOICES, default="sim")
     js.add_argument("--priority", type=int, default=0, help="higher runs first")
     js.add_argument("--preemptible", action="store_true",
                     help="run in epoch chunks (cancellable mid-run, crash-resumable)")
@@ -481,6 +486,8 @@ def _cmd_learn(args) -> int:
         if args.spares and plan is None:
             print("repro: --spares requires a --fault-plan (standby hosts are a fault-tolerance feature)", file=sys.stderr)
             return 2
+        from repro.parallel import run_p2mdie
+
         res = run_p2mdie(
             ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=args.p, width=args.width,
             seed=args.seed, backend=backend,
@@ -540,6 +547,8 @@ def _cmd_resume(args) -> int:
         extra = f"% epochs={res.epochs} ops={res.ops} uncovered={res.uncovered}"
         parallel_res = None
     elif state.algo == "p2mdie":
+        from repro.parallel import run_p2mdie
+
         width = _parse_width(meta.get("width", "10"))
         res = run_p2mdie(
             ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=state.n_workers, width=width,
@@ -661,6 +670,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.experiments.trace import occupancy, render_gantt, stage_summary
+    from repro.parallel import run_p2mdie
 
     ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
     res = run_p2mdie(
@@ -1054,7 +1064,11 @@ def main(argv=None) -> int:
                 profiler.dump_stats(args.profile)
                 print(f"% wrote cProfile stats to {args.profile}", file=sys.stderr)
         return handler(args)
-    except BackendUnavailableError as exc:
+    except RuntimeError as exc:
+        # Only a command that imported repro.backend can raise its error.
+        backend = sys.modules.get("repro.backend")
+        if backend is None or not isinstance(exc, backend.BackendUnavailableError):
+            raise
         print(f"repro: backend unavailable: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,11 @@ per-node virtual clocks, an mpi4py-style ``send``/``bcast``/``recv`` API
 (§2.2 of the paper), a latency+bandwidth network model, pickled-payload
 size accounting (Table 4), and a pluggable compute-cost model fed by the
 logic engine's inference-operation counter.
+
+The package re-exports only the two leaf models, :mod:`.costmodel` and
+:mod:`.network`, so reading a cost constant loads no simulator.  Import
+the simulator itself from its modules: :mod:`.message`, :mod:`.process`
+and :mod:`.scheduler`.
 """
 
 from repro.cluster.costmodel import (
@@ -12,28 +17,18 @@ from repro.cluster.costmodel import (
     DEFAULT_COST_MODEL,
     OpsCostModel,
     PerRankCostModel,
+    sequential_seconds,
 )
-from repro.cluster.message import Message, Tag, payload_nbytes
 from repro.cluster.network import FAST_ETHERNET, GIGABIT, INFINIBAND_LIKE, NetworkModel
-from repro.cluster.process import ComputeInterval, ProcContext, SimProcess
-from repro.cluster.scheduler import CommStats, DeadlockError, Scheduler
 
 __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "OpsCostModel",
     "PerRankCostModel",
-    "Message",
-    "Tag",
-    "payload_nbytes",
+    "sequential_seconds",
     "FAST_ETHERNET",
     "GIGABIT",
     "INFINIBAND_LIKE",
     "NetworkModel",
-    "ComputeInterval",
-    "ProcContext",
-    "SimProcess",
-    "CommStats",
-    "DeadlockError",
-    "Scheduler",
 ]

@@ -9,13 +9,18 @@ data it runs on* — the basis of the paper's data-parallel speedup).
 
 ``sec_per_op`` is calibrated so that paper-scale sequential runs land in
 the "thousands of seconds" regime the paper reports (§5.3).
+:func:`sequential_seconds` charges a sequential run under the same model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-__all__ = ["CostModel", "OpsCostModel", "DEFAULT_COST_MODEL"]
+if TYPE_CHECKING:
+    from repro.ilp.mdie import MDIEResult
+
+__all__ = ["CostModel", "OpsCostModel", "DEFAULT_COST_MODEL", "sequential_seconds"]
 
 
 class CostModel:
@@ -73,3 +78,13 @@ class PerRankCostModel(CostModel):
 
 
 DEFAULT_COST_MODEL = OpsCostModel()
+
+
+def sequential_seconds(result: MDIEResult, cost_model: CostModel = DEFAULT_COST_MODEL) -> float:
+    """Virtual execution time of a sequential MDIE run.
+
+    The sequential algorithm runs on one node with no communication, so its
+    virtual time is exactly its engine work under the same cost model the
+    cluster charges — making Table 2's speedup ratios well-defined.
+    """
+    return cost_model.seconds_for_ops(result.ops)

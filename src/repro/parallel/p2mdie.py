@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.backend import Backend, BackendRun, resolve_backend
-from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
+from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL, sequential_seconds
 from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import ComputeInterval
 from repro.cluster.scheduler import CommStats
 from repro.fault.plan import FaultPlan, normalize_plan
 from repro.ilp.config import ILPConfig
-from repro.ilp.mdie import MDIEResult
 from repro.ilp.modes import ModeSet
 from repro.logic.clause import Theory
 from repro.logic.knowledge import KnowledgeBase
@@ -331,13 +330,3 @@ def run_p2mdie(
         cost_model=cost_model,
         record_trace=record_trace,
     )
-
-
-def sequential_seconds(result: MDIEResult, cost_model: CostModel = DEFAULT_COST_MODEL) -> float:
-    """Virtual execution time of a sequential MDIE run.
-
-    The sequential algorithm runs on one node with no communication, so its
-    virtual time is exactly its engine work under the same cost model the
-    cluster charges — making Table 2's speedup ratios well-defined.
-    """
-    return cost_model.seconds_for_ops(result.ops)

@@ -8,6 +8,7 @@ sets are asserted, never wall-clock: see docs/performance.md ("Start-up
 and fixed costs") for the timings.
 """
 
+import argparse
 import os
 import pathlib
 import subprocess
@@ -72,6 +73,45 @@ def test_learn_runs_without_numpy_or_scipy():
     out = _python(_NO_THIRD_PARTY + "from repro.cli import main\nsys.exit(main(['learn', 'trains']))\n")
     assert out.returncode == 0, out.stderr
     assert "eastbound" in out.stdout
+
+
+def test_sequential_learn_loads_no_parallel_stack():
+    # `learn --p 1` runs mdie in-process: the strategies, the backends, the
+    # fault layer, the simulator and multiprocessing all stay unloaded.
+    out = _python(
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['learn', 'trains']) == 0\n"
+        "parallel = ('repro.parallel', 'repro.backend', 'repro.fault', 'multiprocessing',\n"
+        "            'repro.cluster.message', 'repro.cluster.process', 'repro.cluster.scheduler')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(parallel)))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_cli_backend_choices_are_the_backend_names():
+    # The CLI spells the choices itself so that parsing loads no backend.
+    from repro.backend import BACKEND_NAMES
+    from repro.cli import build_parser
+
+    choices = [
+        action.choices
+        for parser in _parsers(build_parser())
+        for action in parser._actions
+        if "--backend" in action.option_strings
+    ]
+    # learn, resume, faults, tables, trace and `jobs submit`
+    assert len(choices) == 6
+    assert all(tuple(c) == BACKEND_NAMES for c in choices)
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
 
 
 def test_table6_runs_without_numpy_or_scipy():
