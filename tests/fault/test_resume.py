@@ -105,12 +105,14 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def parent_checkpoint(name: str, tmp_path):
-    """Load a ``.ckpt`` that commit f2ff849 wrote (krki 40/40, seed 0).
+    """Load a ``.ckpt`` an earlier commit wrote (krki 40/40, seed 0).
 
-    That commit still signed checkpoints with ``repr(config)``, so the
-    files spell out the four config switches retired right after it.
-    They are stored gzip-compressed for that reason alone: a tree-wide
-    grep for the retired names should find nothing.
+    ``parent_f2ff849_*`` still signed checkpoints with ``repr(config)``
+    (version 0), so the files spell out the four config switches retired
+    right after that commit; ``parent_f9b17c1_v1_*`` are signed
+    ``ILPConfig.v1`` and spell out the sampled-coverage fields.  They are
+    stored gzip-compressed for that reason alone: a tree-wide grep for
+    retired names should find nothing.
     """
     path = tmp_path / name
     path.write_bytes(gzip.decompress((DATA / f"{name}.gz").read_bytes()))
@@ -124,33 +126,44 @@ def retired_fields(legacy_sig: str) -> list[str]:
     return [n for n in names if n not in current]
 
 
+@pytest.fixture(scope="module")
+def krki40():
+    return make_dataset("krki", seed=0, n_pos=40, n_neg=40)
+
+
+def assert_mdie_resumes(state, ds):
+    """Resuming ``state`` reproduces the uninterrupted run bit for bit."""
+    full = mdie(*run_args(ds), seed=0)
+    res = mdie(*run_args(ds), seed=0, resume=state)
+    assert res.epochs == full.epochs > state.epoch
+    assert res.theory == full.theory
+    assert [(e, r, c) for e, r, c, _ in res.log] == [(e, r, c) for e, r, c, _ in full.log]
+    assert res.uncovered == full.uncovered
+
+
+def assert_p2mdie_resumes(state, ds):
+    full = run_p2mdie(*run_args(ds), p=2, seed=0)
+    res = run_p2mdie(*run_args(ds), p=2, seed=0, resume=state)
+    assert res.epochs == full.epochs > state.epoch
+    assert res.theory == full.theory
+    assert log_tuples(res) == log_tuples(full)
+    assert res.uncovered == full.uncovered
+
+
 class TestParentCommitCheckpoint:
     """Signature migration: checkpoints written before
     ``ILPConfig.signature()`` existed resume under it, bit-identically."""
-
-    @pytest.fixture(scope="class")
-    def krki40(self):
-        return make_dataset("krki", seed=0, n_pos=40, n_neg=40)
 
     def test_mdie_resumes_bit_identically(self, krki40, tmp_path):
         state = parent_checkpoint("parent_f2ff849_mdie_epoch_0003.ckpt", tmp_path)
         assert state.config_sig.startswith("ILPConfig(max_clause_length=")
         assert (state.algo, state.epoch) == ("mdie", 3)
-        full = mdie(*run_args(krki40), seed=0)
-        res = mdie(*run_args(krki40), seed=0, resume=state)
-        assert res.epochs == full.epochs > state.epoch
-        assert res.theory == full.theory
-        assert [(e, r, c) for e, r, c, _ in res.log] == [(e, r, c) for e, r, c, _ in full.log]
-        assert res.uncovered == full.uncovered
+        assert_mdie_resumes(state, krki40)
 
     def test_p2mdie_resumes_bit_identically(self, krki40, tmp_path):
         state = parent_checkpoint("parent_f2ff849_p2mdie_epoch_0002.ckpt", tmp_path)
         assert (state.algo, state.epoch, state.n_workers) == ("p2mdie", 2, 2)
-        full = run_p2mdie(*run_args(krki40), p=2, seed=0)
-        res = run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state)
-        assert res.epochs == full.epochs > state.epoch
-        assert res.theory == full.theory
-        assert log_tuples(res) == log_tuples(full)
+        assert_p2mdie_resumes(state, krki40)
 
     def test_refuses_changed_surviving_field(self, krki40, tmp_path):
         state = parent_checkpoint("parent_f2ff849_mdie_epoch_0003.ckpt", tmp_path)
@@ -169,3 +182,21 @@ class TestParentCommitCheckpoint:
             assert was_off != state.config_sig
             with pytest.raises(CheckpointError, match=f"{name}: saved False"):
                 mdie(*run_args(krki40), seed=0, resume=state.replace(config_sig=was_off))
+
+
+class TestParentV1Checkpoint:
+    """Checkpoints signed ``ILPConfig.v1`` at f9b17c1 (krki 40/40, seed 0:
+    ``mdie`` after epoch 3, ``p2mdie`` p=2 after epoch 2) resume
+    bit-identically."""
+
+    def test_mdie_v1_resumes_bit_identically(self, krki40, tmp_path):
+        state = parent_checkpoint("parent_f9b17c1_v1_mdie_epoch_0003.ckpt", tmp_path)
+        assert state.config_sig.startswith("ILPConfig.v1(max_clause_length=")
+        assert (state.algo, state.epoch) == ("mdie", 3)
+        assert_mdie_resumes(state, krki40)
+
+    def test_p2mdie_v1_resumes_bit_identically(self, krki40, tmp_path):
+        state = parent_checkpoint("parent_f9b17c1_v1_p2mdie_epoch_0002.ckpt", tmp_path)
+        assert state.config_sig.startswith("ILPConfig.v1(max_clause_length=")
+        assert (state.algo, state.epoch, state.n_workers) == ("p2mdie", 2, 2)
+        assert_p2mdie_resumes(state, krki40)
