@@ -427,13 +427,6 @@ def _write_trace_out(path: str, trace) -> None:
     print(f"% wrote {n} spans to {path}")
 
 
-def _print_certificate(res) -> None:
-    """Coverage-certificate summary of a sampled run (no-op when exact)."""
-    cert = getattr(res, "certificate", None)
-    if cert is not None:
-        print(f"% coverage-certificate: {cert.summary()}")
-
-
 def _print_run_epilogue(res) -> None:
     """Shared run statistics: cache effectiveness + fault narrative."""
     if res.cache_stats:
@@ -507,7 +500,6 @@ def _cmd_learn(args) -> int:
     print(extra)
     time_label = "virtual-time" if args.p == 1 or args.backend == "sim" else "wall-time"
     print(f"% {time_label}={seconds:.1f}s training-accuracy={acc:.1f}%")
-    _print_certificate(res)
     if parallel_res is not None:
         _print_run_epilogue(parallel_res)
         if args.trace_out:
@@ -580,7 +572,6 @@ def _cmd_resume(args) -> int:
     print(theory_to_prolog(theory, header=f"resumed {state.algo}"))
     print(extra)
     print(f"% seconds={seconds:.1f} training-accuracy={acc:.1f}%")
-    _print_certificate(res)
     if parallel_res is not None:
         _print_run_epilogue(parallel_res)
     if args.trace_out:
@@ -869,13 +860,6 @@ def _registry_verbs(args, reg) -> int:
         print(theory_to_prolog(record.to_theory(), header=f"{record.name} v{record.version}"))
         for k, v in record.provenance:
             print(f"% {k}={v}")
-        try:
-            cert = reg.get_certificate(args.name, args.version)
-        except ValueError as exc:  # RegistryError: corrupt certificate
-            print(f"% coverage-certificate: unreadable ({exc})")
-        else:
-            if cert is not None:
-                print(f"% coverage-certificate: {cert.summary()}")
         return 0
     if args.registry_command == "diff":
         diff = reg.diff(args.name, args.old, args.new)

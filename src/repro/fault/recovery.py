@@ -72,10 +72,6 @@ class WorkerShard:
     pending_seed: Optional[int] = None
     pending_bottom: object = None
     bottom_ready: bool = False
-    #: lazily drawn stratified sampler (sampled-coverage mode); derived
-    #: deterministically from (run seed, virtual rank), so an adopting
-    #: host redraws the lost host's exact masks.
-    sampler: object = None
 
 
 def draw_seed(shard: WorkerShard, config) -> Optional[int]:

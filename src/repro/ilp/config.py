@@ -10,7 +10,6 @@ pipeline width ``W``.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -20,7 +19,6 @@ from repro.logic.engine import Engine, QueryBudget
 __all__ = [
     "ILPConfig",
     "NO_LIMIT",
-    "SAMPLING_ENV",
     "SIGNATURE_VERSION",
     "SIGNATURE_FIELDS",
     "SIGNATURE_EXCLUDED",
@@ -30,13 +28,10 @@ __all__ = [
 #: Sentinel for an unconstrained pipeline width (the paper's "nolimit").
 NO_LIMIT: Optional[int] = None
 
-#: Environment variable resolving the ``coverage_sampling`` tri-state.
-SAMPLING_ENV = "REPRO_COVERAGE_SAMPLING"
-
 #: Format version of :meth:`ILPConfig.signature`.  Bump it when a field
-#: joins or leaves :data:`SIGNATURE_FIELDS`, and teach
-#: :func:`signature_mismatches` what the older version's fields meant.
-SIGNATURE_VERSION = 1
+#: joins or leaves :data:`SIGNATURE_FIELDS`; a field that leaves goes into
+#: :data:`_RETIRED` with the values the current code still reproduces.
+SIGNATURE_VERSION = 2
 
 #: The fields a signature spells out, in order.  Explicit rather than
 #: ``dataclasses.fields``: adding a config field must be a decision (list
@@ -55,10 +50,6 @@ SIGNATURE_FIELDS = (
     "select_seed_randomly",
     "on_uncoverable",
     "reorder_body",
-    "coverage_sampling",
-    "sample_fraction",
-    "sample_min",
-    "sample_delta",
     "search_strategy",
     "beam_width",
     "engine_max_depth",
@@ -126,23 +117,6 @@ class ILPConfig:
         (the seed recursive interpreter with first-argument indexing) or
         None (resolve via the ``REPRO_COVERAGE_KERNEL`` environment
         variable, defaulting to new).
-    coverage_sampling:
-        Score search candidates on a stratified example sample with
-        confidence bounds (see :mod:`repro.ilp.sampling`); every clause is
-        re-evaluated exactly before acceptance, and the run emits a
-        :class:`~repro.ilp.sampling.CoverageCertificate` recording the
-        sampled-vs-exact agreement.  ``None`` resolves via the
-        ``REPRO_COVERAGE_SAMPLING`` environment variable, defaulting to
-        off (the bit-identical reference path).
-    sample_fraction:
-        Fraction of each stratum (positives, negatives — per shard in the
-        parallel algorithm) drawn into the sample.
-    sample_min:
-        Minimum sample size per stratum; strata at or below it are
-        evaluated in full.
-    sample_delta:
-        Per-bound confidence parameter: each Hoeffding screen bound holds
-        with probability ``1 - sample_delta``.
     search_strategy:
         ``learn_rule`` queue discipline: ``"bfs"`` (the paper's April
         configuration: top-down breadth-first), ``"best_first"``
@@ -167,10 +141,6 @@ class ILPConfig:
     on_uncoverable: str = "skip"
     reorder_body: bool = False
     coverage_kernel: Optional[str] = None
-    coverage_sampling: Optional[bool] = None
-    sample_fraction: float = 0.25
-    sample_min: int = 16
-    sample_delta: float = 0.05
     search_strategy: str = "bfs"
     beam_width: int = 5
     engine_max_depth: int = 8
@@ -197,23 +167,6 @@ class ILPConfig:
             raise ValueError("coverage_kernel must be 'new', 'legacy' or None")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if not (0.0 < self.sample_fraction <= 1.0):
-            raise ValueError("sample_fraction must be in (0, 1]")
-        if self.sample_min < 1:
-            raise ValueError("sample_min must be >= 1")
-        if not (0.0 < self.sample_delta < 1.0):
-            raise ValueError("sample_delta must be in (0, 1)")
-
-    def sampling_enabled(self) -> bool:
-        """Resolve the ``coverage_sampling`` tri-state (env when None).
-
-        Resolved at use sites rather than by rewriting the config, so
-        :meth:`signature` — the checkpoint/registry ``config_sig`` — is
-        stable whichever way the mode was selected.
-        """
-        if self.coverage_sampling is not None:
-            return self.coverage_sampling
-        return os.environ.get(SAMPLING_ENV, "").strip().lower() in ("1", "on", "true")
 
     def signature(self) -> str:
         """The versioned canonical string that names this configuration.
@@ -244,25 +197,37 @@ class ILPConfig:
 
 # -- signature comparison -----------------------------------------------------------
 
-_SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v(\d+))?\((.*)\)\Z", re.S)
+_SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v\d+)?\((.*)\)\Z", re.S)
 
-#: What a version-0 signature (``repr(config)``, from before
-#: :meth:`ILPConfig.signature`) may say about a field that no longer
-#: exists.  Every switch retired since then chose between a reference path
-#: and the optimised one that is now the only one: on (``True``) or unset
-#: (``None``, which resolved to on) is what this code still runs.
-_RETIRED_ON = ("True", "None")
+#: Fields an older signature may carry that this version no longer has,
+#: each with the values under which this code still reproduces the saved
+#: run (``None``: any value).  The four switches last signed by version 0
+#: chose between a reference path and the optimised one that is now the
+#: only one: on (``True``) or unset (``None``, which resolved to on).
+#: Sampled coverage, last signed by version 1, was a screening mode that
+#: is gone: off (``False``) or unset (``None``, which resolved to off) is
+#: exact evaluation, and with it off its sample parameters never ran.
+_RETIRED = {
+    "coverage_inheritance": ("True", "None"),
+    "clause_fingerprints": ("True", "None"),
+    "saturation_cache": ("True", "None"),
+    "wire_codec": ("True", "None"),
+    "coverage_sampling": ("False", "None"),
+    "sample_fraction": None,
+    "sample_min": None,
+    "sample_delta": None,
+}
 
 
-def _signature_fields(sig: str) -> Optional[tuple[int, dict[str, str]]]:
-    """``(version, {field: repr(value)})`` of a signature, None if ``sig`` is not one."""
+def _signature_fields(sig: str) -> Optional[dict[str, str]]:
+    """``{field: repr(value)}`` of a signature of any version, None if ``sig`` is not one."""
     m = _SIGNATURE_RE.match(sig)
     if m is None:
         return None
-    items = [item.partition("=") for item in m.group(2).split(", ")]
+    items = [item.partition("=") for item in m.group(1).split(", ")]
     if not all(sep for _, sep, _ in items):
         return None
-    return int(m.group(1) or 0), {name: value for name, _, value in items}
+    return {name: value for name, _, value in items}
 
 
 def signature_mismatches(saved: str, current: str) -> Optional[list[str]]:
@@ -270,14 +235,14 @@ def signature_mismatches(saved: str, current: str) -> Optional[list[str]]:
 
     One line per differing field, naming the field and both values; an
     empty list when the two describe the same configuration — which
-    includes a version-0 ``saved`` whose surviving fields all match and
-    whose retired switches were all on.  None when either string is not
-    a config signature at all (the caller can only compare them whole).
+    includes an older ``saved`` whose surviving fields all match and whose
+    retired fields all hold a value :data:`_RETIRED` accepts.  None when
+    either string is not a config signature at all (the caller can only
+    compare them whole).
     """
-    old, new = _signature_fields(saved), _signature_fields(current)
-    if old is None or new is None:
+    old_fields, new_fields = _signature_fields(saved), _signature_fields(current)
+    if old_fields is None or new_fields is None:
         return None
-    (old_version, old_fields), (_, new_fields) = old, new
     out = [
         f"{name}: saved {old_fields.get(name, 'nothing')}, current {value}"
         for name, value in new_fields.items()
@@ -287,7 +252,7 @@ def signature_mismatches(saved: str, current: str) -> Optional[list[str]]:
     for name, value in old_fields.items():
         if name in new_fields or name in known:
             continue  # compared above, or excluded from signatures on purpose
-        if old_version == 0 and value in _RETIRED_ON:
+        if name in _RETIRED and (_RETIRED[name] is None or value in _RETIRED[name]):
             continue
         out.append(f"{name}: saved {value}, but this version has no such setting")
     return out

@@ -45,10 +45,6 @@ class MDIEResult:
     #: ExampleStore evaluation-cache counters for the run.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: sampled-run exactness certificate (None on the reference path).
-    #: Covers the clauses accepted by *this* process — a resumed run's
-    #: certificate starts at the resume point.
-    certificate: Optional[object] = None
 
 
 def select_seed(candidates_mask: int, rng: random.Random, randomly: bool) -> Optional[int]:
@@ -93,12 +89,6 @@ def mdie(
     engine = config.make_engine(kb)
     store = ExampleStore(pos, neg, reorder_body=config.reorder_body)
     rng = make_rng(seed, "mdie")
-    sampler = None
-    cert_entries: list = []
-    if config.sampling_enabled():
-        from repro.ilp.sampling import sampler_for
-
-        sampler = sampler_for(config, store.n_pos, store.n_neg, seed, labels=("mdie",))
     theory = Theory()
     log: list = []
     # Seeds that produced no acceptable rule; excluded from re-selection.
@@ -170,7 +160,7 @@ def mdie(
         except SaturationError:
             failed_mask |= 1 << i
             continue
-        result = learn_rule(engine, bottom, store, config, seeds=None, width=1, sampler=sampler)
+        result = learn_rule(engine, bottom, store, config, seeds=None, width=1)
         epochs += 1
         best = result.best
         if best is None:
@@ -186,12 +176,6 @@ def mdie(
             continue
         rule = best.clause
         theory.add(rule)
-        if sampler is not None:
-            from repro.ilp.sampling import clause_certificate
-
-            cert_entries.append(
-                clause_certificate(rule, best.sampled, best.stats.pos, best.stats.neg, config)
-            )
         covered = store.kill(best.stats.pos_bits)
         # Paper Fig. 6 adds the accepted rule to B.  Because learned targets
         # are non-recursive (no modeb mentions the target predicate), doing
@@ -201,18 +185,6 @@ def mdie(
         log.append((example, rule, covered, engine.total_ops - epoch_ops0))
         write_checkpoint()
 
-    certificate = None
-    if sampler is not None:
-        from repro.ilp.sampling import CoverageCertificate
-
-        certificate = CoverageCertificate(
-            seed=seed,
-            fraction=config.sample_fraction,
-            delta=config.sample_delta,
-            min_stratum=config.sample_min,
-            strata=sampler.strata(),
-            entries=tuple(cert_entries),
-        )
     return MDIEResult(
         theory=theory,
         epochs=epochs,
@@ -221,5 +193,4 @@ def mdie(
         log=log,
         cache_hits=store.cache_hits(),
         cache_misses=store.cache_misses(),
-        certificate=certificate,
     )

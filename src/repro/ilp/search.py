@@ -35,19 +35,11 @@ __all__ = ["EvaluatedRule", "SearchResult", "learn_rule"]
 
 @dataclass(frozen=True)
 class EvaluatedRule:
-    """A search rule with its (local or global) evaluation.
-
-    ``stats``/``score`` are always exact for rules in a search's ``good``
-    list — sampled runs re-evaluate a candidate exactly before it may
-    enter the list.  ``sampled`` carries the screening-time
-    :class:`~repro.ilp.sampling.SampledStats` (None on the reference
-    path), feeding the acceptance-time certificate.
-    """
+    """A search rule with its (local or global) evaluation."""
 
     rule: SearchRule
     stats: CoverageStats
     score: float
-    sampled: Optional[object] = None
 
     @property
     def clause(self):
@@ -79,7 +71,6 @@ def learn_rule(
     config: ILPConfig,
     seeds: Optional[Sequence[SearchRule]] = None,
     width: Optional[int] = ...,
-    sampler=None,
 ) -> SearchResult:
     """Breadth-first search for good rules (Figs. 2 and 7).
 
@@ -91,12 +82,6 @@ def learn_rule(
     width:
         Number of best good rules to return; default (ellipsis) uses
         ``config.pipeline_width``; ``None`` means no limit.
-    sampler:
-        Optional :class:`~repro.ilp.sampling.StratifiedSampler`.  When
-        set, each node is first scored on the sample; only nodes the
-        bounds cannot rule out are evaluated exactly (and only exact
-        statistics ever enter ``good``).  None ⇒ the reference path,
-        bit-identical to pre-sampling behaviour.
     """
     if width is ...:
         width = config.pipeline_width
@@ -117,31 +102,12 @@ def learn_rule(
         # Coverage inheritance: a refinement only needs testing on the
         # examples its parent covered (the parent is cached — search
         # always evaluates a node before expanding it).
-        parent = rule.parent
-        if sampler is not None:
-            ss = store.evaluate_sampled(engine, rule.clause, sampler, parent=parent)
-            if not ss.maybe_good(config):
-                # Confidently bad: skip the exact evaluation entirely.
-                # The pseudo statistics carry the *optimistic* bounds, so
-                # expansion pruning (pos < min_pos) fires only when the
-                # sample already ruled out every descendant.
-                if state.nodes >= config.max_nodes:
-                    state.exhausted = True
-                delta = config.sample_delta
-                stats = CoverageStats(
-                    pos=ss.pos_upper(delta), neg=ss.neg_lower(delta), pos_bits=0, neg_bits=0
-                )
-                score = score_rule(ss.est_pos(), ss.est_neg(), len(rule.clause.body) + 1, config)
-                return stats, score
-            sampled = ss
-        else:
-            sampled = None
-        stats = store.evaluate(engine, rule.clause, parent=parent)
+        stats = store.evaluate(engine, rule.clause, parent=rule.parent)
         score = score_rule(stats.pos, stats.neg, len(rule.clause.body) + 1, config)
         if rule.clause.body and is_good(stats.pos, stats.neg, config):
             prev = good.get(rule.clause)
             if prev is None or score > prev.score:
-                good[rule.clause] = EvaluatedRule(rule, stats, score, sampled)
+                good[rule.clause] = EvaluatedRule(rule, stats, score)
         if state.nodes >= config.max_nodes:
             state.exhausted = True
         return stats, score

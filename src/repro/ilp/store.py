@@ -61,11 +61,6 @@ class ExampleStore:
         # entries stay valid; if liveness is ever restored (the independent
         # baseline does), evaluation tops the entry up over the difference.
         self._cache: dict[str, tuple[int, int, int, int, int]] = {}
-        # Sampled-evaluation cache, same layout as ``_cache`` but with
-        # bitsets computed only over the sampler's masks.  Kept separate:
-        # sampled entries are *not* exact over the alive set and must
-        # never answer (or narrow) an exact evaluation.
-        self._sample_cache: dict[str, tuple[int, int, int, int, int]] = {}
         # clause -> its reordered evaluation form (survives clear_cache:
         # the reordering depends only on the KB, not on coverage state).
         self._reorder_cache: dict[Clause, Clause] = {}
@@ -173,61 +168,6 @@ class ExampleStore:
         live = pb & self.alive
         return CoverageStats(pos=popcount(live), neg=popcount(nb), pos_bits=live, neg_bits=nb)
 
-    def evaluate_sampled(self, engine: Engine, rule: Clause, sampler, parent: Optional[Clause] = None):
-        """Evaluate ``rule`` on the sampler's stratified sample only.
-
-        Returns :class:`repro.ilp.sampling.SampledStats` — hit counts over
-        the alive-positive sample and the (static) negative sample, plus
-        the stratum totals the bounds scale against.  The engine runs only
-        on sampled examples, so the cost is proportional to the sample
-        size; coverage inheritance narrows against the *sample* cache
-        (sampled parent verdicts are exact on the examples they tested,
-        which is all narrowing needs).
-        """
-        from repro.ilp.sampling import SampledStats
-
-        pos_sample = sampler.pos_mask
-        neg_sample = sampler.neg_mask
-        key = rule.variant_key()
-        cached = self._sample_cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            pb, nb, pe, ne, scope = cached
-            missing = self.alive & pos_sample & ~scope
-            if missing:
-                to_eval = self._reordered(engine.kb, rule)
-                pb2, pe2 = coverage_eval(engine, to_eval, self.pos, missing)
-                pb |= pb2
-                pe |= pe2
-                scope |= missing
-                self._sample_cache[key] = (pb, nb, pe, ne, scope)
-        else:
-            self._misses += 1
-            to_eval = self._reordered(engine.kb, rule)
-            cand_p = scope = self.alive & pos_sample
-            if parent is None and rule.body:
-                parent = Clause(rule.head, rule.body[:-1])
-            cand_n = neg_sample
-            if parent is not None and self._inherit_ok(engine.kb, rule):
-                pc = self._sample_cache.get(parent.variant_key())
-                if pc is not None:
-                    ppb, pnb, ppe, pne, pscope = pc
-                    cand_p &= ppb | ppe | ~pscope
-                    cand_n &= pnb | pne | ~neg_sample
-                    self._inherited += 1
-            pb, pe = coverage_eval(engine, to_eval, self.pos, cand_p)
-            nb, ne = coverage_eval(engine, to_eval, self.neg, cand_n)
-            self._sample_cache[key] = (pb, nb, pe, ne, scope)
-        live_sample = self.alive & pos_sample
-        return SampledStats(
-            pos_hits=popcount(pb & live_sample),
-            pos_n=popcount(live_sample),
-            pos_total=self.remaining,
-            neg_hits=popcount(nb & neg_sample),
-            neg_n=sampler.neg_n,
-            neg_total=self.n_neg,
-        )
-
     def cand_masks(self, rule: Clause) -> Optional[tuple[int, int]]:
         """The sound refinement candidate masks of a cached rule:
         ``(pos covered|exhausted, neg covered|exhausted)``, or None if the
@@ -290,4 +230,3 @@ class ExampleStore:
     def clear_cache(self) -> None:
         """Drop cached bitsets (counters and reorderings are preserved)."""
         self._cache.clear()
-        self._sample_cache.clear()

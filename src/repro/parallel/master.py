@@ -56,8 +56,6 @@ from repro.parallel.messages import (
     PipelineRules,
     Pong,
     Repartition,
-    SampledEvaluateRequest,
-    SampledEvaluateResult,
     StartPipeline,
     Stop,
     UpdateRouting,
@@ -127,8 +125,6 @@ class Master(SimProcess):
     #: single lost/late heartbeat exchange must not kill a live host
     #: (fatal when it is the last one standing).
     SUSPECT_ROUNDS = 2
-    #: sampled-run exactness certificate (None on the reference path).
-    certificate = None
 
     def __init__(
         self,
@@ -342,9 +338,6 @@ class Master(SimProcess):
         """The evaluation round bag consumption runs."""
         return (yield from self._eval_round(ctx, clauses))
 
-    def _record_certificate(self, best: Clause, totals: tuple) -> None:
-        """Hook: called by ``_consume_bag`` right after ``theory.add``."""
-
     def _mark_covered(self, ctx: ProcContext, rule: Clause):
         """``mark_covered`` goes to every host that holds a logical worker."""
         dsts = self._workers() if self.ft is None else self.ft.serving_hosts()
@@ -363,7 +356,6 @@ class Master(SimProcess):
             best = pick_best(bag, stats, self.config)
             bag.discard(best)
             self.theory.add(best)
-            self._record_certificate(best, stats[best])
             log.accepted.append(best)
             covered = stats[best][0]
             log.pos_covered += covered
@@ -637,102 +629,13 @@ class P2Master(Master):
         #: payloads to ship instead of LoadExamples notifications (§4.1).
         self.ship_data = ship_data
         self._stall0 = resume.stall if resume is not None else 0
-        # sampled-coverage mode (resolved once here so the decision
-        # travels with the pickled master to real backends, whatever the
-        # remote environment says):
-        self._sampling = config.sampling_enabled()
-        #: clause -> pooled SampledStats of the latest screening round.
-        self._sample_est: dict = {}
-        #: per-rank strata rows recorded on first contact.
-        self._sample_strata: dict[int, tuple] = {}
-        self._cert_entries: list = []
 
     # -- global evaluation round (Fig. 5 lines 10-11 / 18-19) --------------------
     def _global_eval(self, ctx: ProcContext, clauses: list[Clause]):
-        """One evaluation round: exact, or sampled screen + exact on the
-        survivors when ``coverage_sampling`` is on.
-
-        The sampled flavour broadcasts a :class:`SampledEvaluateRequest`
-        (workers score the bag on their local per-shard strata — masks
-        never ship, both sides derive them from the run seed), pools the
-        per-rule sampled stats, and sends the plausibly-good survivors
-        through a normal exact round.  Screened-out rules report their
-        *optimistic bounds* as totals, so the shared bag-consumption
-        filter (:func:`drop_not_good`) discards exactly the rules the
-        sample confidently ruled out — and anything that can be accepted
-        was measured exactly.
-
-        The screening request has no stamped form, so a run under a
-        fault plan never screens: every round is exact and the
-        certificate's entries are ``deferred``.
-        """
-        if not self._sampling or self.ft is not None:
-            return (yield from self._exact_eval(ctx, clauses))
-        rules = tuple(clauses)
-        yield ctx.bcast(SampledEvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
-        pooled: list = [None] * len(rules)
-        for _ in self._workers():
-            msg = yield ctx.recv(tag=Tag.RESULT)
-            res: SampledEvaluateResult = msg.payload
-            if res.rank not in self._sample_strata and res.stats:
-                s0 = res.stats[0]
-                self._sample_strata[res.rank] = (
-                    (f"pos@r{res.rank}", s0.pos_n, s0.pos_total),
-                    (f"neg@r{res.rank}", s0.neg_n, s0.neg_total),
-                )
-            for i, ss in enumerate(res.stats):
-                pooled[i] = ss if pooled[i] is None else pooled[i].merged(ss)
-        yield ctx.compute(len(clauses) + 1, label="aggregate")
-        delta = self.config.sample_delta
-        survivors = [c for c, ss in zip(clauses, pooled) if ss.maybe_good(self.config)]
-        for c, ss in zip(clauses, pooled):
-            self._sample_est[c] = ss
-        exact: dict = {}
-        if survivors:
-            ex_totals = yield from self._exact_eval(ctx, survivors)
-            exact = dict(zip(survivors, ex_totals))
-        out = []
-        for c, ss in zip(clauses, pooled):
-            if c in exact:
-                out.append(exact[c])
-            else:
-                out.append((ss.pos_upper(delta), ss.neg_lower(delta)))
-        return out
-
-    def _exact_eval(self, ctx: ProcContext, clauses: list[Clause]):
         """An exact round; lineage is structural (refinement appends
         literals: parent = body minus the last one)."""
         parents = tuple(Clause(c.head, c.body[:-1]) if c.body else None for c in clauses)
         return (yield from self._eval_round(ctx, clauses, parents))
-
-    # -- sampled-run certification ------------------------------------------------
-    def _record_certificate(self, best: Clause, totals: tuple) -> None:
-        """Record one acceptance's sampled-vs-exact agreement (entries of
-        rounds that did not screen are ``deferred``)."""
-        if not self._sampling:
-            return
-        from repro.ilp.sampling import clause_certificate
-
-        self._cert_entries.append(
-            clause_certificate(best, self._sample_est.get(best), totals[0], totals[1], self.config)
-        )
-
-    def _build_certificate(self) -> None:
-        if not self._sampling:
-            return
-        from repro.ilp.sampling import CoverageCertificate
-
-        strata = tuple(
-            row for rank in sorted(self._sample_strata) for row in self._sample_strata[rank]
-        )
-        self.certificate = CoverageCertificate(
-            seed=self.seed,
-            fraction=self.config.sample_fraction,
-            delta=self.config.sample_delta,
-            min_stratum=self.config.sample_min,
-            strata=strata,
-            entries=tuple(self._cert_entries),
-        )
 
     # -- process body ----------------------------------------------------------------
     def run(self, ctx: ProcContext):
@@ -752,7 +655,6 @@ class P2Master(Master):
             self._write_checkpoint(stall=stall)
             if not log.accepted and stall >= self.stall_limit:
                 break
-        self._build_certificate()
         yield from self._stop(ctx)
 
     def _ft_history(self):

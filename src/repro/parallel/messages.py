@@ -43,8 +43,6 @@ __all__ = [
     "PipelineRules",
     "EvaluateRequest",
     "EvaluateResult",
-    "SampledEvaluateRequest",
-    "SampledEvaluateResult",
     "MarkCovered",
     "GatherExamples",
     "ExamplesReport",
@@ -207,35 +205,6 @@ def record_candidate_masks(worker_cand: dict, clauses: list, result: "EvaluateRe
     wc = worker_cand.setdefault(result.rank, {})
     for i, rs in enumerate(result.stats):
         wc[clauses[i]] = (rs.pos_cand, rs.neg_cand)
-
-
-@dataclass(frozen=True)
-class SampledEvaluateRequest:
-    """Master → workers: score these rules on your *stratified sample*.
-
-    The screening half of a sampled evaluation round (see
-    :mod:`repro.ilp.sampling`): each worker evaluates the rules only on
-    its local per-shard sample (masks are derived deterministically from
-    the run seed on both sides — they never ship) and replies with
-    :class:`SampledEvaluateResult`.  Rules the pooled bounds cannot rule
-    out get a normal exact :class:`EvaluateRequest` round afterwards, so
-    acceptance always runs on exact statistics.
-    """
-
-    rules: tuple[Clause, ...]
-
-
-@dataclass(frozen=True)
-class SampledEvaluateResult:
-    """Worker → master: per-rule sampled stats, in request order.
-
-    ``stats`` holds :class:`repro.ilp.sampling.SampledStats` values; the
-    master merges them across workers (per-shard strata pool into one
-    stratified sample).
-    """
-
-    rank: int
-    stats: tuple
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,6 @@ class P2Result:
     fault_events: list = field(default_factory=list)
     #: substrate-injected fault events (crashes, drops) in firing order.
     fault_log: list = field(default_factory=list)
-    #: sampled-run exactness certificate (None on the reference path) —
-    #: see :mod:`repro.ilp.sampling`.
-    certificate: object = None
 
     @property
     def mbytes(self) -> float:
@@ -186,7 +183,6 @@ def _result_from_run(run: BackendRun) -> P2Result:
         cache_stats=collect_cache_stats(run, routing=ft.routing if ft is not None else None),
         fault_events=list(final.fault_events),
         fault_log=list(run.fault_log),
-        certificate=final.certificate,
     )
 
 

@@ -61,8 +61,6 @@ from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    SampledEvaluateRequest,
-    SampledEvaluateResult,
     ExamplesReport,
     GatherExamples,
     LoadData,
@@ -487,44 +485,6 @@ def _dec_evaluate_result(d: _Decoder, round: Optional[int] = None) -> EvaluateRe
     return EvaluateResult(rank=rank, stats=stats, round=round)
 
 
-def _enc_sampled_evaluate_request(e: _Encoder, m: SampledEvaluateRequest) -> None:
-    e.clauses(m.rules)
-
-
-def _dec_sampled_evaluate_request(d: _Decoder) -> SampledEvaluateRequest:
-    return SampledEvaluateRequest(rules=d.clauses())
-
-
-def _enc_sampled_evaluate_result(e: _Encoder, m: SampledEvaluateResult) -> None:
-    e.u(m.rank)
-    e.u(len(m.stats))
-    for ss in m.stats:
-        e.u(ss.pos_hits)
-        e.u(ss.pos_n)
-        e.u(ss.pos_total)
-        e.u(ss.neg_hits)
-        e.u(ss.neg_n)
-        e.u(ss.neg_total)
-
-
-def _dec_sampled_evaluate_result(d: _Decoder) -> SampledEvaluateResult:
-    from repro.ilp.sampling import SampledStats
-
-    rank = d.u()
-    stats = tuple(
-        SampledStats(
-            pos_hits=d.u(),
-            pos_n=d.u(),
-            pos_total=d.u(),
-            neg_hits=d.u(),
-            neg_n=d.u(),
-            neg_total=d.u(),
-        )
-        for _ in range(d.u())
-    )
-    return SampledEvaluateResult(rank=rank, stats=stats)
-
-
 def _enc_mark_covered(e: _Encoder, m: MarkCovered) -> None:
     e.clause(m.rule)
 
@@ -651,9 +611,7 @@ _ENCODERS: dict = {
     Pong: (13, _enc_pong),
     AdoptWorker: (14, _enc_adopt_worker),
     UpdateRouting: (16, _enc_update_routing),
-    # 21-29 reserved (out-of-package; see register_codec).
-    SampledEvaluateRequest: (30, _enc_sampled_evaluate_request),
-    SampledEvaluateResult: (31, _enc_sampled_evaluate_result),
+    # 21-28 reserved (out-of-package; see register_codec), 29-31 retired.
 }
 _DECODERS: dict = {
     0: _dec_load_examples,
@@ -677,8 +635,15 @@ _DECODERS: dict = {
     18: _dec_stamp_first(_dec_evaluate_result, "round"),
     19: _dec_stamp_first(_dec_pipeline_task, "epoch"),
     20: _dec_stamp_first(_dec_pipeline_result, "epoch"),
-    30: _dec_sampled_evaluate_request,
-    31: _dec_sampled_evaluate_result,
+}
+
+#: Codes whose format is gone, with what they carried.  Reserved for good:
+#: :func:`register_codec` refuses them and :func:`decode` names the
+#: retired format instead of calling the code unknown.
+_RETIRED_CODES: dict = {
+    29: "CoverageCertificate, a sampled-coverage .cert file",
+    30: "SampledEvaluateRequest, a sampled-coverage screening request",
+    31: "SampledEvaluateResult, a sampled-coverage screening reply",
 }
 
 
@@ -687,10 +652,10 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
 
     Lets higher layers ship their payloads in the wire format without
     creating an import cycle back into this module's registry.  Codes
-    0-20 and 30+ are the in-package messages above (15 and 17-20 decode
-    to stamped task messages: see :mod:`repro.parallel.messages`);
-    currently reserved by out-of-package formats (never reuse or
-    renumber):
+    0-20 are the in-package messages above (15 and 17-20 decode to
+    stamped task messages: see :mod:`repro.parallel.messages`) and 29-31
+    are retired (:data:`_RETIRED_CODES`); currently reserved by
+    out-of-package formats (never reuse or renumber):
 
     * 21 — :class:`repro.fault.checkpoint.CheckpointState` (``.ckpt`` files)
     * 22 — :class:`repro.service.registry.RegistryRecord` (``.theory`` files)
@@ -700,8 +665,9 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
     * 26 — :class:`repro.service.wiremsg.WireShard`
     * 27 — :class:`repro.service.wiremsg.WireQueryEnd`
     * 28 — :class:`repro.obs.span.SpanBatch` (per-rank telemetry spans)
-    * 29 — :class:`repro.ilp.sampling.CoverageCertificate` (``.cert`` files)
     """
+    if code in _RETIRED_CODES:
+        raise ValueError(f"wire code {code} is retired ({_RETIRED_CODES[code]})")
     if code in _DECODERS or payload_type in _ENCODERS:
         prev = _ENCODERS.get(payload_type)
         if prev is not None and prev[0] == code:
@@ -716,7 +682,7 @@ def encode_always(payload: object) -> Optional[bytes]:
 
     A ``None`` return tells the accounting and transport layers to fall
     back to pickle for that payload.  File formats (checkpoints, registry
-    records, certificates) register their types and never see it.
+    records, job records) register their types and never see it.
     """
     entry = _ENCODERS.get(type(payload))
     if entry is None:
@@ -735,6 +701,11 @@ def decode(data: bytes) -> object:
         raise WireError(f"unsupported wire version {data[1]}")
     dec = _DECODERS.get(data[2])
     if dec is None:
+        if data[2] in _RETIRED_CODES:
+            raise WireError(
+                f"retired message type code {data[2]} ({_RETIRED_CODES[data[2]]}): "
+                "this version no longer reads that format"
+            )
         raise WireError(f"unknown message type code {data[2]}")
     d = _Decoder(data)
     d.pos = 3

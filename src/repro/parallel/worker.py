@@ -60,8 +60,6 @@ from repro.parallel.messages import (
     Pong,
     Repartition,
     RuleStats,
-    SampledEvaluateRequest,
-    SampledEvaluateResult,
     StartPipeline,
     Stop,
     UpdateRouting,
@@ -156,29 +154,6 @@ class P2Worker(SimProcess):
             self.modes = self.shared.modes
             self.engine = self.config.make_engine(self.shared.kb)
 
-    def _sampler_for(self, shard: WorkerShard):
-        """The shard's stratified sampler (lazily drawn, None when off).
-
-        Labelled by the *virtual* rank, so an adopted shard redraws the
-        exact masks its dead host used — sampled screening survives
-        recovery without shipping a single mask over the wire.
-        """
-        if not self.config.sampling_enabled():
-            return None
-        if shard.sampler is None:
-            from repro.ilp.sampling import make_sampler
-
-            shard.sampler = make_sampler(
-                shard.store.n_pos,
-                shard.store.n_neg,
-                self.seed,
-                fraction=self.config.sample_fraction,
-                delta=self.config.sample_delta,
-                min_stratum=self.config.sample_min,
-                labels=("worker", shard.virtual_rank),
-            )
-        return shard.sampler
-
     def _make_shard(self, virtual_rank: int, pos, neg) -> WorkerShard:
         store = ExampleStore(pos, neg, reorder_body=self.config.reorder_body)
         return WorkerShard(
@@ -244,8 +219,6 @@ class P2Worker(SimProcess):
             yield from self._pipeline_stage(ctx, payload)
         elif isinstance(payload, EvaluateRequest):
             yield from self._evaluate(ctx, payload)
-        elif isinstance(payload, SampledEvaluateRequest):
-            yield from self._sampled_evaluate(ctx, payload)
         elif isinstance(payload, MarkCovered):
             yield from self._mark_covered(ctx, payload)
         elif isinstance(payload, GatherExamples):
@@ -311,7 +284,6 @@ class P2Worker(SimProcess):
                 self.config,
                 seeds=task.rules or None,
                 width=task.width,
-                sampler=self._sampler_for(shard),
             )
             good = tuple(er.rule for er in result.good)
         yield ctx.compute(self._ops_since(ops0), label=f"search(s{task.step})")
@@ -362,26 +334,6 @@ class P2Worker(SimProcess):
             reply = EvaluateResult(rank=virtual_rank, stats=stats, round=req.round)
             yield ctx.send(MASTER_RANK, reply, tag=Tag.RESULT)
 
-    def _sampled_evaluate(self, ctx: ProcContext, req: SampledEvaluateRequest):
-        """Sampled screening round: score the bag on the local strata.
-
-        The engine only runs on sampled examples, so this is the cheap
-        half of a sampled evaluation round; the master pools the replies
-        and asks for exact stats on the plausibly-good survivors.
-        """
-        shard = self.shards[self.rank]
-        sampler = self._sampler_for(shard)
-        ops0 = self.engine.total_ops
-        stats = tuple(
-            shard.store.evaluate_sampled(self.engine, rule, sampler) for rule in req.rules
-        )
-        yield ctx.compute(self._ops_since(ops0), label="evaluate")
-        yield ctx.send(
-            MASTER_RANK,
-            SampledEvaluateResult(rank=self.rank, stats=stats),
-            tag=Tag.RESULT,
-        )
-
     def _mark_covered(self, ctx: ProcContext, req: MarkCovered):
         """Fig. 6 mark_covered: retract positives the accepted rule covers
         (on every hosted shard)."""
@@ -417,9 +369,6 @@ class P2Worker(SimProcess):
             list(req.pos), list(req.neg), reorder_body=self.config.reorder_body
         )
         shard.tried_mask = 0
-        # The sample masks are over the old example numbering; redraw
-        # lazily against the new store.
-        shard.sampler = None
         yield ctx.compute(shard.store.n_pos + shard.store.n_neg, label="load")
 
     # -- fault-tolerance protocol ---------------------------------------------------

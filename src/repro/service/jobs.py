@@ -272,9 +272,6 @@ class JobOutcome:
     #: :meth:`ILPConfig.signature` of the config the run used (registry provenance).
     config_sig: str = ""
     epoch_logs: list = field(default_factory=list)
-    #: sampled-run :class:`~repro.ilp.sampling.CoverageCertificate`
-    #: (None on exact runs); persisted next to the theory on publish.
-    certificate: object = None
 
     def summary(self) -> dict:
         """Plain-data summary for status responses (theory as Prolog text)."""
@@ -339,7 +336,6 @@ def run_job(
             uncovered=res.uncovered,
             ops=res.ops,
             finished=_seq_finished(res, cap),
-            certificate=res.certificate,
         )
     elif spec.algo == "independent":
         from repro.parallel import run_independent
@@ -385,7 +381,6 @@ def _parallel_outcome(res, cap: Optional[int]) -> JobOutcome:
         mbytes=res.mbytes,
         finished=not (cap is not None and res.epochs >= cap and res.uncovered > 0),
         epoch_logs=list(getattr(res, "epoch_logs", [])),
-        certificate=getattr(res, "certificate", None),
     )
 
 

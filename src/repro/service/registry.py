@@ -205,9 +205,6 @@ class TheoryRegistry:
         import threading
 
         self._lock = threading.Lock()
-        #: ``"name/vNNNN"`` certificate artifacts quarantined by
-        #: :meth:`recover` (renamed ``*.cert.corrupt``, never served).
-        self.quarantined: list[str] = []
 
     def _fail_hook(self):
         if self._injector is None:
@@ -222,11 +219,6 @@ class TheoryRegistry:
 
     def _path(self, name: str, version: int) -> str:
         return os.path.join(self._dir(name), f"v{version:04d}.theory")
-
-    def certificate_path(self, name: str, version: int) -> str:
-        """Path of a version's coverage certificate (may not exist —
-        only sampled runs produce one)."""
-        return os.path.join(self._dir(name), f"v{version:04d}.cert")
 
     # -- read side ---------------------------------------------------------------
 
@@ -299,57 +291,6 @@ class TheoryRegistry:
             raise RegistryError(f"{path}: not a registry record")
         return record
 
-    def get_certificate(self, name: str, version: Optional[int] = None):
-        """Load a version's :class:`~repro.ilp.sampling.CoverageCertificate`.
-
-        Returns None when the version has no certificate (exact runs
-        don't emit one); raises :class:`RegistryError` on a corrupt
-        artifact — readers distinguish "absent" from "damaged".
-        """
-        from repro.ilp.sampling import certificate_from_bytes
-
-        version = self.resolve_version(name, version)
-        path = self.certificate_path(name, version)
-        if not os.path.isfile(path):
-            return None
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise RegistryError(f"{name} v{version} certificate: {exc}") from exc
-        try:
-            return certificate_from_bytes(data)
-        except (wire.WireError, IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
-            raise RegistryError(f"{path}: corrupt certificate ({exc})") from exc
-
-    def recover(self) -> list[str]:
-        """Quarantine corrupt certificate artifacts (startup hygiene).
-
-        Mirrors the job scheduler's recovery policy: every ``.cert`` file
-        that fails to decode is renamed ``.cert.corrupt`` (preserved for
-        forensics, invisible to readers) and listed in
-        :attr:`quarantined`; the theory artifact itself — the exact,
-        separately-written record — stays served.  Never raises on a bad
-        artifact: recovery must always complete.
-        """
-        from repro.ilp.sampling import certificate_from_bytes
-
-        found: list[str] = []
-        for name in self.names():
-            for version in self.versions(name):
-                path = self.certificate_path(name, version)
-                if not os.path.isfile(path):
-                    continue
-                try:
-                    with open(path, "rb") as fh:
-                        certificate_from_bytes(fh.read())
-                except Exception:
-                    os.replace(path, path + ".corrupt")
-                    tag = f"{name}/v{version:04d}"
-                    self.quarantined.append(tag)
-                    found.append(tag)
-        return found
-
     def diff(self, name: str, old_version: int, new_version: int) -> dict[str, list[Clause]]:
         """Variant-key clause diff between two versions of ``name``."""
         old = self.get(name, old_version).to_theory()
@@ -366,20 +307,11 @@ class TheoryRegistry:
         config_sig: str = "",
         provenance: Optional[dict] = None,
         epoch_summary: tuple = (),
-        certificate=None,
     ) -> RegistryRecord:
         """Append the next version of ``name``; returns the stored record.
 
         Provenance is augmented with the repository's git SHA when not
         already supplied (``"unknown"`` outside a git checkout).
-
-        ``certificate`` (a sampled run's
-        :class:`~repro.ilp.sampling.CoverageCertificate`) is persisted as
-        a sibling ``vNNNN.cert`` artifact — written *before* the theory
-        record, so the crash-retry contract ("a failed publish never
-        wrote the version artifact") still holds: a version either
-        doesn't exist yet, or exists with its certificate already on
-        disk.  The ``.theory`` layout itself is frozen (format v1).
         """
         prov = dict(provenance or {})
         prov.setdefault("git_sha", _git_sha())
@@ -398,14 +330,6 @@ class TheoryRegistry:
             assert data is not None
             d = self._dir(name)
             os.makedirs(d, exist_ok=True)
-            if certificate is not None:
-                from repro.ilp.sampling import certificate_to_bytes
-
-                atomic_write_bytes(
-                    self.certificate_path(name, version),
-                    certificate_to_bytes(certificate),
-                    fail_hook=self._fail_hook(),
-                )
             path = self._path(name, version)
             atomic_write_bytes(path, data, fail_hook=self._fail_hook())
             return record
@@ -449,8 +373,5 @@ class TheoryRegistry:
                 if v in survivors:
                     continue
                 os.remove(self._path(name, v))
-                cert = self.certificate_path(name, v)
-                if os.path.isfile(cert):
-                    os.remove(cert)
                 removed.append(v)
             return removed

@@ -638,7 +638,6 @@ class JobScheduler:
                 outcome.theory,
                 config_sig=outcome.config_sig,
                 provenance=provenance,
-                certificate=outcome.certificate,
             )
         except (InjectedFault, OSError):
             # A failed publish never wrote the artifact (registry writes
@@ -649,7 +648,6 @@ class JobScheduler:
                 outcome.theory,
                 config_sig=outcome.config_sig,
                 provenance=provenance,
-                certificate=outcome.certificate,
             )
 
     # -- resilience introspection -------------------------------------------------

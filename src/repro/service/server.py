@@ -213,10 +213,6 @@ class Service:
         self._client_jobs: dict[str, list[str]] = {}
         if state_dir:
             self.scheduler.recover_jobs()
-        if self.registry is not None:
-            # Same hygiene as job recovery: quarantine (never crash on)
-            # corrupt certificate artifacts left by torn writes.
-            self.registry.recover()
 
     def close(self, drain: bool = False) -> None:
         self.scheduler.close(drain=drain)
@@ -494,17 +490,7 @@ class Service:
             return {"versions": reg.versions(request["name"])}
         if action == "show":
             record = reg.get(request["name"], request.get("version"))
-            out = {"record": record.to_dict()}
-            try:
-                cert = reg.get_certificate(request["name"], request.get("version"))
-            except Exception as exc:
-                # A damaged certificate never blocks serving the theory
-                # (the exact record is the artifact of record).
-                out["certificate_error"] = str(exc)
-            else:
-                if cert is not None:
-                    out["certificate"] = cert.to_dict()
-            return out
+            return {"record": record.to_dict()}
         if action == "diff":
             diff = reg.diff(request["name"], request["old"], request["new"])
             return {k: [str(c) for c in v] for k, v in diff.items()}
@@ -540,9 +526,6 @@ class Service:
             "resilience": {
                 "draining": self.draining,
                 **self.scheduler.resilience_stats(),
-                "registry_quarantined": list(
-                    self.registry.quarantined if self.registry is not None else ()
-                ),
             },
             "metrics": self.metrics_snapshot(),
         }

@@ -159,18 +159,7 @@ the parity test suites:
 
 `ILPConfig.signature()` is the versioned string that checkpoints, job
 outcomes and registry records carry as `config_sig`; `repro resume`
-refuses a checkpoint whose signature names a different configuration.
-
-Sampled coverage (see [sampling.md](sampling.md)) is the one gated mode
-that is *not* bit-identical — search trajectories may differ — but every
-accepted clause is re-evaluated exactly and certified:
-
-| flag | default | effect |
-|------|---------|--------|
-| `coverage_sampling` | `None` (env `REPRO_COVERAGE_SAMPLING`, → off) | screen candidates on a stratified example sample; exact re-evaluation before acceptance |
-| `sample_fraction` | `0.25` | fraction of each stratum (alive positives / negatives) drawn into the sample |
-| `sample_min` | `16` | minimum stratum sample size; smaller strata are evaluated in full |
-| `sample_delta` | `0.05` | Hoeffding confidence parameter for the screening bounds |"""
+refuses a checkpoint whose signature names a different configuration."""
 
 _BACKEND_NOTE = """\
 All `run_*` front-ends accept `backend=` as an instance or name; the
@@ -253,14 +242,6 @@ SECTIONS = [
         [
             ("repro.ilp", ["mdie", "accuracy", "confusion", "predicts"]),
             ("repro.ilp.coverage", ["coverage_eval", "theory_covered_bits"]),
-            (
-                "repro.ilp.sampling",
-                [
-                    "StratifiedSampler", "SampledStats", "ClauseCertificate",
-                    "CoverageCertificate", "make_sampler", "sampler_for",
-                    "certificate_to_bytes", "certificate_from_bytes",
-                ],
-            ),
             ("repro.parallel", ["run_p2mdie", "run_coverage_parallel", "run_independent"]),
             ("repro.parallel.partition", ["partition_examples", "shard_spans"]),
         ],

@@ -119,9 +119,9 @@ def parent_checkpoint(name: str, tmp_path):
     return load_checkpoint(str(path))
 
 
-def retired_fields(legacy_sig: str) -> list[str]:
-    """Names a ``repr(config)`` signature carries that ILPConfig lost since."""
-    names = [item.split("=")[0] for item in legacy_sig[len("ILPConfig(") : -1].split(", ")]
+def retired_fields(saved_sig: str) -> list[str]:
+    """Names a saved signature (any version) carries that ILPConfig lost since."""
+    names = [item.split("=")[0] for item in saved_sig[saved_sig.index("(") + 1 : -1].split(", ")]
     current = {f.name for f in dataclasses.fields(ILPConfig)}
     return [n for n in names if n not in current]
 
@@ -173,9 +173,14 @@ class TestParentCommitCheckpoint:
 
     def test_refuses_retired_switch_that_was_off(self, krki40, tmp_path):
         state = parent_checkpoint("parent_f2ff849_mdie_epoch_0003.ckpt", tmp_path)
-        retired = retired_fields(state.config_sig)
-        assert len(retired) == 4
-        for name in retired:
+        v1 = parent_checkpoint("parent_f9b17c1_v1_mdie_epoch_0003.ckpt", tmp_path)
+        # The four switches retired with version 0: a v1 signature no
+        # longer spells them (the fields it does retire are sampling's).
+        switches = [
+            n for n in retired_fields(state.config_sig) if n not in retired_fields(v1.config_sig)
+        ]
+        assert len(switches) == 4
+        for name in switches:
             was_off = state.config_sig.replace(f"{name}=True", f"{name}=False").replace(
                 f"{name}=None", f"{name}=False"
             )
@@ -200,3 +205,34 @@ class TestParentV1Checkpoint:
         assert state.config_sig.startswith("ILPConfig.v1(max_clause_length=")
         assert (state.algo, state.epoch, state.n_workers) == ("p2mdie", 2, 2)
         assert_p2mdie_resumes(state, krki40)
+
+
+V0_MDIE = "parent_f2ff849_mdie_epoch_0003.ckpt"
+V1_MDIE = "parent_f9b17c1_v1_mdie_epoch_0003.ckpt"
+
+
+class TestRetiredSampling:
+    """Sampled coverage is retired: a saved run with it off (``None`` or
+    ``False``) resumes bit-identically, one with it on is refused by name."""
+
+    @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
+    def test_sampling_fields_are_retired(self, name, tmp_path):
+        state = parent_checkpoint(name, tmp_path)
+        retired = retired_fields(state.config_sig)
+        sampling = {"coverage_sampling", "sample_fraction", "sample_min", "sample_delta"}
+        assert sampling <= set(retired)
+        assert "coverage_sampling=None" in state.config_sig
+
+    @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
+    def test_sampling_off_resumes_bit_identically(self, name, krki40, tmp_path):
+        state = parent_checkpoint(name, tmp_path)
+        off = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=False")
+        assert off != state.config_sig
+        assert_mdie_resumes(state.replace(config_sig=off), krki40)
+
+    @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
+    def test_sampling_on_is_refused_by_name(self, name, krki40, tmp_path):
+        state = parent_checkpoint(name, tmp_path)
+        on = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=True")
+        with pytest.raises(CheckpointError, match="coverage_sampling: saved True, but this"):
+            mdie(*run_args(krki40), seed=0, resume=state.replace(config_sig=on))

@@ -1,23 +1,8 @@
-"""Shared ILP test fixtures: the family (daughter/2) problem.
-
-Also registers the pinned ``sampling-ci`` hypothesis profile the CI
-``sampling-parity`` job selects with ``--hypothesis-profile=sampling-ci``:
-derandomized with a fixed example budget, so the property stream is
-byte-reproducible across machines and reruns.
-"""
+"""Shared ILP test fixtures: the family (daughter/2) problem."""
 
 import pytest
 
 from repro.ilp.config import ILPConfig
-
-try:  # hypothesis is optional: only the property suite needs it
-    from hypothesis import settings
-except ImportError:
-    pass
-else:
-    settings.register_profile(
-        "sampling-ci", max_examples=60, deadline=None, derandomize=True
-    )
 from repro.ilp.modes import ModeSet
 from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase

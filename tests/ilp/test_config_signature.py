@@ -46,3 +46,29 @@ def test_mismatches_between_current_signatures():
         "heuristic: saved 'coverage', current 'laplace'",
     ]
     assert signature_mismatches("not a signature", a.signature()) is None
+
+
+def test_retired_fields_accept_only_what_this_code_still_runs():
+    """The retirement table of ``signature_mismatches``: the version-0
+    switches were retired on, sampled coverage was retired off, and its
+    sample parameters never mattered with it off."""
+    current = ILPConfig().signature()
+    body = current[current.index("(") + 1 : -1]
+
+    def refusals(version: str, **retired) -> list:
+        extra = "".join(f", {k}={v}" for k, v in retired.items())
+        return signature_mismatches(f"ILPConfig{version}({body}{extra})", current)
+
+    def gone(name, value):
+        return f"{name}: saved {value}, but this version has no such setting"
+
+    params = dict(sample_fraction="0.5", sample_min="3", sample_delta="0.2")
+    for version in ("", ".v1"):
+        assert refusals(version, coverage_sampling="None", **params) == []
+        assert refusals(version, coverage_sampling="False", **params) == []
+        assert refusals(version, coverage_sampling="True", **params) == [
+            gone("coverage_sampling", "True")
+        ]
+    assert refusals("", wire_codec="None", saturation_cache="True") == []
+    assert refusals("", saturation_cache="False") == [gone("saturation_cache", "False")]
+    assert refusals(".v1", frobnicate="1") == [gone("frobnicate", "1")]

@@ -30,13 +30,10 @@ from repro.parallel.messages import (
     Pong,
     Repartition,
     RuleStats,
-    SampledEvaluateRequest,
-    SampledEvaluateResult,
     StartPipeline,
     Stop,
     UpdateRouting,
 )
-from repro.ilp.sampling import SampledStats
 
 RULE = parse_clause("active(A) :- atom(A, B, c), bond(A, B, C, 7).")
 PARENT = parse_clause("active(A) :- atom(A, B, c).")
@@ -72,14 +69,6 @@ MESSAGES = [
     EvaluateRequest(rules=(RULE, PARENT), candidates=(None, (1 << 200 | 5, 7))),
     EvaluateResult(rank=2, stats=(RuleStats(pos=3, neg=0, pos_cand=0b111, neg_cand=1 << 90),)),
     EvaluateResult(rank=1, stats=()),
-    SampledEvaluateRequest(rules=(RULE, PARENT)),
-    SampledEvaluateResult(
-        rank=2,
-        stats=(
-            SampledStats(pos_hits=3, pos_n=8, pos_total=30, neg_hits=0, neg_n=5, neg_total=20),
-        ),
-    ),
-    SampledEvaluateResult(rank=1, stats=()),
     MarkCovered(rule=RULE),
     GatherExamples(),
     ExamplesReport(rank=1, pos=POS, neg=NEG),
@@ -141,20 +130,16 @@ class TestRoundTrip:
         assert wire.decode(data) == msg
 
     def test_every_message_type_covered(self):
-        # Out-of-package payloads register their codecs on import (or, for
-        # the coverage certificate, on first use): file formats — the
-        # checkpoint (code 21), the theory-registry record (22), the
-        # scheduler job record (23), the coverage certificate (29) — the
-        # service's wire transport messages (24-27), and the telemetry
-        # span batch (28).
+        # Out-of-package payloads register their codecs on import: file
+        # formats — the checkpoint (code 21), the theory-registry record
+        # (22), the scheduler job record (23) — the service's wire
+        # transport messages (24-27), and the telemetry span batch (28).
         from repro.fault.checkpoint import CheckpointState
-        from repro.ilp.sampling import CoverageCertificate, _ensure_codec
         from repro.obs.span import SpanBatch
         from repro.service.jobs import JobRecord
         from repro.service.registry import RegistryRecord
         from repro.service.wiremsg import WireJson, WireQuery, WireQueryEnd, WireShard
 
-        _ensure_codec()
         assert {type(m) for m in MESSAGES} | {
             CheckpointState,
             RegistryRecord,
@@ -164,7 +149,6 @@ class TestRoundTrip:
             WireShard,
             WireQueryEnd,
             SpanBatch,
-            CoverageCertificate,
         } == set(wire._ENCODERS)
 
     def test_mpi_tag_table_covers_every_protocol_tag(self):
@@ -212,7 +196,10 @@ class TestRoundTrip:
 
 
 with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
-    LAYOUTS = json.load(_f)["layouts"]
+    _WITNESS = json.load(_f)
+LAYOUTS = _WITNESS["layouts"]
+#: Bytes of formats this version no longer reads (codes 29-31).
+RETIRED = _WITNESS["retired"]
 
 
 class TestWireLayouts:
@@ -233,6 +220,33 @@ class TestWireLayouts:
     def test_witness_decodes_and_reencodes(self, entry):
         data = bytes.fromhex(entry["hex"])
         assert wire.encode_always(wire.decode(data)) == data
+
+
+class TestRetiredCodes:
+    """Codes 29-31 (sampled coverage) stay reserved: their bytes fail
+    loudly, naming the retired format, and no codec may take them over."""
+
+    def test_retired_codes_are_exactly_29_to_31(self):
+        assert sorted(wire._RETIRED_CODES) == [29, 30, 31] == sorted({e["code"] for e in RETIRED})
+        assert not set(wire._RETIRED_CODES) & set(wire._DECODERS)
+
+    @pytest.mark.parametrize("entry", RETIRED, ids=[e["id"] for e in RETIRED])
+    def test_retired_witness_names_its_format(self, entry):
+        data = bytes.fromhex(entry["hex"])
+        assert data[2] == entry["code"]
+        name = entry["id"].rstrip("0123456789")
+        match = f"retired message type code {entry['code']} \\({name}"
+        with pytest.raises(wire.WireError, match=match):
+            wire.decode(data)
+
+    @pytest.mark.parametrize("code", [29, 30, 31])
+    def test_register_codec_refuses_retired_code(self, code):
+        class Payload:
+            pass
+
+        with pytest.raises(ValueError, match=f"wire code {code} is retired"):
+            wire.register_codec(Payload, code, lambda e, m: None, lambda d: Payload())
+        assert Payload not in wire._ENCODERS
 
 
 class TestDeterminism:

@@ -1,5 +1,10 @@
 """Shared fixtures for the learning-as-a-service tests."""
 
+import builtins
+import json
+import os
+import pathlib
+
 import pytest
 
 from repro.datasets import make_dataset
@@ -42,3 +47,28 @@ def drained():
         return stream.result()
 
     return run
+
+
+@pytest.fixture(scope="session")
+def parent_cert():
+    """A ``.cert`` body as sampled runs once published it beside a theory
+    (the retired code-29 witness of ``tests/data/wire_layouts.json``)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "data" / "wire_layouts.json"
+    entry = next(e for e in json.loads(path.read_text())["retired"] if e["code"] == 29)
+    return bytes.fromhex(entry["hex"])
+
+
+@pytest.fixture
+def opened_paths(monkeypatch):
+    """Absolute paths of every file ``open`` is asked for during the test
+    (from any thread, so an in-process server's reads count too)."""
+    seen: list = []
+    real = builtins.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)):
+            seen.append(os.path.abspath(os.fsdecode(file)))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return seen

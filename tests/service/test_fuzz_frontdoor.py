@@ -137,35 +137,34 @@ class TestJsonFrontDoor:
         assert_still_serving(server)
 
 
-class TestCorruptCertificateFrontDoor:
-    """A damaged ``.cert`` artifact is a *server-side* fuzz case: whatever
-    is on disk, the front door answers structurally.  Startup recovery
-    quarantines it; damage arriving while live yields a structured
-    ``certificate_error`` on ``registry show`` — and in both cases the
-    theory itself keeps being served and the server stays up."""
+class TestStrayCertificateFrontDoor:
+    """A registry root from before sampled coverage was retired, with a
+    ``.cert`` beside each theory — one intact, one damaged — boots and
+    serves every registry op and a query; the server never opens either
+    file and leaves both as they were."""
 
-    @pytest.fixture(scope="class")
-    def cert_server(self, tmp_path_factory):
-        from repro.ilp.sampling import ClauseCertificate, CoverageCertificate
-        from repro.logic import Theory
-        from repro.logic.parser import parse_clause
+    def test_old_root_serves_without_reading_stray_files(
+        self, tmp_path, trains, trains_theory, parent_cert, opened_paths
+    ):
+        import os
+
         from repro.service import TheoryRegistry
 
-        tmp_path = tmp_path_factory.mktemp("certfuzz")
         registry = TheoryRegistry(str(tmp_path / "registry"))
-        cert = CoverageCertificate(
-            seed=0, fraction=0.25, delta=0.05, min_stratum=16,
-            entries=(ClauseCertificate("p(X) :- q(X).", 1, 0, 1, 1, 2, 0, True),),
-        )
-        theory = Theory([parse_clause("p(X) :- q(X).")])
-        registry.publish("startup-corrupt", theory, certificate=cert)
-        registry.publish("live-corrupt", theory, certificate=cert)
-        # damage the first one *before* the server boots
-        with open(registry.certificate_path("startup-corrupt", 1), "wb") as fh:
-            fh.write(b"\x00\xff" * 8)
+        prov = {"dataset": "trains", "seed": "0", "scale": "small"}
+        for _ in range(2):
+            registry.publish("t", trains_theory.theory, provenance=prov)
+        strays = {
+            os.path.join(registry.root, "t", "v0001.cert"): parent_cert,
+            os.path.join(registry.root, "t", "v0002.cert"): b"\x00\xff" * 8,
+        }
+        for path, body in strays.items():
+            with open(path, "wb") as fh:
+                fh.write(body)
+        opened_paths.clear()
 
         ready = threading.Event()
-        box = {"registry": registry}
+        box = {}
 
         def on_ready(srv):
             box["port"] = srv.port
@@ -176,50 +175,40 @@ class TestCorruptCertificateFrontDoor:
             kwargs=dict(
                 port=0, slots=1,
                 state_dir=str(tmp_path / "jobs"),
-                registry_dir=str(tmp_path / "registry"),
+                registry_dir=registry.root,
                 ready=on_ready,
             ),
             daemon=True,
         )
         thread.start()
         assert ready.wait(timeout=10)
-        yield box
-        with ServiceClient(port=box["port"]) as c:
-            c.request({"op": "shutdown"})
-        thread.join(timeout=15)
+        try:
+            with ServiceClient(port=box["port"]) as c:
+                def registry_op(action, **kw):
+                    return c.request({"op": "registry", "action": action, **kw})
 
-    def test_startup_corruption_quarantined_not_fatal(self, cert_server):
-        port = cert_server["port"]
-        with ServiceClient(port=port) as c:
-            stats = c.request({"op": "stats"})
-            assert stats["ok"]
-            assert stats["resilience"]["registry_quarantined"] == ["startup-corrupt/v0001"]
-            resp = c.request({"op": "registry", "action": "show", "name": "startup-corrupt"})
-            assert resp["ok"]  # theory served, quarantined cert simply absent
-            assert "certificate" not in resp and "certificate_error" not in resp
-        assert_still_serving(port)
-
-    def test_live_corruption_answers_structurally(self, cert_server):
-        port = cert_server["port"]
-        path = cert_server["registry"].certificate_path("live-corrupt", 1)
-        with open(path, "wb") as fh:
-            fh.write(b"\xde\xad\xbe\xef")
-        with ServiceClient(port=port) as c:
-            resp = c.request({"op": "registry", "action": "show", "name": "live-corrupt"})
-            assert resp["ok"]  # the exact record is the artifact of record
-            assert "certificate_error" in resp
-            # the same connection keeps serving after the damaged read
-            assert c.request({"op": "ping"})["ok"]
-        assert_still_serving(port)
-
-    def test_intact_certificate_still_served(self, cert_server):
-        # (startup recovery must not have touched the healthy artifact —
-        # run after the startup-corruption leg by class ordering)
-        port = cert_server["port"]
-        with ServiceClient(port=port) as c:
-            resp = c.request({"op": "registry", "action": "show", "name": "live-corrupt"})
-            if "certificate" in resp:  # before the live-damage leg ran
-                assert resp["certificate"]["ok"] is True
+                assert registry_op("list")["theories"] == [
+                    {"name": "t", "versions": [1, 2], "promoted": None}
+                ]
+                assert registry_op("versions", name="t")["versions"] == [1, 2]
+                shown = registry_op("show", name="t")
+                assert shown["ok"] and shown["record"]["version"] == 2
+                assert not [k for k in shown if "cert" in k]
+                diff = registry_op("diff", name="t", old=1, new=2)
+                assert diff["ok"] and diff["added"] == diff["removed"] == []
+                result = c.query("t", [str(e) for e in trains.pos])
+                assert result["n_covered"] == len(trains.pos)
+                stats = c.request({"op": "stats"})
+                assert stats["ok"] and stats["resilience"]["quarantined"] == []
+                gc = c.request({"op": "gc", "target": "registry", "name": "t", "keep": 1})
+                assert gc["removed"] == [1]
+                c.request({"op": "shutdown"})
+        finally:
+            thread.join(timeout=15)
+        assert not set(strays) & set(opened_paths)
+        for path, body in strays.items():
+            with open(path, "rb") as fh:
+                assert fh.read() == body
 
 
 class TestWireFrontDoor:

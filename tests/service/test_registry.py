@@ -1,5 +1,7 @@
 """TheoryRegistry: versioned artifacts, promotion, diff, corruption."""
 
+import os
+
 import pytest
 
 from repro.logic import Theory, parse_clause
@@ -147,3 +149,32 @@ class TestRetentionGC:
     def test_gc_unknown_name(self, registry):
         with pytest.raises(RegistryError, match="no theory"):
             registry.gc("ghost")
+
+
+class TestOldRegistryRoot:
+    """A root that sampled runs once published into holds a ``vNNNN.cert``
+    beside a theory.  Nothing reads it any more: every registry call works
+    as if it were not there, and leaves it as it was."""
+
+    def test_every_call_ignores_a_stray_certificate(
+        self, registry, theory_v1, theory_v2, parent_cert, opened_paths
+    ):
+        registry.publish("t", theory_v1)
+        registry.publish("t", theory_v2)
+        stray = os.path.join(registry.root, "t", "v0001.cert")
+        with open(stray, "wb") as fh:
+            fh.write(parent_cert)
+        opened_paths.clear()
+        assert registry.names() == ["t"]
+        assert registry.versions("t") == [1, 2]
+        assert registry.get("t", 1).to_theory() == theory_v1
+        assert registry.get("t").to_theory() == theory_v2
+        assert [str(c) for c in registry.diff("t", 1, 2)["added"]] == [
+            str(clause("p(X) :- r(X, Y), s(Y)."))
+        ]
+        assert registry.gc("t", keep=1) == [1]
+        assert registry.versions("t") == [2]
+        assert os.path.abspath(stray) not in opened_paths
+        assert sorted(os.listdir(os.path.dirname(stray))) == ["v0001.cert", "v0002.theory"]
+        with open(stray, "rb") as fh:
+            assert fh.read() == parent_cert

@@ -70,7 +70,6 @@ class TestResilienceSection:
         "persist_errors": int,
         "slot_crashes": int,
         "quarantined": list,
-        "registry_quarantined": list,
         "queued": int,
     }
 
