@@ -216,14 +216,6 @@ class TestRetiredSampling:
     ``False``) resumes bit-identically, one with it on is refused by name."""
 
     @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
-    def test_sampling_fields_are_retired(self, name, tmp_path):
-        state = parent_checkpoint(name, tmp_path)
-        retired = retired_fields(state.config_sig)
-        sampling = {"coverage_sampling", "sample_fraction", "sample_min", "sample_delta"}
-        assert sampling <= set(retired)
-        assert "coverage_sampling=None" in state.config_sig
-
-    @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
     def test_sampling_off_resumes_bit_identically(self, name, krki40, tmp_path):
         state = parent_checkpoint(name, tmp_path)
         off = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=False")
