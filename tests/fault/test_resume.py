@@ -209,6 +209,8 @@ class TestParentV1Checkpoint:
 
 V0_MDIE = "parent_f2ff849_mdie_epoch_0003.ckpt"
 V1_MDIE = "parent_f9b17c1_v1_mdie_epoch_0003.ckpt"
+V0_P2MDIE = "parent_f2ff849_p2mdie_epoch_0002.ckpt"
+V1_P2MDIE = "parent_f9b17c1_v1_p2mdie_epoch_0002.ckpt"
 
 
 class TestRetiredSampling:
@@ -228,3 +230,32 @@ class TestRetiredSampling:
         on = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=True")
         with pytest.raises(CheckpointError, match="coverage_sampling: saved True, but this"):
             mdie(*run_args(krki40), seed=0, resume=state.replace(config_sig=on))
+
+    @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
+    def test_sample_parameters_never_mattered(self, name, krki40, tmp_path):
+        """With sampling off the sample parameters were never read, so a
+        saved run resumes whatever values it spelled for them."""
+        state = parent_checkpoint(name, tmp_path)
+        sig = state.config_sig
+        for old, new in (
+            ("sample_fraction=0.25", "sample_fraction=1.0"),
+            ("sample_min=16", "sample_min=1"),
+            ("sample_delta=0.05", "sample_delta=0.5"),
+        ):
+            assert old in sig
+            sig = sig.replace(old, new)
+        assert_mdie_resumes(state.replace(config_sig=sig), krki40)
+
+    @pytest.mark.parametrize("name", [V0_P2MDIE, V1_P2MDIE], ids=["v0", "v1"])
+    def test_p2mdie_sampling_off_resumes_bit_identically(self, name, krki40, tmp_path):
+        state = parent_checkpoint(name, tmp_path)
+        off = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=False")
+        assert off != state.config_sig
+        assert_p2mdie_resumes(state.replace(config_sig=off), krki40)
+
+    @pytest.mark.parametrize("name", [V0_P2MDIE, V1_P2MDIE], ids=["v0", "v1"])
+    def test_p2mdie_sampling_on_is_refused_by_name(self, name, krki40, tmp_path):
+        state = parent_checkpoint(name, tmp_path)
+        on = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=True")
+        with pytest.raises(CheckpointError, match="coverage_sampling: saved True, but this"):
+            run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state.replace(config_sig=on))

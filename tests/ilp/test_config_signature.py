@@ -3,13 +3,46 @@ registry records carry, and the rule that keeps it honest."""
 
 import dataclasses
 
+import pytest
+
 from repro.ilp.config import (
     SIGNATURE_EXCLUDED,
     SIGNATURE_FIELDS,
     SIGNATURE_VERSION,
     ILPConfig,
+    _RETIRED,
     signature_mismatches,
 )
+
+#: The switches version-0 signatures (``repr(config)``) spelled out and
+#: that were retired in their on position.
+V0_SWITCHES = ("coverage_inheritance", "clause_fingerprints", "saturation_cache", "wire_codec")
+#: Sampled coverage's parameters with their old defaults; versions 0 and 1 spell them.
+SAMPLE_PARAMS = (("sample_fraction", "0.25"), ("sample_min", "16"), ("sample_delta", "0.05"))
+RETIRED_NAMES = V0_SWITCHES + ("coverage_sampling",) + tuple(n for n, _ in SAMPLE_PARAMS)
+
+#: ``(signature version, retired field, saved value)`` this code still runs.
+RETIRED_ACCEPTED = [
+    *[("", name, value) for name in V0_SWITCHES for value in ("True", "None")],
+    *[(v, "coverage_sampling", value) for v in ("", ".v1") for value in ("None", "False")],
+    *[(v, name, value) for v in ("", ".v1") for name, value in SAMPLE_PARAMS],
+]
+#: ... and those it refuses, naming the field.
+RETIRED_REFUSED = [
+    *[("", name, "False") for name in V0_SWITCHES],
+    *[(v, "coverage_sampling", "True") for v in ("", ".v1")],
+]
+
+
+def _case_id(case):
+    version, name, value = case
+    return f"v{version[2:] or '0'}-{name}={value}"
+
+
+def _saved(version: str, name: str, value: str) -> str:
+    """Today's default signature as version ``version`` wrote it, plus one retired field."""
+    current = ILPConfig().signature()
+    return f"ILPConfig{version}({current[current.index('(') + 1 : -1]}, {name}={value})"
 
 
 def test_every_config_field_is_signed_or_excluded_on_purpose():
@@ -72,3 +105,31 @@ def test_retired_fields_accept_only_what_this_code_still_runs():
     assert refusals("", wire_codec="None", saturation_cache="True") == []
     assert refusals("", saturation_cache="False") == [gone("saturation_cache", "False")]
     assert refusals(".v1", frobnicate="1") == [gone("frobnicate", "1")]
+
+
+def test_retirement_table_lists_exactly_the_retired_fields():
+    assert sorted(_RETIRED) == sorted(RETIRED_NAMES)
+
+
+@pytest.mark.parametrize("name", RETIRED_NAMES)
+def test_retired_field_is_gone_from_the_config(name):
+    """A retired name must not be a field again: ``signature_mismatches``
+    would compare it as a live setting instead of looking it up in the table."""
+    assert name not in {f.name for f in dataclasses.fields(ILPConfig)}
+    assert name not in SIGNATURE_FIELDS
+    assert f"{name}=" not in ILPConfig().signature()
+    with pytest.raises(TypeError, match=name):
+        ILPConfig(**{name: None})
+
+
+@pytest.mark.parametrize("case", RETIRED_ACCEPTED, ids=_case_id)
+def test_retired_value_this_code_reproduces_is_accepted(case):
+    assert signature_mismatches(_saved(*case), ILPConfig().signature()) == []
+
+
+@pytest.mark.parametrize("case", RETIRED_REFUSED, ids=_case_id)
+def test_retired_value_this_code_cannot_reproduce_is_refused_by_name(case):
+    _, name, value = case
+    assert signature_mismatches(_saved(*case), ILPConfig().signature()) == [
+        f"{name}: saved {value}, but this version has no such setting"
+    ]

@@ -239,6 +239,18 @@ class TestRetiredCodes:
         with pytest.raises(wire.WireError, match=match):
             wire.decode(data)
 
+    @pytest.mark.parametrize(
+        "code,name",
+        [(29, "CoverageCertificate"), (30, "SampledEvaluateRequest"), (31, "SampledEvaluateResult")],
+    )
+    def test_any_body_behind_a_retired_code_names_its_format(self, code, name):
+        """The code alone decides: no body, a stray byte, noise or another
+        message's body all fail on the retired code, never on the body."""
+        header = wire.encode_always(MESSAGES[0])[:2]
+        for body in (b"", b"\x00", bytes(range(256)), bytes.fromhex(LAYOUTS[0]["hex"])[3:]):
+            with pytest.raises(wire.WireError, match=f"retired message type code {code} \\({name},"):
+                wire.decode(header + bytes([code]) + body)
+
     @pytest.mark.parametrize("code", [29, 30, 31])
     def test_register_codec_refuses_retired_code(self, code):
         class Payload:

@@ -23,6 +23,10 @@ from repro.parallel import wire
 
 from test_wire import MESSAGES, RETIRED, layout_name  # same directory; covers every type code
 
+#: A ``.cert`` body a sampled run published beside its theory (code 29).
+CERT = bytes.fromhex(next(e["hex"] for e in RETIRED if e["code"] == 29))
+RETIRED_CERT = "retired message type code 29 \\(CoverageCertificate"
+
 
 def _payloads():
     out = [(layout_name(m), wire.encode_always(m)) for m in MESSAGES]
@@ -51,6 +55,13 @@ class TestTruncation:
         for cut in range(len(data)):
             _decode(data[:cut])
 
+    def test_truncated_certificate_never_roundtrips(self):
+        """Every prefix of an old ``.cert`` body that still carries its type
+        code fails, and names the retired format rather than a bad body."""
+        for cut in range(3, len(CERT) + 1):
+            with pytest.raises(wire.WireError, match=RETIRED_CERT):
+                wire.decode(CERT[:cut])
+
 
 class TestBitFlips:
     @pytest.mark.parametrize("name,data", PAYLOADS, ids=[n for n, _ in PAYLOADS])
@@ -60,6 +71,17 @@ class TestBitFlips:
             pos = rng.randrange(len(data))
             flip = bytes([data[pos] ^ (1 << rng.randrange(8))])
             _decode(data[:pos] + flip + data[pos + 1 :])
+
+    def test_flipped_certificate_fails_or_stays_typed(self):
+        """A corrupted old ``.cert`` body never comes back as some other
+        object: with its header intact it fails on the retired code before
+        the body is read, whatever the flip did to the body."""
+        rng = random.Random(29)
+        for _ in range(128):
+            pos = rng.randrange(3, len(CERT))  # keep the header valid
+            flip = bytes([CERT[pos] ^ (1 << rng.randrange(8))])
+            with pytest.raises(wire.WireError, match=RETIRED_CERT):
+                wire.decode(CERT[:pos] + flip + CERT[pos + 1 :])
 
 
 class TestGarbage:

@@ -7,7 +7,9 @@ never hangs a connection task, never crashes the event loop, and the
 connection *after* the abuse still gets served.
 """
 
+import contextlib
 import json
+import os
 import random
 import socket
 import struct
@@ -64,6 +66,35 @@ def wire_connection(port):
     resp = json.loads(f.readline())
     assert resp["ok"] and resp["transport"] == "wire"
     return sock, f
+
+
+@contextlib.contextmanager
+def running_server(state_dir, registry_dir):
+    """Serve ``registry_dir`` on a free port for the ``with`` block; the
+    block's own ``shutdown`` request (if any) ends it early."""
+    ready = threading.Event()
+    box = {}
+
+    def on_ready(srv):
+        box["port"] = srv.port
+        ready.set()
+
+    thread = threading.Thread(
+        target=serve,
+        kwargs=dict(
+            port=0, slots=1, state_dir=state_dir, registry_dir=registry_dir, ready=on_ready
+        ),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(timeout=10)
+    try:
+        yield box["port"]
+    finally:
+        if thread.is_alive():
+            with contextlib.suppress(OSError), ServiceClient(port=box["port"]) as c:
+                c.request({"op": "shutdown"})
+        thread.join(timeout=15)
 
 
 def assert_still_serving(port):
@@ -137,6 +168,37 @@ class TestJsonFrontDoor:
         assert_still_serving(server)
 
 
+class TestCorruptCertificateFrontDoor:
+    """A ``.cert`` an old sampled run left beside a theory, damaged while
+    the server is live, changes nothing: the server never reads it."""
+
+    def test_live_corruption_answers_structurally(
+        self, tmp_path, trains, trains_theory, parent_cert
+    ):
+        from repro.service import TheoryRegistry
+
+        registry = TheoryRegistry(str(tmp_path / "registry"))
+        prov = {"dataset": "trains", "seed": "0", "scale": "small"}
+        registry.publish("live-corrupt", trains_theory.theory, provenance=prov)
+        stray = os.path.join(registry.root, "live-corrupt", "v0001.cert")
+        with open(stray, "wb") as fh:
+            fh.write(parent_cert)
+        with running_server(str(tmp_path / "jobs"), registry.root) as port:
+            with ServiceClient(port=port) as c:
+                before = c.request({"op": "registry", "action": "show", "name": "live-corrupt"})
+                with open(stray, "wb") as fh:
+                    fh.write(b"\xde\xad\xbe\xef")
+                after = c.request({"op": "registry", "action": "show", "name": "live-corrupt"})
+                assert before["ok"] and after["ok"]
+                assert after["record"] == before["record"]
+                assert not [k for k in after if "cert" in k]
+                result = c.query("live-corrupt", [str(e) for e in trains.pos])
+                assert result["n_covered"] == len(trains.pos)
+                # the same connection keeps serving after the damage
+                assert c.request({"op": "ping"})["ok"]
+            assert_still_serving(port)
+
+
 class TestStrayCertificateFrontDoor:
     """A registry root from before sampled coverage was retired, with a
     ``.cert`` beside each theory — one intact, one damaged — boots and
@@ -146,8 +208,6 @@ class TestStrayCertificateFrontDoor:
     def test_old_root_serves_without_reading_stray_files(
         self, tmp_path, trains, trains_theory, parent_cert, opened_paths
     ):
-        import os
-
         from repro.service import TheoryRegistry
 
         registry = TheoryRegistry(str(tmp_path / "registry"))
@@ -163,27 +223,8 @@ class TestStrayCertificateFrontDoor:
                 fh.write(body)
         opened_paths.clear()
 
-        ready = threading.Event()
-        box = {}
-
-        def on_ready(srv):
-            box["port"] = srv.port
-            ready.set()
-
-        thread = threading.Thread(
-            target=serve,
-            kwargs=dict(
-                port=0, slots=1,
-                state_dir=str(tmp_path / "jobs"),
-                registry_dir=registry.root,
-                ready=on_ready,
-            ),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=10)
-        try:
-            with ServiceClient(port=box["port"]) as c:
+        with running_server(str(tmp_path / "jobs"), registry.root) as port:
+            with ServiceClient(port=port) as c:
                 def registry_op(action, **kw):
                     return c.request({"op": "registry", "action": action, **kw})
 
@@ -203,8 +244,6 @@ class TestStrayCertificateFrontDoor:
                 gc = c.request({"op": "gc", "target": "registry", "name": "t", "keep": 1})
                 assert gc["removed"] == [1]
                 c.request({"op": "shutdown"})
-        finally:
-            thread.join(timeout=15)
         assert not set(strays) & set(opened_paths)
         for path, body in strays.items():
             with open(path, "rb") as fh:

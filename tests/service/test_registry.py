@@ -178,3 +178,45 @@ class TestOldRegistryRoot:
         assert sorted(os.listdir(os.path.dirname(stray))) == ["v0001.cert", "v0002.theory"]
         with open(stray, "rb") as fh:
             assert fh.read() == parent_cert
+
+    #: One registry call each, on a root holding v1 and v2 of ``t``.
+    CALLS = {
+        "names": lambda reg, v1, v2: reg.names() == ["t"],
+        "versions": lambda reg, v1, v2: reg.versions("t") == [1, 2],
+        "get_latest": lambda reg, v1, v2: reg.get("t").to_theory() == v2,
+        "get_v1": lambda reg, v1, v2: reg.get("t", 1).to_theory() == v1,
+        "diff": lambda reg, v1, v2: len(reg.diff("t", 1, 2)["added"]) == 1,
+        "promote": lambda reg, v1, v2: reg.promote("t", 1) == 1 and reg.get("t").version == 1,
+        "publish": lambda reg, v1, v2: reg.publish("t", v1).version == 3,
+        "gc": lambda reg, v1, v2: reg.gc("t", keep=1) == [1] and reg.versions("t") == [2],
+    }
+
+    @pytest.mark.parametrize("stray", ["v0001.cert", "v0001.cert.corrupt"])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_call_never_opens_a_stray_certificate(
+        self, call, stray, registry, theory_v1, theory_v2, parent_cert, opened_paths
+    ):
+        """Each call on its own, beside an intact ``.cert`` or one that the
+        old startup recovery renamed aside as damaged."""
+        registry.publish("t", theory_v1)
+        registry.publish("t", theory_v2)
+        path = os.path.join(registry.root, "t", stray)
+        body = parent_cert if stray.endswith(".cert") else parent_cert[: len(parent_cert) // 2]
+        with open(path, "wb") as fh:
+            fh.write(body)
+        opened_paths.clear()
+        assert self.CALLS[call](registry, theory_v1, theory_v2)
+        assert os.path.abspath(path) not in opened_paths
+        with open(path, "rb") as fh:
+            assert fh.read() == body
+
+    def test_stray_certificate_ahead_of_every_theory_takes_no_version(
+        self, registry, theory_v1, parent_cert
+    ):
+        registry.publish("t", theory_v1)
+        with open(os.path.join(registry.root, "t", "v0002.cert"), "wb") as fh:
+            fh.write(parent_cert)
+        assert registry.versions("t") == [1]
+        assert registry.publish("t", theory_v1).version == 2
+        assert registry.versions("t") == [1, 2]
+        assert registry.get("t").version == 2
