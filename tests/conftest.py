@@ -1,4 +1,5 @@
-"""Suite-wide fixture: the golden runs that replaced the reference switches.
+"""Suite-wide fixtures: the golden runs that replaced the reference
+switches, and the engine witness that replaced the second SLD kernel.
 
 ``tests/data/golden_runs.json`` was written at commit f2ff849, the last one
 where coverage inheritance, variant-keyed caches and bags, the saturation
@@ -6,6 +7,10 @@ cache, the wire codec and term interning could be switched off: ``runs``
 is what the learner computed with all five off, ``pins`` what the default
 path cost.  The file's ``provenance`` block and ``docs/golden-runs.md``
 hold the command and the writer script.
+
+``tests/data/engine_witness.json`` holds what the seed's recursive
+interpreter answered (``tests/logic/test_engine_witness.py`` says where
+and how it was written).
 """
 
 import json
@@ -18,6 +23,7 @@ from repro.ilp.mdie import mdie
 from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "data" / "golden_runs.json"
+ENGINE_WITNESS_PATH = GOLDEN_PATH.with_name("engine_witness.json")
 
 
 class GoldenRuns:
@@ -90,3 +96,28 @@ class GoldenRuns:
 @pytest.fixture(scope="session")
 def golden_runs() -> GoldenRuns:
     return GoldenRuns()
+
+
+class EngineWitness:
+    """The committed engine witness, section by section.
+
+    ``battery`` and ``exhaustion`` map a query to ``{"recursive" |
+    "memo_off" | "memo_on": [solutions, total_ops, last_exhausted]}``;
+    ``bitsets`` maps a coverage case to ``[covered, exhausted]``; ``runs``
+    maps a learner case to :meth:`record`'s shape.
+    """
+
+    record = staticmethod(GoldenRuns.record)
+
+    def __init__(self):
+        doc = json.loads(ENGINE_WITNESS_PATH.read_text())
+        self.provenance: dict = doc["provenance"]
+        self.battery: dict = doc["battery"]
+        self.exhaustion: dict = doc["exhaustion"]
+        self.bitsets: dict = doc["bitsets"]
+        self.runs: dict = doc["runs"]
+
+
+@pytest.fixture(scope="session")
+def engine_witness() -> EngineWitness:
+    return EngineWitness()

@@ -1,74 +1,87 @@
-"""Golden parity: the overhauled coverage kernel (iterative machine,
-ground-goal memo, multi-argument indexing) must learn **bit-identical**
-theories and coverage bitsets to the seed kernel (recursive interpreter,
-first-argument index) on every dataset and search strategy.
+"""Golden parity: the coverage kernel (iterative machine, ground-goal memo,
+multi-argument indexing) must learn **bit-identical** theories and coverage
+bitsets to what the seed kernel (recursive interpreter, first-argument
+index) computed on every dataset and search strategy.
+
+The seed kernel's answers are rows of ``tests/data/engine_witness.json``
+(``RUNS`` and the ``*_cases`` functions below are its cases); each test
+checks both kernels against them.
 """
 
 import pytest
 
 from repro.datasets import make_dataset
-from repro.ilp.config import ILPConfig
 from repro.ilp.coverage import coverage_eval, popcount
 from repro.ilp.mdie import mdie
-from repro.ilp.modes import ModeSet
 from repro.ilp.store import ExampleStore
 from repro.logic.engine import Engine, QueryBudget
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_clause, parse_term
 
-
-def legacy_config(config: ILPConfig) -> ILPConfig:
-    return config.replace(coverage_kernel="legacy")
-
-
-def new_config(config: ILPConfig) -> ILPConfig:
-    return config.replace(coverage_kernel="new")
-
-
-def run_pair(ds, config: ILPConfig, seed: int = 0):
-    a = mdie(ds.kb, ds.pos, ds.neg, ds.modes, legacy_config(config), seed=seed)
-    b = mdie(ds.kb, ds.pos, ds.neg, ds.modes, new_config(config), seed=seed)
-    return a, b
-
-
-def assert_identical(a, b):
-    assert sorted(str(c) for c in a.theory) == sorted(str(c) for c in b.theory)
-    assert a.epochs == b.epochs
-    assert a.uncovered == b.uncovered
-    # per-epoch log parity: same seeds, same accepted rules, same cover
-    assert [(str(s), str(r), c) for s, r, c, _ in a.log] == [
-        (str(s), str(r), c) for s, r, c, _ in b.log
-    ]
-
+KERNELS = ("legacy", "new")
 
 DATASETS = [
     ("trains", dict(seed=0, scale="small")),
     ("krki", dict(seed=0, n_pos=40, n_neg=40)),
     ("carcinogenesis", dict(seed=0, n_pos=24, n_neg=20)),
 ]
+STRATEGIES = ["bfs", "best_first", "beam"]
+KRKI_30 = dict(seed=0, n_pos=30, n_neg=30)
+TRAINS = dict(seed=0, scale="small")
+
+#: The learner runs the witness records: key -> (algorithm, dataset,
+#: dataset kwargs, config changes, seed).
+RUNS = {
+    **{
+        f"mdie/{name}/{strategy}": ("mdie", name, kw, dict(search_strategy=strategy), 0)
+        for name, kw in DATASETS
+        for strategy in STRATEGIES
+    },
+    **{f"mdie/{name}/reorder": ("mdie", name, kw, dict(reorder_body=True), 0) for name, kw in DATASETS[:2]},
+    **{
+        f"mdie/krki/seed{seed}": ("mdie", "krki", dict(seed=seed, n_pos=30, n_neg=30), {}, seed)
+        for seed in (1, 2)
+    },
+    "p2mdie2/krki": ("p2mdie2", "krki", KRKI_30, {}, 0),
+    "p2mdie3/krki": ("p2mdie3", "krki", KRKI_30, {}, 0),
+    "coverage_parallel/trains": ("coverage_parallel", "trains", TRAINS, {}, 0),
+    "independent/trains": ("independent", "trains", TRAINS, {}, 0),
+}
+
+
+def run(key: str, kernel: str):
+    from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
+
+    algo, name, kw, changes, seed = RUNS[key]
+    ds = make_dataset(name, **kw)
+    args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(coverage_kernel=kernel, **changes))
+    if algo == "mdie":
+        return mdie(*args, seed=seed)
+    if algo.startswith("p2mdie"):
+        return run_p2mdie(*args, p=int(algo[-1]), seed=seed)
+    if algo == "coverage_parallel":
+        return run_coverage_parallel(*args, p=2, batch_size=4, seed=seed)
+    return run_independent(*args, p=2, seed=seed)
+
+
+def assert_run_matches(engine_witness, key: str):
+    for kernel in KERNELS:
+        assert engine_witness.record(run(key, kernel)) == engine_witness.runs[key], (key, kernel)
 
 
 class TestSequentialParity:
     @pytest.mark.parametrize("name,kw", DATASETS)
-    @pytest.mark.parametrize("strategy", ["bfs", "best_first", "beam"])
-    def test_mdie_parity(self, name, kw, strategy):
-        ds = make_dataset(name, **kw)
-        config = ds.config.replace(search_strategy=strategy)
-        a, b = run_pair(ds, config)
-        assert_identical(a, b)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_mdie_parity(self, name, kw, strategy, engine_witness):
+        assert_run_matches(engine_witness, f"mdie/{name}/{strategy}")
 
     @pytest.mark.parametrize("name,kw", DATASETS[:2])
-    def test_mdie_parity_with_reorder(self, name, kw):
-        ds = make_dataset(name, **kw)
-        config = ds.config.replace(reorder_body=True)
-        a, b = run_pair(ds, config)
-        assert_identical(a, b)
+    def test_mdie_parity_with_reorder(self, name, kw, engine_witness):
+        assert_run_matches(engine_witness, f"mdie/{name}/reorder")
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_mdie_parity_other_seeds(self, seed):
-        ds = make_dataset("krki", seed=seed, n_pos=30, n_neg=30)
-        a, b = run_pair(ds, ds.config, seed=seed)
-        assert_identical(a, b)
+    def test_mdie_parity_other_seeds(self, seed, engine_witness):
+        assert_run_matches(engine_witness, f"mdie/krki/seed{seed}")
 
 
 class TestPlanEligibility:
@@ -91,119 +104,118 @@ class TestPlanEligibility:
 
         monkeypatch.setattr(store_module, "coverage_eval", recording)
         ds = make_dataset(name, **kw)
-        mdie(ds.kb, ds.pos, ds.neg, ds.modes, new_config(ds.config), seed=0)
+        mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0)
         assert compiled and all(compiled)
 
 
+#: Per-query budget of every bitset case.
+BITSET_BUDGET = QueryBudget(max_depth=8, max_ops=100_000)
+
+KRKI_RULES = [
+    "illegal(A) :- wk(A, B, C), bk(A, D, E), adj(B, D), adj(C, E).",
+    "illegal(A) :- wr(A, B, C), bk(A, B, E).",
+    "illegal(A) :- wr(A, B, C), bk(A, D, C).",
+    "illegal(A) :- wk(A, B, C), wr(A, B, C).",
+]
+PROGRAM = """
+e(c1, c2). e(c2, c3). e(c3, c1). e(c4, c5).
+f(c3). f(c5).
+size(c1, 3). size(c2, 1). size(c3, 5). size(c4, 2). size(c5, 4).
+linked(X, Y) :- e(X, Y).
+linked(X, Z) :- e(X, Y), linked(Y, Z).
+unflagged(X) :- size(X, N), \\+ f(X).
+"""
+PROGRAM_RULES = [
+    "t(X) :- e(X, Y), \\+ f(Y).",
+    "t(X) :- e(X, Y), e(Y, Z), dif_const(X, Z).",
+    "t(X) :- size(X, N), N > 2.",
+    "t(X) :- size(X, N), M is N * 2, M >= 6.",
+    "t(X) :- linked(X, c1).",
+    "t(X) :- unflagged(X), size(X, N), N =< 3.",
+    "t(X) :- \\+ linked(X, c9).",
+    "t(X) :- between(1, 4, N), size(X, N).",
+]
+LINEAGE = [
+    "eastbound(A) :- has_car(A, B).",
+    "eastbound(A) :- has_car(A, B), closed(B).",
+    "eastbound(A) :- has_car(A, B), closed(B), short(B).",
+]
+
+
+def krki_cases():
+    """``(kb, [(key, rule, examples)])``: KRKI_RULES on both example lists."""
+    ds = make_dataset("krki", **KRKI_30)
+    sides = (("pos", ds.pos), ("neg", ds.neg))
+    return ds.kb, [(f"krki/{side}/{src}", parse_clause(src), ex) for src in KRKI_RULES for side, ex in sides]
+
+
+def program_cases():
+    """PROGRAM_RULES — negation, arithmetic, disequality, rule-defined
+    (memoizable and non-memoizable) predicates — on t(c1) .. t(c5)."""
+    kb = KnowledgeBase()
+    kb.add_program(PROGRAM)
+    examples = [parse_term(f"t(c{i})") for i in range(1, 6)]
+    return kb, [(f"program/{src}", parse_clause(src), examples) for src in PROGRAM_RULES]
+
+
+def trains_cases():
+    """The LINEAGE rules on both example lists of the small trains set."""
+    ds = make_dataset("trains", **TRAINS)
+    sides = (("pos", ds.pos), ("neg", ds.neg))
+    return ds.kb, [(f"trains/{side}/{src}", parse_clause(src), ex) for src in LINEAGE for side, ex in sides]
+
+
+BITSET_CASES = (krki_cases, program_cases, trains_cases)
+
+
 class TestBitsetParity:
-    def engines(self, kb):
-        budget = QueryBudget(max_depth=8, max_ops=100_000)
-        return Engine(kb, budget, kernel="legacy"), Engine(kb, budget, kernel="new")
+    def assert_cases_match(self, cases, engine_witness):
+        kb, rows = cases()
+        for kernel in KERNELS:
+            engine = Engine(kb, BITSET_BUDGET, kernel=kernel)
+            for key, rule, examples in rows:
+                assert list(coverage_eval(engine, rule, examples)) == engine_witness.bitsets[key], (key, kernel)
 
-    def test_dataset_rule_bitsets(self):
-        ds = make_dataset("krki", seed=0, n_pos=30, n_neg=30)
-        legacy, new = self.engines(ds.kb)
-        rules = [
-            "illegal(A) :- wk(A, B, C), bk(A, D, E), adj(B, D), adj(C, E).",
-            "illegal(A) :- wr(A, B, C), bk(A, B, E).",
-            "illegal(A) :- wr(A, B, C), bk(A, D, C).",
-            "illegal(A) :- wk(A, B, C), wr(A, B, C).",
-        ]
-        for src in rules:
-            rule = parse_clause(src)
-            for examples in (ds.pos, ds.neg):
-                lb, le = coverage_eval(legacy, rule, examples)
-                nb, ne = coverage_eval(new, rule, examples)
-                assert (lb, le) == (nb, ne), src
+    def test_dataset_rule_bitsets(self, engine_witness):
+        self.assert_cases_match(krki_cases, engine_witness)
 
-    def test_negation_and_builtin_heavy_program(self):
+    def test_negation_and_builtin_heavy_program(self, engine_witness):
         """Bodies with negation, arithmetic, disequality and rule-defined
         (memoizable and non-memoizable) predicates evaluate identically."""
-        kb = KnowledgeBase()
-        kb.add_program(
-            """
-            e(c1, c2). e(c2, c3). e(c3, c1). e(c4, c5).
-            f(c3). f(c5).
-            size(c1, 3). size(c2, 1). size(c3, 5). size(c4, 2). size(c5, 4).
-            linked(X, Y) :- e(X, Y).
-            linked(X, Z) :- e(X, Y), linked(Y, Z).
-            unflagged(X) :- size(X, N), \\+ f(X).
-            """
-        )
-        examples = [parse_term(f"t(c{i})") for i in range(1, 6)]
-        rules = [
-            "t(X) :- e(X, Y), \\+ f(Y).",
-            "t(X) :- e(X, Y), e(Y, Z), dif_const(X, Z).",
-            "t(X) :- size(X, N), N > 2.",
-            "t(X) :- size(X, N), M is N * 2, M >= 6.",
-            "t(X) :- linked(X, c1).",
-            "t(X) :- unflagged(X), size(X, N), N =< 3.",
-            "t(X) :- \\+ linked(X, c9).",
-            "t(X) :- between(1, 4, N), size(X, N).",
-        ]
-        legacy, new = self.engines(kb)
-        for src in rules:
-            rule = parse_clause(src)
-            lb, le = coverage_eval(legacy, rule, examples)
-            nb, ne = coverage_eval(new, rule, examples)
-            assert (lb, le) == (nb, ne), src
+        self.assert_cases_match(program_cases, engine_witness)
 
-    def test_store_evaluation_parity(self):
-        """ExampleStore (inheritance + alive restriction) on the new kernel
-        reports, at every covering step, what mask-less full-list scans on
-        the legacy kernel compute."""
-        ds = make_dataset("trains", seed=0, scale="small")
-        legacy, new = self.engines(ds.kb)
+    def test_store_evaluation_parity(self, engine_witness):
+        """ExampleStore (inheritance + alive restriction) reports, at every
+        covering step, what mask-less full-list scans on the seed kernel
+        computed."""
+        self.assert_cases_match(trains_cases, engine_witness)
+        ds = make_dataset("trains", **TRAINS)
+        engine = Engine(ds.kb, BITSET_BUDGET)
         store = ExampleStore(ds.pos, ds.neg)
-        parent = parse_clause("eastbound(A) :- has_car(A, B).")
-        child = parse_clause("eastbound(A) :- has_car(A, B), closed(B).")
-        grandchild = parse_clause("eastbound(A) :- has_car(A, B), closed(B), short(B).")
-        lineage = [(parent, None), (child, parent), (grandchild, child)]
+        rules = [parse_clause(src) for src in LINEAGE]
+        lineage = list(zip(LINEAGE, rules, [None, *rules[:-1]]))
 
         def check():
-            for rule, par in lineage:
-                pos_bits = coverage_eval(legacy, rule, ds.pos)[0] & store.alive
-                neg_bits = coverage_eval(legacy, rule, ds.neg)[0]
-                b = store.evaluate(new, rule, parent=par)
+            for src, rule, par in lineage:
+                pos_bits = engine_witness.bitsets[f"trains/pos/{src}"][0] & store.alive
+                neg_bits = engine_witness.bitsets[f"trains/neg/{src}"][0]
+                b = store.evaluate(engine, rule, parent=par)
                 assert (b.pos_bits, b.neg_bits) == (pos_bits, neg_bits)
                 assert (b.pos, b.neg) == (popcount(pos_bits), popcount(neg_bits))
 
         check()
         # kill the child's cover and re-evaluate the lineage from cache
-        store.kill(store.evaluate(new, child).pos_bits)
+        store.kill(store.evaluate(engine, rules[1]).pos_bits)
         check()
 
 
 class TestParallelParity:
     @pytest.mark.parametrize("p", [2, 3])
-    def test_p2mdie_parity(self, p):
-        from repro.parallel.p2mdie import run_p2mdie
+    def test_p2mdie_parity(self, p, engine_witness):
+        assert_run_matches(engine_witness, f"p2mdie{p}/krki")
 
-        ds = make_dataset("krki", seed=0, n_pos=30, n_neg=30)
-        a = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, legacy_config(ds.config), p=p, seed=0)
-        b = run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, new_config(ds.config), p=p, seed=0)
-        assert sorted(str(c) for c in a.theory) == sorted(str(c) for c in b.theory)
-        assert a.epochs == b.epochs
-        assert a.uncovered == b.uncovered
+    def test_coverage_parallel_parity(self, engine_witness):
+        assert_run_matches(engine_witness, "coverage_parallel/trains")
 
-    def test_coverage_parallel_parity(self):
-        from repro.parallel.coverage_parallel import run_coverage_parallel
-
-        ds = make_dataset("trains", seed=0, scale="small")
-        a = run_coverage_parallel(
-            ds.kb, ds.pos, ds.neg, ds.modes, legacy_config(ds.config), p=2, batch_size=4, seed=0
-        )
-        b = run_coverage_parallel(
-            ds.kb, ds.pos, ds.neg, ds.modes, new_config(ds.config), p=2, batch_size=4, seed=0
-        )
-        assert sorted(str(c) for c in a.theory) == sorted(str(c) for c in b.theory)
-        assert a.uncovered == b.uncovered
-
-    def test_independent_parity(self):
-        from repro.parallel.independent import run_independent
-
-        ds = make_dataset("trains", seed=0, scale="small")
-        a = run_independent(ds.kb, ds.pos, ds.neg, ds.modes, legacy_config(ds.config), p=2, seed=0)
-        b = run_independent(ds.kb, ds.pos, ds.neg, ds.modes, new_config(ds.config), p=2, seed=0)
-        assert sorted(str(c) for c in a.theory) == sorted(str(c) for c in b.theory)
-        assert a.uncovered == b.uncovered
+    def test_independent_parity(self, engine_witness):
+        assert_run_matches(engine_witness, "independent/trains")

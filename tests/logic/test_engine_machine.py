@@ -1,12 +1,15 @@
-"""Iterative-machine vs recursive-interpreter parity, and the ground-goal
-memo table.
+"""The SLD machine against the seed's recursive interpreter, and the
+ground-goal memo table.
 
-The iterative machine (the default kernel) must reproduce the recursive
-seed interpreter *bit-for-bit* when its extras are disabled: same
-solutions, same order, same ``total_ops`` charge sequence, same budget
-exhaustion points.  The memo table and multi-argument indexing then only
-reduce the op count — never the solution set.
+The recursive interpreter's answers to ``PROGRAM_BATTERY`` are rows of
+``tests/data/engine_witness.json``.  With the memo off the machine must
+reproduce them in order, and its op charges must match its own recorded
+rows; the memo table and multi-argument indexing then only reduce the op
+count — never the solution sequence.  Random programs are checked against
+the naive evaluator in ``naive_sld.py`` instead.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 
 from repro.logic.engine import Engine, QueryBudget
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import parse_term
+from repro.logic.parser import parse_program, parse_term
 from repro.logic.terms import atom
+
+from naive_sld import Prover
 
 PROGRAM_BATTERY = """
 p(a). p(b). p(c).
@@ -64,71 +69,102 @@ QUERIES = [
 ]
 
 
-def make_kb() -> KnowledgeBase:
+#: Budget of every battery row.
+BATTERY_BUDGET = QueryBudget(max_depth=6, max_ops=50_000)
+
+#: Queries the witness records at a budget they exhaust:
+#: query -> (program, budget).
+EXHAUSTION = {
+    "path(X, Y)": (PROGRAM_BATTERY, QueryBudget(max_depth=8, max_ops=37)),
+    "m(X)": (" ".join(f"m({i})." for i in range(100)), QueryBudget(max_depth=5, max_ops=10)),
+}
+
+#: The engines a witness row was recorded on.
+ENGINES = {"recursive": dict(kernel="legacy"), "memo_off": dict(memo=False), "memo_on": {}}
+
+
+def make_kb(program: str = PROGRAM_BATTERY) -> KnowledgeBase:
     kb = KnowledgeBase()
-    kb.add_program(PROGRAM_BATTERY)
+    kb.add_program(program)
     return kb
 
 
-def run_query(engine: Engine, q: str, limit=None):
-    sols = [str(s) for s in engine.solve(parse_term(q), limit=limit)]
-    return sols, engine.total_ops, engine.last_exhausted
+def show(solution) -> str:
+    """A solution as text: a conjunction's resolved goals in parentheses."""
+    if isinstance(solution, tuple):
+        return "(" + ", ".join(map(str, solution)) + ")"
+    return str(solution)
+
+
+def run_query(engine: Engine, q: str, limit=None) -> list:
+    """``[solutions, total_ops, last_exhausted]``, as witness rows store it."""
+    sols = [show(s) for s in engine.solve(parse_term(q), limit=limit)]
+    return [sols, engine.total_ops, engine.last_exhausted]
+
+
+def witness_row(query: str, program: str = PROGRAM_BATTERY, budget=BATTERY_BUDGET) -> dict:
+    """What each of ENGINES answers to ``query``, each on a fresh engine."""
+    return {name: run_query(Engine(make_kb(program), budget, **kw), query) for name, kw in ENGINES.items()}
 
 
 class TestMachineParity:
     @pytest.mark.parametrize("query", QUERIES)
-    def test_solutions_order_and_ops_identical(self, query):
-        """With memo off and first-arg indexing, the iterative machine is
-        charge-for-charge identical to the recursive interpreter."""
-        kb = make_kb()
-        budget = QueryBudget(max_depth=6, max_ops=50_000)
-        rec = Engine(kb, budget, machine="recursive", memo=False, index="first")
-        it = Engine(kb, budget, machine="iterative", memo=False, index="first")
-        assert run_query(rec, query) == run_query(it, query)
+    def test_solutions_order_and_ops_identical(self, query, engine_witness):
+        """With the memo off, the machine finds the recursive interpreter's
+        solutions in its order, at its own recorded charges."""
+        row = engine_witness.battery[query]
+        live = witness_row(query)
+        assert live["recursive"] == row["recursive"]
+        assert live["memo_off"] == row["memo_off"]
+        assert live["memo_off"][0] == row["recursive"][0]
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_new_kernel_same_solutions(self, query):
+    def test_new_kernel_same_solutions(self, query, engine_witness):
         """Memo + multi-argument indexing keep the solution sequence; the
         op count may only drop."""
-        kb = make_kb()
-        budget = QueryBudget(max_depth=6, max_ops=50_000)
-        legacy = Engine(kb, budget, kernel="legacy")
-        new = Engine(kb, budget, kernel="new")
-        lsols, lops, _ = run_query(legacy, query)
-        nsols, nops, _ = run_query(new, query)
-        assert nsols == lsols
-        assert nops <= lops
+        row = engine_witness.battery[query]
+        sols, ops, _ = live = run_query(Engine(make_kb(), BATTERY_BUDGET), query)
+        assert live == row["memo_on"]
+        assert sols == row["recursive"][0]
+        assert ops <= row["recursive"][1]
 
     @pytest.mark.parametrize("machine", ["recursive", "iterative"])
-    def test_budget_exhaustion_matches(self, machine):
-        kb = KnowledgeBase()
-        kb.add_program(" ".join(f"m({i})." for i in range(100)))
-        eng = Engine(kb, QueryBudget(max_depth=5, max_ops=10), machine=machine, memo=False, index="first")
-        n = eng.count_solutions(parse_term("m(X)"))
-        assert eng.last_exhausted
-        assert n < 100
+    def test_budget_exhaustion_matches(self, machine, engine_witness):
+        """m(X) over 100 facts within 10 ops: the recursive interpreter ran
+        out (its recorded row), and the machine runs out at the point
+        recorded for it."""
+        row = engine_witness.exhaustion["m(X)"]
+        if machine == "recursive":
+            sols, _, exhausted = row["recursive"]
+        else:
+            program, budget = EXHAUSTION["m(X)"]
+            sols, _, exhausted = live = run_query(Engine(make_kb(program), budget, memo=False), "m(X)")
+            assert live == row["memo_off"]
+        assert exhausted
+        assert len(set(sols)) < 100
 
-    def test_exhaustion_point_identical(self):
-        kb = make_kb()
-        budget = QueryBudget(max_depth=8, max_ops=37)
-        rec = Engine(kb, budget, machine="recursive", memo=False, index="first")
-        it = Engine(kb, budget, machine="iterative", memo=False, index="first")
-        assert run_query(rec, "path(X, Y)") == run_query(it, "path(X, Y)")
+    def test_exhaustion_point_identical(self, engine_witness):
+        program, budget = EXHAUSTION["path(X, Y)"]
+        row = engine_witness.exhaustion["path(X, Y)"]
+        assert witness_row("path(X, Y)", program, budget) == row
+        assert row["memo_off"] == row["recursive"]
 
     def test_unbound_goal_raises(self):
-        eng = Engine(make_kb(), machine="iterative")
+        eng = Engine(make_kb())
         with pytest.raises(TypeError):
             list(eng.solve(parse_term("X")))
 
     def test_limit_and_prove(self):
-        eng = Engine(make_kb(), machine="iterative")
+        eng = Engine(make_kb())
         assert len(list(eng.solve(parse_term("p(X)"), limit=2))) == 2
         assert eng.prove(parse_term("p(a)"))
         assert not eng.prove(parse_term("p(zzz)"))
 
 
 @st.composite
-def graph_kb(draw):
+def graph_program(draw):
+    """A random edge set plus the two path/2 rules, as ``(kb, program)``:
+    the same clauses for the engine and the naive evaluator."""
     n = draw(st.integers(2, 6))
     edges = draw(
         st.lists(
@@ -138,27 +174,30 @@ def graph_kb(draw):
         )
     )
     kb = KnowledgeBase()
+    program = []
     for a, b in edges:
-        kb.add_fact(atom("edge", f"n{a}", f"n{b}"))
-    kb.add_program("path(X, Y) :- edge(X, Y). path(X, Z) :- edge(X, Y), path(Y, Z).")
-    return kb
+        if kb.add_fact(atom("edge", f"n{a}", f"n{b}")):
+            program.append((atom("edge", f"n{a}", f"n{b}"), ()))
+    for rule in parse_program("path(X, Y) :- edge(X, Y). path(X, Z) :- edge(X, Y), path(Y, Z)."):
+        kb.add_rule(rule)
+        program.append((rule.head, rule.body))
+    return kb, program
 
 
-@given(graph_kb())
+@given(graph_program())
 @settings(max_examples=60, deadline=None)
-def test_machines_agree_on_random_graphs(kb):
-    budget = QueryBudget(max_depth=8, max_ops=30_000)
-    rec = Engine(kb, budget, machine="recursive", memo=False, index="first")
-    it = Engine(kb, budget, machine="iterative", memo=False, index="first")
-    new = Engine(kb, budget, kernel="new")
+def test_machines_agree_on_random_graphs(problem):
+    """The first 150 answers to path(X, Y), memo off and on, are the naive
+    evaluator's first 150 in its order (a prefix of them where the engine
+    ran out of ops)."""
+    kb, program = problem
     goal = parse_term("path(X, Y)")
-    rec_sols = [str(s) for s in rec.solve(goal, limit=150)]
-    it_sols = [str(s) for s in it.solve(goal, limit=150)]
-    assert rec_sols == it_sols
-    assert rec.total_ops == it.total_ops
-    # memoization may cut duplicate ground sub-proofs, so compare sets
-    new_sols = [str(s) for s in new.solve(goal, limit=150)]
-    assert set(new_sols) == set(rec_sols)
+    oracle = Prover(program, max_depth=8, max_ops=10_000_000)
+    want = [str(s) for s in itertools.islice(oracle.solutions(goal), 150)]
+    for memo in (False, True):
+        eng = Engine(kb, QueryBudget(max_depth=8, max_ops=30_000), memo=memo)
+        got = [str(s) for s in eng.solve(goal, limit=150)]
+        assert got == (want[: len(got)] if eng.last_exhausted else want)
 
 
 class TestMemoTable:
@@ -183,7 +222,7 @@ class TestMemoTable:
 
     def test_memo_hit_and_correctness(self):
         kb = self.prog()
-        eng = Engine(kb, QueryBudget(max_depth=6), machine="iterative", memo=True)
+        eng = Engine(kb, QueryBudget(max_depth=6), memo=True)
         assert eng.prove(parse_term("g(a)"))
         assert eng.prove(parse_term("g(a)"))
         assert eng.memo_hits >= 1
@@ -198,7 +237,7 @@ class TestMemoTable:
             expected = None
             for memo in (False, True):
                 results = []
-                eng = Engine(kb, QueryBudget(max_depth=5), machine="iterative", memo=memo)
+                eng = Engine(kb, QueryBudget(max_depth=5), memo=memo)
                 for q in order:
                     results.append(eng.prove(parse_term(q)))
                 if expected is None:
@@ -209,14 +248,14 @@ class TestMemoTable:
         # but after s1..s3 eat the 3 levels g(a) is dispatched at depth 0.
         # The success recorded at depth 3 must not be replayed there, and
         # the failure recorded at depth 0 must not shadow depth-3 retries.
-        eng_tight = Engine(kb, QueryBudget(max_depth=3), machine="iterative", memo=True)
+        eng_tight = Engine(kb, QueryBudget(max_depth=3), memo=True)
         assert eng_tight.prove(parse_term("g(a)"))
         assert not eng_tight.prove(parse_term("s1, s2, s3, g(a)"))
         assert eng_tight.prove(parse_term("g(a)"))
 
     def test_memo_invalidated_on_kb_mutation(self):
         kb = self.prog()
-        eng = Engine(kb, machine="iterative", memo=True)
+        eng = Engine(kb, memo=True)
         assert not eng.prove(parse_term("g(b)"))
         kb.add_fact(atom("i", "b"))
         assert eng.prove(parse_term("g(b)"))
@@ -224,7 +263,7 @@ class TestMemoTable:
     def test_negation_closure_not_memoized(self):
         kb = KnowledgeBase()
         kb.add_program("q(a). p(X) :- \\+ q(X). r(X) :- p(X).")
-        eng = Engine(kb, machine="iterative", memo=True)
+        eng = Engine(kb, memo=True)
         assert not eng.prove(parse_term("r(a)"))
         assert eng.prove(parse_term("r(b)"))
         # negation in the closure makes provability depth-non-monotone
@@ -239,7 +278,7 @@ class TestMemoTable:
             "path(X, Z) :- edge(X, Y), path(Y, Z)."
         )
         for memo in (False, True):
-            eng = Engine(kb, QueryBudget(max_depth=8), machine="iterative", memo=memo)
+            eng = Engine(kb, QueryBudget(max_depth=8), memo=memo)
             assert eng.prove(parse_term("path(a, c)"))
             assert not eng.prove(parse_term("path(c, a)"))
             assert eng.prove(parse_term("path(a, c)"))
@@ -249,7 +288,7 @@ class TestMultiArgIndexing:
     def test_second_argument_bound(self):
         kb = KnowledgeBase()
         kb.add_program(" ".join(f"bond(m{i}, a{i % 7}, t)." for i in range(50)))
-        eng = Engine(kb, kernel="new")
+        eng = Engine(kb)
         ops0 = eng.total_ops
         assert eng.prove(parse_term("bond(X, a3, t)"))
         # selectivity: the a3 bucket holds ~50/7 facts, not 50
@@ -259,7 +298,7 @@ class TestMultiArgIndexing:
         kb = KnowledgeBase()
         for i in range(40):
             kb.add_fact(atom("b", f"x{i % 4}", f"y{i}", i % 2))
-        eng = Engine(kb, kernel="new")
+        eng = Engine(kb)
         ops0 = eng.total_ops
         # both arg 0 and arg 2 bound: only the (x1, 1) facts are offered
         sols = list(eng.solve(parse_term("b(x1, Y, 1)")))
@@ -270,8 +309,8 @@ class TestMultiArgIndexing:
         kb = KnowledgeBase()
         for i in range(30):
             kb.add_fact(atom("t", f"p{i % 3}", f"q{i % 5}", f"r{i % 2}"))
-        legacy = Engine(kb, kernel="legacy")
-        new = Engine(kb, kernel="new")
+        oracle = Prover([(fact, ()) for fact in kb.facts_for(("t", 3))])
+        engine = Engine(kb)
         for q in ("t(p1, X, Y)", "t(X, q2, Y)", "t(p0, X, r1)", "t(X, Y, Z)", "t(p1, q1, r1)"):
             goal = parse_term(q)
-            assert [str(s) for s in legacy.solve(goal)] == [str(s) for s in new.solve(goal)]
+            assert [str(s) for s in engine.solve(goal)] == [str(s) for s in oracle.solutions(goal)]
