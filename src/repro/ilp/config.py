@@ -11,7 +11,7 @@ pipeline width ``W``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.logic.engine import Engine, QueryBudget
@@ -21,7 +21,6 @@ __all__ = [
     "NO_LIMIT",
     "SIGNATURE_VERSION",
     "SIGNATURE_FIELDS",
-    "SIGNATURE_EXCLUDED",
     "signature_mismatches",
 ]
 
@@ -33,9 +32,9 @@ NO_LIMIT: Optional[int] = None
 #: :data:`_RETIRED` with the values the current code still reproduces.
 SIGNATURE_VERSION = 2
 
-#: The fields a signature spells out, in order.  Explicit rather than
-#: ``dataclasses.fields``: adding a config field must be a decision (list
-#: it here, or in :data:`SIGNATURE_EXCLUDED` with the reason), which
+#: The fields a signature spells out, in order: every config field.
+#: Explicit rather than ``dataclasses.fields``: adding a config field must
+#: be a decision (list it here and bump :data:`SIGNATURE_VERSION`), which
 #: ``tests/ilp/test_config_signature.py`` enforces.
 SIGNATURE_FIELDS = (
     "max_clause_length",
@@ -56,13 +55,6 @@ SIGNATURE_FIELDS = (
     "engine_max_ops",
 )
 
-#: Config fields a signature leaves out on purpose.  ``coverage_kernel``
-#: picks between two engine implementations held bit-identical in theories,
-#: bitsets and epoch logs (``tests/ilp/test_coverage_kernel_parity.py``):
-#: a run may resume under either.
-SIGNATURE_EXCLUDED = frozenset({"coverage_kernel"})
-
-
 @dataclass(frozen=True)
 class ILPConfig:
     """Constraints ``C`` plus search/pipeline parameters.
@@ -70,10 +62,9 @@ class ILPConfig:
     Everything here can change what is learned or what a run costs.  The
     optimisations that cannot — coverage inheritance, variant-keyed
     evaluation caches and rule bags, the saturation cache, the wire codec,
-    term interning — are not configuration and have no switch; the one
-    implementation choice still exposed is ``coverage_kernel``.
-    :meth:`signature` is how checkpoints and registry records name a
-    configuration.
+    term interning, the SLD machine's memo table and argument indexes — are
+    not configuration and have no switch.  :meth:`signature` is how
+    checkpoints and registry records name a configuration.
 
     Attributes
     ----------
@@ -111,12 +102,6 @@ class ILPConfig:
         Apply the selectivity-based body-literal reordering transformation
         before coverage testing (see :mod:`repro.ilp.reorder`); changes
         engine operation counts, never semantics.
-    coverage_kernel:
-        Which engine kernel coverage testing runs on: ``"new"`` (iterative
-        machine, ground-goal memo, multi-argument indexing), ``"legacy"``
-        (the seed recursive interpreter with first-argument indexing) or
-        None (resolve via the ``REPRO_COVERAGE_KERNEL`` environment
-        variable, defaulting to new).
     search_strategy:
         ``learn_rule`` queue discipline: ``"bfs"`` (the paper's April
         configuration: top-down breadth-first), ``"best_first"``
@@ -140,11 +125,14 @@ class ILPConfig:
     select_seed_randomly: bool = True
     on_uncoverable: str = "skip"
     reorder_body: bool = False
-    coverage_kernel: Optional[str] = None
     search_strategy: str = "bfs"
     beam_width: int = 5
     engine_max_depth: int = 8
     engine_max_ops: int = 200_000
+
+    # Shim, not a field: bench/ still passes Engine(kernel=config.coverage_kernel);
+    # ROADMAP 1(b) deletes it.
+    coverage_kernel = None
 
     def __post_init__(self):
         if self.max_clause_length < 1:
@@ -163,8 +151,6 @@ class ILPConfig:
             raise ValueError("on_uncoverable must be 'skip' or 'memorize'")
         if self.search_strategy not in ("bfs", "best_first", "beam"):
             raise ValueError("search_strategy must be 'bfs', 'best_first' or 'beam'")
-        if self.coverage_kernel not in (None, "new", "legacy"):
-            raise ValueError("coverage_kernel must be 'new', 'legacy' or None")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
 
@@ -185,7 +171,7 @@ class ILPConfig:
 
     def make_engine(self, kb) -> Engine:
         """The engine every learner, worker and query tier proves goals on."""
-        return Engine(kb, self.engine_budget(), kernel=self.coverage_kernel)
+        return Engine(kb, self.engine_budget())
 
     def with_width(self, width: Optional[int]) -> "ILPConfig":
         """Copy of this config with a different pipeline width."""
@@ -207,6 +193,8 @@ _SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v\d+)?\((.*)\)\Z", re.S)
 #: Sampled coverage, last signed by version 1, was a screening mode that
 #: is gone: off (``False``) or unset (``None``, which resolved to off) is
 #: exact evaluation, and with it off its sample parameters never ran.
+#: The coverage kernel, which only version 0 spelled, chose between two
+#: engines held bit-identical in theories, bitsets and epoch logs: any value.
 _RETIRED = {
     "coverage_inheritance": ("True", "None"),
     "clause_fingerprints": ("True", "None"),
@@ -216,6 +204,7 @@ _RETIRED = {
     "sample_fraction": None,
     "sample_min": None,
     "sample_delta": None,
+    "coverage_kernel": None,
 }
 
 
@@ -248,10 +237,9 @@ def signature_mismatches(saved: str, current: str) -> Optional[list[str]]:
         for name, value in new_fields.items()
         if old_fields.get(name) != value
     ]
-    known = {f.name for f in fields(ILPConfig)}
     for name, value in old_fields.items():
-        if name in new_fields or name in known:
-            continue  # compared above, or excluded from signatures on purpose
+        if name in new_fields:
+            continue  # compared above
         if name in _RETIRED and (_RETIRED[name] is None or value in _RETIRED[name]):
             continue
         out.append(f"{name}: saved {value}, but this version has no such setting")

@@ -101,6 +101,8 @@ def parse_mode(src: str, default_head: bool = False) -> ModeDecl:
         is_head = term.functor == "modeh"
         r, template = term.args
         if isinstance(r, Const) and isinstance(r.value, int):
+            if r.value < 1:
+                raise ValueError(f"recall must be >= 1 or '*': {src}")
             recall = r.value
         elif isinstance(r, Const) and r.value == "*":
             recall = None

@@ -66,7 +66,6 @@ class ExampleStore:
         self._reorder_cache: dict[Clause, Clause] = {}
         self._hits = 0
         self._misses = 0
-        self._inherited = 0
 
     # -- liveness ---------------------------------------------------------------
     @property
@@ -143,12 +142,10 @@ class ExampleStore:
             if (parent is not None or candidates is not None) and self._inherit_ok(
                 engine.kb, rule
             ):
-                narrowed = False
                 if candidates is not None:
                     cp, cn = candidates
                     cand_p &= cp
                     cand_n = cn
-                    narrowed = True
                 if parent is not None:
                     pc = self._cache.get(parent.variant_key())
                     if pc is not None:
@@ -159,9 +156,6 @@ class ExampleStore:
                         cand_p &= ppb | ppe | ~pscope
                         nm = pnb | pne
                         cand_n = nm if cand_n is None else cand_n & nm
-                        narrowed = True
-                if narrowed:
-                    self._inherited += 1
             pb, pe = coverage_eval(engine, to_eval, self.pos, cand_p)
             nb, ne = coverage_eval(engine, to_eval, self.neg, cand_n)
             self._cache[key] = (pb, nb, pe, ne, scope)
@@ -222,10 +216,6 @@ class ExampleStore:
         """Fraction of evaluations served from cache (0.0 when unused)."""
         total = self._hits + self._misses
         return self._hits / total if total else 0.0
-
-    def inherited_evals(self) -> int:
-        """Cache misses whose example set was narrowed by inheritance."""
-        return self._inherited
 
     def clear_cache(self) -> None:
         """Drop cached bitsets (counters and reorderings are preserved)."""

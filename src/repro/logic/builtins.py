@@ -49,7 +49,7 @@ def eval_arith(term: Term, subst: Subst) -> float | int:
     return fn(*(eval_arith(a, subst) for a in t.args))
 
 
-# Indicators the engine dispatches specially (see engine._solve_builtin).
+# Indicators the engine dispatches specially (see Engine._builtin_step).
 BUILTIN_INDICATORS = frozenset(
     {
         ("true", 0),

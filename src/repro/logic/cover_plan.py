@@ -40,8 +40,7 @@ arguments are ``Var``/``Const``; every body literal is a ``Struct`` with
 ``Var``/``Const`` arguments over a predicate that has no rules and is not
 a builtin.  Everything else — builtins, negation, rule-defined or recursive
 predicates, nested structs, 0-arity goals — compiles to "no plan" and takes
-the machine.  So does any engine but the default one: the legacy kernel
-indexes on the first argument only and charges differently.
+the machine.
 
 *No cache.*  A plan is compiled per ``coverage_eval`` call and dropped; it
 holds live references to index dicts that ``FactStore.add`` updates in
@@ -156,9 +155,7 @@ class CoverPlan:
 
 def compile_plan(engine, clause: Clause) -> Optional[CoverPlan]:
     """The plan of ``clause`` against ``engine.kb``, or None when the clause
-    (or the engine) is outside the eligible class — see the module note."""
-    if engine.machine != "iterative" or engine.index != "multi":
-        return None
+    is outside the eligible class — see the module note."""
     head = clause.head
     if type(head) is not Struct:
         return None

@@ -22,52 +22,40 @@ Coverage of a *flat* clause over ground facts does not come through here:
 :mod:`repro.logic.cover_plan` runs it as a slot plan that charges this
 engine op for op what the machine below would have.
 
-Two resolution machines are provided:
+The resolution machine is an explicit goal-stack/choice-point loop.
+Continuations are shared cons cells, choice points are flat list frames,
+and backtracking is a loop — no nested-generator resumption on every
+unification.  Fact retrieval uses every argument a goal binds
+(:meth:`~repro.logic.knowledge.FactStore.candidates_bound`), in insertion
+order.  The machine optionally memoizes ground goals over *deterministic*
+predicates (rule predicates whose dependency closure is negation-free):
+success observed at remaining depth ``d`` is valid at any depth ``>= d``,
+failure at depth ``d`` at any depth ``<= d``, so memo answers are exactly
+what re-running the machine would compute.  The memo is invalidated
+whenever the knowledge base's ``version`` stamp changes.
 
-* ``iterative`` (default) — an explicit goal-stack/choice-point machine.
-  Continuations are shared cons cells, choice points are flat list frames,
-  and backtracking is a loop — no nested-generator resumption on every
-  unification.  It optionally memoizes ground goals over *deterministic*
-  predicates (rule predicates whose dependency closure is negation-free):
-  success observed at remaining depth ``d`` is valid at any depth ``>= d``,
-  failure at depth ``d`` at any depth ``<= d``, so memo answers are exactly
-  what re-running the machine would compute.  The memo is invalidated
-  whenever the knowledge base's ``version`` stamp changes.
-* ``recursive`` — the original nested-generator interpreter, kept as the
-  measurable baseline (``REPRO_COVERAGE_KERNEL=legacy`` or
-  ``Engine(..., kernel="legacy")``) and as the parity oracle for tests.
-
-Solution order, bindings and resource semantics of the iterative machine
-(with memoization disabled) are bit-identical to the recursive machine,
-including the exact sequence of ``total_ops`` charges.  Memoization and
-multi-argument indexing reduce the op count; they never change the set of
-solutions, but — like body reordering — a query that only failed because it
-ran out of budget may now succeed within it.  One further nuance: the
-recursive interpreter lets a subgoal's rule expansions tighten the depth
-budget of the goals *after* it (its own comment calls the tightening
-benign); a memoized ground subgoal consumes no depth from its
-continuation, i.e. the memo restores branch-local depth accounting.  The
-two treatments only differ where the depth bound binds mid-conjunction.
+With the memo off, the machine finds the seed's recursive interpreter's
+solutions in the same order; the interpreter's answers are kept as data
+in ``tests/data/engine_witness.json``.  Multi-argument indexing and the
+memo only reduce the op count; they never change the set of solutions,
+but — like body reordering — a query that only failed because it ran out
+of budget may now succeed within it.  A rule expansion tightens the depth
+budget of the goals after it in its conjunction; a memoized ground
+subgoal consumes no depth from its continuation, i.e. the memo restores
+branch-local depth accounting.  The two treatments only differ where the
+depth bound binds mid-conjunction.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Optional, Sequence
 
 from repro.logic.builtins import ArithmeticError_, eval_arith, is_builtin
-from repro.logic.clause import Clause
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.terms import Const, Struct, Term, Var, fresh_var, is_ground
-from repro.logic.unify import Subst, resolve, undo_trail, unify_trail, walk
+from repro.logic.terms import Const, Struct, Term, Var
+from repro.logic.unify import resolve, undo_trail, unify_trail, walk
 
-__all__ = ["Engine", "QueryBudget", "BudgetExceeded", "resolve_kernel"]
-
-#: Environment switch for the default coverage kernel: ``new`` (iterative
-#: machine, memo table, multi-argument indexing) or ``legacy`` (the seed
-#: recursive interpreter with first-argument indexing) — the before/after
-#: flag the kernel benchmark flips.
-KERNEL_ENV = "REPRO_COVERAGE_KERNEL"
+__all__ = ["Engine", "QueryBudget", "BudgetExceeded"]
 
 
 class BudgetExceeded(Exception):
@@ -78,14 +66,6 @@ def _flatten_conj(term: Term) -> tuple[Term, ...]:
     if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
         return _flatten_conj(term.args[0]) + _flatten_conj(term.args[1])
     return (term,)
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Resolve a kernel name: explicit > ``REPRO_COVERAGE_KERNEL`` > new."""
-    k = kernel or os.environ.get(KERNEL_ENV) or "new"
-    if k not in ("new", "legacy"):
-        raise ValueError(f"unknown coverage kernel {k!r} (expected 'new' or 'legacy')")
-    return k
 
 
 class QueryBudget:
@@ -114,37 +94,23 @@ class Engine:
     Parameters
     ----------
     kernel:
-        ``"new"`` / ``"legacy"`` / None (None resolves via the
-        ``REPRO_COVERAGE_KERNEL`` environment variable, defaulting to new).
-        The kernel only sets defaults for the three fine-grained knobs:
-    machine:
-        ``"iterative"`` or ``"recursive"`` resolution core.
+        Must be None: the one machine is the only kernel.
     memo:
-        Enable the ground-goal memo table (iterative machine only).
-    index:
-        ``"multi"`` (any-bound-argument / composite indexing) or
-        ``"first"`` (seed first-argument indexing).
+        Enable the ground-goal memo table (off only as the memo's own
+        reference in tests).
     """
 
     def __init__(
         self,
         kb: KnowledgeBase,
         budget: Optional[QueryBudget] = None,
-        kernel: Optional[str] = None,
-        machine: Optional[str] = None,
-        memo: Optional[bool] = None,
-        index: Optional[str] = None,
+        kernel: None = None,
+        memo: bool = True,
     ):
-        kernel = resolve_kernel(kernel)
-        legacy = kernel == "legacy"
-        self.kernel = kernel
-        self.machine = machine or ("recursive" if legacy else "iterative")
-        if self.machine not in ("iterative", "recursive"):
-            raise ValueError(f"unknown machine {self.machine!r}")
-        self.memo_enabled = (self.machine == "iterative" and not legacy) if memo is None else memo
-        self.index = index or ("first" if legacy else "multi")
-        if self.index not in ("multi", "first"):
-            raise ValueError(f"unknown index mode {self.index!r}")
+        # Shim: bench/ still passes kernel=None; ROADMAP 1(b) deletes it.
+        if kernel is not None:
+            raise ValueError("the legacy coverage kernel is retired")
+        self.memo_enabled = memo
         self.kb = kb
         self.budget = budget or QueryBudget()
         #: unification attempts since engine construction (monotonic).
@@ -174,8 +140,12 @@ class Engine:
         ``goals`` may be a single goal term or a sequence (conjunction).
         Each solution is the goal conjunction with the answer substitution
         applied.  Stops silently if the operation budget is exhausted
-        (check :attr:`last_exhausted`).
+        (check :attr:`last_exhausted`), and yields at most ``limit``
+        solutions — none, without running the query, for ``limit < 1``.
         """
+        if limit is not None and limit < 1:
+            self.last_exhausted = False
+            return
         goal_tuple = tuple(goals) if isinstance(goals, (list, tuple)) else (goals,)
         # Flatten ','/2 conjunction terms so `parse_term("p(X), q(X)")`
         # queries work directly.
@@ -230,33 +200,17 @@ class Engine:
             self._memo.clear()
             self._memoizable.clear()
             self._kb_version = self.kb.version
-        if self.machine == "recursive":
-            return self._solve(goals, 0, self.budget.max_depth, subst, trail)
         cont = None
         for g in reversed(goals):
             cont = (g, cont)
         return self._machine(cont, self.budget.max_depth, subst, trail)
 
-    def count_solutions(self, goals: Term | Sequence[Term], limit: Optional[int] = None) -> int:
-        """Count distinct solution instances (up to ``limit``)."""
-        seen = set()
-        for sol in self.solve(goals):
-            seen.add(sol)
-            if limit is not None and len(seen) >= limit:
-                break
-        return len(seen)
-
-    # -- shared plumbing -------------------------------------------------------
+    # -- op accounting ---------------------------------------------------------
     def _charge(self, n: int = 1) -> None:
         self.total_ops += n
         self._query_ops += n
         if self._query_ops > self.budget.max_ops:
             raise BudgetExceeded
-
-    def _candidates(self, store, goal: Term) -> list[Term]:
-        if self.index == "multi":
-            return store.candidates(goal)
-        return store.candidates_first(goal)
 
     # -- iterative machine -------------------------------------------------------
     #
@@ -490,12 +444,7 @@ class Engine:
                         else:
                             backtrack = True
                         continue
-            if type(goal) is not Struct:
-                facts = store.facts
-            elif self.index == "multi":
-                facts = store.candidates_bound(gargs, bound)
-            else:
-                facts = store.candidates_first_walked(gargs)
+            facts = store.candidates_bound(gargs, bound) if type(goal) is Struct else store.facts
             frames.append([Engine._F_PRED, len(trail), rest, depth, goal, facts, 0, rules, 0, gargs])
             backtrack = True
 
@@ -633,141 +582,6 @@ class Engine:
         else:
             entry[1] = depth if entry[1] is None else max(entry[1], depth)
         return found
-
-    # -- recursive resolution core (legacy kernel) --------------------------------
-    def _solve(self, goals: tuple, i: int, depth: int, subst: dict, trail: list):
-        """Solve ``goals[i:]``; yields once per solution (bindings live in
-        ``subst``)."""
-        if i >= len(goals):
-            yield None
-            return
-        # Resolve the whole goal up front: argument variables bound earlier
-        # in the derivation must be visible to the argument index
-        # (otherwise e.g. elem(G, cl) with G bound would scan every fact).
-        goal = resolve(goals[i], subst)
-        if isinstance(goal, Var):
-            raise TypeError("unbound variable as goal")
-
-        ind = goal.indicator if isinstance(goal, Struct) else (str(goal), 0)
-        if is_builtin(ind):
-            yield from self._solve_builtin(goal, ind, goals, i, depth, subst, trail)
-            return
-
-        # Facts first (indexed), then rules.
-        store = self.kb.facts_for(ind)
-        rules = self.kb.rules_for(ind)
-        if not rules and is_ground(goal):
-            # Ground fast path: a ground goal over a fact-only predicate is
-            # a set-membership test.
-            self._charge()
-            if goal in store.fact_set:
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        for fact in self._candidates(store, goal):
-            self._charge()
-            mark = len(trail)
-            if unify_trail(goal, fact, subst, trail):
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            undo_trail(subst, trail, mark)
-
-        if rules and depth <= 0:
-            return  # depth bound: silently fail on further rule expansion
-        for rule in rules:
-            self._charge()
-            r = rule.rename_apart()
-            mark = len(trail)
-            if unify_trail(goal, r.head, subst, trail):
-                yield from self._solve(r.body + goals[i + 1 :], 0, depth - 1, subst, trail)
-                # note: the continuation goals are re-entered inside; to keep
-                # the remaining goals at the *old* depth we rely on depth only
-                # gating rule expansion, so the slight tightening is benign
-                # and keeps derivations finite.
-            undo_trail(subst, trail, mark)
-
-    def _solve_builtin(self, goal: Term, ind: tuple, goals: tuple, i: int, depth: int, subst: dict, trail: list):
-        self._charge()
-        name = ind[0]
-        if name == "true":
-            yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        if name in ("fail", "false"):
-            return
-        args = goal.args if isinstance(goal, Struct) else ()
-        if name == "=":
-            mark = len(trail)
-            if unify_trail(args[0], args[1], subst, trail):
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            undo_trail(subst, trail, mark)
-            return
-        if name == "\\=":
-            mark = len(trail)
-            ok = unify_trail(args[0], args[1], subst, trail)
-            undo_trail(subst, trail, mark)
-            if not ok:
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        if name in ("==", "\\=="):
-            same = resolve(args[0], subst) == resolve(args[1], subst)
-            if same == (name == "=="):
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        if name in ("<", ">", "=<", ">="):
-            try:
-                a = eval_arith(args[0], subst)
-                b = eval_arith(args[1], subst)
-            except ArithmeticError_:
-                return
-            ok = {"<": a < b, ">": a > b, "=<": a <= b, ">=": a >= b}[name]
-            if ok:
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        if name == "is":
-            try:
-                value = eval_arith(args[1], subst)
-            except ArithmeticError_:
-                return
-            mark = len(trail)
-            if unify_trail(args[0], Const(value), subst, trail):
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            undo_trail(subst, trail, mark)
-            return
-        if name in ("\\+", "not"):
-            sub = (args[0],)
-            mark = len(trail)
-            found = False
-            for _ in self._solve(sub, 0, depth, subst, trail):
-                found = True
-                break
-            undo_trail(subst, trail, mark)
-            if not found:
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        if name == "between":
-            try:
-                lo = int(eval_arith(args[0], subst))
-                hi = int(eval_arith(args[1], subst))
-            except ArithmeticError_:
-                return
-            x = walk(args[2], subst)
-            if isinstance(x, Const):
-                if isinstance(x.value, int) and lo <= x.value <= hi:
-                    yield from self._solve(goals, i + 1, depth, subst, trail)
-                return
-            for v in range(lo, hi + 1):
-                self._charge()
-                mark = len(trail)
-                if unify_trail(x, Const(v), subst, trail):
-                    yield from self._solve(goals, i + 1, depth, subst, trail)
-                undo_trail(subst, trail, mark)
-            return
-        if name == "dif_const":
-            # Succeeds iff both args are (bound to) distinct constants.
-            a = walk(args[0], subst)
-            b = walk(args[1], subst)
-            if isinstance(a, Const) and isinstance(b, Const) and a != b:
-                yield from self._solve(goals, i + 1, depth, subst, trail)
-            return
-        raise NotImplementedError(f"builtin {ind} not implemented")  # pragma: no cover
 
 
 #: sentinels returned by :meth:`Engine._builtin_step`.

@@ -11,8 +11,10 @@ Position 0 is indexed eagerly (the dominant access path during coverage
 testing: ``bond(m17, A1, A2)`` with the molecule id bound); every other
 index is built lazily the first time a goal needs it, so e.g.
 ``bond(A, m17_a3, B)`` stops scanning the whole store after its first
-occurrence.  Rules are stored per indicator in insertion order,
-Prolog-style.
+occurrence.  This is the only retrieval scheme: the engine's machine
+(:meth:`FactStore.candidates_bound`) and coverage plans
+(:meth:`FactStore.access_path`) read the same buckets.  Rules are stored
+per indicator in insertion order, Prolog-style.
 
 The base also carries a monotonic ``version`` counter, bumped on every
 mutation — consumers that cache derived results (the engine's ground-goal
@@ -26,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.logic.clause import Clause, head_indicator
 from repro.logic.parser import parse_program
-from repro.logic.terms import Const, Struct, Term, Var, is_ground
+from repro.logic.terms import Struct, Term, is_ground
 
 __all__ = ["FactStore", "KnowledgeBase"]
 
@@ -93,31 +95,17 @@ class FactStore:
         for the question."""
         return args in self._composite_on(self._all_args)
 
-    def candidates(self, goal: Term) -> list[Term]:
-        """Facts possibly unifying with ``goal``.
+    def candidates_bound(self, walked: list, bound: list) -> list[Term]:
+        """Facts possibly unifying with a goal the engine already walked.
 
-        A single bound position uses its per-position index; several bound
+        ``walked`` holds the goal's effective argument values and ``bound``
+        the positions holding ground terms — the engine computes both in
+        its per-goal dispatch, so no argument is traversed twice.  A single
+        bound position uses its per-position index; several bound
         positions use a composite index over exactly that signature, so
         only facts matching *all* bound arguments are ever offered for
         unification.  Bucket order is insertion order, so enumeration
         order matches a full scan with non-matching facts skipped.
-        """
-        if type(goal) is not Struct:
-            return self.facts
-        args = goal.args
-        bound = [
-            pos
-            for pos in range(len(args))
-            if type(args[pos]) is Const or (type(args[pos]) is Struct and args[pos].ground)
-        ]
-        return self.candidates_bound(list(args), bound)
-
-    def candidates_bound(self, walked: list, bound: list) -> list[Term]:
-        """Like :meth:`candidates`, for a goal the engine already walked.
-
-        ``walked`` holds the effective argument values and ``bound`` the
-        positions holding ground terms — the engine computes both in its
-        per-goal dispatch, so no argument is traversed twice.
         """
         n = len(bound)
         if n == 0:
@@ -143,26 +131,6 @@ class FactStore:
         if len(bound) == 1:
             return self._index_on(bound[0])
         return self._composite_on(bound)
-
-    def candidates_first_walked(self, walked: list) -> list[Term]:
-        """Seed-compatible first-argument retrieval over walked args."""
-        if walked:
-            first = walked[0]
-            if type(first) is Const:
-                return self._index_on(0).get(first, _EMPTY)
-        return self.facts
-
-    def candidates_first(self, goal: Term) -> list[Term]:
-        """Seed-compatible retrieval: first-argument index only.
-
-        Kept as the measurable baseline for the legacy coverage kernel
-        (``REPRO_COVERAGE_KERNEL=legacy``).
-        """
-        if isinstance(goal, Struct) and goal.args:
-            first = goal.args[0]
-            if isinstance(first, Const):
-                return self._index_on(0).get(first, _EMPTY)
-        return self.facts
 
     def __len__(self) -> int:
         return len(self.facts)

@@ -150,11 +150,11 @@ knobs: `max_clause_length`, `var_depth`, `recall`,
 / `beam`), `beam_width`, `engine_max_depth`, `engine_max_ops`.
 
 Optimization flags — all pure optimizations, pinned bit-identical by
-the parity test suites:
+the parity test suites (the SLD machine's memo table and argument
+indexes are not flags: there is one engine):
 
 | flag | default | effect |
 |------|---------|--------|
-| `coverage_kernel` | `None` (env `REPRO_COVERAGE_KERNEL`, → `"new"`) | iterative SLD machine + ground-goal memo + multi-arg indexing vs the seed `"legacy"` interpreter |
 | `reorder_body` | `False` | selectivity-based body-literal reordering before coverage testing |
 
 `ILPConfig.signature()` is the versioned string that checkpoints, job

@@ -176,8 +176,12 @@ class TestParentCommitCheckpoint:
         v1 = parent_checkpoint("parent_f9b17c1_v1_mdie_epoch_0003.ckpt", tmp_path)
         # The four switches retired with version 0: a v1 signature no
         # longer spells them (the fields it does retire are sampling's).
+        # The coverage kernel, also spelled only by version 0, was no
+        # switch: any saved value resumes (the test below).
         switches = [
-            n for n in retired_fields(state.config_sig) if n not in retired_fields(v1.config_sig)
+            n
+            for n in retired_fields(state.config_sig)
+            if n not in retired_fields(v1.config_sig) and n != "coverage_kernel"
         ]
         assert len(switches) == 4
         for name in switches:
@@ -187,6 +191,15 @@ class TestParentCommitCheckpoint:
             assert was_off != state.config_sig
             with pytest.raises(CheckpointError, match=f"{name}: saved False"):
                 mdie(*run_args(krki40), seed=0, resume=state.replace(config_sig=was_off))
+
+    @pytest.mark.parametrize("kernel", ["'legacy'", "'new'"])
+    def test_resumes_under_any_retired_kernel(self, krki40, tmp_path, kernel):
+        """Both kernels were held bit-identical, so a run saved under
+        either resumes on the one machine left."""
+        state = parent_checkpoint("parent_f2ff849_mdie_epoch_0003.ckpt", tmp_path)
+        assert "coverage_kernel=None" in state.config_sig
+        saved = state.config_sig.replace("coverage_kernel=None", f"coverage_kernel={kernel}")
+        assert_mdie_resumes(state.replace(config_sig=saved), krki40)
 
 
 class TestParentV1Checkpoint:

@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from repro.ilp.config import (
-    SIGNATURE_EXCLUDED,
     SIGNATURE_FIELDS,
     SIGNATURE_VERSION,
     ILPConfig,
@@ -19,13 +18,18 @@ from repro.ilp.config import (
 V0_SWITCHES = ("coverage_inheritance", "clause_fingerprints", "saturation_cache", "wire_codec")
 #: Sampled coverage's parameters with their old defaults; versions 0 and 1 spell them.
 SAMPLE_PARAMS = (("sample_fraction", "0.25"), ("sample_min", "16"), ("sample_delta", "0.05"))
-RETIRED_NAMES = V0_SWITCHES + ("coverage_sampling",) + tuple(n for n, _ in SAMPLE_PARAMS)
+#: Which engine kernel coverage ran on; only version 0 spelled it.
+KERNEL_VALUES = ("None", "'new'", "'legacy'")
+RETIRED_NAMES = (
+    V0_SWITCHES + ("coverage_sampling",) + tuple(n for n, _ in SAMPLE_PARAMS) + ("coverage_kernel",)
+)
 
 #: ``(signature version, retired field, saved value)`` this code still runs.
 RETIRED_ACCEPTED = [
     *[("", name, value) for name in V0_SWITCHES for value in ("True", "None")],
     *[(v, "coverage_sampling", value) for v in ("", ".v1") for value in ("None", "False")],
     *[(v, name, value) for v in ("", ".v1") for name, value in SAMPLE_PARAMS],
+    *[("", "coverage_kernel", value) for value in KERNEL_VALUES],
 ]
 #: ... and those it refuses, naming the field.
 RETIRED_REFUSED = [
@@ -47,14 +51,11 @@ def _saved(version: str, name: str, value: str) -> str:
 
 def test_every_config_field_is_signed_or_excluded_on_purpose():
     """Adding a field to ILPConfig must force a decision: list it in
-    SIGNATURE_FIELDS (and bump SIGNATURE_VERSION), or in
-    SIGNATURE_EXCLUDED with the reason it cannot change results."""
+    SIGNATURE_FIELDS and bump SIGNATURE_VERSION.  Every field is signed."""
     declared = [f.name for f in dataclasses.fields(ILPConfig)]
+    assert len(declared) == 16
     assert len(SIGNATURE_FIELDS) == len(set(SIGNATURE_FIELDS))
-    assert set(SIGNATURE_FIELDS).isdisjoint(SIGNATURE_EXCLUDED)
-    assert sorted(SIGNATURE_FIELDS) == sorted(set(declared) - SIGNATURE_EXCLUDED)
-    assert SIGNATURE_EXCLUDED <= set(declared)
-    assert SIGNATURE_EXCLUDED == {"coverage_kernel"}
+    assert sorted(SIGNATURE_FIELDS) == sorted(declared)
 
 
 def test_signature_is_versioned_explicit_and_canonical():
@@ -68,7 +69,11 @@ def test_signature_is_versioned_explicit_and_canonical():
 
 
 def test_excluded_field_does_not_change_the_signature():
-    assert ILPConfig(coverage_kernel="legacy").signature() == ILPConfig().signature()
+    """``coverage_kernel`` is a class constant kept for callers that still
+    spell it (ROADMAP 1(b)), not a field: always None, never signed."""
+    assert ILPConfig.coverage_kernel is None
+    assert ILPConfig(noise=1).coverage_kernel is None
+    assert "coverage_kernel" not in ILPConfig().signature()
 
 
 def test_mismatches_between_current_signatures():
@@ -83,8 +88,9 @@ def test_mismatches_between_current_signatures():
 
 def test_retired_fields_accept_only_what_this_code_still_runs():
     """The retirement table of ``signature_mismatches``: the version-0
-    switches were retired on, sampled coverage was retired off, and its
-    sample parameters never mattered with it off."""
+    switches were retired on, sampled coverage was retired off, its
+    sample parameters never mattered with it off, and the coverage kernels
+    were held bit-identical."""
     current = ILPConfig().signature()
     body = current[current.index("(") + 1 : -1]
 
@@ -103,6 +109,7 @@ def test_retired_fields_accept_only_what_this_code_still_runs():
             gone("coverage_sampling", "True")
         ]
     assert refusals("", wire_codec="None", saturation_cache="True") == []
+    assert refusals("", coverage_kernel="'legacy'") == []
     assert refusals("", saturation_cache="False") == [gone("saturation_cache", "False")]
     assert refusals(".v1", frobnicate="1") == [gone("frobnicate", "1")]
 

@@ -1,11 +1,10 @@
-"""Golden parity: the coverage kernel (iterative machine, ground-goal memo,
-multi-argument indexing) must learn **bit-identical** theories and coverage
-bitsets to what the seed kernel (recursive interpreter, first-argument
-index) computed on every dataset and search strategy.
+"""Golden parity: the SLD machine (ground-goal memo, multi-argument
+indexing) must learn **bit-identical** theories and coverage bitsets to
+what the seed kernel (recursive interpreter, first-argument index)
+computed on every dataset and search strategy.
 
 The seed kernel's answers are rows of ``tests/data/engine_witness.json``
-(``RUNS`` and the ``*_cases`` functions below are its cases); each test
-checks both kernels against them.
+(``RUNS`` and the ``*_cases`` functions below are its cases).
 """
 
 import pytest
@@ -17,8 +16,6 @@ from repro.ilp.store import ExampleStore
 from repro.logic.engine import Engine, QueryBudget
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_clause, parse_term
-
-KERNELS = ("legacy", "new")
 
 DATASETS = [
     ("trains", dict(seed=0, scale="small")),
@@ -49,12 +46,12 @@ RUNS = {
 }
 
 
-def run(key: str, kernel: str):
+def run(key: str):
     from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
 
     algo, name, kw, changes, seed = RUNS[key]
     ds = make_dataset(name, **kw)
-    args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(coverage_kernel=kernel, **changes))
+    args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(**changes))
     if algo == "mdie":
         return mdie(*args, seed=seed)
     if algo.startswith("p2mdie"):
@@ -65,8 +62,7 @@ def run(key: str, kernel: str):
 
 
 def assert_run_matches(engine_witness, key: str):
-    for kernel in KERNELS:
-        assert engine_witness.record(run(key, kernel)) == engine_witness.runs[key], (key, kernel)
+    assert engine_witness.record(run(key)) == engine_witness.runs[key]
 
 
 class TestSequentialParity:
@@ -171,10 +167,9 @@ BITSET_CASES = (krki_cases, program_cases, trains_cases)
 class TestBitsetParity:
     def assert_cases_match(self, cases, engine_witness):
         kb, rows = cases()
-        for kernel in KERNELS:
-            engine = Engine(kb, BITSET_BUDGET, kernel=kernel)
-            for key, rule, examples in rows:
-                assert list(coverage_eval(engine, rule, examples)) == engine_witness.bitsets[key], (key, kernel)
+        engine = Engine(kb, BITSET_BUDGET)
+        for key, rule, examples in rows:
+            assert list(coverage_eval(engine, rule, examples)) == engine_witness.bitsets[key], key
 
     def test_dataset_rule_bitsets(self, engine_witness):
         self.assert_cases_match(krki_cases, engine_witness)

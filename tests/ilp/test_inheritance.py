@@ -54,11 +54,22 @@ class TestNoResurrection:
         assert fresh.evaluate(engine, child).pos_bits == a.pos_bits
         assert fresh.evaluate(engine, child).neg_bits == a.neg_bits
         assert fresh.evaluate(engine, gchild).pos_bits == b.pos_bits
-        assert inh.inherited_evals() == 2
         # ... and equals the reference: mask-less scans of the full lists
         for rule, stats in ((child, a), (gchild, b)):
             assert coverage_eval(engine, rule, ds.pos)[0] == stats.pos_bits
             assert coverage_eval(engine, rule, ds.neg)[0] == stats.neg_bits
+        # ... at a lower cost where the parent misses examples (every train
+        # has a closed car, so the lineage above prunes nothing; short cars
+        # leave three negatives out).
+        short = parse_clause("eastbound(A) :- has_car(A, B), short(B).")
+        short_closed = parse_clause("eastbound(A) :- has_car(A, B), short(B), closed(B).")
+        inh.evaluate(engine, short)
+        ops = engine.total_ops
+        inherited = inh.evaluate(engine, short_closed, parent=short)
+        inherited_ops = engine.total_ops - ops
+        from_scratch = fresh.evaluate(engine, short_closed)
+        assert inherited == from_scratch
+        assert inherited_ops < engine.total_ops - ops - inherited_ops
 
     def test_pruned_examples_never_retested(self, ds, engine, monkeypatch):
         """The narrowed evaluation literally never touches an example

@@ -37,6 +37,13 @@ class TestParseMode:
         with pytest.raises(ValueError):
             parse_mode("modeb(1, nullary)")
 
+    @pytest.mark.parametrize("recall", ["0", "-1"])
+    def test_recall_below_one_rejected(self, recall):
+        """Recall bounds the answers per input binding; ``ILPConfig``
+        refuses a default recall below 1 and so does a mode."""
+        with pytest.raises(ValueError, match="recall"):
+            parse_mode(f"modeb({recall}, p(-t))")
+
     def test_str_roundtrip(self):
         m = parse_mode("modeb(2, bond(+mol, -atom, #elem))")
         assert str(m) == "modeb(2, bond(+mol, -atom, #elem))"

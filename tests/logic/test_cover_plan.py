@@ -234,18 +234,6 @@ def test_ineligible_clause_compiles_to_no_plan_and_is_still_answered(program_kb,
     assert got[0], "every ineligible case here covers something"
 
 
-@pytest.mark.parametrize(
-    "kwargs", [dict(kernel="legacy"), dict(machine="recursive"), dict(index="first")], ids=str
-)
-def test_only_the_default_engine_takes_plans(program_kb, kwargs):
-    rule = parse_clause("t(X) :- e(X, Y), f(Y).")
-    examples = [parse_term(f"t(c{i})") for i in range(1, 6)]
-    assert compile_plan(Engine(program_kb), rule) is not None
-    other = Engine(program_kb, **kwargs)
-    assert compile_plan(other, rule) is None
-    assert coverage_eval(other, rule, examples)[0] == coverage_eval(Engine(program_kb), rule, examples)[0] == 0b01010
-
-
 def test_a_plan_reads_the_live_indexes(program_kb):
     """Facts added after compilation are seen: a plan holds the store's own
     index dicts, which ``FactStore.add`` updates in place."""

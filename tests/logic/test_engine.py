@@ -32,6 +32,14 @@ class TestFacts:
         e = make_engine("p(a). p(b). p(c).")
         assert len(list(e.solve(parse_term("p(X)"), limit=2))) == 2
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_yields_nothing(self, limit):
+        e = make_engine("p(a). p(b). p(c).")
+        assert list(e.solve(parse_term("p(X)"), limit=limit)) == []
+        assert (e.total_ops, e.last_exhausted) == (0, False)
+        assert [str(s) for s in e.solve(parse_term("p(X)"), limit=1)] == ["p(a)"]
+        assert e.total_ops == 1
+
     def test_conjunction(self):
         e = make_engine("p(a). p(b). q(b).")
         sols = list(e.solve(parse_term("p(X), q(X)")))
@@ -146,7 +154,7 @@ class TestResourceBounds:
     def test_ops_budget_fails_query(self):
         e = make_engine(" ".join(f"p({i})." for i in range(100)), max_depth=5, max_ops=10)
         # counting all solutions needs > 10 ops
-        n = e.count_solutions(parse_term("p(X)"))
+        n = len(set(e.solve(parse_term("p(X)"))))
         assert e.last_exhausted
         assert n < 100
 
@@ -168,7 +176,7 @@ class TestSolutions:
     def test_count_distinct(self):
         e = make_engine("p(a). p(a). q(a). q(b).")
         # p(a) stored once (dedup); join yields distinct instances
-        assert e.count_solutions(parse_term("q(X)")) == 2
+        assert len(set(e.solve(parse_term("q(X)")))) == 2
 
     def test_multi_goal_solutions_are_tuples(self):
         e = make_engine("p(a). q(a).")

@@ -14,30 +14,25 @@ with its memo table off and on:
 * ``runs`` — theory, epochs, uncovered and epoch log of every
   ``test_coverage_kernel_parity.RUNS`` learner run.
 
-It was written, with the recursive interpreter still in the tree, by
+It was written at commit 374c001 — the last one with the recursive
+interpreter in the tree, whose version of this module had the writer — by
 
-    PYTHONPATH=src python tests/logic/test_engine_witness.py > tests/data/engine_witness.json
+    git checkout 374c001 && PYTHONPATH=src python tests/logic/test_engine_witness.py > tests/data/engine_witness.json
 
 Same rules as ``docs/golden-runs.md``: the ``recursive`` rows are never
 regenerated; a change that means to move one of the other rows says so.
 """
 
-import json
-import pathlib
-import subprocess
-import sys
-
 import pytest
 from naive_sld import Prover
-from test_engine_machine import ENGINES, EXHAUSTION, PROGRAM_BATTERY, QUERIES, show, witness_row
+from test_engine_machine import EXHAUSTION, PROGRAM_BATTERY, QUERIES, show
 
-from repro.logic.engine import Engine
 from repro.logic.parser import parse_program, parse_term
 
 
 def test_witness_names_the_commit_that_wrote_it(engine_witness):
     provenance = engine_witness.provenance
-    assert set(provenance) == {"commit", "command"}
+    assert provenance["commit"].startswith("e48a2c9")
     assert provenance["command"].endswith("> tests/data/engine_witness.json")
 
 
@@ -64,44 +59,3 @@ def test_recorded_recursive_answers_are_the_oracles(query, engine_witness):
     sols, _, exhausted = engine_witness.battery[query]["recursive"]
     assert not exhausted
     assert sols == [show(s) for s in oracle.solutions(parse_term(query))]
-
-
-if __name__ == "__main__":
-    import importlib.util
-
-    from repro.ilp.coverage import coverage_eval
-
-    tests = pathlib.Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(tests / "ilp"))
-    import test_coverage_kernel_parity as parity
-
-    # The suite conftest's run record (tests/logic has a conftest of its own).
-    spec = importlib.util.spec_from_file_location("suite_conftest", tests / "conftest.py")
-    suite = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(suite)
-
-    assert list(ENGINES) == ["recursive", "memo_off", "memo_on"]
-    bitsets = {}
-    for cases in parity.BITSET_CASES:
-        kb, rows = cases()
-        engine = Engine(kb, parity.BITSET_BUDGET, kernel="legacy")
-        for key, rule, examples in rows:
-            bitsets[key] = list(coverage_eval(engine, rule, examples))
-    doc = {
-        "provenance": {
-            "commit": subprocess.check_output(["git", "rev-parse", "HEAD"], text=True).strip(),
-            "command": "PYTHONPATH=src python tests/logic/test_engine_witness.py > tests/data/engine_witness.json",
-        },
-        "battery": {q: witness_row(q) for q in QUERIES},
-        "exhaustion": {q: witness_row(q, *EXHAUSTION[q]) for q in EXHAUSTION},
-        "bitsets": bitsets,
-        "runs": {key: suite.GoldenRuns.record(parity.run(key, "legacy")) for key in parity.RUNS},
-    }
-    # One line per row, as in golden_runs.json: diffs stay readable.
-    out = ["{"]
-    for i, (section, body) in enumerate(doc.items()):
-        out.append(f" {json.dumps(section)}: {{")
-        out.append(",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in body.items()))
-        out.append(" }" + ("," if i < len(doc) - 1 else ""))
-    out.append("}")
-    sys.stdout.write("\n".join(out) + "\n")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.logic.knowledge import FactStore, KnowledgeBase
 from repro.logic.parser import parse_clause
-from repro.logic.terms import atom
+from repro.logic.terms import Const, Var, atom
 
 
 class TestFactStore:
@@ -19,13 +19,13 @@ class TestFactStore:
         fs.add(atom("p", "a", 1))
         fs.add(atom("p", "a", 2))
         fs.add(atom("p", "b", 3))
-        assert len(fs.candidates(atom("p", "a", "X"))) == 2
-        assert len(fs.candidates(atom("p", "X", "Y"))) == 3
+        assert len(fs.candidates_bound([Const("a"), Var("X")], [0])) == 2
+        assert len(fs.candidates_bound([Var("X"), Var("Y")], [])) == 3
 
     def test_candidates_unknown_key_empty(self):
         fs = FactStore(("p", 1))
         fs.add(atom("p", "a"))
-        assert fs.candidates(atom("p", "zzz")) == []
+        assert fs.candidates_bound([Const("zzz")], [0]) == []
 
     def test_contains(self):
         fs = FactStore(("p", 1))

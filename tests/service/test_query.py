@@ -5,12 +5,11 @@ import pytest
 from repro.ilp import predicts
 from repro.ilp.coverage import coverage_eval
 from repro.logic import parse_term
-from repro.logic.engine import Engine
 from repro.service import QueryEngine
 
 
 def fresh_engine(ds):
-    return Engine(ds.kb, ds.config.engine_budget(), kernel=ds.config.coverage_kernel)
+    return ds.config.make_engine(ds.kb)
 
 
 @pytest.fixture

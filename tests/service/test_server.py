@@ -10,7 +10,6 @@ import threading
 import pytest
 
 from repro.ilp.coverage import coverage_eval
-from repro.logic.engine import Engine
 from repro.service import JobSpec, Service, ServiceClient, serve
 
 
@@ -345,9 +344,7 @@ class TestAcceptance:
             if not line.startswith("%")
         )
         expected_bits = 0
-        engine = Engine(
-            trains.kb, trains.config.engine_budget(), kernel=trains.config.coverage_kernel
-        )
+        engine = trains.config.make_engine(trains.kb)
         for clause in parse_program(text):
             bits, _ = coverage_eval(engine, clause, examples_t)
             expected_bits |= bits

@@ -25,7 +25,7 @@ class TestEngineEdges:
     def test_empty_kb_queries(self):
         e = Engine(KnowledgeBase())
         assert not e.prove(parse_term("anything(X)"))
-        assert e.count_solutions(parse_term("whatever(a, b)")) == 0
+        assert len(set(e.solve(parse_term("whatever(a, b)")))) == 0
 
     def test_zero_arity_goal(self):
         kb = KnowledgeBase()
