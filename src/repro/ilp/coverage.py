@@ -23,10 +23,10 @@ out* is not proven uncovered, so :func:`coverage_eval` also returns an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.logic.clause import Clause
-from repro.logic.cover_plan import COVERED, EXHAUSTED, CoverPlan, compile_plan
+from repro.logic.cover_plan import COVERED, EXHAUSTED, compile_plan
 from repro.logic.engine import Engine
 from repro.logic.terms import Struct, Term
 from repro.logic.unify import match, resolve, unify
@@ -95,11 +95,19 @@ def coverage_eval(
     ``covered | exhausted`` mask.  The returned bitsets are always over the
     full example list.
 
-    A flat clause over ground facts runs as a slot plan
+    A flat clause over ground facts runs as a compiled plan
     (:mod:`repro.logic.cover_plan`), anything else on the SLD machine; the
-    two agree in bitsets, op charges and ``engine.last_exhausted``.
+    two agree in bitsets, op charges and ``engine.last_exhausted``.  The
+    engine keeps each clause's plan until its KB changes.
     """
-    plan = compile_plan(engine, rule)
+    plans = engine._plans
+    version = engine.kb.version
+    entry = plans.get(rule)
+    if entry is None or entry[0] != version:
+        if len(plans) > 1024:
+            plans.clear()
+        entry = plans[rule] = (version, compile_plan(engine, rule))
+    plan = entry[1]
     if plan is None:
         return _machine_loop(engine, rule, examples, candidates)
     return _plan_loop(engine, plan, rule, examples, candidates)
@@ -139,13 +147,12 @@ def _machine_loop(
 
 
 def _plan_loop(
-    engine: Engine, plan: CoverPlan, rule: Clause, examples: Sequence[Term], candidates: Optional[int]
+    engine: Engine, plan: Callable, rule: Clause, examples: Sequence[Term], candidates: Optional[int]
 ) -> tuple[int, int]:
     """:func:`coverage_eval` through a compiled plan.  A plan assumes ground
     examples; the odd one that is not goes to the machine by itself."""
     bits = 0
     exh = 0
-    run = plan.run
     for i in _tested(examples, candidates):
         example = examples[i]
         if type(example) is not Struct or not example.ground:
@@ -153,7 +160,7 @@ def _plan_loop(
             bits |= b
             exh |= e
             continue
-        outcome = run(engine, example)
+        outcome = plan(engine, example)
         if outcome == COVERED:
             bits |= 1 << i
         elif outcome == EXHAUSTED:

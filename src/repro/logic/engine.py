@@ -19,8 +19,8 @@ The engine treats negation-as-failure (``\\+``/``not``) soundly for ground
 sub-goals (the only use ILP coverage makes of it).
 
 Coverage of a *flat* clause over ground facts does not come through here:
-:mod:`repro.logic.cover_plan` runs it as a slot plan that charges this
-engine op for op what the machine below would have.
+:mod:`repro.logic.cover_plan` runs it as compiled nested loops that charge
+this engine op for op what the machine below would have.
 
 The resolution machine is an explicit goal-stack/choice-point loop.
 Continuations are shared cons cells, choice points are flat list frames,
@@ -130,8 +130,18 @@ class Engine:
         # builtins.  Cleared with the memo when the KB version moves.
         self._preds: dict[tuple, tuple] = {}
         self._kb_version = kb.version
+        # clause -> (kb.version, compiled coverage plan | None), kept by
+        # ``repro.ilp.coverage.coverage_eval``.
+        self._plans: dict = {}
         self.memo_hits = 0
         self.memo_misses = 0
+
+    def __getstate__(self) -> dict:
+        # Compiled plans are closures, which do not pickle; the copy
+        # recompiles them on first use.
+        state = self.__dict__.copy()
+        state["_plans"] = {}
+        return state
 
     # -- public query API ----------------------------------------------------
     def solve(self, goals: Term | Sequence[Term], limit: Optional[int] = None) -> Iterator[Term | tuple]:

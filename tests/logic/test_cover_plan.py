@@ -14,14 +14,23 @@ Two generated-case properties and the fixed cases around them:
   programs that also have rule-defined and negated literals — the first
   half of ROADMAP item 3.
 
+A third property feeds the compiler hostile constants and predicate names
+(quotes, newlines, ``__import__('os')``, non-ASCII, ints, floats): the
+loops still agree, and every generated source is integers and fixed
+identifiers only.
+
 Clauses outside the eligible class must compile to "no plan" and still be
-answered by ``coverage_eval``.  The CI ``tests`` job re-runs this module
+answered by ``coverage_eval``; the plan kept on an engine follows its KB
+and is shared per shape.  The CI ``tests`` job re-runs this module
 under the ``cover-plan-ci`` profile (``conftest.py``) with a random seed;
 a shrunk failure is committed as a ``.pl`` fixture under ``tests/data``.
 """
 
 import itertools
 import pathlib
+import pickle
+import re
+import threading
 
 import pytest
 
@@ -34,6 +43,7 @@ from naive_sld import Prover
 from repro.ilp.config import ILPConfig
 from repro.ilp.coverage import _machine_loop, _plan_loop, coverage_eval
 from repro.ilp.store import ExampleStore
+from repro.logic import cover_plan
 from repro.logic.clause import Clause, Theory
 from repro.logic.cover_plan import compile_plan
 from repro.logic.engine import Engine, QueryBudget
@@ -47,47 +57,52 @@ BUDGETS = (1, 2, 3, 5, 8, 13, 50, 200_000)
 DOMAIN = [Const(f"c{i}") for i in range(5)]
 VARS = [Var(n) for n in "ABCD"]
 
-constants = st.sampled_from(DOMAIN)
-#: clause arguments: mostly variables, so that bodies join and heads match
-arguments = st.sampled_from(VARS * 3 + DOMAIN)
+#: constants and predicate names that must never reach generated source
+HOSTILE = [Const(v) for v in ("'", '"', "a\nb", "__import__('os')", "é", "日本", "s0", 1, 2.5, -3)]
+HOSTILE_NAMES = ["p'0", 'p"1', "p\n2", "__import__('os')", "ñ"]
+
+
+def arguments(domain):
+    """Clause arguments: mostly variables, so that bodies join and heads match."""
+    return st.sampled_from(VARS * 3 + domain)
 
 
 @st.composite
-def fact_kbs(draw):
+def fact_kbs(draw, domain=DOMAIN, names=None):
     """2-5 predicates of arity 1-3 over a five-constant domain; the last
     one has no facts.  Returns ``(signature, facts)``."""
     arities = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
-    signature = [(f"p{i}", n) for i, n in enumerate(arities)]
+    signature = [(names[i % len(names)] + str(i) if names else f"p{i}", n) for i, n in enumerate(arities)]
     facts = []
     for name, n in signature[:-1]:
-        rows = draw(st.lists(st.tuples(*[constants] * n), min_size=3, max_size=12))
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(domain)] * n), min_size=3, max_size=12))
         facts.extend(Struct(name, row) for row in rows)
     return signature, facts
 
 
-def literals(signature):
+def literals(signature, domain=DOMAIN):
     return st.sampled_from(signature).flatmap(
-        lambda sig: st.tuples(*[arguments] * sig[1]).map(lambda args: Struct(sig[0], args))
+        lambda sig: st.tuples(*[arguments(domain)] * sig[1]).map(lambda args: Struct(sig[0], args))
     )
 
 
 @st.composite
-def flat_problems(draw, max_body=4, ground_only=False):
+def flat_problems(draw, max_body=4, ground_only=False, domain=DOMAIN, names=None):
     """A fact KB, a flat clause for ``t/n`` (head constants, repeated head
     variables, variables repeated inside one literal, body variables the
     head does not have, empty bodies, a predicate nobody defined) and a list
     of examples — mostly ``t/n`` over the domain, now and then another
     functor, another arity or (unless ``ground_only``) a variable."""
-    signature, facts = draw(fact_kbs())
+    signature, facts = draw(fact_kbs(domain, names))
     n = draw(st.integers(1, 3))
-    head = Struct("t", draw(st.tuples(*[arguments] * n)))
+    head = Struct("t", draw(st.tuples(*[arguments(domain)] * n)))
     size = draw(st.integers(0, max_body))  # drawn first: st.lists alone is empty half the time
-    literal = literals(signature[:-1] * 3 + [signature[-1], ("undefined", 2)])
+    literal = literals(signature[:-1] * 3 + [signature[-1], ("undefined", 2)], domain)
     body = draw(st.lists(literal, min_size=size, max_size=size))
-    odd = [Struct("u", (DOMAIN[0],)), Struct("t", tuple(DOMAIN[:4])), DOMAIN[1]]
+    odd = [Struct("u", (domain[0],)), Struct("t", tuple(domain[:4])), domain[1]]
     if not ground_only:
         odd += [Struct("t", (VARS[0],) * n), VARS[1]]
-    matching = st.tuples(*[constants] * n).map(lambda args: Struct("t", args))
+    matching = st.tuples(*[st.sampled_from(domain)] * n).map(lambda args: Struct("t", args))
     examples = draw(st.lists(st.one_of(matching, matching, matching, st.sampled_from(odd)), min_size=1, max_size=8))
     return facts, Clause(head, body), examples
 
@@ -134,6 +149,34 @@ def test_plan_loop_equals_machine_loop(problem, candidates, stale_exhausted):
     event(f"some example covered={any(bits for bits, _ in seen)}")
 
 
+#: every name a generated plan may use: fixed identifiers, ``s<slot>``
+#: and ``c<step>``; and every character its source may contain
+IDENTIFIERS = set(
+    "def factory ind run engine example if indicator return a args budget max_ops "
+    "ops for f in get g continue not total_ops last_exhausted True False".split()
+)
+SOURCE_CHARS = re.compile(r"[A-Za-z0-9_ \n(),.:=!+>\[\]]*", re.ASCII)
+
+
+def assert_sources_safe():
+    for shape in list(cover_plan._FACTORIES):
+        source = cover_plan._source(shape)
+        assert SOURCE_CHARS.fullmatch(source), source
+        names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source))
+        assert all(n in IDENTIFIERS or re.fullmatch(r"[sc][0-9]+", n) for n in names), names - IDENTIFIERS
+
+
+@given(
+    flat_problems(domain=HOSTILE, names=HOSTILE_NAMES),
+    st.one_of(st.none(), st.integers(0, (1 << 10) - 1)),
+)
+@settings(deadline=None)
+def test_hostile_constants_never_reach_generated_source(problem, candidates):
+    facts, rule, examples = problem
+    assert_loops_agree(make_kb(facts), rule, examples, candidates)
+    assert_sources_safe()
+
+
 def witness_cases():
     kb, rules = KnowledgeBase(), []
     for clause in parse_program((DATA / "cover_plan_cases.pl").read_text()):
@@ -176,7 +219,7 @@ def test_every_evaluator_agrees_with_the_naive_oracle(problem, data):
         name, n = data.draw(st.sampled_from(defined))
         r_body = data.draw(st.lists(literals(defined), min_size=1, max_size=2))
         rules.append(Clause(Struct("r", tuple(VARS[:n])), [Struct(name, tuple(VARS[:n]))] + r_body))
-        rule = Clause(rule.head, rule.body + (Struct("r", data.draw(st.tuples(*[arguments] * n))),))
+        rule = Clause(rule.head, rule.body + (Struct("r", data.draw(st.tuples(*[arguments(DOMAIN)] * n))),))
     if rule.body and data.draw(st.booleans(), label="negate last literal"):
         rule = Clause(rule.head, rule.body[:-1] + (Struct("\\+", (rule.body[-1],)),))
     kb = make_kb(facts, rules)
@@ -196,6 +239,12 @@ def test_every_evaluator_agrees_with_the_naive_oracle(problem, data):
     assert prepared.query(examples).covered == want
 
 
+#: a chain of ``e/2`` literals, each scanning its bucket: one loop apiece
+def chain(n):
+    body = ", ".join(f"e(Y{k}, Y{k + 1})" for k in range(n))
+    return f"t(Y0) :- {body}."
+
+
 INELIGIBLE = {
     "builtin": "t(X) :- size(X, N), N > 2.",
     "negation": "t(X) :- e(X, Y), \\+ f(Y).",
@@ -204,6 +253,7 @@ INELIGIBLE = {
     "nested struct in the head": "t(box(X)) :- f(X).",
     "0-arity goal": "t(X) :- f(X), raining.",
     "0-arity head": "go :- f(c3).",
+    "more nested loops than Python compiles": chain(cover_plan._MAX_LOOPS + 1),
 }
 
 PROGRAM = """
@@ -214,6 +264,7 @@ PROGRAM = """
     linked(X, Y) :- e(X, Y).
     linked(X, Z) :- e(X, Y), linked(Y, Z).
 """
+EXAMPLES = [parse_term(f"t(c{i})") for i in range(1, 6)]
 
 
 @pytest.fixture
@@ -226,7 +277,7 @@ def program_kb():
 @pytest.mark.parametrize("why", INELIGIBLE)
 def test_ineligible_clause_compiles_to_no_plan_and_is_still_answered(program_kb, why):
     rule = parse_clause(INELIGIBLE[why])
-    examples = [parse_term(f"t(c{i})") for i in range(1, 6)] + [parse_term("go"), parse_term("t(box(c3))")]
+    examples = EXAMPLES + [parse_term("go"), parse_term("t(box(c3))")]
     engine = Engine(program_kb, QueryBudget(max_depth=8, max_ops=10_000))
     assert compile_plan(engine, rule) is None
     got = coverage_eval(engine, rule, examples)
@@ -234,22 +285,93 @@ def test_ineligible_clause_compiles_to_no_plan_and_is_still_answered(program_kb,
     assert got[0], "every ineligible case here covers something"
 
 
+def test_as_many_nested_loops_as_python_compiles_is_a_plan(program_kb):
+    rule = parse_clause(chain(cover_plan._MAX_LOOPS))
+    assert compile_plan(Engine(program_kb), rule) is not None
+    assert assert_loops_agree(program_kb, rule, EXAMPLES, None) >= {(True, False)}
+
+
 def test_a_plan_reads_the_live_indexes(program_kb):
-    """Facts added after compilation are seen: a plan holds the store's own
-    index dicts, which ``FactStore.add`` updates in place."""
+    """Through ``coverage_eval`` on one engine: the plan is kept across
+    calls, and a fact added after the first call is seen — the plan holds
+    the store's own index dicts, which ``FactStore.add`` updates in place."""
     engine = Engine(program_kb)
     rule = parse_clause("t(X) :- e(X, Y), f(Y).")
-    plan = compile_plan(engine, rule)
     examples = [parse_term("t(c1)")]
-    assert _plan_loop(engine, plan, rule, examples, None) == (0, 0)
+    assert coverage_eval(engine, rule, examples) == (0, 0)
+    plan = engine._plans[rule][1]
+    assert coverage_eval(engine, rule, examples) == (0, 0)
+    assert engine._plans[rule][1] is plan
     program_kb.add_fact(parse_term("f(c2)"))
+    assert coverage_eval(engine, rule, examples) == (1, 0)
     assert _plan_loop(engine, plan, rule, examples, None) == (1, 0)
 
 
 def test_a_rule_added_later_makes_the_clause_ineligible(program_kb):
+    """Through ``coverage_eval`` on one engine: a rule for a body predicate
+    sends the kept clause to the machine."""
     engine = Engine(program_kb)
     rule = parse_clause("t(X) :- e(X, Y), f(Y).")
-    assert compile_plan(engine, rule) is not None
+    examples = [parse_term("t(c1)")]
+    assert coverage_eval(engine, rule, examples) == (0, 0)
+    assert engine._plans[rule][1] is not None
     program_kb.add_clause(parse_clause("f(X) :- size(X, 1)."))
-    assert compile_plan(engine, rule) is None
-    assert coverage_eval(engine, rule, [parse_term("t(c1)")]) == (1, 0)
+    assert coverage_eval(engine, rule, examples) == (1, 0)
+    assert engine._plans[rule] == (program_kb.version, None)
+
+
+def test_clauses_differing_only_in_constants_share_one_factory(program_kb):
+    engine = Engine(program_kb)
+    rules = [parse_clause(f"t(X) :- e(X, Y), size(Y, {n}).") for n in (1, 5)]
+    for rule in rules:
+        assert coverage_eval(engine, rule, EXAMPLES) == _machine_loop(Engine(program_kb), rule, EXAMPLES, None)
+    first, second = (engine._plans[rule][1] for rule in rules)
+    assert first is not second and first.__code__ is second.__code__
+
+
+def test_threads_building_one_new_shape_publish_one_factory(program_kb, monkeypatch):
+    """Both threads find the shape missing and compile it; ``setdefault``
+    hands both the factory that was published first."""
+    monkeypatch.setattr(cover_plan, "_FACTORIES", {})
+    arrived = threading.Barrier(2, timeout=30)
+    build = cover_plan._build
+    built = []
+
+    def build_together(shape):
+        factory = build(shape)
+        built.append(factory)
+        arrived.wait()
+        return factory
+
+    monkeypatch.setattr(cover_plan, "_build", build_together)
+    rule = parse_clause("t(X) :- e(X, Y), e(Y, Z), f(Z).")
+    engines = [Engine(program_kb), Engine(program_kb)]
+    answers = [None, None]
+
+    def evaluate(i):
+        answers[i] = coverage_eval(engines[i], rule, EXAMPLES)
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 2 and len(cover_plan._FACTORIES) == 1
+    first, second = (engine._plans[rule][1] for engine in engines)
+    assert first.__code__ is second.__code__
+    assert answers[0] == answers[1] == _machine_loop(Engine(program_kb), rule, EXAMPLES, None)
+
+
+def test_an_engine_pickles_without_its_plans(program_kb):
+    """A ``spawn`` worker pickles its engine: the copy drops the compiled
+    plans (closures) and recompiles them to the same answers and charges."""
+    engine = Engine(program_kb, QueryBudget(max_depth=8, max_ops=3))
+    rule = parse_clause("t(X) :- e(X, Y), e(Y, Z), e(Z, W), f(W).")
+    first = coverage_eval(engine, rule, EXAMPLES)
+    assert first[1], "the budget binds on some example"
+    assert engine._plans[rule][1] is not None
+    copy = pickle.loads(pickle.dumps(engine))
+    assert copy._plans == {} and copy.total_ops == engine.total_ops
+    assert coverage_eval(copy, rule, EXAMPLES) == coverage_eval(engine, rule, EXAMPLES) == first
+    assert copy.total_ops == engine.total_ops and copy.last_exhausted == engine.last_exhausted
