@@ -16,7 +16,21 @@ declarations need:
 * clauses terminated by ``.``.
 
 The grammar is intentionally small; anything outside it raises
-:class:`ParseError` with a line/column position.
+:class:`ParseError` with a line/column position, and so does a term
+nested deeper than 200 levels (``_MAX_DEPTH``), before Python's own
+recursion limit could refuse it.
+
+**The flat-atom reader.**  :func:`parse_term` first tries one compiled
+``fullmatch`` for a *flat ground atom* — ``name(a1, ..., an)`` with
+n ≥ 1, each ``ai`` a single name, integer or float token (no sign), and
+whitespace wherever the tokenizer skips it.  Its pattern is assembled
+from the tokenizer's own token sub-patterns.  A match builds the
+constants and the struct directly and returns the **same object** the
+general reader returns for that text (ground terms are interned).
+Anything else — variables, ``_``, quoted atoms, negative numbers,
+operators, lists, nesting, comments, ``f()`` and every error — goes to
+the general reader unchanged, so the two can never disagree on an error.
+Every example of the shipped datasets is a flat ground atom.
 """
 
 from __future__ import annotations
@@ -43,17 +57,32 @@ _PUNCT_TOKENS = [
 ]
 _PUNCT_ALT = "|".join(re.escape(t) for t in sorted(_PUNCT_TOKENS, key=len, reverse=True))
 
+# The sub-patterns the flat-atom reader shares with the tokenizer.
+_FLOAT = r"\d+\.\d+(?:[eE][+-]?\d+)?"
+_INT = r"\d+"
+_NAME = r"[a-z][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<line_comment>%[^\n]*)"
     r"|(?P<block_comment>/\*.*?\*/)"
-    r"|(?P<float>\d+\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<int>\d+)"
+    rf"|(?P<float>{_FLOAT})"
+    rf"|(?P<int>{_INT})"
     r"|(?P<qatom>'(?:[^'\\]|\\.)*')"
-    r"|(?P<name>[a-z][A-Za-z0-9_]*)"
+    rf"|(?P<name>{_NAME})"
     r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
     r"|(?P<punct>" + _PUNCT_ALT + ")",
     re.DOTALL,
+)
+
+# A flat ground atom ``name(a1, ..., an)``: each argument one name, int or
+# float token, whitespace wherever the tokenizer skips it.  Groups: the
+# functor, the first argument, and the ``, a2, ...`` rest (empty for one
+# argument).  Every repetition starts with a literal ``,`` and no two
+# ``\s*`` touch, so a near miss fails after one backtracking pass.
+_ARG = f"(?:{_FLOAT}|{_INT}|{_NAME})"
+_FLAT_ATOM_RE = re.compile(
+    rf"\s*({_NAME})\s*\(\s*({_ARG})\s*((?:,\s*{_ARG}\s*)*)\)\s*"
 )
 
 
@@ -112,12 +141,18 @@ _PREFIX = {
 
 _NIL = Const("[]")
 
+# Nesting cap of the general reader (operands, arguments, list items and
+# right-hand sides of xfy chains all count).  Each level costs at most three
+# Python frames, so the cap stays well inside the default recursion limit.
+_MAX_DEPTH = 200
+
 
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------------
     def peek(self) -> _Tok:
@@ -141,6 +176,11 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------------
     def parse_term(self, max_prec: int = 1200) -> Term:
+        # Every recursion of the reader passes here: refuse deep input with
+        # a ParseError before Python's stack refuses it with RecursionError.
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.err(f"term nested deeper than {_MAX_DEPTH} levels")
         left = self.parse_primary(max_prec)
         while True:
             t = self.peek()
@@ -157,6 +197,7 @@ class _Parser:
                 left = Struct(op, (left, right))
             else:
                 break
+        self.depth -= 1
         return left
 
     def parse_primary(self, max_prec: int) -> Term:
@@ -266,7 +307,30 @@ def _flatten_conj(term: Term) -> tuple[Term, ...]:
 
 
 def parse_term(src: str) -> Term:
-    """Parse a single term. ``parse_term("p(X, a)")``"""
+    """Parse a single term. ``parse_term("p(X, a)")``
+
+    A flat ground atom is read by one pattern match; it returns the same
+    (interned) object the general reader would.
+    """
+    m = _FLAT_ATOM_RE.fullmatch(src)
+    if m is None:
+        return _read_term(src)
+    functor, first, rest = m.groups()
+    if not rest:
+        return Struct(functor, (_flat_const(first),))
+    others = (_flat_const(a.strip()) for a in rest.split(",")[1:])
+    return Struct(functor, (_flat_const(first), *others))
+
+
+def _flat_const(text: str) -> Const:
+    """The constant of one name, int or float token of a flat atom."""
+    if "a" <= text[0] <= "z":
+        return Const(text)
+    return Const(float(text) if "." in text else int(text))
+
+
+def _read_term(src: str) -> Term:
+    """The general reader behind :func:`parse_term`."""
     p = _Parser(src)
     t = p.parse_term(1200)
     if not p.at_eof():

@@ -75,7 +75,7 @@ from typing import Callable, Optional
 
 from repro.fault.service import ServiceFaultInjector, normalize_service_plan
 from repro.logic import ParseError, parse_term
-from repro.logic.terms import Term
+from repro.logic.terms import Const, Struct, Var
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.parallel import wire
 from repro.util.log import get_logger, log_context
@@ -99,6 +99,10 @@ from repro.service.scheduler import JobScheduler, SchedulerError
 __all__ = ["Service", "ServiceServer", "ClientContext", "serve"]
 
 _log = get_logger("repro.service")
+
+#: the classes of ``Term``: an isinstance check against the ``Union``
+#: itself goes through ``typing`` on every call of the per-example loop.
+_TERMS = (Const, Struct, Var)
 
 
 def stamp_request_id(request: dict) -> str:
@@ -449,10 +453,22 @@ class Service:
 
     def _op_query(self, request: dict, ctx: ClientContext) -> dict:
         items = request["examples"]
+        if not isinstance(items, (list, tuple)):
+            raise BadRequest(
+                f"examples must be a list of strings, got {type(items).__name__}"
+            )
         # Terms in, bitset out: a native wire query arrives parsed and is
         # answered packed; strings are answered with a list of booleans.
-        packed = bool(items) and isinstance(items[0], Term)
-        examples = [e if isinstance(e, Term) else parse_term(e) for e in items]
+        packed = bool(items) and isinstance(items[0], _TERMS)
+        examples = []
+        for i, e in enumerate(items):
+            if isinstance(e, str):
+                e = parse_term(e)
+            elif not isinstance(e, _TERMS):
+                raise BadRequest(
+                    f"examples[{i}] must be a string, got {type(e).__name__}"
+                )
+            examples.append(e)
         emit = ctx.emit if request.get("stream") else None
         result = self.query_result(
             request["theory"],
@@ -929,7 +945,8 @@ class ServiceServer:
             return None
         try:
             return json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack.
             raise BadRequest(f"bad request: {exc}") from None
 
     @staticmethod

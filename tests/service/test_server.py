@@ -101,6 +101,26 @@ class TestServiceHandler:
     def test_query_parse_error_is_contained(self, service):
         resp = service.handle({"op": "query", "theory": "t", "examples": ["(("]})
         assert not resp["ok"]
+        deep = "f(" * 3000 + "a" + ")" * 3000
+        resp = service.handle({"op": "query", "theory": "t", "examples": [deep]})
+        assert resp["code"] == "bad_request" and "nested deeper" in resp["error"]
+
+    def test_query_examples_bare_string(self, service):
+        resp = service.handle({"op": "query", "theory": "t", "examples": "active(m1)"})
+        assert resp["code"] == "bad_request"
+        assert resp["error"] == "examples must be a list of strings, got str"
+
+    def test_query_examples_not_a_list(self, service):
+        resp = service.handle({"op": "query", "theory": "t", "examples": {"e": 1}})
+        assert resp["code"] == "bad_request"
+        assert resp["error"] == "examples must be a list of strings, got dict"
+
+    def test_query_example_not_a_string(self, service):
+        resp = service.handle(
+            {"op": "query", "theory": "t", "examples": ["active(m1)", 7]}
+        )
+        assert resp["code"] == "bad_request"
+        assert resp["error"] == "examples[1] must be a string, got int"
 
 
 class TestSocketTransport:
@@ -156,6 +176,22 @@ class TestSocketTransport:
             fh.flush()
             resp = json.loads(fh.readline())
             assert not resp["ok"] and "bad request" in resp["error"]
+            # Nesting past the JSON decoder's stack, then past the term
+            # reader's: each is answered, and the connection stays up.
+            depth = 100_000
+            fh.write(b'{"op": "ping", "x": ' + b"[" * depth + b"]" * depth + b"}\n")
+            fh.flush()
+            resp = json.loads(fh.readline())
+            assert resp["code"] == "bad_request" and "bad request" in resp["error"]
+            deep = "f(" * 3000 + "a" + ")" * 3000
+            query = {"op": "query", "theory": "t", "examples": [deep]}
+            fh.write(json.dumps(query).encode() + b"\n")
+            fh.flush()
+            resp = json.loads(fh.readline())
+            assert resp["code"] == "bad_request" and "nested deeper" in resp["error"]
+            fh.write(b'{"op": "ping"}\n')
+            fh.flush()
+            assert json.loads(fh.readline())["pong"]
             fh.write(b'{"op": "shutdown"}\n')
             fh.flush()
             fh.readline()
