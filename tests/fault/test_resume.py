@@ -5,6 +5,7 @@ import glob
 import gzip
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -110,9 +111,11 @@ def parent_checkpoint(name: str, tmp_path):
     ``parent_f2ff849_*`` still signed checkpoints with ``repr(config)``
     (version 0), so the files spell out the four config switches retired
     right after that commit; ``parent_f9b17c1_v1_*`` are signed
-    ``ILPConfig.v1`` and spell out the sampled-coverage fields.  They are
-    stored gzip-compressed for that reason alone: a tree-wide grep for
-    retired names should find nothing.
+    ``ILPConfig.v1`` and spell out the sampled-coverage fields;
+    ``parent_9221765_v2_*`` are signed ``ILPConfig.v2`` and spell out the
+    four one-valued learner options.  They are stored gzip-compressed for
+    that reason alone: a tree-wide grep for retired names should find
+    nothing.
     """
     path = tmp_path / name
     path.write_bytes(gzip.decompress((DATA / f"{name}.gz").read_bytes()))
@@ -272,3 +275,62 @@ class TestRetiredSampling:
         on = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=True")
         with pytest.raises(CheckpointError, match="coverage_sampling: saved True, but this"):
             run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state.replace(config_sig=on))
+
+
+V2_MDIE = "parent_9221765_v2_mdie_epoch_0003.ckpt"
+V2_P2MDIE = "parent_9221765_v2_p2mdie_epoch_0002.ckpt"
+
+#: The learner options version 2 signed that every caller ran with one
+#: value, spelled as the v2 checkpoints spell that value ...
+ONE_VALUED = {
+    "heuristic": "'coverage'",
+    "select_seed_randomly": "True",
+    "on_uncoverable": "'skip'",
+    "reorder_body": "False",
+}
+#: ... and a value of each that no caller ran.
+OTHER_VALUES = [
+    ("heuristic", "'laplace'"),
+    ("reorder_body", "True"),
+    ("on_uncoverable", "'memorize'"),
+    ("select_seed_randomly", "False"),
+]
+
+
+def _with_other_value(state, name, value):
+    saved = f"{name}={ONE_VALUED[name]}"
+    assert saved in state.config_sig
+    return state.replace(config_sig=state.config_sig.replace(saved, f"{name}={value}"))
+
+
+class TestRetiredOptions:
+    """Checkpoints signed ``ILPConfig.v2`` at 9221765 (krki 40/40, seed 0:
+    ``mdie`` after epoch 3, ``p2mdie`` p=2 after epoch 2) resume
+    bit-identically; the same checkpoint with any other value of a
+    one-valued option is refused, naming the option."""
+
+    def test_mdie_v2_resumes_bit_identically(self, krki40, tmp_path):
+        state = parent_checkpoint(V2_MDIE, tmp_path)
+        assert state.config_sig.startswith("ILPConfig.v2(max_clause_length=")
+        assert all(f"{n}={v}" in state.config_sig for n, v in ONE_VALUED.items())
+        assert (state.algo, state.epoch) == ("mdie", 3)
+        assert_mdie_resumes(state, krki40)
+
+    def test_p2mdie_v2_resumes_bit_identically(self, krki40, tmp_path):
+        state = parent_checkpoint(V2_P2MDIE, tmp_path)
+        assert state.config_sig.startswith("ILPConfig.v2(max_clause_length=")
+        assert all(f"{n}={v}" in state.config_sig for n, v in ONE_VALUED.items())
+        assert (state.algo, state.epoch, state.n_workers) == ("p2mdie", 2, 2)
+        assert_p2mdie_resumes(state, krki40)
+
+    @pytest.mark.parametrize("name,value", OTHER_VALUES, ids=[n for n, _ in OTHER_VALUES])
+    def test_mdie_other_value_is_refused_by_name(self, name, value, krki40, tmp_path):
+        state = _with_other_value(parent_checkpoint(V2_MDIE, tmp_path), name, value)
+        with pytest.raises(CheckpointError, match=re.escape(f"{name}: saved {value}")):
+            mdie(*run_args(krki40), seed=0, resume=state)
+
+    @pytest.mark.parametrize("name,value", OTHER_VALUES, ids=[n for n, _ in OTHER_VALUES])
+    def test_p2mdie_other_value_is_refused_by_name(self, name, value, krki40, tmp_path):
+        state = _with_other_value(parent_checkpoint(V2_P2MDIE, tmp_path), name, value)
+        with pytest.raises(CheckpointError, match=re.escape(f"{name}: saved {value}")):
+            run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state)
