@@ -74,7 +74,7 @@ class WorkerShard:
     bottom_ready: bool = False
 
 
-def draw_seed(shard: WorkerShard, config) -> Optional[int]:
+def draw_seed(shard: WorkerShard) -> Optional[int]:
     """Draw (and mark tried) the next pipeline seed for one shard.
 
     A shard's pool: prefer alive-and-untried seeds; when every alive seed
@@ -87,7 +87,7 @@ def draw_seed(shard: WorkerShard, config) -> Optional[int]:
     if not candidates and store.alive:
         shard.tried_mask = 0
         candidates = store.alive
-    i = select_seed(candidates, shard.rng, config.select_seed_randomly)
+    i = select_seed(candidates, shard.rng)
     if i is not None:
         shard.tried_mask |= 1 << i
     return i
@@ -108,7 +108,7 @@ def saturate_seed(shard: WorkerShard, engine, modes, config):
     return bottom
 
 
-def rebuild_shard(msg, partition, engine, config, seed: int) -> WorkerShard:
+def rebuild_shard(msg, partition, engine, seed: int) -> WorkerShard:
     """Reconstruct a logical worker from an :class:`AdoptWorker` payload
     (shared data + accepted history).
 
@@ -119,7 +119,7 @@ def rebuild_shard(msg, partition, engine, config, seed: int) -> WorkerShard:
     protocol point (modulo the evaluation cache, which restarts cold —
     a cost, never a semantic difference).
     """
-    store = ExampleStore(partition.pos, partition.neg, reorder_body=config.reorder_body)
+    store = ExampleStore(partition.pos, partition.neg)
     shard = WorkerShard(
         virtual_rank=msg.virtual_rank,
         store=store,
@@ -134,11 +134,11 @@ def rebuild_shard(msg, partition, engine, config, seed: int) -> WorkerShard:
 
     for epoch_rules in msg.completed:
         if msg.draw_seeds:
-            draw_seed(shard, config)
+            draw_seed(shard)
         kill(epoch_rules)
     if msg.draw_seeds and msg.draw_current:
         shard.pending_epoch = msg.epoch
-        shard.pending_seed = draw_seed(shard, config)
+        shard.pending_seed = draw_seed(shard)
         shard.bottom_ready = False
     kill(msg.current)
     return shard

@@ -9,10 +9,9 @@ between the two are attributable to the algorithm, not the implementation.
 from repro.ilp.bottom import BottomClause, BottomLiteral, SaturationError, build_bottom
 from repro.ilp.config import ILPConfig, NO_LIMIT
 from repro.ilp.coverage import CoverageStats, coverage_bitset, covers, popcount
-from repro.ilp.heuristics import HEURISTICS, is_good, score_rule
+from repro.ilp.heuristics import is_good, score_rule
 from repro.ilp.mdie import MDIEResult, mdie
 from repro.ilp.modes import ArgSpec, ModeDecl, ModeSet, parse_mode
-from repro.ilp.prune import drop_redundant_clauses, prune_clause, prune_theory
 from repro.ilp.refinement import SearchRule, refinements, start_rule
 from repro.ilp.search import EvaluatedRule, SearchResult, learn_rule
 from repro.ilp.store import ExampleStore
@@ -29,7 +28,6 @@ __all__ = [
     "coverage_bitset",
     "covers",
     "popcount",
-    "HEURISTICS",
     "is_good",
     "score_rule",
     "MDIEResult",
@@ -38,9 +36,6 @@ __all__ = [
     "ModeDecl",
     "ModeSet",
     "parse_mode",
-    "drop_redundant_clauses",
-    "prune_clause",
-    "prune_theory",
     "SearchRule",
     "refinements",
     "start_rule",

@@ -30,7 +30,7 @@ NO_LIMIT: Optional[int] = None
 #: Format version of :meth:`ILPConfig.signature`.  Bump it when a field
 #: joins or leaves :data:`SIGNATURE_FIELDS`; a field that leaves goes into
 #: :data:`_RETIRED` with the values the current code still reproduces.
-SIGNATURE_VERSION = 2
+SIGNATURE_VERSION = 3
 
 #: The fields a signature spells out, in order: every config field.
 #: Explicit rather than ``dataclasses.fields``: adding a config field must
@@ -45,10 +45,6 @@ SIGNATURE_FIELDS = (
     "min_pos",
     "max_nodes",
     "pipeline_width",
-    "heuristic",
-    "select_seed_randomly",
-    "on_uncoverable",
-    "reorder_body",
     "search_strategy",
     "beam_width",
     "engine_max_depth",
@@ -63,7 +59,11 @@ class ILPConfig:
     optimisations that cannot — coverage inheritance, variant-keyed
     evaluation caches and rule bags, the saturation cache, the wire codec,
     term interning, the SLD machine's memo table and argument indexes — are
-    not configuration and have no switch.  :meth:`signature` is how
+    not configuration and have no switch.  Neither is the rest of the
+    paper's April learner, which has one setting in every run: a random
+    seed draw, the P − N score (:func:`repro.ilp.heuristics.score_rule`),
+    a seed no good rule covers left uncovered, and rule bodies evaluated
+    in the order refinement built them.  :meth:`signature` is how
     checkpoints and registry records name a configuration.
 
     Attributes
@@ -90,23 +90,14 @@ class ILPConfig:
     pipeline_width:
         The paper's ``W``: max rules streamed between pipeline stages
         (``None`` = "nolimit").
-    heuristic:
-        Scoring function name (see :mod:`repro.ilp.heuristics`).
-    select_seed_randomly:
-        Seed-example selection policy; the paper selects randomly.
-    on_uncoverable:
-        What to do with a positive example no good rule covers: ``"skip"``
-        (leave uncovered, the default) or ``"memorize"`` (add the example
-        itself as a unit rule, Progol-style).
-    reorder_body:
-        Apply the selectivity-based body-literal reordering transformation
-        before coverage testing (see :mod:`repro.ilp.reorder`); changes
-        engine operation counts, never semantics.
     search_strategy:
         ``learn_rule`` queue discipline: ``"bfs"`` (the paper's April
         configuration: top-down breadth-first), ``"best_first"``
-        (heuristic-ordered priority queue) or ``"beam"`` (level-synchronous
-        with ``beam_width`` survivors per level).
+        (score-ordered priority queue) or ``"beam"`` (level-synchronous
+        with ``beam_width`` survivors per level).  Sequential MDIE,
+        P²-MDIE and the independent baseline honour it; the
+        coverage-parallel master always searches breadth-first and
+        ignores it (and ``beam_width``).
     beam_width:
         Nodes kept per level under the beam strategy.
     engine_max_depth / engine_max_ops:
@@ -121,10 +112,6 @@ class ILPConfig:
     min_pos: int = 2
     max_nodes: int = 600
     pipeline_width: Optional[int] = 10
-    heuristic: str = "coverage"
-    select_seed_randomly: bool = True
-    on_uncoverable: str = "skip"
-    reorder_body: bool = False
     search_strategy: str = "bfs"
     beam_width: int = 5
     engine_max_depth: int = 8
@@ -147,8 +134,6 @@ class ILPConfig:
             raise ValueError("min_pos must be >= 1")
         if self.pipeline_width is not None and self.pipeline_width < 1:
             raise ValueError("pipeline_width must be >= 1 or None (nolimit)")
-        if self.on_uncoverable not in ("skip", "memorize"):
-            raise ValueError("on_uncoverable must be 'skip' or 'memorize'")
         if self.search_strategy not in ("bfs", "best_first", "beam"):
             raise ValueError("search_strategy must be 'bfs', 'best_first' or 'beam'")
         if self.beam_width < 1:
@@ -195,6 +180,9 @@ _SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v\d+)?\((.*)\)\Z", re.S)
 #: exact evaluation, and with it off its sample parameters never ran.
 #: The coverage kernel, which only version 0 spelled, chose between two
 #: engines held bit-identical in theories, bitsets and epoch logs: any value.
+#: The four learner options last signed by version 2 each had one value in
+#: every shipped run, the one this code still runs: the P − N heuristic,
+#: a random seed draw, uncoverable seeds skipped, bodies not reordered.
 _RETIRED = {
     "coverage_inheritance": ("True", "None"),
     "clause_fingerprints": ("True", "None"),
@@ -205,6 +193,10 @@ _RETIRED = {
     "sample_min": None,
     "sample_delta": None,
     "coverage_kernel": None,
+    "heuristic": ("'coverage'",),
+    "select_seed_randomly": ("True",),
+    "on_uncoverable": ("'skip'",),
+    "reorder_body": ("False",),
 }
 
 

@@ -1,70 +1,20 @@
-"""Rule-quality heuristics and the "good rule" acceptance test.
+"""Rule quality and the "good rule" acceptance test.
 
 The paper's April configuration "evaluates rules using a heuristic that
 relies on the number of positive and negative examples" and orders the
-rule bag "based on their global coverage".  We provide that coverage
-heuristic as the default plus the standard alternatives (compression,
-Laplace, m-estimate) behind one registry so ablations can swap them.
+rule bag "based on their global coverage": P − N.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.ilp.config import ILPConfig
-from repro.logic.clause import Clause
 
-__all__ = ["score_rule", "is_good", "HEURISTICS", "register_heuristic"]
-
-# heuristic(pos, neg, length) -> float; higher is better.
-HEURISTICS: dict[str, Callable[[int, int, int], float]] = {}
+__all__ = ["score_rule", "is_good"]
 
 
-def register_heuristic(name: str):
-    def deco(fn: Callable[[int, int, int], float]):
-        HEURISTICS[name] = fn
-        return fn
-
-    return deco
-
-
-@register_heuristic("coverage")
-def _coverage(pos: int, neg: int, length: int) -> float:
-    """P - N: the paper's global-coverage ordering."""
+def score_rule(pos: int, neg: int) -> float:
+    """P − N: the paper's global-coverage score (higher = better)."""
     return float(pos - neg)
-
-
-@register_heuristic("compression")
-def _compression(pos: int, neg: int, length: int) -> float:
-    """P - N - L + 1: Progol-style compression."""
-    return float(pos - neg - length + 1)
-
-
-@register_heuristic("laplace")
-def _laplace(pos: int, neg: int, length: int) -> float:
-    """(P + 1) / (P + N + 2): Laplace-corrected precision."""
-    return (pos + 1.0) / (pos + neg + 2.0)
-
-
-@register_heuristic("mestimate")
-def _mestimate(pos: int, neg: int, length: int, m: float = 2.0, prior: float = 0.5) -> float:
-    """(P + m*prior) / (P + N + m)."""
-    return (pos + m * prior) / (pos + neg + m)
-
-
-@register_heuristic("precision")
-def _precision(pos: int, neg: int, length: int) -> float:
-    total = pos + neg
-    return pos / total if total else 0.0
-
-
-def score_rule(pos: int, neg: int, length: int, config: ILPConfig) -> float:
-    """Score a rule under the configured heuristic (higher = better)."""
-    try:
-        fn = HEURISTICS[config.heuristic]
-    except KeyError:
-        raise ValueError(f"unknown heuristic {config.heuristic!r}") from None
-    return fn(pos, neg, length)
 
 
 def is_good(pos: int, neg: int, config: ILPConfig) -> bool:

@@ -21,7 +21,7 @@ from repro.ilp.coverage import indices_from_bitset
 from repro.ilp.modes import ModeSet
 from repro.ilp.search import learn_rule
 from repro.ilp.store import ExampleStore
-from repro.logic.clause import Clause, Theory
+from repro.logic.clause import Theory
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Term
 from repro.util.rng import make_rng
@@ -47,9 +47,10 @@ class MDIEResult:
     cache_misses: int = 0
 
 
-def select_seed(candidates_mask: int, rng: random.Random, randomly: bool) -> Optional[int]:
+def select_seed(candidates_mask: int, rng: random.Random) -> Optional[int]:
     """Pick a seed example index from ``candidates_mask`` (None when it is
-    empty): ``rng.choice`` over the set bits, ascending, or the lowest.
+    empty): ``rng.choice`` over the set bits, ascending — the paper's
+    random seed draw.
 
     The one seed draw of every run: the sequential loop, the
     coverage-parallel master, the independent workers' local loops and
@@ -58,7 +59,7 @@ def select_seed(candidates_mask: int, rng: random.Random, randomly: bool) -> Opt
     idxs = list(indices_from_bitset(candidates_mask))
     if not idxs:
         return None
-    return rng.choice(idxs) if randomly else idxs[0]
+    return rng.choice(idxs)
 
 
 def mdie(
@@ -87,7 +88,7 @@ def mdie(
     caches restart cold — but never the learned clauses.)
     """
     engine = config.make_engine(kb)
-    store = ExampleStore(pos, neg, reorder_body=config.reorder_body)
+    store = ExampleStore(pos, neg)
     rng = make_rng(seed, "mdie")
     theory = Theory()
     log: list = []
@@ -150,7 +151,7 @@ def mdie(
     while True:
         if max_epochs is not None and epochs >= max_epochs:
             break
-        i = select_seed(store.alive & ~failed_mask, rng, config.select_seed_randomly)
+        i = select_seed(store.alive & ~failed_mask, rng)
         if i is None:
             break
         example = store.pos[i]
@@ -164,14 +165,8 @@ def mdie(
         epochs += 1
         best = result.best
         if best is None:
-            if config.on_uncoverable == "memorize":
-                unit = Clause(example, ())
-                theory.add(unit)
-                store.kill(1 << i)
-                log.append((example, unit, 1, engine.total_ops - epoch_ops0))
-            else:
-                failed_mask |= 1 << i
-                log.append((example, None, 0, engine.total_ops - epoch_ops0))
+            failed_mask |= 1 << i
+            log.append((example, None, 0, engine.total_ops - epoch_ops0))
             write_checkpoint()
             continue
         rule = best.clause

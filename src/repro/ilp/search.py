@@ -103,7 +103,7 @@ def learn_rule(
         # examples its parent covered (the parent is cached — search
         # always evaluates a node before expanding it).
         stats = store.evaluate(engine, rule.clause, parent=rule.parent)
-        score = score_rule(stats.pos, stats.neg, len(rule.clause.body) + 1, config)
+        score = score_rule(stats.pos, stats.neg)
         if rule.clause.body and is_good(stats.pos, stats.neg, config):
             prev = good.get(rule.clause)
             if prev is None or score > prev.score:

@@ -21,10 +21,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.ilp.coverage import CoverageStats, coverage_eval, popcount
-from repro.ilp.reorder import optimize_clause_order
 from repro.logic.clause import Clause
 from repro.logic.engine import Engine
-from repro.logic.terms import Struct, Term
+from repro.logic.terms import Term
 
 __all__ = ["ExampleStore"]
 
@@ -32,20 +31,13 @@ __all__ = ["ExampleStore"]
 class ExampleStore:
     """Positive/negative examples plus a coverage-evaluation cache.
 
-    ``reorder_body=True`` evaluates a selectivity-reordered variant of
-    each rule (see :mod:`repro.ilp.reorder`) while caching under the
-    original clause — a pure engine-cost optimisation.
+    Rules are evaluated with their bodies in the order refinement built
+    them, and cached under their order-preserving variant key.
     """
 
-    def __init__(
-        self,
-        pos: Sequence[Term],
-        neg: Sequence[Term],
-        reorder_body: bool = False,
-    ):
+    def __init__(self, pos: Sequence[Term], neg: Sequence[Term]):
         self.pos: list[Term] = list(pos)
         self.neg: list[Term] = list(neg)
-        self.reorder_body = reorder_body
         #: bitmask over ``self.pos``: bit i set ⇔ example i still uncovered.
         self.alive: int = (1 << len(self.pos)) - 1
         # variant key -> (pos_bits, neg_bits, pos_exhausted, neg_exhausted,
@@ -61,9 +53,6 @@ class ExampleStore:
         # entries stay valid; if liveness is ever restored (the independent
         # baseline does), evaluation tops the entry up over the difference.
         self._cache: dict[str, tuple[int, int, int, int, int]] = {}
-        # clause -> its reordered evaluation form (survives clear_cache:
-        # the reordering depends only on the KB, not on coverage state).
-        self._reorder_cache: dict[Clause, Clause] = {}
         self._hits = 0
         self._misses = 0
 
@@ -122,15 +111,13 @@ class ExampleStore:
                 # Liveness was restored after this entry was computed: top
                 # it up over the never-tested examples so it is exact again
                 # on the current alive set.
-                to_eval = self._reordered(engine.kb, rule)
-                pb2, pe2 = coverage_eval(engine, to_eval, self.pos, missing)
+                pb2, pe2 = coverage_eval(engine, rule, self.pos, missing)
                 pb |= pb2
                 pe |= pe2
                 scope |= missing
                 self._cache[key] = (pb, nb, pe, ne, scope)
         else:
             self._misses += 1
-            to_eval = self._reordered(engine.kb, rule)
             cand_p = scope = self.alive
             if parent is None and rule.body:
                 # Refinement only ever appends a literal, so the
@@ -139,25 +126,22 @@ class ExampleStore:
                 # seeds) still narrow against a cached parent.
                 parent = Clause(rule.head, rule.body[:-1])
             cand_n: Optional[int] = None
-            if (parent is not None or candidates is not None) and self._inherit_ok(
-                engine.kb, rule
-            ):
-                if candidates is not None:
-                    cp, cn = candidates
-                    cand_p &= cp
-                    cand_n = cn
-                if parent is not None:
-                    pc = self._cache.get(parent.variant_key())
-                    if pc is not None:
-                        ppb, pnb, ppe, pne, pscope = pc
-                        # Outside the parent's evaluation scope its verdict
-                        # is unknown (liveness may have been restored since)
-                        # — those examples must stay candidates.
-                        cand_p &= ppb | ppe | ~pscope
-                        nm = pnb | pne
-                        cand_n = nm if cand_n is None else cand_n & nm
-            pb, pe = coverage_eval(engine, to_eval, self.pos, cand_p)
-            nb, ne = coverage_eval(engine, to_eval, self.neg, cand_n)
+            if candidates is not None:
+                cp, cn = candidates
+                cand_p &= cp
+                cand_n = cn
+            if parent is not None:
+                pc = self._cache.get(parent.variant_key())
+                if pc is not None:
+                    ppb, pnb, ppe, pne, pscope = pc
+                    # Outside the parent's evaluation scope its verdict
+                    # is unknown (liveness may have been restored since)
+                    # — those examples must stay candidates.
+                    cand_p &= ppb | ppe | ~pscope
+                    nm = pnb | pne
+                    cand_n = nm if cand_n is None else cand_n & nm
+            pb, pe = coverage_eval(engine, rule, self.pos, cand_p)
+            nb, ne = coverage_eval(engine, rule, self.neg, cand_n)
             self._cache[key] = (pb, nb, pe, ne, scope)
         live = pb & self.alive
         return CoverageStats(pos=popcount(live), neg=popcount(nb), pos_bits=live, neg_bits=nb)
@@ -171,34 +155,6 @@ class ExampleStore:
             return None
         pb, nb, pe, ne, _scope = cached
         return (pb | pe, nb | ne)
-
-    def _reordered(self, kb, rule: Clause) -> Clause:
-        """The evaluation form of ``rule`` (memoized body reordering)."""
-        if not (self.reorder_body and rule.body):
-            return rule
-        out = self._reorder_cache.get(rule)
-        if out is None:
-            out = optimize_clause_order(kb, rule)
-            self._reorder_cache[rule] = out
-        return out
-
-    def _inherit_ok(self, kb, rule: Clause) -> bool:
-        """Is candidate narrowing sound for ``rule``?
-
-        Appended-literal refinement is coverage-monotone as long as the
-        evaluated body order embeds the parent's derivation.  Body
-        reordering may permute rule-defined (depth-consuming) literals
-        ahead of each other, which can *loosen* the depth profile relative
-        to the parent — so with ``reorder_body`` inheritance is only used
-        when every body literal is depth-free (fact-only or builtin).
-        """
-        if not self.reorder_body:
-            return True
-        for lit in rule.body:
-            ind = lit.indicator if isinstance(lit, Struct) else (str(lit), 0)
-            if kb.rules_for(ind):
-                return False
-        return True
 
     # -- cache effectiveness (reported by the benchmark suite) -------------------
     def cache_size(self) -> int:
@@ -218,5 +174,5 @@ class ExampleStore:
         return self._hits / total if total else 0.0
 
     def clear_cache(self) -> None:
-        """Drop cached bitsets (counters and reorderings are preserved)."""
+        """Drop cached bitsets (counters are preserved)."""
         self._cache.clear()

@@ -18,7 +18,7 @@ from repro.logic.io import (
 )
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import ParseError, parse_clause, parse_program, parse_term
-from repro.logic.subsumption import reduce_clause, subsume_equivalent, theta_subsumes
+from repro.logic.subsumption import subsume_equivalent, theta_subsumes
 from repro.logic.terms import Const, Struct, Term, Var, atom, fresh_var, is_ground, mk_term
 from repro.logic.unify import match, rename_apart, resolve, unify
 
@@ -39,7 +39,6 @@ __all__ = [
     "parse_clause",
     "parse_program",
     "parse_term",
-    "reduce_clause",
     "subsume_equivalent",
     "theta_subsumes",
     "Const",

@@ -38,8 +38,8 @@ With the memo off, the machine finds the seed's recursive interpreter's
 solutions in the same order; the interpreter's answers are kept as data
 in ``tests/data/engine_witness.json``.  Multi-argument indexing and the
 memo only reduce the op count; they never change the set of solutions,
-but — like body reordering — a query that only failed because it ran out
-of budget may now succeed within it.  A rule expansion tightens the depth
+but a query that only failed because it ran out of budget may now succeed
+within it.  A rule expansion tightens the depth
 budget of the goals after it in its conjunction; a memoized ground
 subgoal consumes no depth from its continuation, i.e. the memo restores
 branch-local depth accounting.  The two treatments only differ where the

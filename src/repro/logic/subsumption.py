@@ -23,7 +23,6 @@ __all__ = [
     "theta_subsumes",
     "subsume_equivalent",
     "strictly_more_general",
-    "reduce_clause",
 ]
 
 
@@ -93,46 +92,3 @@ def subsume_equivalent(c: Clause, d: Clause) -> bool:
 def strictly_more_general(c: Clause, d: Clause) -> bool:
     """``c`` subsumes ``d`` but not vice versa."""
     return theta_subsumes(c, d) and not theta_subsumes(d, c)
-
-
-# clause -> reduced clause.  Reduction is deterministic and depends only
-# on the clause itself, so results are shared across theory post-processing
-# runs (cross-validation folds re-reduce the same learned rules).
-_reduce_cache: dict[Clause, Clause] = {}
-_REDUCE_CACHE_MAX = 4096
-
-
-def reduce_clause(c: Clause) -> Clause:
-    """Plotkin reduction: drop body literals whose removal keeps the clause
-    subsumption-equivalent.
-
-    The result is a minimal (not necessarily unique) equivalent clause;
-    useful for deduplicating rules exchanged along the pipeline.
-    Memoized per clause (bounded cache).
-    """
-    hit = _reduce_cache.get(c)
-    if hit is not None:
-        return hit
-    out = _reduce_clause(c)
-    if len(_reduce_cache) >= _REDUCE_CACHE_MAX:
-        _reduce_cache.clear()
-    _reduce_cache[c] = out
-    return out
-
-
-def _reduce_clause(c: Clause) -> Clause:
-    body = list(c.body)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(body)):
-            candidate = Clause(c.head, body[:i] + body[i + 1 :])
-            if theta_subsumes(candidate, Clause(c.head, tuple(body))):
-                # dropping literal i loses no generality constraint:
-                # candidate is more general by construction; equivalence
-                # requires the original to subsume the candidate too.
-                if theta_subsumes(Clause(c.head, tuple(body)), candidate):
-                    del body[i]
-                    changed = True
-                    break
-    return Clause(c.head, tuple(body))

@@ -127,7 +127,7 @@ class CoverageParallelMaster(Master):
             if self.max_epochs is not None and self.epochs >= self.max_epochs:
                 break
             yield from self._admit_joins(ctx)
-            i = select_seed(alive & ~failed, rng, self.config.select_seed_randomly)
+            i = select_seed(alive & ~failed, rng)
             if i is None:
                 break
             log = self._open_epoch()
@@ -190,7 +190,7 @@ class CoverageParallelMaster(Master):
                 ctx, [r.clause for r in batch], tuple(r.parent for r in batch)
             )
             for r, (pcount, ncount) in zip(batch, totals):
-                score = score_rule(pcount, ncount, len(r.clause.body) + 1, self.config)
+                score = score_rule(pcount, ncount)
                 if r.clause.body and is_good(pcount, ncount, self.config):
                     if best is None or (score, -len(r.clause.body)) > (best[0], -len(best[1].clause.body)):
                         best = (score, r, pcount)

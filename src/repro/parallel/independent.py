@@ -67,7 +67,7 @@ class IndependentWorker(P2Worker):
         local_rules = []
         failed = 0
         while True:
-            i = select_seed(store.alive & ~failed, rng, self.config.select_seed_randomly)
+            i = select_seed(store.alive & ~failed, rng)
             if i is None:
                 break
             try:

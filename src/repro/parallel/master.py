@@ -42,7 +42,6 @@ from repro.fault.plan import FaultPlan
 from repro.fault.recovery import PoolSupervisor, RecoveryError
 from repro.ilp.config import ILPConfig
 from repro.ilp.heuristics import is_good, score_rule
-from repro.ilp.prune import ClauseBag
 from repro.logic.clause import Clause, Theory
 from repro.parallel.messages import (
     AdoptWorker,
@@ -64,10 +63,70 @@ from repro.parallel.messages import (
 )
 from repro.util.rng import make_rng
 
-__all__ = ["Master", "P2Master", "EpochLog", "drop_not_good", "pick_best"]
+__all__ = ["Master", "P2Master", "EpochLog", "ClauseBag", "drop_not_good", "pick_best"]
 
 
-def drop_not_good(bag: "ClauseBag", stats: dict, config: ILPConfig) -> None:
+class ClauseBag:
+    """An insertion-ordered candidate-rule bag deduplicating variants.
+
+    The parallel masters collect every pipeline's rules into a bag before
+    global evaluation.  Keying the bag by the order-preserving
+    :meth:`repro.logic.clause.Clause.variant_key` collapses renamed-apart
+    copies of a rule — same literals in the same order, hence
+    charge-for-charge identical resource-bounded coverage — into one slot
+    in O(1), instead of either evaluating both remotely or running
+    pairwise θ-subsumption over the whole bag.  (The order-insensitive
+    fingerprint is deliberately not used here: reordered bodies can
+    exhaust query budgets differently, so their global stats need not
+    coincide.)
+
+    When two variants collide, the **lexicographically smallest** rendering
+    is kept: that is exactly the representative the master's deterministic
+    tie-break (`score desc, length, str`) would end up accepting, so the
+    learned theory is bit-identical to one that evaluates every duplicate.
+    ``reported_size`` counts clauses distinct by plain equality — the
+    number a bag without variant merging would hold — so epoch logs
+    (Tables 3-5) are what the paper's bag sizes mean.
+    """
+
+    __slots__ = ("_by_key", "_exact")
+
+    def __init__(self):
+        self._by_key: dict = {}
+        self._exact: set = set()
+
+    def add(self, clause: Clause) -> None:
+        self._exact.add(clause)
+        key = clause.variant_key()
+        prev = self._by_key.get(key)
+        if prev is None:
+            self._by_key[key] = clause
+        elif prev is not clause and str(clause) < str(prev):
+            # Keep the tie-break winner; the slot keeps its bag position.
+            self._by_key[key] = clause
+
+    def discard(self, clause: Clause) -> None:
+        self._by_key.pop(clause.variant_key(), None)
+
+    def __iter__(self):
+        return iter(list(self._by_key.values()))
+
+    def __len__(self) -> int:
+        return len(self._by_key)
+
+    @property
+    def reported_size(self) -> int:
+        """Bag size by plain clause equality (what the epoch logs report)."""
+        return len(self._exact)
+
+    def __contains__(self, clause: Clause) -> bool:
+        return clause.variant_key() in self._by_key
+
+    def clauses(self) -> list[Clause]:
+        return list(self._by_key.values())
+
+
+def drop_not_good(bag: ClauseBag, stats: dict, config: ILPConfig) -> None:
     """Fig. 5 lines 20-21: discard rules that stopped being good.
 
     Shared by every master that consumes a rule bag — the filter and the
@@ -80,12 +139,12 @@ def drop_not_good(bag: "ClauseBag", stats: dict, config: ILPConfig) -> None:
             bag.discard(clause)
 
 
-def pick_best(bag: "ClauseBag", stats: dict, config: ILPConfig) -> Clause:
+def pick_best(bag: ClauseBag, stats: dict) -> Clause:
     """Fig. 5 line 13: best rule by global-coverage heuristic."""
 
     def key(clause: Clause):
         p, n = stats[clause]
-        s = score_rule(p, n, len(clause.body) + 1, config)
+        s = score_rule(p, n)
         return (-s, len(clause.body), str(clause))
 
     return min(bag, key=key)
@@ -353,7 +412,7 @@ class Master(SimProcess):
             drop_not_good(bag, stats, self.config)
             if not bag:
                 break
-            best = pick_best(bag, stats, self.config)
+            best = pick_best(bag, stats)
             bag.discard(best)
             self.theory.add(best)
             log.accepted.append(best)

@@ -155,7 +155,7 @@ class P2Worker(SimProcess):
             self.engine = self.config.make_engine(self.shared.kb)
 
     def _make_shard(self, virtual_rank: int, pos, neg) -> WorkerShard:
-        store = ExampleStore(pos, neg, reorder_body=self.config.reorder_body)
+        store = ExampleStore(pos, neg)
         return WorkerShard(
             virtual_rank=virtual_rank,
             store=store,
@@ -257,7 +257,7 @@ class P2Worker(SimProcess):
         ops0 = self.engine.total_ops
         if epoch is None or shard.pending_epoch != epoch:
             shard.pending_epoch = epoch
-            shard.pending_seed = draw_seed(shard, self.config)
+            shard.pending_seed = draw_seed(shard)
             shard.bottom_ready = False
         bottom = saturate_seed(shard, self.engine, self.modes, self.config)
         yield ctx.compute(self._ops_since(ops0), label="saturate")
@@ -365,9 +365,7 @@ class P2Worker(SimProcess):
         cost (beyond message bytes) that makes repartitioning expensive.
         """
         shard = self.shards[self.rank]
-        shard.store = ExampleStore(
-            list(req.pos), list(req.neg), reorder_body=self.config.reorder_body
-        )
+        shard.store = ExampleStore(list(req.pos), list(req.neg))
         shard.tried_mask = 0
         yield ctx.compute(shard.store.n_pos + shard.store.n_neg, label="load")
 
@@ -396,7 +394,7 @@ class P2Worker(SimProcess):
             return
         part = self.shared.partitions[msg.partition_id - 1]
         ops0 = self.engine.total_ops
-        shard = rebuild_shard(msg, part, self.engine, self.config, self.seed)
+        shard = rebuild_shard(msg, part, self.engine, self.seed)
         self.shards[msg.virtual_rank] = shard
         self.routing[msg.virtual_rank] = self.rank
         yield ctx.compute(self._ops_since(ops0) + shard.store.n_pos + shard.store.n_neg, label="recover")

@@ -143,19 +143,19 @@ datasets → learning → backends → faults → serving."""
 _ILPCONFIG = """\
 ### `repro.ilp.ILPConfig`
 
-The constraint set `C` plus the remaining optimization gates.  Search/language
-knobs: `max_clause_length`, `var_depth`, `recall`,
-`max_bottom_literals`, `noise`, `min_pos`, `max_nodes`,
-`pipeline_width`, `heuristic`, `search_strategy` (`bfs` / `best_first`
-/ `beam`), `beam_width`, `engine_max_depth`, `engine_max_ops`.
+The constraint set `C` plus search and pipeline parameters.  Knobs:
+`max_clause_length`, `var_depth`, `recall`, `max_bottom_literals`,
+`noise`, `min_pos`, `max_nodes`, `pipeline_width`, `search_strategy`
+(`bfs` / `best_first` / `beam`), `beam_width`, `engine_max_depth`,
+`engine_max_ops`.  Covpar ignores `search_strategy` and `beam_width`:
+its master always searches breadth-first.
 
-Optimization flags — all pure optimizations, pinned bit-identical by
-the parity test suites (the SLD machine's memo table and argument
-indexes are not flags: there is one engine):
-
-| flag | default | effect |
-|------|---------|--------|
-| `reorder_body` | `False` | selectivity-based body-literal reordering before coverage testing |
+There are no optimization flags.  Coverage inheritance, the caches, the
+wire codec and the SLD machine's memo table and argument indexes have
+one setting, and so does the rest of the paper's April learner: random
+seed draw, P − N score, uncoverable seeds skipped, bodies evaluated in
+refinement order.  A checkpoint signed with a retired option resumes
+only if it holds the one value this code still runs.
 
 `ILPConfig.signature()` is the versioned string that checkpoints, job
 outcomes and registry records carry as `config_sig`; `repro resume`

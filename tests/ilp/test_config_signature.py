@@ -20,8 +20,20 @@ V0_SWITCHES = ("coverage_inheritance", "clause_fingerprints", "saturation_cache"
 SAMPLE_PARAMS = (("sample_fraction", "0.25"), ("sample_min", "16"), ("sample_delta", "0.05"))
 #: Which engine kernel coverage ran on; only version 0 spelled it.
 KERNEL_VALUES = ("None", "'new'", "'legacy'")
+#: The learner options versions 0-2 spelled, each with the one value every
+#: shipped run used and a value none did.
+ONE_VALUED = (
+    ("heuristic", "'coverage'", "'laplace'"),
+    ("select_seed_randomly", "True", "False"),
+    ("on_uncoverable", "'skip'", "'memorize'"),
+    ("reorder_body", "False", "True"),
+)
 RETIRED_NAMES = (
-    V0_SWITCHES + ("coverage_sampling",) + tuple(n for n, _ in SAMPLE_PARAMS) + ("coverage_kernel",)
+    V0_SWITCHES
+    + ("coverage_sampling",)
+    + tuple(n for n, _ in SAMPLE_PARAMS)
+    + ("coverage_kernel",)
+    + tuple(n for n, _, _ in ONE_VALUED)
 )
 
 #: ``(signature version, retired field, saved value)`` this code still runs.
@@ -30,11 +42,13 @@ RETIRED_ACCEPTED = [
     *[(v, "coverage_sampling", value) for v in ("", ".v1") for value in ("None", "False")],
     *[(v, name, value) for v in ("", ".v1") for name, value in SAMPLE_PARAMS],
     *[("", "coverage_kernel", value) for value in KERNEL_VALUES],
+    *[(v, name, value) for v in ("", ".v1", ".v2") for name, value, _ in ONE_VALUED],
 ]
 #: ... and those it refuses, naming the field.
 RETIRED_REFUSED = [
     *[("", name, "False") for name in V0_SWITCHES],
     *[(v, "coverage_sampling", "True") for v in ("", ".v1")],
+    *[(v, name, value) for v in ("", ".v1", ".v2") for name, _, value in ONE_VALUED],
 ]
 
 
@@ -53,7 +67,7 @@ def test_every_config_field_is_signed_or_excluded_on_purpose():
     """Adding a field to ILPConfig must force a decision: list it in
     SIGNATURE_FIELDS and bump SIGNATURE_VERSION.  Every field is signed."""
     declared = [f.name for f in dataclasses.fields(ILPConfig)]
-    assert len(declared) == 16
+    assert len(declared) == 12
     assert len(SIGNATURE_FIELDS) == len(set(SIGNATURE_FIELDS))
     assert sorted(SIGNATURE_FIELDS) == sorted(declared)
 
@@ -77,11 +91,11 @@ def test_excluded_field_does_not_change_the_signature():
 
 
 def test_mismatches_between_current_signatures():
-    a, b = ILPConfig(), ILPConfig(pipeline_width=None, heuristic="laplace")
+    a, b = ILPConfig(), ILPConfig(pipeline_width=None, search_strategy="beam")
     assert signature_mismatches(a.signature(), a.signature()) == []
     assert signature_mismatches(a.signature(), b.signature()) == [
         "pipeline_width: saved 10, current None",
-        "heuristic: saved 'coverage', current 'laplace'",
+        "search_strategy: saved 'bfs', current 'beam'",
     ]
     assert signature_mismatches("not a signature", a.signature()) is None
 
@@ -89,8 +103,9 @@ def test_mismatches_between_current_signatures():
 def test_retired_fields_accept_only_what_this_code_still_runs():
     """The retirement table of ``signature_mismatches``: the version-0
     switches were retired on, sampled coverage was retired off, its
-    sample parameters never mattered with it off, and the coverage kernels
-    were held bit-identical."""
+    sample parameters never mattered with it off, the coverage kernels
+    were held bit-identical, and the four learner options were retired at
+    the one value every shipped run used."""
     current = ILPConfig().signature()
     body = current[current.index("(") + 1 : -1]
 
@@ -112,6 +127,11 @@ def test_retired_fields_accept_only_what_this_code_still_runs():
     assert refusals("", coverage_kernel="'legacy'") == []
     assert refusals("", saturation_cache="False") == [gone("saturation_cache", "False")]
     assert refusals(".v1", frobnicate="1") == [gone("frobnicate", "1")]
+    used = {name: value for name, value, _ in ONE_VALUED}
+    for version in ("", ".v1", ".v2"):
+        assert refusals(version, **used) == []
+        for name, _, other in ONE_VALUED:
+            assert refusals(version, **{**used, name: other}) == [gone(name, other)]
 
 
 def test_retirement_table_lists_exactly_the_retired_fields():

@@ -27,14 +27,14 @@ KRKI_30 = dict(seed=0, n_pos=30, n_neg=30)
 TRAINS = dict(seed=0, scale="small")
 
 #: The learner runs the witness records: key -> (algorithm, dataset,
-#: dataset kwargs, config changes, seed).
+#: dataset kwargs, config changes, seed).  The witness's two
+#: ``mdie/*/reorder`` rows (body reordering, since retired) are not read.
 RUNS = {
     **{
         f"mdie/{name}/{strategy}": ("mdie", name, kw, dict(search_strategy=strategy), 0)
         for name, kw in DATASETS
         for strategy in STRATEGIES
     },
-    **{f"mdie/{name}/reorder": ("mdie", name, kw, dict(reorder_body=True), 0) for name, kw in DATASETS[:2]},
     **{
         f"mdie/krki/seed{seed}": ("mdie", "krki", dict(seed=seed, n_pos=30, n_neg=30), {}, seed)
         for seed in (1, 2)
@@ -70,10 +70,6 @@ class TestSequentialParity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_mdie_parity(self, name, kw, strategy, engine_witness):
         assert_run_matches(engine_witness, f"mdie/{name}/{strategy}")
-
-    @pytest.mark.parametrize("name,kw", DATASETS[:2])
-    def test_mdie_parity_with_reorder(self, name, kw, engine_witness):
-        assert_run_matches(engine_witness, f"mdie/{name}/reorder")
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_mdie_parity_other_seeds(self, seed, engine_witness):

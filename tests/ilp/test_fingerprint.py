@@ -14,7 +14,7 @@ Two signatures with different invariances:
 import pytest
 
 from repro.ilp.coverage import coverage_eval, popcount
-from repro.ilp.prune import ClauseBag
+from repro.parallel.master import ClauseBag
 from repro.ilp.store import ExampleStore
 from repro.logic.clause import Clause
 from repro.logic.engine import Engine

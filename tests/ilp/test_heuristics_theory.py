@@ -1,9 +1,9 @@
-"""Unit tests for heuristics, acceptance, theories and config."""
+"""Unit tests for the rule score, acceptance, theories and config."""
 
 import pytest
 
 from repro.ilp.config import ILPConfig
-from repro.ilp.heuristics import HEURISTICS, is_good, score_rule
+from repro.ilp.heuristics import is_good, score_rule
 from repro.ilp.theory import TheoryReport, accuracy, confusion, predicts
 from repro.logic.clause import Theory
 from repro.logic.engine import Engine
@@ -13,30 +13,8 @@ from repro.logic.parser import parse_clause, parse_term
 
 class TestHeuristics:
     def test_coverage(self):
-        assert HEURISTICS["coverage"](10, 3, 2) == 7.0
-
-    def test_compression_penalises_length(self):
-        assert HEURISTICS["compression"](10, 0, 1) > HEURISTICS["compression"](10, 0, 4)
-
-    def test_laplace_bounds(self):
-        assert 0 < HEURISTICS["laplace"](0, 0, 1) < 1
-        assert HEURISTICS["laplace"](100, 0, 1) > HEURISTICS["laplace"](1, 0, 1)
-
-    def test_mestimate(self):
-        assert 0 < HEURISTICS["mestimate"](5, 5, 1) < 1
-
-    def test_precision_zero_cover(self):
-        assert HEURISTICS["precision"](0, 0, 1) == 0.0
-
-    def test_score_rule_dispatch(self):
-        cfg = ILPConfig(heuristic="coverage")
-        assert score_rule(5, 2, 2, cfg) == 3.0
-
-    def test_unknown_heuristic(self):
-        cfg = ILPConfig(heuristic="coverage")
-        object.__setattr__(cfg, "heuristic", "nope")
-        with pytest.raises(ValueError):
-            score_rule(1, 0, 1, cfg)
+        assert score_rule(10, 3) == 7.0
+        assert score_rule(0, 4) == -4.0
 
 
 class TestIsGood:
@@ -60,7 +38,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ILPConfig(pipeline_width=0)
         with pytest.raises(ValueError):
-            ILPConfig(on_uncoverable="whatever")
+            ILPConfig(min_pos=0)
+        with pytest.raises(ValueError):
+            ILPConfig(search_strategy="dfs")
 
     def test_width_none_ok(self):
         assert ILPConfig(pipeline_width=None).pipeline_width is None

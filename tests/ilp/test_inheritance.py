@@ -163,37 +163,6 @@ class TestLivenessRestoration:
         assert topped.pos == fresh.pos
 
 
-class TestReorderMemo:
-    def test_reordering_computed_once_across_clear_cache(self, ds, engine, monkeypatch):
-        calls = []
-        orig = store_mod.optimize_clause_order
-
-        def spy(kb, clause):
-            calls.append(clause)
-            return orig(kb, clause)
-
-        monkeypatch.setattr(store_mod, "optimize_clause_order", spy)
-        store = ExampleStore(ds.pos, ds.neg, reorder_body=True)
-        child = parse_clause(CHILD)
-        store.evaluate(engine, child)
-        assert len(calls) == 1
-        store.clear_cache()
-        store.evaluate(engine, child)  # cache miss, but reordering is memoized
-        assert len(calls) == 1
-
-    def test_reorder_disables_unsound_inheritance(self, engine):
-        """With body reordering, rule-defined body literals may permute
-        ahead of each other and loosen the depth profile — inheritance
-        must stand down for such clauses."""
-        kb = KnowledgeBase()
-        kb.add_program("e(a, b). d(X) :- e(X, Y).")
-        store = ExampleStore([parse_term("t(a)")], [], reorder_body=True)
-        rule_factonly = parse_clause("t(X) :- e(X, Y).")
-        rule_derived = parse_clause("t(X) :- d(X), e(X, Y).")
-        assert store._inherit_ok(kb, rule_factonly) is True
-        assert store._inherit_ok(kb, rule_derived) is False
-
-
 class TestWorkerRoundTrip:
     def test_request_candidates_match_uncandidated_results(self, ds):
         """Evaluating with master-shipped candidate masks returns exactly

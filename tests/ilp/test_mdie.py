@@ -42,16 +42,9 @@ class TestMdie:
         mdie(family_kb, family_pos, family_neg, family_modes, family_config, seed=1)
         assert len(family_kb) == before
 
-    def test_memorize_mode_covers_everything(self, family_kb, family_pos, family_neg, family_modes, family_config):
-        # noise=0 and min_pos high => no rule is learnable; memorize adds units
-        cfg = family_config.replace(min_pos=len(family_pos) + 1, on_uncoverable="memorize")
-        res = mdie(family_kb, family_pos, family_neg, family_modes, cfg, seed=1)
-        assert res.uncovered == 0
-        assert len(res.theory) == len(family_pos)
-        assert all(c.is_fact for c in res.theory)
-
     def test_skip_mode_leaves_uncoverable(self, family_kb, family_pos, family_neg, family_modes, family_config):
-        cfg = family_config.replace(min_pos=len(family_pos) + 1, on_uncoverable="skip")
+        # noise=0 and min_pos high => no rule is learnable; every seed is skipped
+        cfg = family_config.replace(min_pos=len(family_pos) + 1)
         res = mdie(family_kb, family_pos, family_neg, family_modes, cfg, seed=1)
         assert res.uncovered == len(family_pos)
         assert len(res.theory) == 0
@@ -67,16 +60,13 @@ class TestMdie:
 
 class TestSelectSeed:
     def test_none_when_empty(self):
-        assert select_seed(0, make_rng(0), True) is None
+        assert select_seed(0, make_rng(0)) is None
 
     def test_respects_mask(self):
-        assert select_seed(0b10, make_rng(0), False) == 1
-
-    def test_deterministic_first(self):
-        assert select_seed(0b11, make_rng(0), False) == 0
+        assert select_seed(0b10, make_rng(0)) == 1
 
     def test_random_draw_is_one_choice_over_the_ascending_set_bits(self):
         # Every RNG stream depends on this exact call: one rng.choice over
         # the candidate indices in ascending order.
         for seed in range(20):
-            assert select_seed(0b101101, make_rng(seed), True) == make_rng(seed).choice([0, 2, 3, 5])
+            assert select_seed(0b101101, make_rng(seed)) == make_rng(seed).choice([0, 2, 3, 5])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.logic.clause import Clause
 from repro.logic.parser import parse_clause
 from repro.logic.subsumption import (
-    reduce_clause,
     strictly_more_general,
     subsume_equivalent,
     theta_subsumes,
@@ -60,22 +59,6 @@ class TestThetaSubsumes:
         s = parse_clause("p(X) :- q(X, Y), r(Y).")
         assert strictly_more_general(g, s)
         assert not strictly_more_general(s, g)
-
-
-class TestReduce:
-    def test_removes_redundant_literal(self):
-        c = parse_clause("p(X) :- q(X, Y), q(X, Z).")
-        assert len(reduce_clause(c).body) == 1
-
-    def test_keeps_needed_literals(self):
-        c = parse_clause("p(X) :- q(X, Y), r(Y).")
-        assert reduce_clause(c) == c
-
-    def test_reduction_is_equivalent(self):
-        c = parse_clause("p(X) :- q(X, A), q(X, B), q(X, C), r(C).")
-        r = reduce_clause(c)
-        assert subsume_equivalent(c, r)
-        assert len(r.body) <= len(c.body)
 
 
 # ---- property-based: refinement chains are generality chains ----------------
@@ -145,13 +128,6 @@ class TestEquivalenceInvariance:
             parse_clause("p(X) :- q(X)."), parse_clause("p(X) :- r(X).")
         )
 
-    def test_reduce_clause_memoized_consistent(self):
-        c = parse_clause("p(X) :- q(X, Y), q(X, Z).")
-        r1 = reduce_clause(c)
-        r2 = reduce_clause(c)
-        assert r1 is r2  # memo hit
-        assert len(r1.body) == 1
-
 
 class TestMatcherSoundness:
     """Regressions for the one-way matcher: a pattern variable bound to a
@@ -167,7 +143,9 @@ class TestMatcherSoundness:
 
     def test_chain_clause_is_irreducible(self):
         c = parse_clause("p(X) :- q(X, Y), q(Y, Z).")
-        assert reduce_clause(c) == c
+        for i in range(len(c.body)):
+            shorter = Clause(c.head, c.body[:i] + c.body[i + 1 :])
+            assert not theta_subsumes(c, shorter)
 
     def test_repeated_var_does_not_match_distinct(self):
         a = parse_clause("p(X) :- q(X, X).")

@@ -39,19 +39,24 @@ class TestFailedEpochExits:
     closed epochs: under a fault plan each ends with the pulse that fills
     the log's cache counters (the saturation exit used to skip it)."""
 
+    @staticmethod
+    def _lowest_seed(candidates_mask, rng):
+        return (candidates_mask & -candidates_mask).bit_length() - 1 if candidates_mask else None
+
     def _run(self, kb, pos, neg, modes, config, **kw):
         from repro.logic.parser import parse_term
 
-        # no modeh covers son/2: taken first (idxs[0]), it cannot be saturated
+        # no modeh covers son/2: drawn first (the lowest index), it cannot
+        # be saturated
         seeds = [parse_term("son(ian, tom)"), *pos]
-        config = config.replace(select_seed_randomly=False)
         return run_coverage_parallel(
             kb, seeds, neg, modes, config, p=2, batch_size=8, seed=3, max_epochs=2, **kw
         )
 
-    def test_unsaturatable_seed_closes_an_ordinary_epoch(self, kb, pos, neg, modes, config):
+    def test_unsaturatable_seed_closes_an_ordinary_epoch(self, kb, pos, neg, modes, config, monkeypatch):
         from repro.fault.plan import FaultPlan
 
+        monkeypatch.setattr("repro.parallel.coverage_parallel.select_seed", self._lowest_seed)
         plain = self._run(kb, pos, neg, modes, config)
         healed = self._run(kb, pos, neg, modes, config, fault_plan=FaultPlan(supervise=True))
         for res in (plain, healed):
