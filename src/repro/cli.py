@@ -22,10 +22,10 @@ import json
 import os
 import sys
 
-from repro.cluster.costmodel import sequential_seconds
 from repro.datasets import DATASETS, make_dataset
-from repro.ilp import accuracy, mdie
+from repro.ilp import accuracy
 from repro.logic.io import save_problem, theory_to_prolog
+from repro.run import RunMeta, refusal, run
 
 __all__ = ["main", "build_parser"]
 
@@ -80,19 +80,14 @@ def _add_fault_args(sub_parser: argparse.ArgumentParser) -> None:
 
 
 def _load_plan(args):
-    if getattr(args, "fault_plan", None) is None:
+    if args.fault_plan is None:
         return None
     from repro.fault.plan import FaultPlan
 
-    p = getattr(args, "p", None)
     try:
-        # With a known pool size, rank validation happens here — a plan
-        # naming ranks outside 1..p+spares fails at the CLI, not mid-run.
-        return FaultPlan.load(
-            args.fault_plan,
-            p=p if isinstance(p, int) and p > 1 else None,
-            spares=getattr(args, "spares", 0) or 0,
-        )
+        # Rank validation happens here — a plan naming ranks outside
+        # 1..p+spares fails at the CLI, not mid-run.
+        return FaultPlan.load(args.fault_plan, p=args.p, spares=args.spares)
     except ValueError as exc:
         print(f"repro: bad fault plan {args.fault_plan}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -427,83 +422,59 @@ def _write_trace_out(path: str, trace) -> None:
     print(f"% wrote {n} spans to {path}")
 
 
-def _print_run_epilogue(res) -> None:
-    """Shared run statistics: cache effectiveness + fault narrative."""
-    if res.cache_stats:
-        total = res.cache_hits + res.cache_misses
-        rate = (100.0 * res.cache_hits / total) if total else 0.0
+def _refused(reason) -> bool:
+    if reason:
+        print(f"repro: {reason}", file=sys.stderr)
+    return bool(reason)
+
+
+def _report(ds, outcome, header: str) -> None:
+    """Score a finished run on its training set and print it: theory,
+    statistics, then a parallel run's cache and fault narrative."""
+    acc = accuracy(ds.config.make_engine(ds.kb), outcome.theory, ds.pos, ds.neg)
+    print(theory_to_prolog(outcome.theory, header=header))
+    if outcome.algo == "mdie":
+        print(f"% epochs={outcome.epochs} ops={outcome.ops} uncovered={outcome.uncovered}")
+    else:
         print(
-            f"% eval-cache: hits={res.cache_hits} misses={res.cache_misses} "
-            f"({rate:.1f}% hit rate)"
+            f"% epochs={outcome.epochs} comm={outcome.mbytes:.3f}MB "
+            f"uncovered={outcome.uncovered}"
         )
-    for line in res.fault_events:
+    print(f"% {outcome.clock}-time={outcome.seconds:.1f}s training-accuracy={acc:.1f}%")
+    if outcome.algo == "mdie":
+        return
+    total = outcome.cache_hits + outcome.cache_misses
+    rate = (100.0 * outcome.cache_hits / total) if total else 0.0
+    print(
+        f"% eval-cache: hits={outcome.cache_hits} misses={outcome.cache_misses} "
+        f"({rate:.1f}% hit rate)"
+    )
+    for line in outcome.fault_events:
         print(f"% fault: {line}")
-    for rec in res.fault_log:
+    for rec in outcome.fault_log:
         print(f"% injected: {rec}")
 
 
 def _cmd_learn(args) -> int:
+    algo = "mdie" if args.p == 1 else "p2mdie"
+    if _refused(refusal(
+        algo, args.p, fault_plan=args.fault_plan is not None, spares=args.spares,
+        trace=bool(args.trace_out),
+    )):
+        return 2
     plan = _load_plan(args)
     # p == 1 is the sequential path: no backend is ever constructed.
     backend = args.backend if args.p == 1 else _cli_backend(args)
     ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
     print(f"% dataset {ds.name}: |E+|={ds.n_pos} |E-|={ds.n_neg}")
-    meta = (
-        ("dataset", args.dataset),
-        ("scale", args.scale),
-        ("p", str(args.p)),
-        ("width", "nolimit" if args.width is None else str(args.width)),
+    outcome = run(
+        ds, algo, p=args.p, width=args.width, seed=args.seed, backend=backend,
+        scale=args.scale, record_trace=bool(args.trace_out), fault_plan=plan,
+        spares=args.spares, checkpoint_dir=args.checkpoint_dir,
     )
-    if args.p == 1:
-        if plan is not None:
-            print("repro: --fault-plan requires --p > 1 (sequential runs have no pool)", file=sys.stderr)
-            return 2
-        if args.spares:
-            print("repro: --spares requires --p > 1 and a --fault-plan", file=sys.stderr)
-            return 2
-        if args.trace_out:
-            print(
-                "repro: --trace-out requires --p > 1 (sequential runs record no activity trace)",
-                file=sys.stderr,
-            )
-            return 2
-        res = mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=args.seed,
-            checkpoint_dir=args.checkpoint_dir, checkpoint_meta=meta,
-        )
-        seconds = sequential_seconds(res)
-        extra = f"% epochs={res.epochs} ops={res.ops} uncovered={res.uncovered}"
-        theory = res.theory
-        parallel_res = None
-    else:
-        if args.spares and plan is None:
-            print("repro: --spares requires a --fault-plan (standby hosts are a fault-tolerance feature)", file=sys.stderr)
-            return 2
-        from repro.parallel import run_p2mdie
-
-        res = run_p2mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=args.p, width=args.width,
-            seed=args.seed, backend=backend,
-            record_trace=bool(args.trace_out),
-            fault_plan=plan, spares=args.spares,
-            checkpoint_dir=args.checkpoint_dir, checkpoint_meta=meta,
-        )
-        seconds = res.seconds
-        extra = (
-            f"% epochs={res.epochs} comm={res.mbytes:.3f}MB uncovered={res.uncovered}"
-        )
-        theory = res.theory
-        parallel_res = res
-    engine = ds.config.make_engine(ds.kb)
-    acc = accuracy(engine, theory, ds.pos, ds.neg)
-    print(theory_to_prolog(theory, header=f"learned by {'mdie' if args.p == 1 else 'p2-mdie'}"))
-    print(extra)
-    time_label = "virtual-time" if args.p == 1 or args.backend == "sim" else "wall-time"
-    print(f"% {time_label}={seconds:.1f}s training-accuracy={acc:.1f}%")
-    if parallel_res is not None:
-        _print_run_epilogue(parallel_res)
-        if args.trace_out:
-            _write_trace_out(args.trace_out, parallel_res.trace)
+    _report(ds, outcome, f"learned by {'mdie' if algo == 'mdie' else 'p2-mdie'}")
+    if args.trace_out:
+        _write_trace_out(args.trace_out, outcome.trace)
     if args.checkpoint_dir:
         print(f"% checkpoints in {args.checkpoint_dir}/ (continue with `repro resume`)")
     return 0
@@ -514,73 +485,32 @@ def _cmd_resume(args) -> int:
 
     backend = _cli_backend(args)  # mutes non-root ranks before any output
     state = load_checkpoint(args.checkpoint)
-    meta = state.meta_dict()
-    dataset = meta.get("dataset")
-    if dataset is None:
-        print(
-            "repro: checkpoint carries no dataset metadata (was it written by "
-            "`repro learn --checkpoint-dir`?)",
-            file=sys.stderr,
-        )
+    try:
+        meta = RunMeta.read(state)
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
         return 2
-    scale = meta.get("scale", "small")
-    ds = make_dataset(dataset, seed=state.seed, scale=scale)
+    if _refused(refusal(state.algo, checkpoint=True)):
+        return 2
+    ds = make_dataset(meta.dataset, seed=state.seed, scale=meta.scale)
     print(
-        f"% resuming {state.algo} on {dataset} from epoch {state.epoch} "
+        f"% resuming {state.algo} on {meta.dataset} from epoch {state.epoch} "
         f"({state.remaining} positives uncovered)"
     )
-    if state.algo == "mdie":
-        res = mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=state.seed,
-            resume=state, checkpoint_dir=args.checkpoint_dir, checkpoint_meta=state.meta,
-        )
-        seconds = sequential_seconds(res)
-        theory = res.theory
-        extra = f"% epochs={res.epochs} ops={res.ops} uncovered={res.uncovered}"
-        parallel_res = None
-    elif state.algo == "p2mdie":
-        from repro.parallel import run_p2mdie
-
-        width = _parse_width(meta.get("width", "10"))
-        res = run_p2mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=state.n_workers, width=width,
-            seed=state.seed, backend=backend, resume=state,
-            record_trace=bool(args.trace_out),
-            checkpoint_dir=args.checkpoint_dir, checkpoint_meta=state.meta,
-        )
-        seconds = res.seconds
-        theory = res.theory
-        extra = f"% epochs={res.epochs} comm={res.mbytes:.3f}MB uncovered={res.uncovered}"
-        parallel_res = res
-    elif state.algo == "covpar":
-        from repro.parallel import run_coverage_parallel
-
-        res = run_coverage_parallel(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=state.n_workers,
-            seed=state.seed, backend=backend, resume=state,
-            checkpoint_dir=args.checkpoint_dir, checkpoint_meta=state.meta,
-        )
-        seconds = res.seconds
-        theory = res.theory
-        extra = f"% epochs={res.epochs} comm={res.mbytes:.3f}MB uncovered={res.uncovered}"
-        parallel_res = res
-    else:
-        print(f"repro: cannot resume algo {state.algo!r}", file=sys.stderr)
-        return 2
-    engine = ds.config.make_engine(ds.kb)
-    acc = accuracy(engine, theory, ds.pos, ds.neg)
-    print(theory_to_prolog(theory, header=f"resumed {state.algo}"))
-    print(extra)
-    print(f"% seconds={seconds:.1f} training-accuracy={acc:.1f}%")
-    if parallel_res is not None:
-        _print_run_epilogue(parallel_res)
+    no_trace = refusal(state.algo, trace=True)
+    outcome = run(
+        ds, state.algo, p=meta.p, width=meta.width, seed=state.seed,
+        backend=backend, scale=meta.scale, resume=state,
+        record_trace=bool(args.trace_out) and not no_trace,
+        checkpoint_dir=args.checkpoint_dir,
+    )
+    _report(ds, outcome, f"resumed {state.algo}")
     if args.trace_out:
-        if parallel_res is not None and parallel_res.trace:
-            _write_trace_out(args.trace_out, parallel_res.trace)
+        if outcome.trace:
+            _write_trace_out(args.trace_out, outcome.trace)
         else:
             print(
-                "repro: --trace-out: this resume recorded no activity trace "
-                f"(algo {state.algo!r})",
+                f"repro: --trace-out: {no_trace or 'this resume recorded no activity trace'}",
                 file=sys.stderr,
             )
     return 0
@@ -639,6 +569,7 @@ def _cmd_tables(args) -> int:
         table6_accuracy,
     )
 
+    status = 0
     if 1 in which:
         datasets = [make_dataset(n, seed=args.seed, scale=args.scale) for n in names]
         print(table1_datasets(datasets) + "\n")
@@ -655,18 +586,21 @@ def _cmd_tables(args) -> int:
             6: table6_accuracy,
         }
         for n in sorted(which - {1}):
-            print(renderers[n](matrix, ps=ps) + "\n")
-    return 0
+            try:
+                print(renderers[n](matrix, ps=ps) + "\n")
+            except ValueError as exc:  # Tables 2 and 3 refuse mixed clocks
+                print(f"repro: {exc}", file=sys.stderr)
+                status = 2
+    return status
 
 
 def _cmd_trace(args) -> int:
     from repro.experiments.trace import occupancy, render_gantt, stage_summary
-    from repro.parallel import run_p2mdie
 
     ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    res = run_p2mdie(
-        ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=args.p, width=args.width,
-        seed=args.seed, record_trace=True, max_epochs=1, backend=args.backend,
+    res = run(
+        ds, "p2mdie", p=args.p, width=args.width, seed=args.seed, backend=args.backend,
+        scale=args.scale, record_trace=True, max_epochs=1,
     )
     print(render_gantt(res.trace, width=100, t_end=res.seconds))
     occ = occupancy(res.trace, res.seconds)

@@ -24,13 +24,18 @@ from typing import Optional, Sequence
 
 from repro.datasets import make_dataset
 from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
-from repro.parallel.coverage_parallel import run_coverage_parallel
-from repro.parallel.independent import run_independent
-from repro.parallel.p2mdie import run_p2mdie
+from repro.run import run
 
 __all__ = ["FaultSweepRecord", "default_scenarios", "run_fault_sweep", "render_fault_sweep"]
 
-STRATEGIES = ("p2mdie", "covpar", "independent")
+#: each strategy's run options in the sweep: the paper's width for
+#: p2mdie, a short batched covpar run, independent at "nolimit".
+_OPTIONS = {
+    "p2mdie": dict(width=10),
+    "covpar": dict(batch_size=4, max_epochs=8),
+    "independent": dict(width=None),
+}
+STRATEGIES = tuple(_OPTIONS)
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,6 @@ def default_scenarios(timeout: float = 2.0) -> dict[str, tuple[FaultPlan, int]]:
     }
 
 
-def _run_strategy(strategy: str, ds, p: int, seed: int, backend, plan, spares: int):
-    common = dict(seed=seed, backend=backend, fault_plan=plan, spares=spares)
-    if strategy == "p2mdie":
-        return run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=p, width=10, **common)
-    if strategy == "covpar":
-        return run_coverage_parallel(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=p, batch_size=4, max_epochs=8, **common
-        )
-    if strategy == "independent":
-        return run_independent(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=p, **common)
-    raise ValueError(f"unknown strategy {strategy!r} (known: {STRATEGIES})")
-
-
 def run_fault_sweep(
     dataset: str = "trains",
     ps: Sequence[int] = (2, 4),
@@ -103,12 +95,15 @@ def run_fault_sweep(
     scenarios = scenarios if scenarios is not None else default_scenarios(timeout)
     records: list[FaultSweepRecord] = []
     for strategy in strategies:
+        if strategy not in _OPTIONS:
+            raise ValueError(f"unknown strategy {strategy!r} (known: {STRATEGIES})")
         for p in ps:
-            base = _run_strategy(strategy, ds, p, seed, backend, None, 0)
+            opts = dict(p=p, seed=seed, backend=backend, **_OPTIONS[strategy])
+            base = run(ds, strategy, **opts)
             for name, (plan, spares) in scenarios.items():
                 if any(ev.rank > p + spares for ev in plan.crashes):
                     continue  # scenario does not fit this pool size
-                res = _run_strategy(strategy, ds, p, seed, backend, plan, spares)
+                res = run(ds, strategy, fault_plan=plan, spares=spares, **opts)
                 records.append(
                     FaultSweepRecord(
                         strategy=strategy,

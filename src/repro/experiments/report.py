@@ -16,6 +16,7 @@ from repro.datasets.base import Dataset
 from repro.experiments.runner import MatrixResult, width_label
 from repro.experiments.stats import mean_std, paired_ttest
 from repro.experiments.tables import (
+    one_clock,
     table1_datasets,
     table2_speedup,
     table3_times,
@@ -41,8 +42,9 @@ def speedup_summary(result: MatrixResult, ps: Sequence[int] = (2, 4, 8)) -> list
     """Per (dataset, width) speedup rows as structured data.
 
     Complements the text tables for programmatic consumers (plots,
-    regression tracking).
+    regression tracking).  Refuses seconds in two clocks, as Table 2 does.
     """
+    one_clock(result, "speedup_summary")
     out = []
     for ds in sorted({r.dataset for r in result.records}):
         seq = result.fold_values("seconds", ds, None, 1)

@@ -4,13 +4,14 @@ Reproduces the paper's protocol (§5.2): 5-fold cross-validation; for each
 fold the sequential algorithm (p=1) and P²-MDIE at p ∈ {2, 4, 8} with
 pipeline width ∈ {nolimit, 10}; reported values are fold averages.
 
-Sequential and parallel runs share the same engine cost model, so Table 2's
-speedups are ratios of commensurable virtual times.
+Every cell runs through :func:`repro.run.run` and records the clock of its
+seconds.  On the simulator every cell is virtual seconds of one cost model;
+on a real backend p > 1 is wall time, which Tables 2 and 3 refuse to mix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from repro.backend import Backend
@@ -18,10 +19,8 @@ from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.datasets.base import Dataset, make_dataset
 from repro.experiments.crossval import Fold, kfold
-from repro.ilp.mdie import mdie
 from repro.ilp.theory import accuracy
-from repro.logic.clause import Theory
-from repro.parallel.p2mdie import run_p2mdie, sequential_seconds
+from repro.run import run
 
 __all__ = ["RunRecord", "MatrixResult", "run_cell", "run_matrix", "WIDTH_LABELS", "width_label"]
 
@@ -52,6 +51,8 @@ class RunRecord:
     #: invalidation visible in the experiments report.
     cache_hits: int = 0
     cache_misses: int = 0
+    #: the clock of ``seconds``: "virtual" or "wall" (see repro.run).
+    clock: str = "virtual"
 
     @property
     def cache_hit_rate(self) -> float:
@@ -105,54 +106,30 @@ def run_cell(
     """Run one algorithm configuration on one fold.
 
     ``backend`` selects the execution substrate for the parallel runs
-    (``p > 1``); the sequential baseline always runs in-process and its
-    ``seconds`` stay virtual, so only compare speedups within one
-    substrate.
+    (``p > 1``); the sequential baseline always runs in-process in
+    virtual seconds.  The record carries the clock of its seconds.
     """
-    if p == 1:
-        res = mdie(ds.kb, list(fold.train_pos), list(fold.train_neg), ds.modes, ds.config, seed=seed, max_epochs=max_epochs)
-        theory: Theory = res.theory
-        seconds = sequential_seconds(res, cost_model)
-        mbytes = 0.0
-        epochs = res.epochs
-        uncovered = res.uncovered
-        cache_hits, cache_misses = res.cache_hits, res.cache_misses
-    else:
-        res = run_p2mdie(
-            ds.kb,
-            list(fold.train_pos),
-            list(fold.train_neg),
-            ds.modes,
-            ds.config,
-            p=p,
-            width=width,
-            seed=seed,
-            network=network,
-            cost_model=cost_model,
-            max_epochs=max_epochs,
-            backend=backend,
-        )
-        theory = res.theory
-        seconds = res.seconds
-        mbytes = res.mbytes
-        epochs = res.epochs
-        uncovered = res.uncovered
-        cache_hits, cache_misses = res.cache_hits, res.cache_misses
+    train = replace(ds, pos=list(fold.train_pos), neg=list(fold.train_neg))
+    outcome = run(
+        train, "mdie" if p == 1 else "p2mdie", p=p, width=width, seed=seed,
+        backend=backend, network=network, cost_model=cost_model, max_epochs=max_epochs,
+    )
     engine = ds.config.make_engine(ds.kb)
-    acc = accuracy(engine, theory, list(fold.test_pos), list(fold.test_neg))
+    acc = accuracy(engine, outcome.theory, list(fold.test_pos), list(fold.test_neg))
     return RunRecord(
         dataset=ds.name,
         width=width if p > 1 else None,
         p=p,
         fold=fold.index,
-        seconds=seconds,
-        mbytes=mbytes,
-        epochs=epochs,
+        seconds=outcome.seconds,
+        mbytes=outcome.mbytes,
+        epochs=outcome.epochs,
         test_accuracy=acc,
-        theory_size=len(theory),
-        uncovered=uncovered,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        theory_size=len(outcome.theory),
+        uncovered=outcome.uncovered,
+        cache_hits=outcome.cache_hits,
+        cache_misses=outcome.cache_misses,
+        clock=outcome.clock,
     )
 
 

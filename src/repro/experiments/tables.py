@@ -43,8 +43,23 @@ def _dataset_width_rows(result: MatrixResult, ps, cell_fn) -> list[list[str]]:
     return rows
 
 
+def one_clock(result: MatrixResult, table: str) -> None:
+    """Tables 2 and 3 set p = 1 beside p > 1: raise ``ValueError`` when
+    the records' seconds are in two clocks (``RunRecord.clock``)."""
+    ps_by_clock: dict = {}
+    for r in result.records:
+        ps_by_clock.setdefault(r.clock, set()).add(r.p)
+    if len(ps_by_clock) > 1:
+        clocks = ", ".join(
+            f"p = {'/'.join(map(str, sorted(ps)))} in {clock} seconds"
+            for clock, ps in sorted(ps_by_clock.items())
+        )
+        raise ValueError(f"{table} compares seconds in two clocks ({clocks}); run it on the sim backend")
+
+
 def table2_speedup(result: MatrixResult, ps: Sequence[int] = (2, 4, 8)) -> str:
     """Table 2: average speedup vs the sequential run, per width and p."""
+    one_clock(result, "Table 2")
 
     def cell(ds: str, w, p: int) -> str:
         seq = result.fold_values("seconds", ds, None, 1)
@@ -64,6 +79,7 @@ def table2_speedup(result: MatrixResult, ps: Sequence[int] = (2, 4, 8)) -> str:
 
 def table3_times(result: MatrixResult, ps: Sequence[int] = (2, 4, 8)) -> str:
     """Table 3: average execution time in (virtual) seconds, incl. p=1."""
+    one_clock(result, "Table 3")
 
     def fmt_secs(x: float) -> str:
         # small-scale runs are seconds, paper-scale thousands of seconds

@@ -13,7 +13,7 @@ Components
 :mod:`repro.service.jobs`
     :class:`JobSpec` (a declarative learning request), its durable
     :class:`JobRecord`, and :func:`run_job` — one spec executed to a
-    :class:`JobOutcome` exactly as ``repro learn`` would.
+    :class:`~repro.run.RunOutcome` exactly as ``repro learn`` would.
 :mod:`repro.service.scheduler`
     :class:`JobScheduler` — concurrent execution of many jobs over
     ``slots`` worker threads with priority/FIFO queueing, cancellation
@@ -38,7 +38,7 @@ Everything is stdlib-only (threads, sockets, JSON) — no new
 dependencies.
 """
 
-from repro.service.jobs import JobOutcome, JobRecord, JobSpec, run_job
+from repro.service.jobs import JobRecord, JobSpec, run_job
 from repro.service.query import QueryEngine, QueryResult
 from repro.service.registry import RegistryError, RegistryRecord, TheoryRegistry
 from repro.service.scheduler import JobScheduler, SchedulerError
@@ -48,7 +48,6 @@ from repro.service.server import Service, serve
 __all__ = [
     "JobSpec",
     "JobRecord",
-    "JobOutcome",
     "run_job",
     "JobScheduler",
     "SchedulerError",

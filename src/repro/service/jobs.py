@@ -3,11 +3,10 @@
 A :class:`JobSpec` names everything one learning run needs — dataset,
 algorithm, processor count, backend, seed — in plain data, so it can
 travel as JSON over the service socket and as a wire-codec payload in
-the scheduler's durable job records.  :func:`run_job` executes a spec
-through the exact same front-ends the CLI uses (``mdie`` /
-``run_p2mdie`` / ``run_coverage_parallel`` / ``run_independent``), so a
-job's learned theory is bit-identical to the corresponding direct
-``repro learn`` invocation.
+the scheduler's durable job records.  :func:`run_job` builds the spec's
+dataset and runs it through :func:`repro.run.run`, the front door
+``repro learn`` also uses, so a job's learned theory is bit-identical to
+the corresponding direct ``repro learn`` invocation.
 
 Checkpoint-capable algorithms (``mdie``, ``p2mdie``, ``covpar``) may be
 run in epoch *chunks* (``max_epochs`` + ``resume``), which is what gives
@@ -17,30 +16,20 @@ without touching the algorithms themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from repro.datasets import DATASETS, make_dataset
-from repro.ilp import accuracy, mdie
-from repro.logic.clause import Clause, Theory
+from repro.ilp import accuracy
 from repro.parallel import wire
+from repro.run import CHECKPOINTABLE, RunOutcome, refusal, run
 
 __all__ = [
-    "ALGOS",
     "JobSpec",
     "JobRecord",
-    "JobOutcome",
     "OutcomeSummary",
     "run_job",
 ]
-
-#: algorithms a job may request.  ``mdie`` is the sequential baseline
-#: (always p=1); the other three are the parallel strategies.
-ALGOS = ("mdie", "p2mdie", "covpar", "independent")
-
-#: algorithms that write epoch-boundary checkpoints (and can therefore
-#: be preempted and resumed by the scheduler).
-CHECKPOINTABLE = ("mdie", "p2mdie", "covpar")
 
 #: wire type code of the durable job record (append-only registry;
 #: 21 = checkpoint, 22 = registry record, 23 = job record).
@@ -61,7 +50,7 @@ class JobSpec:
     dataset:
         Registered dataset name (see :data:`repro.datasets.DATASETS`).
     algo:
-        One of :data:`ALGOS`.
+        One of :data:`repro.run.ALGOS`.
     p:
         Worker count for the parallel algorithms (ignored by ``mdie``).
     width:
@@ -84,7 +73,7 @@ class JobSpec:
     preemptible:
         Run in epoch chunks with checkpoints between them, giving the
         scheduler cancellation points mid-run and crash-resume.  Only
-        meaningful for :data:`CHECKPOINTABLE` algorithms.
+        meaningful for :data:`repro.run.CHECKPOINTABLE` algorithms.
     register_as:
         When set, publish the learned theory under this name in the
         scheduler's :class:`~repro.service.registry.TheoryRegistry`.
@@ -105,10 +94,11 @@ class JobSpec:
     def __post_init__(self):
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}; known: {sorted(DATASETS)}")
-        if self.algo not in ALGOS:
-            raise ValueError(f"unknown algo {self.algo!r}; known: {ALGOS}")
-        if self.algo != "mdie" and self.p < 1:
-            raise ValueError("p must be >= 1")
+        reason = refusal(
+            self.algo, self.p, max_epochs=self.max_epochs, checkpoint=self.preemptible
+        )
+        if reason:
+            raise ValueError(reason)
         from repro.backend import BACKEND_NAMES
 
         if self.backend not in BACKEND_NAMES:
@@ -119,16 +109,6 @@ class JobSpec:
             raise ValueError("width must be positive, WIDTH_DEFAULT or WIDTH_NOLIMIT")
         if self.max_epochs is not None and self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.preemptible and self.algo not in CHECKPOINTABLE:
-            raise ValueError(
-                f"algo {self.algo!r} writes no checkpoints and cannot be "
-                f"preemptible (checkpointable: {CHECKPOINTABLE})"
-            )
-        if self.max_epochs is not None and self.algo == "independent":
-            raise ValueError(
-                "algo 'independent' has a single merge epoch; max_epochs "
-                "does not apply"
-            )
         if self.register_as is not None:
             from repro.service.registry import validate_name
 
@@ -145,28 +125,12 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         """Plain-data form for the JSON-lines protocol."""
-        return {
-            "dataset": self.dataset,
-            "algo": self.algo,
-            "p": self.p,
-            "width": self.width,
-            "seed": self.seed,
-            "scale": self.scale,
-            "backend": self.backend,
-            "priority": self.priority,
-            "max_epochs": self.max_epochs,
-            "preemptible": self.preemptible,
-            "register_as": self.register_as,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
         """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        known = {
-            "dataset", "algo", "p", "width", "seed", "scale", "backend",
-            "priority", "max_epochs", "preemptible", "register_as",
-        }
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown job-spec fields: {sorted(extra)}")
         if "dataset" not in d:
@@ -176,9 +140,9 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class OutcomeSummary:
-    """Wire-persistable digest of a finished job's :class:`JobOutcome`.
+    """Wire-persistable digest of a finished job's :class:`~repro.run.RunOutcome`.
 
-    Exactly the plain-data view :meth:`JobOutcome.summary` serves over
+    Exactly the plain-data view :meth:`RunOutcome.summary` serves over
     the protocol — embedded in the durable :class:`JobRecord` so ``done``
     jobs keep their outcome (theory text included) across scheduler
     restarts instead of degrading to a bare state string.
@@ -195,20 +159,11 @@ class OutcomeSummary:
     theory: str
 
     @classmethod
-    def from_outcome(cls, outcome: "JobOutcome") -> "OutcomeSummary":
+    def from_outcome(cls, outcome: RunOutcome) -> "OutcomeSummary":
         return cls(**outcome.summary())
 
     def to_dict(self) -> dict:
-        return {
-            "rules": self.rules,
-            "epochs": self.epochs,
-            "seconds": self.seconds,
-            "uncovered": self.uncovered,
-            "ops": self.ops,
-            "mbytes": self.mbytes,
-            "train_accuracy": self.train_accuracy,
-            "theory": self.theory,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -252,59 +207,14 @@ class JobRecord:
         return d
 
 
-@dataclass
-class JobOutcome:
-    """Artifacts of one completed job (whatever the algorithm)."""
-
-    theory: Theory
-    epochs: int
-    #: virtual seconds (sim / sequential cost model) or wall seconds (local).
-    seconds: float
-    uncovered: int
-    #: engine operations (sequential mdie) — 0 for parallel runs.
-    ops: int = 0
-    #: communication volume in MB (parallel runs) — 0.0 for mdie.
-    mbytes: float = 0.0
-    #: training accuracy (percent) on the job's dataset.
-    train_accuracy: float = 0.0
-    #: True when the covering loop ran to completion (not an epoch cap).
-    finished: bool = True
-    #: :meth:`ILPConfig.signature` of the config the run used (registry provenance).
-    config_sig: str = ""
-    epoch_logs: list = field(default_factory=list)
-
-    def summary(self) -> dict:
-        """Plain-data summary for status responses (theory as Prolog text)."""
-        from repro.logic.io import theory_to_prolog
-
-        return {
-            "rules": len(self.theory),
-            "epochs": self.epochs,
-            "seconds": round(self.seconds, 3),
-            "uncovered": self.uncovered,
-            "ops": self.ops,
-            "mbytes": round(self.mbytes, 6),
-            "train_accuracy": round(self.train_accuracy, 2),
-            "theory": theory_to_prolog(self.theory),
-        }
-
-
-def _width_arg(spec: JobSpec, config) -> Optional[int]:
-    if spec.width == WIDTH_DEFAULT:
-        return config.pipeline_width
-    if spec.width == WIDTH_NOLIMIT:
-        return None
-    return spec.width
-
-
 def run_job(
     spec: JobSpec,
     *,
     checkpoint_dir: Optional[str] = None,
     resume=None,
     max_epochs: Optional[int] = None,
-) -> JobOutcome:
-    """Execute one job spec through the standard run front-ends.
+) -> RunOutcome:
+    """Execute one job spec through :func:`repro.run.run`.
 
     ``checkpoint_dir`` / ``resume`` / ``max_epochs`` are the chunking
     hooks the scheduler uses for preemptible jobs; they forward directly
@@ -314,74 +224,16 @@ def run_job(
     completed epochs), overriding ``spec.max_epochs`` when given.
     """
     ds = make_dataset(spec.dataset, seed=spec.seed, scale=spec.scale)
-    cap = max_epochs if max_epochs is not None else spec.max_epochs
-    meta = (
-        ("dataset", spec.dataset),
-        ("scale", spec.scale),
-        ("p", str(spec.p)),
-        ("width", str(spec.width)),
+    outcome = run(
+        ds, spec.algo, p=spec.p, seed=spec.seed, backend=spec.backend, scale=spec.scale,
+        width={WIDTH_DEFAULT: ..., WIDTH_NOLIMIT: None}.get(spec.width, spec.width),
+        max_epochs=max_epochs if max_epochs is not None else spec.max_epochs,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
-    if spec.algo == "mdie":
-        res = mdie(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=spec.seed,
-            max_epochs=cap, checkpoint_dir=checkpoint_dir,
-            checkpoint_meta=meta, resume=resume,
-        )
-        from repro.parallel import sequential_seconds
-
-        outcome = JobOutcome(
-            theory=res.theory,
-            epochs=res.epochs,
-            seconds=sequential_seconds(res),
-            uncovered=res.uncovered,
-            ops=res.ops,
-            finished=_seq_finished(res, cap),
-        )
-    elif spec.algo == "independent":
-        from repro.parallel import run_independent
-
-        res = run_independent(
-            ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=spec.p,
-            width=_width_arg(spec, ds.config), seed=spec.seed, backend=spec.backend,
-        )
-        # Single merge epoch, no cap parameter: always ran to completion.
-        outcome = _parallel_outcome(res, None)
-    else:
-        if spec.algo == "p2mdie":
-            from repro.parallel import run_p2mdie as front
-        else:
-            from repro.parallel import run_coverage_parallel as front
-
-        kw = dict(
-            p=spec.p, seed=spec.seed, backend=spec.backend, max_epochs=cap,
-            checkpoint_dir=checkpoint_dir, checkpoint_meta=meta, resume=resume,
-        )
-        if spec.algo == "p2mdie":
-            kw["width"] = _width_arg(spec, ds.config)
-        res = front(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, **kw)
-        outcome = _parallel_outcome(res, cap)
     engine = ds.config.make_engine(ds.kb)
     outcome.train_accuracy = accuracy(engine, outcome.theory, ds.pos, ds.neg)
     outcome.config_sig = ds.config.signature()
     return outcome
-
-
-def _seq_finished(res, cap: Optional[int]) -> bool:
-    # An epoch-capped run that hit the cap may have had more work to do;
-    # everything else terminated because the covering loop was done.
-    return not (cap is not None and res.epochs >= cap and res.uncovered > 0)
-
-
-def _parallel_outcome(res, cap: Optional[int]) -> JobOutcome:
-    return JobOutcome(
-        theory=res.theory,
-        epochs=res.epochs,
-        seconds=res.seconds,
-        uncovered=res.uncovered,
-        mbytes=res.mbytes,
-        finished=not (cap is not None and res.epochs >= cap and res.uncovered > 0),
-        epoch_logs=list(getattr(res, "epoch_logs", [])),
-    )
 
 
 # -- wire codec for the durable job record ----------------------------------------
@@ -427,17 +279,13 @@ def _enc_job_record(e, r: JobRecord) -> None:
 
 
 def _dec_outcome_summary(d) -> OutcomeSummary:
-    rules = d.u()
-    epochs = d.u()
-    seconds = float(d.sym())
-    uncovered = d.u()
-    ops = d.u()
+    # Keyword arguments are evaluated in the order written: the field order.
     return OutcomeSummary(
-        rules=rules,
-        epochs=epochs,
-        seconds=seconds,
-        uncovered=uncovered,
-        ops=ops,
+        rules=d.u(),
+        epochs=d.u(),
+        seconds=float(d.sym()),
+        uncovered=d.u(),
+        ops=d.u(),
         mbytes=float(d.sym()),
         train_accuracy=float(d.sym()),
         theory=d.sym(),

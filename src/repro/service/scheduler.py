@@ -58,8 +58,9 @@ from typing import Optional
 
 from repro.fault.service import InjectedFault
 from repro.parallel import wire
+from repro.run import RunOutcome
 from repro.service.errors import Overloaded
-from repro.service.jobs import JobOutcome, JobRecord, JobSpec, OutcomeSummary, run_job
+from repro.service.jobs import JobRecord, JobSpec, OutcomeSummary, run_job
 from repro.util.atomicio import atomic_write_bytes
 from repro.util.log import get_logger
 
@@ -93,7 +94,7 @@ class _Job:
     """Scheduler-internal mutable job handle."""
 
     record: JobRecord
-    outcome: Optional[JobOutcome] = None
+    outcome: Optional[RunOutcome] = None
     cancel: threading.Event = field(default_factory=threading.Event)
     #: owned TemporaryDirectory when the scheduler has no state_dir.
     _tmp: Optional[tempfile.TemporaryDirectory] = None
@@ -291,7 +292,7 @@ class JobScheduler:
         with self._lock:
             return [j.record.to_dict() for j in sorted(self._jobs.values(), key=lambda j: j.record.seq)]
 
-    def result(self, job_id: str) -> JobOutcome:
+    def result(self, job_id: str) -> RunOutcome:
         """The outcome of a ``done`` job (raises otherwise)."""
         with self._lock:
             job = self._get(job_id)
@@ -583,7 +584,7 @@ class JobScheduler:
             self._cv.notify_all()
         job.cleanup_tmp()
 
-    def _run_chunked(self, job: _Job) -> Optional[JobOutcome]:
+    def _run_chunked(self, job: _Job) -> Optional[RunOutcome]:
         """Advance a preemptible job chunk by chunk; None = did not finish."""
         spec = job.record.spec
         ckpt_dir = self._checkpoint_dir_for(job)
@@ -618,7 +619,7 @@ class JobScheduler:
                     # next chunk resumes from the checkpoint just written.
                     return None
 
-    def _publish(self, job: _Job, outcome: JobOutcome) -> None:
+    def _publish(self, job: _Job, outcome: RunOutcome) -> None:
         spec = job.record.spec
         provenance = {
             "job": job.record.job_id,

@@ -162,10 +162,9 @@ outcomes and registry records carry as `config_sig`; `repro resume`
 refuses a checkpoint whose signature names a different configuration."""
 
 _BACKEND_NOTE = """\
-All `run_*` front-ends accept `backend=` as an instance or name; the
-learned theory is identical across substrates for the same seed/config
-(`tests/backend/test_parity.py`).  A fault plan is an argument of
-`Backend.run(procs, fault_plan=...)`, never state on a backend."""
+`run` and the `run_*` front-ends accept `backend=` as an instance or name; the learned
+theory is identical across substrates for the same seed/config (`tests/backend/test_parity.py`).
+A fault plan is an argument of `Backend.run(procs, fault_plan=...)`, never state on a backend."""
 
 _FAULT_NOTE = """\
 An empty plan is byte-identical to no plan; a non-empty plan never
@@ -243,6 +242,7 @@ SECTIONS = [
             ("repro.ilp", ["mdie", "accuracy", "confusion", "predicts"]),
             ("repro.ilp.coverage", ["coverage_eval", "theory_covered_bits"]),
             ("repro.parallel", ["run_p2mdie", "run_coverage_parallel", "run_independent"]),
+            ("repro.run", ["run", "RunOutcome"]),
             ("repro.parallel.partition", ["partition_examples", "shard_spans"]),
         ],
         _ILPCONFIG,
@@ -282,7 +282,7 @@ SECTIONS = [
         "## Serving — `repro.service`",
         None,
         [
-            ("repro.service.jobs", ["JobSpec", "JobOutcome", "OutcomeSummary", "run_job"]),
+            ("repro.service.jobs", ["JobSpec", "OutcomeSummary", "run_job"]),
             ("repro.service.scheduler", ["JobScheduler"]),
             ("repro.service.registry", ["TheoryRegistry", "RegistryRecord", "theory_diff"]),
             (
