@@ -221,7 +221,7 @@ def run_coverage_parallel(
     """Run the coverage-parallel baseline; returns the same artifact type
     as :func:`repro.parallel.p2mdie.run_p2mdie` so harness code can compare
     them directly."""
-    plan = _validate_fault_args(fault_plan, spares, p)
+    plan = _validate_fault_args("covpar", fault_plan, spares, p)
     _check_resume(resume, "covpar", p, seed)
     shared = SharedProblem.partitioned(kb, pos, neg, modes, config, p, seed)
     master = CoverageParallelMaster(

@@ -142,7 +142,7 @@ def run_independent(
 ) -> P2Result:
     """Run the independent-learning baseline; same artifact type as
     :func:`repro.parallel.p2mdie.run_p2mdie` for direct comparison."""
-    plan = _validate_fault_args(fault_plan, spares, p)
+    plan = _validate_fault_args("independent", fault_plan, spares, p)
     shared = SharedProblem.partitioned(kb, pos, neg, modes, config, p, seed)
     master = IndependentMaster(
         n_workers=p,

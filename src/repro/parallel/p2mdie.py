@@ -35,6 +35,7 @@ from repro.logic.terms import Term
 from repro.parallel.master import EpochLog, P2Master
 from repro.parallel.partition import Partition, partition_examples
 from repro.parallel.worker import P2Worker
+from repro.run import refusal
 from repro.util.rng import make_rng
 
 __all__ = ["WorkerProblem", "SharedProblem", "P2Result", "run_p2mdie", "sequential_seconds"]
@@ -187,19 +188,20 @@ def _result_from_run(run: BackendRun) -> P2Result:
 
 
 def _validate_fault_args(
+    algo: str,
     fault_plan: Optional[FaultPlan],
     spares: int,
     p: int,
     share_mode: str = "shared_fs",
     repartition_each_epoch: bool = False,
 ):
-    """Common front-end guards for the fault-tolerance arguments."""
+    """Common front-end guards: :func:`repro.run.refusal` for ``p`` and the
+    fault-tolerance arguments, then what only a fault plan needs."""
     plan = normalize_plan(fault_plan)
-    if spares < 0:
-        raise ValueError("spares must be >= 0")
+    reason = refusal(algo, p, fault_plan=plan is not None, spares=spares)
+    if reason:
+        raise ValueError(reason)
     if plan is None:
-        if spares:
-            raise ValueError("spares require a fault plan (they are a fault-tolerance feature)")
         return None
     if share_mode != "shared_fs":
         raise ValueError(
@@ -277,11 +279,9 @@ def run_p2mdie(
     continues a run from such a snapshot, reproducing the remaining
     epochs exactly.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     if share_mode not in ("shared_fs", "messages"):
         raise ValueError("share_mode must be 'shared_fs' or 'messages'")
-    plan = _validate_fault_args(fault_plan, spares, p, share_mode, repartition_each_epoch)
+    plan = _validate_fault_args("p2mdie", fault_plan, spares, p, share_mode, repartition_each_epoch)
     if repartition_each_epoch and (checkpoint_dir is not None or resume is not None):
         raise ValueError(
             "per-epoch repartitioning cannot be checkpointed or resumed: a resumed run "

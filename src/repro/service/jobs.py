@@ -279,13 +279,17 @@ def _enc_job_record(e, r: JobRecord) -> None:
 
 
 def _dec_outcome_summary(d) -> OutcomeSummary:
-    # Keyword arguments are evaluated in the order written: the field order.
+    rules = d.u()
+    epochs = d.u()
+    seconds = float(d.sym())
+    uncovered = d.u()
+    ops = d.u()
     return OutcomeSummary(
-        rules=d.u(),
-        epochs=d.u(),
-        seconds=float(d.sym()),
-        uncovered=d.u(),
-        ops=d.u(),
+        rules=rules,
+        epochs=epochs,
+        seconds=seconds,
+        uncovered=uncovered,
+        ops=ops,
         mbytes=float(d.sym()),
         train_accuracy=float(d.sym()),
         theory=d.sym(),
