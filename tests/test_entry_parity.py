@@ -8,7 +8,7 @@ four front-ends (``mdie``, ``run_p2mdie``, ``run_coverage_parallel``,
 check that an entry point reports what the direct front-end call reports:
 the theory, the epochs, the uncovered count, the seconds and the MB.
 
-The datasets are krki (5-8 epochs) and mesh (8-12 epochs): multi-epoch
+The datasets are krki (5-8 epochs) and mesh (7-10 epochs): multi-epoch
 runs, so a difference in the checkpoint or cap plumbing would show.
 Everything runs on the simulator, whose seconds are exact.
 """
