@@ -157,12 +157,14 @@ def build_bottom_cached(
     too, since retrying them is just as expensive.
     """
     kb = engine.kb
+    # ``setdefault`` at both levels: threads sharing a KB (concurrent jobs
+    # on one cached dataset) all keep the map that was installed first.
     per_kb = _BOTTOM_CACHE.get(kb)
     if per_kb is None:
-        per_kb = _BOTTOM_CACHE[kb] = weakref.WeakKeyDictionary()
+        per_kb = _BOTTOM_CACHE.setdefault(kb, weakref.WeakKeyDictionary())
     per_modes = per_kb.get(modes)
     if per_modes is None:
-        per_modes = per_kb[modes] = {}
+        per_modes = per_kb.setdefault(modes, {})
     budget = engine.budget
     key = (
         kb.version,

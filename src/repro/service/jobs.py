@@ -3,10 +3,20 @@
 A :class:`JobSpec` names everything one learning run needs — dataset,
 algorithm, processor count, backend, seed — in plain data, so it can
 travel as JSON over the service socket and as a wire-codec payload in
-the scheduler's durable job records.  :func:`run_job` builds the spec's
-dataset and runs it through :func:`repro.run.run`, the front door
-``repro learn`` also uses, so a job's learned theory is bit-identical to
-the corresponding direct ``repro learn`` invocation.
+the scheduler's durable job records.  :func:`run_job` takes the spec's
+dataset from :func:`shared_dataset` and runs it through
+:func:`repro.run.run`, the front door ``repro learn`` also uses, so a
+job's learned theory is bit-identical to the corresponding direct
+``repro learn`` invocation.
+
+:func:`shared_dataset` is the service's one dataset cache: jobs, the
+chunks of a preemptible job and the query tier's prepared theories on one
+``(dataset, seed, scale)`` share one knowledge base, its argument indexes
+and its saturation-cache entries.  A saturation hit replays the
+operations it recorded, so sharing moves no op count, virtual second or
+theory.  The cache keeps the :data:`DATASET_CACHE_CAP` most recently used
+datasets: a job's seed comes from the client, so an unbounded cache would
+let clients grow the server's memory without limit.
 
 Checkpoint-capable algorithms (``mdie``, ``p2mdie``, ``covpar``) may be
 run in epoch *chunks* (``max_epochs`` + ``resume``), which is what gives
@@ -16,10 +26,12 @@ without touching the algorithms themselves.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
-from repro.datasets import DATASETS, make_dataset
+from repro.datasets import DATASETS, Dataset, make_dataset
 from repro.ilp import accuracy
 from repro.parallel import wire
 from repro.run import CHECKPOINTABLE, RunOutcome, refusal, run
@@ -29,6 +41,7 @@ __all__ = [
     "JobRecord",
     "OutcomeSummary",
     "run_job",
+    "shared_dataset",
 ]
 
 #: wire type code of the durable job record (append-only registry;
@@ -39,6 +52,37 @@ _WIRE_CODE = 23
 WIDTH_DEFAULT = -1
 #: ``JobSpec.width`` sentinel: the paper's "nolimit".
 WIDTH_NOLIMIT = -2
+
+#: datasets :func:`shared_dataset` keeps, least recently used evicted first.
+DATASET_CACHE_CAP = 8
+
+_datasets: "OrderedDict[tuple, Dataset]" = OrderedDict()
+_datasets_lock = threading.Lock()
+
+
+def shared_dataset(name: str, seed: int = 0, scale: str = "small") -> Dataset:
+    """The service's one cached dataset for ``(name, seed, scale)``.
+
+    A miss builds it with this module's ``make_dataset``, so a rebinding
+    of that name (``bench/tracing.py`` wraps it) sees every build.
+
+    The build runs outside the lock: generation can take seconds and must
+    not stall hits on other datasets.  Two threads that miss on one key
+    both build it and both get the dataset published first.
+    """
+    key = (name, seed, scale)
+    with _datasets_lock:
+        ds = _datasets.get(key)
+        if ds is not None:
+            _datasets.move_to_end(key)
+            return ds
+    built = make_dataset(name, seed=seed, scale=scale)
+    with _datasets_lock:
+        ds = _datasets.setdefault(key, built)
+        _datasets.move_to_end(key)
+        while len(_datasets) > DATASET_CACHE_CAP:
+            _datasets.popitem(last=False)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -214,7 +258,10 @@ def run_job(
     resume=None,
     max_epochs: Optional[int] = None,
 ) -> RunOutcome:
-    """Execute one job spec through :func:`repro.run.run`.
+    """Execute one job spec through :func:`repro.run.run` on its shared dataset.
+
+    The dataset comes from :func:`shared_dataset`, so jobs and queries on
+    one ``(dataset, seed, scale)`` learn and answer on one KB.
 
     ``checkpoint_dir`` / ``resume`` / ``max_epochs`` are the chunking
     hooks the scheduler uses for preemptible jobs; they forward directly
@@ -223,7 +270,7 @@ def run_job(
     ``tests/fault/test_resume.py``).  ``max_epochs`` is absolute (total
     completed epochs), overriding ``spec.max_epochs`` when given.
     """
-    ds = make_dataset(spec.dataset, seed=spec.seed, scale=spec.scale)
+    ds = shared_dataset(spec.dataset, spec.seed, spec.scale)
     outcome = run(
         ds, spec.algo, p=spec.p, seed=spec.seed, backend=spec.backend, scale=spec.scale,
         width={WIDTH_DEFAULT: ..., WIDTH_NOLIMIT: None}.get(spec.width, spec.width),

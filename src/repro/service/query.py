@@ -7,8 +7,10 @@ every call: rebuilding the dataset's knowledge base/engine, and renaming
 each clause apart.  The query engine amortizes both:
 
 * a **prepared-theory cache**: the first query against ``(name,
-  version)`` builds the dataset KB (from the record's provenance), an
-  :class:`~repro.logic.engine.Engine` and the clause list once; every
+  version)`` takes the dataset named by the record's provenance from
+  :func:`repro.service.jobs.shared_dataset` (the cache learning jobs use
+  too, so a theory is queried on the KB its job learned on), and builds
+  an :class:`~repro.logic.engine.Engine` and the clause list once; every
   later batch reuses them (KB indexes and the engine's ground-goal memo
   stay warm across batches);
 * **micro-batching**: a batch is evaluated clause-by-clause via
@@ -41,13 +43,15 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from repro.datasets import make_dataset
+# Unused: misses build in jobs.shared_dataset, but bench/tracing.py rebinds this name.
+from repro.datasets import make_dataset  # noqa: F401
 from repro.ilp.coverage import popcount, theory_covered_bits
 from repro.logic.clause import Theory
 from repro.logic.engine import Engine
 from repro.logic.terms import Term, is_ground
 from repro.parallel.partition import shard_spans
 from repro.service.errors import DeadlineExceeded, Unavailable
+from repro.service.jobs import shared_dataset
 
 __all__ = [
     "QueryEngine",
@@ -232,16 +236,15 @@ class QueryEngine:
 
     One instance may be shared by many server threads: the prepared
     cache is locked (cheaply — expensive dataset builds happen outside
-    the lock), and each :class:`PreparedTheory` serializes the spans
-    evaluated on its one engine, so batches against different theories
-    overlap freely and batches against the same theory interleave at
-    span boundaries.
+    it, in :func:`~repro.service.jobs.shared_dataset`), and each
+    :class:`PreparedTheory` serializes the spans evaluated on its one
+    engine, so batches against different theories overlap freely and
+    batches against the same theory interleave at span boundaries.
     """
 
     def __init__(self, registry=None, fault_injector=None):
         self.registry = registry
         self._prepared: dict[tuple, PreparedTheory] = {}
-        self._datasets: dict[tuple, object] = {}
         self._lock = threading.Lock()
         self._injector = fault_injector
         #: prepared-cache counters (amortization visibility).
@@ -252,20 +255,6 @@ class QueryEngine:
         self.streams_cancelled = 0
 
     # -- preparation -------------------------------------------------------------
-
-    def _dataset(self, name: str, seed: int, scale: str):
-        key = (name, seed, scale)
-        with self._lock:
-            ds = self._datasets.get(key)
-        if ds is None:
-            # Built outside the lock: dataset generation can take seconds
-            # and must not stall cache hits for other theories.  A racing
-            # duplicate build is harmless (last writer wins; both are
-            # equal by construction).
-            ds = make_dataset(name, seed=seed, scale=scale)
-            with self._lock:
-                ds = self._datasets.setdefault(key, ds)
-        return ds
 
     def _resolve(self, name: str, version: Optional[int]) -> int:
         if self.registry is None:
@@ -282,7 +271,7 @@ class QueryEngine:
                 f"registry record {name} v{version} has no dataset provenance; "
                 "pass a KB explicitly via prepare_theory()"
             )
-        return record, self._dataset(
+        return record, shared_dataset(
             dataset, int(prov.get("seed", "0")), prov.get("scale", "small")
         )
 
@@ -380,7 +369,7 @@ class QueryEngine:
         return QueryStream(self, prepared, examples, spans, micro_batch, deadline)
 
     def dataset_for(self, name: str, version: Optional[int] = None):
-        """The (cached) dataset a registered theory was learned on.
+        """The (shared) dataset a registered theory was learned on.
 
         Callers that want to classify a theory's own training examples
         reuse the dataset the prepare step already built instead of

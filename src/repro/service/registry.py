@@ -26,6 +26,7 @@ falling back to the latest.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import struct
@@ -146,13 +147,16 @@ def _dec_registry_record(d) -> RegistryRecord:
 wire.register_codec(RegistryRecord, _WIRE_CODE, _enc_registry_record, _dec_registry_record)
 
 
+@functools.cache
 def _git_sha() -> str:
     """Best-effort HEAD SHA of the *code* checkout producing the theory.
 
     Resolved from the installed package's own directory — never from the
     registry root, which routinely lives outside the repository (temp
     dirs, data volumes) or inside an unrelated one.  "unknown" when the
-    code does not come from a git checkout.
+    code does not come from a git checkout.  Read once per process: the
+    SHA returned is the checkout's HEAD at the first publish, and later
+    publishes stamp that one without forking ``git`` again.
     """
     try:
         out = subprocess.run(
@@ -314,8 +318,9 @@ class TheoryRegistry:
         already supplied (``"unknown"`` outside a git checkout).
         """
         prov = dict(provenance or {})
-        prov.setdefault("git_sha", _git_sha())
         with self._lock:
+            # Under the lock: racing first publishes still fork git once.
+            prov.setdefault("git_sha", _git_sha())
             version = (self.versions(name) or [0])[-1] + 1
             record = RegistryRecord(
                 format_version=REGISTRY_VERSION,

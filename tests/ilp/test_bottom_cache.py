@@ -2,9 +2,12 @@
 op cost, and invalidate on KB mutation / bias change."""
 
 import sys
+import threading
+import weakref
 
 import pytest
 
+from repro.ilp import bottom
 from repro.ilp.bottom import SaturationError, build_bottom, build_bottom_cached
 from repro.ilp.config import ILPConfig
 from repro.ilp.mdie import mdie
@@ -77,6 +80,48 @@ class TestCache:
             build_bottom_cached(bad, e, modes, CONFIG)
         with pytest.raises(SaturationError):
             build_bottom_cached(bad, e, modes, CONFIG)
+
+
+class _MeetAfterLookup(weakref.WeakKeyDictionary):
+    """A cache whose lookups return in pairs, once two threads have looked
+    (until the barrier is aborted): both threads find the KB missing."""
+
+    def __init__(self):
+        super().__init__()
+        self.arrived = threading.Barrier(2, timeout=30)
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if not self.arrived.broken:
+            self.arrived.wait()
+        return found
+
+
+def test_threads_saturating_on_one_kb_install_one_map(kb, modes, monkeypatch):
+    """Two threads miss on a KB at once; ``setdefault`` keeps the map that was
+    installed first at both levels, so neither thread's entry is lost."""
+    cache = _MeetAfterLookup()
+    monkeypatch.setattr(bottom, "_BOTTOM_CACHE", cache)
+    examples = [EX, parse_term("p(b)")]
+    bottoms = [None, None]
+
+    def saturate(i):
+        engine = Engine(kb, CONFIG.engine_budget())
+        bottoms[i] = build_bottom_cached(examples[i], engine, modes, CONFIG)
+
+    threads = [threading.Thread(target=saturate, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    cache.arrived.abort()
+    assert len(cache) == 1 and len(cache[kb]) == 1
+    assert len(cache[kb][modes]) == 2
+    for example, got in zip(examples, bottoms):
+        engine = Engine(kb, CONFIG.engine_budget())
+        assert str(got) == str(build_bottom(example, engine, modes, CONFIG))
+        assert build_bottom_cached(example, engine, modes, CONFIG) is got
 
 
 class TestMDIEParity:

@@ -1,12 +1,14 @@
 """TheoryRegistry: versioned artifacts, promotion, diff, corruption."""
 
 import os
+import subprocess
 
 import pytest
 
 from repro.logic import Theory, parse_clause
 from repro.parallel import wire
 from repro.service import RegistryError, TheoryRegistry
+from repro.service import registry as registry_module
 from repro.service.registry import RegistryRecord, theory_diff
 
 
@@ -42,6 +44,21 @@ class TestPublishGet:
         assert rec.provenance_dict()["dataset"] == "trains"
         # git SHA stamped automatically
         assert "git_sha" in rec.provenance_dict()
+
+    def test_git_runs_once_per_process(self, registry, theory_v1, monkeypatch):
+        registry_module._git_sha.cache_clear()
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        r1 = registry.publish("t", theory_v1)
+        r2 = registry.publish("u", theory_v1)
+        assert len(calls) == 1
+        assert r1.provenance_dict()["git_sha"] == r2.provenance_dict()["git_sha"]
 
     def test_get_defaults_to_latest_then_promoted(self, registry, theory_v1, theory_v2):
         registry.publish("t", theory_v1)
