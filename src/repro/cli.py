@@ -849,7 +849,7 @@ def _query_verb(args) -> int:
         print(f"% covered {result.n_covered}/{result.n} (ops={result.ops})")
         return 0
     # Default: classify the training dataset and report confusion counts.
-    # (dataset_for shares the query engine's dataset cache, so the KB the
+    # (dataset_for reads the service's one dataset cache, so the KB the
     # prepare step builds is not generated a second time here.)
     ds = engine.dataset_for(args.name, args.version)
     res_pos = engine.query(args.name, ds.pos, version=args.version)

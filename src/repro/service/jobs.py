@@ -60,7 +60,7 @@ _datasets: "OrderedDict[tuple, Dataset]" = OrderedDict()
 _datasets_lock = threading.Lock()
 
 
-def shared_dataset(name: str, seed: int = 0, scale: str = "small") -> Dataset:
+def shared_dataset(name: str, seed: int, scale: str) -> Dataset:
     """The service's one cached dataset for ``(name, seed, scale)``.
 
     A miss builds it with this module's ``make_dataset``, so a rebinding
