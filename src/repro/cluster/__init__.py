@@ -16,7 +16,6 @@ from repro.cluster.costmodel import (
     CostModel,
     DEFAULT_COST_MODEL,
     OpsCostModel,
-    PerRankCostModel,
     sequential_seconds,
 )
 from repro.cluster.network import FAST_ETHERNET, GIGABIT, INFINIBAND_LIKE, NetworkModel
@@ -25,7 +24,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "OpsCostModel",
-    "PerRankCostModel",
     "sequential_seconds",
     "FAST_ETHERNET",
     "GIGABIT",

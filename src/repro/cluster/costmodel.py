@@ -29,10 +29,6 @@ class CostModel:
     def seconds_for_ops(self, ops: int) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def seconds_for_ops_at(self, rank: int, ops: int) -> float:
-        """Per-node cost; uniform clusters ignore ``rank``."""
-        return self.seconds_for_ops(ops)
-
 
 @dataclass(frozen=True)
 class OpsCostModel(CostModel):
@@ -52,29 +48,6 @@ class OpsCostModel(CostModel):
 
     def seconds_for_ops(self, ops: int) -> float:
         return ops * self.sec_per_op
-
-
-class PerRankCostModel(CostModel):
-    """Heterogeneous cluster: per-rank speed multipliers over a base model.
-
-    A scale of 2.0 makes a node twice as *slow*.  The paper's pipeline
-    assumes near-identical stage granularity ("balanced computations",
-    §4.1); this model lets the ablation benches quantify how a straggler
-    node erodes that assumption.
-    """
-
-    def __init__(self, base: CostModel | None = None, scales: dict | None = None):
-        self.base = base or OpsCostModel()
-        self.scales = dict(scales or {})
-        for rank, s in self.scales.items():
-            if s <= 0:
-                raise ValueError(f"scale for rank {rank} must be positive")
-
-    def seconds_for_ops(self, ops: int) -> float:
-        return self.base.seconds_for_ops(ops)
-
-    def seconds_for_ops_at(self, rank: int, ops: int) -> float:
-        return self.base.seconds_for_ops(ops) * self.scales.get(rank, 1.0)
 
 
 DEFAULT_COST_MODEL = OpsCostModel()

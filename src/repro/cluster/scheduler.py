@@ -284,7 +284,7 @@ class Scheduler:
                 return
             send_value = None
             if isinstance(op, ComputeOp):
-                dt = self.cost_model.seconds_for_ops_at(rank, op.ops)
+                dt = self.cost_model.seconds_for_ops(op.ops)
                 dt *= st.faults.slowdown(st.clock)
                 if tc is not None and st.clock + dt >= tc:
                     # The crash interrupts the compute interval.

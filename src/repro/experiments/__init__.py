@@ -3,7 +3,6 @@ matrix runner, table renderers (Tables 1-6) and the pipeline trace
 (Figs. 3-4)."""
 
 from repro.experiments.crossval import Fold, kfold
-from repro.experiments.report import ReportMeta, render_report, speedup_summary
 from repro.experiments.runner import MatrixResult, RunRecord, run_cell, run_matrix, width_label
 from repro.experiments.stats import PairedTest, mean_std, paired_ttest
 from repro.experiments.tables import (
@@ -19,9 +18,6 @@ from repro.experiments.trace import occupancy, render_gantt, stage_summary
 __all__ = [
     "Fold",
     "kfold",
-    "ReportMeta",
-    "render_report",
-    "speedup_summary",
     "MatrixResult",
     "RunRecord",
     "run_cell",

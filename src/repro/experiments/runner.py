@@ -46,18 +46,8 @@ class RunRecord:
     test_accuracy: float
     theory_size: int
     uncovered: int
-    #: ExampleStore evaluation-cache effectiveness over the run (summed
-    #: over workers for parallel cells) — makes recovery-induced cache
-    #: invalidation visible in the experiments report.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: the clock of ``seconds``: "virtual" or "wall" (see repro.run).
     clock: str = "virtual"
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
 
 @dataclass
@@ -127,8 +117,6 @@ def run_cell(
         test_accuracy=acc,
         theory_size=len(outcome.theory),
         uncovered=outcome.uncovered,
-        cache_hits=outcome.cache_hits,
-        cache_misses=outcome.cache_misses,
         clock=outcome.clock,
     )
 

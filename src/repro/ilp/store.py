@@ -70,9 +70,6 @@ class ExampleStore:
         """Number of still-uncovered positive examples."""
         return popcount(self.alive)
 
-    def alive_examples(self) -> list[Term]:
-        return [e for i, e in enumerate(self.pos) if self.alive >> i & 1]
-
     def alive_indices(self) -> list[int]:
         return [i for i in range(len(self.pos)) if self.alive >> i & 1]
 

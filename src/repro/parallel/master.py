@@ -12,8 +12,8 @@ Per epoch the P²-MDIE master:
    are no longer good.
 
 Epochs repeat until every positive example is covered or learning stalls
-(no pipeline produced an acceptable rule for ``stall_limit`` consecutive
-epochs — the paper's generic "stopping condition").
+(no pipeline produced an acceptable rule for ``P2Master.STALL_LIMIT``
+consecutive epochs — the paper's generic "stopping condition").
 
 :class:`Master` owns those collective steps for all three strategies.
 There is one path through them and one message per task, stamped under a
@@ -47,21 +47,17 @@ from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    ExamplesReport,
-    GatherExamples,
     LoadExamples,
     MarkCovered,
     Ping,
     PipelineRules,
     Pong,
-    Repartition,
     StartPipeline,
     Stop,
     UpdateRouting,
     per_worker_evaluate_requests,
     record_candidate_masks,
 )
-from repro.util.rng import make_rng
 
 __all__ = ["Master", "P2Master", "EpochLog", "ClauseBag", "drop_not_good", "pick_best"]
 
@@ -277,16 +273,13 @@ class Master(SimProcess):
         save_checkpoint(checkpoint_path(self.checkpoint_dir, self.epochs), snapshot)
 
     # -- collective steps (Fig. 5) ---------------------------------------------------
-    def _load(self, ctx: ProcContext, ship_data: Optional[list] = None):
-        """Line 3: ``load_examples`` (partition id == rank), or the data
-        itself when no shared filesystem is assumed.  A resumed run ships
-        the accepted-rule history instead: at an epoch boundary the
-        adoption payload *is* the resume payload."""
+    def _load(self, ctx: ProcContext):
+        """Line 3: ``load_examples`` (partition id == rank).  A resumed
+        run ships the accepted-rule history instead: at an epoch boundary
+        the adoption payload *is* the resume payload."""
         for k in self._workers():
             if self._resume is not None:
                 payload = self._ft_adopt_payload(k)
-            elif ship_data is not None:
-                payload = ship_data[k - 1]
             else:
                 payload = LoadExamples(partition_id=k)
             yield ctx.send(k, payload, tag=Tag.LOAD_EXAMPLES)
@@ -648,6 +641,8 @@ class P2Master(Master):
     """Rank-0 master driving the worker ring."""
 
     ALGO = "p2mdie"
+    #: consecutive epochs without an accepted rule before learning stops.
+    STALL_LIMIT = 3
 
     def __init__(
         self,
@@ -656,10 +651,7 @@ class P2Master(Master):
         config: ILPConfig,
         width: Optional[int] = ...,
         max_epochs: Optional[int] = None,
-        stall_limit: int = 3,
-        repartition_each_epoch: bool = False,
         seed: int = 0,
-        ship_data: Optional[list] = None,
         fault_plan: Optional[FaultPlan] = None,
         spares: int = 0,
         checkpoint_dir: Optional[str] = None,
@@ -679,14 +671,6 @@ class P2Master(Master):
         )
         self.width = config.pipeline_width if width is ... else width
         self.max_epochs = max_epochs
-        self.stall_limit = stall_limit
-        #: §4.1's rejected alternative, implemented so its cost is
-        #: measurable: reshuffle the remaining examples over the workers
-        #: before every epoch after the first.
-        self.repartition_each_epoch = repartition_each_epoch
-        #: when set (no shared filesystem), a list of per-worker LoadData
-        #: payloads to ship instead of LoadExamples notifications (§4.1).
-        self.ship_data = ship_data
         self._stall0 = resume.stall if resume is not None else 0
 
     # -- global evaluation round (Fig. 5 lines 10-11 / 18-19) --------------------
@@ -698,13 +682,11 @@ class P2Master(Master):
 
     # -- process body ----------------------------------------------------------------
     def run(self, ctx: ProcContext):
-        yield from self._load(ctx, self.ship_data)
+        yield from self._load(ctx)
         stall = self._stall0
         while self.remaining > 0:
             if self.max_epochs is not None and self.epochs >= self.max_epochs:
                 break
-            if self.repartition_each_epoch and self.epochs > 0:
-                yield from self._repartition_round(ctx)
             yield from self._admit_joins(ctx)
             log = self._open_epoch()
             bag = yield from self._pipeline_round(ctx, self.width, log)
@@ -712,7 +694,7 @@ class P2Master(Master):
             yield from self._end_epoch(ctx, log)
             stall = 0 if log.accepted else stall + 1
             self._write_checkpoint(stall=stall)
-            if not log.accepted and stall >= self.stall_limit:
+            if not log.accepted and stall >= self.STALL_LIMIT:
                 break
         yield from self._stop(ctx)
 
@@ -723,32 +705,3 @@ class P2Master(Master):
         # kills accepted so far.
         mid_epoch = self._log is not None
         return (completed, current, True, mid_epoch, self.epochs + 1 if mid_epoch else self.epochs)
-
-    # -- repartitioning extension (§4.1's rejected alternative) ------------------
-    def _repartition_round(self, ctx: ProcContext):
-        """Gather remaining examples, reshuffle, redistribute.
-
-        This ships example terms over the network (no shared-FS shortcut
-        mid-run) — precisely the communication the paper declined to pay.
-        """
-        from repro.parallel.partition import partition_examples
-
-        yield ctx.bcast(GatherExamples(), tag=Tag.LOAD_EXAMPLES, dsts=self._workers())
-        pos: list = []
-        neg: list = []
-        for _ in self._workers():
-            msg = yield ctx.recv(tag=Tag.LOAD_EXAMPLES)
-            report: ExamplesReport = msg.payload
-            pos.extend(report.pos)
-            neg.extend(report.neg)
-        # Deterministic global ordering before the shuffle.
-        pos.sort(key=str)
-        neg.sort(key=str)
-        rng = make_rng(self.seed, "repartition", self.epochs)
-        parts = partition_examples(pos, neg, self.n_workers, rng)
-        yield ctx.compute(len(pos) + len(neg) + 1, label="aggregate")
-        # Candidate masks are in each worker's local example numbering;
-        # repartitioning renumbers everything, so they all expire.
-        self._worker_cand.clear()
-        for k, part in zip(self._workers(), parts):
-            yield ctx.send(k, Repartition(pos=part.pos, neg=part.neg), tag=Tag.LOAD_EXAMPLES)

@@ -37,16 +37,12 @@ from repro.logic.clause import Clause
 
 __all__ = [
     "LoadExamples",
-    "LoadData",
     "StartPipeline",
     "PipelineTask",
     "PipelineRules",
     "EvaluateRequest",
     "EvaluateResult",
     "MarkCovered",
-    "GatherExamples",
-    "ExamplesReport",
-    "Repartition",
     "Stop",
     "RuleStats",
     "per_worker_evaluate_requests",
@@ -63,24 +59,6 @@ class LoadExamples:
     """'Load your subset' notification (data comes from the shared FS)."""
 
     partition_id: int
-
-
-@dataclass(frozen=True)
-class LoadData:
-    """Ship the training data itself (no shared filesystem, §4.1).
-
-    "Obviously, if file sharing is not possible one needs to exchange
-    messages containing the referred data."  This message carries one
-    worker's example subset plus the full background knowledge as terms,
-    so the one-time distribution cost is measured rather than assumed
-    ("Example data is loaded only once, hence the transmission cost
-    should be low in both approaches").
-    """
-
-    pos: tuple
-    neg: tuple
-    facts: tuple
-    rules: tuple
 
 
 @dataclass(frozen=True)
@@ -212,39 +190,6 @@ class MarkCovered:
     """Master → workers: rule accepted; retract covered positives."""
 
     rule: Clause
-
-
-@dataclass(frozen=True)
-class GatherExamples:
-    """Master → workers: report your remaining examples (repartitioning).
-
-    Part of the optional inter-epoch repartitioning extension — the
-    alternative §4.1 considers and rejects "mainly because the high
-    communication cost of repartitioning".  Implemented so that cost can
-    be measured rather than assumed.
-    """
-
-
-@dataclass(frozen=True)
-class ExamplesReport:
-    """Worker → master: the local alive positives and all negatives."""
-
-    rank: int
-    pos: tuple
-    neg: tuple
-
-
-@dataclass(frozen=True)
-class Repartition:
-    """Master → one worker: replace your subset with these examples.
-
-    Unlike :class:`LoadExamples` this ships the example terms themselves
-    (the shared-filesystem shortcut does not apply to a mid-run reshuffle),
-    so its pickled size is the repartitioning cost the paper worried about.
-    """
-
-    pos: tuple
-    neg: tuple
 
 
 @dataclass(frozen=True)

@@ -192,8 +192,6 @@ def _validate_fault_args(
     fault_plan: Optional[FaultPlan],
     spares: int,
     p: int,
-    share_mode: str = "shared_fs",
-    repartition_each_epoch: bool = False,
 ):
     """Common front-end guards: :func:`repro.run.refusal` for ``p`` and the
     fault-tolerance arguments, then what only a fault plan needs."""
@@ -203,13 +201,6 @@ def _validate_fault_args(
         raise ValueError(reason)
     if plan is None:
         return None
-    if share_mode != "shared_fs":
-        raise ValueError(
-            "fault tolerance requires the shared-filesystem data model "
-            "(recovery rebuilds workers from shared partitions)"
-        )
-    if repartition_each_epoch:
-        raise ValueError("fault tolerance and per-epoch repartitioning are mutually exclusive")
     plan.validate_ranks(p, spares)
     return plan
 
@@ -241,9 +232,6 @@ def run_p2mdie(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     record_trace: bool = False,
     max_epochs: Optional[int] = None,
-    stall_limit: int = 3,
-    repartition_each_epoch: bool = False,
-    share_mode: str = "shared_fs",
     backend: Union[Backend, str, None] = None,
     fault_plan: Optional[FaultPlan] = None,
     spares: int = 0,
@@ -255,14 +243,8 @@ def run_p2mdie(
 
     ``width=...`` defaults to ``config.pipeline_width``; pass ``None``
     explicitly for the "nolimit" configuration.
-    ``repartition_each_epoch`` enables the §4.1 alternative the paper
-    rejected (reshuffling remaining examples before every epoch), so its
-    communication cost can be measured; it takes no fault plan, checkpoint
-    or resume.
-    ``share_mode`` is ``"shared_fs"`` (paper's assumption: workers read
-    their subsets from a distributed filesystem) or ``"messages"`` (the
-    §4.1 fallback: the master ships background knowledge and example
-    subsets over the network at start-up).
+    Workers read their example subsets and the background knowledge from
+    the shared filesystem (§4.1), :class:`SharedProblem`.
     ``backend`` selects the execution substrate: a
     :class:`~repro.backend.Backend` instance or a name (``"sim"``,
     ``"local"``, ``"mpi"``); ``None`` means the simulated cluster built
@@ -279,36 +261,16 @@ def run_p2mdie(
     continues a run from such a snapshot, reproducing the remaining
     epochs exactly.
     """
-    if share_mode not in ("shared_fs", "messages"):
-        raise ValueError("share_mode must be 'shared_fs' or 'messages'")
-    plan = _validate_fault_args("p2mdie", fault_plan, spares, p, share_mode, repartition_each_epoch)
-    if repartition_each_epoch and (checkpoint_dir is not None or resume is not None):
-        raise ValueError(
-            "per-epoch repartitioning cannot be checkpointed or resumed: a resumed run "
-            "rebuilds workers from their original partitions, not the reshuffled ones"
-        )
+    plan = _validate_fault_args("p2mdie", fault_plan, spares, p)
     _check_resume(resume, "p2mdie", p, seed)
     shared = SharedProblem.partitioned(kb, pos, neg, modes, config, p, seed)
-    ship_data = None
-    if share_mode == "messages":
-        from repro.parallel.messages import LoadData
-
-        facts = tuple(f for ind in kb.predicates() for f in kb.facts_for(ind))
-        rules = tuple(r for ind in kb.predicates() for r in kb.rules_for(ind))
-        ship_data = [
-            LoadData(pos=part.pos, neg=part.neg, facts=facts, rules=rules)
-            for part in shared.partitions
-        ]
     master = P2Master(
         n_workers=p,
         total_pos=len(pos),
         config=config,
         width=width,
         max_epochs=max_epochs,
-        stall_limit=stall_limit,
-        repartition_each_epoch=repartition_each_epoch,
         seed=seed,
-        ship_data=ship_data,
         fault_plan=plan,
         spares=spares,
         checkpoint_dir=checkpoint_dir,

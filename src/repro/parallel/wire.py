@@ -61,16 +61,12 @@ from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    ExamplesReport,
-    GatherExamples,
-    LoadData,
     LoadExamples,
     MarkCovered,
     Ping,
     PipelineRules,
     PipelineTask,
     Pong,
-    Repartition,
     RuleStats,
     StartPipeline,
     Stop,
@@ -351,17 +347,6 @@ def _dec_load_examples(d: _Decoder) -> LoadExamples:
     return LoadExamples(partition_id=d.u())
 
 
-def _enc_load_data(e: _Encoder, m: LoadData) -> None:
-    e.terms(m.pos)
-    e.terms(m.neg)
-    e.terms(m.facts)
-    e.clauses(m.rules)
-
-
-def _dec_load_data(d: _Decoder) -> LoadData:
-    return LoadData(pos=d.terms(), neg=d.terms(), facts=d.terms(), rules=d.clauses())
-
-
 def _stamp(e: _Encoder, stamp: Optional[int], plain: int, stamped: int) -> int:
     """Write a message's stamp, if any, where its layout puts it; return
     the code it goes under (``plain`` unstamped, ``stamped`` otherwise)."""
@@ -493,33 +478,6 @@ def _dec_mark_covered(d: _Decoder) -> MarkCovered:
     return MarkCovered(rule=d.clause())
 
 
-def _enc_gather(e: _Encoder, m: GatherExamples) -> None:
-    pass
-
-
-def _dec_gather(d: _Decoder) -> GatherExamples:
-    return GatherExamples()
-
-
-def _enc_examples_report(e: _Encoder, m: ExamplesReport) -> None:
-    e.u(m.rank)
-    e.terms(m.pos)
-    e.terms(m.neg)
-
-
-def _dec_examples_report(d: _Decoder) -> ExamplesReport:
-    return ExamplesReport(rank=d.u(), pos=d.terms(), neg=d.terms())
-
-
-def _enc_repartition(e: _Encoder, m: Repartition) -> None:
-    e.terms(m.pos)
-    e.terms(m.neg)
-
-
-def _dec_repartition(d: _Decoder) -> Repartition:
-    return Repartition(pos=d.terms(), neg=d.terms())
-
-
 def _enc_stop(e: _Encoder, m: Stop) -> None:
     pass
 
@@ -596,35 +554,27 @@ def _dec_update_routing(d: _Decoder) -> UpdateRouting:
 #: code it wrote.
 _ENCODERS: dict = {
     LoadExamples: (0, _enc_load_examples),
-    LoadData: (1, _enc_load_data),
     StartPipeline: (None, _enc_start_pipeline),  # 2 | 15
     PipelineTask: (None, _enc_pipeline_task),  # 3 | 19
     PipelineRules: (None, _enc_pipeline_result),  # 4 | 20
     EvaluateRequest: (None, _enc_evaluate_request),  # 5 | 17
     EvaluateResult: (None, _enc_evaluate_result),  # 6 | 18
     MarkCovered: (7, _enc_mark_covered),
-    GatherExamples: (8, _enc_gather),
-    ExamplesReport: (9, _enc_examples_report),
-    Repartition: (10, _enc_repartition),
     Stop: (11, _enc_stop),
     Ping: (12, _enc_ping),
     Pong: (13, _enc_pong),
     AdoptWorker: (14, _enc_adopt_worker),
     UpdateRouting: (16, _enc_update_routing),
-    # 21-28 reserved (out-of-package; see register_codec), 29-31 retired.
+    # 1, 8-10 and 29-31 retired; 21-28 reserved (out-of-package; see register_codec).
 }
 _DECODERS: dict = {
     0: _dec_load_examples,
-    1: _dec_load_data,
     2: _dec_start_pipeline,
     3: _dec_pipeline_task,
     4: _dec_pipeline_result,
     5: _dec_evaluate_request,
     6: _dec_evaluate_result,
     7: _dec_mark_covered,
-    8: _dec_gather,
-    9: _dec_examples_report,
-    10: _dec_repartition,
     11: _dec_stop,
     12: _dec_ping,
     13: _dec_pong,
@@ -641,6 +591,10 @@ _DECODERS: dict = {
 #: :func:`register_codec` refuses them and :func:`decode` names the
 #: retired format instead of calling the code unknown.
 _RETIRED_CODES: dict = {
+    1: "LoadData, training data shipped to a worker without a shared filesystem",
+    8: "GatherExamples, a per-epoch repartitioning request",
+    9: "ExamplesReport, a worker's examples for per-epoch repartitioning",
+    10: "Repartition, a worker's new examples from per-epoch repartitioning",
     29: "CoverageCertificate, a sampled-coverage .cert file",
     30: "SampledEvaluateRequest, a sampled-coverage screening request",
     31: "SampledEvaluateResult, a sampled-coverage screening reply",
@@ -652,10 +606,10 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
 
     Lets higher layers ship their payloads in the wire format without
     creating an import cycle back into this module's registry.  Codes
-    0-20 are the in-package messages above (15 and 17-20 decode to
-    stamped task messages: see :mod:`repro.parallel.messages`) and 29-31
-    are retired (:data:`_RETIRED_CODES`); currently reserved by
-    out-of-package formats (never reuse or renumber):
+    0, 2-7 and 11-20 are the in-package messages above (15 and 17-20
+    decode to stamped task messages: see :mod:`repro.parallel.messages`);
+    1, 8-10 and 29-31 are retired (:data:`_RETIRED_CODES`); currently
+    reserved by out-of-package formats (never reuse or renumber):
 
     * 21 — :class:`repro.fault.checkpoint.CheckpointState` (``.ckpt`` files)
     * 22 — :class:`repro.service.registry.RegistryRecord` (``.theory`` files)

@@ -44,21 +44,16 @@ from repro.ilp.modes import ModeSet
 from repro.ilp.search import learn_rule
 from repro.ilp.store import ExampleStore
 from repro.logic.engine import Engine
-from repro.logic.knowledge import KnowledgeBase
 from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    ExamplesReport,
-    GatherExamples,
-    LoadData,
     LoadExamples,
     MarkCovered,
     Ping,
     PipelineRules,
     PipelineTask,
     Pong,
-    Repartition,
     RuleStats,
     StartPipeline,
     Stop,
@@ -166,7 +161,7 @@ class P2Worker(SimProcess):
     def run(self, ctx: ProcContext):
         if self.rank <= self.n_workers:
             # Fig. 6 load_examples(): the first message is always the
-            # initial state (LoadExamples / LoadData / AdoptWorker-resume)
+            # initial state (LoadExamples / AdoptWorker-resume)
             # — tag-filtered so in-flight peer traffic cannot overtake it
             # on real transports.
             msg = yield ctx.recv(tag=Tag.LOAD_EXAMPLES)
@@ -186,31 +181,12 @@ class P2Worker(SimProcess):
             self._ensure_engine()
             yield from self._adopt(ctx, payload)
             return
-        if isinstance(payload, LoadExamples):
-            problem = self.shared.worker_problem(payload.partition_id)
-            kb = problem.kb
-            pos, neg = problem.pos, problem.neg
-            self.config = problem.config
-            self.modes = problem.modes
-            load_cost = len(pos) + len(neg)
-        else:
-            assert isinstance(payload, LoadData)
-            data: LoadData = payload
-            # Shared problem still supplies the (small) bias/config; the
-            # bulky relational data came over the wire.
-            self.config = self.shared.config
-            self.modes = self.shared.modes
-            kb = KnowledgeBase()
-            for fact in data.facts:
-                kb.add_fact(fact)
-            for rule in data.rules:
-                kb.add_rule(rule)
-            pos, neg = data.pos, data.neg
-            # Building the KB from terms costs real work: one op per clause.
-            load_cost = len(data.facts) + len(data.rules) + len(pos) + len(neg)
-        self.engine = self.config.make_engine(kb)
-        self.shards[self.rank] = self._make_shard(self.rank, pos, neg)
-        yield ctx.compute(load_cost, label="load")
+        problem = self.shared.worker_problem(payload.partition_id)
+        self.config = problem.config
+        self.modes = problem.modes
+        self.engine = self.config.make_engine(problem.kb)
+        self.shards[self.rank] = self._make_shard(self.rank, problem.pos, problem.neg)
+        yield ctx.compute(len(problem.pos) + len(problem.neg), label="load")
 
     def _dispatch(self, ctx: ProcContext, payload):
         if isinstance(payload, StartPipeline):
@@ -221,10 +197,6 @@ class P2Worker(SimProcess):
             yield from self._evaluate(ctx, payload)
         elif isinstance(payload, MarkCovered):
             yield from self._mark_covered(ctx, payload)
-        elif isinstance(payload, GatherExamples):
-            yield from self._gather_examples(ctx)
-        elif isinstance(payload, Repartition):
-            yield from self._repartition(ctx, payload)
         elif isinstance(payload, Ping):
             yield from self._pong(ctx, payload)
         elif isinstance(payload, AdoptWorker):
@@ -232,7 +204,7 @@ class P2Worker(SimProcess):
             yield from self._adopt(ctx, payload)
         elif isinstance(payload, UpdateRouting):
             yield from self._update_routing(ctx, payload)
-        elif isinstance(payload, LoadExamples) or isinstance(payload, LoadData):
+        elif isinstance(payload, LoadExamples):
             yield from self._initial_load(ctx, payload)
         else:  # pragma: no cover - defensive
             raise TypeError(f"worker {self.rank}: unknown task {payload!r}")
@@ -346,28 +318,6 @@ class P2Worker(SimProcess):
             # retry only genuinely new ground.
             shard.tried_mask &= shard.store.alive
         yield ctx.compute(self._ops_since(ops0), label="mark_covered")
-
-    def _gather_examples(self, ctx: ProcContext):
-        """Repartitioning step 1: report remaining examples to the master."""
-        store = self.shards[self.rank].store
-        report = ExamplesReport(
-            rank=self.rank,
-            pos=tuple(store.alive_examples()),
-            neg=tuple(store.neg),
-        )
-        yield ctx.compute(store.remaining + store.n_neg, label="gather")
-        yield ctx.send(MASTER_RANK, report, tag=Tag.LOAD_EXAMPLES)
-
-    def _repartition(self, ctx: ProcContext, req: Repartition):
-        """Repartitioning step 2: adopt a fresh subset.
-
-        The evaluation cache dies with the old store — exactly the hidden
-        cost (beyond message bytes) that makes repartitioning expensive.
-        """
-        shard = self.shards[self.rank]
-        shard.store = ExampleStore(list(req.pos), list(req.neg))
-        shard.tried_mask = 0
-        yield ctx.compute(shard.store.n_pos + shard.store.n_neg, label="load")
 
     # -- fault-tolerance protocol ---------------------------------------------------
     def _pong(self, ctx: ProcContext, ping: Ping):

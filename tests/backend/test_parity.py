@@ -47,19 +47,6 @@ def test_p2mdie_parity_more_workers():
     _assert_parity(r_sim, r_loc)
 
 
-def test_p2mdie_parity_ship_data_mode():
-    """The no-shared-FS variant ships the KB over the pipes — exercise the
-    bulkier payloads end to end."""
-    ds = make_dataset("trains", seed=0, scale="small")
-    args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
-    r_sim = run_p2mdie(*args, p=2, seed=0, share_mode="messages")
-    r_loc = run_p2mdie(
-        *args, p=2, seed=0, share_mode="messages",
-        backend=LocalProcessBackend(timeout=LOCAL_TIMEOUT),
-    )
-    _assert_parity(r_sim, r_loc)
-
-
 def test_independent_sim_local_parity():
     ds = make_dataset("trains", seed=0, scale="small")
     args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import SimBackend
-from repro.cluster.costmodel import OpsCostModel, PerRankCostModel
+from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.process import SimProcess
+from repro.fault.plan import FaultPlan, Straggler
 
 NET = NetworkModel(latency_s=0.01, bandwidth_bps=1e6, send_overhead_s=0.001)
 COST = OpsCostModel(sec_per_op=0.001)
@@ -100,13 +101,16 @@ def test_byte_accounting_exact(data):
 @given(workload(), st.integers(2, 6))
 @settings(max_examples=40, deadline=None)
 def test_straggler_monotone(data, slow_factor):
-    """Slowing one worker can never shorten the run."""
+    """Slowing one worker can never shorten the run, nor stretch it by
+    more than the worker's slowdown factor."""
     n_workers, jobs = data
-    def build(cost_model):
-        return SimBackend(network=NET, cost_model=cost_model).run(
-            [Boss(jobs, n_workers)] + [Grunt(i) for i in range(1, n_workers + 1)]
+    def build(fault_plan=None):
+        return SimBackend(network=NET, cost_model=COST).run(
+            [Boss(jobs, n_workers)] + [Grunt(i) for i in range(1, n_workers + 1)],
+            fault_plan=fault_plan,
         )
 
-    base = build(COST)
-    slowed = build(PerRankCostModel(COST, scales={1: float(slow_factor)}))
+    base = build()
+    slowed = build(FaultPlan(stragglers=(Straggler(1, float(slow_factor)),)))
     assert slowed.makespan >= base.makespan - 1e-12
+    assert slowed.makespan <= slow_factor * base.makespan + 1e-12

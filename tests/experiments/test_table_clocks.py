@@ -9,7 +9,6 @@ seconds and still render.
 import pytest
 
 from repro.cli import main
-from repro.experiments.report import speedup_summary
 from repro.experiments.runner import MatrixResult, RunRecord
 from repro.experiments.tables import table2_speedup, table3_times, table4_communication
 
@@ -25,7 +24,7 @@ def _record(p, clock, seconds):
 class TestOneClockPerTable:
     def test_speedup_and_times_refuse_two_clocks(self):
         matrix = MatrixResult([_record(1, "virtual", 2.5), _record(2, "wall", 0.1)])
-        for render in (table2_speedup, table3_times, speedup_summary):
+        for render in (table2_speedup, table3_times):
             with pytest.raises(ValueError, match="virtual.*wall"):
                 render(matrix, ps=(2,))
         assert "0.02" in table4_communication(matrix, ps=(2,))

@@ -44,14 +44,6 @@ class TestEmptyPlanGoldenParity:
         with pytest.raises(ValueError, match="spares require a fault plan"):
             run_p2mdie(*run_args(trains), p=2, width=10, seed=0, spares=1)
 
-    def test_fault_plan_rejects_messages_share_mode(self, trains):
-        with pytest.raises(ValueError, match="shared-filesystem"):
-            run_p2mdie(
-                *run_args(trains), p=2, width=10, seed=0,
-                share_mode="messages",
-                fault_plan=FaultPlan(supervise=True),
-            )
-
 
 class TestSupervisedParity:
     """Protocol on, no faults: same theory, same epoch decisions."""

@@ -126,11 +126,11 @@ class TestEpoch:
     def test_empty_bags_stall_then_stop(self, master):
         h = MasterHarness(master)
         h.take_sent()
-        for _ in range(master.stall_limit):
+        for _ in range(master.STALL_LIMIT):
             h.deliver(PipelineRules(origin=1, rules=()), src=1, tag=Tag.RULES)
             h.deliver(PipelineRules(origin=2, rules=()), src=2, tag=Tag.RULES)
         sent = h.take_sent()
         stops = [s for s in sent if isinstance(s.payload, Stop)]
         assert len(stops) == 2
         assert h.done
-        assert master.epochs == master.stall_limit
+        assert master.epochs == master.STALL_LIMIT

@@ -108,7 +108,7 @@ class TestEdgeCases:
     def test_stall_terminates(self, kb, pos, neg, modes, config):
         # impossible min_pos: no rule is ever good; stall detector must fire
         cfg = config.replace(min_pos=len(pos) + 1)
-        res = run_p2mdie(kb, pos, neg, modes, cfg, p=3, seed=3, stall_limit=2)
+        res = run_p2mdie(kb, pos, neg, modes, cfg, p=3, seed=3)
         assert len(res.theory) == 0
         assert res.uncovered == len(pos)
 

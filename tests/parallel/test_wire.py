@@ -19,16 +19,12 @@ from repro.parallel.messages import (
     AdoptWorker,
     EvaluateRequest,
     EvaluateResult,
-    ExamplesReport,
-    GatherExamples,
-    LoadData,
     LoadExamples,
     MarkCovered,
     Ping,
     PipelineRules,
     PipelineTask,
     Pong,
-    Repartition,
     RuleStats,
     StartPipeline,
     Stop,
@@ -37,7 +33,6 @@ from repro.parallel.messages import (
 
 RULE = parse_clause("active(A) :- atom(A, B, c), bond(A, B, C, 7).")
 PARENT = parse_clause("active(A) :- atom(A, B, c).")
-FACTS = tuple(parse_term(s) for s in ("atom(m1, a1, c)", "bond(m1, a1, a2, 7)", "w(m1, 2.5)"))
 POS = tuple(parse_term(s) for s in ("active(m1)", "active(m2)"))
 NEG = (parse_term("active(m9)"),)
 
@@ -58,7 +53,6 @@ def make_bottom() -> BottomClause:
 
 MESSAGES = [
     LoadExamples(partition_id=3),
-    LoadData(pos=POS, neg=NEG, facts=FACTS, rules=(RULE, PARENT)),
     StartPipeline(width=10),
     StartPipeline(width=None),
     PipelineTask(bottom=make_bottom(), step=2, width=5, rules=(SearchRule(RULE, 1, parent=PARENT),), origin=1),
@@ -70,9 +64,6 @@ MESSAGES = [
     EvaluateResult(rank=2, stats=(RuleStats(pos=3, neg=0, pos_cand=0b111, neg_cand=1 << 90),)),
     EvaluateResult(rank=1, stats=()),
     MarkCovered(rule=RULE),
-    GatherExamples(),
-    ExamplesReport(rank=1, pos=POS, neg=NEG),
-    Repartition(pos=POS, neg=NEG),
     Stop(),
     # fault-tolerance protocol (repro.fault)
     Ping(token=7),
@@ -168,19 +159,20 @@ class TestRoundTrip:
         assert HALT_TAG not in ids
 
     def test_exotic_constants(self):
-        msg = Repartition(
-            pos=(
+        msg = MarkCovered(
+            rule=Clause(
                 parse_term("p(-3)"),
-                parse_term("p(2.5)"),
-                Struct("p", (Const(True), Const(1), Const(1.0))),
-                Struct("p", (Const("it's"), Struct("f", (Const(10 ** 30),)))),
-            ),
-            neg=(),
+                (
+                    parse_term("p(2.5)"),
+                    Struct("p", (Const(True), Const(1), Const(1.0))),
+                    Struct("p", (Const("it's"), Struct("f", (Const(10 ** 30),)))),
+                ),
+            )
         )
         dec = wire.decode(wire.encode_always(msg))
         assert dec == msg
         # bool/int/float survive as distinct constant kinds
-        args = dec.pos[2].args
+        args = dec.rule.body[1].args
         assert [type(a.value) for a in args] == [bool, int, float]
 
     def test_decoded_terms_are_interned(self):
@@ -198,7 +190,7 @@ class TestRoundTrip:
 with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
     _WITNESS = json.load(_f)
 LAYOUTS = _WITNESS["layouts"]
-#: Bytes of formats this version no longer reads (codes 29-31).
+#: Bytes of formats this version no longer reads (codes 1, 8-10 and 29-31).
 RETIRED = _WITNESS["retired"]
 
 
@@ -222,12 +214,28 @@ class TestWireLayouts:
         assert wire.encode_always(wire.decode(data)) == data
 
 
-class TestRetiredCodes:
-    """Codes 29-31 (sampled coverage) stay reserved: their bytes fail
-    loudly, naming the retired format, and no codec may take them over."""
+#: Every retired code and the message its format carried.
+RETIRED_CODES = [
+    (1, "LoadData"),
+    (8, "GatherExamples"),
+    (9, "ExamplesReport"),
+    (10, "Repartition"),
+    (29, "CoverageCertificate"),
+    (30, "SampledEvaluateRequest"),
+    (31, "SampledEvaluateResult"),
+]
 
+
+class TestRetiredCodes:
+    """Codes 1 and 8-10 (ship-data mode, per-epoch repartitioning) and
+    29-31 (sampled coverage) stay reserved: their bytes fail loudly,
+    naming the retired format, and no codec may take them over."""
+
+    # The name predates codes 1 and 8-10; it is kept so the test id stays put.
     def test_retired_codes_are_exactly_29_to_31(self):
-        assert sorted(wire._RETIRED_CODES) == [29, 30, 31] == sorted({e["code"] for e in RETIRED})
+        codes = [code for code, _ in RETIRED_CODES]
+        assert codes == [1, 8, 9, 10, 29, 30, 31]
+        assert sorted(wire._RETIRED_CODES) == codes == sorted({e["code"] for e in RETIRED})
         assert not set(wire._RETIRED_CODES) & set(wire._DECODERS)
 
     @pytest.mark.parametrize("entry", RETIRED, ids=[e["id"] for e in RETIRED])
@@ -239,10 +247,7 @@ class TestRetiredCodes:
         with pytest.raises(wire.WireError, match=match):
             wire.decode(data)
 
-    @pytest.mark.parametrize(
-        "code,name",
-        [(29, "CoverageCertificate"), (30, "SampledEvaluateRequest"), (31, "SampledEvaluateResult")],
-    )
+    @pytest.mark.parametrize("code,name", RETIRED_CODES)
     def test_any_body_behind_a_retired_code_names_its_format(self, code, name):
         """The code alone decides: no body, a stray byte, noise or another
         message's body all fail on the retired code, never on the body."""
@@ -251,7 +256,7 @@ class TestRetiredCodes:
             with pytest.raises(wire.WireError, match=f"retired message type code {code} \\({name},"):
                 wire.decode(header + bytes([code]) + body)
 
-    @pytest.mark.parametrize("code", [29, 30, 31])
+    @pytest.mark.parametrize("code", [code for code, _ in RETIRED_CODES])
     def test_register_codec_refuses_retired_code(self, code):
         class Payload:
             pass

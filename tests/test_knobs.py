@@ -1,8 +1,8 @@
-"""The knob count: environment names and engine parameters.
+"""The knob count: environment names, engine and P²-MDIE parameters.
 
-Every ``REPRO_*`` name the program reads and every ``Engine`` parameter is
-a way to run it that the tests must cover.  Adding one must be a decision
-made here, not a side effect.
+Every ``REPRO_*`` name the program reads and every ``Engine`` /
+``run_p2mdie`` / ``P2Master`` parameter is a way to run it that the tests
+must cover.  Adding one must be a decision made here, not a side effect.
 """
 
 import ast
@@ -13,8 +13,12 @@ import re
 import pytest
 
 import repro
+import repro.cluster
+from repro.cluster.costmodel import CostModel, OpsCostModel
 from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
+from repro.parallel.master import P2Master
+from repro.parallel.p2mdie import run_p2mdie
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
@@ -47,3 +51,23 @@ def test_the_engine_refuses_a_kernel():
         with pytest.raises(ValueError, match="retired"):
             Engine(kb, kernel=kernel)
     assert Engine(kb, kernel=None).memo_enabled
+
+
+def test_p2mdie_has_one_data_model_and_one_cost_model():
+    """Workers read their data from the shared filesystem, learning stops
+    after ``P2Master.STALL_LIMIT`` empty epochs, and a slow rank is a
+    fault-plan straggler: none of these is a parameter."""
+    assert list(inspect.signature(run_p2mdie).parameters) == [
+        "kb", "pos", "neg", "modes", "config", "p", "width", "seed", "network", "cost_model",
+        "record_trace", "max_epochs", "backend", "fault_plan", "spares", "checkpoint_dir",
+        "checkpoint_meta", "resume",
+    ]
+    assert list(inspect.signature(P2Master.__init__).parameters) == [
+        "self", "n_workers", "total_pos", "config", "width", "max_epochs", "seed",
+        "fault_plan", "spares", "checkpoint_dir", "checkpoint_meta", "resume",
+    ]
+    exported = {
+        obj for obj in vars(repro.cluster).values()
+        if isinstance(obj, type) and issubclass(obj, CostModel) and obj is not CostModel
+    }
+    assert exported == {OpsCostModel}
