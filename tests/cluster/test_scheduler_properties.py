@@ -114,3 +114,33 @@ def test_straggler_monotone(data, slow_factor):
     slowed = build(FaultPlan(stragglers=(Straggler(1, float(slow_factor)),)))
     assert slowed.makespan >= base.makespan - 1e-12
     assert slowed.makespan <= slow_factor * base.makespan + 1e-12
+
+
+@given(workload(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_slowing_any_worker_scales_its_compute_only(data, draw):
+    """A straggler on any worker leaves every reply unchanged and charges
+    that worker exactly its factor times the compute it did unslowed."""
+    n_workers, jobs = data
+    rank = draw.draw(st.integers(1, n_workers))
+    factor = draw.draw(st.sampled_from([1.0, 1.5, 3.0]))
+
+    def build(fault_plan=None):
+        boss = Boss(jobs, n_workers)
+        run = SimBackend(network=NET, cost_model=COST, record_trace=True).run(
+            [boss] + [Grunt(i) for i in range(1, n_workers + 1)],
+            fault_plan=fault_plan,
+        )
+        busy = {w: 0.0 for w in range(1, n_workers + 1)}
+        for iv in run.trace:
+            busy[iv.rank] += iv.end - iv.start
+        return boss, run, busy
+
+    base_boss, base, base_busy = build()
+    slowed_boss, slowed, slowed_busy = build(FaultPlan(stragglers=(Straggler(rank, factor),)))
+    assert sorted(slowed_boss.replies) == sorted(base_boss.replies)
+    assert slowed.comm.bytes_total == base.comm.bytes_total
+    for w in base_busy:
+        scale = factor if w == rank else 1.0
+        assert abs(slowed_busy[w] - scale * base_busy[w]) <= 1e-9
+    assert base.makespan - 1e-12 <= slowed.makespan <= factor * base.makespan + 1e-12

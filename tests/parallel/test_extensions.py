@@ -1,90 +1,91 @@
-"""Tests for the extensions beyond the paper: inter-epoch repartitioning
-(§4.1's rejected alternative) and heterogeneous-cluster cost modelling."""
+"""Tests for the heterogeneous cluster, an extension beyond the paper.
+
+A slow rank is a fault plan straggler: the simulator multiplies that
+rank's charged compute by the straggler's factor.  Stragglers change
+virtual time, never the learned theory.
+"""
 
 import pytest
 
-from repro.cluster.costmodel import OpsCostModel, PerRankCostModel
-from repro.cluster.message import Tag
-from repro.ilp.theory import accuracy
-from repro.logic.engine import Engine
+from repro.fault.plan import FaultPlan, Straggler
 from repro.parallel.p2mdie import run_p2mdie
 
 
-class TestRepartitioning:
-    def test_still_learns(self, kb, pos, neg, modes, config):
-        res = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, repartition_each_epoch=True)
-        assert res.uncovered == 0
-        eng = Engine(kb, config.engine_budget())
-        assert accuracy(eng, res.theory, pos, neg) == 100.0
-
-    def test_deterministic(self, kb, pos, neg, modes, config):
-        a = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, repartition_each_epoch=True)
-        b = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, repartition_each_epoch=True)
-        assert list(a.theory) == list(b.theory)
-        assert a.seconds == b.seconds
-
-    def test_costs_more_communication_when_multi_epoch(self, kb, pos, neg, modes, config):
-        """The paper's §4.1 claim: repartitioning has 'a considerable cost
-        in message communication'.  Force several epochs with width=1."""
-        base = run_p2mdie(kb, pos, neg, modes, config, p=3, width=1, seed=1)
-        repart = run_p2mdie(
-            kb, pos, neg, modes, config, p=3, width=1, seed=1, repartition_each_epoch=True
-        )
-        if repart.epochs > 1:
-            assert repart.comm.bytes_total > base.comm.bytes_total
-
-    def test_single_epoch_identical_to_base(self, kb, pos, neg, modes, config):
-        """Repartitioning only happens from epoch 2 on; a one-epoch run is
-        byte-for-byte identical."""
-        base = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, max_epochs=1)
-        repart = run_p2mdie(
-            kb, pos, neg, modes, config, p=3, seed=3, max_epochs=1, repartition_each_epoch=True
-        )
-        assert base.comm.bytes_total == repart.comm.bytes_total
-        assert list(base.theory) == list(repart.theory)
-
-    def test_refuses_checkpoints(self, kb, pos, neg, modes, config, tmp_path):
-        """A resumed run rebuilds each worker from its original partition,
-        but a repartitioned run's workers held reshuffled subsets and drew
-        their seeds over them: resuming one learned a different theory
-        (mesh, p=3: [2, 2, 2, 1, 1, 0, 0, 0] accepted rules per epoch
-        uninterrupted, [2, 2, 3, 1, 0, 0, 0] resumed from epoch 2).  The
-        checkpoint records neither, so the combination is refused."""
-        from repro.fault.checkpoint import checkpoint_path, load_checkpoint
-
-        with pytest.raises(ValueError, match="repartitioning"):
-            run_p2mdie(
-                kb, pos, neg, modes, config, p=3, seed=3,
-                repartition_each_epoch=True, checkpoint_dir=str(tmp_path / "r"),
-            )
-        assert not (tmp_path / "r").exists()
-        run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, max_epochs=1, checkpoint_dir=str(tmp_path))
-        resume = load_checkpoint(checkpoint_path(str(tmp_path), 1))
-        with pytest.raises(ValueError, match="repartitioning"):
-            run_p2mdie(
-                kb, pos, neg, modes, config, p=3, seed=3, repartition_each_epoch=True, resume=resume
-            )
+def _slowed(rank: int, factor: float) -> FaultPlan:
+    # The timeout is far above any run here, so no slow rank is declared dead.
+    return FaultPlan(stragglers=(Straggler(rank=rank, factor=factor),), timeout=60.0)
 
 
 class TestHeterogeneousCluster:
     def test_scales_validation(self):
-        with pytest.raises(ValueError):
-            PerRankCostModel(scales={1: 0})
+        for factor in (0.0, 0.5):
+            with pytest.raises(ValueError, match="factor"):
+                Straggler(rank=1, factor=factor)
 
-    def test_uniform_when_no_scales(self):
-        cm = PerRankCostModel(OpsCostModel(sec_per_op=1.0))
-        assert cm.seconds_for_ops_at(3, 10) == 10.0
+    def test_uniform_when_no_scales(self, kb, pos, neg, modes, config):
+        """A factor of 1 scales nothing.  Any plan runs the fault protocol,
+        so the unscaled run to match is the supervised one without faults."""
+        base = run_p2mdie(
+            kb, pos, neg, modes, config, p=3, seed=3,
+            fault_plan=FaultPlan(supervise=True, timeout=60.0),
+        )
+        for rank in (1, 2, 3):
+            same = run_p2mdie(
+                kb, pos, neg, modes, config, p=3, seed=3, fault_plan=_slowed(rank, 1.0)
+            )
+            assert same.seconds == base.seconds
+            assert same.comm.bytes_by_tag == base.comm.bytes_by_tag
+            assert list(same.theory) == list(base.theory)
 
     def test_straggler_slows_run(self, kb, pos, neg, modes, config):
         fast = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3)
-        slow_cm = PerRankCostModel(OpsCostModel(), scales={2: 4.0})
-        slow = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, cost_model=slow_cm)
+        slow = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, fault_plan=_slowed(2, 4.0))
         assert slow.seconds > fast.seconds
         # but the learned theory is unchanged: timing never affects search
         assert list(slow.theory) == list(fast.theory)
 
     def test_straggler_bounded_by_its_scale(self, kb, pos, neg, modes, config):
         fast = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3)
-        slow_cm = PerRankCostModel(OpsCostModel(), scales={2: 4.0})
-        slow = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, cost_model=slow_cm)
+        slow = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, fault_plan=_slowed(2, 4.0))
         assert slow.seconds <= 4.0 * fast.seconds + 1.0
+
+    def test_late_straggler_slows_less_than_early_one(self, kb, pos, neg, modes, config):
+        """A rank that turns slow part-way through a run costs no more than
+        one slow from the start."""
+        base = run_p2mdie(
+            kb, pos, neg, modes, config, p=3, seed=3,
+            fault_plan=FaultPlan(supervise=True, timeout=60.0),
+        )
+        early = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, fault_plan=_slowed(2, 4.0))
+        late_plan = FaultPlan(
+            stragglers=(Straggler(rank=2, factor=4.0, after_time=base.seconds / 2),),
+            timeout=60.0,
+        )
+        late = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, fault_plan=late_plan)
+        assert base.seconds <= late.seconds <= early.seconds
+        assert list(late.theory) == list(early.theory) == list(base.theory)
+
+    def test_straggler_after_the_run_changes_nothing(self, kb, pos, neg, modes, config):
+        base = run_p2mdie(
+            kb, pos, neg, modes, config, p=3, seed=3,
+            fault_plan=FaultPlan(supervise=True, timeout=60.0),
+        )
+        never_plan = FaultPlan(
+            stragglers=(Straggler(rank=2, factor=4.0, after_time=2 * base.seconds),),
+            timeout=60.0,
+        )
+        never = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3, fault_plan=never_plan)
+        assert never.seconds == base.seconds
+        assert never.comm.bytes_by_tag == base.comm.bytes_by_tag
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_any_slow_rank_changes_time_not_theory(self, kb, pos, neg, modes, config, rank):
+        fast = run_p2mdie(kb, pos, neg, modes, config, p=3, seed=3)
+        slow = run_p2mdie(
+            kb, pos, neg, modes, config, p=3, seed=3, fault_plan=_slowed(rank, 3.0)
+        )
+        assert fast.seconds <= slow.seconds <= 3.0 * fast.seconds
+        assert list(slow.theory) == list(fast.theory)
+        assert [log.accepted for log in slow.epoch_logs] == [
+            log.accepted for log in fast.epoch_logs
+        ]

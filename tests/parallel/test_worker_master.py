@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.cluster.message import Tag
+from repro.cluster.message import Tag, payload_nbytes
 from repro.ilp.refinement import SearchRule
 from repro.logic.parser import parse_clause
 from repro.parallel.master import P2Master
 from repro.parallel.messages import (
     EvaluateRequest,
     EvaluateResult,
+    LoadExamples,
     PipelineRules,
     PipelineTask,
     RuleStats,
@@ -28,6 +29,35 @@ class TestSharedProblem:
             assert wp.pos == parts[rank - 1].pos
             assert wp.kb is kb
             assert wp.config is config
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_worker_problems_split_every_example_once(self, kb, pos, neg, modes, config, p):
+        shared = SharedProblem.partitioned(kb, pos, neg, modes, config, p=p, seed=3)
+        problems = [shared.worker_problem(rank) for rank in range(1, p + 1)]
+        assert sorted(map(str, (e for wp in problems for e in wp.pos))) == sorted(map(str, pos))
+        assert sorted(map(str, (e for wp in problems for e in wp.neg))) == sorted(map(str, neg))
+        assert all(wp.kb is kb and wp.modes is modes for wp in problems)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_load_examples_ships_only_partition_ids(self, kb, pos, neg, modes, config, p):
+        """§4.1: workers read their subsets from the shared filesystem, so
+        the startup traffic is one id-only message per worker."""
+        res = run_p2mdie(kb, pos, neg, modes, config, p=p, seed=3, max_epochs=1)
+        ids_only = sum(payload_nbytes(LoadExamples(partition_id=r)) for r in range(1, p + 1))
+        assert res.comm.bytes_by_tag[Tag.LOAD_EXAMPLES] == ids_only
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_load_examples_ships_only_partition_ids_on_local_processes(
+        self, kb, pos, neg, modes, config, p
+    ):
+        from repro.backend import LocalProcessBackend
+
+        res = run_p2mdie(
+            kb, pos, neg, modes, config, p=p, seed=3, max_epochs=1,
+            backend=LocalProcessBackend(),
+        )
+        ids_only = sum(payload_nbytes(LoadExamples(partition_id=r)) for r in range(1, p + 1))
+        assert res.comm.bytes_by_tag[Tag.LOAD_EXAMPLES] == ids_only
 
 
 class TestWorkerRing:

@@ -132,6 +132,18 @@ class TestLoad:
         assert h.worker.store.n_pos == len(problem.partitions[1].pos)
         assert any(c.label == "load" for c in h.computed)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_reads_its_partition_from_the_shared_problem(self, problem, rank):
+        """The load message names a partition and nothing else: the
+        examples and the KB come from the shared problem, not a copy."""
+        h = make_loaded_worker(problem, rank=rank)
+        part = problem.partitions[rank - 1]
+        assert h.worker.store.pos == list(part.pos)
+        assert h.worker.store.neg == list(part.neg)
+        assert h.worker.engine.kb is problem.kb
+        assert h.computed[-1].ops == len(part.pos) + len(part.neg)
+        assert h.sent == []
+
 
 class Plain:
     """A plan-free run's messages: unstamped requests and replies."""

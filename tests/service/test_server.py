@@ -241,9 +241,21 @@ class TestAuthQuotaAndNegotiation:
         finally:
             svc.close()
 
-    def test_job_quota_enforced_then_freed(self, tmp_path):
+    def test_job_quota_enforced_then_freed(self, tmp_path, monkeypatch):
+        import repro.service.scheduler as sched_mod
         from repro.service.server import ClientContext, Service
 
+        # Jobs wait for `release`: on a warm dataset cache a trains job
+        # ends in milliseconds, and the first job must still be active
+        # when the quota is checked.
+        release = threading.Event()
+        run_job = sched_mod.run_job
+
+        def held_run_job(spec, **kw):
+            assert release.wait(timeout=120)
+            return run_job(spec, **kw)
+
+        monkeypatch.setattr(sched_mod, "run_job", held_run_job)
         svc = Service(
             slots=1, state_dir=str(tmp_path / "jobs"), max_jobs_per_client=1
         )
@@ -258,12 +270,14 @@ class TestAuthQuotaAndNegotiation:
             other = ClientContext(client_id="modest", authenticated=True)
             assert svc.handle({"op": "submit", "spec": spec}, other)["ok"]
             # The quota is on *active* jobs: it frees once the job ends.
+            release.set()
             done = svc.handle(
                 {"op": "wait", "job": first["job"], "timeout": 120}, ctx
             )
             assert done["state"] == "done"
             assert svc.handle({"op": "submit", "spec": spec}, ctx)["ok"]
         finally:
+            release.set()
             svc.close()
 
     def test_auth_and_wire_negotiation_over_socket(self, tmp_path):
