@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--token", default=None, help="server auth token")
     client.add_argument(
         "--transport", choices=("json", "wire"), default="json",
-        help="client transport (wire = compact binary framing)",
+        help="accepted for old callers: both values run on JSON-lines, "
+        "the one transport",
     )
     client.add_argument(
         "--retries", type=int, default=0, metavar="N",

@@ -595,6 +595,10 @@ _RETIRED_CODES: dict = {
     8: "GatherExamples, a per-epoch repartitioning request",
     9: "ExamplesReport, a worker's examples for per-epoch repartitioning",
     10: "Repartition, a worker's new examples from per-epoch repartitioning",
+    24: "WireJson, a service request or response on the wire client transport",
+    25: "WireQuery, a service query of parsed terms on the wire client transport",
+    26: "WireShard, one streamed span's answer on the wire client transport",
+    27: "WireQueryEnd, a query's merged answer on the wire client transport",
     29: "CoverageCertificate, a sampled-coverage .cert file",
     30: "SampledEvaluateRequest, a sampled-coverage screening request",
     31: "SampledEvaluateResult, a sampled-coverage screening reply",
@@ -608,16 +612,12 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
     creating an import cycle back into this module's registry.  Codes
     0, 2-7 and 11-20 are the in-package messages above (15 and 17-20
     decode to stamped task messages: see :mod:`repro.parallel.messages`);
-    1, 8-10 and 29-31 are retired (:data:`_RETIRED_CODES`); currently
-    reserved by out-of-package formats (never reuse or renumber):
+    1, 8-10, 24-27 and 29-31 are retired (:data:`_RETIRED_CODES`);
+    currently reserved by out-of-package formats (never reuse or renumber):
 
     * 21 — :class:`repro.fault.checkpoint.CheckpointState` (``.ckpt`` files)
     * 22 — :class:`repro.service.registry.RegistryRecord` (``.theory`` files)
     * 23 — :class:`repro.service.jobs.JobRecord` (scheduler ``job.rec`` files)
-    * 24 — :class:`repro.service.wiremsg.WireJson` (service wire transport)
-    * 25 — :class:`repro.service.wiremsg.WireQuery`
-    * 26 — :class:`repro.service.wiremsg.WireShard`
-    * 27 — :class:`repro.service.wiremsg.WireQueryEnd`
     * 28 — :class:`repro.obs.span.SpanBatch` (per-rank telemetry spans)
     """
     if code in _RETIRED_CODES:

@@ -29,8 +29,8 @@ Components
     bit-identical to one-shot :func:`repro.ilp.coverage.coverage_eval`.
 :mod:`repro.service.server`
     :class:`Service` (transport-free request handler) plus the socket
-    front door behind ``repro serve``: one request lifecycle, JSON-lines
-    or wire frames (:mod:`repro.service.wiremsg`) as the codec.
+    front door behind ``repro serve``: one request lifecycle over one
+    transport, JSON-lines.
 :mod:`repro.service.client`
     :class:`ServiceClient` — the matching blocking client.
 

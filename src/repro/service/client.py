@@ -1,13 +1,9 @@
 """The blocking client for :func:`repro.service.server.serve` endpoints.
 
 One send/receive pair carries everything: :meth:`ServiceClient.request`
-sends a request dict and returns the response dict, whatever the
-transport.  On JSON-lines that is a line each way; on the negotiated
-wire transport :mod:`repro.service.wiremsg` picks the message — a query
-travels natively (terms out, packed bitsets back) unless it carries
-something only the JSON envelope has room for, such as a deadline — and
-the answer is rendered back into the same dict shape.  Retries,
-streaming and the convenience wrappers are built on that pair alone.
+sends a request dict as one JSON line and returns the response line as
+a dict.  Retries, streaming and the convenience wrappers are built on
+that pair alone.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import time
 import uuid
 from typing import Iterator, Optional
 
-from repro.service import wiremsg
 from repro.service.errors import RETRYABLE_CODES
 from repro.service.jobs import JobSpec
 
@@ -29,11 +24,11 @@ __all__ = ["ServiceClient"]
 class ServiceClient:
     """Blocking client for :func:`serve` endpoints.
 
-    Speaks JSON-lines by default; ``transport="wire"`` negotiates the
-    compact binary framing via a hello (falling back to JSON-lines
-    against servers that predate it), and ``token`` authenticates the
-    connection the same way.  ``bytes_sent`` / ``bytes_received`` count
-    transport bytes, so transports can be compared on real workloads.
+    Speaks JSON-lines, the server's one transport.  ``transport`` is
+    accepted for the callers that still pass it: ``"wire"`` once asked for
+    a binary framing the server no longer offers, and runs on JSON-lines
+    like ``"json"``.  ``token`` authenticates the connection with a hello.
+    ``bytes_sent`` / ``bytes_received`` count the bytes on the socket.
 
     ``timeout`` (seconds) bounds *connection setup*; established
     connections block indefinitely by default — ``wait`` requests
@@ -44,7 +39,7 @@ class ServiceClient:
     **Retries.**  ``retries`` > 0 arms :meth:`request_with_retry` (used
     by every convenience wrapper): capped exponential backoff with
     deterministic jitter, transparent reconnection (re-running the
-    hello, so auth + transport survive), and honouring server
+    hello, so auth survives), and honouring server
     ``retry_after`` hints on ``overloaded``/``unavailable``/
     ``shutting_down`` answers.  Connection loss only triggers a resend
     for idempotent requests — a submit is idempotent exactly when it
@@ -65,7 +60,7 @@ class ServiceClient:
         backoff_max: float = 2.0,
         retry_seed: int = 0,
     ):
-        if transport not in wiremsg.TRANSPORTS:
+        if transport not in ("json", "wire"):
             raise ValueError(f"unknown transport {transport!r}")
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -78,7 +73,6 @@ class ServiceClient:
         self.backoff_max = backoff_max
         self._rng = random.Random(retry_seed)
         self._token = token
-        self._transport_requested = transport
         self.bytes_sent = 0
         self.bytes_received = 0
         self.reconnects = 0
@@ -93,12 +87,11 @@ class ServiceClient:
         )
         self.sock.settimeout(self.read_timeout)
         self._file = self.sock.makefile("rwb")
-        self.transport = "json"
-        if self._token is not None or self._transport_requested != "json":
-            self.hello(token=self._token, transport=self._transport_requested)
+        if self._token is not None:
+            self.hello(token=self._token)
 
     def reconnect(self) -> None:
-        """Drop the connection and redo auth + transport negotiation."""
+        """Drop the connection and redo the auth hello."""
         self._teardown()
         self._connect()
         self.reconnects += 1
@@ -131,10 +124,7 @@ class ServiceClient:
     def _send(self, payload: dict) -> None:
         if self._file is None:
             raise ConnectionError("client is disconnected (call reconnect())")
-        if self.transport == "wire":
-            data = wiremsg.pack_frame(wiremsg.message_for(payload))
-        else:
-            data = (json.dumps(payload) + "\n").encode("utf-8")
+        data = (json.dumps(payload) + "\n").encode("utf-8")
         try:
             self._file.write(data)
             self._file.flush()
@@ -144,44 +134,31 @@ class ServiceClient:
 
     def _recv(self) -> dict:
         try:
-            if self.transport == "wire":
-                message, n = wiremsg.read_frame_from(self._file)
-                response = None if message is None else wiremsg.response_of(message)
-            else:
-                line = self._file.readline()
-                n = len(line)
-                response = json.loads(line) if line else None
+            line = self._file.readline()
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise self._friendly(exc, "lost connection to the service") from exc
-        self.bytes_received += n
-        if response is None:
+        self.bytes_received += len(line)
+        if not line:
             raise ConnectionError("server closed the connection")
-        return response
+        return json.loads(line)
 
     def request(self, payload: dict) -> dict:
         """Send one request; return the decoded response dict."""
         self._send(payload)
         return self._recv()
 
-    def hello(
-        self, token: Optional[str] = None, transport: str = "json", client: Optional[str] = None
-    ) -> dict:
-        """Authenticate and/or negotiate the transport for this connection."""
+    def hello(self, token: Optional[str] = None, client: Optional[str] = None) -> dict:
+        """Authenticate this connection (and name the client, for quotas)."""
         if token is not None:
             self._token = token  # remembered so reconnects re-authenticate
-        self._transport_requested = transport
-        req = {"op": "hello", "transport": transport}
+        req = {"op": "hello"}
         if token is not None:
             req["token"] = token
         if client is not None:
             req["client"] = client
         resp = self.request(req)
         if not resp.get("ok"):
-            if token is None and "unknown op" in resp.get("error", ""):
-                return resp  # legacy server: stay on JSON-lines
             raise RuntimeError(resp.get("error", "hello failed"))
-        if resp.get("transport") == "wire":
-            self.transport = "wire"
         return resp
 
     def _backoff_delay(self, attempt: int, hint: Optional[float] = None) -> float:
@@ -293,7 +270,7 @@ class ServiceClient:
         shards: Optional[int] = None,
         deadline_ms: Optional[float] = None,
     ) -> dict:
-        """One batched query; response dict is transport-independent.
+        """One batched query, answered as one response dict.
 
         ``deadline_ms`` attaches a relative deadline the server enforces
         end-to-end (expired work is rejected, a query in flight stops at

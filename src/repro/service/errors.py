@@ -20,14 +20,12 @@ Codes
 ``overloaded``         load shed — honour ``retry_after`` and resend;
 ``unavailable``        transient server-side failure — safe to retry;
 ``shutting_down``      the server is draining; reconnect elsewhere/later;
-``frame_too_large``    a wire frame exceeded the 64 MiB cap.
+``frame_too_large``    a request line exceeded the 64 MiB cap.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-from repro.parallel.wire import WireError
 
 __all__ = [
     "ServiceFault",
@@ -114,10 +112,8 @@ class ShuttingDown(ServiceFault):
         super().__init__(message, retry_after=1.0)
 
 
-class FrameTooLarge(ServiceFault, WireError):
-    """Also a :class:`~repro.parallel.wire.WireError`: pre-existing
-    transport code catching ``WireError`` around frame reads keeps
-    catching the oversize case."""
+class FrameTooLarge(ServiceFault):
+    """A request line over the front door's 64 MiB cap (``server.MAX_FRAME``)."""
 
     code = "frame_too_large"
 

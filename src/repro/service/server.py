@@ -2,7 +2,7 @@
 
 Protocol
 --------
-The default transport is JSON-lines — one request per line, one response
+The one transport is JSON-lines — one request per line, one response
 per line, both JSON objects over plain TCP (``nc localhost 7341``
 works).  Every response has ``"ok"``; failures carry ``"error"`` instead
 of payload fields::
@@ -17,18 +17,13 @@ Operations: ``ping``, ``hello``, ``submit``, ``jobs``, ``status``,
 ``versions`` / ``show`` / ``diff`` / ``promote``), ``gc`` (targets
 ``jobs`` / ``registry``), ``stats``, ``shutdown``.
 
-**Hello, auth and transport negotiation.**  ``hello`` is the optional
-handshake: it authenticates the connection (when the server was started
-with ``--auth-token``, every other op except ``ping`` is rejected until
-a hello carries the right token) and negotiates the transport.  A client
-asking for ``"transport": "wire"`` gets the hello response on JSON-lines
-and then the connection switches to the compact binary framing of
-:mod:`repro.service.wiremsg` (4-byte length prefix + wire-codec
-message); servers without the hello op reject it, so clients fall back
-to JSON-lines automatically.  A transport is a codec and nothing else —
-bytes to request dict, response dict to bytes: a native ``WireQuery``
-*is* the ``query`` request with its examples already parsed, and is
-answered in kind, ``covered`` as a packed bitset (terms in, bitset out).
+**Hello and auth.**  ``hello`` is the optional handshake: it
+authenticates the connection (when the server was started with
+``--auth-token``, every other op except ``ping`` is rejected until a
+hello carries the right token).  Whatever ``"transport"`` a hello asks
+for, it is granted ``"json"`` and the connection stays on JSON-lines —
+the fallback the hello contract has always promised a client whose
+transport the server does not offer.
 
 **Streaming queries.**  ``{"op": "query", ..., "stream": true,
 "shards": k}`` cuts the batch into k contiguous spans, evaluates them in
@@ -51,7 +46,7 @@ a ``wait`` that blocks for minutes, or a query that holds a CPU, occupies
 only the connection that asked (an idle connection costs a parked
 thread, ≈ 20 KiB).  Learning jobs run in the scheduler's own slot
 threads, so slow jobs never block queries.
-Every request of either transport takes the one path
+Every request takes the one path
 ``_serve_once`` → ``_run_op`` → :meth:`Service.handle`, which is where
 deadlines, request ids, admission control, auth, metrics, spans and
 error codes live; a streamed query differs only in pushing its shard
@@ -75,11 +70,8 @@ from typing import Callable, Optional
 
 from repro.fault.service import ServiceFaultInjector, normalize_service_plan
 from repro.logic import ParseError, parse_term
-from repro.logic.terms import Const, Struct, Var
 from repro.obs import NULL_TRACER, MetricsRegistry
-from repro.parallel import wire
 from repro.util.log import get_logger, log_context
-from repro.service import wiremsg
 from repro.service.errors import (
     BadRequest,
     Cancelled,
@@ -100,9 +92,10 @@ __all__ = ["Service", "ServiceServer", "ClientContext", "serve"]
 
 _log = get_logger("repro.service")
 
-#: the classes of ``Term``: an isinstance check against the ``Union``
-#: itself goes through ``typing`` on every call of the per-example loop.
-_TERMS = (Const, Struct, Var)
+#: refuse a request line (the protocol's one frame) above this size
+#: (64 MiB) — a desynchronized or hostile peer must not make the server
+#: allocate arbitrary buffers.
+MAX_FRAME = 64 * 1024 * 1024
 
 
 def stamp_request_id(request: dict) -> str:
@@ -149,7 +142,6 @@ class ClientContext:
 
     client_id: str = "local"
     authenticated: bool = False
-    transport: str = "json"
     #: on a socket connection: pushes one shard frame of a streaming
     #: request to the client from the thread that evaluates it
     #: (:class:`Cancelled` once the client is gone).  None in-process:
@@ -313,7 +305,7 @@ class Service:
 
     def _meter(self, op: str) -> tuple:
         """An op's request counter and latency histograms, looked up once
-        per op: every request of every transport passes through here."""
+        per op: every request passes through here."""
         hist = self.metrics.histogram
         timers = [hist("repro_request_latency_seconds", "request handling latency", op=op)]
         if op == "query":
@@ -339,12 +331,10 @@ class Service:
         ctx.authenticated = True
         if isinstance(request.get("client"), str) and request["client"]:
             ctx.client_id = request["client"]
-        requested = request.get("transport", "json")
-        granted = requested if requested in wiremsg.TRANSPORTS else "json"
         return {
             "server": "repro-service",
-            "transports": list(wiremsg.TRANSPORTS),
-            "transport": granted,
+            "transports": ["json"],
+            "transport": "json",
             "auth": self.auth_token is not None,
             "client": ctx.client_id,
         }
@@ -457,18 +447,13 @@ class Service:
             raise BadRequest(
                 f"examples must be a list of strings, got {type(items).__name__}"
             )
-        # Terms in, bitset out: a native wire query arrives parsed and is
-        # answered packed; strings are answered with a list of booleans.
-        packed = bool(items) and isinstance(items[0], _TERMS)
         examples = []
         for i, e in enumerate(items):
-            if isinstance(e, str):
-                e = parse_term(e)
-            elif not isinstance(e, _TERMS):
+            if not isinstance(e, str):
                 raise BadRequest(
                     f"examples[{i}] must be a string, got {type(e).__name__}"
                 )
-            examples.append(e)
+            examples.append(parse_term(e))
         emit = ctx.emit if request.get("stream") else None
         result = self.query_result(
             request["theory"],
@@ -477,9 +462,9 @@ class Service:
             micro_batch=int(request.get("micro_batch") or 1024),
             shards=request.get("shards"),
             deadline=request.get("_deadline"),
-            on_frame=emit and (lambda frame: emit(_answer(frame, packed))),
+            on_frame=emit and (lambda frame: emit(_answer(frame))),
         )
-        out = _answer(result, packed)
+        out = _answer(result)
         if emit is not None:
             out["frame"] = "end"
         return out
@@ -597,13 +582,9 @@ class Service:
         return {"shutdown": True}
 
 
-def _answer(part, packed: bool) -> dict:
+def _answer(part) -> dict:
     """Protocol fields of a shard frame or of a merged batch result."""
-    out = {
-        "n": part.n,
-        "ops": part.ops,
-        "covered": part.covered if packed else part.decisions(),
-    }
+    out = {"n": part.n, "ops": part.ops, "covered": part.decisions()}
     if isinstance(part, ShardResult):
         out.update(ok=True, frame="shard", shard=part.shard, lo=part.lo)
     else:
@@ -803,7 +784,7 @@ class ServiceServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         ctx = ClientContext(client_id=conn.getpeername()[0])
-        ctx.emit = partial(self._emit, conn, ctx)
+        ctx.emit = partial(self._emit, conn)
         with conn.makefile("rb") as rfile:
             while self._serve_once(conn, rfile, ctx):
                 pass
@@ -811,25 +792,21 @@ class ServiceServer:
     def _serve_once(self, conn: socket.socket, rfile, ctx: ClientContext) -> bool:
         """Read, stamp, dispatch and answer one request; False closes.
 
-        The one request lifecycle of the front door: the transport only
-        decides how bytes become the request dict (:meth:`_read_request`)
-        and how a response dict becomes bytes (:meth:`_send`).
+        The one request lifecycle of the front door: a JSON line becomes
+        the request dict (:meth:`_read_request`) and the response dict a
+        JSON line (:meth:`_send`).
         """
         try:
-            request = self._read_request(rfile, ctx)
+            request = self._read_request(rfile)
             if request is None:
                 return False
             if not isinstance(request, dict):
                 raise BadRequest("bad request: request must be a JSON object")
-        except (ServiceFault, wire.WireError) as exc:
-            self._send(conn, ctx, error_response(exc))
-            # Keep serving only where the framing is still in sync: after a
-            # well-framed bad request, and after an oversized wire frame
-            # (its body was discarded).  After an oversized line, or an
-            # undecodable frame, what follows cannot be trusted.
-            return isinstance(exc, BadRequest) or (
-                isinstance(exc, FrameTooLarge) and ctx.transport == "wire"
-            )
+        except ServiceFault as exc:
+            self._send(conn, error_response(exc))
+            # Keep serving after a bad request, whose line ended where it
+            # should; what follows an oversized line cannot be trusted.
+            return isinstance(exc, BadRequest)
         stamp_request_id(request)
         reset = self._injected_reset(request.get("op"))
         if reset is not None:
@@ -841,16 +818,13 @@ class ServiceServer:
         response = self._run_op(request, ctx)
         if response.get("code") == Cancelled.code:
             return False  # the client hung up mid-stream
-        self._send(conn, ctx, response)
-        if request.get("op") == "hello" and response.get("transport") == "wire":
-            # Switch only after the acknowledgement went out on JSON-lines.
-            ctx.transport = "wire"
+        self._send(conn, response)
         if response.get("shutdown"):
             self.initiate_shutdown()
             return False
         return True
 
-    def _emit(self, conn: socket.socket, ctx: ClientContext, frame: dict) -> None:
+    def _emit(self, conn: socket.socket, frame: dict) -> None:
         """``ctx.emit``: send one shard frame unless the client hung up.
 
         A look at the socket before each frame is the disconnect watch:
@@ -865,7 +839,7 @@ class ServiceServer:
             except BlockingIOError:
                 gone = False  # nothing to read: the client is there, and quiet
             if not gone:
-                return self._send(conn, ctx, frame)
+                return self._send(conn, frame)
         except OSError:
             pass
         raise Cancelled("query cancelled mid-stream: the client hung up")
@@ -923,23 +897,19 @@ class ServiceServer:
                 self._inflight -= 1
 
     @staticmethod
-    def _read_request(rfile, ctx: ClientContext):
+    def _read_request(rfile):
         """The next request on this connection, decoded; None at EOF."""
-        if ctx.transport == "wire":
-            message, _ = wiremsg.read_frame_from(rfile)
-            return None if message is None else wiremsg.request_of(message)
-        # Large query batches are legitimate, so a line may be as long as
-        # the wire framing allows.
+        # Large query batches are legitimate, so a line may be long.
         line = b"\n"
         while line.isspace():  # blank lines are skipped
-            line = rfile.readline(wiremsg.MAX_FRAME + 1)
-        if len(line) > wiremsg.MAX_FRAME and not line.endswith(b"\n"):
+            line = rfile.readline(MAX_FRAME + 1)
+        if len(line) > MAX_FRAME and not line.endswith(b"\n"):
             # Read the rest of the line away before answering: closing on
             # unread input would reset the connection under the answer.
             while line and not line.endswith(b"\n"):
                 line = rfile.readline(65536)
             raise FrameTooLarge(
-                f"request line exceeds the {wiremsg.MAX_FRAME}-byte cap"
+                f"request line exceeds the {MAX_FRAME}-byte cap"
             )
         if not line:
             return None
@@ -950,11 +920,8 @@ class ServiceServer:
             raise BadRequest(f"bad request: {exc}") from None
 
     @staticmethod
-    def _send(conn: socket.socket, ctx: ClientContext, response: dict) -> None:
-        if ctx.transport == "wire":
-            conn.sendall(wiremsg.pack_frame(wiremsg.message_of(response)))
-        else:
-            conn.sendall((json.dumps(response) + "\n").encode("utf-8"))
+    def _send(conn: socket.socket, response: dict) -> None:
+        conn.sendall((json.dumps(response) + "\n").encode("utf-8"))
 
 
 def serve(

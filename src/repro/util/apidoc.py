@@ -174,7 +174,7 @@ _SERVICE_NOTE = """\
 Invariants: job results are bit-identical to direct runs (whatever the
 slot count, chunking or interruptions — preemption reuses the
 checkpoint machinery), and batched query results — one span, k
-spans, or streamed over either transport — are bit-identical to
+spans, or streamed over the socket — are bit-identical to
 one-shot `coverage_eval` / per-example `predicts`.
 
 A minimal end-to-end use from code:
@@ -202,7 +202,7 @@ _CLI_NOTE = """\
 `python -m repro <command>` (or the `repro` console script after
 `pip install -e .`).  Every subcommand also accepts `--profile PATH`
 (cProfile dump); the client verbs (`jobs`, `loadgen`) accept `--token`
-and `--transport {json,wire}`."""
+and `--transport {json,wire}`, both of which run on JSON-lines."""
 
 _RESILIENCE_INTRO = """\
 Structured errors carry a machine-readable `code` (codes in

@@ -123,22 +123,17 @@ class TestRoundTrip:
     def test_every_message_type_covered(self):
         # Out-of-package payloads register their codecs on import: file
         # formats — the checkpoint (code 21), the theory-registry record
-        # (22), the scheduler job record (23) — the service's wire
-        # transport messages (24-27), and the telemetry span batch (28).
+        # (22), the scheduler job record (23) — and the telemetry span
+        # batch (28).
         from repro.fault.checkpoint import CheckpointState
         from repro.obs.span import SpanBatch
         from repro.service.jobs import JobRecord
         from repro.service.registry import RegistryRecord
-        from repro.service.wiremsg import WireJson, WireQuery, WireQueryEnd, WireShard
 
         assert {type(m) for m in MESSAGES} | {
             CheckpointState,
             RegistryRecord,
             JobRecord,
-            WireJson,
-            WireQuery,
-            WireShard,
-            WireQueryEnd,
             SpanBatch,
         } == set(wire._ENCODERS)
 
@@ -190,7 +185,7 @@ class TestRoundTrip:
 with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
     _WITNESS = json.load(_f)
 LAYOUTS = _WITNESS["layouts"]
-#: Bytes of formats this version no longer reads (codes 1, 8-10 and 29-31).
+#: Bytes of formats this version no longer reads (codes 1, 8-10, 24-27 and 29-31).
 RETIRED = _WITNESS["retired"]
 
 
@@ -220,6 +215,10 @@ RETIRED_CODES = [
     (8, "GatherExamples"),
     (9, "ExamplesReport"),
     (10, "Repartition"),
+    (24, "WireJson"),
+    (25, "WireQuery"),
+    (26, "WireShard"),
+    (27, "WireQueryEnd"),
     (29, "CoverageCertificate"),
     (30, "SampledEvaluateRequest"),
     (31, "SampledEvaluateResult"),
@@ -227,14 +226,16 @@ RETIRED_CODES = [
 
 
 class TestRetiredCodes:
-    """Codes 1 and 8-10 (ship-data mode, per-epoch repartitioning) and
-    29-31 (sampled coverage) stay reserved: their bytes fail loudly,
-    naming the retired format, and no codec may take them over."""
+    """Codes 1 and 8-10 (ship-data mode, per-epoch repartitioning), 24-27
+    (the service's wire client transport) and 29-31 (sampled coverage)
+    stay reserved: their bytes fail loudly, naming the retired format,
+    and no codec may take them over."""
 
-    # The name predates codes 1 and 8-10; it is kept so the test id stays put.
+    # The name predates codes 1, 8-10 and 24-27; it is kept so the test id
+    # stays put.
     def test_retired_codes_are_exactly_29_to_31(self):
         codes = [code for code, _ in RETIRED_CODES]
-        assert codes == [1, 8, 9, 10, 29, 30, 31]
+        assert codes == [1, 8, 9, 10, 24, 25, 26, 27, 29, 30, 31]
         assert sorted(wire._RETIRED_CODES) == codes == sorted({e["code"] for e in RETIRED})
         assert not set(wire._RETIRED_CODES) & set(wire._DECODERS)
 
@@ -361,57 +362,8 @@ class TestEndToEnd:
 
 
 class TestServiceWireMessages:
-    """The service transport's message types (codes 24-27) and framing."""
-
-    def service_messages(self):
-        from repro.service import wiremsg
-
-        return [
-            wiremsg.WireJson(payload={"op": "ping"}),
-            wiremsg.WireJson(payload={"ok": True, "jobs": [{"job": "j1", "state": "done"}]}),
-            wiremsg.WireQuery(name="trains-th", examples=POS, version=None),
-            wiremsg.WireQuery(
-                name="t", examples=NEG, version=3, micro_batch=64, shards=8, stream=True
-            ),
-            wiremsg.WireShard(shard=2, lo=100, n=50, covered=(1 << 49) | 5, ops=1234),
-            wiremsg.WireQueryEnd(covered=(1 << 200) | 7, n=201, ops=99, shards=4),
-        ]
-
-    def test_round_trip(self):
-        for msg in self.service_messages():
-            data = wire.encode_always(msg)
-            assert isinstance(data, bytes)
-            assert wire.decode(data) == msg
-
-    def test_frame_round_trip(self):
-        import io
-
-        from repro.service import wiremsg
-
-        buf = io.BytesIO()
-        sent = self.service_messages()
-        written = [wiremsg.write_frame_to(buf, m) for m in sent]
-        assert all(n > wiremsg.FRAME_HEADER.size for n in written)  # header + body
-        buf.seek(0)
-        got = []
-        total = 0
-        while True:
-            msg, nbytes = wiremsg.read_frame_from(buf)
-            if msg is None:
-                break
-            got.append(msg)
-            total += nbytes
-        assert got == sent
-        assert total == sum(written)
-
-    def test_frame_rejects_oversize(self):
-        import io
-
-        from repro.service import wiremsg
-
-        buf = io.BytesIO(wiremsg.FRAME_HEADER.pack(wiremsg.MAX_FRAME + 1) + b"x")
-        with pytest.raises(wire.WireError):
-            wiremsg.read_frame_from(buf)
+    """The service's payloads that still ride the wire codec: its file
+    formats.  (Its client transport's codes 24-27 are retired.)"""
 
     def test_job_record_with_outcome_round_trip(self):
         from repro.service.jobs import JobRecord, JobSpec, OutcomeSummary

@@ -1,10 +1,9 @@
-"""One front door: every query — JSON op, wire-envelope op or native
-``WireQuery``; plain or streamed — runs the same request lifecycle, so
-counters, spans, admission control, deadlines and error codes mean the
-same thing whatever carried the request.  Plus the frozen bytes of the
-four service messages (wire codes 24-27)."""
+"""One front door: every query — plain or streamed — runs the same
+request lifecycle, so counters, spans, admission control, deadlines and
+error codes mean the same thing for each.  And one transport: a client
+or a hello asking for the retired ``wire`` transport is answered on
+JSON-lines, like any other."""
 
-import io
 import json
 import socket
 import sys
@@ -17,14 +16,14 @@ import pytest
 from repro.fault.service import LeaseFault, ServiceFaultPlan
 from repro.logic import parse_term
 from repro.obs import Tracer, read_spans_jsonl
-from repro.service import JobSpec, Service, ServiceClient, TheoryRegistry, serve, wiremsg
-from repro.service.errors import FrameTooLarge
+from repro.service import JobSpec, Service, ServiceClient, TheoryRegistry, serve
 from repro.service.server import ClientContext
 
 RESETS = Path(__file__).resolve().parents[2] / "examples/faultplans/service_resets.json"
-FORMS = ("json", "envelope", "native")
 MODES = ("plain", "stream")
-MATRIX = [(form, mode) for form in FORMS for mode in MODES]
+#: the ids these tests had while the client transport was one of their
+#: dimensions; JSON-lines is the one left.
+MODE_IDS = [f"json-{mode}" for mode in MODES]
 
 
 @pytest.fixture
@@ -58,31 +57,22 @@ def start_server(tmp_path, trains_theory, **kwargs):
     return box["server"], thread
 
 
-def shutdown(server, thread):
-    with ServiceClient(port=server.port) as c:
+def shutdown(server, thread, token=None):
+    with ServiceClient(port=server.port, token=token) as c:
         c.request({"op": "shutdown"})
     thread.join(timeout=15)
 
 
-def query_request(form, mode, examples, **extra):
-    """The request dict that travels as ``form``; checked, not assumed."""
+def query_request(mode, examples, **extra):
+    """A query request, streamed when ``mode`` says so."""
     req = {"op": "query", "theory": "t", "examples": examples, **extra}
     if mode == "stream":
         req["stream"] = True
-    if form == "envelope" and "deadline_ms" not in req:
-        req["request_id"] = "mine-1"  # no native field: forces the envelope
-    if form != "json":
-        want = wiremsg.WireQuery if form == "native" else wiremsg.WireJson
-        assert isinstance(wiremsg.message_for(req), want)
     return req
 
 
-def connect(server, form):
-    client = ServiceClient(
-        port=server.port, transport="json" if form == "json" else "wire"
-    )
-    assert client.transport == ("json" if form == "json" else "wire")
-    return client
+def connect(server, transport="json"):
+    return ServiceClient(port=server.port, transport=transport)
 
 
 def ask(client, request) -> list:
@@ -95,21 +85,19 @@ def ask(client, request) -> list:
 
 
 class TestOneLifecycle:
-    @pytest.mark.parametrize("form,mode", MATRIX)
-    def test_counted_timed_and_traced(
-        self, tmp_path, trains_theory, examples, form, mode
-    ):
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_counted_timed_and_traced(self, tmp_path, trains_theory, examples, mode):
         trace_path = str(tmp_path / "trace.jsonl")
         server, thread = start_server(
             tmp_path, trains_theory, tracer=Tracer(rank=0, sink=trace_path)
         )
         try:
-            with connect(server, "json") as c:
+            with connect(server) as c:
                 want = c.query("t", examples)["covered"]
             before = server.service.metrics.snapshot()
-            with connect(server, form) as c:
+            with connect(server) as c:
                 for _ in range(3):
-                    answer = ask(c, query_request(form, mode, examples, shards=2))
+                    answer = ask(c, query_request(mode, examples, shards=2))
                     assert answer[-1]["ok"] and answer[-1]["covered"] == want
                     if mode == "stream":
                         assert [f["frame"] for f in answer] == ["shard", "shard", "end"]
@@ -128,9 +116,9 @@ class TestOneLifecycle:
         spans = [s for s in read_spans_jsonl(trace_path) if s.name == "op:query"]
         assert len(spans) == 4  # the baseline query and the three under test
 
-    @pytest.mark.parametrize("form,mode", MATRIX)
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_held_query_sheds_a_concurrent_ping(
-        self, tmp_path, trains_theory, examples, form, mode
+        self, tmp_path, trains_theory, examples, mode
     ):
         plan = ServiceFaultPlan(leases=(LeaseFault(on_lease=1, mode="slow", delay=0.6),))
         server, thread = start_server(
@@ -139,14 +127,14 @@ class TestOneLifecycle:
         held = {}
 
         def hold():
-            with connect(server, form) as c:
-                held["answer"] = ask(c, query_request(form, mode, examples, shards=2))
+            with connect(server) as c:
+                held["answer"] = ask(c, query_request(mode, examples, shards=2))
 
         try:
             t = threading.Thread(target=hold)
             t.start()
             time.sleep(0.2)  # the slow lease now occupies the one slot
-            with connect(server, "json") as c:
+            with connect(server) as c:
                 shed = c.request({"op": "ping"})
             t.join(timeout=30)
         finally:
@@ -155,33 +143,32 @@ class TestOneLifecycle:
         assert shed["retry_after"] > 0
         assert held["answer"][-1]["ok"]
 
-    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("transport", ("json", "wire"))
     def test_shards_on_a_plain_query_is_span_count(
-        self, tmp_path, trains_theory, examples, form
+        self, tmp_path, trains_theory, examples, transport
     ):
         # ``shards`` is evaluation granularity now, but the request field
         # is still accepted everywhere and echoed as the span count; the
         # answer never carries a ``degraded`` flag.
         server, thread = start_server(tmp_path, trains_theory)
         try:
-            with connect(server, "json") as c:
+            with connect(server) as c:
                 want = c.query("t", examples)
             assert want["shards"] == 1
-            with connect(server, form) as c:
-                (answer,) = ask(c, query_request(form, "plain", examples, shards=3))
+            with connect(server, transport) as c:
+                (answer,) = ask(c, query_request("plain", examples, shards=3))
         finally:
             shutdown(server, thread)
         assert answer["ok"] and answer["shards"] == 3
         assert answer["covered"] == want["covered"]
         assert "degraded" not in answer and "degraded" not in want
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("form", ("json", "envelope"))
-    def test_deadline_exceeded(self, tmp_path, trains_theory, examples, form, mode):
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_deadline_exceeded(self, tmp_path, trains_theory, examples, mode):
         server, thread = start_server(tmp_path, trains_theory)
         try:
-            with connect(server, form) as c:
-                req = query_request(form, mode, examples, shards=2, deadline_ms=0.001)
+            with connect(server) as c:
+                req = query_request(mode, examples, shards=2, deadline_ms=0.001)
                 answer = ask(c, req)
                 assert c.request({"op": "ping"})["ok"]  # connection survived
         finally:
@@ -191,10 +178,11 @@ class TestOneLifecycle:
 
     def test_wire_stream_keeps_its_deadline(self, tmp_path, trains_theory, examples):
         # Regression: the wire branch of query_stream used to drop
-        # deadline_ms and stream shard, shard, end regardless.
+        # deadline_ms and stream shard, shard, end regardless.  A client
+        # asking for that transport now gets JSON-lines, deadline and all.
         server, thread = start_server(tmp_path, trains_theory)
         try:
-            with connect(server, "native") as c:
+            with connect(server, "wire") as c:
                 with pytest.raises(RuntimeError, match="deadline"):
                     list(c.query_stream("t", examples, shards=2, deadline_ms=0.001))
                 dead = c.query("t", examples, deadline_ms=0.001)
@@ -202,14 +190,9 @@ class TestOneLifecycle:
         finally:
             shutdown(server, thread)
 
-    @pytest.mark.parametrize("form,mode", MATRIX)
-    def test_unauthenticated_code(self, examples, form, mode):
-        # A wire connection only exists after a successful hello, so the
-        # refusal of the wire forms is driven below the socket: the request
-        # dict the codec hands the front door, on an unauthenticated context.
-        request = query_request(form, mode, examples)
-        if form != "json":
-            request = wiremsg.request_of(wiremsg.message_for(request))
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_unauthenticated_code(self, examples, mode):
+        request = query_request(mode, examples)
         frames = []
         svc = Service(slots=1, auth_token="sesame")
         try:
@@ -238,20 +221,19 @@ class TestOneLifecycle:
 
 
     def test_concurrent_streams_never_cross(self, tmp_path, trains_theory, examples):
-        # More streaming connections than cores, every form at once: shard
-        # frames leave from worker threads, and each client must still see
-        # exactly its own batch, in order.
+        # More streaming connections than cores: shard frames leave from
+        # worker threads, and each client must still see exactly its own
+        # batch, in order.
         server, thread = start_server(tmp_path, trains_theory)
         failures = []
 
         def client(k):
-            form = FORMS[k % len(FORMS)]
             batch = examples[k % 5:] * (1 + k % 3)
             try:
-                with connect(server, form) as c:
+                with connect(server) as c:
                     want = c.query("t", batch)["covered"]
                     for _ in range(5):
-                        answer = ask(c, query_request(form, "stream", batch, shards=3))
+                        answer = ask(c, query_request("stream", batch, shards=3))
                         got = [bit for f in answer[:-1] for bit in f["covered"]]
                         assert got == want == answer[-1]["covered"]
             except BaseException as exc:  # noqa: BLE001 - surfaced via assert
@@ -296,7 +278,7 @@ class TestManyConnections:
         server, thread = start_server(tmp_path, trains_theory)
         parked = []
         try:
-            with connect(server, "json") as c:
+            with connect(server) as c:
                 jobs = [c.submit(JobSpec(dataset="krki", algo="mdie")) for _ in range(3)]
             wait = json.dumps({"op": "wait", "job": jobs[-1], "timeout": 20}) + "\n"
             for _ in range(33):
@@ -307,7 +289,7 @@ class TestManyConnections:
             while server._inflight < 33 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert server._inflight == 33, "the waits never reached the server"
-            with connect(server, "json") as c:
+            with connect(server) as c:
                 t0 = time.monotonic()
                 assert c.request({"op": "ping"})["pong"]
                 answered_in = time.monotonic() - t0
@@ -327,7 +309,7 @@ class TestManyConnections:
 
         def hammer():
             try:
-                with connect(server, "json") as c:
+                with connect(server) as c:
                     for _ in range(150):
                         assert c.request({"op": "ping"})["pong"]
             except BaseException as exc:  # noqa: BLE001 - surfaced via assert
@@ -351,8 +333,9 @@ class TestManyConnections:
     @pytest.mark.parametrize("how", ("shutdown", "drain"))
     def test_stops_with_company(self, tmp_path, trains_theory, how):
         # Eight idle connections, one that sent half a JSON line and one
-        # half a wire frame: the server hangs up on all of them on its way
-        # out, and none of their threads outlives serve().
+        # that asked for the wire transport, was answered on JSON-lines and
+        # then sent half a line: the server hangs up on all of them on its
+        # way out, and none of their threads outlives serve().
         before = set(threading.enumerate())
         server, thread = start_server(tmp_path, trains_theory)
         company = [
@@ -365,8 +348,8 @@ class TestManyConnections:
             hello = b""
             while not hello.endswith(b"\n"):
                 hello += company[9].recv(4096)
-            assert json.loads(hello)["transport"] == "wire"
-            company[9].sendall(wiremsg.pack_frame(wiremsg.WireJson({"op": "ping"}))[:7])
+            assert json.loads(hello)["transport"] == "json"
+            company[9].sendall(b'{"op": "pi')
             deadline = time.monotonic() + 5
             while len(server._conns) < 10 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -423,96 +406,90 @@ class TestRetiredKnobs:
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
-class TestRetriesOverWire:
-    def test_native_queries_ride_out_the_reset_plan(
-        self, tmp_path, trains_theory, examples
+class TestOneTransport:
+    """The hello still accepts ``"transport": "wire"`` and grants JSON-lines,
+    the fallback it always promised; the client's ``transport="wire"``
+    runs on JSON-lines and answers what a JSON client answers."""
+
+    def test_wire_hello_is_answered_json_and_the_socket_stays_json(
+        self, tmp_path, trains_theory
     ):
-        plan = ServiceFaultPlan.load(str(RESETS))
-        server, thread = start_server(tmp_path, trains_theory, fault_plan=plan)
+        server, thread = start_server(tmp_path, trains_theory)
         try:
-            with ServiceClient(
-                port=server.port, transport="wire", retries=4, backoff=0.01
-            ) as c:
-                answers = [c.query("t", examples) for _ in range(4)]
-                assert c.transport == "wire"  # renegotiated on every reconnect
-                assert c.reconnects == 2 and c.retried == 2
-            assert all(a["ok"] and a["frame"] == "end" for a in answers)
-            assert all(a["covered"] == answers[0]["covered"] for a in answers)
-            # Resets 1 (before) and 3 (after) each cost one resend; the
-            # "after" one had already done the work.
-            counted = server.service.metrics.snapshot()["repro_requests_total"]
-            assert counted["op=query"] == 5
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(b'{"op":"hello","transport":"wire"}\n')
+                fh.flush()
+                hello = json.loads(fh.readline())
+                assert hello["ok"] and hello["transport"] == "json"
+                assert hello["transports"] == ["json"]
+                query = {"op": "query", "theory": "t", "examples": ["eastbound(t0)"],
+                         "request_id": "after-hello"}
+                fh.write(json.dumps(query).encode() + b"\n")
+                fh.flush()
+                line = fh.readline()
+                assert line.endswith(b"\n")
+                answer = json.loads(line)
+                assert answer["request_id"] == "after-hello"
+                assert answer["covered"] == [True] and answer["n_covered"] == 1
         finally:
             shutdown(server, thread)
 
-
-class TestGoldenBytes:
-    """Frames of codes 24-27 for fixed inputs, as the parent commit wrote them."""
-
-    GOLDEN = [
-        (
-            wiremsg.WireJson({"op": "ping", "request_id": "r-1", "n": [1, 2.5, None, True]}),
-            "0000003cc3011801367b226e223a5b312c322e352c6e756c6c2c747275655d2c226f70223a"
-            "2270696e67222c22726571756573745f6964223a22722d31227d00",
-        ),
-        (
-            wiremsg.WireQuery(
-                name="trains",
-                examples=(parse_term("eastbound(t1)"), parse_term("p(a, f(b, 3), 'X y')")),
-                version=3, micro_batch=512, shards=2, stream=True,
-            ),
-            "0000003fc301190806747261696e730965617374626f756e640274310170016101660162"
-            "03582079000103800402010205010101020503030104050502010602060107",
-        ),
-        (
-            wiremsg.WireQuery(name="t", examples=(), version=None),
-            "0000000dc3011901017400008008000000",
-        ),
-        (
-            wiremsg.WireShard(shard=1, lo=12, n=70, covered=(1 << 69) | 0b1011, ops=12345),
-            "00000013c3011a00010c46b9600920000000000000000b",
-        ),
-        (
-            wiremsg.WireQueryEnd(covered=(1 << 129) | 5, n=130, ops=99999, shards=4),
-            "0000001cc3011b0082019f8d0604110200000000000000000000000000000005",
-        ),
-    ]
-
-    @pytest.mark.parametrize("message,frame", GOLDEN, ids=lambda v: type(v).__name__)
-    def test_frame_bytes_are_frozen(self, message, frame):
-        assert wiremsg.pack_frame(message).hex() == frame
-
-    def test_codec_round_trips_a_packed_answer(self):
-        end = {"ok": True, "n": 3, "ops": 7, "covered": 0b101, "n_covered": 2, "shards": 1}
-        assert wiremsg.message_of(end) == wiremsg.WireQueryEnd(
-            covered=0b101, n=3, ops=7, shards=1
+    def test_wire_client_redoes_hello_after_reset_and_answers_like_json(
+        self, tmp_path, trains_theory, examples
+    ):
+        plan = ServiceFaultPlan.load(str(RESETS))
+        server, thread = start_server(
+            tmp_path, trains_theory, fault_plan=plan, auth_token="sesame"
         )
-        assert wiremsg.response_of(wiremsg.message_of(end)) == {
-            **end, "frame": "end", "covered": [True, False, True],
-        }
-        shard = {"ok": True, "frame": "shard", "shard": 1, "lo": 4, "n": 2, "ops": 3,
-                 "covered": 0b10}
-        assert wiremsg.response_of(wiremsg.message_of(shard)) == {
-            **shard, "covered": [False, True],
-        }
+        try:
+            with ServiceClient(
+                port=server.port, transport="wire", token="sesame",
+                retries=4, backoff=0.01,
+            ) as c:
+                answers = [c.query("t", examples) for _ in range(4)]
+                # Resets 1 (before) and 3 (after) each cost one resend and a
+                # new connection, whose hello authenticated it again.
+                assert c.reconnects == 2 and c.retried == 2
+                assert c.request({"op": "jobs"})["ok"]
+                streamed = list(c.query_stream("t", examples, shards=2))
+            counted = server.service.metrics.snapshot()["repro_requests_total"]
+            assert counted["op=query"] == 6 and counted["op=hello"] == 3
+            with ServiceClient(port=server.port, token="sesame") as j:
+                want = j.query("t", examples)
+                want_stream = list(j.query_stream("t", examples, shards=2))
+        finally:
+            shutdown(server, thread, token="sesame")
 
+        def drop_id(frame):
+            return {k: v for k, v in frame.items() if k != "request_id"}
 
-class TestFrameReader:
-    def test_oversized_frame_is_read_away(self, monkeypatch):
-        # The one reader of server and client: whoever receives an oversized
-        # frame stays in sync with the frames behind it.
-        good = wiremsg.pack_frame(wiremsg.WireJson({"op": "ping"}))
-        monkeypatch.setattr(wiremsg, "MAX_FRAME", 64)
-        assert len(good) <= 64
-        big = wiremsg.FRAME_HEADER.pack(70_000) + b"\0" * 70_000
-        fobj = io.BytesIO(big + good)
-        with pytest.raises(FrameTooLarge):
-            wiremsg.read_frame_from(fobj)
-        assert fobj.tell() == len(big)
-        assert wiremsg.read_frame_from(fobj) == (wiremsg.WireJson({"op": "ping"}), len(good))
-        assert wiremsg.read_frame_from(fobj) == (None, 0)
-        # A body cut short by EOF: still the structured error, never a hang.
-        fobj = io.BytesIO(big[:100])
-        with pytest.raises(FrameTooLarge):
-            wiremsg.read_frame_from(fobj)
-        assert wiremsg.read_frame_from(fobj) == (None, 0)
+        assert [drop_id(a) for a in answers] == [drop_id(want)] * 4
+        assert [drop_id(f) for f in streamed] == [drop_id(f) for f in want_stream]
+
+    @pytest.mark.parametrize("asked", ("json", "wire", "msgpack", None))
+    def test_hello_grants_json_whatever_is_asked(self, asked):
+        request = {"op": "hello"} if asked is None else {"op": "hello", "transport": asked}
+        svc = Service(slots=1)
+        try:
+            resp = svc.handle(request, ClientContext(client_id="c1"))
+        finally:
+            svc.close()
+        assert resp["ok"] and resp["transport"] == "json"
+        assert resp["transports"] == ["json"]
+
+    def test_client_refuses_a_transport_it_never_had(self):
+        with pytest.raises(ValueError, match="unknown transport 'msgpack'"):
+            ServiceClient(port=1, transport="msgpack")
+
+    def test_parsed_term_example_is_a_bad_request(self):
+        svc = Service(slots=1)
+        try:
+            resp = svc.handle({
+                "op": "query", "theory": "t",
+                "examples": ["eastbound(t0)", parse_term("eastbound(t1)")],
+            })
+        finally:
+            svc.close()
+        assert not resp["ok"] and resp["code"] == "bad_request"
+        assert resp["error"] == "examples[1] must be a string, got Struct"

@@ -1,7 +1,7 @@
-"""Socket-level fuzzing of both front doors (JSON-lines and wire framing).
+"""Socket-level fuzzing of the JSON-lines front door.
 
-The promise under test: whatever bytes arrive — truncated frames,
-oversized frames, garbage that decodes to nothing — the server either
+The promise under test: whatever bytes arrive — truncated lines,
+oversized lines, garbage that decodes to nothing — the server either
 answers with a structured error or closes the connection cleanly.  It
 never hangs a connection task, never crashes the event loop, and the
 connection *after* the abuse still gets served.
@@ -12,13 +12,12 @@ import json
 import os
 import random
 import socket
-import struct
 import threading
 
 import pytest
 
 from repro.service import ServiceClient, serve
-from repro.service.wiremsg import FRAME_HEADER, MAX_FRAME, pack_frame, WireJson
+from repro.service.server import MAX_FRAME
 
 IO_TIMEOUT = 15.0  # every raw-socket op is bounded: a hang fails the test
 
@@ -55,17 +54,6 @@ def raw_connection(port):
     sock = socket.create_connection(("127.0.0.1", port), timeout=IO_TIMEOUT)
     sock.settimeout(IO_TIMEOUT)
     return sock
-
-
-def wire_connection(port):
-    """A raw socket already switched to the wire transport."""
-    sock = raw_connection(port)
-    f = sock.makefile("rwb")
-    f.write(b'{"op": "hello", "transport": "wire"}\n')
-    f.flush()
-    resp = json.loads(f.readline())
-    assert resp["ok"] and resp["transport"] == "wire"
-    return sock, f
 
 
 @contextlib.contextmanager
@@ -150,6 +138,29 @@ class TestJsonFrontDoor:
             assert not resp["ok"] and resp["code"] == "frame_too_large"
             # The tail of an oversized line cannot be resynchronized:
             # the server closes after answering.
+            assert f.readline() == b""
+        assert_still_serving(server)
+
+    def test_cap_counts_the_line_without_its_newline(self, server, monkeypatch):
+        # The cap shrunk to 64 bytes, so its edge is cheap to reach: 64
+        # bytes and a newline are read, 65 and a newline are refused.
+        from repro.service import server as front_door
+
+        monkeypatch.setattr(front_door, "MAX_FRAME", 64)
+        head = b'{"op": "ping", "pad": "'
+        fits = head + b"a" * (64 - len(head) - 2) + b'"}'
+        assert len(fits) == 64
+        sock = raw_connection(server)
+        with sock:
+            f = sock.makefile("rwb")
+            f.write(fits + b"\n")
+            f.flush()
+            assert json.loads(f.readline())["pong"]
+            f.write(b" " + fits + b"\n")
+            f.flush()
+            resp = json.loads(f.readline())
+            assert resp["code"] == "frame_too_large"
+            assert resp["error"] == "request line exceeds the 64-byte cap"
             assert f.readline() == b""
         assert_still_serving(server)
 
@@ -248,88 +259,3 @@ class TestStrayCertificateFrontDoor:
         for path, body in strays.items():
             with open(path, "rb") as fh:
                 assert fh.read() == body
-
-
-class TestWireFrontDoor:
-    def test_oversized_frame_answered_framing_resyncs(self, server):
-        sock, f = wire_connection(server)
-        with sock:
-            # Full oversized frame: header + (MAX_FRAME + 1) payload bytes.
-            f.write(FRAME_HEADER.pack(MAX_FRAME + 1))
-            f.write(b"\x00" * (MAX_FRAME + 1))
-            f.write(pack_frame(WireJson({"op": "ping"})))  # queued behind it
-            f.flush()
-            from repro.service import wiremsg
-
-            msg, _ = wiremsg.read_frame_from(f)
-            assert isinstance(msg, WireJson)
-            assert not msg.payload["ok"]
-            assert msg.payload["code"] == "frame_too_large"
-            # The body was discarded, so the framing is intact and the
-            # ping behind the oversized frame still gets its answer.
-            msg, _ = wiremsg.read_frame_from(f)
-            assert isinstance(msg, WireJson) and msg.payload["ok"]
-        assert_still_serving(server)
-
-    def test_truncated_oversized_frame_no_hang(self, server):
-        sock, f = wire_connection(server)
-        with sock:
-            f.write(FRAME_HEADER.pack(MAX_FRAME + 1))
-            f.write(b"\x00" * 64)  # a sliver of the promised body
-            f.flush()
-            sock.shutdown(socket.SHUT_WR)  # EOF mid-discard
-            # The server abandons the discard at EOF; the error answer may
-            # or may not make it out before close — the invariant is no
-            # hang, bounded by the socket timeout.
-            while sock.recv(65536):
-                pass
-        assert_still_serving(server)
-
-    def test_truncated_frame_closes_cleanly(self, server):
-        sock, f = wire_connection(server)
-        with sock:
-            f.write(FRAME_HEADER.pack(100))
-            f.write(b"short")
-            f.flush()
-            sock.shutdown(socket.SHUT_WR)
-            assert sock.recv(4096) == b""
-        assert_still_serving(server)
-
-    def test_garbage_frame_answered_then_closed(self, server):
-        sock, f = wire_connection(server)
-        with sock:
-            payload = b"\xde\xad\xbe\xef garbage that is no wire message"
-            f.write(FRAME_HEADER.pack(len(payload)) + payload)
-            f.flush()
-            from repro.service import wiremsg
-
-            msg, _ = wiremsg.read_frame_from(f)
-            assert isinstance(msg, WireJson)
-            assert not msg.payload["ok"]
-            assert msg.payload["code"] == "bad_request"
-            # After a decode failure nothing later on the connection is
-            # trustworthy: the server closes.
-            assert f.read(1) == b""
-        assert_still_serving(server)
-
-    def test_random_frames_never_hang(self, server):
-        rng = random.Random(1)
-        for trial in range(8):
-            payload = bytes(
-                rng.randrange(256) for _ in range(rng.randrange(1, 512))
-            )
-            sock, f = wire_connection(server)
-            with sock:
-                f.write(FRAME_HEADER.pack(len(payload)) + payload)
-                f.flush()
-                sock.shutdown(socket.SHUT_WR)
-                while sock.recv(65536):
-                    pass
-        assert_still_serving(server)
-
-    def test_outbound_oversize_is_structured_client_side(self):
-        with pytest.raises(Exception) as err:
-            pack_frame(WireJson({"pad": "a" * (MAX_FRAME + 16)}))
-        from repro.service.errors import FrameTooLarge
-
-        assert isinstance(err.value, FrameTooLarge)

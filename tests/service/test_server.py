@@ -139,33 +139,6 @@ class TestSocketTransport:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
-    def test_wire_transport_moves_fewer_bytes_than_json(
-        self, tmp_path, registry, trains, trains_theory
-    ):
-        # One live server, the same 200-example query over both negotiated
-        # transports (hello included — it is part of a transport's price).
-        registry.publish(
-            "t", trains_theory.theory, config_sig=trains_theory.config_sig,
-            provenance={"dataset": "trains", "seed": "0", "scale": "small"},
-        )
-        pool = [str(e) for e in trains.pos + trains.neg]
-        examples = [pool[i % len(pool)] for i in range(200)]
-        port, thread = start_server(tmp_path)
-        moved, answers = {}, {}
-        try:
-            for transport in ("json", "wire"):
-                with ServiceClient(port=port, transport=transport) as client:
-                    assert client.transport == transport
-                    answers[transport] = client.query("t", examples)
-                    moved[transport] = client.bytes_sent + client.bytes_received
-        finally:
-            with ServiceClient(port=port) as client:
-                client.request({"op": "shutdown"})
-            thread.join(timeout=10)
-        assert answers["json"]["ok"] and answers["json"]["n"] == 200
-        assert answers["wire"]["covered"] == answers["json"]["covered"]
-        assert moved["wire"] < moved["json"], moved
-
     def test_malformed_json_line(self, tmp_path):
         import socket
 
@@ -199,7 +172,7 @@ class TestSocketTransport:
 
 
 class TestAuthQuotaAndNegotiation:
-    """Token auth, per-client job quotas, and transport negotiation."""
+    """Token auth, per-client job quotas, and the hello's one transport."""
 
     def test_unauthenticated_op_rejected_ping_exempt(self, tmp_path):
         from repro.service.server import ClientContext, Service
@@ -289,9 +262,11 @@ class TestAuthQuotaAndNegotiation:
             assert not resp["ok"] and "authentication required" in resp["error"]
         with pytest.raises(RuntimeError, match="token"):
             ServiceClient(port=port, token="guess")
-        # Token + wire: the hello authenticates and switches framing.
+        # Token + wire: the hello authenticates; the connection stays on
+        # JSON-lines, the one transport.
         with ServiceClient(port=port, token="sesame", transport="wire") as client:
-            assert client.transport == "wire"
+            hello = client.hello(token="sesame")
+            assert hello["transport"] == "json" and hello["transports"] == ["json"]
             assert client.request({"op": "jobs"})["ok"]
             client.request({"op": "shutdown"})
         thread.join(timeout=10)
@@ -299,12 +274,12 @@ class TestAuthQuotaAndNegotiation:
     def test_client_falls_back_to_json_on_legacy_server(self, tmp_path, monkeypatch):
         from repro.service.server import Service
 
-        # A server that predates the hello op answers "unknown op"; the
-        # client must quietly stay on JSON-lines instead of erroring.
+        # A server that predates the hello op answers "unknown op"; a
+        # client asking for the wire transport without a token sends no
+        # hello at all, so it works there as on JSON-lines anywhere.
         monkeypatch.delattr(Service, "_op_hello")
         port, thread = start_server(tmp_path)
         with ServiceClient(port=port, transport="wire") as client:
-            assert client.transport == "json"
             assert client.request({"op": "ping"})["pong"]
             client.request({"op": "shutdown"})
         thread.join(timeout=10)
