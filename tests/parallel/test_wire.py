@@ -14,6 +14,7 @@ from repro.ilp.refinement import SearchRule
 from repro.logic.clause import Clause
 from repro.logic.parser import parse_clause, parse_term
 from repro.logic.terms import Const, Struct, Var
+from repro.obs.span import Span, SpanBatch
 from repro.parallel import wire
 from repro.parallel.messages import (
     AdoptWorker,
@@ -95,6 +96,15 @@ MESSAGES = [
     ),
     PipelineTask(epoch=1, bottom=None, step=1, width=None, rules=(), origin=4),
     PipelineRules(epoch=2, origin=2, rules=(SearchRule(RULE, 1),)),
+    # telemetry (repro.obs): a rank's activity trace on its way home
+    SpanBatch(rank=0),
+    SpanBatch(
+        rank=2,
+        spans=(
+            Span(2, "search(s1)", 0.25, 1.5),
+            Span(2, "saturate", 1.5, 1.75, (("epoch", "3"),)),
+        ),
+    ),
 ]
 
 #: Stamped layouts by code, under the names their classes had before the
@@ -121,12 +131,11 @@ class TestRoundTrip:
         assert wire.decode(data) == msg
 
     def test_every_message_type_covered(self):
-        # Out-of-package payloads register their codecs on import: file
-        # formats — the checkpoint (code 21), the theory-registry record
-        # (22), the scheduler job record (23) — and the telemetry span
-        # batch (28).
+        # Out-of-package payloads register their codecs on import: the
+        # file formats — the checkpoint (code 21), the theory-registry
+        # record (22), the scheduler job record (23).  The telemetry span
+        # batch (28) is in MESSAGES.
         from repro.fault.checkpoint import CheckpointState
-        from repro.obs.span import SpanBatch
         from repro.service.jobs import JobRecord
         from repro.service.registry import RegistryRecord
 
@@ -134,7 +143,6 @@ class TestRoundTrip:
             CheckpointState,
             RegistryRecord,
             JobRecord,
-            SpanBatch,
         } == set(wire._ENCODERS)
 
     def test_mpi_tag_table_covers_every_protocol_tag(self):
