@@ -99,10 +99,19 @@ def resolve_backend(
     record_trace: bool = False,
     timeout: Optional[float] = None,
 ) -> Backend:
-    """Accept a Backend instance, a registry name, or None (→ sim)."""
+    """Accept a Backend instance, a registry name, or None (→ sim).
+
+    A ready instance is used as it is: asking for a trace it does not
+    record is a ``ValueError``.
+    """
     if backend is None:
         backend = "sim"
     if isinstance(backend, Backend):
+        if record_trace and not backend.record_trace:
+            raise ValueError(
+                f"record_trace=True needs a tracing backend: build it with "
+                f"{type(backend).__name__}(record_trace=True), or pass its name"
+            )
         return backend
     return make_backend(
         backend,

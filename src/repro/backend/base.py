@@ -37,12 +37,12 @@ from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 from repro.cluster.message import Message, marshal_payload, unmarshal_payload
 from repro.cluster.process import (
     BcastOp,
-    ComputeInterval,
     ComputeOp,
     ProcContext,
     RecvOp,
     SendOp,
     SimProcess,
+    Span,
 )
 from repro.cluster.scheduler import CommStats
 from repro.fault.plan import (
@@ -130,7 +130,7 @@ class BackendRun:
     comm: CommStats
     #: final per-rank clocks, rank order.
     clocks: list[float] = field(default_factory=list)
-    trace: list[ComputeInterval] = field(default_factory=list)
+    trace: list[Span] = field(default_factory=list)
     #: final process objects in rank order.  For in-process backends these
     #: are the very objects passed in; for multi-process backends they are
     #: what the children shipped back (:meth:`SimProcess.final_state`) —
@@ -171,7 +171,7 @@ class BackendRun:
             run.trace.extend(decode_batch(span_bytes))
             run.comm.merge(stats)
             run.fault_log.extend(rank_faults)
-        run.trace.sort(key=lambda iv: (iv.start, iv.rank))
+        run.trace.sort(key=lambda s: (s.start, s.rank))
         run.fault_log.sort(key=lambda f: f.time)
         run.seconds = max(run.clocks, default=0.0)
         return run
@@ -182,6 +182,9 @@ class Backend(ABC):
 
     #: registry name ("sim", "local", "mpi").
     name: str = "?"
+    #: whether runs record a :class:`~repro.cluster.process.Span` per
+    #: compute interval into :attr:`BackendRun.trace`.
+    record_trace: bool = False
 
     def run(
         self, procs: Sequence[SimProcess], fault_plan: Optional[FaultPlan] = None
@@ -238,7 +241,7 @@ class WallClockContext(ProcContext):
         #: report so every substrate returns the same log.
         self.fault_log: list[FaultRecord] = []
         self.stats = CommStats()
-        self.trace: list[ComputeInterval] = []
+        self.trace: list[Span] = []
         self._seq = 0
         self.reset_clock()
 
@@ -287,7 +290,7 @@ class WallClockContext(ProcContext):
                 time.sleep(min(extra, MAX_STRAGGLE_SLEEP))
                 now = self.clock
             if self.record_trace:
-                self.trace.append(ComputeInterval(self.rank, self._last_mark, now, op.label))
+                self.trace.append(Span(self.rank, op.label, self._last_mark, now))
             self._last_mark = now
             return None
         raise TypeError(f"rank {self.rank} yielded non-syscall {op!r}")

@@ -95,13 +95,14 @@ def _load_plan(args):
 
 def _cli_backend(args):
     """The backend to hand the run front-end: the name, or — for an
-    ``mpiexec`` SPMD launch — a constructed MPI backend with non-root
-    ranks' stdout muted so the run narrates exactly once."""
+    ``mpiexec`` SPMD launch — a constructed MPI backend, tracing when
+    ``--trace-out`` asks, with non-root ranks' stdout muted so the run
+    narrates exactly once."""
     if args.backend != "mpi":
         return args.backend
     from repro.backend import make_backend
 
-    backend = make_backend("mpi")
+    backend = make_backend("mpi", record_trace=bool(args.trace_out))
     if not backend.is_root:
         sys.stdout = open(os.devnull, "w")
     return backend
@@ -416,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_trace_out(path: str, trace) -> None:
-    """Export a run's ComputeIntervals as a JSONL span file."""
-    from repro.obs import spans_from_intervals, write_spans_jsonl
+    """Export a run's activity trace as a JSONL span file."""
+    from repro.obs import write_spans_jsonl
 
-    n = write_spans_jsonl(path, spans_from_intervals(trace))
+    n = write_spans_jsonl(path, trace)
     print(f"% wrote {n} spans to {path}")
 
 

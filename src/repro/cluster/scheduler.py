@@ -28,12 +28,12 @@ from repro.cluster.message import Message, payload_nbytes
 from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import (
     BcastOp,
-    ComputeInterval,
     ComputeOp,
     ProcContext,
     RecvOp,
     SendOp,
     SimProcess,
+    Span,
 )
 from repro.fault.plan import FaultPlan, FaultRecord, RankFaults
 
@@ -120,7 +120,7 @@ class Scheduler:
         self.network = network
         self.cost_model = cost_model
         self.stats = CommStats()
-        self.trace: list[ComputeInterval] = []
+        self.trace: list[Span] = []
         self.record_trace = record_trace
         self.max_events = max_events
         self.fault_plan = fault_plan
@@ -289,13 +289,11 @@ class Scheduler:
                 if tc is not None and st.clock + dt >= tc:
                     # The crash interrupts the compute interval.
                     if self.record_trace:
-                        self.trace.append(ComputeInterval(rank, st.clock, tc, op.label))
+                        self.trace.append(Span(rank, op.label, st.clock, tc))
                     self._kill(st, tc, "at_time (mid-compute)")
                     return
                 if self.record_trace:
-                    self.trace.append(
-                        ComputeInterval(rank, st.clock, st.clock + dt, op.label)
-                    )
+                    self.trace.append(Span(rank, op.label, st.clock, st.clock + dt))
                 st.clock += dt
             elif isinstance(op, SendOp):
                 self._send(st, op.dst, op.payload, op.tag)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.process import ComputeInterval
+from repro.cluster.process import Span
 
 __all__ = ["render_gantt", "occupancy", "stage_summary"]
 
@@ -49,35 +49,36 @@ def _char_for(label: str) -> str:
     return _LABEL_CHARS.get(label, "c")
 
 
-def render_gantt(trace: Sequence[ComputeInterval], width: int = 100, t_end: float | None = None) -> str:
+def render_gantt(trace: Sequence[Span], width: int = 100, t_end: float | None = None) -> str:
     """Render busy intervals as one text row per rank.
 
-    >>> from repro.cluster.process import ComputeInterval as CI
-    >>> print(render_gantt([CI(1, 0.0, 0.5, "search(s1)"), CI(1, 0.5, 1.0, "evaluate")], width=10))
+    >>> from repro.obs import Span
+    >>> trace = [Span(1, "search(s1)", 0.0, 0.5), Span(1, "evaluate", 0.5, 1.0)]
+    >>> print(render_gantt(trace, width=10))
     rank 1 |11111eeeee|
     """
     if not trace:
         return "(empty trace)"
-    end = t_end if t_end is not None else max(iv.end for iv in trace)
+    end = t_end if t_end is not None else max(s.end for s in trace)
     if end <= 0:
         return "(zero-length trace)"
-    ranks = sorted({iv.rank for iv in trace})
+    ranks = sorted({s.rank for s in trace})
     rows = []
     for rank in ranks:
         cells = ["."] * width
-        for iv in trace:
-            if iv.rank != rank:
+        for s in trace:
+            if s.rank != rank:
                 continue
-            lo = int(iv.start / end * width)
-            hi = max(lo + 1, int(iv.end / end * width))
-            ch = _char_for(iv.label)
+            lo = int(s.start / end * width)
+            hi = max(lo + 1, int(s.end / end * width))
+            ch = _char_for(s.name)
             for i in range(lo, min(hi, width)):
                 cells[i] = ch
         rows.append(f"rank {rank} |{''.join(cells)}|")
     return "\n".join(rows)
 
 
-def occupancy(trace: Sequence[ComputeInterval], makespan: float) -> dict[int, float]:
+def occupancy(trace: Sequence[Span], makespan: float) -> dict[int, float]:
     """Busy fraction per rank — the pipeline's load-balance measure.
 
     The paper argues stage granularity is "very similar, leading to
@@ -86,8 +87,8 @@ def occupancy(trace: Sequence[ComputeInterval], makespan: float) -> dict[int, fl
     if makespan <= 0:
         raise ValueError("makespan must be positive")
     busy: dict[int, float] = {}
-    for iv in trace:
-        busy[iv.rank] = busy.get(iv.rank, 0.0) + (iv.end - iv.start)
+    for s in trace:
+        busy[s.rank] = busy.get(s.rank, 0.0) + s.duration
     return {rank: b / makespan for rank, b in sorted(busy.items())}
 
 
@@ -98,11 +99,11 @@ class StageStat:
     total_seconds: float
 
 
-def stage_summary(trace: Sequence[ComputeInterval]) -> list[StageStat]:
-    """Aggregate busy time per stage label (search stages, evaluate, ...)."""
+def stage_summary(trace: Sequence[Span]) -> list[StageStat]:
+    """Aggregate busy time per stage name (search stages, evaluate, ...)."""
     agg: dict[str, list[float]] = {}
-    for iv in trace:
-        agg.setdefault(iv.label, []).append(iv.end - iv.start)
+    for s in trace:
+        agg.setdefault(s.name, []).append(s.duration)
     return [
         StageStat(label=k, count=len(v), total_seconds=sum(v))
         for k, v in sorted(agg.items())

@@ -3,7 +3,8 @@
 Three small pieces, all off-by-default-cheap:
 
 * :mod:`repro.obs.span` — ``Span`` records ``(rank, name, start, end,
-  attrs)`` around pipeline stage boundaries; ``SpanBatch`` is wire-codec
+  attrs)``, the one activity record: every backend's trace is a list of
+  spans, one per compute interval.  ``SpanBatch`` is wire-codec
   message 28, carrying each rank's spans to rank 0 at halt so ``repro
   trace`` renders Fig. 3-4 Gantt charts from real local/MPI runs.
   ``Tracer`` records spans; the disabled tracer (``NULL_TRACER``) is a
@@ -30,11 +31,7 @@ from repro.obs.span import (
     Span,
     SpanBatch,
     Tracer,
-    intervals_from_spans,
     read_spans_jsonl,
-    set_tracing,
-    spans_from_intervals,
-    tracing_enabled,
     write_spans_jsonl,
 )
 
@@ -43,10 +40,6 @@ __all__ = [
     "SpanBatch",
     "Tracer",
     "NULL_TRACER",
-    "tracing_enabled",
-    "set_tracing",
-    "spans_from_intervals",
-    "intervals_from_spans",
     "write_spans_jsonl",
     "read_spans_jsonl",
     "Counter",

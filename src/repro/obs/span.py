@@ -1,11 +1,11 @@
 """Spans: wall-clock activity records shipped from every rank to rank 0.
 
-A :class:`Span` is the telemetry-layer view of one stage execution —
-``(rank, name, start, end, attrs)`` — the exact record behind the
-paper's Figs. 3-4 activity analysis.  The cluster layer keeps emitting
-:class:`repro.cluster.process.ComputeInterval` (virtual time on sim,
-wall-clock on local/MPI); :func:`spans_from_intervals` /
-:func:`intervals_from_spans` convert losslessly between the two, and
+A :class:`Span` — ``(rank, name, start, end, attrs)`` — is the one
+activity record, the exact record behind the paper's Figs. 3-4 activity
+analysis.  It is defined next to the syscalls in
+:mod:`repro.cluster.process`, where the sim scheduler and the real
+backends record one per compute interval (virtual time on sim,
+wall-clock on local/MPI); this module re-exports it.
 :class:`SpanBatch` is the wire-codec message (code 28) that carries a
 rank's spans home at halt on the local and MPI backends.
 
@@ -17,14 +17,13 @@ one attribute check when telemetry is off.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.cluster.process import ComputeInterval
+from repro.cluster.process import Span
 from repro.parallel import wire
 
 __all__ = [
@@ -32,49 +31,9 @@ __all__ = [
     "SpanBatch",
     "Tracer",
     "NULL_TRACER",
-    "tracing_enabled",
-    "set_tracing",
-    "spans_from_intervals",
-    "intervals_from_spans",
     "write_spans_jsonl",
     "read_spans_jsonl",
 ]
-
-
-@dataclass(frozen=True)
-class Span:
-    """One traced activity: *rank* ran *name* from *start* to *end* seconds.
-
-    ``attrs`` is a sorted tuple of ``(key, value)`` string pairs —
-    hashable, deterministic, and cheap to wire-encode.
-    """
-
-    rank: int
-    name: str
-    start: float
-    end: float
-    attrs: tuple = ()
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def to_dict(self) -> dict:
-        d = {"rank": self.rank, "name": self.name, "start": self.start, "end": self.end}
-        if self.attrs:
-            d["attrs"] = dict(self.attrs)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Span":
-        attrs = tuple(sorted((str(k), str(v)) for k, v in d.get("attrs", {}).items()))
-        return cls(
-            rank=int(d["rank"]),
-            name=str(d["name"]),
-            start=float(d["start"]),
-            end=float(d["end"]),
-            attrs=attrs,
-        )
 
 
 @dataclass(frozen=True)
@@ -119,51 +78,19 @@ def _dec_span_batch(d) -> SpanBatch:
 wire.register_codec(SpanBatch, 28, _enc_span_batch, _dec_span_batch)
 
 
-def encode_batch(rank: int, trace: Sequence[ComputeInterval]) -> bytes:
-    """Wire-encode a rank's ComputeInterval trace as a SpanBatch."""
-    batch = SpanBatch(rank=rank, spans=tuple(spans_from_intervals(trace)))
-    data = wire.encode_always(batch)
+def encode_batch(rank: int, trace: Sequence[Span]) -> bytes:
+    """Wire-encode a rank's trace as a SpanBatch."""
+    data = wire.encode_always(SpanBatch(rank=rank, spans=tuple(trace)))
     assert data is not None  # codec registered at module import
     return data
 
 
 def decode_batch(data: bytes) -> list:
-    """Decode SpanBatch bytes back to a ComputeInterval list."""
+    """Decode SpanBatch bytes back to the rank's list of spans."""
     batch = wire.decode(data)
     if not isinstance(batch, SpanBatch):
         raise wire.WireError(f"expected SpanBatch, got {type(batch).__name__}")
-    return intervals_from_spans(batch.spans)
-
-
-# -- conversions ------------------------------------------------------------------
-
-
-def spans_from_intervals(trace: Iterable[ComputeInterval]) -> list:
-    """ComputeIntervals (cluster layer) -> Spans (telemetry layer)."""
-    return [Span(iv.rank, iv.label, iv.start, iv.end) for iv in trace]
-
-
-def intervals_from_spans(spans: Iterable[Span]) -> list:
-    """Spans -> ComputeIntervals, dropping attrs (the cluster layer has none)."""
-    return [ComputeInterval(s.rank, s.start, s.end, s.name) for s in spans]
-
-
-# -- enable gate ------------------------------------------------------------------
-
-_override: Optional[bool] = None
-
-
-def tracing_enabled() -> bool:
-    """True when span recording is on (REPRO_TRACE=1 or set_tracing(True))."""
-    if _override is not None:
-        return _override
-    return os.environ.get("REPRO_TRACE", "").lower() in ("1", "true", "on", "yes")
-
-
-def set_tracing(flag: Optional[bool]) -> None:
-    """Force tracing on/off in-process; None restores the env default."""
-    global _override
-    _override = flag
+    return list(batch.spans)
 
 
 # -- tracer -----------------------------------------------------------------------
@@ -226,9 +153,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def batch(self) -> SpanBatch:
-        return SpanBatch(rank=self.rank, spans=tuple(self.spans()))
-
     def close(self) -> None:
         with self._lock:
             if self._sink_file is not None:
@@ -250,9 +174,6 @@ class _NullTracer:
 
     def spans(self) -> list:
         return []
-
-    def batch(self) -> SpanBatch:
-        return SpanBatch(rank=0, spans=())
 
     def close(self) -> None:
         pass

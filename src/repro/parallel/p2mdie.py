@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 from repro.backend import Backend, BackendRun, resolve_backend
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL, sequential_seconds
 from repro.cluster.network import FAST_ETHERNET, NetworkModel
-from repro.cluster.process import ComputeInterval
+from repro.cluster.process import Span
 from repro.cluster.scheduler import CommStats
 from repro.fault.plan import FaultPlan, normalize_plan
 from repro.ilp.config import ILPConfig
@@ -105,7 +105,7 @@ class P2Result:
     uncovered: int
     epoch_logs: list[EpochLog] = field(default_factory=list)
     clocks: list[float] = field(default_factory=list)
-    trace: list[ComputeInterval] = field(default_factory=list)
+    trace: list[Span] = field(default_factory=list)
     #: final per-logical-worker evaluation-cache counters: rank ->
     #: (hits, misses).  Recovery-induced cache invalidation shows up here
     #: (adopted workers restart cold).

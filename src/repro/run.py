@@ -137,7 +137,7 @@ class RunOutcome:
     #: :meth:`ILPConfig.signature` of the config the run used (registry provenance).
     config_sig: str = ""
     epoch_logs: list = field(default_factory=list)
-    #: activity intervals (``record_trace=True`` p2mdie runs).
+    #: activity spans, one per compute interval (``record_trace=True`` p2mdie runs).
     trace: list = field(default_factory=list)
     #: master-observed recovery narrative and substrate-injected fault events.
     fault_events: list = field(default_factory=list)

@@ -339,8 +339,7 @@ SECTIONS = [
             (
                 "repro.obs.span",
                 [
-                    "Span", "SpanBatch", "Tracer", "tracing_enabled",
-                    "set_tracing", "spans_from_intervals", "intervals_from_spans",
+                    "Span", "SpanBatch", "Tracer",
                     "write_spans_jsonl", "read_spans_jsonl",
                 ],
             ),

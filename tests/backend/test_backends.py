@@ -56,6 +56,28 @@ class TestRegistry:
         assert isinstance(resolve_backend(None), SimBackend)
         assert isinstance(resolve_backend("sim"), SimBackend)
 
+    def test_resolve_backend_refuses_a_trace_its_instance_cannot_record(self):
+        # A ready instance is used as it is, so a trace it cannot record
+        # is refused rather than returned empty.
+        with pytest.raises(ValueError, match=r"SimBackend\(record_trace=True\)"):
+            resolve_backend(SimBackend(), record_trace=True)
+        bk = SimBackend(record_trace=True)
+        assert resolve_backend(bk, record_trace=True) is bk
+
+    def test_run_with_a_sim_instance_records_the_trace_or_refuses(self):
+        from repro.datasets import make_dataset
+        from repro.run import run
+
+        ds = make_dataset("trains")
+        with pytest.raises(ValueError, match="record_trace"):
+            run(ds, "p2mdie", p=2, backend=SimBackend(), record_trace=True)
+        by_name = run(ds, "p2mdie", p=2, backend="sim", record_trace=True).trace
+        by_instance = run(
+            ds, "p2mdie", p=2, backend=SimBackend(record_trace=True), record_trace=True
+        ).trace
+        assert len(by_name) == 16
+        assert by_instance == by_name
+
     def test_resolve_backend_forwards_sim_options(self):
         bk = resolve_backend("sim", network=GIGABIT, record_trace=True)
         assert bk.network is GIGABIT

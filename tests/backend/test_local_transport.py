@@ -150,7 +150,7 @@ class TestHappyPath:
 
     def test_record_trace(self):
         run = LocalProcessBackend(timeout=30, record_trace=True).run([Ping(0), Pong(1)])
-        assert any(iv.label == "work" and iv.rank == 0 for iv in run.trace)
+        assert any(s.name == "work" and s.rank == 0 for s in run.trace)
 
 
 class TestBackpressure:

@@ -219,7 +219,7 @@ class TestStatsAndTrace:
                 yield ctx.compute(2, label="phase_b")
 
         run = SimBackend(network=NET, cost_model=COST, record_trace=True).run([Busy(0)])
-        assert [iv.label for iv in run.trace] == ["phase_a", "phase_b"]
+        assert [s.name for s in run.trace] == ["phase_a", "phase_b"]
         assert run.trace[0].end == run.trace[1].start
 
     def test_makespan_is_max_clock(self):

@@ -124,7 +124,7 @@ def test_fig3_pipeline_folds_back_and_is_balanced():
     res = p2mdie(ds, p=3, width=10, record_trace=True, max_epochs=1)
     # Fig. 3: every worker runs every stage of the three live pipelines.
     for rank in (1, 2, 3):
-        ran = {iv.label for iv in res.trace if iv.rank == rank}
+        ran = {s.name for s in res.trace if s.rank == rank}
         assert {"search(s1)", "search(s2)", "search(s3)"} <= ran, f"rank {rank} missed a stage"
     # §4.1: "the granularity of the tasks executed in parallel are very
     # similar, leading to balanced computations".

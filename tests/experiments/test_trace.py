@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.process import ComputeInterval as CI
+from repro.cluster.process import Span
 from repro.experiments.trace import _char_for, occupancy, render_gantt, stage_summary
 
 
@@ -11,29 +11,29 @@ class TestRenderGantt:
         assert render_gantt([]) == "(empty trace)"
 
     def test_single_interval(self):
-        out = render_gantt([CI(1, 0.0, 1.0, "search(s1)")], width=10)
+        out = render_gantt([Span(1, "search(s1)", 0.0, 1.0)], width=10)
         assert out == "rank 1 |1111111111|"
 
     def test_stage_chars(self):
         out = render_gantt(
-            [CI(1, 0.0, 0.5, "search(s2)"), CI(1, 0.5, 1.0, "evaluate")], width=10
+            [Span(1, "search(s2)", 0.0, 0.5), Span(1, "evaluate", 0.5, 1.0)], width=10
         )
         assert "2" in out and "e" in out
 
     def test_idle_shown_as_dots(self):
-        out = render_gantt([CI(1, 0.5, 1.0, "saturate")], width=10)
+        out = render_gantt([Span(1, "saturate", 0.5, 1.0)], width=10)
         row = out.split("|")[1]
         assert row.startswith(".")
         assert row.endswith("s")
 
     def test_multiple_ranks_sorted(self):
-        out = render_gantt([CI(2, 0, 1, "evaluate"), CI(0, 0, 1, "aggregate")], width=4)
+        out = render_gantt([Span(2, "evaluate", 0, 1), Span(0, "aggregate", 0, 1)], width=4)
         lines = out.splitlines()
         assert lines[0].startswith("rank 0")
         assert lines[1].startswith("rank 2")
 
     def test_fixed_t_end(self):
-        out = render_gantt([CI(1, 0.0, 1.0, "evaluate")], width=10, t_end=2.0)
+        out = render_gantt([Span(1, "evaluate", 0.0, 1.0)], width=10, t_end=2.0)
         row = out.split("|")[1]
         assert row == "eeeee....."
 
@@ -68,7 +68,7 @@ class TestCharFor:
 
     def test_deep_stage_renders_distinctly(self):
         out = render_gantt(
-            [CI(1, 0.0, 0.5, "search(s10)"), CI(1, 0.5, 1.0, "search(s20)")],
+            [Span(1, "search(s10)", 0.0, 0.5), Span(1, "search(s20)", 0.5, 1.0)],
             width=10,
         )
         row = out.split("|")[1]
@@ -77,7 +77,7 @@ class TestCharFor:
 
 class TestOccupancy:
     def test_fractions(self):
-        occ = occupancy([CI(1, 0, 2, "a"), CI(2, 0, 1, "b")], makespan=2.0)
+        occ = occupancy([Span(1, "a", 0, 2), Span(2, "b", 0, 1)], makespan=2.0)
         assert occ == {1: 1.0, 2: 0.5}
 
     def test_invalid_makespan(self):
@@ -88,9 +88,9 @@ class TestOccupancy:
 class TestStageSummary:
     def test_aggregation(self):
         trace = [
-            CI(1, 0, 1, "search(s1)"),
-            CI(2, 1, 3, "search(s1)"),
-            CI(1, 3, 4, "evaluate"),
+            Span(1, "search(s1)", 0, 1),
+            Span(2, "search(s1)", 1, 3),
+            Span(1, "evaluate", 3, 4),
         ]
         stats = {s.label: s for s in stage_summary(trace)}
         assert stats["search(s1)"].count == 2
@@ -112,7 +112,7 @@ class TestOnRealRun:
         occ = occupancy(res.trace, res.seconds)
         assert all(0 <= v <= 1.0 for v in occ.values())
         # pipeline stages 1..3 all appear somewhere in the trace
-        labels = {iv.label for iv in res.trace}
+        labels = {s.name for s in res.trace}
         assert {"search(s1)", "search(s2)", "search(s3)"} <= labels
 
     def test_local_backend_occupancy_and_stage_summary(self):
@@ -159,3 +159,31 @@ class TestOnRealRun:
         )
         assert not plain.trace
         assert (list(plain.theory), plain.epoch_logs) == (list(res.theory), res.epoch_logs)
+
+
+class TestOneRecord:
+    @pytest.mark.parametrize("backend", ["sim", "local"])
+    def test_trace_is_spans_and_trace_out_reads_back_equal(
+        self, backend, tmp_path, capsys, monkeypatch
+    ):
+        # Every backend records the one activity record, and --trace-out
+        # writes the run's trace as it is.
+        import repro.cli
+        from repro.obs import read_spans_jsonl
+
+        outcomes = []
+        real_run = repro.cli.run
+
+        def recording_run(*args, **kw):
+            outcomes.append(real_run(*args, **kw))
+            return outcomes[-1]
+
+        monkeypatch.setattr(repro.cli, "run", recording_run)
+        out_file = tmp_path / "t.jsonl"
+        argv = ["learn", "trains", "--p", "2", "--backend", backend, "--trace-out", str(out_file)]
+        assert repro.cli.main(argv) == 0
+        capsys.readouterr()
+        (outcome,) = outcomes
+        assert outcome.trace
+        assert all(type(s) is Span and s.start <= s.end for s in outcome.trace)
+        assert read_spans_jsonl(str(out_file)) == outcome.trace

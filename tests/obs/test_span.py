@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.cluster.process import ComputeInterval as CI
+import repro.cluster.process
+import repro.obs
 from repro.obs.span import (
     NULL_TRACER,
     Span,
@@ -14,17 +15,16 @@ from repro.obs.span import (
     Tracer,
     decode_batch,
     encode_batch,
-    intervals_from_spans,
     read_spans_jsonl,
-    set_tracing,
-    spans_from_intervals,
-    tracing_enabled,
     write_spans_jsonl,
 )
 from repro.parallel import wire
 
 
 class TestSpan:
+    def test_one_record_for_every_layer(self):
+        assert repro.obs.Span is Span is repro.cluster.process.Span
+
     def test_duration(self):
         assert Span(1, "saturate", 2.0, 3.5).duration == 1.5
 
@@ -60,7 +60,7 @@ class TestWireCodec:
             assert got.end == orig.end
 
     def test_encode_decode_batch_helpers(self):
-        trace = [CI(1, 0.0, 0.5, "load"), CI(1, 0.5, 2.0, "search(s1)")]
+        trace = [Span(1, "load", 0.0, 0.5), Span(1, "search(s1)", 0.5, 2.0)]
         back = decode_batch(encode_batch(1, trace))
         assert back == trace
 
@@ -70,33 +70,6 @@ class TestWireCodec:
         data = wire.encode_always(Ping(token=1))
         with pytest.raises(wire.WireError):
             decode_batch(data)
-
-
-class TestConversions:
-    def test_lossless_round_trip(self):
-        trace = [CI(0, 0.0, 1.0, "aggregate"), CI(3, 1.0, 4.0, "recover")]
-        assert intervals_from_spans(spans_from_intervals(trace)) == trace
-
-
-class TestTracingGate:
-    def test_env_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        set_tracing(None)
-        assert not tracing_enabled()
-
-    def test_env_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        set_tracing(None)
-        assert tracing_enabled()
-        set_tracing(None)
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        set_tracing(False)
-        try:
-            assert not tracing_enabled()
-        finally:
-            set_tracing(None)
 
 
 class TestTracer:
@@ -144,11 +117,6 @@ class TestTracer:
         back = read_spans_jsonl(path)
         assert back == t.spans()
 
-    def test_batch(self):
-        t = Tracer(rank=7)
-        t.record("a", 0.0, 1.0)
-        assert t.batch() == SpanBatch(rank=7, spans=tuple(t.spans()))
-
 
 class TestNullTracer:
     def test_is_inert(self):
@@ -157,7 +125,6 @@ class TestNullTracer:
             pass
         NULL_TRACER.record("x", 0.0, 1.0)
         assert NULL_TRACER.spans() == []
-        assert NULL_TRACER.batch() == SpanBatch(rank=0, spans=())
         NULL_TRACER.close()  # no-op, must not raise
 
 

@@ -105,6 +105,26 @@ class TestTrace:
         assert "rank 1" in out
         assert "busy fractions" in out
 
+    def test_mpi_trace_out_builds_a_tracing_backend(self, tmp_path, capsys, monkeypatch):
+        # A sim backend stands in for the MPI one (mpi4py may be absent);
+        # --trace-out must reach the constructor.
+        import repro.backend
+
+        built = []
+
+        def fake_make_backend(name, **kw):
+            built.append((name, kw))
+            bk = repro.backend.SimBackend(record_trace=kw.get("record_trace", False))
+            bk.is_root = True
+            return bk
+
+        monkeypatch.setattr(repro.backend, "make_backend", fake_make_backend)
+        out_file = tmp_path / "t.jsonl"
+        argv = ["learn", "trains", "--p", "2", "--backend", "mpi", "--trace-out", str(out_file)]
+        assert main(argv) == 0
+        assert built == [("mpi", {"record_trace": True})]
+        assert f"% wrote 16 spans to {out_file}" in capsys.readouterr().out
+
 
 class TestTables:
     def test_table1_only(self, capsys):

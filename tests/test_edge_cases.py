@@ -3,7 +3,7 @@ conditions not covered by the per-module suites)."""
 
 import pytest
 
-from repro.cluster.process import ComputeInterval as CI
+from repro.cluster.process import Span
 from repro.experiments.trace import render_gantt
 from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
@@ -51,12 +51,12 @@ class TestEngineEdges:
 
 class TestTraceEdges:
     def test_interval_past_t_end_clipped(self):
-        out = render_gantt([CI(1, 0.0, 5.0, "evaluate")], width=10, t_end=1.0)
+        out = render_gantt([Span(1, "evaluate", 0.0, 5.0)], width=10, t_end=1.0)
         row = out.split("|")[1]
         assert row == "e" * 10  # fills but never overflows
 
     def test_zero_length_interval(self):
-        out = render_gantt([CI(1, 0.5, 0.5, "evaluate"), CI(1, 0.0, 1.0, "saturate")], width=10)
+        out = render_gantt([Span(1, "evaluate", 0.5, 0.5), Span(1, "saturate", 0.0, 1.0)], width=10)
         assert "rank 1" in out
 
 
