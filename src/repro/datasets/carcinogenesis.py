@@ -23,7 +23,7 @@ from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.terms import atom
+from repro.logic.terms import Const, atom
 from repro.util.rng import make_rng
 
 __all__ = ["make_carcinogenesis"]
@@ -71,16 +71,20 @@ def _is_active(elems: list, charges: list, bonds: list) -> bool:
     return rule1 or rule2
 
 
-def _molecule_facts(mol: str, elems: list, charges: list, bonds: list) -> list:
-    """The background facts of a molecule that made it into the dataset."""
-    atoms = [f"{mol}_a{i}" for i in range(len(elems))]
-    facts = [atom("atom_of", mol, a) for a in atoms]
-    facts += [atom("elem", a, e) for a, e in zip(atoms, elems)]
-    facts += [atom("charge", a, ch) for a, ch in zip(atoms, charges)]
+def _add_molecule(kb: KnowledgeBase, mol: str, elems: list, charges: list, bonds: list, const: dict) -> None:
+    """Add the background facts of a molecule that made it into the
+    dataset; ``const`` maps a property value to its constant."""
+    m = Const(mol)
+    atoms = [Const(f"{mol}_a{i}") for i in range(len(elems))]
+    kb.add_facts("atom_of", [(m, a) for a in atoms])
+    kb.add_facts("elem", [(a, const[e]) for a, e in zip(atoms, elems)])
+    kb.add_facts("charge", [(a, const[ch]) for a, ch in zip(atoms, charges)])
+    rows = []
     for i, j, t in bonds:
-        facts.append(atom("bond", atoms[i], atoms[j], t))
-        facts.append(atom("bond", atoms[j], atoms[i], t))
-    return facts
+        t = const[t]
+        rows.append((atoms[i], atoms[j], t))
+        rows.append((atoms[j], atoms[i], t))
+    kb.add_facts("bond", rows)
 
 
 @register_dataset("carcinogenesis")
@@ -97,6 +101,7 @@ def make_carcinogenesis(
         n_pos, n_neg = (162, 136) if scale == "paper" else (56, 48)
     rng = make_rng(seed, "carcinogenesis")
     kb = KnowledgeBase()
+    const = {v: Const(v) for v in _ELEMENTS + _CHARGES + _BOND_TYPES}
     pos, neg = [], []
     attempts = 0
     max_attempts = 60 * (n_pos + n_neg)
@@ -112,8 +117,7 @@ def make_carcinogenesis(
         quota = n_pos if label else n_neg
         if len(target) >= quota:
             continue  # quota filled; discard this molecule
-        for f in _molecule_facts(mol, *molecule):
-            kb.add_fact(f)
+        _add_molecule(kb, mol, *molecule, const)
         target.append(atom("active", mol))
         m += 1
     if len(pos) < n_pos or len(neg) < n_neg:  # pragma: no cover - defensive

@@ -22,7 +22,7 @@ from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.terms import atom
+from repro.logic.terms import Const, atom
 from repro.util.rng import make_rng
 
 __all__ = ["make_krki"]
@@ -53,13 +53,11 @@ def make_krki(
     kb = KnowledgeBase()
 
     # Coordinate background relations (shared by all positions).
-    for a in range(8):
-        for b in range(8):
-            if abs(a - b) <= 1:
-                kb.add_fact(atom("adj", a, b))
-            if a == b:
-                kb.add_fact(atom("eq", a, b))
+    coord = [Const(i) for i in range(8)]
+    kb.add_facts("adj", [(coord[a], coord[b]) for a in range(8) for b in range(8) if abs(a - b) <= 1])
+    kb.add_facts("eq", [(c, c) for c in coord])
 
+    pieces: dict[str, list] = {"wk": [], "wr": [], "bk": []}
     pos, neg = [], []
     pid = 0
     attempts = 0
@@ -74,13 +72,16 @@ def make_krki(
             continue
         name = f"pos{pid}"
         pid += 1
+        position = Const(name)
         wkf, wkr, wrf, wrr, bkf, bkr = coords
-        kb.add_fact(atom("wk", name, wkf, wkr))
-        kb.add_fact(atom("wr", name, wrf, wrr))
-        kb.add_fact(atom("bk", name, bkf, bkr))
+        pieces["wk"].append((position, coord[wkf], coord[wkr]))
+        pieces["wr"].append((position, coord[wrf], coord[wrr]))
+        pieces["bk"].append((position, coord[bkf], coord[bkr]))
         target.append(atom("illegal", name))
     if len(pos) < n_pos or len(neg) < n_neg:  # pragma: no cover - defensive
         raise RuntimeError("krki generator failed to meet quotas")
+    for functor, rows in pieces.items():
+        kb.add_facts(functor, rows)
 
     modes = ModeSet(
         [

@@ -25,7 +25,7 @@ from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.terms import atom
+from repro.logic.terms import Const, atom
 from repro.util.rng import make_rng
 
 __all__ = ["make_mesh"]
@@ -71,21 +71,24 @@ def make_mesh(
     edges: list[str] = []
     true_class: dict[str, int] = {}
 
+    const = {v: Const(v) for v in _ETYPES + _SUPPORTS + _LOADS}
     for s in range(n_structures):
         ring = [f"e{s}_{i}" for i in range(edges_per_structure)]
+        ring_c = [Const(e) for e in ring]
         attrs = {}
         for e in ring:
             etype = rng.choices(_ETYPES, weights=_ETYPE_WEIGHTS, k=1)[0]
             support = rng.choices(_SUPPORTS, weights=_SUPPORT_WEIGHTS, k=1)[0]
             load = rng.choices(_LOADS, weights=_LOAD_WEIGHTS, k=1)[0]
             attrs[e] = (etype, support, load)
-            kb.add_fact(atom("etype", e, etype))
-            kb.add_fact(atom("support", e, support))
-            kb.add_fact(atom("load", e, load))
-        for i, e in enumerate(ring):
-            nxt = ring[(i + 1) % len(ring)]
-            kb.add_fact(atom("neighbor", e, nxt))
-            kb.add_fact(atom("neighbor", nxt, e))
+        for k, functor in enumerate(("etype", "support", "load")):
+            kb.add_facts(functor, [(c, const[attrs[e][k]]) for c, e in zip(ring_c, ring)])
+        rows = []
+        for i, c in enumerate(ring_c):
+            nxt = ring_c[(i + 1) % len(ring_c)]
+            rows.append((c, nxt))
+            rows.append((nxt, c))
+        kb.add_facts("neighbor", rows)
         for i, e in enumerate(ring):
             left = ring[(i - 1) % len(ring)]
             right = ring[(i + 1) % len(ring)]

@@ -26,7 +26,7 @@ from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.terms import atom
+from repro.logic.terms import Const, atom
 from repro.util.rng import make_rng
 
 __all__ = ["make_pyrimidines"]
@@ -99,25 +99,34 @@ def make_pyrimidines(
             raise RuntimeError("pyrimidines generator cannot satisfy quotas")
         n_drugs += max(2, n_drugs // 4)
 
+    const = {v: Const(v) for v in _POSITIONS + tuple(_GROUPS) + (0, 1, 2)}
+    # (substituent constant, its group's property levels) per drug and position.
+    subs: list[tuple[Const, tuple]] = []
+    functors = ("subst", "group", "polar", "size", "flex", "polar_gt", "size_gt", "flex_gt")
+    rows: dict[str, list] = {functor: [] for functor in functors}
     for name, groups in drugs.items():
+        drug = Const(name)
         for pos in _POSITIONS:
-            sub = f"{name}_{pos}"
-            kb.add_fact(atom("subst", name, pos, sub))
-            kb.add_fact(atom("group", sub, groups[pos]))
-            polar, size, flex = _GROUPS[groups[pos]]
-            kb.add_fact(atom("polar", sub, polar))
-            kb.add_fact(atom("size", sub, size))
-            kb.add_fact(atom("flex", sub, flex))
+            sub = Const(f"{name}_{pos}")
+            levels = _GROUPS[groups[pos]]
+            subs.append((sub, levels))
+            rows["subst"].append((drug, const[pos], sub))
+            rows["group"].append((sub, const[groups[pos]]))
+            polar, size, flex = levels
+            rows["polar"].append((sub, const[polar]))
+            rows["size"].append((sub, const[size]))
+            rows["flex"].append((sub, const[flex]))
 
     # Comparative background relations over substituent instances.
-    subs = [(f"{d}_{pos}", _GROUPS[g[pos]]) for d, g in drugs.items() for pos in _POSITIONS]
     for (s1, (pol1, sz1, fl1)), (s2, (pol2, sz2, fl2)) in itertools.permutations(subs, 2):
         if pol1 > pol2:
-            kb.add_fact(atom("polar_gt", s1, s2))
+            rows["polar_gt"].append((s1, s2))
         if sz1 > sz2:
-            kb.add_fact(atom("size_gt", s1, s2))
+            rows["size_gt"].append((s1, s2))
         if fl1 > fl2:
-            kb.add_fact(atom("flex_gt", s1, s2))
+            rows["flex_gt"].append((s1, s2))
+    for functor, functor_rows in rows.items():
+        kb.add_facts(functor, functor_rows)
 
     # Pairwise examples with a decision margin.
     pairs = qualifying_pairs()

@@ -9,11 +9,13 @@ optional label noise.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.terms import atom
+from repro.logic.terms import Const, atom
 from repro.util.rng import make_rng
 
 __all__ = ["make_trains"]
@@ -36,27 +38,33 @@ def make_trains(seed: int = 0, scale: str = "small", n_trains: int | None = None
     kb = KnowledgeBase()
     pos, neg = [], []
 
+    const = {v: Const(v) for v in _CAR_SHAPES + _LOAD_SHAPES + _ROOFS + (0, 1, 2, 3)}
     for t in range(n_trains):
-        train = f"t{t}"
+        train = Const(f"t{t}")
         n_cars = rng.randint(2, 5)
         eastbound = False
+        # functor -> rows, in the order each functor first appears (the
+        # order the KB creates its stores in).
+        rows: defaultdict[str, list] = defaultdict(list)
         for c in range(n_cars):
-            car = f"c{t}_{c}"
-            kb.add_fact(atom("has_car", train, car))
+            car = Const(f"c{t}_{c}")
+            rows["has_car"].append((train, car))
             shape = rng.choice(_CAR_SHAPES)
             length = rng.choice(("short", "long"))
             roof = rng.choice(_ROOFS)
             wheels = rng.choice((2, 3))
             load_shape = rng.choice(_LOAD_SHAPES)
             load_count = rng.randint(0, 3)
-            kb.add_fact(atom("shape", car, shape))
-            kb.add_fact(atom(length, car))
-            kb.add_fact(atom("roof", car, roof))
-            kb.add_fact(atom("open_car" if roof == "none" else "closed", car))
-            kb.add_fact(atom("wheels", car, wheels))
-            kb.add_fact(atom("load", car, load_shape, load_count))
+            rows["shape"].append((car, const[shape]))
+            rows[length].append((car,))
+            rows["roof"].append((car, const[roof]))
+            rows["open_car" if roof == "none" else "closed"].append((car,))
+            rows["wheels"].append((car, const[wheels]))
+            rows["load"].append((car, const[load_shape], const[load_count]))
             if length == "short" and roof != "none":
                 eastbound = True
+        for functor, functor_rows in rows.items():
+            kb.add_facts(functor, functor_rows)
         if label_noise > 0 and rng.random() < label_noise:
             eastbound = not eastbound
         (pos if eastbound else neg).append(atom("eastbound", train))

@@ -15,7 +15,7 @@ refined *further there* — exactly what the paper's pipeline stages do with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.ilp.bottom import BottomClause
@@ -39,11 +39,21 @@ class SearchRule:
     parent's cached coverage bounds the examples a refinement needs to be
     tested on — the lineage travels with the rule, including across
     pipeline stages and in the master's rule bags.
+
+    ``parent_scope`` is the parent's :func:`rule_vars_in_scope`, carried
+    by :func:`refinements` so a child's scope costs one union instead of
+    a walk over its body.  It is derivable, so it takes no part in
+    equality and is neither pickled nor put on the wire: a rule rebuilt
+    from either walks its body once.
     """
 
     clause: Clause
     last_index: int = -1
     parent: Optional[Clause] = None
+    parent_scope: Optional[frozenset] = field(default=None, compare=False, repr=False)
+
+    def __reduce__(self):
+        return (SearchRule, (self.clause, self.last_index, self.parent))
 
     def __len__(self) -> int:
         return len(self.clause.body)
@@ -58,7 +68,15 @@ def start_rule(bottom: BottomClause) -> SearchRule:
 
 
 def rule_vars_in_scope(rule: SearchRule, bottom: BottomClause) -> frozenset:
-    """Variables usable as inputs by the next literal."""
+    """Variables usable as inputs by the next literal: the head's, plus
+    every variable of the body.
+
+    A refined rule's scope is its parent's plus the outputs of the bottom
+    literal it appended (that literal's inputs were already in scope, and
+    a bottom literal's variables are its inputs and outputs).
+    """
+    if rule.parent_scope is not None:
+        return rule.parent_scope | bottom.literals[rule.last_index].output_vars
     scope = set(bottom.head_vars)
     for lit in rule.clause.body:
         scope.update(variables_of(lit))
@@ -74,7 +92,8 @@ def refinements(rule: SearchRule, bottom: BottomClause, config: ILPConfig) -> It
     if len(rule.clause.body) >= config.max_clause_length:
         return
     scope = rule_vars_in_scope(rule, bottom)
+    clause = rule.clause
     for j in range(rule.last_index + 1, len(bottom.literals)):
         bl = bottom.literals[j]
         if bl.input_vars <= scope:
-            yield SearchRule(rule.clause.with_extra_literal(bl.literal), j, parent=rule.clause)
+            yield SearchRule(clause.with_extra_literal(bl.literal), j, clause, scope)

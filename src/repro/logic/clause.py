@@ -59,7 +59,7 @@ def _as_atom(t: Term) -> Term:
 class Clause:
     """A definite Horn clause ``head :- b1, ..., bn`` (facts have n = 0)."""
 
-    __slots__ = ("head", "body", "_hash", "_fp", "_vk")
+    __slots__ = ("head", "body", "_hash", "_fp", "_vk", "_num", "_up")
 
     def __init__(self, head: Term, body: Iterable[Term] = ()):
         self.head = _as_atom(head)
@@ -67,6 +67,11 @@ class Clause:
         self._hash = hash((self.head, self.body))
         self._fp: Optional[str] = None
         self._vk: Optional[str] = None
+        # Var -> index of the variant key's renumbering (set with ``_vk``).
+        self._num: Optional[dict] = None
+        # The clause ``with_extra_literal`` refined this one from, until
+        # this one's variant key is computed from it.
+        self._up: Optional[Clause] = None
 
     # -- basic protocol --------------------------------------------------------
     def __reduce__(self):
@@ -132,8 +137,19 @@ class Clause:
         return Clause(resolve(self.head, subst), tuple(resolve(b, subst) for b in self.body))
 
     def with_extra_literal(self, lit: Term) -> "Clause":
-        """Refinement step: append one body literal."""
-        return Clause(self.head, self.body + (_as_atom(lit),))
+        """Refinement step: append one body literal.
+
+        The child remembers ``self``, so its variant key extends this
+        clause's key by one literal instead of re-rendering the body (and
+        the body already checked here is not checked again).
+        """
+        child = object.__new__(Clause)
+        child.head = head = self.head
+        child.body = body = self.body + (_as_atom(lit),)
+        child._hash = hash((head, body))
+        child._fp = child._vk = child._num = None
+        child._up = self
+        return child
 
     # -- canonical signatures ----------------------------------------------------
     def variant_key(self) -> str:
@@ -141,13 +157,33 @@ class Clause:
 
         Equal keys ⇒ alphabetic variants with identical literal order ⇒
         bit-identical resource-bounded evaluation.  Computed once per
-        clause and cached; literal-level skeletons are shared process-wide
-        (refinement reuses the same bottom-literal term objects across
-        thousands of search nodes).
+        clause, on first use, and cached; literal-level skeletons are
+        shared process-wide (refinement reuses the same bottom-literal
+        term objects across thousands of search nodes).  A clause made by
+        :meth:`with_extra_literal` appends its last literal, rendered
+        under the parent's numbering, to the parent's key — the string a
+        from-scratch rendering produces, at the cost of one literal.
         """
         vk = self._vk
         if vk is None:
-            vk = self._vk = _clause_signature(self.head, self.body, sort_body=False)
+            # Walk up to the nearest clause with a key (or without a
+            # parent), then extend back down one literal per generation.
+            # ``_num`` is stored before ``_vk``: a thread that sees a key
+            # also sees its numbering.
+            pending = []
+            c = self
+            while c._vk is None and c._up is not None:
+                pending.append(c)
+                c = c._up
+            if c._vk is None:
+                key, c._num = _clause_signature(c.head, c.body, sort_body=False)
+                c._vk = key
+            for child in reversed(pending):
+                key, child._num = _extend_key(c._vk, c._num, c.body, child.body[-1])
+                child._vk = key
+                child._up = None
+                c = child
+            vk = self._vk
         return vk
 
     def fingerprint(self) -> str:
@@ -159,7 +195,7 @@ class Clause:
         """
         fp = self._fp
         if fp is None:
-            fp = self._fp = _clause_signature(self.head, self.body, sort_body=True)
+            fp = self._fp = _clause_signature(self.head, self.body, sort_body=True)[0]
         return fp
 
 
@@ -212,7 +248,19 @@ def _literal_entry(lit: Term) -> tuple:
     return entry
 
 
-def _clause_signature(head: Term, body: tuple, sort_body: bool) -> str:
+def _render(parts: tuple, vs: tuple, num: dict) -> str:
+    # Variable indices render as "_<n>": constants render through ``repr``
+    # (strings quoted), so the bare underscore prefix can never collide
+    # with a constant's rendering.
+    out = [parts[0]]
+    for j, v in enumerate(vs):
+        out.append("_" + str(num[v]))
+        out.append(parts[j + 1])
+    return "".join(out)
+
+
+def _clause_signature(head: Term, body: tuple, sort_body: bool) -> tuple[str, dict]:
+    """The signature and the renumbering (Var -> index) it rendered under."""
     hparts, hvars, _ = _literal_entry(head)
     entries = [_literal_entry(b) for b in body]
     if sort_body:
@@ -231,19 +279,25 @@ def _clause_signature(head: Term, body: tuple, sort_body: bool) -> str:
         for v in entries[i][1]:
             if v not in num:
                 num[v] = len(num)
+    body_r = ";".join(_render(entries[i][0], entries[i][1], num) for i in order)
+    return _render(hparts, hvars, num) + ":-" + body_r, num
 
-    def render(parts: tuple, vs: tuple) -> str:
-        # Variable indices render as "_<n>": constants render through
-        # ``repr`` (strings quoted), so the bare underscore prefix can
-        # never collide with a constant's rendering.
-        out = [parts[0]]
-        for j, v in enumerate(vs):
-            out.append("_" + str(num[v]))
-            out.append(parts[j + 1])
-        return "".join(out)
 
-    body_r = ";".join(render(entries[i][0], entries[i][1]) for i in order)
-    return render(hparts, hvars) + ":-" + body_r
+def _extend_key(key: str, num: dict, body: tuple, lit: Term) -> tuple[str, dict]:
+    """The variant key of a clause with key ``key``, renumbering ``num``
+    and body ``body``, after appending ``lit``: new variables take the
+    next indices by first occurrence, as a from-scratch rendering numbers
+    them.  ``num`` is shared with the parent, so it is copied, never
+    changed, when ``lit`` brings new variables."""
+    parts, vs, _ = _literal_entry(lit)
+    own = False
+    for v in vs:
+        if v not in num:
+            if not own:
+                num = dict(num)
+                own = True
+            num[v] = len(num)
+    return key + (";" if body else "") + _render(parts, vs, num), num
 
 
 def head_indicator(head: Term) -> tuple[str, int]:

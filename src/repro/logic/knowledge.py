@@ -181,6 +181,36 @@ class KnowledgeBase:
             self.version += 1
         return added
 
+    def add_facts(self, functor: str, rows: Iterable[tuple]) -> int:
+        """Add ``functor(*row)`` for each row of ready argument terms;
+        returns how many were new.
+
+        The same facts, in the same order, with the same interning,
+        ``n_facts`` and ``version`` as one :meth:`add_fact` per row —
+        without coercing arguments (:func:`~repro.logic.terms.atom`) or
+        looking up the store again for every row.  A non-ground row
+        raises ``ValueError`` with the rows before it added.
+        """
+        arity = 0
+        store = None
+        added = 0
+        try:
+            for args in rows:
+                if not args:
+                    raise ValueError(f"a fact row needs at least one argument: {functor}")
+                fact = Struct(functor, args)
+                if not fact.ground:
+                    raise ValueError(f"facts must be ground: {fact}")
+                if len(args) != arity:
+                    arity = len(args)
+                    store = self.facts_for((functor, arity))
+                if store.add(fact):
+                    added += 1
+        finally:
+            self.n_facts += added
+            self.version += added
+        return added
+
     def add_rule(self, clause: Clause) -> None:
         self._rules[clause.indicator].append(clause)
         self.version += 1

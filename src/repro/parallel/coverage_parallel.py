@@ -9,9 +9,11 @@ by the master.  The search itself is not parallelised — only
 The task granularity is controlled by ``batch_size``: 1 rule per round is
 Konstantopoulos' fine-grained variant (one latency-bound round trip per
 candidate — the paper attributes his "poor results" to exactly this);
-larger batches approximate Graham et al.  This baseline exists so the
-benchmark suite can reproduce the §6 comparison: p²-mdie's medium/high
-granularity vs. fine-grained coverage-parallelism.
+larger batches approximate Graham et al.  This baseline exists to
+reproduce the §6 comparison, p²-mdie's medium/high granularity vs.
+fine-grained coverage-parallelism: ``repro.run.run(..., algo="covpar")``
+runs it, as do the ``covpar`` strategy of ``repro faults`` and the
+``coverage_parallel`` cases of ``tests/data/golden_runs.json``.
 
 Workers are the unchanged :class:`~repro.parallel.worker.P2Worker` — the
 baseline master simply never sends ``start_pipeline``/``learn_rule'``

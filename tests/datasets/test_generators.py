@@ -114,29 +114,30 @@ class TestCarcinogenesisSpecifics:
         ],
     )
     def test_terms_are_built_for_kept_molecules_only(self, scale, n_facts, digest, monkeypatch):
-        """The generator draws every molecule but builds terms only for the
-        ones the quota keeps; facts and examples are, term for term, what
-        it produced when it built them all (digests taken at 812822d)."""
+        """The generator draws every molecule but builds fact rows only for
+        the ones the quota keeps; facts and examples are, term for term,
+        what it produced when it built them all (digests taken at 812822d)."""
         import hashlib
 
-        from repro.datasets import carcinogenesis
-        from repro.logic.terms import atom
+        from repro.logic.knowledge import KnowledgeBase
 
-        built = []
+        rows_added = []
+        add_facts = KnowledgeBase.add_facts
 
-        def counting_atom(*args):
-            built.append(args)
-            return atom(*args)
+        def counting_add_facts(self, functor, rows):
+            rows = list(rows)
+            rows_added.extend((functor, row) for row in rows)
+            return add_facts(self, functor, rows)
 
-        monkeypatch.setattr(carcinogenesis, "atom", counting_atom)
+        monkeypatch.setattr(KnowledgeBase, "add_facts", counting_add_facts)
         ds = make_dataset("carcinogenesis", seed=0, scale=scale)
         facts = [str(f) for ind in ds.kb.predicates() for f in ds.kb.facts_for(ind)]
         text = "\n".join(facts + [str(e) for e in ds.pos] + ["-"] + [str(e) for e in ds.neg])
         assert len(facts) == n_facts
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         # A discarded molecule's name goes to the next one drawn, so building
-        # its terms would ask for the same atom_of fact a second time.
-        atom_of = [args for args in built if args[0] == "atom_of"]
+        # its rows would hand the same atom_of row over a second time.
+        atom_of = [row for functor, row in rows_added if functor == "atom_of"]
         assert len(atom_of) == len(set(atom_of)) == len(ds.kb.facts_for(("atom_of", 2)))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.logic.knowledge import FactStore, KnowledgeBase
 from repro.logic.parser import parse_clause
-from repro.logic.terms import Const, Var, atom
+from repro.logic.terms import Const, Var, atom, is_ground
 
 
 class TestFactStore:
@@ -87,3 +87,96 @@ class TestKnowledgeBase:
         assert kb.add_fact(atom("p", "a"))
         assert not kb.add_fact(atom("p", "a"))
         assert kb.n_facts == 1
+
+
+class TestAddFacts:
+    """``add_facts(functor, rows)`` is one ``add_fact`` per row, only faster."""
+
+    def test_returns_new_count_and_refuses_empty_rows(self):
+        kb = KnowledgeBase()
+        a, b = Const("a"), Const("b")
+        assert kb.add_facts("p", [(a, b), (a, b), (b, a)]) == 2
+        assert (kb.n_facts, kb.version) == (2, 2)
+        with pytest.raises(ValueError, match="at least one argument"):
+            kb.add_facts("p", [()])
+        assert kb.predicates() == [("p", 2)]
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+ROW_TERMS = [Const(v) for v in ("a", "b", "c", 0, 1, 2.5)] + [atom("f", "a"), atom("g", 1, "b")]
+
+
+@st.composite
+def fact_batches(draw):
+    """``[(functor, rows)]``: rows of ready terms over a small domain, so
+    rows repeat; a batch may mix arities or hold one non-ground row."""
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        functor = draw(st.sampled_from(["p", "q", "r"]))
+        arity = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(ROW_TERMS)] * arity), max_size=12))
+        if rows and draw(st.integers(0, 4)) == 0:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = (draw(st.sampled_from([Var("X"), atom("f", "Y")])),) + rows[i][1:]
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.tuples(*[st.sampled_from(ROW_TERMS)] * draw(st.integers(1, 3)))))
+        batches.append((functor, rows))
+    return batches
+
+
+def _index_everything(kb):
+    for ind in kb.predicates():
+        store = kb.facts_for(ind)
+        for pos in range(ind[1]):
+            store.access_path((pos,))
+        if ind[1] > 1:
+            store.access_path(tuple(range(ind[1])))
+            store.access_path((0, ind[1] - 1))
+
+
+def _state(kb):
+    stores = {}
+    for ind in kb.predicates():
+        s = kb.facts_for(ind)
+        stores[ind] = (list(s.facts), set(s.fact_set), s._indexes, s._composite)
+    return kb.n_facts, kb.version, stores
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed_batches=fact_batches(), batches=fact_batches(), index_before=st.booleans())
+def test_add_facts_is_add_fact_per_row(seed_batches, batches, index_before):
+    bulk, single = KnowledgeBase(), KnowledgeBase()
+    for kb in (bulk, single):
+        for functor, rows in seed_batches:
+            for row in rows:
+                if all(map(is_ground, row)):
+                    kb.add_fact(atom(functor, *row))
+        if index_before:
+            _index_everything(kb)
+    for functor, rows in batches:
+        bulk_error = single_error = None
+        added = 0
+        try:
+            added = bulk.add_facts(functor, iter(rows))
+        except ValueError as e:
+            bulk_error = str(e)
+        single_added = 0
+        try:
+            for row in rows:
+                single_added += single.add_fact(atom(functor, *row))
+        except ValueError as e:
+            single_error = str(e)
+        assert bulk_error == single_error
+        if bulk_error is None:
+            assert added == single_added
+    _index_everything(bulk)
+    _index_everything(single)
+    assert bulk.predicates() == single.predicates()
+    assert list(bulk._facts) == list(single._facts)
+    assert _state(bulk) == _state(single)
+    for ind in bulk.predicates():
+        # interned: the very same term objects, not merely equal ones
+        assert all(x is y for x, y in zip(bulk.facts_for(ind).facts, single.facts_for(ind).facts))

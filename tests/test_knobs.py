@@ -34,9 +34,7 @@ def env_names_in_source() -> set[str]:
     return names
 
 
-def test_the_program_reads_four_environment_names():
-    """Three since ``REPRO_TRACE``, which nothing read, was deleted; the
-    test keeps its id."""
+def test_the_program_reads_three_environment_names():
     assert env_names_in_source() == {"REPRO_LOG", "REPRO_LOG_LEVEL", "REPRO_LOCAL_TIMEOUT"}
 
 
