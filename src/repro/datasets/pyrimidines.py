@@ -21,6 +21,7 @@ Table 1 cardinality at paper scale: 848+/764-.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
@@ -102,8 +103,9 @@ def make_pyrimidines(
     const = {v: Const(v) for v in _POSITIONS + tuple(_GROUPS) + (0, 1, 2)}
     # (substituent constant, its group's property levels) per drug and position.
     subs: list[tuple[Const, tuple]] = []
-    functors = ("subst", "group", "polar", "size", "flex", "polar_gt", "size_gt", "flex_gt")
-    rows: dict[str, list] = {functor: [] for functor in functors}
+    # functor -> rows, in the order each functor first appears (the order
+    # the KB creates its stores in).
+    rows: defaultdict[str, list] = defaultdict(list)
     for name, groups in drugs.items():
         drug = Const(name)
         for pos in _POSITIONS:

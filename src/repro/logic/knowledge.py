@@ -188,8 +188,8 @@ class KnowledgeBase:
         The same facts, in the same order, with the same interning,
         ``n_facts`` and ``version`` as one :meth:`add_fact` per row —
         without coercing arguments (:func:`~repro.logic.terms.atom`) or
-        looking up the store again for every row.  A non-ground row
-        raises ``ValueError`` with the rows before it added.
+        looking up the store again for every row.  A non-ground or empty
+        row raises ``ValueError``; the rows before it stay added.
         """
         arity = 0
         store = None

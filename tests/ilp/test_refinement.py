@@ -10,6 +10,8 @@ from repro.ilp.refinement import SearchRule, refinements, rule_vars_in_scope, st
 from repro.logic.clause import Clause
 from repro.logic.subsumption import theta_subsumes
 from repro.logic.terms import Const, Struct, Var, variables_of
+from repro.parallel import wire
+from repro.parallel.messages import PipelineRules
 
 
 def walked_scope(rule: SearchRule, bottom) -> frozenset:
@@ -153,9 +155,6 @@ def bottom_clauses(draw) -> BottomClause:
 
 
 def _over_the_wire(rule: SearchRule) -> SearchRule:
-    from repro.parallel import wire
-    from repro.parallel.messages import PipelineRules
-
     (decoded,) = wire.decode(wire.encode_always(PipelineRules(origin=1, rules=(rule,)))).rules
     assert decoded == rule and decoded.parent_scope is None
     return decoded
