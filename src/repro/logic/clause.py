@@ -172,9 +172,12 @@ class Clause:
             # also sees its numbering.
             pending = []
             c = self
-            while c._vk is None and c._up is not None:
+            while c._vk is None:
+                up = c._up
+                if up is None:
+                    break
                 pending.append(c)
-                c = c._up
+                c = up
             if c._vk is None:
                 key, c._num = _clause_signature(c.head, c.body, sort_body=False)
                 c._vk = key

@@ -60,6 +60,55 @@ class TestClause:
         assert c2.body == (atom("q", "X"), atom("r", "X"))
         assert c.body == (atom("q", "X"),)  # original untouched
 
+    def test_lazy_variant_keys_under_racing_threads(self):
+        """Threads asking for the keys of one refinement tree, in different
+        orders, all get the from-scratch keys (each clause's numbering is
+        published before its key)."""
+        import random
+        import sys
+        import threading
+
+        lits = [atom("r", "C", "D"), atom("s", "B", "E"), atom("t", "D", "E", "F"), atom("u", "A"), atom("v", "F", "G")]
+
+        def tree() -> list:
+            clauses = frontier = [parse_clause("p(A, B) :- q(A, C).")]
+            for lit in lits:
+                frontier = [c.with_extra_literal(lit) for c in frontier] + frontier
+                clauses = clauses + frontier[: len(frontier) // 2]
+            return clauses
+
+        want = [Clause(c.head, c.body).variant_key() for c in tree()]
+        errors: list = []
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+
+        def ask(seed: int, rounds: list) -> None:
+            rng = random.Random(seed)
+            try:
+                for clauses in rounds:
+                    barrier.wait(timeout=10)
+                    order = list(range(len(clauses)))
+                    rng.shuffle(order)
+                    for i in order:
+                        assert clauses[i].variant_key() == want[i]
+            except BaseException as e:  # reported by the main thread
+                errors.append(e)
+                barrier.abort()
+
+        rounds = [tree() for _ in range(40)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k, rounds)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
     def test_head_cannot_be_var(self):
         with pytest.raises(TypeError):
             Clause(Var("X"))
