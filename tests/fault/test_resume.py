@@ -113,7 +113,8 @@ def parent_checkpoint(name: str, tmp_path):
     right after that commit; ``parent_f9b17c1_v1_*`` are signed
     ``ILPConfig.v1`` and spell out the sampled-coverage fields;
     ``parent_9221765_v2_*`` are signed ``ILPConfig.v2`` and spell out the
-    four one-valued learner options.  They are stored gzip-compressed for
+    four one-valued learner options; ``parent_810ffe2_v3_*`` are signed
+    ``ILPConfig.v3`` and spell out the search strategy.  They are stored gzip-compressed for
     that reason alone: a tree-wide grep for retired names should find
     nothing.
     """
@@ -333,4 +334,50 @@ class TestRetiredOptions:
     def test_p2mdie_other_value_is_refused_by_name(self, name, value, krki40, tmp_path):
         state = _with_other_value(parent_checkpoint(V2_P2MDIE, tmp_path), name, value)
         with pytest.raises(CheckpointError, match=re.escape(f"{name}: saved {value}")):
+            run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state)
+
+
+V3_MDIE = "parent_810ffe2_v3_mdie_epoch_0003.ckpt"
+V3_P2MDIE = "parent_810ffe2_v3_p2mdie_epoch_0002.ckpt"
+
+#: Search strategies version 3 could sign that no shipped run used.
+OTHER_STRATEGIES = ["'beam'", "'best_first'"]
+
+
+def _with_strategy(state, value):
+    saved = "search_strategy='bfs'"
+    assert saved in state.config_sig
+    return state.replace(config_sig=state.config_sig.replace(saved, f"search_strategy={value}"))
+
+
+class TestParentV3Checkpoint:
+    """Checkpoints signed ``ILPConfig.v3`` at 810ffe2 (krki 40/40, seed 0:
+    ``mdie`` after epoch 3, ``p2mdie`` p=2 after epoch 2) resume
+    bit-identically; the same checkpoint saved under another search
+    strategy is refused, naming the field."""
+
+    def test_mdie_v3_resumes_bit_identically(self, krki40, tmp_path):
+        state = parent_checkpoint(V3_MDIE, tmp_path)
+        assert state.config_sig.startswith("ILPConfig.v3(max_clause_length=")
+        assert "search_strategy='bfs', beam_width=5" in state.config_sig
+        assert (state.algo, state.epoch) == ("mdie", 3)
+        assert_mdie_resumes(state, krki40)
+
+    def test_p2mdie_v3_resumes_bit_identically(self, krki40, tmp_path):
+        state = parent_checkpoint(V3_P2MDIE, tmp_path)
+        assert state.config_sig.startswith("ILPConfig.v3(max_clause_length=")
+        assert "search_strategy='bfs', beam_width=5" in state.config_sig
+        assert (state.algo, state.epoch, state.n_workers) == ("p2mdie", 2, 2)
+        assert_p2mdie_resumes(state, krki40)
+
+    @pytest.mark.parametrize("value", OTHER_STRATEGIES)
+    def test_mdie_other_strategy_is_refused_by_name(self, value, krki40, tmp_path):
+        state = _with_strategy(parent_checkpoint(V3_MDIE, tmp_path), value)
+        with pytest.raises(CheckpointError, match=re.escape(f"search_strategy: saved {value}")):
+            mdie(*run_args(krki40), seed=0, resume=state)
+
+    @pytest.mark.parametrize("value", OTHER_STRATEGIES)
+    def test_p2mdie_other_strategy_is_refused_by_name(self, value, krki40, tmp_path):
+        state = _with_strategy(parent_checkpoint(V3_P2MDIE, tmp_path), value)
+        with pytest.raises(CheckpointError, match=re.escape(f"search_strategy: saved {value}")):
             run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state)
