@@ -30,7 +30,7 @@ NO_LIMIT: Optional[int] = None
 #: Format version of :meth:`ILPConfig.signature`.  Bump it when a field
 #: joins or leaves :data:`SIGNATURE_FIELDS`; a field that leaves goes into
 #: :data:`_RETIRED` with the values the current code still reproduces.
-SIGNATURE_VERSION = 3
+SIGNATURE_VERSION = 4
 
 #: The fields a signature spells out, in order: every config field.
 #: Explicit rather than ``dataclasses.fields``: adding a config field must
@@ -45,8 +45,6 @@ SIGNATURE_FIELDS = (
     "min_pos",
     "max_nodes",
     "pipeline_width",
-    "search_strategy",
-    "beam_width",
     "engine_max_depth",
     "engine_max_ops",
 )
@@ -62,8 +60,9 @@ class ILPConfig:
     not configuration and have no switch.  Neither is the rest of the
     paper's April learner, which has one setting in every run: a random
     seed draw, the P − N score (:func:`repro.ilp.heuristics.score_rule`),
-    a seed no good rule covers left uncovered, and rule bodies evaluated
-    in the order refinement built them.  :meth:`signature` is how
+    a seed no good rule covers left uncovered, rule bodies evaluated in
+    the order refinement built them, and a top-down breadth-first search
+    (:func:`repro.ilp.search.learn_rule`).  :meth:`signature` is how
     checkpoints and registry records name a configuration.
 
     Attributes
@@ -90,16 +89,6 @@ class ILPConfig:
     pipeline_width:
         The paper's ``W``: max rules streamed between pipeline stages
         (``None`` = "nolimit").
-    search_strategy:
-        ``learn_rule`` queue discipline: ``"bfs"`` (the paper's April
-        configuration: top-down breadth-first), ``"best_first"``
-        (score-ordered priority queue) or ``"beam"`` (level-synchronous
-        with ``beam_width`` survivors per level).  Sequential MDIE,
-        P²-MDIE and the independent baseline honour it; the
-        coverage-parallel master always searches breadth-first and
-        ignores it (and ``beam_width``).
-    beam_width:
-        Nodes kept per level under the beam strategy.
     engine_max_depth / engine_max_ops:
         Resource bounds for each coverage-test query.
     """
@@ -112,8 +101,6 @@ class ILPConfig:
     min_pos: int = 2
     max_nodes: int = 600
     pipeline_width: Optional[int] = 10
-    search_strategy: str = "bfs"
-    beam_width: int = 5
     engine_max_depth: int = 8
     engine_max_ops: int = 200_000
 
@@ -128,16 +115,16 @@ class ILPConfig:
             raise ValueError("var_depth must be >= 1")
         if self.recall < 1:
             raise ValueError("recall must be >= 1")
+        if self.max_bottom_literals < 1:
+            raise ValueError("max_bottom_literals must be >= 1")
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
         if self.min_pos < 1:
             raise ValueError("min_pos must be >= 1")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
         if self.pipeline_width is not None and self.pipeline_width < 1:
             raise ValueError("pipeline_width must be >= 1 or None (nolimit)")
-        if self.search_strategy not in ("bfs", "best_first", "beam"):
-            raise ValueError("search_strategy must be 'bfs', 'best_first' or 'beam'")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
 
     def signature(self) -> str:
         """The versioned canonical string that names this configuration.
@@ -183,6 +170,9 @@ _SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v\d+)?\((.*)\)\Z", re.S)
 #: The four learner options last signed by version 2 each had one value in
 #: every shipped run, the one this code still runs: the P − N heuristic,
 #: a random seed draw, uncoverable seeds skipped, bodies not reordered.
+#: The search strategy, last signed by version 3, was breadth-first in
+#: every shipped run; the beam width it signed beside it was never read
+#: under breadth-first: any value.
 _RETIRED = {
     "coverage_inheritance": ("True", "None"),
     "clause_fingerprints": ("True", "None"),
@@ -197,6 +187,8 @@ _RETIRED = {
     "select_seed_randomly": ("True",),
     "on_uncoverable": ("'skip'",),
     "reorder_body": ("False",),
+    "search_strategy": ("'bfs'",),
+    "beam_width": None,
 }
 
 

@@ -18,8 +18,8 @@ The same function serves both algorithms:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.ilp.bottom import BottomClause
@@ -70,7 +70,8 @@ def learn_rule(
     store: ExampleStore,
     config: ILPConfig,
     seeds: Optional[Sequence[SearchRule]] = None,
-    width: Optional[int] = ...,
+    *,
+    width: Optional[int],
 ) -> SearchResult:
     """Breadth-first search for good rules (Figs. 2 and 7).
 
@@ -80,25 +81,19 @@ def learn_rule(
         Starting rules (pipeline stage > 1).  ``None`` ⇒ start from the
         bare head.
     width:
-        Number of best good rules to return; default (ellipsis) uses
-        ``config.pipeline_width``; ``None`` means no limit.
+        Number of best good rules to return; ``None`` means no limit.
     """
-    if width is ...:
-        width = config.pipeline_width
     ops_before = engine.total_ops
-
-    open_list: list[SearchRule] = list(seeds) if seeds else [start_rule(bottom)]
+    queue = deque(seeds if seeds else [start_rule(bottom)])
     good: dict = {}  # clause -> EvaluatedRule (dedup)
     seen: set = set()
-    state = _SearchState(good=good, seen=seen)
-
-    def evaluate(rule: SearchRule) -> Optional[tuple]:
-        """Evaluate one node; returns (stats, score) or None if duplicate.
-        Collects good rules and enforces the node budget as side effects."""
+    nodes = 0
+    while queue:
+        rule = queue.popleft()
         if rule.clause in seen:
-            return None
+            continue
         seen.add(rule.clause)
-        state.nodes += 1
+        nodes += 1
         # Coverage inheritance: a refinement only needs testing on the
         # examples its parent covered (the parent is cached — search
         # always evaluates a node before expanding it).
@@ -108,91 +103,18 @@ def learn_rule(
             prev = good.get(rule.clause)
             if prev is None or score > prev.score:
                 good[rule.clause] = EvaluatedRule(rule, stats, score)
-        if state.nodes >= config.max_nodes:
-            state.exhausted = True
-        return stats, score
-
-    strategy = {
-        "bfs": _search_bfs,
-        "best_first": _search_best_first,
-        "beam": _search_beam,
-    }[config.search_strategy]
-    strategy(open_list, bottom, config, evaluate, state)
+        if nodes >= config.max_nodes:
+            break
+        # Prune: specialisation can only shrink positive cover.
+        if stats.pos >= config.min_pos:
+            queue.extend(refinements(rule, bottom, config))
 
     ranked = sorted(good.values(), key=EvaluatedRule.sort_key)
     if width is not None:
         ranked = ranked[:width]
     return SearchResult(
         good=ranked,
-        nodes_generated=state.nodes,
+        nodes_generated=nodes,
         ops=engine.total_ops - ops_before,
-        exhausted=state.exhausted,
+        exhausted=nodes >= config.max_nodes,
     )
-
-
-@dataclass
-class _SearchState:
-    good: dict
-    seen: set
-    nodes: int = 0
-    exhausted: bool = False
-
-
-def _search_bfs(open_list, bottom, config, evaluate, state) -> None:
-    """The paper's strategy: top-down breadth-first (FIFO queue)."""
-    queue = list(open_list)
-    qi = 0
-    while qi < len(queue) and not state.exhausted:
-        rule = queue[qi]
-        qi += 1
-        result = evaluate(rule)
-        if result is None or state.exhausted:
-            continue
-        stats, _score = result
-        # Prune: specialisation can only shrink positive cover.
-        if stats.pos < config.min_pos:
-            continue
-        queue.extend(refinements(rule, bottom, config))
-
-
-def _search_best_first(open_list, bottom, config, evaluate, state) -> None:
-    """Heuristic-ordered expansion: always pop the most promising node
-    (children are prioritised by their parent's score)."""
-    seq = 0
-    heap: list = []
-    for r in open_list:
-        heapq.heappush(heap, (0.0, seq, r))
-        seq += 1
-    while heap and not state.exhausted:
-        _prio, _seq, rule = heapq.heappop(heap)
-        result = evaluate(rule)
-        if result is None or state.exhausted:
-            continue
-        stats, score = result
-        if stats.pos < config.min_pos:
-            continue
-        for child in refinements(rule, bottom, config):
-            heapq.heappush(heap, (-score, seq, child))
-            seq += 1
-
-
-def _search_beam(open_list, bottom, config, evaluate, state) -> None:
-    """Level-synchronous beam: keep the ``beam_width`` best nodes per
-    level, expand only those."""
-    frontier = list(open_list)
-    while frontier and not state.exhausted:
-        scored: list[tuple[float, int, SearchRule]] = []
-        for i, rule in enumerate(frontier):
-            result = evaluate(rule)
-            if result is None:
-                continue
-            stats, score = result
-            # The node that trips the budget was still evaluated: keep it
-            # as a survivor candidate before stopping the level.
-            if stats.pos >= config.min_pos:
-                scored.append((-score, i, rule))
-            if state.exhausted:
-                break
-        scored.sort()
-        survivors = [r for _, _, r in scored[: config.beam_width]]
-        frontier = [c for r in survivors for c in refinements(r, bottom, config)]

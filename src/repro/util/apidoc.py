@@ -145,10 +145,10 @@ _ILPCONFIG = """\
 
 The constraint set `C` plus search and pipeline parameters.  Knobs:
 `max_clause_length`, `var_depth`, `recall`, `max_bottom_literals`,
-`noise`, `min_pos`, `max_nodes`, `pipeline_width`, `search_strategy`
-(`bfs` / `best_first` / `beam`), `beam_width`, `engine_max_depth`,
-`engine_max_ops`.  Covpar ignores `search_strategy` and `beam_width`:
-its master always searches breadth-first.
+`noise`, `min_pos`, `max_nodes`, `pipeline_width`, `engine_max_depth`,
+`engine_max_ops`.  There is one search: every learner, covpar's master
+included, searches each bottom clause top-down and breadth-first, as
+the paper's April learner did.
 
 There are no optimization flags.  Coverage inheritance, the caches, the
 wire codec and the SLD machine's memo table and argument indexes have

@@ -25,16 +25,24 @@ from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "data" / "golden_runs.json"
 ENGINE_WITNESS_PATH = GOLDEN_PATH.with_name("engine_witness.json")
 
+#: The search strategy of the golden cases that still run; the file's
+#: cases under the strategies ``ILPConfig.v4`` retired are kept, unread.
+STRATEGIES = ("bfs",)
+RETIRED_STRATEGIES = ("best_first", "beam")
+
 
 class GoldenRuns:
     """The committed witness plus the means to re-run any of its cases.
 
     A case key is ``dataset/strategy/algo`` with algo one of ``mdie``,
-    ``p2mdie2``, ``p2mdie3``, ``coverage_parallel``, ``independent``.
+    ``p2mdie2``, ``p2mdie3``, ``coverage_parallel``, ``independent``;
+    only the cases of :data:`STRATEGIES` run.
     """
 
     def __init__(self):
         doc = json.loads(GOLDEN_PATH.read_text())
+        strategies = {key.split("/")[1] for key in doc["runs"]}
+        assert strategies - set(STRATEGIES) == set(RETIRED_STRATEGIES), strategies
         self.provenance: dict = doc["provenance"]
         self.runs: dict = doc["runs"]
         self.pins: dict = doc["pins"]
@@ -74,8 +82,10 @@ class GoldenRuns:
 
     def _run(self, key: str) -> tuple[dict, dict]:
         name, strategy, algo = key.split("/")
+        if strategy not in STRATEGIES:
+            raise KeyError(f"{key}: search strategy {strategy!r} is retired")
         ds = self.dataset(name)
-        args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(search_strategy=strategy))
+        args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
         if algo == "mdie":
             res = mdie(*args, seed=0)
             return self.record(res), {"ops": res.ops}

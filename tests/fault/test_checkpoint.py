@@ -143,14 +143,14 @@ class TestGuards:
             verify_config(st, "ILPConfig(other)")
 
     def test_mismatch_names_fields_and_values(self):
-        saved = ILPConfig(noise=3, search_strategy="beam")
+        saved = ILPConfig(noise=3, engine_max_depth=5)
         st = make_state(config_sig=saved.signature())
         verify_config(st, saved.signature())
         with pytest.raises(CheckpointError) as err:
             verify_config(st, ILPConfig(recall=7).signature())
         text = str(err.value)
         assert "noise: saved 3, current 0" in text
-        assert "search_strategy: saved 'beam', current 'bfs'" in text
+        assert "engine_max_depth: saved 5, current 8" in text
         assert "recall: saved 20, current 7" in text
         # only the differing fields are spelled out, not both signatures
         assert "max_nodes" not in text and len(text) < 300

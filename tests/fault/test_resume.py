@@ -344,17 +344,22 @@ V3_P2MDIE = "parent_810ffe2_v3_p2mdie_epoch_0002.ckpt"
 OTHER_STRATEGIES = ["'beam'", "'best_first'"]
 
 
-def _with_strategy(state, value):
-    saved = "search_strategy='bfs'"
+def _with_strategy(state, value, beam_width=5):
+    saved = "search_strategy='bfs', beam_width=5"
     assert saved in state.config_sig
-    return state.replace(config_sig=state.config_sig.replace(saved, f"search_strategy={value}"))
+    sig = state.config_sig.replace(saved, f"search_strategy={value}, beam_width={beam_width}")
+    return state.replace(config_sig=sig)
+
+
+def _refusal(value):
+    return re.escape(f"search_strategy: saved {value}, but this version has no such setting")
 
 
 class TestParentV3Checkpoint:
     """Checkpoints signed ``ILPConfig.v3`` at 810ffe2 (krki 40/40, seed 0:
     ``mdie`` after epoch 3, ``p2mdie`` p=2 after epoch 2) resume
-    bit-identically; the same checkpoint saved under another search
-    strategy is refused, naming the field."""
+    bit-identically, under any beam width; the same checkpoint saved
+    under another search strategy is refused, naming the field."""
 
     def test_mdie_v3_resumes_bit_identically(self, krki40, tmp_path):
         state = parent_checkpoint(V3_MDIE, tmp_path)
@@ -373,11 +378,16 @@ class TestParentV3Checkpoint:
     @pytest.mark.parametrize("value", OTHER_STRATEGIES)
     def test_mdie_other_strategy_is_refused_by_name(self, value, krki40, tmp_path):
         state = _with_strategy(parent_checkpoint(V3_MDIE, tmp_path), value)
-        with pytest.raises(CheckpointError, match=re.escape(f"search_strategy: saved {value}")):
+        with pytest.raises(CheckpointError, match=_refusal(value)):
             mdie(*run_args(krki40), seed=0, resume=state)
 
     @pytest.mark.parametrize("value", OTHER_STRATEGIES)
     def test_p2mdie_other_strategy_is_refused_by_name(self, value, krki40, tmp_path):
         state = _with_strategy(parent_checkpoint(V3_P2MDIE, tmp_path), value)
-        with pytest.raises(CheckpointError, match=re.escape(f"search_strategy: saved {value}")):
+        with pytest.raises(CheckpointError, match=_refusal(value)):
             run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state)
+
+    def test_any_beam_width_under_bfs_resumes(self, krki40, tmp_path):
+        """The beam width was never read under breadth-first."""
+        state = _with_strategy(parent_checkpoint(V3_MDIE, tmp_path), "'bfs'", beam_width=1)
+        assert_mdie_resumes(state, krki40)

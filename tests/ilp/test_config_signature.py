@@ -28,13 +28,20 @@ ONE_VALUED = (
     ("on_uncoverable", "'skip'", "'memorize'"),
     ("reorder_body", "False", "True"),
 )
+#: The search strategy versions 0-3 spelled: the value every shipped run
+#: used, and those none did.  The beam width beside it was never read
+#: under breadth-first, so any saved value resumes.
+STRATEGY_USED, STRATEGY_OTHERS = "'bfs'", ("'best_first'", "'beam'")
+BEAM_WIDTHS = ("5", "1", "10")
 RETIRED_NAMES = (
     V0_SWITCHES
     + ("coverage_sampling",)
     + tuple(n for n, _ in SAMPLE_PARAMS)
     + ("coverage_kernel",)
     + tuple(n for n, _, _ in ONE_VALUED)
+    + ("search_strategy", "beam_width")
 )
+V0_TO_V3 = ("", ".v1", ".v2", ".v3")
 
 #: ``(signature version, retired field, saved value)`` this code still runs.
 RETIRED_ACCEPTED = [
@@ -43,12 +50,15 @@ RETIRED_ACCEPTED = [
     *[(v, name, value) for v in ("", ".v1") for name, value in SAMPLE_PARAMS],
     *[("", "coverage_kernel", value) for value in KERNEL_VALUES],
     *[(v, name, value) for v in ("", ".v1", ".v2") for name, value, _ in ONE_VALUED],
+    *[(v, "search_strategy", STRATEGY_USED) for v in V0_TO_V3],
+    *[(v, "beam_width", value) for v in V0_TO_V3 for value in BEAM_WIDTHS],
 ]
 #: ... and those it refuses, naming the field.
 RETIRED_REFUSED = [
     *[("", name, "False") for name in V0_SWITCHES],
     *[(v, "coverage_sampling", "True") for v in ("", ".v1")],
     *[(v, name, value) for v in ("", ".v1", ".v2") for name, _, value in ONE_VALUED],
+    *[(v, "search_strategy", value) for v in V0_TO_V3 for value in STRATEGY_OTHERS],
 ]
 
 
@@ -67,7 +77,7 @@ def test_every_config_field_is_signed_or_excluded_on_purpose():
     """Adding a field to ILPConfig must force a decision: list it in
     SIGNATURE_FIELDS and bump SIGNATURE_VERSION.  Every field is signed."""
     declared = [f.name for f in dataclasses.fields(ILPConfig)]
-    assert len(declared) == 12
+    assert len(declared) == 10
     assert len(SIGNATURE_FIELDS) == len(set(SIGNATURE_FIELDS))
     assert sorted(SIGNATURE_FIELDS) == sorted(declared)
 
@@ -91,11 +101,11 @@ def test_excluded_field_does_not_change_the_signature():
 
 
 def test_mismatches_between_current_signatures():
-    a, b = ILPConfig(), ILPConfig(pipeline_width=None, search_strategy="beam")
+    a, b = ILPConfig(), ILPConfig(pipeline_width=None, engine_max_depth=5)
     assert signature_mismatches(a.signature(), a.signature()) == []
     assert signature_mismatches(a.signature(), b.signature()) == [
         "pipeline_width: saved 10, current None",
-        "search_strategy: saved 'bfs', current 'beam'",
+        "engine_max_depth: saved 8, current 5",
     ]
     assert signature_mismatches("not a signature", a.signature()) is None
 
@@ -104,8 +114,9 @@ def test_retired_fields_accept_only_what_this_code_still_runs():
     """The retirement table of ``signature_mismatches``: the version-0
     switches were retired on, sampled coverage was retired off, its
     sample parameters never mattered with it off, the coverage kernels
-    were held bit-identical, and the four learner options were retired at
-    the one value every shipped run used."""
+    were held bit-identical, the four learner options and the search
+    strategy were retired at the one value every shipped run used, and the
+    beam width was never read under that strategy."""
     current = ILPConfig().signature()
     body = current[current.index("(") + 1 : -1]
 
@@ -132,6 +143,13 @@ def test_retired_fields_accept_only_what_this_code_still_runs():
         assert refusals(version, **used) == []
         for name, _, other in ONE_VALUED:
             assert refusals(version, **{**used, name: other}) == [gone(name, other)]
+    for version in V0_TO_V3:
+        for width in BEAM_WIDTHS:
+            assert refusals(version, search_strategy=STRATEGY_USED, beam_width=width) == []
+            for other in STRATEGY_OTHERS:
+                assert refusals(version, search_strategy=other, beam_width=width) == [
+                    gone("search_strategy", other)
+                ]
 
 
 def test_retirement_table_lists_exactly_the_retired_fields():

@@ -39,8 +39,12 @@ class TestConfig:
             ILPConfig(pipeline_width=0)
         with pytest.raises(ValueError):
             ILPConfig(min_pos=0)
-        with pytest.raises(ValueError):
-            ILPConfig(search_strategy="dfs")
+        with pytest.raises(ValueError, match="max_nodes"):
+            ILPConfig(max_nodes=0)
+        with pytest.raises(ValueError, match="max_nodes"):
+            ILPConfig(max_nodes=-3)
+        with pytest.raises(ValueError, match="max_bottom_literals"):
+            ILPConfig(max_bottom_literals=0)
 
     def test_width_none_ok(self):
         assert ILPConfig(pipeline_width=None).pipeline_width is None

@@ -53,7 +53,7 @@ class TestWidth:
 
     def test_default_width_from_config(self, family_engine, bottom, store, family_config):
         cfg = family_config.replace(pipeline_width=1)
-        res = learn_rule(family_engine, bottom, store, cfg)
+        res = learn_rule(family_engine, bottom, store, cfg, width=cfg.pipeline_width)
         assert len(res.good) <= 1
 
 
@@ -102,3 +102,11 @@ class TestPruning:
         res = learn_rule(family_engine, bottom, dead, family_config, width=None)
         assert res.good == []
         assert res.nodes_generated == 1  # the bare head only
+
+
+class TestMdie:
+    def test_covering_loop_works(self, family_kb, family_pos, family_neg, family_modes, family_config):
+        from repro.ilp.mdie import mdie
+
+        res = mdie(family_kb, family_pos, family_neg, family_modes, family_config, seed=1)
+        assert res.uncovered == 0

@@ -79,15 +79,6 @@ class TestSequentialFlagParity:
         res = mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0)
         assert golden_runs.record(res) == golden_runs.runs[f"{name}/bfs/mdie"]
 
-    @pytest.mark.parametrize("strategy", ["best_first", "beam"])
-    def test_other_strategies(self, strategy, golden_runs, monkeypatch):
-        uncached_saturation(monkeypatch)
-        plain_clause_keys(monkeypatch)
-        ds = golden_runs.dataset("krki")
-        config = ds.config.replace(search_strategy=strategy)
-        res = mdie(ds.kb, ds.pos, ds.neg, ds.modes, config, seed=0)
-        assert golden_runs.record(res) == golden_runs.runs[f"krki/{strategy}/mdie"]
-
 
 class TestParallelFlagParity:
     """The parallel strategies with every mechanism replaced at once."""

@@ -17,7 +17,8 @@ disagree on ``runs``.)
 * ``runs``: theory, epochs, uncovered positives and the per-epoch log of
   trains / krki / carcinogenesis x {bfs, best_first, beam} x {mdie,
   p2mdie p=2, p2mdie p=3, coverage_parallel, independent}.  Today's
-  learner must reproduce every one of them exactly.
+  learner must reproduce every ``bfs`` one exactly; the cases of the two
+  strategies ``ILPConfig.v4`` retired stay in the file, unread.
 * ``pins``: the sequential engine-op total, and the CommStats message
   and byte totals plus virtual makespan of each parallel run, on that
   commit's default path — which is the only path now, so they must not
@@ -30,14 +31,17 @@ import itertools
 import pytest
 
 DATASETS = ("trains", "krki", "carcinogenesis")
-STRATEGIES = ("bfs", "best_first", "beam")
+STRATEGIES = ("bfs",)
+RETIRED_STRATEGIES = ("best_first", "beam")
 ALGOS = ("mdie", "p2mdie2", "p2mdie3", "coverage_parallel", "independent")
 CASES = ["/".join(case) for case in itertools.product(DATASETS, STRATEGIES, ALGOS)]
+RETIRED_CASES = ["/".join(case) for case in itertools.product(DATASETS, RETIRED_STRATEGIES, ALGOS)]
 
 
 def test_golden_file_is_the_parent_commit_matrix(golden_runs):
     assert golden_runs.provenance["commit"].startswith("f2ff849")
-    assert sorted(golden_runs.runs) == sorted(CASES) == sorted(golden_runs.pins)
+    assert sorted(golden_runs.runs) == sorted(CASES + RETIRED_CASES) == sorted(golden_runs.pins)
+    assert set(golden_runs.runs) - set(CASES) == set(RETIRED_CASES)
 
 
 @pytest.mark.parametrize("key", CASES)
