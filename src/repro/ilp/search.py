@@ -85,8 +85,8 @@ def learn_rule(
     """
     ops_before = engine.total_ops
     queue = deque(seeds if seeds else [start_rule(bottom)])
-    good: dict = {}  # clause -> EvaluatedRule (dedup)
-    seen: set = set()
+    good: list[EvaluatedRule] = []
+    seen: set = set()  # each clause is evaluated once
     nodes = 0
     while queue:
         rule = queue.popleft()
@@ -98,18 +98,15 @@ def learn_rule(
         # examples its parent covered (the parent is cached — search
         # always evaluates a node before expanding it).
         stats = store.evaluate(engine, rule.clause, parent=rule.parent)
-        score = score_rule(stats.pos, stats.neg)
         if rule.clause.body and is_good(stats.pos, stats.neg, config):
-            prev = good.get(rule.clause)
-            if prev is None or score > prev.score:
-                good[rule.clause] = EvaluatedRule(rule, stats, score)
+            good.append(EvaluatedRule(rule, stats, score_rule(stats.pos, stats.neg)))
         if nodes >= config.max_nodes:
             break
         # Prune: specialisation can only shrink positive cover.
         if stats.pos >= config.min_pos:
             queue.extend(refinements(rule, bottom, config))
 
-    ranked = sorted(good.values(), key=EvaluatedRule.sort_key)
+    ranked = sorted(good, key=EvaluatedRule.sort_key)
     if width is not None:
         ranked = ranked[:width]
     return SearchResult(

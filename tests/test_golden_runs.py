@@ -41,7 +41,6 @@ RETIRED_CASES = ["/".join(case) for case in itertools.product(DATASETS, RETIRED_
 def test_golden_file_is_the_parent_commit_matrix(golden_runs):
     assert golden_runs.provenance["commit"].startswith("f2ff849")
     assert sorted(golden_runs.runs) == sorted(CASES + RETIRED_CASES) == sorted(golden_runs.pins)
-    assert set(golden_runs.runs) - set(CASES) == set(RETIRED_CASES)
 
 
 @pytest.mark.parametrize("key", CASES)
