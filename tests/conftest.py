@@ -80,21 +80,27 @@ class GoldenRuns:
             self._results[key] = self._run(key)
         return self._results[key]
 
-    def _run(self, key: str) -> tuple[dict, dict]:
+    def result(self, key: str, backend="sim"):
+        """The learner's result of one case, run afresh: the sequential
+        result of ``mdie`` cases, otherwise the parallel front-end's on
+        ``backend``."""
         name, strategy, algo = key.split("/")
         if strategy not in STRATEGIES:
             raise KeyError(f"{key}: search strategy {strategy!r} is retired")
         ds = self.dataset(name)
         args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
         if algo == "mdie":
-            res = mdie(*args, seed=0)
-            return self.record(res), {"ops": res.ops}
+            return mdie(*args, seed=0)
         if algo.startswith("p2mdie"):
-            res = run_p2mdie(*args, p=int(algo[-1]), seed=0)
-        elif algo == "coverage_parallel":
-            res = run_coverage_parallel(*args, p=2, seed=0)
-        else:
-            res = run_independent(*args, p=2, seed=0)
+            return run_p2mdie(*args, p=int(algo[-1]), seed=0, backend=backend)
+        if algo == "coverage_parallel":
+            return run_coverage_parallel(*args, p=2, seed=0, backend=backend)
+        return run_independent(*args, p=2, seed=0, backend=backend)
+
+    def _run(self, key: str) -> tuple[dict, dict]:
+        res = self.result(key)
+        if key.endswith("/mdie"):
+            return self.record(res), {"ops": res.ops}
         pins = {
             "messages": res.comm.messages,
             "bytes": res.comm.bytes_total,

@@ -67,7 +67,8 @@ CASES = [f"{ds}/{algo}/{sc}" for ds in DATASETS for algo in ALGOS for sc in scen
 _datasets: dict = {}
 
 
-def run_case(key: str) -> dict:
+def run_result(key: str, backend="sim"):
+    """The front-end's result of one case, on ``backend``."""
     name, algo, scenario = key.split("/")
     if name not in _datasets:
         _datasets[name] = make_dataset(name, **DATASETS[name])
@@ -75,13 +76,16 @@ def run_case(key: str) -> dict:
     p = int(algo[-1])
     plan, spares = scenarios(p)[scenario]
     args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
-    common = dict(p=p, seed=0, backend="sim", fault_plan=plan, spares=spares)
+    common = dict(p=p, seed=0, backend=backend, fault_plan=plan, spares=spares)
     if algo.startswith("p2mdie"):
-        res = run_p2mdie(*args, width=10, **common)
-    elif algo.startswith("covpar"):
-        res = run_coverage_parallel(*args, batch_size=4, max_epochs=8, **common)
-    else:
-        res = run_independent(*args, **common)
+        return run_p2mdie(*args, width=10, **common)
+    if algo.startswith("covpar"):
+        return run_coverage_parallel(*args, batch_size=4, max_epochs=8, **common)
+    return run_independent(*args, **common)
+
+
+def run_case(key: str) -> dict:
+    res = run_result(key)
     return {
         "theory": [str(c) for c in res.theory],
         "log": [
