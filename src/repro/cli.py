@@ -234,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="theory registry root (enables register_as and query ops)",
     )
     serve_p.add_argument(
-        "--chunk-epochs", type=int, default=1,
-        help="epochs per chunk for preemptible jobs (cancellation latency)",
-    )
-    serve_p.add_argument(
         "--auth-token", default=None, metavar="TOKEN",
         help="require clients to authenticate with this token (hello op)",
     )
@@ -663,7 +659,7 @@ def _cmd_serve(args) -> int:
         serve(
             host=args.host, port=args.port, slots=args.slots,
             state_dir=args.state_dir, registry_dir=args.registry_dir,
-            chunk_epochs=args.chunk_epochs, ready=announce,
+            ready=announce,
             auth_token=args.auth_token,
             max_jobs_per_client=args.max_jobs_per_client,
             max_queue=args.max_queue, max_inflight=args.max_inflight,

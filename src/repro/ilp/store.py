@@ -12,8 +12,11 @@ parent rule's coverage, so when the parent's bitsets are cached, only the
 examples the parent covered (plus those whose parent query merely ran out
 of budget) are re-tested.  As search descends the lattice the per-node work
 shrinks with the parent's coverage — the deeper the rule, the cheaper its
-evaluation.  The same narrowing accepts externally supplied candidate
-masks (the parallel masters ship them alongside rule bags).
+evaluation.  Lineage is derived, never shipped: refinement appends one
+literal, so a rule's parent is its body minus the last literal, and a
+rule that arrives without one (a wire-decoded seed or bag rule) narrows
+against the same cached entry.  That is sound only because cache entries
+are never evicted.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ class ExampleStore:
     """Positive/negative examples plus a coverage-evaluation cache.
 
     Rules are evaluated with their bodies in the order refinement built
-    them, and cached under their order-preserving variant key.
+    them, and cached under their order-preserving variant key.  Entries
+    are never evicted: derived lineage relies on a parent's entry
+    outliving every evaluation of its refinements.
     """
 
     def __init__(self, pos: Sequence[Term], neg: Sequence[Term]):
@@ -85,18 +90,16 @@ class ExampleStore:
         engine: Engine,
         rule: Clause,
         parent: Optional[Clause] = None,
-        candidates: Optional[tuple[int, int]] = None,
     ) -> CoverageStats:
         """Evaluate ``rule`` on this store (alive positives, all negatives).
 
         Results are cached per clause; the cache survives ``kill`` because
         bitsets are over the full example lists.
 
-        ``parent`` names the rule this one refines: if the parent's bitsets
-        are cached, only examples it covered (or whose query exhausted its
-        budget) are tested.  ``candidates`` is an externally supplied
-        ``(pos_mask, neg_mask)`` bound with the same meaning — both sources
-        are intersected when present.
+        ``parent`` names the rule this one refines (default: the body
+        minus its last literal): if the parent's bitsets are cached, only
+        examples it covered (or whose query exhausted its budget) are
+        tested.
         """
         key = rule.variant_key()
         cached = self._cache.get(key)
@@ -123,10 +126,6 @@ class ExampleStore:
                 # seeds) still narrow against a cached parent.
                 parent = Clause(rule.head, rule.body[:-1])
             cand_n: Optional[int] = None
-            if candidates is not None:
-                cp, cn = candidates
-                cand_p &= cp
-                cand_n = cn
             if parent is not None:
                 pc = self._cache.get(parent.variant_key())
                 if pc is not None:
@@ -135,23 +134,12 @@ class ExampleStore:
                     # is unknown (liveness may have been restored since)
                     # — those examples must stay candidates.
                     cand_p &= ppb | ppe | ~pscope
-                    nm = pnb | pne
-                    cand_n = nm if cand_n is None else cand_n & nm
+                    cand_n = pnb | pne
             pb, pe = coverage_eval(engine, rule, self.pos, cand_p)
             nb, ne = coverage_eval(engine, rule, self.neg, cand_n)
             self._cache[key] = (pb, nb, pe, ne, scope)
         live = pb & self.alive
         return CoverageStats(pos=popcount(live), neg=popcount(nb), pos_bits=live, neg_bits=nb)
-
-    def cand_masks(self, rule: Clause) -> Optional[tuple[int, int]]:
-        """The sound refinement candidate masks of a cached rule:
-        ``(pos covered|exhausted, neg covered|exhausted)``, or None if the
-        rule was never evaluated here."""
-        cached = self._cache.get(rule.variant_key())
-        if cached is None:
-            return None
-        pb, nb, pe, ne, _scope = cached
-        return (pb | pe, nb | ne)
 
     # -- cache effectiveness (reported by the benchmark suite) -------------------
     def cache_size(self) -> int:
@@ -169,7 +157,3 @@ class ExampleStore:
         """Fraction of evaluations served from cache (0.0 when unused)."""
         total = self._hits + self._misses
         return self._hits / total if total else 0.0
-
-    def clear_cache(self) -> None:
-        """Drop cached bitsets (counters are preserved)."""
-        self._cache.clear()

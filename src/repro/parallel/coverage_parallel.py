@@ -70,8 +70,9 @@ class CoverageParallelMaster(Master):
 
     Workers only ever evaluate and mark — the master owns the seed pool —
     so adoption replays kills only (the base ``_ft_history``).  Every
-    batch rule's parent was evaluated in an earlier round, so candidate
-    masks narrow nearly every remote re-evaluation here.
+    batch rule's parent was evaluated in an earlier round, so each
+    worker's store narrows nearly every re-evaluation against its own
+    cached parent entry (derived lineage: body minus the last literal).
     """
 
     ALGO = "covpar"
@@ -188,9 +189,7 @@ class CoverageParallelMaster(Master):
                 break
             nodes += len(batch)
             log.bag_size += len(batch)
-            totals = yield from self._eval_round(
-                ctx, [r.clause for r in batch], tuple(r.parent for r in batch)
-            )
+            totals = yield from self._eval_round(ctx, [r.clause for r in batch])
             for r, (pcount, ncount) in zip(batch, totals):
                 score = score_rule(pcount, ncount)
                 if r.clause.body and is_good(pcount, ncount, self.config):

@@ -18,6 +18,12 @@ Fault tolerance: the local covering loop is a pure function of
 ``(partition, seed, virtual rank)`` — it draws from a freshly derived RNG
 stream — so a dead worker's entire contribution is reproducible on any
 adopter, and the single merge epoch heals exactly like a P²-MDIE epoch.
+
+The merge epoch's evaluations narrow as every strategy's do: a worker
+derives each bag rule's parent from its body and tests only what its
+cached entry leaves open.  The local loop restores liveness when it
+ends, so those entries may predate the restore; each records the
+examples it was computed on, and anything outside stays a candidate.
 """
 
 from __future__ import annotations
@@ -100,8 +106,7 @@ class IndependentMaster(Master):
     """Union local theories, filter globally, consume greedily.
 
     One epoch, so there is no boundary at which a join could be admitted
-    and nothing to checkpoint.  Evaluation rounds never echo candidate
-    masks (always a plain broadcast).
+    and nothing to checkpoint.
     """
 
     def __init__(

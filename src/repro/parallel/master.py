@@ -18,14 +18,15 @@ consecutive epochs — the paper's generic "stopping condition").
 :class:`Master` owns those collective steps for all three strategies.
 There is one path through them and one message per task, stamped under a
 fault plan: without a :class:`~repro.fault.plan.FaultPlan` a step sends
-unstamped ``StartPipeline`` / ``EvaluateRequest`` (blocking receives,
-candidate masks echoed); with one it sends them stamped with the epoch /
-round (timed receives, heartbeat probes, adoption of dead hosts' logical
-workers, idempotent reissue, and replies whose stamp does not match are
-discarded as stale traffic from de-zombied hosts).  The choice is made
-per step from ``self.ft``, i.e. from the plan that is an argument of the
-run.  The bytes of each are pinned by a witness of its own:
-``tests/data/golden_runs.json`` (plain) and
+unstamped ``StartPipeline`` / ``EvaluateRequest`` (blocking receives);
+with one it sends them stamped with the epoch / round (timed receives,
+heartbeat probes, adoption of dead hosts' logical workers, idempotent
+reissue, and replies whose stamp does not match are discarded as stale
+traffic from de-zombied hosts).  The choice is made per step from
+``self.ft``, i.e. from the plan that is an argument of the run.  An
+evaluation request carries the rules alone: each worker derives their
+lineage itself (body minus the last literal).  The bytes of each are
+pinned by a witness of its own: ``tests/data/golden_runs.json`` (plain) and
 ``tests/data/golden_healing.json`` (healing).  Checkpoints (when
 enabled) are written at epoch boundaries under either.
 """
@@ -55,8 +56,6 @@ from repro.parallel.messages import (
     StartPipeline,
     Stop,
     UpdateRouting,
-    per_worker_evaluate_requests,
-    record_candidate_masks,
 )
 
 __all__ = ["Master", "P2Master", "EpochLog", "ClauseBag", "drop_not_good", "pick_best"]
@@ -227,10 +226,6 @@ class Master(SimProcess):
             self.theory = Theory(resume.theory)
             self.epoch_logs = epoch_logs_from_records(resume.epoch_logs)
             self.remaining = resume.remaining
-        # coverage-inheritance bookkeeping: rank -> {clause ->
-        # (pos_cand, neg_cand)} local candidate masks reported by each
-        # worker, echoed back with later unstamped requests.
-        self._worker_cand: dict[int, dict[Clause, tuple[int, int]]] = {}
 
     @property
     def epochs(self) -> int:
@@ -286,9 +281,6 @@ class Master(SimProcess):
 
     def _open_epoch(self) -> EpochLog:
         log = self._log = EpochLog(epoch=self.epochs + 1, bag_size=0)
-        # Masks only serve narrowing within this epoch's rounds; dropping
-        # them per epoch bounds the master's memory.
-        self._worker_cand.clear()
         return log
 
     def _pipeline_round(self, ctx: ProcContext, width, log: EpochLog):
@@ -329,35 +321,15 @@ class Master(SimProcess):
         log.bag_size = bag.reported_size
         return bag
 
-    def _eval_round(self, ctx: ProcContext, clauses: list[Clause], parents: Optional[tuple] = None):
+    def _eval_round(self, ctx: ProcContext, clauses: list[Clause]):
         """Lines 10-11 / 18-19: every worker evaluates ``clauses`` on its
-        subset; returns the summed per-clause ``(pos, neg)``.
-
-        ``parents`` (plan-free runs only) is the per-rule lineage: when the
-        master knows a worker's local candidate masks for a rule's parent
-        (reported in an earlier round), it ships them back so the worker
-        narrows its re-evaluation even on a cold cache — at the price of
-        per-worker (rather than broadcast) requests.  A round-stamped
-        request never echoes masks: they are in per-shard local numbering
-        and migrate poorly.
-        """
+        subset; returns the summed per-clause ``(pos, neg)``."""
         rules = tuple(clauses)
         if self.ft is None:
-            requests = None
-            if parents is not None:
-                requests = per_worker_evaluate_requests(
-                    rules, parents, self._workers(), self._worker_cand
-                )
-            if requests is None:
-                yield ctx.bcast(EvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
-            else:
-                for k, req in requests.items():
-                    yield ctx.send(k, req, tag=Tag.EVALUATE)
+            yield ctx.bcast(EvaluateRequest(rules=rules), tag=Tag.EVALUATE, dsts=self._workers())
             replies = []
             for _ in self._workers():
                 msg = yield ctx.recv(tag=Tag.RESULT)
-                if parents is not None:
-                    record_candidate_masks(self._worker_cand, clauses, msg.payload)
                 replies.append(msg.payload.stats)
         else:
             self._ft_round += 1
@@ -386,10 +358,6 @@ class Master(SimProcess):
         yield ctx.compute(len(clauses) + 1, label="aggregate")
         return [(p, n) for p, n in totals]
 
-    def _global_eval(self, ctx: ProcContext, clauses: list[Clause]):
-        """The evaluation round bag consumption runs."""
-        return (yield from self._eval_round(ctx, clauses))
-
     def _mark_covered(self, ctx: ProcContext, rule: Clause):
         """``mark_covered`` goes to every host that holds a logical worker."""
         dsts = self._workers() if self.ft is None else self.ft.serving_hosts()
@@ -400,7 +368,7 @@ class Master(SimProcess):
         and again on what is left, until nothing good remains."""
         while bag:
             clauses = bag.clauses()
-            totals = yield from self._global_eval(ctx, clauses)
+            totals = yield from self._eval_round(ctx, clauses)
             stats = dict(zip(clauses, totals))
             drop_not_good(bag, stats, self.config)
             if not bag:
@@ -672,13 +640,6 @@ class P2Master(Master):
         self.width = config.pipeline_width if width is ... else width
         self.max_epochs = max_epochs
         self._stall0 = resume.stall if resume is not None else 0
-
-    # -- global evaluation round (Fig. 5 lines 10-11 / 18-19) --------------------
-    def _global_eval(self, ctx: ProcContext, clauses: list[Clause]):
-        """An exact round; lineage is structural (refinement appends
-        literals: parent = body minus the last one)."""
-        parents = tuple(Clause(c.head, c.body[:-1]) if c.body else None for c in clauses)
-        return (yield from self._eval_round(ctx, clauses, parents))
 
     # -- process body ----------------------------------------------------------------
     def run(self, ctx: ProcContext):

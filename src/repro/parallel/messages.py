@@ -18,12 +18,17 @@ and :class:`EvaluateResult` carry an optional ``epoch`` (pipeline
 messages; a start adds the ``origin`` to root it at) or ``round``
 (evaluation).  Plan-free runs leave it None; under a plan every task is
 stamped and every reply echoes its request's stamp, so stale traffic is
-discarded.  The stamp picks the wire layout: plain codes 2-6, or the
-stamped codes 15, 19, 20, 17, 18 — the stamp, then the plain body, except
-a start (``origin, width?, epoch``) and a request (``round, rules``: no
-candidate masks).  A message no layout holds (``origin`` without
-``epoch``, a stamped request with ``candidates``) is refused at encode
-time rather than shipped with a field dropped.
+discarded.  The stamp picks the wire layout: plain codes 2-4, 32 and 33,
+or the stamped codes 15, 19, 20, 17 and 34 — the stamp, then the plain
+body, except a start (``origin, width?, epoch``).  A start no layout
+holds (``origin`` without ``epoch``) is refused at encode time rather
+than shipped with a field dropped.
+
+Lineage never travels with an evaluation: refinement appends one
+literal, so every rank derives a rule's parent as its body minus the
+last literal, and its store narrows against that parent's cached entry
+(:class:`repro.ilp.store.ExampleStore`).  A plan-free run therefore
+differs from a healing run only in the stamp.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ __all__ = [
     "MarkCovered",
     "Stop",
     "RuleStats",
-    "per_worker_evaluate_requests",
-    "record_candidate_masks",
     "Ping",
     "Pong",
     "AdoptWorker",
@@ -103,39 +106,19 @@ class PipelineRules:
 
 @dataclass(frozen=True)
 class EvaluateRequest:
-    """Master → workers: evaluate these rules on your local subset.
-
-    ``candidates`` (optional, per rule) ships ``(pos_mask, neg_mask)``
-    candidate bitsets *in the receiving worker's local example numbering*:
-    sound upper bounds on what each rule can cover there, echoed back from
-    masks the worker itself reported for the rule's parent in an earlier
-    round.  A worker whose evaluation cache no longer holds the parent
-    still skips the provably-uncovered examples.  (Parent clauses
-    themselves never ship — refinement only appends literals, so each
-    side derives the lineage structurally.)  A ``round``-stamped request
-    carries no masks and asks every hosted shard for stats without them.
-    """
+    """Master → workers: evaluate these rules on your local subset
+    (stamped with the evaluation ``round`` under a fault plan)."""
 
     rules: tuple[Clause, ...]
-    candidates: Optional[tuple] = None
     round: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class RuleStats:
-    """One rule's local evaluation: alive-positive and negative cover.
-
-    ``pos_cand``/``neg_cand`` are the rule's *refinement candidate masks*
-    (local covered|budget-exhausted bitsets): sound upper bounds on what
-    any specialisation of the rule can cover on this worker's subset.  The
-    master stores them per (worker, clause) and ships them back with later
-    evaluation requests.
-    """
+    """One rule's local evaluation: alive-positive and negative cover."""
 
     pos: int
     neg: int
-    pos_cand: int = 0
-    neg_cand: int = 0
 
 
 @dataclass(frozen=True)
@@ -146,43 +129,6 @@ class EvaluateResult:
     rank: int
     stats: tuple[RuleStats, ...]
     round: Optional[int] = None
-
-
-def per_worker_evaluate_requests(
-    rules: tuple,
-    parents: tuple,
-    workers: list[int],
-    worker_cand: dict,
-) -> Optional[dict]:
-    """Build the per-worker :class:`EvaluateRequest` payloads of one
-    evaluation round, or None when a plain broadcast suffices (no worker
-    has candidate masks to echo).
-
-    ``parents`` is the per-rule lineage used to look masks up;
-    ``worker_cand`` maps rank -> {clause -> (pos_cand, neg_cand)} local
-    masks previously reported by that worker.  Shared by every master
-    that runs evaluation rounds.
-    """
-    out: dict = {}
-    plain = EvaluateRequest(rules=rules)
-    any_masks = False
-    for k in workers:
-        wc = worker_cand.get(k)
-        cands: Optional[tuple] = None
-        if wc:
-            ctuple = tuple(wc.get(p) if p is not None else None for p in parents)
-            if any(c is not None for c in ctuple):
-                cands = ctuple
-                any_masks = True
-        out[k] = EvaluateRequest(rules=rules, candidates=cands) if cands is not None else plain
-    return out if any_masks else None
-
-
-def record_candidate_masks(worker_cand: dict, clauses: list, result: "EvaluateResult") -> None:
-    """Store the candidate masks one worker reported for ``clauses``."""
-    wc = worker_cand.setdefault(result.rank, {})
-    for i, rs in enumerate(result.stats):
-        wc[clauses[i]] = (rs.pos_cand, rs.neg_cand)
 
 
 @dataclass(frozen=True)

@@ -416,57 +416,28 @@ def _dec_pipeline_result(d: _Decoder, epoch: Optional[int] = None) -> PipelineRu
 
 
 def _enc_evaluate_request(e: _Encoder, m: EvaluateRequest) -> int:
-    if m.round is not None:
-        # Layout 17 (round, rules) has no room for candidate masks.
-        if m.candidates is not None:
-            raise WireError(f"a round-stamped request carries no candidates: {m!r}")
-        e.u(m.round)
-        e.clauses(m.rules)
-        return 17
+    code = _stamp(e, m.round, 32, 17)
     e.clauses(m.rules)
-    e.flag(m.candidates is not None)
-    if m.candidates is not None:
-        e.u(len(m.candidates))
-        for c in m.candidates:
-            e.flag(c is not None)
-            if c is not None:
-                e.bitset(c[0])
-                e.bitset(c[1])
-    return 5
+    return code
 
 
-def _dec_stamped_request(d: _Decoder) -> EvaluateRequest:
-    return EvaluateRequest(round=d.u(), rules=d.clauses())
-
-
-def _dec_evaluate_request(d: _Decoder) -> EvaluateRequest:
-    rules = d.clauses()
-    candidates = None
-    if d.flag():
-        candidates = tuple(
-            (d.bitset(), d.bitset()) if d.flag() else None for _ in range(d.u())
-        )
-    return EvaluateRequest(rules=rules, candidates=candidates)
+def _dec_evaluate_request(d: _Decoder, round: Optional[int] = None) -> EvaluateRequest:
+    return EvaluateRequest(rules=d.clauses(), round=round)
 
 
 def _enc_evaluate_result(e: _Encoder, m: EvaluateResult) -> int:
-    code = _stamp(e, m.round, 6, 18)
+    code = _stamp(e, m.round, 33, 34)
     e.u(m.rank)
     e.u(len(m.stats))
     for rs in m.stats:
         e.u(rs.pos)
         e.u(rs.neg)
-        e.bitset(rs.pos_cand)
-        e.bitset(rs.neg_cand)
     return code
 
 
 def _dec_evaluate_result(d: _Decoder, round: Optional[int] = None) -> EvaluateResult:
     rank = d.u()
-    stats = tuple(
-        RuleStats(pos=d.u(), neg=d.u(), pos_cand=d.bitset(), neg_cand=d.bitset())
-        for _ in range(d.u())
-    )
+    stats = tuple(RuleStats(pos=d.u(), neg=d.u()) for _ in range(d.u()))
     return EvaluateResult(rank=rank, stats=stats, round=round)
 
 
@@ -557,23 +528,21 @@ _ENCODERS: dict = {
     StartPipeline: (None, _enc_start_pipeline),  # 2 | 15
     PipelineTask: (None, _enc_pipeline_task),  # 3 | 19
     PipelineRules: (None, _enc_pipeline_result),  # 4 | 20
-    EvaluateRequest: (None, _enc_evaluate_request),  # 5 | 17
-    EvaluateResult: (None, _enc_evaluate_result),  # 6 | 18
+    EvaluateRequest: (None, _enc_evaluate_request),  # 32 | 17
+    EvaluateResult: (None, _enc_evaluate_result),  # 33 | 34
     MarkCovered: (7, _enc_mark_covered),
     Stop: (11, _enc_stop),
     Ping: (12, _enc_ping),
     Pong: (13, _enc_pong),
     AdoptWorker: (14, _enc_adopt_worker),
     UpdateRouting: (16, _enc_update_routing),
-    # 1, 8-10 and 29-31 retired; 21-28 reserved (out-of-package; see register_codec).
+    # 1, 5, 6, 8-10, 18 and 29-31 retired; 21-28 reserved (out-of-package; see register_codec).
 }
 _DECODERS: dict = {
     0: _dec_load_examples,
     2: _dec_start_pipeline,
     3: _dec_pipeline_task,
     4: _dec_pipeline_result,
-    5: _dec_evaluate_request,
-    6: _dec_evaluate_result,
     7: _dec_mark_covered,
     11: _dec_stop,
     12: _dec_ping,
@@ -581,10 +550,12 @@ _DECODERS: dict = {
     14: _dec_adopt_worker,
     15: _dec_stamped_start,
     16: _dec_update_routing,
-    17: _dec_stamped_request,
-    18: _dec_stamp_first(_dec_evaluate_result, "round"),
+    17: _dec_stamp_first(_dec_evaluate_request, "round"),
     19: _dec_stamp_first(_dec_pipeline_task, "epoch"),
     20: _dec_stamp_first(_dec_pipeline_result, "epoch"),
+    32: _dec_evaluate_request,
+    33: _dec_evaluate_result,
+    34: _dec_stamp_first(_dec_evaluate_result, "round"),
 }
 
 #: Codes whose format is gone, with what they carried.  Reserved for good:
@@ -592,9 +563,12 @@ _DECODERS: dict = {
 #: retired format instead of calling the code unknown.
 _RETIRED_CODES: dict = {
     1: "LoadData, training data shipped to a worker without a shared filesystem",
+    5: "EvaluateRequest, an evaluation request echoing per-rule candidate masks",
+    6: "EvaluateResult, an evaluation reply carrying per-rule candidate masks",
     8: "GatherExamples, a per-epoch repartitioning request",
     9: "ExamplesReport, a worker's examples for per-epoch repartitioning",
     10: "Repartition, a worker's new examples from per-epoch repartitioning",
+    18: "FTEvaluateResult, a round-stamped evaluation reply carrying per-rule candidate masks",
     24: "WireJson, a service request or response on the wire client transport",
     25: "WireQuery, a service query of parsed terms on the wire client transport",
     26: "WireShard, one streamed span's answer on the wire client transport",
@@ -610,9 +584,10 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
 
     Lets higher layers ship their payloads in the wire format without
     creating an import cycle back into this module's registry.  Codes
-    0, 2-7 and 11-20 are the in-package messages above (15 and 17-20
-    decode to stamped task messages: see :mod:`repro.parallel.messages`);
-    1, 8-10, 24-27 and 29-31 are retired (:data:`_RETIRED_CODES`);
+    0, 2-4, 7, 11-17, 19, 20 and 32-34 are the in-package messages above
+    (15, 17, 19, 20 and 34 decode to stamped task messages: see
+    :mod:`repro.parallel.messages`); 1, 5, 6, 8-10, 18, 24-27 and 29-31
+    are retired (:data:`_RETIRED_CODES`);
     currently reserved by out-of-package formats (never reuse or renumber):
 
     * 21 — :class:`repro.fault.checkpoint.CheckpointState` (``.ckpt`` files)

@@ -26,8 +26,8 @@ plan-free run *is* the healing protocol with the identity routing table,
 one shard per host and unstamped messages: every stage is served where it
 lands, nothing is parked or forwarded, no successor stage is co-hosted.
 The two runs differ only in the stamp — a handler's reply echoes its
-request's epoch / round, or none — and in whether candidate masks
-travel; the bytes of each are pinned by a witness of its own
+request's epoch / round, or none; the bytes of each are pinned by a
+witness of its own
 (``tests/data/golden_runs.json``, ``tests/data/golden_healing.json``).
 """
 
@@ -279,27 +279,16 @@ class P2Worker(SimProcess):
         shard, one reply per shard, stamped with the request's round.
 
         Coverage inheritance narrows the work: the store derives each
-        rule's lattice parent structurally (refinement appends literals).
-        An unstamped request also moves candidate masks — master-echoed
-        ones narrow further when the local cache is cold, and the rule's
-        own go back with the reply; a stamped one moves none (they are in
-        per-shard local numbering and migrate poorly).
+        rule's lattice parent structurally (refinement appends literals)
+        and tests only what that parent's cached entry leaves open.
         """
-        stamped = req.round is not None
         ops0 = self.engine.total_ops
         results = []
         for shard in self._hosted():
-            store = shard.store
             stats = []
-            for i, rule in enumerate(req.rules):
-                if stamped:
-                    cs = store.evaluate(self.engine, rule)
-                    stats.append(RuleStats(pos=cs.pos, neg=cs.neg))
-                else:
-                    cand = req.candidates[i] if req.candidates else None
-                    cs = store.evaluate(self.engine, rule, candidates=cand)
-                    pc, nc = store.cand_masks(rule) or (0, 0)
-                    stats.append(RuleStats(pos=cs.pos, neg=cs.neg, pos_cand=pc, neg_cand=nc))
+            for rule in req.rules:
+                cs = shard.store.evaluate(self.engine, rule)
+                stats.append(RuleStats(pos=cs.pos, neg=cs.neg))
             results.append((shard.virtual_rank, tuple(stats)))
         yield ctx.compute(self._ops_since(ops0), label="evaluate")
         for virtual_rank, stats in results:

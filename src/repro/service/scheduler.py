@@ -15,7 +15,7 @@ Lifecycle::
 
 **Preemption & resume.**  A job with ``preemptible=True`` (and a
 checkpoint-capable algorithm) runs in epoch *chunks*: each chunk resumes
-from the newest checkpoint and advances ``chunk_epochs`` covering epochs
+from the newest checkpoint and advances :data:`CHUNK_EPOCHS` covering epochs
 (reusing :mod:`repro.fault.checkpoint` — the same machinery behind
 ``repro resume``).  Between chunks the scheduler honours cancellation
 and shutdown requests; because every chunk boundary is an ordinary
@@ -71,6 +71,10 @@ __all__ = ["JobScheduler", "SchedulerError", "TERMINAL_STATES"]
 #: states a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: Covering epochs per chunk of a preemptible job: cancellation and
+#: shutdown are honoured at every epoch boundary.
+CHUNK_EPOCHS = 1
+
 
 class SchedulerError(RuntimeError):
     """Unknown job id, bad transition, or use after close."""
@@ -120,9 +124,6 @@ class JobScheduler:
     registry:
         Optional :class:`~repro.service.registry.TheoryRegistry`; jobs
         with ``register_as`` publish their learned theory on success.
-    chunk_epochs:
-        Epochs per chunk for preemptible jobs (cancellation latency
-        knob; smaller = more responsive, more per-chunk setup).
     max_queue:
         Admission bound: reject submits once this many jobs are already
         queued (0 = unbounded).  Rejection is an
@@ -143,21 +144,17 @@ class JobScheduler:
         slots: int = 2,
         state_dir: Optional[str] = None,
         registry=None,
-        chunk_epochs: int = 1,
         max_queue: int = 0,
         fault_injector=None,
         start: bool = True,
     ):
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if chunk_epochs < 1:
-            raise ValueError("chunk_epochs must be >= 1")
         if max_queue < 0:
             raise ValueError("max_queue must be >= 0 (0 = unbounded)")
         self.slots = slots
         self.state_dir = state_dir
         self.registry = registry
-        self.chunk_epochs = chunk_epochs
         self.max_queue = max_queue
         self._injector = fault_injector
         self._lock = threading.Lock()
@@ -591,7 +588,7 @@ class JobScheduler:
         while True:
             state = self._latest_checkpoint(ckpt_dir)
             done_epochs = state.epoch if state is not None else 0
-            target = done_epochs + self.chunk_epochs
+            target = done_epochs + CHUNK_EPOCHS
             if spec.max_epochs is not None:
                 target = min(target, spec.max_epochs)
             outcome = run_job(

@@ -172,7 +172,6 @@ class Service:
         slots: int = 2,
         state_dir: Optional[str] = None,
         registry_dir: Optional[str] = None,
-        chunk_epochs: int = 1,
         auth_token: Optional[str] = None,
         max_jobs_per_client: int = 0,
         max_queue: int = 0,
@@ -195,7 +194,7 @@ class Service:
         )
         self.scheduler = JobScheduler(
             slots=slots, state_dir=state_dir, registry=self.registry,
-            chunk_epochs=chunk_epochs, max_queue=max_queue,
+            max_queue=max_queue,
             fault_injector=self.fault_injector,
         )
         self.query_engine = QueryEngine(
@@ -930,7 +929,6 @@ def serve(
     slots: int = 2,
     state_dir: Optional[str] = None,
     registry_dir: Optional[str] = None,
-    chunk_epochs: int = 1,
     ready=None,
     auth_token: Optional[str] = None,
     max_jobs_per_client: int = 0,
@@ -957,7 +955,7 @@ def serve(
     """
     service = Service(
         slots=slots, state_dir=state_dir, registry_dir=registry_dir,
-        chunk_epochs=chunk_epochs, auth_token=auth_token,
+        auth_token=auth_token,
         max_jobs_per_client=max_jobs_per_client, max_queue=max_queue,
         fault_plan=fault_plan, tracer=tracer,
     )

@@ -3,8 +3,9 @@
 A refinement's coverage is a subset of its parent's, so evaluation may
 skip every example the parent provably does not cover.  These tests pin
 the safety side of that optimisation: narrowing never changes results,
-never resurrects a pruned example, survives liveness changes, and the
-candidate masks shipped between master and workers round-trip soundly.
+never resurrects a pruned example, survives liveness changes, and a
+rule that arrives without lineage (off the wire) narrows exactly as one
+whose parent is passed.
 """
 
 import pytest
@@ -17,6 +18,8 @@ from repro.logic.clause import Clause
 from repro.logic.engine import Engine, QueryBudget
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_clause, parse_term
+from repro.parallel import wire
+from repro.parallel.messages import EvaluateRequest
 
 
 @pytest.fixture
@@ -34,12 +37,20 @@ CHILD = "eastbound(A) :- has_car(A, B), closed(B)."
 GRANDCHILD = "eastbound(A) :- has_car(A, B), closed(B), short(B)."
 
 
+def cand_masks(engine, rule, pos, neg):
+    """The sound refinement candidate masks of ``rule``:
+    ``(pos covered|exhausted, neg covered|exhausted)``."""
+    pb, pe = coverage_eval(engine, rule, pos)
+    nb, ne = coverage_eval(engine, rule, neg)
+    return pb | pe, nb | ne
+
+
 class TestNoResurrection:
     def test_child_bits_within_parent_candidates(self, ds, engine):
         store = ExampleStore(ds.pos, ds.neg)
         parent, child = parse_clause(PARENT), parse_clause(CHILD)
         store.evaluate(engine, parent)
-        pc, nc = store.cand_masks(parent)
+        pc, nc = cand_masks(engine, parent, ds.pos, ds.neg)
         cs = store.evaluate(engine, child, parent=parent)
         assert cs.pos_bits & ~pc == 0
         assert cs.neg_bits & ~nc == 0
@@ -77,7 +88,7 @@ class TestNoResurrection:
         store = ExampleStore(ds.pos, ds.neg)
         parent, child = parse_clause(PARENT), parse_clause(CHILD)
         store.evaluate(engine, parent)
-        pc, nc = store.cand_masks(parent)
+        pc, nc = cand_masks(engine, parent, ds.pos, ds.neg)
         seen: list = []
         orig = store_mod.coverage_eval
 
@@ -104,14 +115,6 @@ class TestNoResurrection:
         assert cs2.pos_bits == full.pos_bits & store.alive
         assert cs2.neg_bits == full.neg_bits
 
-    def test_explicit_candidate_masks(self, ds, engine):
-        child = parse_clause(CHILD)
-        full = ExampleStore(ds.pos, ds.neg).evaluate(engine, child)
-        masks = ((1 << len(ds.pos)) - 1, (1 << len(ds.neg)) - 1)
-        store = ExampleStore(ds.pos, ds.neg)
-        cs = store.evaluate(engine, child, candidates=masks)
-        assert (cs.pos_bits, cs.neg_bits) == (full.pos_bits, full.neg_bits)
-
     def test_exhausted_examples_stay_candidates(self):
         """An example the parent failed on *only because the budget ran
         out* must remain in the child's candidate set."""
@@ -122,9 +125,7 @@ class TestNoResurrection:
         parent = parse_clause("t(X) :- e(X, Y), w(Y).")
         bits, exh = coverage_eval(engine, parent, examples)
         assert bits == 0 and exh == 1  # ran out before reaching 'hit'
-        store = ExampleStore(examples, [])
-        store.evaluate(engine, parent)
-        pc, _ = store.cand_masks(parent)
+        pc, _ = cand_masks(engine, parent, examples, [])
         assert pc == 1  # exhausted example still a candidate for children
 
 
@@ -164,17 +165,30 @@ class TestLivenessRestoration:
 
 
 class TestWorkerRoundTrip:
-    def test_request_candidates_match_uncandidated_results(self, ds):
-        """Evaluating with master-shipped candidate masks returns exactly
-        the stats a cold full evaluation returns."""
-        engine = Engine(ds.kb, ds.config.engine_budget())
-        parent, child = parse_clause(PARENT), parse_clause(CHILD)
-        # worker A evaluates the parent and reports its masks
-        worker_a = ExampleStore(ds.pos, ds.neg)
-        worker_a.evaluate(engine, parent)
-        masks = worker_a.cand_masks(parent)
-        # ... the master echoes them back for the child's evaluation
-        narrowed = worker_a.evaluate(engine, child, parent=parent, candidates=masks)
-        cold = ExampleStore(ds.pos, ds.neg).evaluate(engine, child)
-        assert (narrowed.pos, narrowed.neg) == (cold.pos, cold.neg)
-        assert narrowed.pos_bits == cold.pos_bits
+    def test_rule_without_lineage_costs_what_its_passed_parent_costs(self, ds):
+        """A bag rule decoded off the wire carries no lineage; the store
+        derives its parent (body minus the last literal) and narrows
+        against that parent's cached entry: the same bits and the same
+        engine ops as when the parent is passed."""
+        parent = parse_clause("eastbound(A) :- has_car(A, B), short(B).")
+        child = parse_clause("eastbound(A) :- has_car(A, B), short(B), closed(B).")
+        request = wire.decode(wire.encode_always(EvaluateRequest(rules=(child,))))
+        (shipped,) = request.rules
+
+        def evaluate(rule, lineage, warm=True):
+            engine = Engine(ds.kb, ds.config.engine_budget())
+            store = ExampleStore(ds.pos, ds.neg)
+            if warm:
+                store.evaluate(engine, parent)
+            ops = engine.total_ops
+            stats = store.evaluate(engine, rule, parent=lineage)
+            return stats, engine.total_ops - ops
+
+        derived, derived_ops = evaluate(shipped, None)
+        passed, passed_ops = evaluate(child, parent)
+        assert derived == passed
+        assert derived_ops == passed_ops
+        # ... and the derived lineage did narrow: a cold store pays more.
+        cold, cold_ops = evaluate(shipped, None, warm=False)
+        assert cold == derived
+        assert derived_ops < cold_ops

@@ -37,8 +37,8 @@ class RecordingStore(ExampleStore):
         super().__init__(pos, neg)
         self.calls: list = []
 
-    def evaluate(self, engine, rule, parent=None, candidates=None):
-        stats = super().evaluate(engine, rule, parent, candidates)
+    def evaluate(self, engine, rule, parent=None):
+        stats = super().evaluate(engine, rule, parent)
         self.calls.append((rule, parent, stats))
         return stats
 

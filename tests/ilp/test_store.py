@@ -70,12 +70,6 @@ class TestEvaluate:
         assert eng.total_ops == ops  # cached
         assert st2.pos == st1.pos - 1
 
-    def test_clear_cache(self, setup):
-        eng, store = setup
-        store.evaluate(eng, parse_clause("p(X) :- q(X)."))
-        store.clear_cache()
-        assert store.cache_size() == 0
-
     def test_neg_never_masked(self, setup):
         eng, store = setup
         # negatives stay: a rule covering negs keeps covering them after kill

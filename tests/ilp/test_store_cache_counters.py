@@ -39,13 +39,3 @@ def test_cache_survives_kill_and_counts_hits():
     assert store.cache_hits() == 1
     assert again.pos == 0  # the covered positive is dead now
 
-
-def test_clear_cache_preserves_counters():
-    engine, store, rule = _setup()
-    store.evaluate(engine, rule)
-    store.evaluate(engine, rule)
-    store.clear_cache()
-    assert store.cache_size() == 0
-    assert (store.cache_misses(), store.cache_hits()) == (1, 1)
-    store.evaluate(engine, rule)
-    assert store.cache_misses() == 2

@@ -59,11 +59,6 @@ MESSAGES = [
     PipelineTask(bottom=make_bottom(), step=2, width=5, rules=(SearchRule(RULE, 1, parent=PARENT),), origin=1),
     PipelineTask(bottom=None, step=1, width=None, rules=(), origin=4),
     PipelineRules(origin=2, rules=(SearchRule(RULE, 1), SearchRule(PARENT, 0, parent=Clause(PARENT.head)))),
-    EvaluateRequest(rules=(RULE, PARENT)),
-    EvaluateRequest(rules=(RULE,), candidates=((0b1011, 0),)),
-    EvaluateRequest(rules=(RULE, PARENT), candidates=(None, (1 << 200 | 5, 7))),
-    EvaluateResult(rank=2, stats=(RuleStats(pos=3, neg=0, pos_cand=0b111, neg_cand=1 << 90),)),
-    EvaluateResult(rank=1, stats=()),
     MarkCovered(rule=RULE),
     Stop(),
     # fault-tolerance protocol (repro.fault)
@@ -85,7 +80,6 @@ MESSAGES = [
     StartPipeline(origin=3, width=None, epoch=1),
     UpdateRouting(routing=((1, 1), (2, 4), (3, 1))),
     EvaluateRequest(round=9, rules=(RULE, PARENT)),
-    EvaluateResult(round=9, rank=2, stats=(RuleStats(pos=3, neg=1),)),
     PipelineTask(
         epoch=2,
         bottom=make_bottom(),
@@ -105,26 +99,26 @@ MESSAGES = [
             Span(2, "saturate", 1.5, 1.75, (("epoch", "3"),)),
         ),
     ),
+    # evaluation without candidate masks: lineage is derived on each rank
+    EvaluateRequest(rules=(RULE, PARENT)),
+    EvaluateResult(rank=2, stats=(RuleStats(pos=3, neg=0),)),
+    EvaluateResult(rank=1, stats=()),
+    EvaluateResult(round=9, rank=2, stats=(RuleStats(pos=3, neg=1),)),
 ]
 
-#: Stamped layouts by code, under the names their classes had before the
-#: stamp folded them into the plain task messages — test ids stay put.
-STAMPED_LAYOUTS = {
-    15: "RestartPipeline",
-    17: "FTEvaluateRequest",
-    18: "FTEvaluateResult",
-    19: "FTPipelineTask",
-    20: "FTPipelineRules",
-}
-
-
-def layout_name(msg) -> str:
-    """A message's test name: its class, or the stamped layout it takes."""
-    return STAMPED_LAYOUTS.get(wire.encode_always(msg)[2], type(msg).__name__)
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
+    _WITNESS = json.load(_f)
+LAYOUTS = _WITNESS["layouts"]
+#: Bytes of formats this version no longer reads (codes 1, 5, 6, 8-10, 18, 24-27 and 29-31).
+RETIRED = _WITNESS["retired"]
+#: Each message's test id is its witness entry's: the class name, or for
+#: a stamped layout the name its class had before the stamp folded it into
+#: the plain message (``FTEvaluateRequest``, ``RestartPipeline0``...).
+MESSAGE_IDS = [e["id"] for e in LAYOUTS]
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("msg", MESSAGES, ids=layout_name)
+    @pytest.mark.parametrize("msg", MESSAGES, ids=MESSAGE_IDS)
     def test_round_trip(self, msg):
         data = wire.encode_always(msg)
         assert isinstance(data, bytes)
@@ -190,13 +184,6 @@ class TestRoundTrip:
             assert len(data) < len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
 
 
-with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
-    _WITNESS = json.load(_f)
-LAYOUTS = _WITNESS["layouts"]
-#: Bytes of formats this version no longer reads (codes 1, 8-10, 24-27 and 29-31).
-RETIRED = _WITNESS["retired"]
-
-
 class TestWireLayouts:
     """Every entry of ``MESSAGES`` against its committed bytes
     (``tests/data/wire_layouts.json``): a layout that moves one byte, or a
@@ -205,13 +192,13 @@ class TestWireLayouts:
     def test_one_witness_per_message(self):
         assert len(LAYOUTS) == len(MESSAGES)
 
-    @pytest.mark.parametrize("msg,entry", zip(MESSAGES, LAYOUTS), ids=[e["id"] for e in LAYOUTS])
+    @pytest.mark.parametrize("msg,entry", zip(MESSAGES, LAYOUTS), ids=MESSAGE_IDS)
     def test_encodes_to_witness(self, msg, entry):
         data = wire.encode_always(msg)
         assert data[2] == entry["code"]
         assert data.hex() == entry["hex"]
 
-    @pytest.mark.parametrize("entry", LAYOUTS, ids=[e["id"] for e in LAYOUTS])
+    @pytest.mark.parametrize("entry", LAYOUTS, ids=MESSAGE_IDS)
     def test_witness_decodes_and_reencodes(self, entry):
         data = bytes.fromhex(entry["hex"])
         assert wire.encode_always(wire.decode(data)) == data
@@ -220,9 +207,12 @@ class TestWireLayouts:
 #: Every retired code and the message its format carried.
 RETIRED_CODES = [
     (1, "LoadData"),
+    (5, "EvaluateRequest"),
+    (6, "EvaluateResult"),
     (8, "GatherExamples"),
     (9, "ExamplesReport"),
     (10, "Repartition"),
+    (18, "FTEvaluateResult"),
     (24, "WireJson"),
     (25, "WireQuery"),
     (26, "WireShard"),
@@ -234,16 +224,17 @@ RETIRED_CODES = [
 
 
 class TestRetiredCodes:
-    """Codes 1 and 8-10 (ship-data mode, per-epoch repartitioning), 24-27
-    (the service's wire client transport) and 29-31 (sampled coverage)
-    stay reserved: their bytes fail loudly, naming the retired format,
-    and no codec may take them over."""
+    """Codes 1 and 8-10 (ship-data mode, per-epoch repartitioning), 5, 6
+    and 18 (evaluation messages carrying candidate masks), 24-27 (the
+    service's wire client transport) and 29-31 (sampled coverage) stay
+    reserved: their bytes fail loudly, naming the retired format, and no
+    codec may take them over."""
 
-    # The name predates codes 1, 8-10 and 24-27; it is kept so the test id
-    # stays put.
+    # The name predates codes 1, 5, 6, 8-10, 18 and 24-27; it is kept so
+    # the test id stays put.
     def test_retired_codes_are_exactly_29_to_31(self):
         codes = [code for code, _ in RETIRED_CODES]
-        assert codes == [1, 8, 9, 10, 24, 25, 26, 27, 29, 30, 31]
+        assert codes == [1, 5, 6, 8, 9, 10, 18, 24, 25, 26, 27, 29, 30, 31]
         assert sorted(wire._RETIRED_CODES) == codes == sorted({e["code"] for e in RETIRED})
         assert not set(wire._RETIRED_CODES) & set(wire._DECODERS)
 
@@ -331,9 +322,8 @@ class TestGatingAndFallback:
         [
             StartPipeline(width=3, origin=2),
             StartPipeline(width=3, epoch=2),
-            EvaluateRequest(rules=(RULE,), candidates=((0b1, 0),), round=4),
         ],
-        ids=["origin-without-epoch", "epoch-without-origin", "stamped-with-candidates"],
+        ids=["origin-without-epoch", "epoch-without-origin"],
     )
     def test_half_stamped_message_is_refused(self, msg):
         """No layout holds these; encoding one must fail, not drop a field."""

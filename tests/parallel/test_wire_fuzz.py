@@ -11,7 +11,7 @@ artifact into a crash.
 
 Runs over *every* registered message type — so a new message
 automatically inherits the fuzz coverage through ``test_wire.MESSAGES`` —
-and over the committed bytes of the retired codes 29-31, which old
+and over the committed bytes of every retired code, which old
 checkouts and old registry roots may still hand a reader.
 """
 
@@ -21,7 +21,7 @@ import pytest
 
 from repro.parallel import wire
 
-from test_wire import MESSAGES, RETIRED, layout_name  # same directory; covers every type code
+from test_wire import MESSAGE_IDS, MESSAGES, RETIRED  # same directory; covers every type code
 
 #: A ``.cert`` body a sampled run published beside its theory (code 29).
 CERT = bytes.fromhex(next(e["hex"] for e in RETIRED if e["code"] == 29))
@@ -29,7 +29,7 @@ RETIRED_CERT = "retired message type code 29 \\(CoverageCertificate"
 
 
 def _payloads():
-    out = [(layout_name(m), wire.encode_always(m)) for m in MESSAGES]
+    out = [(name, wire.encode_always(m)) for name, m in zip(MESSAGE_IDS, MESSAGES)]
     out.extend((e["id"], bytes.fromhex(e["hex"])) for e in RETIRED)
     return out
 

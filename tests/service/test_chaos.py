@@ -89,7 +89,7 @@ class TestSigtermDrain:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--slots", "1", "--chunk-epochs", "1",
+                "--port", "0", "--slots", "1",
                 "--state-dir", str(tmp_path / "jobs"),
                 "--registry-dir", str(tmp_path / "registry"),
             ],

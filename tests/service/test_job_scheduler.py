@@ -95,7 +95,7 @@ class TestCancellation:
         sched.close()
 
     def test_cancel_running_preemptible_job(self, tmp_path):
-        sched = JobScheduler(slots=1, state_dir=str(tmp_path), chunk_epochs=1)
+        sched = JobScheduler(slots=1, state_dir=str(tmp_path))
         job = sched.submit(JobSpec(dataset="krki", algo="mdie", seed=0, preemptible=True))
         assert wait_for(
             lambda: sched.status(job)["state"] == "running"
@@ -121,7 +121,7 @@ class TestCancellation:
 class TestPreemptionAndRecovery:
     def test_chunked_run_is_bit_identical(self, krki):
         spec = JobSpec(dataset="krki", algo="mdie", seed=1, preemptible=True)
-        with JobScheduler(slots=1, chunk_epochs=1) as sched:
+        with JobScheduler(slots=1) as sched:
             job = sched.submit(spec)
             sched.wait(job, timeout=240)
             chunked = sched.result(job)
@@ -131,7 +131,7 @@ class TestPreemptionAndRecovery:
 
     def test_interrupt_and_recover_resumes_bit_identically(self, tmp_path):
         spec = JobSpec(dataset="krki", algo="p2mdie", p=2, seed=0, preemptible=True)
-        sched = JobScheduler(slots=1, state_dir=str(tmp_path), chunk_epochs=1)
+        sched = JobScheduler(slots=1, state_dir=str(tmp_path))
         job = sched.submit(spec)
         wait_for(lambda: sched.status(job)["epochs_done"] >= 1
                  or sched.status(job)["state"] in ("done", "failed"))
@@ -140,7 +140,7 @@ class TestPreemptionAndRecovery:
         assert parked["state"] in ("running", "queued", "done")
         if parked["state"] != "done":
             sched2 = JobScheduler(
-                slots=1, state_dir=str(tmp_path), chunk_epochs=1, start=False
+                slots=1, state_dir=str(tmp_path), start=False
             )
             assert sched2.recover_jobs() == [job]
             sched2.start()
