@@ -99,7 +99,7 @@ MESSAGES = [
             Span(2, "saturate", 1.5, 1.75, (("epoch", "3"),)),
         ),
     ),
-    # evaluation without candidate masks: lineage is derived on each rank
+    # the evaluation messages, under the codes that replaced 5, 6 and 18
     EvaluateRequest(rules=(RULE, PARENT)),
     EvaluateResult(rank=2, stats=(RuleStats(pos=3, neg=0),)),
     EvaluateResult(rank=1, stats=()),
