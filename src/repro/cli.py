@@ -18,6 +18,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -91,6 +92,24 @@ def _load_plan(args):
     except ValueError as exc:
         print(f"repro: bad fault plan {args.fault_plan}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _problem(name: str, *, seed: int, scale: str):
+    """``make_dataset`` with the cyclic collector paused, then the heap
+    frozen (unless the caller froze part of it already): the knowledge
+    base is built once and kept to exit, so no later pass walks it — in
+    this process or in the ranks the ``local`` backend forks from it.
+    :func:`main` restores the caller's collector state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ds = make_dataset(name, seed=seed, scale=scale)
+    finally:
+        if enabled:
+            gc.enable()
+    if not gc.get_freeze_count():
+        gc.freeze()
+    return ds
 
 
 def _cli_backend(args):
@@ -463,7 +482,7 @@ def _cmd_learn(args) -> int:
     plan = _load_plan(args)
     # p == 1 is the sequential path: no backend is ever constructed.
     backend = args.backend if args.p == 1 else _cli_backend(args)
-    ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
+    ds = _problem(args.dataset, seed=args.seed, scale=args.scale)
     print(f"% dataset {ds.name}: |E+|={ds.n_pos} |E-|={ds.n_neg}")
     outcome = run(
         ds, algo, p=args.p, width=args.width, seed=args.seed, backend=backend,
@@ -490,7 +509,7 @@ def _cmd_resume(args) -> int:
         return 2
     if _refused(refusal(state.algo, checkpoint=True)):
         return 2
-    ds = make_dataset(meta.dataset, seed=state.seed, scale=meta.scale)
+    ds = _problem(meta.dataset, seed=state.seed, scale=meta.scale)
     print(
         f"% resuming {state.algo} on {meta.dataset} from epoch {state.epoch} "
         f"({state.remaining} positives uncovered)"
@@ -569,7 +588,7 @@ def _cmd_tables(args) -> int:
 
     status = 0
     if 1 in which:
-        datasets = [make_dataset(n, seed=args.seed, scale=args.scale) for n in names]
+        datasets = [_problem(n, seed=args.seed, scale=args.scale) for n in names]
         print(table1_datasets(datasets) + "\n")
     if which - {1}:
         matrix = run_matrix(
@@ -595,7 +614,7 @@ def _cmd_tables(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.experiments.trace import occupancy, render_gantt, stage_summary
 
-    ds = make_dataset(args.dataset, seed=args.seed, scale=args.scale)
+    ds = _problem(args.dataset, seed=args.seed, scale=args.scale)
     res = run(
         ds, "p2mdie", p=args.p, width=args.width, seed=args.seed, backend=args.backend,
         scale=args.scale, record_trace=True, max_epochs=1,
@@ -967,6 +986,7 @@ def main(argv=None) -> int:
         "query": _cmd_query,
         "loadgen": _cmd_loadgen,
     }[args.command]
+    frozen = gc.get_freeze_count()
     try:
         if getattr(args, "profile", None):
             import cProfile
@@ -987,6 +1007,9 @@ def main(argv=None) -> int:
             raise
         print(f"repro: backend unavailable: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if not frozen:  # undo _problem's freeze: in-process callers get their heap back
+            gc.unfreeze()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,20 +24,16 @@ from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Const, atom
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, weighted_draw
 
 __all__ = ["make_carcinogenesis"]
 
 _ELEMENTS = ("c", "o", "n", "cl", "s")
-_ELEM_WEIGHTS = (0.62, 0.15, 0.10, 0.07, 0.06)
 _BOND_TYPES = (1, 2, 7)  # single, double, aromatic
-_BOND_WEIGHTS = (0.78, 0.16, 0.06)
 _CHARGES = ("c_neg", "c_zero", "c_pos")
-_CHARGE_WEIGHTS = (0.3, 0.55, 0.15)
-
-
-def _weighted(rng: random.Random, values, weights):
-    return rng.choices(values, weights=weights, k=1)[0]
+_element = weighted_draw(_ELEMENTS, (0.62, 0.15, 0.10, 0.07, 0.06))
+_bond_type = weighted_draw(_BOND_TYPES, (0.78, 0.16, 0.06))
+_charge = weighted_draw(_CHARGES, (0.3, 0.55, 0.15))
 
 
 def _draw_molecule(rng: random.Random) -> tuple[list, list, list]:
@@ -45,16 +41,16 @@ def _draw_molecule(rng: random.Random) -> tuple[list, list, list]:
     no terms — about two molecules in five are drawn only to be thrown
     away by the quota check."""
     n_atoms = rng.randint(5, 10)
-    elems = [_weighted(rng, _ELEMENTS, _ELEM_WEIGHTS) for _ in range(n_atoms)]
-    charges = [_weighted(rng, _CHARGES, _CHARGE_WEIGHTS) for _ in range(n_atoms)]
+    elems = [_element(rng) for _ in range(n_atoms)]
+    charges = [_charge(rng) for _ in range(n_atoms)]
     # Connected random tree plus a few extra edges (ring bonds).
     bonds: list[tuple[int, int, int]] = []
     for i in range(1, n_atoms):
         j = rng.randint(0, i - 1)
-        bonds.append((i, j, _weighted(rng, _BOND_TYPES, _BOND_WEIGHTS)))
+        bonds.append((i, j, _bond_type(rng)))
     for _ in range(rng.randint(0, 3)):
         i, j = rng.sample(range(n_atoms), 2)
-        bonds.append((i, j, _weighted(rng, _BOND_TYPES, _BOND_WEIGHTS)))
+        bonds.append((i, j, _bond_type(rng)))
     return elems, charges, bonds
 
 

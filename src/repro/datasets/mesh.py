@@ -19,23 +19,21 @@ saturation through ``neighbor/2``).
 
 from __future__ import annotations
 
-import random
-
 from repro.datasets.base import Dataset, register_dataset
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Const, atom
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, weighted_draw
 
 __all__ = ["make_mesh"]
 
 _ETYPES = ("short", "long", "circuit", "half_circuit")
-_ETYPE_WEIGHTS = (0.38, 0.3, 0.18, 0.14)
 _SUPPORTS = ("fixed", "free", "one_side_fixed")
-_SUPPORT_WEIGHTS = (0.35, 0.45, 0.2)
 _LOADS = ("loaded", "not_loaded", "cont_loaded")
-_LOAD_WEIGHTS = (0.3, 0.55, 0.15)
+_etype = weighted_draw(_ETYPES, (0.38, 0.3, 0.18, 0.14))
+_support = weighted_draw(_SUPPORTS, (0.35, 0.45, 0.2))
+_load = weighted_draw(_LOADS, (0.3, 0.55, 0.15))
 
 _ALL_CLASSES = (1, 2, 3, 4, 5, 6, 7, 8)
 
@@ -77,10 +75,7 @@ def make_mesh(
         ring_c = [Const(e) for e in ring]
         attrs = {}
         for e in ring:
-            etype = rng.choices(_ETYPES, weights=_ETYPE_WEIGHTS, k=1)[0]
-            support = rng.choices(_SUPPORTS, weights=_SUPPORT_WEIGHTS, k=1)[0]
-            load = rng.choices(_LOADS, weights=_LOAD_WEIGHTS, k=1)[0]
-            attrs[e] = (etype, support, load)
+            attrs[e] = (_etype(rng), _support(rng), _load(rng))
         for k, functor in enumerate(("etype", "support", "load")):
             kb.add_facts(functor, [(c, const[attrs[e][k]]) for c, e in zip(ring_c, ring)])
         rows = []

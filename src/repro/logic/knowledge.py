@@ -11,10 +11,13 @@ Position 0 is indexed eagerly (the dominant access path during coverage
 testing: ``bond(m17, A1, A2)`` with the molecule id bound); every other
 index is built lazily the first time a goal needs it, so e.g.
 ``bond(A, m17_a3, B)`` stops scanning the whole store after its first
-occurrence.  This is the only retrieval scheme: the engine's machine
-(:meth:`FactStore.candidates_bound`) and coverage plans
-(:meth:`FactStore.access_path`) read the same buckets.  Rules are stored
-per indicator in insertion order, Prolog-style.
+occurrence.  A lazy index is built in one pass over the facts, its keys
+taken by ``operator.itemgetter`` (for the full signature, the fact's own
+argument tuple); ``add`` files a new fact under the same key, so an index
+built late equals one maintained from the start.  This is the only
+retrieval scheme: the engine's machine (:meth:`FactStore.candidates_bound`)
+and coverage plans (:meth:`FactStore.access_path`) read the same buckets.
+Rules are stored per indicator in insertion order, Prolog-style.
 
 The base also carries a monotonic ``version`` counter, bumped on every
 mutation — consumers that cache derived results (the engine's ground-goal
@@ -24,6 +27,7 @@ memo table) use it for invalidation.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from repro.logic.clause import Clause, head_indicator
@@ -33,6 +37,10 @@ from repro.logic.terms import Struct, Term, is_ground
 __all__ = ["FactStore", "KnowledgeBase"]
 
 _EMPTY: list = []
+_ARGS = attrgetter("args")
+#: ``args[:]`` of a tuple is the tuple itself: the full signature's key is
+#: the fact's own argument tuple, so no tuple is built for it.
+_WHOLE = itemgetter(slice(None))
 
 
 class FactStore:
@@ -62,31 +70,40 @@ class FactStore:
         self.fact_set.add(fact)
         self.facts.append(fact)
         if isinstance(fact, Struct):
+            args = fact.args
             for pos, index in self._indexes.items():
-                index.setdefault(fact.args[pos], []).append(fact)
+                index.setdefault(args[pos], []).append(fact)
             for sig, index in self._composite.items():
-                key = tuple(fact.args[p] for p in sig)
-                index.setdefault(key, []).append(fact)
+                index.setdefault(self._key_of(sig)(args), []).append(fact)
         return True
+
+    def _key_of(self, sig: tuple[int, ...]):
+        """A composite index's key for a fact's argument tuple: the tuple
+        itself for the full signature, else the tuple of the bound ones."""
+        return _WHOLE if sig == self._all_args else itemgetter(*sig)
+
+    def _grouped(self, key_of) -> dict:
+        """``{key_of(fact.args): [facts in insertion order]}``, in one pass."""
+        index: dict = {}
+        for key, fact in zip(map(key_of, map(_ARGS, self.facts)), self.facts):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [fact]
+            else:
+                bucket.append(fact)
+        return index
 
     def _index_on(self, pos: int) -> dict[Term, list[Term]]:
         """The index for argument position ``pos``, built on first use."""
         index = self._indexes.get(pos)
         if index is None:
-            index = {}
-            for fact in self.facts:
-                index.setdefault(fact.args[pos], []).append(fact)
-            self._indexes[pos] = index
+            index = self._indexes[pos] = self._grouped(itemgetter(pos))
         return index
 
     def _composite_on(self, sig: tuple[int, ...]) -> dict[tuple, list[Term]]:
         index = self._composite.get(sig)
         if index is None:
-            index = {}
-            for fact in self.facts:
-                key = tuple(fact.args[p] for p in sig)
-                index.setdefault(key, []).append(fact)
-            self._composite[sig] = index
+            index = self._composite[sig] = self._grouped(self._key_of(sig))
         return index
 
     def has_args(self, args: tuple) -> bool:

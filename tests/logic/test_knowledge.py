@@ -1,5 +1,7 @@
 """Unit tests for the knowledge base and fact indexing."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.logic.knowledge import FactStore, KnowledgeBase
@@ -180,3 +182,58 @@ def test_add_facts_is_add_fact_per_row(seed_batches, batches, index_before):
     for ind in bulk.predicates():
         # interned: the very same term objects, not merely equal ones
         assert all(x is y for x, y in zip(bulk.facts_for(ind).facts, single.facts_for(ind).facts))
+
+
+def _signatures(arity):
+    """Every composite signature of >= 2 positions, the full one included."""
+    return [sig for n in range(2, arity + 1) for sig in combinations(range(arity), n)]
+
+
+def _build_every_index(store):
+    arity = store.indicator[1]
+    for pos in range(arity):
+        store.access_path((pos,))
+    for sig in _signatures(arity):
+        store.access_path(sig)
+    store.has_args((Const("a"),) * arity)
+
+
+def _ordered(indexes):
+    return {sig: list(index.items()) for sig, index in indexes.items()}
+
+
+@settings(deadline=None)
+@given(batches=fact_batches())
+def test_every_index_is_the_facts_grouped_in_insertion_order(batches):
+    """Each lazily built index is ``{key: [facts in insertion order]}``, and
+    equals the same index built on the empty store and kept by ``add``."""
+    late, early = KnowledgeBase(), KnowledgeBase()
+    rows = [(f, row) for f, rs in batches for row in rs if all(map(is_ground, row))]
+    for functor, row in rows:
+        _build_every_index(early.facts_for((functor, len(row))))
+    for kb in (late, early):
+        for functor, row in rows:
+            kb.add_fact(atom(functor, *row))
+    for ind in late.predicates():
+        store = late.facts_for(ind)
+        _build_every_index(store)
+
+        def grouped(key):
+            out = {}
+            for fact in store.facts:
+                out.setdefault(key(fact.args), []).append(fact)
+            return list(out.items())
+
+        for pos in range(ind[1]):
+            assert list(store.access_path((pos,)).items()) == grouped(lambda a: a[pos])
+        for sig in _signatures(ind[1]):
+            assert list(store.access_path(sig).items()) == grouped(lambda a: tuple(a[p] for p in sig))
+        # the full signature is keyed by each fact's own argument tuple
+        full = store._composite[tuple(range(ind[1]))]
+        assert list(full.items()) == grouped(tuple)
+        assert all(key is bucket[0].args for key, bucket in full.items())
+        assert all(store.has_args(fact.args) for fact in store.facts)
+        assert not store.has_args((Const("zz"),) * ind[1])
+        kept = early.facts_for(ind)
+        assert _ordered(kept._indexes) == _ordered(store._indexes)
+        assert _ordered(kept._composite) == _ordered(store._composite)

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import gc
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -36,6 +39,62 @@ class TestLearn:
         out = capsys.readouterr().out
         assert "p2-mdie" in out
         assert "comm=" in out
+
+
+def _collector():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class TestCollectorState:
+    """``main`` builds the dataset with the collector paused and learns on a
+    frozen heap, then hands the caller back the collector it had."""
+
+    def test_learn_restores_the_callers_collector(self, monkeypatch, capsys):
+        seen = {}
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                seen[name] = _collector()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, call)
+
+        spy("make_dataset", cli.make_dataset)
+        spy("run", cli.run)
+        before = _collector()
+        assert main(["learn", "trains"]) == 0
+        assert _collector() == before
+        assert seen["make_dataset"][0] is False  # paused during the build
+        assert seen["run"][0] is before[0] and seen["run"][1] > 0  # learns on a frozen heap
+
+    def test_a_failed_build_restores_it(self, monkeypatch):
+        def fail(*a, **k):
+            raise ValueError("no dataset")
+
+        monkeypatch.setattr(cli, "make_dataset", fail)
+        before = _collector()
+        with pytest.raises(ValueError, match="no dataset"):
+            main(["learn", "trains"])
+        assert _collector() == before
+
+    def test_a_disabled_collector_stays_disabled(self, capsys):
+        gc.disable()
+        try:
+            before = _collector()
+            assert main(["learn", "trains"]) == 0
+            assert _collector() == before
+        finally:
+            gc.enable()
+
+    def test_a_caller_freeze_is_left_as_it_was(self, capsys):
+        gc.freeze()
+        try:
+            before = _collector()
+            assert before[1] > 0
+            assert main(["learn", "trains"]) == 0
+            assert _collector() == before
+        finally:
+            gc.unfreeze()
 
 
 class TestFaultTolerance:

@@ -1,11 +1,13 @@
 """Tests for the shared utilities (rng, formatting)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.fmt import fmt_float, fmt_int, fmt_mbytes, render_table
-from repro.util.rng import RngStream, derive_seed, make_rng
+from repro.util.rng import RngStream, derive_seed, make_rng, weighted_draw
 
 
 class TestDeriveSeed:
@@ -32,6 +34,38 @@ class TestMakeRng:
 
     def test_independent_streams(self):
         assert make_rng(7, "x").random() != make_rng(7, "y").random()
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    values=st.lists(st.integers(), min_size=1, max_size=8, unique=True),
+    weights=st.lists(
+        st.integers(1, 1000) | st.floats(1e-9, 1e9, allow_nan=False, allow_infinity=False),
+        min_size=8, max_size=8,
+    ),
+    n=st.integers(1, 40),
+)
+def test_weighted_draw_is_choices_draw_for_draw(seed, values, weights, n):
+    """``weighted_draw(values, w)(rng)`` is ``rng.choices(values, weights=w,
+    k=1)[0]``: the same value from the same stream, which ends in the same
+    state."""
+    values, weights = tuple(values), tuple(weights[: len(values)])
+    draw = weighted_draw(values, weights)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert [draw(ours) for _ in range(n)] == [
+        theirs.choices(values, weights=weights, k=1)[0] for _ in range(n)
+    ]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize(
+    "values, weights",
+    [((), ()), (("a", "b"), (1.0,)), (("a",), (0.0,)), (("a",), (float("inf"),))],
+)
+def test_weighted_draw_refuses_weights_choices_cannot_draw_by(values, weights):
+    with pytest.raises(ValueError):
+        weighted_draw(values, weights)
 
 
 class TestRngStream:
