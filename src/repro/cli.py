@@ -95,11 +95,9 @@ def _load_plan(args):
 
 
 def _problem(name: str, *, seed: int, scale: str):
-    """``make_dataset`` with the cyclic collector paused, then the heap
-    frozen (unless the caller froze part of it already): the knowledge
-    base is built once and kept to exit, so no later pass walks it — in
-    this process or in the ranks the ``local`` backend forks from it.
-    :func:`main` restores the caller's collector state."""
+    """``make_dataset`` with the collector paused, then the heap frozen (if
+    the caller froze none of it): no later pass here or in a forked rank
+    walks the knowledge base.  :func:`main` restores the caller's state."""
     enabled = gc.isenabled()
     gc.disable()
     try:

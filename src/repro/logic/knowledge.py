@@ -38,9 +38,7 @@ __all__ = ["FactStore", "KnowledgeBase"]
 
 _EMPTY: list = []
 _ARGS = attrgetter("args")
-#: ``args[:]`` of a tuple is the tuple itself: the full signature's key is
-#: the fact's own argument tuple, so no tuple is built for it.
-_WHOLE = itemgetter(slice(None))
+_WHOLE = itemgetter(slice(None))  # args[:] is args itself for a tuple
 
 
 class FactStore:
@@ -78,8 +76,8 @@ class FactStore:
         return True
 
     def _key_of(self, sig: tuple[int, ...]):
-        """A composite index's key for a fact's argument tuple: the tuple
-        itself for the full signature, else the tuple of the bound ones."""
+        """A composite index's key for a fact's argument tuple: that very
+        tuple for the full signature (no copy), else the bound ones."""
         return _WHOLE if sig == self._all_args else itemgetter(*sig)
 
     def _grouped(self, key_of) -> dict:

@@ -10,7 +10,6 @@ byte counts — a property the test suite asserts.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -37,15 +36,13 @@ def make_rng(base: int, *labels: object) -> random.Random:
 
 
 def weighted_draw(values: tuple, weights: tuple):
-    """A draw of one of ``values`` by relative ``weights``: ``draw(rng)`` is
-    ``rng.choices(values, weights=weights, k=1)[0]`` — the same
-    ``rng.random()`` call and float arithmetic, so the same value — with
-    the cumulative weights summed once rather than on every call."""
+    """``draw(rng)`` is ``rng.choices(values, weights=weights, k=1)[0]``
+    (the same ``rng.random()`` call and float arithmetic, so the same value)
+    with the cumulative weights summed once rather than on every call."""
     cum = list(accumulate(weights))
-    total = cum[-1] + 0.0 if cum else 0.0
-    if len(cum) != len(values) or not 0.0 < total < math.inf:
+    total, hi = (cum[-1] if cum else 0) + 0.0, len(values) - 1
+    if len(cum) != len(values) or not 0.0 < total < float("inf"):
         raise ValueError(f"weighted_draw needs one weight per value, finite positive sum: {weights}")
-    hi = len(values) - 1
     return lambda rng: values[bisect(cum, rng.random() * total, 0, hi)]
 
 
