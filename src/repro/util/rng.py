@@ -42,7 +42,7 @@ def weighted_draw(values: tuple, weights: tuple):
     cum = list(accumulate(weights))
     total, hi = (cum[-1] if cum else 0) + 0.0, len(values) - 1
     if len(cum) != len(values) or not 0.0 < total < float("inf"):
-        raise ValueError(f"weighted_draw needs one weight per value, finite positive sum: {weights}")
+        raise ValueError(f"weighted_draw needs one weight per value and a positive sum: {weights}")
     return lambda rng: values[bisect(cum, rng.random() * total, 0, hi)]
 
 

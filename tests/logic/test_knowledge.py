@@ -227,7 +227,8 @@ def test_every_index_is_the_facts_grouped_in_insertion_order(batches):
         for pos in range(ind[1]):
             assert list(store.access_path((pos,)).items()) == grouped(lambda a: a[pos])
         for sig in _signatures(ind[1]):
-            assert list(store.access_path(sig).items()) == grouped(lambda a: tuple(a[p] for p in sig))
+            want = grouped(lambda a: tuple(a[p] for p in sig))
+            assert list(store.access_path(sig).items()) == want
         # the full signature is keyed by each fact's own argument tuple
         full = store._composite[tuple(range(ind[1]))]
         assert list(full.items()) == grouped(tuple)

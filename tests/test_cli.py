@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gc
+import sys
 
 import pytest
 
@@ -93,6 +94,18 @@ class TestCollectorState:
             assert before[1] > 0
             assert main(["learn", "trains"]) == 0
             assert _collector() == before
+        finally:
+            gc.unfreeze()
+
+    def test_a_whole_process_ends_on_a_frozen_heap(self, monkeypatch, capsys):
+        """``python -m repro`` and the console script: the interpreter's last
+        collection then has nothing to walk."""
+        from repro.__main__ import run
+
+        monkeypatch.setattr(sys, "argv", ["repro", "learn", "trains"])
+        try:
+            assert run() == 0
+            assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
 
