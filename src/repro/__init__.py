@@ -4,8 +4,8 @@
 The package implements, from scratch:
 
 * :mod:`repro.logic` — a first-order logic substrate (terms, unification,
-  θ-subsumption, resource-bounded SLD resolution) replacing the Prolog
-  system the paper's April ILP engine ran on;
+  resource-bounded SLD resolution) replacing the Prolog system the
+  paper's April ILP engine ran on;
 * :mod:`repro.ilp` — an MDIE ILP engine: mode declarations, bottom-clause
   saturation, top-down breadth-first rule search, and the sequential
   covering algorithm (paper Figs. 1-2);

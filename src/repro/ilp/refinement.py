@@ -7,8 +7,11 @@ last literal added.  Refining appends a later literal whose input variables
 are already in scope (head variables or outputs of earlier body literals),
 so every generated clause is *connected* and executable left-to-right.
 
-Because :class:`SearchRule` carries its refinement state, partially refined
-rules can be shipped to another worker (with the same bottom clause) and
+Every search rule is therefore ⊥e's head plus an increasing subsequence of
+⊥e's literals, and its lattice parent is the rule minus its last literal —
+lineage that no field needs to carry (the store finds the parent's entry
+by its key's prefix).  Partially refined rules can be shipped to another
+worker holding the same bottom clause as their positions in it, and
 refined *further there* — exactly what the paper's pipeline stages do with
 ``learn_rule'(⊥e, step+1, w, Good)``.
 """
@@ -21,7 +24,7 @@ from typing import Iterator, Optional
 from repro.ilp.bottom import BottomClause
 from repro.ilp.config import ILPConfig
 from repro.logic.clause import Clause
-from repro.logic.terms import Var, variables_of
+from repro.logic.terms import variables_of
 
 __all__ = ["SearchRule", "refinements", "start_rule", "rule_vars_in_scope"]
 
@@ -34,12 +37,6 @@ class SearchRule:
     (-1 for the bare head).  Refinements only consider strictly larger
     indices, so each subsequence is generated exactly once.
 
-    ``parent`` is the clause this one was refined from (None for roots and
-    pre-lineage rules).  Because specialisation only shrinks coverage, a
-    parent's cached coverage bounds the examples a refinement needs to be
-    tested on — the lineage travels with the rule, including across
-    pipeline stages and in the master's rule bags.
-
     ``parent_scope`` is the parent's :func:`rule_vars_in_scope`, carried
     by :func:`refinements` so a child's scope costs one union instead of
     a walk over its body.  It is derivable, so it takes no part in
@@ -49,11 +46,10 @@ class SearchRule:
 
     clause: Clause
     last_index: int = -1
-    parent: Optional[Clause] = None
     parent_scope: Optional[frozenset] = field(default=None, compare=False, repr=False)
 
     def __reduce__(self):
-        return (SearchRule, (self.clause, self.last_index, self.parent))
+        return (SearchRule, (self.clause, self.last_index))
 
     def __len__(self) -> int:
         return len(self.clause.body)
@@ -96,4 +92,4 @@ def refinements(rule: SearchRule, bottom: BottomClause, config: ILPConfig) -> It
     for j in range(rule.last_index + 1, len(bottom.literals)):
         bl = bottom.literals[j]
         if bl.input_vars <= scope:
-            yield SearchRule(clause.with_extra_literal(bl.literal), j, clause, scope)
+            yield SearchRule(clause.with_extra_literal(bl.literal), j, scope)

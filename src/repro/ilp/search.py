@@ -97,7 +97,7 @@ def learn_rule(
         # Coverage inheritance: a refinement only needs testing on the
         # examples its parent covered (the parent is cached — search
         # always evaluates a node before expanding it).
-        stats = store.evaluate(engine, rule.clause, parent=rule.parent)
+        stats = store.evaluate(engine, rule.clause)
         if rule.clause.body and is_good(stats.pos, stats.neg, config):
             good.append(EvaluatedRule(rule, stats, score_rule(stats.pos, stats.neg)))
         if nodes >= config.max_nodes:

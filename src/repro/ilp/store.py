@@ -12,11 +12,13 @@ parent rule's coverage, so when the parent's bitsets are cached, only the
 examples the parent covered (plus those whose parent query merely ran out
 of budget) are re-tested.  As search descends the lattice the per-node work
 shrinks with the parent's coverage — the deeper the rule, the cheaper its
-evaluation.  Lineage is derived, never shipped: refinement appends one
-literal, so a rule's parent is its body minus the last literal, and a
-rule that arrives without one (a wire-decoded seed or bag rule) narrows
-against the same cached entry.  That is sound only because cache entries
-are never evicted.
+evaluation.  Lineage is a key prefix, never a field: refinement appends
+one literal, so a rule's parent is its body minus the last literal, and
+that clause's variant key is the rule's key up to
+:meth:`~repro.logic.clause.Clause.parent_key_length`.  Every rule — a
+search node, a wire-decoded seed, a master's bag rule — narrows against
+that cached entry with no parent clause built.  That is sound only
+because cache entries are never evicted.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class ExampleStore:
         # renamed-apart copies of a rule (same literals, same order) are
         # charge-for-charge identical to evaluate, so a variant of an
         # evaluated rule is a cache hit instead of a full engine run.
-        # (The order-*insensitive* fingerprint is deliberately not used:
-        # body order changes budget-exhaustion behaviour.)
+        # (Reordered bodies key apart on purpose: body order changes
+        # budget-exhaustion behaviour.)
         # ``pos_scope`` records which positives were in the
         # evaluation's scope (alive at the time): bits are exact inside it,
         # unknown outside.  Since liveness normally only shrinks, cached
@@ -85,21 +87,14 @@ class ExampleStore:
         return newly
 
     # -- evaluation ---------------------------------------------------------------
-    def evaluate(
-        self,
-        engine: Engine,
-        rule: Clause,
-        parent: Optional[Clause] = None,
-    ) -> CoverageStats:
+    def evaluate(self, engine: Engine, rule: Clause) -> CoverageStats:
         """Evaluate ``rule`` on this store (alive positives, all negatives).
 
         Results are cached per clause; the cache survives ``kill`` because
-        bitsets are over the full example lists.
-
-        ``parent`` names the rule this one refines (default: the body
-        minus its last literal): if the parent's bitsets are cached, only
-        examples it covered (or whose query exhausted its budget) are
-        tested.
+        bitsets are over the full example lists.  If the bitsets of the
+        rule's parent (its body minus the last literal, keyed by its key's
+        parent prefix) are cached, only examples the parent covered (or
+        whose query exhausted its budget) are tested.
         """
         key = rule.variant_key()
         cached = self._cache.get(key)
@@ -119,15 +114,10 @@ class ExampleStore:
         else:
             self._misses += 1
             cand_p = scope = self.alive
-            if parent is None and rule.body:
-                # Refinement only ever appends a literal, so the
-                # lattice parent is always derivable — rules that
-                # arrive without lineage (master rule bags, pipeline
-                # seeds) still narrow against a cached parent.
-                parent = Clause(rule.head, rule.body[:-1])
             cand_n: Optional[int] = None
-            if parent is not None:
-                pc = self._cache.get(parent.variant_key())
+            plen = rule.parent_key_length()
+            if plen:
+                pc = self._cache.get(key[:plen])
                 if pc is not None:
                     ppb, pnb, ppe, pne, pscope = pc
                     # Outside the parent's evaluation scope its verdict

@@ -1,5 +1,5 @@
-"""First-order logic substrate: terms, clauses, parsing, unification,
-θ-subsumption and a resource-bounded SLD-resolution engine.
+"""First-order logic substrate: terms, clauses, parsing, unification and
+a resource-bounded SLD-resolution engine.
 
 This subpackage is a from-scratch replacement for the Prolog substrate
 (YAP) that the paper's April ILP system ran on.
@@ -18,7 +18,6 @@ from repro.logic.io import (
 )
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import ParseError, parse_clause, parse_program, parse_term
-from repro.logic.subsumption import subsume_equivalent, theta_subsumes
 from repro.logic.terms import Const, Struct, Term, Var, atom, fresh_var, is_ground, mk_term
 from repro.logic.unify import match, rename_apart, resolve, unify
 
@@ -39,8 +38,6 @@ __all__ = [
     "parse_clause",
     "parse_program",
     "parse_term",
-    "subsume_equivalent",
-    "theta_subsumes",
     "Const",
     "Struct",
     "Term",

@@ -5,32 +5,28 @@ background-knowledge rules, and bottom clauses are all ``Clause`` values.
 A :class:`Theory` is an ordered set of clauses (order matters for
 first-match prediction semantics, as in Prolog-based ILP systems).
 
-Canonical signatures
---------------------
-Two canonical forms serve two different equivalences:
+The variant key
+---------------
+:meth:`Clause.variant_key` is a clause's one canonical signature:
+**renaming-invariant and order-preserving**.  Variables are renumbered by
+first occurrence with body literals in their given order.  Equal keys
+guarantee the clauses are *alphabetic variants with identical literal
+order*, which makes them operationally interchangeable: the engine's
+resource-bounded evaluation is charge-for-charge identical under variable
+renaming (names affect nothing), so covered **and** budget-exhausted
+bitsets coincide exactly.  The evaluation caches and the master's rule
+bags merge on it — O(1) variant dedup that provably cannot change any
+learned theory.  Body order is part of the key on purpose: under a binding
+per-query op budget, differently ordered bodies can exhaust differently.
+The key is sound in one direction only: unequal keys make no claim.
 
-* :meth:`Clause.variant_key` — **renaming-invariant, order-preserving**:
-  variables are renumbered by first occurrence with body literals in
-  their given order.  Equal keys guarantee the clauses are *alphabetic
-  variants with identical literal order*, which makes them operationally
-  interchangeable: the engine's resource-bounded evaluation is
-  charge-for-charge identical under variable renaming (names affect
-  nothing), so covered **and** budget-exhausted bitsets coincide exactly.
-  This is the key the evaluation caches and master rule bags merge on —
-  O(1) variant dedup that provably cannot change any learned theory.
-* :meth:`Clause.fingerprint` — **renaming- and order-invariant**: body
-  literals are first sorted by a variable-free skeleton key, then
-  variables renumbered in that canonical order.  Equal fingerprints
-  guarantee the clauses are θ-variants (hence subsumption-equivalent);
-  body order is irrelevant to the *logical* generality relation, so this
-  is the fast path for ``subsume_equivalent``.  It must NOT key
-  evaluation caches: under a binding per-query op budget, differently
-  ordered bodies can exhaust differently, so reordered variants are only
-  logically — not operationally — interchangeable.
-
-Both are sound in one direction only: unequal signatures make no claim
-(symmetric-literal ties may keep true variants apart, costing a missed
-dedup, never a wrong merge).
+**Lineage is a key prefix.**  Numbering by first occurrence makes the key
+of ``head :- b1, ..., bn-1`` a prefix of the key of ``head :- b1, ...,
+bn``; :meth:`Clause.parent_key_length` says where it ends, so a rule's
+lattice parent (refinement appends one literal) is found by slicing its
+key, with no parent clause built and no key rendered.  The length is
+recorded when the key is rendered, never found by searching the key for a
+separator, because a constant's rendering may contain one.
 """
 
 from __future__ import annotations
@@ -59,16 +55,17 @@ def _as_atom(t: Term) -> Term:
 class Clause:
     """A definite Horn clause ``head :- b1, ..., bn`` (facts have n = 0)."""
 
-    __slots__ = ("head", "body", "_hash", "_fp", "_vk", "_num", "_up")
+    __slots__ = ("head", "body", "_hash", "_vk", "_num", "_plen", "_up")
 
     def __init__(self, head: Term, body: Iterable[Term] = ()):
         self.head = _as_atom(head)
         self.body = tuple(_as_atom(b) for b in body)
         self._hash = hash((self.head, self.body))
-        self._fp: Optional[str] = None
         self._vk: Optional[str] = None
-        # Var -> index of the variant key's renumbering (set with ``_vk``).
+        # Var -> index of the variant key's renumbering, and the length of
+        # the key's parent prefix (both set before ``_vk``).
         self._num: Optional[dict] = None
+        self._plen: Optional[int] = None
         # The clause ``with_extra_literal`` refined this one from, until
         # this one's variant key is computed from it.
         self._up: Optional[Clause] = None
@@ -76,8 +73,8 @@ class Clause:
     # -- basic protocol --------------------------------------------------------
     def __reduce__(self):
         # Rebuild through the constructor: terms re-intern on unpickle and
-        # the cached fingerprint is not shipped (it is derivable, and
-        # including it would bloat pickled message sizes).
+        # the cached key is not shipped (it is derivable, and including it
+        # would bloat pickled message sizes).
         return (Clause, (self.head, self.body))
 
     def __eq__(self, other: object) -> bool:
@@ -147,7 +144,7 @@ class Clause:
         child.head = head = self.head
         child.body = body = self.body + (_as_atom(lit),)
         child._hash = hash((head, body))
-        child._fp = child._vk = child._num = None
+        child._vk = child._num = child._plen = None
         child._up = self
         return child
 
@@ -157,7 +154,7 @@ class Clause:
 
         Equal keys ⇒ alphabetic variants with identical literal order ⇒
         bit-identical resource-bounded evaluation.  Computed once per
-        clause, on first use, and cached; literal-level skeletons are
+        clause, on first use, and cached; literal-level renderings are
         shared process-wide (refinement reuses the same bottom-literal
         term objects across thousands of search nodes).  A clause made by
         :meth:`with_extra_literal` appends its last literal, rendered
@@ -168,8 +165,8 @@ class Clause:
         if vk is None:
             # Walk up to the nearest clause with a key (or without a
             # parent), then extend back down one literal per generation.
-            # ``_num`` is stored before ``_vk``: a thread that sees a key
-            # also sees its numbering.
+            # ``_num`` and ``_plen`` are stored before ``_vk``: a thread
+            # that sees a key also sees its numbering and parent prefix.
             pending = []
             c = self
             while c._vk is None:
@@ -179,40 +176,35 @@ class Clause:
                 pending.append(c)
                 c = up
             if c._vk is None:
-                key, c._num = _clause_signature(c.head, c.body, sort_body=False)
+                key, c._num, c._plen = _clause_signature(c.head, c.body)
                 c._vk = key
             for child in reversed(pending):
-                key, child._num = _extend_key(c._vk, c._num, c.body, child.body[-1])
+                key, child._num, child._plen = _extend_key(c._vk, c._num, c.body, child.body[-1])
                 child._vk = key
                 child._up = None
                 c = child
             vk = self._vk
         return vk
 
-    def fingerprint(self) -> str:
-        """Renaming- and order-invariant signature (see module docstring).
-
-        Equal fingerprints ⇒ θ-variants ⇒ subsumption-equivalent.  Safe
-        for logical equivalence checks only — never for evaluation
-        caching (body order matters under query budgets).
-        """
-        fp = self._fp
-        if fp is None:
-            fp = self._fp = _clause_signature(self.head, self.body, sort_body=True)[0]
-        return fp
+    def parent_key_length(self) -> int:
+        """Length of the variant key's parent prefix: ``variant_key()[:n]``
+        is the key of this clause minus its last body literal (0 for a
+        clause without a body, which has no parent)."""
+        if self._vk is None:
+            self.variant_key()
+        return self._plen
 
 
-# literal -> (parts, vars, skeleton): ``parts`` are the constant string
-# pieces around each variable occurrence, ``vars`` the variables in
-# occurrence order (with repeats), ``skeleton`` the variable-free rendering
-# used as the canonical sort key.  Keyed by the literal term itself —
+# literal -> (parts, vars): ``parts`` are the constant string pieces around
+# each variable occurrence, ``vars`` the variables in occurrence order
+# (with repeats).  Keyed by the literal term itself —
 # search nodes share their bottom clause's literal objects, so each
 # distinct literal is rendered once per process.
-_lit_fp_cache: dict = {}
+_lit_cache: dict = {}
 
 
 def _literal_entry(lit: Term) -> tuple:
-    entry = _lit_fp_cache.get(lit)
+    entry = _lit_cache.get(lit)
     if entry is not None:
         return entry
     tokens: list = []
@@ -243,11 +235,10 @@ def _literal_entry(lit: Term) -> tuple:
         else:
             buf.append(tok)
     parts.append("".join(buf))
-    skeleton = "_".join(parts)
-    entry = (tuple(parts), tuple(vars_), skeleton)
-    if len(_lit_fp_cache) > 65536:
-        _lit_fp_cache.clear()
-    _lit_fp_cache[lit] = entry
+    entry = (tuple(parts), tuple(vars_))
+    if len(_lit_cache) > 65536:
+        _lit_cache.clear()
+    _lit_cache[lit] = entry
     return entry
 
 
@@ -262,37 +253,36 @@ def _render(parts: tuple, vs: tuple, num: dict) -> str:
     return "".join(out)
 
 
-def _clause_signature(head: Term, body: tuple, sort_body: bool) -> tuple[str, dict]:
-    """The signature and the renumbering (Var -> index) it rendered under."""
-    hparts, hvars, _ = _literal_entry(head)
-    entries = [_literal_entry(b) for b in body]
-    if sort_body:
-        # Canonical body order: sort by skeleton; the sort is stable, so
-        # literals with identical skeletons keep their original relative
-        # order (such pairs may fingerprint apart across reorderings — a
-        # missed dedup, never a false merge).
-        order = sorted(range(len(body)), key=lambda i: entries[i][2])
-    else:
-        order = range(len(body))
+def _clause_signature(head: Term, body: tuple) -> tuple[str, dict, int]:
+    """The variant key, the renumbering (Var -> index) it rendered under,
+    and the length of its parent prefix (where the last literal's
+    rendering starts, minus its separator)."""
+    hparts, hvars = _literal_entry(head)
     num: dict[Var, int] = {}
     for v in hvars:
         if v not in num:
             num[v] = len(num)
-    for i in order:
-        for v in entries[i][1]:
+    rendered = []
+    for b in body:
+        parts, vs = _literal_entry(b)
+        for v in vs:
             if v not in num:
                 num[v] = len(num)
-    body_r = ";".join(_render(entries[i][0], entries[i][1], num) for i in order)
-    return _render(hparts, hvars, num) + ":-" + body_r, num
+        rendered.append(_render(parts, vs, num))
+    key = _render(hparts, hvars, num) + ":-" + ";".join(rendered)
+    if not body:
+        return key, num, 0
+    return key, num, len(key) - len(rendered[-1]) - (1 if len(body) > 1 else 0)
 
 
-def _extend_key(key: str, num: dict, body: tuple, lit: Term) -> tuple[str, dict]:
+def _extend_key(key: str, num: dict, body: tuple, lit: Term) -> tuple[str, dict, int]:
     """The variant key of a clause with key ``key``, renumbering ``num``
     and body ``body``, after appending ``lit``: new variables take the
     next indices by first occurrence, as a from-scratch rendering numbers
     them.  ``num`` is shared with the parent, so it is copied, never
-    changed, when ``lit`` brings new variables."""
-    parts, vs, _ = _literal_entry(lit)
+    changed, when ``lit`` brings new variables.  The parent prefix is
+    ``key`` itself."""
+    parts, vs = _literal_entry(lit)
     own = False
     for v in vs:
         if v not in num:
@@ -300,7 +290,7 @@ def _extend_key(key: str, num: dict, body: tuple, lit: Term) -> tuple[str, dict]
                 num = dict(num)
                 own = True
             num[v] = len(num)
-    return key + (";" if body else "") + _render(parts, vs, num), num
+    return key + (";" if body else "") + _render(parts, vs, num), num, len(key)
 
 
 def head_indicator(head: Term) -> tuple[str, int]:

@@ -156,9 +156,9 @@ def undo_trail(subst: Subst, trail: list, mark: int) -> None:
 def match(pattern: Term, ground: Term, subst: Optional[Subst] = None) -> Optional[dict]:
     """One-way matching: bind variables of ``pattern`` only.
 
-    Used for θ-subsumption and fact retrieval, where the right-hand side
-    must be treated as fixed (its variables are constants for matching
-    purposes).  Bindings map pattern variables directly to target terms:
+    Used for matching a rule head to an example and for θ-subsumption
+    (the tests' oracle), where the right-hand side must be treated as
+    fixed (its variables are constants for matching purposes).  Bindings map pattern variables directly to target terms:
     a variable already bound must re-match an *equal* target term — its
     binding is never chased as a substitution chain, which would let a
     pattern variable bound to a target variable be silently rebound (the

@@ -72,7 +72,7 @@ class CoverageParallelMaster(Master):
     so adoption replays kills only (the base ``_ft_history``).  Every
     batch rule's parent was evaluated in an earlier round, so each
     worker's store narrows nearly every re-evaluation against its own
-    cached parent entry (derived lineage: body minus the last literal).
+    cached parent entry (lineage is a key prefix: body minus the last literal).
     """
 
     ALGO = "covpar"

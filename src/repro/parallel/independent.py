@@ -20,7 +20,7 @@ stream — so a dead worker's entire contribution is reproducible on any
 adopter, and the single merge epoch heals exactly like a P²-MDIE epoch.
 
 The merge epoch's evaluations narrow as every strategy's do: a worker
-derives each bag rule's parent from its body and tests only what its
+finds each bag rule's parent by its key's prefix and tests only what its
 cached entry leaves open.  The local loop restores liveness when it
 ends, so those entries may predate the restore; each records the
 examples it was computed on, and anything outside stays a candidate.
@@ -85,7 +85,7 @@ class IndependentWorker(P2Worker):
             if result.best is None:
                 failed |= 1 << i
                 continue
-            local_rules.append(result.best.rule)
+            local_rules.append(result.best.clause)
             store.kill(result.best.stats.pos_bits)
         # Local kills are provisional — restore liveness so the master's
         # global mark_covered drives the authoritative state.

@@ -70,10 +70,9 @@ class ClauseBag:
     copies of a rule — same literals in the same order, hence
     charge-for-charge identical resource-bounded coverage — into one slot
     in O(1), instead of either evaluating both remotely or running
-    pairwise θ-subsumption over the whole bag.  (The order-insensitive
-    fingerprint is deliberately not used here: reordered bodies can
-    exhaust query budgets differently, so their global stats need not
-    coincide.)
+    pairwise θ-subsumption over the whole bag.  (Reordered bodies key
+    apart on purpose: they can exhaust query budgets differently, so their
+    global stats need not coincide.)
 
     When two variants collide, the **lexicographically smallest** rendering
     is kept: that is exactly the representative the master's deterministic
@@ -316,8 +315,8 @@ class Master(SimProcess):
             rule_sets = [got[origin] for origin in sorted(got)]
         bag = ClauseBag()
         for rules in rule_sets:
-            for sr in rules:
-                bag.add(sr.clause)
+            for clause in rules:
+                bag.add(clause)
         log.bag_size = bag.reported_size
         return bag
 

@@ -18,17 +18,21 @@ and :class:`EvaluateResult` carry an optional ``epoch`` (pipeline
 messages; a start adds the ``origin`` to root it at) or ``round``
 (evaluation).  Plan-free runs leave it None; under a plan every task is
 stamped and every reply echoes its request's stamp, so stale traffic is
-discarded.  The stamp picks the wire layout: plain codes 2-4, 32 and 33,
-or the stamped codes 15, 19, 20, 17 and 34 — the stamp, then the plain
-body, except a start (``origin, width?, epoch``).  A start no layout
-holds (``origin`` without ``epoch``) is refused at encode time rather
-than shipped with a field dropped.
+discarded.  The stamp picks the wire layout: plain codes 2, 35, 36, 32
+and 33, or the stamped codes 15, 37, 38, 17 and 34 — the stamp, then the
+plain body, except a start (``origin, width?, epoch``).  A start no
+layout holds (``origin`` without ``epoch``) is refused at encode time
+rather than shipped with a field dropped.
 
-Lineage never travels with an evaluation: refinement appends one
-literal, so every rank derives a rule's parent as its body minus the
-last literal, and its store narrows against that parent's cached entry
-(:class:`repro.ilp.store.ExampleStore`).  A plan-free run therefore
-differs from a healing run only in the stamp.
+Lineage never travels: refinement appends one literal, so a rule's
+parent is its body minus the last literal, and every rank's store finds
+that parent's cached entry by the rule's key prefix
+(:class:`repro.ilp.store.ExampleStore`).  A :class:`PipelineTask`'s rules
+are ⊥e's head plus increasing subsequences of ⊥e's literals, so the wire
+carries each as its positions in the task's own ⊥e, and the receiver
+rebuilds it by refinement steps.  :class:`PipelineRules` and
+:class:`EvaluateRequest` carry plain clauses: the master holds no ⊥e.  A
+plan-free run differs from a healing run only in the stamp.
 """
 
 from __future__ import annotations
@@ -82,9 +86,10 @@ class PipelineTask:
 
     ``bottom`` is None when the originating worker had no usable seed (its
     positives were exhausted); such pipelines pass through unchanged so the
-    master still receives exactly ``p`` result sets.  ``epoch`` (stamped)
-    lets tokens of an aborted epoch attempt die instead of polluting the
-    next one.
+    master still receives exactly ``p`` result sets.  Every rule is a
+    refinement of ``bottom``'s most general rule, so a task with rules has
+    a ``bottom``.  ``epoch`` (stamped) lets tokens of an aborted epoch
+    attempt die instead of polluting the next one.
     """
 
     bottom: Optional[BottomClause]
@@ -100,7 +105,7 @@ class PipelineRules:
     """Final rules of one pipeline, delivered to the master."""
 
     origin: int
-    rules: tuple[SearchRule, ...]
+    rules: tuple[Clause, ...]
     epoch: Optional[int] = None
 
 

@@ -16,8 +16,13 @@ format:
   for signed and arbitrary-precision integers, 8-byte IEEE doubles for
   floats, minimal big-endian byte strings for coverage **bitsets**.
 * **structural layouts** per message type (one tag byte), with terms,
-  clauses, search rules and bottom clauses encoded by shape — no
-  per-object headers.
+  clauses and bottom clauses encoded by shape — no per-object headers.
+* **rules as positions** — a ``PipelineTask``'s rules are ⊥e's head plus
+  increasing subsequences of ⊥e's literals, and the task carries ⊥e, so
+  each rule travels as the gaps between its literals' positions in ⊥e.
+  The receiver rebuilds it with ``with_extra_literal`` from ⊥e's most
+  general rule, so its variant key is built incrementally, as the
+  sender's was.  A rule no positions can carry is refused at encode time.
 
 Messages are self-contained (the symbol table travels with the message),
 so byte counts are a pure function of the payload — deterministic across
@@ -43,6 +48,7 @@ Wire layout (version 1)::
            | 0x04 byte                (bool constant)
            | 0x05 sym varint(n) term* (compound)
     clause  := term varint(n) term*
+    rule    := varint(n) varint(gap)*  (⊥e literals skipped before each)
     bitset  := varint(n) big-endian-bytes
     varset  := varint(n) sym*         (sorted by variable name)
     option  := 0x00 | 0x01 value
@@ -186,17 +192,18 @@ class _Encoder:
         for n in names:
             self.sym(n)
 
-    def search_rule(self, sr: SearchRule) -> None:
-        self.clause(sr.clause)
-        self.z(sr.last_index)
-        self.flag(sr.parent is not None)
-        if sr.parent is not None:
-            self.clause(sr.parent)
-
-    def search_rules(self, seq) -> None:
+    def rules_in(self, seq, bottom: Optional[BottomClause]) -> None:
+        """Search rules as positions in ``bottom`` (module docstring)."""
         self.u(len(seq))
+        if seq and bottom is None:
+            raise WireError("a pipeline task's rules travel as positions in its bottom clause")
         for sr in seq:
-            self.search_rule(sr)
+            positions = _positions(sr, bottom)
+            self.u(len(positions))
+            prev = -1
+            for j in positions:
+                self.u(j - prev - 1)
+                prev = j
 
     def bottom(self, b: BottomClause) -> None:
         self.term(b.seed)
@@ -227,6 +234,25 @@ class _Encoder:
             out += raw
         out += self.body
         return bytes(out)
+
+
+def _positions(sr: SearchRule, bottom: BottomClause) -> list[int]:
+    """Where ``sr``'s body literals sit in ``bottom``, by a forward ``==``
+    scan of its literals; refused unless ``sr`` is ``bottom``'s head plus
+    the literals found, ending at ``sr.last_index``."""
+    lits = bottom.literals
+    out = []
+    j = 0
+    for lit in sr.clause.body:
+        while j < len(lits) and lits[j].literal != lit:
+            j += 1
+        if j == len(lits):
+            break
+        out.append(j)
+        j += 1
+    if len(out) < len(sr.clause.body) or sr.clause.head != bottom.head or j - 1 != sr.last_index:
+        raise WireError(f"search rule {sr} is no forward match of its bottom clause")
+    return out
 
 
 class _Decoder:
@@ -317,14 +343,16 @@ class _Decoder:
     def varset(self) -> frozenset:
         return frozenset(Var(self.sym()) for _ in range(self.u()))
 
-    def search_rule(self) -> SearchRule:
-        clause = self.clause()
-        last_index = self.z()
-        parent = self.clause() if self.flag() else None
-        return SearchRule(clause, last_index, parent=parent)
-
-    def search_rules(self) -> tuple:
-        return tuple(self.search_rule() for _ in range(self.u()))
+    def rules_in(self, bottom: Optional[BottomClause]) -> tuple:
+        rules = []
+        for _ in range(self.u()):
+            clause = bottom.most_general_rule()
+            j = -1
+            for _ in range(self.u()):
+                j += self.u() + 1
+                clause = clause.with_extra_literal(bottom.literals[j].literal)
+            rules.append(SearchRule(clause, j))
+        return tuple(rules)
 
     def bottom(self) -> BottomClause:
         seed = self.term()
@@ -381,7 +409,7 @@ def _dec_stamped_start(d: _Decoder) -> StartPipeline:
 
 
 def _enc_pipeline_task(e: _Encoder, m: PipelineTask) -> int:
-    code = _stamp(e, m.epoch, 3, 19)
+    code = _stamp(e, m.epoch, 35, 37)
     e.flag(m.bottom is not None)
     if m.bottom is not None:
         e.bottom(m.bottom)
@@ -389,7 +417,7 @@ def _enc_pipeline_task(e: _Encoder, m: PipelineTask) -> int:
     e.flag(m.width is not None)
     if m.width is not None:
         e.u(m.width)
-    e.search_rules(m.rules)
+    e.rules_in(m.rules, m.bottom)
     e.u(m.origin)
     return code
 
@@ -398,21 +426,21 @@ def _dec_pipeline_task(d: _Decoder, epoch: Optional[int] = None) -> PipelineTask
     bottom = d.bottom() if d.flag() else None
     step = d.u()
     width = d.u() if d.flag() else None
-    rules = d.search_rules()
+    rules = d.rules_in(bottom)
     return PipelineTask(
         bottom=bottom, step=step, width=width, rules=rules, origin=d.u(), epoch=epoch
     )
 
 
 def _enc_pipeline_result(e: _Encoder, m: PipelineRules) -> int:
-    code = _stamp(e, m.epoch, 4, 20)
+    code = _stamp(e, m.epoch, 36, 38)
     e.u(m.origin)
-    e.search_rules(m.rules)
+    e.clauses(m.rules)
     return code
 
 
 def _dec_pipeline_result(d: _Decoder, epoch: Optional[int] = None) -> PipelineRules:
-    return PipelineRules(origin=d.u(), rules=d.search_rules(), epoch=epoch)
+    return PipelineRules(origin=d.u(), rules=d.clauses(), epoch=epoch)
 
 
 def _enc_evaluate_request(e: _Encoder, m: EvaluateRequest) -> int:
@@ -526,8 +554,8 @@ def _dec_update_routing(d: _Decoder) -> UpdateRouting:
 _ENCODERS: dict = {
     LoadExamples: (0, _enc_load_examples),
     StartPipeline: (None, _enc_start_pipeline),  # 2 | 15
-    PipelineTask: (None, _enc_pipeline_task),  # 3 | 19
-    PipelineRules: (None, _enc_pipeline_result),  # 4 | 20
+    PipelineTask: (None, _enc_pipeline_task),  # 35 | 37
+    PipelineRules: (None, _enc_pipeline_result),  # 36 | 38
     EvaluateRequest: (None, _enc_evaluate_request),  # 32 | 17
     EvaluateResult: (None, _enc_evaluate_result),  # 33 | 34
     MarkCovered: (7, _enc_mark_covered),
@@ -536,13 +564,11 @@ _ENCODERS: dict = {
     Pong: (13, _enc_pong),
     AdoptWorker: (14, _enc_adopt_worker),
     UpdateRouting: (16, _enc_update_routing),
-    # 1, 5, 6, 8-10, 18 and 29-31 retired; 21-28 reserved (out-of-package; see register_codec).
+    # 1, 3-6, 8-10, 18-20 and 29-31 retired; 21-28 reserved (out-of-package; see register_codec).
 }
 _DECODERS: dict = {
     0: _dec_load_examples,
     2: _dec_start_pipeline,
-    3: _dec_pipeline_task,
-    4: _dec_pipeline_result,
     7: _dec_mark_covered,
     11: _dec_stop,
     12: _dec_ping,
@@ -551,11 +577,13 @@ _DECODERS: dict = {
     15: _dec_stamped_start,
     16: _dec_update_routing,
     17: _dec_stamp_first(_dec_evaluate_request, "round"),
-    19: _dec_stamp_first(_dec_pipeline_task, "epoch"),
-    20: _dec_stamp_first(_dec_pipeline_result, "epoch"),
     32: _dec_evaluate_request,
     33: _dec_evaluate_result,
     34: _dec_stamp_first(_dec_evaluate_result, "round"),
+    35: _dec_pipeline_task,
+    36: _dec_pipeline_result,
+    37: _dec_stamp_first(_dec_pipeline_task, "epoch"),
+    38: _dec_stamp_first(_dec_pipeline_result, "epoch"),
 }
 
 #: Codes whose format is gone, with what they carried.  Reserved for good:
@@ -563,12 +591,16 @@ _DECODERS: dict = {
 #: retired format instead of calling the code unknown.
 _RETIRED_CODES: dict = {
     1: "LoadData, training data shipped to a worker without a shared filesystem",
+    3: "PipelineTask, a pipeline task shipping each rule as a clause with its parent",
+    4: "PipelineRules, a pipeline's rules as search rules with their parents",
     5: "EvaluateRequest, an evaluation request echoing per-rule candidate masks",
     6: "EvaluateResult, an evaluation reply carrying per-rule candidate masks",
     8: "GatherExamples, a per-epoch repartitioning request",
     9: "ExamplesReport, a worker's examples for per-epoch repartitioning",
     10: "Repartition, a worker's new examples from per-epoch repartitioning",
     18: "FTEvaluateResult, a round-stamped evaluation reply carrying per-rule candidate masks",
+    19: "FTPipelineTask, an epoch-stamped pipeline task shipping each rule as a clause with its parent",
+    20: "FTPipelineRules, an epoch-stamped pipeline's rules as search rules with their parents",
     24: "WireJson, a service request or response on the wire client transport",
     25: "WireQuery, a service query of parsed terms on the wire client transport",
     26: "WireShard, one streamed span's answer on the wire client transport",
@@ -584,9 +616,9 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
 
     Lets higher layers ship their payloads in the wire format without
     creating an import cycle back into this module's registry.  Codes
-    0, 2-4, 7, 11-17, 19, 20 and 32-34 are the in-package messages above
-    (15, 17, 19, 20 and 34 decode to stamped task messages: see
-    :mod:`repro.parallel.messages`); 1, 5, 6, 8-10, 18, 24-27 and 29-31
+    0, 2, 7, 11-17 and 32-38 are the in-package messages above (15, 17,
+    34, 37 and 38 decode to stamped task messages: see
+    :mod:`repro.parallel.messages`); 1, 3-6, 8-10, 18-20, 24-27 and 29-31
     are retired (:data:`_RETIRED_CODES`);
     currently reserved by out-of-package formats (never reuse or renumber):
 

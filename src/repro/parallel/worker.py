@@ -261,7 +261,8 @@ class P2Worker(SimProcess):
         yield ctx.compute(self._ops_since(ops0), label=f"search(s{task.step})")
         if task.step >= self.n_workers:
             # Last stage: ship the pipeline's rules to the master.
-            rules = PipelineRules(origin=task.origin, rules=good, epoch=task.epoch)
+            clauses = tuple(sr.clause for sr in good)
+            rules = PipelineRules(origin=task.origin, rules=clauses, epoch=task.epoch)
             yield ctx.send(MASTER_RANK, rules, tag=Tag.RULES)
             return
         next_task = replace(task, step=task.step + 1, rules=good)
@@ -278,9 +279,9 @@ class P2Worker(SimProcess):
         """Fig. 6 evaluate_rules: stats of each bag rule on every hosted
         shard, one reply per shard, stamped with the request's round.
 
-        Coverage inheritance narrows the work: the store derives each
-        rule's lattice parent structurally (refinement appends literals)
-        and tests only what that parent's cached entry leaves open.
+        Coverage inheritance narrows the work: the store finds each
+        rule's lattice parent (refinement appends literals) by its key's
+        prefix and tests only what that parent's cached entry leaves open.
         """
         ops0 = self.engine.total_ops
         results = []

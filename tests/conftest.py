@@ -15,6 +15,7 @@ and how it was written).
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -23,6 +24,10 @@ from repro.ilp.mdie import mdie
 from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "data" / "golden_runs.json"
+
+# The oracles beside ``logic/naive_sld.py`` are plain modules that tests
+# in every directory import by name.
+sys.path.insert(0, str(GOLDEN_PATH.parents[1] / "logic"))
 ENGINE_WITNESS_PATH = GOLDEN_PATH.with_name("engine_witness.json")
 
 #: The search strategy of the golden cases that still run; the file's

@@ -2,13 +2,14 @@
 
 import pytest
 
+from theta_subsumption import theta_subsumes
+
 from repro.ilp.bottom import SaturationError, build_bottom
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
-from repro.logic.subsumption import theta_subsumes
 from repro.logic.terms import Const, Var
 
 

@@ -199,12 +199,15 @@ class TestBitsetParity:
         store = ExampleStore(ds.pos, ds.neg)
         rules = [parse_clause(src) for src in LINEAGE]
         lineage = list(zip(LINEAGE, rules, [None, *rules[:-1]]))
+        for _, rule, par in lineage[1:]:
+            # the store finds each rule's parent entry by its key's prefix
+            assert rule.variant_key()[: rule.parent_key_length()] == par.variant_key()
 
         def check():
             for src, rule, par in lineage:
                 pos_bits = engine_witness.bitsets[f"trains/pos/{src}"][0] & store.alive
                 neg_bits = engine_witness.bitsets[f"trains/neg/{src}"][0]
-                b = store.evaluate(engine, rule, parent=par)
+                b = store.evaluate(engine, rule)
                 assert (b.pos_bits, b.neg_bits) == (pos_bits, neg_bits)
                 assert (b.pos, b.neg) == (popcount(pos_bits), popcount(neg_bits))
 

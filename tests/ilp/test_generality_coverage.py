@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta_subsumption import theta_subsumes
+
 from repro.ilp.bottom import build_bottom
 from repro.ilp.coverage import coverage_bitset
 from repro.ilp.refinement import refinements, start_rule
-from repro.logic.subsumption import theta_subsumes
 
 # fixtures from tests/ilp/conftest.py are function-scoped; hypothesis needs
 # module-level setup instead.

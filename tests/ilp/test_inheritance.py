@@ -1,11 +1,11 @@
 """Coverage-inheritance invariants.
 
 A refinement's coverage is a subset of its parent's, so evaluation may
-skip every example the parent provably does not cover.  These tests pin
-the safety side of that optimisation: narrowing never changes results,
-never resurrects a pruned example, survives liveness changes, and a
-rule that arrives without lineage (off the wire) narrows exactly as one
-whose parent is passed.
+skip every example the parent provably does not cover.  The store finds
+the parent's entry by the prefix of the rule's variant key.  These tests
+pin the safety side of that optimisation: narrowing never changes
+results, never resurrects a pruned example, survives liveness changes,
+and a rule decoded off the wire narrows exactly as one refined locally.
 """
 
 import pytest
@@ -37,6 +37,11 @@ CHILD = "eastbound(A) :- has_car(A, B), closed(B)."
 GRANDCHILD = "eastbound(A) :- has_car(A, B), closed(B), short(B)."
 
 
+def keyed_under(child, parent) -> bool:
+    """Whether the store finds ``parent``'s entry by ``child``'s key prefix."""
+    return child.variant_key()[: child.parent_key_length()] == parent.variant_key()
+
+
 def cand_masks(engine, rule, pos, neg):
     """The sound refinement candidate masks of ``rule``:
     ``(pos covered|exhausted, neg covered|exhausted)``."""
@@ -51,7 +56,8 @@ class TestNoResurrection:
         parent, child = parse_clause(PARENT), parse_clause(CHILD)
         store.evaluate(engine, parent)
         pc, nc = cand_masks(engine, parent, ds.pos, ds.neg)
-        cs = store.evaluate(engine, child, parent=parent)
+        assert keyed_under(child, parent)
+        cs = store.evaluate(engine, child)
         assert cs.pos_bits & ~pc == 0
         assert cs.neg_bits & ~nc == 0
 
@@ -59,8 +65,9 @@ class TestNoResurrection:
         parent, child, gchild = map(parse_clause, (PARENT, CHILD, GRANDCHILD))
         inh = ExampleStore(ds.pos, ds.neg)
         inh.evaluate(engine, parent)
-        a = inh.evaluate(engine, child, parent=parent)
-        b = inh.evaluate(engine, gchild, parent=child)
+        assert keyed_under(child, parent) and keyed_under(gchild, child)
+        a = inh.evaluate(engine, child)
+        b = inh.evaluate(engine, gchild)
         fresh = ExampleStore(ds.pos, ds.neg)
         assert fresh.evaluate(engine, child).pos_bits == a.pos_bits
         assert fresh.evaluate(engine, child).neg_bits == a.neg_bits
@@ -75,8 +82,9 @@ class TestNoResurrection:
         short = parse_clause("eastbound(A) :- has_car(A, B), short(B).")
         short_closed = parse_clause("eastbound(A) :- has_car(A, B), short(B), closed(B).")
         inh.evaluate(engine, short)
+        assert keyed_under(short_closed, short)
         ops = engine.total_ops
-        inherited = inh.evaluate(engine, short_closed, parent=short)
+        inherited = inh.evaluate(engine, short_closed)
         inherited_ops = engine.total_ops - ops
         from_scratch = fresh.evaluate(engine, short_closed)
         assert inherited == from_scratch
@@ -97,7 +105,8 @@ class TestNoResurrection:
             return orig(eng, rule, examples, candidates)
 
         monkeypatch.setattr(store_mod, "coverage_eval", spy)
-        store.evaluate(engine, child, parent=parent)
+        assert keyed_under(child, parent)
+        store.evaluate(engine, child)
         cand_p, cand_n = seen
         assert cand_p is not None and cand_p & ~pc == 0
         assert cand_n is not None and cand_n & ~nc == 0
@@ -108,7 +117,8 @@ class TestNoResurrection:
         cs = store.evaluate(engine, parent)
         first = cs.pos_bits & -cs.pos_bits
         store.kill(first)
-        cs2 = store.evaluate(engine, child, parent=parent)
+        assert keyed_under(child, parent)
+        cs2 = store.evaluate(engine, child)
         assert cs2.pos_bits & first == 0  # dead bit masked out
         fresh = ExampleStore(ds.pos, ds.neg)
         full = fresh.evaluate(engine, child)
@@ -143,7 +153,8 @@ class TestLivenessRestoration:
         store.evaluate(engine, parent)  # scope = 0b10 only
         store.alive = 0b11  # liveness restored (independent baseline)
         child = parse_clause("p(X) :- q(X), r(X).")
-        cs = store.evaluate(engine, child)  # derives `parent` structurally
+        assert keyed_under(child, parent)
+        cs = store.evaluate(engine, child)  # finds `parent` by key prefix
         assert cs.pos_bits == 0b11
         assert cs.pos == 2
 
@@ -166,29 +177,30 @@ class TestLivenessRestoration:
 
 class TestWorkerRoundTrip:
     def test_rule_without_lineage_costs_what_its_passed_parent_costs(self, ds):
-        """A bag rule decoded off the wire carries no lineage; the store
-        derives its parent (body minus the last literal) and narrows
-        against that parent's cached entry: the same bits and the same
-        engine ops as when the parent is passed."""
+        """A bag rule decoded off the wire has a from-scratch key; its
+        prefix finds the parent (body minus the last literal) cached, as
+        the key a refinement extends from its parent's does: the same
+        bits and the same engine ops as the rule refined locally."""
         parent = parse_clause("eastbound(A) :- has_car(A, B), short(B).")
-        child = parse_clause("eastbound(A) :- has_car(A, B), short(B), closed(B).")
+        child = parent.with_extra_literal(parse_term("closed(B)"))
         request = wire.decode(wire.encode_always(EvaluateRequest(rules=(child,))))
         (shipped,) = request.rules
+        assert shipped == child and keyed_under(shipped, parent) and keyed_under(child, parent)
 
-        def evaluate(rule, lineage, warm=True):
+        def evaluate(rule, warm=True):
             engine = Engine(ds.kb, ds.config.engine_budget())
             store = ExampleStore(ds.pos, ds.neg)
             if warm:
                 store.evaluate(engine, parent)
             ops = engine.total_ops
-            stats = store.evaluate(engine, rule, parent=lineage)
+            stats = store.evaluate(engine, rule)
             return stats, engine.total_ops - ops
 
-        derived, derived_ops = evaluate(shipped, None)
-        passed, passed_ops = evaluate(child, parent)
+        derived, derived_ops = evaluate(shipped)
+        passed, passed_ops = evaluate(child)
         assert derived == passed
         assert derived_ops == passed_ops
         # ... and the derived lineage did narrow: a cold store pays more.
-        cold, cold_ops = evaluate(shipped, None, warm=False)
+        cold, cold_ops = evaluate(shipped, warm=False)
         assert cold == derived
         assert derived_ops < cold_ops

@@ -4,14 +4,15 @@ import pickle
 
 import pytest
 
+from theta_subsumption import theta_subsumes
+
 from repro.ilp.bottom import BottomClause, BottomLiteral, build_bottom
 from repro.ilp.config import ILPConfig
 from repro.ilp.refinement import SearchRule, refinements, rule_vars_in_scope, start_rule
 from repro.logic.clause import Clause
-from repro.logic.subsumption import theta_subsumes
 from repro.logic.terms import Const, Struct, Var, variables_of
 from repro.parallel import wire
-from repro.parallel.messages import PipelineRules
+from repro.parallel.messages import PipelineTask
 
 
 def walked_scope(rule: SearchRule, bottom) -> frozenset:
@@ -104,7 +105,7 @@ class TestSearchRule:
     def test_scope_is_carried_but_not_compared_pickled_or_shown(self, bottom, family_config):
         child = next(iter(refinements(start_rule(bottom), bottom, family_config)))
         assert child.parent_scope == bottom.head_vars
-        bare = SearchRule(child.clause, child.last_index, parent=child.parent)
+        bare = SearchRule(child.clause, child.last_index)
         assert bare == child and hash(bare) == hash(child) and repr(bare) == repr(child)
         assert pickle.loads(pickle.dumps(child)).parent_scope is None
 
@@ -140,7 +141,12 @@ def bottom_clauses(draw) -> BottomClause:
                 else:
                     v = draw(st.sampled_from(seen))
                 outs.append(v)
-            consts = draw(st.lists(st.sampled_from([Const("a"), Const(1), Const("_0")]), max_size=1))
+            consts = draw(
+                st.lists(
+                    st.sampled_from([Const("a"), Const(1), Const("_0"), Const("a;b"), Const(":-")]),
+                    max_size=1,
+                )
+            )
             args = draw(st.permutations(ins + outs + consts))
             if not args:
                 continue
@@ -154,10 +160,24 @@ def bottom_clauses(draw) -> BottomClause:
     return BottomClause(seed=head, head=head, literals=literals, head_vars=frozenset(head_vars))
 
 
-def _over_the_wire(rule: SearchRule) -> SearchRule:
-    (decoded,) = wire.decode(wire.encode_always(PipelineRules(origin=1, rules=(rule,)))).rules
-    assert decoded == rule and decoded.parent_scope is None
+def _over_the_wire(rule: SearchRule, bottom: BottomClause) -> SearchRule:
+    """``rule`` shipped in a pipeline task carrying its bottom clause, and
+    rebuilt from its positions there."""
+    task = PipelineTask(bottom=bottom, step=2, width=None, rules=(rule,), origin=1)
+    (decoded,) = wire.decode(wire.encode_always(task)).rules
+    assert decoded == rule and str(decoded) == str(rule)
+    assert decoded.last_index == rule.last_index and decoded.parent_scope is None
+    assert decoded.clause.variant_key() == rule.clause.variant_key()
     return decoded
+
+
+def _assert_prefix_is_parent_key(clause: Clause) -> None:
+    """The key's parent prefix is the key of the body minus its last literal."""
+    plen = clause.parent_key_length()
+    if not clause.body:
+        assert plen == 0
+        return
+    assert clause.variant_key()[:plen] == Clause(clause.head, clause.body[:-1]).variant_key()
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,7 +185,8 @@ def _over_the_wire(rule: SearchRule) -> SearchRule:
 def test_refinement_chains_carry_keys_and_scopes(bottom, data):
     """Down a random chain of refinements, some links rebuilt from the
     wire and some keys left unasked until the end: every clause's key is
-    the from-scratch key, and every carried scope the walked one."""
+    the from-scratch key, its parent prefix the key of its body minus the
+    last literal, and every carried scope the walked one."""
     config = ILPConfig(max_clause_length=data.draw(st.integers(1, 5)))
     rule = start_rule(bottom)
     chain = [rule]
@@ -177,15 +198,17 @@ def test_refinement_chains_carry_keys_and_scopes(bottom, data):
             break
         if data.draw(st.booleans()):
             for child in data.draw(st.permutations(children)):
+                _assert_prefix_is_parent_key(child.clause)
                 assert child.clause.variant_key() == Clause(child.clause.head, child.clause.body).variant_key()
         rule = data.draw(st.sampled_from(children))
         if data.draw(st.booleans()):
-            rule = _over_the_wire(rule)
+            rule = _over_the_wire(rule, bottom)
         if data.draw(st.booleans()):
             rule.clause.variant_key()
         chain.append(rule)
     for rule in data.draw(st.permutations(chain)):
         fresh = Clause(rule.clause.head, rule.clause.body)
+        for clause in data.draw(st.permutations([rule.clause, fresh])):
+            _assert_prefix_is_parent_key(clause)
         assert rule.clause.variant_key() == fresh.variant_key()
-        assert rule.clause.fingerprint() == fresh.fingerprint()
         assert rule_vars_in_scope(rule, bottom) == walked_scope(rule, bottom)

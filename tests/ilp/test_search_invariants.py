@@ -24,6 +24,7 @@ from repro.ilp.heuristics import is_good, score_rule
 from repro.ilp.refinement import start_rule
 from repro.ilp.search import EvaluatedRule, learn_rule
 from repro.ilp.store import ExampleStore
+from repro.logic.clause import Clause
 from repro.logic.engine import Engine
 
 DATASETS = ("trains", "krki", "carcinogenesis", "mesh", "pyrimidines")
@@ -31,14 +32,17 @@ SCALES = ("small", "paper")
 
 
 class RecordingStore(ExampleStore):
-    """An example store that logs ``(clause, parent, stats)`` per call."""
+    """An example store that logs ``(clause, parent key, stats)`` per call:
+    the parent key is the prefix of the clause's variant key the store
+    looks its parent up by (None for the bare head)."""
 
     def __init__(self, pos, neg):
         super().__init__(pos, neg)
         self.calls: list = []
 
-    def evaluate(self, engine, rule, parent=None):
-        stats = super().evaluate(engine, rule, parent)
+    def evaluate(self, engine, rule):
+        stats = super().evaluate(engine, rule)
+        parent = rule.variant_key()[: rule.parent_key_length()] if rule.body else None
         self.calls.append((rule, parent, stats))
         return stats
 
@@ -48,7 +52,7 @@ class Searched:
     config: object
     bottom: object
     result: object
-    calls: list  # (clause, parent, stats) in evaluation order
+    calls: list  # (clause, parent key, stats) in evaluation order
     expanded: list  # (clause, [child clauses]) in expansion order
 
     @property
@@ -102,8 +106,8 @@ class TestBreadthFirstSearch:
         assert len(set(s.clauses)) == len(s.clauses)
         position = {c: i for i, c in enumerate(s.clauses)}
         for i, (clause, parent, _) in enumerate(s.calls[1:], start=1):
-            assert parent is not None and position[parent] < i
-            assert clause.head == parent.head and clause.body[:-1] == parent.body
+            up = position[Clause(clause.head, clause.body[:-1])]
+            assert up < i and parent == s.clauses[up].variant_key()
 
     def test_counts_every_evaluation_against_the_budget(self, name, scale):
         s = unbounded(name, scale)

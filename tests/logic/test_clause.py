@@ -62,8 +62,9 @@ class TestClause:
 
     def test_lazy_variant_keys_under_racing_threads(self):
         """Threads asking for the keys of one refinement tree, in different
-        orders, all get the from-scratch keys (each clause's numbering is
-        published before its key)."""
+        orders, all get the from-scratch keys and parent prefixes (each
+        clause's numbering and prefix length are published before its
+        key)."""
         import random
         import sys
         import threading
@@ -77,7 +78,8 @@ class TestClause:
                 clauses = clauses + frontier[: len(frontier) // 2]
             return clauses
 
-        want = [Clause(c.head, c.body).variant_key() for c in tree()]
+        fresh = [Clause(c.head, c.body) for c in tree()]
+        want = [(c.variant_key(), c.parent_key_length()) for c in fresh]
         errors: list = []
         n_threads = 8
         barrier = threading.Barrier(n_threads)
@@ -90,7 +92,8 @@ class TestClause:
                     order = list(range(len(clauses)))
                     rng.shuffle(order)
                     for i in order:
-                        assert clauses[i].variant_key() == want[i]
+                        plen = clauses[i].parent_key_length()
+                        assert (clauses[i].variant_key(), plen) == want[i]
             except BaseException as e:  # reported by the main thread
                 errors.append(e)
                 barrier.abort()

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.message import Message, Tag, payload_nbytes
 from repro.cluster.process import BcastOp, ComputeOp, ProcContext, RecvOp, SendOp
 from repro.ilp.config import ILPConfig
-from repro.ilp.refinement import SearchRule
 from repro.logic.parser import parse_clause
 from repro.parallel.master import P2Master
 from repro.parallel.messages import (
@@ -107,8 +106,7 @@ class TestEpoch:
         return h
 
     def test_good_rule_accepted_and_marked(self, master):
-        sr = SearchRule(RULE, 1)
-        h = self._run_one_epoch(master, (sr,), {RULE: (3, 0)})
+        h = self._run_one_epoch(master, (RULE,), {RULE: (3, 0)})
         sent = h.take_sent()
         marks = [s for s in sent if isinstance(s.payload, MarkCovered)]
         assert len(marks) == 2  # broadcast to both workers
@@ -117,8 +115,7 @@ class TestEpoch:
         assert master.remaining == 6 - 6  # 3 pos per worker, summed
 
     def test_bad_rule_dropped(self, master):
-        sr = SearchRule(BAD_RULE, 0)
-        h = self._run_one_epoch(master, (sr,), {BAD_RULE: (3, 5)})  # too many negs
+        h = self._run_one_epoch(master, (BAD_RULE,), {BAD_RULE: (3, 5)})  # too many negs
         sent = h.take_sent()
         assert not [s for s in sent if isinstance(s.payload, MarkCovered)]
         assert len(master.theory) == 0

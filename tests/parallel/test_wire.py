@@ -56,9 +56,6 @@ MESSAGES = [
     LoadExamples(partition_id=3),
     StartPipeline(width=10),
     StartPipeline(width=None),
-    PipelineTask(bottom=make_bottom(), step=2, width=5, rules=(SearchRule(RULE, 1, parent=PARENT),), origin=1),
-    PipelineTask(bottom=None, step=1, width=None, rules=(), origin=4),
-    PipelineRules(origin=2, rules=(SearchRule(RULE, 1), SearchRule(PARENT, 0, parent=Clause(PARENT.head)))),
     MarkCovered(rule=RULE),
     Stop(),
     # fault-tolerance protocol (repro.fault)
@@ -80,16 +77,6 @@ MESSAGES = [
     StartPipeline(origin=3, width=None, epoch=1),
     UpdateRouting(routing=((1, 1), (2, 4), (3, 1))),
     EvaluateRequest(round=9, rules=(RULE, PARENT)),
-    PipelineTask(
-        epoch=2,
-        bottom=make_bottom(),
-        step=2,
-        width=5,
-        rules=(SearchRule(RULE, 1, parent=PARENT),),
-        origin=1,
-    ),
-    PipelineTask(epoch=1, bottom=None, step=1, width=None, rules=(), origin=4),
-    PipelineRules(epoch=2, origin=2, rules=(SearchRule(RULE, 1),)),
     # telemetry (repro.obs): a rank's activity trace on its way home
     SpanBatch(rank=0),
     SpanBatch(
@@ -104,12 +91,26 @@ MESSAGES = [
     EvaluateResult(rank=2, stats=(RuleStats(pos=3, neg=0),)),
     EvaluateResult(rank=1, stats=()),
     EvaluateResult(round=9, rank=2, stats=(RuleStats(pos=3, neg=1),)),
+    # the pipeline messages, under the codes that replaced 3, 4, 19 and 20:
+    # a task's rules as positions in its bottom clause, results as clauses
+    PipelineTask(
+        bottom=make_bottom(),
+        step=2,
+        width=5,
+        rules=(SearchRule(RULE, 1), SearchRule(PARENT, 0)),
+        origin=1,
+    ),
+    PipelineTask(bottom=None, step=1, width=None, rules=(), origin=4),
+    PipelineRules(origin=2, rules=(RULE, PARENT)),
+    PipelineTask(epoch=2, bottom=make_bottom(), step=2, width=5, rules=(SearchRule(RULE, 1),), origin=1),
+    PipelineTask(epoch=1, bottom=None, step=1, width=None, rules=(), origin=4),
+    PipelineRules(epoch=2, origin=2, rules=(RULE,)),
 ]
 
 with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", "wire_layouts.json")) as _f:
     _WITNESS = json.load(_f)
 LAYOUTS = _WITNESS["layouts"]
-#: Bytes of formats this version no longer reads (codes 1, 5, 6, 8-10, 18, 24-27 and 29-31).
+#: Bytes of formats this version no longer reads (codes 1, 3-6, 8-10, 18-20, 24-27 and 29-31).
 RETIRED = _WITNESS["retired"]
 #: Each message's test id is its witness entry's: the class name, or for
 #: a stamped layout the name its class had before the stamp folded it into
@@ -207,12 +208,16 @@ class TestWireLayouts:
 #: Every retired code and the message its format carried.
 RETIRED_CODES = [
     (1, "LoadData"),
+    (3, "PipelineTask"),
+    (4, "PipelineRules"),
     (5, "EvaluateRequest"),
     (6, "EvaluateResult"),
     (8, "GatherExamples"),
     (9, "ExamplesReport"),
     (10, "Repartition"),
     (18, "FTEvaluateResult"),
+    (19, "FTPipelineTask"),
+    (20, "FTPipelineRules"),
     (24, "WireJson"),
     (25, "WireQuery"),
     (26, "WireShard"),
@@ -225,16 +230,17 @@ RETIRED_CODES = [
 
 class TestRetiredCodes:
     """Codes 1 and 8-10 (ship-data mode, per-epoch repartitioning), 5, 6
-    and 18 (evaluation messages carrying candidate masks), 24-27 (the
-    service's wire client transport) and 29-31 (sampled coverage) stay
-    reserved: their bytes fail loudly, naming the retired format, and no
-    codec may take them over."""
+    and 18 (evaluation messages carrying candidate masks), 3, 4, 19 and 20
+    (pipeline messages carrying each rule's parent), 24-27 (the service's
+    wire client transport) and 29-31 (sampled coverage) stay reserved:
+    their bytes fail loudly, naming the retired format, and no codec may
+    take them over."""
 
-    # The name predates codes 1, 5, 6, 8-10, 18 and 24-27; it is kept so
+    # The name predates codes 1, 3-6, 8-10, 18-20 and 24-27; it is kept so
     # the test id stays put.
     def test_retired_codes_are_exactly_29_to_31(self):
         codes = [code for code, _ in RETIRED_CODES]
-        assert codes == [1, 5, 6, 8, 9, 10, 18, 24, 25, 26, 27, 29, 30, 31]
+        assert codes == [1, 3, 4, 5, 6, 8, 9, 10, 18, 19, 20, 24, 25, 26, 27, 29, 30, 31]
         assert sorted(wire._RETIRED_CODES) == codes == sorted({e["code"] for e in RETIRED})
         assert not set(wire._RETIRED_CODES) & set(wire._DECODERS)
 
@@ -322,11 +328,37 @@ class TestGatingAndFallback:
         [
             StartPipeline(width=3, origin=2),
             StartPipeline(width=3, epoch=2),
+            PipelineTask(bottom=make_bottom(), step=2, width=5, rules=(SearchRule(RULE, 0),), origin=1),
+            PipelineTask(
+                bottom=make_bottom(),
+                step=2,
+                width=5,
+                rules=(SearchRule(Clause(RULE.head, RULE.body[::-1]), 1),),
+                origin=1,
+            ),
+            PipelineTask(
+                bottom=make_bottom(),
+                step=2,
+                width=5,
+                rules=(SearchRule(parse_clause("active(X) :- atom(X, Y, c)."), 0),),
+                origin=1,
+            ),
+            PipelineTask(bottom=None, step=2, width=5, rules=(SearchRule(RULE, 1),), origin=1),
         ],
-        ids=["origin-without-epoch", "epoch-without-origin"],
+        ids=[
+            "origin-without-epoch",
+            "epoch-without-origin",
+            "rule-ending-before-its-last-index",
+            "rule-out-of-bottom-order",
+            "rule-renamed-apart-from-its-bottom",
+            "rules-without-bottom",
+        ],
     )
     def test_half_stamped_message_is_refused(self, msg):
-        """No layout holds these; encoding one must fail, not drop a field."""
+        """No layout holds these; encoding one must fail, not drop a field.
+        A pipeline task's rules travel as positions in its bottom clause,
+        so a rule that is no forward match of it ending at its
+        ``last_index``, or rules with no bottom clause, are refused too."""
         with pytest.raises(wire.WireError):
             wire.encode_always(msg)
 

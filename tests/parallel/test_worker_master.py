@@ -107,7 +107,7 @@ class TestMessages:
         sr = SearchRule(parse_clause("p(X) :- q(X)."), 2)
         msgs = [
             PipelineTask(bottom=None, step=1, width=10, rules=(sr,), origin=1),
-            PipelineRules(origin=2, rules=(sr,)),
+            PipelineRules(origin=2, rules=(sr.clause,)),
             EvaluateRequest(rules=(sr.clause,)),
             EvaluateResult(rank=1, stats=(RuleStats(pos=3, neg=1),)),
         ]
