@@ -20,7 +20,7 @@ change meaning (virtual seconds vs. wall-clock seconds).
 
 The two real substrates share one per-rank context,
 :class:`WallClockContext`: the clock, the :class:`CommStats` accounting,
-the single ``marshal_payload`` per send, fault injection from the rank's
+the single wire encoding per send, fault injection from the rank's
 :class:`~repro.fault.plan.RankFaults` and the ``execute`` dispatch live
 there; a transport (pipes, an MPI communicator) adds only ``_ship`` and
 ``_receive``.  A fault plan is an argument of :meth:`Backend.run`,
@@ -120,8 +120,8 @@ class BackendRun:
     """Artifacts of one completed execution, whatever the substrate.
 
     ``seconds`` is virtual time under :class:`SimBackend` and real
-    wall-clock time under the real backends; ``comm`` always carries the
-    same pickled-payload-size accounting, so Table 4-style communication
+    wall-clock time under the real backends; ``comm`` always sums the
+    same wire-codec payload sizes, so Table 4-style communication
     numbers are directly comparable across substrates.
     """
 
@@ -255,7 +255,7 @@ class WallClockContext(ProcContext):
         self._last_mark = 0.0
 
     # -- transport -----------------------------------------------------------------
-    def _ship(self, dst: int, tag: str, data: bytes, encoded: bool) -> None:
+    def _ship(self, dst: int, tag: str, data: bytes) -> None:
         """Put one marshalled payload on the wire, without blocking."""
         raise NotImplementedError
 
@@ -298,7 +298,7 @@ class WallClockContext(ProcContext):
     def _post(self, dst: int, payload: object, tag: str) -> None:
         # The marshalled bytes are both what is accounted and what is
         # shipped, so CommStats match the sim backend exactly.
-        data, encoded = marshal_payload(payload)
+        data = marshal_payload(payload)
         now = self.clock
         self._seq += 1
         self.stats.record(
@@ -319,9 +319,9 @@ class WallClockContext(ProcContext):
         if drop is not None:
             self.fault_log.append(drop)
             return
-        self._ship(dst, tag, data, encoded)
+        self._ship(dst, tag, data)
 
-    def _message(self, src: int, tag: str, data: bytes, encoded: bool) -> Message:
+    def _message(self, src: int, tag: str, data: bytes) -> Message:
         """An arrived payload as the Message the generator is resumed with."""
         self._seq += 1
         now = self.clock
@@ -329,7 +329,7 @@ class WallClockContext(ProcContext):
             src=src,
             dst=self.rank,
             tag=tag,
-            payload=unmarshal_payload(data, encoded),
+            payload=unmarshal_payload(data),
             nbytes=len(data),
             send_time=now,
             arrival_time=now,

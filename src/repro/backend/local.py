@@ -25,12 +25,12 @@ Transport notes
   in a local mailbox, mirroring the scheduler's matching rules.  Timed
   receives (the fault-tolerant masters' failure detector) resume with
   ``None`` on expiry.
-* **Accounting** (shared context) uses the same payload marshalling
-  (:func:`~repro.cluster.message.marshal_payload`) and
+* **Accounting** (shared context) sizes each payload by its wire-codec
+  bytes (:func:`~repro.cluster.message.marshal_payload`) into the same
   :class:`~repro.cluster.scheduler.CommStats` as the simulation, so
   communication volumes are directly comparable across substrates.
-  Payloads travel as their marshalled bytes and are unmarshalled on
-  receipt — the accounted bytes are the shipped bytes.
+  Payloads travel as those bytes and are decoded on receipt — the
+  accounted bytes are the shipped bytes.
 * **Failures.**  Child exceptions are reported with their full traceback
   over a result pipe and re-raised in the parent — aggregated across
   ranks, so the root cause is visible even when peers fail derivatively
@@ -160,14 +160,14 @@ class LocalContext(WallClockContext):
         self._sender = threading.Thread(target=self._sender_loop, daemon=True)
         self._sender.start()
 
-    def _ship(self, dst: int, tag: str, data: bytes, encoded: bool) -> None:
+    def _ship(self, dst: int, tag: str, data: bytes) -> None:
         if self._send_error is not None and not self.fault_tolerant:
             raise BackendError(f"rank {self.rank}: send failed") from self._send_error
         if dst == self.rank:
             raise ValueError(f"rank {self.rank} sending to itself")
         if dst not in self._peers:
             raise ValueError(f"send to unknown rank {dst}")
-        self._outq.put((dst, (self.rank, tag, data, encoded)))
+        self._outq.put((dst, (self.rank, tag, data)))
 
     def _sender_loop(self) -> None:
         while True:

@@ -7,7 +7,7 @@ code runs on a real cluster by swapping the context object:
 ==========================  ==============================================
 generator                    :class:`MPIContext`
 ==========================  ==============================================
-``yield ctx.send(d, x, t)``  ``comm.send((bytes, encoded), dest=d, tag=id)``
+``yield ctx.send(d, x, t)``  ``comm.send(bytes, dest=d, tag=id)``
 ``yield ctx.bcast(x, t)``    loop of ``comm.send``
 ``m = yield ctx.recv()``     ``comm.recv(source=ANY_SOURCE, ...)``
 ``yield ctx.compute(ops)``   (traced no-op — real CPUs charge themselves)
@@ -15,7 +15,7 @@ generator                    :class:`MPIContext`
 
 :class:`MPIContext` is the MPI transport of the shared
 :class:`~repro.backend.base.WallClockContext`: what goes on the
-communicator is the ``marshal_payload`` bytes that ``CommStats`` counted
+communicator is the payload's wire-codec bytes that ``CommStats`` counted
 (the same bytes the local backend puts on its pipes), and a received
 message is sized by the bytes that arrived.
 
@@ -156,8 +156,8 @@ class MPIContext(WallClockContext):
         self._comm = comm
         self.watch_halt = watch_halt
 
-    def _ship(self, dst: int, tag: str, data: bytes, encoded: bool) -> None:
-        self._comm.send((data, encoded), dest=dst, tag=_TAG_IDS.get(tag, 99))
+    def _ship(self, dst: int, tag: str, data: bytes) -> None:
+        self._comm.send(data, dest=dst, tag=_TAG_IDS.get(tag, 99))
 
     def _receive(self, op: RecvOp) -> Optional[Message]:
         from mpi4py import MPI  # noqa: PLC0415 - lazy, only recv needs constants
@@ -189,7 +189,7 @@ class MPIContext(WallClockContext):
             # halt check above; it is still a halt, not a message.
             raise MPIHalt()
         tag = status.Get_tag()
-        return self._message(status.Get_source(), _ID_TAGS.get(tag, str(tag)), *shipped)
+        return self._message(status.Get_source(), _ID_TAGS.get(tag, str(tag)), shipped)
 
 
 class MPIBackend(Backend):

@@ -292,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--port", type=int, default=7341)
     client.add_argument("--token", default=None, help="server auth token")
     client.add_argument(
-        "--transport", choices=("json", "wire"), default="json",
-        help="accepted for old callers: both values run on JSON-lines, "
-        "the one transport",
-    )
-    client.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="retry shed/reset requests up to N times (capped backoff + jitter)",
     )
@@ -712,7 +707,7 @@ def _jobs_verbs(args) -> int:
 
     with ServiceClient(
         host=args.host, port=args.port,
-        token=args.token, transport=args.transport, retries=args.retries,
+        token=args.token, retries=args.retries,
     ) as client:
         if args.jobs_command == "submit":
             spec = JobSpec(
@@ -909,7 +904,7 @@ def _loadgen_run(args) -> int:
     def make_client():
         return ServiceClient(
             host=args.host, port=args.port,
-            token=args.token, transport=args.transport, retries=args.retries,
+            token=args.token, retries=args.retries,
         )
 
     report = run_loadgen(

@@ -2,9 +2,9 @@
 
 A deterministic discrete-event simulation of a message-passing cluster:
 per-node virtual clocks, an mpi4py-style ``send``/``bcast``/``recv`` API
-(§2.2 of the paper), a latency+bandwidth network model, pickled-payload
-size accounting (Table 4), and a pluggable compute-cost model fed by the
-logic engine's inference-operation counter.
+(§2.2 of the paper), a latency+bandwidth network model, wire-codec
+payload size accounting (Table 4), and a pluggable compute-cost model
+fed by the logic engine's inference-operation counter.
 
 The package re-exports only the two leaf models, :mod:`.costmodel` and
 :mod:`.network`, so reading a cost constant loads no simulator.  Import

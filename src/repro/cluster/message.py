@@ -1,18 +1,17 @@
 """Messages exchanged between simulated cluster nodes.
 
-Payloads are arbitrary picklable Python objects; the *marshalled size* of
-each payload is what the network model charges for and what the Table 4
-communication-volume accounting sums.  Payload types registered with the
-compact wire codec (:mod:`repro.parallel.wire` — every task message) are
-marshalled by it, and those are the bytes the real backends ship; any
-other type is pickled, mirroring LAM/MPI's pickle-like marshalling of
-Prolog terms in the paper's implementation.
+A payload is one of the message types registered with the compact wire
+codec (:mod:`repro.parallel.wire`): every task message and the
+fault-tolerance protocol's pings, pongs and routing updates.  Its wire
+bytes are its *marshalled size* — what the network model charges for and
+what the Table 4 communication-volume accounting sums — and the bytes the
+real backends ship.  A payload of any other type is refused at send with
+a :class:`~repro.parallel.wire.WireError` naming its type.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Message", "payload_nbytes", "marshal_payload", "unmarshal_payload", "Tag"]
 
@@ -35,27 +34,21 @@ class Tag:
     ROUTING = "routing"
 
 
-def marshal_payload(payload: object) -> tuple[bytes, bool]:
-    """``(bytes, encoded)``: the payload as it is sized and shipped.
+def marshal_payload(payload: object) -> bytes:
+    """The payload's wire bytes: what is sized, accounted and shipped.
 
-    ``encoded`` says which form it took (wire codec when the payload's
-    type has one, pickle otherwise) and travels with the bytes so that
-    :func:`unmarshal_payload` can invert it.
+    Raises :class:`~repro.parallel.wire.WireError` naming the payload's
+    type when the type has no wire codec.
     """
     # Imported here: the cluster layer must stay importable without the
     # parallel package, and the codec module itself imports message types.
     from repro.parallel import wire
 
-    data = wire.encode_always(payload)
-    if data is not None:
-        return data, True
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), False
+    return wire.encode_always(payload)
 
 
-def unmarshal_payload(data: bytes, encoded: bool) -> object:
+def unmarshal_payload(data: bytes) -> object:
     """Inverse of :func:`marshal_payload`."""
-    if not encoded:
-        return pickle.loads(data)
     from repro.parallel import wire
 
     return wire.decode(data)
@@ -63,7 +56,7 @@ def unmarshal_payload(data: bytes, encoded: bool) -> object:
 
 def payload_nbytes(payload: object) -> int:
     """Marshalled size of a payload, in bytes."""
-    return len(marshal_payload(payload)[0])
+    return len(marshal_payload(payload))
 
 
 @dataclass(frozen=True)

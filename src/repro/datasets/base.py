@@ -51,10 +51,6 @@ class Dataset:
     def n_neg(self) -> int:
         return len(self.neg)
 
-    def table1_row(self) -> tuple[str, int, int]:
-        """(dataset, |E+|, |E-|) — one row of the paper's Table 1."""
-        return (self.name, self.n_pos, self.n_neg)
-
     def stats(self) -> dict:
         out = {"name": self.name, "n_pos": self.n_pos, "n_neg": self.n_neg}
         out.update(self.kb.stats())

@@ -22,8 +22,8 @@ File format::
 
     0xC3 | wire-version | type-code 21 | symbols | body   (see wire.py)
 
-The payload type has a registered codec, so a checkpoint never takes the
-transports' pickle fallback and any process can read any checkpoint.
+The payload type has a registered codec, the one format of messages and
+files alike, so any process can read any checkpoint.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.ilp.config import signature_mismatches
-from repro.logic.clause import Clause, Theory
+from repro.logic.clause import Clause
 from repro.parallel import wire
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "checkpoint_path",
     "records_from_epoch_logs",
     "epoch_logs_from_records",
-    "theory_from_state",
     "verify_config",
     "CheckpointError",
 ]
@@ -135,10 +134,6 @@ def epoch_logs_from_records(records: Sequence[EpochRecord]) -> list:
         )
         for r in records
     ]
-
-
-def theory_from_state(state: CheckpointState) -> Theory:
-    return Theory(state.theory)
 
 
 # -- wire codec -------------------------------------------------------------------
@@ -252,7 +247,6 @@ wire.register_codec(CheckpointState, _WIRE_CODE, _enc_checkpoint, _dec_checkpoin
 def save_checkpoint(path: str, state: CheckpointState) -> str:
     """Write one checkpoint file atomically; returns the path."""
     data = wire.encode_always(state)
-    assert data is not None
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

@@ -145,10 +145,6 @@ class ILPConfig:
         """The engine every learner, worker and query tier proves goals on."""
         return Engine(kb, self.engine_budget())
 
-    def with_width(self, width: Optional[int]) -> "ILPConfig":
-        """Copy of this config with a different pipeline width."""
-        return replace(self, pipeline_width=width)
-
     def replace(self, **kw) -> "ILPConfig":
         return replace(self, **kw)
 

@@ -65,12 +65,6 @@ class ModeDecl:
     def input_positions(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.args) if a.kind == "+")
 
-    def output_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.args) if a.kind == "-")
-
-    def const_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.args) if a.kind == "#")
-
     def __str__(self) -> str:
         kind = "modeh" if self.is_head else "modeb"
         recall = "*" if self.recall is None else str(self.recall)

@@ -77,9 +77,6 @@ class ExampleStore:
         """Number of still-uncovered positive examples."""
         return popcount(self.alive)
 
-    def alive_indices(self) -> list[int]:
-        return [i for i in range(len(self.pos)) if self.alive >> i & 1]
-
     def kill(self, pos_bits: int) -> int:
         """Remove covered positives; returns how many were newly covered."""
         newly = popcount(self.alive & pos_bits)
@@ -132,9 +129,6 @@ class ExampleStore:
         return CoverageStats(pos=popcount(live), neg=popcount(nb), pos_bits=live, neg_bits=nb)
 
     # -- cache effectiveness (reported by the benchmark suite) -------------------
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     def cache_hits(self) -> int:
         """Evaluations answered from the cache since construction."""
         return self._hits
@@ -142,8 +136,3 @@ class ExampleStore:
     def cache_misses(self) -> int:
         """Evaluations that had to run the engine since construction."""
         return self._misses
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of evaluations served from cache (0.0 when unused)."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0

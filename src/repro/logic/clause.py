@@ -41,7 +41,7 @@ from repro.logic.terms import (
     is_ground,
     variables_of,
 )
-from repro.logic.unify import Subst, rename_apart, resolve
+from repro.logic.unify import rename_apart
 
 __all__ = ["Clause", "Theory", "head_indicator"]
 
@@ -74,7 +74,7 @@ class Clause:
     def __reduce__(self):
         # Rebuild through the constructor: terms re-intern on unpickle and
         # the cached key is not shipped (it is derivable, and including it
-        # would bloat pickled message sizes).
+        # would bloat a run's pickled final state).
         return (Clause, (self.head, self.body))
 
     def __eq__(self, other: object) -> bool:
@@ -128,10 +128,6 @@ class Clause:
         head = rename_apart(self.head, mapping, prefix)
         body = tuple(rename_apart(b, mapping, prefix) for b in self.body)
         return Clause(head, body)
-
-    def substitute(self, subst: Subst) -> "Clause":
-        """Apply a substitution to every literal."""
-        return Clause(resolve(self.head, subst), tuple(resolve(b, subst) for b in self.body))
 
     def with_extra_literal(self, lit: Term) -> "Clause":
         """Refinement step: append one body literal.
@@ -329,6 +325,3 @@ class Theory:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Theory({len(self.clauses)} clauses)"
-
-    def total_literals(self) -> int:
-        return sum(len(c) for c in self.clauses)

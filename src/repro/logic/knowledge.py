@@ -230,10 +230,6 @@ class KnowledgeBase:
         self._rules[clause.indicator].append(clause)
         self.version += 1
 
-    def remove_rule(self, clause: Clause) -> None:
-        self._rules[clause.indicator].remove(clause)
-        self.version += 1
-
     def add_program(self, src: str) -> None:
         """Parse and add a Prolog-ish program string."""
         for clause in parse_program(src):

@@ -63,11 +63,9 @@ __all__ = [
     "mk_term",
     "fresh_var",
     "variables_of",
-    "constants_of",
     "term_size",
     "term_depth",
     "is_ground",
-    "intern_stats",
 ]
 
 _fresh_counter = itertools.count()
@@ -92,14 +90,6 @@ def _drop_const(ref, _table=_const_table, _remove=_remove_dead_weakref):
     # the C helper removes the entry only if it is still this dead
     # reference (another thread may have republished the key meanwhile).
     _remove(_table, ref.key)
-
-
-def intern_stats() -> dict:
-    """Sizes of the process-wide intern tables (debugging/benchmarks).
-
-    ``consts`` counts the live constants: the table drops a constant when
-    its last reference goes."""
-    return {"consts": len(_const_table), "structs": len(_struct_table)}
 
 
 class Var:
@@ -308,17 +298,6 @@ def variables_of(term: Term) -> Iterator[Var]:
         if isinstance(t, Var):
             yield t
         elif isinstance(t, Struct) and not t.ground:
-            stack.extend(reversed(t.args))
-
-
-def constants_of(term: Term) -> Iterator[Const]:
-    """Iterate constants in ``term``, left-to-right, with repeats."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Const):
-            yield t
-        elif isinstance(t, Struct):
             stack.extend(reversed(t.args))
 
 

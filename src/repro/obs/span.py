@@ -80,9 +80,7 @@ wire.register_codec(SpanBatch, 28, _enc_span_batch, _dec_span_batch)
 
 def encode_batch(rank: int, trace: Sequence[Span]) -> bytes:
     """Wire-encode a rank's trace as a SpanBatch."""
-    data = wire.encode_always(SpanBatch(rank=rank, spans=tuple(trace)))
-    assert data is not None  # codec registered at module import
-    return data
+    return wire.encode_always(SpanBatch(rank=rank, spans=tuple(trace)))
 
 
 def decode_batch(data: bytes) -> list:

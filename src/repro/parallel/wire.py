@@ -33,9 +33,9 @@ every worker share one intern table per process: a ground term arriving
 from the wire is pointer-equal to the local copy, and the engine's
 identity fast paths apply to shipped rules immediately.
 
-Every payload type registered here is always sized and shipped in this
-format; the accounting and transport layers pickle only what
-:func:`encode_always` does not know (it returns None for those).
+This is the one message format: every payload is sized and shipped as
+the bytes :func:`encode_always` writes, and a payload whose type has no
+codec is refused there with a :class:`WireError` naming the type.
 
 Wire layout (version 1)::
 
@@ -614,8 +614,9 @@ _RETIRED_CODES: dict = {
 def register_codec(payload_type: type, code: int, enc, dec) -> None:
     """Register an out-of-package payload codec (append-only codes).
 
-    Lets higher layers ship their payloads in the wire format without
-    creating an import cycle back into this module's registry.  Codes
+    Higher layers register their payload types here, without an import
+    cycle back into this module's registry; a type nobody registers
+    cannot be sent or written (:func:`encode_always` refuses it).  Codes
     0, 2, 7, 11-17 and 32-38 are the in-package messages above (15, 17,
     34, 37 and 38 decode to stamped task messages: see
     :mod:`repro.parallel.messages`); 1, 3-6, 8-10, 18-20, 24-27 and 29-31
@@ -638,16 +639,19 @@ def register_codec(payload_type: type, code: int, enc, dec) -> None:
     _DECODERS[code] = dec
 
 
-def encode_always(payload: object) -> Optional[bytes]:
-    """Encode a registered payload; None when its type has no codec.
+def encode_always(payload: object) -> bytes:
+    """Encode a registered payload.
 
-    A ``None`` return tells the accounting and transport layers to fall
-    back to pickle for that payload.  File formats (checkpoints, registry
-    records, job records) register their types and never see it.
+    Messages, checkpoints, registry records and job records all go
+    through here; a payload whose type has no codec raises
+    :class:`WireError` naming the type.
     """
     entry = _ENCODERS.get(type(payload))
     if entry is None:
-        return None
+        cls = type(payload)
+        raise WireError(
+            f"no wire codec for payload type {cls.__module__}.{cls.__qualname__}"
+        )
     code, enc = entry
     e = _Encoder()
     wrote = enc(e, payload)

@@ -332,7 +332,6 @@ class TheoryRegistry:
                 epoch_summary=tuple(epoch_summary),
             )
             data = wire.encode_always(record)
-            assert data is not None
             d = self._dir(name)
             os.makedirs(d, exist_ok=True)
             path = self._path(name, version)

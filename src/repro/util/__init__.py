@@ -1,7 +1,7 @@
 """Small shared utilities: seeded RNG, formatting, and structured logging."""
 
 from repro.util.rng import RngStream, derive_seed, make_rng
-from repro.util.fmt import fmt_float, fmt_int, fmt_mbytes, render_table
+from repro.util.fmt import fmt_float, fmt_int, render_table
 from repro.util.log import (
     StructuredLogger,
     get_logger,
@@ -18,7 +18,6 @@ __all__ = [
     "make_rng",
     "fmt_float",
     "fmt_int",
-    "fmt_mbytes",
     "render_table",
     "StructuredLogger",
     "get_logger",

@@ -18,11 +18,6 @@ def fmt_float(x: float, nd: int = 2) -> str:
     return f"{x:.{nd}f}"
 
 
-def fmt_mbytes(nbytes: int | float) -> str:
-    """Bytes -> whole MBytes, as reported in Table 4."""
-    return fmt_int(nbytes / (1024.0 * 1024.0))
-
-
 def render_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],

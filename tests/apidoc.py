@@ -10,10 +10,12 @@ committed page can never drift from the code.
 
 Prose that genuinely is prose (section intros, invariants, the worked
 example) lives here as literals — the single source the page is built
-from::
+from.  This is a development tool, not part of the package: it lives
+beside the tests that run it and finds the page from its own place in
+the checkout::
 
-    PYTHONPATH=src python -m repro.util.apidoc --check   # CI: drift gate
-    PYTHONPATH=src python -m repro.util.apidoc --write   # refresh the page
+    PYTHONPATH=src python tests/apidoc.py --check   # CI: drift gate
+    PYTHONPATH=src python tests/apidoc.py --write   # refresh the page
 
 The worked example block is executed by ``tests/test_docs.py`` like
 every fenced block in the docs, so the generator cannot emit a dead
@@ -29,7 +31,8 @@ import sys
 
 __all__ = ["render_api_doc", "api_doc_path", "main"]
 
-ROOT = pathlib.Path(__file__).resolve().parents[3]
+#: the checkout this file sits in (``tests/apidoc.py``).
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def api_doc_path() -> pathlib.Path:
@@ -133,8 +136,8 @@ _INTRO = """\
 
 A curated map of the public entry points.  **Generated — do not edit by
 hand**: signature tables come from the live docstrings via
-`repro.util.apidoc` (`PYTHONPATH=src python -m repro.util.apidoc
---write` refreshes the page, `--check` is the CI drift gate).
+`tests/apidoc.py` (`PYTHONPATH=src python tests/apidoc.py --write`
+refreshes the page, `--check` is the CI drift gate).
 Docstrings in the source are the authoritative reference — use `pydoc`
 (e.g. `PYTHONPATH=src python -m pydoc repro.service.scheduler`) for the
 full text.  Sections are ordered by how you would build an application:
@@ -202,7 +205,7 @@ _CLI_NOTE = """\
 `python -m repro <command>` (or the `repro` console script after
 `pip install -e .`).  Every subcommand also accepts `--profile PATH`
 (cProfile dump); the client verbs (`jobs`, `loadgen`) accept `--token`
-and `--transport {json,wire}`, both of which run on JSON-lines."""
+and `--retries`."""
 
 _RESILIENCE_INTRO = """\
 Structured errors carry a machine-readable `code` (codes in
@@ -396,13 +399,13 @@ def main(argv=None) -> int:
         if on_disk != rendered:
             print(
                 f"{path} is stale — regenerate with "
-                "`PYTHONPATH=src python -m repro.util.apidoc --write`",
+                "`PYTHONPATH=src python tests/apidoc.py --write`",
                 file=sys.stderr,
             )
             return 1
         print(f"{path} is up to date")
         return 0
-    print("usage: python -m repro.util.apidoc [--check | --write]", file=sys.stderr)
+    print("usage: python tests/apidoc.py [--check | --write]", file=sys.stderr)
     return 2
 
 

@@ -14,21 +14,22 @@ from repro.backend import (
 from repro.backend.base import ExecutionContext
 from repro.cluster.network import GIGABIT
 from repro.cluster.process import ProcContext, SimProcess
+from repro.parallel.messages import Ping, Pong
 from repro.cluster.scheduler import Scheduler
 
 
-class Ping(SimProcess):
+class Pinger(SimProcess):
     def run(self, ctx):
-        yield ctx.send(1, "ping", tag="t")
+        yield ctx.send(1, Ping(token=7), tag="t")
         msg = yield ctx.recv(src=1)
         self.got = msg.payload
         yield ctx.compute(10, label="work")
 
 
-class Pong(SimProcess):
+class Ponger(SimProcess):
     def run(self, ctx):
         msg = yield ctx.recv(src=0)
-        yield ctx.send(0, msg.payload + "-pong", tag="t")
+        yield ctx.send(0, Pong(rank=self.rank, token=msg.payload.token), tag="t")
 
 
 class TestRegistry:
@@ -86,9 +87,9 @@ class TestRegistry:
 
 class TestSimBackend:
     def test_matches_virtual_cluster(self):
-        direct = Scheduler([Ping(0), Pong(1)])
+        direct = Scheduler([Pinger(0), Ponger(1)])
         makespan = direct.run()
-        via = SimBackend().run([Ping(0), Pong(1)])
+        via = SimBackend().run([Pinger(0), Ponger(1)])
         assert isinstance(via, BackendRun)
         assert via.seconds == makespan
         assert via.comm.messages == direct.stats.messages
@@ -96,14 +97,14 @@ class TestSimBackend:
         assert via.clocks == [direct.clock_of(0), direct.clock_of(1)]
 
     def test_procs_are_inputs(self):
-        ping, pong = Ping(0), Pong(1)
+        ping, pong = Pinger(0), Ponger(1)
         run = SimBackend().run([ping, pong])
         assert run.proc(0) is ping
         assert run.proc(1) is pong
-        assert ping.got == "ping-pong"
+        assert ping.got == Pong(rank=1, token=7)
 
     def test_proc_unknown_rank(self):
-        run = SimBackend().run([Ping(0), Pong(1)])
+        run = SimBackend().run([Pinger(0), Ponger(1)])
         with pytest.raises(KeyError):
             run.proc(7)
 

@@ -17,6 +17,7 @@ import pytest
 from repro.backend import LocalProcessBackend, local
 from repro.backend.local import place_ranks
 from repro.cluster.process import SimProcess
+from repro.parallel.messages import Stop
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -80,7 +81,7 @@ class ReportsAffinity(SimProcess):
     def run(self, ctx):
         if self.rank == 0:
             for w in (1, 2):
-                yield ctx.send(w, "go", tag="t")
+                yield ctx.send(w, Stop(), tag="t")
         else:
             yield ctx.recv(src=0)
 
@@ -109,7 +110,11 @@ class Probe(SimProcess):
     def run(self, ctx):
         self.before = set(sys.modules)
         if self.rank == 0:
-            yield ctx.send(1, "hello", tag="t")
+            # Imported here, so a module the parent failed to import
+            # shows up as new in this rank.
+            from repro.parallel.messages import Stop
+
+            yield ctx.send(1, Stop(), tag="t")
         else:
             yield ctx.recv(src=0)
 

@@ -17,20 +17,28 @@ from repro.backend import (
     SimBackend,
 )
 from repro.cluster.process import SimProcess
+from repro.logic.clause import Clause
+from repro.logic.terms import atom
+from repro.parallel.messages import MarkCovered, Ping, Pong, Stop
 
 
-class Ping(SimProcess):
+def bulk(i, fill):
+    """Message ``i`` of a bulk stream: a rule whose wire size is ``fill``'s."""
+    return MarkCovered(rule=Clause(atom("bulk", i, fill)))
+
+
+class Pinger(SimProcess):
     def run(self, ctx):
-        yield ctx.send(1, "ping", tag="t")
+        yield ctx.send(1, Ping(token=7), tag="t")
         msg = yield ctx.recv(src=1)
         self.got = msg.payload
         yield ctx.compute(10, label="work")
 
 
-class Pong(SimProcess):
+class Ponger(SimProcess):
     def run(self, ctx):
         msg = yield ctx.recv(src=0)
-        yield ctx.send(0, msg.payload + "-pong", tag="t")
+        yield ctx.send(0, Pong(rank=self.rank, token=msg.payload.token), tag="t")
 
 
 class Hang(SimProcess):
@@ -50,24 +58,24 @@ class BulkExchanger(SimProcess):
     """
 
     N_MSGS = 24
-    PAYLOAD = b"x" * 262_144  # 256 KiB each, ~6 MiB per direction
+    FILL = "x" * 262_144  # 256 KiB each, ~6 MiB per direction
 
     def run(self, ctx):
         peer = 1 - self.rank
         for i in range(self.N_MSGS):
-            yield ctx.send(peer, (i, self.PAYLOAD), tag="bulk")
+            yield ctx.send(peer, bulk(i, self.FILL), tag="bulk")
         self.received = 0
-        for _ in range(self.N_MSGS):
+        for i in range(self.N_MSGS):
             msg = yield ctx.recv(src=peer, tag="bulk")
             self.received += 1
-            assert msg.payload[1] == self.PAYLOAD
+            assert msg.payload == bulk(i, self.FILL)
 
 
 class RingForwarder(SimProcess):
     """Rank r sends to (r+1) % n and receives from (r-1) % n, bulk-first."""
 
     N_MSGS = 8
-    PAYLOAD = b"y" * 262_144
+    FILL = "y" * 262_144
 
     def __init__(self, rank, n):
         super().__init__(rank)
@@ -77,7 +85,7 @@ class RingForwarder(SimProcess):
         nxt = (self.rank + 1) % self.n
         prv = (self.rank - 1) % self.n
         for i in range(self.N_MSGS):
-            yield ctx.send(nxt, (i, self.PAYLOAD), tag="ring")
+            yield ctx.send(nxt, bulk(i, self.FILL), tag="ring")
         self.received = 0
         for _ in range(self.N_MSGS):
             yield ctx.recv(src=prv, tag="ring")
@@ -97,7 +105,7 @@ class MidEpochRaiser(SimProcess):
     def run(self, ctx):
         for _ in range(2):
             msg = yield ctx.recv(tag="req")
-            yield ctx.send(msg.src, "ack", tag="ack")
+            yield ctx.send(msg.src, Pong(rank=self.rank, token=msg.payload.token), tag="ack")
         raise ValueError("worker exploded mid-epoch")
 
 
@@ -105,14 +113,21 @@ class NeedyMaster(SimProcess):
     """Keeps asking rank 1 and waiting for answers (forever)."""
 
     def run(self, ctx):
+        i = 0
         while True:
-            yield ctx.send(1, "work", tag="req")
+            yield ctx.send(1, Ping(token=i), tag="req")
             yield ctx.recv(tag="ack")
+            i += 1
 
 
 class BadDest(SimProcess):
     def run(self, ctx):
-        yield ctx.send(99, "x", tag="t")
+        yield ctx.send(99, Stop(), tag="t")
+
+
+class Unregistered(SimProcess):
+    def run(self, ctx):
+        yield ctx.send(1, "hello", tag="t")
 
 
 class Solo(SimProcess):
@@ -133,23 +148,23 @@ def _no_repro_children():
 
 class TestHappyPath:
     def test_ping_pong(self):
-        run = LocalProcessBackend(timeout=30).run([Ping(0), Pong(1)])
-        assert run.proc(0).got == "ping-pong"
+        run = LocalProcessBackend(timeout=30).run([Pinger(0), Ponger(1)])
+        assert run.proc(0).got == Pong(rank=1, token=7)
         assert run.comm.messages == 2
         assert len(run.clocks) == 2
         assert run.seconds == max(run.clocks) > 0.0
 
     def test_comm_accounting_matches_sim(self):
-        """Same messages, same pickled sizes — Table 4 numbers carry over."""
-        sim = SimBackend().run([Ping(0), Pong(1)])
-        loc = LocalProcessBackend(timeout=30).run([Ping(0), Pong(1)])
+        """Same messages, same wire sizes — Table 4 numbers carry over."""
+        sim = SimBackend().run([Pinger(0), Ponger(1)])
+        loc = LocalProcessBackend(timeout=30).run([Pinger(0), Ponger(1)])
         assert loc.comm.messages == sim.comm.messages
         assert loc.comm.bytes_total == sim.comm.bytes_total
         assert loc.comm.bytes_by_tag == sim.comm.bytes_by_tag
         assert loc.comm.bytes_by_link == sim.comm.bytes_by_link
 
     def test_record_trace(self):
-        run = LocalProcessBackend(timeout=30, record_trace=True).run([Ping(0), Pong(1)])
+        run = LocalProcessBackend(timeout=30, record_trace=True).run([Pinger(0), Ponger(1)])
         assert any(s.name == "work" and s.rank == 0 for s in run.trace)
 
 
@@ -243,6 +258,14 @@ class TestFailureModes:
             LocalProcessBackend(timeout=30).run([BadDest(0), Hang(1)])
         assert _no_repro_children()
 
+    def test_unregistered_payload_refused_at_send(self):
+        with pytest.raises(BackendError) as excinfo:
+            LocalProcessBackend(timeout=30).run([Unregistered(0), Hang(1)])
+        text = str(excinfo.value)
+        assert "WireError: no wire codec for payload type builtins.str" in text
+        assert not isinstance(excinfo.value, BackendTimeoutError)
+        assert _no_repro_children()
+
     def test_recv_from_exited_peer_fails_fast(self):
         """Regression: a receive that can never be satisfied because every
         peer already exited must raise promptly (via EOF detection), not
@@ -264,7 +287,7 @@ class TestFailureModes:
 
     def test_non_contiguous_ranks_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
-            LocalProcessBackend(timeout=30).run([Ping(0), Pong(2)])
+            LocalProcessBackend(timeout=30).run([Pinger(0), Ponger(2)])
 
     def test_single_rank(self):
         run = LocalProcessBackend(timeout=30).run([Solo(0)])

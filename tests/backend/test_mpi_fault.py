@@ -23,8 +23,16 @@ from repro.backend.mpi import _ID_TAGS, _TAG_IDS, HALT_TAG, MPIBackend, MPIConte
 from repro.cluster.message import marshal_payload, payload_nbytes, unmarshal_payload
 from repro.cluster.process import SimProcess
 from repro.fault.plan import MAX_STRAGGLE_SLEEP, FaultPlan, MessageLoss, Straggler, WorkerCrash
+from repro.logic.parser import parse_clause
 from repro.parallel import wire
-from repro.parallel.messages import Ping
+from repro.parallel.messages import (
+    EvaluateRequest,
+    MarkCovered,
+    Ping,
+    PipelineRules,
+    StartPipeline,
+    Stop,
+)
 
 
 class FakeStatus:
@@ -115,8 +123,8 @@ class MPIRig:
     def shipped(self):
         """What left this rank: ``(dst, tag, payload, bytes on the wire)``."""
         return [
-            (dst, _ID_TAGS[t], unmarshal_payload(data, encoded), len(data))
-            for (data, encoded), dst, t in self.comm.outbox
+            (dst, _ID_TAGS[t], unmarshal_payload(data), len(data))
+            for data, dst, t in self.comm.outbox
         ]
 
     def close(self):
@@ -134,15 +142,15 @@ class PipeRig:
         self.ctx = LocalContext(rank, size, near, faults=faults)
 
     def arrive(self, payload, src, tag):
-        self.far[src].send((src, tag, *marshal_payload(payload)))
+        self.far[src].send((src, tag, marshal_payload(payload)))
 
     def shipped(self):
         self.close()  # flushes the sender thread
         out = []
         for dst, conn in sorted(self.far.items()):
             while conn.poll():
-                _, tag, data, encoded = conn.recv()
-                out.append((dst, tag, unmarshal_payload(data, encoded), len(data)))
+                _, tag, data = conn.recv()
+                out.append((dst, tag, unmarshal_payload(data), len(data)))
         return out
 
     def close(self):
@@ -172,10 +180,10 @@ class TestSendAdapterLoss:
     def test_nth_send_dropped_sender_charged(self, rig):
         r = rig(rank=0, size=3, plan=FaultPlan(losses=(MessageLoss(src=0, dst=1, nth=2),)))
         ctx = r.ctx
-        for payload in ("a", "b", "c"):
-            ctx.execute(ctx.send(1, payload, tag="rules"))
+        for token in (1, 2, 3):
+            ctx.execute(ctx.send(1, Ping(token=token), tag="rules"))
         # the 2nd message to rank 1 died at the adapter...
-        assert [p for _, _, p, _ in r.shipped()] == ["a", "c"]
+        assert [p for _, _, p, _ in r.shipped()] == [Ping(token=1), Ping(token=3)]
         # ...but the sender was charged for all three
         assert ctx.stats.messages == 3
         assert [(f.kind, f.detail) for f in ctx.fault_log] == [("drop", "->1 #2 tag=rules")]
@@ -183,14 +191,14 @@ class TestSendAdapterLoss:
     def test_loss_counts_per_link(self, rig):
         r = rig(rank=0, size=3, plan=FaultPlan(losses=(MessageLoss(src=0, dst=2, nth=1),)))
         ctx = r.ctx
-        ctx.execute(ctx.send(1, "x", tag="rules"))  # other link: untouched
-        ctx.execute(ctx.send(2, "y", tag="rules"))  # link 0->2 #1: dropped
-        ctx.execute(ctx.send(2, "z", tag="rules"))
-        assert [(p, d) for d, _, p, _ in r.shipped()] == [("x", 1), ("z", 2)]
+        ctx.execute(ctx.send(1, Ping(token=1), tag="rules"))  # other link: untouched
+        ctx.execute(ctx.send(2, Ping(token=2), tag="rules"))  # link 0->2 #1: dropped
+        ctx.execute(ctx.send(2, Ping(token=3), tag="rules"))
+        assert [(p.token, d) for d, _, p, _ in r.shipped()] == [(1, 1), (3, 2)]
 
     def test_bcast_drops_only_the_lossy_destination(self, rig):
         r = rig(rank=0, size=4, plan=FaultPlan(losses=(MessageLoss(src=0, dst=2, nth=1),)))
-        r.ctx.execute(r.ctx.bcast("hello", tag="stop"))
+        r.ctx.execute(r.ctx.bcast(Stop(), tag="stop"))
         assert [d for d, _, _, _ in r.shipped()] == [1, 3]
         assert r.ctx.stats.messages == 3
 
@@ -201,19 +209,19 @@ class TestRetireInPlace:
     def test_crash_on_nth_matching_recv(self, rig):
         crash = WorkerCrash(rank=1, on_recv=2, tag="start_pipeline")
         r = rig(rank=1, plan=FaultPlan(crashes=(crash,)))
-        r.arrive("t1", 0, "start_pipeline")
-        r.arrive("beat", 0, "ping")
-        r.arrive("t2", 0, "start_pipeline")
+        r.arrive(StartPipeline(width=1), 0, "start_pipeline")
+        r.arrive(Ping(token=0), 0, "ping")
+        r.arrive(StartPipeline(width=2), 0, "start_pipeline")
         ctx = r.ctx
-        assert ctx.execute(ctx.recv()).payload == "t1"
-        assert ctx.execute(ctx.recv()).payload == "beat"  # wrong tag: not counted
+        assert ctx.execute(ctx.recv()).payload == StartPipeline(width=1)
+        assert ctx.execute(ctx.recv()).payload == Ping(token=0)  # wrong tag: not counted
         with pytest.raises(InjectedCrash):
             ctx.execute(ctx.recv())  # 2nd start_pipeline: about to process -> die
 
     def test_at_time_crashes_are_sim_only(self, rig):
         r = rig(rank=1, plan=FaultPlan(crashes=(WorkerCrash(rank=1, at_time=0.0),)))
-        r.arrive("t1", 0, "rules")
-        assert r.ctx.execute(r.ctx.recv()).payload == "t1"  # no trigger
+        r.arrive(PipelineRules(origin=1, rules=()), 0, "rules")
+        assert r.ctx.execute(r.ctx.recv()).payload == PipelineRules(origin=1, rules=())  # no trigger
 
 
 class TestStraggler:
@@ -256,18 +264,28 @@ class TestAccounting:
         monkeypatch.setattr(wire, "encode_always", lambda p: encodes.append(p) or real(p))
         r = rig(rank=0, size=3)
         ctx = r.ctx
-        r.arrive(Ping(token=7), 1, "ping")  # wire-codec payload
-        r.arrive(("pickled", 2), 2, "rules")  # no codec: pickle
+        covered = MarkCovered(rule=parse_clause("p(X) :- q(X)."))
+        request = EvaluateRequest(rules=(parse_clause("p(X) :- q(X), r(X)."),))
+        r.arrive(Ping(token=7), 1, "ping")
+        r.arrive(covered, 2, "rules")
         del encodes[:]  # (the rig marshalled those on the peers' behalf)
         ctx.execute(ctx.send(1, Ping(token=8), tag="ping"))
-        ctx.execute(ctx.bcast(("pickled", 3), tag="rules"))
+        ctx.execute(ctx.bcast(request, tag="rules"))
         got = [ctx.execute(ctx.recv(src=1)), ctx.execute(ctx.recv(src=2))]
         assert len(encodes) == 3
-        assert [m.payload for m in got] == [Ping(token=7), ("pickled", 2)]
+        assert [m.payload for m in got] == [Ping(token=7), covered]
         assert [m.nbytes for m in got] == [payload_nbytes(m.payload) for m in got]
         shipped = r.shipped()
-        assert [p for _, _, p, _ in shipped] == [Ping(token=8), ("pickled", 3), ("pickled", 3)]
+        assert [p for _, _, p, _ in shipped] == [Ping(token=8), request, request]
         assert sum(n for _, _, _, n in shipped) == ctx.stats.bytes_total
+
+    def test_unregistered_payload_refused_at_send(self, rig):
+        r = rig(rank=0, size=2)
+        ctx = r.ctx
+        with pytest.raises(wire.WireError, match="no wire codec for payload type builtins.tuple"):
+            ctx.execute(ctx.send(1, ("pickled", 3), tag="rules"))
+        assert ctx.stats.messages == 0
+        assert r.shipped() == []
 
 
 class TestSendAdapterLossOnPipes(TestSendAdapterLoss):
@@ -405,7 +423,7 @@ class _RankView:
         with c.cond:
             if tag != HALT_TAG:
                 c.messages += 1
-                c.nbytes += len(payload[0])
+                c.nbytes += len(payload)
             c.queues[dest].append((payload, self._rank, tag))
             c.cond.notify_all()
 

@@ -7,6 +7,15 @@ from hypothesis import strategies as st
 from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.message import Message, Tag, payload_nbytes
 from repro.cluster.network import FAST_ETHERNET, GIGABIT, INFINIBAND_LIKE, NetworkModel
+from repro.logic.parser import parse_clause
+from repro.parallel import wire
+from repro.parallel.messages import EvaluateRequest, EvaluateResult, RuleStats
+
+
+def rules(n, round=None):
+    return EvaluateRequest(
+        rules=tuple(parse_clause(f"p(X) :- q{i}(X).") for i in range(n)), round=round
+    )
 
 
 class TestNetworkModel:
@@ -50,16 +59,21 @@ class TestCostModel:
 
 class TestPayloadSize:
     def test_bigger_payload_bigger_size(self):
-        assert payload_nbytes(list(range(1000))) > payload_nbytes([1])
+        assert payload_nbytes(rules(100)) > payload_nbytes(rules(1))
 
     def test_deterministic(self):
-        p = {"rules": ["a", "b"], "n": 3}
+        p = rules(2, round=3)
         assert payload_nbytes(p) == payload_nbytes(p)
 
     @given(st.lists(st.integers(0, 255), max_size=64))
     @settings(max_examples=50, deadline=None)
-    def test_any_picklable(self, xs):
-        assert payload_nbytes(xs) > 0
+    def test_size_is_wire_bytes(self, xs):
+        p = EvaluateResult(rank=1, stats=tuple(RuleStats(pos=x, neg=x) for x in xs))
+        assert payload_nbytes(p) == len(wire.encode_always(p)) > 0
+
+    def test_unregistered_payload_refused(self):
+        with pytest.raises(wire.WireError, match="no wire codec for payload type builtins.list"):
+            payload_nbytes([1])
 
 
 class TestMessage:

@@ -15,6 +15,7 @@ from repro.backend.base import drive
 from repro.backend.mpi import HALT_TAG, MPIContext, MPIHalt, _TAG_IDS, mpi_available
 from repro.cluster.message import marshal_payload
 from repro.cluster.process import SimProcess
+from repro.parallel.messages import Ping, Pong, Stop
 
 
 class FakeStatus:
@@ -107,7 +108,7 @@ class TestAvailability:
 class TestDriveWithFakeComm:
     def test_send_recv_roundtrip(self, fake_mpi):
         comm = FakeComm(rank=0)
-        comm.arrive("pong", 1, 4)  # tag 4 = "rules"
+        comm.arrive(Pong(rank=1, token=1), 1, 4)  # tag 4 = "rules"
 
         class Proc(SimProcess):
             def __init__(self):
@@ -115,21 +116,21 @@ class TestDriveWithFakeComm:
                 self.got = None
 
             def run(self, ctx):
-                yield ctx.send(1, "ping", tag="rules")
+                yield ctx.send(1, Ping(token=1), tag="rules")
                 msg = yield ctx.recv()
                 self.got = (msg.src, msg.tag, msg.payload)
 
         p = Proc()
         drive(p, MPIContext(comm))
-        assert comm.outbox == [(marshal_payload("ping"), 1, 4)]
-        assert p.got == (1, "rules", "pong")
+        assert comm.outbox == [(marshal_payload(Ping(token=1)), 1, 4)]
+        assert p.got == (1, "rules", Pong(rank=1, token=1))
 
     def test_bcast_fans_out(self, fake_mpi):
         comm = FakeComm(rank=0, size=4)
 
         class Proc(SimProcess):
             def run(self, ctx):
-                yield ctx.bcast("hello", tag="stop")
+                yield ctx.bcast(Stop(), tag="stop")
 
         drive(Proc(0), MPIContext(comm))
         assert [dest for _, dest, _ in comm.outbox] == [1, 2, 3]
@@ -162,14 +163,14 @@ class TestTimedReceives:
 
     def test_timed_recv_delivers_waiting_message(self, fake_mpi):
         comm = FakeComm(rank=0)
-        comm.arrive("payload", 2, _TAG_IDS["result"])
+        comm.arrive(Ping(token=2), 2, _TAG_IDS["result"])
         ctx = MPIContext(comm)
         msg = ctx.execute(ctx.recv(timeout=5.0))
-        assert (msg.src, msg.tag, msg.payload) == (2, "result", "payload")
+        assert (msg.src, msg.tag, msg.payload) == (2, "result", Ping(token=2))
 
     def test_timed_recv_honours_tag_filter(self, fake_mpi):
         comm = FakeComm(rank=0)
-        comm.arrive("noise", 1, _TAG_IDS["pong"])
+        comm.arrive(Pong(rank=1, token=0), 1, _TAG_IDS["pong"])
         ctx = MPIContext(comm)
         assert ctx.execute(ctx.recv(tag="rules", timeout=0.02)) is None
         # the non-matching message is still queued, not consumed
@@ -179,7 +180,7 @@ class TestTimedReceives:
         # ping/pong/routing must not collapse onto the unknown-tag id,
         # or tag-filtered heartbeat receives would cross wires.
         comm = FakeComm(rank=0)
-        comm.arrive("beat", 1, _TAG_IDS["pong"])
+        comm.arrive(Pong(rank=1, token=0), 1, _TAG_IDS["pong"])
         ctx = MPIContext(comm)
         msg = ctx.execute(ctx.recv(tag="pong", timeout=1.0))
         assert msg.tag == "pong"
@@ -195,7 +196,7 @@ class TestHalt:
 
     def test_halt_preferred_over_data(self, fake_mpi):
         comm = FakeComm(rank=1)
-        comm.arrive("work", 0, _TAG_IDS["evaluate"])
+        comm.arrive(Ping(token=0), 0, _TAG_IDS["evaluate"])
         comm.inbox.append((None, 0, HALT_TAG))
         ctx = MPIContext(comm, watch_halt=True)
         with pytest.raises(MPIHalt):
@@ -204,7 +205,7 @@ class TestHalt:
     def test_unwatched_context_ignores_halt_tag(self, fake_mpi):
         # a run without a fault plan never sees backend halts
         comm = FakeComm(rank=1)
-        comm.arrive("data", 0, _TAG_IDS["stop"])
+        comm.arrive(Stop(), 0, _TAG_IDS["stop"])
         ctx = MPIContext(comm)
         msg = ctx.execute(ctx.recv())
         assert msg.tag == "stop"

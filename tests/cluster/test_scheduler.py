@@ -7,9 +7,17 @@ from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.process import SimProcess
 from repro.cluster.scheduler import DeadlockError, Scheduler
+from repro.logic.parser import parse_clause
+from repro.parallel.messages import EvaluateRequest, Ping, Pong, Stop
+from repro.parallel.wire import WireError
 
 NET = NetworkModel(latency_s=1.0, bandwidth_bps=1e9, send_overhead_s=0.0)
 COST = OpsCostModel(sec_per_op=1.0)
+
+
+def rules(n):
+    """A registered payload whose wire size grows with ``n``."""
+    return EvaluateRequest(rules=tuple(parse_clause(f"p(X) :- q{i}(X).") for i in range(n)))
 
 
 class Echo(SimProcess):
@@ -18,9 +26,9 @@ class Echo(SimProcess):
     def run(self, ctx):
         while True:
             msg = yield ctx.recv()
-            if msg.payload == "stop":
+            if isinstance(msg.payload, Stop):
                 return
-            yield ctx.send(msg.src, ("echo", msg.payload), tag="reply")
+            yield ctx.send(msg.src, Pong(rank=self.rank, token=msg.payload.token), tag="reply")
 
 
 class TestPointToPoint:
@@ -29,22 +37,22 @@ class TestPointToPoint:
 
         class Client(SimProcess):
             def run(self, ctx):
-                yield ctx.send(1, "hello", tag="req")
+                yield ctx.send(1, Ping(token=7), tag="req")
                 msg = yield ctx.recv(src=1)
                 got.append(msg.payload)
-                yield ctx.send(1, "stop", tag="req")
+                yield ctx.send(1, Stop(), tag="req")
 
         run = SimBackend(network=NET, cost_model=COST).run([Client(0), Echo(1)])
-        assert got == [("echo", "hello")]
+        assert got == [Pong(rank=1, token=7)]
         assert run.comm.messages == 3
 
     def test_latency_advances_clock(self):
         class Client(SimProcess):
             def run(self, ctx):
-                yield ctx.send(1, "x", tag="req")
+                yield ctx.send(1, Ping(token=0), tag="req")
                 yield ctx.recv(src=1)
                 assert ctx.clock >= 2.0  # two hops of 1s latency
-                yield ctx.send(1, "stop", tag="req")
+                yield ctx.send(1, Stop(), tag="req")
 
         SimBackend(network=NET, cost_model=COST).run([Client(0), Echo(1)])
 
@@ -52,7 +60,7 @@ class TestPointToPoint:
         class Busy(SimProcess):
             def run(self, ctx):
                 yield ctx.compute(10)
-                yield ctx.send(1, "stop", tag="req")
+                yield ctx.send(1, Stop(), tag="req")
 
         run = SimBackend(network=NET, cost_model=COST).run([Busy(0), Echo(1)])
         assert run.clocks[0] >= 10.0
@@ -64,7 +72,7 @@ class TestPointToPoint:
         class Sender(SimProcess):
             def run(self, ctx):
                 for i in range(5):
-                    yield ctx.send(1, i, tag="data")
+                    yield ctx.send(1, Ping(token=i), tag="data")
 
         class Receiver(SimProcess):
             def __init__(self):
@@ -73,7 +81,7 @@ class TestPointToPoint:
             def run(self, ctx):
                 for _ in range(5):
                     msg = yield ctx.recv(src=0)
-                    order.append(msg.payload)
+                    order.append(msg.payload.token)
 
         SimBackend(network=NET, cost_model=COST).run([Sender(0), Receiver()])
         assert order == [0, 1, 2, 3, 4]
@@ -83,8 +91,8 @@ class TestPointToPoint:
 
         class Sender(SimProcess):
             def run(self, ctx):
-                yield ctx.send(1, "a", tag="low")
-                yield ctx.send(1, "b", tag="high")
+                yield ctx.send(1, Ping(token=1), tag="low")
+                yield ctx.send(1, Ping(token=2), tag="high")
 
         class Receiver(SimProcess):
             def __init__(self):
@@ -92,12 +100,12 @@ class TestPointToPoint:
 
             def run(self, ctx):
                 msg = yield ctx.recv(tag="high")
-                got.append(msg.payload)
+                got.append(msg.payload.token)
                 msg = yield ctx.recv(tag="low")
-                got.append(msg.payload)
+                got.append(msg.payload.token)
 
         SimBackend(network=NET, cost_model=COST).run([Sender(0), Receiver()])
-        assert got == ["b", "a"]
+        assert got == [2, 1]
 
 
 class TestBroadcast:
@@ -106,15 +114,15 @@ class TestBroadcast:
 
         class Root(SimProcess):
             def run(self, ctx):
-                yield ctx.bcast("ping", tag="b")
+                yield ctx.bcast(Ping(token=5), tag="b")
 
         class Leaf(SimProcess):
             def run(self, ctx):
                 msg = yield ctx.recv(tag="b")
-                seen.append((self.rank, msg.payload))
+                seen.append((self.rank, msg.payload.token))
 
         SimBackend(network=NET, cost_model=COST).run([Root(0), Leaf(1), Leaf(2), Leaf(3)])
-        assert sorted(seen) == [(1, "ping"), (2, "ping"), (3, "ping")]
+        assert sorted(seen) == [(1, 5), (2, 5), (3, 5)]
 
     def test_bcast_serialised_at_sender(self):
         # large payloads: later recipients get later arrival times
@@ -123,7 +131,7 @@ class TestBroadcast:
 
         class Root(SimProcess):
             def run(self, ctx):
-                yield ctx.bcast("x" * 100, tag="b", dsts=(1, 2))
+                yield ctx.bcast(rules(10), tag="b", dsts=(1, 2))
 
         class Leaf(SimProcess):
             def run(self, ctx):
@@ -140,13 +148,13 @@ class TestDeterminism:
             class Worker(SimProcess):
                 def run(self, ctx):
                     msg = yield ctx.recv()
-                    yield ctx.compute(len(str(msg.payload)))
+                    yield ctx.compute(msg.payload.token)
                     yield ctx.send(0, msg.payload, tag="r")
 
             class Root(SimProcess):
                 def run(self, ctx):
                     for k in (1, 2, 3):
-                        yield ctx.send(k, f"job{k}", tag="w")
+                        yield ctx.send(k, Ping(token=k), tag="w")
                     for _ in range(3):
                         yield ctx.recv(tag="r")
 
@@ -181,10 +189,18 @@ class TestErrors:
     def test_send_to_unknown_rank(self):
         class Bad(SimProcess):
             def run(self, ctx):
-                yield ctx.send(99, "x", tag="t")
+                yield ctx.send(99, Ping(token=0), tag="t")
 
         with pytest.raises(ValueError):
             SimBackend(network=NET, cost_model=COST).run([Bad(0)])
+
+    def test_unregistered_payload_refused_at_send(self):
+        class Bad(SimProcess):
+            def run(self, ctx):
+                yield ctx.send(1, "hello", tag="t")
+
+        with pytest.raises(WireError, match="no wire codec for payload type builtins.str"):
+            SimBackend(network=NET, cost_model=COST).run([Bad(0), Echo(1)])
 
     def test_non_syscall_yield_rejected(self):
         class Bad(SimProcess):
@@ -199,8 +215,8 @@ class TestStatsAndTrace:
     def test_bytes_accounted_by_tag_and_link(self):
         class Root(SimProcess):
             def run(self, ctx):
-                yield ctx.send(1, list(range(50)), tag="data")
-                yield ctx.send(1, "tiny", tag="ctl")
+                yield ctx.send(1, rules(50), tag="data")
+                yield ctx.send(1, Stop(), tag="ctl")
 
         class Sink(SimProcess):
             def run(self, ctx):

@@ -13,6 +13,7 @@ from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.process import SimProcess
 from repro.fault.plan import FaultPlan, Straggler
+from repro.parallel.messages import Ping, Stop
 
 NET = NetworkModel(latency_s=0.01, bandwidth_bps=1e6, send_overhead_s=0.001)
 COST = OpsCostModel(sec_per_op=0.001)
@@ -27,13 +28,13 @@ class Boss(SimProcess):
 
     def run(self, ctx):
         for worker, size in self.jobs:
-            yield ctx.send(worker, size, tag="job")
+            yield ctx.send(worker, Ping(token=size), tag="job")
         for w in range(1, self.n_workers + 1):
-            yield ctx.send(w, None, tag="done")
+            yield ctx.send(w, Stop(), tag="done")
         expected = len(self.jobs)
         for _ in range(expected):
             msg = yield ctx.recv(tag="reply")
-            self.replies.append((msg.src, msg.payload))
+            self.replies.append((msg.src, msg.payload.token))
 
 
 class Grunt(SimProcess):
@@ -44,8 +45,8 @@ class Grunt(SimProcess):
                 # drain any jobs that arrive after the done marker? cannot:
                 # FIFO per link guarantees jobs precede the marker.
                 return
-            yield ctx.compute(msg.payload)
-            yield ctx.send(0, msg.payload * 2, tag="reply")
+            yield ctx.compute(msg.payload.token)
+            yield ctx.send(0, Ping(token=msg.payload.token * 2), tag="reply")
 
 
 @st.composite

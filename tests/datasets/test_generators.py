@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets import DATASETS, make_dataset
+from repro.experiments.tables import table1_datasets
 from repro.ilp.bottom import build_bottom
 from repro.logic.engine import Engine
 
@@ -65,8 +66,8 @@ class TestSmallScale:
 
     def test_table1_row(self, name):
         ds = make_dataset(name, seed=3, scale="small")
-        row = ds.table1_row()
-        assert row == (name, ds.n_pos, ds.n_neg)
+        row = table1_datasets([ds]).splitlines()[-1]
+        assert row.split() == [name, f"{ds.n_pos:,}", f"{ds.n_neg:,}"]
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_SIZES))

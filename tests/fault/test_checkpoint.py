@@ -82,12 +82,11 @@ class TestWireRoundTrip:
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
     def test_encoding_ignores_transport_gate(self):
-        """The transports pickle only payload types without a codec; the
-        checkpoint has one, so it is the file format wherever it travels."""
+        """The transports ship the wire codec's bytes, and the checkpoint
+        has a codec, so it is the file format wherever it travels."""
         from repro.cluster.message import marshal_payload
 
-        data, encoded = marshal_payload(make_state())
-        assert encoded and data == wire.encode_always(make_state())
+        assert marshal_payload(make_state()) == wire.encode_always(make_state())
 
     def test_bytes_stable_across_hash_seeds(self):
         prog = (

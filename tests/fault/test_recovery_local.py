@@ -12,6 +12,7 @@ from repro.backend import LocalProcessBackend
 from repro.cluster.process import SimProcess
 from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
 from repro.parallel import run_independent, run_p2mdie
+from repro.parallel.messages import Ping
 
 TIMEOUT = 2.0
 
@@ -59,7 +60,7 @@ class TestLocalCrashRecovery:
 
 class _Boss(SimProcess):
     def run(self, ctx):
-        yield ctx.send(1, "go", tag="t")
+        yield ctx.send(1, Ping(token=1), tag="t")
         yield ctx.recv(timeout=0.2)
 
 

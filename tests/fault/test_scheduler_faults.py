@@ -5,18 +5,19 @@ import pytest
 from repro.cluster.process import SimProcess
 from repro.cluster.scheduler import DeadlockError, Scheduler
 from repro.fault.plan import FaultPlan, MessageLoss, Straggler, WorkerCrash
+from repro.parallel.messages import Ping, Pong, Stop
 
 
 class Echo(SimProcess):
-    """Replies 'pong' to every 'ping'; stops on 'stop'."""
+    """Replies a Pong to every Ping; stops on Stop."""
 
     def run(self, ctx):
         while True:
             msg = yield ctx.recv()
-            if msg.payload == "stop":
+            if isinstance(msg.payload, Stop):
                 return
             yield ctx.compute(10, label="work")
-            yield ctx.send(msg.src, "pong", tag="pong")
+            yield ctx.send(msg.src, Pong(rank=self.rank, token=msg.payload.token), tag="pong")
 
 
 class TestRecvTimeout:
@@ -30,7 +31,7 @@ class TestRecvTimeout:
             def run(self, ctx):
                 self.got = yield ctx.recv(timeout=2.5)
                 self.when = ctx.clock
-                yield ctx.send(1, "stop", tag="stop")
+                yield ctx.send(1, Stop(), tag="stop")
 
         w = Waiter()
         sched = Scheduler([w, Echo(1)])
@@ -45,13 +46,13 @@ class TestRecvTimeout:
                 self.got = None
 
             def run(self, ctx):
-                yield ctx.send(1, "ping", tag="ping")
+                yield ctx.send(1, Ping(token=3), tag="ping")
                 self.got = yield ctx.recv(timeout=100.0)
-                yield ctx.send(1, "stop", tag="stop")
+                yield ctx.send(1, Stop(), tag="stop")
 
         a = Asker()
         Scheduler([a, Echo(1)]).run()
-        assert a.got is not None and a.got.payload == "pong"
+        assert a.got is not None and a.got.payload == Pong(rank=1, token=3)
 
     def test_timed_recv_prevents_deadlock_error(self):
         class OnlyWaits(SimProcess):
@@ -80,14 +81,14 @@ class Master(SimProcess):
         self.timeouts = 0
 
     def run(self, ctx):
-        for _ in range(self.n):
-            yield ctx.send(1, "ping", tag="ping")
+        for i in range(self.n):
+            yield ctx.send(1, Ping(token=i), tag="ping")
             msg = yield ctx.recv(timeout=self.timeout)
             if msg is None:
                 self.timeouts += 1
             else:
                 self.replies += 1
-        yield ctx.send(1, "stop", tag="stop")
+        yield ctx.send(1, Stop(), tag="stop")
 
 
 class TestCrash:

@@ -49,11 +49,6 @@ class TestConfig:
     def test_width_none_ok(self):
         assert ILPConfig(pipeline_width=None).pipeline_width is None
 
-    def test_with_width(self):
-        cfg = ILPConfig(pipeline_width=10)
-        assert cfg.with_width(None).pipeline_width is None
-        assert cfg.pipeline_width == 10  # frozen original
-
     def test_engine_budget(self):
         cfg = ILPConfig(engine_max_depth=5, engine_max_ops=100)
         b = cfg.engine_budget()

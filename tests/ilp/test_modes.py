@@ -21,8 +21,7 @@ class TestParseMode:
     def test_placemarker_kinds(self):
         m = parse_mode("modeb(2, bond(+mol, -atom, #elem))")
         assert m.input_positions() == (0,)
-        assert m.output_positions() == (1,)
-        assert m.const_positions() == (2,)
+        assert [a.kind for a in m.args] == ["+", "-", "#"]
 
     def test_bare_template(self):
         m = parse_mode("f(+a, -b)", default_head=True)

@@ -11,7 +11,8 @@ learners:
 * saturation cache   -> ``build_bottom`` (each learner's module global);
 * variant-keyed cache and bag slots -> plain clause equality
   (``Clause.variant_key`` returning the clause itself);
-* wire codec sizing  -> pickle (an ``encode_always`` that knows no type);
+* wire codec sizing  -> pickle (``marshal_payload`` replaced by
+  ``pickle.dumps``; the sim sizes every message through it);
 * interning          -> intern tables capped at zero, in a subprocess.
 
 The expected side of every comparison is ``golden_runs.runs`` — what
@@ -23,16 +24,18 @@ mechanisms were ``ILPConfig`` flags.
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+from repro.cluster import message
 from repro.datasets import make_dataset
 from repro.ilp.bottom import build_bottom
 from repro.ilp.mdie import mdie
 from repro.logic.clause import Clause
-from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie, wire
+from repro.parallel import run_coverage_parallel, run_independent, run_p2mdie
 
 DATASETS = [
     ("trains", dict(seed=0, scale="small")),
@@ -60,7 +63,9 @@ def plain_clause_keys(monkeypatch):
 
 
 def pickle_sizing(monkeypatch):
-    monkeypatch.setattr(wire, "encode_always", lambda payload: None)
+    monkeypatch.setattr(
+        message, "marshal_payload", lambda payload: pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+    )
 
 
 class TestSequentialFlagParity:

@@ -33,7 +33,8 @@ class TestLiveness:
     def test_alive_examples(self, setup):
         _, store = setup
         store.kill(0b010)
-        assert store.alive_indices() == [0, 2]
+        assert store.alive == 0b101
+        assert store.remaining == 2
 
 
 class TestEvaluate:
@@ -58,7 +59,7 @@ class TestEvaluate:
         ops = eng.total_ops
         store.evaluate(eng, rule)
         assert eng.total_ops == ops
-        assert store.cache_size() == 1
+        assert (store.cache_misses(), store.cache_hits()) == (1, 1)
 
     def test_cache_survives_kill(self, setup):
         eng, store = setup

@@ -49,11 +49,6 @@ class TestClause:
         # and the renamed clause unifies with the original
         assert unify(r.head, c.head) is not None
 
-    def test_substitute(self):
-        c = parse_clause("p(X) :- q(X).")
-        s = {Var("X"): Const("a")}
-        assert c.substitute(s) == parse_clause("p(a) :- q(a).")
-
     def test_with_extra_literal(self):
         c = parse_clause("p(X) :- q(X).")
         c2 = c.with_extra_literal(atom("r", "X"))
@@ -64,10 +59,27 @@ class TestClause:
         """Threads asking for the keys of one refinement tree, in different
         orders, all get the from-scratch keys and parent prefixes (each
         clause's numbering and prefix length are published before its
-        key)."""
+        key).  Every thread hands the interpreter over at each line of the
+        key code, after checking that each clause it holds there is
+        published whole: what another thread would see at that switch."""
         import random
         import sys
         import threading
+        import time
+
+        key_code = {Clause.variant_key.__code__, Clause.parent_key_length.__code__}
+        torn: list = []
+
+        def switch_each_line(frame, event, arg):
+            if frame.f_code not in key_code:
+                return None
+            if event == "line":
+                for name in ("self", "c", "child"):
+                    c = frame.f_locals.get(name)
+                    if isinstance(c, Clause) and c._vk is not None and None in (c._num, c._plen):
+                        torn.append((str(c), frame.f_lineno))
+                time.sleep(0)
+            return switch_each_line
 
         lits = [atom("r", "C", "D"), atom("s", "B", "E"), atom("t", "D", "E", "F"), atom("u", "A"), atom("v", "F", "G")]
 
@@ -86,6 +98,7 @@ class TestClause:
 
         def ask(seed: int, rounds: list) -> None:
             rng = random.Random(seed)
+            sys.settrace(switch_each_line)
             try:
                 for clauses in rounds:
                     barrier.wait(timeout=10)
@@ -97,6 +110,8 @@ class TestClause:
             except BaseException as e:  # reported by the main thread
                 errors.append(e)
                 barrier.abort()
+            finally:
+                sys.settrace(None)
 
         rounds = [tree() for _ in range(40)]
         old = sys.getswitchinterval()
@@ -111,6 +126,7 @@ class TestClause:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+        assert torn == []
 
     def test_head_cannot_be_var(self):
         with pytest.raises(TypeError):
@@ -130,7 +146,7 @@ class TestTheory:
     def test_len_and_total_literals(self):
         t = Theory([parse_clause("p(X) :- q(X)."), parse_clause("r(a).")])
         assert len(t) == 2
-        assert t.total_literals() == 3
+        assert sum(len(c) for c in t) == 3
 
     def test_str(self):
         t = Theory([parse_clause("p(a).")])

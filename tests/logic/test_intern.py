@@ -39,6 +39,12 @@ def _python(prog: str) -> subprocess.CompletedProcess:
     )
 
 
+def _table_sizes() -> tuple[int, int]:
+    """Live constants and interned structs (a constant leaves its table
+    when its last reference goes)."""
+    return len(terms._const_table), len(terms._struct_table)
+
+
 class TestConstInterning:
     def test_equal_consts_are_identical(self):
         assert Const("ethyl") is Const("ethyl")
@@ -191,7 +197,7 @@ def test_intern_disabled_subprocess():
     prog = (
         "from repro.logic import terms\n"
         "terms._STRUCT_CAP = 0\n"
-        "before = terms.intern_stats()['structs']\n"
+        "before = len(terms._struct_table)\n"
         "from repro.logic.terms import Const\n"
         "from repro.logic.parser import parse_term\n"
         "assert Const('a') is Const('a')\n"
@@ -201,7 +207,7 @@ def test_intern_disabled_subprocess():
         "assert s == t and hash(s) == hash(t) and s.ground\n"
         "assert not s.interned\n"
         "assert s.args[0] is t.args[0] is Const('a')\n"
-        "assert terms.intern_stats()['structs'] == before\n"
+        "assert len(terms._struct_table) == before\n"
         "print('ok')\n"
     )
     out = _python(prog)
@@ -258,13 +264,11 @@ class TestMembershipTestsInternNothing:
 
     def _run(self, query: str, solutions: int, **engine_kw) -> None:
         from repro.logic import Engine
-        from repro.logic.terms import intern_stats
-
         eng = Engine(self._kb(), **engine_kw)
         goals = tuple(parse_clause(f"q :- {query}.").body)
-        before = intern_stats()
+        before = _table_sizes()
         assert sum(1 for _ in eng.solve(goals)) == solutions
-        assert intern_stats() == before
+        assert _table_sizes() == before
 
     def test_fact_only_predicate_substituted_goal(self):
         # ``changed`` route of the ground fast path: pair(X, Y) with both
@@ -283,9 +287,7 @@ class TestMembershipTestsInternNothing:
         # already interned by an earlier run in this process.
         from repro.datasets import make_dataset
         from repro.ilp import mdie
-        from repro.logic.terms import intern_stats
-
         ds = make_dataset("carcinogenesis", seed=19)
-        before = intern_stats()
+        before = _table_sizes()
         mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=0)
-        assert intern_stats() == before
+        assert _table_sizes() == before

@@ -77,13 +77,6 @@ class TestKnowledgeBase:
         kb.add_program("p(a). p(b). q(X) :- p(X).")
         assert kb.stats() == {"predicates": 2, "facts": 2, "rules": 1}
 
-    def test_remove_rule(self):
-        kb = KnowledgeBase()
-        r = parse_clause("q(X) :- p(X).")
-        kb.add_clause(r)
-        kb.remove_rule(r)
-        assert kb.rules_for(("q", 1)) == []
-
     def test_fact_dedup_counts(self):
         kb = KnowledgeBase()
         assert kb.add_fact(atom("p", "a"))

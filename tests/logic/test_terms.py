@@ -7,7 +7,6 @@ from repro.logic.terms import (
     Struct,
     Var,
     atom,
-    constants_of,
     fresh_var,
     is_ground,
     mk_term,
@@ -104,10 +103,6 @@ class TestTraversals:
     def test_variables_of_order_and_repeats(self):
         t = atom("p", "X", "Y", "X")
         assert [v.name for v in variables_of(t)] == ["X", "Y", "X"]
-
-    def test_constants_of(self):
-        t = Struct("f", (Const("a"), Struct("g", (Const(2),))))
-        assert [c.value for c in constants_of(t)] == ["a", 2]
 
     def test_term_size(self):
         assert term_size(Const("a")) == 1

@@ -303,25 +303,23 @@ class TestDeterminism:
 
 
 class TestGatingAndFallback:
-    def test_unknown_payload_returns_none(self):
-        assert wire.encode_always({"not": "a message"}) is None
+    def test_unknown_payload_is_refused(self):
+        with pytest.raises(wire.WireError, match="no wire codec for payload type builtins.dict"):
+            wire.encode_always({"not": "a message"})
 
-    def test_payload_nbytes_matches_mode(self):
-        """The marshalling mode is chosen by payload type alone: the codec
-        for registered messages, pickle for everything else."""
+    def test_marshal_payload_is_the_codec(self):
+        """One format: a message is sized and shipped as its wire bytes,
+        and a payload without a codec is refused, naming its type."""
         from repro.cluster.message import marshal_payload, payload_nbytes, unmarshal_payload
 
         msg = MarkCovered(rule=RULE)
-        data, encoded = marshal_payload(msg)
-        assert encoded and data == wire.encode_always(msg)
+        data = marshal_payload(msg)
+        assert data == wire.encode_always(msg)
         assert payload_nbytes(msg) == len(data)
-        assert unmarshal_payload(data, encoded) == msg
+        assert unmarshal_payload(data) == msg
 
-        other = {"not": "a message", "rule": RULE}
-        data, encoded = marshal_payload(other)
-        assert not encoded and data == pickle.dumps(other, pickle.HIGHEST_PROTOCOL)
-        assert payload_nbytes(other) == len(data)
-        assert unmarshal_payload(data, encoded) == other
+        with pytest.raises(wire.WireError, match=r"payload type builtins\.dict"):
+            marshal_payload({"not": "a message", "rule": RULE})
 
     @pytest.mark.parametrize(
         "msg",
@@ -378,9 +376,12 @@ class TestEndToEnd:
         args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
         r1 = run_p2mdie(*args, p=2, seed=0)
         r2 = run_p2mdie(*args, p=2, seed=0)
-        # The reference: a codec that knows no type, so every payload is
-        # sized by the pickle fallback.
-        monkeypatch.setattr(wire, "encode_always", lambda payload: None)
+        # The reference: every payload sized by pickle, as before the codec.
+        from repro.cluster import message
+
+        monkeypatch.setattr(
+            message, "marshal_payload", lambda payload: pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        )
         r3 = run_p2mdie(*args, p=2, seed=0)
         # deterministic accounting across identical runs
         assert r1.comm.bytes_total == r2.comm.bytes_total
@@ -389,6 +390,52 @@ class TestEndToEnd:
         assert list(map(str, r1.theory)) == list(map(str, r3.theory))
         assert r1.comm.messages == r3.comm.messages
         assert r1.comm.bytes_total < r3.comm.bytes_total
+
+
+def _healing_run(args):
+    from repro.fault.plan import FaultPlan
+    from repro.parallel import run_p2mdie
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    plan = FaultPlan.load(
+        os.path.join(root, "examples", "faultplans", "crash_and_straggler.json"), p=3, spares=1
+    )
+    return run_p2mdie(*args, p=3, spares=1, seed=0, fault_plan=plan)
+
+
+def _plain_run(front_end):
+    def run(args):
+        from repro import parallel
+
+        return getattr(parallel, front_end)(*args, p=2, seed=0)
+
+    return run
+
+
+#: The learner's protocols on ``sim``: every message each one sends.
+PROTOCOL_RUNS = {
+    "p2mdie": _plain_run("run_p2mdie"),
+    "covpar": _plain_run("run_coverage_parallel"),
+    "independent": _plain_run("run_independent"),
+    "p2mdie-healing": _healing_run,
+}
+
+
+class TestOneFormat:
+    @pytest.mark.parametrize("name", PROTOCOL_RUNS)
+    def test_every_payload_is_a_wire_message(self, name, monkeypatch):
+        """Each send of a run is sized by one encode of a registered
+        message, and the run's byte count is the sum of those encodings."""
+        from repro.datasets import make_dataset
+
+        ds = make_dataset("trains", seed=0, scale="small")
+        sent = []
+        real = wire.encode_always
+        monkeypatch.setattr(wire, "encode_always", lambda p: sent.append(p) or real(p))
+        res = PROTOCOL_RUNS[name]((ds.kb, ds.pos, ds.neg, ds.modes, ds.config))
+        assert sent and len(sent) == res.comm.messages
+        assert {type(p).__module__ for p in sent} == {"repro.parallel.messages"}
+        assert sum(len(real(p)) for p in sent) == res.comm.bytes_total
 
 
 class TestServiceWireMessages:

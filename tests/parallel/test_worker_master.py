@@ -3,17 +3,8 @@
 import pytest
 
 from repro.cluster.message import Tag, payload_nbytes
-from repro.ilp.refinement import SearchRule
-from repro.logic.parser import parse_clause
 from repro.parallel.master import P2Master
-from repro.parallel.messages import (
-    EvaluateRequest,
-    EvaluateResult,
-    LoadExamples,
-    PipelineRules,
-    PipelineTask,
-    RuleStats,
-)
+from repro.parallel.messages import LoadExamples
 from repro.parallel.p2mdie import SharedProblem, run_p2mdie
 from repro.parallel.partition import partition_examples
 from repro.parallel.worker import stage_logical
@@ -101,20 +92,6 @@ class TestPipelineFlow:
 
 
 class TestMessages:
-    def test_payloads_picklable(self):
-        import pickle
-
-        sr = SearchRule(parse_clause("p(X) :- q(X)."), 2)
-        msgs = [
-            PipelineTask(bottom=None, step=1, width=10, rules=(sr,), origin=1),
-            PipelineRules(origin=2, rules=(sr.clause,)),
-            EvaluateRequest(rules=(sr.clause,)),
-            EvaluateResult(rank=1, stats=(RuleStats(pos=3, neg=1),)),
-        ]
-        for m in msgs:
-            clone = pickle.loads(pickle.dumps(m))
-            assert clone == m
-
     def test_master_width_defaults_to_config(self, config):
         m = P2Master(n_workers=2, total_pos=10, config=config)
         assert m.width == config.pipeline_width

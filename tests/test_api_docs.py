@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.util import apidoc
+import apidoc
 
 
 def test_api_md_matches_generated_output():
     on_disk = apidoc.api_doc_path().read_text(encoding="utf-8")
     assert on_disk == apidoc.render_api_doc(), (
         "docs/api.md is stale — regenerate with "
-        "`PYTHONPATH=src python -m repro.util.apidoc --write`"
+        "`PYTHONPATH=src python tests/apidoc.py --write`"
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.fmt import fmt_float, fmt_int, fmt_mbytes, render_table
+from repro.util.fmt import fmt_float, fmt_int, render_table
 from repro.util.rng import RngStream, derive_seed, make_rng, weighted_draw
 
 
@@ -99,9 +99,6 @@ class TestFmt:
 
     def test_fmt_float(self):
         assert fmt_float(3.14159, 2) == "3.14"
-
-    def test_fmt_mbytes(self):
-        assert fmt_mbytes(1024 * 1024 * 33) == "33"
 
     def test_render_table_alignment(self):
         out = render_table(["a", "bb"], [[1, 2], [333, 4]])
