@@ -22,36 +22,30 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.backend.base import (
-    Backend,
-    BackendError,
-    BackendRun,
-    BackendTimeoutError,
-    BackendUnavailableError,
-    ExecutionContext,
-    drive,
-)
-from repro.backend.local import LocalContext, LocalProcessBackend
-from repro.backend.sim import SimBackend
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "BackendError",
-    "BackendRun",
-    "BackendTimeoutError",
-    "BackendUnavailableError",
-    "ExecutionContext",
-    "drive",
-    "SimBackend",
-    "LocalContext",
-    "LocalProcessBackend",
-    "BACKEND_NAMES",
+# Read on first use (see repro.util.lazy): a run loads only the substrate
+# it builds.
+_EXPORTS = {
+    "repro.run": ("BACKEND_NAMES",),
+    ".base": (
+        "Backend",
+        "BackendError",
+        "BackendRun",
+        "BackendTimeoutError",
+        "BackendUnavailableError",
+        "ExecutionContext",
+        "drive",
+    ),
+    ".sim": ("SimBackend",),
+    ".local": ("LocalContext", "LocalProcessBackend"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + [
     "make_backend",
     "resolve_backend",
 ]
-
-#: names accepted by :func:`make_backend` (and the CLI's ``--backend``).
-BACKEND_NAMES = ("sim", "local", "mpi")
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 
 def make_backend(
@@ -70,6 +64,7 @@ def make_backend(
     ``timeout``/``start_method`` only the local backend).
     """
     if name == "sim":
+        from repro.backend.sim import SimBackend
         from repro.cluster.costmodel import DEFAULT_COST_MODEL
         from repro.cluster.network import FAST_ETHERNET
 
@@ -79,6 +74,8 @@ def make_backend(
             record_trace=record_trace,
         )
     if name == "local":
+        from repro.backend.local import LocalProcessBackend
+
         return LocalProcessBackend(
             record_trace=record_trace,
             timeout=timeout,
@@ -88,6 +85,8 @@ def make_backend(
         from repro.backend.mpi import MPIBackend
 
         return MPIBackend(record_trace=record_trace)
+    from repro.run import BACKEND_NAMES
+
     raise ValueError(f"unknown backend {name!r}; known: {BACKEND_NAMES}")
 
 
@@ -104,6 +103,8 @@ def resolve_backend(
     A ready instance is used as it is: asking for a trace it does not
     record is a ``ValueError``.
     """
+    from repro.backend.base import Backend
+
     if backend is None:
         backend = "sim"
     if isinstance(backend, Backend):

@@ -26,15 +26,9 @@ import sys
 from repro.datasets import DATASETS, make_dataset
 from repro.ilp import accuracy
 from repro.logic.io import save_problem, theory_to_prolog
-from repro.run import RunMeta, refusal, run
+from repro.run import BACKEND_NAMES, RunMeta, refusal, run
 
 __all__ = ["main", "build_parser"]
-
-# ``repro.parallel`` and ``repro.backend`` (with ``multiprocessing`` and the
-# simulator) are imported by the commands that run them, so a sequential
-# ``learn`` never loads them.  The ``--backend`` choices are spelled here
-# for the same reason; a test pins them to ``repro.backend.BACKEND_NAMES``.
-_BACKEND_CHOICES = ("sim", "local", "mpi")
 
 
 def _parse_width(s: str):
@@ -44,7 +38,7 @@ def _parse_width(s: str):
 def _add_backend_arg(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--backend",
-        choices=_BACKEND_CHOICES,
+        choices=BACKEND_NAMES,
         default="sim",
         help="execution substrate for parallel runs: 'sim' = deterministic "
         "discrete-event simulation in virtual time (default), 'local' = real "
@@ -302,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     js.add_argument("--p", type=int, default=1)
     js.add_argument("--seed", type=int, default=0)
     js.add_argument("--scale", choices=("small", "paper"), default="small")
-    js.add_argument("--backend", choices=_BACKEND_CHOICES, default="sim")
+    js.add_argument("--backend", choices=BACKEND_NAMES, default="sim")
     js.add_argument("--priority", type=int, default=0, help="higher runs first")
     js.add_argument("--preemptible", action="store_true",
                     help="run in epoch chunks (cancellable mid-run, crash-resumable)")

@@ -22,61 +22,31 @@ unreliable pool:
 The subsystem is strictly opt-in: with no plan (or an empty one) a run
 puts byte-for-byte the unstamped task messages on the wire.
 
-Only the plan layer is imported eagerly — the cluster scheduler depends
-on it, and the scheduler must stay importable without dragging in the
-parallel package (which the checkpoint layer builds on).
+Each name below is imported from its layer when it is first read (see
+:mod:`repro.util.lazy`), so a run loads only the layers it uses.
 """
 
-from repro.fault.plan import (
-    FaultPlan,
-    FaultRecord,
-    MessageLoss,
-    Straggler,
-    WorkerCrash,
-    WorkerJoin,
-    normalize_plan,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "FaultRecord",
-    "MessageLoss",
-    "Straggler",
-    "WorkerCrash",
-    "WorkerJoin",
-    "normalize_plan",
-    "CheckpointState",
-    "EpochRecord",
-    "load_checkpoint",
-    "save_checkpoint",
-    "PoolSupervisor",
-    "RecoveryError",
-    "rebuild_shard",
-    "ServiceFaultPlan",
-    "ServiceFaultInjector",
-    "InjectedFault",
-    "normalize_service_plan",
-]
-
-_LAZY = {
-    "CheckpointState": "repro.fault.checkpoint",
-    "EpochRecord": "repro.fault.checkpoint",
-    "load_checkpoint": "repro.fault.checkpoint",
-    "save_checkpoint": "repro.fault.checkpoint",
-    "PoolSupervisor": "repro.fault.recovery",
-    "RecoveryError": "repro.fault.recovery",
-    "rebuild_shard": "repro.fault.recovery",
-    "ServiceFaultPlan": "repro.fault.service",
-    "ServiceFaultInjector": "repro.fault.service",
-    "InjectedFault": "repro.fault.service",
-    "normalize_service_plan": "repro.fault.service",
+_EXPORTS = {
+    ".plan": (
+        "FaultPlan",
+        "FaultRecord",
+        "MessageLoss",
+        "Straggler",
+        "WorkerCrash",
+        "WorkerJoin",
+        "normalize_plan",
+    ),
+    ".checkpoint": ("CheckpointState", "EpochRecord", "load_checkpoint", "save_checkpoint"),
+    ".recovery": ("PoolSupervisor", "RecoveryError", "rebuild_shard"),
+    ".service": (
+        "ServiceFaultPlan",
+        "ServiceFaultInjector",
+        "InjectedFault",
+        "normalize_service_plan",
+    ),
 }
 
-
-def __getattr__(name: str):
-    mod = _LAZY.get(name)
-    if mod is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(mod), name)
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

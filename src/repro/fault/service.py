@@ -55,7 +55,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.fault.plan import FaultRecord
+from repro.service.errors import InjectedFault
 
 __all__ = [
     "ConnReset",
@@ -67,10 +67,6 @@ __all__ = [
     "InjectedFault",
     "normalize_service_plan",
 ]
-
-
-class InjectedFault(RuntimeError):
-    """Raised (or simulated) at an injection point; never a real bug."""
 
 
 @dataclass(frozen=True)
@@ -258,6 +254,8 @@ class ServiceFaultInjector:
         self.log: list[FaultRecord] = []
 
     def _record(self, kind: str, count: int, detail: str) -> None:
+        from repro.fault.plan import FaultRecord
+
         self.log.append(FaultRecord(kind=kind, rank=0, time=float(count), detail=detail))
 
     # -- choke points ------------------------------------------------------------

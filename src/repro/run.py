@@ -29,12 +29,18 @@ from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.ilp.mdie import mdie
 from repro.logic.clause import Theory
 
-__all__ = ["ALGOS", "CHECKPOINTABLE", "RunMeta", "RunOutcome", "refusal", "run"]
+__all__ = ["ALGOS", "BACKEND_NAMES", "CHECKPOINTABLE", "RunMeta", "RunOutcome", "refusal", "run"]
 
 #: the algorithms :func:`run` serves.  ``mdie`` is the sequential
 #: baseline (always one process); the other three are the parallel
 #: strategies.
 ALGOS = ("mdie", "p2mdie", "covpar", "independent")
+
+#: the backend names :func:`run` accepts, each built by
+#: :func:`repro.backend.make_backend`: the CLI's ``--backend`` choices, and
+#: re-exported by ``repro.backend``.  Defined here, which every run loads,
+#: so that naming a backend loads no part of ``repro.backend``.
+BACKEND_NAMES = ("sim", "local", "mpi")
 
 #: algorithms that write epoch-boundary checkpoints and can resume.
 CHECKPOINTABLE = ("mdie", "p2mdie", "covpar")

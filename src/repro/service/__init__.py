@@ -38,25 +38,17 @@ Everything is stdlib-only (threads, sockets, JSON) — no new
 dependencies.
 """
 
-from repro.service.jobs import JobRecord, JobSpec, run_job
-from repro.service.query import QueryEngine, QueryResult
-from repro.service.registry import RegistryError, RegistryRecord, TheoryRegistry
-from repro.service.scheduler import JobScheduler, SchedulerError
-from repro.service.client import ServiceClient
-from repro.service.server import Service, serve
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "JobSpec",
-    "JobRecord",
-    "run_job",
-    "JobScheduler",
-    "SchedulerError",
-    "TheoryRegistry",
-    "RegistryRecord",
-    "RegistryError",
-    "QueryEngine",
-    "QueryResult",
-    "Service",
-    "ServiceClient",
-    "serve",
-]
+# Read on first use (see repro.util.lazy): a server loads no client.
+_EXPORTS = {
+    ".jobs": ("JobSpec", "JobRecord", "run_job"),
+    ".scheduler": ("JobScheduler", "SchedulerError"),
+    ".registry": ("TheoryRegistry", "RegistryRecord", "RegistryError"),
+    ".query": ("QueryEngine", "QueryResult"),
+    ".server": ("Service", "serve"),
+    ".client": ("ServiceClient",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

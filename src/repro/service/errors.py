@@ -39,6 +39,7 @@ __all__ = [
     "FrameTooLarge",
     "error_response",
     "RETRYABLE_CODES",
+    "InjectedFault",
 ]
 
 #: codes a client may blindly retry (with backoff); everything else
@@ -116,6 +117,13 @@ class FrameTooLarge(ServiceFault):
     """A request line over the front door's 64 MiB cap (``server.MAX_FRAME``)."""
 
     code = "frame_too_large"
+
+
+class InjectedFault(RuntimeError):
+    """Raised (or simulated) at an injection point; never a real bug.
+
+    Defined here so the scheduler can catch it without loading the fault
+    layer; :mod:`repro.fault.service` raises it and re-exports it."""
 
 
 def error_response(exc: Exception, code: Optional[str] = None) -> dict:

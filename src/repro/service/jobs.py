@@ -34,7 +34,7 @@ from typing import Optional
 from repro.datasets import DATASETS, Dataset, make_dataset
 from repro.ilp import accuracy
 from repro.parallel import wire
-from repro.run import CHECKPOINTABLE, RunOutcome, refusal, run
+from repro.run import BACKEND_NAMES, CHECKPOINTABLE, RunOutcome, refusal, run
 
 __all__ = [
     "JobSpec",
@@ -143,8 +143,6 @@ class JobSpec:
         )
         if reason:
             raise ValueError(reason)
-        from repro.backend import BACKEND_NAMES
-
         if self.backend not in BACKEND_NAMES:
             raise ValueError(f"job backend must be one of {BACKEND_NAMES}")
         if self.scale not in ("small", "paper"):

@@ -30,7 +30,6 @@ import functools
 import os
 import re
 import struct
-import subprocess
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -158,6 +157,8 @@ def _git_sha() -> str:
     SHA returned is the checkout's HEAD at the first publish, and later
     publishes stamp that one without forking ``git`` again.
     """
+    import subprocess  # only a publish needs it
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -56,10 +56,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.fault.service import InjectedFault
 from repro.parallel import wire
 from repro.run import RunOutcome
-from repro.service.errors import Overloaded
+from repro.service.errors import InjectedFault, Overloaded
 from repro.service.jobs import JobRecord, JobSpec, OutcomeSummary, run_job
 from repro.util.atomicio import atomic_write_bytes
 from repro.util.log import get_logger

@@ -68,7 +68,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from repro.fault.service import ServiceFaultInjector, normalize_service_plan
 from repro.logic import ParseError, parse_term
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.util.log import get_logger, log_context
@@ -185,8 +184,13 @@ class Service:
         #: request-span recorder; NULL_TRACER (no-op) unless serve was
         #: started with --trace-out.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        plan = normalize_service_plan(fault_plan)
-        self.fault_injector = ServiceFaultInjector(plan) if plan is not None else None
+        self.fault_injector = None
+        if fault_plan is not None:
+            # The fault layer is loaded by chaos runs only.
+            from repro.fault.service import ServiceFaultInjector, normalize_service_plan
+
+            plan = normalize_service_plan(fault_plan)
+            self.fault_injector = ServiceFaultInjector(plan) if plan is not None else None
         self.registry = (
             TheoryRegistry(registry_dir, fault_injector=self.fault_injector)
             if registry_dir

@@ -264,7 +264,12 @@ class TestStreamingOverSockets:
         self, tmp_path, published, trains
     ):
         examples = [str(e) for e in trains.pos + trains.neg] * 500
-        port, thread = start_server(tmp_path, published, fault_plan=COUNT_LEASES)
+        # Span 1 stalls for a second before it runs, so the hang-up below
+        # reaches the server while spans 1-7 are still pending, however
+        # fast the host runs the spans.
+        slow_second = LeaseFault(on_lease=2, mode="slow", delay=1.0)
+        plan = ServiceFaultPlan(leases=(slow_second, *COUNT_LEASES.leases))
+        port, thread = start_server(tmp_path, published, fault_plan=plan)
         try:
             client = ServiceClient(port=port)
             stream = client.query_stream("trains-th", examples, shards=8)

@@ -9,12 +9,18 @@ and fixed costs") for the timings.
 """
 
 import argparse
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: the packages whose ``__init__`` resolves its re-exports on first use.
+LAZY_PACKAGES = ("repro.parallel", "repro.backend", "repro.service", "repro.fault")
 
 # None in sys.modules makes ``import scipy`` raise ImportError: the
 # interpreter of an environment that only ran ``pip install .``.
@@ -91,7 +97,8 @@ def test_sequential_learn_loads_no_parallel_stack():
 
 
 def test_cli_backend_choices_are_the_backend_names():
-    # The CLI spells the choices itself so that parsing loads no backend.
+    # One tuple: ``repro.run`` defines it, so parsing loads no backend, and
+    # ``repro.backend`` re-exports it.
     from repro.backend import BACKEND_NAMES
     from repro.cli import build_parser
 
@@ -103,7 +110,76 @@ def test_cli_backend_choices_are_the_backend_names():
     ]
     # learn, resume, faults, tables, trace and `jobs submit`
     assert len(choices) == 6
-    assert all(tuple(c) == BACKEND_NAMES for c in choices)
+    assert all(c is BACKEND_NAMES for c in choices)
+
+
+def test_query_only_server_loads_no_learner_stack(tmp_path):
+    # A server that answers a query and runs an in-process mdie job needs
+    # the wire codec of repro.parallel, not the parallel learner, and none
+    # of the backends, the simulator or the fault layer.
+    from repro.logic import Theory, parse_clause
+    from repro.service.registry import TheoryRegistry
+
+    rule = parse_clause("eastbound(A) :- has_car(A, C), short(C), closed(C).")
+    TheoryRegistry(str(tmp_path)).publish(
+        "trains", Theory([rule]), provenance={"dataset": "trains", "seed": "0", "scale": "small"}
+    )
+    out = _python(
+        "import sys, repro.cli\n"
+        "from repro.service import Service\n"
+        f"svc = Service(slots=1, registry_dir={str(tmp_path)!r})\n"
+        "q = svc.handle({'op': 'query', 'theory': 'trains', 'examples': ['eastbound(t0)', 'eastbound(t5)']})\n"
+        "assert q['covered'] == [True, False], q\n"
+        "job = svc.handle({'op': 'submit', 'spec': {'dataset': 'trains', 'algo': 'mdie'}})['job']\n"
+        "done = svc.handle({'op': 'wait', 'job': job, 'timeout': 60})\n"
+        "assert done['state'] == 'done', done\n"
+        "unused = ('repro.backend.', 'multiprocessing', 'repro.fault', 'repro.cluster.scheduler',\n"
+        "          'repro.service.client', 'repro.parallel.master', 'repro.parallel.worker',\n"
+        "          'repro.parallel.p2mdie', 'repro.parallel.coverage_parallel',\n"
+        "          'repro.parallel.independent')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(unused)))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_p2_local_learn_loads_no_other_strategy_or_simulator():
+    out = _python(
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['learn', 'trains', '--p', '2', '--backend', 'local']) == 0\n"
+        "unused = ('repro.parallel.coverage_parallel', 'repro.parallel.independent', 'repro.backend.sim')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(unused)))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_package_exports_resolve_on_first_use(package):
+    # In a fresh interpreter: importing the package loads none of its
+    # submodules; ``import *`` binds every ``__all__`` name to the object
+    # its submodule defines.
+    out = _python(
+        "import importlib, sys\n"
+        f"pkg = importlib.import_module({package!r})\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({package + '.'!r})))\n"
+        "ns = {}\n"
+        f"exec('from {package} import *', ns)\n"
+        "where = {n: m for m, names in pkg._EXPORTS.items() for n in names}\n"
+        "print(sorted(n for n in pkg.__all__ if n not in ns))\n"
+        "print(sorted(n for n in where if ns[n] is not getattr(importlib.import_module(where[n], pkg.__name__), n)))\n"
+        "print(sorted(set(where) - set(pkg.__all__)))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]", "[]", "[]"]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_package_refuses_an_unknown_name(package):
+    pkg = importlib.import_module(package)
+    with pytest.raises(AttributeError, match=f"module '{package}' has no attribute 'no_such_name'"):
+        pkg.no_such_name  # noqa: B018
 
 
 def _parsers(parser):
