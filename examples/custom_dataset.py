@@ -8,6 +8,7 @@ The task: learn `grandparent(X, Y)` from family trees.
 Run:  python examples/custom_dataset.py
 """
 
+from repro.backend import SimBackend
 from repro.cluster import GIGABIT, OpsCostModel
 from repro.ilp import ILPConfig, ModeSet, accuracy, mdie
 from repro.logic import Engine, KnowledgeBase, parse_term
@@ -79,13 +80,13 @@ def main() -> None:
     for c in seq.theory:
         print(f"  {c}")
 
-    # A faster interconnect and a custom cost model, to show the knobs.
+    # A faster interconnect and a custom cost model: the simulator's
+    # models are set on the sim backend the run is given.
     par = run_p2mdie(
         kb, pos, neg, modes, config,
         p=3,
         seed=0,
-        network=GIGABIT,
-        cost_model=OpsCostModel(sec_per_op=40e-6),
+        backend=SimBackend(network=GIGABIT, cost_model=OpsCostModel(sec_per_op=40e-6)),
     )
     print("\np2-mdie theory (p=3, gigabit fabric):")
     for c in par.theory:

@@ -6,21 +6,23 @@ whichever :class:`~repro.backend.base.Backend` drives them:
 =========  ===============================================  ==============
 name       substrate                                        ``seconds``
 =========  ===============================================  ==============
-``sim``    discrete-event Scheduler (deterministic)         virtual time
+``sim``    discrete-event simulator (deterministic)         virtual time
 ``local``  real ``multiprocessing`` processes over pipes    wall clock
 ``mpi``    real MPI communicator via mpi4py                 wall clock
 =========  ===============================================  ==============
 
 Use :func:`make_backend` to build one by name, or
 :func:`resolve_backend` when accepting either a name or a ready instance
-(the pattern every ``run_*`` front-end uses).  A backend holds no fault
+(the pattern every ``run_*`` front-end uses).  A backend's options are
+its constructor's: the simulated fabric and cost model are set only by
+``SimBackend(network=, cost_model=)``.  A backend holds no fault
 plan: the plan is an argument of ``Backend.run(procs, fault_plan=...)``,
 and all three substrates inject it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.util.lazy import lazy_exports
 
@@ -34,7 +36,6 @@ _EXPORTS = {
         "BackendRun",
         "BackendTimeoutError",
         "BackendUnavailableError",
-        "ExecutionContext",
         "drive",
     ),
     ".sim": ("SimBackend",),
@@ -48,39 +49,22 @@ __all__ = [name for names in _EXPORTS.values() for name in names] + [
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
 
-def make_backend(
-    name: str,
-    *,
-    network=None,
-    cost_model=None,
-    record_trace: bool = False,
-    timeout: Optional[float] = None,
-    start_method: Optional[str] = None,
-) -> Backend:
-    """Build a backend by registry name.
+def make_backend(name: str, *, record_trace: bool = False) -> Backend:
+    """Build a backend by registry name, with its default options.
 
-    Substrate-specific options are applied where they make sense and
-    ignored elsewhere (``network``/``cost_model`` only shape the sim;
-    ``timeout``/``start_method`` only the local backend).
+    A run that needs other options builds the backend itself and passes
+    the instance: ``SimBackend(network=, cost_model=)`` for another
+    simulated fabric or cost model, ``LocalProcessBackend(timeout=,
+    start_method=)`` for the local substrate's.
     """
     if name == "sim":
         from repro.backend.sim import SimBackend
-        from repro.cluster.costmodel import DEFAULT_COST_MODEL
-        from repro.cluster.network import FAST_ETHERNET
 
-        return SimBackend(
-            network=network if network is not None else FAST_ETHERNET,
-            cost_model=cost_model if cost_model is not None else DEFAULT_COST_MODEL,
-            record_trace=record_trace,
-        )
+        return SimBackend(record_trace=record_trace)
     if name == "local":
         from repro.backend.local import LocalProcessBackend
 
-        return LocalProcessBackend(
-            record_trace=record_trace,
-            timeout=timeout,
-            start_method=start_method,
-        )
+        return LocalProcessBackend(record_trace=record_trace)
     if name == "mpi":
         from repro.backend.mpi import MPIBackend
 
@@ -90,14 +74,7 @@ def make_backend(
     raise ValueError(f"unknown backend {name!r}; known: {BACKEND_NAMES}")
 
 
-def resolve_backend(
-    backend: Union[Backend, str, None],
-    *,
-    network=None,
-    cost_model=None,
-    record_trace: bool = False,
-    timeout: Optional[float] = None,
-) -> Backend:
+def resolve_backend(backend: Union[Backend, str, None], *, record_trace: bool = False) -> Backend:
     """Accept a Backend instance, a registry name, or None (→ sim).
 
     A ready instance is used as it is: asking for a trace it does not
@@ -114,10 +91,4 @@ def resolve_backend(
                 f"{type(backend).__name__}(record_trace=True), or pass its name"
             )
         return backend
-    return make_backend(
-        backend,
-        network=network,
-        cost_model=cost_model,
-        record_trace=record_trace,
-        timeout=timeout,
-    )
+    return make_backend(backend, record_trace=record_trace)

@@ -5,20 +5,21 @@ Every parallel strategy in :mod:`repro.parallel` is written as a set of
 syscalls (send / bcast / recv / compute) to whatever is driving them.
 A *backend* supplies that driver:
 
-* :class:`~repro.backend.sim.SimBackend` — the discrete-event
-  :class:`~repro.cluster.scheduler.Scheduler` (deterministic virtual
-  time, the paper's evaluation substrate);
+* :class:`~repro.backend.sim.SimBackend` — the discrete-event simulator
+  (deterministic virtual time over the modelled fabric and cost model,
+  the paper's evaluation substrate);
 * :class:`~repro.backend.local.LocalProcessBackend` — real
   ``multiprocessing`` processes with pipe transport and wall-clock time;
 * :class:`~repro.backend.mpi.MPIBackend` — a real MPI communicator via
   mpi4py (when installed).
 
-Because the master/worker generators only ever touch the
-:class:`ExecutionContext` surface, the *same* code learns the *same*
-theory on every substrate; only the timing/communication measurements
-change meaning (virtual seconds vs. wall-clock seconds).
+Every rank runs against a :class:`~repro.cluster.process.ProcContext`
+— the simulator hands out plain ones, the real substrates a subclass —
+so the *same* code learns the *same* theory on every substrate; only the
+timing/communication measurements change meaning (virtual seconds vs.
+wall-clock seconds).
 
-The two real substrates share one per-rank context,
+The two real substrates share that subclass,
 :class:`WallClockContext`: the clock, the :class:`CommStats` accounting,
 the single wire encoding per send, fault injection from the rank's
 :class:`~repro.fault.plan.RankFaults` and the ``execute`` dispatch live
@@ -32,9 +33,9 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Sequence
 
-from repro.cluster.message import Message, marshal_payload, unmarshal_payload
+from repro.cluster.message import CommStats, Message, marshal_payload, unmarshal_payload
 from repro.cluster.process import (
     BcastOp,
     ComputeOp,
@@ -44,7 +45,6 @@ from repro.cluster.process import (
     SimProcess,
     Span,
 )
-from repro.cluster.scheduler import CommStats
 from repro.fault.plan import (
     MAX_STRAGGLE_SLEEP,
     FaultPlan,
@@ -59,7 +59,6 @@ __all__ = [
     "BackendError",
     "BackendTimeoutError",
     "BackendUnavailableError",
-    "ExecutionContext",
     "InjectedCrash",
     "WallClockContext",
     "drive",
@@ -83,36 +82,6 @@ class InjectedCrash(BaseException):
 
     A BaseException so no algorithm-level handler can swallow the death.
     """
-
-
-@runtime_checkable
-class ExecutionContext(Protocol):
-    """The per-rank surface a :class:`SimProcess` generator runs against.
-
-    Implementations provide the four syscall *constructors* (whose return
-    values the process ``yield``\\ s) plus rank/size introspection.  The sim
-    backend's :class:`~repro.cluster.process.ProcContext` and the real
-    backends' contexts all satisfy this protocol, which is what makes the
-    master/worker code backend-agnostic.
-    """
-
-    rank: int
-
-    def send(self, dst: int, payload: object, tag: str): ...
-
-    def bcast(self, payload: object, tag: str, dsts: Optional[Iterable[int]] = None): ...
-
-    def recv(
-        self,
-        src: Optional[int] = None,
-        tag: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ): ...
-
-    def compute(self, ops: int, label: str = "compute"): ...
-
-    @property
-    def n_procs(self) -> int: ...
 
 
 @dataclass
@@ -358,7 +327,7 @@ def drive(proc: SimProcess, ctx: WallClockContext) -> None:
     ``ctx.execute(op)`` performs one syscall and returns the value the
     generator is resumed with (a :class:`~repro.cluster.message.Message`
     for receives, ``None`` otherwise).  Used by the real backends; the
-    sim backend's scheduler interleaves generators itself.
+    sim backend's event loop interleaves generators itself.
     """
     gen = proc.run(ctx)
     result = None

@@ -27,7 +27,7 @@ Transport notes
   ``None`` on expiry.
 * **Accounting** (shared context) sizes each payload by its wire-codec
   bytes (:func:`~repro.cluster.message.marshal_payload`) into the same
-  :class:`~repro.cluster.scheduler.CommStats` as the simulation, so
+  :class:`~repro.cluster.message.CommStats` as the simulation, so
   communication volumes are directly comparable across substrates.
   Payloads travel as those bytes and are decoded on receipt — the
   accounted bytes are the shipped bytes.

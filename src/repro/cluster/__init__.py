@@ -1,15 +1,17 @@
-"""Simulated distributed-memory cluster (the Beowulf stand-in).
+"""The simulated cluster's parts (the Beowulf stand-in).
 
-A deterministic discrete-event simulation of a message-passing cluster:
-per-node virtual clocks, an mpi4py-style ``send``/``bcast``/``recv`` API
-(§2.2 of the paper), a latency+bandwidth network model, wire-codec
-payload size accounting (Table 4), and a pluggable compute-cost model
-fed by the logic engine's inference-operation counter.
+What a message-passing cluster is made of, for every substrate: an
+mpi4py-style ``send``/``bcast``/``recv`` API over per-rank contexts
+(:mod:`.process`, §2.2 of the paper), messages sized by their wire-codec
+bytes and summed per run (:mod:`.message`, Table 4), and the two models
+the simulator prices them with: a latency+bandwidth network
+(:mod:`.network`) and a compute-cost model fed by the logic engine's
+inference-operation counter (:mod:`.costmodel`).
 
-The package re-exports only the two leaf models, :mod:`.costmodel` and
-:mod:`.network`, so reading a cost constant loads no simulator.  Import
-the simulator itself from its modules: :mod:`.message`, :mod:`.process`
-and :mod:`.scheduler`.
+The simulator itself is :mod:`repro.backend.sim`; ``SimBackend(network=,
+cost_model=)`` is the one place a run's fabric and cost model are set.
+The package re-exports only the two leaf models, so reading a cost
+constant loads no simulator.
 """
 
 from repro.cluster.costmodel import (

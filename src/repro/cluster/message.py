@@ -4,16 +4,17 @@ A payload is one of the message types registered with the compact wire
 codec (:mod:`repro.parallel.wire`): every task message and the
 fault-tolerance protocol's pings, pongs and routing updates.  Its wire
 bytes are its *marshalled size* — what the network model charges for and
-what the Table 4 communication-volume accounting sums — and the bytes the
-real backends ship.  A payload of any other type is refused at send with
-a :class:`~repro.parallel.wire.WireError` naming its type.
+what :class:`CommStats`, the Table 4 communication-volume accounting,
+sums on every substrate — and the bytes the real backends ship.  A
+payload of any other type is refused at send with a
+:class:`~repro.parallel.wire.WireError` naming its type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["Message", "payload_nbytes", "marshal_payload", "unmarshal_payload", "Tag"]
+__all__ = ["Message", "CommStats", "payload_nbytes", "marshal_payload", "unmarshal_payload", "Tag"]
 
 
 class Tag:
@@ -77,3 +78,34 @@ class Message:
             f"Message({self.src}->{self.dst} tag={self.tag} {self.nbytes}B "
             f"t={self.send_time:.6f}->{self.arrival_time:.6f})"
         )
+
+
+@dataclass
+class CommStats:
+    """Aggregate communication accounting for one run (feeds Table 4)."""
+
+    messages: int = 0
+    bytes_total: int = 0
+    bytes_by_tag: dict = field(default_factory=dict)
+    bytes_by_link: dict = field(default_factory=dict)  # (src, dst) -> bytes
+
+    def record(self, msg: Message) -> None:
+        self.messages += 1
+        self.bytes_total += msg.nbytes
+        self.bytes_by_tag[msg.tag] = self.bytes_by_tag.get(msg.tag, 0) + msg.nbytes
+        key = (msg.src, msg.dst)
+        self.bytes_by_link[key] = self.bytes_by_link.get(key, 0) + msg.nbytes
+
+    def merge(self, other: "CommStats") -> None:
+        """Fold another rank's accounting into this one (real backends
+        collect per-rank stats and merge them into the global view)."""
+        self.messages += other.messages
+        self.bytes_total += other.bytes_total
+        for tag, b in other.bytes_by_tag.items():
+            self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + b
+        for link, b in other.bytes_by_link.items():
+            self.bytes_by_link[link] = self.bytes_by_link.get(link, 0) + b
+
+    @property
+    def mbytes_total(self) -> float:
+        return self.bytes_total / (1024.0 * 1024.0)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from repro.backend import Backend
-from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.datasets.base import Dataset, make_dataset
 from repro.experiments.crossval import Fold, kfold
 from repro.ilp.theory import accuracy
@@ -88,8 +86,6 @@ def run_cell(
     p: int,
     width: Optional[int],
     seed: int,
-    network: NetworkModel = FAST_ETHERNET,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     max_epochs: Optional[int] = None,
     backend: Union[Backend, str, None] = None,
 ) -> RunRecord:
@@ -97,12 +93,13 @@ def run_cell(
 
     ``backend`` selects the execution substrate for the parallel runs
     (``p > 1``); the sequential baseline always runs in-process in
-    virtual seconds.  The record carries the clock of its seconds.
+    virtual seconds of the default cost model, the one ``SimBackend()``
+    prices with.  The record carries the clock of its seconds.
     """
     train = replace(ds, pos=list(fold.train_pos), neg=list(fold.train_neg))
     outcome = run(
         train, "mdie" if p == 1 else "p2mdie", p=p, width=width, seed=seed,
-        backend=backend, network=network, cost_model=cost_model, max_epochs=max_epochs,
+        backend=backend, max_epochs=max_epochs,
     )
     engine = ds.config.make_engine(ds.kb)
     acc = accuracy(engine, outcome.theory, list(fold.test_pos), list(fold.test_neg))
@@ -128,8 +125,6 @@ def run_matrix(
     k_folds: int = 5,
     scale: str = "small",
     seed: int = 0,
-    network: NetworkModel = FAST_ETHERNET,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     include_sequential: bool = True,
     max_epochs: Optional[int] = None,
     backend: Union[Backend, str, None] = None,
@@ -146,11 +141,11 @@ def run_matrix(
         for fold in kfold(ds.pos, ds.neg, k=k_folds, seed=seed):
             if include_sequential:
                 out.records.append(
-                    run_cell(ds, fold, p=1, width=None, seed=seed, network=network, cost_model=cost_model, max_epochs=max_epochs)
+                    run_cell(ds, fold, p=1, width=None, seed=seed, max_epochs=max_epochs)
                 )
             for width in widths:
                 for p in ps:
                     out.records.append(
-                        run_cell(ds, fold, p=p, width=width, seed=seed, network=network, cost_model=cost_model, max_epochs=max_epochs, backend=backend)
+                        run_cell(ds, fold, p=p, width=width, seed=seed, max_epochs=max_epochs, backend=backend)
                     )
     return out

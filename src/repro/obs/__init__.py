@@ -18,34 +18,28 @@ Three small pieces, all off-by-default-cheap:
   ``repro.util`` to stay import-light).
 """
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    percentile,
-)
-from repro.obs.span import (
-    NULL_TRACER,
-    Span,
-    SpanBatch,
-    Tracer,
-    read_spans_jsonl,
-    write_spans_jsonl,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanBatch",
-    "Tracer",
-    "NULL_TRACER",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
-    "percentile",
-]
+# Read on first use (see repro.util.lazy): a rank shipping its spans home
+# loads no metrics registry.
+_EXPORTS = {
+    ".span": (
+        "Span",
+        "SpanBatch",
+        "Tracer",
+        "NULL_TRACER",
+        "write_spans_jsonl",
+        "read_spans_jsonl",
+    ),
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "DEFAULT_LATENCY_BUCKETS",
+        "percentile",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -37,8 +37,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.backend import Backend
-from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import ProcContext
 from repro.fault.plan import FaultPlan
 from repro.ilp.bottom import SaturationError, build_bottom_cached
@@ -209,8 +207,6 @@ def run_coverage_parallel(
     p: int,
     batch_size: int = 1,
     seed: int = 0,
-    network: NetworkModel = FAST_ETHERNET,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     max_epochs: Optional[int] = None,
     backend: Union[Backend, str, None] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -241,6 +237,4 @@ def run_coverage_parallel(
         checkpoint_meta=checkpoint_meta,
         resume=resume,
     )
-    return _launch(
-        master, P2Worker, shared, spares, seed, backend, network=network, cost_model=cost_model
-    )
+    return _launch(master, P2Worker, shared, spares, seed, backend)

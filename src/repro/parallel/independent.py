@@ -31,9 +31,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.backend import Backend
-from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.message import Tag
-from repro.cluster.network import FAST_ETHERNET, NetworkModel
 from repro.cluster.process import ProcContext
 from repro.fault.plan import FaultPlan
 from repro.ilp.bottom import SaturationError, build_bottom_cached
@@ -139,8 +137,6 @@ def run_independent(
     p: int,
     width: Optional[int] = None,
     seed: int = 0,
-    network: NetworkModel = FAST_ETHERNET,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     backend: Union[Backend, str, None] = None,
     fault_plan: Optional[FaultPlan] = None,
     spares: int = 0,
@@ -157,6 +153,4 @@ def run_independent(
         fault_plan=plan,
         spares=spares,
     )
-    return _launch(
-        master, IndependentWorker, shared, spares, seed, backend, network=network, cost_model=cost_model
-    )
+    return _launch(master, IndependentWorker, shared, spares, seed, backend)

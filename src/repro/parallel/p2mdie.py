@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.backend import Backend, BackendRun, resolve_backend
-from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL, sequential_seconds
-from repro.cluster.network import FAST_ETHERNET, NetworkModel
+from repro.cluster.costmodel import sequential_seconds
+from repro.cluster.message import CommStats
 from repro.cluster.process import Span
-from repro.cluster.scheduler import CommStats
 from repro.fault.plan import FaultPlan, normalize_plan
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
@@ -154,12 +153,15 @@ def collect_cache_stats(run: BackendRun, routing=None) -> dict:
     return out
 
 
-def _launch(master, worker_cls, shared: SharedProblem, spares: int, seed: int, backend, **models):
+def _launch(
+    master, worker_cls, shared: SharedProblem, spares: int, seed: int, backend,
+    record_trace: bool = False,
+):
     """The tail every front-end shares: ``master`` plus workers
     ``1..p+spares`` on the resolved backend, run to completion."""
     p = master.n_workers
     workers = [worker_cls(rank, shared, p, seed=seed) for rank in range(1, p + spares + 1)]
-    bk = resolve_backend(backend, **models)
+    bk = resolve_backend(backend, record_trace=record_trace)
     return _result_from_run(bk.run([master, *workers], fault_plan=master.fault_plan))
 
 
@@ -228,8 +230,6 @@ def run_p2mdie(
     p: int,
     width: Optional[int] = ...,
     seed: int = 0,
-    network: NetworkModel = FAST_ETHERNET,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     record_trace: bool = False,
     max_epochs: Optional[int] = None,
     backend: Union[Backend, str, None] = None,
@@ -247,8 +247,9 @@ def run_p2mdie(
     the shared filesystem (§4.1), :class:`SharedProblem`.
     ``backend`` selects the execution substrate: a
     :class:`~repro.backend.Backend` instance or a name (``"sim"``,
-    ``"local"``, ``"mpi"``); ``None`` means the simulated cluster built
-    from ``network``/``cost_model``.  On a real backend ``seconds`` is
+    ``"local"``, ``"mpi"``); ``None`` means ``SimBackend()``, the paper's
+    fabric and cost model (pass ``SimBackend(network=, cost_model=)`` for
+    others).  On a real backend ``seconds`` is
     wall-clock time and the learned theory is identical to the sim's for
     the same seed/config (backend parity).
 
@@ -277,14 +278,4 @@ def run_p2mdie(
         checkpoint_meta=checkpoint_meta,
         resume=resume,
     )
-    return _launch(
-        master,
-        P2Worker,
-        shared,
-        spares,
-        seed,
-        backend,
-        network=network,
-        cost_model=cost_model,
-        record_trace=record_trace,
-    )
+    return _launch(master, P2Worker, shared, spares, seed, backend, record_trace=record_trace)

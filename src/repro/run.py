@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster.costmodel import DEFAULT_COST_MODEL, CostModel, sequential_seconds
-from repro.cluster.network import FAST_ETHERNET, NetworkModel
+from repro.cluster.costmodel import sequential_seconds
 from repro.ilp.mdie import mdie
 from repro.logic.clause import Theory
 
@@ -170,14 +169,13 @@ def run(
     scale: str = "small", max_epochs: Optional[int] = None, batch_size: int = 1,
     record_trace: bool = False, fault_plan=None, spares: int = 0,
     checkpoint_dir: Optional[str] = None, resume=None,
-    network: NetworkModel = FAST_ETHERNET, cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> RunOutcome:
     """Run ``algo`` on ``ds`` through its front-end.
 
     ``width=...`` is the dataset config's pipeline width; None is
     "nolimit".  ``backend`` is a name, a ready
-    :class:`~repro.backend.Backend` or None (the simulator built from
-    ``network`` / ``cost_model``); ``mdie`` always runs in-process.
+    :class:`~repro.backend.Backend` or None (the simulator); ``mdie``
+    always runs in-process, its seconds priced by the default cost model.
     ``scale`` is recorded in the checkpoint meta with the dataset name,
     ``p`` and the width.  ``batch_size`` is covpar's, ``record_trace``
     p2mdie's.  Options the algorithm does not take are refused with the
@@ -202,13 +200,12 @@ def run(
     if algo == "mdie":
         res = mdie(*problem, **kw)
         out = RunOutcome(
-            algo, res.theory, res.epochs, sequential_seconds(res, cost_model), "virtual",
+            algo, res.theory, res.epochs, sequential_seconds(res), "virtual",
             res.uncovered, ops=res.ops,
         )
     else:
         kw.update(
-            p=p, backend=backend, network=network, cost_model=cost_model,
-            fault_plan=fault_plan, spares=spares,
+            p=p, backend=backend, fault_plan=fault_plan, spares=spares,
         )
         if algo == "p2mdie":
             from repro.parallel.p2mdie import run_p2mdie as front

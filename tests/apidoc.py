@@ -165,9 +165,9 @@ outcomes and registry records carry as `config_sig`; `repro resume`
 refuses a checkpoint whose signature names a different configuration."""
 
 _BACKEND_NOTE = """\
-`run` and the `run_*` front-ends accept `backend=` as an instance or name; the learned
-theory is identical across substrates for the same seed/config (`tests/backend/test_parity.py`).
-A fault plan is an argument of `Backend.run(procs, fault_plan=...)`, never state on a backend."""
+`run` and the `run_*` front-ends accept `backend=` as an instance or name; the learned theory is identical across substrates for the same seed/config (`tests/backend/test_parity.py`).
+A fault plan is an argument of `Backend.run(procs, fault_plan=...)`, never state on a backend.
+The simulated fabric and cost model are set in one place, `SimBackend(network=, cost_model=)`: a run on another fabric passes `backend=SimBackend(network=GIGABIT)`."""
 
 _FAULT_NOTE = """\
 An empty plan is byte-identical to no plan; a non-empty plan never

@@ -11,11 +11,9 @@ from repro.backend import (
     make_backend,
     resolve_backend,
 )
-from repro.backend.base import ExecutionContext
-from repro.cluster.network import GIGABIT
-from repro.cluster.process import ProcContext, SimProcess
+from repro.cluster.network import FAST_ETHERNET
+from repro.cluster.process import SimProcess
 from repro.parallel.messages import Ping, Pong
-from repro.cluster.scheduler import Scheduler
 
 
 class Pinger(SimProcess):
@@ -80,25 +78,18 @@ class TestRegistry:
         assert by_instance == by_name
 
     def test_resolve_backend_forwards_sim_options(self):
-        bk = resolve_backend("sim", network=GIGABIT, record_trace=True)
-        assert bk.network is GIGABIT
+        # A name builds the backend with its defaults; another fabric is
+        # a SimBackend(network=...) instance, passed as it is.
+        bk = resolve_backend("sim", record_trace=True)
+        assert bk.network is FAST_ETHERNET
         assert bk.record_trace is True
 
 
 class TestSimBackend:
-    def test_matches_virtual_cluster(self):
-        direct = Scheduler([Pinger(0), Ponger(1)])
-        makespan = direct.run()
-        via = SimBackend().run([Pinger(0), Ponger(1)])
-        assert isinstance(via, BackendRun)
-        assert via.seconds == makespan
-        assert via.comm.messages == direct.stats.messages
-        assert via.comm.bytes_total == direct.stats.bytes_total
-        assert via.clocks == [direct.clock_of(0), direct.clock_of(1)]
-
     def test_procs_are_inputs(self):
         ping, pong = Pinger(0), Ponger(1)
         run = SimBackend().run([ping, pong])
+        assert isinstance(run, BackendRun)
         assert run.proc(0) is ping
         assert run.proc(1) is pong
         assert ping.got == Pong(rank=1, token=7)
@@ -113,13 +104,12 @@ class TestSimBackend:
 
 
 class TestContextProtocol:
-    def test_proc_context_satisfies_protocol(self):
-        assert isinstance(ProcContext(0, 2), ExecutionContext)
-
     def test_local_context_surface(self):
-        # The local context satisfies the protocol structurally; checked
-        # end-to-end by the transport tests (it needs live pipes to build).
+        # The local context is a ProcContext; checked end-to-end by the
+        # transport tests (it needs live pipes to build).
         from repro.backend.local import LocalContext
+        from repro.cluster.process import ProcContext
 
+        assert issubclass(LocalContext, ProcContext)
         for attr in ("send", "bcast", "recv", "compute"):
             assert callable(getattr(LocalContext, attr))

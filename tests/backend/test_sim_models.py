@@ -3,11 +3,12 @@
 Virtual seconds and bytes of one trains run at p = 2 under a fabric and a
 cost model other than the defaults, and the sequential run's seconds
 under the default cost model.  The values are the simulator's, pinned:
-a change that drops a model on its way to the scheduler moves them.
+a change that drops a model on its way to the simulator moves them.
 """
 
 import pytest
 
+from repro.backend import SimBackend
 from repro.cluster import INFINIBAND_LIKE, OpsCostModel
 from repro.datasets import make_dataset
 from repro.parallel import run_p2mdie
@@ -20,7 +21,8 @@ def trains():
 
 
 def p2(ds, **models):
-    return run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=2, seed=0, **models)
+    backend = SimBackend(**models)
+    return run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, p=2, seed=0, backend=backend)
 
 
 def test_default_models(trains):

@@ -1,12 +1,12 @@
-"""Unit tests for the discrete-event scheduler and virtual cluster."""
+"""Unit tests for the sim backend's discrete-event loop and virtual cluster."""
 
 import pytest
 
 from repro.backend import SimBackend
+from repro.backend.sim import DeadlockError
 from repro.cluster.costmodel import OpsCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.process import SimProcess
-from repro.cluster.scheduler import DeadlockError, Scheduler
 from repro.logic.parser import parse_clause
 from repro.parallel.messages import EvaluateRequest, Ping, Pong, Stop
 from repro.parallel.wire import WireError
@@ -184,7 +184,7 @@ class TestErrors:
                 yield
 
         with pytest.raises(ValueError):
-            Scheduler([P(0), P(0)])
+            SimBackend(network=NET, cost_model=COST).run([P(0), P(0)])
 
     def test_send_to_unknown_rank(self):
         class Bad(SimProcess):

@@ -8,6 +8,7 @@ cluster; the claims below are the ones the paper draws from them.
 
 import pytest
 
+from repro.backend import SimBackend
 from repro.cluster import FAST_ETHERNET, INFINIBAND_LIKE
 from repro.datasets import make_dataset
 from repro.experiments.runner import run_matrix
@@ -106,7 +107,7 @@ def test_faster_fabric_helps_the_unconstrained_pipeline_most(mesh):
     # communication-bound configuration gains at least as much from a
     # faster fabric as the width-constrained one.
     run = {
-        (fabric, width): p2mdie(mesh, p=8, width=width, network=fabric)
+        (fabric, width): p2mdie(mesh, p=8, width=width, backend=SimBackend(network=fabric))
         for fabric in (FAST_ETHERNET, INFINIBAND_LIKE)
         for width in WIDTHS
     }

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from helpers_fault import log_tuples, run_args
-from repro.backend import make_backend
+from repro.backend import LocalProcessBackend, SimBackend
 from repro.backend.mpi import mpi_available
 from repro.fault.plan import FaultPlan, Straggler, WorkerCrash
 from repro.parallel import run_p2mdie
@@ -58,7 +58,7 @@ def _expected(base) -> dict:
 class TestMatrixInProcess:
     @pytest.mark.parametrize("backend", ["sim", "local"])
     def test_crash_straggler_parity(self, krki, base, backend):
-        bk = make_backend(backend, timeout=300.0)
+        bk = SimBackend() if backend == "sim" else LocalProcessBackend(timeout=300.0)
         r = run_p2mdie(*run_args(krki), p=3, width=10, seed=0, fault_plan=PLAN, backend=bk)
         assert r.theory == base.theory
         assert log_tuples(r) == log_tuples(base)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.backend import SimBackend
+from repro.backend.sim import DeadlockError
 from repro.cluster.process import SimProcess
-from repro.cluster.scheduler import DeadlockError, Scheduler
 from repro.fault.plan import FaultPlan, MessageLoss, Straggler, WorkerCrash
 from repro.parallel.messages import Ping, Pong, Stop
 
@@ -34,8 +35,7 @@ class TestRecvTimeout:
                 yield ctx.send(1, Stop(), tag="stop")
 
         w = Waiter()
-        sched = Scheduler([w, Echo(1)])
-        sched.run()
+        SimBackend().run([w, Echo(1)])
         assert w.got is None
         assert w.when == pytest.approx(2.5)
 
@@ -51,7 +51,7 @@ class TestRecvTimeout:
                 yield ctx.send(1, Stop(), tag="stop")
 
         a = Asker()
-        Scheduler([a, Echo(1)]).run()
+        SimBackend().run([a, Echo(1)])
         assert a.got is not None and a.got.payload == Pong(rank=1, token=3)
 
     def test_timed_recv_prevents_deadlock_error(self):
@@ -60,14 +60,14 @@ class TestRecvTimeout:
                 got = yield ctx.recv(timeout=1.0)
                 assert got is None
 
-        Scheduler([OnlyWaits(0)]).run()  # no DeadlockError
+        SimBackend().run([OnlyWaits(0)])  # no DeadlockError
 
         class WaitsForever(SimProcess):
             def run(self, ctx):
                 yield ctx.recv()
 
         with pytest.raises(DeadlockError):
-            Scheduler([WaitsForever(0)]).run()
+            SimBackend().run([WaitsForever(0)])
 
 
 class Master(SimProcess):
@@ -95,37 +95,36 @@ class TestCrash:
     def test_on_recv_crash_counts_matching_messages(self):
         m = Master(n=3)
         plan = FaultPlan(crashes=(WorkerCrash(rank=1, on_recv=2, tag="ping"),))
-        sched = Scheduler([m, Echo(1)], fault_plan=plan)
-        sched.run()
+        run = SimBackend().run([m, Echo(1)], fault_plan=plan)
         assert m.replies == 1  # first ping answered, second killed the worker
         assert m.timeouts == 2
-        assert [f.kind for f in sched.fault_log] == ["crash"]
-        assert sched.fault_log[0].rank == 1
+        assert [f.kind for f in run.fault_log] == ["crash"]
+        assert run.fault_log[0].rank == 1
+        # the crashed rank's stale state is not handed back
+        assert [p.rank for p in run.procs] == [0]
 
     def test_at_time_crash_kills_blocked_process(self):
         m = Master(n=1, timeout=10.0)
         plan = FaultPlan(crashes=(WorkerCrash(rank=1, at_time=0.0),))
-        sched = Scheduler([m, Echo(1)], fault_plan=plan)
-        sched.run()
+        run = SimBackend().run([m, Echo(1)], fault_plan=plan)
         assert m.replies == 0 and m.timeouts == 1
+        assert run.procs == [m]
 
     def test_sends_to_dead_rank_vanish(self):
         m = Master(n=2, timeout=1.0)
         plan = FaultPlan(crashes=(WorkerCrash(rank=1, at_time=0.0),))
-        sched = Scheduler([m, Echo(1)], fault_plan=plan)
-        sched.run()  # the post-crash pings are dropped, no error
+        # the post-crash pings are dropped, no error
+        SimBackend().run([m, Echo(1)], fault_plan=plan)
         assert m.timeouts == 2
 
 
 class TestStraggler:
     def test_straggler_scales_compute_time(self):
         m1 = Master(n=2)
-        s1 = Scheduler([m1, Echo(1)])
-        t_base = s1.run()
+        t_base = SimBackend().run([m1, Echo(1)]).seconds
         m2 = Master(n=2)
         plan = FaultPlan(stragglers=(Straggler(rank=1, factor=10.0),))
-        s2 = Scheduler([m2, Echo(1)], fault_plan=plan)
-        t_slow = s2.run()
+        t_slow = SimBackend().run([m2, Echo(1)], fault_plan=plan).seconds
         assert m2.replies == 2  # results unchanged
         assert t_slow > t_base  # but time inflated
 
@@ -134,20 +133,18 @@ class TestMessageLoss:
     def test_nth_message_on_link_dropped(self):
         m = Master(n=3)
         plan = FaultPlan(losses=(MessageLoss(src=0, dst=1, nth=2),))
-        sched = Scheduler([m, Echo(1)], fault_plan=plan)
-        sched.run()
+        run = SimBackend().run([m, Echo(1)], fault_plan=plan)
         assert m.replies == 2
         assert m.timeouts == 1
         # one constructor (RankFaults.drop_record) for every substrate: the
         # wall-clock side of this is test_mpi_fault.py's "->1 #2 tag=rules"
-        assert [(f.kind, f.rank, f.detail) for f in sched.fault_log] == [
+        assert [(f.kind, f.rank, f.detail) for f in run.fault_log] == [
             ("drop", 0, "->1 #2 tag=ping")
         ]
 
     def test_sender_still_charged_for_lost_message(self):
         m = Master(n=1, timeout=1.0)
         plan = FaultPlan(losses=(MessageLoss(src=0, dst=1, nth=1),))
-        sched = Scheduler([m, Echo(1)], fault_plan=plan)
-        sched.run()
+        run = SimBackend().run([m, Echo(1)], fault_plan=plan)
         # ping (lost) + stop: both appear in the communication accounting.
-        assert sched.stats.messages == 2
+        assert run.comm.messages == 2

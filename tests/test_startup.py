@@ -20,7 +20,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: the packages whose ``__init__`` resolves its re-exports on first use.
-LAZY_PACKAGES = ("repro.parallel", "repro.backend", "repro.service", "repro.fault")
+LAZY_PACKAGES = ("repro.parallel", "repro.backend", "repro.service", "repro.fault", "repro.obs")
 
 # None in sys.modules makes ``import scipy`` raise ImportError: the
 # interpreter of an environment that only ran ``pip install .``.
@@ -89,7 +89,7 @@ def test_sequential_learn_loads_no_parallel_stack():
         "from repro.cli import main\n"
         "assert main(['learn', 'trains']) == 0\n"
         "parallel = ('repro.parallel', 'repro.backend', 'repro.fault', 'multiprocessing',\n"
-        "            'repro.cluster.message', 'repro.cluster.process', 'repro.cluster.scheduler')\n"
+        "            'repro.cluster.message', 'repro.cluster.process')\n"
         "print(sorted(m for m in sys.modules if m.startswith(parallel)))\n"
     )
     assert out.returncode == 0, out.stderr
@@ -133,7 +133,7 @@ def test_query_only_server_loads_no_learner_stack(tmp_path):
         "job = svc.handle({'op': 'submit', 'spec': {'dataset': 'trains', 'algo': 'mdie'}})['job']\n"
         "done = svc.handle({'op': 'wait', 'job': job, 'timeout': 60})\n"
         "assert done['state'] == 'done', done\n"
-        "unused = ('repro.backend.', 'multiprocessing', 'repro.fault', 'repro.cluster.scheduler',\n"
+        "unused = ('repro.backend.', 'multiprocessing', 'repro.fault',\n"
         "          'repro.service.client', 'repro.parallel.master', 'repro.parallel.worker',\n"
         "          'repro.parallel.p2mdie', 'repro.parallel.coverage_parallel',\n"
         "          'repro.parallel.independent')\n"
@@ -144,11 +144,14 @@ def test_query_only_server_loads_no_learner_stack(tmp_path):
 
 
 def test_p2_local_learn_loads_no_other_strategy_or_simulator():
+    # The local run's ranks ship their spans home through repro.obs.span;
+    # the metrics registry is the service's.
     out = _python(
         "import sys\n"
         "from repro.cli import main\n"
         "assert main(['learn', 'trains', '--p', '2', '--backend', 'local']) == 0\n"
-        "unused = ('repro.parallel.coverage_parallel', 'repro.parallel.independent', 'repro.backend.sim')\n"
+        "unused = ('repro.parallel.coverage_parallel', 'repro.parallel.independent',\n"
+        "          'repro.backend.sim', 'repro.obs.metrics')\n"
         "print(sorted(m for m in sys.modules if m.startswith(unused)))\n"
     )
     assert out.returncode == 0, out.stderr
