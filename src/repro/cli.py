@@ -74,17 +74,13 @@ def _add_fault_args(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_plan(args):
-    if args.fault_plan is None:
-        return None
-    from repro.fault.plan import FaultPlan
-
+def _load_plan(cls, flag: str, path: str, **pool):
+    """``cls.load(path, **pool)``; a file that cannot be read or parsed
+    exits 2 with one ``repro: bad <flag> <path>: <reason>`` line."""
     try:
-        # Rank validation happens here — a plan naming ranks outside
-        # 1..p+spares fails at the CLI, not mid-run.
-        return FaultPlan.load(args.fault_plan, p=args.p, spares=args.spares)
-    except ValueError as exc:
-        print(f"repro: bad fault plan {args.fault_plan}: {exc}", file=sys.stderr)
+        return cls.load(path, **pool)
+    except (OSError, ValueError) as exc:
+        print(f"repro: bad {flag} {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -466,7 +462,13 @@ def _cmd_learn(args) -> int:
         trace=bool(args.trace_out),
     )):
         return 2
-    plan = _load_plan(args)
+    plan = None
+    if args.fault_plan is not None:
+        from repro.fault.plan import FaultPlan
+
+        # Rank validation happens here — a plan naming ranks outside
+        # 1..p+spares fails at the CLI, not mid-run.
+        plan = _load_plan(FaultPlan, "--fault-plan", args.fault_plan, p=args.p, spares=args.spares)
     # p == 1 is the sequential path: no backend is ever constructed.
     backend = args.backend if args.p == 1 else _cli_backend(args)
     ds = _problem(args.dataset, seed=args.seed, scale=args.scale)
@@ -634,11 +636,7 @@ def _cmd_serve(args) -> int:
     if args.fault_plan:
         from repro.fault.service import ServiceFaultPlan
 
-        try:
-            fault_plan = ServiceFaultPlan.load(args.fault_plan)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro: bad --fault-plan: {exc}", file=sys.stderr)
-            return 2
+        fault_plan = _load_plan(ServiceFaultPlan, "--fault-plan", args.fault_plan)
 
     tracer = None
     if args.trace_out:
@@ -933,11 +931,7 @@ def _loadgen_chaos(args) -> int:
     from repro.experiments.chaos import chaos_passed, chaos_report_lines, run_chaos
     from repro.fault.service import ServiceFaultPlan
 
-    try:
-        plan = ServiceFaultPlan.load(args.chaos)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"repro: bad --chaos plan: {exc}", file=sys.stderr)
-        return 2
+    plan = _load_plan(ServiceFaultPlan, "--chaos", args.chaos)
     if args.stream:
         print("repro: --chaos drives plain queries; drop --stream", file=sys.stderr)
         return 2

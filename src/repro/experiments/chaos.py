@@ -38,7 +38,8 @@ from typing import Optional
 
 from repro.datasets import make_dataset
 from repro.experiments.loadgen import run_loadgen
-from repro.fault.service import ServiceFaultPlan, normalize_service_plan
+from repro.fault.plan import normalize_plan
+from repro.fault.service import ServiceFaultPlan
 from repro.service.jobs import JobSpec, run_job
 from repro.service.registry import TheoryRegistry
 
@@ -217,7 +218,7 @@ def run_chaos(
     ``tail_delta_ms`` block carries the honest price (p95/p99 latency
     deltas of the chaos leg over the baseline).
     """
-    if normalize_service_plan(plan) is None:
+    if normalize_plan(plan) is None:
         raise ValueError("chaos runs need a non-empty fault plan")
     own_tmp = None
     if root is None:

@@ -93,8 +93,9 @@ def run_cell(
 
     ``backend`` selects the execution substrate for the parallel runs
     (``p > 1``); the sequential baseline always runs in-process in
-    virtual seconds of the default cost model, the one ``SimBackend()``
-    prices with.  The record carries the clock of its seconds.
+    virtual seconds of the backend's cost model when it is a
+    ``SimBackend``, else of the default one (``SimBackend()``'s).  The
+    record carries the clock of its seconds.
     """
     train = replace(ds, pos=list(fold.train_pos), neg=list(fold.train_neg))
     outcome = run(
@@ -133,7 +134,7 @@ def run_matrix(
 
     The sequential baseline (p=1) is run once per fold and shared by both
     width configurations, mirroring the '-' cells in Tables 3/6.
-    ``backend`` applies to every parallel cell (see :func:`run_cell`).
+    ``backend`` applies to every cell (see :func:`run_cell`).
     """
     out = MatrixResult()
     for name in dataset_names:
@@ -141,7 +142,7 @@ def run_matrix(
         for fold in kfold(ds.pos, ds.neg, k=k_folds, seed=seed):
             if include_sequential:
                 out.records.append(
-                    run_cell(ds, fold, p=1, width=None, seed=seed, max_epochs=max_epochs)
+                    run_cell(ds, fold, p=1, width=None, seed=seed, max_epochs=max_epochs, backend=backend)
                 )
             for width in widths:
                 for p in ps:

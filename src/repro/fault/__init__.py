@@ -5,7 +5,8 @@ unreliable pool:
 
 * :mod:`repro.fault.plan` — deterministic fault descriptions
   (:class:`FaultPlan`): worker crashes, stragglers, message loss and
-  elastic joins, injected identically by the sim, local and mpi backends;
+  elastic joins, injected identically by the sim, local and mpi backends,
+  and the one strict JSON format of every plan file, run or service;
 * :mod:`repro.fault.checkpoint` — versioned, wire-codec-serialized
   snapshots of master learning state written at epoch boundaries, and
   the machinery behind ``repro resume``;
@@ -44,7 +45,6 @@ _EXPORTS = {
         "ServiceFaultPlan",
         "ServiceFaultInjector",
         "InjectedFault",
-        "normalize_service_plan",
     ),
 }
 

@@ -27,8 +27,8 @@ protocol's own overhead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import ClassVar, Optional, get_args, get_type_hints
 
 __all__ = [
     "WorkerCrash",
@@ -126,7 +126,124 @@ class WorkerJoin:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class PlanFormat:
+    """The one file format of every fault plan, run and service alike.
+
+    A plan document is a JSON object: the plan's settings (``SETTINGS``:
+    name -> type, the value coerced to it) plus ``"events"``, a list of
+    objects whose ``"kind"`` names an event class through ``KINDS``
+    (kind -> (plan field, event class)); an event's other keys are its
+    class's fields.  Parsing is strict: a key, kind or field the format
+    does not know, a missing field or a value of the wrong type raises
+    ``ValueError`` naming the event and the offending name.
+    """
+
+    KINDS: ClassVar[dict] = {}
+    SETTINGS: ClassVar[dict] = {}
+    #: the plan's noun in error messages ("unknown <NOUN> event kind").
+    NOUN: ClassVar[str] = "fault"
+
+    @property
+    def empty(self) -> bool:
+        """True when the plan changes nothing: no event, no switch
+        (``bool`` setting) on.  Front-ends treat an empty plan exactly
+        like no plan (:func:`normalize_plan`)."""
+        events = any(getattr(self, attr) for attr, _ in self.KINDS.values())
+        switches = any(getattr(self, name) for name, typ in self.SETTINGS.items() if typ is bool)
+        return not (events or switches)
+
+    def replace(self, **kw):
+        return replace(self, **kw)
+
+    def _checked(self):
+        """The plan, after the checks :meth:`from_json`'s keywords ask for
+        beyond the document's shape (none here)."""
+        return self
+
+    # -- (de)serialization --------------------------------------------------------
+    def to_json(self) -> str:
+        events = [
+            {"kind": kind, **{k: v for k, v in vars(ev).items() if v is not None}}
+            for kind, (attr, _) in self.KINDS.items()
+            for ev in getattr(self, attr)
+        ]
+        doc = {name: getattr(self, name) for name in self.SETTINGS}
+        return json.dumps({**doc, "events": events}, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str, **pool):
+        """Parse a plan document; ``pool`` goes to the plan's checks
+        (``p=``, ``spares=``: :meth:`FaultPlan.validate_ranks`)."""
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a {cls.NOUN} plan is a JSON object, not {type(doc).__name__}")
+        settings = {}
+        for name, value in doc.items():
+            if name == "events":
+                continue
+            typ = cls.SETTINGS.get(name)
+            if typ is None:
+                raise ValueError(f"unknown {cls.NOUN} plan setting {name!r}")
+            if not _typed(value, (typ,)):
+                raise ValueError(f"setting {name!r} must be {typ.__name__}, not {value!r}")
+            settings[name] = typ(value)
+        raw = doc.get("events", [])
+        if not isinstance(raw, list):
+            raise ValueError(f"'events' must be a list, not {type(raw).__name__}")
+        events: dict[str, list] = {attr: [] for attr, _ in cls.KINDS.values()}
+        for i, ev in enumerate(raw):
+            if not isinstance(ev, dict):
+                raise ValueError(f"event #{i}: an event is a JSON object, not {ev!r}")
+            kind = ev.get("kind")
+            if not isinstance(kind, str) or kind not in cls.KINDS:
+                raise ValueError(f"event #{i}: unknown {cls.NOUN} event kind {kind!r}")
+            attr, event_cls = cls.KINDS[kind]
+            events[attr].append(_event(event_cls, ev, f"event #{i} ({kind})"))
+        plan = cls(**{a: tuple(evs) for a, evs in events.items()}, **settings)
+        return plan._checked(**pool)
+
+    @classmethod
+    def load(cls, path: str, **pool):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json(fh.read(), **pool)
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.to_json() + "\n")
+
+
+def _typed(value, types: tuple) -> bool:
+    """Whether a JSON value fits ``types``: an int fits ``float``, a bool
+    fits only ``bool``."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (isinstance(value, int) and float in types)
+
+
+def _event(event_cls: type, ev: dict, where: str):
+    """``event_cls`` built from the object ``ev`` (its ``"kind"`` aside)."""
+    hints = get_type_hints(event_cls)
+    args = {}
+    for name, value in ev.items():
+        if name == "kind":
+            continue
+        if name not in hints:
+            raise ValueError(f"{where}: unknown field {name!r}")
+        types = get_args(hints[name]) or (hints[name],)
+        if not _typed(value, types):
+            raise ValueError(f"{where}: field {name!r} has the wrong type ({value!r})")
+        args[name] = value
+    for f in fields(event_cls):
+        if f.name not in args and f.default is MISSING:
+            raise ValueError(f"{where}: missing field {f.name!r}")
+    try:
+        return event_cls(**args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class FaultPlan(PlanFormat):
     """Everything injected into (and tolerated by) one run.
 
     ``timeout`` is the failure-detection timeout the masters use for
@@ -142,16 +259,16 @@ class FaultPlan:
     #: run the fault-tolerance protocol even with nothing to inject.
     supervise: bool = False
 
-    @property
-    def empty(self) -> bool:
-        """True when the plan changes nothing: front-ends treat an empty
-        plan exactly like ``fault_plan=None`` (unstamped task messages)."""
-        return not (
-            self.crashes or self.stragglers or self.losses or self.joins or self.supervise
-        )
+    KINDS = {
+        "crash": ("crashes", WorkerCrash),
+        "straggler": ("stragglers", Straggler),
+        "drop": ("losses", MessageLoss),
+        "join": ("joins", WorkerJoin),
+    }
+    SETTINGS = {"timeout": float, "supervise": bool}
 
-    def replace(self, **kw) -> "FaultPlan":
-        return replace(self, **kw)
+    def _checked(self, p: Optional[int] = None, spares: int = 0) -> "FaultPlan":
+        return self if p is None else self.validate_ranks(p, spares)
 
     # -- per-rank view -------------------------------------------------------------
     def for_rank(self, rank: int) -> "RankFaults":
@@ -199,89 +316,8 @@ class FaultPlan:
                 )
         return self
 
-    # -- (de)serialization --------------------------------------------------------
-    def to_json(self) -> str:
-        events: list[dict] = []
-        for ev in self.crashes:
-            d: dict = {"kind": "crash", "rank": ev.rank}
-            if ev.on_recv is not None:
-                d["on_recv"] = ev.on_recv
-                if ev.tag is not None:
-                    d["tag"] = ev.tag
-            else:
-                d["at_time"] = ev.at_time
-            events.append(d)
-        for ev in self.stragglers:
-            events.append(
-                {"kind": "straggler", "rank": ev.rank, "factor": ev.factor, "after_time": ev.after_time}
-            )
-        for ev in self.losses:
-            events.append({"kind": "drop", "src": ev.src, "dst": ev.dst, "nth": ev.nth})
-        for ev in self.joins:
-            events.append({"kind": "join", "rank": ev.rank, "epoch": ev.epoch})
-        return json.dumps(
-            {"timeout": self.timeout, "supervise": self.supervise, "events": events},
-            indent=2,
-        )
 
-    @classmethod
-    def from_json(
-        cls, text: str, *, p: Optional[int] = None, spares: int = 0
-    ) -> "FaultPlan":
-        """Parse a plan; with ``p`` set, also :meth:`validate_ranks`."""
-        doc = json.loads(text)
-        crashes: list[WorkerCrash] = []
-        stragglers: list[Straggler] = []
-        losses: list[MessageLoss] = []
-        joins: list[WorkerJoin] = []
-        for i, ev in enumerate(doc.get("events", ())):
-            kind = ev.get("kind")
-            if kind == "crash":
-                crashes.append(
-                    WorkerCrash(
-                        rank=ev["rank"],
-                        on_recv=ev.get("on_recv"),
-                        tag=ev.get("tag"),
-                        at_time=ev.get("at_time"),
-                    )
-                )
-            elif kind == "straggler":
-                stragglers.append(
-                    Straggler(
-                        rank=ev["rank"],
-                        factor=ev["factor"],
-                        after_time=ev.get("after_time", 0.0),
-                    )
-                )
-            elif kind == "drop":
-                losses.append(MessageLoss(src=ev["src"], dst=ev["dst"], nth=ev.get("nth", 1)))
-            elif kind == "join":
-                joins.append(WorkerJoin(rank=ev["rank"], epoch=ev["epoch"]))
-            else:
-                raise ValueError(f"event #{i}: unknown fault event kind {kind!r}")
-        plan = cls(
-            crashes=tuple(crashes),
-            stragglers=tuple(stragglers),
-            losses=tuple(losses),
-            joins=tuple(joins),
-            timeout=float(doc.get("timeout", 10.0)),
-            supervise=bool(doc.get("supervise", False)),
-        )
-        if p is not None:
-            plan.validate_ranks(p, spares)
-        return plan
-
-    @classmethod
-    def load(cls, path: str, *, p: Optional[int] = None, spares: int = 0) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read(), p=p, spares=spares)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
-
-def normalize_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
+def normalize_plan(plan: Optional[PlanFormat]) -> Optional[PlanFormat]:
     """None, or a plan that actually does something (empty plans → None)."""
     if plan is None or plan.empty:
         return None

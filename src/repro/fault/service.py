@@ -14,7 +14,8 @@ scheduler.  The same design rules carry over:
   jobs, zero corrupt records) are checkable run after run.
 * **JSON round-trip**: plans are files (``examples/faultplans/
   service_*.json``) shared by tests, the chaos benchmark leg and
-  ``repro loadgen --chaos``.
+  ``repro loadgen --chaos``, in the one strict format of every fault
+  plan (:class:`~repro.fault.plan.PlanFormat`).
 * **Strictly opt-in**: a server started without a plan carries no
   injection state at all; an empty plan normalizes to ``None``.
 
@@ -50,11 +51,11 @@ injected event in :attr:`ServiceFaultInjector.log`.
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.fault.plan import FaultRecord, PlanFormat
 from repro.service.errors import InjectedFault
 
 __all__ = [
@@ -65,7 +66,6 @@ __all__ = [
     "ServiceFaultPlan",
     "ServiceFaultInjector",
     "InjectedFault",
-    "normalize_service_plan",
 ]
 
 
@@ -134,7 +134,7 @@ class PersistFault:
 
 
 @dataclass(frozen=True)
-class ServiceFaultPlan:
+class ServiceFaultPlan(PlanFormat):
     """Everything injected into (and tolerated by) one served instance."""
 
     resets: tuple[ConnReset, ...] = ()
@@ -142,94 +142,13 @@ class ServiceFaultPlan:
     crashes: tuple[SlotCrash, ...] = ()
     persist: tuple[PersistFault, ...] = ()
 
-    @property
-    def empty(self) -> bool:
-        return not (self.resets or self.leases or self.crashes or self.persist)
-
-    def replace(self, **kw) -> "ServiceFaultPlan":
-        return replace(self, **kw)
-
-    # -- (de)serialization --------------------------------------------------------
-
-    def to_json(self) -> str:
-        events: list[dict] = []
-        for ev in self.resets:
-            d: dict = {"kind": "reset", "on_request": ev.on_request, "when": ev.when}
-            if ev.op is not None:
-                d["op"] = ev.op
-            events.append(d)
-        for ev in self.leases:
-            d = {"kind": "lease", "on_lease": ev.on_lease, "mode": ev.mode}
-            if ev.mode == "slow":
-                d["delay"] = ev.delay
-            events.append(d)
-        for ev in self.crashes:
-            events.append({"kind": "slot_crash", "on_job": ev.on_job})
-        for ev in self.persist:
-            events.append(
-                {"kind": "persist", "on_write": ev.on_write, "target": ev.target}
-            )
-        return json.dumps({"events": events}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceFaultPlan":
-        doc = json.loads(text)
-        resets: list[ConnReset] = []
-        leases: list[LeaseFault] = []
-        crashes: list[SlotCrash] = []
-        persist: list[PersistFault] = []
-        for ev in doc.get("events", ()):
-            kind = ev.get("kind")
-            if kind == "reset":
-                resets.append(
-                    ConnReset(
-                        on_request=ev["on_request"],
-                        op=ev.get("op"),
-                        when=ev.get("when", "before"),
-                    )
-                )
-            elif kind == "lease":
-                leases.append(
-                    LeaseFault(
-                        on_lease=ev["on_lease"],
-                        mode=ev.get("mode", "fail"),
-                        delay=ev.get("delay", 0.0),
-                    )
-                )
-            elif kind == "slot_crash":
-                crashes.append(SlotCrash(on_job=ev["on_job"]))
-            elif kind == "persist":
-                persist.append(
-                    PersistFault(
-                        on_write=ev["on_write"], target=ev.get("target", "job")
-                    )
-                )
-            else:
-                raise ValueError(f"unknown service fault event kind {kind!r}")
-        return cls(
-            resets=tuple(resets),
-            leases=tuple(leases),
-            crashes=tuple(crashes),
-            persist=tuple(persist),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "ServiceFaultPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
-
-def normalize_service_plan(
-    plan: Optional[ServiceFaultPlan],
-) -> Optional[ServiceFaultPlan]:
-    """None, or a plan that actually injects something."""
-    if plan is None or plan.empty:
-        return None
-    return plan
+    KINDS = {
+        "reset": ("resets", ConnReset),
+        "lease": ("leases", LeaseFault),
+        "slot_crash": ("crashes", SlotCrash),
+        "persist": ("persist", PersistFault),
+    }
+    NOUN = "service fault"
 
 
 class ServiceFaultInjector:
@@ -246,69 +165,58 @@ class ServiceFaultInjector:
     def __init__(self, plan: ServiceFaultPlan):
         self.plan = plan
         self._lock = threading.Lock()
-        self._requests = 0
-        self._requests_by_op: dict[str, int] = {}
-        self._leases = 0
-        self._jobs_picked = 0
-        self._writes: dict[str, int] = {}
+        #: ("requests",) / ("requests", op) / ("leases",) / ("jobs_picked",)
+        #: / ("writes", target) -> consults so far.
+        self._counts: dict[tuple, int] = {}
         self.log: list[FaultRecord] = []
 
-    def _record(self, kind: str, count: int, detail: str) -> None:
-        from repro.fault.plan import FaultRecord
+    def _count(self, *key) -> int:
+        """Advance the counter ``key`` by one; its new (1-based) value."""
+        with self._lock:
+            n = self._counts[key] = self._counts.get(key, 0) + 1
+            return n
 
-        self.log.append(FaultRecord(kind=kind, rank=0, time=float(count), detail=detail))
+    def _record(self, kind: str, count: int, detail: str) -> None:
+        with self._lock:
+            self.log.append(FaultRecord(kind=kind, rank=0, time=float(count), detail=detail))
 
     # -- choke points ------------------------------------------------------------
 
     def on_request(self, op: Optional[str]) -> Optional[ConnReset]:
         """The reset to inject for this request, else None."""
-        with self._lock:
-            self._requests += 1
-            if op is not None:
-                self._requests_by_op[op] = self._requests_by_op.get(op, 0) + 1
-            for ev in self.plan.resets:
-                count = (
-                    self._requests_by_op.get(ev.op, 0)
-                    if ev.op is not None
-                    else self._requests
-                )
-                if (ev.op is None or ev.op == op) and count == ev.on_request:
-                    self._record(
-                        "reset", count, f"op={op} when={ev.when}"
-                    )
-                    return ev
-            return None
+        total = self._count("requests")
+        mine = self._count("requests", op) if op is not None else 0
+        for ev in self.plan.resets:
+            count = total if ev.op is None else mine if ev.op == op else 0
+            if count == ev.on_request:
+                self._record("reset", count, f"op={op} when={ev.when}")
+                return ev
+        return None
 
     def on_lease(self) -> Optional[LeaseFault]:
         """The lease fault to apply before this span is evaluated, else None."""
-        with self._lock:
-            self._leases += 1
-            for ev in self.plan.leases:
-                if self._leases == ev.on_lease:
-                    self._record("lease", self._leases, f"mode={ev.mode}")
-                    return ev
-            return None
+        count = self._count("leases")
+        for ev in self.plan.leases:
+            if count == ev.on_lease:
+                self._record("lease", count, f"mode={ev.mode}")
+                return ev
+        return None
 
     def on_job_pick(self) -> bool:
         """True when the slot thread picking this job must crash."""
-        with self._lock:
-            self._jobs_picked += 1
-            for ev in self.plan.crashes:
-                if self._jobs_picked == ev.on_job:
-                    self._record("slot_crash", self._jobs_picked, "")
-                    return True
-            return False
+        count = self._count("jobs_picked")
+        if any(count == ev.on_job for ev in self.plan.crashes):
+            self._record("slot_crash", count, "")
+            return True
+        return False
 
     def on_persist(self, target: str) -> bool:
         """True when this durable write must fail (pre-rename)."""
-        with self._lock:
-            count = self._writes.get(target, 0) + 1
-            self._writes[target] = count
-            for ev in self.plan.persist:
-                if ev.target == target and count == ev.on_write:
-                    self._record("persist", count, f"target={target}")
-                    return True
-            return False
+        count = self._count("writes", target)
+        if any(ev.target == target and count == ev.on_write for ev in self.plan.persist):
+            self._record("persist", count, f"target={target}")
+            return True
+        return False
 
     def persist_hook(self, target: str):
         """An :func:`repro.util.atomicio.atomic_write_bytes` ``fail_hook``.
@@ -331,10 +239,12 @@ class ServiceFaultInjector:
     def snapshot(self) -> dict:
         """Counters + injected-event log lines (for the stats op)."""
         with self._lock:
-            return {
-                "requests": self._requests,
-                "leases": self._leases,
-                "jobs_picked": self._jobs_picked,
-                "writes": dict(self._writes),
-                "injected": [str(rec) for rec in self.log],
-            }
+            counts = dict(self._counts)
+            injected = [str(rec) for rec in self.log]
+        return {
+            "requests": counts.get(("requests",), 0),
+            "leases": counts.get(("leases",), 0),
+            "jobs_picked": counts.get(("jobs_picked",), 0),
+            "writes": {key[1]: n for key, n in counts.items() if key[0] == "writes"},
+            "injected": injected,
+        }

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster.costmodel import sequential_seconds
+from repro.cluster.costmodel import DEFAULT_COST_MODEL, sequential_seconds
 from repro.ilp.mdie import mdie
 from repro.logic.clause import Theory
 
@@ -175,7 +175,8 @@ def run(
     ``width=...`` is the dataset config's pipeline width; None is
     "nolimit".  ``backend`` is a name, a ready
     :class:`~repro.backend.Backend` or None (the simulator); ``mdie``
-    always runs in-process, its seconds priced by the default cost model.
+    always runs in-process, its seconds priced by the backend's cost model
+    (a ``SimBackend``'s) or else the default one.
     ``scale`` is recorded in the checkpoint meta with the dataset name,
     ``p`` and the width.  ``batch_size`` is covpar's, ``record_trace``
     p2mdie's.  Options the algorithm does not take are refused with the
@@ -199,8 +200,9 @@ def run(
     problem = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
     if algo == "mdie":
         res = mdie(*problem, **kw)
+        cost_model = getattr(backend, "cost_model", DEFAULT_COST_MODEL)
         out = RunOutcome(
-            algo, res.theory, res.epochs, sequential_seconds(res), "virtual",
+            algo, res.theory, res.epochs, sequential_seconds(res, cost_model), "virtual",
             res.uncovered, ops=res.ops,
         )
     else:

@@ -187,9 +187,10 @@ class Service:
         self.fault_injector = None
         if fault_plan is not None:
             # The fault layer is loaded by chaos runs only.
-            from repro.fault.service import ServiceFaultInjector, normalize_service_plan
+            from repro.fault.plan import normalize_plan
+            from repro.fault.service import ServiceFaultInjector
 
-            plan = normalize_service_plan(fault_plan)
+            plan = normalize_plan(fault_plan)
             self.fault_injector = ServiceFaultInjector(plan) if plan is not None else None
         self.registry = (
             TheoryRegistry(registry_dir, fault_injector=self.fault_injector)

@@ -171,7 +171,10 @@ The simulated fabric and cost model are set in one place, `SimBackend(network=, 
 
 _FAULT_NOTE = """\
 An empty plan is byte-identical to no plan; a non-empty plan never
-changes the learned theory, only time and communication."""
+changes the learned theory, only time and communication.  Run and
+service plans share one strict JSON format (`load` / `save` /
+`to_json` / `from_json`): a setting, event kind or field it does not
+know is a `ValueError` naming it."""
 
 _SERVICE_NOTE = """\
 Invariants: job results are bit-identical to direct runs (whatever the

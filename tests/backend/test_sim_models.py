@@ -42,3 +42,22 @@ def test_cost_model_moves_seconds_not_bytes(trains):
 
 def test_sequential_seconds_use_the_default_cost_model(trains):
     assert run(trains, "mdie").seconds == 0.34316
+
+
+def test_sequential_seconds_use_the_backends_cost_model(trains):
+    """A speedup's two sides are priced by one model: ``mdie`` handed a
+    ``SimBackend`` charges its ops at that backend's rate."""
+    out = run(trains, "mdie", backend=SimBackend(cost_model=OpsCostModel(sec_per_op=1e-6)))
+    assert out.seconds == out.ops * 1e-6
+
+
+def test_the_matrix_prices_its_sequential_cells_with_the_backend():
+    from repro.cluster.costmodel import DEFAULT_COST_MODEL
+    from repro.experiments.runner import run_matrix
+
+    def seq_seconds(backend):
+        kw = dict(widths=(None,), ps=(), k_folds=2, backend=backend)
+        return [r.seconds for r in run_matrix(("trains",), **kw).records]
+
+    doubled = SimBackend(cost_model=OpsCostModel(sec_per_op=2 * DEFAULT_COST_MODEL.sec_per_op))
+    assert seq_seconds(doubled) == [2 * s for s in seq_seconds(None)]

@@ -1,7 +1,8 @@
-"""FaultPlan: validation, JSON round-trip, emptiness semantics."""
+"""FaultPlan: validation, defaults, emptiness semantics, per-rank views."""
 
 import pytest
 
+from helpers_fault import RUN_PLAN
 from repro.fault.plan import (
     FaultPlan,
     MessageLoss,
@@ -60,32 +61,7 @@ class TestEmptiness:
         assert not FaultPlan(joins=(WorkerJoin(rank=4, epoch=2),)).empty
 
 
-FULL = FaultPlan(
-    crashes=(
-        WorkerCrash(rank=2, on_recv=3, tag="start_pipeline"),
-        WorkerCrash(rank=3, at_time=1.25),
-    ),
-    stragglers=(Straggler(rank=1, factor=4.0, after_time=0.5),),
-    losses=(MessageLoss(src=0, dst=2, nth=2),),
-    joins=(WorkerJoin(rank=5, epoch=2),),
-    timeout=3.5,
-    supervise=True,
-)
-
-
 class TestSerialization:
-    def test_json_round_trip(self):
-        assert FaultPlan.from_json(FULL.to_json()) == FULL
-
-    def test_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "plan.json")
-        FULL.save(path)
-        assert FaultPlan.load(path) == FULL
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan.from_json('{"events": [{"kind": "meteor", "rank": 1}]}')
-
     def test_defaults(self):
         plan = FaultPlan.from_json("{}")
         assert plan == FaultPlan()
@@ -94,17 +70,17 @@ class TestSerialization:
 
 class TestViews:
     def test_per_rank_views(self):
-        assert FULL.for_rank(2).crash.on_recv == 3
-        assert FULL.for_rank(9).crash is None
-        assert FULL.for_rank(1).straggler.factor == 4.0
-        assert FULL.for_rank(2).straggler is None
-        assert FULL.for_rank(0).drops == {2: {2}}
-        assert FULL.for_rank(1).drops == {}
-        assert FULL.joins_at(2) == (WorkerJoin(rank=5, epoch=2),)
-        assert FULL.joins_at(3) == ()
+        assert RUN_PLAN.for_rank(2).crash.on_recv == 3
+        assert RUN_PLAN.for_rank(9).crash is None
+        assert RUN_PLAN.for_rank(1).straggler.factor == 4.0
+        assert RUN_PLAN.for_rank(2).straggler is None
+        assert RUN_PLAN.for_rank(0).drops == {2: {2}}
+        assert RUN_PLAN.for_rank(1).drops == {}
+        assert RUN_PLAN.joins_at(2) == (WorkerJoin(rank=5, epoch=2),)
+        assert RUN_PLAN.joins_at(3) == ()
 
     def test_drop_record_counts_the_link_and_names_the_loss(self):
-        faults = FULL.for_rank(0)
+        faults = RUN_PLAN.for_rank(0)
         assert faults.drop_record(0, 2, "rules", 1.5) is None  # link 0->2 #1
         rec = faults.drop_record(0, 2, "rules", 2.5)  # link 0->2 #2: dropped
         assert (rec.kind, rec.rank, rec.time, rec.detail) == ("drop", 0, 2.5, "->2 #2 tag=rules")

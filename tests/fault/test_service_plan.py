@@ -1,7 +1,8 @@
-"""ServiceFaultPlan: validation, JSON round-trip, injector trigger counters."""
+"""ServiceFaultPlan: validation, parsing, injector trigger counters."""
 
 import pytest
 
+from repro.fault.plan import normalize_plan
 from repro.fault.service import (
     ConnReset,
     InjectedFault,
@@ -10,7 +11,6 @@ from repro.fault.service import (
     ServiceFaultInjector,
     ServiceFaultPlan,
     SlotCrash,
-    normalize_service_plan,
 )
 
 
@@ -47,39 +47,15 @@ class TestEvents:
 
 
 class TestPlan:
-    def _full_plan(self):
-        return ServiceFaultPlan(
-            resets=(
-                ConnReset(on_request=3, op="query", when="after"),
-                ConnReset(on_request=7),
-            ),
-            leases=(
-                LeaseFault(on_lease=2, mode="fail"),
-                LeaseFault(on_lease=5, mode="slow", delay=0.25),
-            ),
-            crashes=(SlotCrash(on_job=1),),
-            persist=(PersistFault(on_write=4, target="registry"),),
-        )
-
-    def test_json_round_trip(self):
-        plan = self._full_plan()
-        assert ServiceFaultPlan.from_json(plan.to_json()) == plan
-
-    def test_load_save_round_trip(self, tmp_path):
-        plan = self._full_plan()
-        path = str(tmp_path / "plan.json")
-        plan.save(path)
-        assert ServiceFaultPlan.load(path) == plan
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown service fault"):
             ServiceFaultPlan.from_json('{"events": [{"kind": "gremlin"}]}')
 
     def test_normalize(self):
-        assert normalize_service_plan(None) is None
-        assert normalize_service_plan(ServiceFaultPlan()) is None
+        assert normalize_plan(None) is None
+        assert normalize_plan(ServiceFaultPlan()) is None
         plan = ServiceFaultPlan(crashes=(SlotCrash(on_job=1),))
-        assert normalize_service_plan(plan) is plan
+        assert normalize_plan(plan) is plan
 
     def test_repo_example_plans_parse(self):
         import pathlib

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gc
+import pathlib
 import sys
 
 import pytest
@@ -168,6 +169,74 @@ class TestFaultTolerance:
         assert "Fault-injection sweep" in out
         assert "crash" in out
         assert "False" not in out  # every scenario kept parity
+
+
+PLANS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "faultplans"
+# form -> (document handed to learn --fault-plan, to serve --fault-plan / loadgen --chaos)
+BAD_PLANS = {
+    "not-an-object": ("[1]", "[1]"),
+    "unknown-setting": ('{"timout": 2}', '{"timout": 2}'),
+    "unknown-kind": ('{"events": [{"kind": "meteor"}]}', '{"events": [{"kind": "gremlin"}]}'),
+    "unknown-field": (
+        '{"events": [{"kind": "straggler", "rank": 1, "factor": 2.0, "after_tme": 1}]}',
+        '{"events": [{"kind": "reset", "on_request": 1, "opp": "query"}]}',
+    ),
+    "missing-field": (
+        '{"events": [{"kind": "crash", "on_recv": 1}]}',
+        '{"events": [{"kind": "reset", "when": "after"}]}',
+    ),
+    "wrong-type": (
+        '{"events": [{"kind": "crash", "rank": "2", "on_recv": 1}]}',
+        '{"events": [{"kind": "slot_crash", "on_job": "1"}]}',
+    ),
+    "invalid-json": ('{"events": [', '{"events": ['),
+    "other-plan-kind": (
+        (PLANS / "service_chaos.json").read_text(),
+        (PLANS / "crash_and_straggler.json").read_text(),
+    ),
+    "missing-file": (None, None),
+}
+PLAN_FLAGS = {
+    "learn": (["learn", "trains", "--p", "2", "--fault-plan"], "--fault-plan", 0),
+    "serve": (["serve", "--port", "0", "--fault-plan"], "--fault-plan", 1),
+    "loadgen": (["loadgen", "--chaos"], "--chaos", 1),
+}
+
+
+class TestBadPlanFiles:
+    """Every plan the format refuses, on every flag that reads one: exit 2
+    with one ``repro: bad <flag> <path>: <reason>`` line, no traceback."""
+
+    @pytest.mark.parametrize("form", sorted(BAD_PLANS))
+    @pytest.mark.parametrize("command", sorted(PLAN_FLAGS))
+    def test_refused_with_one_line(self, command, form, tmp_path, capsys):
+        argv, flag, which = PLAN_FLAGS[command]
+        path = tmp_path / "plan.json"
+        text = BAD_PLANS[form][which]
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"repro: bad {flag} {path}: ")
+
+    def test_the_process_exits_without_a_traceback(self, tmp_path):
+        import os
+        import subprocess
+
+        path = tmp_path / "plan.json"
+        path.write_text(BAD_PLANS["wrong-type"][0])
+        env = {**os.environ, "PYTHONPATH": str(PLANS.parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *PLAN_FLAGS["learn"][0], str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"repro: bad --fault-plan {path}: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestTrace:

@@ -139,3 +139,16 @@ def test_only_the_sim_backend_sets_the_fabric_and_cost_model():
         for name in _functions_with(path, {"network", "cost_model"})
     }
     assert found == {"backend/sim.py:SimBackend.__init__"}
+
+
+def test_the_fault_plan_format_is_written_once():
+    """Run and service plans share one codec (``fault.plan.PlanFormat``):
+    each of its functions has one definition across both plan modules."""
+    codec = {"to_json", "from_json", "load", "save", "empty", "replace", "normalize_plan"}
+    defined = [
+        node.name
+        for path in (SRC / "fault" / "plan.py", SRC / "fault" / "service.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and (node.name in codec or "normalize" in node.name)
+    ]
+    assert sorted(defined) == sorted(codec)
