@@ -30,6 +30,7 @@ import functools
 import os
 import re
 import struct
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -52,6 +53,12 @@ _WIRE_CODE = 22
 REGISTRY_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+# 4+ digits: v%04d pads to four but grows past v9999, still listed.
+_VERSION_RE = re.compile(r"^v(\d{4,})\.theory$")
+
+#: A listing is cached only once its directory's mtime is this far behind
+#: the clock: coarser than any timestamp granularity (FAT's is 2 s).
+_SETTLED_NS = 2_000_000_000
 
 
 class RegistryError(ValueError):
@@ -210,6 +217,9 @@ class TheoryRegistry:
         import threading
 
         self._lock = threading.Lock()
+        #: name -> ((st_ino, st_mtime_ns, st_ctime_ns), (versions, promoted)); no
+        #: lock: each listing is read after its key, so a lost race re-lists.
+        self._listings: dict[str, tuple] = {}
 
     def _fail_hook(self):
         if self._injector is None:
@@ -242,42 +252,59 @@ class TheoryRegistry:
             and self.versions(n)
         )
 
+    def _listing(self, name: str) -> tuple[tuple[int, ...], Optional[int]]:
+        """``name``'s (versions, promoted), listed again only when a ``stat``
+        shows its directory changed: publish, promote and gc, from any
+        process, each add, replace or remove an entry of it."""
+        d = self._dir(name)
+        now = time.time_ns()
+        try:
+            st = os.stat(d)
+        except OSError:
+            return (), None
+        key = (st.st_ino, st.st_mtime_ns, st.st_ctime_ns)
+        cached = self._listings.get(name)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        if not os.path.isdir(d):
+            return (), None
+        versions = sorted(int(m.group(1)) for m in map(_VERSION_RE.match, os.listdir(d)) if m)
+        promoted = None
+        path = os.path.join(d, "PROMOTED")
+        if os.path.isfile(path):
+            with open(path, encoding="ascii") as fh:
+                promoted = int(fh.read().strip())
+        listing = (tuple(versions), promoted)
+        if now - st.st_mtime_ns > _SETTLED_NS:
+            self._listings[name] = (key, listing)
+        return listing
+
     def versions(self, name: str) -> list[int]:
         """Published version numbers of ``name``, ascending."""
-        d = self._dir(name)
-        if not os.path.isdir(d):
-            return []
-        out = []
-        for fn in os.listdir(d):
-            # 4+ digits: v%04d pads to four but grows naturally past v9999,
-            # and the listing must keep seeing every artifact it ever wrote.
-            m = re.match(r"^v(\d{4,})\.theory$", fn)
-            if m:
-                out.append(int(m.group(1)))
-        return sorted(out)
+        return list(self._listing(name)[0])
 
     def latest_version(self, name: str) -> int:
-        versions = self.versions(name)
+        versions = self._listing(name)[0]
         if not versions:
             raise RegistryError(f"no theory registered under {name!r}")
         return versions[-1]
 
     def promoted_version(self, name: str) -> Optional[int]:
         """The promoted version of ``name``, or None if nothing promoted."""
-        path = os.path.join(self._dir(name), "PROMOTED")
-        if not os.path.isfile(path):
-            return None
-        with open(path, encoding="ascii") as fh:
-            return int(fh.read().strip())
+        return self._listing(name)[1]
 
     def resolve_version(self, name: str, version: Optional[int] = None) -> int:
         """Explicit version, else the promoted one, else the latest."""
+        versions, promoted = self._listing(name)
         if version is not None:
-            if version not in self.versions(name):
+            if version not in versions:
                 raise RegistryError(f"{name!r} has no version {version}")
             return version
-        promoted = self.promoted_version(name)
-        return promoted if promoted is not None else self.latest_version(name)
+        if promoted is not None:
+            return promoted
+        if not versions:
+            raise RegistryError(f"no theory registered under {name!r}")
+        return versions[-1]
 
     def get(self, name: str, version: Optional[int] = None) -> RegistryRecord:
         """Load one record (default: promoted version, else latest)."""
@@ -366,10 +393,9 @@ class TheoryRegistry:
         if keep < 1:
             raise ValueError("keep must be >= 1")
         with self._lock:
-            versions = self.versions(name)
+            versions, promoted = self._listing(name)
             if not versions:
                 raise RegistryError(f"no theory registered under {name!r}")
-            promoted = self.promoted_version(name)
             survivors = set(versions[-keep:])
             if promoted is not None:
                 survivors.add(promoted)

@@ -58,7 +58,7 @@ from typing import Optional
 
 from repro.parallel import wire
 from repro.run import RunOutcome
-from repro.service.errors import InjectedFault, Overloaded
+from repro.service.errors import InjectedFault, Overloaded, ShuttingDown
 from repro.service.jobs import JobRecord, JobSpec, OutcomeSummary, run_job
 from repro.util.atomicio import atomic_write_bytes
 from repro.util.log import get_logger
@@ -163,6 +163,8 @@ class JobScheduler:
         self._seq = 0
         self._stop = False
         self._closed = False
+        #: set once close() joined every slot: no job changes state any more.
+        self._halted = False
         self._threads: list[threading.Thread] = []
         #: idempotency key -> job id (rebuilt from records on recovery).
         self._idem: dict[str, str] = {}
@@ -201,7 +203,9 @@ class JobScheduler:
         queued jobs stay ``queued`` and preemptible running jobs park at
         their next chunk boundary, still ``running`` — both are
         re-queued by :meth:`recover_jobs` on a fresh scheduler over the
-        same ``state_dir``.
+        same ``state_dir``.  Once every slot is joined, no job changes
+        state any more and every blocked :meth:`wait` / :meth:`wait_all`
+        returns.
         """
         if drain:
             self.wait_all(timeout=timeout)
@@ -211,6 +215,10 @@ class JobScheduler:
             self._cv.notify_all()
         for t in self._threads:
             t.join(timeout=timeout)
+        if not any(t.is_alive() for t in self._threads):
+            with self._cv:
+                self._halted = True
+                self._cv.notify_all()
 
     def __enter__(self) -> "JobScheduler":
         self.start()
@@ -328,27 +336,32 @@ class JobScheduler:
             return False
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> dict:
-        """Block until the job reaches a terminal state; returns status."""
+        """Block until the job reaches a terminal state; returns status
+        (``ShuttingDown`` if the scheduler closed with the job unfinished)."""
         with self._cv:
             job = self._get(job_id)
             ok = self._cv.wait_for(
-                lambda: job.record.state in TERMINAL_STATES, timeout=timeout
-            )
-            if not ok:
-                raise SchedulerError(f"timed out waiting for {job_id}")
-        return self.status(job_id)
-
-    def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Block until no job is queued or running."""
-        with self._cv:
-            ok = self._cv.wait_for(
-                lambda: all(
-                    j.record.state in TERMINAL_STATES for j in self._jobs.values()
-                ),
+                lambda: self._halted or job.record.state in TERMINAL_STATES,
                 timeout=timeout,
             )
             if not ok:
+                raise SchedulerError(f"timed out waiting for {job_id}")
+            if job.record.state not in TERMINAL_STATES:
+                raise ShuttingDown(f"scheduler closed before {job_id} finished")
+        return self.status(job_id)
+
+    def wait_all(self, timeout: Optional[float] = None) -> None:
+        """Block until no job is queued or running (``ShuttingDown`` if
+        the scheduler closed first)."""
+
+        def drained():
+            return all(j.record.state in TERMINAL_STATES for j in self._jobs.values())
+
+        with self._cv:
+            if not self._cv.wait_for(lambda: self._halted or drained(), timeout=timeout):
                 raise SchedulerError("timed out draining the job queue")
+            if not drained():
+                raise ShuttingDown("scheduler closed before its queue drained")
 
     # -- durability --------------------------------------------------------------
 

@@ -181,6 +181,11 @@ class Service:
         #: isolated across instances (tests spin up many).
         self.metrics = MetricsRegistry()
         self._meters: dict[str, tuple] = {}
+        self._fanout = self.metrics.histogram(
+            "repro_query_fanout_shards",
+            "spans a query batch was evaluated in",
+            buckets=(1, 2, 4, 8, 16, 32, 64),
+        )
         #: request-span recorder; NULL_TRACER (no-op) unless serve was
         #: started with --trace-out.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -424,11 +429,7 @@ class Service:
                 shards=max(spans, 1), deadline=deadline,
             )
             result = self._drain(stream, on_frame)
-        self.metrics.histogram(
-            "repro_query_fanout_shards",
-            "spans a query batch was evaluated in",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
-        ).observe(result.shards)
+        self._fanout.observe(result.shards)
         return result
 
     @staticmethod

@@ -300,6 +300,40 @@ class TestManyConnections:
         assert answered_in < 0.5, f"ping waited {answered_in:.2f} s behind parked waits"
         assert not thread.is_alive(), "serve() did not return on shutdown"
 
+    def test_parked_waits_end_with_their_server(self, tmp_path, trains_theory):
+        # Once shutdown has joined the job slots no job changes state, so a
+        # `wait` still parked on a queued job ends then, not at its 20 s
+        # timeout: no connection thread outlives its server by 2 s.
+        def conn_threads():
+            return {t for t in threading.enumerate() if t.name == "repro-svc-conn"} - before
+
+        before = set(threading.enumerate())
+        server, thread = start_server(tmp_path, trains_theory)
+        parked = []
+        try:
+            with connect(server) as c:
+                jobs = [c.submit(JobSpec(dataset="krki", algo="mdie")) for _ in range(3)]
+            wait = json.dumps({"op": "wait", "job": jobs[-1], "timeout": 20}) + "\n"
+            for _ in range(4):
+                sock = socket.create_connection(("127.0.0.1", server.port), timeout=30)
+                parked.append(sock)
+                sock.sendall(wait.encode())
+            deadline = time.monotonic() + 10
+            while server._inflight < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._inflight == 4, "the waits never reached the server"
+        finally:
+            shutdown(server, thread)
+        try:
+            assert not thread.is_alive(), "serve() did not return on shutdown"
+            deadline = time.monotonic() + 2
+            while conn_threads() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not conn_threads(), "a parked wait outlived its server"
+        finally:
+            for sock in parked:
+                sock.close()
+
     def test_inflight_count_survives_contention(self, tmp_path, trains_theory):
         # Every connection thread moves the one in-flight counter that
         # --max-inflight reads: more threads than cores, switching as often

@@ -1,10 +1,12 @@
 """JobScheduler: queueing, priorities, cancellation, preemption, recovery."""
 
+import threading
 import time
 
 import pytest
 
-from repro.service import JobScheduler, JobSpec, SchedulerError, run_job
+from repro.service import JobScheduler, JobSpec, SchedulerError, Service, run_job
+from repro.service.errors import ShuttingDown
 
 
 def wait_for(predicate, timeout=60.0, interval=0.02):
@@ -81,6 +83,99 @@ class TestQueueing:
         with pytest.raises(SchedulerError, match="not done"):
             sched.result(job)
         sched.close(drain=False)
+
+
+class TestWaitersAtClose:
+    """Once close() has joined every slot, no job changes state any more:
+    a blocked wait returns then instead of sitting out its timeout."""
+
+    @staticmethod
+    def parked(call):
+        """Run ``call`` on a thread; the box gets its result or exception."""
+        box = {}
+
+        def run():
+            try:
+                box["result"] = call()
+            except BaseException as exc:  # noqa: BLE001 - surfaced via the box
+                box["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, box
+
+    def test_a_wait_on_a_queued_job_ends_with_the_close(self):
+        sched = JobScheduler(slots=1, start=False)
+        job = sched.submit(JobSpec(dataset="trains", algo="mdie"))
+        thread, box = self.parked(lambda: sched.wait(job, timeout=60))
+        time.sleep(0.1)
+        sched.close(drain=False)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert isinstance(box.get("error"), ShuttingDown)
+        assert sched.status(job)["state"] == "queued"
+
+    def test_wait_all_ends_with_the_close(self):
+        sched = JobScheduler(slots=1, start=False)
+        sched.submit(JobSpec(dataset="trains", algo="mdie"))
+        thread, box = self.parked(lambda: sched.wait_all(timeout=60))
+        time.sleep(0.1)
+        sched.close(drain=False)
+        thread.join(timeout=5)
+        assert isinstance(box.get("error"), ShuttingDown)
+
+    def test_a_job_that_ends_during_the_close_is_reported_as_it_ended(self):
+        sched = JobScheduler(slots=1, start=False)
+        started = threading.Event()
+        orig = sched._execute
+
+        def slow_execute(job):
+            started.set()
+            time.sleep(0.3)
+            return orig(job)
+
+        sched._execute = slow_execute
+        job = sched.submit(JobSpec(dataset="trains", algo="mdie"))
+        sched.start()
+        assert started.wait(timeout=30)
+        thread, box = self.parked(lambda: sched.wait(job, timeout=120))
+        sched.close(drain=False)
+        thread.join(timeout=5)
+        assert box["result"]["state"] == "done"
+
+    def test_a_wait_op_answers_shutting_down_when_the_service_drains(self):
+        service = Service(slots=1)
+        release = threading.Event()
+        orig = service.scheduler._execute
+
+        def gated_execute(job):
+            release.wait(timeout=30)
+            return orig(job)
+
+        service.scheduler._execute = gated_execute
+        first = service.scheduler.submit(JobSpec(dataset="trains", algo="mdie"))
+        second = service.scheduler.submit(JobSpec(dataset="trains", algo="mdie"))
+        assert wait_for(lambda: service.scheduler.status(first)["state"] == "running")
+        waits = [self.parked(lambda j=j: service.handle({"op": "wait", "job": j}))
+                 for j in (first, second)]
+        drain, _ = self.parked(service.drain)
+        time.sleep(0.1)
+        release.set()
+        drain.join(timeout=60)
+        for thread, _ in waits:
+            thread.join(timeout=5)
+        assert not any(t.is_alive() for t in (drain, *(t for t, _ in waits)))
+        (_, done), (_, parked) = waits
+        assert done["result"]["state"] == "done"
+        assert parked["result"]["code"] == "shutting_down"
+        assert service.scheduler.status(second)["state"] == "queued"
+
+    def test_a_wait_after_the_close_does_not_block(self):
+        sched = JobScheduler(slots=1, start=False)
+        job = sched.submit(JobSpec(dataset="trains", algo="mdie"))
+        sched.close(drain=False)
+        with pytest.raises(ShuttingDown, match=job):
+            sched.wait(job, timeout=5)
 
 
 class TestCancellation:

@@ -1,13 +1,17 @@
 """TheoryRegistry: versioned artifacts, promotion, diff, corruption."""
 
 import os
+import pathlib
 import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.logic import Theory, parse_clause
 from repro.parallel import wire
-from repro.service import RegistryError, TheoryRegistry
+from repro.service import QueryEngine, RegistryError, ServiceClient, TheoryRegistry, serve
 from repro.service import registry as registry_module
 from repro.service.registry import RegistryRecord, theory_diff
 
@@ -237,3 +241,218 @@ class TestOldRegistryRoot:
         assert registry.publish("t", theory_v1).version == 2
         assert registry.versions("t") == [1, 2]
         assert registry.get("t").version == 2
+
+
+TRAINS = {"dataset": "trains", "seed": "0", "scale": "small"}
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+
+def settle(root, name="t", age=60.0):
+    """Age a theory directory's mtime past the registry's settling time."""
+    past = time.time() - age
+    os.utime(os.path.join(root, name), (past, past))
+
+
+def resolved(reg, *version):
+    """``reg.resolve_version("t", *version)``, or None for a RegistryError."""
+    try:
+        return reg.resolve_version("t", *version)
+    except RegistryError:
+        return None
+
+
+@pytest.fixture
+def listdirs(monkeypatch):
+    """Directories ``os.listdir`` is asked for during the test."""
+    seen: list = []
+    real = os.listdir
+
+    def spy(path="."):
+        seen.append(os.path.abspath(os.fsdecode(path)))
+        return real(path)
+
+    monkeypatch.setattr(os, "listdir", spy)
+    return seen
+
+
+class TestListingCache:
+    """A theory's listing (versions, promoted) is kept under its directory's
+    (inode, mtime, ctime) once that mtime has settled, and read again as
+    soon as one ``stat`` shows the directory changed."""
+
+    #: a write made through a second instance, and what the first must see next.
+    WRITES = {
+        "publish": (lambda reg, th: reg.publish("t", th), lambda reg: resolved(reg) == 3),
+        "promote": (lambda reg, th: reg.promote("t", 1), lambda reg: resolved(reg) == 1),
+        "gc": (lambda reg, th: reg.gc("t", keep=1), lambda reg: resolved(reg, 1) is None),
+    }
+
+    @pytest.mark.parametrize("write", list(WRITES))
+    def test_a_write_from_another_instance_is_seen(
+        self, write, registry, theory_v1, theory_v2, listdirs
+    ):
+        registry.publish("t", theory_v1)
+        registry.publish("t", theory_v2)
+        settle(registry.root)
+        assert (resolved(registry), resolved(registry, 1)) == (2, 1)
+        listdirs.clear()
+        assert resolved(registry) == 2
+        assert listdirs == [], "the settled listing was not cached"
+        apply, seen = self.WRITES[write]
+        apply(TheoryRegistry(registry.root), theory_v1)
+        assert seen(registry)
+
+    @pytest.mark.parametrize("write", list(WRITES))
+    def test_a_write_from_another_instance_reaches_the_next_query(
+        self, write, registry, trains, trains_theory
+    ):
+        examples = trains.pos + trains.neg
+        full = Theory(trains_theory.theory)
+        registry.publish("t", full, provenance=TRAINS)
+        registry.publish("t", Theory([]), provenance=TRAINS)
+        settle(registry.root)
+        qe = QueryEngine(registry=registry)
+        covering = qe.query("t", examples, version=1).n_covered
+        assert covering > 0
+        assert qe.query("t", examples).n_covered == 0
+        other = TheoryRegistry(registry.root)
+        if write == "publish":
+            other.publish("t", full, provenance=TRAINS)
+        elif write == "promote":
+            other.promote("t", 1)
+        else:
+            other.gc("t", keep=1)
+            with pytest.raises(RegistryError, match="no version 1"):
+                qe.query("t", examples, version=1)
+            return
+        assert qe.query("t", examples).n_covered == covering
+
+    def test_a_racy_directory_is_listed_on_every_call(
+        self, registry, theory_v1, listdirs, monkeypatch
+    ):
+        registry.publish("t", theory_v1)
+        settle(registry.root)
+        d = os.path.join(registry.root, "t")
+        mtime = os.stat(d).st_mtime_ns
+        clock = [mtime + registry_module._SETTLED_NS]
+        monkeypatch.setattr(registry_module.time, "time_ns", lambda: clock[0])
+        listdirs.clear()
+        for _ in range(3):
+            assert registry.resolve_version("t") == 1
+        assert listdirs == [d] * 3
+        clock[0] += 1  # now more than the settling time after the mtime
+        for _ in range(3):
+            assert registry.resolve_version("t") == 1
+        assert listdirs == [d] * 4
+
+    def test_a_settled_directory_is_answered_from_one_stat(
+        self, registry, theory_v1, theory_v2, listdirs, opened_paths
+    ):
+        registry.publish("t", theory_v1)
+        registry.publish("t", theory_v2)
+        registry.promote("t", 1)
+        settle(registry.root)
+        assert registry.resolve_version("t") == 1
+        listdirs.clear()
+        opened_paths.clear()
+        for _ in range(5):
+            assert registry.resolve_version("t") == 1
+            assert registry.resolve_version("t", 2) == 2
+            assert registry.versions("t") == [1, 2]
+            assert registry.promoted_version("t") == 1
+            assert registry.latest_version("t") == 2
+        assert listdirs == []
+        assert opened_paths == []
+
+    def test_readers_racing_a_publisher_never_go_back(self, registry, theory_v1):
+        # More reader threads than cores, switching as often as the
+        # interpreter allows, while a second instance publishes and each new
+        # version is settled at once: no reader sees a version older than
+        # one it saw before, and every reader ends on the last one.
+        registry.publish("t", theory_v1)
+        settle(registry.root)
+        other = TheoryRegistry(registry.root)
+        stop = threading.Event()
+        seen: dict = {}
+        failures = []
+
+        def read(k):
+            last = 0
+            try:
+                while True:
+                    done = stop.is_set()
+                    v = registry.resolve_version("t")
+                    if v < last:
+                        failures.append((k, last, v))
+                    last = v
+                    if done:
+                        break
+            finally:
+                seen[k] = last
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for t in readers:
+                t.start()
+            for i in range(20):
+                other.publish("t", theory_v1)
+                settle(registry.root, age=60.0 + i)
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert seen == {k: 21 for k in range(8)}
+
+    def test_a_cached_listing_is_not_the_callers_to_change(self, registry, theory_v1):
+        registry.publish("t", theory_v1)
+        settle(registry.root)
+        registry.versions("t").append(7)
+        assert registry.versions("t") == [1]
+
+
+class TestAcrossProcesses:
+    def test_a_promote_from_the_cli_changes_the_next_served_answer(
+        self, tmp_path, trains, trains_theory, listdirs
+    ):
+        root = str(tmp_path / "registry")
+        reg = TheoryRegistry(root)
+        reg.publish("t", Theory(trains_theory.theory), provenance=TRAINS)
+        reg.publish("t", Theory([]), provenance=TRAINS)
+        settle(root)
+        ready = threading.Event()
+        box = {}
+
+        def on_ready(server):
+            box["server"] = server
+            ready.set()
+
+        thread = threading.Thread(
+            target=serve,
+            kwargs=dict(port=0, slots=1, registry_dir=root, ready=on_ready),
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(timeout=10), "server did not come up"
+        query = {"op": "query", "theory": "t", "examples": [str(e) for e in trains.pos]}
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        try:
+            with ServiceClient(port=box["server"].port) as c:
+                assert c.request(query)["n_covered"] == 0
+                listdirs.clear()
+                assert c.request(query)["n_covered"] == 0
+                assert listdirs == [], "the served query did not use the cached listing"
+                subprocess.run(
+                    [sys.executable, "-m", "repro", "registry", "--registry-dir", root,
+                     "promote", "t", "1"],
+                    env=env, cwd=str(REPO), check=True, capture_output=True, timeout=60,
+                )
+                assert c.request(query)["n_covered"] == len(trains.pos)
+                c.request({"op": "shutdown"})
+        finally:
+            thread.join(timeout=15)
+        assert not thread.is_alive()

@@ -27,6 +27,7 @@ from repro.parallel.independent import run_independent
 from repro.parallel.master import P2Master
 from repro.parallel.p2mdie import run_p2mdie
 from repro.run import run
+from repro.service.registry import TheoryRegistry
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
@@ -152,3 +153,10 @@ def test_the_fault_plan_format_is_written_once():
         if isinstance(node, ast.FunctionDef) and (node.name in codec or "normalize" in node.name)
     ]
     assert sorted(defined) == sorted(codec)
+
+
+def test_the_registry_has_no_cache_switch():
+    """A theory's listing is cached under one ``stat`` of its directory
+    whatever the caller says: there is no parameter to turn it off."""
+    params = list(inspect.signature(TheoryRegistry.__init__).parameters)
+    assert params == ["self", "root", "fault_injector"]
