@@ -42,6 +42,9 @@ __all__ = [
     "indices_from_bitset",
 ]
 
+#: a KB's plan table is cleared when it holds more clauses than this.
+_PLAN_CAP = 1024
+
 
 def popcount(bits: int) -> int:
     """Number of set bits (examples covered)."""
@@ -97,14 +100,15 @@ def coverage_eval(
 
     A flat clause over ground facts runs as a compiled plan
     (:mod:`repro.logic.cover_plan`), anything else on the SLD machine; the
-    two agree in bitsets, op charges and ``engine.last_exhausted``.  The
-    engine keeps each clause's plan until its KB changes.
+    two agree in bitsets, op charges and ``engine.last_exhausted``.  Each
+    clause's plan is kept in its KB's table, shared by every engine over
+    that KB, until the KB changes.
     """
     plans = engine._plans
     version = engine.kb.version
     entry = plans.get(rule)
     if entry is None or entry[0] != version:
-        if len(plans) > 1024:
+        if len(plans) > _PLAN_CAP:
             plans.clear()
         entry = plans[rule] = (version, compile_plan(engine, rule))
     plan = entry[1]

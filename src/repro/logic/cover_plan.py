@@ -65,13 +65,19 @@ identifiers only (:func:`_source`).  Constants enter only as closure
 values: clauses reach the compiler from the theory registry and the
 network, and no part of a term is ever parsed as Python.
 
-*Kept per engine.*  ``coverage_eval`` keeps each clause's plan (or its
-"no plan") on the engine with the KB version it was compiled at, so a
-served theory's plans are built once, not once per request.  A KB mutation
-recompiles: a new rule may make a clause ineligible (a new fact needs
-nothing — ``FactStore.add`` updates the plan's dicts in place).  Both
-tables are cleared when large, and an engine drops its plans when pickled
-(closures do not pickle).
+*Kept per knowledge base.*  A plan closes over its KB's index dicts and
+takes the engine only as a call argument, so ``coverage_eval`` keeps each
+clause's plan (or its "no plan") in one table per KB, with the KB version
+it was compiled at, and every engine over that KB reads it: a served
+theory's plans are built once, not once per request, and a job on a warm
+dataset compiles none.  The tables live in a weak map keyed by KB beside
+the engine (``repro.logic.engine``), never on the KB, so a KB pickles as
+before and a dropped one takes its table along (no plan references its
+KB).  A KB mutation recompiles: a new rule may make a clause ineligible (a
+new fact needs nothing — ``FactStore.add`` updates the plan's dicts in
+place).  Both tables are cleared when large, and a pickled engine leaves
+its plans behind (closures do not pickle): the copy joins its own KB's
+table.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ depth bound binds mid-conjunction.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Optional, Sequence
 
 from repro.logic.builtins import ArithmeticError_, eval_arith, is_builtin
@@ -66,6 +67,23 @@ def _flatten_conj(term: Term) -> tuple[Term, ...]:
     if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
         return _flatten_conj(term.args[0]) + _flatten_conj(term.args[1])
     return (term,)
+
+
+# kb -> {clause: (kb.version, compiled coverage plan | None)}, filled by
+# ``repro.ilp.coverage.coverage_eval``.  A plan closes over its KB's index
+# dicts and takes the engine only as a call argument, so every engine over
+# one KB shares its table; no plan references the KB, so a KB nobody holds
+# drops its table.
+_PLAN_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _plan_table(kb: KnowledgeBase) -> dict:
+    """The plan table of ``kb``; ``setdefault``, so threads sharing a KB
+    all keep the table that was installed first."""
+    table = _PLAN_TABLES.get(kb)
+    if table is None:
+        table = _PLAN_TABLES.setdefault(kb, {})
+    return table
 
 
 class QueryBudget:
@@ -130,18 +148,21 @@ class Engine:
         # builtins.  Cleared with the memo when the KB version moves.
         self._preds: dict[tuple, tuple] = {}
         self._kb_version = kb.version
-        # clause -> (kb.version, compiled coverage plan | None), kept by
-        # ``repro.ilp.coverage.coverage_eval``.
-        self._plans: dict = {}
+        # the KB's coverage-plan table (shared with every engine over it).
+        self._plans: dict = _plan_table(kb)
         self.memo_hits = 0
         self.memo_misses = 0
 
     def __getstate__(self) -> dict:
-        # Compiled plans are closures, which do not pickle; the copy
-        # recompiles them on first use.
+        # Compiled plans are closures, which do not pickle; the copy joins
+        # its own KB's table and compiles them there on first use.
         state = self.__dict__.copy()
-        state["_plans"] = {}
+        del state["_plans"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plans = _plan_table(self.kb)
 
     # -- public query API ----------------------------------------------------
     def solve(self, goals: Term | Sequence[Term], limit: Optional[int] = None) -> Iterator[Term | tuple]:

@@ -15,7 +15,8 @@ each clause apart.  The query engine amortizes both:
   stay warm across batches);
 * **micro-batching**: a batch is evaluated clause-by-clause via
   :func:`repro.ilp.coverage.theory_covered_bits` — one coverage plan per
-  clause, compiled on the first batch and kept on the engine (or one
+  clause, kept in the KB's plan table that the jobs learning on that KB
+  share, so compiled at most once (or one
   ``rename_apart`` per clause per batch) instead of work per example, and
   each clause only tests the examples no earlier clause covered;
 * **spans**: a batch may be cut into contiguous spans by

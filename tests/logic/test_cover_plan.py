@@ -20,17 +20,20 @@ loops still agree, and every generated source is integers and fixed
 identifiers only.
 
 Clauses outside the eligible class must compile to "no plan" and still be
-answered by ``coverage_eval``; the plan kept on an engine follows its KB
-and is shared per shape.  The CI ``tests`` job re-runs this module
+answered by ``coverage_eval``; a clause's plan is kept in its KB's table,
+follows that KB, is compiled once for every engine over it and is shared
+per shape.  The CI ``tests`` job re-runs this module
 under the ``cover-plan-ci`` profile (``conftest.py``) with a random seed;
 a shrunk failure is committed as a ``.pl`` fixture under ``tests/data``.
 """
 
+import gc
 import itertools
 import pathlib
 import pickle
 import re
 import threading
+import weakref
 
 import pytest
 
@@ -40,10 +43,11 @@ from hypothesis import strategies as st
 
 from naive_sld import Prover
 
+from repro.ilp import coverage
 from repro.ilp.config import ILPConfig
 from repro.ilp.coverage import _machine_loop, _plan_loop, coverage_eval
 from repro.ilp.store import ExampleStore
-from repro.logic import cover_plan
+from repro.logic import cover_plan, engine as engine_module
 from repro.logic.clause import Clause, Theory
 from repro.logic.cover_plan import compile_plan
 from repro.logic.engine import Engine, QueryBudget
@@ -375,3 +379,103 @@ def test_an_engine_pickles_without_its_plans(program_kb):
     assert copy._plans == {} and copy.total_ops == engine.total_ops
     assert coverage_eval(copy, rule, EXAMPLES) == coverage_eval(engine, rule, EXAMPLES) == first
     assert copy.total_ops == engine.total_ops and copy.last_exhausted == engine.last_exhausted
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """``(weakref to the KB, clause)`` of each plan ``coverage_eval``
+    compiles, in call order; the KB is held weakly so it can still die."""
+    calls = []
+
+    def counting(engine, clause):
+        calls.append((weakref.ref(engine.kb), clause))
+        return compile_plan(engine, clause)
+
+    monkeypatch.setattr(coverage, "compile_plan", counting)
+    return calls
+
+
+SHARED_RULE = "t(X) :- e(X, Y), e(Y, Z), f(Z)."
+
+
+def test_engines_over_one_kb_compile_a_clause_once(program_kb, compiled):
+    """Two engines with different budgets share the KB's plan; each is
+    charged what the machine would charge it."""
+    rule = parse_clause(SHARED_RULE)
+    budgets = (QueryBudget(max_depth=8, max_ops=200_000), QueryBudget(max_depth=8, max_ops=3))
+    engines = [Engine(program_kb, budget) for budget in budgets]
+    for engine in engines + engines:
+        want = observed(_machine_loop, Engine(program_kb, engine.budget), False, rule, EXAMPLES, None)
+        ops = engine.total_ops
+        got = coverage_eval(engine, rule, EXAMPLES)
+        assert got + (engine.total_ops - ops, engine.last_exhausted) == want
+    assert [clause for _, clause in compiled] == [rule]
+    assert engines[0]._plans is engines[1]._plans
+
+
+def test_two_kbs_never_share_a_plan(program_kb, compiled):
+    """Not two KBs with equal facts, nor a KB and its ``copy()``: a fact
+    added to the copy is seen through the copy alone."""
+    rule = parse_clause("t(X) :- e(X, Y), f(Y).")
+    twin = KnowledgeBase()
+    twin.add_program(PROGRAM)
+    kbs = [program_kb, twin, program_kb.copy()]
+    engines = [Engine(kb) for kb in kbs]
+    assert [coverage_eval(engine, rule, EXAMPLES) for engine in engines] == [(0b1010, 0)] * 3
+    assert [ref() for ref, _ in compiled] == kbs
+    plans = [engine._plans[rule][1] for engine in engines]
+    assert len({id(plan) for plan in plans}) == 3
+    kbs[2].add_fact(parse_term("f(c2)"))
+    got = [coverage_eval(Engine(kb), rule, EXAMPLES) for kb in kbs]
+    assert got == [(0b1010, 0), (0b1010, 0), (0b1011, 0)]
+
+
+def test_a_fact_added_through_the_kb_reaches_another_engines_plan(program_kb, compiled):
+    rule = parse_clause("t(X) :- e(X, Y), f(Y).")
+    first, second = Engine(program_kb), Engine(program_kb)
+    examples = [parse_term("t(c1)")]
+    assert coverage_eval(first, rule, examples) == (0, 0)
+    plan = first._plans[rule][1]
+    program_kb.add_fact(parse_term("f(c2)"))
+    assert _plan_loop(second, plan, rule, examples, None) == (1, 0)
+    assert coverage_eval(second, rule, examples) == coverage_eval(first, rule, examples) == (1, 0)
+    assert len(compiled) == 2, "compiled once before the fact, once after, for both engines"
+
+
+def test_a_rule_added_later_sends_the_clause_to_the_machine_for_every_engine(program_kb, compiled):
+    rule = parse_clause("t(X) :- e(X, Y), f(Y).")
+    engines = [Engine(program_kb), Engine(program_kb)]
+    examples = [parse_term("t(c1)")]
+    assert [coverage_eval(engine, rule, examples) for engine in engines] == [(0, 0)] * 2
+    program_kb.add_clause(parse_clause("f(X) :- size(X, 1)."))
+    for engine in engines:
+        assert coverage_eval(engine, rule, examples) == (1, 0)
+        assert engine._plans[rule] == (program_kb.version, None)
+    assert len(compiled) == 2
+
+
+def test_a_dropped_kb_drops_its_plan_table(compiled):
+    """No plan references its KB, so the weak map lets the table go with
+    the KB's last holder."""
+    kb = KnowledgeBase()
+    kb.add_program(PROGRAM)
+    engine = Engine(kb)
+    assert coverage_eval(engine, parse_clause(SHARED_RULE), EXAMPLES) == (0b1, 0)
+    assert engine._plans and len(compiled) == 1
+    tables = len(engine_module._PLAN_TABLES)
+    alive = weakref.ref(kb)
+    del engine, kb
+    gc.collect()
+    assert alive() is None and compiled[0][0]() is None
+    assert len(engine_module._PLAN_TABLES) == tables - 1
+
+
+def test_an_unpickled_engine_joins_its_own_kbs_table(program_kb):
+    rule = parse_clause(SHARED_RULE)
+    engine = Engine(program_kb)
+    coverage_eval(engine, rule, EXAMPLES)
+    copy = pickle.loads(pickle.dumps(engine))
+    assert copy.kb is not program_kb
+    assert copy._plans is Engine(copy.kb)._plans is not engine._plans
+    assert coverage_eval(copy, rule, EXAMPLES) == coverage_eval(engine, rule, EXAMPLES)
+    assert copy._plans[rule][1] is not engine._plans[rule][1]

@@ -12,10 +12,13 @@ For every dataset and algorithm these tests run
 dataset and the second on the shared one, and compare every field of the
 two :class:`~repro.run.RunOutcome` objects: theory, epochs, seconds,
 uncovered, ops, MB, evaluation-cache counters, epoch logs and the summary
-the protocol serves.  Then eight threads miss on one dataset at once, two
-slot threads run identical jobs while a query stream reads their dataset,
-and the cache is filled past its cap.  Everything runs on the simulator,
-whose seconds are exact.
+the protocol serves.  A third job runs on the now-warm dataset: it reports
+the same outcome, and as ``mdie`` it compiles no coverage plan (plans are
+kept per knowledge base, ``repro.logic.engine``).  Then eight threads miss
+on one dataset at once, two slot threads run identical jobs while a query
+stream reads their dataset (once more with the plan table cleared
+mid-run), and the cache is filled past its cap.  Everything runs on the
+simulator, whose seconds are exact.
 """
 
 import sys
@@ -26,6 +29,7 @@ from dataclasses import fields
 import pytest
 
 from repro.datasets import make_dataset
+from repro.ilp import coverage
 from repro.ilp.coverage import theory_covered_bits
 from repro.logic.io import theory_to_prolog
 from repro.run import RunOutcome
@@ -75,6 +79,24 @@ def test_second_job_reports_the_first_jobs_outcome(dataset, algo):
     first, second = _fields(run_job(spec)), _fields(run_job(spec))
     assert second == first
     assert first["theory"] and first["clock"] == "virtual"
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_third_job_on_a_warm_dataset_compiles_no_plans(dataset, algo, monkeypatch):
+    spec = JobSpec(dataset, algo, p=2)
+    fresh = _fields(run_job(spec))
+    run_job(spec)
+    compiled, compile_plan = [], coverage.compile_plan
+
+    def counting(engine, clause):
+        compiled.append(clause)
+        return compile_plan(engine, clause)
+
+    monkeypatch.setattr(coverage, "compile_plan", counting)
+    assert _fields(run_job(spec)) == fresh
+    if algo == "mdie":
+        assert compiled == []
 
 
 def test_threads_missing_one_dataset_get_the_first_published(monkeypatch):
@@ -148,6 +170,49 @@ def test_concurrent_jobs_and_queries_on_one_dataset(algo, tmp_path):
     assert not reader.is_alive()
     assert all(got == alone for got in together)
     assert answers and all(bits == want for bits in answers)
+
+
+def test_plan_table_cleared_mid_run_under_two_slots_and_a_query_stream(tmp_path, monkeypatch):
+    """With a KB's plan table capped at 4 clauses it is cleared over and
+    over while two slot threads and a query stream share it: every job
+    reports the one-slot outcome and every query the one-thread answer,
+    ops included."""
+    spec = JobSpec("krki", "mdie", p=2)
+    outcome = run_job(spec)
+    alone = _fields(outcome)
+    registry = TheoryRegistry(str(tmp_path / "reg"))
+    _publish(registry, "krki", outcome.theory, "krki", 0)
+    ds = make_dataset("krki", seed=0)
+    examples = list(ds.pos) + list(ds.neg)
+    want = QueryEngine(registry).query_stream("krki", examples, shards=3)
+    for _ in want.frames():
+        pass
+    want = want.result()
+    jobs._datasets.clear()
+    monkeypatch.setattr(coverage, "_PLAN_CAP", 4)
+
+    qe = QueryEngine(registry)
+    answers, stop = [], threading.Event()
+
+    def read():
+        while not stop.is_set() or not answers:
+            stream = qe.query_stream("krki", examples, shards=3)
+            for _ in stream.frames():
+                pass
+            got = stream.result()
+            answers.append((got.covered, got.ops))
+
+    reader = threading.Thread(target=read)
+    with JobScheduler(slots=2) as sched:
+        ids = [sched.submit(spec) for _ in range(4)]
+        reader.start()
+        sched.wait_all(timeout=300)
+        stop.set()
+        reader.join(timeout=120)
+        together = [_fields(sched.result(i)) for i in ids]
+    assert not reader.is_alive()
+    assert all(got == alone for got in together)
+    assert answers and all(got == (want.covered, want.ops) for got in answers)
 
 
 def test_cache_keeps_at_most_cap_datasets(tmp_path):
