@@ -29,6 +29,7 @@ files alike, so any process can read any checkpoint.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -44,6 +45,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_path",
+    "latest_checkpoint",
     "records_from_epoch_logs",
     "epoch_logs_from_records",
     "verify_config",
@@ -276,6 +278,26 @@ def load_checkpoint(path: str) -> CheckpointState:
 def checkpoint_path(directory: str, epoch: int) -> str:
     """The ``epoch_NNNN.ckpt`` naming rule for epoch-boundary checkpoints."""
     return os.path.join(directory, f"epoch_{epoch:04d}.ckpt")
+
+
+_CHECKPOINT_NAME = re.compile(r"epoch_(\d+)\.ckpt")
+
+
+def latest_checkpoint(directory: str) -> Optional[CheckpointState]:
+    """The newest :func:`checkpoint_path` file in ``directory``, loaded, or None.
+
+    Newest is the numeric maximum: ``epoch_%04d`` pads to 4 digits but
+    keeps growing, and ``epoch_10000`` sorts before ``epoch_9999`` as
+    text.  Files of any other name are ignored.
+    """
+    epochs = {}
+    for name in os.listdir(directory):
+        m = _CHECKPOINT_NAME.fullmatch(name)
+        if m:
+            epochs[int(m.group(1))] = name
+    if not epochs:
+        return None
+    return load_checkpoint(os.path.join(directory, epochs[max(epochs)]))
 
 
 def verify_config(state: CheckpointState, config_sig: str) -> None:

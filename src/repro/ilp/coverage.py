@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.logic.clause import Clause
-from repro.logic.cover_plan import COVERED, EXHAUSTED, compile_plan
+from repro.logic.cover_plan import COVERED, EXHAUSTED, TABLE_CAP, compile_plan
 from repro.logic.engine import Engine
 from repro.logic.terms import Struct, Term
 from repro.logic.unify import match, resolve, unify
@@ -42,8 +42,10 @@ __all__ = [
     "indices_from_bitset",
 ]
 
-#: a KB's plan table is cleared when it holds more clauses than this.
-_PLAN_CAP = 1024
+#: :func:`theory_covered_bits` evaluates a batch in slices of this many
+#: examples per clause pass (it caps transient bitset width on very large
+#: batches; the answer does not depend on it).
+_MICRO_BATCH = 1024
 
 
 def popcount(bits: int) -> int:
@@ -108,7 +110,7 @@ def coverage_eval(
     version = engine.kb.version
     entry = plans.get(rule)
     if entry is None or entry[0] != version:
-        if len(plans) > _PLAN_CAP:
+        if len(plans) > TABLE_CAP:
             plans.clear()
         entry = plans[rule] = (version, compile_plan(engine, rule))
     plan = entry[1]
@@ -180,29 +182,25 @@ def coverage_bitset(
 
 
 def theory_covered_bits(
-    engine: Engine,
-    clauses: Sequence[Clause],
-    examples: Sequence[Term],
-    micro_batch: int = 1024,
+    engine: Engine, clauses: Sequence[Clause], examples: Sequence[Term]
 ) -> int:
     """Bitset of examples covered by *any* clause of a theory.
 
     First-match semantics: later clauses only test the examples no
     earlier clause covered, which is sound because theory coverage is
     the union of clause coverages (monotone — covered stays covered).
-    ``micro_batch`` bounds the slice evaluated per clause pass (it caps
-    transient bitset width on very large batches); the returned bitset
-    is independent of its value, and of how callers split ``examples``
-    into spans — each example's decision depends only on the clause
-    list, the KB and the engine budget.  This is the shared evaluation
-    kernel of the query tier:
-    :meth:`repro.service.query.PreparedTheory.query` calls it once per
+    Each clause pass covers :data:`_MICRO_BATCH` examples at most; the
+    returned bitset is independent of that slice width, and of how
+    callers split ``examples`` into spans — each example's decision
+    depends only on the clause list, the KB and the engine budget.  This
+    is the shared evaluation kernel of the query tier:
+    :meth:`repro.service.query.QueryEngine.query` calls it once per
     span, so a batch merged from k spans is bit-identical to the
     one-span answer by construction.
     """
     covered = 0
-    for lo in range(0, len(examples), micro_batch):
-        chunk = examples[lo : lo + micro_batch]
+    for lo in range(0, len(examples), _MICRO_BATCH):
+        chunk = examples[lo : lo + _MICRO_BATCH]
         remaining = (1 << len(chunk)) - 1
         chunk_bits = 0
         for clause in clauses:

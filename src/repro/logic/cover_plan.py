@@ -75,9 +75,9 @@ the engine (``repro.logic.engine``), never on the KB, so a KB pickles as
 before and a dropped one takes its table along (no plan references its
 KB).  A KB mutation recompiles: a new rule may make a clause ineligible (a
 new fact needs nothing — ``FactStore.add`` updates the plan's dicts in
-place).  Both tables are cleared when large, and a pickled engine leaves
-its plans behind (closures do not pickle): the copy joins its own KB's
-table.
+place).  Both tables are cleared past :data:`TABLE_CAP` entries, and a
+pickled engine leaves its plans behind (closures do not pickle): the copy
+joins its own KB's table.
 """
 
 from __future__ import annotations
@@ -98,6 +98,11 @@ _MAX_LOOPS = 20
 
 #: shape -> factory(indicator, *constants, *collections) -> plan.
 _FACTORIES: dict[tuple, Callable] = {}
+
+#: a plan table (:data:`_FACTORIES`, or a KB's clause -> plan table) is
+#: cleared when it holds more entries than this (no measured run of the
+#: bundled datasets compiles 2 000 plans, so a warm job compiles none).
+TABLE_CAP = 4096
 
 
 def compile_plan(engine, clause: Clause) -> Optional[Callable]:
@@ -162,7 +167,7 @@ def compile_plan(engine, clause: Clause) -> Optional[Callable]:
     shape = (len(slots), tuple(consts), head_copy, head_check + head_consts, tuple(steps))
     factory = _FACTORIES.get(shape)
     if factory is None:
-        if len(_FACTORIES) > 4096:
+        if len(_FACTORIES) > TABLE_CAP:
             _FACTORIES.clear()
         factory = _FACTORIES.setdefault(shape, _build(shape))
     return factory(head.indicator, *consts.values(), *collections)

@@ -1,4 +1,4 @@
-"""Batched and streaming coverage queries against registered theories.
+"""Batched and streamed coverage queries against registered theories.
 
 Theory *application* is orders of magnitude cheaper than theory
 *learning*, but the naive per-example path (``predicts``: rename every
@@ -13,27 +13,28 @@ each clause apart.  The query engine amortizes both:
   an :class:`~repro.logic.engine.Engine` and the clause list once; every
   later batch reuses them (KB indexes and the engine's ground-goal memo
   stay warm across batches);
-* **micro-batching**: a batch is evaluated clause-by-clause via
+* **clause-by-clause evaluation**: a batch is evaluated via
   :func:`repro.ilp.coverage.theory_covered_bits` — one coverage plan per
   clause, kept in the KB's plan table that the jobs learning on that KB
   share, so compiled at most once (or one
   ``rename_apart`` per clause per batch) instead of work per example, and
   each clause only tests the examples no earlier clause covered;
-* **spans**: a batch may be cut into contiguous spans by
-  :func:`repro.parallel.partition.shard_spans`.  The spans run *one
-  after another* on the prepared theory's one engine — ``shards=k`` is
-  evaluation granularity, not parallelism (worker threads over a
-  pure-Python engine never scaled under the GIL; the last measurements
-  are in ``docs/performance.md``).  Between two spans the theory's lock
-  is free, the request deadline is checked and a cancel is honoured;
-* **streaming**: :meth:`QueryEngine.query_stream` hands each span's
-  result out as soon as it is evaluated, so a consumer sees first
-  results after ~1/k of the batch work instead of all of it.
+* **one loop over spans**: :meth:`QueryEngine.query` cuts a batch into
+  the contiguous spans of :func:`repro.parallel.partition.shard_spans`
+  and runs them *one after another* on the prepared theory's one engine
+  — ``shards=k`` is evaluation granularity, not parallelism (worker
+  threads over a pure-Python engine never scaled under the GIL; the last
+  measurements are in ``docs/performance.md``).  A plain query is the
+  one-span case.  Between two spans the theory's lock is free and the
+  request deadline is checked; an ``on_frame`` callback is handed each
+  span's result as soon as it is evaluated (the server streams it), so
+  a consumer sees first results after ~1/k of the batch work, and a
+  callback that raises stops the batch before its next span.
 
 **Determinism invariant**: the covered bitset a batch returns is a pure
 per-example function of (clause list, KB, engine budget) — independent
-of micro-batch size, span count and transport — so spanned and streamed
-answers are bit-identical to the one-span path (pinned by
+of span count and transport — so spanned and streamed answers are
+bit-identical to the one-span answer (pinned by
 ``tests/service/test_query.py`` and ``tests/service/test_streaming.py``).
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # Unused: misses build in jobs.shared_dataset, but bench/tracing.py rebinds this name.
 from repro.datasets import make_dataset  # noqa: F401
@@ -59,7 +60,6 @@ __all__ = [
     "QueryResult",
     "PreparedTheory",
     "ShardResult",
-    "QueryStream",
 ]
 
 
@@ -87,7 +87,7 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One span's slice of a streamed query batch.
+    """One span's slice of a query batch, handed to ``on_frame``.
 
     ``covered`` is local to the span — bit ``i`` refers to example
     ``lo + i`` — so a consumer reassembles the batch bitset as
@@ -111,11 +111,11 @@ class PreparedTheory:
 
     One prepared entry has one engine, and the engine's per-query
     mutable state (op budget counter, ``last_exhausted``) must not
-    interleave across threads — so every *span* evaluated here holds the
-    entry's lock.  A plain query is one span; a spanned or streamed
-    batch takes and releases the lock once per span, which is where
-    concurrent requests against the *same* theory get their turn.
-    Different theories (and learning jobs) still overlap freely.
+    interleave across threads — so every *span* evaluated on it holds
+    the entry's lock.  A batch takes and releases the lock once per span,
+    which is where concurrent requests against the *same* theory get
+    their turn.  Different theories (and learning jobs) still overlap
+    freely.
     """
 
     theory: Theory
@@ -126,110 +126,11 @@ class PreparedTheory:
     def __post_init__(self):
         self._lock = threading.Lock()
 
-    def query(
-        self, examples: Sequence[Term], micro_batch: int = 1024, new_batch: bool = True
-    ) -> QueryResult:
-        """Coverage of one span of ``examples``; every one must be ground.
-
-        ``micro_batch`` bounds the slice evaluated per clause pass (it
-        caps transient bitset width on very large batches; results are
-        independent of its value).  A stream passes ``new_batch`` on its
-        first span only, so ``batches`` counts requests, not spans.
-        """
-        check_ground(examples)
-        with self._lock:
-            ops0 = self.engine.total_ops
-            covered = theory_covered_bits(
-                self.engine, tuple(self.theory), examples, micro_batch=micro_batch
-            )
-            self.batches += new_batch
-            return QueryResult(
-                covered=covered, n=len(examples), ops=self.engine.total_ops - ops0
-            )
-
 
 def check_ground(examples: Sequence[Term]) -> None:
     for e in examples:
         if not is_ground(e):
             raise ValueError(f"query example must be ground: {e}")
-
-
-class QueryStream:
-    """One query batch, evaluated span by span as its frames are pulled.
-
-    Nothing runs until :meth:`next_frame` is called: each call evaluates
-    the next span of ``shard_spans(n, k)`` on the prepared theory's
-    engine (through :meth:`QueryEngine._span`, where the deadline and
-    the chaos plan's lease faults are checked) and returns it, so frames
-    arrive in **ascending span order** and a consumer that applies them
-    as they come sees a strictly growing prefix of the batch.  The final
-    frame is followed by ``None``; :meth:`result` then has the merged
-    batch answer, bit-identical to the one-span path.
-
-    :meth:`cancel` is thread-safe and is how the serving layer stops
-    paying for a client that disconnected mid-stream: the span being
-    evaluated runs to completion (Python threads cannot be interrupted
-    mid-evaluation), no later span is started, and frames stop.
-    """
-
-    def __init__(
-        self,
-        engine: "QueryEngine",
-        prepared: PreparedTheory,
-        examples: Sequence[Term],
-        spans: list[tuple[int, int]],
-        micro_batch: int = 1024,
-        deadline: Optional[float] = None,
-    ):
-        self.prepared = prepared
-        self.n = len(examples)
-        self.spans = spans
-        self._engine = engine
-        self._examples = examples
-        self._micro_batch = micro_batch
-        self._deadline = deadline
-        self._cancelled = threading.Event()
-        self._next = 0
-        self._merged = 0
-        self._ops = 0
-
-    def next_frame(self) -> Optional[ShardResult]:
-        """Evaluate and return the next span; None when done/cancelled."""
-        k = self._next
-        if self._cancelled.is_set() or k >= len(self.spans):
-            return None
-        lo, hi = self.spans[k]
-        part = self._engine._span(
-            self.prepared, self._examples[lo:hi], self._micro_batch, self._deadline, done=k
-        )
-        self._next = k + 1
-        self._merged |= part.covered << lo
-        self._ops += part.ops
-        return ShardResult(shard=k, lo=lo, n=hi - lo, covered=part.covered, ops=part.ops)
-
-    def frames(self) -> Iterator[ShardResult]:
-        """Iterate the remaining frames in span order."""
-        return iter(self.next_frame, None)
-
-    @property
-    def done(self) -> bool:
-        return self._next >= len(self.spans) and not self._cancelled.is_set()
-
-    def result(self) -> QueryResult:
-        """The merged batch answer (every frame must have been consumed)."""
-        if not self.done:
-            raise RuntimeError("stream not fully consumed (or cancelled)")
-        return QueryResult(
-            covered=self._merged, n=self.n, ops=self._ops, shards=len(self.spans)
-        )
-
-    def cancel(self) -> None:
-        """Stop streaming: no span after the current one is evaluated."""
-        with self._engine._lock:
-            if self._cancelled.is_set():
-                return
-            self._cancelled.set()
-            self._engine.streams_cancelled += 1
 
 
 class QueryEngine:
@@ -251,7 +152,8 @@ class QueryEngine:
         #: prepared-cache counters (amortization visibility).
         self.prepared_hits = 0
         self.prepared_misses = 0
-        #: streams opened / cut short by :meth:`QueryStream.cancel`.
+        #: batches streamed or cut into several spans, and those of them an
+        #: error stopped (a passed deadline, a failed lease, a client gone).
         self.streams_started = 0
         self.streams_cancelled = 0
 
@@ -308,11 +210,10 @@ class QueryEngine:
         self,
         prepared: PreparedTheory,
         examples: Sequence[Term],
-        micro_batch: int,
-        deadline: Optional[float] = None,
-        done: int = 0,
-    ) -> QueryResult:
-        """Evaluate one span — the one place the per-span checks live.
+        deadline: Optional[float],
+        done: int,
+    ) -> tuple[int, int]:
+        """Evaluate one span: ``(covered, ops)`` — the per-span checks live here.
 
         Before the span takes the theory's lock: the request ``deadline``
         (absolute monotonic), so an expired request stops at most one
@@ -329,45 +230,54 @@ class QueryEngine:
                 if fault.mode == "fail":
                     raise Unavailable("injected engine-lease failure (chaos plan)")
                 time.sleep(fault.delay)
-        return prepared.query(examples, micro_batch=micro_batch, new_batch=done == 0)
+        engine = prepared.engine
+        with prepared._lock:
+            ops0 = engine.total_ops
+            covered = theory_covered_bits(engine, tuple(prepared.theory), examples)
+            prepared.batches += done == 0
+            return covered, engine.total_ops - ops0
 
     def query(
         self,
         name: str,
         examples: Sequence[Term],
         version: Optional[int] = None,
-        micro_batch: int = 1024,
+        shards: Optional[int] = None,
         deadline: Optional[float] = None,
+        on_frame: Optional[Callable[[ShardResult], None]] = None,
     ) -> QueryResult:
         """Batched coverage of ``examples`` under a registered theory.
 
-        The whole batch is one span on the prepared engine; use
-        :meth:`query_stream` to cut it into several.
-        """
-        return self._span(self.prepare(name, version), examples, micro_batch, deadline)
-
-    def query_stream(
-        self,
-        name: str,
-        examples: Sequence[Term],
-        version: Optional[int] = None,
-        micro_batch: int = 1024,
-        shards: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> QueryStream:
-        """Open a query evaluated in ``shards`` spans, one frame per span.
-
-        Nothing is evaluated until the consumer pulls frames
-        (:meth:`QueryStream.frames`); a consumer that stops early should
-        :meth:`QueryStream.cancel` so the stream shows up as cut short —
-        the serving layer does on client disconnect.
+        The batch runs as the ``shards`` spans of ``shard_spans`` (one
+        when None), in order on the prepared engine; each span's
+        :class:`ShardResult` goes to ``on_frame`` as soon as it is
+        evaluated.  An error — a passed ``deadline`` (absolute
+        monotonic), an injected lease failure, an ``on_frame`` that
+        raises — stops the batch before its next span: never a partial
+        result.
         """
         prepared = self.prepare(name, version)
-        check_ground(examples)  # up front: a bad example never costs a frame
-        spans = shard_spans(len(examples), shards or 1)
-        with self._lock:
-            self.streams_started += 1
-        return QueryStream(self, prepared, examples, spans, micro_batch, deadline)
+        check_ground(examples)  # up front: a bad example never costs a span
+        k = shards or 1
+        spans = shard_spans(len(examples), k)
+        streamed = on_frame is not None or k > 1
+        if streamed:
+            with self._lock:
+                self.streams_started += 1
+        covered = ops = 0
+        try:
+            for i, (lo, hi) in enumerate(spans):
+                bits, used = self._span(prepared, examples[lo:hi], deadline, done=i)
+                covered |= bits << lo
+                ops += used
+                if on_frame is not None:
+                    on_frame(ShardResult(shard=i, lo=lo, n=hi - lo, covered=bits, ops=used))
+        except BaseException:
+            if streamed:
+                with self._lock:
+                    self.streams_cancelled += 1
+            raise
+        return QueryResult(covered=covered, n=len(examples), ops=ops, shards=len(spans))
 
     def dataset_for(self, name: str, version: Optional[int] = None):
         """The (shared) dataset a registered theory was learned on.

@@ -543,35 +543,20 @@ class JobScheduler:
         os.makedirs(path, exist_ok=True)
         return path
 
-    @staticmethod
-    def _latest_checkpoint(ckpt_dir: str):
-        import re
-
-        from repro.fault.checkpoint import load_checkpoint
-
-        # Numeric max: epoch_%04d pads to 4 digits but keeps growing, and
-        # "epoch_10000" sorts before "epoch_9999" lexicographically.
-        best = None
-        best_epoch = -1
-        for n in os.listdir(ckpt_dir):
-            m = re.match(r"^epoch_(\d+)\.ckpt$", n)
-            if m and int(m.group(1)) > best_epoch:
-                best_epoch = int(m.group(1))
-                best = n
-        if best is None:
-            return None
-        return load_checkpoint(os.path.join(ckpt_dir, best))
-
     def _execute(self, job: _Job) -> None:
         spec = job.record.spec
         if spec.preemptible and spec.checkpointable:
             outcome = self._run_chunked(job)
         else:
             ckpt = self._checkpoint_dir_for(job) if spec.checkpointable and self.state_dir else None
-            # A recovered job resumes from whatever checkpoint the
-            # interrupted scheduler left behind instead of recomputing
-            # completed epochs (bit-identical either way).
-            resume = self._latest_checkpoint(ckpt) if ckpt else None
+            resume = None
+            if ckpt:
+                # A recovered job resumes from whatever checkpoint the
+                # interrupted scheduler left behind instead of recomputing
+                # completed epochs (bit-identical either way).
+                from repro.fault.checkpoint import latest_checkpoint
+
+                resume = latest_checkpoint(ckpt)
             outcome = run_job(spec, checkpoint_dir=ckpt, resume=resume)
         if outcome is None:  # parked (shutdown) or cancelled mid-run
             with self._cv:
@@ -595,10 +580,12 @@ class JobScheduler:
 
     def _run_chunked(self, job: _Job) -> Optional[RunOutcome]:
         """Advance a preemptible job chunk by chunk; None = did not finish."""
+        from repro.fault.checkpoint import latest_checkpoint
+
         spec = job.record.spec
         ckpt_dir = self._checkpoint_dir_for(job)
         while True:
-            state = self._latest_checkpoint(ckpt_dir)
+            state = latest_checkpoint(ckpt_dir)
             done_epochs = state.epoch if state is not None else 0
             target = done_epochs + CHUNK_EPOCHS
             if spec.max_epochs is not None:

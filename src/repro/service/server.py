@@ -25,14 +25,17 @@ for, it is granted ``"json"`` and the connection stays on JSON-lines —
 the fallback the hello contract has always promised a client whose
 transport the server does not offer.
 
-**Streaming queries.**  ``{"op": "query", ..., "stream": true,
-"shards": k}`` cuts the batch into k contiguous spans, evaluates them in
-order on the theory's engine and streams one response *per span* as it
+**Streaming queries.**  Every query runs one loop: ``"shards": k`` cuts
+the batch into k contiguous spans evaluated in order on the theory's
+engine (absent, ``null`` or ``0`` is one span, the plain case).  With
+``"stream": true`` the server writes one response *per span* as it
 completes (``"frame": "shard"`` with span-local ``covered``), then an
 end-of-batch summary (``"frame": "end"`` with the merged result) — so
 first results arrive after ~1/k of the batch work.  The merged answer is
-bit-identical to the one-span path.  If the client disconnects
-mid-stream the server evaluates no further span.
+bit-identical to the one-span answer.  If the client disconnects
+mid-stream the server evaluates no further span.  ``shards`` must be a
+non-negative integer and ``stream`` a boolean, or the request is a
+``bad_request``.
 
 Architecture
 ------------
@@ -83,7 +86,7 @@ from repro.service.errors import (
     error_response,
 )
 from repro.service.jobs import JobSpec
-from repro.service.query import QueryEngine, QueryResult, QueryStream, ShardResult
+from repro.service.query import QueryEngine, QueryResult, ShardResult
 from repro.service.registry import RegistryError, TheoryRegistry
 from repro.service.scheduler import JobScheduler, SchedulerError
 
@@ -400,8 +403,7 @@ class Service:
         name: str,
         examples,
         version: Optional[int] = None,
-        micro_batch: int = 1024,
-        shards=None,
+        shards: Optional[int] = None,
         deadline: Optional[float] = None,
         on_frame: Optional[Callable[[ShardResult], None]] = None,
     ) -> QueryResult:
@@ -409,44 +411,29 @@ class Service:
 
         ``shards=k`` evaluates the batch in k spans, one after another on
         the theory's engine: the ``deadline`` (absolute monotonic) is
-        checked and a cancel honoured before each, and other requests
-        against the theory get their turn in between.  With ``on_frame``
-        the batch is streamed — every span's frame is handed over as
-        soon as it is evaluated; an ``on_frame`` that raises (the client
-        hung up) stops the stream.
+        checked before each, and other requests against the theory get
+        their turn in between.  With ``on_frame`` the batch is streamed —
+        every span's frame is handed over as soon as it is evaluated; an
+        ``on_frame`` that raises (the client hung up) stops the batch.
         """
         if self.registry is None:
             raise ValueError("query needs the server started with a registry dir")
-        spans = int(shards or 0)
-        if on_frame is None and spans <= 1:
-            result = self.query_engine.query(
-                name, examples, version=version,
-                micro_batch=micro_batch or 1024, deadline=deadline,
-            )
-        else:
-            stream = self.query_engine.query_stream(
-                name, examples, version=version, micro_batch=micro_batch or 1024,
-                shards=max(spans, 1), deadline=deadline,
-            )
-            result = self._drain(stream, on_frame)
+        result = self.query_engine.query(
+            name, examples, version=version, shards=shards, deadline=deadline,
+            on_frame=on_frame,
+        )
         self._fanout.observe(result.shards)
         return result
 
-    @staticmethod
-    def _drain(stream: QueryStream, on_frame) -> QueryResult:
-        """Consume ``stream`` in span order; an error stops it for good."""
-        try:
-            for frame in stream.frames():
-                if on_frame is not None:
-                    on_frame(frame)
-        except BaseException:
-            # A passed deadline, an injected engine-lease failure, a client
-            # that hung up: never partial results, no further span.
-            stream.cancel()
-            raise
-        return stream.result()
-
     def _op_query(self, request: dict, ctx: ClientContext) -> dict:
+        shards = request.get("shards")
+        if shards is not None and (
+            not isinstance(shards, int) or isinstance(shards, bool) or shards < 0
+        ):
+            raise BadRequest(f"shards must be a non-negative integer, got {shards!r}")
+        stream = request.get("stream")
+        if stream is not None and not isinstance(stream, bool):
+            raise BadRequest(f"stream must be a boolean, got {stream!r}")
         items = request["examples"]
         if not isinstance(items, (list, tuple)):
             raise BadRequest(
@@ -459,13 +446,12 @@ class Service:
                     f"examples[{i}] must be a string, got {type(e).__name__}"
                 )
             examples.append(parse_term(e))
-        emit = ctx.emit if request.get("stream") else None
+        emit = ctx.emit if stream else None
         result = self.query_result(
             request["theory"],
             examples,
             version=request.get("version"),
-            micro_batch=int(request.get("micro_batch") or 1024),
-            shards=request.get("shards"),
+            shards=shards,
             deadline=request.get("_deadline"),
             on_frame=emit and (lambda frame: emit(_answer(frame))),
         )

@@ -291,10 +291,7 @@ SECTIONS = [
             ("repro.service.jobs", ["JobSpec", "OutcomeSummary", "run_job"]),
             ("repro.service.scheduler", ["JobScheduler"]),
             ("repro.service.registry", ["TheoryRegistry", "RegistryRecord", "theory_diff"]),
-            (
-                "repro.service.query",
-                ["QueryEngine", "QueryResult", "QueryStream", "PreparedTheory"],
-            ),
+            ("repro.service.query", ["QueryEngine", "QueryResult", "PreparedTheory"]),
             ("repro.service.server", ["Service", "serve"]),
             ("repro.service.client", ["ServiceClient"]),
         ],

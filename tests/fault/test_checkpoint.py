@@ -14,6 +14,7 @@ from repro.fault.checkpoint import (
     EpochRecord,
     checkpoint_path,
     epoch_logs_from_records,
+    latest_checkpoint,
     load_checkpoint,
     records_from_epoch_logs,
     save_checkpoint,
@@ -115,6 +116,18 @@ class TestFileIO:
         assert path.endswith("epoch_0003.ckpt")
         save_checkpoint(path, st)
         assert load_checkpoint(path) == st
+
+    def test_latest_is_the_numeric_max_and_ignores_other_files(self, tmp_path):
+        # epoch_10000 sorts before epoch_9999 as text; the stray files
+        # (another name, a near miss, a directory) are never read.
+        assert latest_checkpoint(str(tmp_path)) is None
+        for epoch in (9999, 10000, 12):
+            save_checkpoint(checkpoint_path(str(tmp_path), epoch), make_state(epoch=epoch))
+        (tmp_path / "epoch_99999.ckpt.tmp").write_bytes(b"garbage")
+        (tmp_path / "notes.txt").write_text("not a checkpoint")
+        (tmp_path / "epoch_x.ckpt").write_bytes(b"garbage")
+        assert sorted(os.listdir(tmp_path))[:2] == ["epoch_0012.ckpt", "epoch_10000.ckpt"]
+        assert latest_checkpoint(str(tmp_path)).epoch == 10000
 
     def test_load_garbage_raises(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")

@@ -45,7 +45,7 @@ from naive_sld import Prover
 
 from repro.ilp import coverage
 from repro.ilp.config import ILPConfig
-from repro.ilp.coverage import _machine_loop, _plan_loop, coverage_eval
+from repro.ilp.coverage import _machine_loop, _plan_loop, coverage_eval, theory_covered_bits
 from repro.ilp.store import ExampleStore
 from repro.logic import cover_plan, engine as engine_module
 from repro.logic.clause import Clause, Theory
@@ -240,7 +240,7 @@ def test_every_evaluator_agrees_with_the_naive_oracle(problem, data):
         assert _plan_loop(engine, plan, rule, examples, None) == (want, 0)
     assert ExampleStore(examples, []).evaluate(engine, rule).pos_bits == want
     prepared = QueryEngine.prepare_theory(Theory([rule]), kb, config)
-    assert prepared.query(examples).covered == want
+    assert theory_covered_bits(prepared.engine, tuple(prepared.theory), examples) == want
 
 
 #: a chain of ``e/2`` literals, each scanning its bucket: one loop apiece

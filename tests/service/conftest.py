@@ -37,14 +37,14 @@ def trains_theory():
 
 @pytest.fixture
 def drained():
-    """``drained(qe, name, examples, **kw)``: a stream's merged result once
-    every frame was pulled — how a k-span query is run in process."""
+    """``drained(qe, name, examples, **kw)``: a streamed query's merged
+    result, once every span's frame was handed over in span order."""
 
     def run(qe, name, examples, **kwargs):
-        stream = qe.query_stream(name, examples, **kwargs)
-        for _ in stream.frames():
-            pass
-        return stream.result()
+        frames = []
+        result = qe.query(name, examples, on_frame=frames.append, **kwargs)
+        assert [f.shard for f in frames] == list(range(result.shards))
+        return result
 
     return run
 

@@ -270,6 +270,94 @@ class TestOneLifecycle:
         assert answers[5]["pong"]
 
 
+def moved(svc, request, mode):
+    """``(responses, counter moves)`` of one in-process query (streamed in
+    ``"stream"`` mode unless ``request`` sets the field itself): every
+    frame and the last word, and what it did to the query counters."""
+
+    def counters():
+        snap = svc.metrics.snapshot()
+        return {
+            "requests": snap.get("repro_requests_total", {}).get("op=query", 0),
+            "errors": snap.get("repro_request_errors_total", {}),
+            "fanout": snap["repro_query_fanout_shards"]["sum"],
+            **svc.query_engine.stats(),
+        }
+
+    if mode == "stream":
+        request = {"stream": True, **request}
+    frames = []
+    before = counters()
+    frames.append(svc.handle(
+        {"op": "query", "theory": "t", **request},
+        ClientContext(authenticated=True, emit=frames.append),
+    ))
+    after = counters()
+    moves = {k: after[k] - before[k] for k in after if k != "errors"}
+    moves["errors"] = {
+        code: n - before["errors"].get(code, 0) for code, n in after["errors"].items()
+    }
+    return frames, moves
+
+
+#: ``shards`` and ``stream`` values the request boundary refuses.
+BAD_FIELDS = [
+    ("shards", -3), ("shards", True), ("shards", 2.7), ("shards", "2"), ("shards", [2]),
+    ("stream", "no"), ("stream", 1), ("stream", 0),
+]
+
+
+class TestQueryFieldsAtTheBoundary:
+    """``shards`` (absent, null or 0: one span; a positive int: that many)
+    and ``stream`` (a boolean) are checked once, before any work, and a
+    plain and a streamed query move the same counters either way."""
+
+    @pytest.fixture
+    def svc(self, tmp_path, trains_theory):
+        TheoryRegistry(str(tmp_path / "registry")).publish(
+            "t", trains_theory.theory, config_sig=trains_theory.config_sig,
+            provenance={"dataset": "trains", "seed": "0", "scale": "small"},
+        )
+        svc = Service(slots=1, registry_dir=str(tmp_path / "registry"))
+        yield svc
+        svc.close()
+
+    @pytest.mark.parametrize(
+        "field,value", BAD_FIELDS, ids=[f"{f}={v!r}" for f, v in BAD_FIELDS]
+    )
+    def test_a_bad_value_is_a_bad_request_naming_the_field(
+        self, svc, examples, field, value
+    ):
+        answers = {}
+        for mode in MODES:
+            frames, moves = moved(svc, {"examples": examples, field: value}, mode)
+            (resp,) = frames  # no shard frame: nothing was evaluated
+            assert not resp["ok"] and resp["code"] == "bad_request"
+            assert resp["error"].startswith(f"{field} must be a "), resp["error"]
+            answers[mode] = resp["error"], moves
+        assert answers["plain"] == answers["stream"]
+        assert answers["plain"][1] == {
+            "requests": 1, "errors": {"code=bad_request": 1}, "fanout": 0,
+            "prepared_hits": 0, "prepared_misses": 0, "prepared_entries": 0,
+            "batches": 0, "streams_started": 0, "streams_cancelled": 0,
+        }
+
+    @pytest.mark.parametrize("shards", ["absent", None, 0, 1, 3])
+    def test_a_good_value_is_a_span_count(self, svc, examples, shards):
+        request = {"examples": examples}
+        if shards != "absent":
+            request["shards"] = shards
+        spans = shards if isinstance(shards, int) and shards > 1 else 1
+        want = svc.handle(query_request("plain", examples=examples))["covered"]
+        for mode in MODES:
+            frames, moves = moved(svc, request, mode)
+            end = frames[-1]
+            assert end["ok"] and end["shards"] == spans and end["covered"] == want
+            assert len(frames) == 1 + (spans if mode == "stream" else 0)
+            assert moves["fanout"] == spans and moves["batches"] == 1
+            assert moves["streams_started"] == int(mode == "stream" or spans > 1)
+
+
 class TestManyConnections:
     def test_parked_waits_do_not_starve_other_connections(self, tmp_path, trains_theory):
         # One slot, three jobs in line, 33 clients each parked in a `wait`

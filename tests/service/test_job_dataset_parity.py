@@ -95,8 +95,7 @@ def test_third_job_on_a_warm_dataset_compiles_no_plans(dataset, algo, monkeypatc
 
     monkeypatch.setattr(coverage, "compile_plan", counting)
     assert _fields(run_job(spec)) == fresh
-    if algo == "mdie":
-        assert compiled == []
+    assert compiled == []
 
 
 def test_threads_missing_one_dataset_get_the_first_published(monkeypatch):
@@ -154,10 +153,9 @@ def test_concurrent_jobs_and_queries_on_one_dataset(algo, tmp_path):
 
     def read():
         while not stop.is_set() or not answers:
-            stream = qe.query_stream("krki", examples, shards=3)
-            for _ in stream.frames():
-                pass
-            answers.append(stream.result().covered)
+            frames = []
+            got = qe.query("krki", examples, shards=3, on_frame=frames.append)
+            answers.append((got.covered, len(frames)))
 
     reader = threading.Thread(target=read)
     with JobScheduler(slots=2) as sched:
@@ -169,7 +167,7 @@ def test_concurrent_jobs_and_queries_on_one_dataset(algo, tmp_path):
         together = [_fields(sched.result(i)) for i in ids]
     assert not reader.is_alive()
     assert all(got == alone for got in together)
-    assert answers and all(bits == want for bits in answers)
+    assert answers and all(got == (want, 3) for got in answers)
 
 
 def test_plan_table_cleared_mid_run_under_two_slots_and_a_query_stream(tmp_path, monkeypatch):
@@ -184,23 +182,18 @@ def test_plan_table_cleared_mid_run_under_two_slots_and_a_query_stream(tmp_path,
     _publish(registry, "krki", outcome.theory, "krki", 0)
     ds = make_dataset("krki", seed=0)
     examples = list(ds.pos) + list(ds.neg)
-    want = QueryEngine(registry).query_stream("krki", examples, shards=3)
-    for _ in want.frames():
-        pass
-    want = want.result()
+    want = QueryEngine(registry).query("krki", examples, shards=3)
     jobs._datasets.clear()
-    monkeypatch.setattr(coverage, "_PLAN_CAP", 4)
+    monkeypatch.setattr(coverage, "TABLE_CAP", 4)
 
     qe = QueryEngine(registry)
     answers, stop = [], threading.Event()
 
     def read():
         while not stop.is_set() or not answers:
-            stream = qe.query_stream("krki", examples, shards=3)
-            for _ in stream.frames():
-                pass
-            got = stream.result()
-            answers.append((got.covered, got.ops))
+            frames = []
+            got = qe.query("krki", examples, shards=3, on_frame=frames.append)
+            answers.append((got.covered, got.ops, len(frames)))
 
     reader = threading.Thread(target=read)
     with JobScheduler(slots=2) as sched:
@@ -212,7 +205,7 @@ def test_plan_table_cleared_mid_run_under_two_slots_and_a_query_stream(tmp_path,
         together = [_fields(sched.result(i)) for i in ids]
     assert not reader.is_alive()
     assert all(got == alone for got in together)
-    assert answers and all(got == (want.covered, want.ops) for got in answers)
+    assert answers and all(got == (want.covered, want.ops, 3) for got in answers)
 
 
 def test_cache_keeps_at_most_cap_datasets(tmp_path):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.ilp import predicts
-from repro.ilp.coverage import coverage_eval
+from repro.ilp import coverage, predicts
+from repro.ilp.coverage import coverage_eval, theory_covered_bits
 from repro.logic import parse_term
 from repro.service import QueryEngine
 
@@ -45,12 +45,13 @@ class TestBatchedParity:
             predicts(engine, trains_theory.theory, e) for e in examples
         ]
 
-    def test_micro_batch_invariance(self, published, trains):
+    def test_micro_batch_invariance(self, published, trains, monkeypatch):
         qe = QueryEngine(registry=published)
         examples = trains.pos + trains.neg
-        full = qe.query("trains-th", examples, micro_batch=1024)
+        full = qe.query("trains-th", examples)
         for micro in (1, 3, 7):
-            assert qe.query("trains-th", examples, micro_batch=micro).covered == full.covered
+            monkeypatch.setattr(coverage, "_MICRO_BATCH", micro)
+            assert qe.query("trains-th", examples).covered == full.covered
 
     def test_empty_batch(self, published):
         result = QueryEngine(registry=published).query("trains-th", [])
@@ -113,8 +114,8 @@ class TestValidation:
     def test_prepare_theory_without_registry(self, trains, trains_theory):
         qe = QueryEngine()
         prepared = qe.prepare_theory(trains_theory.theory, trains.kb, trains.config)
-        result = prepared.query(trains.pos)
-        assert result.n_covered == len(trains.pos)
+        covered = theory_covered_bits(prepared.engine, tuple(prepared.theory), trains.pos)
+        assert covered == (1 << len(trains.pos)) - 1
 
 
 class TestShardedQuery:
@@ -150,6 +151,6 @@ class TestShardedQuery:
         qe = QueryEngine(registry=published)
         result = drained(qe, "trains-th", trains.pos[:1], shards=8)
         assert result.shards == 1
-        # The plain path builds no stream at all.
+        # A plain one-span query is not counted as a stream.
         assert qe.query("trains-th", trains.pos[:1]).shards == 1
         assert qe.stats()["streams_started"] == 1

@@ -1,11 +1,12 @@
 """Streaming query tier: span ordering, reassembly, cancellation, transports.
 
 The invariant under test: a spanned/streamed query's covered bitset is
-bit-identical to the one-span :class:`QueryEngine` path (and to
+bit-identical to the one-span :class:`QueryEngine` answer (and to
 ``theory_covered_bits``), whatever the span count or transport — the
-spans run one after another on the theory's one engine, holding its lock
-a span at a time, and a client that walks away mid-stream pays for no
-further span (watched through the chaos injector's lease counter: one
+spans run one after another in :meth:`QueryEngine.query`'s one loop on
+the theory's one engine, holding its lock a span at a time, and a
+consumer that walks away mid-stream (its ``on_frame`` raises) pays for
+no further span (watched through the chaos injector's lease counter: one
 lease per span evaluated).
 """
 
@@ -15,11 +16,13 @@ import time
 import pytest
 
 from repro.fault.service import LeaseFault, ServiceFaultInjector, ServiceFaultPlan
+from repro.ilp import coverage
 from repro.ilp.coverage import theory_covered_bits
 from repro.logic.engine import Engine
 from repro.parallel.partition import shard_spans
 from repro.service import QueryEngine
 from repro.service import ServiceClient, serve
+from repro.service.errors import Cancelled
 
 
 #: a plan whose only fault is unreachable: its injector just counts leases.
@@ -37,14 +40,27 @@ def published(registry, trains_theory):
     return registry
 
 
+def hang_up_after(n):
+    """An ``on_frame`` that keeps ``n`` frames, then raises :class:`Cancelled`
+    — what the server's ``emit`` does once the client is gone."""
+    seen = []
+
+    def on_frame(frame):
+        if len(seen) == n:
+            raise Cancelled("the consumer hung up")
+        seen.append(frame)
+
+    return on_frame, seen
+
+
 class TestQueryStreamInProcess:
     def test_frames_arrive_in_shard_order_with_contiguous_spans(
         self, published, trains
     ):
         examples = trains.pos + trains.neg
         qe = QueryEngine(registry=published)
-        stream = qe.query_stream("trains-th", examples, shards=4)
-        frames = list(stream.frames())
+        frames = []
+        qe.query("trains-th", examples, shards=4, on_frame=frames.append)
         assert [f.shard for f in frames] == [0, 1, 2, 3]
         assert [(f.lo, f.lo + f.n) for f in frames] == shard_spans(len(examples), 4)
         assert sum(f.n for f in frames) == len(examples)
@@ -53,11 +69,11 @@ class TestQueryStreamInProcess:
         examples = trains.pos + trains.neg
         qe = QueryEngine(registry=published)
         seq = qe.query("trains-th", examples)
-        stream = qe.query_stream("trains-th", examples, shards=3)
+        frames = []
+        result = qe.query("trains-th", examples, shards=3, on_frame=frames.append)
         merged = 0
-        for frame in stream.frames():
+        for frame in frames:
             merged |= frame.covered << frame.lo
-        result = stream.result()
         assert merged == seq.covered
         assert result.covered == seq.covered
         assert result.n == seq.n and result.n_covered == seq.n_covered
@@ -70,16 +86,17 @@ class TestQueryStreamInProcess:
         res = drained(qe, "trains-th", examples, shards=shards)
         assert res.covered == seq.covered and res.n == seq.n
 
-    def test_parity_with_odd_micro_batch(self, published, trains, drained):
+    def test_parity_with_odd_micro_batch(self, published, trains, drained, monkeypatch):
         examples = trains.pos + trains.neg
         qe = QueryEngine(registry=published)
         seq = qe.query("trains-th", examples)
         for micro in (1, 5):
-            res = drained(qe, "trains-th", examples, shards=3, micro_batch=micro)
+            monkeypatch.setattr(coverage, "_MICRO_BATCH", micro)
+            res = drained(qe, "trains-th", examples, shards=3)
             assert res.covered == seq.covered
 
     def test_every_span_count_equals_theory_covered_bits(
-        self, published, trains, trains_theory
+        self, published, trains, trains_theory, monkeypatch
     ):
         # Independent reference: the shared kernel on a fresh engine, no
         # query tier involved.  k = n + 5 asks for more spans than examples.
@@ -93,44 +110,42 @@ class TestQueryStreamInProcess:
         assert qe.query("trains-th", examples).covered == want
         for k in (1, 2, 3, 8, n + 5):
             for micro in (1024, 7):
-                stream = qe.query_stream("trains-th", examples, shards=k, micro_batch=micro)
+                monkeypatch.setattr(coverage, "_MICRO_BATCH", micro)
+                frames = []
+                result = qe.query("trains-th", examples, shards=k, on_frame=frames.append)
                 merged = 0
-                for frame in stream.frames():
+                for frame in frames:
                     merged |= frame.covered << frame.lo
-                result = stream.result()
                 assert merged == result.covered == want, (k, micro)
                 assert result.shards == min(k, n)
 
     def test_empty_batch_streams_one_empty_frame(self, published):
         qe = QueryEngine(registry=published)
-        stream = qe.query_stream("trains-th", [], shards=4)
-        frames = list(stream.frames())
+        frames = []
+        result = qe.query("trains-th", [], shards=4, on_frame=frames.append)
         assert [(f.lo, f.n, f.covered) for f in frames] == [(0, 0, 0)]
-        result = stream.result()
         assert result.covered == 0 and result.n == 0 and result.shards == 1
 
     def test_result_before_drain_raises(self, published, trains):
+        # A batch whose consumer stops taking frames returns no result at
+        # all (never a partial one); the same query taken whole does.
         qe = QueryEngine(registry=published)
-        stream = qe.query_stream("trains-th", trains.pos, shards=2)
-        with pytest.raises(RuntimeError, match="not fully consumed"):
-            stream.result()
-        list(stream.frames())
-        assert stream.result().n == len(trains.pos)
+        on_frame, seen = hang_up_after(1)
+        with pytest.raises(Cancelled):
+            qe.query("trains-th", trains.pos, shards=2, on_frame=on_frame)
+        assert len(seen) == 1
+        assert qe.query("trains-th", trains.pos, shards=2).n == len(trains.pos)
 
     def test_cancel_releases_pending_shard_work(self, published, trains):
-        # Spans are evaluated only as frames are pulled, so after the
-        # first frame the other seven have not run — and after cancel()
-        # they never do.  No worker thread is involved at any point.
+        # The consumer hangs up at the first frame: the other seven spans
+        # never run.  No worker thread is involved at any point.
         examples = (trains.pos + trains.neg) * 50
         leases = ServiceFaultInjector(COUNT_LEASES)
         qe = QueryEngine(registry=published, fault_injector=leases)
-        stream = qe.query_stream("trains-th", examples, shards=8)
-        assert leases.snapshot()["leases"] == 0, "a span ran before it was asked for"
-        assert stream.next_frame() is not None
-        stream.cancel()
-        assert stream.next_frame() is None
-        with pytest.raises(RuntimeError):
-            stream.result()
+        on_frame, seen = hang_up_after(0)
+        with pytest.raises(Cancelled):
+            qe.query("trains-th", examples, shards=8, on_frame=on_frame)
+        assert seen == []
         assert leases.snapshot()["leases"] == 1 < 8, "cancelled spans still ran"
         assert qe.stats()["streams_cancelled"] == 1
 
@@ -156,13 +171,12 @@ class TestQueryStreamInProcess:
         qe = QueryEngine(registry=published, fault_injector=ServiceFaultInjector(plan))
         examples = trains.pos + trains.neg
         want = QueryEngine(registry=published).query("trains-th", examples).covered
-        stream = qe.query_stream("trains-th", examples, shards=8)
         seen, result = [], {}
 
         def consume():
-            for frame in stream.frames():
-                seen.append(frame.shard)
-            result["covered"] = stream.result().covered
+            result["covered"] = qe.query(
+                "trains-th", examples, shards=8, on_frame=lambda f: seen.append(f.shard)
+            ).covered
 
         consumer = threading.Thread(target=consume)
         consumer.start()
@@ -176,13 +190,6 @@ class TestQueryStreamInProcess:
         assert small.n == 1 and small.covered == want & 1
         assert frames_when_answered < 8, "the small query waited for the whole stream"
         assert result["covered"] == want
-
-    def test_cancel_is_idempotent(self, published, trains):
-        qe = QueryEngine(registry=published)
-        stream = qe.query_stream("trains-th", trains.pos, shards=2)
-        stream.cancel()
-        stream.cancel()
-        assert qe.stats()["streams_cancelled"] == 1
 
 
 def start_server(tmp_path, registry, **kwargs):

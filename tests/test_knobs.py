@@ -20,6 +20,7 @@ from repro.backend import make_backend, resolve_backend
 from repro.backend.sim import SimBackend
 from repro.cluster.costmodel import CostModel, OpsCostModel
 from repro.experiments.runner import run_cell, run_matrix
+from repro.ilp.coverage import theory_covered_bits
 from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
 from repro.parallel.coverage_parallel import run_coverage_parallel
@@ -27,7 +28,10 @@ from repro.parallel.independent import run_independent
 from repro.parallel.master import P2Master
 from repro.parallel.p2mdie import run_p2mdie
 from repro.run import run
+from repro.service import query as query_module
+from repro.service.query import QueryEngine
 from repro.service.registry import TheoryRegistry
+from repro.service.server import Service
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
@@ -160,3 +164,23 @@ def test_the_registry_has_no_cache_switch():
     whatever the caller says: there is no parameter to turn it off."""
     params = list(inspect.signature(TheoryRegistry.__init__).parameters)
     assert params == ["self", "root", "fault_injector"]
+
+
+def test_a_plain_query_is_the_one_span_case_of_the_stream():
+    """One evaluation loop over ``shard_spans`` answers every query, plain
+    or streamed; no stream object and no micro-batch parameter is left."""
+    query_params = ["name", "examples", "version", "shards", "deadline", "on_frame"]
+    assert params(QueryEngine.query) == ["self", *query_params]
+    assert params(Service.query_result) == ["self", *query_params]
+    assert params(theory_covered_bits) == ["engine", "clauses", "examples"]
+    assert not hasattr(query_module, "QueryStream")
+    assert not hasattr(QueryEngine, "query_stream")
+    files = sorted((SRC / "service").glob("*.py")) + [SRC / "ilp" / "coverage.py"]
+    loops = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "shard_spans"
+    ]
+    assert len(loops) == 1 and loops[0].startswith("service/query.py:"), loops
+    assert not [p for p in SRC.rglob("*.py") if "micro_batch" in p.read_text()]
