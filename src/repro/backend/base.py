@@ -43,7 +43,6 @@ from repro.cluster.process import (
     RecvOp,
     SendOp,
     SimProcess,
-    Span,
 )
 from repro.fault.plan import (
     MAX_STRAGGLE_SLEEP,
@@ -52,6 +51,7 @@ from repro.fault.plan import (
     RankFaults,
     normalize_plan,
 )
+from repro.obs.span import Span
 
 __all__ = [
     "Backend",
@@ -151,7 +151,7 @@ class Backend(ABC):
 
     #: registry name ("sim", "local", "mpi").
     name: str = "?"
-    #: whether runs record a :class:`~repro.cluster.process.Span` per
+    #: whether runs record a :class:`~repro.obs.span.Span` per
     #: compute interval into :attr:`BackendRun.trace`.
     record_trace: bool = False
 

@@ -56,8 +56,9 @@ Transport notes
   kernel.  With one CPU, or where the platform has no
   ``sched_getaffinity``, nothing is pinned.
   The parent also imports what a rank would otherwise import lazily
-  (the wire codec on the first send, span encoding in the report), so
-  forked ranks start warm instead of importing it once each.
+  (the wire codec and the P²-MDIE message layouts on the first send or
+  receive, span encoding in the report), so forked ranks start warm
+  instead of importing it once each.
 """
 
 from __future__ import annotations
@@ -353,6 +354,7 @@ class LocalProcessBackend(Backend):
         # What every rank would otherwise import on its first send and in
         # its report: imported once here, forked ranks inherit it.
         import repro.obs.span  # noqa: F401
+        import repro.parallel.messages  # noqa: F401
         import repro.parallel.wire  # noqa: F401
 
         children = [

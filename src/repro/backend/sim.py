@@ -49,9 +49,9 @@ from repro.cluster.process import (
     RecvOp,
     SendOp,
     SimProcess,
-    Span,
 )
 from repro.fault.plan import FaultPlan, FaultRecord, RankFaults
+from repro.obs.span import Span
 
 __all__ = ["SimBackend", "DeadlockError", "MAX_EVENTS"]
 

@@ -17,10 +17,10 @@ cluster faithfully.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["Syscall", "SendOp", "BcastOp", "RecvOp", "ComputeOp", "ProcContext", "SimProcess", "Span"]
+__all__ = ["Syscall", "SendOp", "BcastOp", "RecvOp", "ComputeOp", "ProcContext", "SimProcess"]
 
 
 class Syscall:
@@ -68,45 +68,6 @@ class RecvOp(Syscall):
 class ComputeOp(Syscall):
     ops: int
     label: str = "compute"
-
-
-@dataclass(frozen=True)
-class Span:
-    """One traced activity: *rank* ran *name* from *start* to *end* seconds.
-
-    The record behind the Fig. 3/4 trace: a compute interval of one node
-    (virtual seconds on sim, wall-clock on local/MPI; ``attrs`` empty)
-    or a telemetry span (:mod:`repro.obs`).  ``attrs`` is a sorted tuple
-    of ``(key, value)`` string pairs — hashable, deterministic, and
-    cheap to wire-encode.
-    """
-
-    rank: int
-    name: str
-    start: float
-    end: float
-    attrs: tuple = ()
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def to_dict(self) -> dict:
-        d = {"rank": self.rank, "name": self.name, "start": self.start, "end": self.end}
-        if self.attrs:
-            d["attrs"] = dict(self.attrs)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Span":
-        attrs = tuple(sorted((str(k), str(v)) for k, v in d.get("attrs", {}).items()))
-        return cls(
-            rank=int(d["rank"]),
-            name=str(d["name"]),
-            start=float(d["start"]),
-            end=float(d["end"]),
-            attrs=attrs,
-        )
 
 
 class ProcContext:

@@ -17,6 +17,7 @@ substitution preserves the paper's measurable behaviour.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,7 +58,8 @@ class Dataset:
         return out
 
 
-# name -> generator(seed=..., scale=...) -> Dataset
+# name -> generator(seed=..., scale=...) -> Dataset; a bundled name maps
+# to its loader (:func:`_bundled`) until its generator module is imported.
 DATASETS: dict[str, Callable[..., Dataset]] = {}
 
 
@@ -70,6 +72,23 @@ def register_dataset(name: str):
         return fn
 
     return deco
+
+
+def _bundled(name: str) -> Callable[..., Dataset]:
+    """The entry of bundled dataset ``name`` until its generator module
+    ``repro.datasets.<name>`` is loaded: the first call imports it, and
+    its ``@register_dataset`` replaces this entry."""
+
+    def load(**kw) -> Dataset:
+        importlib.import_module(f"{__package__}.{name}")
+        return DATASETS[name](**kw)
+
+    return load
+
+
+for _name in ("carcinogenesis", "krki", "mesh", "pyrimidines", "trains"):
+    DATASETS[_name] = _bundled(_name)
+del _name
 
 
 def make_dataset(name: str, seed: int = 0, scale: str = "small", **kw) -> Dataset:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.process import Span
+from repro.obs.span import Span
 
 __all__ = ["render_gantt", "occupancy", "stage_summary"]
 

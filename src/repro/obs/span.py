@@ -2,12 +2,11 @@
 
 A :class:`Span` — ``(rank, name, start, end, attrs)`` — is the one
 activity record, the exact record behind the paper's Figs. 3-4 activity
-analysis.  It is defined next to the syscalls in
-:mod:`repro.cluster.process`, where the sim scheduler and the real
-backends record one per compute interval (virtual time on sim,
-wall-clock on local/MPI); this module re-exports it.
-:class:`SpanBatch` is the wire-codec message (code 28) that carries a
-rank's spans home at halt on the local and MPI backends.
+analysis: the sim scheduler and the real backends record one per
+compute interval (virtual time on sim, wall-clock on local/MPI), and
+the tracer one per timed block.  :class:`SpanBatch` is the wire-codec
+message (code 28) that carries a rank's spans home at halt on the local
+and MPI backends.
 
 The :class:`Tracer` is the recording front end.  A disabled tracer is
 the shared :data:`NULL_TRACER` no-op object, so instrumented code pays
@@ -23,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.cluster.process import Span
 from repro.parallel import wire
 
 __all__ = [
@@ -34,6 +32,45 @@ __all__ = [
     "write_spans_jsonl",
     "read_spans_jsonl",
 ]
+
+
+@dataclass(frozen=True)
+class Span:
+    """One traced activity: *rank* ran *name* from *start* to *end* seconds.
+
+    The record behind the Fig. 3/4 trace: a compute interval of one node
+    (virtual seconds on sim, wall-clock on local/MPI; ``attrs`` empty)
+    or a telemetry span (:class:`Tracer`).  ``attrs`` is a sorted tuple
+    of ``(key, value)`` string pairs — hashable, deterministic, and
+    cheap to wire-encode.
+    """
+
+    rank: int
+    name: str
+    start: float
+    end: float
+    attrs: tuple = ()
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+    def to_dict(self) -> dict:
+        d = {"rank": self.rank, "name": self.name, "start": self.start, "end": self.end}
+        if self.attrs:
+            d["attrs"] = dict(self.attrs)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Span":
+        attrs = tuple(sorted((str(k), str(v)) for k, v in d.get("attrs", {}).items()))
+        return cls(
+            rank=int(d["rank"]),
+            name=str(d["name"]),
+            start=float(d["start"]),
+            end=float(d["end"]),
+            attrs=attrs,
+        )
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,13 @@ from typing import Optional, Sequence, Union
 from repro.backend import Backend, BackendRun, resolve_backend
 from repro.cluster.costmodel import sequential_seconds
 from repro.cluster.message import CommStats
-from repro.cluster.process import Span
 from repro.fault.plan import FaultPlan, normalize_plan
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet
 from repro.logic.clause import Theory
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Term
+from repro.obs.span import Span
 from repro.parallel.master import EpochLog, P2Master
 from repro.parallel.partition import Partition, partition_examples
 from repro.parallel.worker import P2Worker

@@ -1,4 +1,4 @@
-"""Compact wire codec for the parallel task messages.
+"""Compact wire codec: the one binary format of messages and records.
 
 The paper's communication accounting (Table 4) charges for every
 marshalled byte, and the real backends ship those bytes for real — so the
@@ -15,14 +15,18 @@ format:
 * **struct-packed scalars** — LEB128 varints for sizes/ids, zigzag varints
   for signed and arbitrary-precision integers, 8-byte IEEE doubles for
   floats, minimal big-endian byte strings for coverage **bitsets**.
-* **structural layouts** per message type (one tag byte), with terms,
-  clauses and bottom clauses encoded by shape — no per-object headers.
-* **rules as positions** — a ``PipelineTask``'s rules are ⊥e's head plus
-  increasing subsequences of ⊥e's literals, and the task carries ⊥e, so
-  each rule travels as the gaps between its literals' positions in ⊥e.
-  The receiver rebuilds it with ``with_extra_literal`` from ⊥e's most
-  general rule, so its variant key is built incrementally, as the
-  sender's was.  A rule no positions can carry is refused at encode time.
+* **structural layouts** per payload type (one type-code byte), with
+  terms and clauses encoded by shape — no per-object headers.
+
+This module is the codec core: the primitives, terms and clauses, the
+registry and :func:`encode_always` / :func:`decode`.  Each layout lives
+beside its payload class and registers through :func:`register_codec`
+when that module is imported: the P²-MDIE messages, with the bottom
+clause and rule-position layouts only they use, in
+:mod:`repro.parallel.messages`; the checkpoint, registry, job and span
+records in their own modules.  So a process that reads theory records
+loads no learner, and :func:`decode` of a code met before its module was
+imported imports that module first.
 
 Messages are self-contained (the symbol table travels with the message),
 so byte counts are a pure function of the payload — deterministic across
@@ -48,7 +52,6 @@ Wire layout (version 1)::
            | 0x04 byte                (bool constant)
            | 0x05 sym varint(n) term* (compound)
     clause  := term varint(n) term*
-    rule    := varint(n) varint(gap)*  (⊥e literals skipped before each)
     bitset  := varint(n) big-endian-bytes
     varset  := varint(n) sym*         (sorted by variable name)
     option  := 0x00 | 0x01 value
@@ -56,28 +59,11 @@ Wire layout (version 1)::
 
 from __future__ import annotations
 
+import importlib
 import struct
-from typing import Optional
 
-from repro.ilp.bottom import BottomClause, BottomLiteral
-from repro.ilp.refinement import SearchRule
 from repro.logic.clause import Clause
 from repro.logic.terms import Const, Struct, Term, Var
-from repro.parallel.messages import (
-    AdoptWorker,
-    EvaluateRequest,
-    EvaluateResult,
-    LoadExamples,
-    MarkCovered,
-    Ping,
-    PipelineRules,
-    PipelineTask,
-    Pong,
-    RuleStats,
-    StartPipeline,
-    Stop,
-    UpdateRouting,
-)
 
 __all__ = ["decode", "encode_always", "register_codec", "WireError"]
 
@@ -192,29 +178,6 @@ class _Encoder:
         for n in names:
             self.sym(n)
 
-    def rules_in(self, seq, bottom: Optional[BottomClause]) -> None:
-        """Search rules as positions in ``bottom`` (module docstring)."""
-        self.u(len(seq))
-        if seq and bottom is None:
-            raise WireError("a pipeline task's rules travel as positions in its bottom clause")
-        for sr in seq:
-            positions = _positions(sr, bottom)
-            self.u(len(positions))
-            prev = -1
-            for j in positions:
-                self.u(j - prev - 1)
-                prev = j
-
-    def bottom(self, b: BottomClause) -> None:
-        self.term(b.seed)
-        self.term(b.head)
-        self.u(len(b.literals))
-        for bl in b.literals:
-            self.term(bl.literal)
-            self.varset(bl.input_vars)
-            self.varset(bl.output_vars)
-        self.varset(b.head_vars)
-
     def finish(self, code: int) -> bytes:
         out = bytearray((_MAGIC, _VERSION, code))
         w = out.append
@@ -234,25 +197,6 @@ class _Encoder:
             out += raw
         out += self.body
         return bytes(out)
-
-
-def _positions(sr: SearchRule, bottom: BottomClause) -> list[int]:
-    """Where ``sr``'s body literals sit in ``bottom``, by a forward ``==``
-    scan of its literals; refused unless ``sr`` is ``bottom``'s head plus
-    the literals found, ending at ``sr.last_index``."""
-    lits = bottom.literals
-    out = []
-    j = 0
-    for lit in sr.clause.body:
-        while j < len(lits) and lits[j].literal != lit:
-            j += 1
-        if j == len(lits):
-            break
-        out.append(j)
-        j += 1
-    if len(out) < len(sr.clause.body) or sr.clause.head != bottom.head or j - 1 != sr.last_index:
-        raise WireError(f"search rule {sr} is no forward match of its bottom clause")
-    return out
 
 
 class _Decoder:
@@ -343,247 +287,23 @@ class _Decoder:
     def varset(self) -> frozenset:
         return frozenset(Var(self.sym()) for _ in range(self.u()))
 
-    def rules_in(self, bottom: Optional[BottomClause]) -> tuple:
-        rules = []
-        for _ in range(self.u()):
-            clause = bottom.most_general_rule()
-            j = -1
-            for _ in range(self.u()):
-                j += self.u() + 1
-                clause = clause.with_extra_literal(bottom.literals[j].literal)
-            rules.append(SearchRule(clause, j))
-        return tuple(rules)
 
-    def bottom(self) -> BottomClause:
-        seed = self.term()
-        head = self.term()
-        literals = [
-            BottomLiteral(self.term(), self.varset(), self.varset())
-            for _ in range(self.u())
-        ]
-        return BottomClause(seed=seed, head=head, literals=literals, head_vars=self.varset())
+# -- the registry -----------------------------------------------------------------
 
+#: type -> (code, encoder); code -> decoder.  Filled by
+#: :func:`register_codec` as each payload's module is imported.
+_ENCODERS: dict = {}
+_DECODERS: dict = {}
 
-# -- per-message layouts ----------------------------------------------------------
-
-
-def _enc_load_examples(e: _Encoder, m: LoadExamples) -> None:
-    e.u(m.partition_id)
-
-
-def _dec_load_examples(d: _Decoder) -> LoadExamples:
-    return LoadExamples(partition_id=d.u())
-
-
-def _stamp(e: _Encoder, stamp: Optional[int], plain: int, stamped: int) -> int:
-    """Write a message's stamp, if any, where its layout puts it; return
-    the code it goes under (``plain`` unstamped, ``stamped`` otherwise)."""
-    if stamp is None:
-        return plain
-    e.u(stamp)
-    return stamped
-
-
-def _dec_stamp_first(dec, stamp: str):
-    """Decoder of a stamp-first layout: the stamp, then the plain body."""
-    return lambda d: dec(d, **{stamp: d.u()})
-
-
-def _enc_start_pipeline(e: _Encoder, m: StartPipeline) -> int:
-    if (m.origin is None) != (m.epoch is None):
-        raise WireError(f"origin and epoch travel together: {m!r}")
-    if m.epoch is not None:
-        e.u(m.origin)
-    e.flag(m.width is not None)
-    if m.width is not None:
-        e.u(m.width)
-    return _stamp(e, m.epoch, 2, 15)
-
-
-def _dec_start_pipeline(d: _Decoder) -> StartPipeline:
-    return StartPipeline(width=d.u() if d.flag() else None)
-
-
-def _dec_stamped_start(d: _Decoder) -> StartPipeline:
-    return StartPipeline(origin=d.u(), width=d.u() if d.flag() else None, epoch=d.u())
-
-
-def _enc_pipeline_task(e: _Encoder, m: PipelineTask) -> int:
-    code = _stamp(e, m.epoch, 35, 37)
-    e.flag(m.bottom is not None)
-    if m.bottom is not None:
-        e.bottom(m.bottom)
-    e.u(m.step)
-    e.flag(m.width is not None)
-    if m.width is not None:
-        e.u(m.width)
-    e.rules_in(m.rules, m.bottom)
-    e.u(m.origin)
-    return code
-
-
-def _dec_pipeline_task(d: _Decoder, epoch: Optional[int] = None) -> PipelineTask:
-    bottom = d.bottom() if d.flag() else None
-    step = d.u()
-    width = d.u() if d.flag() else None
-    rules = d.rules_in(bottom)
-    return PipelineTask(
-        bottom=bottom, step=step, width=width, rules=rules, origin=d.u(), epoch=epoch
-    )
-
-
-def _enc_pipeline_result(e: _Encoder, m: PipelineRules) -> int:
-    code = _stamp(e, m.epoch, 36, 38)
-    e.u(m.origin)
-    e.clauses(m.rules)
-    return code
-
-
-def _dec_pipeline_result(d: _Decoder, epoch: Optional[int] = None) -> PipelineRules:
-    return PipelineRules(origin=d.u(), rules=d.clauses(), epoch=epoch)
-
-
-def _enc_evaluate_request(e: _Encoder, m: EvaluateRequest) -> int:
-    code = _stamp(e, m.round, 32, 17)
-    e.clauses(m.rules)
-    return code
-
-
-def _dec_evaluate_request(d: _Decoder, round: Optional[int] = None) -> EvaluateRequest:
-    return EvaluateRequest(rules=d.clauses(), round=round)
-
-
-def _enc_evaluate_result(e: _Encoder, m: EvaluateResult) -> int:
-    code = _stamp(e, m.round, 33, 34)
-    e.u(m.rank)
-    e.u(len(m.stats))
-    for rs in m.stats:
-        e.u(rs.pos)
-        e.u(rs.neg)
-    return code
-
-
-def _dec_evaluate_result(d: _Decoder, round: Optional[int] = None) -> EvaluateResult:
-    rank = d.u()
-    stats = tuple(RuleStats(pos=d.u(), neg=d.u()) for _ in range(d.u()))
-    return EvaluateResult(rank=rank, stats=stats, round=round)
-
-
-def _enc_mark_covered(e: _Encoder, m: MarkCovered) -> None:
-    e.clause(m.rule)
-
-
-def _dec_mark_covered(d: _Decoder) -> MarkCovered:
-    return MarkCovered(rule=d.clause())
-
-
-def _enc_stop(e: _Encoder, m: Stop) -> None:
-    pass
-
-
-def _dec_stop(d: _Decoder) -> Stop:
-    return Stop()
-
-
-# -- fault-tolerance protocol layouts ---------------------------------------------
-
-
-def _enc_ping(e: _Encoder, m: Ping) -> None:
-    e.u(m.token)
-
-
-def _dec_ping(d: _Decoder) -> Ping:
-    return Ping(token=d.u())
-
-
-def _enc_pong(e: _Encoder, m: Pong) -> None:
-    e.u(m.rank)
-    e.u(m.token)
-    e.u(m.cache_hits)
-    e.u(m.cache_misses)
-
-
-def _dec_pong(d: _Decoder) -> Pong:
-    return Pong(rank=d.u(), token=d.u(), cache_hits=d.u(), cache_misses=d.u())
-
-
-def _enc_adopt_worker(e: _Encoder, m: AdoptWorker) -> None:
-    e.u(m.virtual_rank)
-    e.u(m.partition_id)
-    e.u(m.epoch)
-    e.u(len(m.completed))
-    for epoch_rules in m.completed:
-        e.clauses(epoch_rules)
-    e.clauses(m.current)
-    e.flag(m.draw_seeds)
-    e.flag(m.draw_current)
-
-
-def _dec_adopt_worker(d: _Decoder) -> AdoptWorker:
-    virtual_rank = d.u()
-    partition_id = d.u()
-    epoch = d.u()
-    completed = tuple(d.clauses() for _ in range(d.u()))
-    current = d.clauses()
-    return AdoptWorker(
-        virtual_rank=virtual_rank,
-        partition_id=partition_id,
-        epoch=epoch,
-        completed=completed,
-        current=current,
-        draw_seeds=d.flag(),
-        draw_current=d.flag(),
-    )
-
-
-def _enc_update_routing(e: _Encoder, m: UpdateRouting) -> None:
-    e.u(len(m.routing))
-    for virtual, host in m.routing:
-        e.u(virtual)
-        e.u(host)
-
-
-def _dec_update_routing(d: _Decoder) -> UpdateRouting:
-    return UpdateRouting(routing=tuple((d.u(), d.u()) for _ in range(d.u())))
-
-
-#: type -> (code, encoder); code -> decoder.  Codes are part of the wire
-#: format — append only, never renumber.  A task message has two layouts,
-#: plain and stamped: its code here is None and its encoder returns the
-#: code it wrote.
-_ENCODERS: dict = {
-    LoadExamples: (0, _enc_load_examples),
-    StartPipeline: (None, _enc_start_pipeline),  # 2 | 15
-    PipelineTask: (None, _enc_pipeline_task),  # 35 | 37
-    PipelineRules: (None, _enc_pipeline_result),  # 36 | 38
-    EvaluateRequest: (None, _enc_evaluate_request),  # 32 | 17
-    EvaluateResult: (None, _enc_evaluate_result),  # 33 | 34
-    MarkCovered: (7, _enc_mark_covered),
-    Stop: (11, _enc_stop),
-    Ping: (12, _enc_ping),
-    Pong: (13, _enc_pong),
-    AdoptWorker: (14, _enc_adopt_worker),
-    UpdateRouting: (16, _enc_update_routing),
-    # 1, 3-6, 8-10, 18-20 and 29-31 retired; 21-28 reserved (out-of-package; see register_codec).
-}
-_DECODERS: dict = {
-    0: _dec_load_examples,
-    2: _dec_start_pipeline,
-    7: _dec_mark_covered,
-    11: _dec_stop,
-    12: _dec_ping,
-    13: _dec_pong,
-    14: _dec_adopt_worker,
-    15: _dec_stamped_start,
-    16: _dec_update_routing,
-    17: _dec_stamp_first(_dec_evaluate_request, "round"),
-    32: _dec_evaluate_request,
-    33: _dec_evaluate_result,
-    34: _dec_stamp_first(_dec_evaluate_result, "round"),
-    35: _dec_pipeline_task,
-    36: _dec_pipeline_result,
-    37: _dec_stamp_first(_dec_pipeline_task, "epoch"),
-    38: _dec_stamp_first(_dec_pipeline_result, "epoch"),
+#: code -> the module that registers it (see :func:`register_codec`).
+#: :func:`decode` imports a code's module the first time it meets the
+#: code unregistered, so any wire bytes decode with this module alone.
+_HOMES: dict = {
+    **dict.fromkeys((0, 2, 7, *range(11, 18), *range(32, 39)), "repro.parallel.messages"),
+    21: "repro.fault.checkpoint",
+    22: "repro.service.registry",
+    23: "repro.service.jobs",
+    28: "repro.obs.span",
 }
 
 #: Codes whose format is gone, with what they carried.  Reserved for good:
@@ -612,30 +332,38 @@ _RETIRED_CODES: dict = {
 
 
 def register_codec(payload_type: type, code: int, enc, dec) -> None:
-    """Register an out-of-package payload codec (append-only codes).
+    """Register the codec of a payload type under wire ``code``.
 
-    Higher layers register their payload types here, without an import
-    cycle back into this module's registry; a type nobody registers
-    cannot be sent or written (:func:`encode_always` refuses it).  Codes
-    0, 2, 7, 11-17 and 32-38 are the in-package messages above (15, 17,
-    34, 37 and 38 decode to stamped task messages: see
-    :mod:`repro.parallel.messages`); 1, 3-6, 8-10, 18-20, 24-27 and 29-31
-    are retired (:data:`_RETIRED_CODES`);
-    currently reserved by out-of-package formats (never reuse or renumber):
+    Each payload's module registers its own layouts when it is imported;
+    a type nobody registers cannot be sent or written
+    (:func:`encode_always` refuses it).  ``enc(e, payload)`` writes the
+    body and returns None, or the code it wrote when the type has two
+    layouts; the second layout's code registers decode-only
+    (``enc=None``).  Codes are part of the wire format: append only,
+    never reuse or renumber.  Who registers each code (:data:`_HOMES`):
 
+    * 0, 2, 7, 11-17 and 32-38 — :mod:`repro.parallel.messages`, the
+      P²-MDIE messages; a task message is written plain (2, 35, 36, 32,
+      33) or stamped (15, 37, 38, 17, 34, decode-only)
     * 21 — :class:`repro.fault.checkpoint.CheckpointState` (``.ckpt`` files)
     * 22 — :class:`repro.service.registry.RegistryRecord` (``.theory`` files)
     * 23 — :class:`repro.service.jobs.JobRecord` (scheduler ``job.rec`` files)
     * 28 — :class:`repro.obs.span.SpanBatch` (per-rank telemetry spans)
+
+    1, 3-6, 8-10, 18-20, 24-27 and 29-31 are retired
+    (:data:`_RETIRED_CODES`) and refused here.  Registering the same
+    codec twice is a no-op; any other reuse of a code or type is a
+    ``ValueError``.
     """
     if code in _RETIRED_CODES:
         raise ValueError(f"wire code {code} is retired ({_RETIRED_CODES[code]})")
-    if code in _DECODERS or payload_type in _ENCODERS:
-        prev = _ENCODERS.get(payload_type)
-        if prev is not None and prev[0] == code:
-            return  # idempotent re-registration
+    taken = _DECODERS.get(code, dec) is not dec
+    if enc is not None:
+        taken = taken or _ENCODERS.get(payload_type, (code, enc)) != (code, enc)
+    if taken:
         raise ValueError(f"wire code {code} / type {payload_type.__name__} already taken")
-    _ENCODERS[payload_type] = (code, enc)
+    if enc is not None:
+        _ENCODERS[payload_type] = (code, enc)
     _DECODERS[code] = dec
 
 
@@ -655,7 +383,21 @@ def encode_always(payload: object) -> bytes:
     code, enc = entry
     e = _Encoder()
     wrote = enc(e, payload)
-    return e.finish(wrote if code is None else code)
+    return e.finish(code if wrote is None else wrote)
+
+
+def _home_decoder(code: int):
+    """The decoder of a code met before its module was imported."""
+    if code in _RETIRED_CODES:
+        raise WireError(
+            f"retired message type code {code} ({_RETIRED_CODES[code]}): "
+            "this version no longer reads that format"
+        )
+    home = _HOMES.get(code)
+    if home is None:
+        raise WireError(f"unknown message type code {code}")
+    importlib.import_module(home)
+    return _DECODERS[code]
 
 
 def decode(data: bytes) -> object:
@@ -664,14 +406,7 @@ def decode(data: bytes) -> object:
         raise WireError("not a wire-codec message")
     if data[1] != _VERSION:
         raise WireError(f"unsupported wire version {data[1]}")
-    dec = _DECODERS.get(data[2])
-    if dec is None:
-        if data[2] in _RETIRED_CODES:
-            raise WireError(
-                f"retired message type code {data[2]} ({_RETIRED_CODES[data[2]]}): "
-                "this version no longer reads that format"
-            )
-        raise WireError(f"unknown message type code {data[2]}")
+    dec = _DECODERS.get(data[2]) or _home_decoder(data[2])
     d = _Decoder(data)
     d.pos = 3
     try:

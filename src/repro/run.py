@@ -14,9 +14,10 @@ that each of them used to make for itself:
 * the checkpoint ``meta``, written on save and read back on resume
   (:class:`RunMeta`).
 
-Callers build the dataset and score the theory themselves.  The parallel
-front-ends are imported when a parallel run starts, so a sequential run
-loads no parallel stack.
+Callers build the dataset and score the theory themselves.  Each
+front-end is imported when its run starts, so a sequential run loads no
+parallel stack and a process that never learns (a server answering
+queries) loads no learner.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster.costmodel import DEFAULT_COST_MODEL, sequential_seconds
-from repro.ilp.mdie import mdie
 from repro.logic.clause import Theory
 
 __all__ = ["ALGOS", "BACKEND_NAMES", "CHECKPOINTABLE", "RunMeta", "RunOutcome", "refusal", "run"]
@@ -199,6 +198,9 @@ def run(
         )
     problem = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config)
     if algo == "mdie":
+        from repro.cluster.costmodel import DEFAULT_COST_MODEL, sequential_seconds
+        from repro.ilp.mdie import mdie
+
         res = mdie(*problem, **kw)
         cost_model = getattr(backend, "cost_model", DEFAULT_COST_MODEL)
         out = RunOutcome(

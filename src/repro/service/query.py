@@ -12,7 +12,9 @@ each clause apart.  The query engine amortizes both:
   too, so a theory is queried on the KB its job learned on), and builds
   an :class:`~repro.logic.engine.Engine` and the clause list once; every
   later batch reuses them (KB indexes and the engine's ground-goal memo
-  stay warm across batches);
+  stay warm across batches).  It keeps the :data:`PREPARED_CACHE_CAP`
+  most recently used entries, as the dataset cache does, and a registry
+  gc drops the entries of the versions it removed (:meth:`QueryEngine.forget`);
 * **clause-by-clause evaluation**: a batch is evaluated via
   :func:`repro.ilp.coverage.theory_covered_bits` — one coverage plan per
   clause, kept in the KB's plan table that the jobs learning on that KB
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -56,11 +59,16 @@ from repro.service.errors import DeadlineExceeded, Unavailable
 from repro.service.jobs import shared_dataset
 
 __all__ = [
+    "PREPARED_CACHE_CAP",
     "QueryEngine",
     "QueryResult",
     "PreparedTheory",
     "ShardResult",
 ]
+
+#: prepared theories a :class:`QueryEngine` keeps, least recently used
+#: evicted first.
+PREPARED_CACHE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,10 @@ class QueryEngine:
 
     def __init__(self, registry=None, fault_injector=None):
         self.registry = registry
-        self._prepared: dict[tuple, PreparedTheory] = {}
+        self._prepared: "OrderedDict[tuple, PreparedTheory]" = OrderedDict()
         self._lock = threading.Lock()
+        #: batches answered from entries no longer cached.
+        self._dropped_batches = 0
         self._injector = fault_injector
         #: prepared-cache counters (amortization visibility).
         self.prepared_hits = 0
@@ -185,6 +195,7 @@ class QueryEngine:
         with self._lock:
             prepared = self._prepared.get(key)
             if prepared is not None:
+                self._prepared.move_to_end(key)
                 self.prepared_hits += 1
                 return prepared
         record, ds = self._record_dataset(name, resolved)
@@ -192,11 +203,23 @@ class QueryEngine:
         with self._lock:
             prepared = self._prepared.get(key)
             if prepared is not None:  # lost a prepare race: reuse the winner
+                self._prepared.move_to_end(key)
                 self.prepared_hits += 1
                 return prepared
             self.prepared_misses += 1
             self._prepared[key] = fresh
+            while len(self._prepared) > PREPARED_CACHE_CAP:
+                self._dropped_batches += self._prepared.popitem(last=False)[1].batches
             return fresh
+
+    def forget(self, name: str, versions) -> None:
+        """Drop the prepared entries of ``name``'s ``versions`` (removed
+        from the registry); their batches stay counted."""
+        with self._lock:
+            for v in versions:
+                entry = self._prepared.pop((name, v), None)
+                if entry is not None:
+                    self._dropped_batches += entry.batches
 
     @staticmethod
     def prepare_theory(theory: Theory, kb, config) -> PreparedTheory:
@@ -295,7 +318,8 @@ class QueryEngine:
                 "prepared_hits": self.prepared_hits,
                 "prepared_misses": self.prepared_misses,
                 "prepared_entries": len(self._prepared),
-                "batches": sum(p.batches for p in self._prepared.values()),
+                "batches": self._dropped_batches
+                + sum(p.batches for p in self._prepared.values()),
                 "streams_started": self.streams_started,
                 "streams_cancelled": self.streams_cancelled,
             }

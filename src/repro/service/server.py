@@ -132,6 +132,18 @@ def deadline_of(request: dict) -> Optional[float]:
     return request.get("_deadline")
 
 
+def _count_field(request: dict, field: str) -> Optional[int]:
+    """``request[field]`` as a count: None when absent or null, else a
+    non-negative int that is not a bool, or the request is a
+    ``bad_request`` naming the field — before the op does any work."""
+    value = request.get(field)
+    if value is not None and (
+        not isinstance(value, int) or isinstance(value, bool) or value < 0
+    ):
+        raise BadRequest(f"{field} must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ClientContext:
     """Per-connection state threaded through :meth:`Service.handle`.
@@ -426,11 +438,7 @@ class Service:
         return result
 
     def _op_query(self, request: dict, ctx: ClientContext) -> dict:
-        shards = request.get("shards")
-        if shards is not None and (
-            not isinstance(shards, int) or isinstance(shards, bool) or shards < 0
-        ):
-            raise BadRequest(f"shards must be a non-negative integer, got {shards!r}")
+        shards = _count_field(request, "shards")
         stream = request.get("stream")
         if stream is not None and not isinstance(stream, bool):
             raise BadRequest(f"stream must be a boolean, got {stream!r}")
@@ -491,16 +499,17 @@ class Service:
         raise ValueError(f"unknown registry action {action!r}")
 
     def _op_gc(self, request: dict, ctx: ClientContext) -> dict:
+        keep = _count_field(request, "keep")
         target = request.get("target", "jobs")
         if target == "jobs":
-            removed = self.scheduler.gc(keep=int(request.get("keep", 0)))
+            removed = self.scheduler.gc(keep=0 if keep is None else keep)
             return {"target": "jobs", "removed": removed}
         if target == "registry":
             if self.registry is None:
                 raise ValueError("server started without a registry dir")
-            removed = self.registry.gc(
-                request["name"], keep=int(request.get("keep", 1))
-            )
+            name = request["name"]
+            removed = self.registry.gc(name, keep=1 if keep is None else keep)
+            self.query_engine.forget(name, removed)
             return {"target": "registry", "removed": removed}
         raise ValueError(f"unknown gc target {target!r}")
 

@@ -13,16 +13,36 @@ from __future__ import annotations
 
 import importlib
 import sys
+import types
 
 __all__ = ["lazy_exports"]
+
+
+class _Package(types.ModuleType):
+    """A package that re-exports a name its own submodule also has."""
+
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds each submodule it loads on the package:
+        # loading ``repro.ilp.mdie`` would rebind ``repro.ilp.mdie`` from
+        # the function to the module.  The re-export keeps the name.
+        if isinstance(value, types.ModuleType) and name in self._shadowed:
+            return
+        super().__setattr__(name, value)
 
 
 def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     """The module ``__getattr__`` of ``package``: module ``mod`` (a key of
     ``exports``; ``".sub"`` is relative to ``package``) defines the names
     ``exports[mod]``.  A resolved name is bound on the package, so the
-    next read is a plain attribute lookup."""
+    next read is a plain attribute lookup; a re-exported name that is also
+    a submodule's name stays the re-exported object, as an eager ``from
+    .sub import sub`` left it."""
     where = {name: mod for mod, names in exports.items() for name in names}
+    shadowed = {mod.rpartition(".")[2] for mod in exports} & where.keys()
+    if shadowed:
+        module = sys.modules[package]
+        module.__class__ = _Package
+        module._shadowed = frozenset(shadowed)
 
     def __getattr__(name: str):
         mod = where.get(name)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster.process import Span
 from repro.experiments.trace import _char_for, occupancy, render_gantt, stage_summary
+from repro.obs.span import Span
 
 
 class TestRenderGantt:

@@ -140,6 +140,16 @@ class TestRoundTrip:
             JobRecord,
         } == set(wire._ENCODERS)
 
+    def test_every_code_is_registered_by_its_home(self):
+        # decode() imports a code's home module on first sight, so the
+        # table must name the module whose import registers the code.
+        import repro.fault.checkpoint  # noqa: F401
+        import repro.service.jobs  # noqa: F401
+        import repro.service.registry  # noqa: F401
+
+        assert set(wire._DECODERS) == set(wire._HOMES)
+        assert {c: d.__module__ for c, d in wire._DECODERS.items()} == wire._HOMES
+
     def test_mpi_tag_table_covers_every_protocol_tag(self):
         # The MPI adapter maps string tags onto integer MPI tags; every
         # Tag member (including the fault-tolerance ping/pong/routing

@@ -358,6 +358,64 @@ class TestQueryFieldsAtTheBoundary:
             assert moves["streams_started"] == int(mode == "stream" or spans > 1)
 
 
+#: ``keep`` values the ``gc`` op refuses, for either target.
+BAD_KEEPS = [0.9, 1.0, True, False, "2", -1, [1], {}]
+
+
+def gc_service(root, trains_theory):
+    """A service with three finished jobs and three versions of ``t``."""
+    svc = Service(slots=1, state_dir=str(root / "jobs"), registry_dir=str(root / "registry"))
+    for _ in range(3):
+        svc.registry.publish(
+            "t", trains_theory.theory, config_sig=trains_theory.config_sig,
+            provenance={"dataset": "trains", "seed": "0", "scale": "small"},
+        )
+        job = svc.handle({"op": "submit", "spec": {"dataset": "trains", "algo": "mdie"}})["job"]
+        assert svc.handle({"op": "wait", "job": job, "timeout": 60})["state"] == "done"
+    return svc
+
+
+def gc_left(svc) -> dict:
+    return {"jobs": len(svc.scheduler.jobs()), "registry": len(svc.registry.versions("t"))}
+
+
+class TestGcKeepAtTheBoundary:
+    """``keep`` of the ``gc`` op — absent or null: the target's default (0
+    terminal jobs, 1 version); a non-negative int: taken as is — is
+    checked before anything is removed, whatever the target."""
+
+    @pytest.fixture(scope="class")
+    def svc(self, tmp_path_factory, trains_theory):
+        svc = gc_service(tmp_path_factory.mktemp("gc"), trains_theory)
+        yield svc
+        svc.close()
+
+    @pytest.mark.parametrize("target", ["jobs", "registry"])
+    @pytest.mark.parametrize("keep", BAD_KEEPS, ids=repr)
+    def test_a_bad_keep_is_a_bad_request_that_removes_nothing(self, svc, target, keep):
+        resp = svc.handle({"op": "gc", "target": target, "name": "t", "keep": keep})
+        assert not resp["ok"] and resp["code"] == "bad_request"
+        assert resp["error"].startswith("keep must be a non-negative integer"), resp["error"]
+        assert gc_left(svc) == {"jobs": 3, "registry": 3}
+
+    @pytest.mark.parametrize(
+        "target,keep,left",
+        [("jobs", "absent", 0), ("jobs", None, 0), ("jobs", 0, 0), ("jobs", 2, 2),
+         ("registry", "absent", 1), ("registry", None, 1), ("registry", 2, 2)],
+    )
+    def test_a_good_keep_is_taken_as_is(self, tmp_path, trains_theory, target, keep, left):
+        svc = gc_service(tmp_path, trains_theory)
+        try:
+            request = {"op": "gc", "target": target, "name": "t"}
+            if keep != "absent":
+                request["keep"] = keep
+            resp = svc.handle(request)
+            assert resp["ok"] and len(resp["removed"]) == 3 - left
+            assert gc_left(svc) == {"jobs": 3, "registry": 3, target: left}
+        finally:
+            svc.close()
+
+
 class TestManyConnections:
     def test_parked_waits_do_not_starve_other_connections(self, tmp_path, trains_theory):
         # One slot, three jobs in line, 33 clients each parked in a `wait`

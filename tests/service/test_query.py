@@ -5,7 +5,8 @@ import pytest
 from repro.ilp import coverage, predicts
 from repro.ilp.coverage import coverage_eval, theory_covered_bits
 from repro.logic import parse_term
-from repro.service import QueryEngine
+from repro.service import QueryEngine, Service
+from repro.service.query import PREPARED_CACHE_CAP
 
 
 def fresh_engine(ds):
@@ -79,6 +80,48 @@ class TestPreparedCache:
         qe.query("trains-th", trains.pos[:2], version=1)
         qe.query("trains-th", trains.pos[:2], version=2)
         assert qe.stats()["prepared_entries"] == 2
+
+    def test_least_recently_used_entries_go_past_the_cap(self, published, trains_theory, trains):
+        for _ in range(19):
+            published.publish(
+                "trains-th", trains_theory.theory,
+                provenance={"dataset": "trains", "seed": "0"},
+            )
+        qe = QueryEngine(registry=published)
+        for v in range(1, 21):
+            qe.query("trains-th", trains.pos[:2], version=v)
+            assert qe.stats()["prepared_entries"] <= PREPARED_CACHE_CAP == 8
+        stats = qe.stats()
+        assert stats["prepared_entries"] == 8
+        assert stats["prepared_misses"] == 20 and stats["batches"] == 20
+        # v13 is the least recently used entry until it is read again:
+        # then v1's miss evicts v14 instead, and v13 stays a hit.
+        for v, hits in ((13, 1), (1, 1), (13, 2), (14, 2)):
+            qe.query("trains-th", trains.pos[:2], version=v)
+            assert qe.stats()["prepared_hits"] == hits, v
+        assert qe.stats()["batches"] == 24
+
+    def test_registry_gc_drops_the_entries_of_removed_versions(
+        self, tmp_path, trains_theory, trains
+    ):
+        svc = Service(slots=1, registry_dir=str(tmp_path))
+        try:
+            for _ in range(5):
+                svc.registry.publish(
+                    "t", trains_theory.theory,
+                    provenance={"dataset": "trains", "seed": "0", "scale": "small"},
+                )
+            examples = [str(e) for e in trains.pos[:2]]
+            for v in range(1, 6):
+                query = {"op": "query", "theory": "t", "version": v, "examples": examples}
+                assert svc.handle(query)["ok"]
+            assert svc.query_engine.stats()["prepared_entries"] == 5
+            gc = svc.handle({"op": "gc", "target": "registry", "name": "t", "keep": 1})
+            assert gc["removed"] == [1, 2, 3, 4]
+            stats = svc.query_engine.stats()
+            assert stats["prepared_entries"] == 1 and stats["batches"] == 5
+        finally:
+            svc.close()
 
 
 class TestValidation:

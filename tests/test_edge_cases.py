@@ -3,11 +3,11 @@ conditions not covered by the per-module suites)."""
 
 import pytest
 
-from repro.cluster.process import Span
 from repro.experiments.trace import render_gantt
 from repro.logic.engine import Engine
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
+from repro.obs.span import Span
 
 
 class TestEngineEdges:

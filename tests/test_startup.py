@@ -20,7 +20,16 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: the packages whose ``__init__`` resolves its re-exports on first use.
-LAZY_PACKAGES = ("repro.parallel", "repro.backend", "repro.service", "repro.fault", "repro.obs")
+LAZY_PACKAGES = (
+    "repro.parallel", "repro.backend", "repro.service", "repro.fault", "repro.obs",
+    "repro.ilp", "repro.datasets",
+)
+
+#: generator modules; a process loads the one of each dataset it builds.
+GENERATORS = tuple(
+    f"repro.datasets.{name}"
+    for name in ("carcinogenesis", "krki", "mesh", "pyrimidines", "trains")
+)
 
 # None in sys.modules makes ``import scipy`` raise ImportError: the
 # interpreter of an environment that only ran ``pip install .``.
@@ -143,6 +152,74 @@ def test_query_only_server_loads_no_learner_stack(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_a_servers_first_answer_loads_no_learner(tmp_path):
+    # Answering a query runs coverage over the theory's dataset: not the
+    # P2-MDIE messages, the simulated cluster, the learner's search or the
+    # other generators.  An in-process mdie job then loads the learner and
+    # the cost model, and still no message layout or process model.
+    from repro.logic import Theory, parse_clause
+    from repro.service.registry import TheoryRegistry
+
+    rule = parse_clause("eastbound(A) :- has_car(A, C), short(C), closed(C).")
+    TheoryRegistry(str(tmp_path)).publish(
+        "trains", Theory([rule]), provenance={"dataset": "trains", "seed": "0", "scale": "small"}
+    )
+    out = _python(
+        "import sys, repro.cli, repro.service.server\n"
+        f"svc = repro.service.server.Service(slots=1, registry_dir={str(tmp_path)!r})\n"
+        "q = svc.handle({'op': 'query', 'theory': 'trains', 'examples': ['eastbound(t0)']})\n"
+        "assert q['covered'] == [True], q\n"
+        "learner = tuple(f'repro.ilp.{m}' for m in\n"
+        "                ('bottom', 'search', 'mdie', 'refinement', 'store', 'heuristics'))\n"
+        f"others = {tuple(g for g in GENERATORS if g != 'repro.datasets.trains')!r}\n"
+        "unused = ('repro.parallel.messages', 'repro.cluster') + learner + others\n"
+        "print(sorted(m for m in sys.modules if m.startswith(unused)))\n"
+        "job = svc.handle({'op': 'submit', 'spec': {'dataset': 'trains', 'algo': 'mdie'}})['job']\n"
+        "done = svc.handle({'op': 'wait', 'job': job, 'timeout': 60})\n"
+        "assert done['state'] == 'done', done\n"
+        "print(sorted(m for m in sys.modules if m in ('repro.parallel.messages', 'repro.cluster.process')))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_make_dataset_loads_one_generator():
+    out = _python(
+        "import sys, repro\n"
+        "from repro.datasets import make_dataset\n"
+        "make_dataset('trains')\n"
+        f"print(sorted(m for m in sys.modules if m in {GENERATORS!r}))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['repro.datasets.trains']"
+
+
+def test_wire_core_decodes_every_committed_layout_without_the_learner():
+    # The codec core loads no learner; a message layout it meets is
+    # imported from the module that registers it, so every committed
+    # layout decodes and re-encodes byte for byte with the core alone.
+    witness = ROOT / "tests" / "data" / "wire_layouts.json"
+    out = _python(
+        "import json, sys\n"
+        "from repro.parallel import wire\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.ilp')))\n"
+        f"doc = json.loads(open({str(witness)!r}).read())\n"
+        "for e in doc['layouts']:\n"
+        "    data = bytes.fromhex(e['hex'])\n"
+        "    assert wire.encode_always(wire.decode(data)) == data, e['id']\n"
+        "for e in doc['retired']:\n"
+        "    try:\n"
+        "        wire.decode(bytes.fromhex(e['hex']))\n"
+        "    except wire.WireError as exc:\n"
+        "        assert 'retired message type code' in str(exc), e['id']\n"
+        "    else:\n"
+        "        raise AssertionError(e['id'])\n"
+        "print(len(doc['layouts']), len(doc['retired']))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "25 25"]
+
+
 def test_p2_local_learn_loads_no_other_strategy_or_simulator():
     # The local run's ranks ship their spans home through repro.obs.span;
     # the metrics registry is the service's.
@@ -176,6 +253,19 @@ def test_package_exports_resolve_on_first_use(package):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "[]", "[]", "[]"]
+
+
+def test_a_submodule_does_not_shadow_the_name_its_package_re_exports():
+    # ``repro.ilp.mdie`` is a module and the function ``repro.ilp`` re-exports;
+    # loading the module first, as ``repro.run`` does, leaves the function.
+    out = _python(
+        "import repro.ilp.mdie\n"
+        "from repro.ilp import mdie\n"
+        "import repro.ilp\n"
+        "print((mdie.__module__, repro.ilp.mdie is mdie, callable(mdie)))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "('repro.ilp.mdie', True, True)"
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
