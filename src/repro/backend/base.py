@@ -116,14 +116,6 @@ class BackendRun:
                 return p
         raise KeyError(f"no process with rank {rank}")
 
-    @property
-    def makespan(self) -> float:
-        return self.seconds
-
-    @property
-    def mbytes(self) -> float:
-        return self.comm.mbytes_total
-
     @classmethod
     def from_reports(cls, reports: Iterable[tuple], fault_log: Iterable = ()) -> "BackendRun":
         """Merge per-rank :meth:`WallClockContext.report` tuples, in the

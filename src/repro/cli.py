@@ -642,7 +642,7 @@ def _cmd_serve(args) -> int:
     if args.trace_out:
         from repro.obs import Tracer
 
-        tracer = Tracer(rank=0, sink=args.trace_out)
+        tracer = Tracer(args.trace_out)
 
     def announce(server) -> None:
         auth = "on" if args.auth_token else "off"

@@ -52,12 +52,6 @@ class Dataset:
     def n_neg(self) -> int:
         return len(self.neg)
 
-    def stats(self) -> dict:
-        out = {"name": self.name, "n_pos": self.n_pos, "n_neg": self.n_neg}
-        out.update(self.kb.stats())
-        return out
-
-
 # name -> generator(seed=..., scale=...) -> Dataset; a bundled name maps
 # to its loader (:func:`_bundled`) until its generator module is imported.
 DATASETS: dict[str, Callable[..., Dataset]] = {}

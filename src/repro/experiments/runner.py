@@ -73,12 +73,6 @@ class MatrixResult:
         recs = sorted(self.cells(dataset, width, p), key=lambda r: r.fold)
         return [getattr(r, attr) for r in recs]
 
-    def mean(self, attr: str, dataset: str, width, p: int) -> float:
-        vals = self.fold_values(attr, dataset, width, p)
-        if not vals:
-            raise KeyError(f"no records for ({dataset}, {width}, {p})")
-        return sum(vals) / len(vals)
-
 
 def run_cell(
     ds: Dataset,

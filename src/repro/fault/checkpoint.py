@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.ilp.config import signature_mismatches
@@ -102,9 +102,6 @@ class CheckpointState:
     #: free-form provenance (dataset, scale, width, backend, ...).
     meta: tuple[tuple[str, str], ...] = ()
 
-    def replace(self, **kw) -> "CheckpointState":
-        return replace(self, **kw)
-
     def meta_dict(self) -> dict[str, str]:
         return dict(self.meta)
 
@@ -169,7 +166,7 @@ def _enc_checkpoint(e, m: CheckpointState) -> None:
             e.u(v)
         e.flag(gauss is not None)
         if gauss is not None:
-            e.body += wire._pack_f64(gauss)
+            e.f64(gauss)
     e.u(len(m.mdie_log))
     for example, rule, covered, ops in m.mdie_log:
         e.term(example)
@@ -209,10 +206,7 @@ def _dec_checkpoint(d) -> CheckpointState:
     if d.flag():
         rng_version = d.u()
         internal = tuple(d.u() for _ in range(d.u()))
-        gauss = None
-        if d.flag():
-            (gauss,) = wire._unpack_f64(d.data, d.pos)
-            d.pos += 8
+        gauss = d.f64() if d.flag() else None
         rng_state = (rng_version, internal, gauss)
     mdie_log = []
     for _ in range(d.u()):

@@ -66,9 +66,6 @@ class BottomClause:
     literals: list[BottomLiteral]
     head_vars: frozenset
 
-    def __len__(self) -> int:
-        return len(self.literals)
-
     def as_clause(self) -> Clause:
         return Clause(self.head, tuple(bl.literal for bl in self.literals))
 

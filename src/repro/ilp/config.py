@@ -145,10 +145,6 @@ class ILPConfig:
         """The engine every learner, worker and query tier proves goals on."""
         return Engine(kb, self.engine_budget())
 
-    def replace(self, **kw) -> "ILPConfig":
-        return replace(self, **kw)
-
-
 # -- signature comparison -----------------------------------------------------------
 
 _SIGNATURE_RE = re.compile(r"ILPConfig(?:\.v\d+)?\((.*)\)\Z", re.S)

@@ -38,7 +38,6 @@ __all__ = [
     "theory_covered_bits",
     "CoverageStats",
     "popcount",
-    "bitset_from_indices",
     "indices_from_bitset",
 ]
 
@@ -51,13 +50,6 @@ _MICRO_BATCH = 1024
 def popcount(bits: int) -> int:
     """Number of set bits (examples covered)."""
     return bits.bit_count()
-
-
-def bitset_from_indices(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
 
 
 def indices_from_bitset(bits: int):
@@ -226,23 +218,3 @@ class CoverageStats:
     neg: int
     pos_bits: int = 0
     neg_bits: int = 0
-
-    def merged(self, other: "CoverageStats", pos_shift: int = 0, neg_shift: int = 0) -> "CoverageStats":
-        """Combine stats from two disjoint example subsets.
-
-        ``pos_shift``/``neg_shift`` position the other subset's bits within
-        a global numbering (used by the master to aggregate worker
-        results).
-        """
-        return CoverageStats(
-            pos=self.pos + other.pos,
-            neg=self.neg + other.neg,
-            pos_bits=self.pos_bits | (other.pos_bits << pos_shift),
-            neg_bits=self.neg_bits | (other.neg_bits << neg_shift),
-        )
-
-    @staticmethod
-    def of(engine: Engine, rule: Clause, pos: Sequence[Term], neg: Sequence[Term]) -> "CoverageStats":
-        pb = coverage_bitset(engine, rule, pos)
-        nb = coverage_bitset(engine, rule, neg)
-        return CoverageStats(pos=popcount(pb), neg=popcount(nb), pos_bits=pb, neg_bits=nb)

@@ -58,10 +58,6 @@ class ModeDecl:
     def indicator(self) -> tuple[str, int]:
         return (self.predicate, len(self.args))
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def input_positions(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.args) if a.kind == "+")
 
@@ -138,12 +134,6 @@ class ModeSet:
     def __iter__(self) -> Iterator[ModeDecl]:
         yield from self.head_modes
         yield from self.body_modes
-
-    def __len__(self) -> int:
-        return len(self.head_modes) + len(self.body_modes)
-
-    def types(self) -> set[str]:
-        return {a.type for m in self for a in m.args}
 
     def validate(self) -> None:
         """Sanity-check the bias: needs >= 1 head mode; every body-mode

@@ -40,19 +40,13 @@ class SearchRule:
     ``parent_scope`` is the parent's :func:`rule_vars_in_scope`, carried
     by :func:`refinements` so a child's scope costs one union instead of
     a walk over its body.  It is derivable, so it takes no part in
-    equality and is neither pickled nor put on the wire: a rule rebuilt
-    from either walks its body once.
+    equality and is not put on the wire: a rule rebuilt from the wire
+    walks its body once.
     """
 
     clause: Clause
     last_index: int = -1
     parent_scope: Optional[frozenset] = field(default=None, compare=False, repr=False)
-
-    def __reduce__(self):
-        return (SearchRule, (self.clause, self.last_index))
-
-    def __len__(self) -> int:
-        return len(self.clause.body)
 
     def __str__(self) -> str:
         return f"{self.clause} /{self.last_index}"

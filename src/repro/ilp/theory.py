@@ -39,16 +39,6 @@ class TheoryReport:
         total = self.tp + self.fn + self.tn + self.fp
         return (self.tp + self.tn) / total if total else 0.0
 
-    @property
-    def precision(self) -> float:
-        denom = self.tp + self.fp
-        return self.tp / denom if denom else 0.0
-
-    @property
-    def recall(self) -> float:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else 0.0
-
 
 def confusion(engine: Engine, theory: Theory, pos: Sequence[Term], neg: Sequence[Term]) -> TheoryReport:
     """Confusion counts of ``theory`` over a labelled pos/neg example set.

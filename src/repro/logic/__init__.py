@@ -10,9 +10,6 @@ from repro.logic.engine import Engine, QueryBudget
 from repro.logic.io import (
     clause_to_prolog,
     kb_to_prolog,
-    load_problem,
-    read_examples,
-    read_program,
     save_problem,
     theory_to_prolog,
 )
@@ -29,9 +26,6 @@ __all__ = [
     "KnowledgeBase",
     "clause_to_prolog",
     "kb_to_prolog",
-    "load_problem",
-    "read_examples",
-    "read_program",
     "save_problem",
     "theory_to_prolog",
     "ParseError",

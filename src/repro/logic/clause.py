@@ -39,7 +39,6 @@ from repro.logic.terms import (
     Term,
     Var,
     is_ground,
-    variables_of,
 )
 from repro.logic.unify import rename_apart
 
@@ -96,10 +95,6 @@ class Clause:
         body = ", ".join(str(b) for b in self.body)
         return f"{self.head} :- {body}."
 
-    def __len__(self) -> int:
-        """Number of literals (head + body), the paper's clause length."""
-        return 1 + len(self.body)
-
     # -- accessors --------------------------------------------------------------
     @property
     def indicator(self) -> tuple[str, int]:
@@ -108,18 +103,6 @@ class Clause:
     @property
     def is_fact(self) -> bool:
         return not self.body and is_ground(self.head)
-
-    def literals(self) -> Iterator[Term]:
-        yield self.head
-        yield from self.body
-
-    def variables(self) -> list[Var]:
-        """Distinct variables in order of first occurrence."""
-        seen: dict[Var, None] = {}
-        for lit in self.literals():
-            for v in variables_of(lit):
-                seen.setdefault(v)
-        return list(seen)
 
     # -- transforms --------------------------------------------------------------
     def rename_apart(self, prefix: str = "_R") -> "Clause":
@@ -313,9 +296,6 @@ class Theory:
 
     def __len__(self) -> int:
         return len(self.clauses)
-
-    def __getitem__(self, i: int) -> Clause:
-        return self.clauses[i]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Theory) and other.clauses == self.clauses

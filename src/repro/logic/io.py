@@ -1,10 +1,10 @@
-"""Serialization: knowledge bases, example sets and theories ⇄ Prolog text.
+"""Serialization: knowledge bases, example sets and theories → Prolog text.
 
 ILP systems of the paper's era exchange everything as Prolog source files
 (the "distributed file system" of §4.1 holds exactly such files).  These
-helpers write and re-read that format so problems and learned theories
-round-trip through plain text — useful for inspecting runs, shipping
-problems to a real cluster, and regression-testing the parser.
+helpers write that format, and :func:`repro.logic.parser.parse_program`
+reads it back — useful for inspecting runs and shipping problems to a
+real cluster.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from repro.logic.clause import Clause, Theory
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import parse_program, term_to_str
+from repro.logic.parser import term_to_str
 from repro.logic.terms import Term
 
 __all__ = [
@@ -22,10 +22,7 @@ __all__ = [
     "theory_to_prolog",
     "kb_to_prolog",
     "examples_to_prolog",
-    "read_program",
-    "read_examples",
     "save_problem",
-    "load_problem",
 ]
 
 
@@ -68,21 +65,6 @@ def examples_to_prolog(examples: Sequence[Term]) -> str:
     return "\n".join(f"{term_to_str(e)}." for e in examples) + "\n"
 
 
-def read_program(text: str) -> list[Clause]:
-    """Parse a Prolog program back into clauses."""
-    return parse_program(text)
-
-
-def read_examples(text: str) -> list[Term]:
-    """Parse an example file: each clause must be a ground fact."""
-    out = []
-    for clause in parse_program(text):
-        if clause.body:
-            raise ValueError(f"example file contains a rule: {clause}")
-        out.append(clause.head)
-    return out
-
-
 def save_problem(
     directory: str | pathlib.Path,
     kb: KnowledgeBase,
@@ -102,23 +84,3 @@ def save_problem(
     (d / "pos.f").write_text(examples_to_prolog(pos))
     (d / "neg.n").write_text(examples_to_prolog(neg))
     (d / "modes.pl").write_text("".join(f"{m}.\n" for m in modes))
-
-
-def load_problem(directory: str | pathlib.Path):
-    """Read back a problem written by :func:`save_problem`.
-
-    Returns ``(kb, pos, neg, mode_strings)``; mode declarations are
-    returned as strings ready for :class:`repro.ilp.modes.ModeSet`.
-    """
-    d = pathlib.Path(directory)
-    kb = KnowledgeBase()
-    for clause in parse_program((d / "bk.pl").read_text()):
-        kb.add_clause(clause)
-    pos = read_examples((d / "pos.f").read_text())
-    neg = read_examples((d / "neg.n").read_text())
-    modes = []
-    modes_file = d / "modes.pl"
-    if modes_file.exists():
-        for clause in parse_program(modes_file.read_text()):
-            modes.append(term_to_str(clause.head))
-    return kb, pos, neg, modes

@@ -153,9 +153,6 @@ class FactStore:
     def __iter__(self) -> Iterator[Term]:
         return iter(self.facts)
 
-    def __contains__(self, fact: Term) -> bool:
-        return fact in self.fact_set
-
 
 class KnowledgeBase:
     """Background knowledge: ground facts + definite rules.
@@ -248,24 +245,3 @@ class KnowledgeBase:
     def predicates(self) -> list[tuple[str, int]]:
         out = set(self._facts) | set(self._rules)
         return sorted(out)
-
-    def __len__(self) -> int:
-        """Total clause count (facts + rules)."""
-        return self.n_facts + sum(len(rs) for rs in self._rules.values())
-
-    def copy(self) -> "KnowledgeBase":
-        """Shallow-ish copy: fact stores are rebuilt, clauses shared."""
-        out = KnowledgeBase()
-        for ind, store in self._facts.items():
-            for f in store.facts:
-                out.add_fact(f)
-        for ind, rules in self._rules.items():
-            out._rules[ind] = list(rules)
-        return out
-
-    def stats(self) -> dict:
-        return {
-            "predicates": len(self.predicates()),
-            "facts": self.n_facts,
-            "rules": sum(len(rs) for rs in self._rules.values()),
-        }

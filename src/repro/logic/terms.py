@@ -63,8 +63,6 @@ __all__ = [
     "mk_term",
     "fresh_var",
     "variables_of",
-    "term_size",
-    "term_depth",
     "is_ground",
 ]
 
@@ -299,20 +297,6 @@ def variables_of(term: Term) -> Iterator[Var]:
             yield t
         elif isinstance(t, Struct) and not t.ground:
             stack.extend(reversed(t.args))
-
-
-def term_size(term: Term) -> int:
-    """Number of symbol occurrences in ``term`` (vars and consts count 1)."""
-    if isinstance(term, Struct):
-        return 1 + sum(term_size(a) for a in term.args)
-    return 1
-
-
-def term_depth(term: Term) -> int:
-    """Nesting depth; constants and variables have depth 0."""
-    if isinstance(term, Struct):
-        return 1 + max((term_depth(a) for a in term.args), default=0)
-    return 0
 
 
 def is_ground(term: Term) -> bool:

@@ -83,14 +83,6 @@ class Gauge:
         with self._lock:
             self._value = v
 
-    def inc(self, n: float = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: float = 1) -> None:
-        with self._lock:
-            self._value -= n
-
     @property
     def value(self) -> float:
         return self._value
@@ -158,10 +150,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
-
-    def samples(self) -> list:
-        with self._lock:
-            return list(self._samples) if self._samples is not None else []
 
     def percentile(self, q: float) -> float:
         """Exact (from samples) or bucket-interpolated percentile, q in [0,100]."""

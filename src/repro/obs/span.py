@@ -20,7 +20,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.parallel import wire
 
@@ -145,22 +145,21 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Thread-safe span recorder with an optional JSONL write-through sink.
+    """Thread-safe span recorder that writes each span through to a JSONL sink.
 
     ``tracer.span("saturate", epoch="3")`` times the enclosed block and
-    records a :class:`Span` on exit.  ``record(...)`` takes explicit
-    timestamps for activity already measured elsewhere.
+    appends a :class:`Span` to the file ``sink`` on exit.  ``record(...)``
+    takes explicit timestamps for activity already measured elsewhere.
+    :func:`read_spans_jsonl` reads the file back.
     """
 
     enabled = True
 
-    def __init__(self, rank: int = 0, clock=time.perf_counter, sink: Optional[str] = None):
+    def __init__(self, sink: str, rank: int = 0, clock=time.perf_counter):
         self.rank = rank
         self.clock = clock
-        self._spans: list = []
         self._lock = threading.Lock()
-        self._sink_path = sink
-        self._sink_file = open(sink, "a", encoding="utf-8") if sink else None
+        self._sink_file = open(sink, "a", encoding="utf-8")
 
     @contextmanager
     def span(self, name: str, **attrs: str) -> Iterator[None]:
@@ -179,14 +178,9 @@ class Tracer:
             tuple(sorted((k, str(v)) for k, v in attrs.items())),
         )
         with self._lock:
-            self._spans.append(s)
             if self._sink_file is not None:
                 self._sink_file.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
                 self._sink_file.flush()
-
-    def spans(self) -> list:
-        with self._lock:
-            return list(self._spans)
 
     def close(self) -> None:
         with self._lock:
@@ -206,9 +200,6 @@ class _NullTracer:
 
     def record(self, name: str, start: float, end: float, **attrs: str) -> None:
         pass
-
-    def spans(self) -> list:
-        return []
 
     def close(self) -> None:
         pass

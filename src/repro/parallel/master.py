@@ -113,9 +113,6 @@ class ClauseBag:
         """Bag size by plain clause equality (what the epoch logs report)."""
         return len(self._exact)
 
-    def __contains__(self, clause: Clause) -> bool:
-        return clause.variant_key() in self._by_key
-
     def clauses(self) -> list[Clause]:
         return list(self._by_key.values())
 

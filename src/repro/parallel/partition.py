@@ -23,14 +23,6 @@ class Partition:
     pos: tuple[Term, ...]
     neg: tuple[Term, ...]
 
-    @property
-    def n_pos(self) -> int:
-        return len(self.pos)
-
-    @property
-    def n_neg(self) -> int:
-        return len(self.neg)
-
 
 def partition_examples(
     pos: Sequence[Term],

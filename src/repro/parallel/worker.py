@@ -112,12 +112,6 @@ class P2Worker(SimProcess):
         #: was adopted here; drained after every adoption/rewiring.
         self._deferred: list = []
 
-    @property
-    def store(self) -> Optional[ExampleStore]:
-        """The store of this worker's own shard (None before loading)."""
-        shard = self.shards.get(self.rank)
-        return shard.store if shard is not None else None
-
     def cache_stats(self) -> dict:
         """Hosted virtual rank -> (cache hits, cache misses) of its store."""
         return {

@@ -90,12 +90,6 @@ class ServiceClient:
         if self._token is not None:
             self.hello(token=self._token)
 
-    def reconnect(self) -> None:
-        """Drop the connection and redo the auth hello."""
-        self._teardown()
-        self._connect()
-        self.reconnects += 1
-
     def _teardown(self) -> None:
         try:
             if self._file is not None:
@@ -123,7 +117,7 @@ class ServiceClient:
 
     def _send(self, payload: dict) -> None:
         if self._file is None:
-            raise ConnectionError("client is disconnected (call reconnect())")
+            raise ConnectionError("client is disconnected")
         data = (json.dumps(payload) + "\n").encode("utf-8")
         try:
             self._file.write(data)

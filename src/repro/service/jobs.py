@@ -160,9 +160,6 @@ class JobSpec:
     def checkpointable(self) -> bool:
         return self.algo in CHECKPOINTABLE
 
-    def replace(self, **kw) -> "JobSpec":
-        return replace(self, **kw)
-
     # -- JSON travel (service socket) -------------------------------------------
 
     def to_dict(self) -> dict:

@@ -95,9 +95,6 @@ class RegistryRecord:
     #: per-epoch (epoch, bag_size, pos_covered) summary, when known.
     epoch_summary: tuple[tuple[int, int, int], ...] = ()
 
-    def replace(self, **kw) -> "RegistryRecord":
-        return replace(self, **kw)
-
     def provenance_dict(self) -> dict[str, str]:
         return dict(self.provenance)
 

@@ -79,19 +79,6 @@ class SchedulerError(RuntimeError):
     """Unknown job id, bad transition, or use after close."""
 
 
-class _SlotCrash(BaseException):
-    """Injected slot-thread death; escapes the per-job isolation boundary.
-
-    Deliberately a BaseException: the worker loop's per-job ``except
-    BaseException`` guard must *not* swallow it into a ``failed``
-    transition — a crashed slot is a lost thread, not a bad job.
-    """
-
-    def __init__(self, job_id: str):
-        super().__init__(job_id)
-        self.job_id = job_id
-
-
 @dataclass
 class _Job:
     """Scheduler-internal mutable job handle."""
@@ -190,7 +177,7 @@ class JobScheduler:
         self._started = True
         for i in range(self.slots):
             t = threading.Thread(
-                target=self._slot_main, name=f"repro-job-slot-{i}", daemon=True
+                target=self._worker_loop, name=f"repro-job-slot-{i}", daemon=True
             )
             t.start()
             self._threads.append(t)
@@ -482,22 +469,10 @@ class JobScheduler:
             **({"error": kw["error"]} if "error" in kw else {}),
         )
 
-    def _slot_main(self) -> None:
-        """Thread target: run the worker loop, healing injected crashes.
-
-        A :class:`_SlotCrash` models a slot thread dying after it claimed
-        a job but before executing it.  The heal path re-queues that
-        orphaned job under its original id (never a duplicate) and the
-        loop continues — logically a freshly respawned slot.
-        """
-        while True:
-            try:
-                self._worker_loop()
-                return
-            except _SlotCrash as crash:
-                self._heal_crashed_slot(crash.job_id)
-
     def _heal_crashed_slot(self, job_id: str) -> None:
+        """An injected slot crash: the slot died after it claimed ``job_id``
+        and before running it.  The job is re-queued under its own id (never
+        a duplicate) and the slot's loop goes on, as a respawned slot would."""
         _log.warning("slot_crash_healed", job_id=job_id)
         with self._cv:
             self.slot_crashes += 1
@@ -523,7 +498,8 @@ class JobScheduler:
                     continue
                 self._transition(job, "running")
             if self._injector is not None and self._injector.on_job_pick():
-                raise _SlotCrash(job_id)
+                self._heal_crashed_slot(job_id)
+                continue
             try:
                 self._execute(job)
             except BaseException as exc:  # noqa: BLE001 - job isolation boundary

@@ -1,6 +1,6 @@
 """Small shared utilities: seeded RNG, formatting, and structured logging."""
 
-from repro.util.rng import RngStream, derive_seed, make_rng
+from repro.util.rng import derive_seed, make_rng
 from repro.util.fmt import fmt_float, fmt_int, render_table
 from repro.util.log import (
     StructuredLogger,
@@ -13,7 +13,6 @@ from repro.util.log import (
 )
 
 __all__ = [
-    "RngStream",
     "derive_seed",
     "make_rng",
     "fmt_float",

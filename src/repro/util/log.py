@@ -146,9 +146,6 @@ class StructuredLogger:
     def warning(self, event: str, **fields) -> None:
         self.log("warning", event, **fields)
 
-    def error(self, event: str, **fields) -> None:
-        self.log("error", event, **fields)
-
 
 def _fmt_value(v) -> str:
     s = str(v)

@@ -1,10 +1,11 @@
 """Seeded randomness plumbing.
 
 Every stochastic choice in the library (example partitioning, seed-example
-selection, dataset synthesis, fold assignment) flows through a
-:class:`RngStream` derived from a single user-provided seed.  Identical
-seeds therefore reproduce identical theories, virtual times and message
-byte counts — a property the test suite asserts.
+selection, dataset synthesis, fold assignment) draws from a
+:class:`random.Random` that :func:`make_rng` seeds from a single
+user-provided seed and a label path.  Identical seeds therefore reproduce
+identical theories, virtual times and message byte counts — a property
+the test suite asserts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 
@@ -44,50 +44,3 @@ def weighted_draw(values: tuple, weights: tuple):
     if len(cum) != len(values) or not 0.0 < total < float("inf"):
         raise ValueError(f"weighted_draw needs one weight per value and a positive sum: {weights}")
     return lambda rng: values[bisect(cum, rng.random() * total, 0, hi)]
-
-
-@dataclass
-class RngStream:
-    """A named hierarchy of reproducible RNGs.
-
-    >>> root = RngStream(seed=42)
-    >>> a = root.child("partition")
-    >>> b = root.child("partition")
-    >>> a.rng.random() == b.rng.random()
-    True
-    """
-
-    seed: int
-    path: tuple = ()
-    _rng: random.Random | None = field(default=None, repr=False)
-
-    @property
-    def rng(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(derive_seed(self.seed, *self.path))
-        return self._rng
-
-    def child(self, *labels: object) -> "RngStream":
-        return RngStream(seed=self.seed, path=self.path + tuple(labels))
-
-    # Convenience passthroughs -------------------------------------------------
-    def shuffle(self, xs: list) -> None:
-        self.rng.shuffle(xs)
-
-    def choice(self, xs):
-        return self.rng.choice(xs)
-
-    def randint(self, a: int, b: int) -> int:
-        return self.rng.randint(a, b)
-
-    def random(self) -> float:
-        return self.rng.random()
-
-    def uniform(self, a: float, b: float) -> float:
-        return self.rng.uniform(a, b)
-
-    def sample(self, xs, k: int):
-        return self.rng.sample(xs, k)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self.rng.gauss(mu, sigma)

@@ -163,7 +163,7 @@ class TestDeterminism:
             )
 
         a, b = build(), build()
-        assert a.makespan == b.makespan
+        assert a.seconds == b.seconds
         assert a.comm.bytes_total == b.comm.bytes_total
         assert a.clocks == b.clocks
 
@@ -248,4 +248,4 @@ class TestStatsAndTrace:
                 yield ctx.compute(self.amount)
 
         run = SimBackend(network=NET, cost_model=COST).run([Busy(0, 5), Busy(1, 11)])
-        assert run.makespan == 11.0
+        assert run.seconds == 11.0

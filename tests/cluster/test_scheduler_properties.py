@@ -82,7 +82,7 @@ def test_makespan_at_least_critical_path(data):
     for w, size in jobs:
         per_worker[w] = per_worker.get(w, 0.0) + COST.seconds_for_ops(size)
     if per_worker:
-        assert run.makespan >= max(per_worker.values())
+        assert run.seconds >= max(per_worker.values())
 
 
 @given(workload())
@@ -113,8 +113,8 @@ def test_straggler_monotone(data, slow_factor):
 
     base = build()
     slowed = build(FaultPlan(stragglers=(Straggler(1, float(slow_factor)),)))
-    assert slowed.makespan >= base.makespan - 1e-12
-    assert slowed.makespan <= slow_factor * base.makespan + 1e-12
+    assert slowed.seconds >= base.seconds - 1e-12
+    assert slowed.seconds <= slow_factor * base.seconds + 1e-12
 
 
 @given(workload(), st.data())
@@ -144,4 +144,4 @@ def test_slowing_any_worker_scales_its_compute_only(data, draw):
     for w in base_busy:
         scale = factor if w == rank else 1.0
         assert abs(slowed_busy[w] - scale * base_busy[w]) <= 1e-9
-    assert base.makespan - 1e-12 <= slowed.makespan <= factor * base.makespan + 1e-12
+    assert base.seconds - 1e-12 <= slowed.seconds <= factor * base.seconds + 1e-12

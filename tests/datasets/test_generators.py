@@ -6,6 +6,7 @@ from repro.datasets import DATASETS, make_dataset
 from repro.experiments.tables import table1_datasets
 from repro.ilp.bottom import build_bottom
 from repro.logic.engine import Engine
+from repro.logic.io import kb_to_prolog
 
 ALL = ("trains", "carcinogenesis", "mesh", "pyrimidines")
 PAPER_SIZES = {
@@ -40,7 +41,7 @@ class TestSmallScale:
         a = make_dataset(name, seed=11, scale="small")
         b = make_dataset(name, seed=11, scale="small")
         assert [str(e) for e in a.pos] == [str(e) for e in b.pos]
-        assert a.kb.stats() == b.kb.stats()
+        assert kb_to_prolog(a.kb) == kb_to_prolog(b.kb)
 
     def test_seed_changes_data(self, name):
         a = make_dataset(name, seed=1, scale="small")
@@ -62,7 +63,7 @@ class TestSmallScale:
         eng = Engine(ds.kb, ds.config.engine_budget())
         for e in ds.pos[:5]:
             b = build_bottom(e, eng, ds.modes, ds.config)
-            assert len(b) > 0
+            assert len(b.literals) > 0
 
     def test_table1_row(self, name):
         ds = make_dataset(name, seed=3, scale="small")

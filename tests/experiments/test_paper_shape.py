@@ -31,6 +31,13 @@ def matrix():
     )
 
 
+def mean(matrix, attr, ds, width, p):
+    """A cell's value over its folds, as Tables 2-6 print it."""
+    vals = matrix.fold_values(attr, ds, width, p)
+    assert vals, (ds, width, p)
+    return sum(vals) / len(vals)
+
+
 def p2mdie(ds, **kw):
     return run_p2mdie(ds.kb, ds.pos, ds.neg, ds.modes, ds.config, seed=SEED, **kw)
 
@@ -41,29 +48,29 @@ class TestTables:
         # §5.3: profitable at every p, and processors beyond 2 help (at
         # small scale p=8 may saturate on tiny per-worker subsets, so the
         # growth check accepts the best of p in {4, 8}).
-        seq = matrix.mean("seconds", ds, None, 1)
-        s2, s4, s8 = (seq / matrix.mean("seconds", ds, 10, p) for p in PS)
+        seq = mean(matrix, "seconds", ds, None, 1)
+        s2, s4, s8 = (seq / mean(matrix, "seconds", ds, 10, p) for p in PS)
         assert s2 > 1.0, f"{ds}: no speedup at p=2"
         assert s8 > 1.0, f"{ds}: no speedup at p=8"
         assert max(s4, s8) >= s2, f"{ds}: speedup did not grow beyond p=2"
 
     def test_table3_p8_beats_sequential(self, matrix, ds):
-        assert matrix.mean("seconds", ds, 10, 8) < matrix.mean("seconds", ds, None, 1)
+        assert mean(matrix, "seconds", ds, 10, 8) < mean(matrix, "seconds", ds, None, 1)
 
     def test_table4_communication_grows_with_p(self, matrix, ds):
         for width in WIDTHS:
-            mb = [matrix.mean("mbytes", ds, width, p) for p in PS]
+            mb = [mean(matrix, "mbytes", ds, width, p) for p in PS]
             assert mb[0] < mb[-1], f"{ds} w={width}: MBytes did not grow with p"
         # nolimit moves at least as much data as width 10 at p=8
-        assert matrix.mean("mbytes", ds, None, 8) >= matrix.mean("mbytes", ds, 10, 8) * 0.9
+        assert mean(matrix, "mbytes", ds, None, 8) >= mean(matrix, "mbytes", ds, 10, 8) * 0.9
 
     def test_table5_epochs_shrink_with_p(self, matrix, ds):
         # "In all cases there is a significant reduction in epochs as we
         # increase the number of processors" (§5.3).
-        seq_epochs = matrix.mean("epochs", ds, None, 1)
+        seq_epochs = mean(matrix, "epochs", ds, None, 1)
         for width in WIDTHS:
-            e2 = matrix.mean("epochs", ds, width, 2)
-            e8 = matrix.mean("epochs", ds, width, 8)
+            e2 = mean(matrix, "epochs", ds, width, 2)
+            e8 = mean(matrix, "epochs", ds, width, 8)
             assert e8 <= e2, f"{ds} w={width}: epochs grew with p"
             assert e8 < seq_epochs, f"{ds} w={width}: no epoch reduction vs sequential"
 

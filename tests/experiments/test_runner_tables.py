@@ -63,10 +63,6 @@ class TestMatrix:
         vals = matrix.fold_values("seconds", "trains", None, 1)
         assert len(vals) == 3
 
-    def test_mean_missing_raises(self, matrix):
-        with pytest.raises(KeyError):
-            matrix.mean("seconds", "trains", 99, 1)
-
     def test_all_runs_terminate_with_theories(self, matrix):
         for r in matrix.records:
             assert r.epochs >= 1

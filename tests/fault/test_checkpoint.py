@@ -2,6 +2,7 @@
 
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -73,6 +74,16 @@ class TestWireRoundTrip:
             theory=(), epoch_logs=(), rng_state=None, mdie_log=(), meta=(), config_sig=""
         )
         assert wire.decode(wire.encode_always(st)) == st
+
+    def test_gauss_is_one_big_endian_double(self):
+        st = make_state()
+        gauss = st.rng_state[2]
+        assert gauss is not None
+        plain = make_state(rng_state=st.rng_state[:2] + (None,))
+        data = wire.encode_always(st)
+        assert len(data) - len(wire.encode_always(plain)) == 8
+        assert struct.pack(">d", gauss) in data
+        assert wire.decode(data).rng_state[2] == gauss
 
     def test_rng_state_restores_generator(self):
         st = make_state()

@@ -41,8 +41,8 @@ class TestSequentialResume:
         with pytest.raises(ValueError, match="seed"):
             mdie(*run_args(trains), seed=99, resume=state)
         with pytest.raises(ValueError, match="not 'mdie'"):
-            mdie(*run_args(trains), seed=0, resume=state.replace(algo="p2mdie"))
-        bad_cfg = trains.config.replace(noise=3)
+            mdie(*run_args(trains), seed=0, resume=dataclasses.replace(state, algo="p2mdie"))
+        bad_cfg = dataclasses.replace(trains.config, noise=3)
         with pytest.raises(ValueError, match="different ILP configuration"):
             mdie(trains.kb, trains.pos, trains.neg, trains.modes, bad_cfg, seed=0, resume=state)
 
@@ -171,7 +171,7 @@ class TestParentCommitCheckpoint:
 
     def test_refuses_changed_surviving_field(self, krki40, tmp_path):
         state = parent_checkpoint("parent_f2ff849_mdie_epoch_0003.ckpt", tmp_path)
-        other = krki40.config.replace(max_nodes=krki40.config.max_nodes + 1)
+        other = dataclasses.replace(krki40.config, max_nodes=krki40.config.max_nodes + 1)
         with pytest.raises(CheckpointError, match=r"max_nodes: saved 500, current 501"):
             mdie(krki40.kb, krki40.pos, krki40.neg, krki40.modes, other, seed=0, resume=state)
 
@@ -194,7 +194,7 @@ class TestParentCommitCheckpoint:
             )
             assert was_off != state.config_sig
             with pytest.raises(CheckpointError, match=f"{name}: saved False"):
-                mdie(*run_args(krki40), seed=0, resume=state.replace(config_sig=was_off))
+                mdie(*run_args(krki40), seed=0, resume=dataclasses.replace(state, config_sig=was_off))
 
     @pytest.mark.parametrize("kernel", ["'legacy'", "'new'"])
     def test_resumes_under_any_retired_kernel(self, krki40, tmp_path, kernel):
@@ -203,7 +203,7 @@ class TestParentCommitCheckpoint:
         state = parent_checkpoint("parent_f2ff849_mdie_epoch_0003.ckpt", tmp_path)
         assert "coverage_kernel=None" in state.config_sig
         saved = state.config_sig.replace("coverage_kernel=None", f"coverage_kernel={kernel}")
-        assert_mdie_resumes(state.replace(config_sig=saved), krki40)
+        assert_mdie_resumes(dataclasses.replace(state, config_sig=saved), krki40)
 
 
 class TestParentV1Checkpoint:
@@ -239,14 +239,14 @@ class TestRetiredSampling:
         state = parent_checkpoint(name, tmp_path)
         off = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=False")
         assert off != state.config_sig
-        assert_mdie_resumes(state.replace(config_sig=off), krki40)
+        assert_mdie_resumes(dataclasses.replace(state, config_sig=off), krki40)
 
     @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
     def test_sampling_on_is_refused_by_name(self, name, krki40, tmp_path):
         state = parent_checkpoint(name, tmp_path)
         on = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=True")
         with pytest.raises(CheckpointError, match="coverage_sampling: saved True, but this"):
-            mdie(*run_args(krki40), seed=0, resume=state.replace(config_sig=on))
+            mdie(*run_args(krki40), seed=0, resume=dataclasses.replace(state, config_sig=on))
 
     @pytest.mark.parametrize("name", [V0_MDIE, V1_MDIE], ids=["v0", "v1"])
     def test_sample_parameters_never_mattered(self, name, krki40, tmp_path):
@@ -261,21 +261,21 @@ class TestRetiredSampling:
         ):
             assert old in sig
             sig = sig.replace(old, new)
-        assert_mdie_resumes(state.replace(config_sig=sig), krki40)
+        assert_mdie_resumes(dataclasses.replace(state, config_sig=sig), krki40)
 
     @pytest.mark.parametrize("name", [V0_P2MDIE, V1_P2MDIE], ids=["v0", "v1"])
     def test_p2mdie_sampling_off_resumes_bit_identically(self, name, krki40, tmp_path):
         state = parent_checkpoint(name, tmp_path)
         off = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=False")
         assert off != state.config_sig
-        assert_p2mdie_resumes(state.replace(config_sig=off), krki40)
+        assert_p2mdie_resumes(dataclasses.replace(state, config_sig=off), krki40)
 
     @pytest.mark.parametrize("name", [V0_P2MDIE, V1_P2MDIE], ids=["v0", "v1"])
     def test_p2mdie_sampling_on_is_refused_by_name(self, name, krki40, tmp_path):
         state = parent_checkpoint(name, tmp_path)
         on = state.config_sig.replace("coverage_sampling=None", "coverage_sampling=True")
         with pytest.raises(CheckpointError, match="coverage_sampling: saved True, but this"):
-            run_p2mdie(*run_args(krki40), p=2, seed=0, resume=state.replace(config_sig=on))
+            run_p2mdie(*run_args(krki40), p=2, seed=0, resume=dataclasses.replace(state, config_sig=on))
 
 
 V2_MDIE = "parent_9221765_v2_mdie_epoch_0003.ckpt"
@@ -301,7 +301,7 @@ OTHER_VALUES = [
 def _with_other_value(state, name, value):
     saved = f"{name}={ONE_VALUED[name]}"
     assert saved in state.config_sig
-    return state.replace(config_sig=state.config_sig.replace(saved, f"{name}={value}"))
+    return dataclasses.replace(state, config_sig=state.config_sig.replace(saved, f"{name}={value}"))
 
 
 class TestRetiredOptions:
@@ -348,7 +348,7 @@ def _with_strategy(state, value, beam_width=5):
     saved = "search_strategy='bfs', beam_width=5"
     assert saved in state.config_sig
     sig = state.config_sig.replace(saved, f"search_strategy={value}, beam_width={beam_width}")
-    return state.replace(config_sig=sig)
+    return dataclasses.replace(state, config_sig=sig)
 
 
 def _refusal(value):

@@ -1,6 +1,7 @@
 """Saturation cache: hits return the cached bottom, replay the recorded
 op cost, and invalidate on KB mutation / bias change."""
 
+import dataclasses
 import sys
 import threading
 import weakref
@@ -70,7 +71,7 @@ class TestCache:
     def test_bias_key_sensitivity(self, kb, modes):
         e = Engine(kb, CONFIG.engine_budget())
         b1 = build_bottom_cached(EX, e, modes, CONFIG)
-        b2 = build_bottom_cached(EX, e, modes, CONFIG.replace(var_depth=1))
+        b2 = build_bottom_cached(EX, e, modes, dataclasses.replace(CONFIG, var_depth=1))
         assert b2 is not b1
 
     def test_saturation_error_cached(self, kb, modes):

@@ -7,6 +7,8 @@ dataset generators on multiple seeds, making this both an ILP-correctness
 and a generator-sanity test.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.datasets import make_dataset
@@ -28,7 +30,7 @@ class TestBottomCoversSeed:
         # provable cheaply — that is the part of the invariant the search
         # actually relies on.
         ds = make_dataset(name, seed=11, scale="small")
-        cfg = ds.config.replace(max_bottom_literals=8)
+        cfg = dataclasses.replace(ds.config, max_bottom_literals=8)
         engine = Engine(ds.kb, cfg.engine_budget())
         for example in ds.pos[:4]:
             bottom = build_bottom(example, engine, ds.modes, cfg)

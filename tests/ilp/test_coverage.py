@@ -3,8 +3,6 @@
 import pytest
 
 from repro.ilp.coverage import (
-    CoverageStats,
-    bitset_from_indices,
     coverage_bitset,
     covers,
     indices_from_bitset,
@@ -65,22 +63,4 @@ class TestBitsets:
 
     def test_roundtrip(self):
         idx = [0, 3, 17]
-        assert list(indices_from_bitset(bitset_from_indices(idx))) == idx
-
-
-class TestCoverageStats:
-    def test_of(self, eng):
-        rule = parse_clause("p(X) :- q(X).")
-        pos = [parse_term("p(a)"), parse_term("p(b)")]
-        neg = [parse_term("p(z)")]
-        st = CoverageStats.of(eng, rule, pos, neg)
-        assert (st.pos, st.neg) == (2, 0)
-        assert st.pos_bits == 0b11
-
-    def test_merged_shifts(self):
-        a = CoverageStats(pos=1, neg=0, pos_bits=0b1, neg_bits=0)
-        b = CoverageStats(pos=2, neg=1, pos_bits=0b11, neg_bits=0b1)
-        m = a.merged(b, pos_shift=1, neg_shift=1)
-        assert m.pos == 3 and m.neg == 1
-        assert m.pos_bits == 0b111
-        assert m.neg_bits == 0b10
+        assert list(indices_from_bitset(sum(1 << i for i in idx))) == idx

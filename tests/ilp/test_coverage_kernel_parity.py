@@ -7,6 +7,8 @@ The seed kernel's answers are rows of ``tests/data/engine_witness.json``
 (``RUNS`` and the ``*_cases`` functions below are its cases).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.datasets import make_dataset
@@ -54,7 +56,7 @@ def run(key: str):
 
     algo, name, kw, changes, seed = RUNS[key]
     ds = make_dataset(name, **kw)
-    args = (ds.kb, ds.pos, ds.neg, ds.modes, ds.config.replace(**changes))
+    args = (ds.kb, ds.pos, ds.neg, ds.modes, dataclasses.replace(ds.config, **changes))
     if algo == "mdie":
         return mdie(*args, seed=seed)
     if algo.startswith("p2mdie"):

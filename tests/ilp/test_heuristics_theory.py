@@ -75,8 +75,6 @@ class TestTheoryPrediction:
         rep = confusion(eng, th, pos, neg)
         assert (rep.tp, rep.fn, rep.fp, rep.tn) == (1, 1, 1, 1)
         assert rep.accuracy == 0.5
-        assert rep.precision == 0.5
-        assert rep.recall == 0.5
 
     def test_accuracy_percentage(self, setup):
         eng, th = setup
@@ -104,5 +102,3 @@ class TestTheoryPrediction:
     def test_report_zero_division(self):
         rep = TheoryReport(tp=0, fn=0, tn=0, fp=0)
         assert rep.accuracy == 0.0
-        assert rep.precision == 0.0
-        assert rep.recall == 0.0

@@ -1,10 +1,13 @@
 """Unit tests for the sequential MDIE covering loop (Fig. 1)."""
 
+import dataclasses
+
 import pytest
 
 from repro.ilp.mdie import mdie, select_seed
 from repro.ilp.theory import accuracy
 from repro.logic.engine import Engine
+from repro.logic.io import kb_to_prolog
 from repro.util.rng import make_rng
 
 
@@ -38,13 +41,13 @@ class TestMdie:
         assert total_covered == len(family_pos) - res.uncovered
 
     def test_kb_not_mutated(self, family_kb, family_pos, family_neg, family_modes, family_config):
-        before = len(family_kb)
+        before = kb_to_prolog(family_kb)
         mdie(family_kb, family_pos, family_neg, family_modes, family_config, seed=1)
-        assert len(family_kb) == before
+        assert kb_to_prolog(family_kb) == before
 
     def test_skip_mode_leaves_uncoverable(self, family_kb, family_pos, family_neg, family_modes, family_config):
         # noise=0 and min_pos high => no rule is learnable; every seed is skipped
-        cfg = family_config.replace(min_pos=len(family_pos) + 1)
+        cfg = dataclasses.replace(family_config, min_pos=len(family_pos) + 1)
         res = mdie(family_kb, family_pos, family_neg, family_modes, cfg, seed=1)
         assert res.uncovered == len(family_pos)
         assert len(res.theory) == 0

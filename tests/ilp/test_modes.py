@@ -51,7 +51,7 @@ class TestParseMode:
     def test_indicator_and_arity(self):
         m = parse_mode("modeb(1, p(+a, -b, #c))")
         assert m.indicator == ("p", 3)
-        assert m.arity == 3
+        assert len(m.args) == 3
 
 
 class TestArgSpec:
@@ -68,16 +68,12 @@ class TestModeSet:
         ms = ModeSet(["modeh(1, p(+t))", "modeb(1, q(+t))"])
         assert len(ms.head_modes) == 1
         assert len(ms.body_modes) == 1
-        assert len(ms) == 2
+        assert [str(m) for m in ms] == ["modeh(1, p(+t))", "modeb(1, q(+t))"]
 
     def test_head_mode_for(self):
         ms = ModeSet(["modeh(1, p(+t))"])
         assert ms.head_mode_for(("p", 1)) is not None
         assert ms.head_mode_for(("p", 2)) is None
-
-    def test_types(self):
-        ms = ModeSet(["modeh(1, p(+a))", "modeb(1, q(+a, -b))"])
-        assert ms.types() == {"a", "b"}
 
     def test_validate_ok(self):
         ms = ModeSet(["modeh(1, p(+a))", "modeb(1, q(+a, -b))", "modeb(1, r(+b))"])

@@ -1,5 +1,7 @@
 """Unit tests for the learn_rule search (Figs. 2 and 7)."""
 
+import dataclasses
+
 import pytest
 
 from repro.ilp.bottom import build_bottom
@@ -52,7 +54,7 @@ class TestWidth:
         assert [e.clause for e in w2.good] == [e.clause for e in full.good[:2]]
 
     def test_default_width_from_config(self, family_engine, bottom, store, family_config):
-        cfg = family_config.replace(pipeline_width=1)
+        cfg = dataclasses.replace(family_config, pipeline_width=1)
         res = learn_rule(family_engine, bottom, store, cfg, width=cfg.pipeline_width)
         assert len(res.good) <= 1
 
@@ -79,7 +81,7 @@ class TestSeeds:
 
 class TestResourceAccounting:
     def test_max_nodes_respected(self, family_engine, bottom, store, family_config):
-        cfg = family_config.replace(max_nodes=5)
+        cfg = dataclasses.replace(family_config, max_nodes=5)
         res = learn_rule(family_engine, bottom, store, cfg, width=None)
         assert res.nodes_generated <= 5
         assert res.exhausted

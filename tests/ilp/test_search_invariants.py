@@ -12,6 +12,7 @@ that cuts the same order short.  ``carcinogenesis`` spends its whole
 budget; the other generators exhaust their lattice first.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,7 +63,7 @@ class Searched:
 
 def search(name: str, scale: str, seeds=None, width=None, **replace) -> Searched:
     ds = make_dataset(name, seed=0, scale=scale)
-    config = ds.config.replace(**replace)
+    config = dataclasses.replace(ds.config, **replace)
     engine = Engine(ds.kb, config.engine_budget())
     bottom = build_bottom(ds.pos[0], engine, ds.modes, config)
     store = RecordingStore(ds.pos, ds.neg)

@@ -1,34 +1,40 @@
-"""Round-trip tests for Prolog-text serialization."""
-
-import pytest
+"""Round-trip tests for Prolog-text serialization: what the writers emit,
+:func:`repro.logic.parser.parse_program` reads back."""
 
 from repro.logic.clause import Theory
 from repro.logic.io import (
     clause_to_prolog,
     examples_to_prolog,
     kb_to_prolog,
-    load_problem,
-    read_examples,
-    read_program,
     save_problem,
     theory_to_prolog,
 )
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import parse_clause, parse_term
+from repro.logic.parser import parse_clause, parse_program, parse_term, term_to_str
+
+
+def read_problem(directory):
+    """The files :func:`save_problem` wrote, parsed: (kb, pos, neg, mode strings)."""
+    kb = KnowledgeBase()
+    kb.add_program((directory / "bk.pl").read_text())
+    pos, neg = ([c.head for c in parse_program((directory / f).read_text())]
+                for f in ("pos.f", "neg.n"))
+    modes = [term_to_str(c.head) for c in parse_program((directory / "modes.pl").read_text())]
+    return kb, pos, neg, modes
 
 
 class TestClauseRoundtrip:
     def test_fact(self):
         c = parse_clause("p(a, 3).")
-        assert read_program(clause_to_prolog(c)) == [c]
+        assert parse_program(clause_to_prolog(c)) == [c]
 
     def test_rule(self):
         c = parse_clause("p(X) :- q(X, Y), r(Y).")
-        assert read_program(clause_to_prolog(c)) == [c]
+        assert parse_program(clause_to_prolog(c)) == [c]
 
     def test_negative_numbers(self):
         c = parse_clause("w(e1, -2.5).")
-        assert read_program(clause_to_prolog(c)) == [c]
+        assert parse_program(clause_to_prolog(c)) == [c]
 
 
 class TestTheoryRoundtrip:
@@ -36,7 +42,7 @@ class TestTheoryRoundtrip:
         th = Theory([parse_clause("p(X) :- q(X)."), parse_clause("p(a).")])
         text = theory_to_prolog(th, header="learned\ntheory")
         assert text.startswith("% learned")
-        assert read_program(text) == list(th)
+        assert parse_program(text) == list(th)
 
 
 class TestKbRoundtrip:
@@ -45,20 +51,16 @@ class TestKbRoundtrip:
         kb.add_program("p(a). p(b). bond(m, a1, a2, 7). q(X) :- p(X).")
         text = kb_to_prolog(kb)
         kb2 = KnowledgeBase()
-        for c in read_program(text):
+        for c in parse_program(text):
             kb2.add_clause(c)
-        assert kb2.stats() == kb.stats()
+        assert kb_to_prolog(kb2) == text
         assert {str(f) for f in kb2.facts_for(("p", 1))} == {"p(a)", "p(b)"}
 
 
 class TestExamples:
     def test_roundtrip(self):
         ex = [parse_term("active(m1)"), parse_term("active(m2)")]
-        assert read_examples(examples_to_prolog(ex)) == ex
-
-    def test_rule_rejected(self):
-        with pytest.raises(ValueError, match="rule"):
-            read_examples("p(X) :- q(X).")
+        assert [c.head for c in parse_program(examples_to_prolog(ex))] == ex
 
 
 class TestProblemFiles:
@@ -72,11 +74,11 @@ class TestProblemFiles:
         modes = ModeSet(["modeh(1, gp(+p, +p))", "modeb(*, parent(+p, -p))"])
         save_problem(tmp_path / "prob", kb, pos, neg, modes=list(modes))
 
-        kb2, pos2, neg2, mode_strs = load_problem(tmp_path / "prob")
-        assert kb2.stats() == kb.stats()
+        kb2, pos2, neg2, mode_strs = read_problem(tmp_path / "prob")
+        assert kb_to_prolog(kb2) == kb_to_prolog(kb)
         assert pos2 == pos and neg2 == neg
         ms2 = ModeSet(mode_strs)
-        assert len(ms2) == 2
+        assert list(map(str, ms2)) == list(map(str, modes))
         ms2.validate()
 
     def test_dataset_export_learnable(self, tmp_path):
@@ -87,6 +89,6 @@ class TestProblemFiles:
 
         ds = make_dataset("trains", seed=1, scale="small", n_trains=12)
         save_problem(tmp_path / "t", ds.kb, ds.pos, ds.neg, modes=list(ds.modes))
-        kb2, pos2, neg2, mode_strs = load_problem(tmp_path / "t")
+        kb2, pos2, neg2, mode_strs = read_problem(tmp_path / "t")
         res = mdie(kb2, pos2, neg2, ModeSet(mode_strs), ds.config, seed=1)
         assert len(res.theory) >= 1

@@ -10,8 +10,6 @@ from repro.logic.terms import (
     fresh_var,
     is_ground,
     mk_term,
-    term_depth,
-    term_size,
     variables_of,
 )
 
@@ -103,15 +101,6 @@ class TestTraversals:
     def test_variables_of_order_and_repeats(self):
         t = atom("p", "X", "Y", "X")
         assert [v.name for v in variables_of(t)] == ["X", "Y", "X"]
-
-    def test_term_size(self):
-        assert term_size(Const("a")) == 1
-        assert term_size(atom("p", "a", "X")) == 3
-
-    def test_term_depth(self):
-        assert term_depth(Const("a")) == 0
-        assert term_depth(atom("p", "a")) == 1
-        assert term_depth(Struct("f", (Struct("g", (Const("a"),)),))) == 2
 
     def test_is_ground(self):
         assert is_ground(atom("p", "a", 1))

@@ -78,29 +78,29 @@ class TestWireCodec:
 
 
 class TestTracer:
-    def test_span_context_manager_records(self):
+    def test_span_context_manager_records(self, tmp_path):
         ticks = iter([1.0, 3.5])
-        t = Tracer(rank=4, clock=lambda: next(ticks))
+        t = Tracer(tmp_path / "t.jsonl", rank=4, clock=lambda: next(ticks))
         with t.span("op:query", client="c1"):
             pass
-        (s,) = t.spans()
+        (s,) = read_spans_jsonl(tmp_path / "t.jsonl")
         assert s == Span(4, "op:query", 1.0, 3.5, (("client", "c1"),))
 
-    def test_record_sorts_attrs(self):
-        t = Tracer()
+    def test_record_sorts_attrs(self, tmp_path):
+        t = Tracer(tmp_path / "t.jsonl")
         t.record("x", 0.0, 1.0, zeta="1", alpha="2")
-        (s,) = t.spans()
+        (s,) = read_spans_jsonl(tmp_path / "t.jsonl")
         assert s.attrs == (("alpha", "2"), ("zeta", "1"))
 
-    def test_span_recorded_even_on_exception(self):
-        t = Tracer(clock=iter([0.0, 1.0]).__next__)
+    def test_span_recorded_even_on_exception(self, tmp_path):
+        t = Tracer(tmp_path / "t.jsonl", clock=iter([0.0, 1.0]).__next__)
         with pytest.raises(RuntimeError):
             with t.span("boom"):
                 raise RuntimeError("x")
-        assert len(t.spans()) == 1
+        assert len(read_spans_jsonl(tmp_path / "t.jsonl")) == 1
 
-    def test_thread_safety(self):
-        t = Tracer()
+    def test_thread_safety(self, tmp_path):
+        t = Tracer(tmp_path / "t.jsonl")
         threads = [
             threading.Thread(
                 target=lambda: [t.record("w", 0.0, 1.0) for _ in range(200)]
@@ -111,16 +111,20 @@ class TestTracer:
             th.start()
         for th in threads:
             th.join()
-        assert len(t.spans()) == 800
+        assert read_spans_jsonl(tmp_path / "t.jsonl") == [Span(0, "w", 0.0, 1.0)] * 800
 
     def test_jsonl_sink_write_through(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        t = Tracer(rank=1, sink=path)
+        t = Tracer(path, rank=1)
         t.record("load", 0.0, 0.5)
+        assert read_spans_jsonl(path) == [Span(1, "load", 0.0, 0.5)]
         t.record("evaluate", 0.5, 1.0, epoch="2")
         t.close()
-        back = read_spans_jsonl(path)
-        assert back == t.spans()
+        t.record("after-close", 1.0, 1.5)
+        assert read_spans_jsonl(path) == [
+            Span(1, "load", 0.0, 0.5),
+            Span(1, "evaluate", 0.5, 1.0, (("epoch", "2"),)),
+        ]
 
 
 class TestNullTracer:
@@ -129,7 +133,6 @@ class TestNullTracer:
         with NULL_TRACER.span("anything", k="v"):
             pass
         NULL_TRACER.record("x", 0.0, 1.0)
-        assert NULL_TRACER.spans() == []
         NULL_TRACER.close()  # no-op, must not raise
 
 

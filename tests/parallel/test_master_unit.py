@@ -111,7 +111,7 @@ class TestEpoch:
         marks = [s for s in sent if isinstance(s.payload, MarkCovered)]
         assert len(marks) == 2  # broadcast to both workers
         assert marks[0].payload.rule == RULE
-        assert master.theory[0] == RULE
+        assert list(master.theory) == [RULE]
         assert master.remaining == 6 - 6  # 3 pos per worker, summed
 
     def test_bad_rule_dropped(self, master):

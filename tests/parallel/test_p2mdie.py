@@ -1,5 +1,7 @@
 """Integration tests for the P²-MDIE algorithm (Figs. 5-7)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.message import Tag
@@ -61,7 +63,7 @@ class TestWidth:
         assert narrow_rules < wide_rules
 
     def test_nolimit_default_from_config(self, kb, pos, neg, modes, config):
-        cfg = config.replace(pipeline_width=None)
+        cfg = dataclasses.replace(config, pipeline_width=None)
         res = run_p2mdie(kb, pos, neg, modes, cfg, p=2, seed=3)
         assert res.uncovered == 0
 
@@ -107,7 +109,7 @@ class TestEdgeCases:
 
     def test_stall_terminates(self, kb, pos, neg, modes, config):
         # impossible min_pos: no rule is ever good; stall detector must fire
-        cfg = config.replace(min_pos=len(pos) + 1)
+        cfg = dataclasses.replace(config, min_pos=len(pos) + 1)
         res = run_p2mdie(kb, pos, neg, modes, cfg, p=3, seed=3)
         assert len(res.theory) == 0
         assert res.uncovered == len(pos)

@@ -24,8 +24,8 @@ class TestPartition:
 
     def test_even_sizes(self):
         parts = partition_examples(_examples(10), _examples(9, "n"), 4, make_rng(0))
-        pos_sizes = [p.n_pos for p in parts]
-        neg_sizes = [p.n_neg for p in parts]
+        pos_sizes = [len(p.pos) for p in parts]
+        neg_sizes = [len(p.neg) for p in parts]
         assert max(pos_sizes) - min(pos_sizes) <= 1
         assert max(neg_sizes) - min(neg_sizes) <= 1
 
@@ -42,12 +42,12 @@ class TestPartition:
     def test_p1_is_everything(self):
         parts = partition_examples(_examples(5), _examples(3, "n"), 1, make_rng(0))
         assert len(parts) == 1
-        assert parts[0].n_pos == 5 and parts[0].n_neg == 3
+        assert len(parts[0].pos) == 5 and len(parts[0].neg) == 3
 
     def test_p_larger_than_examples(self):
         parts = partition_examples(_examples(2), _examples(1, "n"), 5, make_rng(0))
         assert len(parts) == 5
-        assert sum(p.n_pos for p in parts) == 2
+        assert sum(len(p.pos) for p in parts) == 2
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
@@ -61,9 +61,9 @@ def test_partition_properties(n_pos, n_neg, p, seed):
     pos, neg = _examples(n_pos), _examples(n_neg, "n")
     parts = partition_examples(pos, neg, p, make_rng(seed))
     assert len(parts) == p
-    assert sum(x.n_pos for x in parts) == n_pos
-    assert sum(x.n_neg for x in parts) == n_neg
-    sizes = [x.n_pos for x in parts]
+    assert sum(len(x.pos) for x in parts) == n_pos
+    assert sum(len(x.neg) for x in parts) == n_neg
+    sizes = [len(x.pos) for x in parts]
     assert max(sizes) - min(sizes) <= 1
     seen = set()
     for part in parts:

@@ -263,6 +263,13 @@ class TestRetiredCodes:
         with pytest.raises(wire.WireError, match=match):
             wire.decode(data)
 
+    def test_an_unknown_code_is_refused_by_number(self):
+        header = wire.encode_always(MESSAGES[0])[:2]
+        known = set(wire._DECODERS) | set(wire._RETIRED_CODES) | set(wire._HOMES)
+        unknown = min(set(range(256)) - known)
+        with pytest.raises(wire.WireError, match=f"unknown message type code {unknown}$"):
+            wire.decode(header + bytes([unknown]))
+
     @pytest.mark.parametrize("code,name", RETIRED_CODES)
     def test_any_body_behind_a_retired_code_names_its_format(self, code, name):
         """The code alone decides: no body, a stray byte, noise or another

@@ -131,7 +131,7 @@ def make_loaded_worker(problem, rank=1, n=3):
 class TestLoad:
     def test_loads_own_partition(self, problem):
         h = make_loaded_worker(problem, rank=2)
-        assert h.worker.store.n_pos == len(problem.partitions[1].pos)
+        assert h.worker.shards[2].store.n_pos == len(problem.partitions[1].pos)
         assert any(c.label == "load" for c in h.computed)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -140,8 +140,8 @@ class TestLoad:
         examples and the KB come from the shared problem, not a copy."""
         h = make_loaded_worker(problem, rank=rank)
         part = problem.partitions[rank - 1]
-        assert h.worker.store.pos == list(part.pos)
-        assert h.worker.store.neg == list(part.neg)
+        assert h.worker.shards[rank].store.pos == list(part.pos)
+        assert h.worker.shards[rank].store.neg == list(part.neg)
         assert h.worker.engine.kb is problem.kb
         assert h.computed[-1].ops == len(part.pos) + len(part.neg)
         assert h.sent == []
@@ -276,10 +276,10 @@ class TestEvaluateAndMark:
         from repro.logic.parser import parse_clause
 
         h = make_loaded_worker(problem, rank=1)
-        before = h.worker.store.remaining
+        before = h.worker.shards[1].store.remaining
         rule = parse_clause("daughter(A, B) :- parent(B, A), female(A).")
         h.deliver(MarkCovered(rule=rule), src=0, tag=Tag.MARK_COVERED)
-        assert h.worker.store.remaining < before
+        assert h.worker.shards[1].store.remaining < before
         assert h.take_sent() == []  # no reply expected
 
 

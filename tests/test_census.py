@@ -1,0 +1,96 @@
+"""The executed-code census (``tests/census.py``) on two commands, and the
+committed list's decisions."""
+
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+import census  # noqa: E402
+
+PLANTED = '''\
+def used():
+    return 1
+
+
+def planted():
+    return 2
+
+
+used()
+'''
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """A copy of the package with one planted module, and what two
+    commands called in it."""
+    src = tmp_path_factory.mktemp("census") / "src"
+    shutil.copytree(census.SRC / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "repro" / "_planted.py").write_text(PLANTED, encoding="utf-8")
+    commands = [
+        ("learn p=2 local", "repro learn trains --p 2 --backend local"),
+        ("planted module", 'python -c "import repro._planted"'),
+    ]
+    funcs = census.functions(src)
+    return funcs, census.census(commands, src=src, log=lambda line: None)
+
+
+def _key(funcs, name):
+    (key,) = [k for k, f in funcs.items() if f.name == name]
+    return key
+
+
+def test_forked_ranks_are_counted(run):
+    """Only the forked worker ranks evaluate rules: a census that missed
+    them would list the whole worker as never called."""
+    funcs, called = run
+    assert _key(funcs, "parallel/worker.py::P2Worker._evaluate") in called
+    assert _key(funcs, "cli.py::_cmd_learn") in called
+
+
+def test_a_planted_function_is_never_called(run):
+    funcs, called = run
+    assert _key(funcs, "_planted.py::used") in called
+    assert _key(funcs, "_planted.py::planted") not in called
+    page = census.render(funcs, called)
+    assert "| `_planted.py::planted` | 2 | **untagged** |" in page
+    assert "`_planted.py::used`" not in page
+
+
+def test_committed_entries_each_carry_a_keep_tag():
+    rows = [line for line in census.DOC.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `") and "::" in line]
+    assert rows
+    tags = [row.split("|")[3].strip() for row in rows]
+    assert set(tags) <= set(census.TAGS), sorted(set(tags) - set(census.TAGS))
+    names = [row.split("`")[1] for row in rows]
+    stale = [key for key in census.KEEP
+             if not any(n == key or (key.endswith(("::", ".")) and n.startswith(key))
+                        for n in names)]
+    assert not stale, stale
+
+
+def test_the_most_specific_keep_key_decides(monkeypatch):
+    monkeypatch.setattr(census, "KEEP", {
+        "m.py::": ("stub", "module"),
+        "m.py::C.": ("failure", "class"),
+        "m.py::C.f": ("reference", "function"),
+    })
+    assert census.decision("m.py::C.f") == ("reference", "function")
+    assert census.decision("m.py::C.g") == ("failure", "class")
+    assert census.decision("m.py::h") == ("stub", "module")
+    assert census.decision("n.py::h") is None
+
+
+def test_a_nested_function_counts_its_lines_once():
+    outer = census.Function("m.py", "outer", 1, range(1, 6))
+    inner = census.Function("m.py", "outer.<locals>.inner", 2, range(2, 4))
+    other = census.Function("m.py", "other", 7, range(7, 9))
+    funcs = {("m.py", f.first): f for f in (outer, inner, other)}
+    page = census.render(funcs, called={("m.py", 7)})
+    assert "**2 of 3 functions never called: 5 of 7 function lines.**" in page
+    assert "| `m.py::outer.<locals>.inner` | 2 | **untagged** |" in page

@@ -319,13 +319,23 @@ class TestExport:
         assert (tmp_path / "out" / "pos.f").exists()
         assert (tmp_path / "out" / "neg.n").exists()
         assert (tmp_path / "out" / "modes.pl").exists()
-        # exported problem is re-loadable
+        # the exported problem parses back to the dataset
+        from repro.datasets import make_dataset
         from repro.ilp.modes import ModeSet
-        from repro.logic.io import load_problem
+        from repro.logic.io import kb_to_prolog
+        from repro.logic.parser import parse_program, term_to_str
 
-        kb, pos, neg, modes = load_problem(tmp_path / "out")
-        assert pos and neg
-        ModeSet(modes).validate()
+        ds = make_dataset("trains", seed=1)
+        out = tmp_path / "out"
+
+        def heads(name):
+            return [c.head for c in parse_program((out / name).read_text())]
+
+        assert (out / "bk.pl").read_text() == kb_to_prolog(ds.kb)
+        assert (heads("pos.f"), heads("neg.n")) == (list(ds.pos), list(ds.neg))
+        modes = ModeSet([term_to_str(m) for m in heads("modes.pl")])
+        assert list(map(str, modes)) == list(map(str, ds.modes))
+        modes.validate()
 
 
 class TestService:

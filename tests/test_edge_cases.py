@@ -1,6 +1,8 @@
 """Assorted edge-case tests across modules (failure paths and boundary
 conditions not covered by the per-module suites)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.trace import render_gantt
@@ -91,7 +93,7 @@ class TestConfigEdges:
         from repro.ilp.config import ILPConfig
 
         cfg = ILPConfig(noise=3, min_pos=4)
-        cfg2 = cfg.replace(noise=0)
+        cfg2 = dataclasses.replace(cfg, noise=0)
         assert cfg2.min_pos == 4
         assert cfg.noise == 3  # frozen original untouched
 

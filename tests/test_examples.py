@@ -63,3 +63,11 @@ def test_fault_tolerance():
     assert "DIFFERENT" not in out
     assert "declared dead" in out
     assert "resume from" in out
+
+
+def test_recursive_background():
+    out = run_example("recursive_background.py")
+    for run in ("mdie", "p2-mdie p=2 sim", "p2-mdie p=2 local"):
+        assert f"{run} theory:\n  kin(A, B) :- ancestor(A, B).\n  training accuracy: 100.0%" in out
+    hits = int(out.split("memo hits=")[1].split()[0])
+    assert hits > 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.fmt import fmt_float, fmt_int, render_table
-from repro.util.rng import RngStream, derive_seed, make_rng, weighted_draw
+from repro.util.rng import derive_seed, make_rng, weighted_draw
 
 
 class TestDeriveSeed:
@@ -34,6 +34,12 @@ class TestMakeRng:
 
     def test_independent_streams(self):
         assert make_rng(7, "x").random() != make_rng(7, "y").random()
+
+    def test_nested_label_paths_differ(self):
+        assert make_rng(1, "a").random() != make_rng(1, "a", "b").random()
+
+    def test_seeded_by_derive_seed(self):
+        assert make_rng(3, "t", 2).random() == random.Random(derive_seed(3, "t", 2)).random()
 
 
 @settings(deadline=None)
@@ -66,30 +72,6 @@ def test_weighted_draw_is_choices_draw_for_draw(seed, values, weights, n):
 def test_weighted_draw_refuses_weights_choices_cannot_draw_by(values, weights):
     with pytest.raises(ValueError):
         weighted_draw(values, weights)
-
-
-class TestRngStream:
-    def test_child_paths(self):
-        root = RngStream(seed=1)
-        a = root.child("part")
-        b = root.child("part")
-        assert a.rng.random() == b.rng.random()
-
-    def test_nested_children_differ(self):
-        root = RngStream(seed=1)
-        assert root.child("a").rng.random() != root.child("a", "b").rng.random()
-
-    def test_passthroughs(self):
-        s = RngStream(seed=3).child("t")
-        xs = [1, 2, 3, 4]
-        s.shuffle(xs)
-        assert sorted(xs) == [1, 2, 3, 4]
-        assert s.choice([1]) == 1
-        assert 0 <= s.randint(0, 5) <= 5
-        assert 0.0 <= s.random() < 1.0
-        assert 1.0 <= s.uniform(1.0, 2.0) <= 2.0
-        assert len(s.sample(range(10), 3)) == 3
-        s.gauss(0, 1)  # no exception
 
 
 class TestFmt:
