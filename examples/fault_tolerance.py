@@ -7,6 +7,8 @@ and an elastic join — and shows that every run learns the *identical*
 theory: the self-healing protocol rebuilds lost workers by deterministic
 replay, so faults cost time and bytes, never results.
 
+Each plan goes through the JSON file that ``repro learn --fault-plan``
+reads.
 Also demonstrates epoch checkpointing and bit-identical resumption.
 
 Run:  python examples/fault_tolerance.py [--p 3] [--backend sim|local]
@@ -22,6 +24,15 @@ from repro.fault.checkpoint import load_checkpoint
 from repro.fault.plan import FaultPlan, Straggler, WorkerCrash, WorkerJoin
 from repro.parallel import run_p2mdie
 from repro.util.fmt import render_table
+
+
+def through_file(plan: FaultPlan, p: int, spares: int) -> FaultPlan:
+    """``plan`` as ``repro learn --fault-plan`` reads it: saved as JSON,
+    then loaded back with its ranks checked against the pool."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "plan.json")
+        plan.save(path)
+        return FaultPlan.load(path, p=p, spares=spares)
 
 
 def main() -> None:
@@ -50,6 +61,8 @@ def main() -> None:
     base_theory = None
     rows = []
     for name, (plan, spares) in scenarios.items():
+        if plan is not None:
+            plan = through_file(plan, args.p, spares)
         res = run_p2mdie(*problem, fault_plan=plan, spares=spares, **run_kw)
         if base_theory is None:
             base_theory = res.theory

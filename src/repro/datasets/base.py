@@ -18,8 +18,8 @@ substitution preserves the paper's measurable behaviour.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeSet

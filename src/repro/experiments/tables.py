@@ -7,7 +7,7 @@ be compared side-by-side with the publication.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.datasets.base import Dataset
 from repro.experiments.runner import MatrixResult, width_label

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
 
 from repro.ilp.config import ILPConfig
 from repro.ilp.modes import ModeDecl, ModeSet

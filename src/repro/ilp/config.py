@@ -11,7 +11,7 @@ pipeline width ``W``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.logic.engine import Engine, QueryBudget

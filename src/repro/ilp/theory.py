@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.ilp.coverage import covers, popcount, theory_covered_bits
-from repro.logic.clause import Clause, Theory
+from repro.logic.clause import Theory
 from repro.logic.engine import Engine
 from repro.logic.terms import Term
 

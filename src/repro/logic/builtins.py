@@ -8,9 +8,9 @@ syntactic (unification-based).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.logic.terms import Const, Struct, Term, Var
+from repro.logic.terms import Const, Term, Var
 from repro.logic.unify import Subst, walk
 
 __all__ = ["ArithmeticError_", "eval_arith", "is_builtin", "BUILTIN_INDICATORS"]

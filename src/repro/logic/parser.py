@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.logic.clause import Clause
 from repro.logic.terms import Const, Struct, Term, Var

@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import sys
 from _weakref import _remove_dead_weakref
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 from weakref import KeyedRef
 
 __all__ = [

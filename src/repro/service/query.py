@@ -13,8 +13,9 @@ each clause apart.  The query engine amortizes both:
   an :class:`~repro.logic.engine.Engine` and the clause list once; every
   later batch reuses them (KB indexes and the engine's ground-goal memo
   stay warm across batches).  It keeps the :data:`PREPARED_CACHE_CAP`
-  most recently used entries, as the dataset cache does, and a registry
-  gc drops the entries of the versions it removed (:meth:`QueryEngine.forget`);
+  most recently used entries, as the dataset cache does; an entry of a
+  version a registry gc removed is never read again (the registry refuses
+  the version) and ages out;
 * **clause-by-clause evaluation**: a batch is evaluated via
   :func:`repro.ilp.coverage.theory_covered_bits` — one coverage plan per
   clause, kept in the KB's plan table that the jobs learning on that KB
@@ -211,15 +212,6 @@ class QueryEngine:
             while len(self._prepared) > PREPARED_CACHE_CAP:
                 self._dropped_batches += self._prepared.popitem(last=False)[1].batches
             return fresh
-
-    def forget(self, name: str, versions) -> None:
-        """Drop the prepared entries of ``name``'s ``versions`` (removed
-        from the registry); their batches stay counted."""
-        with self._lock:
-            for v in versions:
-                entry = self._prepared.pop((name, v), None)
-                if entry is not None:
-                    self._dropped_batches += entry.batches
 
     @staticmethod
     def prepare_theory(theory: Theory, kb, config) -> PreparedTheory:

@@ -31,7 +31,7 @@ import os
 import re
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.logic.clause import Clause, Theory
@@ -100,19 +100,6 @@ class RegistryRecord:
 
     def to_theory(self) -> Theory:
         return Theory(self.theory)
-
-    def to_dict(self) -> dict:
-        """Plain-data summary (theory as Prolog text) for JSON responses."""
-        from repro.logic.io import theory_to_prolog
-
-        return {
-            "name": self.name,
-            "version": self.version,
-            "rules": len(self.theory),
-            "config_sig": self.config_sig,
-            "provenance": self.provenance_dict(),
-            "theory": theory_to_prolog(self.to_theory()),
-        }
 
 
 def _enc_registry_record(e, r: RegistryRecord) -> None:

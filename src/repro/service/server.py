@@ -13,9 +13,10 @@ of payload fields::
     ← {"ok": true, "n": 1, "n_covered": 1, "covered": [true]}
 
 Operations: ``ping``, ``hello``, ``submit``, ``jobs``, ``status``,
-``wait``, ``cancel``, ``query``, ``registry`` (actions ``list`` /
-``versions`` / ``show`` / ``diff`` / ``promote``), ``gc`` (targets
-``jobs`` / ``registry``), ``stats``, ``shutdown``.
+``wait``, ``cancel``, ``query``, ``gc`` (of terminal jobs), ``stats``
+(its ``metrics`` section is what ``--metrics-port`` renders),
+``shutdown``.  The theory registry has no op: ``repro registry`` edits
+its directory, and the server reads any change at its next query.
 
 **Hello and auth.**  ``hello`` is the optional handshake: it
 authenticates the connection (when the server was started with
@@ -468,50 +469,15 @@ class Service:
             out["frame"] = "end"
         return out
 
-    # -- registry / retention ----------------------------------------------------
-
-    def _op_registry(self, request: dict, ctx: ClientContext) -> dict:
-        if self.registry is None:
-            raise ValueError("server started without a registry dir")
-        reg = self.registry
-        action = request.get("action", "list")
-        if action == "list":
-            return {
-                "theories": [
-                    {
-                        "name": n,
-                        "versions": reg.versions(n),
-                        "promoted": reg.promoted_version(n),
-                    }
-                    for n in reg.names()
-                ]
-            }
-        if action == "versions":
-            return {"versions": reg.versions(request["name"])}
-        if action == "show":
-            record = reg.get(request["name"], request.get("version"))
-            return {"record": record.to_dict()}
-        if action == "diff":
-            diff = reg.diff(request["name"], request["old"], request["new"])
-            return {k: [str(c) for c in v] for k, v in diff.items()}
-        if action == "promote":
-            return {"promoted": reg.promote(request["name"], request["version"])}
-        raise ValueError(f"unknown registry action {action!r}")
+    # -- retention ---------------------------------------------------------------
 
     def _op_gc(self, request: dict, ctx: ClientContext) -> dict:
         keep = _count_field(request, "keep")
         target = request.get("target", "jobs")
-        if target == "jobs":
-            removed = self.scheduler.gc(keep=0 if keep is None else keep)
-            return {"target": "jobs", "removed": removed}
-        if target == "registry":
-            if self.registry is None:
-                raise ValueError("server started without a registry dir")
-            name = request["name"]
-            removed = self.registry.gc(name, keep=1 if keep is None else keep)
-            self.query_engine.forget(name, removed)
-            return {"target": "registry", "removed": removed}
-        raise ValueError(f"unknown gc target {target!r}")
+        if target != "jobs":
+            raise ValueError(f"unknown gc target {target!r}")
+        removed = self.scheduler.gc(keep=0 if keep is None else keep)
+        return {"target": "jobs", "removed": removed}
 
     def _jobs_by_state(self) -> dict[str, int]:
         by_state: dict[str, int] = {}
@@ -533,9 +499,6 @@ class Service:
         if self.fault_injector is not None:
             out["faults"] = self.fault_injector.snapshot()
         return out
-
-    def _op_metrics(self, request: dict, ctx: ClientContext) -> dict:
-        return {"metrics": self.metrics_snapshot()}
 
     def refresh_gauges(self) -> None:
         """Point-in-time gauges pulled from the subsystems at scrape time.
@@ -568,7 +531,7 @@ class Service:
                 g(f"repro_query_{k}", "query engine counter (see stats op)").set(v)
 
     def metrics_snapshot(self) -> dict:
-        """Plain-dict metrics view (the ``metrics`` op / stats section)."""
+        """Plain-dict metrics view (the ``metrics`` section of ``stats``)."""
         self.refresh_gauges()
         return self.metrics.snapshot()
 

@@ -229,9 +229,9 @@ admission control, graceful drain and quarantine handling — lives in
 _TELEMETRY_INTRO = """\
 Spans record wall-clock activity per rank and ship home over the wire
 codec at halt (`repro trace`, `--trace-out`); the metrics registry
-backs the `metrics` service op and the `repro serve --metrics-port`
-Prometheus endpoint; the structured logger correlates every line by
-request/job id.  The guided tour is [telemetry.md](telemetry.md)."""
+backs the `metrics` section of the `stats` service op and the `repro
+serve --metrics-port` Prometheus endpoint; the structured logger
+correlates every line by request/job id.  The guided tour is [telemetry.md](telemetry.md)."""
 
 #: (section heading, intro-or-None, [(module, [names...]), ...], footer-or-None)
 SECTIONS = [

@@ -2,8 +2,10 @@
 
 A name audit finds functions without a caller; this finds functions that
 never *run*.  The tool runs a fixed command list (:data:`COMMANDS`): CI's
-smoke commands, the five benchmark workloads (``BENCHMARK.json``) and every
-``examples/*.py``.  Every Python process those commands start records which
+smoke commands (:data:`SMOKE`, each line as CI runs it), the doc blocks CI's
+docs job runs (:data:`DOC_BLOCKS`), the five benchmark workloads
+(``BENCHMARK.json``) and every ``examples/*.py``.  Every Python process
+those commands start records which
 functions it called, and the tool writes one sorted list of the functions
 none of them called, each with its line count and the reason it stays
 (:data:`KEEP`), to ``docs/census.md``::
@@ -18,11 +20,16 @@ command's ``PYTHONPATH``.  A process writes its record when it exits: at
 after ``BaseProcess._bootstrap`` returns, and a crash-injected rank calls it
 directly), neither of which runs ``atexit``.  The benchmark resets its
 program subprocesses' ``PYTHONPATH``, so its workloads start the program
-through the hook's :data:`LAUNCHER` instead of ``-m repro``.
+through the hook's :data:`LAUNCHER` instead of ``-m repro``, and a doc
+block's ``PYTHONPATH=src`` runs as the hook's own path (the hook, then
+``src``).
 
 This is a development tool, not part of the package: it lives beside the
-tests and finds the page from its own place in the checkout.  Nothing gates
-on its output; ``tests/test_census.py`` runs the hook on two commands.
+tests and finds the page from its own place in the checkout.  CI's
+``census`` job regenerates the page and fails when it differs from the
+committed one, so a function that stops running shows up in the change
+that stopped it; ``tests/test_census.py`` runs the hook on two commands
+and checks the committed page and :data:`SMOKE` against ``ci.yml``.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-__all__ = ["COMMANDS", "TAGS", "KEEP", "Function", "functions", "census", "decision", "render", "main"]
+__all__ = ["SMOKE", "DOC_BLOCKS", "COMMANDS", "TAGS", "KEEP", "Function", "functions", "census", "decision", "render", "main"]
 
 #: the checkout this file sits in (``tests/census.py``).
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -108,6 +115,13 @@ svc = repro.service.server.Service(slots=1, registry_dir=sys.argv[1]); \
 assert svc.handle({'op': 'query', 'theory': 'trains', 'examples': ['eastbound(t0)']})['covered'] == [True]; \
 svc.close()" reg"""
 
+_CONSOLE_SCRIPT = """\
+repro learn trains --p 2 --backend local
+repro learn trains --width nolimit
+repro export trains exported
+python -c "from repro.logic import parse_program; n = [len(parse_program(open(f'exported/{f}').read())) \
+for f in ('bk.pl', 'pos.f', 'neg.n', 'modes.pl')]; assert n[1:3] == [20, 4] and min(n) > 0, n\""""
+
 _RESUME_JOB = """\
 python -c "from repro.service.jobs import JobSpec, run_job; \
 run_job(JobSpec('krki', 'p2mdie', p=2), checkpoint_dir='jk', max_epochs=2)"
@@ -129,17 +143,25 @@ repro jobs submit trains --register-as trains --wait --port 7341
 repro loadgen trains --requests 5 --rate 40 --batch 20 --port 7341
 repro registry --registry-dir registry promote trains 2
 repro loadgen trains --requests 5 --rate 40 --batch 20 --port 7341
+repro jobs status job-0001 --port 7341
+repro jobs cancel job-0001 --port 7341 | grep -qx '% cancelled=False'
+repro jobs gc --keep 1 --port 7341
+repro registry --registry-dir registry show trains --version 1
+repro registry --registry-dir registry diff trains 1 2
+repro registry --registry-dir registry gc trains --keep 1
 repro jobs shutdown --port 7341
 wait
 test -s serve-trace.jsonl"""
 
 _IDLE_SIGTERM = """\
-repro serve --port 7343 --state-dir jobs-idle --registry-dir registry-idle &
+repro serve --port 7343 --state-dir jobs-idle --registry-dir registry-idle --auth-token sesame &
 SERVE_PID=$!
 for i in $(seq 1 100); do (exec 3<>/dev/tcp/127.0.0.1/7343) 2>/dev/null && break; sleep 0.2; done
 exec 3<>/dev/tcp/127.0.0.1/7343
 echo '{"op": "ping"}' >&3
 read -r -t 10 PONG <&3
+repro jobs status --port 7343 --token sesame
+repro jobs status --port 7343 2>&1 | grep -q 'authentication required'
 kill -TERM $SERVE_PID
 wait $SERVE_PID
 exec 3>&-"""
@@ -164,16 +186,35 @@ EXAMPLE_ARGS = {
 _CRASH = "examples/faultplans/crash_and_straggler.json"
 _BENCH_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
-#: (label, bash) — run in order, each in a fresh directory with ``src``,
-#: ``examples`` and ``bench`` linked in.  Labels name the CI step.
-COMMANDS = [
+def _doc_blocks() -> list:
+    """(label, bash) of every doc block CI's docs job runs
+    (``REPRO_DOCS_FULL=1``), read through ``tests/test_docs.py``, except the
+    one that runs pytest: a test run calls what the tests call, not what
+    the program runs."""
+    import test_docs
+
+    blocks = []
+    for path in test_docs.DOC_FILES:
+        rel = path.relative_to(ROOT).as_posix()
+        for n, (lang, code, _, mark) in enumerate(test_docs.extract_blocks(path), 1):
+            if lang not in test_docs.RUNNABLE or mark == "skip" or "-m pytest" in code:
+                continue
+            script = f"python - <<'EOF'\n{code}\nEOF" if lang == "python" else code
+            blocks.append((f"docs: {rel}, block {n}", script))
+    return blocks
+
+
+#: (label, bash) of CI's smoke steps, each ``repro …`` line as CI runs it
+#: (``tests/test_census.py`` checks them against ``ci.yml``).  Labels name
+#: the CI job and step.
+SMOKE = [
     ("tests: start-up imports",
      'python -c "import repro.cli"\npython -c "import repro.service"\n'
      'python -c "import repro.cli; from repro.service import serve"'),
     ("tests: a server's first answer", _FIRST_ANSWER),
     ("tests: learn trains in process",
      "python -c \"from repro.cli import main; main(['learn', 'trains'])\""),
-    ("tests: console-script smoke", "repro learn trains --p 2 --backend local"),
+    ("tests: console-script smoke", _CONSOLE_SCRIPT),
     ("tests: resume from a CLI checkpoint",
      "repro learn krki --p 2 --checkpoint-dir ck > full.txt\n"
      "repro resume ck/epoch_0002.ckpt > resumed.txt\n"
@@ -197,6 +238,15 @@ COMMANDS = [
      f"repro learn krki --p 2 --backend local --fault-plan {_CRASH}"),
     ("fault-injection-smoke: sweep",
      "repro faults --dataset trains --ps 2 --timeout 1.0 --strategies p2mdie,covpar,independent"),
+]
+
+DOC_BLOCKS = _doc_blocks()
+
+#: (label, bash) — run in order, each in a fresh directory with ``src``,
+#: ``examples`` and ``bench`` linked in.
+COMMANDS = [
+    *SMOKE,
+    *DOC_BLOCKS,
     *(
         (f"bench: {name}", _WORKLOAD.format(name=name))
         for name in _BENCH_WORKLOADS
@@ -212,7 +262,6 @@ COMMANDS = [
 TAGS = {
     "failure": "a failure or refusal path; the named test reaches it",
     "reference": "a reference or an accessor that the named tests check the program against",
-    "documented": "a capability the named doc promises",
     "ci-only": "runs only in CI's MPI job (mpi4py and mpiexec)",
     "spawn": "runs only where ranks start by spawn, not fork; the named test starts them so",
     "rule-bk": "the engine path for rule-defined background knowledge; the named test reaches it",
@@ -222,10 +271,6 @@ TAGS = {
     "stub": "an interface stub, a null object's method or a `__repr__` / `__str__` debug aid",
 }
 
-_EXPORT = "docs/api.md CLI table: `export` writes a dataset as Prolog files"
-_JOBS = "docs/api.md CLI table: `jobs status|cancel|wait|gc`"
-_REGISTRY = "docs/api.md CLI table: `registry list|show|diff|promote|gc`"
-_AUTH = "README.md: token auth (`--auth-token`)"
 _LOCAL_FAILURE = "tests/backend/test_local_transport.py::TestFailureModes"
 
 #: Why each never-called function stays: ``key -> (tag, reason)``.  A key
@@ -240,13 +285,6 @@ KEEP = {
     "backend/local.py::LocalProcessBackend.__repr__": ("stub", "debug aid"),
     "backend/mpi.py::": ("ci-only", "the mpi-smoke job runs `--backend mpi` under mpiexec"),
     "backend/sim.py::SimBackend.__repr__": ("stub", "debug aid"),
-    "cli.py::_parse_width": ("documented", "`repro learn --help`: `--width` takes a width or "
-                             "'nolimit' (tests/test_cli.py)"),
-    "cli.py::_write_trace_out": ("documented", "docs/telemetry.md: `--trace-out`"),
-    "cli.py::_cmd_trace": ("documented", "README.md, docs/telemetry.md: `repro trace`"),
-    "cli.py::_cmd_export": ("documented", _EXPORT),
-    "cli.py::_cmd_query": ("documented", "README.md: `repro query`"),
-    "cli.py::_query_verb": ("documented", "README.md: `repro query`"),
     "cluster/costmodel.py::CostModel.seconds_for_ops": ("stub", "abstract: OpsCostModel "
                                                         "overrides it"),
     "cluster/message.py::Message.__str__": ("stub", "debug aid"),
@@ -254,16 +292,10 @@ KEEP = {
         "reference", "tests/cluster/test_scheduler.py::TestPointToPoint::"
                      "test_latency_advances_clock reads a process's virtual time"),
     "cluster/process.py::SimProcess.run": ("stub", "abstract: each process overrides it"),
-    "experiments/trace.py::stage_summary": ("documented", "docs/telemetry.md: `repro trace` "
-                                            "prints the stage summary"),
     "fault/plan.py::MessageLoss.__post_init__": (
         "failure", "tests/fault/test_plan.py::TestEvents::test_loss_nth_one_based"),
     "fault/plan.py::PlanFormat.replace": (
         "pinned", "tests/test_knobs.py::test_the_fault_plan_format_is_written_once"),
-    "fault/plan.py::PlanFormat.to_json": ("documented", "docs/api.md: the plan format's "
-                                          "`load` / `save` / `to_json` / `from_json`"),
-    "fault/plan.py::PlanFormat.save": ("documented", "docs/api.md: the plan format's "
-                                       "`load` / `save` / `to_json` / `from_json`"),
     "ilp/bottom.py::BottomLiteral.__str__": ("stub", "debug aid"),
     "ilp/bottom.py::BottomClause.__str__": ("stub", "debug aid"),
     "ilp/bottom.py::BottomClause.as_clause": (
@@ -277,9 +309,6 @@ KEEP = {
                    "test_mismatch_names_fields_and_values"),
     "ilp/coverage.py::covers": ("reference", "tests/ilp/test_bottom_invariants.py::"
                                 "TestBottomCoversSeed"),
-    "ilp/modes.py::ArgSpec.__str__": ("documented", _EXPORT),
-    "ilp/modes.py::ModeDecl.__str__": ("documented", _EXPORT),
-    "ilp/modes.py::ModeSet.__iter__": ("documented", _EXPORT),
     "ilp/modes.py::ModeSet.validate": ("reference", "tests/datasets/test_generators.py::"
                                        "TestSmallScale::test_modes_validate"),
     "ilp/refinement.py::SearchRule.__str__": ("stub", "debug aid"),
@@ -288,7 +317,6 @@ KEEP = {
     "logic/builtins.py::eval_arith": ("rule-bk", "tests/logic/test_engine.py::TestBuiltins::"
                                       "test_arith_comparisons"),
     "logic/clause.py::Clause.__repr__": ("stub", "debug aid"),
-    "logic/clause.py::Theory.__str__": ("stub", "debug aid"),
     "logic/clause.py::Theory.__repr__": ("stub", "debug aid"),
     "logic/engine.py::QueryBudget.__repr__": ("stub", "debug aid"),
     "logic/engine.py::Engine.__getstate__": (
@@ -297,12 +325,6 @@ KEEP = {
         "spawn", "tests/logic/test_cover_plan.py::test_an_engine_pickles_without_its_plans"),
     "logic/engine.py::Engine.prove": ("reference", "tests/datasets/test_generators.py::"
                                       "TestTrainsSpecifics::test_target_learnable_structure"),
-    "logic/io.py::kb_to_prolog": ("documented", _EXPORT),
-    "logic/io.py::examples_to_prolog": ("documented", _EXPORT),
-    "logic/io.py::save_problem": ("documented", _EXPORT),
-    "logic/knowledge.py::FactStore.__len__": ("documented", _EXPORT),
-    "logic/knowledge.py::FactStore.__iter__": ("documented", _EXPORT),
-    "logic/knowledge.py::KnowledgeBase.predicates": ("documented", _EXPORT),
     "logic/parser.py::_Parser.err": ("failure", "tests/logic/test_parser.py::TestErrors"),
     "logic/parser.py::_Parser.parse_list": (
         "rule-bk", "list syntax, in which recursive background (member/2, append/3) is "
@@ -316,51 +338,18 @@ KEEP = {
                                   "test_occurs_check_only_restricts"),
     "logic/unify.py::unify": ("reference", "tests/logic/test_unify.py::"
                               "test_unifier_is_a_solution"),
-    "obs/span.py::Span.from_dict": ("documented", "docs/telemetry.md: `read_spans_jsonl`"),
     "obs/span.py::_NullTracer.record": ("stub", "the disabled tracer's no-op"),
-    "obs/span.py::write_spans_jsonl": ("documented", "docs/telemetry.md: `--trace-out`"),
-    "obs/span.py::read_spans_jsonl": ("documented", "docs/telemetry.md"),
     "parallel/master.py::Master._end_epoch.<locals>.prune": (
         "failure", "tests/fault/test_golden_healing.py"),
-    "parallel/wire.py::_Encoder.f64": ("format", "tests/fault/test_checkpoint.py: a "
-                                       "checkpointed RNG that drew a gauss"),
-    "parallel/wire.py::_Decoder.f64": ("format", "tests/fault/test_checkpoint.py: a "
-                                       "checkpointed RNG that drew a gauss"),
     "parallel/wire.py::_home_decoder": ("failure", "tests/parallel/test_wire.py::"
                                         "TestRetiredCodes"),
-    "service/client.py::ServiceClient.hello": ("documented", _AUTH),
-    "service/errors.py::Unauthenticated.__init__": ("documented", _AUTH),
     "service/errors.py::Overloaded.__init__": (
         "failure", "tests/service/test_resilience.py::TestAdmission::test_queue_depth_shed"),
     "service/errors.py::ShuttingDown.__init__": (
         "failure", "tests/service/test_job_scheduler.py::TestWaitersAtClose"),
-    "service/query.py::QueryEngine.forget": ("documented", _REGISTRY),
-    "service/query.py::QueryEngine.dataset_for": ("documented", "README.md: `repro query`"),
-    "service/registry.py::RegistryRecord.to_dict": ("documented", _REGISTRY),
-    "service/registry.py::theory_diff": ("documented", _REGISTRY),
-    "service/registry.py::TheoryRegistry.": ("documented", _REGISTRY),
-    "service/scheduler.py::JobScheduler.__enter__": ("documented", "docs/api.md: the "
-                                                     "`with JobScheduler(...)` example"),
-    "service/scheduler.py::JobScheduler.__exit__": ("documented", "docs/api.md: the "
-                                                    "`with JobScheduler(...)` example"),
-    "service/scheduler.py::JobScheduler.wait_all": ("documented", "docs/api.md: the "
-                                                    "`with JobScheduler(...)` example"),
-    "service/scheduler.py::JobScheduler.wait_all.<locals>.drained": (
-        "documented", "docs/api.md: the `with JobScheduler(...)` example"),
     "service/scheduler.py::JobScheduler.result": (
         "reference", "tests/service/test_job_scheduler.py::TestQueueing::"
                      "test_jobs_run_and_match_direct_execution"),
-    "service/scheduler.py::JobScheduler.cancel": ("documented", _JOBS),
-    "service/scheduler.py::JobScheduler.gc": ("documented", _JOBS),
-    "service/server.py::Service._op_hello": ("documented", _AUTH),
-    "service/server.py::Service._op_status": ("documented", _JOBS),
-    "service/server.py::Service._op_cancel": ("documented", _JOBS),
-    "service/server.py::Service._op_gc": ("documented", _JOBS),
-    "service/server.py::Service._op_registry": ("documented", _REGISTRY),
-    "service/server.py::Service._op_metrics": ("documented", "docs/telemetry.md: "
-                                               "`{\"op\": \"metrics\"}`"),
-    "util/log.py::set_log_level": ("documented", "docs/api.md"),
-    "util/log.py::set_log_format": ("documented", "docs/telemetry.md"),
 }
 
 
@@ -433,6 +422,7 @@ def census(commands=COMMANDS, src: pathlib.Path = SRC, log=print) -> set:
             _HOOK.format(out=str(records), hook=str(hook)), encoding="utf-8")
         (hook / "sitecustomize.py").write_text("import _census_hook\n", encoding="utf-8")
         (hook / "python").symlink_to(sys.executable)
+        (hook / "python3").symlink_to(sys.executable)
         (hook / "repro").write_text(
             f"#!/bin/sh\nexec {shlex.quote(sys.executable)} -m repro \"$@\"\n", encoding="utf-8")
         (hook / "repro").chmod(0o755)
@@ -447,6 +437,7 @@ def census(commands=COMMANDS, src: pathlib.Path = SRC, log=print) -> set:
             t0 = time.perf_counter()
             # Its own session, so that whatever a command left behind (a
             # server it started in the background) goes with it.
+            script = script.replace("PYTHONPATH=src ", 'PYTHONPATH="$PYTHONPATH" ')
             proc = subprocess.Popen(
                 ["bash", "-c", _PRELUDE + script], cwd=box, env=env, text=True,
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, start_new_session=True,
@@ -510,7 +501,8 @@ def render(funcs: dict, called: set) -> str:
         "",
         "## Commands",
         "",
-        "Each runs in a fresh directory; `repro` is `python -m repro`.",
+        "Each runs in a fresh directory; `repro` is `python -m repro`, and a",
+        "doc block's `PYTHONPATH=src` runs as the hook's path (the hook, then `src`).",
         "",
     ]
     for label, script in COMMANDS:

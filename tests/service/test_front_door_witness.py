@@ -3,8 +3,10 @@
 ``tests/data/front_door_responses.json`` holds, for a fixed corpus of
 requests sent as JSON lines over a socket, every response line the
 server wrote back: each op the :mod:`repro.service.server` docstring
-lists, once plain and once with ``"stream": true``, and the four
-refusals (unauthenticated, deadline exceeded, bad request, overloaded).
+lists, once plain and once with ``"stream": true``, the four refusals
+(unauthenticated, deadline exceeded, bad request, overloaded), and the
+requests of the retired ``registry`` op and ``registry`` gc target, which
+the server refuses by name.
 Every request carries its own ``request_id``, so the ids echo verbatim.
 
 Values that change from run to run (a job's wall seconds, the latency

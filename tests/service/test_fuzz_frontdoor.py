@@ -196,15 +196,14 @@ class TestCorruptCertificateFrontDoor:
             fh.write(parent_cert)
         with running_server(str(tmp_path / "jobs"), registry.root) as port:
             with ServiceClient(port=port) as c:
-                before = c.request({"op": "registry", "action": "show", "name": "live-corrupt"})
+                examples = [str(e) for e in trains.pos]
+                before = c.query("live-corrupt", examples)
                 with open(stray, "wb") as fh:
                     fh.write(b"\xde\xad\xbe\xef")
-                after = c.request({"op": "registry", "action": "show", "name": "live-corrupt"})
-                assert before["ok"] and after["ok"]
-                assert after["record"] == before["record"]
+                after = c.query("live-corrupt", examples)
+                assert after["covered"] == before["covered"]
+                assert after["n_covered"] == len(trains.pos)
                 assert not [k for k in after if "cert" in k]
-                result = c.query("live-corrupt", [str(e) for e in trains.pos])
-                assert result["n_covered"] == len(trains.pos)
                 # the same connection keeps serving after the damage
                 assert c.request({"op": "ping"})["ok"]
             assert_still_serving(port)
@@ -213,8 +212,8 @@ class TestCorruptCertificateFrontDoor:
 class TestStrayCertificateFrontDoor:
     """A registry root from before sampled coverage was retired, with a
     ``.cert`` beside each theory — one intact, one damaged — boots and
-    serves every registry op and a query; the server never opens either
-    file and leaves both as they were."""
+    serves a query and stats, and takes a registry gc in between; neither
+    the server nor the gc opens either file, and both stay as they were."""
 
     def test_old_root_serves_without_reading_stray_files(
         self, tmp_path, trains, trains_theory, parent_cert, opened_paths
@@ -236,24 +235,18 @@ class TestStrayCertificateFrontDoor:
 
         with running_server(str(tmp_path / "jobs"), registry.root) as port:
             with ServiceClient(port=port) as c:
-                def registry_op(action, **kw):
-                    return c.request({"op": "registry", "action": action, **kw})
-
-                assert registry_op("list")["theories"] == [
-                    {"name": "t", "versions": [1, 2], "promoted": None}
-                ]
-                assert registry_op("versions", name="t")["versions"] == [1, 2]
-                shown = registry_op("show", name="t")
-                assert shown["ok"] and shown["record"]["version"] == 2
-                assert not [k for k in shown if "cert" in k]
-                diff = registry_op("diff", name="t", old=1, new=2)
-                assert diff["ok"] and diff["added"] == diff["removed"] == []
+                assert registry.names() == ["t"] and registry.versions("t") == [1, 2]
+                assert registry.get("t").version == 2
+                diff = registry.diff("t", 1, 2)
+                assert diff["added"] == diff["removed"] == []
                 result = c.query("t", [str(e) for e in trains.pos])
                 assert result["n_covered"] == len(trains.pos)
+                assert not [k for k in result if "cert" in k]
                 stats = c.request({"op": "stats"})
                 assert stats["ok"] and stats["resilience"]["quarantined"] == []
-                gc = c.request({"op": "gc", "target": "registry", "name": "t", "keep": 1})
-                assert gc["removed"] == [1]
+                assert registry.gc("t", keep=1) == [1]
+                result = c.query("t", [str(e) for e in trains.pos])
+                assert result["n_covered"] == len(trains.pos)
                 c.request({"op": "shutdown"})
         assert not set(strays) & set(opened_paths)
         for path, body in strays.items():

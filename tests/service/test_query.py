@@ -1,5 +1,11 @@
 """QueryEngine: batched coverage must be bit-identical to one-shot eval."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.ilp import coverage, predicts
@@ -7,6 +13,8 @@ from repro.ilp.coverage import coverage_eval, theory_covered_bits
 from repro.logic import parse_term
 from repro.service import QueryEngine, Service
 from repro.service.query import PREPARED_CACHE_CAP
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def fresh_engine(ds):
@@ -101,25 +109,43 @@ class TestPreparedCache:
             assert qe.stats()["prepared_hits"] == hits, v
         assert qe.stats()["batches"] == 24
 
-    def test_registry_gc_drops_the_entries_of_removed_versions(
+    def test_a_gc_in_another_process_leaves_removed_versions_refused(
         self, tmp_path, trains_theory, trains
     ):
-        svc = Service(slots=1, registry_dir=str(tmp_path))
+        """The server holds no registry front end: a gc runs in another
+        process (``repro registry gc``).  A query naming a version it
+        removed is refused by the registry, cached entry or not, and the
+        prepared cache stays within its cap."""
+        root = tmp_path / "registry"
+        svc = Service(slots=1, registry_dir=str(root))
         try:
-            for _ in range(5):
+            for _ in range(PREPARED_CACHE_CAP + 2):
                 svc.registry.publish(
                     "t", trains_theory.theory,
                     provenance={"dataset": "trains", "seed": "0", "scale": "small"},
                 )
+            past = time.time() - 60
+            os.utime(root / "t", (past, past))  # settled: the listing is cached
             examples = [str(e) for e in trains.pos[:2]]
-            for v in range(1, 6):
+            latest = PREPARED_CACHE_CAP + 2
+            for v in range(1, latest + 1):
                 query = {"op": "query", "theory": "t", "version": v, "examples": examples}
                 assert svc.handle(query)["ok"]
-            assert svc.query_engine.stats()["prepared_entries"] == 5
-            gc = svc.handle({"op": "gc", "target": "registry", "name": "t", "keep": 1})
-            assert gc["removed"] == [1, 2, 3, 4]
+            assert svc.query_engine.stats()["prepared_entries"] == PREPARED_CACHE_CAP
+            subprocess.run(
+                [sys.executable, "-m", "repro", "registry", "--registry-dir", str(root),
+                 "gc", "t", "--keep", "1"],
+                env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True,
+                capture_output=True, timeout=60,
+            )
+            for v in range(1, latest):
+                query = {"op": "query", "theory": "t", "version": v, "examples": examples}
+                refused = svc.handle(query)
+                assert not refused["ok"] and f"'t' has no version {v}" in refused["error"]
+            assert svc.handle({"op": "query", "theory": "t", "examples": examples})["ok"]
             stats = svc.query_engine.stats()
-            assert stats["prepared_entries"] == 1 and stats["batches"] == 5
+            assert stats["prepared_entries"] <= PREPARED_CACHE_CAP
+            assert stats["batches"] == latest + 1
         finally:
             svc.close()
 

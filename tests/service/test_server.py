@@ -82,14 +82,10 @@ class TestServiceHandler:
             }
         )
         service.scheduler.wait_all(timeout=120)
-        listing = service.handle({"op": "registry", "action": "list"})
-        assert listing["theories"][0]["name"] == "t"
-        shown = service.handle({"op": "registry", "action": "show", "name": "t"})
-        assert shown["record"]["version"] == 1
-        promoted = service.handle(
-            {"op": "registry", "action": "promote", "name": "t", "version": 1}
-        )
-        assert promoted["promoted"] == 1
+        # The job published into the registry directory, which is edited
+        # there (`repro registry`) and read by the next query.
+        assert service.registry.names() == ["t"]
+        assert service.registry.promote("t", 1) == 1
         result = service.handle(
             {"op": "query", "theory": "t", "examples": [str(e) for e in trains.pos]}
         )
@@ -121,6 +117,42 @@ class TestServiceHandler:
         )
         assert resp["code"] == "bad_request"
         assert resp["error"] == "examples[1] must be a string, got int"
+
+
+class TestOneRegistryFrontEnd:
+    """The registry has one front end, ``repro registry`` on its directory,
+    and the metrics one read over the socket, the ``metrics`` section of
+    ``stats``: the ``registry`` and ``metrics`` ops and the ``registry``
+    target of ``gc`` are refused by name, plain and streamed, and no
+    registry file changes."""
+
+    def test_the_registry_and_metrics_ops_are_unknown(self, tmp_path, trains_theory):
+        from repro.service import TheoryRegistry
+
+        registry = TheoryRegistry(str(tmp_path / "registry"))
+        for _ in range(3):
+            registry.publish("t", trains_theory.theory, provenance={"dataset": "trains"})
+        root = tmp_path / "registry"
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        port, thread = start_server(tmp_path)
+        refusals = [
+            ({"op": "registry", "action": "list"}, "unknown op 'registry'"),
+            ({"op": "registry", "action": "promote", "name": "t", "version": 1},
+             "unknown op 'registry'"),
+            ({"op": "metrics"}, "unknown op 'metrics'"),
+            ({"op": "gc", "target": "registry", "name": "t", "keep": 1},
+             "unknown gc target 'registry'"),
+        ]
+        with ServiceClient(port=port) as client:
+            for request, error in refusals:
+                for stream in (False, True):
+                    resp = client.request({**request, "stream": stream})
+                    assert not resp["ok"] and resp["code"] == "bad_request", resp
+                    assert error in resp["error"]
+            assert "metrics" in client.request({"op": "stats"})
+            client.request({"op": "shutdown"})
+        thread.join(timeout=10)
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 class TestSocketTransport:
@@ -335,10 +367,6 @@ class TestAcceptance:
 
             # Query parity: every batch identical, and identical to the
             # one-shot coverage evaluation of the registered theory.
-            reg_rec = client.request(
-                {"op": "registry", "action": "show", "name": "serving"}
-            )
-            assert reg_rec["ok"]
             service_side = results[0]
             assert all(r["covered"] == service_side["covered"] for r in results)
             client.request({"op": "shutdown"})
@@ -359,18 +387,14 @@ class TestAcceptance:
             assert outcome["epochs"] == direct.epochs
 
         # Query parity against one-shot evaluation, computed locally from
-        # the same registered theory.
-        from repro.logic import parse_program
+        # the same registered theory, read from the registry directory.
+        from repro.service import TheoryRegistry
 
         examples_t = trains.pos + trains.neg
-        text = "\n".join(
-            line
-            for line in reg_rec["record"]["theory"].splitlines()
-            if not line.startswith("%")
-        )
+        record = TheoryRegistry(str(tmp_path / "registry")).get("serving")
         expected_bits = 0
         engine = trains.config.make_engine(trains.kb)
-        for clause in parse_program(text):
+        for clause in record.to_theory():
             bits, _ = coverage_eval(engine, clause, examples_t)
             expected_bits |= bits
         expected = [bool((expected_bits >> i) & 1) for i in range(len(examples_t))]

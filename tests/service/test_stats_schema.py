@@ -123,9 +123,3 @@ class TestMetricsSection:
         hist = m["repro_request_latency_seconds"]["op=ping"]
         assert set(hist) == {"count", "sum", "max", "mean", "buckets"}
         assert hist["count"] >= 1
-
-    def test_metrics_op_matches_stats_section(self, service):
-        service.handle({"op": "ping"})  # seed the request counters
-        resp = service.handle({"op": "metrics"})
-        assert resp["ok"]
-        assert set(resp["metrics"]) == set(_stats(service)["metrics"])

@@ -99,11 +99,11 @@ class TestLiveTelemetry:
             resp = c.request({"op": "ping"})
             assert resp["request_id"].startswith("req-")
 
-    def test_metrics_op_counts_requests(self, server):
+    def test_the_stats_metrics_section_counts_requests(self, server):
         srv, _ = server
         with ServiceClient(port=srv.port) as c:
             c.request({"op": "ping"})
-            resp = c.request({"op": "metrics"})
+            resp = c.request({"op": "stats"})
         assert resp["ok"]
         assert resp["metrics"]["repro_requests_total"]["op=ping"] >= 1
 

@@ -1,7 +1,9 @@
-"""The executed-code census (``tests/census.py``) on two commands, and the
-committed list's decisions."""
+"""The executed-code census (``tests/census.py``) on two commands, the
+committed list's decisions, and the census's smoke lines against CI's."""
 
+import ast
 import pathlib
+import re
 import shutil
 import sys
 
@@ -94,3 +96,66 @@ def test_a_nested_function_counts_its_lines_once():
     page = census.render(funcs, called={("m.py", 7)})
     assert "**2 of 3 functions never called: 5 of 7 function lines.**" in page
     assert "| `m.py::outer.<locals>.inner` | 2 | **untagged** |" in page
+
+
+CI = census.ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def drift(smoke, ci_text: str) -> list:
+    """The ``repro …`` lines of ``smoke`` commands that CI does not run:
+    each must be a line of ``ci_text`` as ``PYTHONPATH=src python -m repro …``
+    (a step on the checkout) or as ``repro …`` (a step that installed the
+    console script), and each label must name a CI job."""
+    jobs = set(re.findall(r"^  ([\w-]+):\s*$", ci_text, re.MULTILINE))
+    lines = {re.sub(r"^(- )?run: ", "", line.strip()) for line in ci_text.splitlines()}
+    missing = []
+    for label, script in smoke:
+        if label.split(":")[0] not in jobs:
+            missing.append(f"{label}: no such CI job")
+        for line in script.splitlines():
+            if line.startswith("repro ") and not (
+                f"PYTHONPATH=src python -m {line}" in lines or line in lines
+            ):
+                missing.append(f"{label}: {line}")
+    return missing
+
+
+def test_every_smoke_line_is_a_line_ci_runs():
+    assert not drift(census.SMOKE, CI.read_text(encoding="utf-8"))
+
+
+def test_a_smoke_line_ci_does_not_run_is_drift():
+    ci_text = "jobs:\n  docs:\n    steps:\n      - run: PYTHONPATH=src python -m repro tables\n"
+    assert drift([("docs: tables", "repro tables")], ci_text) == []
+    assert drift([("docs: tables", "repro tables --which 1")], ci_text) == [
+        "docs: tables: repro tables --which 1"]
+    assert drift([("lint: tables", "repro tables")], ci_text) == ["lint: tables: no such CI job"]
+
+
+_TEST_REF = re.compile(r"(tests/[\w/]+\.py)(?:::(\w+))?(?:::(\w+))?")
+
+
+def _defines(tree, names) -> bool:
+    """Whether ``tree`` defines the class or function ``names[0]`` at its
+    top level, and ``names[1]`` inside it."""
+    body = tree.body
+    for name in names:
+        found = [n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                 and n.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_every_test_a_keep_reason_names_exists():
+    named = [(key, m.group(1), [g for g in m.groups()[1:] if g])
+             for key, (_, reason) in census.KEEP.items()
+             for m in _TEST_REF.finditer(reason)]
+    assert named
+    stale = []
+    for key, path, names in named:
+        file = census.ROOT / path
+        if not file.is_file() or not _defines(ast.parse(file.read_text(encoding="utf-8")), names):
+            stale.append(f"{key}: {'::'.join([path, *names])}")
+    assert not stale, stale
