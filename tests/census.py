@@ -5,12 +5,13 @@ never *run*.  The tool runs a fixed command list (:data:`COMMANDS`): CI's
 smoke commands (:data:`SMOKE`, each line as CI runs it), the doc blocks CI's
 docs job runs (:data:`DOC_BLOCKS`), the five benchmark workloads
 (``BENCHMARK.json``) and every ``examples/*.py``.  Every Python process
-those commands start records which
-functions it called, and the tool writes one sorted list of the functions
-none of them called, each with its line count and the reason it stays
-(:data:`KEEP`), to ``docs/census.md``::
+those commands start records which functions it called, and the tool
+writes one sorted list of the functions none of them called, each with its
+line count and the reason it stays (:data:`KEEP`), to ``docs/census.md``::
 
-    python tests/census.py     # runs every command (a few minutes), writes the page
+    python tests/census.py     # runs every command (~2 min), writes the page
+
+It reads the doc blocks through ``tests/test_docs.py``, so it needs pytest.
 
 The record is a profiler hook (``sys.setprofile`` + ``threading.setprofile``)
 installed by a ``sitecustomize`` module that the tool puts first on every
@@ -46,7 +47,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-__all__ = ["SMOKE", "DOC_BLOCKS", "COMMANDS", "TAGS", "KEEP", "Function", "functions", "census", "decision", "render", "main"]
+__all__ = ["SMOKE", "DOC_BLOCKS", "COMMANDS", "TAGS", "KEEP", "Function", "functions", "census",
+           "decision", "render", "main"]
 
 #: the checkout this file sits in (``tests/census.py``).
 ROOT = pathlib.Path(__file__).resolve().parent.parent
