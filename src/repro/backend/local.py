@@ -479,12 +479,7 @@ class LocalProcessBackend(Backend):
                 results[rank] = msg[1]
 
         try:
-            while pending and not failed:
-                if ft and 0 in results:
-                    # The master finished; give stragglers/zombies a short
-                    # grace period to deliver their final states, then move on.
-                    _drain_errors(grace=10.0)
-                    break
+            while pending and not failed and not (ft and 0 in results):
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     _raise_timeout()
@@ -509,6 +504,11 @@ class LocalProcessBackend(Backend):
                             _take(result_parent[rank], rank, block_ok=False)
                             if failed:
                                 break
+            if ft and 0 in results:
+                # The master finished; give stragglers/zombies a short grace
+                # period to deliver their final states, then move on (at once
+                # when every report came in with the master's).
+                _drain_errors(grace=10.0)
             if failed:
                 # Collect the other ranks' reports too: when one rank dies
                 # its peers usually fail derivatively (EOF), and the root

@@ -117,9 +117,10 @@ class TestPreparedCache:
         removed is refused by the registry, cached entry or not, and the
         prepared cache stays within its cap."""
         root = tmp_path / "registry"
+        latest = PREPARED_CACHE_CAP + 2
         svc = Service(slots=1, registry_dir=str(root))
         try:
-            for _ in range(PREPARED_CACHE_CAP + 2):
+            for _ in range(latest):
                 svc.registry.publish(
                     "t", trains_theory.theory,
                     provenance={"dataset": "trains", "seed": "0", "scale": "small"},
@@ -127,7 +128,6 @@ class TestPreparedCache:
             past = time.time() - 60
             os.utime(root / "t", (past, past))  # settled: the listing is cached
             examples = [str(e) for e in trains.pos[:2]]
-            latest = PREPARED_CACHE_CAP + 2
             for v in range(1, latest + 1):
                 query = {"op": "query", "theory": "t", "version": v, "examples": examples}
                 assert svc.handle(query)["ok"]
