@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.ilp.coverage import coverage_eval
-from repro.service import JobSpec, Service, ServiceClient, serve
+from repro.service import JobSpec, Service, ServiceClient, TheoryRegistry, serve
 
 
 @pytest.fixture
@@ -127,12 +127,10 @@ class TestOneRegistryFrontEnd:
     registry file changes."""
 
     def test_the_registry_and_metrics_ops_are_unknown(self, tmp_path, trains_theory):
-        from repro.service import TheoryRegistry
-
-        registry = TheoryRegistry(str(tmp_path / "registry"))
+        root = tmp_path / "registry"
+        registry = TheoryRegistry(str(root))
         for _ in range(3):
             registry.publish("t", trains_theory.theory, provenance={"dataset": "trains"})
-        root = tmp_path / "registry"
         before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
         port, thread = start_server(tmp_path)
         refusals = [
@@ -388,8 +386,6 @@ class TestAcceptance:
 
         # Query parity against one-shot evaluation, computed locally from
         # the same registered theory, read from the registry directory.
-        from repro.service import TheoryRegistry
-
         examples_t = trains.pos + trains.neg
         record = TheoryRegistry(str(tmp_path / "registry")).get("serving")
         expected_bits = 0
